@@ -446,9 +446,14 @@ func BenchmarkConv2D(b *testing.B) {
 
 // BenchmarkNNForwardQuantYOLOv8NanoCPU measures the INT8 forward pass
 // of the calibrated+quantized yolov8n — compare against
-// BenchmarkNNForwardYOLOv8NanoCPU for the whole-network int8 win
-// (smaller than the kernel-level win: detect heads and elementwise ops
-// stay fp32).
+// BenchmarkNNForwardYOLOv8NanoCPU. Until PR 12 this was a host-side
+// loss (plan execute 16.0–18.2 ms int8 vs 12.6–13.9 ms fp32, single
+// core, avx512vnni): the sliver pack re-quantized every pixel per
+// kernel tap. With activations quantized once per conv it is a small
+// win on this network (9.8–9.9 ms vs 10.7–11.4 ms fp32) and a 1.65–1.8x
+// one on bodypose and monodepth2 (BENCHMARKS.md §PR 12); it stays
+// smaller than the kernel-level win because detect heads and
+// elementwise ops stay fp32.
 func BenchmarkNNForwardQuantYOLOv8NanoCPU(b *testing.B) {
 	net := models.BuildQuantized(models.V8Nano, 1, 1, 3, 96, 96)
 	x := tensor.New(3, 96, 96)

@@ -334,7 +334,7 @@ func ConvPackedCheckInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0,
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: ConvPackedCheckInto dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	return gemmStripesF32Check(dst.Data, m, n, k, wp.data, f32ConvB{x: x, spec: spec, c0: c0, oh: oh, ow: ow}, ep, chanOff, wp.csum, wp.acsum)
+	return gemmStripesF32Check(dst.Data, m, n, k, wp.data, newF32ConvB(x, spec, c0, ow), ep, chanOff, wp.csum, wp.acsum)
 }
 
 // ConvPackedQCheckInto is ConvPackedQInto with exact int8 ABFT
@@ -346,7 +346,10 @@ func ConvPackedQCheckInto(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: ConvPackedQCheckInto dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	return gemmStripesQCheck(dst.Data, m, n, k, wp.data, qConvB{x: x, inv: inv, spec: spec, c0: c0, k: k, oh: oh, ow: ow}, rowScale, ep, chanOff, wp.csum)
+	src := newQConvB(x, inv, spec, c0, k, oh, ow)
+	ok := gemmStripesQCheck(dst.Data, m, n, k, wp.data, src, rowScale, ep, chanOff, wp.csum)
+	src.release()
+	return ok
 }
 
 // MatMulEpilogueCheckInto is MatMulEpilogueInto with ABFT verification

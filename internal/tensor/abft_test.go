@@ -208,6 +208,92 @@ func TestABFTConvDetectsPerturbation(t *testing.T) {
 	}
 }
 
+// TestABFTConvGatherRecovery runs the checked convs over the
+// geometries that bend the panel gathers (gatherCases, last group so
+// c0 > 0) on every tier. The checksum row is folded from the packed
+// panel itself, so ABFT alone cannot see a wrong gather: the clean
+// checked output is therefore pinned to the materialised im2col +
+// reference GEMM, which is also what nn's checkedConvF32/checkedConvQ
+// re-execute on a detection — a flipped bit must be flagged and that
+// re-execution must reproduce the clean result.
+func TestABFTConvGatherRecovery(t *testing.T) {
+	defer func() { ABFTFaultF32, ABFTFaultQ = nil, nil }()
+	forEachTier(t, func(t *testing.T, tier string) {
+		for ci, tc := range gatherCases() {
+			spec := tc.spec
+			groups := max(spec.Groups, 1)
+			icg, ocg := spec.InC/groups, spec.OutC/groups
+			k := icg * spec.KH * spec.KW
+			oh, ow := spec.OutSize(tc.h, tc.w)
+			n := oh * ow
+			g := groups - 1
+			r := rng.New(uint64(1300 + ci))
+			x := randTensor(r, spec.InC, tc.h, tc.w)
+			w := randTensor(r, spec.OutC, icg, spec.KH, spec.KW)
+			wg := FromSlice(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+			ep := Epilogue{Act: EpActReLU}
+
+			cols := New(k, n)
+			Im2ColInto(x, cols, spec, g*icg, icg, oh, ow, 0, n)
+			ref := New(ocg, n)
+			MatMulRefEpilogueInto(ref, wg, cols, ep, 0)
+			tol := gemmTolerances(wg, cols)
+			wp := PackWeights(wg)
+			got := New(ocg, n)
+			if !ConvPackedCheckInto(got, wp, x, spec, g*icg, oh, ow, ep, 0) {
+				t.Fatalf("%s: clean fp32 conv flagged", tc.name)
+			}
+			cmpTol(t, tc.name+" fp32 checked vs materialised", got.Data, ref.Data, tol)
+			hit := false
+			ABFTFaultF32 = func(d []float32, dn, j0, jw int) {
+				// The first column with data: one that reads only padding
+				// is all zeros, and a sign flip of zero is no corruption.
+				for j := j0; j < j0+jw && !hit; j++ {
+					for i := 0; i < ocg && !hit; i++ {
+						if d[i*dn+j] != 0 {
+							flipTopAbs(d, dn, ocg, j, 1<<31)
+							hit = true
+						}
+					}
+				}
+			}
+			detected := !ConvPackedCheckInto(got, wp, x, spec, g*icg, oh, ow, ep, 0)
+			ABFTFaultF32 = nil
+			if !hit || !detected {
+				t.Fatalf("%s: fp32 sign flip fired=%v detected=%v", tc.name, hit, detected)
+			}
+
+			qw := QuantizePerChannel(w)
+			const xScale = 1.0 / 100
+			qg := QFromSlice(qw.Data[g*ocg*k:(g+1)*ocg*k], nil, ocg, k)
+			rs := convQScales(qw, xScale, g, ocg)
+			colsQ := QFromSlice(make([]int8, k*n), nil, k, n)
+			Im2ColQInto(x, colsQ.Data, 1/xScale, spec, g*icg, icg, oh, ow, 0, n)
+			refQ := New(ocg, n)
+			MatMulInt8RefEpilogueInto(refQ, qg, colsQ, rs, ep, 0)
+			qp := PackWeightsQ(qg.Data, ocg, k)
+			if !ConvPackedQCheckInto(got, qp, x, spec, g*icg, oh, ow, 1/xScale, rs, ep, 0) {
+				t.Fatalf("%s: clean int8 conv flagged", tc.name)
+			}
+			if !got.Equal(refQ, 0) {
+				t.Fatalf("%s: int8 checked conv differs from the materialised reference", tc.name)
+			}
+			hit = false
+			ABFTFaultQ = func(acc []int32, i0, j0 int) {
+				if !hit {
+					acc[0] ^= 1
+					hit = true
+				}
+			}
+			detected = !ConvPackedQCheckInto(got, qp, x, spec, g*icg, oh, ow, 1/xScale, rs, ep, 0)
+			ABFTFaultQ = nil
+			if !hit || !detected {
+				t.Fatalf("%s: int8 LSB flip fired=%v detected=%v", tc.name, hit, detected)
+			}
+		}
+	})
+}
+
 // TestABFTCleanNoFalsePositive hammers the checked drivers with 1000
 // seeded clean trials across fp32 and int8, mixed shapes and
 // epilogues: the verification must never flag a clean run — the

@@ -24,9 +24,9 @@
 // VPMADDWD int8 tile (avx2fma), and an AVX-512 4×32 VPDPWSSD int8
 // tile (avx512vnni). KernelTier/KernelTierDesc report the selection
 // for benchmark headers. For convolutions the panel pack IS im2col
-// (ConvPackedInto/ConvPackedQInto gather — and for int8, quantize —
-// receptive fields directly), so the k×n cols matrix never
-// materialises. Shapes too small to amortise packing (UsePackedGEMM)
+// (ConvPackedInto/ConvPackedQInto gather receptive fields directly,
+// run by run; the int8 path from a copy of the input quantized once
+// per call), so the k×n cols matrix never materialises. Shapes too small to amortise packing (UsePackedGEMM)
 // fall back to the retained reference kernels, which also serve as
 // the golden parity baseline: int8 and non-FMA fp32 paths accumulate
 // each output element with the reference's exact ascending-k

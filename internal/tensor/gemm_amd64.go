@@ -32,3 +32,11 @@ func gemm4x8(c *float32, ldc int, a, b *float32, kc int, accum uintptr)
 //
 //go:noescape
 func gemmQ4x8(acc *int32, a *int16, b *int8, k2 int)
+
+// interleavePairs zips n bytes of a and b into dst (dst[2i] = a[i],
+// dst[2i+1] = b[i]) — the stride-1 inner step of qConvB.pack, which
+// lays two k rows side by side for the pair-consuming int8 kernels.
+// Plain byte movement, so it serves every tier.
+//
+//go:noescape
+func interleavePairs(dst, a, b *int8, n int)

@@ -157,3 +157,54 @@ qloop:
 	MOVOU X6, 96(DI)
 	MOVOU X7, 112(DI)
 	RET
+
+// func interleavePairs(dst, a, b *int8, n int)
+//
+// dst[2i] = a[i], dst[2i+1] = b[i] for i < n: PUNPCKLBW/PUNPCKHBW zip
+// sixteen columns per step, then eight, then single bytes — the k-pair
+// interleave of the int8 conv B pack.
+TEXT ·interleavePairs(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+zip16:
+	CMPQ CX, $16
+	JLT  zip8
+	MOVOU (SI), X0
+	MOVOU (DX), X1
+	MOVO  X0, X2
+	PUNPCKLBW X1, X0
+	PUNPCKHBW X1, X2
+	MOVOU X0, (DI)
+	MOVOU X2, 16(DI)
+	ADDQ $16, SI
+	ADDQ $16, DX
+	ADDQ $32, DI
+	SUBQ $16, CX
+	JMP  zip16
+zip8:
+	CMPQ CX, $8
+	JLT  zip1
+	MOVQ (SI), X0
+	MOVQ (DX), X1
+	PUNPCKLBW X1, X0
+	MOVOU X0, (DI)
+	ADDQ $8, SI
+	ADDQ $8, DX
+	ADDQ $16, DI
+	SUBQ $8, CX
+zip1:
+	TESTQ CX, CX
+	JZ   zipdone
+	MOVB (SI), AX
+	MOVB (DX), BX
+	MOVB AX, (DI)
+	MOVB BX, 1(DI)
+	INCQ SI
+	INCQ DX
+	ADDQ $2, DI
+	DECQ CX
+	JMP  zip1
+zipdone:
+	RET

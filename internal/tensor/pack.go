@@ -172,54 +172,160 @@ func (s f32MatrixB) pack(bbuf []float32, k0, kc, j0, jw int) {
 	}
 }
 
+// convGeom is what a conv B source needs to walk the virtual im2col
+// matrix of one group: row r is the (c, ky, kx) unroll in im2colRow's
+// order, column j the output pixel (j/ow, j%ow), and element (r, j)
+// reads source pixel (oy·sh − ph + ky·dh, ox·sw − pw + kx·dw) of plane
+// c, or zero padding when that falls outside the h×w plane.
+type convGeom struct {
+	h, w, ow       int
+	kh, kw         int
+	sh, sw, ph, pw int
+	dh, dw         int
+}
+
+func newConvGeom(spec ConvSpec, h, w, ow int) convGeom {
+	dh, dw := spec.dil()
+	return convGeom{h: h, w: w, ow: ow, kh: spec.KH, kw: spec.KW,
+		sh: spec.StrideH, sw: spec.StrideW, ph: spec.PadH, pw: spec.PadW, dh: dh, dw: dw}
+}
+
+// unroll splits virtual row r into its (c, ky, kx); the packs call it
+// once per panel and then step the triple with next.
+func (g *convGeom) unroll(r int) (c, ky, kx int) {
+	c, r = r/(g.kh*g.kw), r%(g.kh*g.kw)
+	return c, r / g.kw, r % g.kw
+}
+
+func (g *convGeom) next(c, ky, kx int) (int, int, int) {
+	if kx++; kx == g.kw {
+		kx = 0
+		if ky++; ky == g.kh {
+			ky = 0
+			c++
+		}
+	}
+	return c, ky, kx
+}
+
+// rowOff is the flat source offset of tap (ky, kx) of plane c — what a
+// virtual row adds to a segment's pos.
+func (g *convGeom) rowOff(c, ky, kx int) int {
+	return (c*g.h+ky*g.dh)*g.w + kx*g.dw
+}
+
+// panelSeg is the part of a B panel that lies in one output row: cnt
+// columns from panel column off, starting at output column ox. iy0 is
+// the source row and pos the flat source offset the first column reads
+// at (ky, kx) = (0, 0); both are negative inside the padding.
+type panelSeg struct {
+	off, cnt, ox, iy0, pos int
+}
+
+// panelSegMax bounds the segments of one panel: a panel has at most
+// qNRMax columns and every segment holds at least one.
+const panelSegMax = qNRMax
+
+// cut splits panel columns [j0, j0+jw) into output-row segments: within
+// one a k row reads a single strided run of one source row, so a pack
+// moves each panel row as a few runs with the padding resolved per run.
+func (g *convGeom) cut(segs *[panelSegMax]panelSeg, j0, jw int) []panelSeg {
+	oy, ox := j0/g.ow, j0%g.ow
+	n := 0
+	for off := 0; off < jw; n++ {
+		cnt := g.ow - ox
+		if cnt > jw-off {
+			cnt = jw - off
+		}
+		iy0 := oy*g.sh - g.ph
+		segs[n] = panelSeg{off: off, cnt: cnt, ox: ox, iy0: iy0, pos: iy0*g.w + ox*g.sw - g.pw}
+		off += cnt
+		oy, ox = oy+1, 0
+	}
+	return segs[:n]
+}
+
+// oxRange returns the output columns [lo, hi) whose source column
+// ox·sw + off lies inside the plane (lo == hi when none does).
+func (g *convGeom) oxRange(off int) (lo, hi int) {
+	if off < 0 {
+		lo = -off
+		if g.sw > 1 {
+			lo = (lo + g.sw - 1) / g.sw
+		}
+	}
+	if hi = g.w - off; hi > 0 && g.sw > 1 {
+		hi = (hi + g.sw - 1) / g.sw
+	}
+	if hi > g.ow {
+		hi = g.ow
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
 // f32ConvB gathers B panels straight from a CHW input's receptive
 // fields — im2col fused into the panel pack (implicit GEMM). Row r of
 // the virtual B matrix is the (c, ky, kx) unroll of channels
 // [c0, c0+icg) exactly as im2colRow lays it out, so packed-conv
 // results match the materialised-cols reference bit for bit.
 type f32ConvB struct {
-	x      *Tensor
-	spec   ConvSpec
-	c0     int
-	oh, ow int
+	src []float32 // the group's input planes, channel c0 first
+	g   convGeom
+}
+
+func newF32ConvB(x *Tensor, spec ConvSpec, c0, ow int) f32ConvB {
+	h, w := x.Shape[1], x.Shape[2]
+	return f32ConvB{src: x.Data[c0*h*w:], g: newConvGeom(spec, h, w, ow)}
 }
 
 func (s f32ConvB) pack(bbuf []float32, k0, kc, j0, jw int) {
-	h, w := s.x.Shape[1], s.x.Shape[2]
-	dh, dw := s.spec.dil()
-	ow := s.ow
+	g := &s.g
+	var segArr [panelSegMax]panelSeg
+	segs := g.cut(&segArr, j0, jw)
+	nr, sw := gemmNR, g.sw
+	if jw < nr {
+		clear(bbuf[:kc*nr])
+	}
+	c, ky, kx := g.unroll(k0)
 	for kk := 0; kk < kc; kk++ {
-		r := k0 + kk
-		c := r / (s.spec.KH * s.spec.KW)
-		rem := r % (s.spec.KH * s.spec.KW)
-		ky := rem / s.spec.KW
-		kx := rem % s.spec.KW
-		src := s.x.Data[(s.c0+c)*h*w : (s.c0+c+1)*h*w]
-		row := bbuf[kk*gemmNR : kk*gemmNR+gemmNR]
-		oy := j0 / ow
-		ox := j0 % ow
-		iy := oy*s.spec.StrideH - s.spec.PadH + ky*dh
-		ix := ox*s.spec.StrideW - s.spec.PadW + kx*dw
-		for jj := 0; jj < jw; jj++ {
-			if iy >= 0 && iy < h && ix >= 0 && ix < w {
-				row[jj] = src[iy*w+ix]
+		row := bbuf[kk*nr : kk*nr+jw]
+		lo, hi := g.oxRange(kx*g.dw - g.pw)
+		roff := g.rowOff(c, ky, kx)
+		for i := range segs {
+			sg := &segs[i]
+			d := row[sg.off : sg.off+sg.cnt]
+			a, b := 0, 0 // d[a:b] reads inside the plane
+			if iy := sg.iy0 + ky*g.dh; uint(iy) < uint(g.h) {
+				a, b = min(max(lo-sg.ox, 0), sg.cnt), min(max(hi-sg.ox, 0), sg.cnt)
+			}
+			for j := 0; j < a; j++ {
+				d[j] = 0
+			}
+			run := d[a:b]
+			p := roff + sg.pos + a*sw
+			if sw == 1 && len(run) >= copyRunMin {
+				copy(run, s.src[p:])
 			} else {
-				row[jj] = 0
+				for j := range run {
+					run[j] = s.src[p]
+					p += sw
+				}
 			}
-			ox++
-			ix += s.spec.StrideW
-			if ox == ow {
-				ox = 0
-				ix = -s.spec.PadW + kx*dw
-				oy++
-				iy += s.spec.StrideH
+			for j := b; j < len(d); j++ {
+				d[j] = 0
 			}
 		}
-		for jj := jw; jj < gemmNR; jj++ {
-			row[jj] = 0
-		}
+		c, ky, kx = g.next(c, ky, kx)
 	}
 }
+
+// copyRunMin is the run length from which a stride-1 run moves faster
+// through copy than through the element loop: the deep layers' 3- and
+// 6-wide output rows give runs shorter than a memmove call costs.
+const copyRunMin = 8
 
 // gemmStripesF32 runs the packed GEMM over C = A×B (+epilogue),
 // parallelised over NR-column slivers. dst must hold m×n row-major
@@ -343,5 +449,5 @@ func ConvPackedInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0, oh, 
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: ConvPackedInto dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	gemmStripesF32(dst.Data, m, n, k, wp.data, f32ConvB{x: x, spec: spec, c0: c0, oh: oh, ow: ow}, ep, chanOff)
+	gemmStripesF32(dst.Data, m, n, k, wp.data, newF32ConvB(x, spec, c0, ow), ep, chanOff)
 }

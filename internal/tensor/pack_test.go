@@ -237,35 +237,226 @@ func TestConvImplicitQParity(t *testing.T) {
 	}
 }
 
+// gatherCase is one convolution geometry for the panel-gather oracle.
+type gatherCase struct {
+	name string
+	spec ConvSpec
+	h, w int
+}
+
+// gatherCases are the geometries that bend the run-segment gathers:
+// kernels 1/3/5/7 and non-square, strides 1-3, dilation, padding up to
+// and past kernel/2, groups (c0 > 0, odd k), h != w, and output rows
+// narrower than any tier's NR so one panel spans several of them.
+func gatherCases() []gatherCase {
+	return []gatherCase{
+		{"3x3 same", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 13, 17},
+		{"1x1", ConvSpec{InC: 5, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, 9, 11},
+		{"1x1 stride 2", ConvSpec{InC: 4, OutC: 4, KH: 1, KW: 1, StrideH: 2, StrideW: 2}, 12, 10},
+		{"5x5 pad 2", ConvSpec{InC: 3, OutC: 4, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}, 11, 14},
+		{"7x7 stride 2 stem", ConvSpec{InC: 3, OutC: 4, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 19, 23},
+		{"1x5 kernel", ConvSpec{InC: 4, OutC: 4, KH: 1, KW: 5, StrideH: 1, StrideW: 1, PadW: 2}, 8, 15},
+		{"3x1 kernel stride 1x2", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 1, StrideH: 1, StrideW: 2, PadH: 1}, 10, 13},
+		{"stride 3", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 3, StrideW: 3, PadH: 1, PadW: 1}, 20, 22},
+		{"dilation 2", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2, DilationH: 2, DilationW: 2}, 12, 12},
+		{"dilation 2 stride 2", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 3, DilationH: 2, DilationW: 2}, 15, 11},
+		{"pad past kernel/2", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 3, PadW: 3}, 6, 7},
+		{"pad 3 stride 2 on 2x2", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 2, 2},
+		{"groups 3, odd k", ConvSpec{InC: 9, OutC: 12, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 3}, 7, 9},
+		{"ow 5", ConvSpec{InC: 6, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 9, 5},
+		{"ow 3 stride 2", ConvSpec{InC: 6, OutC: 4, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 12, 6},
+		// OutSize truncates (2+2-4-1)/2 to 0, so this kernel, one row taller
+		// than the padded input, still yields an output row (found by the fuzz).
+		{"kernel taller than padded input", ConvSpec{InC: 4, OutC: 4, KH: 5, KW: 2, StrideH: 2, StrideW: 1, PadH: 1, PadW: 2, DilationW: 2}, 2, 20},
+		{"ow 1", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1}, 40, 3},
+	}
+}
+
+// checkPanelGather compares both conv B sources element by element
+// with the retained im2colRow / im2colQRow unroll on the selected tier:
+// every group, the driver's own panel windows plus random ones that
+// start and end mid-row (j0, jw < NR) and mid-channel (k0, kc), and the
+// zero fill of columns >= jw and of the odd-k pair tail.
+func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
+	t.Helper()
+	groups := spec.Groups
+	if groups <= 0 {
+		groups = 1
+	}
+	oh, ow := spec.OutSize(h, w)
+	icg := spec.InC / groups
+	k, n := icg*spec.KH*spec.KW, oh*ow
+	r := rng.New(seed)
+	x := randTensor(r, spec.InC, h, w)
+	const inv = 100 // |x|·inv reaches 100: most of the int8 range
+	pick := func(lim int) int { return int(r.Uint64() % uint64(lim)) }
+	for g := 0; g < groups; g++ {
+		c0 := g * icg
+		cols := New(k, n)
+		colsQ := make([]int8, k*n)
+		for row := 0; row < k; row++ {
+			im2colRow(x, cols, spec, c0, row, oh, ow, 0, n)
+			im2colQRow(x, colsQ, inv, spec, c0, row, oh, ow, 0, n)
+		}
+
+		fsrc := newF32ConvB(x, spec, c0, ow)
+		fbuf := make([]float32, gemmKC*gemmNR)
+		checkF := func(k0, kc, j0, jw int) {
+			for i := range fbuf {
+				fbuf[i] = 7
+			}
+			fsrc.pack(fbuf, k0, kc, j0, jw)
+			for kk := 0; kk < kc; kk++ {
+				for jj := 0; jj < gemmNR; jj++ {
+					var want float32
+					if jj < jw {
+						want = cols.Data[(k0+kk)*n+j0+jj]
+					}
+					if got := fbuf[kk*gemmNR+jj]; got != want {
+						t.Fatalf("group %d fp32 panel k0=%d kc=%d j0=%d jw=%d: row %d col %d = %v, want %v",
+							g, k0, kc, j0, jw, kk, jj, got, want)
+					}
+				}
+			}
+		}
+		k2 := (k + 1) / 2
+		qsrc := newQConvB(x, inv, spec, c0, k, oh, ow)
+		qbuf := make([]int8, k2*2*qNR)
+		checkQ := func(j0, jw int) {
+			for i := range qbuf {
+				qbuf[i] = 7
+			}
+			qsrc.pack(qbuf, j0, jw)
+			for kk := 0; kk < 2*k2; kk++ {
+				for jj := 0; jj < qNR; jj++ {
+					var want int8
+					if kk < k && jj < jw {
+						want = colsQ[kk*n+j0+jj]
+					}
+					if got := qbuf[(kk/2)*2*qNR+jj*2+kk&1]; got != want {
+						t.Fatalf("group %d int8 sliver j0=%d jw=%d: row %d col %d = %d, want %d",
+							g, j0, jw, kk, jj, got, want)
+					}
+				}
+			}
+		}
+		for j0 := 0; j0 < n; j0 += gemmNR {
+			for k0 := 0; k0 < k; k0 += gemmKC {
+				checkF(k0, min(gemmKC, k-k0), j0, min(gemmNR, n-j0))
+			}
+		}
+		for j0 := 0; j0 < n; j0 += qNR {
+			checkQ(j0, min(qNR, n-j0))
+		}
+		for i := 0; i < 12; i++ {
+			k0, j0 := pick(k), pick(n)
+			checkF(k0, 1+pick(min(gemmKC, k-k0)), j0, 1+pick(min(gemmNR, n-j0)))
+			j0 = pick(n)
+			checkQ(j0, 1+pick(min(qNR, n-j0)))
+		}
+		qsrc.release()
+	}
+}
+
+// TestConvPanelGather runs the gather oracle over gatherCases on every
+// tier's panel widths.
+func TestConvPanelGather(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier string) {
+		for ci, tc := range gatherCases() {
+			t.Run(tc.name, func(t *testing.T) {
+				checkPanelGather(t, tc.spec, tc.h, tc.w, uint64(900+ci))
+			})
+		}
+	})
+}
+
+// FuzzConvPanelGather draws the geometry itself: every byte folds into
+// its field's range, shapes with an empty output are skipped.
+func FuzzConvPanelGather(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(4), uint8(12), uint8(12))
+	f.Add(uint64(2), uint8(7), uint8(7), uint8(2), uint8(2), uint8(1), uint8(1), uint8(3), uint8(3), uint8(1), uint8(3), uint8(21), uint8(17))
+	f.Add(uint64(3), uint8(1), uint8(5), uint8(3), uint8(1), uint8(2), uint8(2), uint8(0), uint8(3), uint8(2), uint8(3), uint8(9), uint8(30))
+	f.Add(uint64(4), uint8(3), uint8(2), uint8(1), uint8(3), uint8(2), uint8(1), uint8(3), uint8(0), uint8(3), uint8(1), uint8(5), uint8(4))
+	f.Fuzz(func(t *testing.T, seed uint64, kh, kw, sh, sw, dh, dw, ph, pw, groups, icg, h, w uint8) {
+		g := 1 + int(groups%3)
+		spec := ConvSpec{
+			InC: g * (1 + int(icg%4)), OutC: 4 * g, Groups: g,
+			KH: 1 + int(kh%7), KW: 1 + int(kw%7),
+			StrideH: 1 + int(sh%3), StrideW: 1 + int(sw%3),
+			DilationH: 1 + int(dh%2), DilationW: 1 + int(dw%2),
+			PadH: int(ph % 4), PadW: int(pw % 4),
+		}
+		hh, ww := 1+int(h%40), 1+int(w%40)
+		if oh, ow := spec.OutSize(hh, ww); oh <= 0 || ow <= 0 {
+			t.Skip()
+		}
+		forEachTier(t, func(t *testing.T, tier string) {
+			checkPanelGather(t, spec, hh, ww, seed)
+		})
+	})
+}
+
+// TestConvGatherParallel drives both conv sources through the
+// multi-worker stripes drivers (two workers, enough slivers on every
+// tier to fan out): under -race this is the proof that the int8 copy
+// quantized before the fan-out is only read inside it, and the outputs
+// must still match the materialised references.
+func TestConvGatherParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	spec := ConvSpec{InC: 6, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
+	const side = 48 // 2304 columns: 72 slivers at the widest tile, above parallel's grain
+	r := rng.New(77)
+	x := randTensor(r, spec.InC, side, side)
+	w := randTensor(r, spec.OutC, spec.InC/spec.Groups, 3, 3)
+	forEachTier(t, func(t *testing.T, tier string) {
+		cmpTol(t, "fp32", convPackedForce(x, w, nil, spec).Data, conv2DRef(x, w, nil, spec).Data,
+			convTolerances(x, w, nil, spec))
+		qw := QuantizePerChannel(w)
+		const xScale = 1.0 / 127
+		got, want := convPackedQForce(x, qw, spec, xScale), conv2DQRef(x, qw, nil, spec, xScale)
+		if !got.Equal(want, 0) {
+			t.Fatal("int8 packed conv differs from the materialised reference")
+		}
+	})
+}
+
 // TestPackedConvZeroAlloc asserts the steady-state implicit-im2col
 // paths (fp32 and int8, with cached packed weights) perform zero heap
 // allocations per call on a single worker — the contract the plan
-// executor's zero-alloc frame loop builds on.
+// executor's zero-alloc frame loop builds on. The second spec is the
+// one that stretches the int8 path's pooled quantized copy: a later
+// group (c0 > 0), an odd k (the extra zero plane), stride 2.
 func TestPackedConvZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	spec := ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	r := rng.New(11)
-	x := randTensor(r, 16, 24, 24)
-	w := randTensor(r, 32, 16, 3, 3)
-	k, plane := 16*9, 24*24
-	wp := PackWeights(FromSlice(w.Data, 32, k))
-	qw := QuantizePerChannel(w)
-	qp := PackWeightsQ(qw.Data, 32, k)
-	rowScale := make([]float32, 32)
-	for i := range rowScale {
-		rowScale[i] = qw.ScaleFor(i) * (1.0 / 127)
-	}
-	dst := New(32, plane)
-	ep := Epilogue{Act: EpActSiLU}
-	runF := func() { ConvPackedInto(dst, wp, x, spec, 0, 24, 24, ep, 0) }
-	runQ := func() { ConvPackedQInto(dst, qp, x, spec, 0, 24, 24, 127, rowScale, ep, 0) }
-	runF()
-	runQ()
-	if a := testing.AllocsPerRun(10, runF); a != 0 {
-		t.Errorf("ConvPackedInto: %.0f allocs per steady-state call, want 0", a)
-	}
-	if a := testing.AllocsPerRun(10, runQ); a != 0 {
-		t.Errorf("ConvPackedQInto: %.0f allocs per steady-state call, want 0", a)
+	for _, spec := range []ConvSpec{
+		{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		{InC: 6, OutC: 32, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2},
+	} {
+		const side = 24
+		groups := max(spec.Groups, 1)
+		icg, ocg := spec.InC/groups, spec.OutC/groups
+		g := groups - 1
+		r := rng.New(11)
+		x := randTensor(r, spec.InC, side, side)
+		w := randTensor(r, spec.OutC, icg, 3, 3)
+		k := icg * 9
+		oh, ow := spec.OutSize(side, side)
+		wp := PackWeights(FromSlice(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k))
+		qw := QuantizePerChannel(w)
+		qp := PackWeightsQ(qw.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+		rowScale := convQScales(qw, 1.0/127, g, ocg)
+		dst := New(ocg, oh*ow)
+		ep := Epilogue{Act: EpActSiLU}
+		runF := func() { ConvPackedInto(dst, wp, x, spec, g*icg, oh, ow, ep, 0) }
+		runQ := func() { ConvPackedQInto(dst, qp, x, spec, g*icg, oh, ow, 127, rowScale, ep, 0) }
+		runF()
+		runQ()
+		if a := testing.AllocsPerRun(10, runF); a != 0 {
+			t.Errorf("ConvPackedInto %+v: %.0f allocs per steady-state call, want 0", spec, a)
+		}
+		if a := testing.AllocsPerRun(10, runQ); a != 0 {
+			t.Errorf("ConvPackedQInto %+v: %.0f allocs per steady-state call, want 0", spec, a)
+		}
 	}
 }
 

@@ -120,54 +120,78 @@ func (s qMatrixB) pack(bbuf []int8, j0, jw int) {
 	}
 }
 
-// qConvB gathers receptive fields from a fp32 CHW input and quantizes
-// them at inverse scale inv while packing — the int8 twin of f32ConvB,
-// fusing im2col *and* activation quantization into the sliver pack.
-// Every element quantizes with the same quantizeRound call as the
-// reference im2colQRow, so packed int8 convs match the materialised
-// reference bit for bit.
+// qConvB is the int8 twin of f32ConvB. The group's input planes are
+// quantized once per conv call (newQConvB) into a pooled int8 copy
+// with a zero border of the conv's padding, so each pixel meets
+// quantizeRound once rather than once per kernel tap and column
+// sliver, and the sliver pack is a byte gather that never leaves the
+// copy: padding reads the border. Every element is the quantizeRound
+// value the reference im2colQRow computes, so packed int8 convs match
+// the materialised reference bit for bit.
 type qConvB struct {
-	x      *Tensor
-	inv    float32
-	spec   ConvSpec
-	c0, k  int
-	oh, ow int
+	q []int8   // icg (+1 all-zero plane when k is odd) bordered planes
+	g convGeom // over the bordered planes: h, w include the border, ph = pw = 0
+	k int
 }
 
-func (s qConvB) pack(bbuf []int8, j0, jw int) {
-	h, w := s.x.Shape[1], s.x.Shape[2]
-	dh, dw := s.spec.dil()
-	ow := s.ow
-	k2 := (s.k + 1) / 2
-	if s.k&1 == 1 || jw < qNR {
-		for i := range bbuf[:k2*2*qNR] {
-			bbuf[i] = 0
+// newQConvB quantizes channels [c0, c0+k/(KH·KW)) of x at inverse
+// scale inv. The copy is shared read-only by every worker of the
+// stripes driver; release returns it to ScratchB.
+func newQConvB(x *Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qConvB {
+	h, w := x.Shape[1], x.Shape[2]
+	g := newConvGeom(spec, h, w, ow)
+	// The border reaches as far as the last output pixel's last tap
+	// reads — normally the bottom/right padding or less, but more when
+	// OutSize's truncating division admits a kernel one row too tall.
+	hp := max(spec.PadH+h, (oh-1)*g.sh+(g.kh-1)*g.dh+1)
+	wp := max(spec.PadW+w, (ow-1)*g.sw+(g.kw-1)*g.dw+1)
+	g.h, g.w, g.ph, g.pw = hp, wp, 0, 0
+	icg := k / (spec.KH * spec.KW)
+	// An odd k leaves the last pair half empty: a trailing zero plane
+	// lets the pack read that virtual row like any other.
+	q := ScratchB.Get((icg + k&1) * hp * wp)
+	clear(q)
+	for c := 0; c < icg; c++ {
+		for y := 0; y < h; y++ {
+			src := x.Data[((c0+c)*h+y)*w : ((c0+c)*h+y+1)*w]
+			dst := q[(c*hp+y+spec.PadH)*wp+spec.PadW:][:w]
+			for i, v := range src {
+				dst[i] = quantizeRound(v, inv, 0)
+			}
 		}
 	}
-	for kk := 0; kk < s.k; kk++ {
-		c := kk / (s.spec.KH * s.spec.KW)
-		rem := kk % (s.spec.KH * s.spec.KW)
-		ky := rem / s.spec.KW
-		kx := rem % s.spec.KW
-		src := s.x.Data[(s.c0+c)*h*w : (s.c0+c+1)*h*w]
-		row := bbuf[(kk/2)*2*qNR+kk&1:]
-		oy := j0 / ow
-		ox := j0 % ow
-		iy := oy*s.spec.StrideH - s.spec.PadH + ky*dh
-		ix := ox*s.spec.StrideW - s.spec.PadW + kx*dw
-		for jj := 0; jj < jw; jj++ {
-			if iy >= 0 && iy < h && ix >= 0 && ix < w {
-				row[jj*2] = quantizeRound(src[iy*w+ix], s.inv, 0)
+	return qConvB{q: q, g: g, k: k}
+}
+
+func (s qConvB) release() { ScratchB.Put(s.q) }
+
+func (s qConvB) pack(bbuf []int8, j0, jw int) {
+	g := &s.g
+	var segArr [panelSegMax]panelSeg
+	segs := g.cut(&segArr, j0, jw)
+	nr, sw, q := qNR, g.sw, s.q
+	if jw < nr {
+		clear(bbuf[:(s.k+1)/2*2*nr])
+	}
+	c, ky, kx := 0, 0, 0
+	for kk := 0; kk < s.k; kk += 2 {
+		// Two consecutive virtual rows fill one k pair of the sliver.
+		ra := g.rowOff(c, ky, kx)
+		c, ky, kx = g.next(c, ky, kx)
+		rb := g.rowOff(c, ky, kx)
+		c, ky, kx = g.next(c, ky, kx)
+		pair := bbuf[kk*nr : (kk+2)*nr]
+		for i := range segs {
+			sg := &segs[i]
+			d := pair[2*sg.off : 2*(sg.off+sg.cnt)]
+			pa, pb := q[ra+sg.pos:], q[rb+sg.pos:]
+			if sw == 1 {
+				pa, pb = pa[:sg.cnt], pb[:sg.cnt]
+				interleavePairs(&d[0], &pa[0], &pb[0], sg.cnt)
 			} else {
-				row[jj*2] = 0
-			}
-			ox++
-			ix += s.spec.StrideW
-			if ox == ow {
-				ox = 0
-				ix = -s.spec.PadW + kx*dw
-				oy++
-				iy += s.spec.StrideH
+				for i := 0; i < sg.cnt; i++ {
+					d[2*i], d[2*i+1] = pa[i*sw], pb[i*sw]
+				}
 			}
 		}
 	}
@@ -289,5 +313,7 @@ func ConvPackedQInto(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh,
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: ConvPackedQInto dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	gemmStripesQ(dst.Data, m, n, k, wp.data, qConvB{x: x, inv: inv, spec: spec, c0: c0, k: k, oh: oh, ow: ow}, rowScale, ep, chanOff)
+	src := newQConvB(x, inv, spec, c0, k, oh, ow)
+	gemmStripesQ(dst.Data, m, n, k, wp.data, src, rowScale, ep, chanOff)
+	src.release()
 }

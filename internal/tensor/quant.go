@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 
 	"ocularone/internal/parallel"
 )
@@ -63,14 +64,13 @@ func (q *QTensor) zeroFor(c int) int32 {
 }
 
 // quantizeRound converts one value at the given inverse scale and
-// zero-point, rounding to nearest and saturating to int8 range.
+// zero-point, rounding half away from zero and saturating to int8
+// range. The half carries r's sign bit (0.5 with the sign copied in)
+// rather than branching on r >= 0: activation signs are close to a coin
+// flip, and the mispredicted branch cost more than the arithmetic.
 func quantizeRound(v, inv float32, zero int32) int8 {
 	r := v * inv
-	if r >= 0 {
-		r += 0.5
-	} else {
-		r -= 0.5
-	}
+	r += math.Float32frombits(0x3f000000 | math.Float32bits(r)&0x80000000)
 	qv := int32(r) + zero
 	if qv > 127 {
 		qv = 127
@@ -457,9 +457,9 @@ func conv2DQImpl(x *Tensor, w *QTensor, bias *Tensor, spec ConvSpec, xScale floa
 		for g := 0; g < groups; g++ {
 			packQTo(ap, w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
 			dst := FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
-			gemmStripesQ(dst.Data, ocg, plane, k, ap,
-				qConvB{x: x, inv: inv, spec: spec, c0: g * icg, k: k, oh: oh, ow: ow},
-				convQScales(w, xScale, g, ocg), Epilogue{}, 0)
+			src := newQConvB(x, inv, spec, g*icg, k, oh, ow)
+			gemmStripesQ(dst.Data, ocg, plane, k, ap, src, convQScales(w, xScale, g, ocg), Epilogue{}, 0)
+			src.release()
 		}
 		scratchW.put(ap)
 		addBias(out.Data, bias, spec.OutC, plane)

@@ -238,3 +238,44 @@ func BenchmarkMatMulYOLOShapeInt8(b *testing.B) {
 		MatMulInt8Into(dst, qa, qc, rowScale)
 	}
 }
+
+// TestQuantizeRoundMatchesBranchDefinition pins the sign-bit form of
+// quantizeRound to its definition — round half away from zero, then
+// saturate — on the values where the two could part: signed zeros,
+// exact ties, the saturation edges, infinities, NaN, and random bit
+// patterns.
+func TestQuantizeRoundMatchesBranchDefinition(t *testing.T) {
+	ref := func(v, inv float32, zero int32) int8 {
+		r := v * inv
+		if r >= 0 {
+			r += 0.5
+		} else {
+			r -= 0.5
+		}
+		qv := int32(r) + zero
+		if qv > 127 {
+			qv = 127
+		} else if qv < -128 {
+			qv = -128
+		}
+		return int8(qv)
+	}
+	negZero := math.Float32frombits(1 << 31)
+	inf := float32(math.Inf(1))
+	vals := []float32{0, negZero, 0.5, -0.5, 1.5, -1.5, 0.49999997, -0.49999997, 126.5, 127.5, -127.5, -128.5,
+		1e-45, -1e-45, 3e38, -3e38, inf, -inf, float32(math.NaN()), math.Float32frombits(0xffc00000)}
+	r := rng.New(5)
+	for i := 0; i < 200000; i++ {
+		vals = append(vals, math.Float32frombits(uint32(r.Uint64())))
+	}
+	for _, inv := range []float32{1, 127, 0.03, 0} {
+		for _, zero := range []int32{0, -7, 100} {
+			for _, v := range vals {
+				if got, want := quantizeRound(v, inv, zero), ref(v, inv, zero); got != want {
+					t.Fatalf("quantizeRound(%v [%#x], %v, %d) = %d, definition gives %d",
+						v, math.Float32bits(v), inv, zero, got, want)
+				}
+			}
+		}
+	}
+}
