@@ -364,6 +364,7 @@ func BenchmarkDetectorInference(b *testing.B) {
 	sp := ds.StratifiedSplit(0.3)
 	det := sharedAccuracyStudy().Detectors["v8m"]
 	r := sp.Test.Render(sp.Test.Items[0])
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det.Detect(r.Image)
@@ -375,6 +376,7 @@ func BenchmarkDetectorInference(b *testing.B) {
 func BenchmarkSceneRender(b *testing.B) {
 	ds := dataset.Build(dataset.Config{Scale: 0.005, Seed: 42, W: 320, H: 240})
 	it := ds.Items[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ds.Render(it)

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"ocularone/internal/dataset"
@@ -175,6 +177,14 @@ func TestScoreFrameVerdicts(t *testing.T) {
 	}
 }
 
+// closeMask is Detect's closing on fresh buffers: dilate, then erode.
+func closeMask(mask []bool, w, h, r int) []bool {
+	grown, tmp, out := make([]bool, w*h), make([]bool, w*h), make([]bool, w*h)
+	dilate(grown, tmp, mask, w, h, r)
+	erode(out, tmp, grown, w, h, r)
+	return out
+}
+
 func TestMorphology(t *testing.T) {
 	// A 1-pixel gap must close under dilate+erode; isolated pixels must
 	// survive closing as single pixels (not grow).
@@ -184,13 +194,13 @@ func TestMorphology(t *testing.T) {
 	for _, x := range []int{1, 2, 3, 5, 6, 7} {
 		mask[1*w+x] = true
 	}
-	closed := erode(dilate(mask, w, h, 1), w, h, 1)
+	closed := closeMask(mask, w, h, 1)
 	if !closed[1*w+4] {
 		t.Fatal("closing did not bridge 1-px gap")
 	}
 	iso := make([]bool, w*h)
 	iso[1*w+4] = true
-	closedIso := erode(dilate(iso, w, h, 1), w, h, 1)
+	closedIso := closeMask(iso, w, h, 1)
 	count := 0
 	for _, v := range closedIso {
 		if v {
@@ -200,6 +210,13 @@ func TestMorphology(t *testing.T) {
 	if count > 1 {
 		t.Fatalf("closing grew isolated pixel to %d", count)
 	}
+}
+
+// componentsOf runs the component search on fresh scratch.
+func componentsOf(mask []bool, w, h int) []component {
+	s := new(scratch)
+	s.resize(len(mask))
+	return s.components(mask, w, h)
 }
 
 func TestComponentsExtraction(t *testing.T) {
@@ -216,7 +233,7 @@ func TestComponentsExtraction(t *testing.T) {
 			mask[y*w+x] = true
 		}
 	}
-	cs := components(mask, w, h)
+	cs := componentsOf(mask, w, h)
 	if len(cs) != 2 {
 		t.Fatalf("components = %d, want 2", len(cs))
 	}
@@ -234,7 +251,7 @@ func TestComponentsNoRowWrap(t *testing.T) {
 	mask := make([]bool, w*h)
 	mask[0*w+3] = true // end of row 0
 	mask[1*w+0] = true // start of row 1 — adjacent in memory, not in 2D
-	cs := components(mask, w, h)
+	cs := componentsOf(mask, w, h)
 	if len(cs) != 2 {
 		t.Fatalf("row wrap-around merged components: %d", len(cs))
 	}
@@ -255,25 +272,41 @@ func TestNMSBoxes(t *testing.T) {
 	}
 }
 
+// TestDetectorConcurrencySafe runs Detect from 8 goroutines over images
+// of different sizes, so a pooled scratch last used for a large frame
+// is handed a small one and the reverse; every result must equal the
+// serial one.
 func TestDetectorConcurrencySafe(t *testing.T) {
 	_, sp := testSplit(t)
-	d := TrainDataset(TierFor(models.YOLOv8, models.Nano), sp.Train)
-	r := sp.Test.Render(sp.Test.Items[0])
-	done := make(chan int, 8)
-	for g := 0; g < 8; g++ {
-		go func() {
-			n := 0
-			for i := 0; i < 5; i++ {
-				n += len(d.Detect(r.Image))
-			}
-			done <- n
-		}()
+	r := sp.Test.Render(sp.Test.Diverse().Items[0])
+	ims := []*imgproc.Image{
+		r.Image,
+		imgproc.Crop(r.Image, ROIAround(r.Truth.VestBox, 0.5, r.Image.W, r.Image.H)),
+		imgproc.Resize(r.Image, 640, 480),
+		imgproc.Resize(r.Image, 64, 48),
+		imgproc.Crop(r.Image, imgproc.Rect{X0: 10, Y0: 20, X1: 310, Y1: 70}),
 	}
-	first := <-done
-	for g := 1; g < 8; g++ {
-		if got := <-done; got != first {
-			t.Fatal("concurrent Detect results diverge")
+	for _, tier := range []Tier{TierFor(models.YOLOv8, models.Nano), TierFor(models.YOLOv8, models.XLarge)} {
+		d := TrainDataset(tier, sp.Train)
+		want := make([][]Box, len(ims))
+		for i, im := range ims {
+			want[i] = d.Detect(im)
 		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 5*len(ims); i++ {
+					k := (i + g) % len(ims)
+					if got := d.Detect(ims[k]); !reflect.DeepEqual(got, want[k]) {
+						t.Errorf("%s goroutine %d: image %d (%dx%d): %v, serial %v", tier.Name, g, k, ims[k].W, ims[k].H, got, want[k])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }
 

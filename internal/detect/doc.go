@@ -10,4 +10,14 @@
 // enable — so accuracy differences across tiers, training-set sizes and
 // adversarial conditions *emerge* from the data, reproducing the shape of
 // the paper's Figs. 1, 3 and 4.
+//
+// Detect's front end touches each pixel once per stage and derives
+// nothing per pixel that is fixed for the frame: contrast normalisation
+// and the downscale are imgproc's table-driven Into variants, a
+// cluster's effective HSV window is computed once per call, saturation
+// and value are tested before hue is worked out, and the closing is a
+// row pass and a column pass. All of it works out of a pooled scratch,
+// so a steady-state call allocates only the boxes it returns. The
+// per-pixel loops this replaced are the oracles in reference_test.go;
+// every mask and box must equal theirs.
 package detect

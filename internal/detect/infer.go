@@ -3,6 +3,7 @@ package detect
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"ocularone/internal/imgproc"
 )
@@ -11,6 +12,33 @@ import (
 type Box struct {
 	Rect  imgproc.Rect
 	Score float64
+}
+
+// scratch is the working memory of one Detect call: the contrast-
+// normalised and downscaled images, the mask planes the closing
+// ping-pongs through, and the component search's state. Detect draws
+// one from scratchPool, so concurrent calls never share one and a
+// steady-state caller allocates only the boxes it returns.
+type scratch struct {
+	work, small                imgproc.Image
+	planes                     []bool // backs the four below
+	mask, tmp, closed, visited []bool
+	stack                      []int
+	comps                      []component
+	windows                    []window
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// resize cuts the four mask planes for an n-pixel analysis image,
+// reallocating only to grow. Their contents are whatever the last
+// frame left.
+func (s *scratch) resize(n int) {
+	if cap(s.planes) < 4*n {
+		s.planes = make([]bool, 4*n)
+	}
+	p := s.planes[:4*n]
+	s.mask, s.tmp, s.closed, s.visited = p[:n], p[n:2*n], p[2*n:3*n], p[3*n:]
 }
 
 // Detect finds hazard vests in the frame. The pipeline is:
@@ -29,18 +57,23 @@ func (d *Detector) Detect(im *imgproc.Image) []Box {
 	if len(d.Clusters) == 0 {
 		return nil
 	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	work := im
 	if d.Tier.ContrastNorm {
-		work = imgproc.LocalContrastNormalize(im, im.W/5)
+		work = s.work.Reshape(im.W, im.H)
+		imgproc.LocalContrastNormalizeInto(work, im, im.W/5)
 	}
 	rw := d.Tier.Resolution
 	rh := rw * im.H / im.W
 	if rh < 8 {
 		rh = 8
 	}
-	small := imgproc.Resize(work, rw, rh)
+	small := s.small.Reshape(rw, rh)
+	imgproc.ResizeInto(small, work)
 
-	mask := d.matchMask(small)
+	s.resize(rw * rh)
+	d.matchMask(s, small)
 	// Morphological closing bridges the reflective stripes, which split
 	// the neon panel into disconnected slivers at analysis resolution.
 	// The stripe width scales with resolution, so the closing radius must
@@ -49,9 +82,9 @@ func (d *Detector) Detect(im *imgproc.Image) []Box {
 	if cr < 1 {
 		cr = 1
 	}
-	mask = dilate(mask, rw, rh, cr)
-	mask = erode(mask, rw, rh, cr)
-	cands := components(mask, rw, rh)
+	dilate(s.closed, s.tmp, s.mask, rw, rh, cr)
+	erode(s.mask, s.tmp, s.closed, rw, rh, cr)
+	cands := s.components(s.mask, rw, rh)
 
 	minArea := (rw * rh) / 1500 // vest must cover ≥ ~0.07% of the frame
 	if minArea < 4 {
@@ -104,74 +137,90 @@ func (d *Detector) Detect(im *imgproc.Image) []Box {
 	return nmsBoxes(boxes, 0.5)
 }
 
-// matchMask marks pixels accepted by any colour cluster.
-func (d *Detector) matchMask(im *imgproc.Image) []bool {
-	mask := make([]bool, im.W*im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b := im.At(x, y)
-			h, s, v := imgproc.RGBToHSV(r, g, b)
-			for _, c := range d.Clusters {
-				mh, ms, mv := c.effMargins(d.Tier)
-				dh := math.Abs(h - c.meanH)
-				if dh > 180 {
-					dh = 360 - dh
-				}
-				if dh <= mh*c.stdH && math.Abs(s-c.meanS) <= ms*c.stdS && math.Abs(v-c.meanV) <= mv*c.stdV {
-					mask[y*im.W+x] = true
-					break
-				}
-			}
-		}
-	}
-	return mask
+// window is one cluster's acceptance box in HSV: its centre and the
+// effective half-width on each axis, fixed for a whole frame.
+type window struct {
+	h, s, v    float64
+	dh, ds, dv float64
 }
 
-// dilate grows the mask by r pixels (Chebyshev ball).
-func dilate(mask []bool, w, h, r int) []bool {
-	out := make([]bool, len(mask))
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if !mask[y*w+x] {
+// matchMask marks in s.mask the pixels accepted by any colour cluster.
+// Saturation and value need only the extreme channels, so they are
+// tested first and hue is computed for the pixels that pass them.
+func (d *Detector) matchMask(s *scratch, im *imgproc.Image) {
+	s.windows = s.windows[:0]
+	for _, c := range d.Clusters {
+		mh, ms, mv := c.effMargins(d.Tier)
+		s.windows = append(s.windows, window{
+			h: c.meanH, s: c.meanS, v: c.meanV,
+			dh: mh * c.stdH, ds: ms * c.stdS, dv: mv * c.stdV,
+		})
+	}
+	for i := range s.mask {
+		px := im.Pix[i*3 : i*3+3]
+		sat, val := imgproc.SatVal(px[0], px[1], px[2])
+		hue, hit := -1.0, false
+		for _, c := range s.windows {
+			if !(math.Abs(sat-c.s) <= c.ds && math.Abs(val-c.v) <= c.dv) {
 				continue
 			}
-			for dy := -r; dy <= r; dy++ {
-				ny := y + dy
-				if ny < 0 || ny >= h {
-					continue
-				}
-				for dx := -r; dx <= r; dx++ {
-					nx := x + dx
-					if nx >= 0 && nx < w {
-						out[ny*w+nx] = true
-					}
-				}
+			if hue < 0 {
+				hue = imgproc.Hue(px[0], px[1], px[2])
+			}
+			dh := math.Abs(hue - c.h)
+			if dh > 180 {
+				dh = 360 - dh
+			}
+			if dh <= c.dh {
+				hit = true
+				break
 			}
 		}
+		s.mask[i] = hit
 	}
-	return out
 }
 
-// erode shrinks the mask by r pixels (Chebyshev ball).
-func erode(mask []bool, w, h, r int) []bool {
-	out := make([]bool, len(mask))
-	for y := 0; y < h; y++ {
-	pixel:
-		for x := 0; x < w; x++ {
-			for dy := -r; dy <= r; dy++ {
-				ny := y + dy
-				for dx := -r; dx <= r; dx++ {
-					nx := x + dx
-					if ny < 0 || ny >= h || nx < 0 || nx >= w || !mask[ny*w+nx] {
-						continue pixel
-					}
-				}
-			}
-			out[y*w+x] = true
+// widenRuns copies every run of set cells on a line of src (n cells,
+// stride apart, starting at off) into dst with each end moved outward
+// by k cells and clipped to the line; k < 0 narrows runs, dropping
+// those of 2|k| cells or fewer. dst must be clear on entry.
+func widenRuns(dst, src []bool, off, n, stride, k int) {
+	for i := 0; i < n; {
+		if !src[off+i*stride] {
+			i++
+			continue
+		}
+		a := i
+		for i < n && src[off+i*stride] {
+			i++
+		}
+		for j := max(a-k, 0); j < min(i+k, n); j++ {
+			dst[off+j*stride] = true
 		}
 	}
-	return out
 }
+
+// widen applies widenRuns along every row of mask into tmp and then
+// along every column of tmp into dst: a square (Chebyshev) structuring
+// element is the composition of its horizontal and vertical segments.
+func widen(dst, tmp, mask []bool, w, h, k int) {
+	clear(tmp)
+	for y := 0; y < h; y++ {
+		widenRuns(tmp, mask, y*w, w, 1, k)
+	}
+	clear(dst)
+	for x := 0; x < w; x++ {
+		widenRuns(dst, tmp, x, h, w, k)
+	}
+}
+
+// dilate grows the mask by r pixels (Chebyshev ball) into dst.
+func dilate(dst, tmp, mask []bool, w, h, r int) { widen(dst, tmp, mask, w, h, r) }
+
+// erode shrinks the mask by r pixels (Chebyshev ball) into dst; cells
+// outside the image count as unset, which is what a run ending at the
+// border already says.
+func erode(dst, tmp, mask []bool, w, h, r int) { widen(dst, tmp, mask, w, h, -r) }
 
 // component is a connected region of matched pixels.
 type component struct {
@@ -179,11 +228,11 @@ type component struct {
 	area int
 }
 
-// components extracts 4-connected regions from the mask via BFS.
-func components(mask []bool, w, h int) []component {
-	visited := make([]bool, len(mask))
-	var out []component
-	var queue []int
+// components extracts 4-connected regions from a mask of s.resize's
+// size via BFS. The result is valid until s is reused.
+func (s *scratch) components(mask []bool, w, h int) []component {
+	clear(s.visited)
+	visited, out, queue := s.visited, s.comps[:0], s.stack
 	for start := range mask {
 		if !mask[start] || visited[start] {
 			continue
@@ -225,32 +274,27 @@ func components(mask []bool, w, h int) []component {
 		}
 		out = append(out, comp)
 	}
+	s.comps, s.stack = out, queue
 	return out
 }
 
 // hasStripes checks a full-resolution candidate region for the vest's
 // reflective bands: bright, low-saturation pixels forming a meaningful
-// fraction of the region.
+// fraction of the region. r must lie inside the image.
 func hasStripes(im *imgproc.Image, r imgproc.Rect) bool {
 	if r.Empty() {
 		return false
 	}
 	bright := 0
-	total := 0
 	for y := r.Y0; y < r.Y1; y++ {
-		for x := r.X0; x < r.X1; x++ {
-			cr, cg, cb := im.At(x, y)
-			_, s, v := imgproc.RGBToHSV(cr, cg, cb)
-			total++
-			if v > 0.55 && s < 0.35 {
+		row := im.Pix[(y*im.W+r.X0)*3 : (y*im.W+r.X1)*3]
+		for o := 0; o+2 < len(row); o += 3 {
+			if s, v := imgproc.SatVal(row[o], row[o+1], row[o+2]); v > 0.55 && s < 0.35 {
 				bright++
 			}
 		}
 	}
-	if total == 0 {
-		return false
-	}
-	frac := float64(bright) / float64(total)
+	frac := float64(bright) / float64(r.Area())
 	return frac >= 0.015 && frac <= 0.5
 }
 

@@ -1,7 +1,9 @@
 package imgproc
 
 import (
+	"fmt"
 	"math"
+	"sync"
 
 	"ocularone/internal/parallel"
 	"ocularone/internal/rng"
@@ -10,32 +12,105 @@ import (
 // Resize scales src to w×h with bilinear interpolation.
 func Resize(src *Image, w, h int) *Image {
 	dst := NewImage(w, h)
+	ResizeInto(dst, src)
+	return dst
+}
+
+// resizeTap is one output coordinate's pair of source samples along an
+// axis: the two source indices with the border clamp already applied,
+// and the weight of each.
+type resizeTap struct {
+	i0, i1 int
+	f, g   float64 // weight of i1 and of i0 (g = 1-f)
+}
+
+// bilinearTap places output coordinate i on an axis of srcN samples,
+// ratio = srcN / outputs.
+func bilinearTap(i int, ratio float64, srcN int) resizeTap {
+	s := (float64(i)+0.5)*ratio - 0.5
+	i0 := int(math.Floor(s))
+	f := s - float64(i0)
+	return resizeTap{i0: min(max(i0, 0), srcN-1), i1: min(max(i0+1, 0), srcN-1), f: f, g: 1 - f}
+}
+
+// resizeScratch is the working memory of one chunk of ResizeInto's
+// output rows: the column taps, and two source rows after the
+// horizontal interpolation, kept while consecutive output rows share
+// them. Pooled, so a steady-state caller allocates nothing.
+type resizeScratch struct {
+	cols   []resizeTap
+	lerped [2][]float64
+	holds  [2]int // source row in each lerped slot
+}
+
+var resizePool = sync.Pool{New: func() any { return new(resizeScratch) }}
+
+// lerpRow returns source row r of src interpolated horizontally onto
+// the output columns, from the cache when it holds it; a miss
+// overwrites the slot that does not hold row keep.
+func (s *resizeScratch) lerpRow(src *Image, r, keep int) []float64 {
+	slot := 0
+	switch {
+	case s.holds[0] == r:
+		return s.lerped[0]
+	case s.holds[1] == r:
+		return s.lerped[1]
+	case s.holds[0] == keep:
+		slot = 1
+	}
+	s.holds[slot] = r
+	out := s.lerped[slot]
+	row := src.Pix[r*src.W*3 : (r+1)*src.W*3]
+	for x, c := range s.cols {
+		a, b := row[c.i0*3:c.i0*3+3], row[c.i1*3:c.i1*3+3]
+		o := out[x*3 : x*3+3]
+		o[0] = float64(a[0])*c.g + float64(b[0])*c.f
+		o[1] = float64(a[1])*c.g + float64(b[1])*c.f
+		o[2] = float64(a[2])*c.g + float64(b[2])*c.f
+	}
+	return out
+}
+
+// ResizeInto scales src to dst's dimensions with bilinear
+// interpolation, overwriting every pixel of dst. Each output byte is
+// clampU8(top·(1−fy) + bot·fy) where top and bot are the horizontal
+// interpolations a·(1−fx) + b·fx on the two source rows; the border
+// clamp and the weights are resolved once per column and once per row
+// instead of per pixel.
+func ResizeInto(dst, src *Image) {
+	w, h := dst.W, dst.H
 	xr := float64(src.W) / float64(w)
 	yr := float64(src.H) / float64(h)
-	parallel.For(h, func(y int) {
-		sy := (float64(y)+0.5)*yr - 0.5
-		y0 := int(math.Floor(sy))
-		fy := sy - float64(y0)
-		for x := 0; x < w; x++ {
-			sx := (float64(x)+0.5)*xr - 0.5
-			x0 := int(math.Floor(sx))
-			fx := sx - float64(x0)
-			r00, g00, b00 := src.At(x0, y0)
-			r10, g10, b10 := src.At(x0+1, y0)
-			r01, g01, b01 := src.At(x0, y0+1)
-			r11, g11, b11 := src.At(x0+1, y0+1)
-			lerp2 := func(a, b, c, d uint8) uint8 {
-				top := float64(a)*(1-fx) + float64(b)*fx
-				bot := float64(c)*(1-fx) + float64(d)*fx
-				return clampU8(top*(1-fy) + bot*fy)
+	parallel.ForRange(h, func(lo, hi int) {
+		s := resizePool.Get().(*resizeScratch)
+		defer resizePool.Put(s)
+		s.cols = grow(s.cols, w)
+		for x := range s.cols {
+			s.cols[x] = bilinearTap(x, xr, src.W)
+		}
+		s.lerped[0] = grow(s.lerped[0], w*3)
+		s.lerped[1] = grow(s.lerped[1], w*3)
+		s.holds = [2]int{-1, -1}
+		for y := lo; y < hi; y++ {
+			r := bilinearTap(y, yr, src.H)
+			top := s.lerpRow(src, r.i0, r.i1)
+			bot := s.lerpRow(src, r.i1, r.i0)
+			out := dst.Pix[y*w*3 : (y+1)*w*3]
+			top, bot = top[:len(out)], bot[:len(out)]
+			for i := range out {
+				out[i] = clampU8(top[i]*r.g + bot[i]*r.f)
 			}
-			o := (y*w + x) * 3
-			dst.Pix[o] = lerp2(r00, r10, r01, r11)
-			dst.Pix[o+1] = lerp2(g00, g10, g01, g11)
-			dst.Pix[o+2] = lerp2(b00, b10, b01, b11)
 		}
 	})
-	return dst
+}
+
+// grow returns s resliced to n elements, reallocating only when its
+// capacity is short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func clampU8(v float64) uint8 {
@@ -194,24 +269,45 @@ func RotateRect(r Rect, w, h int, angle float64) Rect {
 	return Rect{int(minX), int(minY), int(math.Ceil(maxX)), int(math.Ceil(maxY))}
 }
 
+// unit maps a channel byte to [0,1]: unit[v] == float64(v)/255.
+var unit = func() (t [256]float64) {
+	for v := range t {
+		t[v] = float64(v) / 255
+	}
+	return t
+}()
+
 // RGBToHSV converts one 8-bit RGB triple to HSV with h in [0,360),
 // s and v in [0,1].
 func RGBToHSV(r, g, b uint8) (h, s, v float64) {
-	rf, gf, bf := float64(r)/255, float64(g)/255, float64(b)/255
-	maxc := math.Max(rf, math.Max(gf, bf))
-	minc := math.Min(rf, math.Min(gf, bf))
-	v = maxc
-	d := maxc - minc
-	if maxc > 0 {
-		s = d / maxc
+	s, v = SatVal(r, g, b)
+	return Hue(r, g, b), s, v
+}
+
+// SatVal returns the s and v of RGBToHSV. Scaling by 1/255 is
+// monotone, so the extreme channels are picked as bytes and only they
+// are scaled.
+func SatVal(r, g, b uint8) (s, v float64) {
+	v = unit[max(r, g, b)]
+	if v > 0 {
+		s = (v - unit[min(r, g, b)]) / v
 	}
+	return s, v
+}
+
+// Hue returns the h of RGBToHSV; greys have hue 0.
+func Hue(r, g, b uint8) float64 {
+	mx := max(r, g, b)
+	d := unit[mx] - unit[min(r, g, b)]
 	if d == 0 {
-		return 0, s, v
+		return 0
 	}
-	switch maxc {
-	case rf:
-		h = math.Mod((gf-bf)/d, 6)
-	case gf:
+	rf, gf, bf := unit[r], unit[g], unit[b]
+	var h float64
+	switch mx {
+	case r:
+		h = (gf - bf) / d // in [-1,1]
+	case g:
 		h = (bf-rf)/d + 2
 	default:
 		h = (rf-gf)/d + 4
@@ -220,7 +316,7 @@ func RGBToHSV(r, g, b uint8) (h, s, v float64) {
 	if h < 0 {
 		h += 360
 	}
-	return h, s, v
+	return h
 }
 
 // HSVToRGB converts HSV (h in [0,360), s,v in [0,1]) to 8-bit RGB.
@@ -251,44 +347,60 @@ func HSVToRGB(h, s, v float64) (uint8, uint8, uint8) {
 // range spans [0,255]. This is the robustness stage the x-large detector
 // tier enables to survive low-light adversarial inputs.
 func LocalContrastNormalize(src *Image, tile int) *Image {
+	dst := NewImage(src.W, src.H)
+	LocalContrastNormalizeInto(dst, src, tile)
+	return dst
+}
+
+// LocalContrastNormalizeInto is LocalContrastNormalize writing into
+// dst, which must have src's dimensions; every pixel is overwritten. A
+// tile's rescale is one function of the byte value, so it is built
+// once as a 256-entry table and applied over the tile's row slices.
+func LocalContrastNormalizeInto(dst, src *Image, tile int) {
+	if dst.W != src.W || dst.H != src.H {
+		panic(fmt.Sprintf("imgproc: LocalContrastNormalizeInto %dx%d into %dx%d", src.W, src.H, dst.W, dst.H))
+	}
 	if tile <= 0 {
 		tile = 64
 	}
-	dst := src.Clone()
 	tilesX := (src.W + tile - 1) / tile
 	tilesY := (src.H + tile - 1) / tile
 	parallel.For(tilesX*tilesY, func(t int) {
 		tx, ty := t%tilesX, t/tilesX
 		x0, y0 := tx*tile, ty*tile
 		x1, y1 := min(x0+tile, src.W), min(y0+tile, src.H)
-		lo, hi := 255, 0
+		// Luma range in thousandths: dividing is monotone, so the
+		// range of the quotients is the quotient of the range's ends.
+		lo, hi := 255*1000, 0
 		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				o := (y*src.W + x) * 3
-				lum := (int(src.Pix[o])*299 + int(src.Pix[o+1])*587 + int(src.Pix[o+2])*114) / 1000
-				if lum < lo {
-					lo = lum
-				}
-				if lum > hi {
-					hi = lum
-				}
+			row := src.Pix[(y*src.W+x0)*3 : (y*src.W+x1)*3]
+			for o := 0; o+2 < len(row); o += 3 {
+				lum := int(row[o])*299 + int(row[o+1])*587 + int(row[o+2])*114
+				lo, hi = min(lo, lum), max(hi, lum)
 			}
 		}
+		lo, hi = lo/1000, hi/1000
 		span := hi - lo
-		if span < 8 {
-			return // flat tile; rescaling would only amplify noise
+		flat := span < 8 // rescaling would only amplify noise
+		var lut [256]uint8
+		if !flat {
+			scale := 255.0 / float64(span)
+			for v := range lut {
+				lut[v] = clampU8((float64(v) - float64(lo)) * scale)
+			}
 		}
-		scale := 255.0 / float64(span)
 		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				o := (y*src.W + x) * 3
-				for c := 0; c < 3; c++ {
-					dst.Pix[o+c] = clampU8((float64(src.Pix[o+c]) - float64(lo)) * scale)
-				}
+			from := src.Pix[(y*src.W+x0)*3 : (y*src.W+x1)*3]
+			to := dst.Pix[(y*src.W+x0)*3 : (y*src.W+x1)*3]
+			if flat {
+				copy(to, from)
+				continue
+			}
+			for i, v := range from {
+				to[i] = lut[v]
 			}
 		}
 	})
-	return dst
 }
 
 // GradientMagnitude returns a per-pixel Sobel gradient magnitude map

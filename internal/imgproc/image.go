@@ -15,10 +15,18 @@ type Image struct {
 
 // NewImage allocates a black image of the given dimensions.
 func NewImage(w, h int) *Image {
+	return new(Image).Reshape(w, h)
+}
+
+// Reshape makes im a w×h image, reusing its pixel buffer when that is
+// large enough, and returns it. The pixels are unspecified: it is for
+// a pooled image about to be overwritten whole.
+func (im *Image) Reshape(w, h int) *Image {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("imgproc: invalid image dims %dx%d", w, h))
 	}
-	return &Image{W: w, H: h, Pix: make([]uint8, w*h*3)}
+	im.W, im.H, im.Pix = w, h, grow(im.Pix, w*h*3)
+	return im
 }
 
 // Clone returns a deep copy of the image.

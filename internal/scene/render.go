@@ -122,27 +122,29 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 	}
 	noise := texRNG.Split("ground-texture")
 	for y := 0; y < h; y++ {
+		depth := gt.Depth[y*w : (y+1)*w]
+		if y < horizon {
+			// Sky gradient, brighter toward horizon.
+			f := float64(y) / float64(horizon)
+			v := float64(skyTone)*0.75 + float64(skyTone)*0.25*f
+			im.FillRect(imgproc.Rect{X0: 0, Y0: y, X1: w, Y1: y + 1}, uint8(v*0.92), uint8(v*0.96), uint8(v))
+			for x := range depth {
+				depth[x] = 1000 // effectively infinite
+			}
+			continue
+		}
+		// Ground with distance haze and speckle texture.
+		row := im.Pix[y*w*3 : (y+1)*w*3]
 		d := cam.GroundDepthAtRow(y)
-		for x := 0; x < w; x++ {
-			idx := y*w + x
-			if y < horizon {
-				// Sky gradient, brighter toward horizon.
-				f := float64(y) / float64(horizon)
-				v := float64(skyTone)*0.75 + float64(skyTone)*0.25*f
-				im.Set(x, y, uint8(v*0.92), uint8(v*0.96), uint8(v))
-				gt.Depth[idx] = 1000 // effectively infinite
-				continue
-			}
-			// Ground with distance haze and speckle texture.
-			haze := 1.0 / (1.0 + d/80)
+		haze := 1.0 / (1.0 + d/80)
+		d32 := float32(d)
+		if math.IsInf(d, 1) {
+			d32 = 1000
+		}
+		for x := range depth {
 			n := 1 + (noise.Float64()-0.5)*0.12
-			r8, g8, b8 := shade(ground, haze*n)
-			im.Set(x, y, r8, g8, b8)
-			if math.IsInf(d, 1) {
-				gt.Depth[idx] = 1000
-			} else {
-				gt.Depth[idx] = float32(d)
-			}
+			row[x*3], row[x*3+1], row[x*3+2] = shade(ground, haze*n)
+			depth[x] = d32
 		}
 	}
 	// Grass / verge strips flanking the walkway for footpath and path.
@@ -158,12 +160,8 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 			exr, _ := cam.ProjectGround(2.2, d)
 			haze := 1.0 / (1.0 + d/80)
 			gr, gg, gb := shade(verge, haze)
-			for x := 0; x < int(exl); x++ {
-				im.Set(x, y, gr, gg, gb)
-			}
-			for x := int(exr); x < w; x++ {
-				im.Set(x, y, gr, gg, gb)
-			}
+			im.FillRect(imgproc.Rect{X0: 0, Y0: y, X1: int(exl), Y1: y + 1}, gr, gg, gb)
+			im.FillRect(imgproc.Rect{X0: int(exr), Y0: y, X1: w, Y1: y + 1}, gr, gg, gb)
 		}
 	} else {
 		// Lane marking along the road edge.
@@ -210,32 +208,30 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 // applyLighting multiplies the frame by the scene's ambient factor.
 func applyLighting(im *imgproc.Image, f float64) {
 	if f == 1 || f <= 0 {
-		if f <= 0 {
-			return
-		}
 		return
 	}
-	for i, v := range im.Pix {
-		nv := float64(v) * f
-		if nv > 255 {
-			nv = 255
-		}
-		im.Pix[i] = uint8(nv)
+	var lut [256]uint8
+	for v := range lut {
+		lut[v] = uint8(min(float64(v)*f, 255))
+	}
+	pix := im.Pix
+	for i, v := range pix {
+		pix[i] = lut[v]
 	}
 }
+
+// noiseOdds is the share of bytes sensorNoise perturbs, as a threshold
+// on the 53 bits behind rng.Float64: float64(k)/2⁵³ < 0.1 exactly when
+// k < ⌈0.1·2⁵³⌉, since both the conversion and the division are exact.
+const noiseOdds = 900719925474100
 
 // sensorNoise injects light shot noise so frames are never synthetic-clean.
 func sensorNoise(im *imgproc.Image, r *rng.RNG) {
 	n := r.Split("sensor")
-	for i := range im.Pix {
-		if n.Bool(0.1) {
-			d := int(im.Pix[i]) + n.Intn(11) - 5
-			if d < 0 {
-				d = 0
-			} else if d > 255 {
-				d = 255
-			}
-			im.Pix[i] = uint8(d)
+	pix := im.Pix
+	for i := range pix {
+		if n.Uint64()>>11 < noiseOdds {
+			pix[i] = uint8(min(max(int(pix[i])+n.Intn(11)-5, 0), 255))
 		}
 	}
 }

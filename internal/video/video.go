@@ -143,19 +143,23 @@ func (v *Video) Frame(i int) (*imgproc.Image, *scene.GroundTruth) {
 }
 
 // ExtractIndices returns the frame indices sampled when re-encoding the
-// video at targetFPS — the moviepy "editor" substitute. For a 30 FPS
-// source and 10 FPS target this is every third frame.
+// video at targetFPS — the moviepy "editor" substitute: output frame i
+// shows source frame ⌊i·FPS/targetFPS⌋, computed in integers so ratios
+// that are not whole (30 → 7) cannot drift. For a 30 FPS source and
+// 10 FPS target this is every third frame.
 func (v *Video) ExtractIndices(targetFPS int) []int {
 	if targetFPS <= 0 || targetFPS > v.Spec.FPS {
 		targetFPS = v.Spec.FPS
 	}
-	step := float64(v.Spec.FPS) / float64(targetFPS)
 	n := v.NumFrames()
 	var out []int
-	for f := 0.0; int(f) < n; f += step {
-		out = append(out, int(f))
+	for i := 0; ; i++ {
+		f := i * v.Spec.FPS / targetFPS
+		if f >= n {
+			return out
+		}
+		out = append(out, f)
 	}
-	return out
 }
 
 // ExtractedFrame pairs a rendered frame with its provenance.

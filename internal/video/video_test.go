@@ -1,6 +1,8 @@
 package video
 
 import (
+	"math/big"
+	"reflect"
 	"testing"
 
 	"ocularone/internal/rng"
@@ -44,6 +46,48 @@ func TestExtractIndices10FPS(t *testing.T) {
 	if idx[0] != 0 || idx[1] != 3 || idx[2] != 6 {
 		t.Fatalf("extraction stride wrong: %v", idx[:3])
 	}
+}
+
+// TestExtractIndicesExactForEveryRatio: output frame i must show source
+// frame ⌊i·FPS/target⌋ in exact rational arithmetic, for every target a
+// source rate admits. Accumulating the step in floating point drifted
+// on ratios that are not whole: 30 → 7 gave index 29 where 7·30/7 = 30,
+// and 841 frames instead of 840 over 120 s.
+func TestExtractIndicesExactForEveryRatio(t *testing.T) {
+	for _, fps := range []int{24, 25, 30, 60} {
+		v := New(Spec{DurationSec: 120, FPS: fps, W: 16, H: 12, Seed: 1})
+		n := v.NumFrames()
+		for target := 1; target <= fps; target++ {
+			got := v.ExtractIndices(target)
+			step := big.NewRat(int64(fps), int64(target))
+			var want []int
+			for i := int64(0); ; i++ {
+				at := new(big.Rat).Mul(step, new(big.Rat).SetInt64(i))
+				src := new(big.Int).Quo(at.Num(), at.Denom()).Int64() // at ≥ 0: truncation floors
+				if src >= int64(n) {
+					break
+				}
+				want = append(want, int(src))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d -> %d FPS over %d frames: %d indices, want %d; first difference at %d",
+					fps, target, n, len(got), len(want), firstDiff(got, want))
+			}
+		}
+	}
+	v := New(Spec{DurationSec: 120, FPS: 30, W: 16, H: 12, Seed: 1})
+	if idx := v.ExtractIndices(7); len(idx) != 840 || idx[7] != 30 {
+		t.Fatalf("30 -> 7 FPS over 120 s: %d frames, frame 7 = %d; want 840, 30", len(idx), idx[7])
+	}
+}
+
+func firstDiff(a, b []int) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }
 
 func TestExtractIndicesInvalidFPSFallsBack(t *testing.T) {
