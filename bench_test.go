@@ -13,7 +13,9 @@
 package ocularone_test
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -446,6 +448,41 @@ func BenchmarkConv2D(b *testing.B) {
 	}
 }
 
+// BenchmarkConvTable2Shapes times the packed fp32 conv at the five 3×3
+// stride-1 pad-1 shapes the Table-2 networks run at 96×96 (m = out
+// channels, k = 9·in channels, n = oh·ow) — the per-shape table of
+// BENCHMARKS.md §PR 12 and §PR 14. n = 9 and n = 36 take the narrow
+// 8×12 tile where the tier has one, n ≥ 144 the 4×NR tile. Record with
+// GOMAXPROCS=1 -count 5; GFLOPS counts the 2·m·k·n useful flops.
+func BenchmarkConvTable2Shapes(b *testing.B) {
+	for _, s := range []struct{ m, k, n int }{
+		{512, 4608, 9}, {256, 2304, 36}, {128, 1152, 144}, {64, 576, 576}, {32, 288, 2304},
+	} {
+		b.Run(fmt.Sprintf("m%d_k%d_n%d", s.m, s.k, s.n), func(b *testing.B) {
+			inC, side := s.k/9, int(math.Sqrt(float64(s.n)))
+			spec := tensor.ConvSpec{InC: inC, OutC: s.m, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+			r := rng.New(14)
+			x := tensor.New(inC, side, side)
+			w := tensor.New(s.m, s.k)
+			for i := range x.Data {
+				x.Data[i] = r.Float32() - 0.5
+			}
+			for i := range w.Data {
+				w.Data[i] = r.Float32() - 0.5
+			}
+			wp := tensor.PackWeights(w)
+			dst := tensor.New(s.m, s.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.ConvPackedInto(dst, wp, x, spec, 0, side, side, tensor.Epilogue{}, 0)
+			}
+			sec := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(sec*1e3, "ms/op")
+			b.ReportMetric(2*float64(s.m*s.k*s.n)/sec/1e9, "GFLOPS")
+		})
+	}
+}
+
 // BenchmarkNNForwardQuantYOLOv8NanoCPU measures the INT8 forward pass
 // of the calibrated+quantized yolov8n — compare against
 // BenchmarkNNForwardYOLOv8NanoCPU. Until PR 12 this was a host-side
@@ -453,7 +490,9 @@ func BenchmarkConv2D(b *testing.B) {
 // core, avx512vnni): the sliver pack re-quantized every pixel per
 // kernel tap. With activations quantized once per conv it is a small
 // win on this network (9.8–9.9 ms vs 10.7–11.4 ms fp32) and a 1.65–1.8x
-// one on bodypose and monodepth2 (BENCHMARKS.md §PR 12); it stays
+// one on bodypose and monodepth2 (BENCHMARKS.md §PR 12; PR 14's narrow
+// fp32 tile has since brought fp32 yolov8n to 9.5–10.1 ms, a tie here,
+// and the other two to 22 and 30 ms against int8's 17.5 and 25); it stays
 // smaller than the kernel-level win because detect heads and
 // elementwise ops stay fp32.
 func BenchmarkNNForwardQuantYOLOv8NanoCPU(b *testing.B) {

@@ -13,8 +13,9 @@ const NumPoseKeypoints = 13
 // an upsampling decoder producing keypoint confidence maps (cmap) and
 // part-affinity fields (paf), the architecture of NVIDIA's
 // resnet18_baseline_att checkpoint the paper benchmarks.
-func BuildTRTPose(seed uint64) *nn.Network {
-	r := rng.New(seed)
+func BuildTRTPose(seed uint64) *nn.Network { return buildTRTPose(rng.New(seed)) }
+
+func buildTRTPose(r *rng.RNG) *nn.Network {
 	var nodes []nn.Node
 	nodes, _ = nn.ResNet18Backbone(r.Split("backbone"), nodes)
 	add := func(from []int, m nn.Module) int {
@@ -36,8 +37,9 @@ func BuildTRTPose(seed uint64) *nn.Network {
 // BuildMonodepth2 constructs the Monodepth2 stand-in: ResNet-18 encoder
 // plus the UNet-style depth decoder with skip connections and a sigmoid
 // disparity head, following the published architecture.
-func BuildMonodepth2(seed uint64) *nn.Network {
-	r := rng.New(seed)
+func BuildMonodepth2(seed uint64) *nn.Network { return buildMonodepth2(rng.New(seed)) }
+
+func buildMonodepth2(r *rng.RNG) *nn.Network {
 	var nodes []nn.Node
 	var stages [4]int
 	nodes, stages = nn.ResNet18Backbone(r.Split("encoder"), nodes)

@@ -26,6 +26,20 @@ func TestTable2ParameterCounts(t *testing.T) {
 	}
 }
 
+// TestComputeStatsMatchesSeededBuild holds the architecture-only build
+// ComputeStats reads to the network Build fills: same parameter count,
+// size, GFLOPs and activation estimate for every model.
+func TestComputeStatsMatchesSeededBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds all eight models")
+	}
+	for _, id := range AllIDs {
+		if got, want := ComputeStats(id), statsOf(id, Build(id, 80, 1)); got != want {
+			t.Errorf("%s: ComputeStats %+v, seeded build %+v", id, got, want)
+		}
+	}
+}
+
 func TestYOLOGFLOPsMatchUltralytics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds all six YOLO models")

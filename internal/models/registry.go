@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"ocularone/internal/nn"
+	"ocularone/internal/rng"
 )
 
 // ID names one of the eight benchmark models of Table 2.
@@ -100,17 +101,21 @@ func Catalog(id ID) Info {
 // count for YOLO models (1 for the retrained vest detector, 80 for the
 // published COCO checkpoints Table 2 describes); it is ignored for pose
 // and depth models.
-func Build(id ID, nc int, seed uint64) *nn.Network {
+func Build(id ID, nc int, seed uint64) *nn.Network { return build(id, nc, rng.New(seed)) }
+
+// build is Build drawing the weights from r; a nil r builds the
+// architecture only (zero weights, nothing drawn — see nn.NewConv).
+func build(id ID, nc int, r *rng.RNG) *nn.Network {
 	info := Catalog(id)
 	switch {
 	case info.IsYOLO && info.Family == YOLOv8:
-		return BuildYOLOv8(info.Size, nc, seed)
+		return buildYOLOv8(info.Size, nc, r)
 	case info.IsYOLO:
-		return BuildYOLOv11(info.Size, nc, seed)
+		return buildYOLOv11(info.Size, nc, r)
 	case id == Bodypose:
-		return BuildTRTPose(seed)
+		return buildTRTPose(r)
 	default:
-		return BuildMonodepth2(seed)
+		return buildMonodepth2(r)
 	}
 }
 
@@ -128,30 +133,35 @@ var (
 	statsCache = map[ID]Stats{}
 )
 
-// ComputeStats builds the model (COCO-class head for YOLO, matching the
-// published Table 2 numbers) and derives its statistics. Results are
-// cached per ID.
+// ComputeStats builds the model's architecture (COCO-class head for
+// YOLO, matching the published Table 2 numbers) and derives its
+// statistics. Parameter counts and costs depend on shapes alone, so no
+// weight is drawn: a Box–Muller draw per parameter of all eight
+// networks was ~9 s of every serving set-up. Results are cached per ID.
 func ComputeStats(id ID) Stats {
 	statsMu.Lock()
 	defer statsMu.Unlock()
 	if s, ok := statsCache[id]; ok {
 		return s
 	}
+	s := statsOf(id, build(id, 80, nil))
+	statsCache[id] = s
+	return s
+}
+
+// statsOf derives the statistics of id's network at its native input.
+func statsOf(id ID, net *nn.Network) Stats {
 	info := Catalog(id)
-	nc := 80
-	net := Build(id, nc, 1)
 	flops, outs := net.Cost(nn.Shape{C: 3, H: info.InputH, W: info.InputW})
 	var actBytes int64
 	for _, o := range outs {
 		actBytes += int64(o.Volume()) * 4
 	}
-	s := Stats{
+	return Stats{
 		Params: net.Params(),
 		SizeMB: float64(net.SizeBytesFP16()) / (1024 * 1024),
 		GFLOPs: float64(flops) / 1e9,
 		// Rough peak-activation proxy: input plus the widest output.
 		ActMemory: int64(3*info.InputH*info.InputW)*4 + actBytes,
 	}
-	statsCache[id] = s
-	return s
 }

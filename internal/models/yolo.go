@@ -93,8 +93,11 @@ func minI(a, b int) int {
 
 // BuildYOLOv8 constructs a YOLOv8 detection network for nc classes.
 func BuildYOLOv8(size Size, nc int, seed uint64) *nn.Network {
+	return buildYOLOv8(size, nc, rng.New(seed))
+}
+
+func buildYOLOv8(size Size, nc int, r *rng.RNG) *nn.Network {
 	sc := v8Scales[size]
-	r := rng.New(seed)
 	ch := func(c int) int { return sc.ch(c) }
 	c64, c128, c256, c512, c1024 := ch(64), ch(128), ch(256), ch(512), ch(1024)
 	n3, n6 := sc.depthN(3), sc.depthN(6)
@@ -134,8 +137,11 @@ func BuildYOLOv8(size Size, nc int, seed uint64) *nn.Network {
 // Per Ultralytics, the Medium and X-Large scales promote every C3k2's
 // inner modules to full C3k blocks.
 func BuildYOLOv11(size Size, nc int, seed uint64) *nn.Network {
+	return buildYOLOv11(size, nc, rng.New(seed))
+}
+
+func buildYOLOv11(size Size, nc int, r *rng.RNG) *nn.Network {
 	sc := v11Scales[size]
-	r := rng.New(seed)
 	ch := func(c int) int { return sc.ch(c) }
 	c64, c128, c256, c512, c1024 := ch(64), ch(128), ch(256), ch(512), ch(1024)
 	n2 := sc.depthN(2)

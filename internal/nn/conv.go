@@ -48,7 +48,10 @@ type Conv struct {
 }
 
 // NewConv builds a Conv-BN-activation block with He-initialised weights
-// drawn from r (deterministic per seed).
+// drawn from r (deterministic per seed). A nil r — here and in every
+// constructor of this package, which hand their convs r.Split children —
+// builds the architecture only: shapes, Params and Cost are those of the
+// seeded network, the weights stay zero and nothing is drawn.
 func NewConv(r *rng.RNG, inC, outC, k, stride int, act Act) *Conv {
 	return newConvFull(r, inC, outC, k, stride, k/2, 1, act, false)
 }
@@ -76,8 +79,10 @@ func newConvFull(r *rng.RNG, inC, outC, k, stride, pad, groups int, act Act, bia
 	w := tensor.New(outC, inC/groups, k, k)
 	fanIn := float64(inC / groups * k * k)
 	std := math.Sqrt(2 / fanIn)
-	for i := range w.Data {
-		w.Data[i] = float32(r.NormRange(0, std))
+	if r != nil {
+		for i := range w.Data {
+			w.Data[i] = float32(r.NormRange(0, std))
+		}
 	}
 	c := &Conv{
 		label:  fmt.Sprintf("conv%dx%d_%d_%d", k, k, inC, outC),
@@ -96,8 +101,10 @@ func newConvFull(r *rng.RNG, inC, outC, k, stride, pad, groups int, act Act, bia
 		for i := 0; i < outC; i++ {
 			c.gamma[i] = 1
 			c.varnc[i] = 1
-			// Small random shift keeps activations non-degenerate.
-			c.beta[i] = float32(r.NormRange(0, 0.02))
+			if r != nil {
+				// Small random shift keeps activations non-degenerate.
+				c.beta[i] = float32(r.NormRange(0, 0.02))
+			}
 		}
 	}
 	return c

@@ -23,16 +23,24 @@ func New(seed uint64) *RNG {
 // Split derives an independent generator from the parent's seed state and
 // a label. Splitting with the same label twice yields identical children;
 // distinct labels yield decorrelated streams. The parent is not advanced,
-// so splits commute with draws.
+// so splits commute with draws. A nil parent has nil children: a
+// constructor tree handed a nil generator draws nothing (nn builds the
+// architecture without filling its weights).
 func (r *RNG) Split(label string) *RNG {
+	if r == nil {
+		return nil
+	}
 	h := fnv.New64a()
 	h.Write([]byte(label))
 	return New(r.state ^ h.Sum64() ^ 0xa5a5a5a55a5a5a5a)
 }
 
 // SplitN derives an independent generator from a label and an index, for
-// per-item streams in loops.
+// per-item streams in loops. Nil in, nil out, as Split.
 func (r *RNG) SplitN(label string, n int) *RNG {
+	if r == nil {
+		return nil
+	}
 	h := fnv.New64a()
 	h.Write([]byte(label))
 	var buf [8]byte

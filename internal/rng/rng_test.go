@@ -231,3 +231,12 @@ func TestQuickPermDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A nil generator splits into nil generators: the architecture-only
+// model builds pass one down a whole constructor tree.
+func TestSplitNilIsNil(t *testing.T) {
+	var r *RNG
+	if r.Split("a") != nil || r.SplitN("b", 3) != nil {
+		t.Fatal("nil RNG split into a live generator")
+	}
+}

@@ -15,15 +15,16 @@ import (
 //	csum[kk] = Σ_i A[i,kk]        (float64, exact enough vs fp32 data)
 //
 // so every output column satisfies Σ_i C[i,j] = Σ_kk csum[kk]·B[kk,j].
-// The checked drivers below accumulate the right-hand side while the B
-// panel is packed (the panel is already L1-resident, so the extra
-// gemmNR multiply-adds per k step cost ~1/m of the kernel's work) and
-// compare it with the column sums of the finished stripe before the
-// epilogue runs. A silent corruption anywhere in the packed panels,
-// the micro-kernel accumulators, or the C stripe shifts a column sum
-// away from its prediction and is flagged; the caller then re-executes
-// through the retained reference kernel (MatMulRefEpilogueInto /
-// MatMulInt8RefEpilogueInto).
+// The checked runs (fp32: gemmStripesF32 given checksums — the one
+// driver of pack.go, not a twin; int8: gemmStripesQCheck below)
+// accumulate the right-hand side while the B panel is packed (the panel
+// is already cache-resident, so the extra multiply-adds per k step cost
+// ~1/m of the kernel's work) and compare it with the column sums of the
+// finished stripe before the epilogue runs. A silent corruption
+// anywhere in the packed panels, the micro-kernel accumulators, or the
+// C stripe shifts a column sum away from its prediction and is flagged;
+// the caller then re-executes through the retained reference kernel
+// (MatMulRefEpilogueInto / MatMulInt8RefEpilogueInto).
 //
 // fp32 verification is tolerance-banded: the kernel accumulates each
 // element as an ascending-k fp32 chain, so the column sum may drift
@@ -60,8 +61,9 @@ func abftTol(k int, mag float64) float64 {
 	return 1.01 * ku / (1 - ku) * mag
 }
 
-// Test hooks: when non-nil, the checked drivers invoke these after the
-// kernel finishes a stripe (fp32: on the raw pre-epilogue C stripe;
+// Test hooks: when non-nil, the checked runs invoke these after the
+// kernel finishes a stripe (fp32: on the raw pre-epilogue C stripe — a
+// gemmNR-column sliver, or the whole result of a narrow-tile GEMM;
 // int8: on the pre-requant int32 accumulator tile) — the injection
 // point of the ABFT property tests and the ext-integrity study. Always
 // nil in production.
@@ -109,107 +111,48 @@ func colChecksumsQ(csum []int64, a []int8, m, k int) {
 	}
 }
 
-// gemmStripesF32Check is gemmStripesF32 with per-stripe checksum
-// verification; it reports whether every stripe passed. csum/acsum are
-// the left operand's (absolute) column checksums over depth k.
-func gemmStripesF32Check[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64) bool {
-	nSliv := (n + gemmNR - 1) / gemmNR
-	if parallel.Serial() || nSliv == 1 {
-		return gemmStripeCheckRangeF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, 0, nSliv)
-	}
-	return gemmStripesF32CheckPar(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, nSliv)
-}
-
-// gemmStripesF32CheckPar is the multi-worker dispatch, split out (as
-// gemmStripesF32Par is) so its closure captures never materialise on
-// the serial zero-alloc path.
-func gemmStripesF32CheckPar[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64, nSliv int) bool {
-	var bad int32
-	parallel.ForRange(nSliv, func(s0, s1 int) {
-		if !gemmStripeCheckRangeF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, s0, s1) {
-			atomic.StoreInt32(&bad, 1)
+// abftFoldPanelF32 adds one packed B panel's share of the expected
+// column sums: exp[j] += Σ_kk csum[kk]·B[kk,j] and mag[j] likewise with
+// the absolute values, for a panel len(exp) columns wide and len(csum)
+// rows deep. The panel is cache-resident when gemmStripeRangeF32 calls
+// this right after the pack.
+func abftFoldPanelF32(exp, mag, csum, acsum []float64, bbuf []float32) {
+	nr := len(exp)
+	for kk, cs := range csum {
+		as := acsum[kk]
+		row := bbuf[kk*nr : kk*nr+nr]
+		for j, v := range row {
+			b := float64(v)
+			exp[j] += cs * b
+			if b < 0 {
+				b = -b
+			}
+			mag[j] += as * b
 		}
-	})
-	return atomic.LoadInt32(&bad) == 0
+	}
 }
 
-// gemmStripeCheckRangeF32 is the checked worker body: identical kernel
-// schedule to gemmStripeRangeF32 (so results stay bit-exact with the
-// unchecked driver), with the expected column sums accumulated during
-// the panel pack and verified before the epilogue touches the stripe.
-func gemmStripeCheckRangeF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64, s0, s1 int) bool {
-	buf := Scratch.GetRaw((gemmKC + gemmMR) * gemmNR)
-	bbuf, ctile := buf[:gemmKC*gemmNR], buf[gemmKC*gemmNR:]
-	epWork := ep.hasWork()
+// abftVerifyF32 compares the column sums of the finished (pre-epilogue)
+// stripe dst[0:m, j0:j0+jw] with their predictions, inside abftTol,
+// after giving the fault-injection hook its chance at the stripe.
+func abftVerifyF32(dst []float32, m, n, k, j0, jw int, exp, mag []float64) bool {
+	if ABFTFaultF32 != nil {
+		ABFTFaultF32(dst, n, j0, jw)
+	}
 	ok := true
-	// Fixed max-tier arrays so the checksum rows never escape; only the
-	// first gemmNR entries are live for the selected tier.
-	var expArr, magArr [gemmNRMax]float64
-	nr := gemmNR
-	exp, mag := expArr[:nr], magArr[:nr]
-	for s := s0; s < s1; s++ {
-		j0 := s * nr
-		jw := n - j0
-		if jw > nr {
-			jw = nr
+	for j := 0; j < jw; j++ {
+		var act float64
+		for i := 0; i < m; i++ {
+			act += float64(dst[i*n+j0+j])
 		}
-		for j := range exp {
-			exp[j], mag[j] = 0, 0
+		d := exp[j] - act
+		if d < 0 {
+			d = -d
 		}
-		for k0 := 0; k0 < k; k0 += gemmKC {
-			kc := k - k0
-			if kc > gemmKC {
-				kc = gemmKC
-			}
-			src.pack(bbuf, k0, kc, j0, jw)
-			for kk := 0; kk < kc; kk++ {
-				cs, as := csum[k0+kk], acsum[k0+kk]
-				row := bbuf[kk*nr : kk*nr+nr]
-				for j, v := range row {
-					b := float64(v)
-					exp[j] += cs * b
-					if b < 0 {
-						b = -b
-					}
-					mag[j] += as * b
-				}
-			}
-			accum := uintptr(0)
-			if k0 > 0 {
-				accum = 1
-			}
-			i0 := 0
-			if jw == nr {
-				for ; i0+gemmMR <= m; i0 += gemmMR {
-					apan := apData[(i0/gemmMR)*k*gemmMR+k0*gemmMR:]
-					kernF32(&dst[i0*n+j0], n, &apan[0], &bbuf[0], kc, accum)
-				}
-			}
-			if i0 < m {
-				gemmEdgeF32(dst, n, apData, bbuf, ctile, k, k0, kc, i0, m, j0, jw, accum == 1)
-			}
-		}
-		if ABFTFaultF32 != nil {
-			ABFTFaultF32(dst, n, j0, jw)
-		}
-		for j := 0; j < jw; j++ {
-			var act float64
-			for i := 0; i < m; i++ {
-				act += float64(dst[i*n+j0+j])
-			}
-			d := exp[j] - act
-			if d < 0 {
-				d = -d
-			}
-			if d > abftTol(k, mag[j]) {
-				ok = false
-			}
-		}
-		if epWork {
-			ep.applyCols(dst, 0, m, n, j0, j0+jw, chanOff)
+		if d > abftTol(k, mag[j]) {
+			ok = false
 		}
 	}
-	Scratch.PutRaw(buf)
 	return ok
 }
 
@@ -334,7 +277,7 @@ func ConvPackedCheckInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0,
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: ConvPackedCheckInto dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	return gemmStripesF32Check(dst.Data, m, n, k, wp.data, newF32ConvB(x, spec, c0, ow), ep, chanOff, wp.csum, wp.acsum)
+	return gemmStripesF32(dst.Data, m, n, k, wp.data, newF32ConvB(x, spec, c0, ow), ep, chanOff, wp.csum, wp.acsum)
 }
 
 // ConvPackedQCheckInto is ConvPackedQInto with exact int8 ABFT
@@ -371,7 +314,7 @@ func MatMulEpilogueCheckInto(dst, a, b *Tensor, ep Epilogue, chanOff int) bool {
 	cs := scratchC.get(2 * k)
 	csum, acsum := cs[:k], cs[k:]
 	colChecksumsF32(csum, acsum, a.Data, m, k)
-	ok := gemmStripesF32Check(dst.Data, m, n, k, apData, f32MatrixB{b: b.Data, n: n}, ep, chanOff, csum, acsum)
+	ok := gemmStripesF32(dst.Data, m, n, k, apData, f32MatrixB{b: b.Data, n: n}, ep, chanOff, csum, acsum)
 	scratchC.put(cs)
 	Scratch.PutRaw(apData)
 	return ok

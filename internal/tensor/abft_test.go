@@ -58,7 +58,12 @@ func TestABFTDetectsPerturbationF32(t *testing.T) {
 			b := randTensor(rng.New(uint64(m+3*k+n)), k, n)
 			clean := New(m, n)
 			matMulPackedInto(clean, a, b, Epilogue{}, 0)
+			// The narrow route verifies its whole (≤ narrowMaxN-column) result
+			// as one stripe.
 			nSliv := (n + gemmNR - 1) / gemmNR
+			if useNarrowF32(m, n) {
+				nSliv = 1
+			}
 			for _, mask := range []uint32{1 << 31, 1 << 23} { // sign, exponent LSB
 				for _, sliv := range []int{0, nSliv / 2, nSliv - 1} {
 					target := sliv * gemmNR
@@ -290,6 +295,59 @@ func TestABFTConvGatherRecovery(t *testing.T) {
 			if !hit || !detected {
 				t.Fatalf("%s: int8 LSB flip fired=%v detected=%v", tc.name, hit, detected)
 			}
+		}
+	})
+}
+
+// TestABFTNarrowTileConv is the ABFT battery at the n = 9 and n = 36
+// conv shapes, which the FMA tiers run on the narrow 8×12 tile (the
+// other tiers run the same cases on their one route): 1000 seeded clean
+// runs never flag and equal the unchecked output bit for bit, and a sign
+// flip in any sliver is detected and recovered through the materialised
+// im2col + reference GEMM.
+func TestABFTNarrowTileConv(t *testing.T) {
+	defer func() { ABFTFaultF32 = nil }()
+	spec := ConvSpec{InC: 32, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	const m, k = 64, 32 * 9
+	ep := Epilogue{Act: EpActReLU}
+	forEachTier(t, func(t *testing.T, tier string) {
+		for trial := 0; trial < 1000; trial++ {
+			side := []int{3, 6}[trial%2]
+			n := side * side
+			r := rng.New(uint64(14000 + trial))
+			x := randTensor(r, spec.InC, side, side)
+			wg := randTensor(r, m, k)
+			wp := PackWeights(wg)
+			want := New(m, n)
+			ConvPackedInto(want, wp, x, spec, 0, side, side, ep, 0)
+			got := New(m, n)
+			if !ConvPackedCheckInto(got, wp, x, spec, 0, side, side, ep, 0) {
+				t.Fatalf("trial %d (n=%d): clean run flagged as corrupt", trial, n)
+			}
+			if !got.Equal(want, 0) {
+				t.Fatalf("trial %d (n=%d): checked output differs from unchecked", trial, n)
+			}
+			if trial >= 6 {
+				continue
+			}
+			// One flip per sliver position: first, middle, last column.
+			col := []int{0, n / 2, n - 1}[trial/2]
+			hit := false
+			ABFTFaultF32 = func(d []float32, dn, j0, jw int) {
+				if !hit && j0 <= col && col < j0+jw {
+					flipTopAbs(d, dn, m, col, 1<<31)
+					hit = true
+				}
+			}
+			detected := !ConvPackedCheckInto(got, wp, x, spec, 0, side, side, ep, 0)
+			ABFTFaultF32 = nil
+			if !hit || !detected {
+				t.Fatalf("n=%d column %d: sign flip fired=%v detected=%v", n, col, hit, detected)
+			}
+			cols := New(k, n)
+			Im2ColInto(x, cols, spec, 0, spec.InC, side, side, 0, n)
+			MatMulRefEpilogueInto(got, wg, cols, ep, 0)
+			cmpTol(t, fmt.Sprintf("n=%d recovery vs clean", n), got.Data, want.Data, gemmTolerances(wg, cols))
 		}
 	})
 }

@@ -93,7 +93,7 @@ func conv2DImpl(x, w, bias *Tensor, spec ConvSpec, forceRef bool) (*Tensor, bool
 			packATo(ap, w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
 			dst := FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
 			gemmStripesF32(dst.Data, ocg, plane, k,
-				ap, newF32ConvB(x, spec, g*icg, ow), Epilogue{}, 0)
+				ap, newF32ConvB(x, spec, g*icg, ow), Epilogue{}, 0, nil, nil)
 		}
 		Scratch.PutRaw(ap)
 		addBias(out.Data, bias, spec.OutC, plane)

@@ -9,16 +9,17 @@ import (
 //
 // The packed core (pack.go / packq.go) is driven by a small set of
 // geometry parameters — the fp32 register-tile width gemmNR, the k
-// block gemmKC, and the int8 tile width qNR — plus two kernel entry
-// points (kernF32, kernQ). A dispatch *tier* binds one consistent
-// assignment of all five, and the highest tier the CPU supports is
-// selected once at package init:
+// block gemmKC, and the int8 tile width qNR — plus the kernel entry
+// points (kernF32, kernQ, and the optional kernNarrowF32). A dispatch
+// *tier* binds one consistent assignment of them, and the highest tier
+// the CPU supports is selected once at package init:
 //
 //	generic     pure-Go 4×8 fp32 + 4×8 int8 pair tiles (every arch)
 //	sse2        SSE2 assembly 4×8 fp32 MULPS/ADDPS + 4×8 PMADDWD int8
 //	avx2fma     AVX2/FMA 4×24 fp32 (12 YMM accumulators, fused
-//	            multiply-add) + 4×16 VPMADDWD int8 tiles
-//	avx512vnni  avx2fma's fp32 kernel + 4×32 int8 tiles accumulated
+//	            multiply-add) + the 8×12 narrow fp32 tile (lanes along
+//	            M) + 4×16 VPMADDWD int8 tiles
+//	avx512vnni  avx2fma's fp32 kernels + 4×32 int8 tiles accumulated
 //	            with AVX-512 VPDPWSSD (VNNI: maddwd and add fused)
 //
 // Every tier keeps gemmMR = 4, so the packed operand layouts (PackedA
@@ -68,15 +69,23 @@ type gemmKernelF32 func(c *float32, ldc int, a, b *float32, kc int, accum uintpt
 // k-pairs.
 type gemmKernelQ func(acc *int32, a *int16, b *int8, k2 int)
 
+// gemmNarrowKernelF32 is the narrow fp32 micro-kernel contract:
+// compute a narrowMR×narrowNR tile from zero over the full depth k and
+// store it column-major into c (c[narrowMR·j + r]). a points at k step
+// 0 of the first of two adjacent gemmMR-row PackedA panels of depth k
+// (the second starts gemmMR·k floats on), b at a k×narrowNR B panel.
+type gemmNarrowKernelF32 func(c, a, b *float32, k int)
+
 // kernelTier binds one consistent kernel + geometry assignment.
 type kernelTier struct {
-	name string
-	nr   int // fp32 B-sliver / register-tile width
-	kc   int // fp32 k block (B panel kc×nr stays L1-resident)
-	qnr  int // int8 tile width
-	fma  bool
-	f32  gemmKernelF32
-	q    gemmKernelQ
+	name   string
+	nr     int // fp32 B-sliver / register-tile width
+	kc     int // fp32 k block (B panel kc×nr stays L1-resident)
+	qnr    int // int8 tile width
+	fma    bool
+	f32    gemmKernelF32
+	narrow gemmNarrowKernelF32 // nil: the tier has no narrow tile
+	q      gemmKernelQ
 }
 
 // Geometry / kernel bindings of the selected tier. Mutated only by
@@ -87,8 +96,9 @@ var (
 	gemmKC = 256
 	qNR    = 8
 
-	kernF32 gemmKernelF32 = gemm4x8Go
-	kernQ   gemmKernelQ   = gemmQ4x8Go
+	kernF32       gemmKernelF32 = gemm4x8Go
+	kernNarrowF32 gemmNarrowKernelF32
+	kernQ         gemmKernelQ = gemmQ4x8Go
 
 	tierTable []kernelTier
 	curTier   = kernelTier{name: TierGeneric, nr: 8, kc: 256, qnr: 8, f32: gemm4x8Go, q: gemmQ4x8Go}
@@ -116,7 +126,7 @@ func init() {
 func applyTier(t kernelTier) {
 	curTier = t
 	gemmNR, gemmKC, qNR = t.nr, t.kc, t.qnr
-	kernF32, kernQ = t.f32, t.q
+	kernF32, kernNarrowF32, kernQ = t.f32, t.narrow, t.q
 }
 
 // KernelTier reports the name of the dispatch tier in effect —

@@ -38,6 +38,14 @@ func gemmQ4x16(acc *int32, a *int16, b *int8, k2 int)
 //go:noescape
 func gemmQ4x32(acc *int32, a *int16, b *int8, k2 int)
 
+// gemmFMA8x12 computes an 8-row × 12-column fp32 tile with the vector
+// lanes along M and the B values broadcast (12 YMM accumulators, the A
+// vector joined from two adjacent 4-row panels — see
+// gemm_avx_amd64.s). Contract: gemmNarrowKernelF32.
+//
+//go:noescape
+func gemmFMA8x12(c, a, b *float32, k int)
+
 // CPUID.1:ECX feature bits.
 const (
 	cpuidFMA     = 1 << 12
@@ -61,11 +69,14 @@ const (
 )
 
 // archTiers probes CPUID and returns the assembly tiers this CPU can
-// run, lowest first. The fp32 FMA kernel is shared by both upper
+// run, lowest first. The fp32 FMA kernels are shared by both upper
 // tiers: the avx512vnni tier upgrades only the int8 path, where
 // doubling the vector width and fusing the pair-accumulate is the
-// win; 512-bit fp32 tiles gain nothing on the downclock-prone single
-// -core hosts this targets.
+// win. A 512-bit 4×48 fp32 tile was measured for ISSUE 14 (requester's
+// prototype, Xeon 2.10 GHz, one core): the bare kernel rose 92 → 120
+// GFLOPS and MatMul512Into fell 4.5–5.1 → 3.4–3.8 ms, but engine_fp32
+// read 86.4 / 83.5 against 84.7 / 83.6 ms — no network layer below
+// n = 144 fills 48 columns — so it was not built.
 func archTiers() []kernelTier {
 	tiers := []kernelTier{
 		{name: TierSSE2, nr: 8, kc: 256, qnr: 8, f32: gemm4x8, q: gemmQ4x8},
@@ -88,13 +99,13 @@ func archTiers() []kernelTier {
 	}
 	tiers = append(tiers, kernelTier{
 		name: TierAVX2FMA, nr: 24, kc: 192, qnr: 16, fma: true,
-		f32: gemmFMA4x24, q: gemmQ4x16,
+		f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x16,
 	})
 	if b7&cpuidAVX512F != 0 && b7&cpuidAVX512BW != 0 &&
 		c7&cpuidAVX512VNNI != 0 && xlo&xcr0AVX512 == xcr0AVX512 {
 		tiers = append(tiers, kernelTier{
 			name: TierAVX512VNNI, nr: 24, kc: 192, qnr: 32, fma: true,
-			f32: gemmFMA4x24, q: gemmQ4x32,
+			f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x32,
 		})
 	}
 	return tiers

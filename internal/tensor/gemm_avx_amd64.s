@@ -92,6 +92,83 @@ floop:
 	VZEROUPPER
 	RET
 
+// func gemmFMA8x12(c, a, b *float32, k int)
+//
+// 8×12 fp32 register tile with the vector lanes along M — the narrow
+// tile for column slivers the 24-lane tile would mostly pad. Y0..Y11
+// hold the accumulators, one C *column* each (8 rows); Y12 is the A
+// vector of the k step, built from two adjacent MR = 4 PackedA panels
+// (a and a + 16·k bytes: both panels run the full depth k, so the
+// panel stride is the depth itself); Y13..Y15 rotate through the 12
+// broadcast B values. Each k step issues 12 VFMADD231PS against 14
+// loads. Every lane is the same ascending-k fused chain from zero as a
+// gemmFMA4x24 lane, so the two tiles agree bit for bit. c receives the
+// tile column-major (c[8·j + r]); the driver scatters it into C.
+TEXT ·gemmFMA8x12(SB), NOSPLIT, $0-32
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
+	MOVQ k+24(FP), CX
+	MOVQ CX, SI
+	SHLQ $4, SI                // bytes between the two A panels
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+nloop:
+	VMOVUPS (AX), X12                      // A[0:4, k]
+	VINSERTF128 $1, (AX)(SI*1), Y12, Y12   // A[4:8, k]
+	VBROADCASTSS (BX), Y13
+	VFMADD231PS Y13, Y12, Y0
+	VBROADCASTSS 4(BX), Y14
+	VFMADD231PS Y14, Y12, Y1
+	VBROADCASTSS 8(BX), Y15
+	VFMADD231PS Y15, Y12, Y2
+	VBROADCASTSS 12(BX), Y13
+	VFMADD231PS Y13, Y12, Y3
+	VBROADCASTSS 16(BX), Y14
+	VFMADD231PS Y14, Y12, Y4
+	VBROADCASTSS 20(BX), Y15
+	VFMADD231PS Y15, Y12, Y5
+	VBROADCASTSS 24(BX), Y13
+	VFMADD231PS Y13, Y12, Y6
+	VBROADCASTSS 28(BX), Y14
+	VFMADD231PS Y14, Y12, Y7
+	VBROADCASTSS 32(BX), Y15
+	VFMADD231PS Y15, Y12, Y8
+	VBROADCASTSS 36(BX), Y13
+	VFMADD231PS Y13, Y12, Y9
+	VBROADCASTSS 40(BX), Y14
+	VFMADD231PS Y14, Y12, Y10
+	VBROADCASTSS 44(BX), Y15
+	VFMADD231PS Y15, Y12, Y11
+	ADDQ $16, AX
+	ADDQ $48, BX
+	DECQ CX
+	JNZ  nloop
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VMOVUPS Y8, 256(DI)
+	VMOVUPS Y9, 288(DI)
+	VMOVUPS Y10, 320(DI)
+	VMOVUPS Y11, 352(DI)
+	VZEROUPPER
+	RET
+
 // func gemmQ4x16(acc *int32, a *int16, b *int8, k2 int)
 //
 // 4×16 int8→int32 register tile over pair-interleaved panels, the

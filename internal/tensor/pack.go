@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ocularone/internal/parallel"
 )
@@ -32,6 +33,9 @@ import (
 //     is cut into gemmKC blocks so the B panel (KC×NR floats) plus the
 //     A panel slice (MR×KC) stay L1-resident against the reference
 //     Xeon's 48 KB L1d, and the C stripe revisited per block stays hot.
+//   - GEMMs of at most narrowMaxN columns take a second tile where the
+//     tier binds one (kernNarrowF32, 8×12 with the lanes along m): see
+//     gemmNarrowF32. Same PackedA, same B sources, same bits.
 //
 // The B source is a type parameter (a value struct, never boxed) and
 // the epilogue travels by value, so a steady-state call performs zero
@@ -130,12 +134,15 @@ func PackWeights(a *Tensor) *PackedA {
 // The thresholds are deliberately tier-independent (n is gated against
 // a fixed minimum, not the selected tier's gemmNR): the deep
 // small-spatial convs of a detection head (n = oh·ow as low as 9, with
-// large m·k) must stay on the packed kernel when a wide-NR tier is
-// selected — the edge path computes them on a zero-padded NR tile at a
-// fraction of the lanes, which still beats the scalar reference by
-// multiples — and a routing decision that cannot change with the tier
-// keeps every caller's packed-vs-reference choice, and therefore the
-// plan's compile-time weight packing, stable across tier switches.
+// large m·k) must stay on the packed kernel on every tier. On the FMA
+// tiers they run the narrow 8×12 tile (useNarrowF32): 41 GFLOPS at
+// m = 512, k = 4608, n = 9 and 54 at m = 256, k = 2304, n = 36, where
+// the zero-padded 24-lane tile measured 20 and 40 (BENCHMARKS.md
+// §PR 14). The other tiers compute them on a zero-padded NR tile, which
+// still beats the scalar reference by multiples. A routing decision
+// that cannot change with the tier keeps every caller's
+// packed-vs-reference choice, and therefore the plan's compile-time
+// weight packing, stable across tier switches.
 func UsePackedGEMM(m, k, n int) bool {
 	return m >= gemmMR && n >= 8 && k >= 16 && m*n >= 512
 }
@@ -145,13 +152,14 @@ func (ep Epilogue) hasWork() bool {
 	return ep.Scale != nil || ep.Shift != nil || ep.Act != EpActNone
 }
 
-// f32BSource supplies kc×NR B panels to the fp32 driver:
-// pack fills bbuf[kk·NR+jj] = B[k0+kk, j0+jj] for kk < kc, columns
-// ≥ jw zero-padded. Implementations are value structs so the generic
-// driver monomorphises them — no interface boxing, no closures, zero
-// allocations in the steady state.
+// f32BSource supplies kc×nr B panels to the fp32 driver:
+// pack fills bbuf[kk·nr+jj] = B[k0+kk, j0+jj] for kk < kc, columns
+// ≥ jw zero-padded. The panel width nr is the driver's choice (the
+// tier's gemmNR, or narrowNR for the narrow tile). Implementations are
+// value structs so the generic driver monomorphises them — no interface
+// boxing, no closures, zero allocations in the steady state.
 type f32BSource interface {
-	pack(bbuf []float32, k0, kc, j0, jw int)
+	pack(bbuf []float32, nr, k0, kc, j0, jw int)
 }
 
 // f32MatrixB packs panels from a row-major k×n matrix — the B source
@@ -161,12 +169,12 @@ type f32MatrixB struct {
 	n int
 }
 
-func (s f32MatrixB) pack(bbuf []float32, k0, kc, j0, jw int) {
+func (s f32MatrixB) pack(bbuf []float32, nr, k0, kc, j0, jw int) {
 	for kk := 0; kk < kc; kk++ {
 		brow := s.b[(k0+kk)*s.n+j0 : (k0+kk)*s.n+j0+jw]
-		row := bbuf[kk*gemmNR : kk*gemmNR+gemmNR]
+		row := bbuf[kk*nr : kk*nr+nr]
 		copy(row, brow)
-		for j := jw; j < gemmNR; j++ {
+		for j := jw; j < nr; j++ {
 			row[j] = 0
 		}
 	}
@@ -281,11 +289,11 @@ func newF32ConvB(x *Tensor, spec ConvSpec, c0, ow int) f32ConvB {
 	return f32ConvB{src: x.Data[c0*h*w:], g: newConvGeom(spec, h, w, ow)}
 }
 
-func (s f32ConvB) pack(bbuf []float32, k0, kc, j0, jw int) {
+func (s f32ConvB) pack(bbuf []float32, nr, k0, kc, j0, jw int) {
 	g := &s.g
 	var segArr [panelSegMax]panelSeg
 	segs := g.cut(&segArr, j0, jw)
-	nr, sw := gemmNR, g.sw
+	sw := g.sw
 	if jw < nr {
 		clear(bbuf[:kc*nr])
 	}
@@ -327,53 +335,91 @@ func (s f32ConvB) pack(bbuf []float32, k0, kc, j0, jw int) {
 // 6-wide output rows give runs shorter than a memmove call costs.
 const copyRunMin = 8
 
+// The narrow tile: where the 4×NR tile runs its vector lanes along n, a
+// tier may also bind an 8×12 tile whose lanes run along m (narrowMR
+// rows, two adjacent PackedA panels) and whose B values are broadcast.
+// A GEMM of at most narrowMaxN columns fills it where the wide tile
+// would compute mostly zero padding: every conv from the 6×6 feature
+// map down has n = 36 or 9, and ran 24 lanes for 12 or 9 live ones.
+// Both tiles give every C element the same ascending-k chain of fused
+// multiply-adds from zero, so which one ran never shows in the result.
+const (
+	narrowMR = 2 * gemmMR
+	narrowNR = 12
+	// narrowMaxN is three full narrow slivers. Above it the wide tile's
+	// share of padded lanes is small enough that it wins (measured:
+	// BENCHMARKS.md §PR 14).
+	narrowMaxN = 3 * narrowNR
+)
+
+// useNarrowF32 is the tile selection, from the GEMM shape alone.
+func useNarrowF32(m, n int) bool {
+	return kernNarrowF32 != nil && m%narrowMR == 0 && n <= narrowMaxN
+}
+
 // gemmStripesF32 runs the packed GEMM over C = A×B (+epilogue),
 // parallelised over NR-column slivers. dst must hold m×n row-major
 // values; it is fully overwritten (no pre-zeroing needed — the first
 // k-block initialises the accumulators). apData is A in micro-panel
-// layout covering depth k.
-func gemmStripesF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int) {
+// layout covering depth k. With csum/acsum (A's plain and absolute
+// column checksums over depth k, see abft.go) every stripe is verified
+// before its epilogue and the result reports whether all passed; nil
+// checksums run unchecked and report true.
+func gemmStripesF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64) bool {
+	if useNarrowF32(m, n) {
+		return gemmNarrowF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum)
+	}
 	nSliv := (n + gemmNR - 1) / gemmNR
 	if parallel.Serial() || nSliv == 1 {
-		gemmStripeRangeF32(dst, m, n, k, apData, src, ep, chanOff, 0, nSliv)
-		return
+		return gemmStripeRangeF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, 0, nSliv)
 	}
-	gemmStripesF32Par(dst, m, n, k, apData, src, ep, chanOff, nSliv)
+	return gemmStripesF32Par(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, nSliv)
 }
 
 // gemmStripesF32Par is the multi-worker dispatch, split out so the
 // closure capture it needs is only materialised off the serial path
 // (the serial frame loop stays allocation-free).
-func gemmStripesF32Par[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff, nSliv int) {
+func gemmStripesF32Par[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64, nSliv int) bool {
+	var bad atomic.Bool
 	parallel.ForRange(nSliv, func(s0, s1 int) {
-		gemmStripeRangeF32(dst, m, n, k, apData, src, ep, chanOff, s0, s1)
+		if !gemmStripeRangeF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, s0, s1) {
+			bad.Store(true)
+		}
 	})
+	return !bad.Load()
 }
 
 // gemmStripeRangeF32 computes column slivers [s0, s1) — the worker
-// body of gemmStripesF32.
-func gemmStripeRangeF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff, s0, s1 int) {
-	buf := Scratch.GetRaw((gemmKC + gemmMR) * gemmNR)
-	bbuf, ctile := buf[:gemmKC*gemmNR], buf[gemmKC*gemmNR:]
+// body of gemmStripesF32. The checked run keeps the unchecked kernel
+// schedule (results are bit-equal): it only folds the expected column
+// sums out of each packed panel and compares them before the epilogue
+// touches the stripe.
+func gemmStripeRangeF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64, s0, s1 int) bool {
+	nr := gemmNR
+	buf := Scratch.GetRaw((gemmKC + gemmMR) * nr)
+	bbuf, ctile := buf[:gemmKC*nr], buf[gemmKC*nr:]
 	epWork := ep.hasWork()
+	ok := true
+	// Fixed max-tier arrays so the checksum rows never escape.
+	var expArr, magArr [gemmNRMax]float64
+	exp, mag := expArr[:nr], magArr[:nr]
 	for s := s0; s < s1; s++ {
-		j0 := s * gemmNR
-		jw := n - j0
-		if jw > gemmNR {
-			jw = gemmNR
-		}
+		j0 := s * nr
+		jw := min(nr, n-j0)
+		clear(exp)
+		clear(mag)
 		for k0 := 0; k0 < k; k0 += gemmKC {
-			kc := k - k0
-			if kc > gemmKC {
-				kc = gemmKC
+			kc := min(gemmKC, k-k0)
+			src.pack(bbuf, nr, k0, kc, j0, jw)
+			if csum != nil {
+				abftFoldPanelF32(exp, mag, csum[k0:k0+kc], acsum[k0:k0+kc], bbuf)
 			}
-			src.pack(bbuf, k0, kc, j0, jw)
 			accum := uintptr(0)
 			if k0 > 0 {
 				accum = 1
 			}
 			i0 := 0
-			if jw == gemmNR {
+			if jw == nr {
 				for ; i0+gemmMR <= m; i0 += gemmMR {
 					apan := apData[(i0/gemmMR)*k*gemmMR+k0*gemmMR:]
 					kernF32(&dst[i0*n+j0], n, &apan[0], &bbuf[0], kc, accum)
@@ -383,11 +429,58 @@ func gemmStripeRangeF32[S f32BSource](dst []float32, m, n, k int, apData []float
 				gemmEdgeF32(dst, n, apData, bbuf, ctile, k, k0, kc, i0, m, j0, jw, accum == 1)
 			}
 		}
+		if csum != nil && !abftVerifyF32(dst, m, n, k, j0, jw, exp, mag) {
+			ok = false
+		}
 		if epWork {
 			ep.applyCols(dst, 0, m, n, j0, j0+jw, chanOff)
 		}
 	}
 	Scratch.PutRaw(buf)
+	return ok
+}
+
+// gemmNarrowF32 is gemmStripesF32 for the shapes useNarrowF32 selects.
+// All of B (at most narrowMaxN columns) is packed first, one full-depth
+// panel per narrowNR-column sliver, so the row blocks can be the outer
+// loop: each pair of A panels is streamed once and meets every sliver
+// while it is cache-resident — at these shapes A is the big operand
+// (9.4 MB against 166 KB of B for the m = 512, k = 4608, n = 9 conv). A
+// tile runs the whole depth in registers, so C is written once and the
+// kernel has no accumulate mode. Serial: at most three slivers.
+func gemmNarrowF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64) bool {
+	nSliv := (n + narrowNR - 1) / narrowNR
+	panel := k * narrowNR
+	buf := Scratch.GetRaw(nSliv*panel + narrowMR*narrowNR)
+	ctile := buf[nSliv*panel:]
+	var expArr, magArr [narrowMaxN]float64
+	for s := 0; s < nSliv; s++ {
+		j0 := s * narrowNR
+		bbuf := buf[s*panel : (s+1)*panel]
+		src.pack(bbuf, narrowNR, 0, k, j0, min(narrowNR, n-j0))
+		if csum != nil {
+			abftFoldPanelF32(expArr[j0:j0+narrowNR], magArr[j0:j0+narrowNR], csum, acsum, bbuf)
+		}
+	}
+	for i0 := 0; i0 < m; i0 += narrowMR {
+		for s := 0; s < nSliv; s++ {
+			kernNarrowF32(&ctile[0], &apData[i0*k], &buf[s*panel], k)
+			j0 := s * narrowNR
+			jw := min(narrowNR, n-j0)
+			for r := 0; r < narrowMR; r++ {
+				drow := dst[(i0+r)*n+j0 : (i0+r)*n+j0+jw]
+				for j := range drow {
+					drow[j] = ctile[j*narrowMR+r]
+				}
+			}
+		}
+	}
+	Scratch.PutRaw(buf)
+	ok := csum == nil || abftVerifyF32(dst, m, n, k, 0, n, expArr[:], magArr[:])
+	if ep.hasWork() {
+		ep.applyCols(dst, 0, m, n, 0, n, chanOff)
+	}
+	return ok
 }
 
 // gemmEdgeF32 finishes the ragged tiles (rows [i0, m), columns
@@ -432,7 +525,7 @@ func matMulPackedInto(dst, a, b *Tensor, ep Epilogue, chanOff int) {
 	n := b.Shape[1]
 	apData := Scratch.GetRaw(packALen(m, k))
 	packATo(apData, a.Data, m, k)
-	gemmStripesF32(dst.Data, m, n, k, apData, f32MatrixB{b: b.Data, n: n}, ep, chanOff)
+	gemmStripesF32(dst.Data, m, n, k, apData, f32MatrixB{b: b.Data, n: n}, ep, chanOff, nil, nil)
 	Scratch.PutRaw(apData)
 }
 
@@ -449,5 +542,5 @@ func ConvPackedInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0, oh, 
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: ConvPackedInto dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	gemmStripesF32(dst.Data, m, n, k, wp.data, newF32ConvB(x, spec, c0, ow), ep, chanOff)
+	gemmStripesF32(dst.Data, m, n, k, wp.data, newF32ConvB(x, spec, c0, ow), ep, chanOff, nil, nil)
 }

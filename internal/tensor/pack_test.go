@@ -274,9 +274,10 @@ func gatherCases() []gatherCase {
 
 // checkPanelGather compares both conv B sources element by element
 // with the retained im2colRow / im2colQRow unroll on the selected tier:
-// every group, the driver's own panel windows plus random ones that
-// start and end mid-row (j0, jw < NR) and mid-channel (k0, kc), and the
-// zero fill of columns >= jw and of the odd-k pair tail.
+// every group, the driver's own panel windows (fp32: at the tier's
+// width and at the narrow tile's) plus random ones that start and end
+// mid-row (j0, jw < NR) and mid-channel (k0, kc), and the zero fill of
+// columns >= jw and of the odd-k pair tail.
 func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 	t.Helper()
 	groups := spec.Groups
@@ -300,21 +301,21 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 		}
 
 		fsrc := newF32ConvB(x, spec, c0, ow)
-		fbuf := make([]float32, gemmKC*gemmNR)
-		checkF := func(k0, kc, j0, jw int) {
+		fbuf := make([]float32, gemmKC*gemmNRMax)
+		checkF := func(nr, k0, kc, j0, jw int) {
 			for i := range fbuf {
 				fbuf[i] = 7
 			}
-			fsrc.pack(fbuf, k0, kc, j0, jw)
+			fsrc.pack(fbuf, nr, k0, kc, j0, jw)
 			for kk := 0; kk < kc; kk++ {
-				for jj := 0; jj < gemmNR; jj++ {
+				for jj := 0; jj < nr; jj++ {
 					var want float32
 					if jj < jw {
 						want = cols.Data[(k0+kk)*n+j0+jj]
 					}
-					if got := fbuf[kk*gemmNR+jj]; got != want {
-						t.Fatalf("group %d fp32 panel k0=%d kc=%d j0=%d jw=%d: row %d col %d = %v, want %v",
-							g, k0, kc, j0, jw, kk, jj, got, want)
+					if got := fbuf[kk*nr+jj]; got != want {
+						t.Fatalf("group %d fp32 panel nr=%d k0=%d kc=%d j0=%d jw=%d: row %d col %d = %v, want %v",
+							g, nr, k0, kc, j0, jw, kk, jj, got, want)
 					}
 				}
 			}
@@ -340,9 +341,11 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 				}
 			}
 		}
-		for j0 := 0; j0 < n; j0 += gemmNR {
-			for k0 := 0; k0 < k; k0 += gemmKC {
-				checkF(k0, min(gemmKC, k-k0), j0, min(gemmNR, n-j0))
+		for _, nr := range []int{gemmNR, narrowNR} {
+			for j0 := 0; j0 < n; j0 += nr {
+				for k0 := 0; k0 < k; k0 += gemmKC {
+					checkF(nr, k0, min(gemmKC, k-k0), j0, min(nr, n-j0))
+				}
 			}
 		}
 		for j0 := 0; j0 < n; j0 += qNR {
@@ -350,7 +353,8 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 		}
 		for i := 0; i < 12; i++ {
 			k0, j0 := pick(k), pick(n)
-			checkF(k0, 1+pick(min(gemmKC, k-k0)), j0, 1+pick(min(gemmNR, n-j0)))
+			nr := []int{gemmNR, narrowNR}[i%2]
+			checkF(nr, k0, 1+pick(min(gemmKC, k-k0)), j0, 1+pick(min(nr, n-j0)))
 			j0 = pick(n)
 			checkQ(j0, 1+pick(min(qNR, n-j0)))
 		}
@@ -425,14 +429,21 @@ func TestConvGatherParallel(t *testing.T) {
 // allocations per call on a single worker — the contract the plan
 // executor's zero-alloc frame loop builds on. The second spec is the
 // one that stretches the int8 path's pooled quantized copy: a later
-// group (c0 > 0), an odd k (the extra zero plane), stride 2.
+// group (c0 > 0), an odd k (the extra zero plane), stride 2. The last
+// two are the n = 9 and n = 36 shapes the narrow fp32 tile takes, with
+// its full-depth B panel in pooled scratch.
 func TestPackedConvZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, spec := range []ConvSpec{
-		{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 6, OutC: 32, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2},
+	for _, tc := range []struct {
+		spec ConvSpec
+		side int
+	}{
+		{ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 24},
+		{ConvSpec{InC: 6, OutC: 32, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2}, 24},
+		{ConvSpec{InC: 64, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 3},
+		{ConvSpec{InC: 64, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 6},
 	} {
-		const side = 24
+		spec, side := tc.spec, tc.side
 		groups := max(spec.Groups, 1)
 		icg, ocg := spec.InC/groups, spec.OutC/groups
 		g := groups - 1
@@ -452,10 +463,10 @@ func TestPackedConvZeroAlloc(t *testing.T) {
 		runF()
 		runQ()
 		if a := testing.AllocsPerRun(10, runF); a != 0 {
-			t.Errorf("ConvPackedInto %+v: %.0f allocs per steady-state call, want 0", spec, a)
+			t.Errorf("ConvPackedInto %+v on %dx%d: %.0f allocs per steady-state call, want 0", spec, side, side, a)
 		}
 		if a := testing.AllocsPerRun(10, runQ); a != 0 {
-			t.Errorf("ConvPackedQInto %+v: %.0f allocs per steady-state call, want 0", spec, a)
+			t.Errorf("ConvPackedQInto %+v on %dx%d: %.0f allocs per steady-state call, want 0", spec, side, side, a)
 		}
 	}
 }
