@@ -483,6 +483,58 @@ func BenchmarkConvTable2Shapes(b *testing.B) {
 	}
 }
 
+// BenchmarkConvTable2ShapesInt8 is the int8 twin of
+// BenchmarkConvTable2Shapes at batch 1 and batch 4 — the per-shape table
+// of BENCHMARKS.md §PR 15. At batch 4 the n = 9 and n = 36 shapes run as
+// one folded GEMM over the batch's 36 and 144 columns, the rest sample
+// by sample. Record with GOMAXPROCS=1 -count 5. GOPS counts the 2·m·k·n
+// useful ops a frame; wMB/frame is the packed int16 weight traffic the
+// route implies: one pass over the panels per column sliver, shared by
+// the whole batch on the folded route.
+func BenchmarkConvTable2ShapesInt8(b *testing.B) {
+	for _, s := range []struct{ m, k, n int }{
+		{512, 4608, 9}, {256, 2304, 36}, {128, 1152, 144}, {64, 576, 576}, {32, 288, 2304},
+	} {
+		for _, nb := range []int{1, 4} {
+			b.Run(fmt.Sprintf("m%d_k%d_n%d/b%d", s.m, s.k, s.n, nb), func(b *testing.B) {
+				inC, side := s.k/9, int(math.Sqrt(float64(s.n)))
+				spec := tensor.ConvSpec{InC: inC, OutC: s.m, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+				r := rng.New(15)
+				w := tensor.New(s.m, s.k)
+				for i := range w.Data {
+					w.Data[i] = r.Float32() - 0.5
+				}
+				qw := tensor.QuantizePerChannel(w)
+				qp := tensor.PackWeightsQ(qw.Data, s.m, s.k)
+				rowScale := make([]float32, s.m)
+				for i := range rowScale {
+					rowScale[i] = qw.ScaleFor(i) / 127
+				}
+				xs, dsts := make([]*tensor.Tensor, nb), make([]*tensor.Tensor, nb)
+				for i := range xs {
+					xs[i], dsts[i] = tensor.New(inC, side, side), tensor.New(s.m, s.n)
+					for j := range xs[i].Data {
+						xs[i].Data[j] = r.Float32() - 0.5
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tensor.ConvPackedQBatchInto(dsts, qp, xs, spec, 0, side, side, 127, rowScale, tensor.Epilogue{}, 0, nil)
+				}
+				sec := b.Elapsed().Seconds() / float64(b.N*nb)
+				cols, share := s.n, 1
+				if nb > 1 && s.n <= 36 { // the folded route's shapes
+					cols, share = nb*s.n, nb
+				}
+				nr := tensor.KernelTierInt8Cols()
+				b.ReportMetric(sec*1e3, "ms/frame")
+				b.ReportMetric(2*float64(s.m*s.k*s.n)/sec/1e9, "GOPS")
+				b.ReportMetric(float64((cols+nr-1)/nr*2*s.m*s.k)/float64(share)/1e6, "wMB/frame")
+			})
+		}
+	}
+}
+
 // BenchmarkNNForwardQuantYOLOv8NanoCPU measures the INT8 forward pass
 // of the calibrated+quantized yolov8n — compare against
 // BenchmarkNNForwardYOLOv8NanoCPU. Until PR 12 this was a host-side

@@ -75,6 +75,37 @@ func TestForwardBatchParity(t *testing.T) {
 	}
 }
 
+// TestPlanBatchParityInt8 pins the batched int8 plans of the three
+// chained networks against their own batch-1 plan at tolerance 0, for
+// batches of 2 to 5 frames. At 96×96 their deep convs have 9- and
+// 36-pixel planes, which a batch runs as one folded GEMM
+// (tensor.ConvPackedQBatchInto) whose slivers straddle the samples — and
+// differently at every batch width.
+func TestPlanBatchParityInt8(t *testing.T) {
+	for _, id := range []models.ID{models.V8Nano, models.Bodypose, models.Monodepth2} {
+		t.Run(id.String(), func(t *testing.T) {
+			net := models.BuildQuantized(id, 2, 51, 3, 96, 96)
+			p := net.PlanFor(3, 96, 96)
+			xs := randFrames(52, 5, 3, 96, 96)
+			opts := nn.ExecOpts{Precision: nn.INT8}
+			want := make([][]*tensor.Tensor, len(xs))
+			for b, x := range xs {
+				want[b] = clonePlanOuts(p.Execute([]*tensor.Tensor{x}, opts))[0]
+			}
+			for batch := 2; batch <= len(xs); batch++ {
+				got := p.Execute(xs[:batch], opts)
+				for b := range got {
+					for oi := range want[b] {
+						if !got[b][oi].Equal(want[b][oi], 0) {
+							t.Fatalf("batch %d sample %d output %d: batched int8 plan diverges from the per-frame plan", batch, b, oi)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestForwardBatchReusesScratch asserts the steady-state batched
 // wrapper stays cheap: the plan executes allocation-free and the
 // materialized outputs recycle through tensor.Scratch, so a second

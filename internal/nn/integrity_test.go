@@ -162,6 +162,61 @@ func TestPlanABFTRecoveryQ(t *testing.T) {
 	}
 }
 
+// TestPlanABFTFoldedRecoveryQ is TestPlanABFTRecoveryQ at batch 4, with
+// the flip placed in a conv that runs as one folded GEMM over the batch
+// (the only int8 route whose consecutive tiles share an A panel): the
+// checks still count one per sample and group — as many as the fp32
+// plan's, which runs every packed conv sample by sample — one sample is
+// flagged, only that sample re-executes, and the whole batch matches the
+// fault-free run bit for bit.
+func TestPlanABFTFoldedRecoveryQ(t *testing.T) {
+	// The hook tells the folded route by the order of its tiles: one worker.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer func() { tensor.ABFTFaultQ = nil }()
+	net := models.BuildQuantized(models.V8Nano, 2, 29, 3, 96, 96)
+	p := net.PlanFor(3, 96, 96)
+	xs := randFrames(94, 4, 3, 96, 96)
+	opts := nn.ExecOpts{Precision: nn.INT8}
+
+	want := clonePlanOuts(p.Execute(xs, opts))
+	opts.Integrity = nn.IntegrityPolicy{ABFT: true}
+	p.ResetIntegrity()
+	p.Execute(xs, nn.ExecOpts{Integrity: opts.Integrity})
+	perSample := p.Integrity().ABFTChecks
+
+	fired := false
+	prevI0, prevJ0 := -1, -1
+	tensor.ABFTFaultQ = func(acc []int32, i0, j0 int) {
+		if !fired && i0 == prevI0 && j0 > prevJ0 {
+			fired = true
+			acc[0] ^= 1 << 17
+		}
+		prevI0, prevJ0 = i0, j0
+	}
+	var events []nn.IntegrityEvent
+	opts.Integrity.OnEvent = func(e nn.IntegrityEvent) { events = append(events, e) }
+	p.ResetIntegrity()
+	got := p.Execute(xs, opts)
+
+	if !fired {
+		t.Fatal("no conv of the batch-4 int8 plan took the folded route")
+	}
+	st := p.Integrity()
+	if st.ABFTChecks != perSample {
+		t.Fatalf("%d ABFT checks, want the fp32 plan's %d", st.ABFTChecks, perSample)
+	}
+	if st.ABFTDetected != 1 || st.Recovered != 1 || len(events) != 1 || !events[0].Recovered {
+		t.Fatalf("stats %+v events %+v, want exactly one sample detected and recovered", st, events)
+	}
+	for b := range got {
+		for oi := range got[b] {
+			if !got[b][oi].Equal(want[b][oi], 0) {
+				t.Fatalf("sample %d output %d: recovered batch diverges from fault-free run", b, oi)
+			}
+		}
+	}
+}
+
 // TestPlanGuardDetectsNaN feeds a NaN-poisoned frame through the plan
 // with only the sentinels on. The guard must fire on the first op that
 // consumes the poison, and — since re-executing on the same poisoned

@@ -166,6 +166,8 @@ type planInst struct {
 	bigF  *tensor.Tensor // shared batched-GEMM staging (nb > 1 only)
 	colsB []int8         // shared int8 im2col scratch, bound lazily
 
+	abftBad []bool // per-sample verdicts of a checked int8 conv, bound lazily
+
 	// ip is the calling Execute's integrity policy, published here so
 	// the prebound step closures can consult it without re-binding (a
 	// Plan is not concurrent-safe, so per-call mutation is safe).
@@ -502,11 +504,14 @@ func bnEpilogue(c *Conv) tensor.Epilogue {
 	return ep
 }
 
-// convOp is the fused convolution primitive: im2col into the shared
-// scratch, one GEMM per group with the BN/bias + activation epilogue
-// applied inside the kernel, int8 or fp32 per call. Batched execution
-// lowers the whole batch to one im2col + GEMM per group, staging
-// through the shared big buffer exactly as Conv2DBatch does.
+// convOp is the fused convolution primitive: one GEMM per group with the
+// BN/bias + activation epilogue applied inside the kernel, int8 or fp32
+// per call. Convs big enough for the packed kernel (wpk != nil) gather
+// their receptive fields inside it and write the per-sample outputs
+// directly — sample by sample, except that a batch of small int8 planes
+// runs as one GEMM (tensor.ConvPackedQBatchInto). The rest take the
+// reference lowering: the whole batch to one im2col + GEMM per group,
+// staged through the shared big buffer exactly as Conv2DBatch does.
 type convOp struct {
 	c       *Conv
 	in, out planVal
@@ -635,18 +640,18 @@ func (op *convOp) bind(inst *planInst) stepFn {
 			big = tensor.FromSlice(inst.bigF.Data[:ocg*nb*plane], ocg, nb*plane)
 		}
 	}
-	// Per-sample, per-group destination views for the direct (nb == 1)
-	// path; the batched path stages through big and scatters.
-	dsts := make([][]*tensor.Tensor, nb)
-	for s := 0; s < nb; s++ {
-		out := inst.ts[op.out][s]
-		dsts[s] = make([]*tensor.Tensor, groups)
-		for g := 0; g < groups; g++ {
-			dsts[s][g] = tensor.FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
-		}
-	}
+	// Per-group, per-sample destination views: what the packed kernels
+	// and the nb == 1 reference path write; the batched reference path
+	// stages through big and scatters.
 	ins := inst.ts[op.in]
 	outs := inst.ts[op.out]
+	dsts := make([][]*tensor.Tensor, groups)
+	for g := range dsts {
+		dsts[g] = make([]*tensor.Tensor, nb)
+		for s, out := range outs {
+			dsts[g][s] = tensor.FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
+		}
+	}
 	oh, ow := op.oh, op.ow
 	var colsQ *tensor.QTensor // cached int8 cols header, built on first int8 run
 
@@ -659,12 +664,10 @@ func (op *convOp) bind(inst *planInst) stepFn {
 				inv := 1 / c.inScale
 				for g := 0; g < groups; g++ {
 					rs := op.qrs[g*ocg : (g+1)*ocg]
-					for s := 0; s < nb; s++ {
-						if abft {
-							op.checkedConvQ(inst, dsts[s][g], ins[s], g, icg, ocg, inv, rs)
-						} else {
-							tensor.ConvPackedQInto(dsts[s][g], op.qpk[g], ins[s], spec, g*icg, oh, ow, inv, rs, op.ep, g*ocg)
-						}
+					if abft {
+						op.checkedConvQ(inst, dsts[g], ins, g, icg, ocg, inv, rs)
+					} else {
+						tensor.ConvPackedQBatchInto(dsts[g], op.qpk[g], ins, spec, g*icg, oh, ow, inv, rs, op.ep, g*ocg, nil)
 					}
 				}
 				return
@@ -672,9 +675,9 @@ func (op *convOp) bind(inst *planInst) stepFn {
 			for g := 0; g < groups; g++ {
 				for s := 0; s < nb; s++ {
 					if abft {
-						op.checkedConvF32(inst, dsts[s][g], ins[s], g, icg, ocg)
+						op.checkedConvF32(inst, dsts[g][s], ins[s], g, icg, ocg)
 					} else {
-						tensor.ConvPackedInto(dsts[s][g], op.wpk[g], ins[s], spec, g*icg, oh, ow, op.ep, g*ocg)
+						tensor.ConvPackedInto(dsts[g][s], op.wpk[g], ins[s], spec, g*icg, oh, ow, op.ep, g*ocg)
 					}
 				}
 			}
@@ -693,7 +696,7 @@ func (op *convOp) bind(inst *planInst) stepFn {
 				}
 				rs := op.qrs[g*ocg : (g+1)*ocg]
 				if nb == 1 {
-					inst.gemmQ(abft, c.Name(), dsts[0][g], op.qws[g], colsQ, rs, op.ep, g*ocg)
+					inst.gemmQ(abft, c.Name(), dsts[g][0], op.qws[g], colsQ, rs, op.ep, g*ocg)
 				} else {
 					inst.gemmQ(abft, c.Name(), big, op.qws[g], colsQ, rs, op.ep, g*ocg)
 					scatterGroup(outs, big, g, ocg, nb, plane)
@@ -706,7 +709,7 @@ func (op *convOp) bind(inst *planInst) stepFn {
 				tensor.Im2ColInto(ins[s], cols, spec, g*icg, icg, oh, ow, s*plane, nb*plane)
 			}
 			if nb == 1 {
-				inst.gemmF32(abft, dsts[0][g], op.wslices[g], cols, op.ep, g*ocg)
+				inst.gemmF32(abft, dsts[g][0], op.wslices[g], cols, op.ep, g*ocg)
 			} else {
 				inst.gemmF32(abft, big, op.wslices[g], cols, op.ep, g*ocg)
 				scatterGroup(outs, big, g, ocg, nb, plane)
@@ -773,23 +776,31 @@ func (op *convOp) checkedConvF32(inst *planInst, dst, x *tensor.Tensor, g, icg, 
 	inst.p.note(inst.ip, c.Name(), KindABFT, true)
 }
 
-// checkedConvQ is the int8 twin of checkedConvF32; the reference
-// re-execution replays the quantizing im2col and the int8 reference
+// checkedConvQ is the int8 twin of checkedConvF32 over the whole batch
+// (one check per sample); only the samples whose columns mismatched are
+// re-executed, replaying the quantizing im2col and the int8 reference
 // GEMM over the cached weight views qBind built.
-func (op *convOp) checkedConvQ(inst *planInst, dst, x *tensor.Tensor, g, icg, ocg int, inv float32, rowScale []float32) {
+func (op *convOp) checkedConvQ(inst *planInst, dsts, xs []*tensor.Tensor, g, icg, ocg int, inv float32, rowScale []float32) {
 	c := op.c
 	spec := c.spec
-	inst.p.integ.ABFTChecks++
-	if tensor.ConvPackedQCheckInto(dst, op.qpk[g], x, spec, g*icg, op.oh, op.ow, inv, rowScale, op.ep, g*ocg) {
+	inst.p.integ.ABFTChecks += uint64(len(xs))
+	if inst.abftBad == nil {
+		inst.abftBad = make([]bool, inst.nb)
+	}
+	if tensor.ConvPackedQBatchInto(dsts, op.qpk[g], xs, spec, g*icg, op.oh, op.ow, inv, rowScale, op.ep, g*ocg, inst.abftBad) {
 		return
 	}
 	k := icg * spec.KH * spec.KW
 	plane := op.oh * op.ow
-	colsB := make([]int8, k*plane)
-	tensor.Im2ColQInto(x, colsB, inv, spec, g*icg, icg, op.oh, op.ow, 0, plane)
-	colsQ := &tensor.QTensor{Shape: []int{k, plane}, Data: colsB}
-	tensor.MatMulInt8RefEpilogueInto(dst, op.qws[g], colsQ, rowScale, op.ep, g*ocg)
-	inst.p.note(inst.ip, c.Name(), KindABFT, true)
+	colsQ := &tensor.QTensor{Shape: []int{k, plane}, Data: make([]int8, k*plane)}
+	for s, bad := range inst.abftBad {
+		if !bad {
+			continue
+		}
+		tensor.Im2ColQInto(xs[s], colsQ.Data, inv, spec, g*icg, icg, op.oh, op.ow, 0, plane)
+		tensor.MatMulInt8RefEpilogueInto(dsts[s], op.qws[g], colsQ, rowScale, op.ep, g*ocg)
+		inst.p.note(inst.ip, c.Name(), KindABFT, true)
+	}
 }
 
 // scatterGroup distributes one group's [ocg, nb*plane] GEMM result into

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ocularone/internal/parallel"
 )
@@ -15,8 +14,8 @@ import (
 //	csum[kk] = Σ_i A[i,kk]        (float64, exact enough vs fp32 data)
 //
 // so every output column satisfies Σ_i C[i,j] = Σ_kk csum[kk]·B[kk,j].
-// The checked runs (fp32: gemmStripesF32 given checksums — the one
-// driver of pack.go, not a twin; int8: gemmStripesQCheck below)
+// The checked runs (the drivers of pack.go and packq.go given checksums
+// — gemmStripesF32, gemmStripesQ, gemmFoldedQ; none has a checked twin)
 // accumulate the right-hand side while the B panel is packed (the panel
 // is already cache-resident, so the extra multiply-adds per k step cost
 // ~1/m of the kernel's work) and compare it with the column sums of the
@@ -156,113 +155,18 @@ func abftVerifyF32(dst []float32, m, n, k, j0, jw int, exp, mag []float64) bool 
 	return ok
 }
 
-// gemmStripesQCheck is gemmStripesQ with exact per-stripe accumulator
-// verification; csum is the pair-interleaved int64 checksum row.
-func gemmStripesQCheck[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64) bool {
-	nSliv := (n + qNR - 1) / qNR
-	if parallel.Serial() || nSliv == 1 {
-		return gemmStripeCheckRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, 0, nSliv)
-	}
-	return gemmStripesQCheckPar(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, nSliv)
-}
-
-// gemmStripesQCheckPar is the multi-worker dispatch, split out so the
-// serial path stays allocation-free.
-func gemmStripesQCheckPar[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64, nSliv int) bool {
-	var bad int32
-	parallel.ForRange(nSliv, func(s0, s1 int) {
-		if !gemmStripeCheckRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, s0, s1) {
-			atomic.StoreInt32(&bad, 1)
-		}
-	})
-	return atomic.LoadInt32(&bad) == 0
-}
-
-// gemmStripeCheckRangeQ is the checked int8 worker body: the kernel
-// tiles accumulate exactly as gemmStripeRangeQ's, but every int32
-// accumulator is folded into the actual column sums before requant, so
-// the equality test against the checksum prediction sees precisely the
-// values that produce dst.
-func gemmStripeCheckRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64, s0, s1 int) bool {
-	k2 := (k + 1) / 2
-	bbuf := ScratchB.Get(k2 * 2 * qNR)
-	epWork := ep.hasWork()
-	ok := true
-	nr := qNR
-	acc := scratchI32.get(4 * nr)
-	// Fixed max-tier arrays so the checksum rows never escape; only the
-	// first qNR entries are live for the selected tier.
-	var expArr, actArr [qNRMax]int64
-	exp, act := expArr[:nr], actArr[:nr]
-	for s := s0; s < s1; s++ {
-		j0 := s * nr
-		jw := n - j0
-		if jw > nr {
-			jw = nr
-		}
-		src.pack(bbuf, j0, jw)
+// abftFoldSliverQ adds one packed int8 sliver's share of the expected
+// column sums: exp[j] += Σ_kk csum[kk]·B[kk,j] over the pair-interleaved
+// sliver, len(exp) columns wide. Exact integer sums.
+func abftFoldSliverQ(exp, csum []int64, bbuf []int8) {
+	nr := len(exp)
+	for kk := 0; kk < len(csum)/2; kk++ {
+		c0, c1 := csum[kk*2], csum[kk*2+1]
+		row := bbuf[kk*2*nr : kk*2*nr+2*nr]
 		for j := range exp {
-			exp[j], act[j] = 0, 0
-		}
-		for kk := 0; kk < k2; kk++ {
-			c0, c1 := csum[kk*2], csum[kk*2+1]
-			row := bbuf[kk*2*nr : kk*2*nr+2*nr]
-			for j := 0; j < nr; j++ {
-				exp[j] += c0*int64(row[j*2]) + c1*int64(row[j*2+1])
-			}
-		}
-		i0 := 0
-		if jw == nr {
-			for ; i0+4 <= m; i0 += 4 {
-				kernQ(&acc[0], &apData[(i0/4)*k2*8], &bbuf[0], k2)
-				if ABFTFaultQ != nil {
-					ABFTFaultQ(acc, i0, j0)
-				}
-				for r := 0; r < 4; r++ {
-					sc := rowScale[i0+r]
-					drow := dst[(i0+r)*n+j0 : (i0+r)*n+j0+nr]
-					ar := acc[r*nr : (r+1)*nr]
-					for j, v := range ar {
-						act[j] += int64(v)
-						drow[j] = float32(v) * sc
-					}
-				}
-			}
-		}
-		// Ragged tiles run the same kernel over the zero-padded panels
-		// (exact integer zeros, as in gemmEdgeQ), folding only the live
-		// columns into the actual sums.
-		for ; i0 < m; i0 += 4 {
-			rows := m - i0
-			if rows > 4 {
-				rows = 4
-			}
-			kernQ(&acc[0], &apData[(i0/4)*k2*8], &bbuf[0], k2)
-			if ABFTFaultQ != nil {
-				ABFTFaultQ(acc, i0, j0)
-			}
-			for r := 0; r < rows; r++ {
-				sc := rowScale[i0+r]
-				drow := dst[(i0+r)*n+j0 : (i0+r)*n+j0+jw]
-				ar := acc[r*nr : r*nr+jw]
-				for j, v := range ar {
-					act[j] += int64(v)
-					drow[j] = float32(v) * sc
-				}
-			}
-		}
-		for j := 0; j < jw; j++ {
-			if exp[j] != act[j] {
-				ok = false
-			}
-		}
-		if epWork {
-			ep.applyCols(dst, 0, m, n, j0, j0+jw, chanOff)
+			exp[j] += c0*int64(row[j*2]) + c1*int64(row[j*2+1])
 		}
 	}
-	scratchI32.put(acc)
-	ScratchB.Put(bbuf)
-	return ok
 }
 
 // ConvPackedCheckInto is ConvPackedInto with ABFT verification; it
@@ -284,15 +188,7 @@ func ConvPackedCheckInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0,
 // verification, reporting whether every accumulator stripe matched its
 // checksum prediction. Zero heap allocations in steady state.
 func ConvPackedQCheckInto(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int) bool {
-	m, k := wp.m, wp.k
-	n := oh * ow
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: ConvPackedQCheckInto dst %v, want [%d %d]", dst.Shape, m, n))
-	}
-	src := newQConvB(x, inv, spec, c0, k, oh, ow)
-	ok := gemmStripesQCheck(dst.Data, m, n, k, wp.data, src, rowScale, ep, chanOff, wp.csum)
-	src.release()
-	return ok
+	return convPackedQ(dst, wp, x, spec, c0, oh, ow, inv, rowScale, ep, chanOff, wp.csum)
 }
 
 // MatMulEpilogueCheckInto is MatMulEpilogueInto with ABFT verification
@@ -330,24 +226,15 @@ func MatMulInt8EpilogueCheckInto(dst *Tensor, a, b *QTensor, rowScale []float32,
 		MatMulInt8RefEpilogueInto(dst, a, b, rowScale, ep, chanOff)
 		return true
 	}
-	apData := scratchW.get(packQLen(m, k))
-	packQTo(apData, a.Data, m, k)
-	csum := scratchQC.get(2 * ((k + 1) / 2))
-	colChecksumsQ(csum, a.Data, m, k)
-	ok := gemmStripesQCheck(dst.Data, m, n, k, apData, qMatrixB{b: b.Data, k: k, n: n}, rowScale, ep, chanOff, csum)
-	scratchQC.put(csum)
-	scratchW.put(apData)
-	return ok
+	return matMulInt8PackedInto(dst, a, b, rowScale, ep, chanOff, true)
 }
 
-// scratchQC recycles int64 checksum rows for the per-call checked int8
-// entry points.
+// scratchQC recycles int64 checksum rows: the per-call checked int8
+// entry points' csum, and the folded int8 driver's column sums.
 var scratchQC = func() *rawPool[int64] { p := newRawPool[int64](); return &p }()
 
-// scratchI32 recycles the checked int8 driver's accumulator tiles: the
-// fault-injection hook sees the tile as a slice, which would force a
-// stack array to escape per call — pooling it keeps the checked path
-// at zero steady-state allocations.
+// scratchI32 recycles the int8 drivers' accumulator tiles, which would
+// escape as stack arrays (see gemmStripeRangeQ).
 var scratchI32 = func() *rawPool[int32] { p := newRawPool[int32](); return &p }()
 
 // MatMulRefEpilogueInto computes dst = A×B + epilogue strictly through

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ocularone/internal/rng"
@@ -348,6 +349,59 @@ func TestABFTNarrowTileConv(t *testing.T) {
 			Im2ColInto(x, cols, spec, 0, spec.InC, side, side, 0, n)
 			MatMulRefEpilogueInto(got, wg, cols, ep, 0)
 			cmpTol(t, fmt.Sprintf("n=%d recovery vs clean", n), got.Data, want.Data, gemmTolerances(wg, cols))
+		}
+	})
+}
+
+// TestABFTFoldedConvQ is the ABFT battery of the folded int8 route, on
+// every tier: 1000 seeded batches (2 to 5 frames at n = 9 and n = 36)
+// never flag and equal the unchecked output bit for bit; a flipped
+// accumulator in one sample's column is detected, pinned on that sample
+// alone, and re-executing that sample through the materialised im2col +
+// reference GEMM — what nn's checkedConvQ does — restores the clean batch.
+func TestABFTFoldedConvQ(t *testing.T) {
+	defer func() { ABFTFaultQ = nil }()
+	spec := ConvSpec{InC: 8, OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	const m, k = 16, 8 * 9
+	forEachTier(t, func(t *testing.T, tier string) {
+		for trial := 0; trial < 1000; trial++ {
+			side, nb := []int{3, 6}[trial%2], 2+trial%4
+			n := side * side
+			b := newFoldBatches(rng.New(uint64(15000+trial)), spec, side, side, nb)[0]
+			want, _ := b.batch(b.ep, nil)
+			bad := make([]bool, nb)
+			got, ok := b.batch(b.ep, bad)
+			if !ok || slices.Contains(bad, true) {
+				t.Fatalf("trial %d (n=%d, batch %d): clean run flagged: ok=%v bad=%v", trial, n, nb, ok, bad)
+			}
+			wantSameOutputs(t, fmt.Sprintf("trial %d checked", trial), got, want)
+			if trial >= 8 {
+				continue
+			}
+			// One flip in the victim's first, middle or last column, in the
+			// first or the last A panel.
+			victim := trial % nb
+			col := victim*n + []int{0, n / 2, n - 1}[trial%3]
+			row := []int{0, m - 4}[trial/4]
+			hit := false
+			ABFTFaultQ = func(acc []int32, i0, j0 int) {
+				if !hit && i0 == row && j0 <= col && col < j0+qNR {
+					acc[col-j0] ^= 1 << (trial + 3)
+					hit = true
+				}
+			}
+			got, ok = b.batch(b.ep, bad)
+			ABFTFaultQ = nil
+			for s := range bad {
+				if !hit || ok || bad[s] != (s == victim) {
+					t.Fatalf("trial %d (n=%d, batch %d): flip in sample %d column %d: fired=%v ok=%v bad=%v",
+						trial, n, nb, victim, col, hit, ok, bad)
+				}
+			}
+			colsQ := QFromSlice(make([]int8, k*n), nil, k, n)
+			Im2ColQInto(b.xs[victim], colsQ.Data, foldInv, spec, 0, spec.InC, side, side, 0, n)
+			MatMulInt8RefEpilogueInto(got[victim], b.qg, colsQ, b.rowScale, b.ep, 0)
+			wantSameOutputs(t, fmt.Sprintf("trial %d recovered", trial), got, want)
 		}
 	})
 }

@@ -10,9 +10,10 @@ import (
 // The packed core (pack.go / packq.go) is driven by a small set of
 // geometry parameters — the fp32 register-tile width gemmNR, the k
 // block gemmKC, and the int8 tile width qNR — plus the kernel entry
-// points (kernF32, kernQ, and the optional kernNarrowF32). A dispatch
-// *tier* binds one consistent assignment of them, and the highest tier
-// the CPU supports is selected once at package init:
+// points (kernF32, kernQ, and the optional kernNarrowF32 and
+// kernHalfQ). A dispatch *tier* binds one consistent assignment of
+// them, and the highest tier the CPU supports is selected once at
+// package init:
 //
 //	generic     pure-Go 4×8 fp32 + 4×8 int8 pair tiles (every arch)
 //	sse2        SSE2 assembly 4×8 fp32 MULPS/ADDPS + 4×8 PMADDWD int8
@@ -20,7 +21,8 @@ import (
 //	            multiply-add) + the 8×12 narrow fp32 tile (lanes along
 //	            M) + 4×16 VPMADDWD int8 tiles
 //	avx512vnni  avx2fma's fp32 kernels + 4×32 int8 tiles accumulated
-//	            with AVX-512 VPDPWSSD (VNNI: maddwd and add fused)
+//	            with AVX-512 VPDPWSSD (VNNI: maddwd and add fused), and
+//	            the tile's left half for ragged slivers (kernHalfQ)
 //
 // Every tier keeps gemmMR = 4, so the packed operand layouts (PackedA
 // micro-panels, PackedQ pair-interleaved panels, and both ABFT
@@ -69,6 +71,14 @@ type gemmKernelF32 func(c *float32, ldc int, a, b *float32, kc int, accum uintpt
 // k-pairs.
 type gemmKernelQ func(acc *int32, a *int16, b *int8, k2 int)
 
+// A tier may also bind kernHalfQ, the same contract over the left half
+// of the tile: columns [0, qNR/2) of the same sliver into the same acc
+// layout, the other columns of acc left as they were. The drivers take
+// it for a sliver with at most qNR/2 live columns (kernForQ) — every
+// n = 9 conv, and the last sliver of a 36-column one — where the full
+// tile would spend half its multiply-adds on zero padding. Integer
+// sums, so which tile ran never shows in the result.
+
 // gemmNarrowKernelF32 is the narrow fp32 micro-kernel contract:
 // compute a narrowMR×narrowNR tile from zero over the full depth k and
 // store it column-major into c (c[narrowMR·j + r]). a points at k step
@@ -86,6 +96,7 @@ type kernelTier struct {
 	f32    gemmKernelF32
 	narrow gemmNarrowKernelF32 // nil: the tier has no narrow tile
 	q      gemmKernelQ
+	qhalf  gemmKernelQ // nil: the tier has no half-width int8 tile
 }
 
 // Geometry / kernel bindings of the selected tier. Mutated only by
@@ -99,6 +110,7 @@ var (
 	kernF32       gemmKernelF32 = gemm4x8Go
 	kernNarrowF32 gemmNarrowKernelF32
 	kernQ         gemmKernelQ = gemmQ4x8Go
+	kernHalfQ     gemmKernelQ
 
 	tierTable []kernelTier
 	curTier   = kernelTier{name: TierGeneric, nr: 8, kc: 256, qnr: 8, f32: gemm4x8Go, q: gemmQ4x8Go}
@@ -126,7 +138,7 @@ func init() {
 func applyTier(t kernelTier) {
 	curTier = t
 	gemmNR, gemmKC, qNR = t.nr, t.kc, t.qnr
-	kernF32, kernNarrowF32, kernQ = t.f32, t.narrow, t.q
+	kernF32, kernNarrowF32, kernQ, kernHalfQ = t.f32, t.narrow, t.q, t.qhalf
 }
 
 // KernelTier reports the name of the dispatch tier in effect —
@@ -148,6 +160,11 @@ func KernelTierDesc() string {
 	return fmt.Sprintf("%s (fp32 %dx%d kc=%d, int8 4x%d)",
 		curTier.name, gemmMR, curTier.nr, curTier.kc, curTier.qnr)
 }
+
+// KernelTierInt8Cols reports the selected tier's int8 tile width: the
+// packed int8 drivers cut a GEMM's columns into slivers this wide and
+// read the packed weights once per sliver.
+func KernelTierInt8Cols() int { return qNR }
 
 // KernelTiers lists the tiers available on this CPU, lowest first.
 // The last entry is the default selection.

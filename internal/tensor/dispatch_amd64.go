@@ -38,6 +38,13 @@ func gemmQ4x16(acc *int32, a *int16, b *int8, k2 int)
 //go:noescape
 func gemmQ4x32(acc *int32, a *int16, b *int8, k2 int)
 
+// gemmQ4x32Half computes columns 0..15 of gemmQ4x32's tile from the
+// same 32-column sliver and leaves columns 16..31 of acc untouched.
+// Contract: gemmKernelQ, left half only — the optional kernHalfQ.
+//
+//go:noescape
+func gemmQ4x32Half(acc *int32, a *int16, b *int8, k2 int)
+
 // gemmFMA8x12 computes an 8-row × 12-column fp32 tile with the vector
 // lanes along M and the B values broadcast (12 YMM accumulators, the A
 // vector joined from two adjacent 4-row panels — see
@@ -105,7 +112,7 @@ func archTiers() []kernelTier {
 		c7&cpuidAVX512VNNI != 0 && xlo&xcr0AVX512 == xcr0AVX512 {
 		tiers = append(tiers, kernelTier{
 			name: TierAVX512VNNI, nr: 24, kc: 192, qnr: 32, fma: true,
-			f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x32,
+			f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x32, qhalf: gemmQ4x32Half,
 		})
 	}
 	return tiers

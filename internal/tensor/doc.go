@@ -26,8 +26,10 @@
 // for benchmark headers. For convolutions the panel pack IS im2col
 // (ConvPackedInto/ConvPackedQInto gather receptive fields directly,
 // run by run; the int8 path from a copy of the input quantized once
-// per call), so the k×n cols matrix never materialises. Shapes too small to amortise packing (UsePackedGEMM)
-// fall back to the retained reference kernels, which also serve as
+// per call), so the k×n cols matrix never materialises, and an int8
+// batch of small planes is one GEMM that streams the weights once
+// (ConvPackedQBatchInto). Shapes too small to amortise packing
+// (UsePackedGEMM) fall back to the retained reference kernels, which also serve as
 // the golden parity baseline: int8 and non-FMA fp32 paths accumulate
 // each output element with the reference's exact ascending-k
 // multiply-then-add chain and are bit-identical to it, while the FMA

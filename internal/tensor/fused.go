@@ -144,7 +144,7 @@ func MatMulInt8EpilogueInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep E
 		panic(fmt.Sprintf("tensor: MatMulInt8EpilogueInto %d row scales for %d rows", len(rowScale), m))
 	}
 	if UsePackedGEMM(m, k, n) {
-		matMulInt8PackedInto(dst, a, b, rowScale, ep, chanOff)
+		matMulInt8PackedInto(dst, a, b, rowScale, ep, chanOff, false)
 		return
 	}
 	if parallel.Serial() {

@@ -278,3 +278,73 @@ qloop32:
 	VMOVDQU32 Z7, 448(DI)
 	VZEROUPPER
 	RET
+
+// func gemmQ4x32Half(acc *int32, a *int16, b *int8, k2 int)
+//
+// The left half of gemmQ4x32's tile: columns 0..15 of the same 32-column
+// B sliver (the b stride stays 64 bytes a k-pair) into the same 4×32
+// acc layout, whose columns 16..31 are left untouched. Half the
+// VPDPWSSD work for a ragged sliver with at most 16 live columns.
+TEXT ·gemmQ4x32Half(SB), NOSPLIT, $0-32
+	MOVQ acc+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
+	MOVQ k2+24(FP), CX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	// Two k-pairs a turn into two accumulator sets (exact integer sums,
+	// any grouping), so a row's VPDPWSSD chain is not the bound.
+	SUBQ $2, CX
+	JL   qtail32h
+qloop32h:
+	VPMOVSXBW (BX), Z8         // cols 0..15 pairs → words
+	VPMOVSXBW 64(BX), Z9       // the next k-pair
+	VPBROADCASTD (AX), Z10     // row 0 weight pair
+	VPBROADCASTD 16(AX), Z11
+	VPDPWSSD Z8, Z10, Z0
+	VPDPWSSD Z9, Z11, Z1
+	VPBROADCASTD 4(AX), Z10    // row 1
+	VPBROADCASTD 20(AX), Z11
+	VPDPWSSD Z8, Z10, Z2
+	VPDPWSSD Z9, Z11, Z3
+	VPBROADCASTD 8(AX), Z10    // row 2
+	VPBROADCASTD 24(AX), Z11
+	VPDPWSSD Z8, Z10, Z4
+	VPDPWSSD Z9, Z11, Z5
+	VPBROADCASTD 12(AX), Z10   // row 3
+	VPBROADCASTD 28(AX), Z11
+	VPDPWSSD Z8, Z10, Z6
+	VPDPWSSD Z9, Z11, Z7
+	ADDQ $32, AX
+	ADDQ $128, BX
+	SUBQ $2, CX
+	JGE  qloop32h
+qtail32h:
+	ADDQ $2, CX
+	JZ   qdone32h
+	VPMOVSXBW (BX), Z8         // odd k2: the last k-pair
+	VPBROADCASTD (AX), Z10
+	VPDPWSSD Z8, Z10, Z0
+	VPBROADCASTD 4(AX), Z10
+	VPDPWSSD Z8, Z10, Z2
+	VPBROADCASTD 8(AX), Z10
+	VPDPWSSD Z8, Z10, Z4
+	VPBROADCASTD 12(AX), Z10
+	VPDPWSSD Z8, Z10, Z6
+qdone32h:
+	VPADDD Z1, Z0, Z0
+	VPADDD Z3, Z2, Z2
+	VPADDD Z5, Z4, Z4
+	VPADDD Z7, Z6, Z6
+	VMOVDQU32 Z0, (DI)
+	VMOVDQU32 Z2, 128(DI)
+	VMOVDQU32 Z4, 256(DI)
+	VMOVDQU32 Z6, 384(DI)
+	VZEROUPPER
+	RET

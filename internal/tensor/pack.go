@@ -238,19 +238,23 @@ const panelSegMax = qNRMax
 // one a k row reads a single strided run of one source row, so a pack
 // moves each panel row as a few runs with the padding resolved per run.
 func (g *convGeom) cut(segs *[panelSegMax]panelSeg, j0, jw int) []panelSeg {
+	return segs[:g.cutAt(segs, 0, 0, j0, jw, 0)]
+}
+
+// cutAt is cut for a panel that joins several planes (the folded int8
+// batch): it appends, after the n segments already there, the segments
+// of output pixels [j0, j0+jw) landing at panel column off, of a plane
+// whose source starts base elements in, and returns the new count.
+func (g *convGeom) cutAt(segs *[panelSegMax]panelSeg, n, off, j0, jw, base int) int {
 	oy, ox := j0/g.ow, j0%g.ow
-	n := 0
-	for off := 0; off < jw; n++ {
-		cnt := g.ow - ox
-		if cnt > jw-off {
-			cnt = jw - off
-		}
+	for end := off + jw; off < end; n++ {
+		cnt := min(g.ow-ox, end-off)
 		iy0 := oy*g.sh - g.ph
-		segs[n] = panelSeg{off: off, cnt: cnt, ox: ox, iy0: iy0, pos: iy0*g.w + ox*g.sw - g.pw}
+		segs[n] = panelSeg{off: off, cnt: cnt, ox: ox, iy0: iy0, pos: base + iy0*g.w + ox*g.sw - g.pw}
 		off += cnt
 		oy, ox = oy+1, 0
 	}
-	return segs[:n]
+	return n
 }
 
 // oxRange returns the output columns [lo, hi) whose source column

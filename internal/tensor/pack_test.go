@@ -99,7 +99,7 @@ func TestPackedGEMMInt8Parity(t *testing.T) {
 			want := New(m, n)
 			refInt8Into(want, a, b, rowScale)
 			got := New(m, n)
-			matMulInt8PackedInto(got, a, b, rowScale, Epilogue{}, 0)
+			matMulInt8PackedInto(got, a, b, rowScale, Epilogue{}, 0, false)
 			for i := range got.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("elem %d: packed int8 %v != reference %v", i, got.Data[i], want.Data[i])
@@ -321,7 +321,15 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 			}
 		}
 		k2 := (k + 1) / 2
-		qsrc := newQConvB(x, inv, spec, c0, k, oh, ow)
+		qsrc := newQConvB([]*Tensor{x}, inv, spec, c0, k, oh, ow)
+		// A dirty pool: the copy goes back full of 0x7f and the gather under
+		// test draws it again, so a border byte or a zero-plane byte that
+		// newQConvB leaves alone shows up in a sliver below.
+		for i := range qsrc.q {
+			qsrc.q[i] = 0x7f
+		}
+		qsrc.release()
+		qsrc = newQConvB([]*Tensor{x}, inv, spec, c0, k, oh, ow)
 		qbuf := make([]int8, k2*2*qNR)
 		checkQ := func(j0, jw int) {
 			for i := range qbuf {
@@ -431,7 +439,9 @@ func TestConvGatherParallel(t *testing.T) {
 // one that stretches the int8 path's pooled quantized copy: a later
 // group (c0 > 0), an odd k (the extra zero plane), stride 2. The last
 // two are the n = 9 and n = 36 shapes the narrow fp32 tile takes, with
-// its full-depth B panel in pooled scratch.
+// its full-depth B panel in pooled scratch; a batch of four of them is
+// what the int8 path folds into one GEMM, unchecked and checked, with
+// every sliver and the column sums pooled.
 func TestPackedConvZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
@@ -467,6 +477,18 @@ func TestPackedConvZeroAlloc(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(10, runQ); a != 0 {
 			t.Errorf("ConvPackedQInto %+v on %dx%d: %.0f allocs per steady-state call, want 0", spec, side, side, a)
+		}
+		xs := []*Tensor{x, x, x, x}
+		dsts := []*Tensor{New(ocg, oh*ow), New(ocg, oh*ow), New(ocg, oh*ow), New(ocg, oh*ow)}
+		for _, bad := range [][]bool{nil, make([]bool, len(xs))} {
+			runB := func() {
+				ConvPackedQBatchInto(dsts, qp, xs, spec, g*icg, oh, ow, 127, rowScale, ep, 0, bad)
+			}
+			runB()
+			if a := testing.AllocsPerRun(10, runB); a != 0 {
+				t.Errorf("ConvPackedQBatchInto %+v on %dx%d, checked=%v: %.0f allocs per steady-state call, want 0",
+					spec, side, side, bad != nil, a)
+			}
 		}
 	}
 }

@@ -2,6 +2,9 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"ocularone/internal/parallel"
 )
@@ -25,6 +28,12 @@ import (
 //   - The requantization epilogue (float32(acc)·rowScale) and the
 //     optional BN/activation epilogue run per column stripe, the same
 //     float32 op sequence as the reference int8 kernels.
+//   - Two drivers share that kernel, the packed layouts and the
+//     optional ABFT check: gemmStripesQ (slivers outermost; matrices,
+//     and convs sample by sample) and gemmFoldedQ (a batch of small conv
+//     planes as one GEMM, A panels outermost). A ragged sliver with at
+//     most half its columns live takes the tier's half-width tile where
+//     one is bound (kernHalfQ).
 
 // PackedQ is an int8 left operand packed for the int8 micro-kernel:
 // data[p·(k2·8) + kk·8 + r·2 + s] = int16(A[p·4+r, 2·kk+s]), with rows
@@ -120,25 +129,28 @@ func (s qMatrixB) pack(bbuf []int8, j0, jw int) {
 	}
 }
 
-// qConvB is the int8 twin of f32ConvB. The group's input planes are
-// quantized once per conv call (newQConvB) into a pooled int8 copy
-// with a zero border of the conv's padding, so each pixel meets
-// quantizeRound once rather than once per kernel tap and column
-// sliver, and the sliver pack is a byte gather that never leaves the
-// copy: padding reads the border. Every element is the quantizeRound
-// value the reference im2colQRow computes, so packed int8 convs match
-// the materialised reference bit for bit.
+// qConvB is the int8 twin of f32ConvB, over one sample or a whole batch.
+// The group's input planes are quantized once per conv call (newQConvB)
+// into a pooled int8 copy with a zero border of the conv's padding, so
+// each pixel meets quantizeRound once rather than once per kernel tap
+// and column sliver, and the sliver pack is a byte gather that never
+// leaves the copy: padding reads the border. Every element is the
+// quantizeRound value the reference im2colQRow computes, so packed int8
+// convs match the materialised reference bit for bit. A batch is the
+// samples' B matrices side by side: sample s owns columns [s·n, (s+1)·n).
 type qConvB struct {
-	q []int8   // icg (+1 all-zero plane when k is odd) bordered planes
-	g convGeom // over the bordered planes: h, w include the border, ph = pw = 0
-	k int
+	q   []int8   // per sample: icg (+1 all-zero plane when k is odd) bordered planes
+	g   convGeom // over the bordered planes: h, w include the border, ph = pw = 0
+	k   int
+	n   int // columns per sample, oh·ow
+	per int // len(q) per sample
 }
 
-// newQConvB quantizes channels [c0, c0+k/(KH·KW)) of x at inverse
-// scale inv. The copy is shared read-only by every worker of the
-// stripes driver; release returns it to ScratchB.
-func newQConvB(x *Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qConvB {
-	h, w := x.Shape[1], x.Shape[2]
+// newQConvB quantizes channels [c0, c0+k/(KH·KW)) of every sample at
+// inverse scale inv. The copy is shared read-only by every worker of
+// the drivers; release returns it to ScratchB.
+func newQConvB(xs []*Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qConvB {
+	h, w := xs[0].Shape[1], xs[0].Shape[2]
 	g := newConvGeom(spec, h, w, ow)
 	// The border reaches as far as the last output pixel's last tap
 	// reads — normally the bottom/right padding or less, but more when
@@ -149,26 +161,52 @@ func newQConvB(x *Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qConvB 
 	icg := k / (spec.KH * spec.KW)
 	// An odd k leaves the last pair half empty: a trailing zero plane
 	// lets the pack read that virtual row like any other.
-	q := ScratchB.Get((icg + k&1) * hp * wp)
-	clear(q)
-	for c := 0; c < icg; c++ {
-		for y := 0; y < h; y++ {
-			src := x.Data[((c0+c)*h+y)*w : ((c0+c)*h+y+1)*w]
-			dst := q[(c*hp+y+spec.PadH)*wp+spec.PadW:][:w]
-			for i, v := range src {
-				dst[i] = quantizeRound(v, inv, 0)
+	per := (icg + k&1) * hp * wp
+	q := ScratchB.Get(len(xs) * per)
+	for s, x := range xs {
+		// The pool hands out dirty bytes; everything the interior rows do
+		// not overwrite — the gaps between them, which are the border, and
+		// the zero plane — is cleared on the way.
+		qs := q[s*per : (s+1)*per]
+		done := 0
+		for c := 0; c < icg; c++ {
+			for y := 0; y < h; y++ {
+				row := (c*hp+y+spec.PadH)*wp + spec.PadW
+				clear(qs[done:row])
+				src := x.Data[((c0+c)*h+y)*w : ((c0+c)*h+y+1)*w]
+				dst := qs[row : row+w]
+				for i, v := range src {
+					dst[i] = quantizeRound(v, inv, 0)
+				}
+				done = row + w
 			}
 		}
+		clear(qs[done:])
 	}
-	return qConvB{q: q, g: g, k: k}
+	return qConvB{q: q, g: g, k: k, n: oh * ow, per: per}
 }
 
 func (s qConvB) release() { ScratchB.Put(s.q) }
 
+// sampleRun locates column j of a batch whose samples own n columns
+// each: the sample, the column within it, and how many of the next left
+// columns stay inside that sample.
+func sampleRun(j, n, left int) (smp, c, cnt int) {
+	smp, c = j/n, j%n
+	return smp, c, min(n-c, left)
+}
+
 func (s qConvB) pack(bbuf []int8, j0, jw int) {
 	g := &s.g
 	var segArr [panelSegMax]panelSeg
-	segs := g.cut(&segArr, j0, jw)
+	ns := 0
+	// Sample by sample: a sliver of a folded batch straddles several.
+	for off := 0; off < jw; {
+		smp, p, cnt := sampleRun(j0+off, s.n, jw-off)
+		ns = g.cutAt(&segArr, ns, off, p, cnt, smp*s.per)
+		off += cnt
+	}
+	segs := segArr[:ns]
 	nr, sw, q := qNR, g.sw, s.q
 	if jw < nr {
 		clear(bbuf[:(s.k+1)/2*2*nr])
@@ -197,61 +235,106 @@ func (s qConvB) pack(bbuf []int8, j0, jw int) {
 	}
 }
 
+// kernForQ picks the micro-kernel for a sliver with jw live columns: the
+// tier's half-width tile, where it binds one, when they fit its half.
+func kernForQ(jw int) gemmKernelQ {
+	if kernHalfQ != nil && 2*jw <= qNR {
+		return kernHalfQ
+	}
+	return kernQ
+}
+
+// requantTile writes rows × cnt accumulators, from column a0 of the
+// 4×qNR tile acc on, as dst[i0+r, c0+j] = float32(acc)·rowScale[i0+r]
+// (dst rows are ld wide). A checked run passes the columns' actual sums
+// in act and the accumulators are added to them, so the ABFT equality
+// test sees precisely the values that produce dst.
+func requantTile(dst []float32, ld, i0, rows, c0 int, acc []int32, a0, cnt int, rowScale []float32, act []int64) {
+	for r := 0; r < rows; r++ {
+		sc := rowScale[i0+r]
+		drow := dst[(i0+r)*ld+c0:][:cnt]
+		ar := acc[r*qNR+a0:][:cnt]
+		for j, v := range ar {
+			drow[j] = float32(v) * sc
+		}
+		if act != nil {
+			for j, v := range ar {
+				act[j] += int64(v)
+			}
+		}
+	}
+}
+
 // gemmStripesQ runs the packed int8 GEMM with fused requantization:
 // dst[i,j] = float32(Σ_k A[i,k]·B[k,j]) · rowScale[i], plus the
-// optional epilogue, parallelised over qNR-column slivers.
-func gemmStripesQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int) {
+// optional epilogue, parallelised over qNR-column slivers. With csum
+// (A's pair-interleaved checksum row, see abft.go) every sliver's
+// accumulators are verified and the result reports whether all matched;
+// nil runs unchecked and reports true.
+func gemmStripesQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64) bool {
 	nSliv := (n + qNR - 1) / qNR
 	if parallel.Serial() || nSliv == 1 {
-		gemmStripeRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, 0, nSliv)
-		return
+		return gemmStripeRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, 0, nSliv)
 	}
-	gemmStripesQPar(dst, m, n, k, apData, src, rowScale, ep, chanOff, nSliv)
+	return gemmStripesQPar(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, nSliv)
 }
 
 // gemmStripesQPar is the multi-worker dispatch, split out so the
 // closure capture it needs is only materialised off the serial path
 // (the serial frame loop stays allocation-free).
-func gemmStripesQPar[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff, nSliv int) {
+func gemmStripesQPar[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64, nSliv int) bool {
+	var bad atomic.Bool
 	parallel.ForRange(nSliv, func(s0, s1 int) {
-		gemmStripeRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, s0, s1)
+		if !gemmStripeRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, s0, s1) {
+			bad.Store(true)
+		}
 	})
+	return !bad.Load()
 }
 
 // gemmStripeRangeQ computes column slivers [s0, s1) — the worker body
-// of gemmStripesQ.
-func gemmStripeRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff, s0, s1 int) {
+// of gemmStripesQ. Ragged tiles (rows past m, columns past jw) run the
+// same kernel over the zero-padded panels — exact integer zeros from
+// packQTo and the pack sources — and only their live part is written,
+// so the deep small-spatial convs whose n fits inside one sliver stay on
+// vector lanes. The checked run keeps the unchecked kernel schedule.
+func gemmStripeRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64, s0, s1 int) bool {
 	k2 := (k + 1) / 2
-	bbuf := ScratchB.Get(k2 * 2 * qNR)
-	epWork := ep.hasWork()
-	// The accumulator tile is pooled, not a stack array: its pointer
-	// passes through the kernQ func value, which defeats escape
-	// analysis and would heap-allocate the tile every call.
-	acc := scratchI32.get(4 * qNR)
 	nr := qNR
+	bbuf := ScratchB.Get(k2 * 2 * nr)
+	// The accumulator tile is pooled, not a stack array: its pointer
+	// passes through the kernQ func value (and the fault hook sees it as
+	// a slice), which defeats escape analysis and would heap-allocate the
+	// tile every call.
+	acc := scratchI32.get(4 * nr)
+	epWork := ep.hasWork()
+	ok := true
+	// Fixed max-tier arrays so the checksum rows never escape; only the
+	// first qNR entries are live for the selected tier.
+	var expArr, actArr [qNRMax]int64
+	var exp, act []int64
+	if csum != nil {
+		exp, act = expArr[:nr], actArr[:nr]
+	}
 	for s := s0; s < s1; s++ {
 		j0 := s * nr
-		jw := n - j0
-		if jw > nr {
-			jw = nr
-		}
+		jw := min(nr, n-j0)
 		src.pack(bbuf, j0, jw)
-		i0 := 0
-		if jw == nr {
-			for ; i0+4 <= m; i0 += 4 {
-				kernQ(&acc[0], &apData[(i0/4)*k2*8], &bbuf[0], k2)
-				for r := 0; r < 4; r++ {
-					sc := rowScale[i0+r]
-					drow := dst[(i0+r)*n+j0 : (i0+r)*n+j0+nr]
-					ar := acc[r*nr : (r+1)*nr]
-					for j, v := range ar {
-						drow[j] = float32(v) * sc
-					}
-				}
-			}
+		if csum != nil {
+			clear(exp)
+			clear(act)
+			abftFoldSliverQ(exp, csum, bbuf)
 		}
-		if i0 < m {
-			gemmEdgeQ(dst, n, apData, bbuf, acc, k2, i0, m, j0, jw, rowScale)
+		kern := kernForQ(jw)
+		for i0 := 0; i0 < m; i0 += 4 {
+			kern(&acc[0], &apData[(i0/4)*k2*8], &bbuf[0], k2)
+			if csum != nil && ABFTFaultQ != nil {
+				ABFTFaultQ(acc, i0, j0)
+			}
+			requantTile(dst, n, i0, min(4, m-i0), j0, acc, 0, jw, rowScale, act)
+		}
+		if csum != nil && !slices.Equal(exp[:jw], act[:jw]) {
+			ok = false
 		}
 		if epWork {
 			ep.applyCols(dst, 0, m, n, j0, j0+jw, chanOff)
@@ -259,46 +342,166 @@ func gemmStripeRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, sr
 	}
 	scratchI32.put(acc)
 	ScratchB.Put(bbuf)
+	return ok
 }
 
-// gemmEdgeQ finishes the ragged int8 tiles (rows [i0, m), columns
-// [j0, j0+jw)) by running the selected micro-kernel over the full
-// zero-padded panels and copying the valid accumulator region out.
-// Padded A rows (packQTo) and B columns (the pack sources) are exact
-// integer zeros, so the kernel result matches the scalar pair sums bit
-// for bit — and on the wide tiers the deep small-spatial detect-head
-// convs, whose n fits entirely inside one sliver, stay on vector
-// lanes instead of a scalar loop. acc is the caller's pooled 4×qNR
-// accumulator tile.
-func gemmEdgeQ(dst []float32, n int, apData []int16, bbuf []int8, acc []int32, k2, i0, m, j0, jw int, rowScale []float32) {
-	for ; i0 < m; i0 += 4 {
-		rows := m - i0
-		if rows > 4 {
-			rows = 4
+// gemmFoldedQ is the int8 driver for a conv over a whole batch whose
+// planes are small (foldsBatchQ): the batch's len(dsts)·n columns are
+// one GEMM, cut into qNR slivers that straddle samples, where a
+// per-sample run would light n of each tile's qNR columns and stream the
+// weights once per sample. All slivers are packed first so the 4-row A
+// panels can be the outer loop: at these shapes A is the big operand
+// (4.7 MB against 37 KB of B a sample for m = 512, k = 4608, n = 9), and
+// each panel is read once per batch and meets every sliver while it is
+// cache-resident. Tiles requantize straight into the per-sample outputs
+// (dsts[s] is sample s's [m, n]). Off the serial path blocks of panels
+// fan out: their output rows are disjoint and the slivers only read.
+//
+// With csum the run is checked as gemmStripesQ's is, per column of the
+// folded GEMM: bad[s] is set for every sample that owns a mismatching
+// column, and the result reports whether there was none.
+func gemmFoldedQ(dsts []*Tensor, m, k int, apData []int16, src qConvB, rowScale []float32, ep Epilogue, chanOff int, csum []int64, bad []bool) bool {
+	nr := qNR
+	cols := len(dsts) * src.n
+	nSliv := (cols + nr - 1) / nr
+	sliver := (k + 1) / 2 * 2 * nr
+	bbuf := ScratchB.Get(nSliv * sliver)
+	// Expected and actual sums of every packed column, when checked.
+	var sums []int64
+	if csum != nil {
+		sums = scratchQC.get(2 * nSliv * nr)
+		clear(sums)
+	}
+	exp, act := sums[:len(sums)/2], sums[len(sums)/2:]
+	for s := 0; s < nSliv; s++ {
+		b := bbuf[s*sliver : (s+1)*sliver]
+		src.pack(b, s*nr, min(nr, cols-s*nr))
+		if csum != nil {
+			abftFoldSliverQ(exp[s*nr:(s+1)*nr], csum, b)
 		}
-		kernQ(&acc[0], &apData[(i0/4)*k2*8], &bbuf[0], k2)
-		for r := 0; r < rows; r++ {
-			sc := rowScale[i0+r]
-			drow := dst[(i0+r)*n+j0 : (i0+r)*n+j0+jw]
-			ar := acc[r*qNR : r*qNR+jw]
-			for j, v := range ar {
-				drow[j] = float32(v) * sc
+	}
+	panels := (m + 3) / 4
+	if parallel.Serial() {
+		gemmFoldRangeQ(dsts, m, k, apData, bbuf, src.n, rowScale, ep, chanOff, act, 0, panels)
+	} else {
+		gemmFoldedQPar(dsts, m, k, apData, bbuf, src.n, rowScale, ep, chanOff, act, panels)
+	}
+	ScratchB.Put(bbuf)
+	ok := true
+	if csum != nil {
+		for j := 0; j < cols; j++ {
+			if exp[j] != act[j] {
+				bad[j/src.n], ok = true, false
 			}
 		}
 	}
+	scratchQC.put(sums)
+	return ok
+}
+
+// gemmFoldedQPar is the multi-worker dispatch, split out as
+// gemmStripesQPar is. A column's actual sum runs over every row, so a
+// checked worker sums its own panels and adds them in under the lock.
+func gemmFoldedQPar(dsts []*Tensor, m, k int, apData []int16, bbuf []int8, n int, rowScale []float32, ep Epilogue, chanOff int, act []int64, panels int) {
+	var mu sync.Mutex
+	parallel.ForRange(panels, func(p0, p1 int) {
+		if act == nil {
+			gemmFoldRangeQ(dsts, m, k, apData, bbuf, n, rowScale, ep, chanOff, nil, p0, p1)
+			return
+		}
+		mine := scratchQC.get(len(act))
+		clear(mine)
+		gemmFoldRangeQ(dsts, m, k, apData, bbuf, n, rowScale, ep, chanOff, mine, p0, p1)
+		mu.Lock()
+		for j, v := range mine {
+			act[j] += v
+		}
+		mu.Unlock()
+		scratchQC.put(mine)
+	})
+}
+
+// gemmFoldRangeQ computes A panels [p0, p1) against every packed sliver
+// — the worker body of gemmFoldedQ. act, when checked, receives the
+// panels' share of every column's actual sum.
+func gemmFoldRangeQ(dsts []*Tensor, m, k int, apData []int16, bbuf []int8, n int, rowScale []float32, ep Epilogue, chanOff int, act []int64, p0, p1 int) {
+	k2 := (k + 1) / 2
+	nr := qNR
+	cols := len(dsts) * n
+	acc := scratchI32.get(4 * nr)
+	epWork := ep.hasWork()
+	for p := p0; p < p1; p++ {
+		i0 := p * 4
+		rows := min(4, m-i0)
+		for j0 := 0; j0 < cols; j0 += nr {
+			kernForQ(cols-j0)(&acc[0], &apData[p*k2*8], &bbuf[j0*k2*2], k2)
+			if act != nil && ABFTFaultQ != nil {
+				ABFTFaultQ(acc, i0, j0)
+			}
+			// Each run of the tile's columns goes to the sample that owns it.
+			for off, jw := 0, min(nr, cols-j0); off < jw; {
+				smp, c, cnt := sampleRun(j0+off, n, jw-off)
+				var a []int64
+				if act != nil {
+					a = act[j0+off:]
+				}
+				requantTile(dsts[smp].Data, n, i0, rows, c, acc, off, cnt, rowScale, a)
+				off += cnt
+			}
+		}
+		if epWork {
+			for _, d := range dsts {
+				ep.apply(d.Data, i0, i0+rows, n, chanOff)
+			}
+		}
+	}
+	scratchI32.put(acc)
 }
 
 // matMulInt8PackedInto is MatMulInt8Into's packed path: A packs per
 // call into pooled scratch (the plan caches PackedQ weights instead),
-// B slivers pack from the matrix. Callers must have checked
-// UsePackedGEMM and symmetry.
-func matMulInt8PackedInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int) {
+// B slivers pack from the matrix; check adds a per-call checksum row and
+// the result then reports whether every sliver verified. Callers must
+// have checked UsePackedGEMM and symmetry.
+func matMulInt8PackedInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int, check bool) bool {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
 	apData := scratchW.get(packQLen(m, k))
 	packQTo(apData, a.Data, m, k)
-	gemmStripesQ(dst.Data, m, n, k, apData, qMatrixB{b: b.Data, k: k, n: n}, rowScale, ep, chanOff)
+	var csum []int64
+	if check {
+		csum = scratchQC.get(2 * ((k + 1) / 2))
+		colChecksumsQ(csum, a.Data, m, k)
+	}
+	ok := gemmStripesQ(dst.Data, m, n, k, apData, qMatrixB{b: b.Data, k: k, n: n}, rowScale, ep, chanOff, csum)
+	scratchQC.put(csum)
 	scratchW.put(apData)
+	return ok
+}
+
+// foldsBatchQ is the int8 conv route selection, from the shape alone: a
+// batch of small planes runs as one folded GEMM, everything else sample
+// by sample. The bound is the narrow fp32 tile's: above it a sample
+// fills its own tiles well enough that folding measured no gain
+// (BENCHMARKS.md §PR 15).
+func foldsBatchQ(nb, n int) bool { return nb > 1 && n <= narrowMaxN }
+
+func wantConvDstQ(dst *Tensor, m, n int) {
+	if dst.Shape[0] != m || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: packed int8 conv dst %v, want [%d %d]", dst.Shape, m, n))
+	}
+}
+
+// convPackedQ computes one sample's int8 conv group on the per-sample
+// route, checked when csum is non-nil.
+func convPackedQ(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int, csum []int64) bool {
+	m, k := wp.m, wp.k
+	n := oh * ow
+	wantConvDstQ(dst, m, n)
+	src := newQConvB([]*Tensor{x}, inv, spec, c0, k, oh, ow)
+	ok := gemmStripesQ(dst.Data, m, n, k, wp.data, src, rowScale, ep, chanOff, csum)
+	src.release()
+	return ok
 }
 
 // ConvPackedQInto computes one int8 conv group with the implicit,
@@ -308,12 +511,38 @@ func matMulInt8PackedInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epi
 // products; inv is 1/xScale. Steady-state calls perform zero heap
 // allocations.
 func ConvPackedQInto(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int) {
-	m, k := wp.m, wp.k
-	n := oh * ow
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: ConvPackedQInto dst %v, want [%d %d]", dst.Shape, m, n))
+	convPackedQ(dst, wp, x, spec, c0, oh, ow, inv, rowScale, ep, chanOff, nil)
+}
+
+// ConvPackedQBatchInto is ConvPackedQInto over a batch: dsts[s] receives
+// sample xs[s]'s group. A batch of small planes (foldsBatchQ) runs as
+// one GEMM that streams the packed weights once; every output is
+// bit-identical to the per-sample call either way. A non-nil bad (one
+// entry per sample) asks for exact ABFT verification: bad[s] reports
+// whether sample s failed it and the result whether none did — a
+// caller re-executes the failed samples through the reference kernel.
+// nil runs unchecked and reports true. Zero heap allocations in steady
+// state.
+func ConvPackedQBatchInto(dsts []*Tensor, wp *PackedQ, xs []*Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int, bad []bool) bool {
+	var csum []int64
+	if bad != nil {
+		csum = wp.csum
+		clear(bad)
 	}
-	src := newQConvB(x, inv, spec, c0, k, oh, ow)
-	gemmStripesQ(dst.Data, m, n, k, wp.data, src, rowScale, ep, chanOff)
+	ok := true
+	if !foldsBatchQ(len(xs), oh*ow) {
+		for s, x := range xs {
+			if !convPackedQ(dsts[s], wp, x, spec, c0, oh, ow, inv, rowScale, ep, chanOff, csum) {
+				bad[s], ok = true, false
+			}
+		}
+		return ok
+	}
+	for _, dst := range dsts {
+		wantConvDstQ(dst, wp.m, oh*ow)
+	}
+	src := newQConvB(xs, inv, spec, c0, wp.k, oh, ow)
+	ok = gemmFoldedQ(dsts, wp.m, wp.k, wp.data, src, rowScale, ep, chanOff, csum, bad)
 	src.release()
+	return ok
 }

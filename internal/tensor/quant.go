@@ -218,7 +218,7 @@ func MatMulInt8Into(dst *Tensor, a, b *QTensor, rowScale []float32) {
 		panic(fmt.Sprintf("tensor: MatMulInt8Into %d row scales for %d rows", len(rowScale), m))
 	}
 	if UsePackedGEMM(m, k, n) {
-		matMulInt8PackedInto(dst, a, b, rowScale, Epilogue{}, 0)
+		matMulInt8PackedInto(dst, a, b, rowScale, Epilogue{}, 0, false)
 		return
 	}
 	parallel.ForRange(m, func(lo, hi int) {
@@ -457,8 +457,8 @@ func conv2DQImpl(x *Tensor, w *QTensor, bias *Tensor, spec ConvSpec, xScale floa
 		for g := 0; g < groups; g++ {
 			packQTo(ap, w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
 			dst := FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
-			src := newQConvB(x, inv, spec, g*icg, k, oh, ow)
-			gemmStripesQ(dst.Data, ocg, plane, k, ap, src, convQScales(w, xScale, g, ocg), Epilogue{}, 0)
+			src := newQConvB([]*Tensor{x}, inv, spec, g*icg, k, oh, ow)
+			gemmStripesQ(dst.Data, ocg, plane, k, ap, src, convQScales(w, xScale, g, ocg), Epilogue{}, 0, nil)
 			src.release()
 		}
 		scratchW.put(ap)

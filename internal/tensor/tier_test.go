@@ -128,6 +128,9 @@ func TestKernelTierRegistry(t *testing.T) {
 	if desc != want {
 		t.Fatalf("KernelTierDesc %q, want %q", desc, want)
 	}
+	if KernelTierInt8Cols() != qNR {
+		t.Fatalf("KernelTierInt8Cols %d, want %d", KernelTierInt8Cols(), qNR)
+	}
 }
 
 // TestTierGEMMParity runs the fp32 packed-vs-reference comparison at
@@ -173,7 +176,7 @@ func TestTierGEMMInt8Parity(t *testing.T) {
 			want := New(m, n)
 			refInt8Into(want, a, b, rowScale)
 			got := New(m, n)
-			matMulInt8PackedInto(got, a, b, rowScale, Epilogue{}, 0)
+			matMulInt8PackedInto(got, a, b, rowScale, Epilogue{}, 0, false)
 			for i := range got.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("%dx%dx%d elem %d: packed int8 %v != reference %v",
@@ -273,7 +276,7 @@ func TestTierCrossConsistency(t *testing.T) {
 		f := New(m, n)
 		matMulPackedInto(f, a, b, Epilogue{}, 0)
 		q := New(m, n)
-		matMulInt8PackedInto(q, qa, qb, rowScale, Epilogue{}, 0)
+		matMulInt8PackedInto(q, qa, qb, rowScale, Epilogue{}, 0, false)
 		results[tier] = res{fma: KernelTierFMA(), f: f, q: q}
 	})
 	for t1, r1 := range results {
