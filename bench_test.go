@@ -535,6 +535,46 @@ func BenchmarkConvTable2ShapesInt8(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanExecuteYOLOv8n is the whole-network row beside the
+// per-shape tables above, for the model the paper leans on: one
+// Plan.Execute of yolov8n at 96×96 as the engine workloads of the
+// repository benchmark run it — fp32 at batch 1, int8 at batch 4 — in
+// ms per Execute and useful GFLOPS (Network.Cost × batch). Its SiLU
+// epilogues, SPPF pools and residual adds are what BENCHMARKS.md §PR 16
+// moved. Record with GOMAXPROCS=1 -count 5.
+func BenchmarkPlanExecuteYOLOv8n(b *testing.B) {
+	net := models.BuildQuantized(models.V8Nano, 1, 1, 3, 96, 96)
+	plan := net.PlanFor(3, 96, 96)
+	flops, _ := net.Cost(nn.Shape{C: 3, H: 96, W: 96})
+	r := rng.New(16)
+	xs := make([]*tensor.Tensor, 4)
+	for i := range xs {
+		xs[i] = tensor.New(3, 96, 96)
+		for j := range xs[i].Data {
+			xs[i].Data[j] = r.Float32()
+		}
+	}
+	for _, c := range []struct {
+		name string
+		xs   []*tensor.Tensor
+		opts nn.ExecOpts
+	}{
+		{"fp32_b1", xs[:1], nn.ExecOpts{}},
+		{"int8_b4", xs, nn.ExecOpts{Precision: nn.INT8}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			plan.Execute(c.xs, c.opts) // bind the instance
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan.Execute(c.xs, c.opts)
+			}
+			sec := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(sec*1e3, "ms/exec")
+			b.ReportMetric(float64(flops)*float64(len(c.xs))/sec/1e9, "GFLOPS")
+		})
+	}
+}
+
 // BenchmarkNNForwardQuantYOLOv8NanoCPU measures the INT8 forward pass
 // of the calibrated+quantized yolov8n — compare against
 // BenchmarkNNForwardYOLOv8NanoCPU. Until PR 12 this was a host-side

@@ -34,6 +34,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
+	"time"
 
 	"ocularone/internal/bench"
 	"ocularone/internal/device"
@@ -59,6 +61,7 @@ func main() {
 		precFlag   = flag.String("precision", "fp32", "inference precision: fp32 | int8")
 		planFlag   = flag.Bool("plan", false, "execute through compiled plans instead of the eager interpreter")
 		engine     = flag.Int("engine", 0, "run N real engine forward passes (wall clock) instead of simulated sweeps")
+		profile    = flag.Bool("profile", false, "with -engine -plan: print the per-op plan profile (by op kind, by conv route); -batch sets the batch width")
 		serveFlag  = flag.Bool("serve", false, "open-loop serving mode: sweep offered load through internal/serve")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -105,7 +108,11 @@ func main() {
 		eng = device.Planned
 	}
 
-	if err := run(*deviceFlag, *modelFlag, *frames, *seed, *drones, *fps, *batch, *window, *engine, *serveFlag, prec, eng); err != nil {
+	if *profile && (*engine == 0 || !*planFlag) {
+		fmt.Fprintln(os.Stderr, "inferbench: -profile needs -engine N -plan")
+		os.Exit(1)
+	}
+	if err := run(*deviceFlag, *modelFlag, *frames, *seed, *drones, *fps, *batch, *window, *engine, *serveFlag, *profile, prec, eng); err != nil {
 		fmt.Fprintln(os.Stderr, "inferbench:", err)
 		os.Exit(1)
 	}
@@ -113,9 +120,9 @@ func main() {
 
 // run dispatches to the selected mode; kept apart from main so the
 // profiling defers always execute.
-func run(deviceFlag, modelFlag string, frames int, seed uint64, drones int, fps float64, batch int, window float64, engine int, serveMode bool, prec device.Precision, eng device.Engine) error {
+func run(deviceFlag, modelFlag string, frames int, seed uint64, drones int, fps float64, batch int, window float64, engine int, serveMode, profile bool, prec device.Precision, eng device.Engine) error {
 	if engine > 0 {
-		return engineMode(modelFlag, engine, seed, prec, eng)
+		return engineMode(modelFlag, engine, seed, batch, profile, prec, eng)
 	}
 	if serveMode {
 		return serveSweep(deviceFlag, seed, batch, window, prec, eng)
@@ -166,7 +173,7 @@ func run(deviceFlag, modelFlag string, frames int, seed uint64, drones int, fps 
 // -cpuprofile/-memprofile exist for: a profile taken here lands
 // directly in tensor.MatMulInto / tensor.MatMulInt8Into (or their
 // fused epilogue twins with -plan) and their im2col feeders.
-func engineMode(modelFlag string, n int, seed uint64, prec device.Precision, eng device.Engine) error {
+func engineMode(modelFlag string, n int, seed uint64, batch int, profile bool, prec device.Precision, eng device.Engine) error {
 	m := models.V8Nano
 	if modelFlag != "all" {
 		mm, err := lookupModel(modelFlag)
@@ -202,6 +209,13 @@ func engineMode(modelFlag string, n int, seed uint64, prec device.Precision, eng
 		opts.Precision = nn.INT8
 	}
 	xs := []*tensor.Tensor{x}
+	if profile {
+		// The profiled run is the planned batch: -batch frames an Execute.
+		for len(xs) < batch {
+			xs = append(xs, x)
+		}
+		opts.Profile = plan.NewProfile()
+	}
 	step := func() {
 		switch {
 		case eng == device.Planned:
@@ -216,8 +230,67 @@ func engineMode(modelFlag string, n int, seed uint64, prec device.Precision, eng
 	fmt.Printf("kernel tier: %s\n", tensor.KernelTierDesc())
 	msFrame, allocsFrame := bench.MeasureFrames(n, step)
 	fmt.Printf("total %.2fs, %.1f ms/frame, %.0f allocs/frame\n",
-		msFrame*float64(n)/1e3, msFrame, allocsFrame)
+		msFrame*float64(n)/1e3, msFrame/float64(len(xs)), allocsFrame/float64(len(xs)))
+	if profile {
+		printPlanProfile(opts.Profile, len(xs))
+	}
 	return nil
+}
+
+// printPlanProfile prints where the profiled Executes went: per op kind,
+// and for the convs per kernel route, each row's ms per Execute — the
+// floor (every step's fastest call) and the mean — and its share of the
+// floor.
+func printPlanProfile(pp *nn.PlanProfile, batch int) {
+	type row struct {
+		steps       int
+		floor, wall time.Duration
+		flops       float64 // useful conv flops of one Execute
+	}
+	kinds, routes := map[string]*row{}, map[string]*row{}
+	add := func(m map[string]*row, key string, s *nn.StepProfile) {
+		r := m[key]
+		if r == nil {
+			r = &row{}
+			m[key] = r
+		}
+		r.steps++
+		r.floor += s.Floor
+		r.wall += s.Wall
+		if s.Kind == "conv" { // groups × 2·M·K·N a sample
+			r.flops += float64(s.Dims[0]/s.M) * 2 * float64(s.M*s.K*s.N) * float64(batch)
+		}
+	}
+	var wall time.Duration
+	for i := range pp.Steps {
+		s := &pp.Steps[i]
+		wall += s.Wall
+		add(kinds, s.Kind, s)
+		if s.Kind == "conv" {
+			add(routes, s.Route, s)
+		}
+	}
+	calls, floor := float64(pp.Steps[0].Calls), pp.Floor()
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
+	print := func(title string, m map[string]*row) {
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return m[keys[i]].floor > m[keys[j]].floor })
+		fmt.Printf("%-12s %5s %9s %9s %7s %8s\n", title, "steps", "floor ms", "mean ms", "share", "GFLOPS")
+		for _, k := range keys {
+			r := m[k]
+			gf := "-"
+			if r.flops > 0 {
+				gf = fmt.Sprintf("%.1f", r.flops/r.floor.Seconds()/1e9)
+			}
+			fmt.Printf("%-12s %5d %9.3f %9.3f %6.1f%% %8s\n", k, r.steps, ms(r.floor), ms(r.wall)/calls, 100*float64(r.floor)/float64(floor), gf)
+		}
+	}
+	fmt.Printf("plan profile: batch %d, %.0f executes, per execute: floor %.3f ms, mean %.3f ms\n", batch, calls, ms(floor), ms(wall)/calls)
+	print("op kind", kinds)
+	print("conv route", routes)
 }
 
 // serveSweep is the open-loop counterpart of fleetMode: instead of N

@@ -360,9 +360,7 @@ func (b *SPPF) Lower(pb *planBuilder, ins []planVal) planVal {
 	x := b.cv1.Lower(pb, ins)
 	c, h, w := pb.chw(x)
 	pool := func(src planVal) planVal {
-		dst := pb.val(c, h, w)
-		pb.emit(&maxPoolOp{dst: dst, src: src, k: b.k, stride: 1, pad: b.k / 2})
-		return dst
+		return lowerMaxPool(pb, src, b.k, 1, b.k/2)
 	}
 	p1 := pool(x)
 	p2 := pool(p1)

@@ -65,6 +65,10 @@ type ExecOpts struct {
 	// (integrity.go). The zero value disables them all, leaving Execute
 	// bit-for-bit the pre-integrity executor.
 	Integrity IntegrityPolicy
+	// Profile, when non-nil, receives each step's wall time and route
+	// (profile.go; obtain one from Plan.NewProfile). nil runs the plain
+	// step loop.
+	Profile *PlanProfile
 }
 
 // planVal is a virtual register: one logical activation flowing through
@@ -443,7 +447,9 @@ func (p *Plan) Execute(xs []*tensor.Tensor, opts ExecOpts) [][]*tensor.Tensor {
 	}
 	int8Mode := opts.Precision == INT8
 	inst.ip = opts.Integrity
-	if opts.Integrity.Guard == GuardOff {
+	if opts.Profile != nil {
+		inst.runProfiled(opts.Profile, int8Mode, opts.Integrity)
+	} else if opts.Integrity.Guard == GuardOff {
 		for _, st := range inst.steps {
 			st(int8Mode)
 		}
@@ -892,6 +898,16 @@ func (op *concatOp) bind(inst *planInst) stepFn {
 type maxPoolOp struct {
 	dst, src       planVal
 	k, stride, pad int
+}
+
+// lowerMaxPool emits the pool of src; tensor.PoolOutSize rejects, at
+// compile time, a geometry with windows that see no input.
+func lowerMaxPool(b *planBuilder, src planVal, k, stride, pad int) planVal {
+	c, h, w := b.chw(src)
+	oh, ow := tensor.PoolOutSize(h, w, k, stride, pad)
+	dst := b.val(c, oh, ow)
+	b.emit(&maxPoolOp{dst: dst, src: src, k: k, stride: stride, pad: pad})
+	return dst
 }
 
 func (op *maxPoolOp) operands() ([]planVal, []planVal) {

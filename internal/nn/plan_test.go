@@ -3,6 +3,7 @@ package nn_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"ocularone/internal/models"
 	"ocularone/internal/nn"
@@ -155,12 +156,91 @@ func TestPlanZeroAllocSteadyState(t *testing.T) {
 		{"batch1-int8", func() { p.Execute(x1, nn.ExecOpts{Precision: nn.INT8}) }},
 		{"batch4-int8", func() { p.Execute(x4, nn.ExecOpts{Precision: nn.INT8}) }},
 	}
+	prof := p.NewProfile()
+	cases = append(cases, struct {
+		name string
+		run  func()
+	}{"batch4-int8-profiled", func() { p.Execute(x4, nn.ExecOpts{Precision: nn.INT8, Profile: prof}) }})
 	for _, tc := range cases {
 		tc.run() // bind instance / int8 scratch
 		if allocs := testing.AllocsPerRun(3, tc.run); allocs != 0 {
 			t.Errorf("%s: %.0f allocations per steady-state Execute, want 0", tc.name, allocs)
 		}
 	}
+}
+
+// TestPlanProfile pins what a PlanProfile records: one slot per op, every
+// slot's call count and wall time advancing with each profiled Execute
+// and with none other, each conv's GEMM shape and the route its batch
+// width and precision select, and outputs equal to an unprofiled run's.
+func TestPlanProfile(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net := models.BuildQuantized(models.V8Nano, 2, 31, 3, 96, 96)
+	p := net.PlanFor(3, 96, 96)
+	xs := randFrames(6, 4, 3, 96, 96)
+	opts := nn.ExecOpts{Precision: nn.INT8}
+	var want [][]float32
+	for _, o := range p.Execute(xs, opts)[3] {
+		want = append(want, append([]float32(nil), o.Data...))
+	}
+	prof := p.NewProfile()
+	if len(prof.Steps) != p.Ops() {
+		t.Fatalf("%d profile slots for %d ops", len(prof.Steps), p.Ops())
+	}
+	opts.Profile = prof
+	for run := 1; run <= 2; run++ {
+		got := p.Execute(xs, opts)[3]
+		for i, o := range got {
+			if !tensor.FromSlice(want[i], len(want[i])).Equal(o.Reshape(len(o.Data)), 0) {
+				t.Fatalf("profiled run %d: output %d differs from the unprofiled run", run, i)
+			}
+		}
+		for i := range prof.Steps {
+			if s := &prof.Steps[i]; s.Calls != int64(run) || s.Floor <= 0 || s.Wall < time.Duration(run)*s.Floor {
+				t.Fatalf("after %d profiled runs step %d (%s) has %d calls, %v in all, fastest %v", run, i, s.Kind, s.Calls, s.Wall, s.Floor)
+			}
+		}
+	}
+	p.Execute(xs, nn.ExecOpts{Precision: nn.INT8}) // unprofiled: must not count
+	routes := map[string]int{}
+	for i := range prof.Steps {
+		s := &prof.Steps[i]
+		if s.Calls != 2 {
+			t.Fatalf("step %d counted an unprofiled Execute", i)
+		}
+		if s.Kind != "conv" {
+			if s.Route != "" || s.M != 0 {
+				t.Fatalf("step %d (%s) carries conv fields: %+v", i, s.Kind, *s)
+			}
+			continue
+		}
+		if s.M <= 0 || s.K <= 0 || s.N != s.Dims[1]*s.Dims[2] || s.Dims[0]%s.M != 0 {
+			t.Fatalf("conv step %d: GEMM %dx%dx%d for output %v", i, s.M, s.K, s.N, s.Dims)
+		}
+		routes[s.Route]++
+		if s.Route == "folded" && s.N > 36 {
+			t.Fatalf("conv step %d folds a %d-pixel plane", i, s.N)
+		}
+	}
+	// A quantized yolov8n at batch 4 runs all four: folded small planes,
+	// striped large ones, fp32 detect-head convs on the narrow tile where
+	// the tier has it, and tiny groups on the reference lowering.
+	for _, r := range []string{"stripe", "folded", "reference"} {
+		if routes[r] == 0 {
+			t.Errorf("no conv took the %s route: %v", r, routes)
+		}
+	}
+	if prof.Floor() <= 0 {
+		t.Error("profile floor is zero")
+	}
+
+	other := models.BuildTRTPose(3).PlanFor(3, 64, 64)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Execute accepted another plan's profile")
+		}
+	}()
+	other.Execute(randFrames(8, 1, 3, 64, 64), nn.ExecOpts{Profile: prof})
 }
 
 // TestPlanSlotReuse asserts lifetime analysis actually shares arena

@@ -1,0 +1,119 @@
+package nn
+
+import (
+	"fmt"
+	"time"
+
+	"ocularone/internal/tensor"
+)
+
+// PlanProfile is the per-op account of where Plan.Execute goes: one
+// preallocated slot per compiled op, accumulated over every Execute that
+// is handed the profile (ExecOpts.Profile). It observes and never
+// routes: a profiled Execute runs the same steps as an unprofiled one,
+// reads the clock around each, and allocates nothing.
+type PlanProfile struct {
+	plan  *Plan
+	Steps []StepProfile
+}
+
+// StepProfile is one op's slot.
+type StepProfile struct {
+	Kind string // conv, add, copy, concat, maxpool, upsample, attention, detect
+	Dims []int  // per-sample output shape (a conv's, [OutC oh ow])
+
+	// For convs: the GEMM of one group (M×K weights against K×N columns a
+	// sample) and the route the last profiled call took — stripe, narrow
+	// or folded on the packed kernels (tensor.ConvRouteF32 / ConvRouteQ),
+	// reference for the groups too small for them.
+	M, K, N int
+	Route   string
+
+	Calls int64         // Execute calls that ran the op
+	Wall  time.Duration // summed over those calls, all samples of the batch
+	Floor time.Duration // the fastest of those calls: what the step costs undisturbed
+}
+
+// NewProfile returns an empty profile of the plan's ops, in execution
+// order.
+func (p *Plan) NewProfile() *PlanProfile {
+	pp := &PlanProfile{plan: p, Steps: make([]StepProfile, len(p.ops))}
+	for i, op := range p.ops {
+		s := &pp.Steps[i]
+		_, writes := op.operands()
+		s.Dims = p.vals[writes[0]].dims
+		switch op := op.(type) {
+		case *convOp:
+			groups := max(op.c.spec.Groups, 1)
+			s.Kind = "conv"
+			s.M = op.c.spec.OutC / groups
+			s.K = op.c.spec.InC / groups * op.c.spec.KH * op.c.spec.KW
+			s.N = op.oh * op.ow
+		case *addOp:
+			s.Kind = "add"
+		case *copyOp:
+			s.Kind = "copy"
+		case *concatOp:
+			s.Kind = "concat"
+		case *maxPoolOp:
+			s.Kind = "maxpool"
+		case *upsampleOp:
+			s.Kind = "upsample"
+		case *attnCoreOp:
+			s.Kind = "attention"
+		case *detectOp:
+			s.Kind = "detect"
+		default:
+			s.Kind = fmt.Sprintf("%T", op)
+		}
+	}
+	return pp
+}
+
+// Floor is the sum of every step's fastest call — one Execute with no
+// step disturbed, the estimator the repository benchmark uses on a host
+// whose neighbours take cycles (benchmark/README.md).
+func (pp *PlanProfile) Floor() time.Duration {
+	var d time.Duration
+	for i := range pp.Steps {
+		d += pp.Steps[i].Floor
+	}
+	return d
+}
+
+// runProfiled is Execute's step loop with the clock read around each
+// step.
+func (inst *planInst) runProfiled(pp *PlanProfile, int8Mode bool, ip IntegrityPolicy) {
+	if pp.plan != inst.p {
+		panic("nn: ExecOpts.Profile belongs to another plan (use Plan.NewProfile)")
+	}
+	for oi, st := range inst.steps {
+		t0 := time.Now()
+		st(int8Mode)
+		if ip.Guard != GuardOff {
+			inst.guardStep(oi, int8Mode, ip)
+		}
+		s := &pp.Steps[oi]
+		d := time.Since(t0)
+		s.Wall += d
+		if s.Calls == 0 || d < s.Floor {
+			s.Floor = d
+		}
+		s.Calls++
+		if op, ok := inst.p.ops[oi].(*convOp); ok {
+			s.Route = op.route(inst.nb, int8Mode)
+		}
+	}
+}
+
+// route names the driver the conv runs at batch width nb.
+func (op *convOp) route(nb int, int8Mode bool) string {
+	switch {
+	case op.wpk == nil:
+		return "reference"
+	case int8Mode && op.c.qw != nil:
+		return tensor.ConvRouteQ(nb, op.oh*op.ow)
+	default:
+		return tensor.ConvRouteF32(op.c.spec.OutC/max(op.c.spec.Groups, 1), op.oh*op.ow)
+	}
+}

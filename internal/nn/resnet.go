@@ -95,12 +95,7 @@ func (m MaxPool) Forward(xs []*tensor.Tensor) *tensor.Tensor {
 
 // Lower implements Module.
 func (m MaxPool) Lower(pb *planBuilder, ins []planVal) planVal {
-	c, h, w := pb.chw(ins[0])
-	oh := (h+2*m.Pad-m.K)/m.Stride + 1
-	ow := (w+2*m.Pad-m.K)/m.Stride + 1
-	dst := pb.val(c, oh, ow)
-	pb.emit(&maxPoolOp{dst: dst, src: ins[0], k: m.K, stride: m.Stride, pad: m.Pad})
-	return dst
+	return lowerMaxPool(pb, ins[0], m.K, m.Stride, m.Pad)
 }
 
 // Params implements Module.

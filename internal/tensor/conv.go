@@ -277,38 +277,14 @@ func im2colRow(x, cols *Tensor, spec ConvSpec, c0, r, oh, ow, colOff, rowStride 
 
 // MaxPool2D applies kxk max pooling with the given stride to x [C,H,W].
 func MaxPool2D(x *Tensor, k, stride, pad int) *Tensor {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh := (h+2*pad-k)/stride + 1
-	ow := (w+2*pad-k)/stride + 1
-	out := New(c, oh, ow)
-	parallel.For(c, func(ci int) {
-		src := x.Data[ci*h*w : (ci+1)*h*w]
-		dst := out.Data[ci*oh*ow : (ci+1)*oh*ow]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := float32(negInf)
-				for ky := 0; ky < k; ky++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < k; kx++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						if v := src[iy*w+ix]; v > best {
-							best = v
-						}
-					}
-				}
-				dst[oy*ow+ox] = best
-			}
-		}
-	})
+	oh, ow := PoolOutSize(x.Shape[1], x.Shape[2], k, stride, pad)
+	out := New(x.Shape[0], oh, ow)
+	MaxPool2DInto(out, x, k, stride, pad)
 	return out
 }
 
+// negInf is what a pooling window with no input would yield; PoolOutSize
+// rejects the geometries that have one.
 const negInf = float32(-3.4e38)
 
 // AvgPoolGlobal reduces each channel of x [C,H,W] to its mean, returning

@@ -10,8 +10,8 @@ import (
 // The packed core (pack.go / packq.go) is driven by a small set of
 // geometry parameters — the fp32 register-tile width gemmNR, the k
 // block gemmKC, and the int8 tile width qNR — plus the kernel entry
-// points (kernF32, kernQ, and the optional kernNarrowF32 and
-// kernHalfQ). A dispatch *tier* binds one consistent assignment of
+// points (kernF32, kernQ, and the optional kernNarrowF32, kernHalfQ
+// and kernRows). A dispatch *tier* binds one consistent assignment of
 // them, and the highest tier the CPU supports is selected once at
 // package init:
 //
@@ -19,7 +19,8 @@ import (
 //	sse2        SSE2 assembly 4×8 fp32 MULPS/ADDPS + 4×8 PMADDWD int8
 //	avx2fma     AVX2/FMA 4×24 fp32 (12 YMM accumulators, fused
 //	            multiply-add) + the 8×12 narrow fp32 tile (lanes along
-//	            M) + 4×16 VPMADDWD int8 tiles
+//	            M) + 4×16 VPMADDWD int8 tiles + the AVX2 row kernels
+//	            (epilogue, add, pooling max — no FMA; rowops.go)
 //	avx512vnni  avx2fma's fp32 kernels + 4×32 int8 tiles accumulated
 //	            with AVX-512 VPDPWSSD (VNNI: maddwd and add fused), and
 //	            the tile's left half for ragged slivers (kernHalfQ)
@@ -40,7 +41,13 @@ import (
 // into one rounding, so their fp32 results are drift-bounded against
 // the reference — within the worst-case ascending-k summation bound
 // (abftTol) — rather than bit-equal; KernelTierFMA reports which
-// regime is live so parity gates pick the right comparison.
+// regime is live so parity gates pick the right comparison. That regime
+// ends at the GEMM: everything applied to its result — the affine, bias,
+// ReLU, SiLU and sigmoid of the epilogue, Add, max pooling — is
+// tier-independent by definition. The row kernels (rowops.go) are one
+// sequence of separately rounded float32 operations per element, which
+// the Go forms and the AVX2 forms both execute, so no activation is
+// gated on KernelTierFMA.
 
 // Tier names, ordered lowest to highest.
 const (
@@ -97,6 +104,7 @@ type kernelTier struct {
 	narrow gemmNarrowKernelF32 // nil: the tier has no narrow tile
 	q      gemmKernelQ
 	qhalf  gemmKernelQ // nil: the tier has no half-width int8 tile
+	rows   *rowKernels // nil: the row kernels run their Go forms (rowops.go)
 }
 
 // Geometry / kernel bindings of the selected tier. Mutated only by
@@ -111,6 +119,7 @@ var (
 	kernNarrowF32 gemmNarrowKernelF32
 	kernQ         gemmKernelQ = gemmQ4x8Go
 	kernHalfQ     gemmKernelQ
+	kernRows      *rowKernels
 
 	tierTable []kernelTier
 	curTier   = kernelTier{name: TierGeneric, nr: 8, kc: 256, qnr: 8, f32: gemm4x8Go, q: gemmQ4x8Go}
@@ -139,6 +148,7 @@ func applyTier(t kernelTier) {
 	curTier = t
 	gemmNR, gemmKC, qNR = t.nr, t.kc, t.qnr
 	kernF32, kernNarrowF32, kernQ, kernHalfQ = t.f32, t.narrow, t.q, t.qhalf
+	kernRows = t.rows
 }
 
 // KernelTier reports the name of the dispatch tier in effect —

@@ -106,13 +106,13 @@ func archTiers() []kernelTier {
 	}
 	tiers = append(tiers, kernelTier{
 		name: TierAVX2FMA, nr: 24, kc: 192, qnr: 16, fma: true,
-		f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x16,
+		f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x16, rows: avx2Rows,
 	})
 	if b7&cpuidAVX512F != 0 && b7&cpuidAVX512BW != 0 &&
 		c7&cpuidAVX512VNNI != 0 && xlo&xcr0AVX512 == xcr0AVX512 {
 		tiers = append(tiers, kernelTier{
 			name: TierAVX512VNNI, nr: 24, kc: 192, qnr: 32, fma: true,
-			f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x32, qhalf: gemmQ4x32Half,
+			f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x32, qhalf: gemmQ4x32Half, rows: avx2Rows,
 		})
 	}
 	return tiers

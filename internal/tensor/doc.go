@@ -37,7 +37,7 @@
 // (KernelTierFMA gates the comparison; pinned per tier in
 // pack_test.go and tier_test.go at adversarial shapes).
 //
-// Three further mechanisms serve the inference hot path:
+// Four further mechanisms serve the inference hot path:
 //
 //   - Fused epilogues (fused.go): MatMulEpilogueInto and
 //     MatMulInt8EpilogueInto finish each GEMM stripe with the folded
@@ -48,6 +48,18 @@
 //     Into variants of pooling/upsampling/concat/transpose write into
 //     caller-owned buffers — the forms the plan executor (internal/nn
 //     Plan) binds against its arena.
+//   - Row kernels (rowops.go, rowops_amd64.s): every per-element loop
+//     outside the GEMM — the epilogue's affine, bias, ReLU, SiLU and
+//     sigmoid, Tensor.Add and the in-place activations, the running
+//     max of MaxPool2DInto — has one Go form and, on the AVX2 tiers, a
+//     vector form that yields the same bits. Affine, bias, ReLU, add
+//     and max are single IEEE operations per lane. SiLU and sigmoid are
+//     a definition: a float32 routine (logisticDenom) whose every
+//     multiply and add rounds separately, executed without FMA by
+//     both forms and compared on all 2³² inputs, within 2 units of
+//     2⁻²³ of the math.Exp expressions it replaced. Activations are
+//     therefore tier-independent: the FMA drift regime above covers
+//     GEMM accumulation and nothing after it.
 //   - Conv2DBatch lowers a whole batch of same-shape inputs to one
 //     im2col + blocked matmul per group (per-column accumulation order
 //     matches Conv2D, so batched results are bit-identical to

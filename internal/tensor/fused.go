@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"ocularone/internal/parallel"
 )
@@ -53,9 +52,26 @@ func (ep Epilogue) apply(data []float32, r0, r1, w, chanOff int) {
 
 // applyCols finishes the column stripe [j0, j1) of rows [r0, r1) — the
 // per-stripe form the packed GEMM driver uses once a stripe's k loop
-// completes. The per-element float32 ops are identical to apply's, so
-// stripe-wise and row-wise application agree bit for bit.
+// completes. The whole stripe goes to the tier's row kernel in one call
+// where one is bound; its lanes and the loops below perform the same
+// float32 operations (rowops.go), so stripe-wise and row-wise, vector
+// and scalar application agree bit for bit.
 func (ep Epilogue) applyCols(data []float32, r0, r1, w, j0, j1, chanOff int) {
+	if r0 >= r1 || j0 >= j1 || !ep.hasWork() {
+		return
+	}
+	if kernRows != nil {
+		blk := data[r0*w+j0 : (r1-1)*w+j1]
+		var scale, shift *float32
+		if ep.Scale != nil {
+			scale = &ep.Scale[chanOff+r0 : chanOff+r1][0]
+		}
+		if ep.Shift != nil {
+			shift = &ep.Shift[chanOff+r0 : chanOff+r1][0]
+		}
+		kernRows.epilogue(&blk[0], r1-r0, w, j1-j0, scale, shift, ep.Act)
+		return
+	}
 	for r := r0; r < r1; r++ {
 		row := data[r*w+j0 : r*w+j1]
 		c := chanOff + r
@@ -70,22 +86,7 @@ func (ep Epilogue) applyCols(data []float32, r0, r1, w, j0, j1, chanOff int) {
 				row[i] = v + b
 			}
 		}
-		switch ep.Act {
-		case EpActSiLU:
-			for i, v := range row {
-				row[i] = v / (1 + float32(math.Exp(float64(-v))))
-			}
-		case EpActReLU:
-			for i, v := range row {
-				if v < 0 {
-					row[i] = 0
-				}
-			}
-		case EpActSigmoid:
-			for i, v := range row {
-				row[i] = 1 / (1 + float32(math.Exp(float64(-v))))
-			}
-		}
+		rowActGo(row, ep.Act)
 	}
 }
 
@@ -192,54 +193,110 @@ func int8EpilogueRange(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilog
 	}
 }
 
+// PoolOutSize returns the output dims of a k×k max pool over an h×w
+// plane, panicking on a geometry some of whose windows would see no
+// input at all: a kernel larger than the padded plane, or padding as
+// wide as the kernel. (Go's toward-zero division would otherwise make
+// (h+2·pad−k)/stride + 1 a 1×1 plane of the empty-window sentinel.)
+func PoolOutSize(h, w, k, stride, pad int) (oh, ow int) {
+	if pad >= k || k > h+2*pad || k > w+2*pad {
+		panic(fmt.Sprintf("tensor: %dx%d max pool, pad %d, over a %dx%d plane: some window would lie wholly in the padding", k, k, pad, h, w))
+	}
+	return (h+2*pad-k)/stride + 1, (w+2*pad-k)/stride + 1
+}
+
 // MaxPool2DInto is MaxPool2D writing into a caller-owned dst of shape
 // [C, oh, ow] — the allocation-free form the plan executor binds
 // against arena slots.
 func MaxPool2DInto(dst, x *Tensor, k, stride, pad int) {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh := (h+2*pad-k)/stride + 1
-	ow := (w+2*pad-k)/stride + 1
+	oh, ow := PoolOutSize(h, w, k, stride, pad)
 	if dst.Shape[0] != c || dst.Shape[1] != oh || dst.Shape[2] != ow {
 		panic(fmt.Sprintf("tensor: MaxPool2DInto dst %v, want [%d %d %d]", dst.Shape, c, oh, ow))
 	}
-	if parallel.Serial() {
-		for ci := 0; ci < c; ci++ {
-			maxPoolChan(dst, x, ci, k, stride, pad)
-		}
+	if !parallel.Serial() {
+		// The closure's taps live on the heap; the serial path's must not.
+		taps := poolTaps(nil, w, ow, k, stride, pad)
+		parallel.For(c, func(ci int) {
+			maxPoolChan(dst, x, ci, k, stride, pad, taps)
+		})
 		return
 	}
-	parallel.For(c, func(ci int) {
-		maxPoolChan(dst, x, ci, k, stride, pad)
-	})
+	var tapArr [8]poolTap // kernels up to 8 wide stay on the stack
+	taps := poolTaps(tapArr[:0], w, ow, k, stride, pad)
+	for ci := 0; ci < c; ci++ {
+		maxPoolChan(dst, x, ci, k, stride, pad, taps)
+	}
+}
+
+// poolTap is one kernel column kx of a pooling window, as a run: outputs
+// [lo, hi) of a row are the ones whose tap falls inside the plane, and
+// output ox reads element at+ox of the input row's phase block. Tap kx
+// of output ox is column ox·stride + kx − pad; with a row split into its
+// stride phases (phase p holds columns ≡ p mod stride, pw of them) that
+// is element ox + q of phase p, where kx − pad = q·stride + p — a
+// contiguous run.
+type poolTap struct{ lo, hi, at int }
+
+func poolTaps(taps []poolTap, w, ow, k, stride, pad int) []poolTap {
+	g := convGeom{w: w, ow: ow, sw: stride}
+	pw := (w + stride - 1) / stride
+	for kx := 0; kx < k; kx++ {
+		lo, hi := g.oxRange(kx - pad)
+		q := (kx-pad+pad*stride)/stride - pad // floor((kx − pad) / stride)
+		p := kx - pad - q*stride
+		taps = append(taps, poolTap{lo: lo, hi: hi, at: p*pw + q})
+	}
+	return taps
 }
 
 // maxPoolChan pools one channel — the shared worker body of
-// MaxPool2DInto.
-func maxPoolChan(dst, x *Tensor, ci, k, stride, pad int) {
+// MaxPool2DInto. Each output row starts at the empty-window sentinel and
+// is raised tap by tap, in (ky, kx) order, by rowMax over the tap's run
+// of outputs: every output sees its taps in the order a per-output scan
+// would, so the result is that scan's. At stride 1 a tap's run reads the
+// input row itself; otherwise the channel's rows are split into their
+// phases once, in pooled scratch.
+func maxPoolChan(dst, x *Tensor, ci, k, stride, pad int, taps []poolTap) {
 	h, w := x.Shape[1], x.Shape[2]
 	oh, ow := dst.Shape[1], dst.Shape[2]
 	src := x.Data[ci*h*w : (ci+1)*h*w]
 	out := dst.Data[ci*oh*ow : (ci+1)*oh*ow]
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			best := float32(negInf)
-			for ky := 0; ky < k; ky++ {
-				iy := oy*stride - pad + ky
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for kx := 0; kx < k; kx++ {
-					ix := ox*stride - pad + kx
-					if ix < 0 || ix >= w {
-						continue
-					}
-					if v := src[iy*w+ix]; v > best {
-						best = v
-					}
+	rows, rowLen := src, w // row iy's phase block is rows[iy·rowLen:][:rowLen]
+	if stride > 1 {
+		pw := (w + stride - 1) / stride
+		rowLen = stride * pw
+		rows = Scratch.GetRaw(h * rowLen)
+		for iy := 0; iy < h; iy++ {
+			srow := src[iy*w : (iy+1)*w]
+			for p := 0; p < stride; p++ {
+				ph := rows[iy*rowLen+p*pw:]
+				for j, i := 0, p; i < w; j, i = j+1, i+stride {
+					ph[j] = srow[i]
 				}
 			}
-			out[oy*ow+ox] = best
 		}
+	}
+	for oy := 0; oy < oh; oy++ {
+		best := out[oy*ow : (oy+1)*ow]
+		for i := range best {
+			best[i] = negInf
+		}
+		for ky := 0; ky < k; ky++ {
+			iy := oy*stride - pad + ky
+			if iy < 0 || iy >= h {
+				continue
+			}
+			row := rows[iy*rowLen : (iy+1)*rowLen]
+			for _, t := range taps {
+				if t.lo < t.hi {
+					rowMax(best[t.lo:t.hi], row[t.at+t.lo:])
+				}
+			}
+		}
+	}
+	if stride > 1 {
+		Scratch.PutRaw(rows)
 	}
 }
 

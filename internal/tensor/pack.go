@@ -361,6 +361,16 @@ func useNarrowF32(m, n int) bool {
 	return kernNarrowF32 != nil && m%narrowMR == 0 && n <= narrowMaxN
 }
 
+// ConvRouteF32 names the driver a packed fp32 conv group of m output
+// channels and n output pixels runs on the tier in effect — for per-op
+// profiles.
+func ConvRouteF32(m, n int) string {
+	if useNarrowF32(m, n) {
+		return "narrow"
+	}
+	return "stripe"
+}
+
 // gemmStripesF32 runs the packed GEMM over C = A×B (+epilogue),
 // parallelised over NR-column slivers. dst must hold m×n row-major
 // values; it is fully overwritten (no pre-zeroing needed — the first

@@ -486,6 +486,15 @@ func matMulInt8PackedInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epi
 // (BENCHMARKS.md §PR 15).
 func foldsBatchQ(nb, n int) bool { return nb > 1 && n <= narrowMaxN }
 
+// ConvRouteQ names the driver a packed int8 conv of n output pixels runs
+// at batch width nb — for per-op profiles.
+func ConvRouteQ(nb, n int) string {
+	if foldsBatchQ(nb, n) {
+		return "folded"
+	}
+	return "stripe"
+}
+
 func wantConvDstQ(dst *Tensor, m, n int) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: packed int8 conv dst %v, want [%d %d]", dst.Shape, m, n))

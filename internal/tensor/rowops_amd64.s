@@ -1,0 +1,202 @@
+//go:build amd64
+
+#include "textflag.h"
+
+// Offsets into logisticConsts (rowops_amd64.go), 32 bytes a vector.
+#define cSign  0
+#define cLo    32
+#define cLog2e 64
+#define cTHi   96
+#define cRound 128
+#define cLn2Hi 160
+#define cLn2Lo 192
+#define cP0    224
+#define cP1    256
+#define cP2    288
+#define cP3    320
+#define cP4    352
+#define cP5    384
+#define cBias  416
+#define cBias2 448
+#define cOne   480
+#define cTiny  512
+
+// TAILMASK loads into Y15 the mask of the first CX (< 8) lanes.
+#define TAILMASK \
+	MOVQ $8, BX \
+	SUBQ CX, BX \
+	VMOVDQU (R13)(BX*4), Y15
+
+// func epilogueRowsAVX2(p *float32, rows, ld, w int, scale, shift *float32, act EpAct)
+//
+// One pass over a rows×w block: per 8-lane vector, the row's affine
+// (VMULPS by scale then VADDPS of shift, either absent when its pointer
+// is nil), then the activation: none, ReLU (VMAXPS with the value as the
+// second source, so −0 and NaN pass as `if v < 0` leaves them), or the
+// logistic denominator d = 1 + e^(−v) — rowops.go's logisticDenom,
+// operation for operation — and v/d (SiLU) or 1/d (sigmoid). Y15 masks
+// the vector: all lanes, or the row's tail.
+TEXT ·epilogueRowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ p+0(FP), DI
+	MOVQ rows+8(FP), R9
+	MOVQ ld+16(FP), R10
+	MOVQ w+24(FP), R11
+	MOVQ scale+32(FP), SI
+	MOVQ shift+40(FP), DX
+	MOVQ act+48(FP), R12
+	SHLQ $2, R10               // row stride in bytes
+	LEAQ ·logisticConsts(SB), R8
+	LEAQ ·tailMasks(SB), R13
+	VMOVUPS cLo(R8), Y8
+	VMOVUPS cTHi(R8), Y9
+	VMOVUPS cRound(R8), Y10
+	VMOVUPS cOne(R8), Y11
+	VMOVUPS cBias2(R8), Y12
+	VXORPS  Y13, Y13, Y13
+erow:
+	TESTQ SI, SI
+	JZ    enoscale
+	VBROADCASTSS (SI), Y6
+	ADDQ  $4, SI
+enoscale:
+	TESTQ DX, DX
+	JZ    enoshift
+	VBROADCASTSS (DX), Y7
+	ADDQ  $4, DX
+enoshift:
+	MOVQ DI, AX
+	MOVQ R11, CX
+	VPCMPEQD Y15, Y15, Y15
+ecol:
+	CMPQ CX, $8
+	JGE  eload
+	TAILMASK
+eload:
+	VMASKMOVPS (AX), Y15, Y0
+	TESTQ SI, SI
+	JZ    eshift
+	VMULPS Y6, Y0, Y0          // v·scale
+eshift:
+	TESTQ DX, DX
+	JZ    eact
+	VADDPS Y7, Y0, Y0          // + shift
+eact:
+	CMPQ R12, $2
+	JEQ  erelu
+	TESTQ R12, R12
+	JZ   estore
+	VXORPS cSign(R8), Y0, Y1   // x = −v
+	VMAXPS Y1, Y8, Y1          // lo > x ? lo : x (a NaN stays)
+	VMULPS cLog2e(R8), Y1, Y2  // t = x·log₂e
+	VMINPS Y2, Y9, Y2          // tHi < t ? tHi : t
+	VADDPS Y10, Y2, Y2         // m = t + 1.5·2²³
+	VSUBPS Y10, Y2, Y3         // n = m − 1.5·2²³
+	VMULPS cLn2Hi(R8), Y3, Y4
+	VSUBPS Y4, Y1, Y1          // r = x − n·ln2Hi
+	VMULPS cLn2Lo(R8), Y3, Y4
+	VSUBPS Y4, Y1, Y1          // r −= n·ln2Lo
+	VMULPS cP0(R8), Y1, Y4
+	VADDPS cP1(R8), Y4, Y4
+	VMULPS Y1, Y4, Y4
+	VADDPS cP2(R8), Y4, Y4
+	VMULPS Y1, Y4, Y4
+	VADDPS cP3(R8), Y4, Y4
+	VMULPS Y1, Y4, Y4
+	VADDPS cP4(R8), Y4, Y4
+	VMULPS Y1, Y4, Y4
+	VADDPS cP5(R8), Y4, Y4
+	VMULPS Y1, Y1, Y5          // r²
+	VMULPS Y5, Y4, Y4
+	VADDPS Y1, Y4, Y4          // q = P(r)·r² + r
+	VPADDD cBias(R8), Y2, Y2
+	VPSLLD $23, Y2, Y2         // s = 2ⁿ
+	VPSUBD Y2, Y12, Y3         // sInv = 2⁻ⁿ
+	VADDPS Y11, Y3, Y5         // c = 1 + sInv
+	VCMPPS $1, cTiny(R8), Y3, Y1
+	VANDPS Y1, Y3, Y3          // lo = sInv < 2⁻²³ ? sInv : 0
+	VADDPS Y3, Y4, Y4          // q + lo
+	VADDPS Y4, Y5, Y5          // u = c + (q + lo)
+	VMULPS Y5, Y2, Y2          // d = s·u
+	CMPQ R12, $1
+	JNE  esigmoid
+	VDIVPS Y2, Y0, Y0          // v / d
+	JMP  estore
+esigmoid:
+	VDIVPS Y2, Y11, Y0         // 1 / d
+	JMP  estore
+erelu:
+	VMAXPS Y0, Y13, Y0         // 0 > v ? 0 : v
+estore:
+	VMASKMOVPS Y0, Y15, (AX)
+	ADDQ $32, AX
+	SUBQ $8, CX
+	JG   ecol
+	ADDQ R10, DI
+	DECQ R9
+	JNZ  erow
+	VZEROUPPER
+	RET
+
+// func addRowAVX2(dst, src *float32, n int)
+//
+// dst[i] += src[i]. The source is VADDPS's first source, as it is in the
+// ADDSS the compiler emits for `dst[i] += v`, so when both operands are
+// NaN the same payload survives.
+TEXT ·addRowAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+aloop:
+	CMPQ CX, $8
+	JLT  atail
+	VMOVUPS (SI), Y1
+	VADDPS  (DI), Y1, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  aloop
+atail:
+	TESTQ CX, CX
+	JZ    adone
+	LEAQ ·tailMasks(SB), R13
+	TAILMASK
+	VMASKMOVPS (SI), Y15, Y1
+	VMASKMOVPS (DI), Y15, Y0
+	VADDPS Y0, Y1, Y0
+	VMASKMOVPS Y0, Y15, (DI)
+adone:
+	VZEROUPPER
+	RET
+
+// func maxRowAVX2(best, v *float32, n int)
+//
+// best[i] = v[i] > best[i] ? v[i] : best[i] — VMAXPS with best as the
+// second source, which is also what it returns for a NaN or for ±0
+// against ∓0, as the scalar `if v > best` does.
+TEXT ·maxRowAVX2(SB), NOSPLIT, $0-24
+	MOVQ best+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ n+16(FP), CX
+mloop:
+	CMPQ CX, $8
+	JLT  mtail
+	VMOVUPS (SI), Y1
+	VMAXPS  (DI), Y1, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  mloop
+mtail:
+	TESTQ CX, CX
+	JZ    mdone
+	LEAQ ·tailMasks(SB), R13
+	TAILMASK
+	VMASKMOVPS (SI), Y15, Y1
+	VMASKMOVPS (DI), Y15, Y0
+	VMAXPS Y0, Y1, Y0
+	VMASKMOVPS Y0, Y15, (DI)
+mdone:
+	VZEROUPPER
+	RET

@@ -1,0 +1,509 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"ocularone/internal/rng"
+)
+
+// withRowKernels runs fn on a tier that binds vector row kernels, or
+// skips: where none is bound the Go forms are all there is.
+func withRowKernels(t *testing.T, fn func()) {
+	orig := KernelTier()
+	defer func() {
+		if err := SetKernelTier(orig); err != nil {
+			panic(err)
+		}
+	}()
+	for _, tier := range KernelTiers() {
+		if err := SetKernelTier(tier); err != nil {
+			t.Fatal(err)
+		}
+		if kernRows != nil {
+			fn()
+			return
+		}
+	}
+	t.Skip("no tier on this CPU binds vector row kernels")
+}
+
+// sweepFloat32 hands fn every float32 bit pattern, in ascending runs of
+// at most sweepChunk, from as many goroutines as there are procs. The
+// short sweep (-short, or under the race detector) is every 997th
+// pattern plus the patterns around every exponent boundary of both
+// signs — zeros, denormals, ±Inf and the first and last NaNs among them.
+// newFn is called once per goroutine, so what it returns may keep
+// scratch; that function returns a description of the first failure it
+// saw, or "".
+const sweepChunk = 4096
+
+func sweepFloat32(t *testing.T, newFn func() func(bits []uint32) string) {
+	t.Helper()
+	if testing.Short() || raceEnabled {
+		fn := newFn()
+		var bits []uint32
+		for b := uint64(0); b < 1<<32; b += 997 {
+			bits = append(bits, uint32(b))
+		}
+		for e := uint32(0); e < 512; e++ { // sign and exponent
+			for _, m := range []uint32{0, 1, 2, 0x3fffff, 0x400000, 0x400001, 0x7ffffe, 0x7fffff} {
+				bits = append(bits, e<<23|m)
+			}
+		}
+		for len(bits) > 0 {
+			n := min(sweepChunk, len(bits))
+			if msg := fn(bits[:n]); msg != "" {
+				t.Fatal(msg)
+			}
+			bits = bits[n:]
+		}
+		return
+	}
+	workers := runtime.GOMAXPROCS(0)
+	span := uint64(1<<32) / uint64(workers)
+	fails := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := uint64(w)*span, uint64(w+1)*span
+		if w == workers-1 {
+			hi = 1 << 32
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fn := newFn()
+			bits := make([]uint32, sweepChunk)
+			for b := lo; b < hi && fails[w] == ""; {
+				n := int(min(sweepChunk, hi-b))
+				for i := range bits[:n] {
+					bits[i] = uint32(b) + uint32(i)
+				}
+				fails[w] = fn(bits[:n])
+				b += uint64(n)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, msg := range fails {
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	}
+}
+
+// TestLogisticRowMatchesDefinition holds the assembly SiLU and sigmoid to
+// the Go definition on every float32, NaN payloads and ±Inf included.
+// Each run of patterns goes through the kernel twice: as one long row
+// with a ragged tail, and — its first 820 patterns — as rows of 1…40
+// elements, each at the next pointer offset of 0…7 floats from a 64-byte
+// boundary, so every tail mask and alignment meets every class of
+// pattern.
+func TestLogisticRowMatchesDefinition(t *testing.T) {
+	withRowKernels(t, func() {
+		sweepFloat32(t, func() func(bits []uint32) string {
+			in := make([]float32, sweepChunk)
+			want := [2][]float32{make([]float32, sweepChunk), make([]float32, sweepChunk)}
+			buf := alignedSlice[float32](sweepChunk + 8)
+			return func(bits []uint32) string {
+				for i, b := range bits {
+					v := math.Float32frombits(b)
+					d := logisticDenom(v)
+					in[i], want[0][i], want[1][i] = v, v/d, 1/d
+				}
+				check := func(lo, n, off int) string {
+					for a, act := range []EpAct{EpActSiLU, EpActSigmoid} {
+						row := buf[off : off+n]
+						copy(row, in[lo:lo+n])
+						kernRows.epilogue(&row[0], 1, 0, n, nil, nil, act)
+						if i := sameBits(row, want[a][lo:lo+n]); i >= 0 {
+							return fmt.Sprintf("act %d, input %#08x (%v), lane %d of a row of %d at offset %d: assembly %#08x (%v), definition %#08x (%v)",
+								act, bits[lo+i], in[lo+i], i, n, off, math.Float32bits(row[i]), row[i], math.Float32bits(want[a][lo+i]), want[a][lo+i])
+						}
+					}
+					return ""
+				}
+				off := int(bits[0] / sweepChunk % 8)
+				if msg := check(0, len(bits)-off%3, off); msg != "" {
+					return msg
+				}
+				for lo, n := 0, 1; n <= 40 && lo+n <= len(bits); lo, n = lo+n, n+1 {
+					off = (off + 1) % 8
+					if msg := check(lo, n, off); msg != "" {
+						return msg
+					}
+				}
+				return ""
+			}
+		})
+	})
+}
+
+// logisticDriftUlp and logisticDriftAbs bound the new definition's
+// distance from the math.Exp expressions it replaced: 2 units of 2⁻²³
+// relative to the old value, or 10⁻³⁶ absolute (where exp(−v) nears the
+// float32 range's end the old form flushes to −0 a little earlier).
+const (
+	logisticDriftUlp = 2.0
+	logisticDriftAbs = 1e-36
+)
+
+// TestLogisticDrift measures what ships on the tier in effect — the
+// assembly where it is bound, which the test above holds to the
+// definition, else the definition — against the old expressions over the
+// same sweep, and prints the worst input.
+func TestLogisticDrift(t *testing.T) {
+	type worst struct {
+		ulp float64
+		v   float32
+	}
+	var mu sync.Mutex
+	var worsts [2]worst // SiLU, sigmoid
+	sweepFloat32(t, func() func(bits []uint32) string {
+		silu, sigmoid := make([]float32, sweepChunk), make([]float32, sweepChunk)
+		return func(bits []uint32) string {
+			got := [2][]float32{silu[:len(bits)], sigmoid[:len(bits)]}
+			for i, b := range bits {
+				got[0][i], got[1][i] = math.Float32frombits(b), math.Float32frombits(b)
+			}
+			rowAct(got[0], EpActSiLU)
+			rowAct(got[1], EpActSigmoid)
+			var w [2]worst
+			for i, b := range bits {
+				v := math.Float32frombits(b)
+				ref := refLogisticDenom(v)
+				for a, want := range [2]float32{v / ref, 1 / ref} {
+					got := got[a][i]
+					if got == want || got != got && want != want {
+						continue
+					}
+					d := math.Abs(float64(got) - float64(want))
+					if d <= logisticDriftAbs {
+						continue
+					}
+					u := d / math.Abs(float64(want)) * (1 << 23)
+					if !(u <= logisticDriftUlp) {
+						return fmt.Sprintf("%s(%v) (bits %#08x) is %v, the math.Exp form gives %v: %.3f ulp",
+							[2]string{"SiLU", "sigmoid"}[a], v, b, got, want, u)
+					}
+					if u > w[a].ulp {
+						w[a] = worst{u, v}
+					}
+				}
+			}
+			mu.Lock()
+			for a := range w {
+				if w[a].ulp > worsts[a].ulp {
+					worsts[a] = w[a]
+				}
+			}
+			mu.Unlock()
+			return ""
+		}
+	})
+	ws, wg := worsts[0], worsts[1]
+	t.Logf("worst drift from the math.Exp forms: SiLU %.3f ulp at v = %v (bits %#08x), sigmoid %.3f ulp at v = %v (bits %#08x)",
+		ws.ulp, ws.v, math.Float32bits(ws.v), wg.ulp, wg.v, math.Float32bits(wg.v))
+}
+
+// rowSpecials are the values the ordinary draws never produce.
+var rowSpecials = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x7f800000, 0xff800000, // ±Inf
+	0x7fc00000, 0xffc00000, 0x7fc12345, 0xff812345, // quiet and signalling NaNs
+	0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // denormals
+	0x00800000, 0x80800000, 0x7f7fffff, 0xff7fffff, // smallest and largest normals
+}
+
+// drawRow fills row with activations in (−4, 4), about one in eight
+// replaced by a special.
+func drawRow(r *rng.RNG, row []float32) {
+	for i := range row {
+		row[i] = 8*r.Float32() - 4
+		if u := r.Uint64(); u%8 == 0 {
+			row[i] = math.Float32frombits(rowSpecials[u>>8%uint64(len(rowSpecials))])
+		}
+	}
+}
+
+func sameBits(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkRowKernels runs one rows×[j0, j0+jw) stripe of a ld-wide block
+// through Epilogue.applyCols on the current tier and wants the old
+// loops' bits: all of them for the affine, bias and ReLU epilogues, and
+// the old affine followed by the logistic definition for SiLU and
+// sigmoid. Then Tensor.Add, Tensor.ReLU and rowMax over jw elements
+// against their old loops.
+func checkRowKernels(t *testing.T, seed uint64, rows, ld, j0, jw, chanOff int) {
+	t.Helper()
+	r := rng.New(seed)
+	data := make([]float32, rows*ld)
+	drawRow(r, data)
+	scale, shift := make([]float32, chanOff+rows), make([]float32, chanOff+rows)
+	drawRow(r, scale)
+	drawRow(r, shift)
+	for _, ep := range []Epilogue{{Scale: scale, Shift: shift}, {Shift: shift}, {}} {
+		for _, act := range []EpAct{EpActNone, EpActReLU, EpActSiLU, EpActSigmoid} {
+			ep.Act = act
+			got := append([]float32(nil), data...)
+			ep.applyCols(got, 0, rows, ld, j0, j0+jw, chanOff)
+			want := append([]float32(nil), data...)
+			if act == EpActSiLU || act == EpActSigmoid {
+				ref := ep
+				ref.Act = EpActNone
+				refApplyCols(ref, want, 0, rows, ld, j0, j0+jw, chanOff)
+				for rr := 0; rr < rows; rr++ {
+					rowActGo(want[rr*ld+j0:rr*ld+j0+jw], act)
+				}
+			} else {
+				refApplyCols(ep, want, 0, rows, ld, j0, j0+jw, chanOff)
+			}
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("seed %d rows %d ld %d cols [%d, %d) scale %v shift %v act %d: elem %d (input %v) is %v (%#08x), the old loop gives %v (%#08x)",
+					seed, rows, ld, j0, j0+jw, ep.Scale != nil, ep.Shift != nil, act, i, data[i],
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
+
+	a, b := make([]float32, jw), make([]float32, jw)
+	drawRow(r, a)
+	drawRow(r, b)
+	got, want := FromSlice(append([]float32(nil), a...), jw), append([]float32(nil), a...)
+	got.Add(FromSlice(b, jw))
+	refAdd(want, b)
+	if i := sameBits(got.Data, want); i >= 0 {
+		t.Fatalf("seed %d: Add of %d elements: elem %d: %v + %v is %#08x, the old loop gives %#08x",
+			seed, jw, i, a[i], b[i], math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
+	}
+	got.ReLU()
+	refApplyCols(Epilogue{Act: EpActReLU}, want, 0, 1, jw, 0, jw, 0)
+	if i := sameBits(got.Data, want); i >= 0 {
+		t.Fatalf("seed %d: ReLU of %d elements: elem %d is %#08x, the old loop gives %#08x",
+			seed, jw, i, math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
+	}
+	best, wantBest := append([]float32(nil), a...), append([]float32(nil), a...)
+	rowMax(best, b)
+	for i, v := range b {
+		if v > wantBest[i] {
+			wantBest[i] = v
+		}
+	}
+	if i := sameBits(best, wantBest); i >= 0 {
+		t.Fatalf("seed %d: pooling step over %d elements: elem %d: best %v, v %v gives %#08x, the old step %#08x",
+			seed, jw, i, a[i], b[i], math.Float32bits(best[i]), math.Float32bits(wantBest[i]))
+	}
+}
+
+// TestRowKernelsMatchReference: every stripe shape up to five vectors
+// wide, ragged on both sides, on every tier.
+func TestRowKernelsMatchReference(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier string) {
+		seed := uint64(0)
+		for jw := 1; jw <= 41; jw++ {
+			for _, rows := range []int{1, 3, 8} {
+				for _, j0 := range []int{0, 1, 5} {
+					seed++
+					checkRowKernels(t, seed, rows, j0+jw+int(seed%3), j0, jw, int(seed%5))
+				}
+			}
+		}
+	})
+}
+
+func FuzzRowKernels(f *testing.F) {
+	f.Add(uint64(1), uint8(1), uint8(9), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(4), uint8(24), uint8(3), uint8(7), uint8(2))
+	f.Add(uint64(3), uint8(7), uint8(36), uint8(8), uint8(1), uint8(60))
+	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, lead, slack, chanOff uint8) {
+		m, jw, j0 := 1+int(rows%16), 1+int(cols%80), int(lead%16)
+		forEachTier(t, func(t *testing.T, tier string) {
+			checkRowKernels(t, seed, m, j0+jw+int(slack%8), j0, jw, int(chanOff))
+		})
+	})
+}
+
+// checkMaxPool holds MaxPool2DInto to the old per-output scan, bit for
+// bit, on a c×h×w input with NaNs, ±0 and ±Inf among the values.
+func checkMaxPool(t *testing.T, seed uint64, c, h, w, k, stride, pad int) {
+	t.Helper()
+	x := New(c, h, w)
+	drawRow(rng.New(seed), x.Data)
+	oh, ow := PoolOutSize(h, w, k, stride, pad)
+	got, want := New(c, oh, ow), New(c, oh, ow)
+	MaxPool2DInto(got, x, k, stride, pad)
+	for ci := 0; ci < c; ci++ {
+		refMaxPoolChan(want, x, ci, k, stride, pad)
+	}
+	if i := sameBits(got.Data, want.Data); i >= 0 {
+		t.Fatalf("seed %d: %dx%d pool, stride %d, pad %d over %dx%dx%d: output %d is %v (%#08x), the old scan gives %v (%#08x)",
+			seed, k, k, stride, pad, c, h, w, i, got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+	}
+}
+
+// poolGeometryOK is PoolOutSize's acceptance rule.
+func poolGeometryOK(h, w, k, pad int) bool {
+	return pad < k && k <= h+2*pad && k <= w+2*pad
+}
+
+func TestMaxPoolMatchesReference(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier string) {
+		seed := uint64(0)
+		for k := 1; k <= 7; k++ {
+			for stride := 1; stride <= 3; stride++ {
+				for pad := 0; pad < k; pad++ {
+					for h := 1; h <= 17; h++ {
+						// Every width for two heights, a stride of them for the rest.
+						step := 1
+						if h != 4 && h != 17 {
+							step = 5
+						}
+						for w := 1 + h%step; w <= 23; w += step {
+							if poolGeometryOK(h, w, k, pad) {
+								seed++
+								checkMaxPool(t, seed, 2, h, w, k, stride, pad)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+func FuzzMaxPool(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(2), uint8(1), uint8(48), uint8(48), uint8(2))
+	f.Add(uint64(2), uint8(5), uint8(1), uint8(2), uint8(3), uint8(3), uint8(1))
+	f.Add(uint64(3), uint8(2), uint8(3), uint8(0), uint8(17), uint8(9), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, kern, stride, pad, h, w, c uint8) {
+		k, s := 1+int(kern%7), 1+int(stride%3)
+		p, hh, ww := int(pad)%k, 1+int(h%64), 1+int(w%64)
+		if !poolGeometryOK(hh, ww, k, p) {
+			t.Skip()
+		}
+		forEachTier(t, func(t *testing.T, tier string) {
+			checkMaxPool(t, seed, 1+int(c%3), hh, ww, k, s, p)
+		})
+	})
+}
+
+// TestMaxPoolRejectsEmptyWindows: a kernel larger than the padded plane,
+// or padding as wide as the kernel, would pool windows with no input.
+func TestMaxPoolRejectsEmptyWindows(t *testing.T) {
+	for _, g := range [][5]int{ // h, w, k, stride, pad
+		{2, 8, 3, 1, 0}, {8, 2, 5, 2, 1}, {4, 4, 2, 1, 2}, {4, 4, 3, 2, 5},
+	} {
+		h, w, k, stride, pad := g[0], g[1], g[2], g[3], g[4]
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("%dx%d max pool, pad %d, over a %dx%d plane:", k, k, pad, h, w)) {
+					t.Errorf("%dx%d pool pad %d over %dx%d: panic %q does not name the shape", k, k, pad, h, w, msg)
+				}
+			}()
+			MaxPool2D(New(1, h, w), k, stride, pad)
+		}()
+	}
+	// The Table-2 pools pass.
+	PoolOutSize(48, 48, 3, 2, 1)
+	PoolOutSize(3, 3, 5, 1, 2)
+}
+
+// BenchmarkRowKernels times the old loops (reference_test.go) against the
+// shipped kernels from one binary, in ns per element: SiLU, sigmoid,
+// affine + ReLU and add over a block of about 4608 floats cut into
+// stripes of the widths the GEMM drivers hand the epilogue (9 and 36 are
+// the narrow and folded routes' whole rows, 12 / 24 / 32 the tiles' widths,
+// 576 and 2304 whole planes), and the two pools the Table-2 networks run
+// at 96×96. SiLU and affine + ReLU also run the kernel one row a call
+// (perrow), the alternative to handing it the stripe. Every in-place case
+// first restores its block from a copy, which the copy row prices. Run
+// with GOMAXPROCS=1.
+func BenchmarkRowKernels(b *testing.B) {
+	r := rng.New(16)
+	perElem := func(b *testing.B, n int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+	}
+	for _, w := range []int{9, 12, 24, 32, 36, 576, 2304} {
+		rows := max(1, 4608/w)
+		src, blk, other := make([]float32, rows*w), make([]float32, rows*w), make([]float32, rows*w)
+		for i := range src {
+			src[i], other[i] = 8*r.Float32()-4, 8*r.Float32()-4
+		}
+		scale, shift := make([]float32, rows), make([]float32, rows)
+		for i := range scale {
+			scale[i], shift[i] = r.Float32()+0.5, r.Float32()-0.5
+		}
+		affineReLU := Epilogue{Scale: scale, Shift: shift, Act: EpActReLU}
+		perRow := func(ep Epilogue) func() {
+			return func() {
+				for r := 0; r < rows; r++ {
+					ep.applyCols(blk, r, r+1, w, 0, w, 0)
+				}
+			}
+		}
+		for _, c := range []struct {
+			name              string
+			ref, kern, perRow func()
+		}{
+			{"copy", func() {}, nil, nil},
+			{"silu", func() { refApplyCols(Epilogue{Act: EpActSiLU}, blk, 0, rows, w, 0, w, 0) },
+				func() { Epilogue{Act: EpActSiLU}.applyCols(blk, 0, rows, w, 0, w, 0) }, perRow(Epilogue{Act: EpActSiLU})},
+			{"sigmoid", func() { refApplyCols(Epilogue{Act: EpActSigmoid}, blk, 0, rows, w, 0, w, 0) },
+				func() { Epilogue{Act: EpActSigmoid}.applyCols(blk, 0, rows, w, 0, w, 0) }, nil},
+			{"affine+relu", func() { refApplyCols(affineReLU, blk, 0, rows, w, 0, w, 0) },
+				func() { affineReLU.applyCols(blk, 0, rows, w, 0, w, 0) }, perRow(affineReLU)},
+			{"add", func() { refAdd(blk, other) }, func() { rowAdd(blk, other) }, nil},
+		} {
+			for _, side := range []struct {
+				name string
+				fn   func()
+			}{{"ref", c.ref}, {"kernel", c.kern}, {"perrow", c.perRow}} {
+				if side.fn == nil {
+					continue
+				}
+				b.Run(fmt.Sprintf("%s/w%d/%s", c.name, w, side.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(blk, src)
+						side.fn()
+					}
+					perElem(b, len(blk))
+				})
+			}
+		}
+	}
+	for _, p := range []struct{ c, h, w, k, stride, pad int }{{64, 48, 48, 3, 2, 1}, {128, 3, 3, 5, 1, 2}} {
+		x := New(p.c, p.h, p.w)
+		for i := range x.Data {
+			x.Data[i] = 8*r.Float32() - 4
+		}
+		oh, ow := PoolOutSize(p.h, p.w, p.k, p.stride, p.pad)
+		dst := New(p.c, oh, ow)
+		name := fmt.Sprintf("pool/%dx%dx%d_k%ds%dp%d", p.c, p.h, p.w, p.k, p.stride, p.pad)
+		b.Run(name+"/ref", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for ci := 0; ci < p.c; ci++ {
+					refMaxPoolChan(dst, x, ci, p.k, p.stride, p.pad)
+				}
+			}
+			perElem(b, len(dst.Data))
+		})
+		b.Run(name+"/kernel", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MaxPool2DInto(dst, x, p.k, p.stride, p.pad)
+			}
+			perElem(b, len(dst.Data))
+		})
+	}
+}

@@ -117,9 +117,7 @@ func (t *Tensor) Add(o *Tensor) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: Add shape mismatch %v vs %v", t.Shape, o.Shape))
 	}
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
+	rowAdd(t.Data, o.Data)
 }
 
 // Scale multiplies every element by s.
@@ -166,36 +164,25 @@ func (t *Tensor) ArgMax() int {
 	return bi
 }
 
-// Sigmoid applies the logistic function in place.
+// Sigmoid applies the logistic function in place (sigmoidDef).
 func (t *Tensor) Sigmoid() {
 	parallel.ForRange(len(t.Data), func(lo, hi int) {
-		d := t.Data[lo:hi]
-		for i, v := range d {
-			d[i] = 1 / (1 + float32(math.Exp(float64(-v))))
-		}
+		rowAct(t.Data[lo:hi], EpActSigmoid)
 	})
 }
 
-// SiLU applies x*sigmoid(x) in place — the activation used throughout
-// YOLOv8/v11 backbones.
+// SiLU applies x*sigmoid(x) in place (siluDef) — the activation used
+// throughout YOLOv8/v11 backbones.
 func (t *Tensor) SiLU() {
 	parallel.ForRange(len(t.Data), func(lo, hi int) {
-		d := t.Data[lo:hi]
-		for i, v := range d {
-			d[i] = v / (1 + float32(math.Exp(float64(-v))))
-		}
+		rowAct(t.Data[lo:hi], EpActSiLU)
 	})
 }
 
 // ReLU applies max(0, x) in place.
 func (t *Tensor) ReLU() {
 	parallel.ForRange(len(t.Data), func(lo, hi int) {
-		d := t.Data[lo:hi]
-		for i, v := range d {
-			if v < 0 {
-				d[i] = 0
-			}
-		}
+		rowAct(t.Data[lo:hi], EpActReLU)
 	})
 }
 
