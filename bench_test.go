@@ -535,6 +535,150 @@ func BenchmarkConvTable2ShapesInt8(b *testing.B) {
 	}
 }
 
+// BenchmarkConvReroutedShapes times the conv shapes that left the
+// reference lowering when the plan and the interpreter were given one
+// conv lowering (BENCHMARKS.md §PR 18): monodepth2's two one-channel
+// disparity convs, two small 1×1 heads, and depthwise 3×3 convs down to
+// the 6×6 and 3×3 planes where the packed driver's fixed cost per group
+// (≈ 0.8 µs) makes it the slower of the two. Each shape runs the whole
+// conv op — every group; fp32 on one sample and on a batch of four, int8
+// on a batch of four — on the shipped path (prepacked weights, ConvPackedInto /
+// ConvPackedQBatchInto) and on the retired one kept here as the oracle:
+// materialised im2col + the reference GEMM, which is still what an
+// ABFT-checked conv re-executes through. Record with GOMAXPROCS=1
+// -benchtime 300x -count 5.
+func BenchmarkConvReroutedShapes(b *testing.B) {
+	dense := func(inC, outC, k int) tensor.ConvSpec {
+		return tensor.ConvSpec{InC: inC, OutC: outC, KH: k, KW: k, StrideH: 1, StrideW: 1, PadH: k / 2, PadW: k / 2, Groups: 1}
+	}
+	dw := func(c int) tensor.ConvSpec {
+		s := dense(c, c, 3)
+		s.Groups = c
+		return s
+	}
+	for _, s := range []struct {
+		name string
+		spec tensor.ConvSpec
+		h, w int
+	}{
+		{"disparity_m1_k288_48x48", dense(32, 1, 3), 48, 48},
+		{"disparity_m1_k144_96x96", dense(16, 1, 3), 96, 96},
+		{"m16_k16_3x3", dense(16, 16, 1), 3, 3},
+		{"m1_k16_n189", dense(16, 1, 1), 9, 21},
+		{"depthwise_c64_24x24", dw(64), 24, 24},
+		{"depthwise_c128_12x12", dw(128), 12, 12},
+		{"depthwise_c256_6x6", dw(256), 6, 6},
+		{"depthwise_c256_3x3", dw(256), 3, 3},
+	} {
+		spec, groups := s.spec, s.spec.Groups
+		icg, ocg := spec.InC/groups, spec.OutC/groups
+		k, plane := icg*spec.KH*spec.KW, s.h*s.w
+		r := rng.New(18)
+		w := tensor.New(spec.OutC, k)
+		for i := range w.Data {
+			w.Data[i] = r.Float32() - 0.5
+		}
+		qw := tensor.QuantizePerChannel(w)
+		const nb = 4
+		xs, outs := make([]*tensor.Tensor, nb), make([]*tensor.Tensor, nb)
+		for i := range xs {
+			xs[i], outs[i] = tensor.New(spec.InC, s.h, s.w), tensor.New(spec.OutC, plane)
+			for j := range xs[i].Data {
+				xs[i].Data[j] = r.Float32() - 0.5
+			}
+		}
+		rowScale := make([]float32, spec.OutC)
+		for i := range rowScale {
+			rowScale[i] = qw.ScaleFor(i) / 127
+		}
+		// Per group: weight views and packed panels, and every sample's
+		// destination rows, as convOp binds them.
+		wg, wpk := make([]*tensor.Tensor, groups), make([]*tensor.PackedA, groups)
+		qg, qpk := make([]*tensor.QTensor, groups), make([]*tensor.PackedQ, groups)
+		dsts := make([][]*tensor.Tensor, groups)
+		for g := range dsts {
+			wg[g] = tensor.FromSlice(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+			wpk[g] = tensor.PackWeights(wg[g])
+			qg[g] = tensor.QFromSlice(qw.Data[g*ocg*k:(g+1)*ocg*k], nil, ocg, k)
+			qpk[g] = tensor.PackWeightsQ(qg[g].Data, ocg, k)
+			dsts[g] = make([]*tensor.Tensor, nb)
+			for i, out := range outs {
+				dsts[g][i] = tensor.FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
+			}
+		}
+		cols, colsB := tensor.New(k, plane), tensor.New(k, nb*plane)
+		colsQ := tensor.QFromSlice(make([]int8, k*nb*plane), nil, k, nb*plane)
+		big := tensor.New(ocg, nb*plane)
+		// scatter distributes one group's [ocg, nb·plane] GEMM result into
+		// the per-sample outputs, as the retired lowering's batches did.
+		scatter := func(g int) {
+			for ci := 0; ci < ocg; ci++ {
+				for i := range xs {
+					copy(dsts[g][i].Data[ci*plane:(ci+1)*plane], big.Data[(ci*nb+i)*plane:(ci*nb+i+1)*plane])
+				}
+			}
+		}
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"fp32_b1/packed", func() {
+				for g := 0; g < groups; g++ {
+					tensor.ConvPackedInto(dsts[g][0], wpk[g], xs[0], spec, g*icg, s.h, s.w, tensor.Epilogue{}, 0)
+				}
+			}},
+			{"fp32_b1/reference", func() {
+				for g := 0; g < groups; g++ {
+					tensor.Im2ColInto(xs[0], cols, spec, g*icg, icg, s.h, s.w, 0, plane)
+					tensor.MatMulRefEpilogueInto(dsts[g][0], wg[g], cols, tensor.Epilogue{}, 0)
+				}
+			}},
+			// An unquantised conv inside a batch-4 int8 plan (YOLO11's
+			// detect-head depthwise convs) is this pair: sample by sample
+			// now, one im2col + GEMM per group for the whole batch before.
+			{"fp32_b4/packed", func() {
+				for g := 0; g < groups; g++ {
+					for i, x := range xs {
+						tensor.ConvPackedInto(dsts[g][i], wpk[g], x, spec, g*icg, s.h, s.w, tensor.Epilogue{}, 0)
+					}
+				}
+			}},
+			{"fp32_b4/reference", func() {
+				for g := 0; g < groups; g++ {
+					for i, x := range xs {
+						tensor.Im2ColInto(x, colsB, spec, g*icg, icg, s.h, s.w, i*plane, nb*plane)
+					}
+					tensor.MatMulRefEpilogueInto(big, wg[g], colsB, tensor.Epilogue{}, 0)
+					scatter(g)
+				}
+			}},
+			{"int8_b4/packed", func() {
+				for g := 0; g < groups; g++ {
+					tensor.ConvPackedQBatchInto(dsts[g], qpk[g], xs, spec, g*icg, s.h, s.w, 127, rowScale[g*ocg:(g+1)*ocg], tensor.Epilogue{}, 0, nil)
+				}
+			}},
+			{"int8_b4/reference", func() {
+				for g := 0; g < groups; g++ {
+					for i, x := range xs {
+						tensor.Im2ColQInto(x, colsQ.Data, 127, spec, g*icg, icg, s.h, s.w, i*plane, nb*plane)
+					}
+					tensor.MatMulInt8RefEpilogueInto(big, qg[g], colsQ, rowScale[g*ocg:(g+1)*ocg], tensor.Epilogue{}, 0)
+					scatter(g)
+				}
+			}},
+		} {
+			b.Run(s.name+"/"+c.name, func(b *testing.B) {
+				c.run()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.run()
+				}
+				b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)*1e6, "µs/op")
+			})
+		}
+	}
+}
+
 // BenchmarkPlanExecuteYOLOv8n is the whole-network row beside the
 // per-shape tables above, for the model the paper leans on: one
 // Plan.Execute of yolov8n at 96×96 as the engine workloads of the

@@ -166,13 +166,13 @@ func run(deviceFlag, modelFlag string, frames int, seed uint64, drones int, fps 
 	return nil
 }
 
-// engineMode runs the real pure-Go engine — the actual im2col+GEMM
-// kernels, fp32 or int8, interpreted or through the compiled plan —
-// for n frames at a reduced input, printing wall-clock per-frame time
-// and heap allocations per frame. This is the mode
-// -cpuprofile/-memprofile exist for: a profile taken here lands
-// directly in tensor.MatMulInto / tensor.MatMulInt8Into (or their
-// fused epilogue twins with -plan) and their im2col feeders.
+// engineMode runs the real pure-Go engine — the actual packed
+// implicit-im2col conv kernels, fp32 or int8, interpreted or through
+// the compiled plan — for n frames at a reduced input, printing
+// wall-clock per-frame time and heap allocations per frame. This is the
+// mode -cpuprofile/-memprofile exist for: a profile taken here lands
+// directly in the GEMM drivers of tensor/pack.go and packq.go, their
+// panel gathers and micro-kernels.
 func engineMode(modelFlag string, n int, seed uint64, batch int, profile bool, prec device.Precision, eng device.Engine) error {
 	m := models.V8Nano
 	if modelFlag != "all" {
@@ -195,9 +195,7 @@ func engineMode(modelFlag string, n int, seed uint64, batch int, profile bool, p
 	}
 	if eng == device.Planned {
 		slots, arena := plan.Slots()
-		cols, big := plan.ScratchPerSample()
-		fmt.Printf("plan: %d ops, %d arena slots (%d KB/sample), %d KB reference-conv scratch\n",
-			plan.Ops(), slots, arena*4/1024, (cols+big)*4/1024)
+		fmt.Printf("plan: %d ops, %d arena slots (%d KB/sample)\n", plan.Ops(), slots, arena*4/1024)
 	}
 	r := rng.New(seed ^ 0xf00d)
 	x := tensor.New(3, h, w)

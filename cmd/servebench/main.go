@@ -56,8 +56,9 @@ import (
 	"ocularone/internal/serve"
 )
 
-// doc is the JSON document servebench emits: the trajectory header
-// fields of BENCH_PR<n>.json plus the serving curve.
+// doc is the JSON document servebench emits: a header naming the run
+// plus the serving curve (the per-PR snapshots of it are frozen in
+// BENCHMARKS.md §Frozen: the pre-benchmark/ harness).
 type doc struct {
 	GeneratedAt string                 `json:"generated_at"`
 	GoVersion   string                 `json:"go_version"`

@@ -37,13 +37,10 @@ type PlanEngineRow struct {
 	// frame (the plan executor's must be zero).
 	AllocsInterp float64
 	AllocsPlan   float64
-	// ArenaKB is the plan's activation arena per sample; ScratchKB the
-	// shared kernel scratch (materialised-im2col cols + batch staging)
-	// that only reference-path convs still bind — the packed
-	// implicit-im2col lowering needs none, so this column tracks how
-	// much of the network the packed kernels cover.
-	ArenaKB   float64
-	ScratchKB float64
+	// ArenaKB is the plan's activation arena per sample — all the
+	// memory an instance binds per frame: the convs gather inside the
+	// packed kernel and need no scratch of their own.
+	ArenaKB float64
 }
 
 // planEngineFrames sizes the wall-clock loops: enough frames for a
@@ -70,9 +67,7 @@ func RunPlanEngineStudy(seed uint64) []PlanEngineRow {
 
 		row := PlanEngineRow{Model: m}
 		_, arena := plan.Slots()
-		cols, big := plan.ScratchPerSample()
 		row.ArenaKB = float64(arena) * 4 / 1024
-		row.ScratchKB = float64(cols+big) * 4 / 1024
 		row.MSFrameInterp, row.AllocsInterp = MeasureFrames(planEngineFrames, func() { net.ForwardInterp(x) })
 		row.MSFramePlan, row.AllocsPlan = MeasureFrames(planEngineFrames, func() { plan.Execute(xs, nn.ExecOpts{}) })
 		if row.MSFramePlan > 0 {
@@ -105,11 +100,11 @@ func MeasureFrames(n int, fn func()) (msFrame, allocsFrame float64) {
 // WritePlanEngineStudy renders the real-engine half.
 func WritePlanEngineStudy(w io.Writer, rows []PlanEngineRow) {
 	divider(w, "Extension: compiled execution plans — real engine, interpreter vs Plan.Execute")
-	fmt.Fprintf(w, "%-12s %14s %14s %9s %15s %13s %9s %10s\n",
-		"model", "interp ms/f", "plan ms/f", "speedup", "interp allocs/f", "plan allocs/f", "arena KB", "scratch KB")
+	fmt.Fprintf(w, "%-12s %14s %14s %9s %15s %13s %9s\n",
+		"model", "interp ms/f", "plan ms/f", "speedup", "interp allocs/f", "plan allocs/f", "arena KB")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %14.1f %14.1f %8.2fx %15.0f %13.0f %9.0f %10.0f\n",
-			r.Model, r.MSFrameInterp, r.MSFramePlan, r.Speedup, r.AllocsInterp, r.AllocsPlan, r.ArenaKB, r.ScratchKB)
+		fmt.Fprintf(w, "%-12s %14.1f %14.1f %8.2fx %15.0f %13.0f %9.0f\n",
+			r.Model, r.MSFrameInterp, r.MSFramePlan, r.Speedup, r.AllocsInterp, r.AllocsPlan, r.ArenaKB)
 	}
 }
 

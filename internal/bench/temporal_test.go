@@ -11,8 +11,9 @@ import (
 //
 //   - the baseline row reproduces the plain ext-serve rho=1.0
 //     fingerprint (unchanged since PR 7's chaos study pinned it);
-//   - dropout-shed-only reproduces BENCH_PR7.json's ext-chaos dropout
-//     row — fingerprint and goodput — bit for bit;
+//   - dropout-shed-only reproduces PR 7's ext-chaos dropout row (frozen
+//     in BENCHMARKS.md §Frozen: the pre-benchmark/ harness) —
+//     fingerprint and goodput — bit for bit;
 //   - dropout-ladder, differing from shed-only in exactly one knob,
 //     beats its goodput.
 func TestTemporalCurveCrossPRGates(t *testing.T) {

@@ -18,7 +18,8 @@ import (
 // deliberate, reviewed behaviour change.
 //
 // The seed-42 baseline is additionally pinned to the committed PR-6
-// value (BENCH_PR6.json, serve_curve rho=1.0): the chaos layer's
+// value (the serve curve's rho=1.0 row, frozen in BENCHMARKS.md
+// §Frozen: the pre-benchmark/ harness): the chaos layer's
 // zero-fault path must replay the pre-chaos serving study bit for bit.
 const pr6BaselineSeed42 = "46ef51717a1bd684"
 
@@ -105,7 +106,7 @@ func TestGoldenFingerprints(t *testing.T) {
 
 // TestPR6Parity pins the cross-PR contract separately so a regenerated
 // golden table cannot silently absorb a break of it: the zero-fault
-// config must reproduce the fingerprint committed in BENCH_PR6.json.
+// config must reproduce the PR-6 fingerprint frozen in BENCHMARKS.md.
 func TestPR6Parity(t *testing.T) {
 	if got := goldenRun(42, "baseline"); got != pr6BaselineSeed42 {
 		t.Fatalf("zero-fault run fingerprint %s, want PR-6 pinned %s", got, pr6BaselineSeed42)

@@ -14,39 +14,23 @@ func BuildPlanned(id ID, nc int, seed uint64, h, w int) (*nn.Network, *nn.Plan) 
 	return net, net.PlanFor(3, h, w)
 }
 
-// BuildQuantizedPlanned is BuildPlanned over the full post-training-
-// quantization recipe: calibrate, quantize, then compile. The returned
-// plan serves both precisions — Execute with nn.INT8 routes quantized
-// convs through the fused int8 kernels, fp32 stays bit-exact.
-func BuildQuantizedPlanned(id ID, nc int, seed uint64, frames, h, w int) (*nn.Network, *nn.Plan) {
-	net := BuildQuantized(id, nc, seed, frames, h, w)
-	return net, net.PlanFor(3, h, w)
-}
-
 // PlanFootprint is one model's compiled-plan memory geometry at a
-// given input size: arena slots and floats per sample, plus the shared
-// kernel scratch (materialised-im2col cols and batch staging) that
-// only reference-path convolutions still require. cmd/benchtrace
-// records it per PR so the packed-GEMM scratch reductions stay visible
-// in the trajectory.
+// given input size: arena slots and floats per sample. Convolutions
+// gather their receptive fields inside the packed kernel, so a plan
+// binds no kernel scratch beside the arena. The per-PR trajectory of
+// these figures is the frozen table in BENCHMARKS.md ("Pre-benchmark/
+// harness").
 type PlanFootprint struct {
-	Model       string `json:"model"`
-	H, W        int    `json:"-"`
-	Slots       int    `json:"slots"`
-	ArenaFloats int    `json:"arena_floats"`
-	ColsFloats  int    `json:"cols_scratch_floats"`
-	BigFloats   int    `json:"big_scratch_floats"`
+	Model       string
+	H, W        int
+	Slots       int
+	ArenaFloats int
 }
 
 // MeasurePlanFootprint compiles id for a 3×h×w input and reports the
 // plan's memory geometry.
 func MeasurePlanFootprint(id ID, h, w int) PlanFootprint {
 	net := Build(id, 1, 1)
-	p := net.PlanFor(3, h, w)
-	slots, arena := p.Slots()
-	cols, big := p.ScratchPerSample()
-	return PlanFootprint{
-		Model: id.String(), H: h, W: w,
-		Slots: slots, ArenaFloats: arena, ColsFloats: cols, BigFloats: big,
-	}
+	slots, arena := net.PlanFor(3, h, w).Slots()
+	return PlanFootprint{Model: id.String(), H: h, W: w, Slots: slots, ArenaFloats: arena}
 }

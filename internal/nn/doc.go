@@ -17,9 +17,11 @@
 // and assigns every intermediate to a preallocated arena slot
 // (size-classed with tensor.Pool's power-of-two math). One
 // Plan.Execute(xs, ExecOpts{Batch, Precision}) call subsumes what used
-// to be four separate code paths: single-frame, batched (the whole
-// batch lowers to one im2col+GEMM per conv group), fp32, and int8. In
-// steady state Execute performs zero heap allocations per frame.
+// to be four separate code paths: single-frame, batched, fp32, and
+// int8, and every conv in them has one lowering — the packed
+// implicit-im2col GEMM, per group and sample (a batch of small int8
+// planes as one GEMM). In steady state Execute performs zero heap
+// allocations per frame.
 //
 // Network.Forward, ForwardBatch, ForwardQuant, and ForwardBatchQuant
 // are thin wrappers over the cached plan. The original node-walking

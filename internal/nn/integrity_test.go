@@ -1,8 +1,11 @@
 package nn_test
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ocularone/internal/models"
@@ -89,19 +92,19 @@ func TestPlanABFTRecoveryF32(t *testing.T) {
 
 	want := clonePlanOuts(p.Execute(xs, nn.ExecOpts{}))
 
-	fired := false
+	// One-shot (the reference re-execution must see clean math), and
+	// atomic: off the serial path the stripe workers all call the hook.
+	var fired atomic.Bool
 	tensor.ABFTFaultF32 = func(d []float32, dn, j0, jw int) {
-		if fired {
-			return
+		if fired.CompareAndSwap(false, true) {
+			d[j0] += 1024
 		}
-		fired = true // one-shot: the reference re-execution must see clean math
-		d[j0] += 1024
 	}
 	var events []nn.IntegrityEvent
 	p.ResetIntegrity()
 	got := p.Execute(xs, nn.ExecOpts{Integrity: fullIntegrity(&events)})
 
-	if !fired {
+	if !fired.Load() {
 		t.Fatal("fault hook never fired — checked path not taken")
 	}
 	st := p.Integrity()
@@ -136,19 +139,17 @@ func TestPlanABFTRecoveryQ(t *testing.T) {
 
 	want := clonePlanOuts(p.Execute(xs, nn.ExecOpts{Precision: nn.INT8}))
 
-	fired := false
+	var fired atomic.Bool
 	tensor.ABFTFaultQ = func(acc []int32, i0, j0 int) {
-		if fired {
-			return
+		if fired.CompareAndSwap(false, true) {
+			acc[0] ^= 1 << 17
 		}
-		fired = true
-		acc[0] ^= 1 << 17
 	}
 	var events []nn.IntegrityEvent
 	p.ResetIntegrity()
 	got := p.Execute(xs, nn.ExecOpts{Precision: nn.INT8, Integrity: fullIntegrity(&events)})
 
-	if !fired {
+	if !fired.Load() {
 		t.Fatal("int8 fault hook never fired — checked path not taken")
 	}
 	st := p.Integrity()
@@ -212,6 +213,132 @@ func TestPlanABFTFoldedRecoveryQ(t *testing.T) {
 		for oi := range got[b] {
 			if !got[b][oi].Equal(want[b][oi], 0) {
 				t.Fatalf("sample %d output %d: recovered batch diverges from fault-free run", b, oi)
+			}
+		}
+	}
+}
+
+// convCheckWindow walks a plan's convs in execution order — each runs
+// groups × samples ABFT checks — and returns the half-open window of the
+// plan's ABFTChecks counter in which the first conv that pick selects
+// runs, that conv's step (nil pick: none), and the checks of one whole
+// Execute.
+func convCheckWindow(p *nn.Plan, nb int, pick func(*nn.StepProfile) bool) (lo, hi, total uint64, step *nn.StepProfile) {
+	prof := p.NewProfile()
+	for i := range prof.Steps {
+		s := &prof.Steps[i]
+		if s.Kind != "conv" {
+			continue
+		}
+		n := uint64(s.Dims[0] / s.M * nb)
+		if step == nil && pick != nil && pick(s) {
+			lo, hi, step = total, total+n, s
+		}
+		total += n
+	}
+	return lo, hi, total, step
+}
+
+// TestPlanABFTCoversEveryConv closes the hole the reference conv route
+// left: a conv group too small for the old packed-GEMM threshold —
+// monodepth2's one-channel disparity conv, a depthwise group of
+// yolov11n's detect head — was counted as checked and never checksummed.
+// A perturbation injected into exactly that conv through the kernel
+// fault hook must be detected, recovered through the reference
+// re-execution and reported as a KindABFT event naming the conv, in the
+// fp32 plan and in the batch-4 int8 plan (where these two stay fp32), and
+// the checks of an Execute must number groups × samples over all convs.
+func TestPlanABFTCoversEveryConv(t *testing.T) {
+	defer func() { tensor.ABFTFaultF32 = nil }()
+	for _, tc := range []struct {
+		name string
+		id   models.ID
+		pick func(*nn.StepProfile) bool
+	}{
+		{"monodepth2 disparity conv", models.Monodepth2, func(s *nn.StepProfile) bool { return s.Dims[0] == 1 }},
+		{"yolov11n depthwise group", models.V11Nano, func(s *nn.StepProfile) bool { return s.M == 1 && s.K == 9 && s.Dims[0] > 1 }},
+	} {
+		net := models.BuildQuantized(tc.id, 2, 53, 3, 96, 96)
+		p := net.PlanFor(3, 96, 96)
+		for _, opts := range []nn.ExecOpts{{}, {Precision: nn.INT8, Batch: 4}} {
+			nb := max(opts.Batch, 1)
+			xs := randFrames(95, nb, 3, 96, 96)
+			want := clonePlanOuts(p.Execute(xs, opts))
+			lo, hi, total, step := convCheckWindow(p, nb, tc.pick)
+			if step == nil {
+				t.Fatalf("%s: no such conv in the plan", tc.name)
+			}
+
+			// One-shot (the re-execution must see clean math), and atomic:
+			// off the serial path the stripe workers all call the hook.
+			var fired atomic.Bool
+			tensor.ABFTFaultF32 = func(d []float32, dn, j0, jw int) {
+				if c := p.Integrity().ABFTChecks; lo < c && c <= hi && fired.CompareAndSwap(false, true) {
+					d[j0] += 1024
+				}
+			}
+			var events []nn.IntegrityEvent
+			opts.Integrity = nn.IntegrityPolicy{ABFT: true, OnEvent: func(e nn.IntegrityEvent) { events = append(events, e) }}
+			p.ResetIntegrity()
+			got := p.Execute(xs, opts)
+			tensor.ABFTFaultF32 = nil
+
+			if !fired.Load() {
+				t.Fatalf("%s, %v: fault hook never fired — the conv is counted, not checksummed", tc.name, opts.Precision)
+			}
+			st := p.Integrity()
+			if st.ABFTChecks != total {
+				t.Fatalf("%s, %v: %d ABFT checks, want groups × samples = %d", tc.name, opts.Precision, st.ABFTChecks, total)
+			}
+			if st.ABFTDetected != 1 || st.Recovered != 1 || len(events) != 1 || events[0].Kind != nn.KindABFT || !events[0].Recovered {
+				t.Fatalf("%s, %v: stats %+v events %+v, want one recovered ABFT event", tc.name, opts.Precision, st, events)
+			}
+			if !strings.HasSuffix(events[0].Op, fmt.Sprintf("_%d", step.Dims[0])) {
+				t.Fatalf("%s, %v: event names %q, want the conv with %d output channels", tc.name, opts.Precision, events[0].Op, step.Dims[0])
+			}
+			// Downstream of an fp32 recovery: bit-equal where the reference
+			// GEMM rounds as the packed one does, drift-bounded on FMA tiers
+			// (TestPlanABFTRecoveryF32).
+			var tol float32
+			if tensor.KernelTierFMA() {
+				tol = 1e-4
+			}
+			for b := range got {
+				for oi := range got[b] {
+					if !got[b][oi].Equal(want[b][oi], tol) {
+						t.Fatalf("%s, %v: sample %d output %d: recovered execution diverges from the fault-free run", tc.name, opts.Precision, b, oi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanABFTCleanAllModels runs every Table-2 model with ABFT on, fp32
+// at batch 1 and int8 at batch 2, on the tier in effect (CI forces each):
+// every conv group of every sample is checked, nothing is detected, and
+// the outputs equal the unchecked run's bit for bit.
+func TestPlanABFTCleanAllModels(t *testing.T) {
+	for _, id := range models.AllIDs {
+		net := models.BuildQuantized(id, 2, 59, 2, 64, 64)
+		p := net.PlanFor(3, 64, 64)
+		for _, opts := range []nn.ExecOpts{{}, {Precision: nn.INT8, Batch: 2}} {
+			nb := max(opts.Batch, 1)
+			xs := randFrames(96, nb, 3, 64, 64)
+			want := clonePlanOuts(p.Execute(xs, opts))
+			_, _, total, _ := convCheckWindow(p, nb, nil)
+			opts.Integrity = nn.IntegrityPolicy{ABFT: true}
+			p.ResetIntegrity()
+			got := p.Execute(xs, opts)
+			if st := p.Integrity(); st.ABFTChecks != total || st.ABFTDetected != 0 {
+				t.Fatalf("%v %v: %d checks (want %d), %d detections on a clean run", id, opts.Precision, st.ABFTChecks, total, st.ABFTDetected)
+			}
+			for b := range got {
+				for oi := range got[b] {
+					if !got[b][oi].Equal(want[b][oi], 0) {
+						t.Fatalf("%v %v: sample %d output %d: checked run differs from unchecked", id, opts.Precision, b, oi)
+					}
+				}
 			}
 		}
 	}

@@ -22,8 +22,8 @@ func (s Shape) String() string { return fmt.Sprintf("[%d,%d,%d]", s.C, s.H, s.W)
 // it emits the module's primitive plan ops (fused conv+BN+activation,
 // residual adds, pooling, attention cores) into a Plan under
 // construction. Batched and quantized execution have no per-module
-// code any more: the plan executor batches by widening the im2col/GEMM
-// lowering and quantizes by switching kernel sets per Execute call.
+// code any more: the plan executor batches inside its ops and
+// quantizes by switching kernel sets per Execute call.
 type Module interface {
 	// Name returns a short human-readable identifier.
 	Name() string

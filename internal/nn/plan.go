@@ -16,11 +16,15 @@ import (
 // Plan binds one executable instance per batch width; executing an
 // instance walks prebuilt step closures over prebound tensor headers,
 // so the steady-state serving path performs zero heap allocations per
-// frame. Convolutions lower to fused ops: im2col + GEMM with the
+// frame. Every convolution has one lowering: per group, the packed
+// implicit-im2col GEMM over weights packed at compile time, with the
 // folded-BatchNorm affine (or conv bias) and the activation applied as
-// a row-band epilogue inside the matmul/requant loop (see
-// tensor.MatMulEpilogueInto / tensor.MatMulInt8EpilogueInto), which
-// removes the interpreter's two extra full-tensor sweeps per conv.
+// an epilogue inside the GEMM / requant loop (tensor.ConvPackedInto /
+// tensor.ConvPackedQBatchInto), which removes the interpreter's two
+// extra full-tensor sweeps per conv. The materialised im2col +
+// reference GEMM is not a route: it is what an ABFT-checked conv
+// re-executes through after a checksum mismatch (integrity.go), and
+// the oracle the tensor tests compare against.
 //
 // Parity contract: for fp32 the plan replays the interpreter's float32
 // operations in the same order, so Plan.Execute is bit-exact against
@@ -119,16 +123,8 @@ type Plan struct {
 	opInPlace []bool
 	integ     IntegrityStats
 
-	// Shared kernel scratch requirements, per sample (they scale
-	// linearly with batch width at bind time).
-	colsPerSample int // fp32/int8 im2col columns (max over convs)
-	bigPerSample  int // batched GEMM staging (max ocg*plane over convs)
-
 	insts map[int]*planInst
 }
-
-// Shapes reports the compiled input shape.
-func (p *Plan) Shapes() (c, h, w int) { return p.c, p.h, p.w }
 
 // Ops reports the length of the compiled op list (introspection for
 // tests and tooling).
@@ -145,17 +141,6 @@ func (p *Plan) Slots() (n int, floatsPerSample int) {
 	return len(p.slotClass), floatsPerSample
 }
 
-// ScratchPerSample reports the shared kernel scratch an instance binds
-// per sample: cols is the materialised-im2col buffer (floats), big the
-// batched staging buffer. Since packed implicit-im2col convolutions
-// need neither, only the convs still on the reference lowering
-// (depthwise and other tiny groups) size these — the compile-time
-// evidence that implicit GEMM shrank the arena (recorded per PR in
-// BENCH_PR5.json / BENCHMARKS.md).
-func (p *Plan) ScratchPerSample() (cols, big int) {
-	return p.colsPerSample, p.bigPerSample
-}
-
 // planInst is one bound executable: arena slabs, prebound tensor
 // headers for every (value, sample), and the step closures.
 type planInst struct {
@@ -165,10 +150,6 @@ type planInst struct {
 	ts    [][]*tensor.Tensor // [value][sample]
 	steps []stepFn
 	outs  [][]*tensor.Tensor // [sample][output index], aliasing arena slots
-
-	colsF *tensor.Tensor // shared fp32 im2col scratch
-	bigF  *tensor.Tensor // shared batched-GEMM staging (nb > 1 only)
-	colsB []int8         // shared int8 im2col scratch, bound lazily
 
 	abftBad []bool // per-sample verdicts of a checked int8 conv, bound lazily
 
@@ -384,12 +365,6 @@ func (p *Plan) bindInstance(nb int) *planInst {
 			inst.ts[v][s] = tensor.FromSlice(slab[base:base+info.vol], info.dims...)
 		}
 	}
-	if p.colsPerSample > 0 {
-		inst.colsF = tensor.FromSlice(make([]float32, p.colsPerSample*nb), p.colsPerSample*nb)
-	}
-	if nb > 1 && p.bigPerSample > 0 {
-		inst.bigF = tensor.FromSlice(make([]float32, p.bigPerSample*nb), p.bigPerSample*nb)
-	}
 	inst.steps = make([]stepFn, len(p.ops))
 	for oi, op := range p.ops {
 		inst.steps[oi] = op.bind(inst)
@@ -404,15 +379,6 @@ func (p *Plan) bindInstance(nb int) *planInst {
 	return inst
 }
 
-// ensureColsB lazily binds the shared int8 im2col scratch — only the
-// first int8 Execute pays for it.
-func (inst *planInst) ensureColsB() []int8 {
-	if inst.colsB == nil {
-		inst.colsB = make([]int8, inst.p.colsPerSample*inst.nb)
-	}
-	return inst.colsB
-}
-
 // Execute runs the compiled program on a batch of inputs and returns
 // each sample's output activations (result[s][i] is output i of sample
 // s, matching what the interpreter returns). The returned tensors
@@ -421,8 +387,7 @@ func (inst *planInst) ensureColsB() []int8 {
 // that need to keep or recycle outputs copy them first (the Network
 // Forward* wrappers do exactly that). In steady state Execute performs
 // zero heap allocations; the first call at a given batch width binds
-// the instance (arena slabs, tensor headers, step closures) and the
-// first int8 call binds the int8 scratch.
+// the instance (arena slabs, tensor headers, step closures).
 func (p *Plan) Execute(xs []*tensor.Tensor, opts ExecOpts) [][]*tensor.Tensor {
 	nb := len(xs)
 	if nb == 0 {
@@ -510,26 +475,22 @@ func bnEpilogue(c *Conv) tensor.Epilogue {
 	return ep
 }
 
-// convOp is the fused convolution primitive: one GEMM per group with the
-// BN/bias + activation epilogue applied inside the kernel, int8 or fp32
-// per call. Convs big enough for the packed kernel (wpk != nil) gather
-// their receptive fields inside it and write the per-sample outputs
-// directly — sample by sample, except that a batch of small int8 planes
-// runs as one GEMM (tensor.ConvPackedQBatchInto). The rest take the
-// reference lowering: the whole batch to one im2col + GEMM per group,
-// staged through the shared big buffer exactly as Conv2DBatch does.
+// convOp is the fused convolution primitive: one packed implicit-im2col
+// GEMM per group with the BN/bias + activation epilogue applied inside
+// the kernel, int8 or fp32 per call. The kernel gathers receptive fields
+// itself and writes the per-sample outputs directly — sample by sample,
+// except that a batch of small int8 planes runs as one GEMM
+// (tensor.ConvPackedQBatchInto).
 type convOp struct {
 	c       *Conv
 	in, out planVal
 	oh, ow  int
 	ep      tensor.Epilogue
-	wslices []*tensor.Tensor  // per-group fp32 weight views (reference path)
 	wpk     []*tensor.PackedA // per-group packed weights, built at compile time
-	// (nil when the group shape is too small for the packed kernel)
 
 	// Lazy int8 state (weights may quantize after compilation).
-	qws      []*tensor.QTensor // per-group int8 weight views
-	qpk      []*tensor.PackedQ // per-group packed int8 weights (with wpk)
+	qws      []*tensor.QTensor // per-group int8 weight views (ABFT re-execution)
+	qpk      []*tensor.PackedQ // per-group packed int8 weights
 	qpkSrc   *tensor.QTensor   // the qw snapshot qws/qpk were built from
 	qrs      []float32         // fused requant scales (wScale × inScale)
 	qrsScale float32           // inScale the cached qrs was built for
@@ -545,36 +506,14 @@ func lowerConv(b *planBuilder, c *Conv, in planVal) planVal {
 		panic(fmt.Sprintf("nn: plan lowering %s yields empty output for %dx%d", c.Name(), ih, iw))
 	}
 	out := b.val(c.spec.OutC, oh, ow)
-	groups := c.spec.Groups
-	if groups <= 0 {
-		groups = 1
-	}
-	icg := c.spec.InC / groups
+	groups := max(c.spec.Groups, 1)
 	ocg := c.spec.OutC / groups
-	k := icg * c.spec.KH * c.spec.KW
-	op := &convOp{c: c, in: in, out: out, oh: oh, ow: ow, ep: bnEpilogue(c)}
-	if tensor.UsePackedGEMM(ocg, k, oh*ow) {
-		// Pack the weights once, here at compile time; the packed panels
-		// live on the op for the plan's lifetime and the implicit-im2col
-		// kernel needs no cols or staging scratch at all.
-		op.wpk = make([]*tensor.PackedA, groups)
-		for g := 0; g < groups; g++ {
-			op.wpk[g] = tensor.PackWeights(tensor.FromSlice(c.weight.Data[g*ocg*k:(g+1)*ocg*k], ocg, k))
-		}
-	} else {
-		// Reference lowering keeps its per-group weight views and its
-		// materialised-cols (+ batch staging) scratch; only these convs
-		// size the shared buffers.
-		op.wslices = make([]*tensor.Tensor, groups)
-		for g := 0; g < groups; g++ {
-			op.wslices[g] = tensor.FromSlice(c.weight.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
-		}
-		if need := k * oh * ow; need > b.p.colsPerSample {
-			b.p.colsPerSample = need
-		}
-		if need := ocg * oh * ow; need > b.p.bigPerSample {
-			b.p.bigPerSample = need
-		}
+	k := c.spec.InC / groups * c.spec.KH * c.spec.KW
+	// Pack the weights once, here at compile time; the packed panels live
+	// on the op for the plan's lifetime.
+	op := &convOp{c: c, in: in, out: out, oh: oh, ow: ow, ep: bnEpilogue(c), wpk: make([]*tensor.PackedA, groups)}
+	for g := range op.wpk {
+		op.wpk[g] = tensor.PackWeights(tensor.FromSlice(c.weight.Data[g*ocg*k:(g+1)*ocg*k], ocg, k))
 	}
 	b.emit(op)
 	return out
@@ -602,18 +541,11 @@ func (op *convOp) qBind(groups, ocg, k int) {
 	}
 	if op.qpkSrc != c.qw {
 		op.qws = make([]*tensor.QTensor, groups)
+		op.qpk = make([]*tensor.PackedQ, groups)
 		for g := 0; g < groups; g++ {
-			op.qws[g] = &tensor.QTensor{
-				Shape:  []int{ocg, k},
-				Data:   c.qw.Data[g*ocg*k : (g+1)*ocg*k],
-				Scales: nil,
-			}
-		}
-		if op.wpk != nil {
-			op.qpk = make([]*tensor.PackedQ, groups)
-			for g := 0; g < groups; g++ {
-				op.qpk[g] = tensor.PackWeightsQ(c.qw.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
-			}
+			wg := c.qw.Data[g*ocg*k : (g+1)*ocg*k]
+			op.qws[g] = &tensor.QTensor{Shape: []int{ocg, k}, Data: wg}
+			op.qpk[g] = tensor.PackWeightsQ(wg, ocg, k)
 		}
 		op.qpkSrc = c.qw
 	}
@@ -627,137 +559,48 @@ func (op *convOp) qBind(groups, ocg, k int) {
 func (op *convOp) bind(inst *planInst) stepFn {
 	c := op.c
 	spec := c.spec
-	groups := spec.Groups
-	if groups <= 0 {
-		groups = 1
-	}
+	groups := max(spec.Groups, 1)
 	icg := spec.InC / groups
 	ocg := spec.OutC / groups
 	k := icg * spec.KH * spec.KW
 	plane := op.oh * op.ow
 	nb := inst.nb
-	packed := op.wpk != nil
-	// The reference lowering stages through the shared cols (+ big)
-	// buffers; the packed implicit-im2col path needs neither.
-	var cols, big *tensor.Tensor
-	if !packed {
-		cols = tensor.FromSlice(inst.colsF.Data[:k*nb*plane], k, nb*plane)
-		if nb > 1 {
-			big = tensor.FromSlice(inst.bigF.Data[:ocg*nb*plane], ocg, nb*plane)
-		}
-	}
-	// Per-group, per-sample destination views: what the packed kernels
-	// and the nb == 1 reference path write; the batched reference path
-	// stages through big and scatters.
+	// Per-group, per-sample destination views for the kernels to write.
 	ins := inst.ts[op.in]
-	outs := inst.ts[op.out]
 	dsts := make([][]*tensor.Tensor, groups)
 	for g := range dsts {
 		dsts[g] = make([]*tensor.Tensor, nb)
-		for s, out := range outs {
+		for s, out := range inst.ts[op.out] {
 			dsts[g][s] = tensor.FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
 		}
 	}
 	oh, ow := op.oh, op.ow
-	var colsQ *tensor.QTensor // cached int8 cols header, built on first int8 run
 
 	return func(int8Mode bool) {
-		use8 := int8Mode && c.qw != nil
 		abft := inst.ip.ABFT
-		if packed {
-			if use8 {
-				op.qBind(groups, ocg, k)
-				inv := 1 / c.inScale
-				for g := 0; g < groups; g++ {
-					rs := op.qrs[g*ocg : (g+1)*ocg]
-					if abft {
-						op.checkedConvQ(inst, dsts[g], ins, g, icg, ocg, inv, rs)
-					} else {
-						tensor.ConvPackedQBatchInto(dsts[g], op.qpk[g], ins, spec, g*icg, oh, ow, inv, rs, op.ep, g*ocg, nil)
-					}
-				}
-				return
-			}
-			for g := 0; g < groups; g++ {
-				for s := 0; s < nb; s++ {
-					if abft {
-						op.checkedConvF32(inst, dsts[g][s], ins[s], g, icg, ocg)
-					} else {
-						tensor.ConvPackedInto(dsts[g][s], op.wpk[g], ins[s], spec, g*icg, oh, ow, op.ep, g*ocg)
-					}
-				}
-			}
-			return
-		}
-		if use8 {
-			if colsQ == nil {
-				colsQ = &tensor.QTensor{Shape: []int{k, nb * plane}, Data: inst.ensureColsB()[:k*nb*plane]}
-			}
-			colsB := colsQ.Data
+		if int8Mode && c.qw != nil {
 			op.qBind(groups, ocg, k)
 			inv := 1 / c.inScale
 			for g := 0; g < groups; g++ {
-				for s := 0; s < nb; s++ {
-					tensor.Im2ColQInto(ins[s], colsB, inv, spec, g*icg, icg, oh, ow, s*plane, nb*plane)
-				}
 				rs := op.qrs[g*ocg : (g+1)*ocg]
-				if nb == 1 {
-					inst.gemmQ(abft, c.Name(), dsts[g][0], op.qws[g], colsQ, rs, op.ep, g*ocg)
+				if abft {
+					op.checkedConvQ(inst, dsts[g], ins, g, icg, ocg, inv, rs)
 				} else {
-					inst.gemmQ(abft, c.Name(), big, op.qws[g], colsQ, rs, op.ep, g*ocg)
-					scatterGroup(outs, big, g, ocg, nb, plane)
+					tensor.ConvPackedQBatchInto(dsts[g], op.qpk[g], ins, spec, g*icg, oh, ow, inv, rs, op.ep, g*ocg, nil)
 				}
 			}
 			return
 		}
 		for g := 0; g < groups; g++ {
 			for s := 0; s < nb; s++ {
-				tensor.Im2ColInto(ins[s], cols, spec, g*icg, icg, oh, ow, s*plane, nb*plane)
-			}
-			if nb == 1 {
-				inst.gemmF32(abft, dsts[g][0], op.wslices[g], cols, op.ep, g*ocg)
-			} else {
-				inst.gemmF32(abft, big, op.wslices[g], cols, op.ep, g*ocg)
-				scatterGroup(outs, big, g, ocg, nb, plane)
+				if abft {
+					op.checkedConvF32(inst, dsts[g][s], ins[s], g, icg, ocg)
+				} else {
+					tensor.ConvPackedInto(dsts[g][s], op.wpk[g], ins[s], spec, g*icg, oh, ow, op.ep, g*ocg)
+				}
 			}
 		}
 	}
-}
-
-// gemmF32 is the reference-lowering GEMM call site, pinned to the
-// reference kernel: lowerConv routed this conv off the packed path on
-// its per-sample shape, and the batched call must take the same kernel
-// even though the batch-widened n can cross the packed threshold — on
-// FMA tiers the packed and reference kernels round differently, and a
-// batch-width-dependent route would break the batched-vs-per-frame
-// bit-exact contract. ABFT coverage for these convs is the reference
-// fallback the checked driver would take at their per-sample shape
-// (counted, never checksummed), exactly as the nb == 1 path behaves.
-func (inst *planInst) gemmF32(abft bool, dst, w, cols *tensor.Tensor, ep tensor.Epilogue, chanOff int) {
-	if abft {
-		inst.p.integ.ABFTChecks++
-	}
-	tensor.MatMulRefEpilogueInto(dst, w, cols, ep, chanOff)
-}
-
-// gemmQ is the int8 counterpart of gemmF32. Unlike fp32 it may route
-// the batch-widened GEMM onto the packed kernel even when the
-// per-sample shape would not: integer accumulation is exact, so every
-// int8 kernel (packed, reference, any tier) produces identical bits
-// and the route cannot affect parity — the batched call keeps the
-// cheaper kernel plus real ABFT coverage when the widened shape
-// qualifies.
-func (inst *planInst) gemmQ(abft bool, name string, dst *tensor.Tensor, w, cols *tensor.QTensor, rowScale []float32, ep tensor.Epilogue, chanOff int) {
-	if !abft {
-		tensor.MatMulInt8EpilogueInto(dst, w, cols, rowScale, ep, chanOff)
-		return
-	}
-	inst.p.integ.ABFTChecks++
-	if tensor.MatMulInt8EpilogueCheckInto(dst, w, cols, rowScale, ep, chanOff) {
-		return
-	}
-	tensor.MatMulInt8RefEpilogueInto(dst, w, cols, rowScale, ep, chanOff)
-	inst.p.note(inst.ip, name, KindABFT, true)
 }
 
 // checkedConvF32 runs one packed fp32 conv group through the ABFT
@@ -806,17 +649,6 @@ func (op *convOp) checkedConvQ(inst *planInst, dsts, xs []*tensor.Tensor, g, icg
 		tensor.Im2ColQInto(xs[s], colsQ.Data, inv, spec, g*icg, icg, op.oh, op.ow, 0, plane)
 		tensor.MatMulInt8RefEpilogueInto(dsts[s], op.qws[g], colsQ, rowScale, op.ep, g*ocg)
 		inst.p.note(inst.ip, c.Name(), KindABFT, true)
-	}
-}
-
-// scatterGroup distributes one group's [ocg, nb*plane] GEMM result into
-// the per-sample CHW outputs, as Conv2DBatch's scatter does.
-func scatterGroup(outs []*tensor.Tensor, big *tensor.Tensor, g, ocg, nb, plane int) {
-	for ci := 0; ci < ocg; ci++ {
-		row := big.Data[ci*nb*plane : (ci+1)*nb*plane]
-		for s := 0; s < nb; s++ {
-			copy(outs[s].Data[(g*ocg+ci)*plane:(g*ocg+ci+1)*plane], row[s*plane:(s+1)*plane])
-		}
 	}
 }
 

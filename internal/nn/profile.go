@@ -23,9 +23,8 @@ type StepProfile struct {
 	Dims []int  // per-sample output shape (a conv's, [OutC oh ow])
 
 	// For convs: the GEMM of one group (M×K weights against K×N columns a
-	// sample) and the route the last profiled call took — stripe, narrow
-	// or folded on the packed kernels (tensor.ConvRouteF32 / ConvRouteQ),
-	// reference for the groups too small for them.
+	// sample) and the driver the last profiled call took — stripe, narrow
+	// or folded (tensor.ConvRouteF32 / ConvRouteQ).
 	M, K, N int
 	Route   string
 
@@ -108,12 +107,8 @@ func (inst *planInst) runProfiled(pp *PlanProfile, int8Mode bool, ip IntegrityPo
 
 // route names the driver the conv runs at batch width nb.
 func (op *convOp) route(nb int, int8Mode bool) string {
-	switch {
-	case op.wpk == nil:
-		return "reference"
-	case int8Mode && op.c.qw != nil:
+	if int8Mode && op.c.qw != nil {
 		return tensor.ConvRouteQ(nb, op.oh*op.ow)
-	default:
-		return tensor.ConvRouteF32(op.c.spec.OutC/max(op.c.spec.Groups, 1), op.oh*op.ow)
 	}
+	return tensor.ConvRouteF32(op.c.spec.OutC/max(op.c.spec.Groups, 1), op.oh*op.ow)
 }

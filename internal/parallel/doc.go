@@ -1,6 +1,6 @@
 // Package parallel provides small, dependency-free primitives for
-// data-parallel execution: a chunked parallel-for, a bounded worker pool,
-// and helpers for splitting index ranges across goroutines.
+// data-parallel execution: a chunked parallel-for over indices (For) and
+// over contiguous sub-ranges (ForRange).
 //
 // The package is the concurrency substrate for the tensor engine and the
 // scene renderer. All primitives are deterministic with respect to the

@@ -104,97 +104,3 @@ func ForRangeWith(workers, n int, fn func(lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// Pool is a reusable fixed-size worker pool for fire-and-wait task batches.
-// The zero value is not usable; construct with NewPool. Pool amortises
-// goroutine startup across many small batches, which matters for the
-// per-layer dispatch pattern in the NN engine.
-type Pool struct {
-	tasks   chan func()
-	wg      sync.WaitGroup // tracks in-flight tasks
-	workers int
-	closed  sync.Once
-	done    chan struct{}
-}
-
-// NewPool creates a pool with the given number of workers (defaulting to
-// DefaultWorkers when workers <= 0). Callers must Close the pool when done.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	p := &Pool{
-		tasks:   make(chan func(), workers*4),
-		workers: workers,
-		done:    make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		go p.run()
-	}
-	return p
-}
-
-func (p *Pool) run() {
-	for {
-		select {
-		case task := <-p.tasks:
-			task()
-			p.wg.Done()
-		case <-p.done:
-			// Drain remaining queued tasks so Wait cannot deadlock on a
-			// racing Submit/Close pair.
-			for {
-				select {
-				case task := <-p.tasks:
-					task()
-					p.wg.Done()
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// Workers reports the pool's degree of parallelism.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit enqueues a task. It may block if the queue is full.
-func (p *Pool) Submit(task func()) {
-	p.wg.Add(1)
-	p.tasks <- task
-}
-
-// Wait blocks until every submitted task has completed.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Close shuts the pool down after in-flight tasks finish. Submit must not
-// be called after Close.
-func (p *Pool) Close() {
-	p.closed.Do(func() {
-		p.wg.Wait()
-		close(p.done)
-	})
-}
-
-// SplitRange divides [0, n) into at most parts contiguous, near-equal
-// pieces and returns their (lo, hi) bounds. Empty pieces are elided, so
-// the result may have fewer than parts entries.
-func SplitRange(n, parts int) [][2]int {
-	if n <= 0 || parts <= 0 {
-		return nil
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	chunk := (n + parts - 1) / parts
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}

@@ -63,81 +63,6 @@ func TestForRangeCoversDisjointly(t *testing.T) {
 	}
 }
 
-func TestSplitRange(t *testing.T) {
-	cases := []struct {
-		n, parts int
-		want     int // number of pieces
-	}{
-		{10, 3, 3},
-		{10, 10, 10},
-		{10, 20, 10},
-		{0, 4, 0},
-		{100, 4, 4},
-		{1, 1, 1},
-	}
-	for _, c := range cases {
-		got := SplitRange(c.n, c.parts)
-		if len(got) != c.want {
-			t.Errorf("SplitRange(%d,%d) pieces = %d, want %d", c.n, c.parts, len(got), c.want)
-		}
-		// Pieces must tile [0, n) exactly.
-		next := 0
-		for _, p := range got {
-			if p[0] != next {
-				t.Errorf("SplitRange(%d,%d): gap before %v", c.n, c.parts, p)
-			}
-			if p[1] <= p[0] {
-				t.Errorf("SplitRange(%d,%d): empty piece %v", c.n, c.parts, p)
-			}
-			next = p[1]
-		}
-		if c.n > 0 && next != c.n {
-			t.Errorf("SplitRange(%d,%d): covers up to %d", c.n, c.parts, next)
-		}
-	}
-}
-
-func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count int64
-	for i := 0; i < 1000; i++ {
-		p.Submit(func() { atomic.AddInt64(&count, 1) })
-	}
-	p.Wait()
-	if count != 1000 {
-		t.Fatalf("count = %d, want 1000", count)
-	}
-}
-
-func TestPoolReuseAcrossBatches(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	var count int64
-	for batch := 0; batch < 10; batch++ {
-		for i := 0; i < 50; i++ {
-			p.Submit(func() { atomic.AddInt64(&count, 1) })
-		}
-		p.Wait()
-	}
-	if count != 500 {
-		t.Fatalf("count = %d, want 500", count)
-	}
-}
-
-func TestPoolWorkers(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	if p.Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", p.Workers())
-	}
-	q := NewPool(0)
-	defer q.Close()
-	if q.Workers() != DefaultWorkers() {
-		t.Fatalf("Workers() = %d, want %d", q.Workers(), DefaultWorkers())
-	}
-}
-
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())

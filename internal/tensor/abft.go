@@ -71,11 +71,6 @@ var (
 	ABFTFaultQ   func(acc []int32, i0, j0 int)
 )
 
-// scratchC recycles float64 checksum rows for the per-call checked
-// MatMul entry points (compile-time packed weights carry their
-// checksums instead and never touch it).
-var scratchC = func() *rawPool[float64] { p := newRawPool[float64](); return &p }()
-
 // colChecksumsF32 fills csum/acsum (length k) with the plain and
 // absolute column sums of row-major a (m×k).
 func colChecksumsF32(csum, acsum []float64, a []float32, m, k int) {
@@ -184,53 +179,7 @@ func ConvPackedCheckInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0,
 	return gemmStripesF32(dst.Data, m, n, k, wp.data, newF32ConvB(x, spec, c0, ow), ep, chanOff, wp.csum, wp.acsum)
 }
 
-// ConvPackedQCheckInto is ConvPackedQInto with exact int8 ABFT
-// verification, reporting whether every accumulator stripe matched its
-// checksum prediction. Zero heap allocations in steady state.
-func ConvPackedQCheckInto(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int) bool {
-	return convPackedQ(dst, wp, x, spec, c0, oh, ow, inv, rowScale, ep, chanOff, wp.csum)
-}
-
-// MatMulEpilogueCheckInto is MatMulEpilogueInto with ABFT verification
-// on the packed path (per-call checksum row over pooled scratch).
-// Shapes below the packed threshold run the reference kernel, which is
-// the recovery target itself, and report true.
-func MatMulEpilogueCheckInto(dst, a, b *Tensor, ep Epilogue, chanOff int) bool {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulEpilogueCheckInto dst shape %v, want [%d %d]", dst.Shape, m, n))
-	}
-	if !UsePackedGEMM(m, k, n) {
-		MatMulRefEpilogueInto(dst, a, b, ep, chanOff)
-		return true
-	}
-	apData := Scratch.GetRaw(packALen(m, k))
-	packATo(apData, a.Data, m, k)
-	cs := scratchC.get(2 * k)
-	csum, acsum := cs[:k], cs[k:]
-	colChecksumsF32(csum, acsum, a.Data, m, k)
-	ok := gemmStripesF32(dst.Data, m, n, k, apData, f32MatrixB{b: b.Data, n: n}, ep, chanOff, csum, acsum)
-	scratchC.put(cs)
-	Scratch.PutRaw(apData)
-	return ok
-}
-
-// MatMulInt8EpilogueCheckInto is the int8 matrix twin of
-// MatMulEpilogueCheckInto: exact accumulator verification on the
-// packed path, reference kernel (reported true) below the threshold.
-func MatMulInt8EpilogueCheckInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int) bool {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if !UsePackedGEMM(m, k, n) {
-		MatMulInt8RefEpilogueInto(dst, a, b, rowScale, ep, chanOff)
-		return true
-	}
-	return matMulInt8PackedInto(dst, a, b, rowScale, ep, chanOff, true)
-}
-
-// scratchQC recycles int64 checksum rows: the per-call checked int8
-// entry points' csum, and the folded int8 driver's column sums.
+// scratchQC recycles the folded int8 driver's int64 column sums.
 var scratchQC = func() *rawPool[int64] { p := newRawPool[int64](); return &p }()
 
 // scratchI32 recycles the int8 drivers' accumulator tiles, which would
@@ -264,10 +213,11 @@ func MatMulRefEpilogueInto(dst, a, b *Tensor, ep Epilogue, chanOff int) {
 	})
 }
 
-// MatMulInt8RefEpilogueInto is MatMulInt8EpilogueInto pinned to the
-// reference int8 tiles — the int8 re-execution target. Requantization
-// and epilogue replay the identical float32 op sequence, so a clean
-// re-execution reproduces the packed result bit for bit.
+// MatMulInt8RefEpilogueInto is the int8 re-execution target: dst =
+// (A×B) ⊙ rowScale + epilogue on the reference int8 tiles. Integer
+// accumulation is exact and requantization and epilogue replay the
+// packed drivers' float32 op sequence, so a clean re-execution
+// reproduces the packed result bit for bit.
 func MatMulInt8RefEpilogueInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int) {
 	m := a.Shape[0]
 	n := b.Shape[1]

@@ -12,8 +12,7 @@ import (
 
 // abftShapes are the adversarial GEMM shapes of the ABFT property
 // suite: ragged m/n/k, k straddling the kc block boundary, and wide
-// edge stripes. All pass UsePackedGEMM so the checked driver actually
-// runs the packed kernel.
+// edge stripes.
 func abftShapes() [][3]int {
 	return [][3]int{
 		{4, 256, 128},  // k == kc exactly
@@ -77,7 +76,7 @@ func TestABFTDetectsPerturbationF32(t *testing.T) {
 						hit = true
 					}
 					got := New(m, n)
-					if MatMulEpilogueCheckInto(got, a, b, Epilogue{}, 0) {
+					if gemmCheckF32(got, a, b, Epilogue{}) {
 						t.Fatalf("mask %#x stripe %d: corruption not detected", mask, sliv)
 					}
 					if !hit {
@@ -120,7 +119,7 @@ func TestABFTDetectsPerturbationQ(t *testing.T) {
 					hit = true
 				}
 				got := New(m, n)
-				if MatMulInt8EpilogueCheckInto(got, a, b, rowScale, Epilogue{}, 0) {
+				if gemmCheckQ(got, a, b, rowScale, Epilogue{}) {
 					t.Fatalf("bit %d: accumulator corruption not detected", bit)
 				}
 				if !hit {
@@ -186,8 +185,8 @@ func TestABFTConvDetectsPerturbation(t *testing.T) {
 			qp := PackWeightsQ(qw.Data[:ocg*k], ocg, k)
 			rs := convQScales(qw, xScale, 0, ocg)
 			cleanQ := New(ocg, plane)
-			ConvPackedQInto(cleanQ, qp, x, tc.spec, 0, oh, ow, 1/xScale, rs, Epilogue{}, 0)
-			if !ConvPackedQCheckInto(got, qp, x, tc.spec, 0, oh, ow, 1/xScale, rs, Epilogue{}, 0) {
+			convPackedQOne(cleanQ, qp, x, tc.spec, 0, oh, ow, 1/xScale, rs, Epilogue{}, 0, false)
+			if !convPackedQOne(got, qp, x, tc.spec, 0, oh, ow, 1/xScale, rs, Epilogue{}, 0, true) {
 				t.Fatal("clean int8 conv flagged as corrupt")
 			}
 			for i := range got.Data {
@@ -204,7 +203,7 @@ func TestABFTConvDetectsPerturbation(t *testing.T) {
 					acc[0] ^= 1 << 13
 					hit = true
 				}
-				detected := !ConvPackedQCheckInto(got, qp, x, tc.spec, 0, oh, ow, 1/xScale, rs, Epilogue{}, 0)
+				detected := !convPackedQOne(got, qp, x, tc.spec, 0, oh, ow, 1/xScale, rs, Epilogue{}, 0, true)
 				ABFTFaultQ = nil
 				if hit && !detected {
 					t.Fatal("int8 conv accumulator corruption not detected")
@@ -278,7 +277,7 @@ func TestABFTConvGatherRecovery(t *testing.T) {
 			refQ := New(ocg, n)
 			MatMulInt8RefEpilogueInto(refQ, qg, colsQ, rs, ep, 0)
 			qp := PackWeightsQ(qg.Data, ocg, k)
-			if !ConvPackedQCheckInto(got, qp, x, spec, g*icg, oh, ow, 1/xScale, rs, ep, 0) {
+			if !convPackedQOne(got, qp, x, spec, g*icg, oh, ow, 1/xScale, rs, ep, 0, true) {
 				t.Fatalf("%s: clean int8 conv flagged", tc.name)
 			}
 			if !got.Equal(refQ, 0) {
@@ -291,7 +290,7 @@ func TestABFTConvGatherRecovery(t *testing.T) {
 					hit = true
 				}
 			}
-			detected = !ConvPackedQCheckInto(got, qp, x, spec, g*icg, oh, ow, 1/xScale, rs, ep, 0)
+			detected = !convPackedQOne(got, qp, x, spec, g*icg, oh, ow, 1/xScale, rs, ep, 0, true)
 			ABFTFaultQ = nil
 			if !hit || !detected {
 				t.Fatalf("%s: int8 LSB flip fired=%v detected=%v", tc.name, hit, detected)
@@ -431,12 +430,12 @@ func TestABFTCleanNoFalsePositive(t *testing.T) {
 			for i := range rowScale {
 				rowScale[i] = qa.ScaleFor(i) * qb.Scales[0]
 			}
-			if !MatMulInt8EpilogueCheckInto(got, qa, qb, rowScale, e, 0) {
+			if !gemmCheckQ(got, qa, qb, rowScale, e) {
 				t.Fatalf("trial %d (%dx%dx%d int8): clean run flagged as corrupt", trial, m, k, n)
 			}
 			continue
 		}
-		if !MatMulEpilogueCheckInto(got, a, b, e, 0) {
+		if !gemmCheckF32(got, a, b, e) {
 			t.Fatalf("trial %d (%dx%dx%d fp32): clean run flagged as corrupt", trial, m, k, n)
 		}
 	}
@@ -460,6 +459,7 @@ func TestABFTCheckZeroAlloc(t *testing.T) {
 		rowScale[i] = qw.ScaleFor(i) * (1.0 / 127)
 	}
 	dst := New(32, plane)
+	dsts, xs, bad := []*Tensor{dst}, []*Tensor{x}, make([]bool, 1)
 	ep := Epilogue{Act: EpActSiLU}
 	runF := func() {
 		if !ConvPackedCheckInto(dst, wp, x, spec, 0, 24, 24, ep, 0) {
@@ -467,7 +467,7 @@ func TestABFTCheckZeroAlloc(t *testing.T) {
 		}
 	}
 	runQ := func() {
-		if !ConvPackedQCheckInto(dst, qp, x, spec, 0, 24, 24, 127, rowScale, ep, 0) {
+		if !ConvPackedQBatchInto(dsts, qp, xs, spec, 0, 24, 24, 127, rowScale, ep, 0, bad) {
 			t.Fatal("clean checked int8 conv flagged")
 		}
 	}
@@ -477,7 +477,7 @@ func TestABFTCheckZeroAlloc(t *testing.T) {
 		t.Errorf("ConvPackedCheckInto: %.0f allocs per steady-state call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(10, runQ); a != 0 {
-		t.Errorf("ConvPackedQCheckInto: %.0f allocs per steady-state call, want 0", a)
+		t.Errorf("checked ConvPackedQBatchInto: %.0f allocs per steady-state call, want 0", a)
 	}
 }
 

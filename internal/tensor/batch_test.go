@@ -14,59 +14,6 @@ func randTensor(r *rng.RNG, shape ...int) *Tensor {
 	return t
 }
 
-// TestConv2DBatchParity asserts the batched convolution is bit-identical
-// to per-sample Conv2D across dense, strided, grouped, dilated, and
-// biased specs.
-func TestConv2DBatchParity(t *testing.T) {
-	r := rng.New(7)
-	specs := []ConvSpec{
-		{InC: 6, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 6, OutC: 8, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
-		{InC: 6, OutC: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 6},
-		{InC: 6, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2, DilationH: 2, DilationW: 2},
-		{InC: 4, OutC: 10, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
-	}
-	for si, spec := range specs {
-		groups := spec.Groups
-		if groups <= 0 {
-			groups = 1
-		}
-		w := randTensor(r, spec.OutC, spec.InC/groups, spec.KH, spec.KW)
-		var bias *Tensor
-		if si%2 == 1 {
-			bias = randTensor(r, spec.OutC)
-		}
-		xs := make([]*Tensor, 4)
-		for b := range xs {
-			xs[b] = randTensor(r, spec.InC, 11, 13)
-		}
-		got := Conv2DBatch(xs, w, bias, spec)
-		for b, x := range xs {
-			want := Conv2D(x, w, bias, spec)
-			if !got[b].SameShape(want) {
-				t.Fatalf("spec %d sample %d: shape %v, want %v", si, b, got[b].Shape, want.Shape)
-			}
-			if !got[b].Equal(want, 0) {
-				t.Fatalf("spec %d sample %d: batched conv diverges from per-sample conv", si, b)
-			}
-		}
-		Scratch.Put(got...)
-	}
-}
-
-// TestConv2DBatchSingle asserts a batch of one matches Conv2D exactly —
-// the degenerate case the per-frame fallback path relies on.
-func TestConv2DBatchSingle(t *testing.T) {
-	r := rng.New(9)
-	spec := ConvSpec{InC: 3, OutC: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	w := randTensor(r, 5, 3, 3, 3)
-	x := randTensor(r, 3, 9, 9)
-	got := Conv2DBatch([]*Tensor{x}, w, nil, spec)
-	if want := Conv2D(x, w, nil, spec); !got[0].Equal(want, 0) {
-		t.Fatal("batch of one diverges from Conv2D")
-	}
-}
-
 // TestPoolReuse asserts Get after Put reuses capacity and never returns
 // a short buffer.
 func TestPoolReuse(t *testing.T) {
@@ -85,14 +32,5 @@ func TestPoolReuse(t *testing.T) {
 	c := p.Get(10, 7) // 70 elems, same 128-class
 	if len(c.Data) != 70 {
 		t.Fatalf("Get(10,7) len %d", len(c.Data))
-	}
-	// GetZeroed must hand back zeroed data even from a dirty buffer.
-	c.Fill(3)
-	p.Put(c)
-	d := p.GetZeroed(70)
-	for i, v := range d.Data {
-		if v != 0 {
-			t.Fatalf("GetZeroed data[%d] = %v", i, v)
-		}
 	}
 }

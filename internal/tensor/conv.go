@@ -41,147 +41,46 @@ func (s ConvSpec) OutSize(h, w int) (int, int) {
 
 // Conv2D applies the convolution described by spec to input x [inC,H,W]
 // with weights w [outC, inC/groups, kH, kW] and optional bias [outC]
-// (nil for none). Large-enough groups run the implicit-im2col packed
-// GEMM (pack.go) — receptive fields are gathered panel by panel
-// straight into the micro-kernel, so no full cols matrix is ever
-// materialised; small groups (depthwise, tiny heads) keep the
-// reference im2col + matmul lowering. Both produce bit-identical
-// results.
+// (nil for none). Every group runs the implicit-im2col packed GEMM
+// (pack.go): receptive fields are gathered panel by panel straight into
+// the micro-kernel, so no cols matrix is ever materialised. The plan's
+// conv op (internal/nn) runs the same driver over weights packed once.
 func Conv2D(x, w, bias *Tensor, spec ConvSpec) *Tensor {
-	out, _ := conv2DImpl(x, w, bias, spec, false)
-	return out
-}
-
-// conv2DRef is the retained reference lowering — materialised im2col +
-// matmul per group — that the implicit-im2col parity tests pin
-// against.
-func conv2DRef(x, w, bias *Tensor, spec ConvSpec) *Tensor {
-	out, _ := conv2DImpl(x, w, bias, spec, true)
-	return out
-}
-
-// conv2DImpl is the shared body of Conv2D and conv2DRef; it reports
-// whether the packed path ran (for tests).
-func conv2DImpl(x, w, bias *Tensor, spec ConvSpec, forceRef bool) (*Tensor, bool) {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: Conv2D input rank %d, want 3 (CHW)", x.Rank()))
-	}
-	if x.Shape[0] != spec.InC {
-		panic(fmt.Sprintf("tensor: Conv2D input channels %d, spec %d", x.Shape[0], spec.InC))
-	}
-	groups := spec.Groups
-	if groups <= 0 {
-		groups = 1
-	}
-	if spec.InC%groups != 0 || spec.OutC%groups != 0 {
-		panic(fmt.Sprintf("tensor: Conv2D groups %d incompatible with channels %d→%d", groups, spec.InC, spec.OutC))
-	}
-	h, wd := x.Shape[1], x.Shape[2]
-	oh, ow := spec.OutSize(h, wd)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Conv2D empty output for input %dx%d spec %+v", h, wd, spec))
-	}
+	groups, oh, ow := spec.check("Conv2D", x)
 	out := New(spec.OutC, oh, ow)
-
 	icg := spec.InC / groups  // in channels per group
 	ocg := spec.OutC / groups // out channels per group
 	k := icg * spec.KH * spec.KW
 	plane := oh * ow
-	if !forceRef && UsePackedGEMM(ocg, k, plane) {
-		ap := Scratch.GetRaw(packALen(ocg, k))
-		for g := 0; g < groups; g++ {
-			packATo(ap, w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
-			dst := FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
-			gemmStripesF32(dst.Data, ocg, plane, k,
-				ap, newF32ConvB(x, spec, g*icg, ow), Epilogue{}, 0, nil, nil)
-		}
-		Scratch.PutRaw(ap)
-		addBias(out.Data, bias, spec.OutC, plane)
-		return out, true
-	}
-	cols := Scratch.Get(k, plane)
+	ap := Scratch.GetRaw(packALen(ocg, k))
 	for g := 0; g < groups; g++ {
-		im2col(x, cols, spec, g*icg, icg, oh, ow)
-		// Weight slice for this group: [ocg, icg*KH*KW].
-		wslice := FromSlice(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
-		dst := FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
-		MatMulInto(dst, wslice, cols)
+		packATo(ap, w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+		gemmStripesF32(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane, k,
+			ap, newF32ConvB(x, spec, g*icg, ow), Epilogue{}, 0, nil, nil)
 	}
-	Scratch.Put(cols)
+	Scratch.PutRaw(ap)
 	addBias(out.Data, bias, spec.OutC, plane)
-	return out, false
+	return out
 }
 
-// Conv2DBatch applies one convolution to a batch of same-shape CHW
-// inputs, lowering the whole batch to a single im2col + blocked matmul
-// per group: the cols matrix gains a column block per sample, so the
-// matmul amortises the weight streaming that Conv2D repeats per frame.
-// Outputs (one [outC, oh, ow] tensor per sample) and all scratch come
-// from the Scratch pool; callers may Put outputs back once consumed.
-// Per-column accumulation order matches Conv2D exactly, so results are
-// bit-identical to calling Conv2D per sample.
-func Conv2DBatch(xs []*Tensor, w, bias *Tensor, spec ConvSpec) []*Tensor {
-	if len(xs) == 0 {
-		panic("tensor: Conv2DBatch with empty batch")
+// check validates a CHW input against the spec for the named entry
+// point and returns the group count (at least 1) and the output dims.
+func (s ConvSpec) check(fn string, x *Tensor) (groups, oh, ow int) {
+	if x.Rank() != 3 {
+		panic(fmt.Sprintf("tensor: %s input rank %d, want 3 (CHW)", fn, x.Rank()))
 	}
-	for _, x := range xs {
-		if x.Rank() != 3 || x.Shape[0] != spec.InC {
-			panic(fmt.Sprintf("tensor: Conv2DBatch input %v, want [%d H W]", x.Shape, spec.InC))
-		}
-		if x.Shape[1] != xs[0].Shape[1] || x.Shape[2] != xs[0].Shape[2] {
-			panic(fmt.Sprintf("tensor: Conv2DBatch ragged batch %v vs %v", x.Shape, xs[0].Shape))
-		}
+	if x.Shape[0] != s.InC {
+		panic(fmt.Sprintf("tensor: %s input channels %d, spec %d", fn, x.Shape[0], s.InC))
 	}
-	groups := spec.Groups
-	if groups <= 0 {
-		groups = 1
+	groups = max(s.Groups, 1)
+	if s.InC%groups != 0 || s.OutC%groups != 0 {
+		panic(fmt.Sprintf("tensor: %s groups %d incompatible with channels %d→%d", fn, groups, s.InC, s.OutC))
 	}
-	if spec.InC%groups != 0 || spec.OutC%groups != 0 {
-		panic(fmt.Sprintf("tensor: Conv2DBatch groups %d incompatible with channels %d→%d", groups, spec.InC, spec.OutC))
-	}
-	nb := len(xs)
-	h, wd := xs[0].Shape[1], xs[0].Shape[2]
-	oh, ow := spec.OutSize(h, wd)
+	oh, ow = s.OutSize(x.Shape[1], x.Shape[2])
 	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Conv2DBatch empty output for input %dx%d spec %+v", h, wd, spec))
+		panic(fmt.Sprintf("tensor: %s empty output for input %dx%d spec %+v", fn, x.Shape[1], x.Shape[2], s))
 	}
-	plane := oh * ow
-	outs := make([]*Tensor, nb)
-	for b := range outs {
-		outs[b] = Scratch.Get(spec.OutC, oh, ow)
-	}
-	icg := spec.InC / groups
-	ocg := spec.OutC / groups
-	cols := Scratch.Get(icg*spec.KH*spec.KW, nb*plane)
-	big := Scratch.Get(ocg, nb*plane)
-	for g := 0; g < groups; g++ {
-		for b, x := range xs {
-			im2colInto(x, cols, spec, g*icg, icg, oh, ow, b*plane, nb*plane)
-		}
-		k := icg * spec.KH * spec.KW
-		wslice := FromSlice(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
-		// Route on the per-sample shape, not the batch-widened one, so
-		// the batch takes the same kernel (packed vs reference) as
-		// Conv2D would per sample: on FMA tiers the two kernels round
-		// differently, and a threshold crossed only by the batched n
-		// would silently break the bit-exact contract above.
-		if UsePackedGEMM(ocg, k, plane) {
-			matMulPackedInto(big, wslice, cols, Epilogue{}, 0)
-		} else {
-			matMulRefInto(big, wslice, cols)
-		}
-		// Scatter the [ocg, nb*plane] group result into per-sample CHW.
-		parallel.For(ocg*nb, func(i int) {
-			c, b := i/nb, i%nb
-			copy(outs[b].Data[(g*ocg+c)*plane:(g*ocg+c+1)*plane],
-				big.Data[c*nb*plane+b*plane:c*nb*plane+(b+1)*plane])
-		})
-	}
-	Scratch.Put(cols, big)
-	for _, out := range outs {
-		addBias(out.Data, bias, spec.OutC, plane)
-	}
-	return outs
+	return groups, oh, ow
 }
 
 // addBias adds a per-channel bias over a CHW activation laid out as
@@ -202,32 +101,14 @@ func addBias(data []float32, bias *Tensor, outC, plane int) {
 	})
 }
 
-// im2col unrolls receptive fields of channels [c0, c0+nc) into cols, a
-// [nc*KH*KW, oh*ow] matrix. Zero padding is materialised as zeros.
-func im2col(x, cols *Tensor, spec ConvSpec, c0, nc, oh, ow int) {
-	im2colInto(x, cols, spec, c0, nc, oh, ow, 0, oh*ow)
-}
-
-// Im2ColInto exposes the im2col unroll to the plan executor (internal/nn
-// Plan), which owns its cols buffer for the lifetime of a compiled
-// instance instead of cycling it through Scratch. Arguments follow
-// im2colInto.
+// Im2ColInto unrolls receptive fields of channels [c0, c0+nc) into cols,
+// a [nc*KH*KW, ·] matrix, writing each unrolled row at column offset
+// colOff with rowStride columns per cols row; zero padding is
+// materialised as zeros. No conv is lowered through it: the plan
+// executor's ABFT-checked convs (internal/nn) re-execute a group that
+// failed its checksum through it and the reference GEMM — deliberately
+// not the code path that failed — and the conv tests use it as oracle.
 func Im2ColInto(x, cols *Tensor, spec ConvSpec, c0, nc, oh, ow, colOff, rowStride int) {
-	im2colInto(x, cols, spec, c0, nc, oh, ow, colOff, rowStride)
-}
-
-// Im2ColQInto is the quantized twin of Im2ColInto: receptive fields are
-// quantized at inverse scale inv while they are unrolled into the int8
-// cols buffer.
-func Im2ColQInto(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, nc, oh, ow, colOff, rowStride int) {
-	im2colQInto(x, cols, inv, spec, c0, nc, oh, ow, colOff, rowStride)
-}
-
-// im2colInto is im2col writing each unrolled row into cols at column
-// offset colOff, with rowStride columns per cols row — the layout hook
-// that lets a batch of samples share one cols matrix (sample b occupies
-// columns [b*oh*ow, (b+1)*oh*ow)).
-func im2colInto(x, cols *Tensor, spec ConvSpec, c0, nc, oh, ow, colOff, rowStride int) {
 	total := nc * spec.KH * spec.KW
 	if parallel.Serial() {
 		for r := 0; r < total; r++ {
@@ -241,7 +122,7 @@ func im2colInto(x, cols *Tensor, spec ConvSpec, c0, nc, oh, ow, colOff, rowStrid
 }
 
 // im2colRow unrolls one (channel, ky, kx) row of the cols matrix — the
-// shared worker body of im2colInto.
+// shared worker body of Im2ColInto.
 func im2colRow(x, cols *Tensor, spec ConvSpec, c0, r, oh, ow, colOff, rowStride int) {
 	h, w := x.Shape[1], x.Shape[2]
 	dh, dw := spec.dil()
@@ -286,23 +167,6 @@ func MaxPool2D(x *Tensor, k, stride, pad int) *Tensor {
 // negInf is what a pooling window with no input would yield; PoolOutSize
 // rejects the geometries that have one.
 const negInf = float32(-3.4e38)
-
-// AvgPoolGlobal reduces each channel of x [C,H,W] to its mean, returning
-// a [C] tensor.
-func AvgPoolGlobal(x *Tensor) *Tensor {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := New(c)
-	plane := h * w
-	inv := 1 / float32(plane)
-	parallel.For(c, func(ci int) {
-		var s float32
-		for _, v := range x.Data[ci*plane : (ci+1)*plane] {
-			s += v
-		}
-		out.Data[ci] = s * inv
-	})
-	return out
-}
 
 // UpsampleNearest2x doubles the spatial dims of x [C,H,W] by nearest
 // neighbour, the upsampling used in YOLO necks and Monodepth decoders.

@@ -143,14 +143,6 @@ func TestMaxPool2DWithPadding(t *testing.T) {
 	}
 }
 
-func TestAvgPoolGlobal(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 2, 2, 2)
-	out := AvgPoolGlobal(x)
-	if out.Data[0] != 2.5 || out.Data[1] != 25 {
-		t.Fatalf("AvgPoolGlobal = %v", out.Data)
-	}
-}
-
 func TestUpsampleNearest2x(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	out := UpsampleNearest2x(x)

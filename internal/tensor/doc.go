@@ -24,30 +24,40 @@
 // VPMADDWD int8 tile (avx2fma), and an AVX-512 4×32 VPDPWSSD int8
 // tile (avx512vnni). KernelTier/KernelTierDesc report the selection
 // for benchmark headers. For convolutions the panel pack IS im2col
-// (ConvPackedInto/ConvPackedQInto gather receptive fields directly,
-// run by run; the int8 path from a copy of the input quantized once
-// per call), so the k×n cols matrix never materialises, and an int8
-// batch of small planes is one GEMM that streams the weights once
-// (ConvPackedQBatchInto). Shapes too small to amortise packing
-// (UsePackedGEMM) fall back to the retained reference kernels, which also serve as
-// the golden parity baseline: int8 and non-FMA fp32 paths accumulate
-// each output element with the reference's exact ascending-k
-// multiply-then-add chain and are bit-identical to it, while the FMA
-// tiers fuse each multiply-add rounding and are drift-bounded instead
-// (KernelTierFMA gates the comparison; pinned per tier in
-// pack_test.go and tier_test.go at adversarial shapes).
+// (ConvPackedInto/ConvPackedQBatchInto gather receptive fields
+// directly, run by run; the int8 path from a copy of the input
+// quantized once per call), so the k×n cols matrix never materialises,
+// and an int8 batch of small planes is one GEMM that streams the
+// weights once. That is the one conv lowering: every group of every
+// conv takes it, whatever its shape (Conv2D/Conv2DQ pack the weights
+// per call, the plan once), and ragged rows, depths and planes ride
+// zero-padded panels. The materialised im2col + reference GEMM
+// (Im2ColInto/Im2ColQInto, MatMulRefEpilogueInto/
+// MatMulInt8RefEpilogueInto) is not a route: it is what an
+// ABFT-checked conv re-executes through after a checksum mismatch —
+// deliberately a different code path from the one that failed — and
+// the oracle of the conv tests (conv2DRef/conv2DQRef). Only the plain
+// matrix entry points, which pack A on every call, still keep small
+// shapes on the reference loop (usePackedGEMM). The reference kernels
+// are also the golden parity baseline: int8 and non-FMA fp32 paths
+// accumulate each output element with the reference's exact
+// ascending-k multiply-then-add chain and are bit-identical to it,
+// while the FMA tiers fuse each multiply-add rounding and are
+// drift-bounded instead (KernelTierFMA gates the comparison; pinned
+// per tier in pack_test.go, tier_test.go and everyshape_test.go at
+// adversarial shapes).
 //
-// Four further mechanisms serve the inference hot path:
+// Three further mechanisms serve the inference hot path:
 //
-//   - Fused epilogues (fused.go): MatMulEpilogueInto and
-//     MatMulInt8EpilogueInto finish each GEMM stripe with the folded
-//     BatchNorm affine (or conv bias) and the activation while it is
-//     cache-hot, eliminating the separate full-tensor BN and
-//     activation sweeps. Their float32 op sequences replicate the
-//     unfused kernels exactly, so fused results are bit-identical. The
-//     Into variants of pooling/upsampling/concat/transpose write into
-//     caller-owned buffers — the forms the plan executor (internal/nn
-//     Plan) binds against its arena.
+//   - Fused epilogues (fused.go): the conv drivers finish each GEMM
+//     stripe with the folded BatchNorm affine (or conv bias) and the
+//     activation (Epilogue) while it is cache-hot, eliminating the
+//     separate full-tensor BN and activation sweeps. The float32 op
+//     sequence replicates the unfused kernels exactly, so fused
+//     results are bit-identical. The Into variants of pooling /
+//     upsampling / concat / transpose write into caller-owned buffers
+//     — the forms the plan executor (internal/nn Plan) binds against
+//     its arena.
 //   - Row kernels (rowops.go, rowops_amd64.s): every per-element loop
 //     outside the GEMM — the epilogue's affine, bias, ReLU, SiLU and
 //     sigmoid, Tensor.Add and the in-place activations, the running
@@ -60,13 +70,6 @@
 //     2⁻²³ of the math.Exp expressions it replaced. Activations are
 //     therefore tier-independent: the FMA drift regime above covers
 //     GEMM accumulation and nothing after it.
-//   - Conv2DBatch lowers a whole batch of same-shape inputs to one
-//     im2col + blocked matmul per group (per-column accumulation order
-//     matches Conv2D, so batched results are bit-identical to
-//     per-frame ones). It remains the standalone batched reference;
-//     the plan executor's conv ops run the packed implicit-im2col
-//     kernel per sample instead, which amortises weight streaming
-//     within a single frame.
 //   - Pool (and the package-level Scratch pool) recycles backing
 //     slices by power-of-two class (SizeClass — the same math the plan
 //     arena rounds its slots with) and guarantees 64-byte-aligned
@@ -81,7 +84,7 @@
 // int8 data with per-channel scales, MatMulInt8Into routes large
 // shapes through the packed PMADDWD kernel (reference 4-row tiles
 // retained for small ones) with int32 accumulation and a fused
-// requantization epilogue, Conv2DQ lowers quantized convolutions
+// requantization epilogue, Conv2DQ lowers every quantized convolution
 // through the implicit quantizing im2col, and ScratchB (a BytePool,
 // same alignment guarantee) recycles the int8 scratch.
 package tensor

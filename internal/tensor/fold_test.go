@@ -12,8 +12,8 @@ import (
 // The folded int8 batch route is held to the per-sample route bit for
 // bit: integer accumulation is exact and requantization and epilogue are
 // per element, so how the batch's columns were cut into tiles can never
-// show in an output. ConvPackedQInto, one sample at a time, is the
-// oracle.
+// show in an output. ConvPackedQBatchInto over one sample at a time —
+// a batch of one never folds — is the oracle.
 
 // foldBatch is one conv group's operands for a batch of nb frames.
 type foldBatch struct {
@@ -66,11 +66,11 @@ func (b *foldBatch) outputs() []*Tensor {
 	return dsts
 }
 
-// perSample is the oracle: the batch through ConvPackedQInto.
+// perSample is the oracle: the batch one sample at a time.
 func (b *foldBatch) perSample(ep Epilogue) []*Tensor {
 	dsts := b.outputs()
 	for s, x := range b.xs {
-		ConvPackedQInto(dsts[s], b.qp, x, b.spec, b.c0, b.oh, b.ow, foldInv, b.rowScale, ep, b.chanOff)
+		convPackedQOne(dsts[s], b.qp, x, b.spec, b.c0, b.oh, b.ow, foldInv, b.rowScale, ep, b.chanOff, false)
 	}
 	return dsts
 }

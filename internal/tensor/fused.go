@@ -6,15 +6,15 @@ import (
 	"ocularone/internal/parallel"
 )
 
-// This file holds the fused-epilogue kernels of the plan executor (see
-// internal/nn's Plan): a convolution lowered to im2col + GEMM finishes
-// each output row with the folded BatchNorm affine (or conv bias) and
-// the activation applied while the row band is still cache-hot, so the
-// interpreter's two extra full-tensor sweeps (BatchNormInference, then
-// the activation) never touch memory. Every epilogue replicates the
-// interpreter's float32 expressions operation for operation, which is
-// what keeps the planned fp32 path bit-exact against the unfused
-// kernels.
+// This file holds the fused epilogue of the plan executor's convs (see
+// internal/nn's Plan) and the caller-owned-buffer forms of its other
+// ops: a conv GEMM finishes each output stripe with the folded BatchNorm
+// affine (or conv bias) and the activation applied while the stripe is
+// still cache-hot, so the interpreter's two extra full-tensor sweeps
+// (BatchNormInference, then the activation) never touch memory. Every
+// epilogue replicates the interpreter's float32 expressions operation
+// for operation, which is what keeps the planned fp32 path bit-exact
+// against the unfused kernels.
 
 // EpAct selects the activation a fused epilogue applies. The values
 // mirror internal/nn's Act enum; tensor keeps its own copy so the
@@ -90,77 +90,9 @@ func (ep Epilogue) applyCols(data []float32, r0, r1, w, j0, j1, chanOff int) {
 	}
 }
 
-// MatMulEpilogueInto computes dst = A × B with the same cache-blocked
-// ikj kernel as MatMulInto, then applies the epilogue to each finished
-// row band before the worker moves on — one pass over dst instead of
-// three. GEMM row r maps to epilogue channel chanOff+r (the group
-// offset of a grouped convolution).
-func MatMulEpilogueInto(dst, a, b *Tensor, ep Epilogue, chanOff int) {
-	m := a.Shape[0]
-	n := b.Shape[1]
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulEpilogueInto dst shape %v, want [%d %d]", dst.Shape, m, n))
-	}
-	if UsePackedGEMM(m, a.Shape[1], n) {
-		matMulPackedInto(dst, a, b, ep, chanOff)
-		return
-	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	if parallel.Serial() {
-		matMulRange(dst, a, b, 0, m)
-		ep.apply(dst.Data, 0, m, n, chanOff)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		matMulRange(dst, a, b, lo, hi)
-		ep.apply(dst.Data, lo, hi, n, chanOff)
-	})
-}
-
-// MatMulInt8EpilogueInto is MatMulInt8Into with the BatchNorm/activation
-// epilogue fused behind the requantization step: each finished int32
-// accumulator tile is requantized (× rowScale), folded through the
-// affine, and activated while still register/L1-resident. The float32
-// op sequence — requant multiply, then v*scale+shift, then act —
-// matches the unfused Conv2DQ + BatchNormInference + activation chain
-// exactly.
-func MatMulInt8EpilogueInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulInt8EpilogueInto needs rank-2 operands, got %v × %v", a.Shape, b.Shape))
-	}
-	if a.Zeros != nil || b.Zeros != nil {
-		panic("tensor: MatMulInt8EpilogueInto requires symmetric operands (zero-point 0)")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulInt8EpilogueInto inner dims %d vs %d", k, k2))
-	}
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInt8EpilogueInto dst shape %v, want [%d %d]", dst.Shape, m, n))
-	}
-	if len(rowScale) != m {
-		panic(fmt.Sprintf("tensor: MatMulInt8EpilogueInto %d row scales for %d rows", len(rowScale), m))
-	}
-	if UsePackedGEMM(m, k, n) {
-		matMulInt8PackedInto(dst, a, b, rowScale, ep, chanOff, false)
-		return
-	}
-	if parallel.Serial() {
-		var acc [4 * qnBlock]int32
-		int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc[:], 0, m)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		acc := make([]int32, 4*qnBlock)
-		int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc, lo, hi)
-	})
-}
-
-// int8EpilogueRange requantizes, folds, and activates rows [lo, hi) —
-// the shared worker body of MatMulInt8EpilogueInto.
+// int8EpilogueRange computes rows [lo, hi) of the reference int8 GEMM on
+// the 4-row tiles of MatMulInt8Into, then requantizes, folds and
+// activates them — the worker body of MatMulInt8RefEpilogueInto.
 func int8EpilogueRange(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int, acc []int32, lo, hi int) {
 	k := a.Shape[1]
 	n := b.Shape[1]

@@ -33,7 +33,7 @@ func MatMulInto(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if UsePackedGEMM(m, k, n) {
+	if usePackedGEMM(m, k, n) {
 		matMulPackedInto(dst, a, b, Epilogue{}, 0)
 		return
 	}

@@ -39,7 +39,7 @@ func testEpilogue(r *rng.RNG, m int) Epilogue {
 }
 
 // checkNarrowMatchesStripe runs one GEMM through gemmStripesF32 (below
-// the UsePackedGEMM threshold too) on both routes, without and with the
+// the matrix entry points' usePackedGEMM threshold too) on both routes, without and with the
 // epilogue, and wants equal bits.
 func checkNarrowMatchesStripe[S f32BSource](t *testing.T, what string, m, n, k int, ap []float32, src S, ep Epilogue) {
 	t.Helper()

@@ -112,7 +112,7 @@ func packATo(dst, a []float32, m, k int) {
 // PackWeights packs a rank-2 tensor (a conv group's [ocg, k] weight
 // view, or any GEMM left operand) for the packed kernel. The result is
 // immutable and may be cached for the operand's lifetime — nn.Compile
-// packs every qualifying conv's weights exactly once per group.
+// packs every conv's weights exactly once per group.
 func PackWeights(a *Tensor) *PackedA {
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: PackWeights needs rank 2, got %v", a.Shape))
@@ -126,24 +126,18 @@ func PackWeights(a *Tensor) *PackedA {
 	return p
 }
 
-// UsePackedGEMM reports whether the packed kernel handles an m×k × k×n
-// multiply, or the shape is too small to amortise panel packing (the
-// reference kernel keeps those). nn's plan lowering calls this to
-// decide which convs get compile-time packed weights.
+// usePackedGEMM reports whether the plain matrix entry points
+// (MatMulInto, MatMulInt8Into) run an m×k × k×n multiply on the packed
+// kernel, or the shape is too small to amortise packing A on every call
+// and the reference loop keeps it. It decides nothing for convolutions:
+// their weights are packed once, every conv group takes the packed
+// implicit-im2col driver whatever its shape, and the reference lowering
+// is only the ABFT re-execution target and the test oracle.
 //
-// The thresholds are deliberately tier-independent (n is gated against
-// a fixed minimum, not the selected tier's gemmNR): the deep
-// small-spatial convs of a detection head (n = oh·ow as low as 9, with
-// large m·k) must stay on the packed kernel on every tier. On the FMA
-// tiers they run the narrow 8×12 tile (useNarrowF32): 41 GFLOPS at
-// m = 512, k = 4608, n = 9 and 54 at m = 256, k = 2304, n = 36, where
-// the zero-padded 24-lane tile measured 20 and 40 (BENCHMARKS.md
-// §PR 14). The other tiers compute them on a zero-padded NR tile, which
-// still beats the scalar reference by multiples. A routing decision
-// that cannot change with the tier keeps every caller's
-// packed-vs-reference choice, and therefore the plan's compile-time
-// weight packing, stable across tier switches.
-func UsePackedGEMM(m, k, n int) bool {
+// The thresholds are tier-independent (n is gated against a fixed
+// minimum, not the selected tier's gemmNR), so a caller's route never
+// changes with the tier.
+func usePackedGEMM(m, k, n int) bool {
 	return m >= gemmMR && n >= 8 && k >= 16 && m*n >= 512
 }
 
@@ -361,7 +355,7 @@ func useNarrowF32(m, n int) bool {
 	return kernNarrowF32 != nil && m%narrowMR == 0 && n <= narrowMaxN
 }
 
-// ConvRouteF32 names the driver a packed fp32 conv group of m output
+// ConvRouteF32 names the driver an fp32 conv group of m output
 // channels and n output pixels runs on the tier in effect — for per-op
 // profiles.
 func ConvRouteF32(m, n int) string {
@@ -533,7 +527,7 @@ func gemmEdgeF32(dst []float32, n int, apData, bbuf, ctile []float32, k, k0, kc,
 
 // matMulPackedInto computes dst = A×B (+ optional fused epilogue) with
 // the packed kernel, packing A per call into pooled scratch. Callers
-// must have checked UsePackedGEMM.
+// must have checked usePackedGEMM.
 func matMulPackedInto(dst, a, b *Tensor, ep Epilogue, chanOff int) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]

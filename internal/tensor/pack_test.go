@@ -99,7 +99,7 @@ func TestPackedGEMMInt8Parity(t *testing.T) {
 			want := New(m, n)
 			refInt8Into(want, a, b, rowScale)
 			got := New(m, n)
-			matMulInt8PackedInto(got, a, b, rowScale, Epilogue{}, 0, false)
+			matMulInt8PackedInto(got, a, b, rowScale, Epilogue{}, 0)
 			for i := range got.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("elem %d: packed int8 %v != reference %v", i, got.Data[i], want.Data[i])
@@ -118,9 +118,9 @@ func refInt8Into(dst *Tensor, a, b *QTensor, rowScale []float32) {
 	int8EpilogueRange(dst, a, b, rowScale, Epilogue{}, 0, acc[:], 0, m)
 }
 
-// convPackedForce runs the implicit-im2col fp32 path regardless of the
-// UsePackedGEMM threshold, so every adversarial case exercises the
-// packed kernel (the public entry would route tiny shapes away).
+// convPackedForce runs the implicit-im2col fp32 path the way the plan
+// does — weights prepacked per group, ConvPackedInto — where Conv2D
+// packs them per call.
 func convPackedForce(x, w, bias *Tensor, spec ConvSpec) *Tensor {
 	groups := spec.Groups
 	if groups <= 0 {
@@ -154,7 +154,7 @@ func convPackedQForce(x *Tensor, w *QTensor, spec ConvSpec, xScale float32) *Ten
 	for g := 0; g < groups; g++ {
 		qp := PackWeightsQ(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
 		dst := FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
-		ConvPackedQInto(dst, qp, x, spec, g*icg, oh, ow, 1/xScale, convQScales(w, xScale, g, ocg), Epilogue{}, 0)
+		convPackedQOne(dst, qp, x, spec, g*icg, oh, ow, 1/xScale, convQScales(w, xScale, g, ocg), Epilogue{}, 0, false)
 	}
 	return out
 }
@@ -469,14 +469,15 @@ func TestPackedConvZeroAlloc(t *testing.T) {
 		dst := New(ocg, oh*ow)
 		ep := Epilogue{Act: EpActSiLU}
 		runF := func() { ConvPackedInto(dst, wp, x, spec, g*icg, oh, ow, ep, 0) }
-		runQ := func() { ConvPackedQInto(dst, qp, x, spec, g*icg, oh, ow, 127, rowScale, ep, 0) }
+		dst1, x1 := []*Tensor{dst}, []*Tensor{x}
+		runQ := func() { ConvPackedQBatchInto(dst1, qp, x1, spec, g*icg, oh, ow, 127, rowScale, ep, 0, nil) }
 		runF()
 		runQ()
 		if a := testing.AllocsPerRun(10, runF); a != 0 {
 			t.Errorf("ConvPackedInto %+v on %dx%d: %.0f allocs per steady-state call, want 0", spec, side, side, a)
 		}
 		if a := testing.AllocsPerRun(10, runQ); a != 0 {
-			t.Errorf("ConvPackedQInto %+v on %dx%d: %.0f allocs per steady-state call, want 0", spec, side, side, a)
+			t.Errorf("ConvPackedQBatchInto of one %+v on %dx%d: %.0f allocs per steady-state call, want 0", spec, side, side, a)
 		}
 		xs := []*Tensor{x, x, x, x}
 		dsts := []*Tensor{New(ocg, oh*ow), New(ocg, oh*ow), New(ocg, oh*ow), New(ocg, oh*ow)}

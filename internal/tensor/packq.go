@@ -460,23 +460,15 @@ func gemmFoldRangeQ(dsts []*Tensor, m, k int, apData []int16, bbuf []int8, n int
 
 // matMulInt8PackedInto is MatMulInt8Into's packed path: A packs per
 // call into pooled scratch (the plan caches PackedQ weights instead),
-// B slivers pack from the matrix; check adds a per-call checksum row and
-// the result then reports whether every sliver verified. Callers must
-// have checked UsePackedGEMM and symmetry.
-func matMulInt8PackedInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int, check bool) bool {
+// B slivers pack from the matrix. Callers must have checked
+// usePackedGEMM and symmetry.
+func matMulInt8PackedInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
 	apData := scratchW.get(packQLen(m, k))
 	packQTo(apData, a.Data, m, k)
-	var csum []int64
-	if check {
-		csum = scratchQC.get(2 * ((k + 1) / 2))
-		colChecksumsQ(csum, a.Data, m, k)
-	}
-	ok := gemmStripesQ(dst.Data, m, n, k, apData, qMatrixB{b: b.Data, k: k, n: n}, rowScale, ep, chanOff, csum)
-	scratchQC.put(csum)
+	gemmStripesQ(dst.Data, m, n, k, apData, qMatrixB{b: b.Data, k: k, n: n}, rowScale, ep, chanOff, nil)
 	scratchW.put(apData)
-	return ok
 }
 
 // foldsBatchQ is the int8 conv route selection, from the shape alone: a
@@ -486,7 +478,7 @@ func matMulInt8PackedInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epi
 // (BENCHMARKS.md §PR 15).
 func foldsBatchQ(nb, n int) bool { return nb > 1 && n <= narrowMaxN }
 
-// ConvRouteQ names the driver a packed int8 conv of n output pixels runs
+// ConvRouteQ names the driver an int8 conv of n output pixels runs
 // at batch width nb — for per-op profiles.
 func ConvRouteQ(nb, n int) string {
 	if foldsBatchQ(nb, n) {
@@ -513,25 +505,18 @@ func convPackedQ(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh, ow 
 	return ok
 }
 
-// ConvPackedQInto computes one int8 conv group with the implicit,
-// quantizing im2col packed GEMM: dst ([ocg, oh·ow] view) receives the
-// requantized fp32 result with the fused epilogue (zero value for
-// none). rowScale carries the per-output-channel wScale·xScale
-// products; inv is 1/xScale. Steady-state calls perform zero heap
-// allocations.
-func ConvPackedQInto(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int) {
-	convPackedQ(dst, wp, x, spec, c0, oh, ow, inv, rowScale, ep, chanOff, nil)
-}
-
-// ConvPackedQBatchInto is ConvPackedQInto over a batch: dsts[s] receives
-// sample xs[s]'s group. A batch of small planes (foldsBatchQ) runs as
-// one GEMM that streams the packed weights once; every output is
-// bit-identical to the per-sample call either way. A non-nil bad (one
-// entry per sample) asks for exact ABFT verification: bad[s] reports
-// whether sample s failed it and the result whether none did — a
-// caller re-executes the failed samples through the reference kernel.
-// nil runs unchecked and reports true. Zero heap allocations in steady
-// state.
+// ConvPackedQBatchInto computes one int8 conv group over a batch with
+// the implicit, quantizing im2col packed GEMM: dsts[s] ([ocg, oh·ow]
+// view) receives sample xs[s]'s requantized fp32 result with the fused
+// epilogue (zero value for none). rowScale carries the
+// per-output-channel wScale·xScale products; inv is 1/xScale. A batch of
+// small planes (foldsBatchQ) runs as one GEMM that streams the packed
+// weights once; every output is bit-identical to a batch of one either
+// way. A non-nil bad (one entry per sample) asks for exact ABFT
+// verification: bad[s] reports whether sample s failed it and the result
+// whether none did — a caller re-executes the failed samples through the
+// reference kernel. nil runs unchecked and reports true. Zero heap
+// allocations in steady state.
 func ConvPackedQBatchInto(dsts []*Tensor, wp *PackedQ, xs []*Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int, bad []bool) bool {
 	var csum []int64
 	if bad != nil {

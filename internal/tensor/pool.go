@@ -183,16 +183,6 @@ func (p *Pool) GetRaw(n int) []float32 {
 	return p.raw.get(n)
 }
 
-// GetZeroed is Get followed by a zero fill — for callers that accumulate
-// into the buffer instead of overwriting it.
-func (p *Pool) GetZeroed(shape ...int) *Tensor {
-	t := p.Get(shape...)
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-	return t
-}
-
 // Put returns tensors' backing slices to the pool for reuse. Tensors
 // whose capacity is below their power-of-two class are binned one class
 // down so Get never hands out a short buffer. nil tensors are ignored.

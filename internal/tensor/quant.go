@@ -217,8 +217,8 @@ func MatMulInt8Into(dst *Tensor, a, b *QTensor, rowScale []float32) {
 	if len(rowScale) != m {
 		panic(fmt.Sprintf("tensor: MatMulInt8Into %d row scales for %d rows", len(rowScale), m))
 	}
-	if UsePackedGEMM(m, k, n) {
-		matMulInt8PackedInto(dst, a, b, rowScale, Epilogue{}, 0, false)
+	if usePackedGEMM(m, k, n) {
+		matMulInt8PackedInto(dst, a, b, rowScale, Epilogue{}, 0)
 		return
 	}
 	parallel.ForRange(m, func(lo, hi int) {
@@ -337,12 +337,11 @@ func int8TileGeneric(acc []int32, a, b []int8, i0, rows, j0, nb, k, n int) {
 	}
 }
 
-// im2colQInto is the quantized twin of im2colInto: it unrolls receptive
-// fields of channels [c0, c0+nc) directly into int8 cols at the given
-// inverse activation scale, fusing activation quantization into the
-// unroll so the fp32 cols matrix never materialises. Zero padding maps
-// to quantized 0 (the symmetric zero-point).
-func im2colQInto(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, nc, oh, ow, colOff, rowStride int) {
+// Im2ColQInto is the quantized twin of Im2ColInto, with the same two
+// uses: it unrolls receptive fields of channels [c0, c0+nc) directly
+// into int8 cols at the given inverse activation scale. Zero padding
+// maps to quantized 0 (the symmetric zero-point).
+func Im2ColQInto(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, nc, oh, ow, colOff, rowStride int) {
 	total := nc * spec.KH * spec.KW
 	if parallel.Serial() {
 		for r := 0; r < total; r++ {
@@ -356,7 +355,7 @@ func im2colQInto(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, nc, oh,
 }
 
 // im2colQRow unrolls and quantizes one cols row — the shared worker
-// body of im2colQInto.
+// body of Im2ColQInto.
 func im2colQRow(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, r, oh, ow, colOff, rowStride int) {
 	h, w := x.Shape[1], x.Shape[2]
 	dh, dw := spec.dil()
@@ -403,145 +402,29 @@ func convQScales(w *QTensor, xScale float32, g, ocg int) []float32 {
 
 // Conv2DQ is the int8 counterpart of Conv2D: input x [inC,H,W] is
 // quantized at the calibrated activation scale xScale while receptive
-// fields are packed (implicit, quantizing im2col for large-enough
-// groups; the materialised reference lowering for small ones), weights
-// w carry symmetric per-channel int8 values, and the int8 GEMM
-// accumulates in int32 with the dequantizing epilogue fused in.
-// Output is fp32 [outC,oh,ow], directly comparable to Conv2D's; both
-// lowerings are bit-identical.
+// fields are packed (implicit, quantizing im2col — the int8 cols matrix
+// never exists), weights w carry symmetric per-channel int8 values, and
+// the int8 GEMM accumulates in int32 with the dequantizing epilogue
+// fused in. Output is fp32 [outC,oh,ow], directly comparable to
+// Conv2D's.
 func Conv2DQ(x *Tensor, w *QTensor, bias *Tensor, spec ConvSpec, xScale float32) *Tensor {
-	return conv2DQImpl(x, w, bias, spec, xScale, false)
-}
-
-// conv2DQRef is the retained reference lowering (materialised
-// quantizing im2col + int8 tile GEMM) the implicit-path parity tests
-// pin against.
-func conv2DQRef(x *Tensor, w *QTensor, bias *Tensor, spec ConvSpec, xScale float32) *Tensor {
-	return conv2DQImpl(x, w, bias, spec, xScale, true)
-}
-
-// conv2DQImpl is the shared body of Conv2DQ and conv2DQRef.
-func conv2DQImpl(x *Tensor, w *QTensor, bias *Tensor, spec ConvSpec, xScale float32, forceRef bool) *Tensor {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: Conv2DQ input rank %d, want 3 (CHW)", x.Rank()))
-	}
-	if x.Shape[0] != spec.InC {
-		panic(fmt.Sprintf("tensor: Conv2DQ input channels %d, spec %d", x.Shape[0], spec.InC))
-	}
+	groups, oh, ow := spec.check("Conv2DQ", x)
 	if xScale <= 0 {
 		panic("tensor: Conv2DQ requires a positive activation scale")
 	}
-	groups := spec.Groups
-	if groups <= 0 {
-		groups = 1
-	}
-	if spec.InC%groups != 0 || spec.OutC%groups != 0 {
-		panic(fmt.Sprintf("tensor: Conv2DQ groups %d incompatible with channels %d→%d", groups, spec.InC, spec.OutC))
-	}
-	h, wd := x.Shape[1], x.Shape[2]
-	oh, ow := spec.OutSize(h, wd)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Conv2DQ empty output for input %dx%d spec %+v", h, wd, spec))
-	}
 	out := New(spec.OutC, oh, ow)
-
 	icg := spec.InC / groups
 	ocg := spec.OutC / groups
 	k := icg * spec.KH * spec.KW
 	plane := oh * ow
-	inv := 1 / xScale
-	if !forceRef && UsePackedGEMM(ocg, k, plane) {
-		// Implicit, quantizing im2col: receptive fields quantize straight
-		// into the packed B slivers — the int8 cols matrix never exists.
-		ap := scratchW.get(packQLen(ocg, k))
-		for g := 0; g < groups; g++ {
-			packQTo(ap, w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
-			dst := FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
-			src := newQConvB([]*Tensor{x}, inv, spec, g*icg, k, oh, ow)
-			gemmStripesQ(dst.Data, ocg, plane, k, ap, src, convQScales(w, xScale, g, ocg), Epilogue{}, 0, nil)
-			src.release()
-		}
-		scratchW.put(ap)
-		addBias(out.Data, bias, spec.OutC, plane)
-		return out
-	}
-	cols := ScratchB.Get(k * plane)
-	colsQ := QFromSlice(cols, nil, k, plane)
+	ap := scratchW.get(packQLen(ocg, k))
 	for g := 0; g < groups; g++ {
-		im2colQInto(x, cols, inv, spec, g*icg, icg, oh, ow, 0, plane)
-		wslice := QFromSlice(
-			w.Data[g*ocg*k:(g+1)*ocg*k],
-			nil, ocg, k)
-		dst := FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
-		MatMulInt8Into(dst, wslice, colsQ, convQScales(w, xScale, g, ocg))
+		packQTo(ap, w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+		src := newQConvB([]*Tensor{x}, 1/xScale, spec, g*icg, k, oh, ow)
+		gemmStripesQ(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane, k, ap, src, convQScales(w, xScale, g, ocg), Epilogue{}, 0, nil)
+		src.release()
 	}
-	ScratchB.Put(cols)
+	scratchW.put(ap)
 	addBias(out.Data, bias, spec.OutC, plane)
 	return out
-}
-
-// Conv2DBatchQ is the int8 counterpart of Conv2DBatch: the whole batch
-// lowers to one quantized im2col + int8 GEMM per group, so the int8
-// weight panel streams through the cache once per batch. Outputs (one
-// fp32 [outC,oh,ow] tensor per sample) come from the Scratch pool;
-// callers may Put them back once consumed.
-func Conv2DBatchQ(xs []*Tensor, w *QTensor, bias *Tensor, spec ConvSpec, xScale float32) []*Tensor {
-	if len(xs) == 0 {
-		panic("tensor: Conv2DBatchQ with empty batch")
-	}
-	for _, x := range xs {
-		if x.Rank() != 3 || x.Shape[0] != spec.InC {
-			panic(fmt.Sprintf("tensor: Conv2DBatchQ input %v, want [%d H W]", x.Shape, spec.InC))
-		}
-		if x.Shape[1] != xs[0].Shape[1] || x.Shape[2] != xs[0].Shape[2] {
-			panic(fmt.Sprintf("tensor: Conv2DBatchQ ragged batch %v vs %v", x.Shape, xs[0].Shape))
-		}
-	}
-	if xScale <= 0 {
-		panic("tensor: Conv2DBatchQ requires a positive activation scale")
-	}
-	groups := spec.Groups
-	if groups <= 0 {
-		groups = 1
-	}
-	if spec.InC%groups != 0 || spec.OutC%groups != 0 {
-		panic(fmt.Sprintf("tensor: Conv2DBatchQ groups %d incompatible with channels %d→%d", groups, spec.InC, spec.OutC))
-	}
-	nb := len(xs)
-	h, wd := xs[0].Shape[1], xs[0].Shape[2]
-	oh, ow := spec.OutSize(h, wd)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Conv2DBatchQ empty output for input %dx%d spec %+v", h, wd, spec))
-	}
-	plane := oh * ow
-	outs := make([]*Tensor, nb)
-	for b := range outs {
-		outs[b] = Scratch.Get(spec.OutC, oh, ow)
-	}
-	icg := spec.InC / groups
-	ocg := spec.OutC / groups
-	inv := 1 / xScale
-	cols := ScratchB.Get(icg * spec.KH * spec.KW * nb * plane)
-	colsQ := QFromSlice(cols, nil, icg*spec.KH*spec.KW, nb*plane)
-	big := Scratch.Get(ocg, nb*plane)
-	for g := 0; g < groups; g++ {
-		for b, x := range xs {
-			im2colQInto(x, cols, inv, spec, g*icg, icg, oh, ow, b*plane, nb*plane)
-		}
-		wslice := QFromSlice(
-			w.Data[g*ocg*icg*spec.KH*spec.KW:(g+1)*ocg*icg*spec.KH*spec.KW],
-			nil, ocg, icg*spec.KH*spec.KW)
-		MatMulInt8Into(big, wslice, colsQ, convQScales(w, xScale, g, ocg))
-		parallel.For(ocg*nb, func(i int) {
-			c, b := i/nb, i%nb
-			copy(outs[b].Data[(g*ocg+c)*plane:(g*ocg+c+1)*plane],
-				big.Data[c*nb*plane+b*plane:c*nb*plane+(b+1)*plane])
-		})
-	}
-	ScratchB.Put(cols)
-	Scratch.Put(big)
-	for _, out := range outs {
-		addBias(out.Data, bias, spec.OutC, plane)
-	}
-	return outs
 }

@@ -148,39 +148,6 @@ func TestConv2DQMatchesConv2D(t *testing.T) {
 	}
 }
 
-// TestConv2DBatchQMatchesConv2DQ pins the batched quantized conv
-// bit-identical to the per-sample quantized conv (same accumulation
-// order per column, exactly as the fp32 pair).
-func TestConv2DBatchQMatchesConv2DQ(t *testing.T) {
-	r := rng.New(4)
-	spec := ConvSpec{InC: 6, OutC: 12, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	w := randTensor(r, spec.OutC, spec.InC, spec.KH, spec.KW)
-	qw := QuantizePerChannel(w)
-	bias := randTensor(r, spec.OutC)
-	xs := make([]*Tensor, 3)
-	var mx float32
-	for i := range xs {
-		xs[i] = randTensor(r, spec.InC, 11, 11)
-		if m := absMax(xs[i].Data); m > mx {
-			mx = m
-		}
-	}
-	xScale := mx / 127
-	outs := Conv2DBatchQ(xs, qw, bias, spec, xScale)
-	for b, x := range xs {
-		want := Conv2DQ(x, qw, bias, spec, xScale)
-		if !outs[b].SameShape(want) {
-			t.Fatalf("sample %d: shape %v vs %v", b, outs[b].Shape, want.Shape)
-		}
-		for i := range want.Data {
-			if outs[b].Data[i] != want.Data[i] {
-				t.Fatalf("sample %d elem %d: batch %v vs single %v", b, i, outs[b].Data[i], want.Data[i])
-			}
-		}
-	}
-	Scratch.Put(outs...)
-}
-
 func groupsOf(s ConvSpec) int {
 	if s.Groups <= 0 {
 		return 1

@@ -176,7 +176,7 @@ func TestTierGEMMInt8Parity(t *testing.T) {
 			want := New(m, n)
 			refInt8Into(want, a, b, rowScale)
 			got := New(m, n)
-			matMulInt8PackedInto(got, a, b, rowScale, Epilogue{}, 0, false)
+			matMulInt8PackedInto(got, a, b, rowScale, Epilogue{}, 0)
 			for i := range got.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("%dx%dx%d elem %d: packed int8 %v != reference %v",
@@ -276,7 +276,7 @@ func TestTierCrossConsistency(t *testing.T) {
 		f := New(m, n)
 		matMulPackedInto(f, a, b, Epilogue{}, 0)
 		q := New(m, n)
-		matMulInt8PackedInto(q, qa, qb, rowScale, Epilogue{}, 0, false)
+		matMulInt8PackedInto(q, qa, qb, rowScale, Epilogue{}, 0)
 		results[tier] = res{fma: KernelTierFMA(), f: f, q: q}
 	})
 	for t1, r1 := range results {
@@ -328,12 +328,12 @@ func TestTierABFTProperties(t *testing.T) {
 				for i := range rowScale {
 					rowScale[i] = qa.ScaleFor(i) * qb.Scales[0]
 				}
-				if !MatMulInt8EpilogueCheckInto(got, qa, qb, rowScale, e, 0) {
+				if !gemmCheckQ(got, qa, qb, rowScale, e) {
 					t.Fatalf("trial %d (%dx%dx%d int8): clean run flagged", trial, m, k, n)
 				}
 				continue
 			}
-			if !MatMulEpilogueCheckInto(got, a, b, e, 0) {
+			if !gemmCheckF32(got, a, b, e) {
 				t.Fatalf("trial %d (%dx%dx%d fp32): clean run flagged", trial, m, k, n)
 			}
 		}
@@ -350,7 +350,7 @@ func TestTierABFTProperties(t *testing.T) {
 			hit = true
 		}
 		got := New(m, n)
-		if MatMulEpilogueCheckInto(got, a, b, Epilogue{}, 0) {
+		if gemmCheckF32(got, a, b, Epilogue{}) {
 			t.Fatal("fp32 sign-flip corruption not detected")
 		}
 		ABFTFaultF32 = nil
@@ -371,7 +371,7 @@ func TestTierABFTProperties(t *testing.T) {
 			acc[0] ^= 1 // LSB: below any fp32 noise floor, still exact int8
 			qhit = true
 		}
-		if MatMulInt8EpilogueCheckInto(got, qa, qb, rowScale, Epilogue{}, 0) {
+		if gemmCheckQ(got, qa, qb, rowScale, Epilogue{}) {
 			t.Fatal("int8 LSB corruption not detected")
 		}
 		ABFTFaultQ = nil
@@ -399,17 +399,18 @@ func TestTierZeroAlloc(t *testing.T) {
 		rowScale[i] = qw.ScaleFor(i) * (1.0 / 127)
 	}
 	dst := New(32, plane)
+	dsts, xs := []*Tensor{dst}, []*Tensor{x}
 	ep := Epilogue{Act: EpActSiLU}
 	forEachTier(t, func(t *testing.T, tier string) {
 		runF := func() { ConvPackedInto(dst, wp, x, spec, 0, 24, 24, ep, 0) }
-		runQ := func() { ConvPackedQInto(dst, qp, x, spec, 0, 24, 24, 127, rowScale, ep, 0) }
+		runQ := func() { ConvPackedQBatchInto(dsts, qp, xs, spec, 0, 24, 24, 127, rowScale, ep, 0, nil) }
 		runF()
 		runQ()
 		if a := testing.AllocsPerRun(10, runF); a != 0 {
 			t.Errorf("ConvPackedInto: %.0f allocs per steady-state call, want 0", a)
 		}
 		if a := testing.AllocsPerRun(10, runQ); a != 0 {
-			t.Errorf("ConvPackedQInto: %.0f allocs per steady-state call, want 0", a)
+			t.Errorf("ConvPackedQBatchInto: %.0f allocs per steady-state call, want 0", a)
 		}
 	})
 }
