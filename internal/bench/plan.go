@@ -48,12 +48,8 @@ type PlanEngineRow struct {
 const planEngineFrames = 8
 
 // RunPlanEngineStudy measures the interpreter and the compiled plan on
-// the real kernels at a reduced input. Parallelism is pinned to one
-// worker for the measurement so the allocation counts are exact (the
-// goroutine fan-out allocates on multi-core hosts) and the two paths
-// compare like for like.
+// the real kernels at a reduced input.
 func RunPlanEngineStudy(seed uint64) []PlanEngineRow {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const h, w = 96, 96
 	var out []PlanEngineRow
 	for _, m := range []models.ID{models.V8Nano, models.V11Nano} {

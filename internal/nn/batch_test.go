@@ -130,8 +130,7 @@ func TestForwardBatchReusesScratch(t *testing.T) {
 	}
 	run() // warm the pool and bind the plan instance
 	a1 := testing.AllocsPerRun(1, run)
-	// The exact count is platform-noisy (parallel goroutines allocate);
-	// the guard is against regressing to fresh per-conv buffers, which
+	// The guard is against regressing to fresh per-conv buffers, which
 	// costs hundreds of slice headers plus megabytes of float data.
 	if a1 > 3000 {
 		t.Fatalf("steady-state batched forward made %.0f allocations; pool not recycling", a1)

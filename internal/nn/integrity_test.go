@@ -3,9 +3,7 @@ package nn_test
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ocularone/internal/models"
@@ -92,11 +90,11 @@ func TestPlanABFTRecoveryF32(t *testing.T) {
 
 	want := clonePlanOuts(p.Execute(xs, nn.ExecOpts{}))
 
-	// One-shot (the reference re-execution must see clean math), and
-	// atomic: off the serial path the stripe workers all call the hook.
-	var fired atomic.Bool
+	// One-shot: the reference re-execution must see clean math.
+	fired := false
 	tensor.ABFTFaultF32 = func(d []float32, dn, j0, jw int) {
-		if fired.CompareAndSwap(false, true) {
+		if !fired {
+			fired = true
 			d[j0] += 1024
 		}
 	}
@@ -104,7 +102,7 @@ func TestPlanABFTRecoveryF32(t *testing.T) {
 	p.ResetIntegrity()
 	got := p.Execute(xs, nn.ExecOpts{Integrity: fullIntegrity(&events)})
 
-	if !fired.Load() {
+	if !fired {
 		t.Fatal("fault hook never fired — checked path not taken")
 	}
 	st := p.Integrity()
@@ -139,9 +137,10 @@ func TestPlanABFTRecoveryQ(t *testing.T) {
 
 	want := clonePlanOuts(p.Execute(xs, nn.ExecOpts{Precision: nn.INT8}))
 
-	var fired atomic.Bool
+	fired := false
 	tensor.ABFTFaultQ = func(acc []int32, i0, j0 int) {
-		if fired.CompareAndSwap(false, true) {
+		if !fired {
+			fired = true
 			acc[0] ^= 1 << 17
 		}
 	}
@@ -149,7 +148,7 @@ func TestPlanABFTRecoveryQ(t *testing.T) {
 	p.ResetIntegrity()
 	got := p.Execute(xs, nn.ExecOpts{Precision: nn.INT8, Integrity: fullIntegrity(&events)})
 
-	if !fired.Load() {
+	if !fired {
 		t.Fatal("int8 fault hook never fired — checked path not taken")
 	}
 	st := p.Integrity()
@@ -171,8 +170,6 @@ func TestPlanABFTRecoveryQ(t *testing.T) {
 // flagged, only that sample re-executes, and the whole batch matches the
 // fault-free run bit for bit.
 func TestPlanABFTFoldedRecoveryQ(t *testing.T) {
-	// The hook tells the folded route by the order of its tiles: one worker.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer func() { tensor.ABFTFaultQ = nil }()
 	net := models.BuildQuantized(models.V8Nano, 2, 29, 3, 96, 96)
 	p := net.PlanFor(3, 96, 96)
@@ -269,11 +266,11 @@ func TestPlanABFTCoversEveryConv(t *testing.T) {
 				t.Fatalf("%s: no such conv in the plan", tc.name)
 			}
 
-			// One-shot (the re-execution must see clean math), and atomic:
-			// off the serial path the stripe workers all call the hook.
-			var fired atomic.Bool
+			// One-shot: the re-execution must see clean math.
+			fired := false
 			tensor.ABFTFaultF32 = func(d []float32, dn, j0, jw int) {
-				if c := p.Integrity().ABFTChecks; lo < c && c <= hi && fired.CompareAndSwap(false, true) {
+				if c := p.Integrity().ABFTChecks; lo < c && c <= hi && !fired {
+					fired = true
 					d[j0] += 1024
 				}
 			}
@@ -283,7 +280,7 @@ func TestPlanABFTCoversEveryConv(t *testing.T) {
 			got := p.Execute(xs, opts)
 			tensor.ABFTFaultF32 = nil
 
-			if !fired.Load() {
+			if !fired {
 				t.Fatalf("%s, %v: fault hook never fired — the conv is counted, not checksummed", tc.name, opts.Precision)
 			}
 			st := p.Integrity()
@@ -401,7 +398,6 @@ func TestPlanGuardMaxAbs(t *testing.T) {
 // and sampled guards both live (and no faults), Execute still performs
 // zero heap allocations per frame — only detections may allocate.
 func TestPlanIntegrityZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	net := models.BuildQuantized(models.V8Nano, 2, 37, 3, 96, 96)
 	p := net.PlanFor(3, 96, 96)
 	xs := randFrames(93, 1, 3, 96, 96)

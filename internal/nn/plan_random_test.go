@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"ocularone/internal/rng"
@@ -138,7 +137,6 @@ func TestPlanRandomNetsMatchInterp(t *testing.T) {
 // the random networks: whatever shapes its convs drew, a bound instance
 // executes without allocating, fp32 and int8, alone and batched.
 func TestPlanRandomNetZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const seed, side = 7, 24
 	net := randomNet(seed, side)
 	xs := randomFrames(seed, 3, side)

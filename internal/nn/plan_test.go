@@ -1,7 +1,8 @@
 package nn_test
 
 import (
-	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,11 +139,8 @@ func TestPlanQuantParity(t *testing.T) {
 // TestPlanZeroAllocSteadyState is the acceptance gate of the arena
 // executor: once an instance is bound (and the int8 scratch warmed),
 // Execute performs zero heap allocations per frame at batch 1 and at
-// batch 4, fp32 and int8. Parallelism is pinned to one worker so the
-// kernel dispatch itself (which spawns goroutines on multi-core hosts)
-// does not obscure the executor's own behaviour.
+// batch 4, fp32 and int8, at any GOMAXPROCS (CI runs it at -cpu 1,2,4).
 func TestPlanZeroAllocSteadyState(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	net := models.BuildQuantized(models.V8Nano, 2, 31, 3, 96, 96)
 	p := net.PlanFor(3, 96, 96)
 	x1 := randFrames(5, 1, 3, 96, 96)
@@ -174,7 +172,6 @@ func TestPlanZeroAllocSteadyState(t *testing.T) {
 // and with none other, each conv's GEMM shape and the route its batch
 // width and precision select, and outputs equal to an unprofiled run's.
 func TestPlanProfile(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	net := models.BuildQuantized(models.V8Nano, 2, 31, 3, 96, 96)
 	p := net.PlanFor(3, 96, 96)
 	xs := randFrames(6, 4, 3, 96, 96)
@@ -285,5 +282,61 @@ func TestPlanInstanceReuse(t *testing.T) {
 	b := p.Execute(xs, nn.ExecOpts{})[0][0]
 	if &a.Data[0] != &b.Data[0] {
 		t.Fatal("plan rebound its instance between identical Execute calls")
+	}
+}
+
+// TestPlansExecuteConcurrently is the concurrency contract the engine
+// keeps now that no kernel fans out: goroutines that each own their
+// network, plan and inputs may execute at the same time, sharing only
+// the tensor scratch pools. Two of them — yolov8n (SiLU epilogues, the
+// folded int8 batch route) and bodypose (ReLU epilogues, the stride-2
+// pool's pooled phase rows, residual adds) — each sweep fp32 and int8 at
+// batch 1 and 4 with ABFT on, first one after the other, then together;
+// every output must match at tolerance 0, and -race must stay silent.
+func TestPlansExecuteConcurrently(t *testing.T) {
+	sweep := func(id models.ID) [][]float32 {
+		net := models.BuildQuantized(id, 2, 41, 3, 96, 96)
+		p := net.PlanFor(3, 96, 96)
+		xs := randFrames(43, 4, 3, 96, 96)
+		var flat [][]float32
+		for _, prec := range []nn.Precision{nn.FP32, nn.INT8} {
+			for _, nb := range []int{1, 4} {
+				opts := nn.ExecOpts{Batch: nb, Precision: prec, Integrity: nn.IntegrityPolicy{ABFT: true}}
+				for _, sample := range p.Execute(xs[:nb], opts) {
+					for _, o := range sample {
+						flat = append(flat, append([]float32(nil), o.Data...)) // outputs alias the arena
+					}
+				}
+			}
+		}
+		if st := p.Integrity(); st.ABFTChecks == 0 || st.ABFTDetected != 0 {
+			t.Errorf("%v: integrity stats %+v, want clean checked runs", id, st)
+		}
+		return flat
+	}
+	ids := []models.ID{models.V8Nano, models.Bodypose}
+	want := make([][][]float32, len(ids))
+	for i, id := range ids {
+		want[i] = sweep(id)
+	}
+	got := make([][][]float32, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, id models.ID) {
+			defer wg.Done()
+			got[i] = sweep(id)
+		}(i, id)
+	}
+	wg.Wait()
+	for i, id := range ids {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%v: %d outputs concurrently, %d alone", id, len(got[i]), len(want[i]))
+		}
+		for oi := range want[i] {
+			if !slices.Equal(got[i][oi], want[i][oi]) {
+				t.Fatalf("%v output %d: concurrent execution differs from the serial run", id, oi)
+			}
+		}
 	}
 }

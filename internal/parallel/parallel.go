@@ -15,40 +15,37 @@ func DefaultWorkers() int {
 	return n
 }
 
-// minGrain is the smallest per-goroutine chunk worth spawning for. Work
-// items cheaper than a few hundred nanoseconds amortise poorly; callers
-// with very cheap bodies should batch before calling For.
+// minGrain is the fewest items For and ForRange fan out for. Their
+// callers pass rows or elements: work items cheaper than a few hundred
+// nanoseconds amortise poorly, and fewer than this many of them are not
+// worth a goroutine. A caller whose items are each worth one (a session
+// of frames) names its worker count through ForWith, which has no grain.
 const minGrain = 64
 
-// Serial reports whether For/ForRange would degrade to an inline loop
-// on the calling goroutine (a single worker). Hot kernels branch on it
-// to run closure-free serial loops: the func literal handed to For is
-// itself a heap allocation at the call site, and eliding it is what
-// lets the plan executor (internal/nn) hold zero allocations per frame
-// on single-core hosts.
-func Serial() bool { return DefaultWorkers() == 1 }
-
 // For executes fn(i) for every i in [0, n) using up to DefaultWorkers()
-// goroutines. It blocks until all iterations complete. fn must be safe for
-// concurrent invocation on distinct indices.
+// goroutines, or inline below the parallel grain. It blocks until all
+// iterations complete. fn must be safe for concurrent invocation on
+// distinct indices.
 func For(n int, fn func(i int)) {
-	ForWith(DefaultWorkers(), n, fn)
+	workers := DefaultWorkers()
+	if n < minGrain {
+		workers = 1
+	}
+	ForWith(workers, n, fn)
 }
 
-// ForWith is For with an explicit worker count. workers <= 1, or n below
-// the parallel grain, degrades to a sequential loop.
+// ForWith is For with an explicit worker count, honoured for any n: at
+// most one worker per item, and workers <= 1 is a sequential loop on the
+// calling goroutine.
 func ForWith(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
+	if workers > n {
+		workers = n
 	}
-	if workers <= 1 || n < minGrain {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
-	}
-	if workers > n {
-		workers = n
 	}
 	var wg sync.WaitGroup
 	// Static chunking: contiguous ranges maximise cache locality for the
@@ -71,17 +68,14 @@ func ForWith(workers, n int, fn func(i int)) {
 }
 
 // ForRange executes fn(lo, hi) over disjoint sub-ranges covering [0, n),
-// one call per worker. It is the preferred form when the body can hoist
-// per-chunk setup (e.g. slice re-slicing) out of the inner loop.
+// one call per worker (a single fn(0, n) below the parallel grain). It is
+// the preferred form when the body can hoist per-chunk setup (e.g. slice
+// re-slicing) out of the inner loop.
 func ForRange(n int, fn func(lo, hi int)) {
-	ForRangeWith(DefaultWorkers(), n, fn)
-}
-
-// ForRangeWith is ForRange with an explicit worker count.
-func ForRangeWith(workers, n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
+	workers := DefaultWorkers()
 	if workers <= 1 || n < minGrain {
 		fn(0, n)
 		return

@@ -3,6 +3,7 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -67,4 +68,31 @@ func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())
 	}
+}
+
+// TestForWithHonoursWorkerCount: a caller that names two workers for two
+// items gets them on two goroutines, however few the items are — each
+// waits for the other, which an inline loop would never satisfy.
+func TestForWithHonoursWorkerCount(t *testing.T) {
+	arrived := make(chan int, 2)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		ForWith(2, 2, func(i int) {
+			arrived <- i
+			<-release
+		})
+		close(done)
+	}()
+	timeout := time.After(10 * time.Second)
+	for n := 0; n < 2; n++ {
+		select {
+		case <-arrived:
+		case <-timeout:
+			close(release)
+			t.Fatal("ForWith(2, 2, …) ran its items one after the other")
+		}
+	}
+	close(release)
+	<-done
 }

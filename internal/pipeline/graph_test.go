@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ocularone/internal/adaptive"
@@ -181,6 +182,42 @@ func TestFleetDeterministicUnderFixedSeed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("fleet results differ across identical seeded runs")
+	}
+}
+
+// TestFleetAnalyticsFanOutMatchesSerial runs four real-frame sessions
+// (one trained stack, each session its own graph and tracker) with the
+// analytics phase on two workers and on one: the results must be
+// deep-equal, and under -race the run is the proof that sessions share
+// only what is synchronised.
+func TestFleetAnalyticsFanOutMatchesSerial(t *testing.T) {
+	det, fall, est := buildStack(t)
+	run := func(procs int) []StreamResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		sessions := make([]*Session, 4)
+		for i := range sessions {
+			clip := video.New(video.Spec{
+				ID: i + 1, DurationSec: 2, FPS: 30, W: 320, H: 240,
+				Background: scene.Background(i % 3), Lighting: 1.0, Seed: 60 + uint64(i), Pedestrians: i % 3,
+			})
+			place := EdgePlacement(device.OrinAGX, models.V8Medium)
+			sessions[i] = &Session{
+				ID: i, Source: clip, Graph: VIPGraph(det, fall, est, place, 4, true),
+				FrameFPS: 10, MaxFrames: 6, Seed: 101 + uint64(i)*17, OffsetMS: float64(i) * 3,
+			}
+		}
+		res, err := (&Fleet{Sessions: sessions, SharedSeed: 77}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial, fanned := run(1), run(2)
+	if !reflect.DeepEqual(serial, fanned) {
+		t.Fatal("fleet results at two analytics workers differ from the serial run")
+	}
+	if serial[0].DetectionRate == 0 {
+		t.Fatal("real-frame fleet detected nothing: the comparison is vacuous")
 	}
 }
 

@@ -488,10 +488,12 @@ func (f *Fleet) Run() ([]StreamResult, error) {
 
 	// Phase 1 — analytics, parallel across sessions. Pixel work is pure
 	// per frame; stage state stays session-local because each session
-	// owns its graph.
+	// owns its graph. A session is milliseconds of work, so the worker
+	// count is named (ForWith gives at most one per session) rather than
+	// left to For's row-sized grain, under which no fleet here fanned out.
 	frames := make([][]video.ExtractedFrame, len(f.Sessions))
 	fcs := make([][]*FrameCtx, len(f.Sessions))
-	parallel.For(len(f.Sessions), func(i int) {
+	parallel.ForWith(parallel.DefaultWorkers(), len(f.Sessions), func(i int) {
 		s := f.Sessions[i]
 		fs := s.extract()
 		frames[i] = fs

@@ -85,7 +85,7 @@ func BenchmarkIntegritySteadyState(b *testing.B) {
 // temporal degradation ladder live under thermal stress at 2x overload:
 // every dispatch walks the rung policy, overload converts would-be
 // sheds into tracker-bridged responses, and the staleness histogram
-// records every bridge. The CI temporal-gate asserts 0 allocs/op —
+// records every bridge. The CI gate asserts 0 allocs/op —
 // the steady-state ladder loop must be allocation-free.
 func BenchmarkTemporalSteadyState(b *testing.B) {
 	cfg := DefaultConfig(1e18, 42)

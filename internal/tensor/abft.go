@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"ocularone/internal/parallel"
-)
+import "fmt"
 
 // Algorithm-based fault tolerance (ABFT) for the packed GEMM core:
 // Huang–Abraham column checksums verified per C stripe.
@@ -108,7 +104,7 @@ func colChecksumsQ(csum []int64, a []int8, m, k int) {
 // abftFoldPanelF32 adds one packed B panel's share of the expected
 // column sums: exp[j] += Σ_kk csum[kk]·B[kk,j] and mag[j] likewise with
 // the absolute values, for a panel len(exp) columns wide and len(csum)
-// rows deep. The panel is cache-resident when gemmStripeRangeF32 calls
+// rows deep. The panel is cache-resident when gemmStripesF32 calls
 // this right after the pack.
 func abftFoldPanelF32(exp, mag, csum, acsum []float64, bbuf []float32) {
 	nr := len(exp)
@@ -183,7 +179,7 @@ func ConvPackedCheckInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0,
 var scratchQC = func() *rawPool[int64] { p := newRawPool[int64](); return &p }()
 
 // scratchI32 recycles the int8 drivers' accumulator tiles, which would
-// escape as stack arrays (see gemmStripeRangeQ).
+// escape as stack arrays (see gemmStripesQ).
 var scratchI32 = func() *rawPool[int32] { p := newRawPool[int32](); return &p }()
 
 // MatMulRefEpilogueInto computes dst = A×B + epilogue strictly through
@@ -199,18 +195,8 @@ func MatMulRefEpilogueInto(dst, a, b *Tensor, ep Epilogue, chanOff int) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulRefEpilogueInto dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	if parallel.Serial() {
-		matMulRange(dst, a, b, 0, m)
-		ep.apply(dst.Data, 0, m, n, chanOff)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		matMulRange(dst, a, b, lo, hi)
-		ep.apply(dst.Data, lo, hi, n, chanOff)
-	})
+	matMulRefInto(dst, a, b)
+	ep.apply(dst.Data, 0, m, n, chanOff)
 }
 
 // MatMulInt8RefEpilogueInto is the int8 re-execution target: dst =
@@ -224,13 +210,5 @@ func MatMulInt8RefEpilogueInto(dst *Tensor, a, b *QTensor, rowScale []float32, e
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInt8RefEpilogueInto dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if parallel.Serial() {
-		var acc [4 * qnBlock]int32
-		int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc[:], 0, m)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		acc := make([]int32, 4*qnBlock)
-		int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc, lo, hi)
-	})
+	matMulInt8RefInto(dst, a, b, rowScale, ep, chanOff)
 }

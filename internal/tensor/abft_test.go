@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -442,10 +441,9 @@ func TestABFTCleanNoFalsePositive(t *testing.T) {
 }
 
 // TestABFTCheckZeroAlloc pins the steady-state checked conv paths at
-// zero heap allocations on a single worker — ABFT must not cost the
-// plan executor its 0 allocs/frame contract.
+// zero heap allocations — ABFT must not cost the plan executor its
+// 0 allocs/frame contract.
 func TestABFTCheckZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	r := rng.New(11)
 	x := randTensor(r, 16, 24, 24)

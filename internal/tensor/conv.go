@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"ocularone/internal/parallel"
 )
 
 // ConvSpec describes a 2-D convolution. Tensors use CHW layout (channels,
@@ -92,13 +90,13 @@ func addBias(data []float32, bias *Tensor, outC, plane int) {
 	if bias.Len() != outC {
 		panic(fmt.Sprintf("tensor: conv bias len %d, want %d", bias.Len(), outC))
 	}
-	parallel.For(outC, func(c int) {
+	for c := 0; c < outC; c++ {
 		b := bias.Data[c]
 		d := data[c*plane : (c+1)*plane]
 		for i := range d {
 			d[i] += b
 		}
-	})
+	}
 }
 
 // Im2ColInto unrolls receptive fields of channels [c0, c0+nc) into cols,
@@ -110,19 +108,12 @@ func addBias(data []float32, bias *Tensor, outC, plane int) {
 // not the code path that failed — and the conv tests use it as oracle.
 func Im2ColInto(x, cols *Tensor, spec ConvSpec, c0, nc, oh, ow, colOff, rowStride int) {
 	total := nc * spec.KH * spec.KW
-	if parallel.Serial() {
-		for r := 0; r < total; r++ {
-			im2colRow(x, cols, spec, c0, r, oh, ow, colOff, rowStride)
-		}
-		return
-	}
-	parallel.For(total, func(r int) {
+	for r := 0; r < total; r++ {
 		im2colRow(x, cols, spec, c0, r, oh, ow, colOff, rowStride)
-	})
+	}
 }
 
-// im2colRow unrolls one (channel, ky, kx) row of the cols matrix — the
-// shared worker body of Im2ColInto.
+// im2colRow unrolls one (channel, ky, kx) row of Im2ColInto's cols matrix.
 func im2colRow(x, cols *Tensor, spec ConvSpec, c0, r, oh, ow, colOff, rowStride int) {
 	h, w := x.Shape[1], x.Shape[2]
 	dh, dw := spec.dil()
@@ -171,21 +162,8 @@ const negInf = float32(-3.4e38)
 // UpsampleNearest2x doubles the spatial dims of x [C,H,W] by nearest
 // neighbour, the upsampling used in YOLO necks and Monodepth decoders.
 func UpsampleNearest2x(x *Tensor) *Tensor {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := New(c, h*2, w*2)
-	parallel.For(c, func(ci int) {
-		src := x.Data[ci*h*w:]
-		dst := out.Data[ci*h*2*w*2:]
-		for y := 0; y < h; y++ {
-			srow := src[y*w : (y+1)*w]
-			d0 := dst[(2*y)*w*2 : (2*y)*w*2+w*2]
-			for xx, v := range srow {
-				d0[2*xx] = v
-				d0[2*xx+1] = v
-			}
-			copy(dst[(2*y+1)*w*2:(2*y+1)*w*2+w*2], d0)
-		}
-	})
+	out := New(x.Shape[0], x.Shape[1]*2, x.Shape[2]*2)
+	UpsampleNearest2xInto(out, x)
 	return out
 }
 
@@ -195,20 +173,12 @@ func ConcatChannels(xs ...*Tensor) *Tensor {
 	if len(xs) == 0 {
 		panic("tensor: ConcatChannels with no inputs")
 	}
-	h, w := xs[0].Shape[1], xs[0].Shape[2]
 	total := 0
 	for _, x := range xs {
-		if x.Shape[1] != h || x.Shape[2] != w {
-			panic(fmt.Sprintf("tensor: ConcatChannels spatial mismatch %v vs [%d %d]", x.Shape, h, w))
-		}
 		total += x.Shape[0]
 	}
-	out := New(total, h, w)
-	off := 0
-	for _, x := range xs {
-		copy(out.Data[off:], x.Data)
-		off += len(x.Data)
-	}
+	out := New(total, xs[0].Shape[1], xs[0].Shape[2])
+	ConcatChannelsInto(out, xs...)
 	return out
 }
 
@@ -218,14 +188,14 @@ func ConcatChannels(xs ...*Tensor) *Tensor {
 func BatchNormInference(x *Tensor, gamma, beta, mean, variance []float32, eps float32) {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	plane := h * w
-	parallel.For(c, func(ci int) {
+	for ci := 0; ci < c; ci++ {
 		scale := gamma[ci] / sqrt32(variance[ci]+eps)
 		shift := beta[ci] - mean[ci]*scale
 		d := x.Data[ci*plane : (ci+1)*plane]
 		for i, v := range d {
 			d[i] = v*scale + shift
 		}
-	})
+	}
 }
 
 func sqrt32(v float32) float32 {

@@ -5,10 +5,12 @@
 //
 // The design goal is a small, allocation-conscious engine fast enough
 // to run scaled-down YOLO-style networks on CPU for the repository's
-// benchmarks, not a general autograd framework. Kernels parallelise
-// across GEMM column slivers or rows/channels with internal/parallel,
-// and every hot kernel carries a closure-free serial branch
-// (parallel.Serial) so single-core execution allocates nothing.
+// benchmarks, not a general autograd framework. Every kernel is one
+// serial loop on the calling goroutine, whatever GOMAXPROCS is: one
+// inference stream per core, as the paper times them, so the zero-alloc
+// and bit-identity contracts hold at every width. Concurrent callers are
+// safe as long as each owns its tensors; the scratch pools they share
+// are synchronised.
 //
 // The matrix-multiply core (pack.go, packq.go, the assembly kernels)
 // is a BLIS-style packed GEMM: the left operand packs into MR-row

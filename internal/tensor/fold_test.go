@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -166,47 +165,6 @@ func FuzzFoldedConvQMatchesPerSample(f *testing.F) {
 		forEachTier(t, func(t *testing.T, tier string) {
 			checkFoldedMatchesPerSample(t, spec, hh, ww, 1+int(nb%8), seed)
 		})
-	})
-}
-
-// TestFoldedConvQParallel drives the folded route off the serial path:
-// 64 and 128 A panels, so parallel.ForRange splits them between two
-// workers that share the packed slivers and write disjoint output rows.
-// Unchecked and checked outputs must equal the per-sample result, and a
-// flipped accumulator must be pinned on its sample although each worker
-// summed only its own rows. Under -race this is the proof the fan-out
-// shares nothing it writes.
-func TestFoldedConvQParallel(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	defer func() { ABFTFaultQ = nil }()
-	forEachTier(t, func(t *testing.T, tier string) {
-		for ci, m := range []int{256, 512} {
-			side := []int{6, 3}[ci]
-			spec := ConvSpec{InC: 8, OutC: m, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-			b := newFoldBatches(rng.New(uint64(1700+ci)), spec, side, side, 4)[0]
-			want := b.perSample(b.ep)
-			got, _ := b.batch(b.ep, nil)
-			wantSameOutputs(t, fmt.Sprintf("m=%d unchecked", m), got, want)
-			bad := make([]bool, 4)
-			got, ok := b.batch(b.ep, bad)
-			if !ok {
-				t.Fatalf("m=%d: clean checked run flagged %v", m, bad)
-			}
-			wantSameOutputs(t, fmt.Sprintf("m=%d checked", m), got, want)
-
-			// The last column of the batch, in a tile of the second worker.
-			col := 4*side*side - 1
-			ABFTFaultQ = func(acc []int32, i0, j0 int) {
-				if i0 == m-4 && j0 <= col && col < j0+qNR {
-					acc[col-j0] ^= 1 << 9
-				}
-			}
-			_, ok = b.batch(b.ep, bad)
-			ABFTFaultQ = nil
-			if ok || bad[0] || bad[1] || bad[2] || !bad[3] {
-				t.Fatalf("m=%d: flip in sample 3's column: ok=%v bad=%v", m, ok, bad)
-			}
-		}
 	})
 }
 

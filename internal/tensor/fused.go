@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"ocularone/internal/parallel"
-)
+import "fmt"
 
 // This file holds the fused epilogue of the plan executor's convs (see
 // internal/nn's Plan) and the caller-owned-buffer forms of its other
@@ -90,41 +86,6 @@ func (ep Epilogue) applyCols(data []float32, r0, r1, w, j0, j1, chanOff int) {
 	}
 }
 
-// int8EpilogueRange computes rows [lo, hi) of the reference int8 GEMM on
-// the 4-row tiles of MatMulInt8Into, then requantizes, folds and
-// activates them — the worker body of MatMulInt8RefEpilogueInto.
-func int8EpilogueRange(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int, acc []int32, lo, hi int) {
-	k := a.Shape[1]
-	n := b.Shape[1]
-	for i0 := lo; i0 < hi; i0 += 4 {
-		rows := hi - i0
-		if rows > 4 {
-			rows = 4
-		}
-		for j0 := 0; j0 < n; j0 += qnBlock {
-			j1 := j0 + qnBlock
-			if j1 > n {
-				j1 = n
-			}
-			nb := j1 - j0
-			if rows == 4 {
-				int8Tile4(acc, a.Data, b.Data, i0, j0, nb, k, n)
-			} else {
-				int8TileGeneric(acc, a.Data, b.Data, i0, rows, j0, nb, k, n)
-			}
-			for r := 0; r < rows; r++ {
-				s := rowScale[i0+r]
-				ar := acc[r*nb : (r+1)*nb]
-				drow := dst.Data[(i0+r)*n+j0 : (i0+r)*n+j1]
-				for j, v := range ar {
-					drow[j] = float32(v) * s
-				}
-			}
-		}
-		ep.apply(dst.Data, i0, i0+rows, n, chanOff)
-	}
-}
-
 // PoolOutSize returns the output dims of a k×k max pool over an h×w
 // plane, panicking on a geometry some of whose windows would see no
 // input at all: a kernel larger than the padded plane, or padding as
@@ -145,14 +106,6 @@ func MaxPool2DInto(dst, x *Tensor, k, stride, pad int) {
 	oh, ow := PoolOutSize(h, w, k, stride, pad)
 	if dst.Shape[0] != c || dst.Shape[1] != oh || dst.Shape[2] != ow {
 		panic(fmt.Sprintf("tensor: MaxPool2DInto dst %v, want [%d %d %d]", dst.Shape, c, oh, ow))
-	}
-	if !parallel.Serial() {
-		// The closure's taps live on the heap; the serial path's must not.
-		taps := poolTaps(nil, w, ow, k, stride, pad)
-		parallel.For(c, func(ci int) {
-			maxPoolChan(dst, x, ci, k, stride, pad, taps)
-		})
-		return
 	}
 	var tapArr [8]poolTap // kernels up to 8 wide stay on the stack
 	taps := poolTaps(tapArr[:0], w, ow, k, stride, pad)
@@ -182,13 +135,13 @@ func poolTaps(taps []poolTap, w, ow, k, stride, pad int) []poolTap {
 	return taps
 }
 
-// maxPoolChan pools one channel — the shared worker body of
-// MaxPool2DInto. Each output row starts at the empty-window sentinel and
-// is raised tap by tap, in (ky, kx) order, by rowMax over the tap's run
-// of outputs: every output sees its taps in the order a per-output scan
-// would, so the result is that scan's. At stride 1 a tap's run reads the
-// input row itself; otherwise the channel's rows are split into their
-// phases once, in pooled scratch.
+// maxPoolChan pools one channel of MaxPool2DInto. Each output row
+// starts at the empty-window sentinel and is raised tap by tap, in
+// (ky, kx) order, by rowMax over the tap's run of outputs: every output
+// sees its taps in the order a per-output scan would, so the result is
+// that scan's. At stride 1 a tap's run reads the input row itself;
+// otherwise the channel's rows are split into their phases once, in
+// pooled scratch.
 func maxPoolChan(dst, x *Tensor, ci, k, stride, pad int, taps []poolTap) {
 	h, w := x.Shape[1], x.Shape[2]
 	oh, ow := dst.Shape[1], dst.Shape[2]
@@ -239,31 +192,18 @@ func UpsampleNearest2xInto(dst, x *Tensor) {
 	if dst.Shape[0] != c || dst.Shape[1] != h*2 || dst.Shape[2] != w*2 {
 		panic(fmt.Sprintf("tensor: UpsampleNearest2xInto dst %v, want [%d %d %d]", dst.Shape, c, h*2, w*2))
 	}
-	if parallel.Serial() {
-		for ci := 0; ci < c; ci++ {
-			upsampleChan(dst, x, ci)
+	for ci := 0; ci < c; ci++ {
+		src := x.Data[ci*h*w:]
+		out := dst.Data[ci*h*2*w*2:]
+		for y := 0; y < h; y++ {
+			srow := src[y*w : (y+1)*w]
+			d0 := out[(2*y)*w*2 : (2*y)*w*2+w*2]
+			for xx, v := range srow {
+				d0[2*xx] = v
+				d0[2*xx+1] = v
+			}
+			copy(out[(2*y+1)*w*2:(2*y+1)*w*2+w*2], d0)
 		}
-		return
-	}
-	parallel.For(c, func(ci int) {
-		upsampleChan(dst, x, ci)
-	})
-}
-
-// upsampleChan upsamples one channel — the shared worker body of
-// UpsampleNearest2xInto.
-func upsampleChan(dst, x *Tensor, ci int) {
-	h, w := x.Shape[1], x.Shape[2]
-	src := x.Data[ci*h*w:]
-	out := dst.Data[ci*h*2*w*2:]
-	for y := 0; y < h; y++ {
-		srow := src[y*w : (y+1)*w]
-		d0 := out[(2*y)*w*2 : (2*y)*w*2+w*2]
-		for xx, v := range srow {
-			d0[2*xx] = v
-			d0[2*xx+1] = v
-		}
-		copy(out[(2*y+1)*w*2:(2*y+1)*w*2+w*2], d0)
 	}
 }
 
@@ -294,24 +234,11 @@ func TransposeInto(dst, a *Tensor) {
 	if dst.Shape[0] != n || dst.Shape[1] != m {
 		panic(fmt.Sprintf("tensor: TransposeInto dst %v, want [%d %d]", dst.Shape, n, m))
 	}
-	if parallel.Serial() {
-		transposeRange(dst, a, 0, m)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		transposeRange(dst, a, lo, hi)
-	})
-}
-
-// transposeRange transposes source rows [lo, hi) — the shared worker
-// body of TransposeInto.
-func transposeRange(dst, a *Tensor, lo, hi int) {
-	m, n := a.Shape[0], a.Shape[1]
-	const bs = 32
-	for i0 := lo; i0 < hi; i0 += bs {
+	const bs = 32 // blocked for cache friendliness
+	for i0 := 0; i0 < m; i0 += bs {
 		i1 := i0 + bs
-		if i1 > hi {
-			i1 = hi
+		if i1 > m {
+			i1 = m
 		}
 		for j0 := 0; j0 < n; j0 += bs {
 			j1 := j0 + bs

@@ -1,14 +1,10 @@
 package tensor
 
-import (
-	"fmt"
-
-	"ocularone/internal/parallel"
-)
+import "fmt"
 
 // MatMul computes C = A × B for 2-D tensors A (m×k) and B (k×n).
-// The kernel is a cache-blocked ikj loop parallelised over row bands,
-// which keeps B rows streaming through L1/L2 and vectorises well.
+// The kernel is a cache-blocked ikj loop, which keeps B rows streaming
+// through L1/L2 and vectorises well.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs rank-2 operands, got %v × %v", a.Shape, b.Shape))
@@ -41,35 +37,21 @@ func MatMulInto(dst, a, b *Tensor) {
 }
 
 // matMulRefInto is the retained reference path: zero dst, then the
-// row-band-parallel blocked ikj loop. The packed kernel's golden
-// parity tests pin against it.
+// cache-blocked ikj loop. The packed kernel's golden parity tests pin
+// against it.
 func matMulRefInto(dst, a, b *Tensor) {
-	m := a.Shape[0]
+	m, k := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
-	if parallel.Serial() {
-		matMulRange(dst, a, b, 0, m)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		matMulRange(dst, a, b, lo, hi)
-	})
-}
-
-// matMulRange accumulates rows [lo, hi) of dst = A × B with the
-// cache-blocked ikj loop. It is the shared worker body of MatMulInto
-// and the fused-epilogue kernels.
-func matMulRange(dst, a, b *Tensor, lo, hi int) {
-	k := a.Shape[1]
-	n := b.Shape[1]
 	const kBlock = 256
 	for k0 := 0; k0 < k; k0 += kBlock {
 		k1 := k0 + kBlock
 		if k1 > k {
 			k1 = k
 		}
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			crow := dst.Data[i*n : (i+1)*n]
 			for kk := k0; kk < k1; kk++ {
@@ -92,10 +74,7 @@ func axpy(a float32, x, y []float32) {
 	}
 }
 
-// MatVec computes y = A × x for a 2-D A (m×k) and 1-D x (k). Rows are
-// processed in contiguous bands (one ForRange chunk per worker), the
-// same dispatch shape as MatMulInto — per-row work items are far too
-// cheap to amortise a goroutine each.
+// MatVec computes y = A × x for a 2-D A (m×k) and 1-D x (k).
 func MatVec(a, x *Tensor) *Tensor {
 	if a.Rank() != 2 || x.Rank() != 1 || a.Shape[1] != x.Shape[0] {
 		panic(fmt.Sprintf("tensor: MatVec shapes %v × %v", a.Shape, x.Shape))
@@ -103,48 +82,23 @@ func MatVec(a, x *Tensor) *Tensor {
 	m, k := a.Shape[0], a.Shape[1]
 	y := New(m)
 	xd := x.Data
-	parallel.ForRange(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.Data[i*k : (i+1)*k]
-			var s float32
-			for j, v := range row {
-				s += v * xd[j]
-			}
-			y.Data[i] = s
+	for i := 0; i < m; i++ {
+		row := a.Data[i*k : (i+1)*k]
+		var s float32
+		for j, v := range row {
+			s += v * xd[j]
 		}
-	})
+		y.Data[i] = s
+	}
 	return y
 }
 
-// Transpose returns the transpose of a 2-D tensor. The copy is blocked
-// for cache friendliness and parallelised over source-row bands (each
-// band writes a disjoint set of destination columns), which matters on
-// the attention path where n×n score matrices are transposed per head.
+// Transpose returns the transpose of a 2-D tensor.
 func Transpose(a *Tensor) *Tensor {
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: Transpose needs rank 2, got %v", a.Shape))
 	}
-	m, n := a.Shape[0], a.Shape[1]
-	t := New(n, m)
-	const bs = 32
-	parallel.ForRange(m, func(lo, hi int) {
-		for i0 := lo; i0 < hi; i0 += bs {
-			i1 := i0 + bs
-			if i1 > hi {
-				i1 = hi
-			}
-			for j0 := 0; j0 < n; j0 += bs {
-				j1 := j0 + bs
-				if j1 > n {
-					j1 = n
-				}
-				for i := i0; i < i1; i++ {
-					for j := j0; j < j1; j++ {
-						t.Data[j*m+i] = a.Data[i*n+j]
-					}
-				}
-			}
-		}
-	})
+	t := New(a.Shape[1], a.Shape[0])
+	TransposeInto(t, a)
 	return t
 }

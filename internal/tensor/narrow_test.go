@@ -182,7 +182,7 @@ func FuzzNarrowTileMatchesStripe(f *testing.F) {
 
 // BenchmarkNarrowTileCrossover times one GEMM (m = 256, k = 2304, matrix
 // B) on both routes as n grows — the measurement narrowMaxN was picked
-// from. Run with GOMAXPROCS=1.
+// from.
 func BenchmarkNarrowTileCrossover(b *testing.B) {
 	if kernNarrowF32 == nil {
 		b.Skip("tier binds no narrow tile")
@@ -200,9 +200,11 @@ func BenchmarkNarrowTileCrossover(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("n%d/stripe", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gemmStripeRangeF32(dst, m, n, k, ap, src, Epilogue{}, 0, nil, nil, 0, (n+gemmNR-1)/gemmNR)
-			}
+			stripeRouteOnly(func() {
+				for i := 0; i < b.N; i++ {
+					gemmStripesF32(dst, m, n, k, ap, src, Epilogue{}, 0, nil, nil)
+				}
+			})
 		})
 	}
 }

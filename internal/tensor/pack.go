@@ -1,11 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"ocularone/internal/parallel"
-)
+import "fmt"
 
 // This file is the packed, register-blocked GEMM core: a BLIS-style
 // rearchitecture of the matrix-multiply hot path that replaces the
@@ -46,7 +41,7 @@ import (
 // the edge cases — accumulate each C element as one chain of separate
 // single-precision multiply-then-add steps in ascending-k order,
 // exactly the op sequence of the retained reference kernel
-// (matMulRange), so their packed results are bit-identical to the
+// (matMulRefInto), so their packed results are bit-identical to the
 // reference for finite inputs. The FMA tiers keep the ascending-k
 // order but fuse each multiply-add into a single rounding, so their
 // results are drift-bounded against the reference (KernelTierFMA
@@ -365,44 +360,21 @@ func ConvRouteF32(m, n int) string {
 	return "stripe"
 }
 
-// gemmStripesF32 runs the packed GEMM over C = A×B (+epilogue),
-// parallelised over NR-column slivers. dst must hold m×n row-major
-// values; it is fully overwritten (no pre-zeroing needed — the first
-// k-block initialises the accumulators). apData is A in micro-panel
-// layout covering depth k. With csum/acsum (A's plain and absolute
-// column checksums over depth k, see abft.go) every stripe is verified
-// before its epilogue and the result reports whether all passed; nil
-// checksums run unchecked and report true.
+// gemmStripesF32 runs the packed GEMM over C = A×B (+epilogue), one
+// NR-column sliver after the other. dst must hold m×n row-major values;
+// it is fully overwritten (no pre-zeroing needed — the first k-block
+// initialises the accumulators). apData is A in micro-panel layout
+// covering depth k. With csum/acsum (A's plain and absolute column
+// checksums over depth k, see abft.go) every stripe is verified before
+// its epilogue and the result reports whether all passed; nil checksums
+// run unchecked and report true. The checked run keeps the unchecked
+// kernel schedule (results are bit-equal): it only folds the expected
+// column sums out of each packed panel and compares them before the
+// epilogue touches the stripe.
 func gemmStripesF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64) bool {
 	if useNarrowF32(m, n) {
 		return gemmNarrowF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum)
 	}
-	nSliv := (n + gemmNR - 1) / gemmNR
-	if parallel.Serial() || nSliv == 1 {
-		return gemmStripeRangeF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, 0, nSliv)
-	}
-	return gemmStripesF32Par(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, nSliv)
-}
-
-// gemmStripesF32Par is the multi-worker dispatch, split out so the
-// closure capture it needs is only materialised off the serial path
-// (the serial frame loop stays allocation-free).
-func gemmStripesF32Par[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64, nSliv int) bool {
-	var bad atomic.Bool
-	parallel.ForRange(nSliv, func(s0, s1 int) {
-		if !gemmStripeRangeF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, s0, s1) {
-			bad.Store(true)
-		}
-	})
-	return !bad.Load()
-}
-
-// gemmStripeRangeF32 computes column slivers [s0, s1) — the worker
-// body of gemmStripesF32. The checked run keeps the unchecked kernel
-// schedule (results are bit-equal): it only folds the expected column
-// sums out of each packed panel and compares them before the epilogue
-// touches the stripe.
-func gemmStripeRangeF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64, s0, s1 int) bool {
 	nr := gemmNR
 	buf := Scratch.GetRaw((gemmKC + gemmMR) * nr)
 	bbuf, ctile := buf[:gemmKC*nr], buf[gemmKC*nr:]
@@ -411,8 +383,7 @@ func gemmStripeRangeF32[S f32BSource](dst []float32, m, n, k int, apData []float
 	// Fixed max-tier arrays so the checksum rows never escape.
 	var expArr, magArr [gemmNRMax]float64
 	exp, mag := expArr[:nr], magArr[:nr]
-	for s := s0; s < s1; s++ {
-		j0 := s * nr
+	for j0 := 0; j0 < n; j0 += nr {
 		jw := min(nr, n-j0)
 		clear(exp)
 		clear(mag)
@@ -455,7 +426,7 @@ func gemmStripeRangeF32[S f32BSource](dst []float32, m, n, k int, apData []float
 // while it is cache-resident — at these shapes A is the big operand
 // (9.4 MB against 166 KB of B for the m = 512, k = 4608, n = 9 conv). A
 // tile runs the whole depth in registers, so C is written once and the
-// kernel has no accumulate mode. Serial: at most three slivers.
+// kernel has no accumulate mode.
 func gemmNarrowF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64) bool {
 	nSliv := (n + narrowNR - 1) / narrowNR
 	panel := k * narrowNR

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -113,9 +112,7 @@ func TestPackedGEMMInt8Parity(t *testing.T) {
 // of shape (the packed-threshold check in MatMulInt8Into would route
 // large shapes away from it).
 func refInt8Into(dst *Tensor, a, b *QTensor, rowScale []float32) {
-	m := a.Shape[0]
-	var acc [4 * qnBlock]int32
-	int8EpilogueRange(dst, a, b, rowScale, Epilogue{}, 0, acc[:], 0, m)
+	matMulInt8RefInto(dst, a, b, rowScale, Epilogue{}, 0)
 }
 
 // convPackedForce runs the implicit-im2col fp32 path the way the plan
@@ -408,33 +405,9 @@ func FuzzConvPanelGather(f *testing.F) {
 	})
 }
 
-// TestConvGatherParallel drives both conv sources through the
-// multi-worker stripes drivers (two workers, enough slivers on every
-// tier to fan out): under -race this is the proof that the int8 copy
-// quantized before the fan-out is only read inside it, and the outputs
-// must still match the materialised references.
-func TestConvGatherParallel(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	spec := ConvSpec{InC: 6, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
-	const side = 48 // 2304 columns: 72 slivers at the widest tile, above parallel's grain
-	r := rng.New(77)
-	x := randTensor(r, spec.InC, side, side)
-	w := randTensor(r, spec.OutC, spec.InC/spec.Groups, 3, 3)
-	forEachTier(t, func(t *testing.T, tier string) {
-		cmpTol(t, "fp32", convPackedForce(x, w, nil, spec).Data, conv2DRef(x, w, nil, spec).Data,
-			convTolerances(x, w, nil, spec))
-		qw := QuantizePerChannel(w)
-		const xScale = 1.0 / 127
-		got, want := convPackedQForce(x, qw, spec, xScale), conv2DQRef(x, qw, nil, spec, xScale)
-		if !got.Equal(want, 0) {
-			t.Fatal("int8 packed conv differs from the materialised reference")
-		}
-	})
-}
-
 // TestPackedConvZeroAlloc asserts the steady-state implicit-im2col
 // paths (fp32 and int8, with cached packed weights) perform zero heap
-// allocations per call on a single worker — the contract the plan
+// allocations per call — the contract the plan
 // executor's zero-alloc frame loop builds on. The second spec is the
 // one that stretches the int8 path's pooled quantized copy: a later
 // group (c0 > 0), an odd k (the extra zero plane), stride 2. The last
@@ -443,7 +416,6 @@ func TestConvGatherParallel(t *testing.T) {
 // what the int8 path folds into one GEMM, unchecked and checked, with
 // every sliver and the column sums pooled.
 func TestPackedConvZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
 		spec ConvSpec
 		side int

@@ -3,10 +3,6 @@ package tensor
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
-
-	"ocularone/internal/parallel"
 )
 
 // The int8 half of the packed GEMM core (see pack.go for the fp32
@@ -147,8 +143,8 @@ type qConvB struct {
 }
 
 // newQConvB quantizes channels [c0, c0+k/(KH·KW)) of every sample at
-// inverse scale inv. The copy is shared read-only by every worker of
-// the drivers; release returns it to ScratchB.
+// inverse scale inv. The drivers only read the copy; release returns it
+// to ScratchB.
 func newQConvB(xs []*Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qConvB {
 	h, w := xs[0].Shape[1], xs[0].Shape[2]
 	g := newConvGeom(spec, h, w, ow)
@@ -267,38 +263,16 @@ func requantTile(dst []float32, ld, i0, rows, c0 int, acc []int32, a0, cnt int, 
 
 // gemmStripesQ runs the packed int8 GEMM with fused requantization:
 // dst[i,j] = float32(Σ_k A[i,k]·B[k,j]) · rowScale[i], plus the
-// optional epilogue, parallelised over qNR-column slivers. With csum
-// (A's pair-interleaved checksum row, see abft.go) every sliver's
-// accumulators are verified and the result reports whether all matched;
-// nil runs unchecked and reports true.
+// optional epilogue, one qNR-column sliver after the other. Ragged tiles
+// (rows past m, columns past jw) run the same kernel over the
+// zero-padded panels — exact integer zeros from packQTo and the pack
+// sources — and only their live part is written, so the deep
+// small-spatial convs whose n fits inside one sliver stay on vector
+// lanes. With csum (A's pair-interleaved checksum row, see abft.go)
+// every sliver's accumulators are verified and the result reports
+// whether all matched; nil runs unchecked, on the same kernel schedule,
+// and reports true.
 func gemmStripesQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64) bool {
-	nSliv := (n + qNR - 1) / qNR
-	if parallel.Serial() || nSliv == 1 {
-		return gemmStripeRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, 0, nSliv)
-	}
-	return gemmStripesQPar(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, nSliv)
-}
-
-// gemmStripesQPar is the multi-worker dispatch, split out so the
-// closure capture it needs is only materialised off the serial path
-// (the serial frame loop stays allocation-free).
-func gemmStripesQPar[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64, nSliv int) bool {
-	var bad atomic.Bool
-	parallel.ForRange(nSliv, func(s0, s1 int) {
-		if !gemmStripeRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, s0, s1) {
-			bad.Store(true)
-		}
-	})
-	return !bad.Load()
-}
-
-// gemmStripeRangeQ computes column slivers [s0, s1) — the worker body
-// of gemmStripesQ. Ragged tiles (rows past m, columns past jw) run the
-// same kernel over the zero-padded panels — exact integer zeros from
-// packQTo and the pack sources — and only their live part is written,
-// so the deep small-spatial convs whose n fits inside one sliver stay on
-// vector lanes. The checked run keeps the unchecked kernel schedule.
-func gemmStripeRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64, s0, s1 int) bool {
 	k2 := (k + 1) / 2
 	nr := qNR
 	bbuf := ScratchB.Get(k2 * 2 * nr)
@@ -316,8 +290,7 @@ func gemmStripeRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, sr
 	if csum != nil {
 		exp, act = expArr[:nr], actArr[:nr]
 	}
-	for s := s0; s < s1; s++ {
-		j0 := s * nr
+	for j0 := 0; j0 < n; j0 += nr {
 		jw := min(nr, n-j0)
 		src.pack(bbuf, j0, jw)
 		if csum != nil {
@@ -354,17 +327,17 @@ func gemmStripeRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, sr
 // (4.7 MB against 37 KB of B a sample for m = 512, k = 4608, n = 9), and
 // each panel is read once per batch and meets every sliver while it is
 // cache-resident. Tiles requantize straight into the per-sample outputs
-// (dsts[s] is sample s's [m, n]). Off the serial path blocks of panels
-// fan out: their output rows are disjoint and the slivers only read.
+// (dsts[s] is sample s's [m, n]).
 //
 // With csum the run is checked as gemmStripesQ's is, per column of the
 // folded GEMM: bad[s] is set for every sample that owns a mismatching
 // column, and the result reports whether there was none.
 func gemmFoldedQ(dsts []*Tensor, m, k int, apData []int16, src qConvB, rowScale []float32, ep Epilogue, chanOff int, csum []int64, bad []bool) bool {
-	nr := qNR
-	cols := len(dsts) * src.n
+	nr, n := qNR, src.n
+	cols := len(dsts) * n
 	nSliv := (cols + nr - 1) / nr
-	sliver := (k + 1) / 2 * 2 * nr
+	k2 := (k + 1) / 2
+	sliver := k2 * 2 * nr
 	bbuf := ScratchB.Get(nSliv * sliver)
 	// Expected and actual sums of every packed column, when checked.
 	var sums []int64
@@ -380,69 +353,20 @@ func gemmFoldedQ(dsts []*Tensor, m, k int, apData []int16, src qConvB, rowScale 
 			abftFoldSliverQ(exp[s*nr:(s+1)*nr], csum, b)
 		}
 	}
-	panels := (m + 3) / 4
-	if parallel.Serial() {
-		gemmFoldRangeQ(dsts, m, k, apData, bbuf, src.n, rowScale, ep, chanOff, act, 0, panels)
-	} else {
-		gemmFoldedQPar(dsts, m, k, apData, bbuf, src.n, rowScale, ep, chanOff, act, panels)
-	}
-	ScratchB.Put(bbuf)
-	ok := true
-	if csum != nil {
-		for j := 0; j < cols; j++ {
-			if exp[j] != act[j] {
-				bad[j/src.n], ok = true, false
-			}
-		}
-	}
-	scratchQC.put(sums)
-	return ok
-}
-
-// gemmFoldedQPar is the multi-worker dispatch, split out as
-// gemmStripesQPar is. A column's actual sum runs over every row, so a
-// checked worker sums its own panels and adds them in under the lock.
-func gemmFoldedQPar(dsts []*Tensor, m, k int, apData []int16, bbuf []int8, n int, rowScale []float32, ep Epilogue, chanOff int, act []int64, panels int) {
-	var mu sync.Mutex
-	parallel.ForRange(panels, func(p0, p1 int) {
-		if act == nil {
-			gemmFoldRangeQ(dsts, m, k, apData, bbuf, n, rowScale, ep, chanOff, nil, p0, p1)
-			return
-		}
-		mine := scratchQC.get(len(act))
-		clear(mine)
-		gemmFoldRangeQ(dsts, m, k, apData, bbuf, n, rowScale, ep, chanOff, mine, p0, p1)
-		mu.Lock()
-		for j, v := range mine {
-			act[j] += v
-		}
-		mu.Unlock()
-		scratchQC.put(mine)
-	})
-}
-
-// gemmFoldRangeQ computes A panels [p0, p1) against every packed sliver
-// — the worker body of gemmFoldedQ. act, when checked, receives the
-// panels' share of every column's actual sum.
-func gemmFoldRangeQ(dsts []*Tensor, m, k int, apData []int16, bbuf []int8, n int, rowScale []float32, ep Epilogue, chanOff int, act []int64, p0, p1 int) {
-	k2 := (k + 1) / 2
-	nr := qNR
-	cols := len(dsts) * n
 	acc := scratchI32.get(4 * nr)
 	epWork := ep.hasWork()
-	for p := p0; p < p1; p++ {
-		i0 := p * 4
+	for i0 := 0; i0 < m; i0 += 4 {
 		rows := min(4, m-i0)
 		for j0 := 0; j0 < cols; j0 += nr {
-			kernForQ(cols-j0)(&acc[0], &apData[p*k2*8], &bbuf[j0*k2*2], k2)
-			if act != nil && ABFTFaultQ != nil {
+			kernForQ(cols-j0)(&acc[0], &apData[(i0/4)*k2*8], &bbuf[j0*k2*2], k2)
+			if csum != nil && ABFTFaultQ != nil {
 				ABFTFaultQ(acc, i0, j0)
 			}
 			// Each run of the tile's columns goes to the sample that owns it.
 			for off, jw := 0, min(nr, cols-j0); off < jw; {
 				smp, c, cnt := sampleRun(j0+off, n, jw-off)
 				var a []int64
-				if act != nil {
+				if csum != nil {
 					a = act[j0+off:]
 				}
 				requantTile(dsts[smp].Data, n, i0, rows, c, acc, off, cnt, rowScale, a)
@@ -456,6 +380,17 @@ func gemmFoldRangeQ(dsts []*Tensor, m, k int, apData []int16, bbuf []int8, n int
 		}
 	}
 	scratchI32.put(acc)
+	ScratchB.Put(bbuf)
+	ok := true
+	if csum != nil {
+		for j := 0; j < cols; j++ {
+			if exp[j] != act[j] {
+				bad[j/n], ok = true, false
+			}
+		}
+	}
+	scratchQC.put(sums)
+	return ok
 }
 
 // matMulInt8PackedInto is MatMulInt8Into's packed path: A packs per

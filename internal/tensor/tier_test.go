@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"ocularone/internal/rng"
@@ -385,7 +384,6 @@ func TestTierABFTProperties(t *testing.T) {
 // heap allocations on every tier — widening the tile must not cost the
 // frame loop its allocation contract.
 func TestTierZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	r := rng.New(11)
 	x := randTensor(r, 16, 24, 24)
