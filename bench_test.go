@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -488,9 +489,10 @@ func BenchmarkConvTable2Shapes(b *testing.B) {
 // of BENCHMARKS.md §PR 15. At batch 4 the n = 9 and n = 36 shapes run as
 // one folded GEMM over the batch's 36 and 144 columns, the rest sample
 // by sample. Record with GOMAXPROCS=1 -count 5. GOPS counts the 2·m·k·n
-// useful ops a frame; wMB/frame is the packed int16 weight traffic the
-// route implies: one pass over the panels per column sliver, shared by
-// the whole batch on the folded route.
+// useful ops a frame; wMB/frame is the packed weight traffic the route
+// implies — int16 panels on the pair tiers, int8 on the quad tier, which
+// KernelTierDesc names u8s8: one pass over the panels per column sliver,
+// shared by the whole batch on the folded route.
 func BenchmarkConvTable2ShapesInt8(b *testing.B) {
 	for _, s := range []struct{ m, k, n int }{
 		{512, 4608, 9}, {256, 2304, 36}, {128, 1152, 144}, {64, 576, 576}, {32, 288, 2304},
@@ -526,10 +528,13 @@ func BenchmarkConvTable2ShapesInt8(b *testing.B) {
 				if nb > 1 && s.n <= 36 { // the folded route's shapes
 					cols, share = nb*s.n, nb
 				}
-				nr := tensor.KernelTierInt8Cols()
+				nr, wBytes := tensor.KernelTierInt8Cols(), 2
+				if strings.Contains(tensor.KernelTierDesc(), "u8s8") {
+					wBytes = 1
+				}
 				b.ReportMetric(sec*1e3, "ms/frame")
 				b.ReportMetric(2*float64(s.m*s.k*s.n)/sec/1e9, "GOPS")
-				b.ReportMetric(float64((cols+nr-1)/nr*2*s.m*s.k)/float64(share)/1e6, "wMB/frame")
+				b.ReportMetric(float64((cols+nr-1)/nr*wBytes*s.m*s.k)/float64(share)/1e6, "wMB/frame")
 			})
 		}
 	}

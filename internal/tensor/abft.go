@@ -67,6 +67,11 @@ var (
 	ABFTFaultQ   func(acc []int32, i0, j0 int)
 )
 
+// abftFaultB is the same for a packed int8 B sliver (first column j0),
+// invoked after its share of the expected sums was folded and before any
+// kernel reads it.
+var abftFaultB func(bbuf []int8, j0 int)
+
 // colChecksumsF32 fills csum/acsum (length k) with the plain and
 // absolute column sums of row-major a (m×k).
 func colChecksumsF32(csum, acsum []float64, a []float32, m, k int) {
@@ -86,17 +91,16 @@ func colChecksumsF32(csum, acsum []float64, a []float32, m, k int) {
 	}
 }
 
-// colChecksumsQ fills csum (pair-interleaved, length 2·⌈k/2⌉) with the
-// column sums of row-major int8 a (m×k): csum[2·kk2+s] = Σ_i a[i,2·kk2+s],
-// matching the pair layout of the packed B slivers.
+// colChecksumsQ fills csum with the column sums of row-major int8 a
+// (m×k): csum[kk] = Σ_i a[i,kk], and zero from k to len(csum) — the
+// packed B slivers' k tail. They are sums of the weights themselves,
+// independent of how the tier stores them.
 func colChecksumsQ(csum []int64, a []int8, m, k int) {
-	for i := range csum {
-		csum[i] = 0
-	}
+	clear(csum)
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		for kk, v := range arow {
-			csum[(kk/2)*2+kk&1] += int64(v)
+			csum[kk] += int64(v)
 		}
 	}
 }
@@ -147,15 +151,23 @@ func abftVerifyF32(dst []float32, m, n, k, j0, jw int, exp, mag []float64) bool 
 }
 
 // abftFoldSliverQ adds one packed int8 sliver's share of the expected
-// column sums: exp[j] += Σ_kk csum[kk]·B[kk,j] over the pair-interleaved
-// sliver, len(exp) columns wide. Exact integer sums.
-func abftFoldSliverQ(exp, csum []int64, bbuf []int8) {
-	nr := len(exp)
-	for kk := 0; kk < len(csum)/2; kk++ {
-		c0, c1 := csum[kk*2], csum[kk*2+1]
-		row := bbuf[kk*2*nr : kk*2*nr+2*nr]
+// column sums: exp[j] += Σ_kk csum[kk]·B[kk,j] over the sliver, len(exp)
+// columns wide and interleaved in k-groups of kq, with B[kk,j] read back
+// out of the stored byte (the XOR with qFlip undoes the quad tier's
+// offset). Exact integer sums of the true activations: the prediction
+// does not involve PackedQ's panels or comp, so a fault in either shows
+// on the actual side alone.
+func abftFoldSliverQ(exp, csum []int64, bbuf []int8, kq int) {
+	nr, flip := len(exp), qFlip(kq)
+	for kk := 0; kk < len(csum); kk += kq {
+		cs := csum[kk : kk+kq]
+		grp := bbuf[kk*nr : (kk+kq)*nr]
 		for j := range exp {
-			exp[j] += c0*int64(row[j*2]) + c1*int64(row[j*2+1])
+			e := exp[j]
+			for s, b := range grp[j*kq : (j+1)*kq] {
+				e += cs[s] * int64(b^flip)
+			}
+			exp[j] = e
 		}
 	}
 }

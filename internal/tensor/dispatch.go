@@ -3,39 +3,50 @@ package tensor
 import (
 	"fmt"
 	"os"
+	"unsafe"
 )
 
 // Runtime CPU dispatch for the packed GEMM micro-kernels.
 //
 // The packed core (pack.go / packq.go) is driven by a small set of
 // geometry parameters — the fp32 register-tile width gemmNR, the k
-// block gemmKC, and the int8 tile width qNR — plus the kernel entry
-// points (kernF32, kernQ, and the optional kernNarrowF32, kernHalfQ
-// and kernRows). A dispatch *tier* binds one consistent assignment of
-// them, and the highest tier the CPU supports is selected once at
-// package init:
+// block gemmKC, the int8 tile width qNR and the int8 k-group qK — plus
+// the kernel entry points (kernF32, kernQ, and the optional
+// kernNarrowF32, kernHalfQ and kernRows). A dispatch *tier* binds one
+// consistent assignment of them, and the highest tier the CPU supports
+// is selected once at package init:
 //
 //	generic     pure-Go 4×8 fp32 + 4×8 int8 pair tiles (every arch)
 //	sse2        SSE2 assembly 4×8 fp32 MULPS/ADDPS + 4×8 PMADDWD int8
 //	avx2fma     AVX2/FMA 4×24 fp32 (12 YMM accumulators, fused
 //	            multiply-add) + the 8×12 narrow fp32 tile (lanes along
 //	            M) + 4×16 VPMADDWD int8 tiles + the AVX2 row kernels
-//	            (epilogue, add, pooling max — no FMA; rowops.go)
+//	            (epilogue, add, pooling max, quantize — no FMA;
+//	            rowops.go)
 //	avx512vnni  avx2fma's fp32 kernels + 4×32 int8 tiles accumulated
-//	            with AVX-512 VPDPWSSD (VNNI: maddwd and add fused), and
-//	            the tile's left half for ragged slivers (kernHalfQ)
+//	            with AVX-512 VPDPBUSD (VNNI bytes: four u8·s8 products
+//	            a lane and their add, fused), and the tile's left half
+//	            for ragged slivers (kernHalfQ)
 //
-// Every tier keeps gemmMR = 4, so the packed operand layouts (PackedA
-// micro-panels, PackedQ pair-interleaved panels, and both ABFT
-// checksum rows) are identical across tiers: weights packed at
-// plan-compile time stay valid if the tier is switched afterwards,
-// and SetKernelTier never invalidates cached state. The tile that
-// varies is the *column* width — wider B slivers per register block —
-// which only changes per-call driver loops and scratch sizes.
+// Every tier keeps gemmMR = 4, so the fp32 operand layout (PackedA
+// micro-panels and their checksum rows) is identical across tiers:
+// fp32 weights packed at plan-compile time stay valid if the tier is
+// switched afterwards. The tile that varies there is the *column*
+// width — wider B slivers per register block — which only changes
+// per-call driver loops and scratch sizes. The int8 layout is the
+// tier's: qK k steps sit adjacent per row and column — int16 weight
+// pairs against int8 activation pairs on the word tiers (qK = 2; the
+// byte form of those instruction sets, PMADDUBSW, saturates at
+// 2·255·127 and is not exact), int8 weight quads against offset-byte
+// activation quads on avx512vnni (qK = 4, see packq.go). A PackedQ
+// records the group it was packed for, and the drivers refuse one
+// packed for another group by name: int8 weights are repacked after a
+// switch that changes qK.
 //
 // Parity contract per tier: int8 accumulation is exact integer math
-// in every tier, so int8 results are bit-identical to the reference
-// tiles everywhere. fp32 results are bit-identical to the scalar
+// in every tier — the offset of the byte form is taken back out as an
+// integer before the requantization — so int8 results are bit-identical
+// to the reference tiles everywhere. fp32 results are bit-identical to the scalar
 // reference for the non-FMA tiers (generic, sse2: one separate
 // multiply and add per k step). The FMA tiers fuse each multiply-add
 // into one rounding, so their fp32 results are drift-bounded against
@@ -73,10 +84,15 @@ const kernelTierEnv = "OCULARONE_KERNEL_TIER"
 type gemmKernelF32 func(c *float32, ldc int, a, b *float32, kc int, accum uintptr)
 
 // gemmKernelQ is the int8 micro-kernel contract: compute a 4×qNR
-// int32 accumulator tile (acc, row-major) from pair-interleaved
-// panels a (8 int16 per k-pair) and b (2·qNR int8 per k-pair) over k2
-// k-pairs.
-type gemmKernelQ func(acc *int32, a *int16, b *int8, k2 int)
+// int32 accumulator tile (acc, row-major) from group-interleaved
+// panels over kg k-groups of the tier's qK steps each. On the pair
+// tiers a holds 8 int16 per k-pair (4 rows × 2 sign-extended weights)
+// and b 2·qNR int8; on the quad tier a holds 16 int8 per k-quad and b
+// 4·qNR bytes, each an activation plus 128 (the unsigned operand of
+// VPDPBUSD), so its tile is Σ a·(b+128) and the drivers subtract the
+// row's 128·Σa (PackedQ.comp). a is untyped because its element type
+// is the tier's.
+type gemmKernelQ func(acc *int32, a unsafe.Pointer, b *int8, kg int)
 
 // A tier may also bind kernHalfQ, the same contract over the left half
 // of the tile: columns [0, qNR/2) of the same sliver into the same acc
@@ -99,6 +115,7 @@ type kernelTier struct {
 	nr     int // fp32 B-sliver / register-tile width
 	kc     int // fp32 k block (B panel kc×nr stays L1-resident)
 	qnr    int // int8 tile width
+	qk     int // int8 k-group: 2 = int16·int8 pairs, 4 = int8·offset-byte quads
 	fma    bool
 	f32    gemmKernelF32
 	narrow gemmNarrowKernelF32 // nil: the tier has no narrow tile
@@ -114,6 +131,7 @@ var (
 	gemmNR = 8
 	gemmKC = 256
 	qNR    = 8
+	qK     = 2
 
 	kernF32       gemmKernelF32 = gemm4x8Go
 	kernNarrowF32 gemmNarrowKernelF32
@@ -122,7 +140,7 @@ var (
 	kernRows      *rowKernels
 
 	tierTable []kernelTier
-	curTier   = kernelTier{name: TierGeneric, nr: 8, kc: 256, qnr: 8, f32: gemm4x8Go, q: gemmQ4x8Go}
+	curTier   = kernelTier{name: TierGeneric, nr: 8, kc: 256, qnr: 8, qk: 2, f32: gemm4x8Go, q: gemmQ4x8Go}
 )
 
 // Upper bounds across all tiers, for fixed-size driver scratch
@@ -146,7 +164,7 @@ func init() {
 
 func applyTier(t kernelTier) {
 	curTier = t
-	gemmNR, gemmKC, qNR = t.nr, t.kc, t.qnr
+	gemmNR, gemmKC, qNR, qK = t.nr, t.kc, t.qnr, t.qk
 	kernF32, kernNarrowF32, kernQ, kernHalfQ = t.f32, t.narrow, t.q, t.qhalf
 	kernRows = t.rows
 }
@@ -165,10 +183,17 @@ func KernelTier() string { return curTier.name }
 func KernelTierFMA() bool { return curTier.fma }
 
 // KernelTierDesc returns a one-line description of the selected tier
-// and its blocking parameters, for benchmark and CLI headers.
+// and its blocking parameters, for benchmark and CLI headers. The int8
+// form names the multiply: s16·k2 is int16 weights against int8
+// activations two k steps a lane, u8s8·k4 offset-byte activations
+// against int8 weights four a lane.
 func KernelTierDesc() string {
-	return fmt.Sprintf("%s (fp32 %dx%d kc=%d, int8 4x%d)",
-		curTier.name, gemmMR, curTier.nr, curTier.kc, curTier.qnr)
+	form := "s16"
+	if curTier.qk == 4 {
+		form = "u8s8"
+	}
+	return fmt.Sprintf("%s (fp32 %dx%d kc=%d, int8 4x%d %s·k%d)",
+		curTier.name, gemmMR, curTier.nr, curTier.kc, curTier.qnr, form, curTier.qk)
 }
 
 // KernelTierInt8Cols reports the selected tier's int8 tile width: the
@@ -187,11 +212,13 @@ func KernelTiers() []string {
 }
 
 // SetKernelTier forces a dispatch tier by name, returning an error if
-// the tier is unknown or unsupported on this CPU. Packed operands
-// (PackedA/PackedQ and their checksums) are tier-independent, so
-// previously packed weights remain valid; the switch must simply not
-// race a running GEMM. Intended for the per-tier parity battery and
-// for pinning benchmarks — production code lets init pick.
+// the tier is unknown or unsupported on this CPU. PackedA and its
+// checksums are tier-independent, so packed fp32 weights remain valid;
+// a PackedQ is valid on the tiers that share its k-group (the three
+// pair tiers, or avx512vnni alone) and refused by the int8 drivers on
+// the others — repack int8 weights after crossing that line. The
+// switch must not race a running GEMM. Intended for the per-tier parity
+// battery and for pinning benchmarks — production code lets init pick.
 func SetKernelTier(name string) error {
 	for _, t := range tierTable {
 		if t.name == name {

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "unsafe"
+
 // CPUID feature probe and the amd64 tier table. SSE2 is part of the
 // amd64 baseline so its tier is unconditional; the AVX2/FMA and
 // AVX-512/VNNI tiers additionally require the OS to have enabled the
@@ -25,25 +27,26 @@ func gemmFMA4x24(c *float32, ldc int, a, b *float32, kc int, accum uintptr)
 
 // gemmQ4x16 computes a 4×16 int32 tile from int8 pair-interleaved
 // panels with AVX2 VPMOVSXBW + VPMADDWD/VPADDD. Contract: gemmKernelQ
-// with qNR = 16.
+// with qNR = 16, qK = 2.
 //
 //go:noescape
-func gemmQ4x16(acc *int32, a *int16, b *int8, k2 int)
+func gemmQ4x16(acc *int32, a unsafe.Pointer, b *int8, k2 int)
 
-// gemmQ4x32 computes a 4×32 int32 tile with AVX-512 VNNI: VPMOVSXBW
-// widens 32 packed bytes per vector and VPDPWSSD fuses the word-pair
-// multiply-accumulate that the lower tiers spell PMADDWD + PADDD.
-// Contract: gemmKernelQ with qNR = 32.
+// gemmQuad4x32 computes a 4×32 int32 tile with AVX-512 VNNI's byte
+// form: VPDPBUSD multiplies 64 offset activation bytes (unsigned) by a
+// broadcast quad of int8 weights and adds each lane's four products
+// into its accumulator — four k steps a lane, nothing widened on the
+// way. Contract: gemmKernelQ with qNR = 32, qK = 4.
 //
 //go:noescape
-func gemmQ4x32(acc *int32, a *int16, b *int8, k2 int)
+func gemmQuad4x32(acc *int32, a unsafe.Pointer, b *int8, k4 int)
 
-// gemmQ4x32Half computes columns 0..15 of gemmQ4x32's tile from the
-// same 32-column sliver and leaves columns 16..31 of acc untouched.
+// gemmQuad4x32Half computes columns 0..15 of gemmQuad4x32's tile from
+// the same 32-column sliver and leaves columns 16..31 of acc untouched.
 // Contract: gemmKernelQ, left half only — the optional kernHalfQ.
 //
 //go:noescape
-func gemmQ4x32Half(acc *int32, a *int16, b *int8, k2 int)
+func gemmQuad4x32Half(acc *int32, a unsafe.Pointer, b *int8, k4 int)
 
 // gemmFMA8x12 computes an 8-row × 12-column fp32 tile with the vector
 // lanes along M and the B values broadcast (12 YMM accumulators, the A
@@ -78,15 +81,15 @@ const (
 // archTiers probes CPUID and returns the assembly tiers this CPU can
 // run, lowest first. The fp32 FMA kernels are shared by both upper
 // tiers: the avx512vnni tier upgrades only the int8 path, where
-// doubling the vector width and fusing the pair-accumulate is the
-// win. A 512-bit 4×48 fp32 tile was measured for ISSUE 14 (requester's
+// doubling the vector width and folding four byte products a lane is
+// the win. A 512-bit 4×48 fp32 tile was measured for ISSUE 14 (requester's
 // prototype, Xeon 2.10 GHz, one core): the bare kernel rose 92 → 120
 // GFLOPS and MatMul512Into fell 4.5–5.1 → 3.4–3.8 ms, but engine_fp32
 // read 86.4 / 83.5 against 84.7 / 83.6 ms — no network layer below
 // n = 144 fills 48 columns — so it was not built.
 func archTiers() []kernelTier {
 	tiers := []kernelTier{
-		{name: TierSSE2, nr: 8, kc: 256, qnr: 8, f32: gemm4x8, q: gemmQ4x8},
+		{name: TierSSE2, nr: 8, kc: 256, qnr: 8, qk: 2, f32: gemm4x8, q: gemmQ4x8},
 	}
 	maxLeaf, _, _, _ := cpuidx(0, 0)
 	if maxLeaf < 7 {
@@ -105,14 +108,14 @@ func archTiers() []kernelTier {
 		return tiers
 	}
 	tiers = append(tiers, kernelTier{
-		name: TierAVX2FMA, nr: 24, kc: 192, qnr: 16, fma: true,
+		name: TierAVX2FMA, nr: 24, kc: 192, qnr: 16, qk: 2, fma: true,
 		f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x16, rows: avx2Rows,
 	})
 	if b7&cpuidAVX512F != 0 && b7&cpuidAVX512BW != 0 &&
 		c7&cpuidAVX512VNNI != 0 && xlo&xcr0AVX512 == xcr0AVX512 {
 		tiers = append(tiers, kernelTier{
-			name: TierAVX512VNNI, nr: 24, kc: 192, qnr: 32, fma: true,
-			f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x32, qhalf: gemmQ4x32Half, rows: avx2Rows,
+			name: TierAVX512VNNI, nr: 24, kc: 192, qnr: 32, qk: 4, fma: true,
+			f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQuad4x32, qhalf: gemmQuad4x32Half, rows: avx2Rows,
 		})
 	}
 	return tiers

@@ -14,3 +14,14 @@ func interleavePairs(dst, a, b *int8, n int) {
 		ds[2*i], ds[2*i+1] = v, bs[i]
 	}
 }
+
+// interleaveQuads zips n bytes of a, b, c and d into dst (dst[4i+s] =
+// the s-th source's byte i) — the portable form of the amd64 assembly
+// routine.
+func interleaveQuads(dst, a, b, c, d *int8, n int) {
+	ds := sliceFrom(dst, 4*n)
+	as, bs, cs, es := sliceFrom(a, n), sliceFrom(b, n), sliceFrom(c, n), sliceFrom(d, n)
+	for i, v := range as {
+		ds[4*i], ds[4*i+1], ds[4*i+2], ds[4*i+3] = v, bs[i], cs[i], es[i]
+	}
+}

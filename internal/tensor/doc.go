@@ -23,9 +23,13 @@
 // SetKernelTier or the OCULARONE_KERNEL_TIER environment variable:
 // pure-Go 4×8 tiles (generic, every GOARCH), SSE2 assembly 4×8 tiles
 // (sse2, the amd64 baseline), an AVX2/FMA 4×24 fp32 tile with a 4×16
-// VPMADDWD int8 tile (avx2fma), and an AVX-512 4×32 VPDPWSSD int8
-// tile (avx512vnni). KernelTier/KernelTierDesc report the selection
-// for benchmark headers. For convolutions the panel pack IS im2col
+// VPMADDWD int8 tile (avx2fma), and an AVX-512 4×32 VPDPBUSD int8
+// tile (avx512vnni). The int8 operand layout is the tier's — int16
+// weight pairs on the first three, int8 weight quads against
+// offset-byte activations on avx512vnni — so a PackedQ is good for the
+// tiers of its k-group and int8 weights are repacked after a switch
+// across that line; PackedA is good for all. KernelTier/KernelTierDesc
+// report the selection for benchmark headers. For convolutions the panel pack IS im2col
 // (ConvPackedInto/ConvPackedQBatchInto gather receptive fields
 // directly, run by run; the int8 path from a copy of the input
 // quantized once per call), so the k×n cols matrix never materialises,
@@ -84,7 +88,7 @@
 //
 // Beside the fp32 plane sits an INT8 quantized one: QTensor carries
 // int8 data with per-channel scales, MatMulInt8Into routes large
-// shapes through the packed PMADDWD kernel (reference 4-row tiles
+// shapes through the packed int8 kernel (reference 4-row tiles
 // retained for small ones) with int32 accumulation and a fused
 // requantization epilogue, Conv2DQ lowers every quantized convolution
 // through the implicit quantizing im2col, and ScratchB (a BytePool,

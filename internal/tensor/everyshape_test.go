@@ -157,6 +157,9 @@ func FuzzConvEveryShape(f *testing.F) {
 	f.Add(uint64(2), uint8(0), uint8(0), uint8(2), uint8(2), uint8(2), uint8(0), uint8(4), uint8(0), uint8(5), uint8(5), uint8(3))   // depthwise 3×3 on 6×6, batch 4
 	f.Add(uint64(3), uint8(0), uint8(3), uint8(2), uint8(2), uint8(0), uint8(0), uint8(4), uint8(0), uint8(11), uint8(11), uint8(1)) // m = 1, k = 36
 	f.Add(uint64(4), uint8(8), uint8(2), uint8(1), uint8(2), uint8(1), uint8(3), uint8(8), uint8(3), uint8(6), uint8(9), uint8(2))   // 9 rows, 2 groups, strided, dilated
+	f.Add(uint64(5), uint8(3), uint8(2), uint8(2), uint8(2), uint8(0), uint8(0), uint8(4), uint8(0), uint8(2), uint8(2), uint8(3))   // k = 27 (≡ 3 mod 4) on 3×3, batch 4: folded
+	f.Add(uint64(6), uint8(5), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(5), uint8(5), uint8(2))   // 1×1, k = 2 (≡ 2 mod 4) on 6×6, batch 3: folded
+	f.Add(uint64(7), uint8(7), uint8(2), uint8(0), uint8(2), uint8(1), uint8(1), uint8(1), uint8(0), uint8(11), uint8(10), uint8(1)) // 1×3, 2 groups, k = 9 (≡ 1 mod 4), stride 2×1
 	f.Fuzz(func(t *testing.T, seed uint64, ocg, icg, kh, kw, groupSel, stride, pad, dil, h, w, nb uint8) {
 		spec, hh, ww, batch := everyShape(int(ocg), int(icg), int(kh), int(kw), int(groupSel), int(stride), int(pad), int(dil), int(h), int(w), int(nb))
 		forEachTier(t, func(t *testing.T, tier string) {

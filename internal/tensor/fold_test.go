@@ -171,15 +171,16 @@ func FuzzFoldedConvQMatchesPerSample(f *testing.F) {
 // TestHalfTileQMatchesFullTile pins the half-width int8 tile (a ragged
 // sliver with at most qNR/2 live columns, on the tiers that bind one) to
 // the full tile bit for bit: the same GEMM with the half kernel unbound
-// is the oracle. Depths cover both turns of the kernel's two-k-pair loop
-// and its odd tail; rows and columns are ragged.
+// is the oracle. Depths cover both turns of the kernel's two-k-quad loop
+// and its odd tail, at every residue of k mod 4; rows and columns are
+// ragged.
 func TestHalfTileQMatchesFullTile(t *testing.T) {
 	forEachTier(t, func(t *testing.T, tier string) {
 		if kernHalfQ == nil {
 			t.Skip("tier binds no half-width int8 tile")
 		}
 		r := rng.New(1800)
-		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 72, 75, 146} {
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 9, 13, 16, 17, 72, 75, 146} {
 			for _, m := range []int{4, 6, 16} {
 				for _, n := range []int{1, qNR / 2, qNR/2 + 1, qNR + 1, qNR + qNR/2} {
 					a := QuantizePerChannel(randTensor(r, m, k))
@@ -188,13 +189,10 @@ func TestHalfTileQMatchesFullTile(t *testing.T) {
 					for i := range rowScale {
 						rowScale[i] = a.ScaleFor(i) * b.Scales[0]
 					}
-					ap := make([]int16, packQLen(m, k))
-					packQTo(ap, a.Data, m, k)
-					csum := make([]int64, 2*((k+1)/2))
-					colChecksumsQ(csum, a.Data, m, k)
+					wp := PackWeightsQ(a.Data, m, k)
 					run := func() []float32 {
 						dst := make([]float32, m*n)
-						if !gemmStripesQ(dst, m, n, k, ap, qMatrixB{b: b.Data, k: k, n: n}, rowScale, Epilogue{}, 0, csum) {
+						if !gemmStripesQ(dst, n, wp, qMatrixB{b: b.Data, k: k, n: n}, rowScale, Epilogue{}, 0, true) {
 							t.Fatalf("m=%d k=%d n=%d: clean checked run flagged", m, k, n)
 						}
 						return dst

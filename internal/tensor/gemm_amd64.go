@@ -2,6 +2,8 @@
 
 package tensor
 
+import "unsafe"
+
 // SSE2 micro-kernels (gemm_amd64.s) — the sse2 dispatch tier. SSE2 is
 // part of the amd64 baseline (GOAMD64=v1), so this tier is always
 // available and needs no CPUID gate; the AVX2/FMA and VNNI tiers live
@@ -31,12 +33,19 @@ func gemm4x8(c *float32, ldc int, a, b *float32, kc int, accum uintptr)
 // int32, so any grouping matches the scalar reference.
 //
 //go:noescape
-func gemmQ4x8(acc *int32, a *int16, b *int8, k2 int)
+func gemmQ4x8(acc *int32, a unsafe.Pointer, b *int8, k2 int)
 
 // interleavePairs zips n bytes of a and b into dst (dst[2i] = a[i],
-// dst[2i+1] = b[i]) — the stride-1 inner step of qConvB.pack, which
-// lays two k rows side by side for the pair-consuming int8 kernels.
-// Plain byte movement, so it serves every tier.
+// dst[2i+1] = b[i]) — the stride-1 inner step of qConvB.pack on the
+// pair tiers, which lays two k rows side by side for the pair-consuming
+// int8 kernels. Plain byte movement.
 //
 //go:noescape
 func interleavePairs(dst, a, b *int8, n int)
+
+// interleaveQuads zips n bytes of a, b, c and d into dst (dst[4i+s] =
+// the s-th source's byte i) — the same step for the quad-consuming
+// kernel: four k rows side by side.
+//
+//go:noescape
+func interleaveQuads(dst, a, b, c, d *int8, n int)

@@ -81,7 +81,7 @@ loop:
 	MOVUPS X7, 16(R10)
 	RET
 
-// func gemmQ4x8(acc *int32, a *int16, b *int8, k2 int)
+// func gemmQ4x8(acc *int32, a unsafe.Pointer, b *int8, k2 int)
 //
 // 4×8 int8→int32 register tile over pair-interleaved panels: each
 // k-pair step sign-extends 16 packed B bytes to two int16 vectors
@@ -207,4 +207,86 @@ zip1:
 	DECQ CX
 	JMP  zip1
 zipdone:
+	RET
+
+// func interleaveQuads(dst, a, b, c, d *int8, n int)
+//
+// dst[4i+s] = the s-th source's byte i for i < n: PUNPCK?BW zips a with b
+// and c with d into byte pairs, PUNPCK?WL zips the pairs into quads —
+// sixteen columns per step, then four, then single bytes. The k-quad
+// interleave of the int8 conv B pack on the quad tier.
+TEXT ·interleaveQuads(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ c+24(FP), R8
+	MOVQ d+32(FP), R9
+	MOVQ n+40(FP), CX
+quad16:
+	CMPQ CX, $16
+	JLT  quad4
+	MOVOU (SI), X0
+	MOVOU (DX), X1
+	MOVOU (R8), X2
+	MOVOU (R9), X3
+	MOVO  X0, X4
+	PUNPCKLBW X1, X0           // a0 b0 … a7 b7
+	PUNPCKHBW X1, X4           // a8 b8 … a15 b15
+	MOVO  X2, X5
+	PUNPCKLBW X3, X2           // c0 d0 … c7 d7
+	PUNPCKHBW X3, X5
+	MOVO  X0, X6
+	PUNPCKLWL X2, X0           // columns 0..3
+	PUNPCKHWL X2, X6           // 4..7
+	MOVO  X4, X7
+	PUNPCKLWL X5, X4           // 8..11
+	PUNPCKHWL X5, X7           // 12..15
+	MOVOU X0, (DI)
+	MOVOU X6, 16(DI)
+	MOVOU X4, 32(DI)
+	MOVOU X7, 48(DI)
+	ADDQ $16, SI
+	ADDQ $16, DX
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $64, DI
+	SUBQ $16, CX
+	JMP  quad16
+quad4:
+	CMPQ CX, $4
+	JLT  quad1
+	MOVL (SI), X0
+	MOVL (DX), X1
+	MOVL (R8), X2
+	MOVL (R9), X3
+	PUNPCKLBW X1, X0
+	PUNPCKLBW X3, X2
+	PUNPCKLWL X2, X0
+	MOVOU X0, (DI)
+	ADDQ $4, SI
+	ADDQ $4, DX
+	ADDQ $4, R8
+	ADDQ $4, R9
+	ADDQ $16, DI
+	SUBQ $4, CX
+	JMP  quad4
+quad1:
+	TESTQ CX, CX
+	JZ   quaddone
+	MOVB (SI), AX
+	MOVB (DX), BX
+	MOVB AX, (DI)
+	MOVB BX, 1(DI)
+	MOVB (R8), AX
+	MOVB (R9), BX
+	MOVB AX, 2(DI)
+	MOVB BX, 3(DI)
+	INCQ SI
+	INCQ DX
+	INCQ R8
+	INCQ R9
+	ADDQ $4, DI
+	DECQ CX
+	JMP  quad1
+quaddone:
 	RET

@@ -169,7 +169,7 @@ nloop:
 	VZEROUPPER
 	RET
 
-// func gemmQ4x16(acc *int32, a *int16, b *int8, k2 int)
+// func gemmQ4x16(acc *int32, a unsafe.Pointer, b *int8, k2 int)
 //
 // 4×16 int8→int32 register tile over pair-interleaved panels, the
 // AVX2 widening of gemmQ4x8: each k-pair step sign-extends 32 packed
@@ -228,19 +228,25 @@ qloop16:
 	VZEROUPPER
 	RET
 
-// func gemmQ4x32(acc *int32, a *int16, b *int8, k2 int)
+// func gemmQuad4x32(acc *int32, a unsafe.Pointer, b *int8, k4 int)
 //
-// 4×32 int8→int32 register tile with AVX-512 VNNI: VPMOVSXBW widens
-// 32 packed B bytes per ZMM, and VPDPWSSD accumulates the word-pair
-// dot product in one instruction — the VPMADDWD+VPADDD pair of the
-// AVX2 tier fused, at double the vector width. The word products stay
-// far inside int32 (int8-ranged inputs), so accumulation is exact and
-// bit-identical to every lower tier.
-TEXT ·gemmQ4x32(SB), NOSPLIT, $0-32
+// 4×32 u8·s8→int32 register tile with AVX-512 VNNI's byte form. A k-quad
+// of the B sliver is 128 bytes — 32 columns × 4 consecutive k steps, each
+// byte an activation plus 128 — and loads as two plain ZMM vectors; a row's
+// int8 weight quad is one VPBROADCASTD, used against both; VPDPBUSD
+// multiplies each lane's four unsigned bytes by the four signed weights and
+// adds the products to the lane's int32 (no saturation). Two k-quads a turn
+// go into two accumulator sets (Z0..Z7 and Z8..Z15), summed at the end, so
+// 16 independent chains cover the instruction's latency. (Weights as
+// broadcast memory operands, one per VPDPBUSD, measured 8–12 % slower:
+// 20 loads a turn against 12.) The tile is Σ a·(b+128): the driver takes
+// the row's 128·Σa back out (PackedQ.comp), exactly, and what is left is
+// the sum every other tier computes.
+TEXT ·gemmQuad4x32(SB), NOSPLIT, $0-32
 	MOVQ acc+0(FP), DI
 	MOVQ a+8(FP), AX
 	MOVQ b+16(FP), BX
-	MOVQ k2+24(FP), CX
+	MOVQ k4+24(FP), CX
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -249,25 +255,72 @@ TEXT ·gemmQ4x32(SB), NOSPLIT, $0-32
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
-qloop32:
-	VPMOVSXBW (BX), Z8         // cols 0..15 pairs → words
-	VPMOVSXBW 32(BX), Z9       // cols 16..31 pairs
-	VPBROADCASTD (AX), Z10     // row 0 weight pair
-	VPDPWSSD Z8, Z10, Z0
-	VPDPWSSD Z9, Z10, Z1
-	VPBROADCASTD 4(AX), Z10    // row 1
-	VPDPWSSD Z8, Z10, Z2
-	VPDPWSSD Z9, Z10, Z3
-	VPBROADCASTD 8(AX), Z10    // row 2
-	VPDPWSSD Z8, Z10, Z4
-	VPDPWSSD Z9, Z10, Z5
-	VPBROADCASTD 12(AX), Z10   // row 3
-	VPDPWSSD Z8, Z10, Z6
-	VPDPWSSD Z9, Z10, Z7
-	ADDQ $16, AX
-	ADDQ $64, BX
-	DECQ CX
-	JNZ  qloop32
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	SUBQ $2, CX
+	JL   quadtail
+	PCALIGN $64
+quadloop:
+	VMOVDQU32 (BX), Z16        // k-quad 0: cols 0..15, four bytes a column
+	VMOVDQU32 64(BX), Z17      // cols 16..31
+	VMOVDQU32 128(BX), Z18     // k-quad 1
+	VMOVDQU32 192(BX), Z19
+	VPBROADCASTD (AX), Z20     // k-quad 0: rows 0..3
+	VPBROADCASTD 4(AX), Z21
+	VPBROADCASTD 8(AX), Z22
+	VPBROADCASTD 12(AX), Z23
+	VPBROADCASTD 16(AX), Z24   // k-quad 1: rows 0..3
+	VPBROADCASTD 20(AX), Z25
+	VPBROADCASTD 24(AX), Z26
+	VPBROADCASTD 28(AX), Z27
+	VPDPBUSD Z20, Z16, Z0
+	VPDPBUSD Z20, Z17, Z1
+	VPDPBUSD Z24, Z18, Z8
+	VPDPBUSD Z24, Z19, Z9
+	VPDPBUSD Z21, Z16, Z2
+	VPDPBUSD Z21, Z17, Z3
+	VPDPBUSD Z25, Z18, Z10
+	VPDPBUSD Z25, Z19, Z11
+	VPDPBUSD Z22, Z16, Z4
+	VPDPBUSD Z22, Z17, Z5
+	VPDPBUSD Z26, Z18, Z12
+	VPDPBUSD Z26, Z19, Z13
+	VPDPBUSD Z23, Z16, Z6
+	VPDPBUSD Z23, Z17, Z7
+	VPDPBUSD Z27, Z18, Z14
+	VPDPBUSD Z27, Z19, Z15
+	ADDQ $32, AX
+	ADDQ $256, BX
+	SUBQ $2, CX
+	JGE  quadloop
+quadtail:
+	ADDQ $2, CX
+	JZ   quaddone
+	VMOVDQU32 (BX), Z16        // odd k4: the last k-quad
+	VMOVDQU32 64(BX), Z17
+	VPDPBUSD.BCST (AX), Z16, Z0
+	VPDPBUSD.BCST (AX), Z17, Z1
+	VPDPBUSD.BCST 4(AX), Z16, Z2
+	VPDPBUSD.BCST 4(AX), Z17, Z3
+	VPDPBUSD.BCST 8(AX), Z16, Z4
+	VPDPBUSD.BCST 8(AX), Z17, Z5
+	VPDPBUSD.BCST 12(AX), Z16, Z6
+	VPDPBUSD.BCST 12(AX), Z17, Z7
+quaddone:
+	VPADDD Z8, Z0, Z0
+	VPADDD Z9, Z1, Z1
+	VPADDD Z10, Z2, Z2
+	VPADDD Z11, Z3, Z3
+	VPADDD Z12, Z4, Z4
+	VPADDD Z13, Z5, Z5
+	VPADDD Z14, Z6, Z6
+	VPADDD Z15, Z7, Z7
 	VMOVDQU32 Z0, (DI)
 	VMOVDQU32 Z1, 64(DI)
 	VMOVDQU32 Z2, 128(DI)
@@ -279,17 +332,19 @@ qloop32:
 	VZEROUPPER
 	RET
 
-// func gemmQ4x32Half(acc *int32, a *int16, b *int8, k2 int)
+// func gemmQuad4x32Half(acc *int32, a unsafe.Pointer, b *int8, k4 int)
 //
-// The left half of gemmQ4x32's tile: columns 0..15 of the same 32-column
-// B sliver (the b stride stays 64 bytes a k-pair) into the same 4×32
-// acc layout, whose columns 16..31 are left untouched. Half the
-// VPDPWSSD work for a ragged sliver with at most 16 live columns.
-TEXT ·gemmQ4x32Half(SB), NOSPLIT, $0-32
+// The left half of gemmQuad4x32's tile: columns 0..15 of the same
+// 32-column B sliver (the b stride stays 128 bytes a k-quad) into the same
+// 4×32 acc layout, whose columns 16..31 are left untouched. Half the
+// VPDPBUSD work for a ragged sliver with at most 16 live columns. A weight
+// quad meets one B vector here, so it rides as the instruction's
+// broadcast memory operand rather than through a register.
+TEXT ·gemmQuad4x32Half(SB), NOSPLIT, $0-32
 	MOVQ acc+0(FP), DI
 	MOVQ a+8(FP), AX
 	MOVQ b+16(FP), BX
-	MOVQ k2+24(FP), CX
+	MOVQ k4+24(FP), CX
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -298,53 +353,40 @@ TEXT ·gemmQ4x32Half(SB), NOSPLIT, $0-32
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
-	// Two k-pairs a turn into two accumulator sets (exact integer sums,
-	// any grouping), so a row's VPDPWSSD chain is not the bound.
 	SUBQ $2, CX
-	JL   qtail32h
-qloop32h:
-	VPMOVSXBW (BX), Z8         // cols 0..15 pairs → words
-	VPMOVSXBW 64(BX), Z9       // the next k-pair
-	VPBROADCASTD (AX), Z10     // row 0 weight pair
-	VPBROADCASTD 16(AX), Z11
-	VPDPWSSD Z8, Z10, Z0
-	VPDPWSSD Z9, Z11, Z1
-	VPBROADCASTD 4(AX), Z10    // row 1
-	VPBROADCASTD 20(AX), Z11
-	VPDPWSSD Z8, Z10, Z2
-	VPDPWSSD Z9, Z11, Z3
-	VPBROADCASTD 8(AX), Z10    // row 2
-	VPBROADCASTD 24(AX), Z11
-	VPDPWSSD Z8, Z10, Z4
-	VPDPWSSD Z9, Z11, Z5
-	VPBROADCASTD 12(AX), Z10   // row 3
-	VPBROADCASTD 28(AX), Z11
-	VPDPWSSD Z8, Z10, Z6
-	VPDPWSSD Z9, Z11, Z7
+	JL   halftail
+	PCALIGN $64
+halfloop:
+	VMOVDQU32 (BX), Z16        // cols 0..15 of k-quad 0
+	VMOVDQU32 128(BX), Z17     // and of k-quad 1
+	VPDPBUSD.BCST (AX), Z16, Z0    // row 0
+	VPDPBUSD.BCST 16(AX), Z17, Z4
+	VPDPBUSD.BCST 4(AX), Z16, Z1
+	VPDPBUSD.BCST 20(AX), Z17, Z5
+	VPDPBUSD.BCST 8(AX), Z16, Z2
+	VPDPBUSD.BCST 24(AX), Z17, Z6
+	VPDPBUSD.BCST 12(AX), Z16, Z3
+	VPDPBUSD.BCST 28(AX), Z17, Z7
 	ADDQ $32, AX
-	ADDQ $128, BX
+	ADDQ $256, BX
 	SUBQ $2, CX
-	JGE  qloop32h
-qtail32h:
+	JGE  halfloop
+halftail:
 	ADDQ $2, CX
-	JZ   qdone32h
-	VPMOVSXBW (BX), Z8         // odd k2: the last k-pair
-	VPBROADCASTD (AX), Z10
-	VPDPWSSD Z8, Z10, Z0
-	VPBROADCASTD 4(AX), Z10
-	VPDPWSSD Z8, Z10, Z2
-	VPBROADCASTD 8(AX), Z10
-	VPDPWSSD Z8, Z10, Z4
-	VPBROADCASTD 12(AX), Z10
-	VPDPWSSD Z8, Z10, Z6
-qdone32h:
-	VPADDD Z1, Z0, Z0
-	VPADDD Z3, Z2, Z2
-	VPADDD Z5, Z4, Z4
-	VPADDD Z7, Z6, Z6
+	JZ   halfdone
+	VMOVDQU32 (BX), Z16        // odd k4: the last k-quad
+	VPDPBUSD.BCST (AX), Z16, Z0
+	VPDPBUSD.BCST 4(AX), Z16, Z1
+	VPDPBUSD.BCST 8(AX), Z16, Z2
+	VPDPBUSD.BCST 12(AX), Z16, Z3
+halfdone:
+	VPADDD Z4, Z0, Z0
+	VPADDD Z5, Z1, Z1
+	VPADDD Z6, Z2, Z2
+	VPADDD Z7, Z3, Z3
 	VMOVDQU32 Z0, (DI)
-	VMOVDQU32 Z2, 128(DI)
-	VMOVDQU32 Z4, 256(DI)
-	VMOVDQU32 Z6, 384(DI)
+	VMOVDQU32 Z1, 128(DI)
+	VMOVDQU32 Z2, 256(DI)
+	VMOVDQU32 Z3, 384(DI)
 	VZEROUPPER
 	RET

@@ -45,10 +45,10 @@ func gemm4x8Go(c *float32, ldc int, a, b *float32, kc int, accum uintptr) {
 
 // gemmQ4x8Go computes a 4×8 int32 tile from int8 pair-interleaved
 // panels; see gemmKernelQ for the contract.
-func gemmQ4x8Go(acc *int32, a *int16, b *int8, k2 int) {
+func gemmQ4x8Go(acc *int32, a unsafe.Pointer, b *int8, k2 int) {
 	const nr = 8
 	accs := sliceFrom(acc, 4*nr)
-	as := sliceFrom(a, k2*8)
+	as := sliceFrom((*int16)(a), k2*8)
 	bs := sliceFrom(b, k2*2*nr)
 	for i := range accs[:4*nr] {
 		accs[i] = 0

@@ -51,8 +51,9 @@ import "fmt"
 // gemmMR is the register-tile row count, fixed at 4 across every
 // dispatch tier (dispatch.go): network channel counts divide by 4, so
 // no conv row falls to the scalar edge, and — more importantly — the
-// PackedA/PackedQ layouts depend only on MR, so packed weights stay
-// valid across tier switches. The column width gemmNR and k-block
+// PackedA layout depends only on MR, so packed fp32 weights stay valid
+// across tier switches (a PackedQ also carries its tier's k-group: see
+// packq.go). The column width gemmNR and k-block
 // gemmKC are per-tier variables bound by dispatch: 8/256 for the
 // 8-XMM SSE2 tile, 24/192 for the 12-YMM FMA tile (B panel KC·NR·4 B
 // ≈ 18 KB + A slice MR·KC·4 B ≈ 3 KB + C stripe stay inside L1d).

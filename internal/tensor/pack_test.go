@@ -274,7 +274,8 @@ func gatherCases() []gatherCase {
 // every group, the driver's own panel windows (fp32: at the tier's
 // width and at the narrow tile's) plus random ones that start and end
 // mid-row (j0, jw < NR) and mid-channel (k0, kc), and the zero fill of
-// columns >= jw and of the odd-k pair tail.
+// columns >= jw and of the int8 k-group tail (a zero is stored as the
+// tier's qFlip, like every int8 activation).
 func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 	t.Helper()
 	groups := spec.Groups
@@ -317,7 +318,8 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 				}
 			}
 		}
-		k2 := (k + 1) / 2
+		kq, flip := qK, qFlip(qK)
+		kg := (k + kq - 1) / kq
 		qsrc := newQConvB([]*Tensor{x}, inv, spec, c0, k, oh, ow)
 		// A dirty pool: the copy goes back full of 0x7f and the gather under
 		// test draws it again, so a border byte or a zero-plane byte that
@@ -327,19 +329,20 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 		}
 		qsrc.release()
 		qsrc = newQConvB([]*Tensor{x}, inv, spec, c0, k, oh, ow)
-		qbuf := make([]int8, k2*2*qNR)
+		qbuf := make([]int8, kg*kq*qNR)
 		checkQ := func(j0, jw int) {
 			for i := range qbuf {
 				qbuf[i] = 7
 			}
 			qsrc.pack(qbuf, j0, jw)
-			for kk := 0; kk < 2*k2; kk++ {
+			for kk := 0; kk < kg*kq; kk++ {
 				for jj := 0; jj < qNR; jj++ {
 					var want int8
 					if kk < k && jj < jw {
 						want = colsQ[kk*n+j0+jj]
 					}
-					if got := qbuf[(kk/2)*2*qNR+jj*2+kk&1]; got != want {
+					want ^= flip
+					if got := qbuf[(kk/kq)*kq*qNR+jj*kq+kk%kq]; got != want {
 						t.Fatalf("group %d int8 sliver j0=%d jw=%d: row %d col %d = %d, want %d",
 							g, j0, jw, kk, jj, got, want)
 					}

@@ -3,42 +3,88 @@ package tensor
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 )
 
 // The int8 half of the packed GEMM core (see pack.go for the fp32
 // design). Differences from the fp32 driver:
 //
-//   - Panels are pair-interleaved: consecutive k values sit adjacent
-//     per row/column, so the micro-kernel (kernQ, bound by CPU
-//     dispatch — PMADDWD on sse2, VPMADDWD on avx2fma, VPDPWSSD on
-//     avx512vnni) can fold two k steps per lane. Integer accumulation
-//     is exact, so neither the pairing nor the tile width (qNR = 8,
-//     16, or 32 columns per tier) can change results — int8 parity
-//     with the reference tiles is automatic on every tier.
-//   - Weights pack to sign-extended int16 (PackedQ) at plan-compile /
-//     quantize-bind time, removing the extension work from the inner
-//     loop.
-//   - There is no kc blocking: the full-depth B sliver (k·2·qNR int8)
+//   - Panels are group-interleaved: qK consecutive k values sit adjacent
+//     per row/column, so the micro-kernel (kernQ, bound by CPU dispatch)
+//     folds qK k steps per lane. The group is the tier's. The word tiers
+//     — PMADDWD on sse2, VPMADDWD on avx2fma, their Go replay on generic
+//     — take pairs (qK = 2): weights sign-extended to int16 at pack time
+//     against int8 activations. avx512vnni takes quads (qK = 4): VPDPBUSD
+//     multiplies *unsigned* bytes by signed ones, so weights stay int8,
+//     activations are stored plus 128 (one XOR with 0x80 where they are
+//     quantized), and the kernel's Σ a·(b+128) is put right by
+//     subtracting the row constant comp[i] = 128·Σ_k A[i,k] from each
+//     accumulator before it is requantized. That is an integer identity,
+//     not an approximation: integer accumulation is exact, so neither
+//     the grouping, the offset, nor the tile width (qNR = 8, 16, or 32
+//     columns per tier) can change results — int8 parity with the
+//     reference tiles is automatic on every tier.
+//   - Weights pack (PackedQ) at plan-compile / quantize-bind time, in the
+//     layout of the tier selected then.
+//   - There is no kc blocking: the full-depth B sliver (k·qNR bytes)
 //     streams well and skipping the block loop keeps the int32
-//     accumulators register-resident across all of k.
-//   - The requantization epilogue (float32(acc)·rowScale) and the
+//     accumulators register-resident across all of k. They are exact
+//     while no column can overflow one — k ≤ maxDepthQ, checked where
+//     weights are packed.
+//   - The requantization epilogue (float32(acc − comp)·rowScale) and the
 //     optional BN/activation epilogue run per column stripe, the same
 //     float32 op sequence as the reference int8 kernels.
 //   - Two drivers share that kernel, the packed layouts and the
 //     optional ABFT check: gemmStripesQ (slivers outermost; matrices,
 //     and convs sample by sample) and gemmFoldedQ (a batch of small conv
-//     planes as one GEMM, A panels outermost). A ragged sliver with at
-//     most half its columns live takes the tier's half-width tile where
-//     one is bound (kernHalfQ).
+//     planes as one GEMM, A panels outermost). The k-group is data to
+//     both. A ragged sliver with at most half its columns live takes the
+//     tier's half-width tile where one is bound (kernHalfQ).
 
-// PackedQ is an int8 left operand packed for the int8 micro-kernel:
-// data[p·(k2·8) + kk·8 + r·2 + s] = int16(A[p·4+r, 2·kk+s]), with rows
-// past m and the odd-k tail zero-padded (exact for integer math).
+// qFlip is the byte XORed into every quantized activation on a tier of
+// k-group kq: 0x80 on the quad tier, whose kernel reads activations as
+// unsigned bytes (v ^ 0x80 is v + 128 as a byte), nothing on the pair
+// tiers. An activation of zero — padding, dead columns, the k tail — is
+// therefore stored as qFlip itself.
+func qFlip(kq int) int8 {
+	if kq == 4 {
+		return -128
+	}
+	return 0
+}
+
+// maxDepthQ is the deepest GEMM whose int32 accumulators are exact on a
+// tier of k-group kq: a column of offset bytes can reach k·255·128, one
+// of int8 pairs k·128·128, and either must stay below 2³¹.
+func maxDepthQ(kq int) int {
+	if kq == 4 {
+		return 65793
+	}
+	return 131071
+}
+
+// PackedQ is an int8 left operand packed for the int8 micro-kernel of
+// the tier selected at pack time, four rows a panel, kq consecutive k
+// values of a row adjacent:
+//
+//	kq = 2: pairs[p·(kg·8)  + kk·8  + r·2 + s] = int16(A[4p+r, 2kk+s])
+//	kq = 4: quads[p·(kg·16) + kk·16 + r·4 + s] =       A[4p+r, 4kk+s]
+//
+// with rows past m and the k tail zero-padded (exact for integer math).
+// The drivers run a PackedQ only under a tier of the same k-group and
+// panic, naming both, under another.
 type PackedQ struct {
-	m, k, k2 int
-	data     []int16
-	// ABFT column checksums in pair-interleaved layout (abft.go):
-	// csum[2·kk2+s] = Σ_i A[i, 2·kk2+s], exact integer sums.
+	m, k  int
+	kq    int // k-group packed for
+	kg    int // ⌈k/kq⌉ groups a panel
+	pairs []int16
+	quads []int8
+	// comp[i] = 128·Σ_k A[i,k] on the quad tier — what the offset of the
+	// activation bytes added to row i's accumulators — and zero on the
+	// pair tiers; requantTile subtracts it either way.
+	comp []int32
+	// ABFT column checksums (abft.go): csum[kk] = Σ_i A[i,kk], exact
+	// integer sums, zero-padded to kg·kq like the panels.
 	csum []int64
 }
 
@@ -48,96 +94,182 @@ func (p *PackedQ) M() int { return p.m }
 // K reports the packed depth (unpadded).
 func (p *PackedQ) K() int { return p.k }
 
-// packQLen returns the packed int16 length for an m×k int8 operand.
-func packQLen(m, k int) int {
-	return (m + 3) / 4 * ((k + 1) / 2) * 8
+// panel returns the 4-row panel that starts at row i0, as the kernels
+// take it.
+func (p *PackedQ) panel(i0 int) unsafe.Pointer {
+	if p.kq == 4 {
+		return unsafe.Pointer(&p.quads[i0/4*p.kg*16])
+	}
+	return unsafe.Pointer(&p.pairs[i0/4*p.kg*8])
 }
 
-// packQTo packs row-major int8 a (m×k) into dst in pair-interleaved
-// micro-panel layout.
-func packQTo(dst []int16, a []int8, m, k int) {
-	k2 := (k + 1) / 2
-	panels := (m + 3) / 4
-	for i := range dst[:panels*k2*8] {
-		dst[i] = 0
+// wantTier panics unless p was packed for the selected tier's k-group.
+func (p *PackedQ) wantTier() {
+	if p.kq != qK {
+		panic(fmt.Sprintf("tensor: PackedQ packed for int8 k-group %d, kernel tier %s runs k-group %d: repack int8 weights after SetKernelTier",
+			p.kq, curTier.name, qK))
 	}
-	for p := 0; p < panels; p++ {
-		base := p * k2 * 8
-		for r := 0; r < 4; r++ {
-			row := p*4 + r
-			if row >= m {
-				continue
-			}
-			arow := a[row*k : (row+1)*k]
+}
+
+// newPackedQ packs row-major int8 a (m×k) for the selected tier into
+// slices drawn from the three allocators. Depths past maxDepthQ are
+// refused: their accumulators could wrap.
+func newPackedQ(a []int8, m, k int, pairs func(int) []int16, quads func(int) []int8, comp func(int) []int32) PackedQ {
+	kq := qK
+	if k > maxDepthQ(kq) {
+		panic(fmt.Sprintf("tensor: int8 GEMM depth k=%d: int32 accumulators are exact only to k=%d on kernel tier %s (k-group %d)",
+			k, maxDepthQ(kq), curTier.name, kq))
+	}
+	kg := (k + kq - 1) / kq
+	p := PackedQ{m: m, k: k, kq: kq, kg: kg, comp: comp(m)}
+	n := (m + 3) / 4 * kg * 4 * kq
+	if kq == 4 {
+		p.quads = quads(n)
+		clear(p.quads)
+	} else {
+		p.pairs = pairs(n)
+		clear(p.pairs)
+	}
+	for row := 0; row < m; row++ {
+		arow := a[row*k : (row+1)*k]
+		base := row/4*kg*4*kq + row%4*kq
+		var sum int32
+		if kq == 4 {
+			dst := p.quads[base:]
 			for kk, v := range arow {
-				dst[base+(kk/2)*8+r*2+kk&1] = int16(v)
+				dst[kk>>2*16+kk&3] = v
+				sum += int32(v)
+			}
+		} else {
+			dst := p.pairs[base:]
+			for kk, v := range arow {
+				dst[kk>>1*8+kk&1] = int16(v)
 			}
 		}
+		p.comp[row] = sum * 128
 	}
+	return p
 }
 
 // PackWeightsQ packs a symmetric int8 weight slice (one conv group's
-// [ocg, k] view) for the int8 micro-kernel. Cached per group by nn's
-// quantize bind, exactly as PackWeights is for fp32.
+// [ocg, k] view) for the int8 micro-kernel of the selected tier. Cached
+// per group by nn's quantize bind, exactly as PackWeights is for fp32.
 func PackWeightsQ(data []int8, m, k int) *PackedQ {
 	if len(data) != m*k {
 		panic(fmt.Sprintf("tensor: PackWeightsQ %d values for %dx%d", len(data), m, k))
 	}
-	p := &PackedQ{m: m, k: k, k2: (k + 1) / 2, data: make([]int16, packQLen(m, k))}
-	packQTo(p.data, data, m, k)
-	p.csum = make([]int64, 2*p.k2)
+	p := newPackedQ(data, m, k, func(n int) []int16 { return make([]int16, n) },
+		func(n int) []int8 { return make([]int8, n) }, func(n int) []int32 { return make([]int32, n) })
+	p.csum = make([]int64, p.kg*p.kq)
 	colChecksumsQ(p.csum, data, m, k)
-	return p
+	return &p
 }
 
-// scratchW recycles int16 slices for per-call int8 weight packing —
-// the int16 instance of the shared rawPool core, kept unexported
-// because only the packed int8 drivers draw from it. It is what keeps
-// the generic MatMulInt8Into/Conv2DQ entry points allocation-free in
-// steady state (plan ops cache PackedQ instead and never touch it).
+// scratchW recycles int16 slices for per-call int8 weight packing on
+// the pair tiers — the int16 instance of the shared rawPool core, kept
+// unexported because only the packed int8 drivers draw from it (the
+// quad tier's per-call panels come from ScratchB, every tier's comp from
+// scratchI32). It is what keeps the generic MatMulInt8Into/Conv2DQ entry
+// points allocation-free in steady state (plan ops cache PackedQ
+// instead and never touch it).
 var scratchW = func() *rawPool[int16] { p := newRawPool[int16](); return &p }()
 
-// qBSource supplies full-depth int8 B slivers in pair-interleaved
-// layout: pack fills bbuf[kk·2·qNR + jj·2 + s] = B[2·kk+s, j0+jj],
-// zero-padding columns ≥ jw and the odd-k tail. Value structs only,
-// as f32BSource.
+// packScratchQ is the per-call pack: a into pooled scratch, without
+// checksums. release returns the scratch.
+func packScratchQ(a []int8, m, k int) PackedQ {
+	return newPackedQ(a, m, k, scratchW.get, ScratchB.Get, scratchI32.get)
+}
+
+func (p *PackedQ) release() {
+	if p.kq == 4 {
+		ScratchB.Put(p.quads)
+	} else {
+		scratchW.put(p.pairs)
+	}
+	scratchI32.put(p.comp)
+}
+
+// qBSource supplies full-depth int8 B slivers in the selected tier's
+// group-interleaved layout: with kq = qK, pack fills
+// bbuf[kk·kq·qNR + jj·kq + s] = B[kq·kk+s, j0+jj] ^ qFlip(kq), and the
+// columns ≥ jw and the k tail with qFlip(kq) — zero activations. Value
+// structs only, as f32BSource.
 type qBSource interface {
 	pack(bbuf []int8, j0, jw int)
 }
 
-// qMatrixB packs slivers from a row-major int8 k×n matrix.
+// fillBytes sets every byte of b to v.
+func fillBytes(b []int8, v int8) {
+	if v == 0 || len(b) == 0 {
+		clear(b)
+		return
+	}
+	b[0] = v
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
+}
+
+// flipBytes XORs every byte of b, whose length is a multiple of 8, with
+// flip, eight at a time.
+func flipBytes(b []int8, flip int8) {
+	if flip == 0 || len(b) == 0 {
+		return
+	}
+	mask := uint64(uint8(flip)) * 0x0101010101010101
+	w := unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
+	for i := range w {
+		w[i] ^= mask
+	}
+}
+
+// qMatrixB packs slivers from a row-major int8 k×n matrix: whole
+// k-groups by zipping their rows, the ragged last group byte by byte,
+// then the offset over the finished sliver.
 type qMatrixB struct {
 	b    []int8
 	k, n int
 }
 
 func (s qMatrixB) pack(bbuf []int8, j0, jw int) {
-	k2 := (s.k + 1) / 2
-	for i := range bbuf[:k2*2*qNR] {
-		bbuf[i] = 0
+	kq, nr, n := qK, qNR, s.n
+	bbuf = bbuf[:(s.k+kq-1)/kq*kq*nr]
+	whole := s.k / kq * kq
+	if jw < nr || whole < s.k {
+		clear(bbuf)
 	}
-	for kk := 0; kk < s.k; kk++ {
-		brow := s.b[kk*s.n+j0 : kk*s.n+j0+jw]
-		row := bbuf[(kk/2)*2*qNR+kk&1:]
-		for jj, v := range brow {
-			row[jj*2] = v
+	for kk := 0; kk < whole; kk += kq {
+		r := s.b[kk*n+j0:][:(kq-1)*n+jw]
+		if kq == 4 {
+			interleaveQuads(&bbuf[kk*nr], &r[0], &r[n], &r[2*n], &r[3*n], jw)
+		} else {
+			interleavePairs(&bbuf[kk*nr], &r[0], &r[n], jw)
 		}
 	}
+	for kk := whole; kk < s.k; kk++ {
+		row := bbuf[whole*nr+kk-whole:]
+		for jj, v := range s.b[kk*n+j0:][:jw] {
+			row[jj*kq] = v
+		}
+	}
+	flipBytes(bbuf, qFlip(kq))
 }
 
 // qConvB is the int8 twin of f32ConvB, over one sample or a whole batch.
 // The group's input planes are quantized once per conv call (newQConvB)
-// into a pooled int8 copy with a zero border of the conv's padding, so
-// each pixel meets quantizeRound once rather than once per kernel tap
-// and column sliver, and the sliver pack is a byte gather that never
-// leaves the copy: padding reads the border. Every element is the
-// quantizeRound value the reference im2colQRow computes, so packed int8
-// convs match the materialised reference bit for bit. A batch is the
-// samples' B matrices side by side: sample s owns columns [s·n, (s+1)·n).
+// into a pooled byte copy with a border of the conv's padding, so each
+// pixel meets quantizeRound once rather than once per kernel tap and
+// column sliver, and the sliver pack is a byte gather that never leaves
+// the copy: padding reads the border. Every element is the
+// quantizeRound value the reference im2colQRow computes, XORed with the
+// tier's qFlip like the border's zeros, so packed int8 convs match the
+// materialised reference bit for bit. A batch is the samples' B matrices
+// side by side: sample s owns columns [s·n, (s+1)·n).
 type qConvB struct {
-	q   []int8   // per sample: icg (+1 all-zero plane when k is odd) bordered planes
+	q   []int8   // per sample: the bordered planes, then all-zero ones out to the k tail's last virtual row
 	g   convGeom // over the bordered planes: h, w include the border, ph = pw = 0
 	k   int
+	kq  int // the tier's k-group when the copy was made: zeros are stored as qFlip(kq)
 	n   int // columns per sample, oh·ow
 	per int // len(q) per sample
 }
@@ -154,32 +286,38 @@ func newQConvB(xs []*Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qCon
 	hp := max(spec.PadH+h, (oh-1)*g.sh+(g.kh-1)*g.dh+1)
 	wp := max(spec.PadW+w, (ow-1)*g.sw+(g.kw-1)*g.dw+1)
 	g.h, g.w, g.ph, g.pw = hp, wp, 0, 0
-	icg := k / (spec.KH * spec.KW)
-	// An odd k leaves the last pair half empty: a trailing zero plane
-	// lets the pack read that virtual row like any other.
-	per := (icg + k&1) * hp * wp
+	kq := qK
+	flip := qFlip(kq)
+	taps := spec.KH * spec.KW
+	icg := k / taps
+	// A k that is not a whole number of groups leaves the last group part
+	// empty: trailing zero planes let the pack read those virtual rows
+	// like any other.
+	per := ((k+kq-1)/kq*kq + taps - 1) / taps * hp * wp
 	q := ScratchB.Get(len(xs) * per)
+	// Without a side border a plane's rows are one run.
+	rows, run := h, w
+	if wp == w {
+		rows, run = 1, h*w
+	}
 	for s, x := range xs {
 		// The pool hands out dirty bytes; everything the interior rows do
 		// not overwrite — the gaps between them, which are the border, and
-		// the zero plane — is cleared on the way.
+		// the zero planes — is filled on the way.
 		qs := q[s*per : (s+1)*per]
 		done := 0
 		for c := 0; c < icg; c++ {
-			for y := 0; y < h; y++ {
+			src := x.Data[(c0+c)*h*w : (c0+c+1)*h*w]
+			for y := 0; y < rows; y++ {
 				row := (c*hp+y+spec.PadH)*wp + spec.PadW
-				clear(qs[done:row])
-				src := x.Data[((c0+c)*h+y)*w : ((c0+c)*h+y+1)*w]
-				dst := qs[row : row+w]
-				for i, v := range src {
-					dst[i] = quantizeRound(v, inv, 0)
-				}
-				done = row + w
+				fillBytes(qs[done:row], flip)
+				rowQuantize(qs[row:row+run], src[y*run:(y+1)*run], inv, flip)
+				done = row + run
 			}
 		}
-		clear(qs[done:])
+		fillBytes(qs[done:], flip)
 	}
-	return qConvB{q: q, g: g, k: k, n: oh * ow, per: per}
+	return qConvB{q: q, g: g, k: k, kq: kq, n: oh * ow, per: per}
 }
 
 func (s qConvB) release() { ScratchB.Put(s.q) }
@@ -203,29 +341,41 @@ func (s qConvB) pack(bbuf []int8, j0, jw int) {
 		off += cnt
 	}
 	segs := segArr[:ns]
-	nr, sw, q := qNR, g.sw, s.q
+	nr, sw, q, kq := qNR, g.sw, s.q, s.kq
 	if jw < nr {
-		clear(bbuf[:(s.k+1)/2*2*nr])
+		fillBytes(bbuf[:(s.k+kq-1)/kq*kq*nr], qFlip(kq))
 	}
 	c, ky, kx := 0, 0, 0
-	for kk := 0; kk < s.k; kk += 2 {
-		// Two consecutive virtual rows fill one k pair of the sliver.
-		ra := g.rowOff(c, ky, kx)
-		c, ky, kx = g.next(c, ky, kx)
-		rb := g.rowOff(c, ky, kx)
-		c, ky, kx = g.next(c, ky, kx)
-		pair := bbuf[kk*nr : (kk+2)*nr]
+	var ro [4]int
+	for kk := 0; kk < s.k; kk += kq {
+		// kq consecutive virtual rows fill one k-group of the sliver.
+		for r := 0; r < kq; r++ {
+			ro[r] = g.rowOff(c, ky, kx)
+			c, ky, kx = g.next(c, ky, kx)
+		}
+		grp := bbuf[kk*nr : (kk+kq)*nr]
 		for i := range segs {
 			sg := &segs[i]
-			d := pair[2*sg.off : 2*(sg.off+sg.cnt)]
-			pa, pb := q[ra+sg.pos:], q[rb+sg.pos:]
-			if sw == 1 {
-				pa, pb = pa[:sg.cnt], pb[:sg.cnt]
-				interleavePairs(&d[0], &pa[0], &pb[0], sg.cnt)
-			} else {
-				for i := 0; i < sg.cnt; i++ {
+			cnt, span := sg.cnt, (sg.cnt-1)*sw+1
+			d := grp[kq*sg.off : kq*(sg.off+cnt)]
+			pa, pb := q[ro[0]+sg.pos:][:span], q[ro[1]+sg.pos:][:span]
+			if kq == 2 {
+				if sw == 1 {
+					interleavePairs(&d[0], &pa[0], &pb[0], cnt)
+					continue
+				}
+				for i := 0; i < cnt; i++ {
 					d[2*i], d[2*i+1] = pa[i*sw], pb[i*sw]
 				}
+				continue
+			}
+			pc, pd := q[ro[2]+sg.pos:][:span], q[ro[3]+sg.pos:][:span]
+			if sw == 1 {
+				interleaveQuads(&d[0], &pa[0], &pb[0], &pc[0], &pd[0], cnt)
+				continue
+			}
+			for i := 0; i < cnt; i++ {
+				d[4*i], d[4*i+1], d[4*i+2], d[4*i+3] = pa[i*sw], pb[i*sw], pc[i*sw], pd[i*sw]
 			}
 		}
 	}
@@ -241,21 +391,22 @@ func kernForQ(jw int) gemmKernelQ {
 }
 
 // requantTile writes rows × cnt accumulators, from column a0 of the
-// 4×qNR tile acc on, as dst[i0+r, c0+j] = float32(acc)·rowScale[i0+r]
-// (dst rows are ld wide). A checked run passes the columns' actual sums
-// in act and the accumulators are added to them, so the ABFT equality
-// test sees precisely the values that produce dst.
-func requantTile(dst []float32, ld, i0, rows, c0 int, acc []int32, a0, cnt int, rowScale []float32, act []int64) {
+// 4×qNR tile acc on, as dst[i0+r, c0+j] = float32(acc − comp[i0+r]) ·
+// rowScale[i0+r] (dst rows are ld wide; comp is PackedQ's). A checked
+// run passes the columns' actual sums in act and the compensated
+// accumulators are added to them, so the ABFT equality test sees
+// precisely the values that produce dst.
+func requantTile(dst []float32, ld, i0, rows, c0 int, acc []int32, a0, cnt int, rowScale []float32, comp []int32, act []int64) {
 	for r := 0; r < rows; r++ {
-		sc := rowScale[i0+r]
+		sc, cp := rowScale[i0+r], comp[i0+r]
 		drow := dst[(i0+r)*ld+c0:][:cnt]
 		ar := acc[r*qNR+a0:][:cnt]
 		for j, v := range ar {
-			drow[j] = float32(v) * sc
+			drow[j] = float32(v-cp) * sc
 		}
 		if act != nil {
 			for j, v := range ar {
-				act[j] += int64(v)
+				act[j] += int64(v - cp)
 			}
 		}
 	}
@@ -265,17 +416,17 @@ func requantTile(dst []float32, ld, i0, rows, c0 int, acc []int32, a0, cnt int, 
 // dst[i,j] = float32(Σ_k A[i,k]·B[k,j]) · rowScale[i], plus the
 // optional epilogue, one qNR-column sliver after the other. Ragged tiles
 // (rows past m, columns past jw) run the same kernel over the
-// zero-padded panels — exact integer zeros from packQTo and the pack
+// zero-padded panels — exact integer zeros from newPackedQ and the pack
 // sources — and only their live part is written, so the deep
 // small-spatial convs whose n fits inside one sliver stay on vector
-// lanes. With csum (A's pair-interleaved checksum row, see abft.go)
+// lanes. With check (wp then carries A's checksum row, see abft.go)
 // every sliver's accumulators are verified and the result reports
-// whether all matched; nil runs unchecked, on the same kernel schedule,
-// and reports true.
-func gemmStripesQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64) bool {
-	k2 := (k + 1) / 2
-	nr := qNR
-	bbuf := ScratchB.Get(k2 * 2 * nr)
+// whether all matched; without, the run is unchecked, on the same kernel
+// schedule, and reports true.
+func gemmStripesQ[S qBSource](dst []float32, n int, wp *PackedQ, src S, rowScale []float32, ep Epilogue, chanOff int, check bool) bool {
+	wp.wantTier()
+	m, kg, nr := wp.m, wp.kg, qNR
+	bbuf := ScratchB.Get(kg * wp.kq * nr)
 	// The accumulator tile is pooled, not a stack array: its pointer
 	// passes through the kernQ func value (and the fault hook sees it as
 	// a slice), which defeats escape analysis and would heap-allocate the
@@ -287,26 +438,29 @@ func gemmStripesQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S,
 	// first qNR entries are live for the selected tier.
 	var expArr, actArr [qNRMax]int64
 	var exp, act []int64
-	if csum != nil {
+	if check {
 		exp, act = expArr[:nr], actArr[:nr]
 	}
 	for j0 := 0; j0 < n; j0 += nr {
 		jw := min(nr, n-j0)
 		src.pack(bbuf, j0, jw)
-		if csum != nil {
+		if check {
 			clear(exp)
 			clear(act)
-			abftFoldSliverQ(exp, csum, bbuf)
+			abftFoldSliverQ(exp, wp.csum, bbuf, wp.kq)
+			if abftFaultB != nil {
+				abftFaultB(bbuf, j0)
+			}
 		}
 		kern := kernForQ(jw)
 		for i0 := 0; i0 < m; i0 += 4 {
-			kern(&acc[0], &apData[(i0/4)*k2*8], &bbuf[0], k2)
-			if csum != nil && ABFTFaultQ != nil {
+			kern(&acc[0], wp.panel(i0), &bbuf[0], kg)
+			if check && ABFTFaultQ != nil {
 				ABFTFaultQ(acc, i0, j0)
 			}
-			requantTile(dst, n, i0, min(4, m-i0), j0, acc, 0, jw, rowScale, act)
+			requantTile(dst, n, i0, min(4, m-i0), j0, acc, 0, jw, rowScale, wp.comp, act)
 		}
-		if csum != nil && !slices.Equal(exp[:jw], act[:jw]) {
+		if check && !slices.Equal(exp[:jw], act[:jw]) {
 			ok = false
 		}
 		if epWork {
@@ -329,19 +483,20 @@ func gemmStripesQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S,
 // cache-resident. Tiles requantize straight into the per-sample outputs
 // (dsts[s] is sample s's [m, n]).
 //
-// With csum the run is checked as gemmStripesQ's is, per column of the
-// folded GEMM: bad[s] is set for every sample that owns a mismatching
-// column, and the result reports whether there was none.
-func gemmFoldedQ(dsts []*Tensor, m, k int, apData []int16, src qConvB, rowScale []float32, ep Epilogue, chanOff int, csum []int64, bad []bool) bool {
-	nr, n := qNR, src.n
+// A non-nil bad asks for the run to be checked as gemmStripesQ's is, per
+// column of the folded GEMM: bad[s] is set for every sample that owns a
+// mismatching column, and the result reports whether there was none.
+func gemmFoldedQ(dsts []*Tensor, wp *PackedQ, src qConvB, rowScale []float32, ep Epilogue, chanOff int, bad []bool) bool {
+	wp.wantTier()
+	m, kg, nr, n := wp.m, wp.kg, qNR, src.n
+	check := bad != nil
 	cols := len(dsts) * n
 	nSliv := (cols + nr - 1) / nr
-	k2 := (k + 1) / 2
-	sliver := k2 * 2 * nr
+	sliver := kg * wp.kq * nr
 	bbuf := ScratchB.Get(nSliv * sliver)
 	// Expected and actual sums of every packed column, when checked.
 	var sums []int64
-	if csum != nil {
+	if check {
 		sums = scratchQC.get(2 * nSliv * nr)
 		clear(sums)
 	}
@@ -349,8 +504,11 @@ func gemmFoldedQ(dsts []*Tensor, m, k int, apData []int16, src qConvB, rowScale 
 	for s := 0; s < nSliv; s++ {
 		b := bbuf[s*sliver : (s+1)*sliver]
 		src.pack(b, s*nr, min(nr, cols-s*nr))
-		if csum != nil {
-			abftFoldSliverQ(exp[s*nr:(s+1)*nr], csum, b)
+		if check {
+			abftFoldSliverQ(exp[s*nr:(s+1)*nr], wp.csum, b, wp.kq)
+			if abftFaultB != nil {
+				abftFaultB(b, s*nr)
+			}
 		}
 	}
 	acc := scratchI32.get(4 * nr)
@@ -358,18 +516,18 @@ func gemmFoldedQ(dsts []*Tensor, m, k int, apData []int16, src qConvB, rowScale 
 	for i0 := 0; i0 < m; i0 += 4 {
 		rows := min(4, m-i0)
 		for j0 := 0; j0 < cols; j0 += nr {
-			kernForQ(cols-j0)(&acc[0], &apData[(i0/4)*k2*8], &bbuf[j0*k2*2], k2)
-			if csum != nil && ABFTFaultQ != nil {
+			kernForQ(cols-j0)(&acc[0], wp.panel(i0), &bbuf[j0/nr*sliver], kg)
+			if check && ABFTFaultQ != nil {
 				ABFTFaultQ(acc, i0, j0)
 			}
 			// Each run of the tile's columns goes to the sample that owns it.
 			for off, jw := 0, min(nr, cols-j0); off < jw; {
 				smp, c, cnt := sampleRun(j0+off, n, jw-off)
 				var a []int64
-				if csum != nil {
+				if check {
 					a = act[j0+off:]
 				}
-				requantTile(dsts[smp].Data, n, i0, rows, c, acc, off, cnt, rowScale, a)
+				requantTile(dsts[smp].Data, n, i0, rows, c, acc, off, cnt, rowScale, wp.comp, a)
 				off += cnt
 			}
 		}
@@ -382,7 +540,7 @@ func gemmFoldedQ(dsts []*Tensor, m, k int, apData []int16, src qConvB, rowScale 
 	scratchI32.put(acc)
 	ScratchB.Put(bbuf)
 	ok := true
-	if csum != nil {
+	if check {
 		for j := 0; j < cols; j++ {
 			if exp[j] != act[j] {
 				bad[j/n], ok = true, false
@@ -400,10 +558,9 @@ func gemmFoldedQ(dsts []*Tensor, m, k int, apData []int16, src qConvB, rowScale 
 func matMulInt8PackedInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
-	apData := scratchW.get(packQLen(m, k))
-	packQTo(apData, a.Data, m, k)
-	gemmStripesQ(dst.Data, m, n, k, apData, qMatrixB{b: b.Data, k: k, n: n}, rowScale, ep, chanOff, nil)
-	scratchW.put(apData)
+	wp := packScratchQ(a.Data, m, k)
+	gemmStripesQ(dst.Data, n, &wp, qMatrixB{b: b.Data, k: k, n: n}, rowScale, ep, chanOff, false)
+	wp.release()
 }
 
 // foldsBatchQ is the int8 conv route selection, from the shape alone: a
@@ -429,13 +586,12 @@ func wantConvDstQ(dst *Tensor, m, n int) {
 }
 
 // convPackedQ computes one sample's int8 conv group on the per-sample
-// route, checked when csum is non-nil.
-func convPackedQ(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int, csum []int64) bool {
-	m, k := wp.m, wp.k
+// route, checked when check is set.
+func convPackedQ(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int, check bool) bool {
 	n := oh * ow
-	wantConvDstQ(dst, m, n)
-	src := newQConvB([]*Tensor{x}, inv, spec, c0, k, oh, ow)
-	ok := gemmStripesQ(dst.Data, m, n, k, wp.data, src, rowScale, ep, chanOff, csum)
+	wantConvDstQ(dst, wp.m, n)
+	src := newQConvB([]*Tensor{x}, inv, spec, c0, wp.k, oh, ow)
+	ok := gemmStripesQ(dst.Data, n, wp, src, rowScale, ep, chanOff, check)
 	src.release()
 	return ok
 }
@@ -453,15 +609,11 @@ func convPackedQ(dst *Tensor, wp *PackedQ, x *Tensor, spec ConvSpec, c0, oh, ow 
 // reference kernel. nil runs unchecked and reports true. Zero heap
 // allocations in steady state.
 func ConvPackedQBatchInto(dsts []*Tensor, wp *PackedQ, xs []*Tensor, spec ConvSpec, c0, oh, ow int, inv float32, rowScale []float32, ep Epilogue, chanOff int, bad []bool) bool {
-	var csum []int64
-	if bad != nil {
-		csum = wp.csum
-		clear(bad)
-	}
+	clear(bad)
 	ok := true
 	if !foldsBatchQ(len(xs), oh*ow) {
 		for s, x := range xs {
-			if !convPackedQ(dsts[s], wp, x, spec, c0, oh, ow, inv, rowScale, ep, chanOff, csum) {
+			if !convPackedQ(dsts[s], wp, x, spec, c0, oh, ow, inv, rowScale, ep, chanOff, bad != nil) {
 				bad[s], ok = true, false
 			}
 		}
@@ -471,7 +623,7 @@ func ConvPackedQBatchInto(dsts []*Tensor, wp *PackedQ, xs []*Tensor, spec ConvSp
 		wantConvDstQ(dst, wp.m, oh*ow)
 	}
 	src := newQConvB(xs, inv, spec, c0, wp.k, oh, ow)
-	ok = gemmFoldedQ(dsts, wp.m, wp.k, wp.data, src, rowScale, ep, chanOff, csum, bad)
+	ok = gemmFoldedQ(dsts, wp, src, rowScale, ep, chanOff, bad)
 	src.release()
 	return ok
 }

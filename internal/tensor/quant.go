@@ -214,7 +214,7 @@ func MatMulInt8Into(dst *Tensor, a, b *QTensor, rowScale []float32) {
 	if len(rowScale) != m {
 		panic(fmt.Sprintf("tensor: MatMulInt8Into %d row scales for %d rows", len(rowScale), m))
 	}
-	if usePackedGEMM(m, k, n) {
+	if usePackedGEMM(m, k, n) && k <= maxDepthQ(qK) {
 		matMulInt8PackedInto(dst, a, b, rowScale, Epilogue{}, 0)
 		return
 	}
@@ -411,14 +411,13 @@ func Conv2DQ(x *Tensor, w *QTensor, bias *Tensor, spec ConvSpec, xScale float32)
 	ocg := spec.OutC / groups
 	k := icg * spec.KH * spec.KW
 	plane := oh * ow
-	ap := scratchW.get(packQLen(ocg, k))
 	for g := 0; g < groups; g++ {
-		packQTo(ap, w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+		wp := packScratchQ(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
 		src := newQConvB([]*Tensor{x}, 1/xScale, spec, g*icg, k, oh, ow)
-		gemmStripesQ(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane, k, ap, src, convQScales(w, xScale, g, ocg), Epilogue{}, 0, nil)
+		gemmStripesQ(out.Data[g*ocg*plane:(g+1)*ocg*plane], plane, &wp, src, convQScales(w, xScale, g, ocg), Epilogue{}, 0, false)
 		src.release()
+		wp.release()
 	}
-	scratchW.put(ap)
 	addBias(out.Data, bias, spec.OutC, plane)
 	return out
 }

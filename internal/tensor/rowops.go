@@ -4,8 +4,9 @@ import "math"
 
 // Row kernels: the per-element loops a plan executes outside the GEMM —
 // the conv epilogue (affine or bias, then ReLU / SiLU / sigmoid), the
-// in-place activations and Add of the interpreters, and the running max
-// of a pooling window. Each has one Go form, below, and on the tiers that
+// in-place activations and Add of the interpreters, the running max
+// of a pooling window, and the quantizing copy of an int8 conv's input.
+// Each has one Go form, below, and on the tiers that
 // bind rowKernels an AVX2 form (rowops_amd64.s) that produces the same
 // bits, so neither the tier nor where a row's ragged tail falls ever
 // shows in a result.
@@ -17,7 +18,10 @@ import "math"
 // executes the same operations in the same order with VMULPS / VADDPS and
 // no FMA, which is why the activations are tier-independent by definition
 // rather than drift-bounded (TestLogisticRowMatchesDefinition compares
-// the two on every float32).
+// the two on every float32). Quantizing is quantizeRound: a multiply, an
+// add of the signed half and a truncating conversion, then a clamp the
+// assembly gets from its two saturating packs
+// (TestQuantizeRowMatchesQuantizeRound, also on every float32).
 
 // rowKernels is the vector form of the row kernels, bound per tier
 // (nil: the Go forms run).
@@ -30,6 +34,9 @@ type rowKernels struct {
 	add func(dst, src *float32, n int)
 	// max is best[i] = v[i] if v[i] > best[i], over n elements.
 	max func(best, v *float32, n int)
+	// quantize is dst[i] = quantizeRound(src[i], inv, 0) over n elements,
+	// every byte then XORed with the matching byte of flip.
+	quantize func(dst *int8, src *float32, n int, inv float32, flip uint32)
 }
 
 // The logistic definition: d = 1 + e^x for x = −v, then v/d or 1/d.
@@ -160,5 +167,19 @@ func rowMax(best, v []float32) {
 		if x > best[i] {
 			best[i] = x
 		}
+	}
+}
+
+// rowQuantize quantizes src at inverse scale inv into dst, symmetric
+// (quantizeRound with zero-point 0), and XORs every result with flip: 0
+// stores the int8 value, −128 the value plus 128 as an unsigned byte —
+// the operand form of the quad int8 tier (packq.go).
+func rowQuantize(dst []int8, src []float32, inv float32, flip int8) {
+	if kernRows != nil && len(src) > 0 {
+		kernRows.quantize(&dst[:len(src)][0], &src[0], len(src), inv, uint32(uint8(flip))*0x01010101)
+		return
+	}
+	for i, v := range src {
+		dst[i] = quantizeRound(v, inv, 0) ^ flip
 	}
 }

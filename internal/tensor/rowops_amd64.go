@@ -25,7 +25,12 @@ func addRowAVX2(dst, src *float32, n int)
 //go:noescape
 func maxRowAVX2(best, v *float32, n int)
 
-var avx2Rows = &rowKernels{epilogue: epilogueRowsAVX2, add: addRowAVX2, max: maxRowAVX2}
+// quantizeRowAVX2 implements rowKernels.quantize.
+//
+//go:noescape
+func quantizeRowAVX2(dst *int8, src *float32, n int, inv float32, flip uint32)
+
+var avx2Rows = &rowKernels{epilogue: epilogueRowsAVX2, add: addRowAVX2, max: maxRowAVX2, quantize: quantizeRowAVX2}
 
 // logisticConsts holds the constants of the logistic definition
 // (rowops.go), one 8-lane vector each, in the order rowops_amd64.s
@@ -48,3 +53,12 @@ var logisticConsts = func() (t [17][8]uint32) {
 // tailMasks yields the VMASKMOVPS mask of a tail of r lanes (0 < r < 8)
 // at index 8−r: r lanes of ones, then zeros.
 var tailMasks = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
+
+// quantConsts are quantizeRowAVX2's vectors: the float32 sign bit, the
+// half quantizeRound adds under that sign, and the VPERMD order that
+// undoes the lane interleave of two rounds of 128-bit-lane packs.
+var quantConsts = [3][8]uint32{
+	{1 << 31, 1 << 31, 1 << 31, 1 << 31, 1 << 31, 1 << 31, 1 << 31, 1 << 31},
+	{0x3f000000, 0x3f000000, 0x3f000000, 0x3f000000, 0x3f000000, 0x3f000000, 0x3f000000, 0x3f000000},
+	{0, 4, 1, 5, 2, 6, 3, 7},
+}

@@ -200,3 +200,91 @@ mtail:
 mdone:
 	VZEROUPPER
 	RET
+
+// QROUND turns the eight products v·inv in y into int32 the way
+// quantizeRound does: add 0.5 carrying the product's sign, convert
+// truncating. NaN and anything past int32 come out as 0x80000000, which
+// the saturating packs below land on −128 — where the Go form's clamp
+// puts the same conversion result on amd64. t is scratch.
+#define QROUND(y, t) \
+	VANDPS Y10, y, t \
+	VORPS  Y11, t, t \
+	VADDPS t, y, y \
+	VCVTTPS2DQ y, y
+
+// func quantizeRowAVX2(dst *int8, src *float32, n int, inv float32, flip uint32)
+//
+// dst[i] = quantizeRound(src[i], inv, 0) ^ flip: VMULPS, QROUND, then
+// VPACKSSDW and VPACKSSWB — the two saturating packs are the clamp to
+// [−128, 127] — and a byte XOR. Thirty-two values a turn (the packs work
+// per 128-bit lane; one VPERMD puts the dwords back in order), then
+// eight, then a masked tail stored byte by byte.
+TEXT ·quantizeRowAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSS inv+24(FP), Y8
+	MOVL flip+28(FP), AX
+	VMOVD AX, X9
+	VPBROADCASTD X9, Y9
+	LEAQ ·quantConsts(SB), R8
+	VMOVDQU (R8), Y10
+	VMOVDQU 32(R8), Y11
+	VMOVDQU 64(R8), Y12
+q32:
+	CMPQ CX, $32
+	JLT  q8
+	VMULPS (SI), Y8, Y0
+	VMULPS 32(SI), Y8, Y1
+	VMULPS 64(SI), Y8, Y2
+	VMULPS 96(SI), Y8, Y3
+	QROUND(Y0, Y4)
+	QROUND(Y1, Y5)
+	QROUND(Y2, Y6)
+	QROUND(Y3, Y7)
+	VPACKSSDW Y1, Y0, Y0
+	VPACKSSDW Y3, Y2, Y2
+	VPACKSSWB Y2, Y0, Y0
+	VPERMD Y0, Y12, Y0
+	VPXOR  Y9, Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ $128, SI
+	ADDQ $32, DI
+	SUBQ $32, CX
+	JMP  q32
+q8:
+	CMPQ CX, $8
+	JLT  qtail
+	VMULPS (SI), Y8, Y0
+	QROUND(Y0, Y4)
+	VEXTRACTI128 $1, Y0, X1
+	VPACKSSDW X1, X0, X0
+	VPACKSSWB X0, X0, X0
+	VPXOR  X9, X0, X0
+	VMOVQ  X0, (DI)
+	ADDQ $32, SI
+	ADDQ $8, DI
+	SUBQ $8, CX
+	JMP  q8
+qtail:
+	TESTQ CX, CX
+	JZ   qdone
+	LEAQ ·tailMasks(SB), R13
+	TAILMASK
+	VMASKMOVPS (SI), Y15, Y0
+	VMULPS Y8, Y0, Y0
+	QROUND(Y0, Y4)
+	VEXTRACTI128 $1, Y0, X1
+	VPACKSSDW X1, X0, X0
+	VPACKSSWB X0, X0, X0
+	VPXOR  X9, X0, X0
+	VMOVQ  X0, AX
+qbyte:
+	MOVB AX, (DI)
+	SHRQ $8, AX
+	INCQ DI
+	DECQ CX
+	JNZ  qbyte
+qdone:
+	VZEROUPPER
+	RET

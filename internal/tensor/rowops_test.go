@@ -143,6 +143,61 @@ func TestLogisticRowMatchesDefinition(t *testing.T) {
 	})
 }
 
+// TestQuantizeRowMatchesQuantizeRound holds the assembly quantizing row
+// to quantizeRound on every float32 — NaNs, ±Inf and products past int32
+// included, which the conversion turns into 0x80000000 and both forms
+// then clamp to −128 — at four inverse scales, with and without the quad
+// tier's offset XOR. Each run of patterns goes through the kernel as one
+// long row with a ragged tail and, its first 820 patterns, as rows of
+// 1…40 elements at the next source offset of 0…7 floats and destination
+// offset of 0…7 bytes, a sentinel after each row's last byte.
+func TestQuantizeRowMatchesQuantizeRound(t *testing.T) {
+	withRowKernels(t, func() {
+		for _, inv := range []float32{1, 127.0 / 6, 1e-3, 1e6} {
+			sweepFloat32(t, func() func(bits []uint32) string {
+				want := make([]int8, sweepChunk)
+				src := alignedSlice[float32](sweepChunk + 8)
+				dst := alignedSlice[int8](sweepChunk + 9)
+				return func(bits []uint32) string {
+					for i, b := range bits {
+						want[i] = quantizeRound(math.Float32frombits(b), inv, 0)
+					}
+					check := func(lo, n, off int, flip int8) string {
+						in, out := src[off:off+n], dst[off:off+n+1]
+						for i := range in {
+							in[i] = math.Float32frombits(bits[lo+i])
+						}
+						out[n] = 0x55
+						kernRows.quantize(&out[0], &in[0], n, inv, uint32(uint8(flip))*0x01010101)
+						for i, w := range want[lo : lo+n] {
+							if out[i] != w^flip {
+								return fmt.Sprintf("inv %v, input %#08x (%v), lane %d of a row of %d at offset %d, flip %d: assembly %d, quantizeRound %d",
+									inv, bits[lo+i], in[i], i, n, off, flip, out[i], w^flip)
+							}
+						}
+						if out[n] != 0x55 {
+							return fmt.Sprintf("inv %v: a row of %d at offset %d wrote past its end", inv, n, off)
+						}
+						return ""
+					}
+					off := int(bits[0] / sweepChunk % 8)
+					flip := int8(bits[0] / sweepChunk / 8 % 2 * 0x80)
+					if msg := check(0, len(bits)-off%3, off, flip); msg != "" {
+						return msg
+					}
+					for lo, n := 0, 1; n <= 40 && lo+n <= len(bits); lo, n = lo+n, n+1 {
+						off = (off + 1) % 8
+						if msg := check(lo, n, off, flip^int8(n%2*0x80)); msg != "" {
+							return msg
+						}
+					}
+					return ""
+				}
+			})
+		}
+	})
+}
+
 // logisticDriftUlp and logisticDriftAbs bound the new definition's
 // distance from the math.Exp expressions it replaced: 2 units of 2⁻²³
 // relative to the old value, or 10⁻³⁶ absolute (where exp(−v) nears the

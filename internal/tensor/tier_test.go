@@ -122,8 +122,9 @@ func TestKernelTierRegistry(t *testing.T) {
 		t.Fatal("SetKernelTier accepted an unknown tier")
 	}
 	desc := KernelTierDesc()
-	want := fmt.Sprintf("%s (fp32 %dx%d kc=%d, int8 4x%d)",
-		KernelTier(), gemmMR, gemmNR, gemmKC, qNR)
+	form := map[int]string{2: "s16·k2", 4: "u8s8·k4"}[qK]
+	want := fmt.Sprintf("%s (fp32 %dx%d kc=%d, int8 4x%d %s)",
+		KernelTier(), gemmMR, gemmNR, gemmKC, qNR, form)
 	if desc != want {
 		t.Fatalf("KernelTierDesc %q, want %q", desc, want)
 	}
@@ -391,7 +392,6 @@ func TestTierZeroAlloc(t *testing.T) {
 	k, plane := 16*9, 24*24
 	wp := PackWeights(FromSlice(w.Data, 32, k))
 	qw := QuantizePerChannel(w)
-	qp := PackWeightsQ(qw.Data, 32, k)
 	rowScale := make([]float32, 32)
 	for i := range rowScale {
 		rowScale[i] = qw.ScaleFor(i) * (1.0 / 127)
@@ -400,6 +400,7 @@ func TestTierZeroAlloc(t *testing.T) {
 	dsts, xs := []*Tensor{dst}, []*Tensor{x}
 	ep := Epilogue{Act: EpActSiLU}
 	forEachTier(t, func(t *testing.T, tier string) {
+		qp := PackWeightsQ(qw.Data, 32, k) // the int8 layout is the tier's
 		runF := func() { ConvPackedInto(dst, wp, x, spec, 0, 24, 24, ep, 0) }
 		runQ := func() { ConvPackedQBatchInto(dsts, qp, xs, spec, 0, 24, 24, 127, rowScale, ep, 0, nil) }
 		runF()
