@@ -507,7 +507,7 @@ func BenchmarkConvTable2ShapesInt8(b *testing.B) {
 					w.Data[i] = r.Float32() - 0.5
 				}
 				qw := tensor.QuantizePerChannel(w)
-				qp := tensor.PackWeightsQ(qw.Data, s.m, s.k)
+				qp := tensor.PackWeightsQ(qw.Data, s.m, s.k, 9)
 				rowScale := make([]float32, s.m)
 				for i := range rowScale {
 					rowScale[i] = qw.ScaleFor(i) / 127
@@ -605,7 +605,7 @@ func BenchmarkConvReroutedShapes(b *testing.B) {
 			wg[g] = tensor.FromSlice(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
 			wpk[g] = tensor.PackWeights(wg[g])
 			qg[g] = tensor.QFromSlice(qw.Data[g*ocg*k:(g+1)*ocg*k], nil, ocg, k)
-			qpk[g] = tensor.PackWeightsQ(qg[g].Data, ocg, k)
+			qpk[g] = tensor.PackWeightsQ(qg[g].Data, ocg, k, spec.KH*spec.KW)
 			dsts[g] = make([]*tensor.Tensor, nb)
 			for i, out := range outs {
 				dsts[g][i] = tensor.FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)

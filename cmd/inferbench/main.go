@@ -34,7 +34,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"ocularone/internal/bench"
@@ -236,59 +235,40 @@ func engineMode(modelFlag string, n int, seed uint64, batch int, profile bool, p
 }
 
 // printPlanProfile prints where the profiled Executes went: per op kind,
-// and for the convs per kernel route, each row's ms per Execute — the
-// floor (every step's fastest call) and the mean — and its share of the
-// floor.
+// for the convs per kernel route and the precision they ran at (an int8
+// plan's unquantized convs run fp32 and get their own rows), and per
+// conv GEMM shape; each row's ms per Execute — the floor (every step's
+// fastest call) and the mean — its share of the floor and, for convs,
+// the useful GFLOPS (GOPS at int8) the floor amounts to.
 func printPlanProfile(pp *nn.PlanProfile, batch int) {
-	type row struct {
-		steps       int
-		floor, wall time.Duration
-		flops       float64 // useful conv flops of one Execute
-	}
-	kinds, routes := map[string]*row{}, map[string]*row{}
-	add := func(m map[string]*row, key string, s *nn.StepProfile) {
-		r := m[key]
-		if r == nil {
-			r = &row{}
-			m[key] = r
-		}
-		r.steps++
-		r.floor += s.Floor
-		r.wall += s.Wall
-		if s.Kind == "conv" { // groups × 2·M·K·N a sample
-			r.flops += float64(s.Dims[0]/s.M) * 2 * float64(s.M*s.K*s.N) * float64(batch)
-		}
-	}
 	var wall time.Duration
 	for i := range pp.Steps {
-		s := &pp.Steps[i]
-		wall += s.Wall
-		add(kinds, s.Kind, s)
-		if s.Kind == "conv" {
-			add(routes, s.Route, s)
-		}
+		wall += pp.Steps[i].Wall
 	}
 	calls, floor := float64(pp.Steps[0].Calls), pp.Floor()
 	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
-	print := func(title string, m map[string]*row) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return m[keys[i]].floor > m[keys[j]].floor })
-		fmt.Printf("%-12s %5s %9s %9s %7s %8s\n", title, "steps", "floor ms", "mean ms", "share", "GFLOPS")
-		for _, k := range keys {
-			r := m[k]
+	print := func(title string, width int, key func(*nn.StepProfile) string) {
+		fmt.Printf("%-*s %5s %9s %9s %7s %8s\n", width, title, "steps", "floor ms", "mean ms", "share", "GFLOPS")
+		for _, r := range pp.GroupBy(key) {
 			gf := "-"
-			if r.flops > 0 {
-				gf = fmt.Sprintf("%.1f", r.flops/r.floor.Seconds()/1e9)
+			if r.Flops > 0 {
+				gf = fmt.Sprintf("%.1f", r.Flops*float64(batch)/r.Floor.Seconds()/1e9)
 			}
-			fmt.Printf("%-12s %5d %9.3f %9.3f %6.1f%% %8s\n", k, r.steps, ms(r.floor), ms(r.wall)/calls, 100*float64(r.floor)/float64(floor), gf)
+			fmt.Printf("%-*s %5d %9.3f %9.3f %6.1f%% %8s\n", width, r.Key, r.Steps, ms(r.Floor), ms(r.Wall)/calls, 100*float64(r.Floor)/float64(floor), gf)
 		}
 	}
 	fmt.Printf("plan profile: batch %d, %.0f executes, per execute: floor %.3f ms, mean %.3f ms\n", batch, calls, ms(floor), ms(wall)/calls)
-	print("op kind", kinds)
-	print("conv route", routes)
+	print("op kind", 14, func(s *nn.StepProfile) string { return s.Kind })
+	convKey := func(format string) func(*nn.StepProfile) string {
+		return func(s *nn.StepProfile) string {
+			if s.Kind != "conv" {
+				return ""
+			}
+			return fmt.Sprintf(format, s.M, s.K, s.N, s.Route, s.Precision)
+		}
+	}
+	print("conv route", 14, convKey("%[4]s %[5]s"))
+	print("conv m k n", 30, convKey("%4[1]d %5[2]d %5[3]d %-6[4]s %[5]s"))
 }
 
 // serveSweep is the open-loop counterpart of fleetMode: instead of N

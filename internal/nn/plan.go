@@ -530,22 +530,24 @@ func (op *convOp) operands() ([]planVal, []planVal) {
 
 // qBind lazily builds the per-group int8 weight state and the fused
 // requantization scales. The weight views and packed panels depend
-// only on the quantized weight tensor, so they rebuild only when a
-// re-Quantize swaps c.qw; the requant scales also track the
-// calibrated input scale. One-time allocations outside the
-// steady-state path.
+// only on the quantized weight tensor and on the kernel tier's int8
+// layout, so they rebuild only when a re-Quantize swaps c.qw or a
+// tensor.SetKernelTier leaves the cached panels packed for another
+// k-group; the requant scales also track the calibrated input scale.
+// One-time allocations outside the steady-state path.
 func (op *convOp) qBind(groups, ocg, k int) {
 	c := op.c
-	if op.qpkSrc == c.qw && op.qrsScale == c.inScale {
+	packed := op.qpkSrc == c.qw && op.qpk[0].ForTier()
+	if packed && op.qrsScale == c.inScale {
 		return
 	}
-	if op.qpkSrc != c.qw {
+	if !packed {
 		op.qws = make([]*tensor.QTensor, groups)
 		op.qpk = make([]*tensor.PackedQ, groups)
 		for g := 0; g < groups; g++ {
 			wg := c.qw.Data[g*ocg*k : (g+1)*ocg*k]
 			op.qws[g] = &tensor.QTensor{Shape: []int{ocg, k}, Data: wg}
-			op.qpk[g] = tensor.PackWeightsQ(wg, ocg, k)
+			op.qpk[g] = tensor.PackWeightsQ(wg, ocg, k, c.spec.KH*c.spec.KW)
 		}
 		op.qpkSrc = c.qw
 	}

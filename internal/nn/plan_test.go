@@ -1,7 +1,9 @@
 package nn_test
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,8 +171,10 @@ func TestPlanZeroAllocSteadyState(t *testing.T) {
 
 // TestPlanProfile pins what a PlanProfile records: one slot per op, every
 // slot's call count and wall time advancing with each profiled Execute
-// and with none other, each conv's GEMM shape and the route its batch
-// width and precision select, and outputs equal to an unprofiled run's.
+// and with none other, each conv's GEMM shape, the route its batch width
+// and precision select and that precision itself (the unquantized convs
+// of an INT8 run are fp32), the by-key tables adding up to the steps
+// without mixing precisions, and outputs equal to an unprofiled run's.
 func TestPlanProfile(t *testing.T) {
 	net := models.BuildQuantized(models.V8Nano, 2, 31, 3, 96, 96)
 	p := net.PlanFor(3, 96, 96)
@@ -199,17 +203,24 @@ func TestPlanProfile(t *testing.T) {
 		}
 	}
 	p.Execute(xs, nn.ExecOpts{Precision: nn.INT8}) // unprofiled: must not count
-	routes := map[string]int{}
+	routes, precisions := map[string]int{}, map[string]int{}
 	for i := range prof.Steps {
 		s := &prof.Steps[i]
 		if s.Calls != 2 {
 			t.Fatalf("step %d counted an unprofiled Execute", i)
 		}
 		if s.Kind != "conv" {
-			if s.Route != "" || s.M != 0 {
+			if s.Route != "" || s.Precision != "" || s.M != 0 {
 				t.Fatalf("step %d (%s) carries conv fields: %+v", i, s.Kind, *s)
 			}
 			continue
+		}
+		precisions[s.Precision]++
+		switch { // folded is an int8 route, narrow an fp32 tile
+		case s.Precision != "int8" && s.Precision != "fp32",
+			s.Route == "folded" && s.Precision != "int8",
+			s.Route == "narrow" && s.Precision != "fp32":
+			t.Fatalf("conv step %d took route %q at precision %q", i, s.Route, s.Precision)
 		}
 		if s.M <= 0 || s.K <= 0 || s.N != s.Dims[1]*s.Dims[2] || s.Dims[0]%s.M != 0 {
 			t.Fatalf("conv step %d: GEMM %dx%dx%d for output %v", i, s.M, s.K, s.N, s.Dims)
@@ -230,8 +241,52 @@ func TestPlanProfile(t *testing.T) {
 			t.Errorf("a conv took route %q: %v", r, routes)
 		}
 	}
+	// Its detect head keeps fp32 weights: both precisions are in the plan.
+	if precisions["int8"] == 0 || precisions["fp32"] == 0 {
+		t.Errorf("an INT8 yolov8n ran its convs at %v", precisions)
+	}
 	if prof.Floor() <= 0 {
 		t.Error("profile floor is zero")
+	}
+	// By op kind every step is in one row; by route-and-precision and by
+	// shape every conv is, and no row holds convs of two precisions.
+	var steps int
+	var floor time.Duration
+	for _, r := range prof.GroupBy(func(s *nn.StepProfile) string { return s.Kind }) {
+		steps, floor = steps+r.Steps, floor+r.Floor
+		if (r.Flops > 0) != (r.Key == "conv") {
+			t.Errorf("op kind row %+v: flops are the convs'", r)
+		}
+	}
+	if steps != len(prof.Steps) || floor != prof.Floor() {
+		t.Errorf("by op kind: %d steps, floor %v; the profile has %d, %v", steps, floor, len(prof.Steps), prof.Floor())
+	}
+	convKey := func(format string) func(*nn.StepProfile) string {
+		return func(s *nn.StepProfile) string {
+			if s.Kind != "conv" {
+				return ""
+			}
+			return fmt.Sprintf(format, s.M, s.K, s.N, s.Route, s.Precision)
+		}
+	}
+	for _, format := range []string{"%[4]s %[5]s", "%[1]dx%[2]dx%[3]d %[4]s %[5]s"} {
+		rows := prof.GroupBy(convKey(format))
+		convs := 0
+		for i, r := range rows {
+			convs += r.Steps
+			if strings.HasSuffix(r.Key, "int8") == strings.HasSuffix(r.Key, "fp32") || r.Flops <= 0 || r.Floor <= 0 {
+				t.Errorf("conv row %+v", r)
+			}
+			if i > 0 && r.Floor > rows[i-1].Floor {
+				t.Errorf("conv rows out of order at %d: %v after %v", i, r.Floor, rows[i-1].Floor)
+			}
+		}
+		if convs != precisions["int8"]+precisions["fp32"] {
+			t.Errorf("rows by %q hold %d convs of %d", format, convs, precisions["int8"]+precisions["fp32"])
+		}
+	}
+	if byRoute := prof.GroupBy(convKey("%[4]s %[5]s")); len(byRoute) < 3 {
+		t.Errorf("by route and precision: %d rows, want the int8 stripe and folded rows and the fp32 head's: %+v", len(byRoute), byRoute)
 	}
 
 	other := models.BuildTRTPose(3).PlanFor(3, 64, 64)
@@ -241,6 +296,50 @@ func TestPlanProfile(t *testing.T) {
 		}
 	}()
 	other.Execute(randFrames(8, 1, 3, 64, 64), nn.ExecOpts{Profile: prof})
+}
+
+// TestPlanInt8SurvivesTierSwitch pins that a plan's cached int8 panels
+// follow the kernel tier: executed at INT8, then again after
+// tensor.SetKernelTier moved to a tier of the other k-group — up the
+// tiers and back down — the same plan neither panics nor drifts: every
+// output equals that of a plan compiled fresh under the tier in effect
+// (not the first tier's: the net's unquantized convs are fp32, which the
+// FMA tiers round differently).
+func TestPlanInt8SurvivesTierSwitch(t *testing.T) {
+	orig := tensor.KernelTier()
+	defer func() {
+		if err := tensor.SetKernelTier(orig); err != nil {
+			panic(err)
+		}
+	}()
+	net := models.BuildQuantized(models.V8Nano, 2, 31, 3, 64, 64)
+	xs := randFrames(9, 2, 3, 64, 64)
+	opts := nn.ExecOpts{Precision: nn.INT8}
+	run := func(p *nn.Plan) (out [][]float32) {
+		for _, sample := range p.Execute(xs, opts) {
+			for _, o := range sample {
+				out = append(out, append([]float32(nil), o.Data...))
+			}
+		}
+		return out
+	}
+	tiers := tensor.KernelTiers()
+	walk := append([]string(nil), tiers...)
+	for i := len(tiers) - 2; i >= 0; i-- {
+		walk = append(walk, tiers[i])
+	}
+	kept := nn.Compile(net, 3, 64, 64)
+	for _, tier := range walk {
+		if err := tensor.SetKernelTier(tier); err != nil {
+			t.Fatal(err)
+		}
+		got, fresh := run(kept), run(nn.Compile(net, 3, 64, 64))
+		for i := range got {
+			if !slices.Equal(got[i], fresh[i]) {
+				t.Fatalf("under %s: output %d of the kept plan differs from a fresh plan's", tier, i)
+			}
+		}
+	}
 }
 
 // TestPlanSlotReuse asserts lifetime analysis actually shares arena

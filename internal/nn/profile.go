@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"ocularone/internal/tensor"
@@ -23,10 +24,13 @@ type StepProfile struct {
 	Dims []int  // per-sample output shape (a conv's, [OutC oh ow])
 
 	// For convs: the GEMM of one group (M×K weights against K×N columns a
-	// sample) and the driver the last profiled call took — stripe, narrow
-	// or folded (tensor.ConvRouteF32 / ConvRouteQ).
-	M, K, N int
-	Route   string
+	// sample), and of the last profiled call the driver it took — stripe,
+	// narrow or folded (tensor.ConvRouteF32 / ConvRouteQ) — and the
+	// precision it ran at, int8 or fp32: in an INT8 Execute the convs
+	// that carry no quantized weights run fp32.
+	M, K, N   int
+	Route     string
+	Precision string
 
 	Calls int64         // Execute calls that ran the op
 	Wall  time.Duration // summed over those calls, all samples of the batch
@@ -100,15 +104,59 @@ func (inst *planInst) runProfiled(pp *PlanProfile, int8Mode bool, ip IntegrityPo
 		}
 		s.Calls++
 		if op, ok := inst.p.ops[oi].(*convOp); ok {
-			s.Route = op.route(inst.nb, int8Mode)
+			s.Route, s.Precision = op.route(inst.nb, int8Mode)
 		}
 	}
 }
 
-// route names the driver the conv runs at batch width nb.
-func (op *convOp) route(nb int, int8Mode bool) string {
+// route names the driver the conv runs at batch width nb and the
+// precision it runs at.
+func (op *convOp) route(nb int, int8Mode bool) (route, precision string) {
 	if int8Mode && op.c.qw != nil {
-		return tensor.ConvRouteQ(nb, op.oh*op.ow)
+		return tensor.ConvRouteQ(nb, op.oh*op.ow), "int8"
 	}
-	return tensor.ConvRouteF32(op.c.spec.OutC/max(op.c.spec.Groups, 1), op.oh*op.ow)
+	return tensor.ConvRouteF32(op.c.spec.OutC/max(op.c.spec.Groups, 1), op.oh*op.ow), "fp32"
+}
+
+// ProfileRow is the account of the steps that share a key.
+type ProfileRow struct {
+	Key         string
+	Steps       int
+	Floor, Wall time.Duration // summed over the steps
+	Flops       float64       // useful conv flops of one sample: groups × 2·M·K·N a step
+}
+
+// GroupBy sums the steps by key, the largest floor first (ties by key);
+// steps whose key is empty are left out. It is how a profile is read by
+// op kind, by conv route and precision, or by conv shape.
+func (pp *PlanProfile) GroupBy(key func(*StepProfile) string) []ProfileRow {
+	at := map[string]int{}
+	var rows []ProfileRow
+	for i := range pp.Steps {
+		s := &pp.Steps[i]
+		k := key(s)
+		if k == "" {
+			continue
+		}
+		ri, ok := at[k]
+		if !ok {
+			ri = len(rows)
+			at[k] = ri
+			rows = append(rows, ProfileRow{Key: k})
+		}
+		r := &rows[ri]
+		r.Steps++
+		r.Floor += s.Floor
+		r.Wall += s.Wall
+		if s.Kind == "conv" {
+			r.Flops += float64(s.Dims[0]/s.M) * 2 * float64(s.M*s.K*s.N)
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Floor != rows[j].Floor {
+			return rows[i].Floor > rows[j].Floor
+		}
+		return rows[i].Key < rows[j].Key
+	})
+	return rows
 }

@@ -92,15 +92,22 @@ func colChecksumsF32(csum, acsum []float64, a []float32, m, k int) {
 }
 
 // colChecksumsQ fills csum with the column sums of row-major int8 a
-// (m×k): csum[kk] = Σ_i a[i,kk], and zero from k to len(csum) — the
-// packed B slivers' k tail. They are sums of the weights themselves,
-// independent of how the tier stores them.
-func colChecksumsQ(csum []int64, a []int8, m, k int) {
+// (m×k, rows of k/taps channels of taps values) in the packed depth
+// order of k-group kq: csum[depthQ(c, t)] = Σ_i a[i, c·taps+t], and zero
+// on the pad channels out to len(csum) — where the packed B slivers hold
+// zero activations. They are sums of the weights themselves, read
+// through the same map as newPackedQ reads them.
+func colChecksumsQ(csum []int64, a []int8, m, k, taps, kq int) {
 	clear(csum)
+	icg := k / taps
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
-		for kk, v := range arow {
-			csum[kk] += int64(v)
+		for c := 0; c < icg; c++ {
+			d := depthQ(c, 0, taps, kq)
+			for _, v := range arow[c*taps:][:taps] {
+				csum[d] += int64(v)
+				d += kq
+			}
 		}
 	}
 }

@@ -181,7 +181,7 @@ func TestABFTConvDetectsPerturbation(t *testing.T) {
 			// int8 twin.
 			qw := QuantizePerChannel(w)
 			const xScale = 1.0 / 127
-			qp := PackWeightsQ(qw.Data[:ocg*k], ocg, k)
+			qp := PackWeightsQ(qw.Data[:ocg*k], ocg, k, tc.spec.KH*tc.spec.KW)
 			rs := convQScales(qw, xScale, 0, ocg)
 			cleanQ := New(ocg, plane)
 			convPackedQOne(cleanQ, qp, x, tc.spec, 0, oh, ow, 1/xScale, rs, Epilogue{}, 0, false)
@@ -275,7 +275,7 @@ func TestABFTConvGatherRecovery(t *testing.T) {
 			Im2ColQInto(x, colsQ.Data, 1/xScale, spec, g*icg, icg, oh, ow, 0, n)
 			refQ := New(ocg, n)
 			MatMulInt8RefEpilogueInto(refQ, qg, colsQ, rs, ep, 0)
-			qp := PackWeightsQ(qg.Data, ocg, k)
+			qp := PackWeightsQ(qg.Data, ocg, k, spec.KH*spec.KW)
 			if !convPackedQOne(got, qp, x, spec, g*icg, oh, ow, 1/xScale, rs, ep, 0, true) {
 				t.Fatalf("%s: clean int8 conv flagged", tc.name)
 			}
@@ -451,7 +451,7 @@ func TestABFTCheckZeroAlloc(t *testing.T) {
 	k, plane := 16*9, 24*24
 	wp := PackWeights(FromSlice(w.Data, 32, k))
 	qw := QuantizePerChannel(w)
-	qp := PackWeightsQ(qw.Data, 32, k)
+	qp := PackWeightsQ(qw.Data, 32, k, 9)
 	rowScale := make([]float32, 32)
 	for i := range rowScale {
 		rowScale[i] = qw.ScaleFor(i) * (1.0 / 127)

@@ -21,8 +21,8 @@ import (
 //	avx2fma     AVX2/FMA 4×24 fp32 (12 YMM accumulators, fused
 //	            multiply-add) + the 8×12 narrow fp32 tile (lanes along
 //	            M) + 4×16 VPMADDWD int8 tiles + the AVX2 row kernels
-//	            (epilogue, add, pooling max, quantize — no FMA;
-//	            rowops.go)
+//	            (epilogue, add, pooling max, quantize, requantize — no
+//	            FMA; rowops.go)
 //	avx512vnni  avx2fma's fp32 kernels + 4×32 int8 tiles accumulated
 //	            with AVX-512 VPDPBUSD (VNNI bytes: four u8·s8 products
 //	            a lane and their add, fused), and the tile's left half
@@ -34,7 +34,8 @@ import (
 // switched afterwards. The tile that varies there is the *column*
 // width — wider B slivers per register block — which only changes
 // per-call driver loops and scratch sizes. The int8 layout is the
-// tier's: qK k steps sit adjacent per row and column — int16 weight
+// tier's: qK k steps sit adjacent per row and column (for a conv, qK
+// channels of one kernel tap: packq.go's depthQ) — int16 weight
 // pairs against int8 activation pairs on the word tiers (qK = 2; the
 // byte form of those instruction sets, PMADDUBSW, saturates at
 // 2·255·127 and is not exact), int8 weight quads against offset-byte

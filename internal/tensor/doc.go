@@ -32,7 +32,10 @@
 // report the selection for benchmark headers. For convolutions the panel pack IS im2col
 // (ConvPackedInto/ConvPackedQBatchInto gather receptive fields
 // directly, run by run; the int8 path from a copy of the input
-// quantized once per call), so the k×n cols matrix never materialises,
+// quantized once per call and stored channel-group-interleaved, the
+// k-group's channels of a pixel adjacent, with the GEMM depth ordered
+// (c/qK, ky, kx, c%qK) to match, so a sliver's k-group is a run of the
+// copy), so the k×n cols matrix never materialises,
 // and an int8 batch of small planes is one GEMM that streams the
 // weights once. That is the one conv lowering: every group of every
 // conv takes it, whatever its shape (Conv2D/Conv2DQ pack the weights
@@ -67,7 +70,9 @@
 //   - Row kernels (rowops.go, rowops_amd64.s): every per-element loop
 //     outside the GEMM — the epilogue's affine, bias, ReLU, SiLU and
 //     sigmoid, Tensor.Add and the in-place activations, the running
-//     max of MaxPool2DInto — has one Go form and, on the AVX2 tiers, a
+//     max of MaxPool2DInto, and the two ends of an int8 conv: the
+//     quantizing copy of its input and the requantization of its
+//     accumulators — has one Go form and, on the AVX2 tiers, a
 //     vector form that yields the same bits. Affine, bias, ReLU, add
 //     and max are single IEEE operations per lane. SiLU and sigmoid are
 //     a definition: a float32 routine (logisticDenom) whose every

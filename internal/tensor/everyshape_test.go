@@ -100,7 +100,7 @@ func checkConvEveryShape(t *testing.T, spec ConvSpec, h, w, nb int, seed uint64)
 				outs[s] = New(spec.OutC, oh, ow)
 			}
 			for g := 0; g < groups; g++ {
-				qp := PackWeightsQ(qw.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+				qp := PackWeightsQ(qw.Data[g*ocg*k:(g+1)*ocg*k], ocg, k, spec.KH*spec.KW)
 				rs := convQScales(qw, xScale, g, ocg)
 				dsts := make([]*Tensor, nb)
 				for s := range dsts {
@@ -160,6 +160,11 @@ func FuzzConvEveryShape(f *testing.F) {
 	f.Add(uint64(5), uint8(3), uint8(2), uint8(2), uint8(2), uint8(0), uint8(0), uint8(4), uint8(0), uint8(2), uint8(2), uint8(3))   // k = 27 (≡ 3 mod 4) on 3×3, batch 4: folded
 	f.Add(uint64(6), uint8(5), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(5), uint8(5), uint8(2))   // 1×1, k = 2 (≡ 2 mod 4) on 6×6, batch 3: folded
 	f.Add(uint64(7), uint8(7), uint8(2), uint8(0), uint8(2), uint8(1), uint8(1), uint8(1), uint8(0), uint8(11), uint8(10), uint8(1)) // 1×3, 2 groups, k = 9 (≡ 1 mod 4), stride 2×1
+	// Channel groups with 3, 2 and 1 pad channels on the quad tier (1, 0, 1
+	// on the pair tiers) through the strided gather, dilated.
+	f.Add(uint64(8), uint8(4), uint8(0), uint8(2), uint8(2), uint8(0), uint8(3), uint8(8), uint8(3), uint8(11), uint8(11), uint8(3)) // icg = 1, 3×3 stride 2 dilation 2 on 12×12, batch 4: folded
+	f.Add(uint64(9), uint8(5), uint8(1), uint8(2), uint8(2), uint8(1), uint8(3), uint8(8), uint8(3), uint8(11), uint8(11), uint8(0)) // icg = 2, 2 groups, the same conv, batch 1
+	f.Add(uint64(10), uint8(8), uint8(2), uint8(2), uint8(2), uint8(0), uint8(3), uint8(4), uint8(3), uint8(9), uint8(10), uint8(1)) // icg = 3, pad 1, 10×11, batch 2
 	f.Fuzz(func(t *testing.T, seed uint64, ocg, icg, kh, kw, groupSel, stride, pad, dil, h, w, nb uint8) {
 		spec, hh, ww, batch := everyShape(int(ocg), int(icg), int(kh), int(kw), int(groupSel), int(stride), int(pad), int(dil), int(h), int(w), int(nb))
 		forEachTier(t, func(t *testing.T, tier string) {

@@ -46,7 +46,7 @@ func newFoldBatches(r *rng.RNG, spec ConvSpec, h, w, nb int) []foldBatch {
 	for g := range bs {
 		qg := QFromSlice(qw.Data[g*ocg*k:(g+1)*ocg*k], nil, ocg, k)
 		bs[g] = foldBatch{spec: spec, oh: oh, ow: ow, c0: g * icg,
-			qg: qg, qp: PackWeightsQ(qg.Data, ocg, k),
+			qg: qg, qp: PackWeightsQ(qg.Data, ocg, k, spec.KH*spec.KW),
 			rowScale: convQScales(qw, 1.0/foldInv, g, ocg), ep: ep, chanOff: g * ocg, xs: xs}
 	}
 	return bs
@@ -189,7 +189,7 @@ func TestHalfTileQMatchesFullTile(t *testing.T) {
 					for i := range rowScale {
 						rowScale[i] = a.ScaleFor(i) * b.Scales[0]
 					}
-					wp := PackWeightsQ(a.Data, m, k)
+					wp := PackWeightsQ(a.Data, m, k, 1)
 					run := func() []float32 {
 						dst := make([]float32, m*n)
 						if !gemmStripesQ(dst, n, wp, qMatrixB{b: b.Data, k: k, n: n}, rowScale, Epilogue{}, 0, true) {

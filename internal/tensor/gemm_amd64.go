@@ -36,16 +36,17 @@ func gemm4x8(c *float32, ldc int, a, b *float32, kc int, accum uintptr)
 func gemmQ4x8(acc *int32, a unsafe.Pointer, b *int8, k2 int)
 
 // interleavePairs zips n bytes of a and b into dst (dst[2i] = a[i],
-// dst[2i+1] = b[i]) — the stride-1 inner step of qConvB.pack on the
-// pair tiers, which lays two k rows side by side for the pair-consuming
-// int8 kernels. Plain byte movement.
+// dst[2i+1] = b[i]) — how the pair tiers lay two k rows side by side
+// for the pair-consuming int8 kernels: two matrix rows in
+// qMatrixB.pack, two quantized channel rows in newQConvB. Plain byte
+// movement.
 //
 //go:noescape
 func interleavePairs(dst, a, b *int8, n int)
 
 // interleaveQuads zips n bytes of a, b, c and d into dst (dst[4i+s] =
 // the s-th source's byte i) — the same step for the quad-consuming
-// kernel: four k rows side by side.
+// kernel: four rows side by side.
 //
 //go:noescape
 func interleaveQuads(dst, a, b, c, d *int8, n int)

@@ -162,7 +162,7 @@ qloop:
 //
 // dst[2i] = a[i], dst[2i+1] = b[i] for i < n: PUNPCKLBW/PUNPCKHBW zip
 // sixteen columns per step, then eight, then single bytes — the k-pair
-// interleave of the int8 conv B pack.
+// interleave of the int8 B operands.
 TEXT ·interleavePairs(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -214,7 +214,7 @@ zipdone:
 // dst[4i+s] = the s-th source's byte i for i < n: PUNPCK?BW zips a with b
 // and c with d into byte pairs, PUNPCK?WL zips the pairs into quads —
 // sixteen columns per step, then four, then single bytes. The k-quad
-// interleave of the int8 conv B pack on the quad tier.
+// interleave of the int8 B operands on the quad tier.
 TEXT ·interleaveQuads(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI

@@ -149,7 +149,7 @@ func convPackedQForce(x *Tensor, w *QTensor, spec ConvSpec, xScale float32) *Ten
 	plane := oh * ow
 	out := New(spec.OutC, oh, ow)
 	for g := 0; g < groups; g++ {
-		qp := PackWeightsQ(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+		qp := PackWeightsQ(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k, spec.KH*spec.KW)
 		dst := FromSlice(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane)
 		convPackedQOne(dst, qp, x, spec, g*icg, oh, ow, 1/xScale, convQScales(w, xScale, g, ocg), Epilogue{}, 0, false)
 	}
@@ -274,8 +274,9 @@ func gatherCases() []gatherCase {
 // every group, the driver's own panel windows (fp32: at the tier's
 // width and at the narrow tile's) plus random ones that start and end
 // mid-row (j0, jw < NR) and mid-channel (k0, kc), and the zero fill of
-// columns >= jw and of the int8 k-group tail (a zero is stored as the
-// tier's qFlip, like every int8 activation).
+// columns >= jw and of the int8 pad channels (a zero is stored as the
+// tier's qFlip, like every int8 activation). The int8 sliver's depth is
+// in the packed order: step d holds im2col row sliverRowQ(d).
 func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 	t.Helper()
 	groups := spec.Groups
@@ -319,10 +320,11 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 			}
 		}
 		kq, flip := qK, qFlip(qK)
-		kg := (k + kq - 1) / kq
+		taps := spec.KH * spec.KW
+		kg := (icg + kq - 1) / kq * taps
 		qsrc := newQConvB([]*Tensor{x}, inv, spec, c0, k, oh, ow)
 		// A dirty pool: the copy goes back full of 0x7f and the gather under
-		// test draws it again, so a border byte or a zero-plane byte that
+		// test draws it again, so a border byte or a pad-channel byte that
 		// newQConvB leaves alone shows up in a sliver below.
 		for i := range qsrc.q {
 			qsrc.q[i] = 0x7f
@@ -335,16 +337,17 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 				qbuf[i] = 7
 			}
 			qsrc.pack(qbuf, j0, jw)
-			for kk := 0; kk < kg*kq; kk++ {
+			for d := 0; d < kg*kq; d++ {
+				row := sliverRowQ(d, icg, taps, kq)
 				for jj := 0; jj < qNR; jj++ {
 					var want int8
-					if kk < k && jj < jw {
-						want = colsQ[kk*n+j0+jj]
+					if row >= 0 && jj < jw {
+						want = colsQ[row*n+j0+jj]
 					}
 					want ^= flip
-					if got := qbuf[(kk/kq)*kq*qNR+jj*kq+kk%kq]; got != want {
-						t.Fatalf("group %d int8 sliver j0=%d jw=%d: row %d col %d = %d, want %d",
-							g, j0, jw, kk, jj, got, want)
+					if got := qbuf[(d/kq)*kq*qNR+jj*kq+d%kq]; got != want {
+						t.Fatalf("group %d int8 sliver j0=%d jw=%d: depth %d (im2col row %d) col %d = %d, want %d",
+							g, j0, jw, d, row, jj, got, want)
 					}
 				}
 			}
@@ -439,7 +442,7 @@ func TestPackedConvZeroAlloc(t *testing.T) {
 		oh, ow := spec.OutSize(side, side)
 		wp := PackWeights(FromSlice(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k))
 		qw := QuantizePerChannel(w)
-		qp := PackWeightsQ(qw.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+		qp := PackWeightsQ(qw.Data[g*ocg*k:(g+1)*ocg*k], ocg, k, 9)
 		rowScale := convQScales(qw, 1.0/127, g, ocg)
 		dst := New(ocg, oh*ow)
 		ep := Epilogue{Act: EpActSiLU}

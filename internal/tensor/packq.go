@@ -24,6 +24,14 @@ import (
 //     the grouping, the offset, nor the tile width (qNR = 8, 16, or 32
 //     columns per tier) can change results — int8 parity with the
 //     reference tiles is automatic on every tier.
+//   - Nor can the order of the depth, and a conv's is chosen so that a
+//     k-group is qK channels of one kernel tap: (c/qK, ky, kx, c%qK)
+//     where the reference im2col unrolls (c, ky, kx), the channels of a
+//     group padded with zero weights to a multiple of qK (depthQ). The
+//     quantized copy of the input (qConvB) stores those qK channels of a
+//     pixel adjacent — the NC4HW4 form of int8 conv libraries — so one
+//     k-group of a sliver is a run of the copy, moved as it lies. A plain
+//     matrix is the one-tap case and keeps its k order.
 //   - Weights pack (PackedQ) at plan-compile / quantize-bind time, in the
 //     layout of the tier selected then.
 //   - There is no kc blocking: the full-depth B sliver (k·qNR bytes)
@@ -63,28 +71,40 @@ func maxDepthQ(kq int) int {
 	return 131071
 }
 
+// depthQ is where weight (c, t) — input channel c of the group, kernel
+// tap t of taps — sits in the packed depth of a tier of k-group kq:
+// channel groups outermost, then taps, then the channel within its
+// group. With one tap it is c itself.
+func depthQ(c, t, taps, kq int) int { return (c/kq*taps+t)*kq + c%kq }
+
 // PackedQ is an int8 left operand packed for the int8 micro-kernel of
-// the tier selected at pack time, four rows a panel, kq consecutive k
-// values of a row adjacent:
+// the tier selected at pack time, four rows a panel, kq consecutive
+// depth steps of a row adjacent. Row-major A holds, per row, icg
+// channels of taps kernel taps each (a plain matrix: k channels of one),
+// and step d = depthQ(c, t, taps, kq) of the packed depth is A[·, c·taps+t]:
 //
-//	kq = 2: pairs[p·(kg·8)  + kk·8  + r·2 + s] = int16(A[4p+r, 2kk+s])
-//	kq = 4: quads[p·(kg·16) + kk·16 + r·4 + s] =       A[4p+r, 4kk+s]
+//	kq = 2: pairs[p·(kg·8)  + d/2·8  + r·2 + d%2] = int16(A[4p+r, c·taps+t])
+//	kq = 4: quads[p·(kg·16) + d/4·16 + r·4 + d%4] =       A[4p+r, c·taps+t]
 //
-// with rows past m and the k tail zero-padded (exact for integer math).
-// The drivers run a PackedQ only under a tier of the same k-group and
-// panic, naming both, under another.
+// with rows past m and the channels from icg up to a whole group
+// zero-padded (exact for integer math). The drivers run a PackedQ only
+// under a tier of the same k-group, against a source of the same taps,
+// and panic, naming both, otherwise.
 type PackedQ struct {
 	m, k  int
 	kq    int // k-group packed for
-	kg    int // ⌈k/kq⌉ groups a panel
+	icg   int // channels a row, k/taps
+	taps  int // kernel taps a channel; 1 for a plain matrix
+	kg    int // ⌈icg/kq⌉·taps groups a panel
 	pairs []int16
 	quads []int8
 	// comp[i] = 128·Σ_k A[i,k] on the quad tier — what the offset of the
 	// activation bytes added to row i's accumulators — and zero on the
 	// pair tiers; requantTile subtracts it either way.
 	comp []int32
-	// ABFT column checksums (abft.go): csum[kk] = Σ_i A[i,kk], exact
-	// integer sums, zero-padded to kg·kq like the panels.
+	// ABFT column checksums (abft.go): csum[d] = Σ_i A[i, c·taps+t] at
+	// d = depthQ(c, t), exact integer sums, zero on the pad channels like
+	// the panels.
 	csum []int64
 }
 
@@ -93,6 +113,11 @@ func (p *PackedQ) M() int { return p.m }
 
 // K reports the packed depth (unpadded).
 func (p *PackedQ) K() int { return p.k }
+
+// ForTier reports whether p was packed for the selected tier's k-group —
+// whether the int8 drivers will run it. A holder of cached panels
+// repacks them when a SetKernelTier has made this false.
+func (p *PackedQ) ForTier() bool { return p.kq == qK }
 
 // panel returns the 4-row panel that starts at row i0, as the kernels
 // take it.
@@ -103,25 +128,36 @@ func (p *PackedQ) panel(i0 int) unsafe.Pointer {
 	return unsafe.Pointer(&p.pairs[i0/4*p.kg*8])
 }
 
-// wantTier panics unless p was packed for the selected tier's k-group.
-func (p *PackedQ) wantTier() {
-	if p.kq != qK {
+// want panics unless p was packed for the selected tier's k-group and
+// for a source of the given taps.
+func (p *PackedQ) want(taps int) {
+	if !p.ForTier() {
 		panic(fmt.Sprintf("tensor: PackedQ packed for int8 k-group %d, kernel tier %s runs k-group %d: repack int8 weights after SetKernelTier",
 			p.kq, curTier.name, qK))
 	}
+	if p.taps != taps {
+		panic(fmt.Sprintf("tensor: PackedQ packed for %d channels of %d taps, the source unrolls %d taps a channel: pack a conv's int8 weights with its kernel's taps",
+			p.icg, p.taps, taps))
+	}
 }
 
-// newPackedQ packs row-major int8 a (m×k) for the selected tier into
-// slices drawn from the three allocators. Depths past maxDepthQ are
-// refused: their accumulators could wrap.
-func newPackedQ(a []int8, m, k int, pairs func(int) []int16, quads func(int) []int8, comp func(int) []int32) PackedQ {
+// newPackedQ packs row-major int8 a (m×k, each row k/taps channels of
+// taps values) for the selected tier into slices drawn from the three
+// allocators, reading a through depthQ — no permuted copy of it is made.
+// Depths past maxDepthQ are refused: their accumulators could wrap (pad
+// channels add nothing: their weights are zero).
+func newPackedQ(a []int8, m, k, taps int, pairs func(int) []int16, quads func(int) []int8, comp func(int) []int32) PackedQ {
 	kq := qK
 	if k > maxDepthQ(kq) {
 		panic(fmt.Sprintf("tensor: int8 GEMM depth k=%d: int32 accumulators are exact only to k=%d on kernel tier %s (k-group %d)",
 			k, maxDepthQ(kq), curTier.name, kq))
 	}
-	kg := (k + kq - 1) / kq
-	p := PackedQ{m: m, k: k, kq: kq, kg: kg, comp: comp(m)}
+	if taps <= 0 || k%taps != 0 {
+		panic(fmt.Sprintf("tensor: int8 pack of depth k=%d in channels of %d taps", k, taps))
+	}
+	icg := k / taps
+	kg := (icg + kq - 1) / kq * taps
+	p := PackedQ{m: m, k: k, kq: kq, icg: icg, taps: taps, kg: kg, comp: comp(m)}
 	n := (m + 3) / 4 * kg * 4 * kq
 	if kq == 4 {
 		p.quads = quads(n)
@@ -134,16 +170,26 @@ func newPackedQ(a []int8, m, k int, pairs func(int) []int16, quads func(int) []i
 		arow := a[row*k : (row+1)*k]
 		base := row/4*kg*4*kq + row%4*kq
 		var sum int32
+		// Channel by channel: the weight at depthQ(c, t) sits in group
+		// c/kq·taps + t, lane c%kq, so a channel's taps are a group apart.
 		if kq == 4 {
 			dst := p.quads[base:]
-			for kk, v := range arow {
-				dst[kk>>2*16+kk&3] = v
-				sum += int32(v)
+			for c := 0; c < icg; c++ {
+				at := c>>2*taps*16 + c&3
+				for _, v := range arow[c*taps:][:taps] {
+					dst[at] = v
+					sum += int32(v)
+					at += 16
+				}
 			}
 		} else {
 			dst := p.pairs[base:]
-			for kk, v := range arow {
-				dst[kk>>1*8+kk&1] = int16(v)
+			for c := 0; c < icg; c++ {
+				at := c>>1*taps*8 + c&1
+				for _, v := range arow[c*taps:][:taps] {
+					dst[at] = int16(v)
+					at += 8
+				}
 			}
 		}
 		p.comp[row] = sum * 128
@@ -152,16 +198,18 @@ func newPackedQ(a []int8, m, k int, pairs func(int) []int16, quads func(int) []i
 }
 
 // PackWeightsQ packs a symmetric int8 weight slice (one conv group's
-// [ocg, k] view) for the int8 micro-kernel of the selected tier. Cached
-// per group by nn's quantize bind, exactly as PackWeights is for fp32.
-func PackWeightsQ(data []int8, m, k int) *PackedQ {
+// [ocg, k] view, k = icg·taps in the (c, ky, kx) order weights are
+// stored in; taps = KH·KW, or 1 for a plain matrix) for the int8
+// micro-kernel of the selected tier. Cached per group by nn's quantize
+// bind, exactly as PackWeights is for fp32.
+func PackWeightsQ(data []int8, m, k, taps int) *PackedQ {
 	if len(data) != m*k {
 		panic(fmt.Sprintf("tensor: PackWeightsQ %d values for %dx%d", len(data), m, k))
 	}
-	p := newPackedQ(data, m, k, func(n int) []int16 { return make([]int16, n) },
+	p := newPackedQ(data, m, k, taps, func(n int) []int16 { return make([]int16, n) },
 		func(n int) []int8 { return make([]int8, n) }, func(n int) []int32 { return make([]int32, n) })
 	p.csum = make([]int64, p.kg*p.kq)
-	colChecksumsQ(p.csum, data, m, k)
+	colChecksumsQ(p.csum, data, m, k, taps, p.kq)
 	return &p
 }
 
@@ -176,8 +224,8 @@ var scratchW = func() *rawPool[int16] { p := newRawPool[int16](); return &p }()
 
 // packScratchQ is the per-call pack: a into pooled scratch, without
 // checksums. release returns the scratch.
-func packScratchQ(a []int8, m, k int) PackedQ {
-	return newPackedQ(a, m, k, scratchW.get, ScratchB.Get, scratchI32.get)
+func packScratchQ(a []int8, m, k, taps int) PackedQ {
+	return newPackedQ(a, m, k, taps, scratchW.get, ScratchB.Get, scratchI32.get)
 }
 
 func (p *PackedQ) release() {
@@ -191,11 +239,13 @@ func (p *PackedQ) release() {
 
 // qBSource supplies full-depth int8 B slivers in the selected tier's
 // group-interleaved layout: with kq = qK, pack fills
-// bbuf[kk·kq·qNR + jj·kq + s] = B[kq·kk+s, j0+jj] ^ qFlip(kq), and the
-// columns ≥ jw and the k tail with qFlip(kq) — zero activations. Value
-// structs only, as f32BSource.
+// bbuf[kk·kq·qNR + jj·kq + s] = B[kq·kk+s, j0+jj] ^ qFlip(kq), B's rows
+// in the packed depth order of taps() taps a channel (depthQ), and the
+// columns ≥ jw, the k tail and the pad channels with qFlip(kq) — zero
+// activations. Value structs only, as f32BSource.
 type qBSource interface {
 	pack(bbuf []int8, j0, jw int)
+	taps() int
 }
 
 // fillBytes sets every byte of b to v.
@@ -231,6 +281,8 @@ type qMatrixB struct {
 	k, n int
 }
 
+func (s qMatrixB) taps() int { return 1 }
+
 func (s qMatrixB) pack(bbuf []int8, j0, jw int) {
 	kq, nr, n := qK, qNR, s.n
 	bbuf = bbuf[:(s.k+kq-1)/kq*kq*nr]
@@ -259,24 +311,34 @@ func (s qMatrixB) pack(bbuf []int8, j0, jw int) {
 // The group's input planes are quantized once per conv call (newQConvB)
 // into a pooled byte copy with a border of the conv's padding, so each
 // pixel meets quantizeRound once rather than once per kernel tap and
-// column sliver, and the sliver pack is a byte gather that never leaves
-// the copy: padding reads the border. Every element is the
-// quantizeRound value the reference im2colQRow computes, XORed with the
-// tier's qFlip like the border's zeros, so packed int8 convs match the
-// materialised reference bit for bit. A batch is the samples' B matrices
-// side by side: sample s owns columns [s·n, (s+1)·n).
+// column sliver, and the sliver pack never leaves the copy: padding
+// reads the border. The copy is channel-group-interleaved: group cg
+// holds channels [cg·kq, cg·kq+kq) as [hp][wp][kq] bytes — a pixel's kq
+// channels adjacent, the channels past icg zero — which is one k-group
+// of the packed depth per kernel tap (depthQ), so a sliver's k-group is
+// a run of pixels of one group plane moved as it lies. Every element is
+// the quantizeRound value the reference im2colQRow computes, XORed with
+// the tier's qFlip like the zeros of the border and the pad channels, so
+// packed int8 convs match the materialised reference bit for bit. A
+// batch is the samples' B matrices side by side: sample s owns columns
+// [s·n, (s+1)·n).
 type qConvB struct {
-	q   []int8   // per sample: the bordered planes, then all-zero ones out to the k tail's last virtual row
-	g   convGeom // over the bordered planes: h, w include the border, ph = pw = 0
-	k   int
-	kq  int // the tier's k-group when the copy was made: zeros are stored as qFlip(kq)
-	n   int // columns per sample, oh·ow
-	per int // len(q) per sample
+	q   []int8   // per sample: ⌈icg/kq⌉ group planes of hp·wp pixels, kq bytes a pixel
+	g   convGeom // over the bordered group planes, in pixels: h, w include the border, ph = pw = 0
+	kg  int      // k-groups a sliver: group planes × taps
+	kq  int      // the tier's k-group when the copy was made: zeros are stored as qFlip(kq)
+	n   int      // columns per sample, oh·ow
+	per int      // pixels of q per sample
 }
 
+// zipChunk is how many pixels newQConvB quantizes, plane by plane, before
+// it zips them: kq staged rows of it stay in L1.
+const zipChunk = 1024
+
 // newQConvB quantizes channels [c0, c0+k/(KH·KW)) of every sample at
-// inverse scale inv. The drivers only read the copy; release returns it
-// to ScratchB.
+// inverse scale inv: kq channels a turn, each a rowQuantize into a
+// staging row, then one zip of the rows into the group plane. The
+// drivers only read the copy; release returns it to ScratchB.
 func newQConvB(xs []*Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qConvB {
 	h, w := xs[0].Shape[1], xs[0].Shape[2]
 	g := newConvGeom(spec, h, w, ow)
@@ -290,37 +352,56 @@ func newQConvB(xs []*Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qCon
 	flip := qFlip(kq)
 	taps := spec.KH * spec.KW
 	icg := k / taps
-	// A k that is not a whole number of groups leaves the last group part
-	// empty: trailing zero planes let the pack read those virtual rows
-	// like any other.
-	per := ((k+kq-1)/kq*kq + taps - 1) / taps * hp * wp
-	q := ScratchB.Get(len(xs) * per)
-	// Without a side border a plane's rows are one run.
-	rows, run := h, w
-	if wp == w {
-		rows, run = 1, h*w
-	}
+	ncg := (icg + kq - 1) / kq
+	per := ncg * hp * wp
+	q := ScratchB.Get(len(xs) * per * kq)
+	// Whole source rows are staged, as many as fit the chunk; without a
+	// side border they land in the copy as one run.
+	stage := max(zipChunk/w, 1) * w
+	zip := ScratchB.Get(kq * stage)
 	for s, x := range xs {
 		// The pool hands out dirty bytes; everything the interior rows do
-		// not overwrite — the gaps between them, which are the border, and
-		// the zero planes — is filled on the way.
-		qs := q[s*per : (s+1)*per]
+		// not overwrite — the gaps between them, which are the border — is
+		// filled on the way.
+		qs := q[s*per*kq : (s+1)*per*kq]
 		done := 0
-		for c := 0; c < icg; c++ {
-			src := x.Data[(c0+c)*h*w : (c0+c+1)*h*w]
-			for y := 0; y < rows; y++ {
-				row := (c*hp+y+spec.PadH)*wp + spec.PadW
-				fillBytes(qs[done:row], flip)
-				rowQuantize(qs[row:row+run], src[y*run:(y+1)*run], inv, flip)
-				done = row + run
+		for cg := 0; cg < ncg; cg++ {
+			live := min(kq, icg-cg*kq)
+			if live < kq {
+				fillBytes(zip[live*stage:], flip)
+			}
+			for y0 := 0; y0 < h; y0 += stage / w {
+				cnt := min(stage, (h-y0)*w)
+				for r := 0; r < live; r++ {
+					src := x.Data[(c0+cg*kq+r)*h*w+y0*w:][:cnt]
+					rowQuantize(zip[r*stage:][:cnt], src, inv, flip)
+				}
+				rows, run := cnt/w, w
+				if wp == w {
+					rows, run = 1, cnt
+				}
+				for y := 0; y < rows; y++ {
+					row := ((cg*hp+y0+y+spec.PadH)*wp + spec.PadW) * kq
+					fillBytes(qs[done:row], flip)
+					d, z := qs[row:row+run*kq], zip[y*run:]
+					if kq == 4 {
+						interleaveQuads(&d[0], &z[0], &z[stage], &z[2*stage], &z[3*stage], run)
+					} else {
+						interleavePairs(&d[0], &z[0], &z[stage], run)
+					}
+					done = row + run*kq
+				}
 			}
 		}
 		fillBytes(qs[done:], flip)
 	}
-	return qConvB{q: q, g: g, k: k, kq: kq, n: oh * ow, per: per}
+	ScratchB.Put(zip)
+	return qConvB{q: q, g: g, kg: ncg * taps, kq: kq, n: oh * ow, per: per}
 }
 
 func (s qConvB) release() { ScratchB.Put(s.q) }
+
+func (s qConvB) taps() int { return s.g.kh * s.g.kw }
 
 // sampleRun locates column j of a batch whose samples own n columns
 // each: the sample, the column within it, and how many of the next left
@@ -343,41 +424,42 @@ func (s qConvB) pack(bbuf []int8, j0, jw int) {
 	segs := segArr[:ns]
 	nr, sw, q, kq := qNR, g.sw, s.q, s.kq
 	if jw < nr {
-		fillBytes(bbuf[:(s.k+kq-1)/kq*kq*nr], qFlip(kq))
+		fillBytes(bbuf[:s.kg*kq*nr], qFlip(kq))
 	}
-	c, ky, kx := 0, 0, 0
-	var ro [4]int
-	for kk := 0; kk < s.k; kk += kq {
-		// kq consecutive virtual rows fill one k-group of the sliver.
-		for r := 0; r < kq; r++ {
-			ro[r] = g.rowOff(c, ky, kx)
-			c, ky, kx = g.next(c, ky, kx)
-		}
-		grp := bbuf[kk*nr : (kk+kq)*nr]
+	cg, ky, kx := 0, 0, 0
+	for kk := 0; kk < s.kg; kk++ {
+		// One k-group of the sliver is one tap of one group plane.
+		roff := g.rowOff(cg, ky, kx)
+		cg, ky, kx = g.next(cg, ky, kx)
+		grp := bbuf[kk*kq*nr : (kk+1)*kq*nr]
 		for i := range segs {
 			sg := &segs[i]
-			cnt, span := sg.cnt, (sg.cnt-1)*sw+1
-			d := grp[kq*sg.off : kq*(sg.off+cnt)]
-			pa, pb := q[ro[0]+sg.pos:][:span], q[ro[1]+sg.pos:][:span]
-			if kq == 2 {
-				if sw == 1 {
-					interleavePairs(&d[0], &pa[0], &pb[0], cnt)
-					continue
-				}
-				for i := 0; i < cnt; i++ {
-					d[2*i], d[2*i+1] = pa[i*sw], pb[i*sw]
-				}
-				continue
-			}
-			pc, pd := q[ro[2]+sg.pos:][:span], q[ro[3]+sg.pos:][:span]
-			if sw == 1 {
-				interleaveQuads(&d[0], &pa[0], &pb[0], &pc[0], &pd[0], cnt)
-				continue
-			}
-			for i := 0; i < cnt; i++ {
-				d[4*i], d[4*i+1], d[4*i+2], d[4*i+3] = pa[i*sw], pb[i*sw], pc[i*sw], pd[i*sw]
+			d := grp[kq*sg.off : kq*(sg.off+sg.cnt)]
+			src := q[kq*(roff+sg.pos):]
+			switch {
+			case sw == 1:
+				copy(d, src[:len(d)])
+			case kq == 4:
+				gatherGroups[[4]int8](d, src, sw)
+			default:
+				gatherGroups[[2]int8](d, src, sw)
 			}
 		}
+	}
+}
+
+// gatherGroups fills d with every sw-th k-group of src, a group being
+// the bytes of an E: one dword (pairs: word) move each. The array views
+// need no alignment, so this is the portable form of a strided
+// unaligned load.
+func gatherGroups[E [2]int8 | [4]int8](d, src []int8, sw int) {
+	var e E
+	cnt := len(d) / len(e)
+	src = src[:len(e)*((cnt-1)*sw+1)]
+	dv := unsafe.Slice((*E)(unsafe.Pointer(&d[0])), cnt)
+	sv := unsafe.Slice((*E)(unsafe.Pointer(&src[0])), (cnt-1)*sw+1)
+	for i := range dv {
+		dv[i] = sv[i*sw]
 	}
 }
 
@@ -401,9 +483,7 @@ func requantTile(dst []float32, ld, i0, rows, c0 int, acc []int32, a0, cnt int, 
 		sc, cp := rowScale[i0+r], comp[i0+r]
 		drow := dst[(i0+r)*ld+c0:][:cnt]
 		ar := acc[r*qNR+a0:][:cnt]
-		for j, v := range ar {
-			drow[j] = float32(v-cp) * sc
-		}
+		rowRequant(drow, ar, cp, sc)
 		if act != nil {
 			for j, v := range ar {
 				act[j] += int64(v - cp)
@@ -424,7 +504,7 @@ func requantTile(dst []float32, ld, i0, rows, c0 int, acc []int32, a0, cnt int, 
 // whether all matched; without, the run is unchecked, on the same kernel
 // schedule, and reports true.
 func gemmStripesQ[S qBSource](dst []float32, n int, wp *PackedQ, src S, rowScale []float32, ep Epilogue, chanOff int, check bool) bool {
-	wp.wantTier()
+	wp.want(src.taps())
 	m, kg, nr := wp.m, wp.kg, qNR
 	bbuf := ScratchB.Get(kg * wp.kq * nr)
 	// The accumulator tile is pooled, not a stack array: its pointer
@@ -487,7 +567,7 @@ func gemmStripesQ[S qBSource](dst []float32, n int, wp *PackedQ, src S, rowScale
 // column of the folded GEMM: bad[s] is set for every sample that owns a
 // mismatching column, and the result reports whether there was none.
 func gemmFoldedQ(dsts []*Tensor, wp *PackedQ, src qConvB, rowScale []float32, ep Epilogue, chanOff int, bad []bool) bool {
-	wp.wantTier()
+	wp.want(src.taps())
 	m, kg, nr, n := wp.m, wp.kg, qNR, src.n
 	check := bad != nil
 	cols := len(dsts) * n
@@ -558,7 +638,7 @@ func gemmFoldedQ(dsts []*Tensor, wp *PackedQ, src qConvB, rowScale []float32, ep
 func matMulInt8PackedInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
-	wp := packScratchQ(a.Data, m, k)
+	wp := packScratchQ(a.Data, m, k, 1)
 	gemmStripesQ(dst.Data, n, &wp, qMatrixB{b: b.Data, k: k, n: n}, rowScale, ep, chanOff, false)
 	wp.release()
 }

@@ -64,7 +64,7 @@ func TestQuadKernelMatchesReference(t *testing.T) {
 				for i := range a {
 					a[i] = byteOf(mode)
 				}
-				wp := PackWeightsQ(a, 4, k)
+				wp := PackWeightsQ(a, 4, k, 1)
 				// The k tail of the sliver holds what a pack source leaves
 				// there; the panel's zeros must silence it whatever it is.
 				b := make([]int8, wp.kg*kq*nr)
@@ -118,7 +118,7 @@ func TestInt8AccumulatorBound(t *testing.T) {
 					for i := range a {
 						a[i] = wv
 					}
-					wp := PackWeightsQ(a, 4, k)
+					wp := PackWeightsQ(a, 4, k, 1)
 					b := make([]int8, wp.kg*kq*nr)
 					fillBytes(b, xv^qFlip(kq))
 					acc := make([]int32, 4*nr)
@@ -140,7 +140,7 @@ func TestInt8AccumulatorBound(t *testing.T) {
 					t.Fatalf("PackWeightsQ at k=%d: %q does not name the bound %d", bound+1, msg, bound)
 				}
 			}()
-			PackWeightsQ(make([]int8, 4*(bound+1)), 4, bound+1)
+			PackWeightsQ(make([]int8, 4*(bound+1)), 4, bound+1, 1)
 		}()
 		// Past the bound the matrix entry point must not pack: a shape
 		// that otherwise would takes the reference loop and still answers.
@@ -198,13 +198,26 @@ func TestInterleaveQuads(t *testing.T) {
 	}
 }
 
+// sliverRowQ maps step d of the packed depth of a conv of icg channels
+// and taps taps (depthQ's order, k-group kq) back to the Im2ColQInto row
+// it holds, c·taps+t, or −1 on a pad channel.
+func sliverRowQ(d, icg, taps, kq int) int {
+	grp, s := d/kq, d%kq
+	c := grp/taps*kq + s
+	if c >= icg {
+		return -1
+	}
+	return c*taps + grp%taps
+}
+
 // TestConvSliverMatchesIm2ColQ holds the int8 conv sliver of a batch —
 // as the folded driver packs it, slivers straddling up to three samples
-// and more — to the reference lowering: every stored byte is the
-// Im2ColQInto column of the sample that owns it, XORed with the tier's
-// qFlip (plus 128 on the quad tier), and the k tail and dead columns hold
-// a zero stored the same way. Stride 1 and 2, dilation, padding wider
-// than the kernel, odd icg.
+// and more — to the reference lowering: stored byte (kk, jj, s) is the
+// Im2ColQInto row (c, ky, kx), c = cg·qK+s and kk = (cg, ky, kx), of the
+// sample that owns the column, XORed with the tier's qFlip (plus 128 on
+// the quad tier), and the pad channels and dead columns hold a zero
+// stored the same way. Stride 1 and 2, dilation, padding wider than the
+// kernel, icg of every residue mod 4.
 func TestConvSliverMatchesIm2ColQ(t *testing.T) {
 	cases := []gatherCase{
 		{"3x3 same on 3x3", ConvSpec{InC: 5, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 3, 3},
@@ -213,6 +226,8 @@ func TestConvSliverMatchesIm2ColQ(t *testing.T) {
 		{"dilation 2", ConvSpec{InC: 3, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2, DilationH: 2, DilationW: 2}, 5, 4},
 		{"pad wider than the kernel", ConvSpec{InC: 1, OutC: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 3, 2},
 		{"2x3 kernel, 6 columns a sample", ConvSpec{InC: 2, OutC: 4, KH: 2, KW: 3, StrideH: 1, StrideW: 1, PadW: 1}, 3, 3},
+		{"whole groups, stride 2", ConvSpec{InC: 8, OutC: 4, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 7, 7},
+		{"plane past one staged chunk", ConvSpec{InC: 6, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, 40, 30},
 	}
 	const nb, inv = 5, 100
 	forEachTier(t, func(t *testing.T, tier string) {
@@ -220,7 +235,8 @@ func TestConvSliverMatchesIm2ColQ(t *testing.T) {
 		for ci, tc := range cases {
 			spec := tc.spec
 			oh, ow := spec.OutSize(tc.h, tc.w)
-			k, n := spec.InC*spec.KH*spec.KW, oh*ow
+			taps := spec.KH * spec.KW
+			k, n := spec.InC*taps, oh*ow
 			r := rng.New(uint64(2200 + ci))
 			xs := make([]*Tensor, nb)
 			cols := make([][]int8, nb)
@@ -230,7 +246,10 @@ func TestConvSliverMatchesIm2ColQ(t *testing.T) {
 				Im2ColQInto(xs[s], cols[s], inv, spec, 0, spec.InC, oh, ow, 0, n)
 			}
 			src := newQConvB(xs, inv, spec, 0, k, oh, ow)
-			kg := (k + kq - 1) / kq
+			kg := (spec.InC + kq - 1) / kq * taps
+			if src.kg != kg {
+				t.Fatalf("%s: the source packs %d k-groups, want %d", tc.name, src.kg, kg)
+			}
 			buf := make([]int8, kg*kq*nr)
 			for j0 := 0; j0 < nb*n; j0 += nr {
 				jw := min(nr, nb*n-j0)
@@ -238,14 +257,15 @@ func TestConvSliverMatchesIm2ColQ(t *testing.T) {
 					buf[i] = 7
 				}
 				src.pack(buf, j0, jw)
-				for kk := 0; kk < kg*kq; kk++ {
+				for d := 0; d < kg*kq; d++ {
+					row := sliverRowQ(d, spec.InC, taps, kq)
 					for jj := 0; jj < nr; jj++ {
 						want := flip
-						if kk < k && jj < jw {
-							want ^= cols[(j0+jj)/n][kk*n+(j0+jj)%n]
+						if row >= 0 && jj < jw {
+							want ^= cols[(j0+jj)/n][row*n+(j0+jj)%n]
 						}
-						if got := buf[kk/kq*kq*nr+jj*kq+kk%kq]; got != want {
-							t.Fatalf("%s: sliver at column %d: row %d col %d = %d, want %d", tc.name, j0, kk, jj, got, want)
+						if got := buf[d/kq*kq*nr+jj*kq+d%kq]; got != want {
+							t.Fatalf("%s: sliver at column %d: depth %d (im2col row %d) col %d = %d, want %d", tc.name, j0, d, row, jj, got, want)
 						}
 					}
 				}
@@ -255,8 +275,83 @@ func TestConvSliverMatchesIm2ColQ(t *testing.T) {
 	})
 }
 
-// flipWeightBit flips one bit of the packed weight A[row, kk] in place,
-// whichever form p stores it in.
+// TestConvWeightOrder holds the packed weights to the source they were
+// read from through depthQ: for every channel count that leaves 0 to 3
+// pad channels in a group and 1, 9 and 49 taps, every stored value — all
+// rows of every panel, all of the padded depth — is the source weight at
+// its (c, t) or zero, comp and csum agree with plain loops over the
+// source, and the per-call pack (packScratchQ) stores the same panels.
+func TestConvWeightOrder(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier string) {
+		kq := qK
+		r := rng.New(2400)
+		for _, icg := range []int{1, 3, 4, 7, 16} {
+			for _, taps := range []int{1, 9, 49} {
+				const m = 6 // a whole panel and a ragged one
+				k := icg * taps
+				a := make([]int8, m*k)
+				for i := range a {
+					a[i] = int8(r.Uint64())
+				}
+				a[0], a[len(a)-1] = -128, 127
+				wp := PackWeightsQ(a, m, k, taps)
+				sp := packScratchQ(a, m, k, taps)
+				kg := (icg + kq - 1) / kq * taps
+				if wp.kg != kg || wp.K() != k || wp.M() != m || wp.icg != icg || wp.taps != taps {
+					t.Fatalf("icg %d taps %d: packed as m %d k %d icg %d taps %d kg %d, want kg %d", icg, taps, wp.M(), wp.K(), wp.icg, wp.taps, wp.kg, kg)
+				}
+				stored := func(p *PackedQ, row, d int) int {
+					if kq == 4 {
+						return int(p.quads[row/4*kg*16+d/4*16+row%4*4+d%4])
+					}
+					return int(p.pairs[row/4*kg*8+d/2*8+row%4*2+d%2])
+				}
+				seen := make([]bool, k)
+				for d := 0; d < kg*kq; d++ {
+					src := sliverRowQ(d, icg, taps, kq)
+					if src >= 0 {
+						if c, tap := src/taps, src%taps; depthQ(c, tap, taps, kq) != d || seen[src] {
+							t.Fatalf("icg %d taps %d: depth %d decodes to weight (%d, %d), which depthQ puts at %d", icg, taps, d, c, tap, depthQ(c, tap, taps, kq))
+						}
+						seen[src] = true
+					}
+					var sum int64
+					for row := 0; row < (m+3)/4*4; row++ {
+						want := 0
+						if row < m && src >= 0 {
+							want = int(a[row*k+src])
+						}
+						sum += int64(want)
+						if got, again := stored(wp, row, d), stored(&sp, row, d); got != want || again != want {
+							t.Fatalf("icg %d taps %d: row %d depth %d (source column %d) holds %d, per-call pack %d, want %d", icg, taps, row, d, src, got, again, want)
+						}
+					}
+					if wp.csum[d] != sum {
+						t.Fatalf("icg %d taps %d: csum[%d] = %d, column sum %d", icg, taps, d, wp.csum[d], sum)
+					}
+				}
+				if slices.Contains(seen, false) {
+					t.Fatalf("icg %d taps %d: source columns missing from the packed depth: %v", icg, taps, seen)
+				}
+				for row := 0; row < m; row++ {
+					var want int32
+					if kq == 4 {
+						for _, v := range a[row*k : (row+1)*k] {
+							want += 128 * int32(v)
+						}
+					}
+					if wp.comp[row] != want || sp.comp[row] != want {
+						t.Fatalf("icg %d taps %d: comp[%d] = %d, per-call pack %d, want %d", icg, taps, row, wp.comp[row], sp.comp[row], want)
+					}
+				}
+				sp.release()
+			}
+		}
+	})
+}
+
+// flipWeightBit flips one bit of the packed weight of row row at step kk
+// of the packed depth in place, whichever form p stores it in.
 func flipWeightBit(p *PackedQ, row, kk int, bit uint) {
 	if p.kq == 4 {
 		p.quads[row/4*p.kg*16+kk/4*16+row%4*4+kk%4] ^= 1 << bit
@@ -299,15 +394,15 @@ func TestABFTPackedLayoutFaults(t *testing.T) {
 				{"comp entry",
 					func() { b.qp.comp[m-1] ^= 1 << 9 },
 					func() { b.qp.comp[m-1] ^= 1 << 9 }},
-				{"packed weight",
-					func() { flipWeightBit(b.qp, 5, k-2, 3) },
-					func() { flipWeightBit(b.qp, 5, k-2, 3) }},
+				{"packed weight", // the last channel's: a pad channel's meets only zeros
+					func() { flipWeightBit(b.qp, 5, depthQ(6, 7, 9, qK), 3) },
+					func() { flipWeightBit(b.qp, 5, depthQ(6, 7, 9, qK), 3) }},
 				{"activation byte after the fold",
 					func() {
 						seen := 0
 						abftFaultB = func(bbuf []int8, j0 int) {
 							if seen == sliverNo {
-								const kk = k / 2
+								kk := depthQ(3, 4, 9, qK)
 								bbuf[kk/qK*qK*qNR+colIn*qK+kk%qK] ^= 1 << 6
 							}
 							seen++
@@ -414,6 +509,47 @@ func TestPackedQLayoutFollowsTier(t *testing.T) {
 	}
 }
 
+// TestPackedQLayoutFollowsTaps pins the other half of the layout
+// contract: the packed depth order is the conv's, so weights packed for
+// one tap count are refused — by a panic that names both counts — by a
+// source that unrolls another, on both conv routes and by the matrix
+// driver.
+func TestPackedQLayoutFollowsTaps(t *testing.T) {
+	spec := ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	refused := func(what string, packed, run int, fn func()) {
+		t.Helper()
+		defer func() {
+			msg := fmt.Sprint(recover())
+			for _, part := range []string{"PackedQ", fmt.Sprintf("%d taps", packed), fmt.Sprintf("unrolls %d taps", run)} {
+				if !strings.Contains(msg, part) {
+					t.Fatalf("%s: refusal %q does not mention %q", what, msg, part)
+				}
+			}
+		}()
+		fn()
+		t.Fatalf("%s: weights packed for %d taps ran against %d", what, packed, run)
+	}
+	forEachTier(t, func(t *testing.T, tier string) {
+		const k, side = 4 * 9, 6
+		r := rng.New(2500)
+		flat := PackWeightsQ(make([]int8, 4*k), 4, k, 1)
+		conv := PackWeightsQ(make([]int8, 4*k), 4, k, 9)
+		rowScale := []float32{1, 1, 1, 1}
+		for _, nb := range []int{1, 3} { // per sample; folded
+			xs, dsts := make([]*Tensor, nb), make([]*Tensor, nb)
+			for s := range xs {
+				xs[s], dsts[s] = randTensor(r, 4, side, side), New(4, side*side)
+			}
+			refused(fmt.Sprintf("3x3 conv, batch %d", nb), 1, 9, func() {
+				ConvPackedQBatchInto(dsts, flat, xs, spec, 0, side, side, 1, rowScale, Epilogue{}, 0, nil)
+			})
+		}
+		refused("matrix", 9, 1, func() {
+			gemmStripesQ(make([]float32, 4*8), 8, conv, qMatrixB{b: make([]int8, k*8), k: k, n: 8}, rowScale, Epilogue{}, 0, false)
+		})
+	})
+}
+
 // BenchmarkInt8Kernels times each tier's bare int8 tile — kernel only,
 // panels and slivers packed once outside the loop — over the whole GEMM
 // at four Table-2 conv shapes, n rounded up to whole slivers as the
@@ -435,7 +571,7 @@ func BenchmarkInt8Kernels(b *testing.B) {
 				for i := range a {
 					a[i] = int8(r.Uint64())
 				}
-				wp := PackWeightsQ(a, s.m, s.k)
+				wp := PackWeightsQ(a, s.m, s.k, 1)
 				nr := qNR
 				nSliv := (s.n + nr - 1) / nr
 				sliver := wp.kg * wp.kq * nr

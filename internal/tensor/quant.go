@@ -412,7 +412,7 @@ func Conv2DQ(x *Tensor, w *QTensor, bias *Tensor, spec ConvSpec, xScale float32)
 	k := icg * spec.KH * spec.KW
 	plane := oh * ow
 	for g := 0; g < groups; g++ {
-		wp := packScratchQ(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
+		wp := packScratchQ(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k, spec.KH*spec.KW)
 		src := newQConvB([]*Tensor{x}, 1/xScale, spec, g*icg, k, oh, ow)
 		gemmStripesQ(out.Data[g*ocg*plane:(g+1)*ocg*plane], plane, &wp, src, convQScales(w, xScale, g, ocg), Epilogue{}, 0, false)
 		src.release()

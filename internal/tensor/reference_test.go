@@ -68,7 +68,7 @@ func gemmCheckQ(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue) boo
 	for i, v := range b.Data {
 		x.Data[i] = float32(v)
 	}
-	return convPackedQOne(dst, PackWeightsQ(a.Data, m, k), x, gemmAsConv(m, k), 0, 1, n, 1, rowScale, ep, 0, true)
+	return convPackedQOne(dst, PackWeightsQ(a.Data, m, k, 1), x, gemmAsConv(m, k), 0, 1, n, 1, rowScale, ep, 0, true)
 }
 
 // The per-element loops the row kernels (rowops.go) replaced, kept as

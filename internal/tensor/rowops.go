@@ -5,7 +5,8 @@ import "math"
 // Row kernels: the per-element loops a plan executes outside the GEMM —
 // the conv epilogue (affine or bias, then ReLU / SiLU / sigmoid), the
 // in-place activations and Add of the interpreters, the running max
-// of a pooling window, and the quantizing copy of an int8 conv's input.
+// of a pooling window, and at either end of an int8 conv the quantizing
+// copy of its input and the requantization of its accumulators.
 // Each has one Go form, below, and on the tiers that
 // bind rowKernels an AVX2 form (rowops_amd64.s) that produces the same
 // bits, so neither the tier nor where a row's ragged tail falls ever
@@ -22,6 +23,9 @@ import "math"
 // add of the signed half and a truncating conversion, then a clamp the
 // assembly gets from its two saturating packs
 // (TestQuantizeRowMatchesQuantizeRound, also on every float32).
+// Requantizing is a wrapping int32 subtraction, the conversion to float32
+// (round to nearest even, VCVTDQ2PS as CVTSL2SS) and one multiply
+// (TestRequantRowMatchesGo, on every accumulator).
 
 // rowKernels is the vector form of the row kernels, bound per tier
 // (nil: the Go forms run).
@@ -37,6 +41,8 @@ type rowKernels struct {
 	// quantize is dst[i] = quantizeRound(src[i], inv, 0) over n elements,
 	// every byte then XORed with the matching byte of flip.
 	quantize func(dst *int8, src *float32, n int, inv float32, flip uint32)
+	// requant is dst[i] = float32(acc[i] − comp)·scale over n elements.
+	requant func(dst *float32, acc *int32, n int, comp int32, scale float32)
 }
 
 // The logistic definition: d = 1 + e^x for x = −v, then v/d or 1/d.
@@ -181,5 +187,19 @@ func rowQuantize(dst []int8, src []float32, inv float32, flip int8) {
 	}
 	for i, v := range src {
 		dst[i] = quantizeRound(v, inv, 0) ^ flip
+	}
+}
+
+// rowRequant turns a row of int8 GEMM accumulators into fp32 outputs:
+// dst[j] = float32(acc[j] − comp)·scale, comp the row's share of the quad
+// tier's activation offset (PackedQ.comp; the subtraction wraps as int32
+// does) and scale its wScale·xScale product.
+func rowRequant(dst []float32, acc []int32, comp int32, scale float32) {
+	if kernRows != nil && len(acc) > 0 {
+		kernRows.requant(&dst[:len(acc)][0], &acc[0], len(acc), comp, scale)
+		return
+	}
+	for j, v := range acc {
+		dst[j] = float32(v-comp) * scale
 	}
 }

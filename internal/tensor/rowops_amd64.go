@@ -30,7 +30,12 @@ func maxRowAVX2(best, v *float32, n int)
 //go:noescape
 func quantizeRowAVX2(dst *int8, src *float32, n int, inv float32, flip uint32)
 
-var avx2Rows = &rowKernels{epilogue: epilogueRowsAVX2, add: addRowAVX2, max: maxRowAVX2, quantize: quantizeRowAVX2}
+// requantRowAVX2 implements rowKernels.requant.
+//
+//go:noescape
+func requantRowAVX2(dst *float32, acc *int32, n int, comp int32, scale float32)
+
+var avx2Rows = &rowKernels{epilogue: epilogueRowsAVX2, add: addRowAVX2, max: maxRowAVX2, quantize: quantizeRowAVX2, requant: requantRowAVX2}
 
 // logisticConsts holds the constants of the logistic definition
 // (rowops.go), one 8-lane vector each, in the order rowops_amd64.s

@@ -288,3 +288,44 @@ qbyte:
 qdone:
 	VZEROUPPER
 	RET
+
+// func requantRowAVX2(dst *float32, acc *int32, n int, comp int32, scale float32)
+//
+// dst[i] = float32(acc[i] − comp)·scale: VPSUBD (wrapping, as the Go
+// form's int32 subtraction), VCVTDQ2PS (round to nearest even, as
+// CVTSL2SS), VMULPS — eight a turn, then one at a time.
+TEXT ·requantRowAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ acc+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVL comp+24(FP), AX
+	VMOVD AX, X8
+	VPBROADCASTD X8, Y8
+	VBROADCASTSS scale+28(FP), Y9
+r8:
+	CMPQ CX, $8
+	JLT  r1
+	VMOVDQU (SI), Y0
+	VPSUBD  Y8, Y0, Y0
+	VCVTDQ2PS Y0, Y0
+	VMULPS  Y9, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  r8
+r1:
+	TESTQ CX, CX
+	JZ   rdone
+	MOVL (SI), BX
+	SUBL AX, BX
+	VCVTSI2SSL BX, X1, X1
+	VMULSS X9, X1, X1
+	VMOVSS X1, (DI)
+	ADDQ $4, SI
+	ADDQ $4, DI
+	DECQ CX
+	JMP  r1
+rdone:
+	VZEROUPPER
+	RET

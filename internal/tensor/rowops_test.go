@@ -198,6 +198,79 @@ func TestQuantizeRowMatchesQuantizeRound(t *testing.T) {
 	})
 }
 
+// TestRequantRowMatchesGo holds the requantizing row of every tier to the
+// loop it replaced, bit for bit: rows of 0 to 40 accumulators at every
+// pointer offset, accumulators and compensations at the int32 extremes
+// (the subtraction wraps), scales from the smallest subnormal to the
+// largest float, nothing written past the row; and, at three
+// (comp, scale) pairs, every int32 accumulator (sweepFloat32's patterns
+// read as integers: all 2³² without -short).
+func TestRequantRowMatchesGo(t *testing.T) {
+	goRow := func(dst []float32, acc []int32, comp int32, scale float32) {
+		for j, v := range acc {
+			dst[j] = float32(v-comp) * scale
+		}
+	}
+	ext := []int32{0, 1, -1, 127, -128, 1 << 24, 1<<24 + 1, -(1 << 24) - 1, 1<<30 + 1<<6, math.MaxInt32, math.MaxInt32 - 1, math.MinInt32, math.MinInt32 + 1}
+	scales := []float32{1, 1.0 / 127 / 127, 0x1p-149, 0x1p-130, 0x1p100, math.MaxFloat32, -3.5, 0}
+	forEachTier(t, func(t *testing.T, tier string) {
+		r := rng.New(2300)
+		acc := alignedSlice[int32](48)
+		dst := alignedSlice[float32](49)
+		want := make([]float32, 40)
+		for cnt := 0; cnt <= 40; cnt++ {
+			for _, comp := range ext {
+				for si, scale := range scales {
+					off := (cnt + si) % 8
+					in, out := acc[off:off+cnt], dst[off:off+cnt+1]
+					for i := range in {
+						if in[i] = int32(r.Uint64()); i%3 == 0 {
+							in[i] = ext[r.Uint64()%uint64(len(ext))]
+						}
+					}
+					out[cnt] = 0x55
+					rowRequant(out[:cnt], in, comp, scale)
+					goRow(want, in, comp, scale)
+					for i := range in {
+						if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("row of %d at offset %d, acc %d comp %d scale %v: lane %d is %v, the loop gives %v", cnt, off, in[i], comp, scale, i, out[i], want[i])
+						}
+					}
+					if out[cnt] != 0x55 {
+						t.Fatalf("row of %d at offset %d wrote past its end", cnt, off)
+					}
+				}
+			}
+		}
+		if kernRows == nil {
+			return // the Go form is the loop
+		}
+		for _, p := range []struct {
+			comp  int32
+			scale float32
+		}{{0, 1}, {128 * 4608 * 127, 1.0 / 127 / 127}, {math.MinInt32 + 12345, -0x1.fffffep-100}} {
+			sweepFloat32(t, func() func(bits []uint32) string {
+				in := make([]int32, sweepChunk)
+				got, want := make([]float32, sweepChunk), make([]float32, sweepChunk)
+				return func(bits []uint32) string {
+					n := len(bits) - int(bits[0]/sweepChunk%8) // every tail length
+					for i, b := range bits[:n] {
+						in[i] = int32(b)
+					}
+					rowRequant(got[:n], in[:n], p.comp, p.scale)
+					goRow(want, in[:n], p.comp, p.scale)
+					for i := range in[:n] {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							return fmt.Sprintf("acc %d comp %d scale %v: kernel %v, the loop %v", in[i], p.comp, p.scale, got[i], want[i])
+						}
+					}
+					return ""
+				}
+			})
+		}
+	})
+}
+
 // logisticDriftUlp and logisticDriftAbs bound the new definition's
 // distance from the math.Exp expressions it replaced: 2 units of 2⁻²³
 // relative to the old value, or 10⁻³⁶ absolute (where exp(−v) nears the

@@ -400,7 +400,7 @@ func TestTierZeroAlloc(t *testing.T) {
 	dsts, xs := []*Tensor{dst}, []*Tensor{x}
 	ep := Epilogue{Act: EpActSiLU}
 	forEachTier(t, func(t *testing.T, tier string) {
-		qp := PackWeightsQ(qw.Data, 32, k) // the int8 layout is the tier's
+		qp := PackWeightsQ(qw.Data, 32, k, 9) // the int8 layout is the tier's
 		runF := func() { ConvPackedInto(dst, wp, x, spec, 0, 24, 24, ep, 0) }
 		runQ := func() { ConvPackedQBatchInto(dsts, qp, xs, spec, 0, 24, 24, 127, rowScale, ep, 0, nil) }
 		runF()
