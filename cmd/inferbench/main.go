@@ -26,6 +26,10 @@
 //	inferbench -engine 10 -model yolov8n -plan   # 0 allocs/frame steady state
 //	inferbench -serve                            # open-loop offered-load sweep
 //	inferbench -serve -device o-agx -batch 4 -window 40
+//
+// -fps <= 0 and -frames < 0 are usage errors (exit 2). -serve is the
+// ext-serve sweep of cmd/servebench with the device / batch / window /
+// precision / engine overrides servebench does not have.
 package main
 
 import (
@@ -110,6 +114,11 @@ func main() {
 	if *profile && (*engine == 0 || !*planFlag) {
 		fmt.Fprintln(os.Stderr, "inferbench: -profile needs -engine N -plan")
 		os.Exit(1)
+	}
+	if *fps <= 0 || *frames < 0 {
+		fmt.Fprintf(os.Stderr, "inferbench: need -fps > 0 and -frames >= 0, got -fps %v -frames %d\n", *fps, *frames)
+		flag.Usage()
+		os.Exit(2)
 	}
 	if err := run(*deviceFlag, *modelFlag, *frames, *seed, *drones, *fps, *batch, *window, *engine, *serveFlag, *profile, prec, eng); err != nil {
 		fmt.Fprintln(os.Stderr, "inferbench:", err)
@@ -225,13 +234,30 @@ func engineMode(modelFlag string, n int, seed uint64, batch int, profile bool, p
 	}
 	fmt.Printf("engine: %s, %s kernels, %s execution, %d frames at %dx%d\n", m, prec, eng, n, h, w)
 	fmt.Printf("kernel tier: %s\n", tensor.KernelTierDesc())
-	msFrame, allocsFrame := bench.MeasureFrames(n, step)
+	msFrame, allocsFrame := measureFrames(n, step)
 	fmt.Printf("total %.2fs, %.1f ms/frame, %.0f allocs/frame\n",
 		msFrame*float64(n)/1e3, msFrame/float64(len(xs)), allocsFrame/float64(len(xs)))
 	if profile {
 		printPlanProfile(opts.Profile, len(xs))
 	}
 	return nil
+}
+
+// measureFrames times n steady-state invocations of fn (after one
+// warm-up call that binds plan instances and fills pools) and returns
+// mean wall-clock ms per frame plus mean heap allocations per frame.
+func measureFrames(n int, fn func()) (msFrame, allocsFrame float64) {
+	fn() // warm: bind plan instances / fill pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return elapsed.Seconds() * 1e3 / float64(n),
+		float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
 // printPlanProfile prints where the profiled Executes went: per op kind,
@@ -398,20 +424,14 @@ func fleetMode(drones int, modelFlag, deviceFlag string, frames int, fps float64
 	if eng == device.Planned {
 		engPol = pipeline.UniformEngine(device.Planned, "detect", "pose", "depth")
 	}
-	sessions := make([]*pipeline.Session, drones)
-	for i := range sessions {
-		sessions[i] = &pipeline.Session{
-			ID: i, Frames: frames, FrameFPS: fps, EdgeRTTms: 25,
-			Policy: pipeline.DropPolicy{},
-			// Spread arrivals evenly over the frame period: independent
-			// drone feeds are uncorrelated.
-			Seed: seed + uint64(i)*211, OffsetMS: float64(i) * (1e3 / fps) / float64(drones),
-			Graph:     pipeline.TimingVIPGraph(place),
-			Precision: pol,
-			Engine:    engPol,
-		}
-	}
-	results, err := (&pipeline.Fleet{Sessions: sessions, SharedSeed: seed ^ 0x9e3779b9, Batch: bp}).Run()
+	fleet := bench.StaggeredFleet(drones, frames, fps, seed, func(s *pipeline.Session) {
+		s.EdgeRTTms = 25
+		s.Policy = pipeline.DropPolicy{}
+		s.Graph = pipeline.TimingVIPGraph(place)
+		s.Precision, s.Engine = pol, engPol
+	})
+	fleet.Batch = bp
+	results, err := fleet.Run()
 	if err != nil {
 		return err
 	}
@@ -428,24 +448,16 @@ func fleetMode(drones int, modelFlag, deviceFlag string, frames int, fps float64
 	fmt.Printf("fleet: %d drones @ %.0f FPS, detect=%s on %s %s (%s, %s, %s), aux on per-drone o-nano\n\n",
 		drones, fps, det, sharing, shared, batching, prec, eng)
 	fmt.Printf("%-8s %10s %10s %10s %11s %9s\n", "drone", "median", "p95", "max", "deadline%", "dropped%")
-	var all []float64
-	totalDropped, total := 0, 0
 	for _, r := range results {
-		n := len(r.Frames) + r.Dropped
 		droppedPct := 0.0
-		if n > 0 {
+		if n := len(r.Frames) + r.Dropped; n > 0 {
 			droppedPct = 100 * float64(r.Dropped) / float64(n)
 		}
 		fmt.Printf("%-8d %9.1fms %9.1fms %9.1fms %10.1f%% %8.1f%%\n",
 			r.Session, r.E2E.MedianMS, r.E2E.P95MS, r.E2E.MaxMS, r.DeadlineOK*100, droppedPct)
-		for _, f := range r.Frames {
-			all = append(all, f.E2EMS)
-		}
-		totalDropped += r.Dropped
-		total += n
 	}
-	agg := metrics.SummarizeMS(all)
+	agg := bench.SummarizeFleet(fleet, results)
 	fmt.Printf("\nfleet aggregate: median %.1f ms, p95 %.1f ms, %d/%d frames dropped (%.1f%%)\n",
-		agg.MedianMS, agg.P95MS, totalDropped, total, 100*float64(totalDropped)/float64(total))
+		agg.E2E.MedianMS, agg.E2E.P95MS, agg.Dropped, agg.Frames+agg.Dropped, agg.DroppedPct)
 	return nil
 }

@@ -1,7 +1,7 @@
 // Worker safety: the paper's §1 broader application — monitoring hazard
 // vest compliance on a work site. This example shows the stage-graph API
-// carrying a workload the fixed detect→{pose,depth} VIP graph (what the
-// legacy pipeline.Run wrapper assembles) cannot express: a custom
+// carrying a workload the fixed detect→{pose,depth} VIP graph
+// (pipeline.VIPGraph) cannot express: a custom
 // FrameSource (a mounted site camera rendering crowds of workers) feeds
 // a user-defined compliance Stage that counts vests, tracks them across
 // frames, and raises violation alerts, with its latency simulated on

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"ocularone/internal/device"
-	"ocularone/internal/metrics"
 	"ocularone/internal/models"
 	"ocularone/internal/pipeline"
 )
@@ -17,15 +16,9 @@ import (
 type BatchRow struct {
 	Policy   string
 	MaxBatch int
-	// FPS is served throughput: processed frames over the makespan from
-	// first arrival to last completion.
-	FPS float64
+	FleetSummary
 	// Speedup is FPS relative to the per-frame row.
 	Speedup float64
-	E2E     metrics.LatencySummary
-	// DeadlinePct is the share of frames finishing within the 100 ms
-	// frame period.
-	DeadlinePct float64
 }
 
 // batchStudyDrones/Frames size the ext-batch workload: 16 drones at
@@ -41,21 +34,14 @@ const (
 // hot path, isolated from per-drone edge queueing) against one shared
 // RTX 4090.
 func batchFleet(seed uint64, policy pipeline.BatchPolicy) *pipeline.Fleet {
-	const periodMS = 100.0
-	sessions := make([]*pipeline.Session, batchStudyDrones)
-	for i := range sessions {
-		sessions[i] = &pipeline.Session{
-			ID: i, Frames: batchStudyFrames, FrameFPS: 10,
-			Policy: pipeline.QueuePolicy{},
-			Seed:   seed + uint64(i)*211,
-			// Evenly spread arrivals, as the fleet study.
-			OffsetMS: float64(i) * periodMS / batchStudyDrones,
-			Graph: pipeline.NewGraph().Add(
-				pipeline.NewTimingStage("detect", models.V8XLarge, nil),
-				pipeline.Placement{Device: device.RTX4090, Model: models.V8XLarge}),
-		}
-	}
-	return &pipeline.Fleet{Sessions: sessions, SharedSeed: seed ^ 0x9e3779b9, Batch: policy}
+	fleet := StaggeredFleet(batchStudyDrones, batchStudyFrames, 10, seed, func(s *pipeline.Session) {
+		s.Policy = pipeline.QueuePolicy{}
+		s.Graph = pipeline.NewGraph().Add(
+			pipeline.NewTimingStage("detect", models.V8XLarge, nil),
+			pipeline.Placement{Device: device.RTX4090, Model: models.V8XLarge})
+	})
+	fleet.Batch = policy
+	return fleet
 }
 
 // RunBatchStudy sweeps micro-batch sizes over the saturated fleet
@@ -79,37 +65,8 @@ func RunBatchStudy(seed uint64) ([]BatchRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: batch study %s: %w", sw.label, err)
 		}
-		var e2e []float64
-		frames, deadlineHits := 0, 0
-		firstArrival, lastFinish := 1e18, 0.0
-		for si, r := range results {
-			// Reconstruct each frame's arrival from the session's own
-			// schedule (source-less sessions index frames sequentially).
-			sess := fleet.Sessions[si]
-			offset, period := sess.OffsetMS, 1e3/sess.FrameFPS
-			for _, f := range r.Frames {
-				arrival := offset + float64(f.FrameIndex)*period
-				if arrival < firstArrival {
-					firstArrival = arrival
-				}
-				if fin := arrival + f.E2EMS; fin > lastFinish {
-					lastFinish = fin
-				}
-				e2e = append(e2e, f.E2EMS)
-				if f.Deadline {
-					deadlineHits++
-				}
-			}
-			frames += len(r.Frames)
-		}
-		row := BatchRow{Policy: sw.label, MaxBatch: sw.policy.MaxBatch, E2E: metrics.SummarizeMS(e2e)}
-		if span := lastFinish - firstArrival; span > 0 {
-			row.FPS = float64(frames) / span * 1e3
-		}
-		if frames > 0 {
-			row.DeadlinePct = 100 * float64(deadlineHits) / float64(frames)
-		}
-		out = append(out, row)
+		out = append(out, BatchRow{Policy: sw.label, MaxBatch: sw.policy.MaxBatch,
+			FleetSummary: SummarizeFleet(fleet, results)})
 	}
 	base := out[0].FPS
 	for i := range out {

@@ -9,106 +9,32 @@ import (
 	"ocularone/internal/detect"
 	"ocularone/internal/models"
 	"ocularone/internal/scene"
-	"ocularone/internal/serve"
 )
 
-// ChaosRegime pairs one fault-injection configuration with the scene
-// condition the ext-chaos study degrades the detection corpus with:
-// dropouts strike while the VIP is occluded, thermal storms at night,
-// link degradation in rain. The pairing reports the compound story —
-// what the system serves *and* what the detector still sees — for each
-// operating regime.
-type ChaosRegime struct {
-	Name      string
-	Cfg       chaos.Config
-	Condition scene.Condition
-}
-
-// ChaosRegimes returns the study's regime sweep: the fault-free
-// baseline plus the three single-fault regimes of internal/chaos.
-func ChaosRegimes(seed uint64) []ChaosRegime {
-	return []ChaosRegime{
-		{Name: "baseline", Cfg: chaos.Baseline(seed), Condition: scene.Clear},
-		{Name: "dropout", Cfg: chaos.DropoutRegime(seed), Condition: scene.Occlusion},
-		{Name: "thermal-storm", Cfg: chaos.StormRegime(seed), Condition: scene.Night},
-		{Name: "link-degraded", Cfg: chaos.LinkRegime(seed), Condition: scene.Rain},
+// ChaosRegimes returns the ext-chaos sweep: the fault-free baseline
+// plus the three single-fault regimes of internal/chaos with the
+// precision controller live. Each is paired with the scene condition
+// the study degrades the detection corpus with — dropouts strike while
+// the VIP is occluded, thermal storms at night, link degradation in
+// rain — so the study reports the compound story: what the system
+// serves *and* what the detector still sees.
+func ChaosRegimes(seed uint64) []KneeRegime {
+	return []KneeRegime{
+		{Name: "baseline", Chaos: chaos.Baseline(seed), Condition: scene.Clear},
+		{Name: "dropout", Chaos: chaos.DropoutRegime(seed), Adapt: true, Condition: scene.Occlusion},
+		{Name: "thermal-storm", Chaos: chaos.StormRegime(seed), Adapt: true, Condition: scene.Night},
+		{Name: "link-degraded", Chaos: chaos.LinkRegime(seed), Adapt: true, Condition: scene.Rain},
 	}
-}
-
-// ChaosPoint is one regime of the chaos study, in the shape the
-// trajectory JSON consumes. The serving half (goodput through
-// recovery) is deterministic under a fixed seed; the detection half is
-// filled only by RunChaosStudy (the servebench -chaos path leaves it
-// zero).
-type ChaosPoint struct {
-	Regime         string  `json:"regime"`
-	Condition      string  `json:"condition"`
-	GoodputPerSec  float64 `json:"goodput_per_sec"`
-	P50MS          float64 `json:"p50_ms"`
-	P99MS          float64 `json:"p99_ms"`
-	ShedPct        float64 `json:"shed_pct"`
-	LostPct        float64 `json:"lost_pct"`
-	FaultEpisodes  int64   `json:"fault_episodes"`
-	Recovered      int64   `json:"recovered"`
-	MeanRecoveryMS float64 `json:"mean_recovery_ms"`
-	MaxRecoveryMS  float64 `json:"max_recovery_ms"`
-	Adaptations    int64   `json:"adaptations"`
-	DegradedReqs   int64   `json:"degraded_reqs"`
-	DetectAccPct   float64 `json:"detect_acc_pct,omitempty"`
-	DetectDeltaPct float64 `json:"detect_delta_pct,omitempty"`
-	Fingerprint    string  `json:"fingerprint"`
-}
-
-// RunChaosCurve runs the serving half of the chaos study: every regime
-// at offered load rho=1.0 (the capacity knee, where managed recovery
-// is visible in goodput rather than masked by slack), with the
-// precision controller live on the fault regimes. The baseline regime
-// runs fault-free with the controller off, so its fingerprint must
-// reproduce the plain ext-serve rho=1.0 point bit for bit — the
-// cross-PR determinism gate.
-func RunChaosCurve(seed uint64, horizonMS float64) []ChaosPoint {
-	pts := make([]ChaosPoint, 0, 4)
-	for _, reg := range ChaosRegimes(seed) {
-		cfg := serve.DefaultConfig(horizonMS, seed)
-		cfg.Traffic.RatePerSec = serve.Capacity(cfg)
-		if reg.Cfg.Enabled() {
-			cfg.Disrupt = chaos.New(reg.Cfg)
-			cfg.Adapt.Enabled = true
-		}
-		s := serve.NewServer(cfg)
-		s.AdvanceTo(horizonMS)
-		s.Drain()
-		res := s.Result()
-		if err := res.CheckInvariants(); err != nil {
-			panic(err)
-		}
-		p := ChaosPoint{
-			Regime:         reg.Name,
-			Condition:      reg.Condition.String(),
-			GoodputPerSec:  res.GoodputPerSec,
-			P50MS:          s.LatencyQuantileMS(0.50),
-			P99MS:          s.LatencyQuantileMS(0.99),
-			FaultEpisodes:  res.FaultEpisodes,
-			Recovered:      res.Recovered,
-			MeanRecoveryMS: res.MeanRecoveryMS,
-			MaxRecoveryMS:  res.MaxRecoveryMS,
-			Adaptations:    res.Adaptations,
-			DegradedReqs:   res.DegradedReqs,
-			Fingerprint:    fmt.Sprintf("%016x", s.Fingerprint()),
-		}
-		if res.Offered > 0 {
-			p.ShedPct = 100 * float64(res.Shed) / float64(res.Offered)
-			p.LostPct = 100 * float64(res.Lost) / float64(res.Offered)
-		}
-		pts = append(pts, p)
-	}
-	return pts
 }
 
 // ChaosStudy is the full ext-chaos result: the serving curve plus the
-// detection-quality deltas of the paired scene conditions.
+// detection accuracy under each paired scene condition.
 type ChaosStudy struct {
-	Points []ChaosPoint
+	Points []KneePoint
+	// AccPct is one detector's accuracy per scene condition on the same
+	// test items; a regime's delta against AccPct[scene.Clear] is the
+	// pure cost of its environmental degradation.
+	AccPct map[scene.Condition]float64
 	// TrainN/TestN are the clean-split sizes behind the detection half.
 	TrainN, TestN int
 }
@@ -116,47 +42,35 @@ type ChaosStudy struct {
 // RunChaosStudy runs the full study at the suite's scale: the serving
 // curve at horizon 10 s, then one nano-tier detector trained on the
 // clean stratified split and evaluated on the diverse test split under
-// each regime's paired scene condition. DetectDeltaPct is the accuracy
-// drop against the clear-condition evaluation of the same detector on
-// the same items — the pure cost of the environmental degradation.
+// each regime's paired scene condition.
 func RunChaosStudy(sc Scale) *ChaosStudy {
-	st := &ChaosStudy{Points: RunChaosCurve(sc.Seed, 10_000)}
-
+	st := &ChaosStudy{
+		Points: RunKnee(ChaosRegimes(sc.Seed), sc.Seed, 10_000),
+		AccPct: map[scene.Condition]float64{},
+	}
 	ds := dataset.Build(dataset.Config{Scale: sc.Data, W: sc.W, H: sc.H, Seed: sc.Seed})
 	sp := ds.StratifiedSplit(sc.TrainFrac)
 	test := sp.Test.Diverse()
 	st.TrainN, st.TestN = sp.Train.Len(), test.Len()
 	det := detect.TrainDataset(detect.TierFor(models.YOLOv8, models.Nano), sp.Train)
-	clearAcc := detect.EvaluateDataset(det, test.WithCondition(scene.Clear)).Accuracy()
-	accs := map[scene.Condition]float64{scene.Clear: clearAcc}
-	for i := range st.Points {
-		cond := scene.Condition(0)
-		for _, c := range scene.AllConditions() {
-			if c.String() == st.Points[i].Condition {
-				cond = c
-			}
+	for _, p := range st.Points {
+		if _, ok := st.AccPct[p.Condition]; !ok {
+			st.AccPct[p.Condition] = detect.EvaluateDataset(det, test.WithCondition(p.Condition)).Accuracy()
 		}
-		acc, ok := accs[cond]
-		if !ok {
-			acc = detect.EvaluateDataset(det, test.WithCondition(cond)).Accuracy()
-			accs[cond] = acc
-		}
-		st.Points[i].DetectAccPct = acc
-		st.Points[i].DetectDeltaPct = acc - clearAcc
 	}
 	return st
 }
 
 // WriteChaosCurve renders the serving half of the chaos study.
-func WriteChaosCurve(w io.Writer, pts []ChaosPoint) {
+func WriteChaosCurve(w io.Writer, pts []KneePoint) {
 	divider(w, "Extension: chaos injection at the capacity knee (goodput / recovery per fault regime)")
 	fmt.Fprintf(w, "%-14s %-10s %11s %9s %10s %6s %6s %5s %5s %9s %9s %6s %7s\n",
 		"regime", "condition", "goodput/s", "p50", "p99", "shed%", "lost%",
 		"epis", "recov", "mean-rec", "max-rec", "adapt", "degr")
 	for _, p := range pts {
 		fmt.Fprintf(w, "%-14s %-10s %11.0f %8.1fms %9.1fms %5.1f%% %5.1f%% %5d %5d %8.0fms %8.0fms %6d %7d\n",
-			p.Regime, p.Condition, p.GoodputPerSec, p.P50MS, p.P99MS,
-			p.ShedPct, p.LostPct, p.FaultEpisodes, p.Recovered,
+			p.Name, p.Condition, p.GoodputPerSec, p.P50MS, p.P99MS,
+			pct(p.Shed, p.Offered), pct(p.Lost, p.Offered), p.FaultEpisodes, p.Recovered,
 			p.MeanRecoveryMS, p.MaxRecoveryMS, p.Adaptations, p.DegradedReqs)
 	}
 }
@@ -167,7 +81,8 @@ func WriteChaosStudy(w io.Writer, st *ChaosStudy) {
 	fmt.Fprintf(w, "detection under paired conditions (nano tier, train n=%d, test n=%d):\n",
 		st.TrainN, st.TestN)
 	for _, p := range st.Points {
+		acc := st.AccPct[p.Condition]
 		fmt.Fprintf(w, "  %-14s %-10s acc %5.1f%%  delta %+5.1f%%\n",
-			p.Regime, p.Condition, p.DetectAccPct, p.DetectDeltaPct)
+			p.Name, p.Condition, acc, acc-st.AccPct[scene.Clear])
 	}
 }

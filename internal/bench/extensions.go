@@ -6,7 +6,6 @@ import (
 
 	"ocularone/internal/adaptive"
 	"ocularone/internal/device"
-	"ocularone/internal/metrics"
 	"ocularone/internal/models"
 	"ocularone/internal/pipeline"
 )
@@ -58,10 +57,8 @@ func WriteEfficiency(w io.Writer, rows []EfficiencyRow) {
 // on the shared workstation, auxiliary models on their own Orin Nano)
 // at 10 FPS with the drop-when-busy policy.
 type FleetRow struct {
-	Drones      int
-	E2E         metrics.LatencySummary
-	DeadlinePct float64 // frames meeting the 100 ms period
-	DroppedPct  float64 // frames shed at the shared detector
+	Drones int
+	FleetSummary
 }
 
 // RunFleetStudy sweeps fleet sizes against one shared RTX 4090 — the
@@ -72,44 +69,16 @@ type FleetRow struct {
 func RunFleetStudy(seed uint64) ([]FleetRow, error) {
 	var out []FleetRow
 	for _, drones := range []int{1, 2, 4, 8} {
-		const periodMS = 100 // 10 FPS
-		sessions := make([]*pipeline.Session, drones)
-		for i := range sessions {
-			sessions[i] = &pipeline.Session{
-				ID: i, Frames: 150, FrameFPS: 10, EdgeRTTms: 25,
-				Policy: pipeline.DropPolicy{},
-				// Evenly spread arrivals: independent feeds are
-				// uncorrelated, so contention comes from load, not
-				// phase alignment.
-				Seed: seed + uint64(i)*211, OffsetMS: float64(i) * periodMS / float64(drones),
-				Graph: pipeline.TimingVIPGraph(pipeline.HybridPlacement(device.OrinNano, models.V8XLarge)),
-			}
-		}
-		fleet := pipeline.Fleet{Sessions: sessions, SharedSeed: seed ^ 0x9e3779b9}
+		fleet := StaggeredFleet(drones, 150, 10, seed, func(s *pipeline.Session) {
+			s.EdgeRTTms = 25
+			s.Policy = pipeline.DropPolicy{}
+			s.Graph = pipeline.TimingVIPGraph(pipeline.HybridPlacement(device.OrinNano, models.V8XLarge))
+		})
 		results, err := fleet.Run()
 		if err != nil {
 			return nil, fmt.Errorf("bench: fleet of %d: %w", drones, err)
 		}
-		var e2e []float64
-		deadlineHits, processed, dropped := 0, 0, 0
-		for _, r := range results {
-			for _, f := range r.Frames {
-				e2e = append(e2e, f.E2EMS)
-				if f.Deadline {
-					deadlineHits++
-				}
-			}
-			processed += len(r.Frames)
-			dropped += r.Dropped
-		}
-		row := FleetRow{Drones: drones, E2E: metrics.SummarizeMS(e2e)}
-		if processed > 0 {
-			row.DeadlinePct = 100 * float64(deadlineHits) / float64(processed)
-		}
-		if total := processed + dropped; total > 0 {
-			row.DroppedPct = 100 * float64(dropped) / float64(total)
-		}
-		out = append(out, row)
+		out = append(out, FleetRow{Drones: drones, FleetSummary: SummarizeFleet(fleet, results)})
 	}
 	return out, nil
 }

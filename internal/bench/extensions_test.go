@@ -6,6 +6,7 @@ import (
 
 	"ocularone/internal/device"
 	"ocularone/internal/models"
+	"ocularone/internal/scene"
 )
 
 func TestEfficiencyRows(t *testing.T) {
@@ -69,39 +70,6 @@ func TestAdaptiveStudyOutcomes(t *testing.T) {
 	}
 }
 
-func TestCSVFig5(t *testing.T) {
-	cells := RunFig5(Scale{Data: 0.01, TimingFrames: 20, W: 320, H: 240, Seed: 1, TrainFrac: 0.2})
-	var sb strings.Builder
-	if err := CSVFig5(&sb, cells); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != len(cells)+1 {
-		t.Fatalf("csv rows %d, want %d", len(lines), len(cells)+1)
-	}
-	if !strings.HasPrefix(lines[0], "model,device,median_ms") {
-		t.Fatalf("header %q", lines[0])
-	}
-	if !strings.Contains(sb.String(), "yolov8x,nx,") {
-		t.Fatal("missing expected cell")
-	}
-}
-
-func TestCSVAccuracy(t *testing.T) {
-	st := RunAccuracyStudy(Scale{Data: 0.01, TimingFrames: 10, W: 320, H: 240, Seed: 42, TrainFrac: 0.2})
-	var sb strings.Builder
-	if err := CSVAccuracy(&sb, st); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 12+1 { // 6 models × 2 test sets + header
-		t.Fatalf("csv rows %d", len(lines))
-	}
-	if !strings.Contains(sb.String(), "v11m,adversarial,") {
-		t.Fatal("missing expected row")
-	}
-}
-
 func TestFleetStudyContentionGrows(t *testing.T) {
 	rows, err := RunFleetStudy(42)
 	if err != nil {
@@ -139,32 +107,33 @@ func TestChaosStudy(t *testing.T) {
 		t.Fatalf("chaos study has %d regimes, want 4", len(st.Points))
 	}
 	base := st.Points[0]
-	if base.Regime != "baseline" || base.FaultEpisodes != 0 || base.Adaptations != 0 {
+	if base.Name != "baseline" || base.FaultEpisodes != 0 || base.Adaptations != 0 {
 		t.Fatalf("baseline regime carries fault accounting: %+v", base)
 	}
-	if base.DetectDeltaPct != 0 {
-		t.Fatalf("baseline clear-condition delta %.1f%%, want 0", base.DetectDeltaPct)
+	if base.Condition != scene.Clear {
+		t.Fatalf("baseline paired with %s, want the clear condition (delta 0)", base.Condition)
 	}
+	clearAcc := st.AccPct[scene.Clear]
 	for _, p := range st.Points[1:] {
 		if p.FaultEpisodes == 0 {
-			t.Fatalf("%s regime injected no fault episodes", p.Regime)
+			t.Fatalf("%s regime injected no fault episodes", p.Name)
 		}
 		if p.GoodputPerSec >= base.GoodputPerSec {
-			t.Fatalf("%s goodput %.0f not below baseline %.0f", p.Regime, p.GoodputPerSec, base.GoodputPerSec)
+			t.Fatalf("%s goodput %.0f not below baseline %.0f", p.Name, p.GoodputPerSec, base.GoodputPerSec)
 		}
-		if p.DetectDeltaPct > 0 {
-			t.Fatalf("%s condition %s improved detection by %.1f%%", p.Regime, p.Condition, p.DetectDeltaPct)
+		if delta := st.AccPct[p.Condition] - clearAcc; delta > 0 {
+			t.Fatalf("%s condition %s improved detection by %.1f%%", p.Name, p.Condition, delta)
 		}
 		if p.Fingerprint == base.Fingerprint {
-			t.Fatalf("%s regime fingerprint identical to baseline", p.Regime)
+			t.Fatalf("%s regime fingerprint identical to baseline", p.Name)
 		}
 	}
 	// The degraded conditions must actually cost detection accuracy
 	// somewhere in the sweep.
 	worst := 0.0
-	for _, p := range st.Points {
-		if p.DetectDeltaPct < worst {
-			worst = p.DetectDeltaPct
+	for _, acc := range st.AccPct {
+		if acc-clearAcc < worst {
+			worst = acc - clearAcc
 		}
 	}
 	if worst == 0 {

@@ -9,18 +9,6 @@ import (
 	"ocularone/internal/serve"
 )
 
-// IntegrityRegime is one row of the ext-integrity study: a fault
-// scenario paired with the request-integrity policy measured against
-// it. The sweep walks the protection ladder — detection alone,
-// detection with retries, hedging under stragglers, and the full
-// layer under the combined regime — so the table reads as an ablation
-// of the integrity machinery.
-type IntegrityRegime struct {
-	Name      string
-	Cfg       chaos.Config
-	Integrity serve.IntegrityConfig
-}
-
 // Integrity policies of the study — also pinned by the chaos package's
 // golden fingerprints, so the study and the determinism gate measure
 // the same configurations.
@@ -31,108 +19,51 @@ func integrityHedge() serve.HedgePolicy {
 	return serve.HedgePolicy{Enabled: true, Device: device.RTX4090}
 }
 
-// IntegrityRegimes returns the study's regime sweep.
-func IntegrityRegimes(seed uint64) []IntegrityRegime {
-	return []IntegrityRegime{
-		{Name: "baseline", Cfg: chaos.Baseline(seed)},
+// IntegrityRegimes returns the ext-integrity sweep: each fault scenario
+// paired with the request-integrity policy measured against it. The
+// sweep walks the protection ladder — detection alone, detection with
+// retries, hedging under stragglers, and the full layer under the
+// combined regime — so the table reads as an ablation of the integrity
+// machinery.
+func IntegrityRegimes(seed uint64) []KneeRegime {
+	return []KneeRegime{
+		{Name: "baseline", Chaos: chaos.Baseline(seed)},
 		// Detection is intrinsic to the compute tier (ABFT + guards run
 		// regardless); recovery is the policy under test. The detect-only
 		// row drops every detection flagged — integrity without goodput.
-		{Name: "sdc-detect-only", Cfg: chaos.SDCRegime(seed)},
-		{Name: "sdc-retry", Cfg: chaos.SDCRegime(seed),
+		{Name: "sdc-detect-only", Chaos: chaos.SDCRegime(seed)},
+		{Name: "sdc-retry", Chaos: chaos.SDCRegime(seed),
 			Integrity: serve.IntegrityConfig{Retry: integrityRetry()}},
-		{Name: "straggle-hedge", Cfg: chaos.StragglerRegime(seed),
+		{Name: "straggle-hedge", Chaos: chaos.StragglerRegime(seed),
 			Integrity: serve.IntegrityConfig{Hedge: integrityHedge()}},
-		{Name: "integrity-full", Cfg: chaos.IntegrityRegime(seed),
+		{Name: "integrity-full", Chaos: chaos.IntegrityRegime(seed),
 			Integrity: serve.IntegrityConfig{Retry: integrityRetry(), Hedge: integrityHedge()}},
 	}
 }
 
-// IntegrityPoint is one regime of the integrity study, in the shape
-// the trajectory JSON consumes. TrueGoodputPerSec subtracts served-
-// corrupt SLO hits from goodput — the number the integrity layer
-// exists to defend; DetectCoveragePct is the measured (not configured)
-// fraction of injected corruptions the detectors caught.
-type IntegrityPoint struct {
-	Regime            string  `json:"regime"`
-	GoodputPerSec     float64 `json:"goodput_per_sec"`
-	TrueGoodputPerSec float64 `json:"true_goodput_per_sec"`
-	P50MS             float64 `json:"p50_ms"`
-	P99MS             float64 `json:"p99_ms"`
-	ShedPct           float64 `json:"shed_pct"`
-	SDCInjected       int64   `json:"sdc_injected"`
-	CorruptDetected   int64   `json:"corrupt_detected"`
-	CorruptServed     int64   `json:"corrupt_served"`
-	CorruptSLOMet     int64   `json:"corrupt_slo_met"`
-	DetectCoveragePct float64 `json:"detect_coverage_pct"`
-	Retries           int64   `json:"retries"`
-	RetriesGivenUp    int64   `json:"retries_given_up"`
-	Hedges            int64   `json:"hedges"`
-	HedgeWins         int64   `json:"hedge_wins"`
-	Fingerprint       string  `json:"fingerprint"`
+// trueGoodput subtracts served-corrupt SLO hits from goodput —
+// the number the integrity layer exists to defend.
+func trueGoodput(r serve.Result) float64 {
+	if r.SLOMet <= 0 {
+		return r.GoodputPerSec
+	}
+	return r.GoodputPerSec * float64(r.SLOMet-r.CorruptSLOMet) / float64(r.SLOMet)
 }
 
-// RunIntegrityCurve runs the integrity study at the capacity knee
-// (rho = 1.0, where retry and hedge overhead must be paid out of real
-// headroom). The baseline regime runs with the integrity layer off and
-// must reproduce the plain ext-serve rho=1.0 fingerprint bit for bit.
-func RunIntegrityCurve(seed uint64, horizonMS float64) []IntegrityPoint {
-	regs := IntegrityRegimes(seed)
-	pts := make([]IntegrityPoint, 0, len(regs))
-	for _, reg := range regs {
-		cfg := serve.DefaultConfig(horizonMS, seed)
-		cfg.Traffic.RatePerSec = serve.Capacity(cfg)
-		if reg.Cfg.Enabled() {
-			cfg.Disrupt = chaos.New(reg.Cfg)
-		}
-		cfg.Integrity = reg.Integrity
-		s := serve.NewServer(cfg)
-		s.AdvanceTo(horizonMS)
-		s.Drain()
-		res := s.Result()
-		if err := res.CheckInvariants(); err != nil {
-			panic(err)
-		}
-		p := IntegrityPoint{
-			Regime:          reg.Name,
-			GoodputPerSec:   res.GoodputPerSec,
-			P50MS:           s.LatencyQuantileMS(0.50),
-			P99MS:           s.LatencyQuantileMS(0.99),
-			SDCInjected:     res.SDCInjected,
-			CorruptDetected: res.CorruptDetected,
-			CorruptServed:   res.CorruptServed,
-			CorruptSLOMet:   res.CorruptSLOMet,
-			Retries:         res.Retries,
-			RetriesGivenUp:  res.RetriesGivenUp,
-			Hedges:          res.Hedges,
-			HedgeWins:       res.HedgeWins,
-			Fingerprint:     fmt.Sprintf("%016x", s.Fingerprint()),
-		}
-		p.TrueGoodputPerSec = p.GoodputPerSec
-		if res.SLOMet > 0 {
-			p.TrueGoodputPerSec = p.GoodputPerSec * float64(res.SLOMet-res.CorruptSLOMet) / float64(res.SLOMet)
-		}
-		if res.SDCInjected > 0 {
-			p.DetectCoveragePct = 100 * float64(res.CorruptDetected) / float64(res.SDCInjected)
-		}
-		if res.Offered > 0 {
-			p.ShedPct = 100 * float64(res.Shed) / float64(res.Offered)
-		}
-		pts = append(pts, p)
-	}
-	return pts
-}
+// DetectCoveragePct is the measured (not configured) share of injected
+// corruptions the detectors caught.
+func DetectCoveragePct(r serve.Result) float64 { return pct(r.CorruptDetected, r.SDCInjected) }
 
 // WriteIntegrityCurve renders the integrity study.
-func WriteIntegrityCurve(w io.Writer, pts []IntegrityPoint) {
+func WriteIntegrityCurve(w io.Writer, pts []KneePoint) {
 	divider(w, "Extension: end-to-end integrity at the capacity knee (SDC detection / retry / hedging)")
 	fmt.Fprintf(w, "%-16s %11s %11s %9s %10s %6s %6s %7s %6s %6s %8s %6s %6s\n",
 		"regime", "goodput/s", "true-gp/s", "p50", "p99", "shed%", "sdc",
 		"detect", "served", "cover%", "retries", "hedge", "wins")
 	for _, p := range pts {
 		fmt.Fprintf(w, "%-16s %11.0f %11.0f %8.1fms %9.1fms %5.1f%% %6d %7d %6d %5.1f%% %8d %6d %6d\n",
-			p.Regime, p.GoodputPerSec, p.TrueGoodputPerSec, p.P50MS, p.P99MS,
-			p.ShedPct, p.SDCInjected, p.CorruptDetected, p.CorruptServed,
-			p.DetectCoveragePct, p.Retries, p.Hedges, p.HedgeWins)
+			p.Name, p.GoodputPerSec, trueGoodput(p.Result), p.P50MS, p.P99MS,
+			pct(p.Shed, p.Offered), p.SDCInjected, p.CorruptDetected, p.CorruptServed,
+			DetectCoveragePct(p.Result), p.Retries, p.Hedges, p.HedgeWins)
 	}
 }

@@ -5,111 +5,65 @@ import (
 	"io"
 
 	"ocularone/internal/device"
-	"ocularone/internal/metrics"
 	"ocularone/internal/models"
 	"ocularone/internal/pipeline"
 )
 
-// QuantRow summarises one precision policy on one Jetson device in the
-// quantized-serving study: an all-edge medium deployment (detect, pose,
-// depth sharing the drone's own accelerator) saturated at 10 FPS, so
-// served throughput is capacity-limited and the precision gain shows up
-// directly as frames served.
-type QuantRow struct {
+// EdgeRow summarises one deployment policy on one Jetson device in the
+// saturated all-edge studies (ext-quant, ext-plan): a medium deployment
+// (detect, pose, depth sharing the drone's own accelerator) offered
+// 10 FPS, so served throughput is capacity-limited and the policy's
+// gain shows up directly as frames served.
+type EdgeRow struct {
 	Device device.ID
 	Policy string
-	// FPS is served throughput per drone: processed frames over the
-	// makespan from first arrival to last completion.
-	FPS float64
-	// Speedup is FPS relative to the device's fp32 row.
-	Speedup     float64
-	E2E         metrics.LatencySummary
-	DeadlinePct float64
+	// FleetSummary's FPS is per drone here: drones are independent (no
+	// shared executor), so the per-drone figure is the
+	// deployment-relevant one.
+	FleetSummary
+	// Speedup is FPS relative to the device's first policy row.
+	Speedup float64
 }
 
-// quantStudyPolicies are the three precision deployments the study
-// compares: everything fp32, only the heavy YOLO backbone int8 (pose
-// and depth heads fp32 — the accuracy-conservative deployment), and
-// everything int8.
-func quantStudyPolicies() []struct {
-	label string
-	prec  pipeline.PrecisionPolicy
-} {
-	return []struct {
-		label string
-		prec  pipeline.PrecisionPolicy
-	}{
-		{"fp32", nil},
-		{"int8-detect", pipeline.PrecisionPolicy{"detect": device.INT8}},
-		{"int8-all", pipeline.UniformPrecision(device.INT8, "detect", "pose", "depth")},
-	}
+// edgePolicy is one swept deployment; a nil policy is the fp32 /
+// interpreted default.
+type edgePolicy struct {
+	label     string
+	precision pipeline.PrecisionPolicy
+	engine    pipeline.EnginePolicy
 }
 
-// quantStudyFrames sizes each session; at ~2.6x overload on the slowest
-// device the queue shape stabilises well within this horizon.
-const quantStudyFrames = 80
+// edgeStudyDrones/Frames size the workload; at ~2.6x overload on the
+// slowest device the queue shape stabilises well within this horizon.
+const (
+	edgeStudyDrones = 4
+	edgeStudyFrames = 80
+)
 
-// RunQuantStudy sweeps the precision policies over the three Jetson
-// devices — the paper's deployment targets, whose rated TOPS are
-// predominantly INT8 figures. Each run is a 4-drone fleet where every
+// runEdgeStudy sweeps the policies over the three Jetson devices — the
+// paper's deployment targets. Each run is a 4-drone fleet where every
 // drone serves the full medium VIP pipeline on its own accelerator
-// (edge executors are per-session, so this isolates the precision gain
+// (edge executors are per-session, so this isolates the policy's gain
 // from cross-drone contention), with the queueing policy so throughput
-// measures capacity rather than drop rate.
-func RunQuantStudy(seed uint64) ([]QuantRow, error) {
-	var out []QuantRow
+// measures capacity rather than drop rate. The first policy is each
+// device's speedup base.
+func runEdgeStudy(study string, seed uint64, policies []edgePolicy) ([]EdgeRow, error) {
+	var out []EdgeRow
 	for _, dev := range device.EdgeIDs {
 		var base float64
-		for _, pol := range quantStudyPolicies() {
-			const drones = 4
-			sessions := make([]*pipeline.Session, drones)
-			for i := range sessions {
-				sessions[i] = &pipeline.Session{
-					ID: i, Frames: quantStudyFrames, FrameFPS: 10,
-					Policy:    pipeline.QueuePolicy{},
-					Seed:      seed + uint64(i)*211,
-					OffsetMS:  float64(i) * 100 / drones,
-					Graph:     pipeline.TimingVIPGraph(pipeline.EdgePlacement(dev, models.V8Medium)),
-					Precision: pol.prec,
-				}
-			}
-			fleet := pipeline.Fleet{Sessions: sessions, SharedSeed: seed ^ 0x9e3779b9}
+		for pi, pol := range policies {
+			fleet := StaggeredFleet(edgeStudyDrones, edgeStudyFrames, 10, seed, func(s *pipeline.Session) {
+				s.Policy = pipeline.QueuePolicy{}
+				s.Graph = pipeline.TimingVIPGraph(pipeline.EdgePlacement(dev, models.V8Medium))
+				s.Precision, s.Engine = pol.precision, pol.engine
+			})
 			results, err := fleet.Run()
 			if err != nil {
-				return nil, fmt.Errorf("bench: quant study %s/%s: %w", dev, pol.label, err)
+				return nil, fmt.Errorf("bench: %s study %s/%s: %w", study, dev, pol.label, err)
 			}
-			var e2e []float64
-			frames, deadlineHits := 0, 0
-			firstArrival, lastFinish := 1e18, 0.0
-			for si, r := range results {
-				sess := fleet.Sessions[si]
-				offset, period := sess.OffsetMS, 1e3/sess.FrameFPS
-				for _, f := range r.Frames {
-					arrival := offset + float64(f.FrameIndex)*period
-					if arrival < firstArrival {
-						firstArrival = arrival
-					}
-					if fin := arrival + f.E2EMS; fin > lastFinish {
-						lastFinish = fin
-					}
-					e2e = append(e2e, f.E2EMS)
-					if f.Deadline {
-						deadlineHits++
-					}
-				}
-				frames += len(r.Frames)
-			}
-			row := QuantRow{Device: dev, Policy: pol.label, E2E: metrics.SummarizeMS(e2e)}
-			if span := lastFinish - firstArrival; span > 0 {
-				// Per-drone served rate: drones are independent here (no
-				// shared executor), so the per-drone figure is the
-				// deployment-relevant one.
-				row.FPS = float64(frames) / span * 1e3 / drones
-			}
-			if frames > 0 {
-				row.DeadlinePct = 100 * float64(deadlineHits) / float64(frames)
-			}
-			if pol.label == "fp32" {
+			row := EdgeRow{Device: dev, Policy: pol.label, FleetSummary: SummarizeFleet(fleet, results)}
+			row.FPS /= edgeStudyDrones
+			if pi == 0 {
 				base = row.FPS
 			}
 			if base > 0 {
@@ -121,8 +75,20 @@ func RunQuantStudy(seed uint64) ([]QuantRow, error) {
 	return out, nil
 }
 
+// RunQuantStudy compares three precision deployments on the Jetsons,
+// whose rated TOPS are predominantly INT8 figures: everything fp32,
+// only the heavy YOLO backbone int8 (pose and depth heads fp32 — the
+// accuracy-conservative deployment), and everything int8.
+func RunQuantStudy(seed uint64) ([]EdgeRow, error) {
+	return runEdgeStudy("quant", seed, []edgePolicy{
+		{label: "fp32"},
+		{label: "int8-detect", precision: pipeline.PrecisionPolicy{"detect": device.INT8}},
+		{label: "int8-all", precision: pipeline.UniformPrecision(device.INT8, "detect", "pose", "depth")},
+	})
+}
+
 // WriteQuantStudy renders the quantized-serving sweep.
-func WriteQuantStudy(w io.Writer, rows []QuantRow) {
+func WriteQuantStudy(w io.Writer, rows []EdgeRow) {
 	divider(w, "Extension: INT8 quantized serving on Jetson-class devices (medium VIP pipeline, 10 FPS offered)")
 	fmt.Fprintf(w, "%-8s %-12s %9s %10s %10s %11s %9s\n",
 		"device", "precision", "fps/drone", "median", "p95", "deadline%", "speedup")

@@ -32,6 +32,6 @@ func WriteServeStudy(w io.Writer, pts []serve.CurvePoint) {
 	for _, p := range pts {
 		fmt.Fprintf(w, "%-6.2f %11.0f %11.0f %8.1fms %9.1fms %6.1f%% %6.1f%% %7.2f %6.2f\n",
 			p.Rho, p.OfferedPerSec, p.GoodputPerSec, p.P50MS, p.P99MS,
-			p.ShedPct, p.ExpiredPct, p.MeanBatch, p.Utilization)
+			pct(p.Shed, p.Offered), pct(p.Expired, p.Offered), p.MeanBatch, p.Utilization)
 	}
 }

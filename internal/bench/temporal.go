@@ -11,107 +11,28 @@ import (
 	"ocularone/internal/imgproc"
 	"ocularone/internal/models"
 	"ocularone/internal/scene"
-	"ocularone/internal/serve"
 	"ocularone/internal/temporal"
 	"ocularone/internal/track"
 	"ocularone/internal/video"
 )
 
-// TemporalRegime is one row of the ext-temporal study: a fault regime
-// paired with the serving layers raised against it. The sweep is an
-// ablation of the degradation ladder — the fault-free baseline, the
-// PR-7 shed-only response to dropouts (which the middle row must
-// reproduce bit for bit), the same dropouts with the ladder live, and
-// the ladder under the combined regime.
-type TemporalRegime struct {
-	Name     string
-	Cfg      chaos.Config
-	Adapt    bool
-	Temporal bool
-}
-
-// TemporalRegimes returns the study's regime sweep.
-func TemporalRegimes(seed uint64) []TemporalRegime {
-	return []TemporalRegime{
-		{Name: "baseline", Cfg: chaos.Baseline(seed)},
-		{Name: "dropout-shed-only", Cfg: chaos.DropoutRegime(seed), Adapt: true},
-		{Name: "dropout-ladder", Cfg: chaos.DropoutRegime(seed), Adapt: true, Temporal: true},
-		{Name: "combined-ladder", Cfg: chaos.Combined(seed), Adapt: true, Temporal: true},
+// TemporalRegimes returns the ext-temporal sweep, an ablation of the
+// degradation ladder: the fault-free baseline, the PR-7 shed-only
+// response to dropouts, the same dropouts with the ladder live, and the
+// ladder under the combined regime. Two rows are cross-PR determinism
+// gates: the baseline must reproduce the plain ext-serve rho=1.0
+// fingerprint, and dropout-shed-only must reproduce the ext-chaos
+// dropout row bit for bit — proving the ladder's wiring perturbed
+// nothing it did not opt into. The dropout-ladder row then differs from
+// shed-only in exactly one knob (Temporal) at the same seed and
+// traffic, so its goodput delta is attributable to the ladder alone.
+func TemporalRegimes(seed uint64) []KneeRegime {
+	return []KneeRegime{
+		{Name: "baseline", Chaos: chaos.Baseline(seed)},
+		{Name: "dropout-shed-only", Chaos: chaos.DropoutRegime(seed), Adapt: true},
+		{Name: "dropout-ladder", Chaos: chaos.DropoutRegime(seed), Adapt: true, Temporal: true},
+		{Name: "combined-ladder", Chaos: chaos.Combined(seed), Adapt: true, Temporal: true},
 	}
-}
-
-// TemporalPoint is one regime of the temporal study, in the shape the
-// trajectory JSON consumes. The bridged/ROI/early-exit counters and the
-// staleness quantiles are the ladder's degraded-tier ledger; goodput
-// against the shed-only row is the headline the ladder is judged on.
-type TemporalPoint struct {
-	Regime          string  `json:"regime"`
-	GoodputPerSec   float64 `json:"goodput_per_sec"`
-	P50MS           float64 `json:"p50_ms"`
-	P99MS           float64 `json:"p99_ms"`
-	ShedPct         float64 `json:"shed_pct"`
-	BridgedReqs     int64   `json:"bridged_reqs"`
-	ROIReqs         int64   `json:"roi_reqs"`
-	EarlyExitReqs   int64   `json:"early_exit_reqs"`
-	ForcedRefreshes int64   `json:"forced_refreshes"`
-	RungSwitches    int64   `json:"rung_switches"`
-	StaleP50MS      float64 `json:"stale_p50_ms"`
-	StaleMeanMS     float64 `json:"stale_mean_ms"`
-	StaleMaxMS      float64 `json:"stale_max_ms"`
-	Adaptations     int64   `json:"adaptations"`
-	DegradedReqs    int64   `json:"degraded_reqs"`
-	Fingerprint     string  `json:"fingerprint"`
-}
-
-// RunTemporalCurve runs the serving half of the temporal study at the
-// capacity knee (rho = 1.0). Two rows are cross-PR determinism gates:
-// the baseline must reproduce the plain ext-serve rho=1.0 fingerprint,
-// and dropout-shed-only must reproduce the PR-7 ext-chaos dropout row
-// bit for bit — proving the ladder's wiring perturbed nothing it did
-// not opt into. The dropout-ladder row then differs from shed-only in
-// exactly one knob (Temporal.Enabled) at the same seed and traffic, so
-// its goodput delta is attributable to the ladder alone.
-func RunTemporalCurve(seed uint64, horizonMS float64) []TemporalPoint {
-	regs := TemporalRegimes(seed)
-	pts := make([]TemporalPoint, 0, len(regs))
-	for _, reg := range regs {
-		cfg := serve.DefaultConfig(horizonMS, seed)
-		cfg.Traffic.RatePerSec = serve.Capacity(cfg)
-		if reg.Cfg.Enabled() {
-			cfg.Disrupt = chaos.New(reg.Cfg)
-		}
-		cfg.Adapt.Enabled = reg.Adapt
-		cfg.Temporal.Enabled = reg.Temporal
-		s := serve.NewServer(cfg)
-		s.AdvanceTo(horizonMS)
-		s.Drain()
-		res := s.Result()
-		if err := res.CheckInvariants(); err != nil {
-			panic(err)
-		}
-		p := TemporalPoint{
-			Regime:          reg.Name,
-			GoodputPerSec:   res.GoodputPerSec,
-			P50MS:           s.LatencyQuantileMS(0.50),
-			P99MS:           s.LatencyQuantileMS(0.99),
-			BridgedReqs:     res.BridgedReqs,
-			ROIReqs:         res.ROIReqs,
-			EarlyExitReqs:   res.EarlyExitReqs,
-			ForcedRefreshes: res.ForcedRefreshes,
-			RungSwitches:    res.RungSwitches,
-			StaleP50MS:      res.StaleP50MS,
-			StaleMeanMS:     res.StaleMeanMS,
-			StaleMaxMS:      res.StaleMaxMS,
-			Adaptations:     res.Adaptations,
-			DegradedReqs:    res.DegradedReqs,
-			Fingerprint:     fmt.Sprintf("%016x", s.Fingerprint()),
-		}
-		if res.Offered > 0 {
-			p.ShedPct = 100 * float64(res.Shed) / float64(res.Offered)
-		}
-		pts = append(pts, p)
-	}
-	return pts
 }
 
 // TemporalDrift is the detection-quality half of the study: the same
@@ -124,21 +45,21 @@ func RunTemporalCurve(seed uint64, horizonMS float64) []TemporalPoint {
 // ladder's budget (MaxBridged bridges plus the budget-exhausted tail of
 // a gap burst).
 type TemporalDrift struct {
-	Frames          int     `json:"frames"`
-	VIPFrames       int     `json:"vip_frames"`
-	FullHitPct      float64 `json:"full_hit_pct"`
-	LadderHitPct    float64 `json:"ladder_hit_pct"`
-	HitDeltaPct     float64 `json:"hit_delta_pct"`
-	FullMeanIoU     float64 `json:"full_mean_iou"`
-	LadderMeanIoU   float64 `json:"ladder_mean_iou"`
-	IoUDrift        float64 `json:"iou_drift"`
-	FullFrames      int     `json:"full_frames"`
-	ROIFrames       int     `json:"roi_frames"`
-	EarlyExitFrames int     `json:"early_exit_frames"`
-	BridgedFrames   int     `json:"bridged_frames"`
-	DroppedFrames   int     `json:"dropped_frames"`
-	ForcedRefreshes int64   `json:"forced_refreshes"`
-	MaxStaleFrames  int     `json:"max_stale_frames"`
+	Frames          int
+	VIPFrames       int
+	FullHitPct      float64
+	LadderHitPct    float64
+	HitDeltaPct     float64
+	FullMeanIoU     float64
+	LadderMeanIoU   float64
+	IoUDrift        float64
+	FullFrames      int
+	ROIFrames       int
+	EarlyExitFrames int
+	BridgedFrames   int
+	DroppedFrames   int
+	ForcedRefreshes int64
+	MaxStaleFrames  int
 }
 
 // driftGap is the chaos schedule of the drift run: two dropout bursts —
@@ -326,7 +247,7 @@ func RunTemporalDrift(sc Scale) TemporalDrift {
 // TemporalStudy is the full ext-temporal result: the serving ablation
 // plus the tracked-video drift measurement.
 type TemporalStudy struct {
-	Points []TemporalPoint
+	Points []KneePoint
 	Drift  TemporalDrift
 }
 
@@ -334,20 +255,23 @@ type TemporalStudy struct {
 // 10 s and the drift pass at the given scale.
 func RunTemporalStudy(sc Scale) *TemporalStudy {
 	return &TemporalStudy{
-		Points: RunTemporalCurve(sc.Seed, 10_000),
+		Points: RunKnee(TemporalRegimes(sc.Seed), sc.Seed, 10_000),
 		Drift:  RunTemporalDrift(sc),
 	}
 }
 
-// WriteTemporalCurve renders the serving half of the temporal study.
-func WriteTemporalCurve(w io.Writer, pts []TemporalPoint) {
+// WriteTemporalCurve renders the serving half of the temporal study:
+// the bridged / ROI / early-exit counters and the staleness quantiles
+// are the ladder's degraded-tier ledger; goodput against the shed-only
+// row is the headline the ladder is judged on.
+func WriteTemporalCurve(w io.Writer, pts []KneePoint) {
 	divider(w, "Extension: temporal degradation ladder at the capacity knee (bridged / ROI / early-exit vs shed-only)")
 	fmt.Fprintf(w, "%-18s %11s %9s %10s %6s %7s %6s %6s %6s %6s %9s %9s\n",
 		"regime", "goodput/s", "p50", "p99", "shed%", "bridge", "roi",
 		"early", "refrsh", "rungsw", "stale-p50", "stale-max")
 	for _, p := range pts {
 		fmt.Fprintf(w, "%-18s %11.0f %8.1fms %9.1fms %5.1f%% %7d %6d %6d %6d %6d %8.0fms %8.0fms\n",
-			p.Regime, p.GoodputPerSec, p.P50MS, p.P99MS, p.ShedPct,
+			p.Name, p.GoodputPerSec, p.P50MS, p.P99MS, pct(p.Shed, p.Offered),
 			p.BridgedReqs, p.ROIReqs, p.EarlyExitReqs, p.ForcedRefreshes,
 			p.RungSwitches, p.StaleP50MS, p.StaleMaxMS)
 	}

@@ -139,9 +139,8 @@ var experiments = map[string]Experiment{
 		},
 	},
 	"ext-plan": {
-		Name: "ext-plan", Desc: "Extension: compiled execution plans vs the interpreter (real engine + Jetson serving)",
+		Name: "ext-plan", Desc: "Extension: compiled execution plans vs the interpreter (Jetson serving)",
 		Run: func(s *Suite, w io.Writer) error {
-			bench.WritePlanEngineStudy(w, bench.RunPlanEngineStudy(s.Scale.Seed))
 			rows, err := bench.RunPlanStudy(s.Scale.Seed)
 			if err != nil {
 				return err
@@ -189,7 +188,7 @@ var experiments = map[string]Experiment{
 	"ext-integrity": {
 		Name: "ext-integrity", Desc: "Extension: end-to-end integrity — SDC detection coverage, retry/hedge overhead, goodput under corruption",
 		Run: func(s *Suite, w io.Writer) error {
-			bench.WriteIntegrityCurve(w, bench.RunIntegrityCurve(s.Scale.Seed, 10_000))
+			bench.WriteIntegrityCurve(w, bench.RunKnee(bench.IntegrityRegimes(s.Scale.Seed), s.Scale.Seed, 10_000))
 			return nil
 		},
 	},
@@ -284,9 +283,9 @@ type Stack struct {
 
 // Graph assembles the stack into the classic detect→{pose,depth}
 // pipeline graph with the given placements (typically from
-// pipeline.EdgePlacement or pipeline.HybridPlacement). The graph is
-// ready for a pipeline.Session, and further stages can be chained onto
-// it with Add before running.
+// pipeline.EdgePlacement or pipeline.HybridPlacement). Run it as
+// pipeline.Session{Graph: g, ...} — sessions are the only entry point —
+// after chaining any further stages onto it with Add.
 func (st *Stack) Graph(place map[pipeline.StageID]pipeline.Placement, obstacleAlertM float64, useTracker bool) *pipeline.Graph {
 	return pipeline.VIPGraph(st.Detector, st.Fall, st.Depth, place, obstacleAlertM, useTracker)
 }

@@ -28,8 +28,9 @@
 //     the plan is reused across every later frame and batch wave, and a
 //     live re-placement recompiles on the new device. An unset policy
 //     replays the pre-plan schedule bit-for-bit.
-//   - The legacy API (pipeline.go): Run and the placement helpers are
-//     thin wrappers assembling the classic three-stage graph.
+//   - Placement helpers (pipeline.go, stages.go): EdgePlacement and
+//     HybridPlacement produce the StageID-keyed maps VIPGraph and
+//     TimingVIPGraph assemble the classic three-stage graph from.
 //
 // Analytics are real (rendered pixels in, alerts out); per-frame timing
 // is simulated with the device latency model (plus network round trips

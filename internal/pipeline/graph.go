@@ -263,8 +263,7 @@ type Policy interface {
 
 // QueuePolicy queues work, optionally bounded: a frame or stage whose
 // executor backlog exceeds BudgetMS is shed; BudgetMS <= 0 queues
-// unboundedly (the offline-replay semantics of the original pipeline
-// without DropWhenBusy).
+// unboundedly (offline-replay semantics).
 type QueuePolicy struct {
 	BudgetMS float64
 }
@@ -291,8 +290,7 @@ func (p QueuePolicy) RunStage(readyMS, busyUntilMS, _ float64) bool {
 // executor is still busy is dropped outright, and a downstream stage
 // whose executor will not free up within one frame period of its inputs
 // is skipped — situational-awareness results for an old frame are stale
-// by definition. This reproduces the original Config.DropWhenBusy
-// semantics.
+// by definition.
 type DropPolicy struct{}
 
 // Name identifies the policy.

@@ -400,36 +400,6 @@ func TestUserDefinedFourthStageEndToEnd(t *testing.T) {
 	}
 }
 
-// --- Legacy equivalence ---
-
-func TestRunMatchesDirectGraphSession(t *testing.T) {
-	det, fall, est := buildStack(t)
-	v := testVideo()
-	cfg := Config{
-		Detector: det, Fall: fall, Depth: est,
-		Place:    EdgePlacement(device.OrinAGX, models.V8Medium),
-		FrameFPS: 10, Seed: 1, EdgeRTTms: 20,
-	}
-	legacy := Run(v, cfg, 12)
-	g := VIPGraph(det, fall, est, cfg.Place, 0, false)
-	s := &Session{Source: testVideo(), Graph: g, FrameFPS: 10, MaxFrames: 12, EdgeRTTms: 20, Seed: 1}
-	direct, err := s.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Frames) != len(direct.Frames) {
-		t.Fatalf("frame counts differ: %d vs %d", len(legacy.Frames), len(direct.Frames))
-	}
-	for i := range legacy.Frames {
-		if legacy.Frames[i].E2EMS != direct.Frames[i].E2EMS {
-			t.Fatalf("frame %d e2e differs: %f vs %f", i, legacy.Frames[i].E2EMS, direct.Frames[i].E2EMS)
-		}
-	}
-	if legacy.DetectionRate != direct.DetectionRate || len(legacy.Alerts) != len(direct.Alerts) {
-		t.Fatal("legacy wrapper diverges from direct graph session")
-	}
-}
-
 func TestSessionRerunStartsFromFreshExecutors(t *testing.T) {
 	// A reused session must not inherit the previous run's executor busy
 	// horizons: with a stateless (timing-only) graph, two runs are

@@ -3,18 +3,14 @@ package pipeline
 import (
 	"fmt"
 
-	"ocularone/internal/depth"
-	"ocularone/internal/detect"
 	"ocularone/internal/device"
 	"ocularone/internal/imgproc"
-	"ocularone/internal/metrics"
 	"ocularone/internal/models"
-	"ocularone/internal/pose"
-	"ocularone/internal/video"
 )
 
-// StageID identifies one of the classic built-in stages (legacy API;
-// graph stages are identified by name).
+// StageID keys the placement maps of the classic three-stage graph
+// (VIPGraph, TimingVIPGraph, EdgePlacement, HybridPlacement); graph
+// stages themselves are identified by name.
 type StageID int
 
 // Classic pipeline stages.
@@ -22,7 +18,6 @@ const (
 	StageDetect StageID = iota
 	StagePose
 	StageDepth
-	numStages
 )
 
 // String names the stage.
@@ -37,33 +32,6 @@ func (s StageID) String() string {
 	default:
 		return fmt.Sprintf("stage(%d)", int(s))
 	}
-}
-
-// Config assembles the classic three-stage pipeline (legacy API; new
-// code builds a Graph and Session directly).
-type Config struct {
-	Detector *detect.Detector
-	Fall     *pose.FallClassifier
-	Depth    *depth.Estimator
-
-	Place map[StageID]Placement
-	// EdgeRTTms is the round-trip latency to a stage not hosted on the
-	// drone's companion edge device (i.e. the workstation).
-	EdgeRTTms float64
-	// FrameFPS is the analysed frame rate (the paper extracts at 10 FPS).
-	FrameFPS float64
-	// ObstacleAlertM is the proximity threshold for obstacle alerts.
-	ObstacleAlertM float64
-	// DropWhenBusy selects the DropPolicy back-pressure policy: frames
-	// arriving while the detector is busy are skipped, stale auxiliary
-	// work is shed. Without it the pipeline queues unboundedly.
-	DropWhenBusy bool
-	// UseTracker bridges detector dropouts with the temporal tracker
-	// (internal/track): the VIP counts as present while the track is
-	// locked or coasting, and the vip-lost alert fires only when the
-	// coast budget runs out — a deployed system's semantics.
-	UseTracker bool
-	Seed       uint64
 }
 
 // AlertKind enumerates safety alerts.
@@ -102,8 +70,8 @@ type Alert struct {
 
 // FrameStat records the simulated timing of one processed frame.
 // StageMS holds the arrival-to-finish latency of every stage that ran
-// (including network round trips); the legacy Detect/Pose/Depth fields
-// mirror the built-in stage names.
+// (including network round trips); the Detect/Pose/Depth fields mirror
+// the built-in stage names.
 type FrameStat struct {
 	FrameIndex int
 	DetectMS   float64
@@ -116,48 +84,9 @@ type FrameStat struct {
 	// Dropped marks a synthetic stat for a frame the back-pressure
 	// policy rejected whole. Dropped stats are reported to placement
 	// policies (a drop is latency pressure) but never appended to
-	// Result.Frames; VIPFound is left true so a drop does not read as
+	// StreamResult.Frames; VIPFound is left true so a drop does not read as
 	// an accuracy failure.
 	Dropped bool
-}
-
-// Result aggregates a pipeline run (legacy shape; the graph API returns
-// the richer StreamResult).
-type Result struct {
-	Frames     []FrameStat
-	Alerts     []Alert
-	E2E        metrics.LatencySummary
-	DeadlineOK float64 // fraction of processed frames meeting the frame period
-	// DetectionRate is the fraction of processed frames with the VIP found.
-	DetectionRate float64
-	// Dropped counts frames skipped by the DropWhenBusy policy.
-	Dropped int
-}
-
-// Run processes the first maxFrames extracted frames of the video
-// through the classic three-stage pipeline. It is a thin wrapper over
-// the stage-graph API: the configuration is assembled into a VIPGraph
-// and executed as a standalone Session.
-func Run(v *video.Video, cfg Config, maxFrames int) Result {
-	if cfg.FrameFPS <= 0 {
-		cfg.FrameFPS = 10
-	}
-	g := VIPGraph(cfg.Detector, cfg.Fall, cfg.Depth, cfg.Place, cfg.ObstacleAlertM, cfg.UseTracker)
-	var pol Policy = QueuePolicy{}
-	if cfg.DropWhenBusy {
-		pol = DropPolicy{}
-	}
-	s := &Session{
-		Source: v, Graph: g, Policy: pol,
-		FrameFPS: cfg.FrameFPS, MaxFrames: maxFrames,
-		EdgeRTTms: cfg.EdgeRTTms, Seed: cfg.Seed,
-	}
-	res, err := s.Run(nil)
-	if err != nil {
-		// The built-in graph is a valid DAG by construction.
-		panic(fmt.Sprintf("pipeline: %v", err))
-	}
-	return res.Legacy()
 }
 
 // expandToPerson grows a vest box to cover the whole person: the vest

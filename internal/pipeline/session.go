@@ -182,14 +182,6 @@ type StreamResult struct {
 	BridgeStaleMaxMS float64
 }
 
-// Legacy converts the stream result to the original Result shape.
-func (r StreamResult) Legacy() Result {
-	return Result{
-		Frames: r.Frames, Alerts: r.Alerts, E2E: r.E2E,
-		DeadlineOK: r.DeadlineOK, DetectionRate: r.DetectionRate, Dropped: r.Dropped,
-	}
-}
-
 // PlacementPolicy adjusts stage placements live, between frames — the
 // hook through which adaptive controllers drive mid-stream re-placement.
 // Rebind observes one frame's stat and returns the placement changes to

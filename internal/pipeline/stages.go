@@ -199,9 +199,8 @@ func TimingVIPGraph(place map[StageID]Placement) *Graph {
 }
 
 // VIPGraph assembles the classic detect→{pose,depth} Ocularone graph
-// from a trained analytics stack, with per-stage placements keyed by the
-// legacy stage IDs (EdgePlacement and HybridPlacement still produce
-// these maps).
+// from a trained analytics stack, with per-stage placements keyed by
+// StageID (the maps EdgePlacement and HybridPlacement produce).
 func VIPGraph(det *detect.Detector, fall *pose.FallClassifier, est *depth.Estimator,
 	place map[StageID]Placement, obstacleAlertM float64, useTracker bool) *Graph {
 	return NewGraph().

@@ -5,23 +5,45 @@ import (
 	"time"
 )
 
-// CurvePoint is one offered-load point of a serving study, in the shape
-// the trajectory JSON and the ext-serve bench tables consume. Rho is
-// the offered load as a fraction of Capacity; everything except
-// SimReqPerWallSec is deterministic under a fixed seed.
+// Outcome is one finished horizon-and-drain run: the Result plus what
+// lives on the Server rather than in it — the latency percentiles over
+// completed requests of all classes, and the fingerprint. Everything
+// except WallSec is deterministic under a fixed seed.
+type Outcome struct {
+	Result
+	P50MS, P99MS float64
+	Fingerprint  string
+	// WallSec is the host time the advance and drain took.
+	WallSec float64
+}
+
+// Finish runs a new server to the end of its study — offer arrivals for
+// the config's horizon, drain — and summarises it. It is the one step
+// every study (RunCurve's load points, internal/bench's knee regimes)
+// shares, and panics if the run breaks a conservation invariant.
+func (s *Server) Finish() Outcome {
+	t0 := time.Now()
+	s.AdvanceTo(s.cfg.HorizonMS)
+	s.Drain()
+	wall := time.Since(t0).Seconds()
+	res := s.Result()
+	if err := res.CheckInvariants(); err != nil {
+		panic(err)
+	}
+	return Outcome{
+		Result:      res,
+		P50MS:       s.LatencyQuantileMS(0.50),
+		P99MS:       s.LatencyQuantileMS(0.99),
+		Fingerprint: fmt.Sprintf("%016x", s.Fingerprint()),
+		WallSec:     wall,
+	}
+}
+
+// CurvePoint is one offered-load point of a serving study. Rho is the
+// offered load as a fraction of Capacity.
 type CurvePoint struct {
-	Rho              float64 `json:"rho"`
-	OfferedPerSec    float64 `json:"offered_per_sec"`
-	GoodputPerSec    float64 `json:"goodput_per_sec"`
-	P50MS            float64 `json:"p50_ms"`
-	P99MS            float64 `json:"p99_ms"`
-	ShedPct          float64 `json:"shed_pct"`
-	ExpiredPct       float64 `json:"expired_pct"`
-	MeanBatch        float64 `json:"mean_batch"`
-	Utilization      float64 `json:"utilization"`
-	Requests         int64   `json:"requests"`
-	SimReqPerWallSec float64 `json:"sim_req_per_wall_sec"`
-	Fingerprint      string  `json:"fingerprint"`
+	Rho float64
+	Outcome
 }
 
 // RunCurve sweeps offered load over the given rho multiples of the
@@ -34,35 +56,7 @@ func RunCurve(cfg Config, rhos []float64) []CurvePoint {
 	for _, rho := range rhos {
 		c := cfg
 		c.Traffic.RatePerSec = rho * capacity
-		s := NewServer(c)
-		t0 := time.Now()
-		s.AdvanceTo(c.HorizonMS)
-		s.Drain()
-		wall := time.Since(t0).Seconds()
-		res := s.Result()
-		if err := res.CheckInvariants(); err != nil {
-			panic(err)
-		}
-		p := CurvePoint{
-			Rho:           rho,
-			OfferedPerSec: res.OfferedPerSec,
-			GoodputPerSec: res.GoodputPerSec,
-			MeanBatch:     res.MeanBatch,
-			Utilization:   res.Utilization,
-			Requests:      res.Offered,
-			Fingerprint:   fmt.Sprintf("%016x", s.Fingerprint()),
-		}
-		// Latency percentiles over completed requests of all classes.
-		p.P50MS = s.LatencyQuantileMS(0.50)
-		p.P99MS = s.LatencyQuantileMS(0.99)
-		if res.Offered > 0 {
-			p.ShedPct = 100 * float64(res.Shed) / float64(res.Offered)
-			p.ExpiredPct = 100 * float64(res.Expired) / float64(res.Offered)
-		}
-		if wall > 0 {
-			p.SimReqPerWallSec = float64(res.Offered) / wall
-		}
-		points = append(points, p)
+		points = append(points, CurvePoint{Rho: rho, Outcome: NewServer(c).Finish()})
 	}
 	return points
 }

@@ -53,9 +53,11 @@
 //     IntegrityConfig replays every prior fingerprint bit for bit,
 //     and the whole layer keeps steady state at 0 allocs/op.
 //
-// Run executes one horizon-and-drain study; RunCurve sweeps offered
-// load against Capacity to produce the goodput/p99/shed-rate curves
-// reported by cmd/servebench and the ext-serve bench study. Results
+// Run executes one horizon-and-drain study; Server.Finish is the same
+// run with its invariants checked, percentiles and fingerprint attached
+// (an Outcome); RunCurve sweeps offered load against Capacity to
+// produce the goodput/p99/shed-rate curves reported by cmd/servebench
+// and the ext-serve bench study. Results
 // satisfy conservation invariants (offered = admitted + shed,
 // admitted = completed + expired) and expose a Fingerprint so CI can
 // assert bit-for-bit reproducibility.

@@ -308,10 +308,10 @@ func TestRunCurveShape(t *testing.T) {
 			t.Fatalf("rho=%.2f: fingerprint drifted across identical sweeps", p.Rho)
 		}
 	}
-	if pts[0].ShedPct > 5 {
-		t.Fatalf("rho=0.25 sheds %.1f%%: underloaded server should admit nearly everything", pts[0].ShedPct)
+	if pts[0].ShedRate > 0.05 {
+		t.Fatalf("rho=0.25 sheds %.1f%%: underloaded server should admit nearly everything", 100*pts[0].ShedRate)
 	}
-	if pts[2].ShedPct < 20 {
-		t.Fatalf("rho=2.0 sheds only %.1f%%: overload must shed", pts[2].ShedPct)
+	if pts[2].ShedRate < 0.20 {
+		t.Fatalf("rho=2.0 sheds only %.1f%%: overload must shed", 100*pts[2].ShedRate)
 	}
 }

@@ -878,7 +878,7 @@ type ClassStats struct {
 }
 
 // Result aggregates one serving run. Every field is a pure function of
-// the Config — wall-clock measurements live in CurvePoint, not here —
+// the Config — wall-clock measurements live in Outcome, not here —
 // so two runs with the same seed produce identical Results, which
 // Fingerprint turns into a single comparable word.
 type Result struct {
