@@ -437,35 +437,52 @@ func BenchmarkConv2D(b *testing.B) {
 // BenchmarkConvTable2Shapes times the packed fp32 conv at the five 3×3
 // stride-1 pad-1 shapes the Table-2 networks run at 96×96 (m = out
 // channels, k = 9·in channels, n = oh·ow) — the per-shape table of
-// BENCHMARKS.md §PR 12 and §PR 14. n = 9 and n = 36 take the narrow
-// 8×12 tile where the tier has one, n ≥ 144 the 4×NR tile. Record with
-// GOMAXPROCS=1 -count 5; GFLOPS counts the 2·m·k·n useful flops.
+// BENCHMARKS.md §PR 12, §PR 14 and §PR 23. n = 9 and n = 36 take the
+// narrow 8×12 tile where the tier has one, n ≥ 144 the 4×NR tile. Each
+// shape runs twice. hot re-runs one conv, whose weights stay in L2 from
+// the deepest shape down — what a kernel can do, and what hid a
+// weight-stream stall for ten PRs. cold rotates through 128 MB of
+// distinct packed copies of the weights, so every call streams them from
+// memory as a network's frame does (≈ 120 MB of fp32 weights an op of the
+// engine_fp32 chain); wGB/s is the packed weight bytes over the call.
+// Record with GOMAXPROCS=1 -count 5; GFLOPS counts the 2·m·k·n useful
+// flops.
 func BenchmarkConvTable2Shapes(b *testing.B) {
 	for _, s := range []struct{ m, k, n int }{
 		{512, 4608, 9}, {256, 2304, 36}, {128, 1152, 144}, {64, 576, 576}, {32, 288, 2304},
 	} {
-		b.Run(fmt.Sprintf("m%d_k%d_n%d", s.m, s.k, s.n), func(b *testing.B) {
-			inC, side := s.k/9, int(math.Sqrt(float64(s.n)))
-			spec := tensor.ConvSpec{InC: inC, OutC: s.m, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-			r := rng.New(14)
-			x := tensor.New(inC, side, side)
-			w := tensor.New(s.m, s.k)
-			for i := range x.Data {
-				x.Data[i] = r.Float32() - 0.5
-			}
-			for i := range w.Data {
-				w.Data[i] = r.Float32() - 0.5
-			}
-			wp := tensor.PackWeights(w)
-			dst := tensor.New(s.m, s.n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.ConvPackedInto(dst, wp, x, spec, 0, side, side, tensor.Epilogue{}, 0)
-			}
-			sec := b.Elapsed().Seconds() / float64(b.N)
-			b.ReportMetric(sec*1e3, "ms/op")
-			b.ReportMetric(2*float64(s.m*s.k*s.n)/sec/1e9, "GFLOPS")
-		})
+		inC, side := s.k/9, int(math.Sqrt(float64(s.n)))
+		spec := tensor.ConvSpec{InC: inC, OutC: s.m, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+		r := rng.New(14)
+		x := tensor.New(inC, side, side)
+		w := tensor.New(s.m, s.k)
+		for i := range x.Data {
+			x.Data[i] = r.Float32() - 0.5
+		}
+		for i := range w.Data {
+			w.Data[i] = r.Float32() - 0.5
+		}
+		dst := tensor.New(s.m, s.n)
+		wBytes := 4 * s.m * s.k
+		for _, mode := range []struct {
+			name   string
+			copies int
+		}{{"hot", 1}, {"cold", (128<<20 + wBytes - 1) / wBytes}} {
+			b.Run(fmt.Sprintf("m%d_k%d_n%d/%s", s.m, s.k, s.n, mode.name), func(b *testing.B) {
+				wps := make([]*tensor.PackedA, mode.copies)
+				for i := range wps {
+					wps[i] = tensor.PackWeights(w)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tensor.ConvPackedInto(dst, wps[i%len(wps)], x, spec, 0, side, side, tensor.Epilogue{}, 0)
+				}
+				sec := b.Elapsed().Seconds() / float64(b.N)
+				b.ReportMetric(sec*1e3, "ms/op")
+				b.ReportMetric(2*float64(s.m*s.k*s.n)/sec/1e9, "GFLOPS")
+				b.ReportMetric(float64(wBytes)/sec/1e9, "wGB/s")
+			})
+		}
 	}
 }
 

@@ -265,7 +265,10 @@ func measureFrames(n int, fn func()) (msFrame, allocsFrame float64) {
 // plan's unquantized convs run fp32 and get their own rows), and per
 // conv GEMM shape; each row's ms per Execute — the floor (every step's
 // fastest call) and the mean — its share of the floor and, for convs,
-// the useful GFLOPS (GOPS at int8) the floor amounts to.
+// the useful GFLOPS (GOPS at int8) the floor amounts to. The by-shape
+// rows add the weights they hold (W MB) and the bandwidth one pass over
+// them in the floor comes to (GB/s): a row near what one core of the
+// host reads from memory is bound by its weight stream, not its kernel.
 func printPlanProfile(pp *nn.PlanProfile, batch int) {
 	var wall time.Duration
 	for i := range pp.Steps {
@@ -273,18 +276,26 @@ func printPlanProfile(pp *nn.PlanProfile, batch int) {
 	}
 	calls, floor := float64(pp.Steps[0].Calls), pp.Floor()
 	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
-	print := func(title string, width int, key func(*nn.StepProfile) string) {
-		fmt.Printf("%-*s %5s %9s %9s %7s %8s\n", width, title, "steps", "floor ms", "mean ms", "share", "GFLOPS")
+	print := func(title string, width int, weights bool, key func(*nn.StepProfile) string) {
+		fmt.Printf("%-*s %5s %9s %9s %7s %8s", width, title, "steps", "floor ms", "mean ms", "share", "GFLOPS")
+		if weights {
+			fmt.Printf(" %7s %6s", "W MB", "GB/s")
+		}
+		fmt.Println()
 		for _, r := range pp.GroupBy(key) {
 			gf := "-"
 			if r.Flops > 0 {
 				gf = fmt.Sprintf("%.1f", r.Flops*float64(batch)/r.Floor.Seconds()/1e9)
 			}
-			fmt.Printf("%-*s %5d %9.3f %9.3f %6.1f%% %8s\n", width, r.Key, r.Steps, ms(r.Floor), ms(r.Wall)/calls, 100*float64(r.Floor)/float64(floor), gf)
+			fmt.Printf("%-*s %5d %9.3f %9.3f %6.1f%% %8s", width, r.Key, r.Steps, ms(r.Floor), ms(r.Wall)/calls, 100*float64(r.Floor)/float64(floor), gf)
+			if weights {
+				fmt.Printf(" %7.2f %6.2f", float64(r.WeightBytes)/1e6, float64(r.WeightBytes)/r.Floor.Seconds()/1e9)
+			}
+			fmt.Println()
 		}
 	}
 	fmt.Printf("plan profile: batch %d, %.0f executes, per execute: floor %.3f ms, mean %.3f ms\n", batch, calls, ms(floor), ms(wall)/calls)
-	print("op kind", 14, func(s *nn.StepProfile) string { return s.Kind })
+	print("op kind", 14, false, func(s *nn.StepProfile) string { return s.Kind })
 	convKey := func(format string) func(*nn.StepProfile) string {
 		return func(s *nn.StepProfile) string {
 			if s.Kind != "conv" {
@@ -293,8 +304,8 @@ func printPlanProfile(pp *nn.PlanProfile, batch int) {
 			return fmt.Sprintf(format, s.M, s.K, s.N, s.Route, s.Precision)
 		}
 	}
-	print("conv route", 14, convKey("%[4]s %[5]s"))
-	print("conv m k n", 30, convKey("%4[1]d %5[2]d %5[3]d %-6[4]s %[5]s"))
+	print("conv route", 14, false, convKey("%[4]s %[5]s"))
+	print("conv m k n", 30, true, convKey("%4[1]d %5[2]d %5[3]d %-6[4]s %[5]s"))
 }
 
 // serveSweep is the open-loop counterpart of fleetMode: instead of N

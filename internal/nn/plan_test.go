@@ -254,8 +254,8 @@ func TestPlanProfile(t *testing.T) {
 	var floor time.Duration
 	for _, r := range prof.GroupBy(func(s *nn.StepProfile) string { return s.Kind }) {
 		steps, floor = steps+r.Steps, floor+r.Floor
-		if (r.Flops > 0) != (r.Key == "conv") {
-			t.Errorf("op kind row %+v: flops are the convs'", r)
+		if (r.Flops > 0) != (r.Key == "conv") || (r.WeightBytes > 0) != (r.Key == "conv") {
+			t.Errorf("op kind row %+v: flops and weight bytes are the convs'", r)
 		}
 	}
 	if steps != len(prof.Steps) || floor != prof.Floor() {
@@ -269,11 +269,29 @@ func TestPlanProfile(t *testing.T) {
 			return fmt.Sprintf(format, s.M, s.K, s.N, s.Route, s.Precision)
 		}
 	}
+	// A conv holds K weights for each of its output channels, four bytes
+	// each at fp32 and one at int8.
+	var weights int64
+	for i := range prof.Steps {
+		if s := &prof.Steps[i]; s.Kind == "conv" {
+			weights += int64(s.Dims[0] * s.K * map[string]int{"fp32": 4, "int8": 1}[s.Precision])
+		}
+	}
 	for _, format := range []string{"%[4]s %[5]s", "%[1]dx%[2]dx%[3]d %[4]s %[5]s"} {
 		rows := prof.GroupBy(convKey(format))
-		convs := 0
+		convs, rowWeights := 0, int64(0)
 		for i, r := range rows {
 			convs += r.Steps
+			rowWeights += r.WeightBytes
+			var m, k, size int
+			if n, _ := fmt.Sscanf(r.Key, "%dx%dx", &m, &k); n == 2 {
+				if size = 4; strings.HasSuffix(r.Key, "int8") {
+					size = 1
+				}
+				if per := int64(m * k * size); r.WeightBytes < per*int64(r.Steps) || r.WeightBytes%per != 0 {
+					t.Errorf("conv row %q: %d weight bytes over %d steps of %d a group", r.Key, r.WeightBytes, r.Steps, per)
+				}
+			}
 			if strings.HasSuffix(r.Key, "int8") == strings.HasSuffix(r.Key, "fp32") || r.Flops <= 0 || r.Floor <= 0 {
 				t.Errorf("conv row %+v", r)
 			}
@@ -281,8 +299,8 @@ func TestPlanProfile(t *testing.T) {
 				t.Errorf("conv rows out of order at %d: %v after %v", i, r.Floor, rows[i-1].Floor)
 			}
 		}
-		if convs != precisions["int8"]+precisions["fp32"] {
-			t.Errorf("rows by %q hold %d convs of %d", format, convs, precisions["int8"]+precisions["fp32"])
+		if convs != precisions["int8"]+precisions["fp32"] || rowWeights != weights || weights <= 0 {
+			t.Errorf("rows by %q hold %d convs of %d, %d weight bytes of %d", format, convs, precisions["int8"]+precisions["fp32"], rowWeights, weights)
 		}
 	}
 	if byRoute := prof.GroupBy(convKey("%[4]s %[5]s")); len(byRoute) < 3 {

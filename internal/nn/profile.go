@@ -124,6 +124,13 @@ type ProfileRow struct {
 	Steps       int
 	Floor, Wall time.Duration // summed over the steps
 	Flops       float64       // useful conv flops of one sample: groups × 2·M·K·N a step
+	// WeightBytes is what the row's convs hold in weights, groups × M·K
+	// values a step at four bytes each, one where the step ran int8: what
+	// one Execute streams if no weight survives in cache from the frame
+	// before. Over Floor it is the row's memory bandwidth, and against
+	// Flops its arithmetic intensity — a row near the host's read
+	// bandwidth is weight-bound whatever its GFLOPS say.
+	WeightBytes int64
 }
 
 // GroupBy sums the steps by key, the largest floor first (ties by key);
@@ -149,7 +156,13 @@ func (pp *PlanProfile) GroupBy(key func(*StepProfile) string) []ProfileRow {
 		r.Floor += s.Floor
 		r.Wall += s.Wall
 		if s.Kind == "conv" {
-			r.Flops += float64(s.Dims[0]/s.M) * 2 * float64(s.M*s.K*s.N)
+			groups := s.Dims[0] / s.M
+			r.Flops += float64(groups) * 2 * float64(s.M*s.K*s.N)
+			size := 4
+			if s.Precision == "int8" {
+				size = 1
+			}
+			r.WeightBytes += int64(groups * s.M * s.K * size)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -186,12 +186,7 @@ func abftFoldSliverQ(exp, csum []int64, bbuf []int8, kq int) {
 // the caller should re-execute through the reference kernel. Zero heap
 // allocations in steady state.
 func ConvPackedCheckInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0, oh, ow int, ep Epilogue, chanOff int) bool {
-	m, k := wp.m, wp.k
-	n := oh * ow
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: ConvPackedCheckInto dst %v, want [%d %d]", dst.Shape, m, n))
-	}
-	return gemmStripesF32(dst.Data, m, n, k, wp.data, newF32ConvB(x, spec, c0, ow), ep, chanOff, wp.csum, wp.acsum)
+	return convPackedF32("ConvPackedCheckInto", dst, wp, x, spec, c0, oh, ow, ep, chanOff, true)
 }
 
 // scratchQC recycles the folded int8 driver's int64 column sums.

@@ -53,8 +53,9 @@ func Conv2D(x, w, bias *Tensor, spec ConvSpec) *Tensor {
 	ap := Scratch.GetRaw(packALen(ocg, k))
 	for g := 0; g < groups; g++ {
 		packATo(ap, w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)
-		gemmStripesF32(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane, k,
-			ap, newF32ConvB(x, spec, g*icg, ow), Epilogue{}, 0, nil, nil)
+		src := newF32ConvB(x, spec, g*icg, icg, oh, ow)
+		gemmStripesF32(out.Data[g*ocg*plane:(g+1)*ocg*plane], ocg, plane, k, ap, src, Epilogue{}, 0, nil, nil)
+		src.release()
 	}
 	Scratch.PutRaw(ap)
 	addBias(out.Data, bias, spec.OutC, plane)

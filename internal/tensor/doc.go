@@ -24,15 +24,20 @@
 // pure-Go 4×8 tiles (generic, every GOARCH), SSE2 assembly 4×8 tiles
 // (sse2, the amd64 baseline), an AVX2/FMA 4×24 fp32 tile with a 4×16
 // VPMADDWD int8 tile (avx2fma), and an AVX-512 4×32 VPDPBUSD int8
-// tile (avx512vnni). The int8 operand layout is the tier's — int16
+// tile (avx512vnni); the FMA tiers also bind an 8×12 fp32 tile for
+// GEMMs of at most 36 columns, which prefetches the weight panels it
+// streams. The int8 operand layout is the tier's — int16
 // weight pairs on the first three, int8 weight quads against
 // offset-byte activations on avx512vnni — so a PackedQ is good for the
 // tiers of its k-group and int8 weights are repacked after a switch
 // across that line; PackedA is good for all. KernelTier/KernelTierDesc
 // report the selection for benchmark headers. For convolutions the panel pack IS im2col
-// (ConvPackedInto/ConvPackedQBatchInto gather receptive fields
-// directly, run by run; the int8 path from a copy of the input
-// quantized once per call and stored channel-group-interleaved, the
+// (ConvPackedInto/ConvPackedQBatchInto gather receptive fields run by
+// run from a copy of the group's input planes made once per call with
+// the conv's zero border, so the gather reads padding instead of
+// testing for it — fp32 from a float copy, or the input itself when
+// the conv reads no padding; the int8 path from a copy
+// quantized on the way and stored channel-group-interleaved, the
 // k-group's channels of a pixel adjacent, with the GEMM depth ordered
 // (c/qK, ky, kx, c%qK) to match, so a sliver's k-group is a run of the
 // copy), so the k×n cols matrix never materialises,

@@ -124,10 +124,12 @@ func MaxPool2DInto(dst, x *Tensor, k, stride, pad int) {
 type poolTap struct{ lo, hi, at int }
 
 func poolTaps(taps []poolTap, w, ow, k, stride, pad int) []poolTap {
-	g := convGeom{w: w, ow: ow, sw: stride}
 	pw := (w + stride - 1) / stride
 	for kx := 0; kx < k; kx++ {
-		lo, hi := g.oxRange(kx - pad)
+		// Outputs [lo, hi): the ones whose column ox·stride + kx − pad is
+		// in [0, w).
+		lo := min(max(pad-kx+stride-1, 0)/stride, ow)
+		hi := max(min((w-1-kx+pad+stride)/stride, ow), lo)
 		q := (kx-pad+pad*stride)/stride - pad // floor((kx − pad) / stride)
 		p := kx - pad - q*stride
 		taps = append(taps, poolTap{lo: lo, hi: hi, at: p*pw + q})

@@ -92,6 +92,41 @@ floop:
 	VZEROUPPER
 	RET
 
+// narrowPF is how far ahead of its loads gemmFMA8x12 prefetches each of
+// its two PackedA panels, in bytes: 48 cache lines, 192 k steps. From the
+// recorded sweep (BENCHMARKS.md §PR 23): the narrow route's floor falls
+// until about 1 KB and is flat within the host's noise from there to 8 KB.
+#define narrowPF 3072
+
+// NARROWSTEP is one k step of gemmFMA8x12, s steps into the turn.
+#define NARROWSTEP(s) \
+	VMOVUPS (16*s)(AX), X12; \
+	VINSERTF128 $1, (16*s)(AX)(SI*1), Y12, Y12; \
+	VBROADCASTSS (48*s)(BX), Y13; \
+	VFMADD231PS Y13, Y12, Y0; \
+	VBROADCASTSS (48*s+4)(BX), Y14; \
+	VFMADD231PS Y14, Y12, Y1; \
+	VBROADCASTSS (48*s+8)(BX), Y15; \
+	VFMADD231PS Y15, Y12, Y2; \
+	VBROADCASTSS (48*s+12)(BX), Y13; \
+	VFMADD231PS Y13, Y12, Y3; \
+	VBROADCASTSS (48*s+16)(BX), Y14; \
+	VFMADD231PS Y14, Y12, Y4; \
+	VBROADCASTSS (48*s+20)(BX), Y15; \
+	VFMADD231PS Y15, Y12, Y5; \
+	VBROADCASTSS (48*s+24)(BX), Y13; \
+	VFMADD231PS Y13, Y12, Y6; \
+	VBROADCASTSS (48*s+28)(BX), Y14; \
+	VFMADD231PS Y14, Y12, Y7; \
+	VBROADCASTSS (48*s+32)(BX), Y15; \
+	VFMADD231PS Y15, Y12, Y8; \
+	VBROADCASTSS (48*s+36)(BX), Y13; \
+	VFMADD231PS Y13, Y12, Y9; \
+	VBROADCASTSS (48*s+40)(BX), Y14; \
+	VFMADD231PS Y14, Y12, Y10; \
+	VBROADCASTSS (48*s+44)(BX), Y15; \
+	VFMADD231PS Y15, Y12, Y11
+
 // func gemmFMA8x12(c, a, b *float32, k int)
 //
 // 8×12 fp32 register tile with the vector lanes along M — the narrow
@@ -104,6 +139,16 @@ floop:
 // loads. Every lane is the same ascending-k fused chain from zero as a
 // gemmFMA4x24 lane, so the two tiles agree bit for bit. c receives the
 // tile column-major (c[8·j + r]); the driver scatters it into C.
+//
+// At the shapes that take this tile A is the operand that streams — a
+// network's deep layers read ~100 MB of weights a frame, every byte from
+// beyond L2 — and it arrives as two streams 16·k bytes apart advancing 16
+// bytes a step each, which the hardware prefetcher does not keep fed (the
+// kernel ran at 5.6 GB/s of a core's ~9). So a turn is four k steps, one
+// cache line of each panel, and opens by prefetching the line narrowPF
+// bytes ahead in both. A prefetch never faults: past the last panel it
+// touches whatever follows and moves on (TestNarrowKernelAtPageEnd); the
+// loads stay inside the 8×k operand.
 TEXT ·gemmFMA8x12(SB), NOSPLIT, $0-32
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), AX
@@ -123,37 +168,29 @@ TEXT ·gemmFMA8x12(SB), NOSPLIT, $0-32
 	VXORPS Y9, Y9, Y9
 	VXORPS Y10, Y10, Y10
 	VXORPS Y11, Y11, Y11
+	SUBQ $4, CX
+	JL   ntail
 nloop:
-	VMOVUPS (AX), X12                      // A[0:4, k]
-	VINSERTF128 $1, (AX)(SI*1), Y12, Y12   // A[4:8, k]
-	VBROADCASTSS (BX), Y13
-	VFMADD231PS Y13, Y12, Y0
-	VBROADCASTSS 4(BX), Y14
-	VFMADD231PS Y14, Y12, Y1
-	VBROADCASTSS 8(BX), Y15
-	VFMADD231PS Y15, Y12, Y2
-	VBROADCASTSS 12(BX), Y13
-	VFMADD231PS Y13, Y12, Y3
-	VBROADCASTSS 16(BX), Y14
-	VFMADD231PS Y14, Y12, Y4
-	VBROADCASTSS 20(BX), Y15
-	VFMADD231PS Y15, Y12, Y5
-	VBROADCASTSS 24(BX), Y13
-	VFMADD231PS Y13, Y12, Y6
-	VBROADCASTSS 28(BX), Y14
-	VFMADD231PS Y14, Y12, Y7
-	VBROADCASTSS 32(BX), Y15
-	VFMADD231PS Y15, Y12, Y8
-	VBROADCASTSS 36(BX), Y13
-	VFMADD231PS Y13, Y12, Y9
-	VBROADCASTSS 40(BX), Y14
-	VFMADD231PS Y14, Y12, Y10
-	VBROADCASTSS 44(BX), Y15
-	VFMADD231PS Y15, Y12, Y11
+	PREFETCHT0 narrowPF(AX)
+	PREFETCHT0 narrowPF(AX)(SI*1)
+	NARROWSTEP(0)
+	NARROWSTEP(1)
+	NARROWSTEP(2)
+	NARROWSTEP(3)
+	ADDQ $64, AX
+	ADDQ $192, BX
+	SUBQ $4, CX
+	JGE  nloop
+ntail:
+	ADDQ $4, CX
+	JZ   ndone
+nstep:
+	NARROWSTEP(0)              // k % 4 last steps
 	ADDQ $16, AX
 	ADDQ $48, BX
 	DECQ CX
-	JNZ  nloop
+	JNZ  nstep
+ndone:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)

@@ -77,8 +77,10 @@ func checkNarrowConv(t *testing.T, r *rng.RNG, spec ConvSpec, h, w int) {
 	ep := testEpilogue(r, ocg)
 	for g := 0; g < groups; g++ {
 		ap := PackWeights(FromSlice(wt.Data[g*ocg*k:(g+1)*ocg*k], ocg, k)).data
+		src := newF32ConvB(x, spec, g*icg, icg, oh, ow)
 		checkNarrowMatchesStripe(t, fmt.Sprintf("conv %+v on %dx%d group %d", spec, h, w, g),
-			ocg, oh*ow, k, ap, newF32ConvB(x, spec, g*icg, ow), ep)
+			ocg, oh*ow, k, ap, src, ep)
+		src.release()
 	}
 }
 

@@ -17,9 +17,11 @@ import "fmt"
 //   - B is never materialised whole. For each NR-column sliver of C the
 //     driver packs one kc×NR panel at a time into an L1-resident,
 //     64-byte-aligned scratch buffer — and for convolutions that pack
-//     IS im2col: the panel is gathered straight from the input tensor's
-//     receptive fields (implicit-im2col GEMM), so the full k×n cols
-//     matrix of the old lowering never exists.
+//     IS im2col: the panel is gathered from the receptive fields of a
+//     bordered copy of the group's input planes, made once per call
+//     (implicit-im2col GEMM; f32ConvB, and the input itself where the
+//     conv reads no padding), so the full k×n cols matrix of the old
+//     lowering never exists and the gather tests no bound.
 //   - The micro-kernel (kernF32, bound by CPU dispatch — see
 //     dispatch.go) keeps a gemmMR×gemmNR float32 accumulator tile in
 //     registers and streams the two packed panels: 4×8 with SSE
@@ -30,7 +32,12 @@ import "fmt"
 //     Xeon's 48 KB L1d, and the C stripe revisited per block stays hot.
 //   - GEMMs of at most narrowMaxN columns take a second tile where the
 //     tier binds one (kernNarrowF32, 8×12 with the lanes along m): see
-//     gemmNarrowF32. Same PackedA, same B sources, same bits.
+//     gemmNarrowF32. Same PackedA, same B sources, same bits. There A
+//     is the operand that streams — a network's deep layers hold ~100 MB
+//     of weights, read from memory every frame — as two panels 16·k
+//     bytes apart advancing 16 bytes a k step, a pair of streams the
+//     hardware prefetcher leaves underfed, so that kernel prefetches
+//     both itself (gemm_avx_amd64.s, narrowPF).
 //
 // The B source is a type parameter (a value struct, never boxed) and
 // the epilogue travels by value, so a steady-state call performs zero
@@ -212,12 +219,25 @@ func (g *convGeom) rowOff(c, ky, kx int) int {
 	return (c*g.h+ky*g.dh)*g.w + kx*g.dw
 }
 
+// bordered is g over planes that carry the conv's border — the padding
+// moves into the planes (ph = pw = 0) and h and w grow to cover whatever
+// the last tap of output pixel (oh−1, ow−1) reads: normally the
+// bottom/right padding or less, but more when OutSize's truncating
+// division admits a kernel one row too tall. A source laid out that way
+// is gathered without a bounds test: padding is read, as zeros, out of
+// the border.
+func (g convGeom) bordered(oh int) convGeom {
+	g.h = max(g.ph+g.h, (oh-1)*g.sh+(g.kh-1)*g.dh+1)
+	g.w = max(g.pw+g.w, (g.ow-1)*g.sw+(g.kw-1)*g.dw+1)
+	g.ph, g.pw = 0, 0
+	return g
+}
+
 // panelSeg is the part of a B panel that lies in one output row: cnt
-// columns from panel column off, starting at output column ox. iy0 is
-// the source row and pos the flat source offset the first column reads
-// at (ky, kx) = (0, 0); both are negative inside the padding.
+// columns from panel column off, the first of which reads flat source
+// offset pos at (ky, kx) = (0, 0) of a bordered geometry.
 type panelSeg struct {
-	off, cnt, ox, iy0, pos int
+	off, cnt, pos int
 }
 
 // panelSegMax bounds the segments of one panel: a panel has at most
@@ -226,7 +246,7 @@ const panelSegMax = qNRMax
 
 // cut splits panel columns [j0, j0+jw) into output-row segments: within
 // one a k row reads a single strided run of one source row, so a pack
-// moves each panel row as a few runs with the padding resolved per run.
+// moves each panel row as a few runs.
 func (g *convGeom) cut(segs *[panelSegMax]panelSeg, j0, jw int) []panelSeg {
 	return segs[:g.cutAt(segs, 0, 0, j0, jw, 0)]
 }
@@ -239,48 +259,62 @@ func (g *convGeom) cutAt(segs *[panelSegMax]panelSeg, n, off, j0, jw, base int) 
 	oy, ox := j0/g.ow, j0%g.ow
 	for end := off + jw; off < end; n++ {
 		cnt := min(g.ow-ox, end-off)
-		iy0 := oy*g.sh - g.ph
-		segs[n] = panelSeg{off: off, cnt: cnt, ox: ox, iy0: iy0, pos: base + iy0*g.w + ox*g.sw - g.pw}
+		segs[n] = panelSeg{off: off, cnt: cnt, pos: base + oy*g.sh*g.w + ox*g.sw}
 		off += cnt
 		oy, ox = oy+1, 0
 	}
 	return n
 }
 
-// oxRange returns the output columns [lo, hi) whose source column
-// ox·sw + off lies inside the plane (lo == hi when none does).
-func (g *convGeom) oxRange(off int) (lo, hi int) {
-	if off < 0 {
-		lo = -off
-		if g.sw > 1 {
-			lo = (lo + g.sw - 1) / g.sw
+// f32ConvB gathers B panels from a CHW input's receptive fields — im2col
+// fused into the panel pack (implicit GEMM). Row r of the virtual B
+// matrix is the (c, ky, kx) unroll of channels [c0, c0+icg) exactly as
+// im2colRow lays it out, so packed-conv results match the
+// materialised-cols reference bit for bit. Like its int8 twin (qConvB)
+// the pack reads a bordered source and tests no bound: a conv that
+// reaches outside its planes gathers from a copy of them made once per
+// call with the border zero (newF32ConvB), one that does not — every
+// 1×1, every unpadded conv whose last tap stays inside — from the input
+// itself.
+type f32ConvB struct {
+	src    []float32 // the group's planes, bordered, channel c0 first
+	g      convGeom  // over src: h, w include the border, ph = pw = 0
+	pooled bool      // src is a copy drawn from Scratch
+}
+
+// newF32ConvB is the B source of channels [c0, c0+icg) of x. The pool
+// hands out dirty floats, so the copy zeroes everything the interior
+// rows do not overwrite — the gaps between them, which are the border —
+// on the way. release returns the copy.
+func newF32ConvB(x *Tensor, spec ConvSpec, c0, icg, oh, ow int) f32ConvB {
+	h, w := x.Shape[1], x.Shape[2]
+	g := newConvGeom(spec, h, w, ow).bordered(oh)
+	planes := x.Data[c0*h*w:]
+	if g.h == h && g.w == w {
+		return f32ConvB{src: planes, g: g}
+	}
+	src := Scratch.GetRaw(icg * g.h * g.w)
+	rows, run := h, w
+	if g.w == w { // no side border: a plane lands as one run
+		rows, run = 1, h*w
+	}
+	done := 0
+	for c := 0; c < icg; c++ {
+		for y := 0; y < rows; y++ {
+			at := (c*g.h+y+spec.PadH)*g.w + spec.PadW
+			clear(src[done:at])
+			copy(src[at:at+run], planes[(c*h+y)*w:])
+			done = at + run
 		}
 	}
-	if hi = g.w - off; hi > 0 && g.sw > 1 {
-		hi = (hi + g.sw - 1) / g.sw
-	}
-	if hi > g.ow {
-		hi = g.ow
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
+	clear(src[done:])
+	return f32ConvB{src: src, g: g, pooled: true}
 }
 
-// f32ConvB gathers B panels straight from a CHW input's receptive
-// fields — im2col fused into the panel pack (implicit GEMM). Row r of
-// the virtual B matrix is the (c, ky, kx) unroll of channels
-// [c0, c0+icg) exactly as im2colRow lays it out, so packed-conv
-// results match the materialised-cols reference bit for bit.
-type f32ConvB struct {
-	src []float32 // the group's input planes, channel c0 first
-	g   convGeom
-}
-
-func newF32ConvB(x *Tensor, spec ConvSpec, c0, ow int) f32ConvB {
-	h, w := x.Shape[1], x.Shape[2]
-	return f32ConvB{src: x.Data[c0*h*w:], g: newConvGeom(spec, h, w, ow)}
+func (s f32ConvB) release() {
+	if s.pooled {
+		Scratch.PutRaw(s.src)
+	}
 }
 
 func (s f32ConvB) pack(bbuf []float32, nr, k0, kc, j0, jw int) {
@@ -293,34 +327,23 @@ func (s f32ConvB) pack(bbuf []float32, nr, k0, kc, j0, jw int) {
 	}
 	c, ky, kx := g.unroll(k0)
 	for kk := 0; kk < kc; kk++ {
+		// One k row of the panel is one tap of one plane.
 		row := bbuf[kk*nr : kk*nr+jw]
-		lo, hi := g.oxRange(kx*g.dw - g.pw)
-		roff := g.rowOff(c, ky, kx)
+		src := s.src[g.rowOff(c, ky, kx):]
+		c, ky, kx = g.next(c, ky, kx)
 		for i := range segs {
 			sg := &segs[i]
 			d := row[sg.off : sg.off+sg.cnt]
-			a, b := 0, 0 // d[a:b] reads inside the plane
-			if iy := sg.iy0 + ky*g.dh; uint(iy) < uint(g.h) {
-				a, b = min(max(lo-sg.ox, 0), sg.cnt), min(max(hi-sg.ox, 0), sg.cnt)
+			if sw == 1 && len(d) >= copyRunMin {
+				copy(d, src[sg.pos:])
+				continue
 			}
-			for j := 0; j < a; j++ {
-				d[j] = 0
-			}
-			run := d[a:b]
-			p := roff + sg.pos + a*sw
-			if sw == 1 && len(run) >= copyRunMin {
-				copy(run, s.src[p:])
-			} else {
-				for j := range run {
-					run[j] = s.src[p]
-					p += sw
-				}
-			}
-			for j := b; j < len(d); j++ {
-				d[j] = 0
+			p := sg.pos
+			for j := range d {
+				d[j] = src[p]
+				p += sw
 			}
 		}
-		c, ky, kx = g.next(c, ky, kx)
 	}
 }
 
@@ -509,18 +532,46 @@ func matMulPackedInto(dst, a, b *Tensor, ep Epilogue, chanOff int) {
 	Scratch.PutRaw(apData)
 }
 
-// ConvPackedInto computes one conv group with the implicit-im2col
-// packed GEMM: dst ([ocg, oh·ow] view of the group's output planes) =
-// wp × im2col(x channels [c0, c0+icg)), with the fused epilogue
-// (folded BN/bias + activation; zero value for none) applied per
-// column stripe. chanOff maps GEMM rows to epilogue channels (the
-// group offset of a grouped conv). Steady-state calls perform zero
-// heap allocations.
-func ConvPackedInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0, oh, ow int, ep Epilogue, chanOff int) {
+// convPackedF32 is the body of ConvPackedInto and ConvPackedCheckInto,
+// which differ in whether the run carries wp's checksums. It trusts none
+// of its operands — the fp32 twin of PackedQ.want: fn names the entry
+// point in the refusal of a dst of another shape, of weights whose depth
+// is not whole channels of the kernel's taps, of a channel range outside
+// x, and of output dims that are not spec's for x.
+func convPackedF32(fn string, dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0, oh, ow int, ep Epilogue, chanOff int, check bool) bool {
 	m, k := wp.m, wp.k
 	n := oh * ow
 	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: ConvPackedInto dst %v, want [%d %d]", dst.Shape, m, n))
+		panic(fmt.Sprintf("tensor: %s dst %v, want [%d %d]", fn, dst.Shape, m, n))
 	}
-	gemmStripesF32(dst.Data, m, n, k, wp.data, newF32ConvB(x, spec, c0, ow), ep, chanOff, nil, nil)
+	taps := spec.KH * spec.KW
+	if taps <= 0 || k%taps != 0 {
+		panic(fmt.Sprintf("tensor: %s weights of depth k=%d against a %dx%d kernel: not whole channels of %d taps", fn, k, spec.KH, spec.KW, taps))
+	}
+	icg := k / taps
+	if c0 < 0 || c0+icg > x.Shape[0] {
+		panic(fmt.Sprintf("tensor: %s channels [%d, %d) of an input of %d", fn, c0, c0+icg, x.Shape[0]))
+	}
+	if eh, ew := spec.OutSize(x.Shape[1], x.Shape[2]); oh != eh || ow != ew {
+		panic(fmt.Sprintf("tensor: %s output %dx%d, spec %+v gives %dx%d over a %dx%d input", fn, oh, ow, spec, eh, ew, x.Shape[1], x.Shape[2]))
+	}
+	var csum, acsum []float64
+	if check {
+		csum, acsum = wp.csum, wp.acsum
+	}
+	src := newF32ConvB(x, spec, c0, icg, oh, ow)
+	ok := gemmStripesF32(dst.Data, m, n, k, wp.data, src, ep, chanOff, csum, acsum)
+	src.release()
+	return ok
+}
+
+// ConvPackedInto computes one conv group with the implicit-im2col
+// packed GEMM: dst ([ocg, oh·ow] view of the group's output planes) =
+// wp × im2col(x channels [c0, c0+icg)), icg = wp.K()/(KH·KW), with the
+// fused epilogue (folded BN/bias + activation; zero value for none)
+// applied per column stripe. chanOff maps GEMM rows to epilogue channels
+// (the group offset of a grouped conv). Steady-state calls perform zero
+// heap allocations.
+func ConvPackedInto(dst *Tensor, wp *PackedA, x *Tensor, spec ConvSpec, c0, oh, ow int, ep Epilogue, chanOff int) {
+	convPackedF32("ConvPackedInto", dst, wp, x, spec, c0, oh, ow, ep, chanOff, false)
 }

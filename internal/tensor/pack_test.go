@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -266,6 +268,14 @@ func gatherCases() []gatherCase {
 		// than the padded input, still yields an output row (found by the fuzz).
 		{"kernel taller than padded input", ConvSpec{InC: 4, OutC: 4, KH: 5, KW: 2, StrideH: 2, StrideW: 1, PadH: 1, PadW: 2, DilationW: 2}, 2, 20},
 		{"ow 1", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1}, 40, 3},
+		// The same truncation on the right, and with no padding at all: the
+		// border is wider than the padding, or there where none was asked for.
+		{"kernel wider than padded input", ConvSpec{InC: 4, OutC: 4, KH: 2, KW: 5, StrideH: 1, StrideW: 2, PadH: 2, PadW: 1, DilationH: 2}, 20, 2},
+		{"unpadded kernel past the plane", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 2, StrideW: 2}, 2, 6},
+		// Padding past the kernel's reach: whole k rows of the first and last
+		// output rows and columns lie in the border.
+		{"pad 3 around a 2x2 kernel", ConvSpec{InC: 4, OutC: 4, KH: 2, KW: 2, StrideH: 1, StrideW: 1, PadH: 3, PadW: 3}, 5, 6},
+		{"pad 3 around a 1x1 kernel stride 2", ConvSpec{InC: 4, OutC: 4, KH: 1, KW: 1, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 7, 4},
 	}
 }
 
@@ -299,7 +309,17 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 			im2colQRow(x, colsQ, inv, spec, c0, row, oh, ow, 0, n)
 		}
 
-		fsrc := newF32ConvB(x, spec, c0, ow)
+		fsrc := newF32ConvB(x, spec, c0, icg, oh, ow)
+		// A dirty pool, as for the int8 copy below: a bordered copy goes
+		// back full of NaN and is drawn again, so a border float that
+		// newF32ConvB leaves alone fails every == it meets.
+		if fsrc.pooled {
+			for i := range fsrc.src {
+				fsrc.src[i] = float32(math.NaN())
+			}
+			fsrc.release()
+			fsrc = newF32ConvB(x, spec, c0, icg, oh, ow)
+		}
 		fbuf := make([]float32, gemmKC*gemmNRMax)
 		checkF := func(nr, k0, kc, j0, jw int) {
 			for i := range fbuf {
@@ -370,6 +390,7 @@ func checkPanelGather(t *testing.T, spec ConvSpec, h, w int, seed uint64) {
 			checkQ(j0, 1+pick(min(qNR, n-j0)))
 		}
 		qsrc.release()
+		fsrc.release()
 	}
 }
 
@@ -392,6 +413,10 @@ func FuzzConvPanelGather(f *testing.F) {
 	f.Add(uint64(2), uint8(7), uint8(7), uint8(2), uint8(2), uint8(1), uint8(1), uint8(3), uint8(3), uint8(1), uint8(3), uint8(21), uint8(17))
 	f.Add(uint64(3), uint8(1), uint8(5), uint8(3), uint8(1), uint8(2), uint8(2), uint8(0), uint8(3), uint8(2), uint8(3), uint8(9), uint8(30))
 	f.Add(uint64(4), uint8(3), uint8(2), uint8(1), uint8(3), uint8(2), uint8(1), uint8(3), uint8(0), uint8(3), uint8(1), uint8(5), uint8(4))
+	// Padding at stride 2 and dilation 2: the bordered copy's strided reads.
+	f.Add(uint64(5), uint8(2), uint8(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(0), uint8(3), uint8(16), uint8(12))
+	f.Add(uint64(6), uint8(4), uint8(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), uint8(22), uint8(18))
+	f.Add(uint64(7), uint8(1), uint8(6), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(3), uint8(2), uint8(1), uint8(8), uint8(29))
 	f.Fuzz(func(t *testing.T, seed uint64, kh, kw, sh, sw, dh, dw, ph, pw, groups, icg, h, w uint8) {
 		g := 1 + int(groups%3)
 		spec := ConvSpec{
@@ -409,6 +434,82 @@ func FuzzConvPanelGather(f *testing.F) {
 			checkPanelGather(t, spec, hh, ww, seed)
 		})
 	})
+}
+
+// TestF32ConvBViewWhenUnpadded pins the view-or-copy rule to the conv's
+// geometry: a conv that never reads outside its planes gathers from the
+// input itself — the source aliases x.Data at the group's first channel
+// and nothing is drawn from Scratch — and the same kernel with padding
+// gathers from a pooled copy.
+func TestF32ConvBViewWhenUnpadded(t *testing.T) {
+	saved := Scratch
+	defer func() { Scratch = saved }()
+	x := randTensor(rng.New(5), 6, 10, 12)
+	for _, tc := range []struct {
+		name   string
+		spec   ConvSpec
+		pooled bool
+	}{
+		{"1x1", ConvSpec{InC: 6, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1, Groups: 2}, false},
+		{"1x1 stride 2", ConvSpec{InC: 6, OutC: 4, KH: 1, KW: 1, StrideH: 2, StrideW: 2, Groups: 2}, false},
+		{"3x3 pad 0", ConvSpec{InC: 6, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, Groups: 2}, false},
+		{"3x3 pad 1", ConvSpec{InC: 6, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}, true},
+	} {
+		Scratch = NewPool()
+		oh, ow := tc.spec.OutSize(10, 12)
+		src := newF32ConvB(x, tc.spec, 3, 3, oh, ow)
+		if aliases := &src.src[0] == &x.Data[3*10*12]; aliases == tc.pooled || src.pooled != tc.pooled {
+			t.Errorf("%s: source aliases x.Data: %v, pooled: %v; want pooled %v", tc.name, aliases, src.pooled, tc.pooled)
+		}
+		src.release()
+		if drawn := len(Scratch.raw.free) > 0; drawn != tc.pooled {
+			t.Errorf("%s: Scratch drawn from: %v, want %v", tc.name, drawn, tc.pooled)
+		}
+	}
+}
+
+// TestConvPackedRefusesOperands pins that the fp32 conv entry points
+// trust none of their operands: a dst of another shape, weights of a
+// depth that is not whole channels of the kernel, a channel range that
+// leaves the input and output dims that are not the spec's are each
+// refused by a panic that names the entry point and the mismatch, where
+// they used to gather the wrong rows in silence.
+func TestConvPackedRefusesOperands(t *testing.T) {
+	spec := ConvSpec{InC: 8, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
+	const side, m, icg = 6, 4, 4
+	x := New(8, side, side)
+	good := PackWeights(New(m, icg*9))
+	for _, tc := range []struct {
+		name       string
+		dst        *Tensor
+		wp         *PackedA
+		c0, oh, ow int
+		parts      []string
+	}{
+		{"dst", New(m, side*side+1), good, 0, side, side, []string{"dst", "[4 37]", "[4 36]"}},
+		{"depth", New(m, side*side), PackWeights(New(m, icg*9+1)), 0, side, side, []string{"k=37", "3x3", "9 taps"}},
+		{"channels", New(m, side*side), good, 5, side, side, []string{"channels [5, 9)", "input of 8"}},
+		{"output", New(m, side*(side-1)), good, 4, side - 1, side, []string{"output 5x6", "gives 6x6"}},
+	} {
+		for fn, run := range map[string]func(){
+			"ConvPackedInto":      func() { ConvPackedInto(tc.dst, tc.wp, x, spec, tc.c0, tc.oh, tc.ow, Epilogue{}, 0) },
+			"ConvPackedCheckInto": func() { ConvPackedCheckInto(tc.dst, tc.wp, x, spec, tc.c0, tc.oh, tc.ow, Epilogue{}, 0) },
+		} {
+			t.Run(tc.name+"/"+fn, func(t *testing.T) {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					for _, part := range append(tc.parts, fn) {
+						if !strings.Contains(msg, part) {
+							t.Fatalf("refusal %q does not mention %q", msg, part)
+						}
+					}
+				}()
+				run()
+				t.Fatal("ran")
+			})
+		}
+	}
+	ConvPackedInto(New(m, side*side), good, x, spec, 4, side, side, Epilogue{}, 0) // the last group is in range
 }
 
 // TestPackedConvZeroAlloc asserts the steady-state implicit-im2col

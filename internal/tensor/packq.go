@@ -341,13 +341,8 @@ const zipChunk = 1024
 // drivers only read the copy; release returns it to ScratchB.
 func newQConvB(xs []*Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qConvB {
 	h, w := xs[0].Shape[1], xs[0].Shape[2]
-	g := newConvGeom(spec, h, w, ow)
-	// The border reaches as far as the last output pixel's last tap
-	// reads — normally the bottom/right padding or less, but more when
-	// OutSize's truncating division admits a kernel one row too tall.
-	hp := max(spec.PadH+h, (oh-1)*g.sh+(g.kh-1)*g.dh+1)
-	wp := max(spec.PadW+w, (ow-1)*g.sw+(g.kw-1)*g.dw+1)
-	g.h, g.w, g.ph, g.pw = hp, wp, 0, 0
+	g := newConvGeom(spec, h, w, ow).bordered(oh)
+	hp, wp := g.h, g.w
 	kq := qK
 	flip := qFlip(kq)
 	taps := spec.KH * spec.KW
