@@ -270,37 +270,53 @@ func TestPlanProfile(t *testing.T) {
 		}
 	}
 	// A conv holds K weights for each of its output channels, four bytes
-	// each at fp32 and one at int8.
-	var weights int64
-	for i := range prof.Steps {
-		if s := &prof.Steps[i]; s.Kind == "conv" {
-			weights += int64(s.Dims[0] * s.K * map[string]int{"fp32": 4, "int8": 1}[s.Precision])
+	// each at fp32 and at int8 what the tier's packed operand takes: one on
+	// the quad tier, two where the pair tiers hold int16 — so the same plan
+	// is profiled again under every tier (its int8 weights repack).
+	orig := tensor.KernelTier()
+	defer func() {
+		if err := tensor.SetKernelTier(orig); err != nil {
+			panic(err)
 		}
-	}
-	for _, format := range []string{"%[4]s %[5]s", "%[1]dx%[2]dx%[3]d %[4]s %[5]s"} {
-		rows := prof.GroupBy(convKey(format))
-		convs, rowWeights := 0, int64(0)
-		for i, r := range rows {
-			convs += r.Steps
-			rowWeights += r.WeightBytes
-			var m, k, size int
-			if n, _ := fmt.Sscanf(r.Key, "%dx%dx", &m, &k); n == 2 {
-				if size = 4; strings.HasSuffix(r.Key, "int8") {
-					size = 1
-				}
-				if per := int64(m * k * size); r.WeightBytes < per*int64(r.Steps) || r.WeightBytes%per != 0 {
-					t.Errorf("conv row %q: %d weight bytes over %d steps of %d a group", r.Key, r.WeightBytes, r.Steps, per)
-				}
-			}
-			if strings.HasSuffix(r.Key, "int8") == strings.HasSuffix(r.Key, "fp32") || r.Flops <= 0 || r.Floor <= 0 {
-				t.Errorf("conv row %+v", r)
-			}
-			if i > 0 && r.Floor > rows[i-1].Floor {
-				t.Errorf("conv rows out of order at %d: %v after %v", i, r.Floor, rows[i-1].Floor)
+	}()
+	for _, tier := range tensor.KernelTiers() {
+		if err := tensor.SetKernelTier(tier); err != nil {
+			t.Fatal(err)
+		}
+		p.Execute(xs, opts)
+		sizes := map[string]int{"fp32": 4, "int8": 2}
+		if tier == tensor.TierAVX512VNNI {
+			sizes["int8"] = 1
+		}
+		var weights int64
+		for i := range prof.Steps {
+			if s := &prof.Steps[i]; s.Kind == "conv" {
+				weights += int64(s.Dims[0] * s.K * sizes[s.Precision])
 			}
 		}
-		if convs != precisions["int8"]+precisions["fp32"] || rowWeights != weights || weights <= 0 {
-			t.Errorf("rows by %q hold %d convs of %d, %d weight bytes of %d", format, convs, precisions["int8"]+precisions["fp32"], rowWeights, weights)
+		for _, format := range []string{"%[4]s %[5]s", "%[1]dx%[2]dx%[3]d %[4]s %[5]s"} {
+			rows := prof.GroupBy(convKey(format))
+			convs, rowWeights := 0, int64(0)
+			for i, r := range rows {
+				convs += r.Steps
+				rowWeights += r.WeightBytes
+				var m, k int
+				if n, _ := fmt.Sscanf(r.Key, "%dx%dx", &m, &k); n == 2 {
+					size := sizes[r.Key[strings.LastIndexByte(r.Key, ' ')+1:]]
+					if per := int64(m * k * size); r.WeightBytes < per*int64(r.Steps) || r.WeightBytes%per != 0 {
+						t.Errorf("%s: conv row %q: %d weight bytes over %d steps of %d a group", tier, r.Key, r.WeightBytes, r.Steps, per)
+					}
+				}
+				if strings.HasSuffix(r.Key, "int8") == strings.HasSuffix(r.Key, "fp32") || r.Flops <= 0 || r.Floor <= 0 {
+					t.Errorf("%s: conv row %+v", tier, r)
+				}
+				if i > 0 && r.Floor > rows[i-1].Floor {
+					t.Errorf("%s: conv rows out of order at %d: %v after %v", tier, i, r.Floor, rows[i-1].Floor)
+				}
+			}
+			if convs != precisions["int8"]+precisions["fp32"] || rowWeights != weights || weights <= 0 {
+				t.Errorf("%s: rows by %q hold %d convs of %d, %d weight bytes of %d", tier, format, convs, precisions["int8"]+precisions["fp32"], rowWeights, weights)
+			}
 		}
 	}
 	if byRoute := prof.GroupBy(convKey("%[4]s %[5]s")); len(byRoute) < 3 {

@@ -27,10 +27,14 @@ type StepProfile struct {
 	// sample), and of the last profiled call the driver it took — stripe,
 	// narrow or folded (tensor.ConvRouteF32 / ConvRouteQ) — and the
 	// precision it ran at, int8 or fp32: in an INT8 Execute the convs
-	// that carry no quantized weights run fp32.
-	M, K, N   int
-	Route     string
-	Precision string
+	// that carry no quantized weights run fp32. WeightSize is the bytes a
+	// weight of the operand that call streamed takes: 4 at fp32, at int8
+	// the packed operand's own (tensor.PackedQ.WeightSize: the kernel
+	// tier decides).
+	M, K, N    int
+	Route      string
+	Precision  string
+	WeightSize int
 
 	Calls int64         // Execute calls that ran the op
 	Wall  time.Duration // summed over those calls, all samples of the batch
@@ -104,18 +108,19 @@ func (inst *planInst) runProfiled(pp *PlanProfile, int8Mode bool, ip IntegrityPo
 		}
 		s.Calls++
 		if op, ok := inst.p.ops[oi].(*convOp); ok {
-			s.Route, s.Precision = op.route(inst.nb, int8Mode)
+			s.Route, s.Precision, s.WeightSize = op.route(inst.nb, int8Mode)
 		}
 	}
 }
 
-// route names the driver the conv runs at batch width nb and the
-// precision it runs at.
-func (op *convOp) route(nb int, int8Mode bool) (route, precision string) {
+// route names the driver the conv runs at batch width nb, the precision
+// it runs at, and the bytes a weight of the operand it streams takes. It
+// is read after the step ran: an int8 step has bound its packed weights.
+func (op *convOp) route(nb int, int8Mode bool) (route, precision string, weightSize int) {
 	if int8Mode && op.c.qw != nil {
-		return tensor.ConvRouteQ(nb, op.oh*op.ow), "int8"
+		return tensor.ConvRouteQ(nb, op.oh*op.ow), "int8", op.qpk[0].WeightSize()
 	}
-	return tensor.ConvRouteF32(op.c.spec.OutC/max(op.c.spec.Groups, 1), op.oh*op.ow), "fp32"
+	return tensor.ConvRouteF32(op.c.spec.OutC/max(op.c.spec.Groups, 1), op.oh*op.ow), "fp32", 4
 }
 
 // ProfileRow is the account of the steps that share a key.
@@ -125,7 +130,8 @@ type ProfileRow struct {
 	Floor, Wall time.Duration // summed over the steps
 	Flops       float64       // useful conv flops of one sample: groups × 2·M·K·N a step
 	// WeightBytes is what the row's convs hold in weights, groups × M·K
-	// values a step at four bytes each, one where the step ran int8: what
+	// values a step at the step's WeightSize — four bytes at fp32, at int8
+	// one on the quad tier and two where the pair tiers hold int16: what
 	// one Execute streams if no weight survives in cache from the frame
 	// before. Over Floor it is the row's memory bandwidth, and against
 	// Flops its arithmetic intensity — a row near the host's read
@@ -158,11 +164,7 @@ func (pp *PlanProfile) GroupBy(key func(*StepProfile) string) []ProfileRow {
 		if s.Kind == "conv" {
 			groups := s.Dims[0] / s.M
 			r.Flops += float64(groups) * 2 * float64(s.M*s.K*s.N)
-			size := 4
-			if s.Precision == "int8" {
-				size = 1
-			}
-			r.WeightBytes += int64(groups * s.M * s.K * size)
+			r.WeightBytes += int64(groups * s.M * s.K * s.WeightSize)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {

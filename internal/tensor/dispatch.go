@@ -21,8 +21,8 @@ import (
 //	avx2fma     AVX2/FMA 4×24 fp32 (12 YMM accumulators, fused
 //	            multiply-add) + the 8×12 narrow fp32 tile (lanes along
 //	            M) + 4×16 VPMADDWD int8 tiles + the AVX2 row kernels
-//	            (epilogue, add, pooling max, quantize, requantize — no
-//	            FMA; rowops.go)
+//	            (epilogue, add, pooling max, quantize, requantize, the
+//	            conv packs' panel gather — no FMA; rowops.go)
 //	avx512vnni  avx2fma's fp32 kernels + 4×32 int8 tiles accumulated
 //	            with AVX-512 VPDPBUSD (VNNI bytes: four u8·s8 products
 //	            a lane and their add, fused), and the tile's left half

@@ -118,6 +118,10 @@ func foldCases() []gatherCase {
 		{"1x1 on 1x1", ConvSpec{InC: 16, OutC: 8, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, 1, 1},
 		{"1x1 on 4x9", ConvSpec{InC: 16, OutC: 8, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, 4, 9},
 		{"stride 2 on 9x5", ConvSpec{InC: 6, OutC: 8, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 9, 5},
+		// Twelve columns a sample in rows of six: a 32-column sliver holds
+		// two samples and two rows of a third — the one pack call that mixes
+		// sample bases with the strided gather, vector turn and tail.
+		{"stride 2 on 3x12, three samples a sliver", ConvSpec{InC: 8, OutC: 8, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 3, 12},
 		{"stride 2x1 on 5x11", ConvSpec{InC: 6, OutC: 8, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}, 5, 11},
 		{"dilation 2 on 4x7", ConvSpec{InC: 4, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2, DilationH: 2, DilationW: 2}, 4, 7},
 		{"groups 3, odd k, on 2x13", ConvSpec{InC: 9, OutC: 12, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 3}, 2, 13},

@@ -8,6 +8,21 @@ import (
 	"ocularone/internal/rng"
 )
 
+// pageBeforeFault maps one writable page followed by a PROT_NONE one:
+// mem[:page] is usable and the byte after it faults.
+func pageBeforeFault(t *testing.T) (mem []byte, page int) {
+	page = syscall.Getpagesize()
+	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	return mem, page
+}
+
 // TestNarrowKernelAtPageEnd pins the difference between the narrow
 // tile's prefetches and its loads: the 8×k PackedA panel pair ends on
 // the last byte before a PROT_NONE page, so the kernel's prefetches
@@ -17,15 +32,7 @@ import (
 // operands are small integers, so every product and sum is exact and the
 // plain triple loop is the oracle at ==.
 func TestNarrowKernelAtPageEnd(t *testing.T) {
-	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	if err != nil {
-		t.Skipf("mmap: %v", err)
-	}
-	defer syscall.Munmap(mem)
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
-		t.Skipf("mprotect: %v", err)
-	}
+	mem, page := pageBeforeFault(t)
 	const bytesPerK = narrowMR * 4
 	forEachTier(t, func(t *testing.T, tier string) {
 		skipWithoutNarrowTile(t)
@@ -50,6 +57,49 @@ func TestNarrowKernelAtPageEnd(t *testing.T) {
 					}
 					if got := c[j*narrowMR+row]; got != want {
 						t.Fatalf("k=%d: C[%d,%d] = %v, want %v", k, row, j, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGatherRowsAtPageEnd holds the gather kernel to "exactly cnt dwords
+// read and written": the source run of every length 1 … 40 (every
+// cnt % 8, through several vector turns) ends, at stride 1 and 2, on the
+// last dword before a PROT_NONE page — where the unbordered view of
+// x.Data a 1×1 s2 shortcut gathers from may end — and so does the panel
+// row it is stored to; a load or store one dword too far is a SIGSEGV. The
+// second of two rows is the one at the edge, so the tap walk is under
+// the same test. (It bites: with cnt + 1 in the segment the first case
+// faults in the kernel's load.)
+func TestGatherRowsAtPageEnd(t *testing.T) {
+	srcMem, page := pageBeforeFault(t)
+	dstMem, _ := pageBeforeFault(t)
+	words := func(mem []byte, n int) []uint32 {
+		return unsafe.Slice((*uint32)(unsafe.Pointer(&mem[page-4*n])), n)
+	}
+	forEachTier(t, func(t *testing.T, tier string) {
+		if kernRows == nil {
+			t.Skip("tier binds no row kernels")
+		}
+		const rowGap = 3 // the second tap's offset
+		for _, sw := range []int{1, 2} {
+			for cnt := 1; cnt <= 40; cnt++ {
+				src := words(srcMem, rowGap+(cnt-1)*sw+1)
+				for i := range src {
+					src[i] = 0x01010101 * uint32(i+1)
+				}
+				dst := words(dstMem, 2*cnt)
+				clear(dst)
+				taps := []int32{0, rowGap}
+				segs := []panelSeg{{off: 0, cnt: int32(cnt), pos: 0}}
+				want := make([]uint32, len(dst))
+				gatherRowsRef(want, cnt, src, taps, 0, 0, 2, segs, sw)
+				kernRows.gather(unsafe.Pointer(&dst[0]), cnt, unsafe.Pointer(&src[0]), &taps[0], len(taps), 0, 0, 2, &segs[0], 1, sw)
+				for i := range dst {
+					if dst[i] != want[i] {
+						t.Fatalf("stride %d cnt %d: panel dword %d = %#x, want %#x", sw, cnt, i, dst[i], want[i])
 					}
 				}
 			}

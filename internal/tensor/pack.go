@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"unsafe"
+)
 
 // This file is the packed, register-blocked GEMM core: a BLIS-style
 // rearchitecture of the matrix-multiply hot path that replaces the
@@ -21,7 +25,10 @@ import "fmt"
 //     bordered copy of the group's input planes, made once per call
 //     (implicit-im2col GEMM; f32ConvB, and the input itself where the
 //     conv reads no padding), so the full k×n cols matrix of the old
-//     lowering never exists and the gather tests no bound.
+//     lowering never exists and the gather tests no bound: a panel is
+//     cut into output-row segments and moved by the row-gather kernel
+//     (rowKernels.gather) where the tier binds one, by the pack's own
+//     Go loop elsewhere.
 //   - The micro-kernel (kernF32, bound by CPU dispatch — see
 //     dispatch.go) keeps a gemmMR×gemmNR float32 accumulator tile in
 //     registers and streams the two packed panels: 4×8 with SSE
@@ -235,9 +242,10 @@ func (g convGeom) bordered(oh int) convGeom {
 
 // panelSeg is the part of a B panel that lies in one output row: cnt
 // columns from panel column off, the first of which reads flat source
-// offset pos at (ky, kx) = (0, 0) of a bordered geometry.
+// offset pos at (ky, kx) = (0, 0) of a bordered geometry. (Three int32:
+// the layout the gather kernel reads.)
 type panelSeg struct {
-	off, cnt, pos int
+	off, cnt, pos int32
 }
 
 // panelSegMax bounds the segments of one panel: a panel has at most
@@ -259,11 +267,53 @@ func (g *convGeom) cutAt(segs *[panelSegMax]panelSeg, n, off, j0, jw, base int) 
 	oy, ox := j0/g.ow, j0%g.ow
 	for end := off + jw; off < end; n++ {
 		cnt := min(g.ow-ox, end-off)
-		segs[n] = panelSeg{off: off, cnt: cnt, pos: base + oy*g.sh*g.w + ox*g.sw}
+		segs[n] = panelSeg{off: int32(off), cnt: int32(cnt), pos: int32(base + oy*g.sh*g.w + ox*g.sw)}
 		off += cnt
 		oy, ox = oy+1, 0
 	}
 	return n
+}
+
+// gatherTab is what a conv B source keeps for the packs of one call: the
+// offset of each kernel tap into a plane of its bordered geometry — a
+// virtual row reads plane c at taps[ky·kw+kx], rowOff without the plane —
+// and the segment list of the panel being packed. Both are handed to the
+// gather kernel through a func value (rowKernels), where a pointer into a
+// stack array would move the array to the heap on every pack; they are
+// one draw from scratchI32 per conv call instead.
+type gatherTab struct {
+	taps []int32
+	segs *[panelSegMax]panelSeg
+}
+
+// newGatherTab draws the table of g, the bordered geometry of a source
+// of n elements — which the segments' int32 offsets must span.
+func (g *convGeom) newGatherTab(n int) gatherTab {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: conv source of %d elements: the panel gather holds offsets in int32", n))
+	}
+	nt := g.kh * g.kw
+	tab := scratchI32.get(nt + 3*panelSegMax)
+	for t := 0; t < nt; t++ {
+		tab[t] = int32(g.rowOff(0, t/g.kw, t%g.kw))
+	}
+	return gatherTab{taps: tab[:nt], segs: (*[panelSegMax]panelSeg)(unsafe.Pointer(&tab[nt]))}
+}
+
+func (t gatherTab) release() { scratchI32.put(t.taps) }
+
+// gather hands the gather kernel the panel cut into segs: rows virtual
+// rows from row k0 on, of a source of n dwords at src whose planes are
+// plane dwords each, into rows ld apart at dst. The kernel tests no
+// bound, so one is tested for it here: offsets grow with the row and
+// with the segment, and the last element of the last segment of the last
+// row is the farthest the whole gather reads.
+func (t gatherTab) gather(dst unsafe.Pointer, ld int, src unsafe.Pointer, n, plane, k0, rows int, segs []panelSeg, sw int) {
+	nt, k, last := len(t.taps), k0+rows-1, segs[len(segs)-1]
+	if end := k/nt*plane + int(t.taps[k%nt]) + int(last.pos) + int(last.cnt-1)*sw; end >= n {
+		panic(fmt.Sprintf("tensor: conv panel gather reads element %d of a source of %d", end, n))
+	}
+	kernRows.gather(dst, ld, unsafe.Add(src, 4*(k0/nt*plane)), &t.taps[0], nt, k0%nt, plane, rows, &segs[0], len(segs), sw)
 }
 
 // f32ConvB gathers B panels from a CHW input's receptive fields — im2col
@@ -275,11 +325,14 @@ func (g *convGeom) cutAt(segs *[panelSegMax]panelSeg, n, off, j0, jw, base int) 
 // reaches outside its planes gathers from a copy of them made once per
 // call with the border zero (newF32ConvB), one that does not — every
 // 1×1, every unpadded conv whose last tap stays inside — from the input
-// itself.
+// itself. pack cuts the panel's segments and hands all its k rows to the
+// gather kernel in one call; its loop is the Go form of that kernel, for
+// the tiers that bind none and for strides past 2.
 type f32ConvB struct {
 	src    []float32 // the group's planes, bordered, channel c0 first
 	g      convGeom  // over src: h, w include the border, ph = pw = 0
 	pooled bool      // src is a copy drawn from Scratch
+	tab    gatherTab
 }
 
 // newF32ConvB is the B source of channels [c0, c0+icg) of x. The pool
@@ -291,7 +344,7 @@ func newF32ConvB(x *Tensor, spec ConvSpec, c0, icg, oh, ow int) f32ConvB {
 	g := newConvGeom(spec, h, w, ow).bordered(oh)
 	planes := x.Data[c0*h*w:]
 	if g.h == h && g.w == w {
-		return f32ConvB{src: planes, g: g}
+		return f32ConvB{src: planes, g: g, tab: g.newGatherTab(len(planes))}
 	}
 	src := Scratch.GetRaw(icg * g.h * g.w)
 	rows, run := h, w
@@ -308,10 +361,11 @@ func newF32ConvB(x *Tensor, spec ConvSpec, c0, icg, oh, ow int) f32ConvB {
 		}
 	}
 	clear(src[done:])
-	return f32ConvB{src: src, g: g, pooled: true}
+	return f32ConvB{src: src, g: g, pooled: true, tab: g.newGatherTab(len(src))}
 }
 
 func (s f32ConvB) release() {
+	s.tab.release()
 	if s.pooled {
 		Scratch.PutRaw(s.src)
 	}
@@ -319,11 +373,15 @@ func (s f32ConvB) release() {
 
 func (s f32ConvB) pack(bbuf []float32, nr, k0, kc, j0, jw int) {
 	g := &s.g
-	var segArr [panelSegMax]panelSeg
-	segs := g.cut(&segArr, j0, jw)
+	segs := g.cut(s.tab.segs, j0, jw)
 	sw := g.sw
+	bbuf = bbuf[:kc*nr]
 	if jw < nr {
-		clear(bbuf[:kc*nr])
+		clear(bbuf)
+	}
+	if kernRows != nil && sw <= 2 {
+		s.tab.gather(unsafe.Pointer(&bbuf[0]), nr, unsafe.Pointer(&s.src[0]), len(s.src), g.h*g.w, k0, kc, segs, sw)
+		return
 	}
 	c, ky, kx := g.unroll(k0)
 	for kk := 0; kk < kc; kk++ {
@@ -338,7 +396,7 @@ func (s f32ConvB) pack(bbuf []float32, nr, k0, kc, j0, jw int) {
 				copy(d, src[sg.pos:])
 				continue
 			}
-			p := sg.pos
+			p := int(sg.pos)
 			for j := range d {
 				d[j] = src[p]
 				p += sw
@@ -348,8 +406,9 @@ func (s f32ConvB) pack(bbuf []float32, nr, k0, kc, j0, jw int) {
 }
 
 // copyRunMin is the run length from which a stride-1 run moves faster
-// through copy than through the element loop: the deep layers' 3- and
-// 6-wide output rows give runs shorter than a memmove call costs.
+// through copy than through the element loop on the tiers whose packs
+// run their Go forms: the deep layers' 3- and 6-wide output rows give
+// runs shorter than a memmove call costs.
 const copyRunMin = 8
 
 // The narrow tile: where the 4×NR tile runs its vector lanes along n, a

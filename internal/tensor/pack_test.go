@@ -417,6 +417,13 @@ func FuzzConvPanelGather(f *testing.F) {
 	f.Add(uint64(5), uint8(2), uint8(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(0), uint8(3), uint8(16), uint8(12))
 	f.Add(uint64(6), uint8(4), uint8(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), uint8(22), uint8(18))
 	f.Add(uint64(7), uint8(1), uint8(6), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(3), uint8(2), uint8(1), uint8(8), uint8(29))
+	// Stride 2 across the gather kernel's turns: output rows of 5, 8, 9 and
+	// 13 (a four, an eight, an eight and one, an eight, a four and one),
+	// from the bordered copy (3×3 pad 1) and from the view (1×1).
+	for i, w := range []uint8{9, 15, 17, 25} {
+		f.Add(uint64(8+i), uint8(2), uint8(2), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint8(3), uint8(6), w-1)
+		f.Add(uint64(12+i), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), uint8(6), w-1)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, kh, kw, sh, sw, dh, dw, ph, pw, groups, icg, h, w uint8) {
 		g := 1 + int(groups%3)
 		spec := ConvSpec{
@@ -512,64 +519,73 @@ func TestConvPackedRefusesOperands(t *testing.T) {
 	ConvPackedInto(New(m, side*side), good, x, spec, 4, side, side, Epilogue{}, 0) // the last group is in range
 }
 
-// TestPackedConvZeroAlloc asserts the steady-state implicit-im2col
-// paths (fp32 and int8, with cached packed weights) perform zero heap
-// allocations per call — the contract the plan
-// executor's zero-alloc frame loop builds on. The second spec is the
-// one that stretches the int8 path's pooled quantized copy: a later
-// group (c0 > 0), an odd k (the extra zero plane), stride 2. The last
-// two are the n = 9 and n = 36 shapes the narrow fp32 tile takes, with
-// its full-depth B panel in pooled scratch; a batch of four of them is
-// what the int8 path folds into one GEMM, unchecked and checked, with
-// every sliver and the column sums pooled.
+// zeroAllocCases are the convs the zero-alloc gates run. The second is
+// the one that stretches the int8 path's pooled quantized copy: a later
+// group (c0 > 0), an odd k (the extra zero plane), stride 2 — the strided
+// form of the panel gather; the third a 1×1 s2 shortcut, which gathers
+// at stride 2 from a view of x.Data. The last two are the n = 9 and
+// n = 36 shapes the narrow fp32 tile takes, with its full-depth B panel
+// in pooled scratch; a batch of four of them is what the int8 path folds
+// into one GEMM, its slivers cut across samples.
+func zeroAllocCases() []gatherCase {
+	return []gatherCase{
+		{"3x3", ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 24, 24},
+		{"3x3 s2, last group", ConvSpec{InC: 6, OutC: 32, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2}, 24, 24},
+		{"1x1 s2 view", ConvSpec{InC: 16, OutC: 32, KH: 1, KW: 1, StrideH: 2, StrideW: 2}, 24, 24},
+		{"3x3 on 3x3", ConvSpec{InC: 64, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 3, 3},
+		{"3x3 on 6x6", ConvSpec{InC: 64, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 6, 6},
+	}
+}
+
+// checkConvZeroAlloc asserts that the steady-state implicit-im2col paths
+// of the selected tier (fp32 and int8, with cached packed weights)
+// perform zero heap allocations per call on tc's last group — the
+// contract the plan executor's zero-alloc frame loop builds on: the fp32
+// conv, the int8 conv of one sample, and of a batch of four, unchecked
+// and checked. What could leak is what a pack hands the gather kernel
+// through a func value: the segment list and the tap table.
+func checkConvZeroAlloc(t *testing.T, tc gatherCase) {
+	t.Helper()
+	spec := tc.spec
+	groups := max(spec.Groups, 1)
+	icg, ocg := spec.InC/groups, spec.OutC/groups
+	g := groups - 1
+	r := rng.New(11)
+	x := randTensor(r, spec.InC, tc.h, tc.w)
+	w := randTensor(r, spec.OutC, icg, spec.KH, spec.KW)
+	taps := spec.KH * spec.KW
+	k := icg * taps
+	oh, ow := spec.OutSize(tc.h, tc.w)
+	wp := PackWeights(FromSlice(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k))
+	qw := QuantizePerChannel(w)
+	qp := PackWeightsQ(qw.Data[g*ocg*k:(g+1)*ocg*k], ocg, k, taps)
+	rowScale := convQScales(qw, 1.0/127, g, ocg)
+	ep := Epilogue{Act: EpActSiLU}
+	want0 := func(what string, run func()) {
+		t.Helper()
+		run()
+		if a := testing.AllocsPerRun(10, run); a != 0 {
+			t.Errorf("%s, %s on %dx%d: %.0f allocs per steady-state call, want 0", tc.name, what, tc.h, tc.w, a)
+		}
+	}
+	xs := []*Tensor{x, x, x, x}
+	dsts := []*Tensor{New(ocg, oh*ow), New(ocg, oh*ow), New(ocg, oh*ow), New(ocg, oh*ow)}
+	want0("ConvPackedInto", func() { ConvPackedInto(dsts[0], wp, x, spec, g*icg, oh, ow, ep, 0) })
+	want0("ConvPackedQBatchInto of one", func() {
+		ConvPackedQBatchInto(dsts[:1], qp, xs[:1], spec, g*icg, oh, ow, 127, rowScale, ep, 0, nil)
+	})
+	for _, bad := range [][]bool{nil, make([]bool, len(xs))} {
+		want0(fmt.Sprintf("ConvPackedQBatchInto of four, checked=%v", bad != nil), func() {
+			ConvPackedQBatchInto(dsts, qp, xs, spec, g*icg, oh, ow, 127, rowScale, ep, 0, bad)
+		})
+	}
+}
+
+// TestPackedConvZeroAlloc runs the gate on the selected tier
+// (TestTierZeroAlloc: on every tier).
 func TestPackedConvZeroAlloc(t *testing.T) {
-	for _, tc := range []struct {
-		spec ConvSpec
-		side int
-	}{
-		{ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 24},
-		{ConvSpec{InC: 6, OutC: 32, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2}, 24},
-		{ConvSpec{InC: 64, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 3},
-		{ConvSpec{InC: 64, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 6},
-	} {
-		spec, side := tc.spec, tc.side
-		groups := max(spec.Groups, 1)
-		icg, ocg := spec.InC/groups, spec.OutC/groups
-		g := groups - 1
-		r := rng.New(11)
-		x := randTensor(r, spec.InC, side, side)
-		w := randTensor(r, spec.OutC, icg, 3, 3)
-		k := icg * 9
-		oh, ow := spec.OutSize(side, side)
-		wp := PackWeights(FromSlice(w.Data[g*ocg*k:(g+1)*ocg*k], ocg, k))
-		qw := QuantizePerChannel(w)
-		qp := PackWeightsQ(qw.Data[g*ocg*k:(g+1)*ocg*k], ocg, k, 9)
-		rowScale := convQScales(qw, 1.0/127, g, ocg)
-		dst := New(ocg, oh*ow)
-		ep := Epilogue{Act: EpActSiLU}
-		runF := func() { ConvPackedInto(dst, wp, x, spec, g*icg, oh, ow, ep, 0) }
-		dst1, x1 := []*Tensor{dst}, []*Tensor{x}
-		runQ := func() { ConvPackedQBatchInto(dst1, qp, x1, spec, g*icg, oh, ow, 127, rowScale, ep, 0, nil) }
-		runF()
-		runQ()
-		if a := testing.AllocsPerRun(10, runF); a != 0 {
-			t.Errorf("ConvPackedInto %+v on %dx%d: %.0f allocs per steady-state call, want 0", spec, side, side, a)
-		}
-		if a := testing.AllocsPerRun(10, runQ); a != 0 {
-			t.Errorf("ConvPackedQBatchInto of one %+v on %dx%d: %.0f allocs per steady-state call, want 0", spec, side, side, a)
-		}
-		xs := []*Tensor{x, x, x, x}
-		dsts := []*Tensor{New(ocg, oh*ow), New(ocg, oh*ow), New(ocg, oh*ow), New(ocg, oh*ow)}
-		for _, bad := range [][]bool{nil, make([]bool, len(xs))} {
-			runB := func() {
-				ConvPackedQBatchInto(dsts, qp, xs, spec, g*icg, oh, ow, 127, rowScale, ep, 0, bad)
-			}
-			runB()
-			if a := testing.AllocsPerRun(10, runB); a != 0 {
-				t.Errorf("ConvPackedQBatchInto %+v on %dx%d, checked=%v: %.0f allocs per steady-state call, want 0",
-					spec, side, side, bad != nil, a)
-			}
-		}
+	for _, tc := range zeroAllocCases() {
+		checkConvZeroAlloc(t, tc)
 	}
 }
 

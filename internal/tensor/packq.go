@@ -114,6 +114,16 @@ func (p *PackedQ) M() int { return p.m }
 // K reports the packed depth (unpadded).
 func (p *PackedQ) K() int { return p.k }
 
+// WeightSize reports the bytes a weight takes in p — two as an int16 of
+// the pair tiers, one as an int8 of the quad tier: what a pass over the
+// operand streams per value.
+func (p *PackedQ) WeightSize() int {
+	if p.kq == 4 {
+		return 1
+	}
+	return 2
+}
+
 // ForTier reports whether p was packed for the selected tier's k-group —
 // whether the int8 drivers will run it. A holder of cached panels
 // repacks them when a SetKernelTier has made this false.
@@ -316,7 +326,11 @@ func (s qMatrixB) pack(bbuf []int8, j0, jw int) {
 // holds channels [cg·kq, cg·kq+kq) as [hp][wp][kq] bytes — a pixel's kq
 // channels adjacent, the channels past icg zero — which is one k-group
 // of the packed depth per kernel tap (depthQ), so a sliver's k-group is
-// a run of pixels of one group plane moved as it lies. Every element is
+// a run of pixels of one group plane moved as it lies — and on the quad
+// tier a pixel of a group plane is one dword, so the sliver is the fp32
+// panel gather at width qNR and goes to the same kernel
+// (rowKernels.gather); pack's loop is its Go form, and the pair tiers'
+// 2-byte groups and strides past 2 always take it. Every element is
 // the quantizeRound value the reference im2colQRow computes, XORed with
 // the tier's qFlip like the zeros of the border and the pad channels, so
 // packed int8 convs match the materialised reference bit for bit. A
@@ -329,6 +343,7 @@ type qConvB struct {
 	kq  int      // the tier's k-group when the copy was made: zeros are stored as qFlip(kq)
 	n   int      // columns per sample, oh·ow
 	per int      // pixels of q per sample
+	tab gatherTab
 }
 
 // zipChunk is how many pixels newQConvB quantizes, plane by plane, before
@@ -391,10 +406,13 @@ func newQConvB(xs []*Tensor, inv float32, spec ConvSpec, c0, k, oh, ow int) qCon
 		fillBytes(qs[done:], flip)
 	}
 	ScratchB.Put(zip)
-	return qConvB{q: q, g: g, kg: ncg * taps, kq: kq, n: oh * ow, per: per}
+	return qConvB{q: q, g: g, kg: ncg * taps, kq: kq, n: oh * ow, per: per, tab: g.newGatherTab(len(xs) * per)}
 }
 
-func (s qConvB) release() { ScratchB.Put(s.q) }
+func (s qConvB) release() {
+	s.tab.release()
+	ScratchB.Put(s.q)
+}
 
 func (s qConvB) taps() int { return s.g.kh * s.g.kw }
 
@@ -408,18 +426,23 @@ func sampleRun(j, n, left int) (smp, c, cnt int) {
 
 func (s qConvB) pack(bbuf []int8, j0, jw int) {
 	g := &s.g
-	var segArr [panelSegMax]panelSeg
 	ns := 0
 	// Sample by sample: a sliver of a folded batch straddles several.
 	for off := 0; off < jw; {
 		smp, p, cnt := sampleRun(j0+off, s.n, jw-off)
-		ns = g.cutAt(&segArr, ns, off, p, cnt, smp*s.per)
+		ns = g.cutAt(s.tab.segs, ns, off, p, cnt, smp*s.per)
 		off += cnt
 	}
-	segs := segArr[:ns]
+	segs := s.tab.segs[:ns]
 	nr, sw, q, kq := qNR, g.sw, s.q, s.kq
+	bbuf = bbuf[:s.kg*kq*nr]
 	if jw < nr {
-		fillBytes(bbuf[:s.kg*kq*nr], qFlip(kq))
+		fillBytes(bbuf, qFlip(kq))
+	}
+	if kernRows != nil && kq == 4 && sw <= 2 {
+		// A pixel's channel quad is one dword: the fp32 gather, qNR wide.
+		s.tab.gather(unsafe.Pointer(&bbuf[0]), nr, unsafe.Pointer(&q[0]), len(q)/4, g.h*g.w, 0, s.kg, segs, sw)
+		return
 	}
 	cg, ky, kx := 0, 0, 0
 	for kk := 0; kk < s.kg; kk++ {
@@ -429,8 +452,8 @@ func (s qConvB) pack(bbuf []int8, j0, jw int) {
 		grp := bbuf[kk*kq*nr : (kk+1)*kq*nr]
 		for i := range segs {
 			sg := &segs[i]
-			d := grp[kq*sg.off : kq*(sg.off+sg.cnt)]
-			src := q[kq*(roff+sg.pos):]
+			d := grp[kq*int(sg.off) : kq*int(sg.off+sg.cnt)]
+			src := q[kq*(roff+int(sg.pos)):]
 			switch {
 			case sw == 1:
 				copy(d, src[:len(d)])

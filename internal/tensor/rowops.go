@@ -1,16 +1,20 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Row kernels: the per-element loops a plan executes outside the GEMM —
 // the conv epilogue (affine or bias, then ReLU / SiLU / sigmoid), the
 // in-place activations and Add of the interpreters, the running max
-// of a pooling window, and at either end of an int8 conv the quantizing
-// copy of its input and the requantization of its accumulators.
-// Each has one Go form, below, and on the tiers that
-// bind rowKernels an AVX2 form (rowops_amd64.s) that produces the same
-// bits, so neither the tier nor where a row's ragged tail falls ever
-// shows in a result.
+// of a pooling window, at either end of an int8 conv the quantizing
+// copy of its input and the requantization of its accumulators, and
+// under both conv packs the im2col gather of a B panel. Each has one Go
+// form — below; the gather's is the loop of each pack (pack.go,
+// packq.go) — and on the tiers that bind rowKernels an AVX2 form
+// (rowops_amd64.s) that produces the same bits, so neither the tier nor
+// where a row's ragged tail falls ever shows in a result.
 //
 // Affine, bias, ReLU, add and max are single IEEE operations per lane
 // (VMULPS, VADDPS, VMAXPS) and match the scalar loops exactly. SiLU and
@@ -25,7 +29,10 @@ import "math"
 // (TestQuantizeRowMatchesQuantizeRound, also on every float32).
 // Requantizing is a wrapping int32 subtraction, the conversion to float32
 // (round to nearest even, VCVTDQ2PS as CVTSL2SS) and one multiply
-// (TestRequantRowMatchesGo, on every accumulator).
+// (TestRequantRowMatchesGo, on every accumulator). The gather computes
+// nothing: it moves dwords, so its parity is == by construction and what
+// its tests pin is which dwords — and that no load or store leaves them
+// (TestGatherRowsMatchesGo, TestGatherRowsAtPageEnd).
 
 // rowKernels is the vector form of the row kernels, bound per tier
 // (nil: the Go forms run).
@@ -43,6 +50,17 @@ type rowKernels struct {
 	quantize func(dst *int8, src *float32, n int, inv float32, flip uint32)
 	// requant is dst[i] = float32(acc[i] − comp)·scale over n elements.
 	requant func(dst *float32, acc *int32, n int, comp int32, scale float32)
+	// gather fills a conv B panel of rows × ld dwords at dst — a dword is
+	// an fp32 element, or the channel quad of a pixel of the quad tier's
+	// int8 copy. Row r is tap t0+r of the planes at src, plane dwords
+	// apart: taps[t] is a tap's offset into its plane, and t wraps at
+	// ntaps onto the next plane. Of each row, segment sg (panelSeg, nsegs
+	// of them) receives at dst[r·ld + sg.off + j], j < sg.cnt, the row's
+	// source dword sg.pos + j·sw, sw 1 or 2. Nothing else is read or
+	// written, and no bound is tested (gatherTab.gather tests one). Every
+	// pointer passes through this func value and so escapes: taps and segs
+	// live in pooled scratch (gatherTab).
+	gather func(dst unsafe.Pointer, ld int, src unsafe.Pointer, taps *int32, ntaps, t0, plane, rows int, segs *panelSeg, nsegs, sw int)
 }
 
 // The logistic definition: d = 1 + e^x for x = −v, then v/d or 1/d.

@@ -2,13 +2,17 @@
 
 package tensor
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // AVX2 row kernels (rowops_amd64.s), bound by the avx2fma and avx512vnni
 // tiers. They use VMULPS / VADDPS / VMAXPS / VDIVPS and no FMA: every
 // lane performs the Go forms' operations (rowops.go) one rounding at a
 // time, so their results are those forms' bits. A row's ragged tail runs
-// under a VMASKMOVPS mask, so it takes the same instructions.
+// under a VMASKMOVPS mask, so it takes the same instructions. (The
+// gather computes nothing; its tail is narrower moves.)
 
 // epilogueRowsAVX2 implements rowKernels.epilogue.
 //
@@ -35,7 +39,12 @@ func quantizeRowAVX2(dst *int8, src *float32, n int, inv float32, flip uint32)
 //go:noescape
 func requantRowAVX2(dst *float32, acc *int32, n int, comp int32, scale float32)
 
-var avx2Rows = &rowKernels{epilogue: epilogueRowsAVX2, add: addRowAVX2, max: maxRowAVX2, quantize: quantizeRowAVX2, requant: requantRowAVX2}
+// gatherRowsAVX2 implements rowKernels.gather.
+//
+//go:noescape
+func gatherRowsAVX2(dst unsafe.Pointer, ld int, src unsafe.Pointer, taps *int32, ntaps, t0, plane, rows int, segs *panelSeg, nsegs, sw int)
+
+var avx2Rows = &rowKernels{epilogue: epilogueRowsAVX2, add: addRowAVX2, max: maxRowAVX2, quantize: quantizeRowAVX2, requant: requantRowAVX2, gather: gatherRowsAVX2}
 
 // logisticConsts holds the constants of the logistic definition
 // (rowops.go), one 8-lane vector each, in the order rowops_amd64.s

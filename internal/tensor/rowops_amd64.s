@@ -329,3 +329,140 @@ r1:
 rdone:
 	VZEROUPPER
 	RET
+
+// GATHER2Y / GATHER2X move the eight / four stride-2 dwords of output
+// index i on: two loads, the second a dword early so that it ends on the
+// last dword the move needs, then the first's even dwords and the
+// second's odd ones (VSHUFPS $0xD8) and, for eight, the 128-bit lanes'
+// halves put in order (VPERMPD $0xD8).
+#define GATHER2Y(i) \
+	VMOVUPS (R14)(i*8), Y0 \
+	VMOVUPS 28(R14)(i*8), Y1 \
+	VSHUFPS $0xD8, Y1, Y0, Y0 \
+	VPERMPD $0xD8, Y0, Y0 \
+	VMOVUPS Y0, (R10)(i*4)
+#define GATHER2X(i) \
+	VMOVUPS (R14)(i*8), X0 \
+	VMOVUPS 12(R14)(i*8), X1 \
+	VSHUFPS $0xD8, X1, X0, X0 \
+	VMOVUPS X0, (R10)(i*4)
+
+// func gatherRowsAVX2(dst unsafe.Pointer, ld int, src unsafe.Pointer, taps *int32, ntaps, t0, plane, rows int, segs *panelSeg, nsegs, sw int)
+//
+// The im2col move, in dwords: panel row r (ld apart) is tap t0+r of the
+// planes at src — taps[t] into a plane, plane on to the next when t wraps
+// at ntaps — and segment {off, cnt, pos} of it is cnt source dwords sw
+// apart from pos, stored from off. Only those dwords are read and only
+// their cnt places written, the way memmove cuts a short copy: a run of
+// eight or more in vectors of eight, the last of which ends where the
+// run ends, over whatever the one before it moved; four to seven as two
+// such vectors of four; two or three (stride 1) as two qwords; what is
+// left dword by dword. No run length is special: 24 and 12 are three and
+// two moves. A stride-2 run may end where x.Data does — a 1×1 s2 shortcut
+// gathers from the tensor itself — which is why GATHER2 loads as it does.
+TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-88
+	MOVQ dst+0(FP), DI
+	MOVQ ld+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ taps+24(FP), R9
+	MOVQ t0+40(FP), R11
+	MOVQ rows+56(FP), R13
+	SHLQ $2, R8
+	TESTQ R13, R13
+	JLE  gdone
+	CMPQ nsegs+72(FP), $0
+	JLE  gdone
+grow:
+	MOVLQSX (R9)(R11*4), AX
+	LEAQ (SI)(AX*4), AX        // this row's tap of this plane
+	INCQ R11
+	CMPQ R11, ntaps+32(FP)
+	JNE  gsegs
+	XORQ R11, R11
+	MOVQ plane+48(FP), R12
+	LEAQ (SI)(R12*4), SI
+gsegs:
+	MOVQ segs+64(FP), BX
+	MOVQ nsegs+72(FP), DX
+gseg:
+	MOVLQSX 0(BX), R10
+	MOVLQSX 4(BX), CX
+	MOVLQSX 8(BX), R14
+	LEAQ (DI)(R10*4), R10      // to
+	LEAQ (AX)(R14*4), R14      // from
+	XORQ R12, R12              // output index
+	CMPQ sw+80(FP), $1
+	JNE  g2
+	CMPQ CX, $8
+	JLT  g1x
+	SUBQ $8, CX                // where the last eight start
+	JMP  g1t
+g1y:
+	VMOVDQU (R14)(R12*4), Y0
+	VMOVDQU Y0, (R10)(R12*4)
+	ADDQ $8, R12
+g1t:
+	CMPQ R12, CX
+	JLT  g1y
+	VMOVDQU (R14)(CX*4), Y0
+	VMOVDQU Y0, (R10)(CX*4)
+	JMP  gnext
+g1x:
+	CMPQ CX, $4
+	JLT  g1q
+	VMOVDQU (R14), X0
+	VMOVDQU -16(R14)(CX*4), X1
+	VMOVDQU X0, (R10)
+	VMOVDQU X1, -16(R10)(CX*4)
+	JMP  gnext
+g1q:
+	CMPQ CX, $2
+	JLT  g1d
+	VMOVQ (R14), X0
+	VMOVQ -8(R14)(CX*4), X1
+	VMOVQ X0, (R10)
+	VMOVQ X1, -8(R10)(CX*4)
+	JMP  gnext
+g1d:
+	TESTQ CX, CX
+	JLE  gnext
+	VMOVD (R14), X0
+	VMOVD X0, (R10)
+	JMP  gnext
+g2:
+	CMPQ CX, $8
+	JLT  g2x
+	SUBQ $8, CX
+	JMP  g2t
+g2y:
+	GATHER2Y(R12)
+	ADDQ $8, R12
+g2t:
+	CMPQ R12, CX
+	JLT  g2y
+	GATHER2Y(CX)
+	JMP  gnext
+g2x:
+	CMPQ CX, $4
+	JLT  g2d
+	SUBQ $4, CX
+	GATHER2X(R12)
+	GATHER2X(CX)
+	JMP  gnext
+g2d:
+	CMPQ R12, CX
+	JGE  gnext
+	VMOVD (R14)(R12*8), X0
+	VMOVD X0, (R10)(R12*4)
+	INCQ R12
+	JMP  g2d
+gnext:
+	ADDQ $12, BX
+	DECQ DX
+	JNZ  gseg
+	ADDQ R8, DI
+	DECQ R13
+	JNZ  grow
+gdone:
+	VZEROUPPER
+	RET

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ocularone/internal/rng"
 )
@@ -432,6 +433,93 @@ func checkRowKernels(t *testing.T, seed uint64, rows, ld, j0, jw, chanOff int) {
 		t.Fatalf("seed %d: pooling step over %d elements: elem %d: best %v, v %v gives %#08x, the old step %#08x",
 			seed, jw, i, a[i], b[i], math.Float32bits(best[i]), math.Float32bits(wantBest[i]))
 	}
+}
+
+// gatherRowsRef is rowKernels.gather's contract as a Go loop over
+// slices, so every access it makes is bounds-checked.
+func gatherRowsRef(dst []uint32, ld int, src []uint32, taps []int32, t0, plane, rows int, segs []panelSeg, sw int) {
+	c, t := 0, t0
+	for r := 0; r < rows; r++ {
+		row := src[c*plane+int(taps[t]):]
+		if t++; t == len(taps) {
+			c, t = c+1, 0
+		}
+		for _, sg := range segs {
+			for j := 0; j < int(sg.cnt); j++ {
+				dst[r*ld+int(sg.off)+j] = row[int(sg.pos)+j*sw]
+			}
+		}
+	}
+}
+
+// TestGatherRowsMatchesGo runs the gather kernel of every tier that
+// binds one against that loop: segment lists of 1 … panelSegMax runs,
+// every length 1 … 32 among them, with and without gaps between them, in
+// panels 12, 24 and 32 dwords wide, at both strides, from a random tap of
+// a random tap table on, across plane wraps. The source holds its own
+// index in every dword and ends on the last one the panel needs; the
+// panel lies between guard words, and the guards, the gaps and the panel
+// columns past the last segment must all come back as they went in.
+func TestGatherRowsMatchesGo(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier string) {
+		if kernRows == nil {
+			t.Skip("tier binds no row kernels")
+		}
+		r := rng.New(24)
+		pick := func(lim int) int { return int(r.Uint64() % uint64(lim)) }
+		const guard = 8
+		for trial := 0; trial < 4000; trial++ {
+			ld, sw := []int{12, 24, 32}[trial%3], 1+trial/3%2
+			// The first 32 rounds of each width are one run of each length
+			// (those that fit); the rest cut the row at random.
+			var segs []panelSeg
+			maxPos := 0
+			add := func(off, cnt int) {
+				pos := pick(40)
+				segs = append(segs, panelSeg{off: int32(off), cnt: int32(cnt), pos: int32(pos)})
+				maxPos = max(maxPos, pos+(cnt-1)*sw)
+			}
+			if fixed := 1 + trial/6%32; trial < 6*32 && fixed <= ld {
+				add(pick(ld-fixed+1), fixed)
+			} else {
+				for off := pick(3); off < ld && len(segs) < panelSegMax; off += pick(2) * pick(3) {
+					cnt := 1 + pick(min(ld-off, 1+pick(32)))
+					add(off, cnt)
+					off += cnt
+				}
+			}
+			nt, rows := 1+pick(9), 1+pick(20)
+			taps := make([]int32, nt)
+			for i := range taps {
+				taps[i] = int32(pick(30))
+			}
+			t0, plane := pick(nt), 20+pick(50)
+			maxRow := 0
+			for c, tp, row := 0, t0, 0; row < rows; row++ {
+				maxRow = max(maxRow, c*plane+int(taps[tp]))
+				if tp++; tp == nt {
+					c, tp = c+1, 0
+				}
+			}
+			src := make([]uint32, maxRow+maxPos+1)
+			for i := range src {
+				src[i] = uint32(i) | 0xab<<24
+			}
+			got := make([]uint32, guard+rows*ld+guard)
+			for i := range got {
+				got[i] = 0xdead0000 + uint32(i)
+			}
+			want := append([]uint32(nil), got...)
+			gatherRowsRef(want[guard:], ld, src, taps, t0, plane, rows, segs, sw)
+			kernRows.gather(unsafe.Pointer(&got[guard]), ld, unsafe.Pointer(&src[0]), &taps[0], nt, t0, plane, rows, &segs[0], len(segs), sw)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d (ld %d, stride %d, %d rows from tap %d of %d, segs %v): dword %d of the guarded panel = %#x, want %#x",
+						trial, ld, sw, rows, t0, nt, segs, i-guard, got[i], want[i])
+				}
+			}
+		}
+	})
 }
 
 // TestRowKernelsMatchReference: every stripe shape up to five vectors

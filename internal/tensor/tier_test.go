@@ -382,34 +382,13 @@ func TestTierABFTProperties(t *testing.T) {
 }
 
 // TestTierZeroAlloc pins the steady-state packed conv paths at zero
-// heap allocations on every tier — widening the tile must not cost the
-// frame loop its allocation contract.
+// heap allocations on every tier — widening the tile, or handing the
+// pack's segments to a kernel, must not cost the frame loop its
+// allocation contract. Each tier packs its own int8 layout.
 func TestTierZeroAlloc(t *testing.T) {
-	spec := ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	r := rng.New(11)
-	x := randTensor(r, 16, 24, 24)
-	w := randTensor(r, 32, 16, 3, 3)
-	k, plane := 16*9, 24*24
-	wp := PackWeights(FromSlice(w.Data, 32, k))
-	qw := QuantizePerChannel(w)
-	rowScale := make([]float32, 32)
-	for i := range rowScale {
-		rowScale[i] = qw.ScaleFor(i) * (1.0 / 127)
-	}
-	dst := New(32, plane)
-	dsts, xs := []*Tensor{dst}, []*Tensor{x}
-	ep := Epilogue{Act: EpActSiLU}
 	forEachTier(t, func(t *testing.T, tier string) {
-		qp := PackWeightsQ(qw.Data, 32, k, 9) // the int8 layout is the tier's
-		runF := func() { ConvPackedInto(dst, wp, x, spec, 0, 24, 24, ep, 0) }
-		runQ := func() { ConvPackedQBatchInto(dsts, qp, xs, spec, 0, 24, 24, 127, rowScale, ep, 0, nil) }
-		runF()
-		runQ()
-		if a := testing.AllocsPerRun(10, runF); a != 0 {
-			t.Errorf("ConvPackedInto: %.0f allocs per steady-state call, want 0", a)
-		}
-		if a := testing.AllocsPerRun(10, runQ); a != 0 {
-			t.Errorf("ConvPackedQBatchInto: %.0f allocs per steady-state call, want 0", a)
+		for _, tc := range zeroAllocCases() {
+			checkConvZeroAlloc(t, tc)
 		}
 	})
 }
