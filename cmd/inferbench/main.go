@@ -266,9 +266,11 @@ func measureFrames(n int, fn func()) (msFrame, allocsFrame float64) {
 // conv GEMM shape; each row's ms per Execute — the floor (every step's
 // fastest call) and the mean — its share of the floor and, for convs,
 // the useful GFLOPS (GOPS at int8) the floor amounts to. The by-shape
-// rows add the weights they hold (W MB) and the bandwidth one pass over
-// them in the floor comes to (GB/s): a row near what one core of the
-// host reads from memory is bound by its weight stream, not its kernel.
+// rows add the weights they hold (W MB) and the bandwidth the passes an
+// Execute makes over them in the floor come to (GB/s; a pass a sample
+// on the per-sample routes, one on the folded one): a row near what one
+// core of the host reads from memory is bound by its weight stream, not
+// its kernel.
 func printPlanProfile(pp *nn.PlanProfile, batch int) {
 	var wall time.Duration
 	for i := range pp.Steps {
@@ -289,7 +291,7 @@ func printPlanProfile(pp *nn.PlanProfile, batch int) {
 			}
 			fmt.Printf("%-*s %5d %9.3f %9.3f %6.1f%% %8s", width, r.Key, r.Steps, ms(r.Floor), ms(r.Wall)/calls, 100*float64(r.Floor)/float64(floor), gf)
 			if weights {
-				fmt.Printf(" %7.2f %6.2f", float64(r.WeightBytes)/1e6, float64(r.WeightBytes)/r.Floor.Seconds()/1e9)
+				fmt.Printf(" %7.2f %6.2f", float64(r.WeightBytes)/1e6, float64(r.StreamedBytes)/r.Floor.Seconds()/1e9)
 			}
 			fmt.Println()
 		}

@@ -319,8 +319,32 @@ func TestPlanProfile(t *testing.T) {
 			}
 		}
 	}
-	if byRoute := prof.GroupBy(convKey("%[4]s %[5]s")); len(byRoute) < 3 {
+	byRoute := prof.GroupBy(convKey("%[4]s %[5]s"))
+	if len(byRoute) < 3 {
 		t.Errorf("by route and precision: %d rows, want the int8 stripe and folded rows and the fp32 head's: %+v", len(byRoute), byRoute)
+	}
+	// At batch 4 a per-sample route streams its weights four times an
+	// Execute, the folded route once: GB/s is read from StreamedBytes.
+	for i := range prof.Steps {
+		if s := &prof.Steps[i]; s.Kind == "conv" && s.Passes != map[bool]int{true: 1, false: 4}[s.Route == "folded"] {
+			t.Errorf("conv step %d on route %q: %d passes at batch 4", i, s.Route, s.Passes)
+		}
+	}
+	seen := map[string]bool{}
+	for _, r := range byRoute {
+		want, kind := int64(4), r.Key
+		if r.Key == "folded int8" {
+			want = 1
+		} else if strings.HasSuffix(r.Key, "fp32") {
+			kind = "fp32"
+		}
+		seen[kind] = true
+		if r.StreamedBytes != want*r.WeightBytes {
+			t.Errorf("row %q streams %d bytes an Execute, want %d × its %d", r.Key, r.StreamedBytes, want, r.WeightBytes)
+		}
+	}
+	if !seen["folded int8"] || !seen["stripe int8"] || !seen["fp32"] {
+		t.Errorf("by route: want a folded int8, a stripe int8 and an fp32 row: %+v", byRoute)
 	}
 
 	other := models.BuildTRTPose(3).PlanFor(3, 64, 64)

@@ -30,11 +30,14 @@ type StepProfile struct {
 	// that carry no quantized weights run fp32. WeightSize is the bytes a
 	// weight of the operand that call streamed takes: 4 at fp32, at int8
 	// the packed operand's own (tensor.PackedQ.WeightSize: the kernel
-	// tier decides).
+	// tier decides). Passes is how many times that call streamed the
+	// weights: once a sample on the stripe and narrow routes, which run
+	// the batch sample by sample, once for the whole batch folded.
 	M, K, N    int
 	Route      string
 	Precision  string
 	WeightSize int
+	Passes     int
 
 	Calls int64         // Execute calls that ran the op
 	Wall  time.Duration // summed over those calls, all samples of the batch
@@ -109,6 +112,10 @@ func (inst *planInst) runProfiled(pp *PlanProfile, int8Mode bool, ip IntegrityPo
 		s.Calls++
 		if op, ok := inst.p.ops[oi].(*convOp); ok {
 			s.Route, s.Precision, s.WeightSize = op.route(inst.nb, int8Mode)
+			s.Passes = inst.nb
+			if s.Route == "folded" {
+				s.Passes = 1
+			}
 		}
 	}
 }
@@ -131,12 +138,14 @@ type ProfileRow struct {
 	Flops       float64       // useful conv flops of one sample: groups × 2·M·K·N a step
 	// WeightBytes is what the row's convs hold in weights, groups × M·K
 	// values a step at the step's WeightSize — four bytes at fp32, at int8
-	// one on the quad tier and two where the pair tiers hold int16: what
-	// one Execute streams if no weight survives in cache from the frame
-	// before. Over Floor it is the row's memory bandwidth, and against
-	// Flops its arithmetic intensity — a row near the host's read
-	// bandwidth is weight-bound whatever its GFLOPS say.
+	// one on the quad tier and two where the pair tiers hold int16; against
+	// Flops its arithmetic intensity.
 	WeightBytes int64
+	// StreamedBytes is what one Execute reads of them: each step's weights
+	// times its Passes. Over Floor it is the row's memory bandwidth — a row
+	// near the host's read bandwidth is weight-bound whatever its GFLOPS
+	// say.
+	StreamedBytes int64
 }
 
 // GroupBy sums the steps by key, the largest floor first (ties by key);
@@ -164,7 +173,9 @@ func (pp *PlanProfile) GroupBy(key func(*StepProfile) string) []ProfileRow {
 		if s.Kind == "conv" {
 			groups := s.Dims[0] / s.M
 			r.Flops += float64(groups) * 2 * float64(s.M*s.K*s.N)
-			r.WeightBytes += int64(groups * s.M * s.K * s.WeightSize)
+			w := int64(groups * s.M * s.K * s.WeightSize)
+			r.WeightBytes += w
+			r.StreamedBytes += w * int64(s.Passes)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {

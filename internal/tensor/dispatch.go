@@ -10,7 +10,8 @@ import (
 //
 // The packed core (pack.go / packq.go) is driven by a small set of
 // geometry parameters — the fp32 register-tile width gemmNR, the k
-// block gemmKC, the int8 tile width qNR and the int8 k-group qK — plus
+// block gemmKC, the narrow fp32 tile's row count narrowMR, the int8
+// tile width qNR and the int8 k-group qK — plus
 // the kernel entry points (kernF32, kernQ, and the optional
 // kernNarrowF32, kernHalfQ and kernRows). A dispatch *tier* binds one
 // consistent assignment of them, and the highest tier the CPU supports
@@ -23,10 +24,12 @@ import (
 //	            M) + 4×16 VPMADDWD int8 tiles + the AVX2 row kernels
 //	            (epilogue, add, pooling max, quantize, requantize, the
 //	            conv packs' panel gather — no FMA; rowops.go)
-//	avx512vnni  avx2fma's fp32 kernels + 4×32 int8 tiles accumulated
-//	            with AVX-512 VPDPBUSD (VNNI bytes: four u8·s8 products
-//	            a lane and their add, fused), and the tile's left half
-//	            for ragged slivers (kernHalfQ)
+//	avx512vnni  the same fp32 tiles at 512 bits — 4×48 (12 ZMM
+//	            accumulators) and the 16×12 narrow tile — + 4×32 int8
+//	            tiles accumulated with AVX-512 VPDPBUSD (VNNI bytes: four
+//	            u8·s8 products a lane and their add, fused), the tile's
+//	            left half for ragged slivers (kernHalfQ), and avx2fma's
+//	            row kernels
 //
 // Every tier keeps gemmMR = 4, so the fp32 operand layout (PackedA
 // micro-panels and their checksum rows) is identical across tiers:
@@ -53,7 +56,11 @@ import (
 // into one rounding, so their fp32 results are drift-bounded against
 // the reference — within the worst-case ascending-k summation bound
 // (abftTol) — rather than bit-equal; KernelTierFMA reports which
-// regime is live so parity gates pick the right comparison. That regime
+// regime is live so parity gates pick the right comparison. The two FMA
+// tiers agree with each other bit for bit: every C element is one
+// ascending-k fused chain from zero whatever the tile's width or
+// height, a ZMM lane rounds as a YMM lane does, and a partial sum
+// stored and reloaded between k blocks is exact. That regime
 // ends at the GEMM: everything applied to its result — the affine, bias,
 // ReLU, SiLU and sigmoid of the epilogue, Add, max pooling — is
 // tier-independent by definition. The row kernels (rowops.go) are one
@@ -106,8 +113,9 @@ type gemmKernelQ func(acc *int32, a unsafe.Pointer, b *int8, kg int)
 // gemmNarrowKernelF32 is the narrow fp32 micro-kernel contract:
 // compute a narrowMR×narrowNR tile from zero over the full depth k and
 // store it column-major into c (c[narrowMR·j + r]). a points at k step
-// 0 of the first of two adjacent gemmMR-row PackedA panels of depth k
-// (the second starts gemmMR·k floats on), b at a k×narrowNR B panel.
+// 0 of the first of narrowMR/gemmMR adjacent gemmMR-row PackedA panels
+// of depth k (each starts gemmMR·k floats after the one before), b at a
+// k×narrowNR B panel. narrowMR is the tier's.
 type gemmNarrowKernelF32 func(c, a, b *float32, k int)
 
 // kernelTier binds one consistent kernel + geometry assignment.
@@ -115,6 +123,7 @@ type kernelTier struct {
 	name   string
 	nr     int // fp32 B-sliver / register-tile width
 	kc     int // fp32 k block (B panel kc×nr stays L1-resident)
+	nmr    int // narrow fp32 tile rows (a multiple of gemmMR; 0: no narrow tile)
 	qnr    int // int8 tile width
 	qk     int // int8 k-group: 2 = int16·int8 pairs, 4 = int8·offset-byte quads
 	fma    bool
@@ -129,10 +138,11 @@ type kernelTier struct {
 // applyTier (init and SetKernelTier); all driver loops read them per
 // call, so a switch takes effect on the next GEMM.
 var (
-	gemmNR = 8
-	gemmKC = 256
-	qNR    = 8
-	qK     = 2
+	gemmNR   = 8
+	gemmKC   = 256
+	narrowMR = 0
+	qNR      = 8
+	qK       = 2
 
 	kernF32       gemmKernelF32 = gemm4x8Go
 	kernNarrowF32 gemmNarrowKernelF32
@@ -147,7 +157,7 @@ var (
 // Upper bounds across all tiers, for fixed-size driver scratch
 // (checksum and accumulator tiles that must not escape to the heap).
 const (
-	gemmNRMax = 24
+	gemmNRMax = 48
 	qNRMax    = 32
 )
 
@@ -165,7 +175,7 @@ func init() {
 
 func applyTier(t kernelTier) {
 	curTier = t
-	gemmNR, gemmKC, qNR, qK = t.nr, t.kc, t.qnr, t.qk
+	gemmNR, gemmKC, narrowMR, qNR, qK = t.nr, t.kc, t.nmr, t.qnr, t.qk
 	kernF32, kernNarrowF32, kernQ, kernHalfQ = t.f32, t.narrow, t.q, t.qhalf
 	kernRows = t.rows
 }

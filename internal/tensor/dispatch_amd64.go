@@ -56,6 +56,21 @@ func gemmQuad4x32Half(acc *int32, a unsafe.Pointer, b *int8, k4 int)
 //go:noescape
 func gemmFMA8x12(c, a, b *float32, k int)
 
+// gemmFMA4x48 is gemmFMA4x24 on 12 ZMM accumulators: a 4-row ×
+// 48-column fp32 tile, the avx512vnni tier's stripe tile. Contract:
+// gemmKernelF32.
+//
+//go:noescape
+func gemmFMA4x48(c *float32, ldc int, a, b *float32, kc int, accum uintptr)
+
+// gemmFMA16x12 is gemmFMA8x12 on ZMM lanes: a 16-row × 12-column fp32
+// tile whose A vector is joined from four adjacent 4-row panels, the
+// avx512vnni tier's narrow tile. Contract: gemmNarrowKernelF32 with
+// narrowMR = 16.
+//
+//go:noescape
+func gemmFMA16x12(c, a, b *float32, k int)
+
 // CPUID.1:ECX feature bits.
 const (
 	cpuidFMA     = 1 << 12
@@ -79,14 +94,16 @@ const (
 )
 
 // archTiers probes CPUID and returns the assembly tiers this CPU can
-// run, lowest first. The fp32 FMA kernels are shared by both upper
-// tiers: the avx512vnni tier upgrades only the int8 path, where
-// doubling the vector width and folding four byte products a lane is
-// the win. A 512-bit 4×48 fp32 tile was measured for ISSUE 14 (requester's
-// prototype, Xeon 2.10 GHz, one core): the bare kernel rose 92 → 120
-// GFLOPS and MatMul512Into fell 4.5–5.1 → 3.4–3.8 ms, but engine_fp32
-// read 86.4 / 83.5 against 84.7 / 83.6 ms — no network layer below
-// n = 144 fills 48 columns — so it was not built.
+// run, lowest first. Each upper tier has its own fp32 tiles at its
+// vector width — 4×24 and 8×12 in YMM on avx2fma, 4×48 and 16×12 in ZMM
+// on avx512vnni — with the same fused chains, so the two tiers' fp32
+// results are equal bit for bit. A 4×48 tile was measured before, when
+// the 4×NR tile still ran every conv of n ≤ 36 and 48 lanes held 9 or
+// 36 live ones (bare kernel +30 %, engine unchanged); since the narrow
+// tile took those, every conv the stripe tile runs in the three gated
+// plans has n = 144, 576 or 2304, all multiples of 48. Bare tile
+// GFLOPS per tier: BenchmarkFP32Kernels; kc = 128 for the 4×48 tile
+// is BENCHMARKS.md's sweep.
 func archTiers() []kernelTier {
 	tiers := []kernelTier{
 		{name: TierSSE2, nr: 8, kc: 256, qnr: 8, qk: 2, f32: gemm4x8, q: gemmQ4x8},
@@ -108,14 +125,14 @@ func archTiers() []kernelTier {
 		return tiers
 	}
 	tiers = append(tiers, kernelTier{
-		name: TierAVX2FMA, nr: 24, kc: 192, qnr: 16, qk: 2, fma: true,
+		name: TierAVX2FMA, nr: 24, kc: 192, nmr: 8, qnr: 16, qk: 2, fma: true,
 		f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x16, rows: avx2Rows,
 	})
 	if b7&cpuidAVX512F != 0 && b7&cpuidAVX512BW != 0 &&
 		c7&cpuidAVX512VNNI != 0 && xlo&xcr0AVX512 == xcr0AVX512 {
 		tiers = append(tiers, kernelTier{
-			name: TierAVX512VNNI, nr: 24, kc: 192, qnr: 32, qk: 4, fma: true,
-			f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQuad4x32, qhalf: gemmQuad4x32Half, rows: avx2Rows,
+			name: TierAVX512VNNI, nr: 48, kc: 128, nmr: 16, qnr: 32, qk: 4, fma: true,
+			f32: gemmFMA4x48, narrow: gemmFMA16x12, q: gemmQuad4x32, qhalf: gemmQuad4x32Half, rows: avx2Rows,
 		})
 	}
 	return tiers

@@ -23,12 +23,14 @@
 // SetKernelTier or the OCULARONE_KERNEL_TIER environment variable:
 // pure-Go 4×8 tiles (generic, every GOARCH), SSE2 assembly 4×8 tiles
 // (sse2, the amd64 baseline), an AVX2/FMA 4×24 fp32 tile with a 4×16
-// VPMADDWD int8 tile (avx2fma), and an AVX-512 4×32 VPDPBUSD int8
-// tile (avx512vnni); the FMA tiers also bind an 8×12 fp32 tile for
-// GEMMs of at most 36 columns, which prefetches the weight panels it
-// streams. The int8 operand layout is the tier's — int16
-// weight pairs on the first three, int8 weight quads against
-// offset-byte activations on avx512vnni — so a PackedQ is good for the
+// VPMADDWD int8 tile (avx2fma), and an AVX-512 4×48 fp32 tile with a
+// 4×32 VPDPBUSD int8 tile (avx512vnni); the FMA tiers also bind a
+// narrow fp32 tile for GEMMs of at most 36 columns — 8×12 in YMM,
+// 16×12 in ZMM — which prefetches the weight panels it streams. The
+// two FMA tiers' fp32 results are the same bits. The int8 operand
+// layout is the tier's — int16 weight pairs on the first three, int8
+// weight quads against offset-byte activations on avx512vnni — so a
+// PackedQ is good for the
 // tiers of its k-group and int8 weights are repacked after a switch
 // across that line; PackedA is good for all. KernelTier/KernelTierDesc
 // report the selection for benchmark headers. For convolutions the panel pack IS im2col

@@ -4,7 +4,7 @@
 
 // func gemmFMA4x24(c *float32, ldc int, a, b *float32, kc int, accum uintptr)
 //
-// 4×24 fp32 register tile: Y0..Y11 hold the accumulators (row r in
+// 4×24 fp32 register tile, the avx2fma tier's stripe tile: Y0..Y11 hold the accumulators (row r in
 // Y(3r), Y(3r+1), Y(3r+2)), Y12..Y14 the streamed B panel triple, Y15
 // the A broadcast. Each k step issues 12 VFMADD231PS against 3 B
 // loads and 4 scalar broadcasts, so the loop is FMA-throughput-bound
@@ -92,10 +92,11 @@ floop:
 	VZEROUPPER
 	RET
 
-// narrowPF is how far ahead of its loads gemmFMA8x12 prefetches each of
-// its two PackedA panels, in bytes: 48 cache lines, 192 k steps. From the
-// recorded sweep (BENCHMARKS.md §PR 23): the narrow route's floor falls
-// until about 1 KB and is flat within the host's noise from there to 8 KB.
+// narrowPF is how far ahead of its loads a narrow tile (gemmFMA8x12,
+// gemmFMA16x12) prefetches each of its PackedA panels, in bytes: 48
+// cache lines, 192 k steps. From the recorded sweep (BENCHMARKS.md,
+// "The prefetch distance"): the narrow route's floor falls until about
+// 1 KB and is flat within the host's noise from there to 8 KB.
 #define narrowPF 3072
 
 // NARROWSTEP is one k step of gemmFMA8x12, s steps into the turn.
@@ -129,8 +130,9 @@ floop:
 
 // func gemmFMA8x12(c, a, b *float32, k int)
 //
-// 8×12 fp32 register tile with the vector lanes along M — the narrow
-// tile for column slivers the 24-lane tile would mostly pad. Y0..Y11
+// 8×12 fp32 register tile with the vector lanes along M — the avx2fma
+// tier's narrow tile, for column slivers the 24-lane tile would mostly
+// pad. Y0..Y11
 // hold the accumulators, one C *column* each (8 rows); Y12 is the A
 // vector of the k step, built from two adjacent MR = 4 PackedA panels
 // (a and a + 16·k bytes: both panels run the full depth k, so the
@@ -203,6 +205,192 @@ ndone:
 	VMOVUPS Y9, 288(DI)
 	VMOVUPS Y10, 320(DI)
 	VMOVUPS Y11, 352(DI)
+	VZEROUPPER
+	RET
+
+// func gemmFMA4x48(c *float32, ldc int, a, b *float32, kc int, accum uintptr)
+//
+// gemmFMA4x24 at twice the width, the avx512vnni tier's stripe tile:
+// Z0..Z11 hold the 4×48 accumulators (row r in Z(3r), Z(3r+1), Z(3r+2)),
+// Z12..Z14 the B panel triple of the k step, Z15..Z18 the four A
+// broadcasts. 12 VFMADD231PS against 3 B loads and 4 broadcasts a k
+// step, as on the 4×24 tile — with sixteen lanes a vector. A lane of a
+// ZMM fused multiply-add rounds as a lane of a YMM one, and accum
+// reloads C exactly as the 4×24 tile does, so every C element is the
+// same ascending-k fused chain on both FMA tiers, bit for bit.
+TEXT ·gemmFMA4x48(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), SI
+	MOVQ a+16(FP), AX
+	MOVQ b+24(FP), BX
+	MOVQ kc+32(FP), CX
+	MOVQ accum+40(FP), DX
+	SHLQ $2, SI                // row stride in bytes
+	LEAQ (DI)(SI*1), R8        // row 1
+	LEAQ (R8)(SI*1), R9        // row 2
+	LEAQ (R9)(SI*1), R10       // row 3
+	TESTQ DX, DX
+	JZ   wzero
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS 128(DI), Z2
+	VMOVUPS (R8), Z3
+	VMOVUPS 64(R8), Z4
+	VMOVUPS 128(R8), Z5
+	VMOVUPS (R9), Z6
+	VMOVUPS 64(R9), Z7
+	VMOVUPS 128(R9), Z8
+	VMOVUPS (R10), Z9
+	VMOVUPS 64(R10), Z10
+	VMOVUPS 128(R10), Z11
+	JMP  wloop
+wzero:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	PCALIGN $64
+wloop:
+	VMOVUPS (BX), Z12          // B[k, 0:16]
+	VMOVUPS 64(BX), Z13        // B[k, 16:32]
+	VMOVUPS 128(BX), Z14       // B[k, 32:48]
+	VBROADCASTSS (AX), Z15     // a0
+	VBROADCASTSS 4(AX), Z16    // a1
+	VBROADCASTSS 8(AX), Z17    // a2
+	VBROADCASTSS 12(AX), Z18   // a3
+	VFMADD231PS Z12, Z15, Z0
+	VFMADD231PS Z13, Z15, Z1
+	VFMADD231PS Z14, Z15, Z2
+	VFMADD231PS Z12, Z16, Z3
+	VFMADD231PS Z13, Z16, Z4
+	VFMADD231PS Z14, Z16, Z5
+	VFMADD231PS Z12, Z17, Z6
+	VFMADD231PS Z13, Z17, Z7
+	VFMADD231PS Z14, Z17, Z8
+	VFMADD231PS Z12, Z18, Z9
+	VFMADD231PS Z13, Z18, Z10
+	VFMADD231PS Z14, Z18, Z11
+	ADDQ $16, AX
+	ADDQ $192, BX
+	DECQ CX
+	JNZ  wloop
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, (R8)
+	VMOVUPS Z4, 64(R8)
+	VMOVUPS Z5, 128(R8)
+	VMOVUPS Z6, (R9)
+	VMOVUPS Z7, 64(R9)
+	VMOVUPS Z8, 128(R9)
+	VMOVUPS Z9, (R10)
+	VMOVUPS Z10, 64(R10)
+	VMOVUPS Z11, 128(R10)
+	VZEROUPPER
+	RET
+
+// NARROWSTEP16 is one k step of gemmFMA16x12, s steps into the turn: the
+// A vector joined from the four panels, then each B value broadcast as
+// the multiply-add's memory operand.
+#define NARROWSTEP16(s) \
+	VMOVUPS (16*s)(AX), X12; \
+	VINSERTF32X4 $1, (16*s)(AX)(SI*1), Z12, Z12; \
+	VINSERTF32X4 $2, (16*s)(AX)(SI*2), Z12, Z12; \
+	VINSERTF32X4 $3, (16*s)(AX)(R8*1), Z12, Z12; \
+	VFMADD231PS.BCST (48*s)(BX), Z12, Z0; \
+	VFMADD231PS.BCST (48*s+4)(BX), Z12, Z1; \
+	VFMADD231PS.BCST (48*s+8)(BX), Z12, Z2; \
+	VFMADD231PS.BCST (48*s+12)(BX), Z12, Z3; \
+	VFMADD231PS.BCST (48*s+16)(BX), Z12, Z4; \
+	VFMADD231PS.BCST (48*s+20)(BX), Z12, Z5; \
+	VFMADD231PS.BCST (48*s+24)(BX), Z12, Z6; \
+	VFMADD231PS.BCST (48*s+28)(BX), Z12, Z7; \
+	VFMADD231PS.BCST (48*s+32)(BX), Z12, Z8; \
+	VFMADD231PS.BCST (48*s+36)(BX), Z12, Z9; \
+	VFMADD231PS.BCST (48*s+40)(BX), Z12, Z10; \
+	VFMADD231PS.BCST (48*s+44)(BX), Z12, Z11
+
+// func gemmFMA16x12(c, a, b *float32, k int)
+//
+// gemmFMA8x12 at twice the height, the avx512vnni tier's narrow tile:
+// Z0..Z11 hold one C column each (16 rows); Z12 is the A vector of the
+// k step, one XMM load and three VINSERTF32X4 from four adjacent MR = 4
+// PackedA panels (a + i·16·k bytes, i = 0..3); each B value is the
+// broadcast memory operand of its column's VFMADD231PS. The lanes are
+// the same ascending-k fused chains from zero as gemmFMA8x12's and
+// gemmFMA4x48's, so all three agree bit for bit. c receives the tile
+// column-major (c[16·j + r]).
+//
+// The four panel streams are prefetched as gemmFMA8x12 prefetches its
+// two: a turn is four k steps, one cache line of each panel, and opens
+// by prefetching the line narrowPF bytes ahead in all four. The loads
+// stay inside the 16×k operand (TestNarrowKernelAtPageEnd).
+TEXT ·gemmFMA16x12(SB), NOSPLIT, $0-32
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
+	MOVQ k+24(FP), CX
+	MOVQ CX, SI
+	SHLQ $4, SI                // bytes from one A panel to the next
+	LEAQ (SI)(SI*2), R8        // to the fourth
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	SUBQ $4, CX
+	JL   mtail
+	PCALIGN $64
+mloop:
+	PREFETCHT0 narrowPF(AX)
+	PREFETCHT0 narrowPF(AX)(SI*1)
+	PREFETCHT0 narrowPF(AX)(SI*2)
+	PREFETCHT0 narrowPF(AX)(R8*1)
+	NARROWSTEP16(0)
+	NARROWSTEP16(1)
+	NARROWSTEP16(2)
+	NARROWSTEP16(3)
+	ADDQ $64, AX
+	ADDQ $192, BX
+	SUBQ $4, CX
+	JGE  mloop
+mtail:
+	ADDQ $4, CX
+	JZ   mdone
+mstep:
+	NARROWSTEP16(0)            // k % 4 last steps
+	ADDQ $16, AX
+	ADDQ $48, BX
+	DECQ CX
+	JNZ  mstep
+mdone:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	VMOVUPS Z8, 512(DI)
+	VMOVUPS Z9, 576(DI)
+	VMOVUPS Z10, 640(DI)
+	VMOVUPS Z11, 704(DI)
 	VZEROUPPER
 	RET
 

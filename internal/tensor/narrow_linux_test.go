@@ -11,31 +11,40 @@ import (
 // pageBeforeFault maps one writable page followed by a PROT_NONE one:
 // mem[:page] is usable and the byte after it faults.
 func pageBeforeFault(t *testing.T) (mem []byte, page int) {
-	page = syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	return bytesBeforeFault(t, 1)
+}
+
+// bytesBeforeFault is pageBeforeFault with room for size bytes: mem[:end]
+// is usable — end is size rounded up to whole pages — and the byte after
+// it faults.
+func bytesBeforeFault(t *testing.T, size int) (mem []byte, end int) {
+	page := syscall.Getpagesize()
+	end = (size + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, end+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
 	t.Cleanup(func() { syscall.Munmap(mem) })
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+	if err := syscall.Mprotect(mem[end:], syscall.PROT_NONE); err != nil {
 		t.Skipf("mprotect: %v", err)
 	}
-	return mem, page
+	return mem, end
 }
 
 // TestNarrowKernelAtPageEnd pins the difference between the narrow
-// tile's prefetches and its loads: the 8×k PackedA panel pair ends on
-// the last byte before a PROT_NONE page, so the kernel's prefetches
-// (narrowPF bytes ahead, at these depths always past the operand) fall
-// into unmapped memory and are dropped, while a load one element too far
-// is a SIGSEGV. Depths cover every k % 4, the unrolled turn's tail. The
-// operands are small integers, so every product and sum is exact and the
-// plain triple loop is the oracle at ==.
+// tile's prefetches and its loads: the narrowMR×k PackedA panel block —
+// at the tier's row count, 8 or 16 — ends on the last byte before a
+// PROT_NONE page, so the kernel's prefetches (narrowPF bytes ahead, at
+// these depths always past the operand) fall into unmapped memory and
+// are dropped, while a load one element too far is a SIGSEGV. Depths
+// cover every k % 4, the unrolled turn's tail. The operands are small
+// integers, so every product and sum is exact and the plain triple loop
+// is the oracle at ==.
 func TestNarrowKernelAtPageEnd(t *testing.T) {
 	mem, page := pageBeforeFault(t)
-	const bytesPerK = narrowMR * 4
 	forEachTier(t, func(t *testing.T, tier string) {
 		skipWithoutNarrowTile(t)
+		bytesPerK := narrowMR * 4
 		r := rng.New(77)
 		small := func() float32 { return float32(int(r.Uint64()%17) - 8) }
 		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 63, 64, page / bytesPerK} {
@@ -57,6 +66,64 @@ func TestNarrowKernelAtPageEnd(t *testing.T) {
 					}
 					if got := c[j*narrowMR+row]; got != want {
 						t.Fatalf("k=%d: C[%d,%d] = %v, want %v", k, row, j, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestStripeKernelAtPageEnd is the stripe tile's twin of the narrow
+// tile's page-end test: the 4×k A panel, the k×NR B panel and C's last
+// row each end on the last byte before a PROT_NONE page of their own, so
+// a load or store one element — or one k step — past its operand is a
+// SIGSEGV. C's rows sit ldc = NR+3 floats apart; the floats between them
+// must come back as they were. Both accum modes, depths around every
+// tier's kc and the unrolled turns. Small-integer operands make every
+// product and sum exact: the plain triple loop is the oracle at ==.
+func TestStripeKernelAtPageEnd(t *testing.T) {
+	const kMax, ldcMax = 193, gemmNRMax + 3
+	aMem, aEnd := bytesBeforeFault(t, 4*gemmMR*kMax)
+	bMem, bEnd := bytesBeforeFault(t, 4*kMax*gemmNRMax)
+	cMem, cEnd := bytesBeforeFault(t, 4*gemmMR*ldcMax)
+	floats := func(mem []byte, end, n int) []float32 {
+		return unsafe.Slice((*float32)(unsafe.Pointer(&mem[end-4*n])), n)
+	}
+	forEachTier(t, func(t *testing.T, tier string) {
+		r := rng.New(78)
+		small := func() float32 { return float32(int(r.Uint64()%17) - 8) }
+		nr := gemmNR
+		ldc := nr + 3
+		for _, k := range []int{1, 2, 3, 4, 5, 127, 128, 129, 192, kMax} {
+			a, b := floats(aMem, aEnd, gemmMR*k), floats(bMem, bEnd, k*nr)
+			c := floats(cMem, cEnd, (gemmMR-1)*ldc+nr)
+			for i := range a {
+				a[i] = small()
+			}
+			for i := range b {
+				b[i] = small()
+			}
+			for accum := uintptr(0); accum <= 1; accum++ {
+				for i := range c {
+					c[i] = small()
+				}
+				want := append([]float32(nil), c...)
+				for row := 0; row < gemmMR; row++ {
+					for j := 0; j < nr; j++ {
+						var sum float32
+						if accum == 1 {
+							sum = want[row*ldc+j]
+						}
+						for kk := 0; kk < k; kk++ {
+							sum += a[kk*gemmMR+row] * b[kk*nr+j]
+						}
+						want[row*ldc+j] = sum
+					}
+				}
+				kernF32(&c[0], ldc, &a[0], &b[0], k, accum)
+				for i := range c {
+					if c[i] != want[i] {
+						t.Fatalf("k=%d accum=%d: C float %d (row %d col %d) = %v, want %v", k, accum, i, i/ldc, i%ldc, c[i], want[i])
 					}
 				}
 			}

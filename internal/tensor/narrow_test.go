@@ -86,7 +86,8 @@ func checkNarrowConv(t *testing.T, r *rng.RNG, spec ConvSpec, h, w int) {
 
 // TestNarrowTileMatchesStripe sweeps the narrow tile against the stripe
 // route: every n from 1 to one past the selection bound, m on and off
-// the 8-row grid (m % 8 = 4 must fall back whole), k around the wide
+// the tier's narrowMR-row grid (m = 8, 12, 24 on the 16-row tile and m %
+// 8 = 4 on the 8-row one must fall back whole), k around the wide
 // route's kc block and at the deepest layer's 4608, both B sources, and
 // conv geometries whose output rows are shorter than a sliver.
 func TestNarrowTileMatchesStripe(t *testing.T) {
@@ -95,7 +96,7 @@ func TestNarrowTileMatchesStripe(t *testing.T) {
 		for _, c := range []struct {
 			m, n int
 			want bool
-		}{{8, 1, true}, {512, 9, true}, {256, 36, true}, {256, 37, false}, {12, 9, false}, {4, 36, false}, {128, 144, false}} {
+		}{{8, 1, narrowMR == 8}, {16, 1, true}, {512, 9, true}, {256, 36, true}, {256, 37, false}, {12, 9, false}, {4, 36, false}, {128, 144, false}} {
 			if got := useNarrowF32(c.m, c.n); got != c.want {
 				t.Fatalf("useNarrowF32(m=%d, n=%d) = %v, want %v", c.m, c.n, got, c.want)
 			}

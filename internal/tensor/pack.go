@@ -33,18 +33,20 @@ import (
 //     dispatch.go) keeps a gemmMR×gemmNR float32 accumulator tile in
 //     registers and streams the two packed panels: 4×8 with SSE
 //     MULPS/ADDPS on the sse2 tier, 4×24 with 12 YMM accumulators and
-//     fused multiply-adds on the avx2fma tier. Loop tiling: the k loop
-//     is cut into gemmKC blocks so the B panel (KC×NR floats) plus the
-//     A panel slice (MR×KC) stay L1-resident against the reference
-//     Xeon's 48 KB L1d, and the C stripe revisited per block stays hot.
+//     fused multiply-adds on the avx2fma tier, 4×48 with 12 ZMM ones on
+//     the avx512vnni tier. Loop tiling: the k loop is cut into gemmKC
+//     blocks so the B panel (KC×NR floats) plus the A panel slice
+//     (MR×KC) stay L1-resident against the reference Xeon's 48 KB L1d,
+//     and the C stripe revisited per block stays hot.
 //   - GEMMs of at most narrowMaxN columns take a second tile where the
-//     tier binds one (kernNarrowF32, 8×12 with the lanes along m): see
-//     gemmNarrowF32. Same PackedA, same B sources, same bits. There A
-//     is the operand that streams — a network's deep layers hold ~100 MB
-//     of weights, read from memory every frame — as two panels 16·k
-//     bytes apart advancing 16 bytes a k step, a pair of streams the
-//     hardware prefetcher leaves underfed, so that kernel prefetches
-//     both itself (gemm_avx_amd64.s, narrowPF).
+//     tier binds one (kernNarrowF32, narrowMR×12 with the lanes along m:
+//     8 rows in YMM, 16 in ZMM): see gemmNarrowF32. Same PackedA, same
+//     B sources, same bits. There A is the operand that streams — a
+//     network's deep layers hold ~100 MB of weights, read from memory
+//     every frame — as narrowMR/4 panels 16·k bytes apart advancing 16
+//     bytes a k step, streams the hardware prefetcher leaves underfed,
+//     so that kernel prefetches them itself (gemm_avx_amd64.s,
+//     narrowPF).
 //
 // The B source is a type parameter (a value struct, never boxed) and
 // the epilogue travels by value, so a steady-state call performs zero
@@ -70,7 +72,8 @@ import (
 // packq.go). The column width gemmNR and k-block
 // gemmKC are per-tier variables bound by dispatch: 8/256 for the
 // 8-XMM SSE2 tile, 24/192 for the 12-YMM FMA tile (B panel KC·NR·4 B
-// ≈ 18 KB + A slice MR·KC·4 B ≈ 3 KB + C stripe stay inside L1d).
+// ≈ 18 KB + A slice MR·KC·4 B ≈ 3 KB + C stripe stay inside L1d),
+// 48/128 for the 12-ZMM one (B panel 24 KB + A slice 2 KB).
 const gemmMR = 4
 
 // PackedA is a left GEMM operand packed into gemmMR-row micro-panels:
@@ -248,9 +251,11 @@ type panelSeg struct {
 	off, cnt, pos int32
 }
 
-// panelSegMax bounds the segments of one panel: a panel has at most
-// qNRMax columns and every segment holds at least one.
-const panelSegMax = qNRMax
+// panelSegMax bounds the segments of one panel: every segment holds at
+// least one column, and a panel is at most as wide as the widest fp32
+// stripe, narrow or int8 sliver of any tier (an ow = 1 output gives
+// every column its own segment).
+const panelSegMax = max(gemmNRMax, narrowNR, qNRMax)
 
 // cut splits panel columns [j0, j0+jw) into output-row segments: within
 // one a k row reads a single strided run of one source row, so a pack
@@ -412,15 +417,15 @@ func (s f32ConvB) pack(bbuf []float32, nr, k0, kc, j0, jw int) {
 const copyRunMin = 8
 
 // The narrow tile: where the 4×NR tile runs its vector lanes along n, a
-// tier may also bind an 8×12 tile whose lanes run along m (narrowMR
-// rows, two adjacent PackedA panels) and whose B values are broadcast.
+// tier may also bind a narrowMR×12 tile whose lanes run along m
+// (narrowMR rows — the tier's: 8 on avx2fma, 16 on avx512vnni — from
+// narrowMR/4 adjacent PackedA panels) and whose B values are broadcast.
 // A GEMM of at most narrowMaxN columns fills it where the wide tile
 // would compute mostly zero padding: every conv from the 6×6 feature
 // map down has n = 36 or 9, and ran 24 lanes for 12 or 9 live ones.
 // Both tiles give every C element the same ascending-k chain of fused
 // multiply-adds from zero, so which one ran never shows in the result.
 const (
-	narrowMR = 2 * gemmMR
 	narrowNR = 12
 	// narrowMaxN is three full narrow slivers. Above it the wide tile's
 	// share of padded lanes is small enough that it wins (measured:
@@ -505,7 +510,7 @@ func gemmStripesF32[S f32BSource](dst []float32, m, n, k int, apData []float32, 
 // gemmNarrowF32 is gemmStripesF32 for the shapes useNarrowF32 selects.
 // All of B (at most narrowMaxN columns) is packed first, one full-depth
 // panel per narrowNR-column sliver, so the row blocks can be the outer
-// loop: each pair of A panels is streamed once and meets every sliver
+// loop: each block of narrowMR/4 A panels is streamed once and meets every sliver
 // while it is cache-resident — at these shapes A is the big operand
 // (9.4 MB against 166 KB of B for the m = 512, k = 4608, n = 9 conv). A
 // tile runs the whole depth in registers, so C is written once and the
@@ -513,7 +518,8 @@ func gemmStripesF32[S f32BSource](dst []float32, m, n, k int, apData []float32, 
 func gemmNarrowF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64) bool {
 	nSliv := (n + narrowNR - 1) / narrowNR
 	panel := k * narrowNR
-	buf := Scratch.GetRaw(nSliv*panel + narrowMR*narrowNR)
+	mr := narrowMR
+	buf := Scratch.GetRaw(nSliv*panel + mr*narrowNR)
 	ctile := buf[nSliv*panel:]
 	var expArr, magArr [narrowMaxN]float64
 	for s := 0; s < nSliv; s++ {
@@ -524,15 +530,15 @@ func gemmNarrowF32[S f32BSource](dst []float32, m, n, k int, apData []float32, s
 			abftFoldPanelF32(expArr[j0:j0+narrowNR], magArr[j0:j0+narrowNR], csum, acsum, bbuf)
 		}
 	}
-	for i0 := 0; i0 < m; i0 += narrowMR {
+	for i0 := 0; i0 < m; i0 += mr {
 		for s := 0; s < nSliv; s++ {
 			kernNarrowF32(&ctile[0], &apData[i0*k], &buf[s*panel], k)
 			j0 := s * narrowNR
 			jw := min(narrowNR, n-j0)
-			for r := 0; r < narrowMR; r++ {
+			for r := 0; r < mr; r++ {
 				drow := dst[(i0+r)*n+j0 : (i0+r)*n+j0+jw]
 				for j := range drow {
-					drow[j] = ctile[j*narrowMR+r]
+					drow[j] = ctile[j*mr+r]
 				}
 			}
 		}

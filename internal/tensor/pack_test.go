@@ -248,7 +248,7 @@ type gatherCase struct {
 // and past kernel/2, groups (c0 > 0, odd k), h != w, and output rows
 // narrower than any tier's NR so one panel spans several of them.
 func gatherCases() []gatherCase {
-	return []gatherCase{
+	cases := []gatherCase{
 		{"3x3 same", ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 13, 17},
 		{"1x1", ConvSpec{InC: 5, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, 9, 11},
 		{"1x1 stride 2", ConvSpec{InC: 4, OutC: 4, KH: 1, KW: 1, StrideH: 2, StrideW: 2}, 12, 10},
@@ -276,6 +276,19 @@ func gatherCases() []gatherCase {
 		// output rows and columns lie in the border.
 		{"pad 3 around a 2x2 kernel", ConvSpec{InC: 4, OutC: 4, KH: 2, KW: 2, StrideH: 1, StrideW: 1, PadH: 3, PadW: 3}, 5, 6},
 		{"pad 3 around a 1x1 kernel stride 2", ConvSpec{InC: 4, OutC: 4, KH: 1, KW: 1, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 7, 4},
+	}
+	return append(cases, owOneCases(4, 4)...)
+}
+
+// owOneCases are convs whose output is one column wide and taller than
+// the widest panel of any tier, at stride 1 and 2: every column of a
+// panel is an output row of its own, so a panel of panelSegMax columns
+// is cut into panelSegMax segments — the bound of the segment array.
+func owOneCases(inC, outC int) []gatherCase {
+	oh := panelSegMax + 12
+	return []gatherCase{
+		{"ow 1, a segment a column", ConvSpec{InC: inC, OutC: outC, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, oh, 1},
+		{"ow 1 stride 2, a segment a column", ConvSpec{InC: inC, OutC: outC, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 2 * oh, 1},
 	}
 }
 
@@ -424,6 +437,10 @@ func FuzzConvPanelGather(f *testing.F) {
 		f.Add(uint64(8+i), uint8(2), uint8(2), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint8(3), uint8(6), w-1)
 		f.Add(uint64(12+i), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), uint8(6), w-1)
 	}
+	// Output one column wide and taller than the widest panel, stride 1
+	// and 2: a segment a panel column (owOneCases).
+	f.Add(uint64(16), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint8(3), uint8(59), uint8(0))
+	f.Add(uint64(17), uint8(2), uint8(2), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint8(3), uint8(119), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, kh, kw, sh, sw, dh, dw, ph, pw, groups, icg, h, w uint8) {
 		g := 1 + int(groups%3)
 		spec := ConvSpec{
@@ -433,7 +450,7 @@ func FuzzConvPanelGather(f *testing.F) {
 			DilationH: 1 + int(dh%2), DilationW: 1 + int(dw%2),
 			PadH: int(ph % 4), PadW: int(pw % 4),
 		}
-		hh, ww := 1+int(h%40), 1+int(w%40)
+		hh, ww := 1+int(h%128), 1+int(w%40)
 		if oh, ow := spec.OutSize(hh, ww); oh <= 0 || ow <= 0 {
 			t.Skip()
 		}
@@ -526,15 +543,17 @@ func TestConvPackedRefusesOperands(t *testing.T) {
 // at stride 2 from a view of x.Data. The last two are the n = 9 and
 // n = 36 shapes the narrow fp32 tile takes, with its full-depth B panel
 // in pooled scratch; a batch of four of them is what the int8 path folds
-// into one GEMM, its slivers cut across samples.
+// into one GEMM, its slivers cut across samples. The ow = 1 pair fills
+// the segment array of the widest panel.
 func zeroAllocCases() []gatherCase {
-	return []gatherCase{
+	cases := []gatherCase{
 		{"3x3", ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 24, 24},
 		{"3x3 s2, last group", ConvSpec{InC: 6, OutC: 32, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2}, 24, 24},
 		{"1x1 s2 view", ConvSpec{InC: 16, OutC: 32, KH: 1, KW: 1, StrideH: 2, StrideW: 2}, 24, 24},
 		{"3x3 on 3x3", ConvSpec{InC: 64, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 3, 3},
 		{"3x3 on 6x6", ConvSpec{InC: 64, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 6, 6},
 	}
+	return append(cases, owOneCases(16, 32)...)
 }
 
 // checkConvZeroAlloc asserts that the steady-state implicit-im2col paths

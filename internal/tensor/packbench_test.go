@@ -82,3 +82,80 @@ func BenchmarkConvPanelPack(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFP32Kernels is the fp32 twin of BenchmarkInt8Kernels: each
+// tier's bare stripe tile (kernF32, kc-blocked gemmNR panels) and narrow
+// tile (kernNarrowF32, full-depth narrowNR panels, narrowMR rows a call)
+// at the five BenchmarkConvTable2Shapes GEMMs, every B panel packed
+// before the timer starts — the kernels alone, no pack, no epilogue, no
+// scatter. GFLOPS counts the multiply-adds the tile issues, padded
+// columns included; useGFLOPS the 2·m·k·n the conv needs. Like the rest
+// of this file it compiles in a parent checkout. Run with GOMAXPROCS=1
+// and take the fastest of -count 5: the host swings run to run.
+func BenchmarkFP32Kernels(b *testing.B) {
+	shapes := []struct{ m, k, n int }{
+		{512, 4608, 9}, {256, 2304, 36}, {128, 1152, 144}, {64, 576, 576}, {32, 288, 2304},
+	}
+	orig := KernelTier()
+	defer func() { _ = SetKernelTier(orig) }()
+	for _, tier := range KernelTiers() {
+		if err := SetKernelTier(tier); err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range shapes {
+			r := rng.New(8)
+			ap := PackWeights(randTensor(r, s.m, s.k)).data
+			report := func(b *testing.B, cols int) {
+				sec := b.Elapsed().Seconds() / float64(b.N)
+				b.ReportMetric(2*float64(s.m*s.k*cols)/sec/1e9, "GFLOPS")
+				b.ReportMetric(2*float64(s.m*s.k*s.n)/sec/1e9, "useGFLOPS")
+			}
+			b.Run(fmt.Sprintf("%s/stripe/m%d_k%d_n%d", tier, s.m, s.k, s.n), func(b *testing.B) {
+				nr, kc := gemmNR, gemmKC
+				nSliv := (s.n + nr - 1) / nr
+				bp := alignedSlice[float32](nSliv * s.k * nr) // sliver s, k block k0: at (s·k + k0)·nr
+				for i := range bp {
+					bp[i] = r.Float32() - 0.5
+				}
+				ldc := nSliv * nr
+				c := make([]float32, s.m*ldc)
+				kern := kernF32
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					for sl := 0; sl < nSliv; sl++ {
+						for k0 := 0; k0 < s.k; k0 += kc {
+							accum := uintptr(min(k0, 1))
+							for i0 := 0; i0 < s.m; i0 += gemmMR {
+								kern(&c[i0*ldc+sl*nr], ldc, &ap[i0*s.k+k0*gemmMR], &bp[(sl*s.k+k0)*nr], min(kc, s.k-k0), accum)
+							}
+						}
+					}
+				}
+				report(b, nSliv*nr)
+			})
+			b.Run(fmt.Sprintf("%s/narrow/m%d_k%d_n%d", tier, s.m, s.k, s.n), func(b *testing.B) {
+				mr := narrowMR
+				if kernNarrowF32 == nil || s.m%mr != 0 {
+					b.Skip("tier binds no narrow tile")
+				}
+				nSliv := (s.n + narrowNR - 1) / narrowNR
+				panel := s.k * narrowNR
+				bp := alignedSlice[float32](nSliv * panel)
+				for i := range bp {
+					bp[i] = r.Float32() - 0.5
+				}
+				c := make([]float32, mr*narrowNR)
+				kern := kernNarrowF32
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					for i0 := 0; i0 < s.m; i0 += mr {
+						for sl := 0; sl < nSliv; sl++ {
+							kern(&c[0], &ap[i0*s.k], &bp[sl*panel], s.k)
+						}
+					}
+				}
+				report(b, nSliv*narrowNR)
+			})
+		}
+	}
+}

@@ -255,8 +255,13 @@ func TestTierFusedEpilogueParity(t *testing.T) {
 
 // TestTierCrossConsistency pins the cross-tier relationships directly:
 // int8 results are bit-identical across ALL tiers, and the two FMA
-// tiers (which share the fp32 kernel) are bit-identical to each other,
-// as are the two non-FMA tiers.
+// tiers — 4×24 / 8×12 YMM tiles on avx2fma, 4×48 / 16×12 ZMM tiles on
+// avx512vnni — are bit-identical to each other, as are the two non-FMA
+// tiers. The fp32 sweep reaches every tile of both FMA tiers: m on and
+// off the 16-row narrow grid, n below, at and around both stripe widths
+// (ragged slivers run gemmEdgeF32), k around both kc blocks and at the
+// deepest conv's 4608; and two convs with a full epilogue, one on each
+// route.
 func TestTierCrossConsistency(t *testing.T) {
 	const m, k, n = 12, 600, 48
 	a := randTensor(rng.New(21), m, k)
@@ -267,9 +272,33 @@ func TestTierCrossConsistency(t *testing.T) {
 	for i := range rowScale {
 		rowScale[i] = qa.ScaleFor(i) * qb.Scales[0]
 	}
+	type gemmCase struct {
+		name string
+		a, b *Tensor
+	}
+	var gemms []gemmCase
+	r := rng.New(23)
+	for _, gm := range []int{8, 16, 24, 64} {
+		for _, gn := range []int{9, 12, 36, 47, 48, 49, 144} {
+			for _, gk := range []int{1, 127, 128, 129, 193, 4608} {
+				gemms = append(gemms, gemmCase{fmt.Sprintf("%dx%dx%d", gm, gk, gn), randTensor(r, gm, gk), randTensor(r, gk, gn)})
+			}
+		}
+	}
+	type convCase struct {
+		spec ConvSpec
+		x, w *Tensor
+		ep   Epilogue
+	}
+	var convs []convCase
+	for _, side := range []int{12, 6} {
+		spec := ConvSpec{InC: 32, OutC: 48, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+		convs = append(convs, convCase{spec, randTensor(r, 32, side, side), randTensor(r, 48, 32*9), testEpilogue(r, 48)})
+	}
 	type res struct {
 		fma  bool
 		f, q *Tensor
+		fs   [][]float32
 	}
 	results := map[string]res{}
 	forEachTier(t, func(t *testing.T, tier string) {
@@ -277,7 +306,19 @@ func TestTierCrossConsistency(t *testing.T) {
 		matMulPackedInto(f, a, b, Epilogue{}, 0)
 		q := New(m, n)
 		matMulInt8PackedInto(q, qa, qb, rowScale, Epilogue{}, 0)
-		results[tier] = res{fma: KernelTierFMA(), f: f, q: q}
+		var fs [][]float32
+		for _, g := range gemms {
+			d := New(g.a.Shape[0], g.b.Shape[1])
+			matMulPackedInto(d, g.a, g.b, Epilogue{}, 0)
+			fs = append(fs, d.Data)
+		}
+		for _, c := range convs {
+			oh, ow := c.spec.OutSize(c.x.Shape[1], c.x.Shape[2])
+			d := New(c.spec.OutC, oh*ow)
+			ConvPackedInto(d, PackWeights(c.w), c.x, c.spec, 0, oh, ow, c.ep, 0)
+			fs = append(fs, d.Data)
+		}
+		results[tier] = res{fma: KernelTierFMA(), f: f, q: q, fs: fs}
 	})
 	for t1, r1 := range results {
 		for t2, r2 := range results {
@@ -296,6 +337,18 @@ func TestTierCrossConsistency(t *testing.T) {
 				if r1.f.Data[i] != r2.f.Data[i] {
 					t.Fatalf("fp32 elem %d: %s %v != %s %v (same rounding regime)",
 						i, t1, r1.f.Data[i], t2, r2.f.Data[i])
+				}
+			}
+			for c := range r1.fs {
+				what := "conv with epilogue"
+				if c < len(gemms) {
+					what = "GEMM " + gemms[c].name
+				}
+				for i := range r1.fs[c] {
+					if r1.fs[c][i] != r2.fs[c][i] {
+						t.Fatalf("fp32 %s elem %d: %s %v != %s %v (same rounding regime)",
+							what, i, t1, r1.fs[c][i], t2, r2.fs[c][i])
+					}
 				}
 			}
 		}
