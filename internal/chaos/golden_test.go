@@ -84,6 +84,21 @@ func goldenRun(seed uint64, mode string) string {
 		cfg.Disrupt = chaos.New(chaos.DropoutRegime(seed))
 		cfg.Adapt.Enabled = true
 		cfg.Temporal.Enabled = true
+	case "layered", "link":
+		// The serve_layered benchmark workload's layers: every fault
+		// process, precision adaptation, the ladder, retries and hedging.
+		cc := chaos.Combined(seed)
+		cc.SDC = chaos.SDCRegime(seed).SDC
+		cc.Straggler = chaos.StragglerRegime(seed).Straggler
+		cfg.Disrupt = chaos.New(cc)
+		cfg.Adapt.Enabled = true
+		cfg.Temporal.Enabled = true
+		cfg.Integrity.Retry = goldenRetry
+		cfg.Integrity.Hedge = goldenHedge
+		if mode == "link" {
+			cfg.LinkRTTms = 3
+			cfg.Batch.MaxBatch = 1
+		}
 	}
 	s := serve.NewServer(cfg)
 	s.AdvanceTo(cfg.HorizonMS)
@@ -95,6 +110,36 @@ func goldenRun(seed uint64, mode string) string {
 // compares bit for bit.
 func TestGoldenFingerprints(t *testing.T) {
 	for _, g := range goldenFingerprints {
+		g := g
+		t.Run(fmt.Sprintf("%s-seed%d", g.mode, g.seed), func(t *testing.T) {
+			if got := goldenRun(g.seed, g.mode); got != g.want {
+				t.Fatalf("seed %d %s fingerprint %s, want %s", g.seed, g.mode, got, g.want)
+			}
+		})
+	}
+}
+
+// goldenLayered pins what no table above reaches: every layer live at
+// once (temporal x hedge x adapt x retry under all five fault
+// processes), and the same with a non-zero link round trip and
+// unbatched dispatch.
+var goldenLayered = []struct {
+	seed uint64
+	mode string
+	want string
+}{
+	{42, "layered", "83324c06175a0689"},
+	{43, "layered", "522ca5d3732dbf0d"},
+	{44, "layered", "f97925394d04bd2c"},
+	{42, "link", "4bac975f53b16768"},
+	{43, "link", "9340820028efccba"},
+	{44, "link", "780dfa7b5c12d08d"},
+}
+
+// TestGoldenFingerprintsLayered replays the every-layer configurations
+// and compares bit for bit.
+func TestGoldenFingerprintsLayered(t *testing.T) {
+	for _, g := range goldenLayered {
 		g := g
 		t.Run(fmt.Sprintf("%s-seed%d", g.mode, g.seed), func(t *testing.T) {
 			if got := goldenRun(g.seed, g.mode); got != g.want {
