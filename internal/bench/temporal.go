@@ -164,7 +164,7 @@ func RunTemporalDrift(sc Scale) TemporalDrift {
 	cfg := pol.Config()
 	m := track.NewMulti(track.Config{MaxCoastFrames: cfg.MaxBridged + 2})
 	ladderHits, ladderIoU := 0, 0.0
-	brRun, brConf := 0, 0.0
+	var bt temporal.Track
 	var lastBox imgproc.Rect
 	haveBox := false
 	stale := 0
@@ -174,16 +174,15 @@ func RunTemporalDrift(sc Scale) TemporalDrift {
 		var boxes []detect.Box
 		real := false
 		switch {
-		case gap && pol.BridgeOK(brRun, brConf):
-			// Bridge: the tracker's motion model stands in for the frame.
-			d.BridgedFrames++
-			brRun++
-			brConf = pol.Decay(brConf)
-			pol.NoteBridge()
 		case gap:
-			// Budget exhausted mid-burst: the frame is simply dropped, as
-			// the serving tier would have shed it.
-			d.DroppedFrames++
+			if _, ok := pol.Bridge(&bt, float64(i)*periodMS); ok {
+				// The tracker's motion model stands in for the frame.
+				d.BridgedFrames++
+			} else {
+				// Budget exhausted mid-burst: the frame is simply dropped,
+				// as the serving tier would have shed it.
+				d.DroppedFrames++
+			}
 		default:
 			rung := pol.Select(temporal.Signals{
 				QueueDelayMS: driftPressure(i, periodMS),
@@ -204,8 +203,7 @@ func RunTemporalDrift(sc Scale) TemporalDrift {
 				d.FullFrames++
 			}
 			real = true
-			brRun = 0
-			brConf = rung.Confidence()
+			bt.Anchor(rung, float64(i)*periodMS)
 		}
 		tracks := m.Update(boxes)
 		if real {

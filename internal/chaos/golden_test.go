@@ -198,7 +198,7 @@ func TestPR7ZeroKnobParity(t *testing.T) {
 // and the three integrity modes) must reproduce bit for bit. The
 // ladder is proven inert when idle, not merely configured away.
 func TestPR9ZeroKnobParity(t *testing.T) {
-	inert := serve.TemporalConfig{
+	inert := temporal.Layer{
 		Enabled: false,
 		Ladder: temporal.Config{
 			MaxBridged: 9, ConfDecay: 0.5, ConfFloor: 0.1, RefreshEvery: 3,

@@ -127,7 +127,7 @@ func (g *groupRunner) flush() {
 			if w.root && fr.env.tpol != nil {
 				// A real root inference re-anchors the stream's bridging
 				// budget at the completed rung's confidence.
-				fr.env.refreshBridge(w.rung, w.ready+lat)
+				fr.env.track.Anchor(w.rung, w.ready+lat)
 			}
 		}
 		q.jobs = q.jobs[len(cs):]
@@ -173,7 +173,7 @@ func (g *groupRunner) flush() {
 				if fr.env.tryBridgeRoot(ready, delay, period) {
 					// Tracker prediction stands in: no device job, the
 					// bridge latency is the motion-model extrapolation.
-					done := ready + fr.env.sess.Temporal.bridgeMS()
+					done := ready + fr.env.sess.Temporal.BridgeCostMS()
 					dones[gi][name] = done
 					stats[gi].StageMS[name] = done - ready
 					delivered[gi][name] = true

@@ -80,10 +80,17 @@ type Session struct {
 	Outages []Outage
 	// Temporal enables the cross-frame degradation ladder on the
 	// session's root stages: queue pressure steps the root inference
-	// down to ROI / early-exit cost, and inside the staleness budget a
-	// tracker-bridged frame skips the device entirely. The zero value
-	// replays the pre-temporal schedule bit for bit. See TemporalPolicy.
-	Temporal TemporalPolicy
+	// down to ROI / early-exit cost by scaling the device job's service
+	// time, and inside the staleness budget a tracker-bridged frame
+	// skips the device entirely, charged Temporal.BridgeCostMS. The zero
+	// value replays the pre-temporal schedule bit for bit.
+	//
+	// The ladder's staleness clock is shared with the back-pressure
+	// layer: a bridged root advances the same forced-refresh clock
+	// Select maintains, and a StaleSkipPolicy skip downstream of a
+	// bridged root is counted loudly in StreamResult.DoubleSkips — the
+	// two layers cannot double-skip silently (see StaleSkipPolicy).
+	Temporal temporal.Layer
 
 	local *device.Cluster
 }
@@ -164,7 +171,7 @@ type StreamResult struct {
 	Rebinds int
 	// Bridged counts root-stage frames served by tracker prediction
 	// instead of a device inference (ladder rung L3; zero when the
-	// session's TemporalPolicy is off).
+	// session's Temporal ladder is off).
 	Bridged int
 	// ROIFrames and EarlyExitFrames count root inferences charged at
 	// the reduced ladder rungs (L1 and L2).
@@ -230,15 +237,11 @@ type execEnv struct {
 	// onset; outageCur is the next not-yet-applied entry.
 	outages   []Outage
 	outageCur int
-	// Temporal ladder state (nil tpol = ladder off): the per-stream
-	// bridging budget mirrors serve's per-tenant budget — brRun counts
-	// consecutive bridges since the last real root inference, brConf is
-	// the decaying bridging confidence re-seeded by each completion's
-	// rung, brLastMS anchors the staleness measurement.
+	// Temporal ladder state (nil tpol = ladder off): the stream's
+	// bridging budget, the same temporal.Track serve keeps per tenant,
+	// re-anchored by every real root inference.
 	tpol                   *temporal.Policy
-	brRun                  int
-	brConf                 float64
-	brLastMS               float64
+	track                  temporal.Track
 	bridged                int
 	roiFrames, earlyFrames int
 	doubleSkips            int

@@ -2,39 +2,6 @@ package pipeline
 
 import "ocularone/internal/temporal"
 
-// TemporalPolicy configures the session-level cross-frame degradation
-// ladder (internal/temporal) on a session's root stages. Under queue
-// pressure the root inference steps down the ladder — ROI-cropped
-// re-inference, then confidence-based early exit — by scaling the
-// device job's service time; inside the staleness budget a tracker-
-// bridged frame skips the device entirely and the motion-model
-// prediction stands in at BridgeMS. The zero value (and Enabled=false
-// with any knob set) changes nothing: the scheduler takes the exact
-// pre-temporal path and replays historic results bit for bit.
-//
-// The ladder's staleness clock is shared with the back-pressure layer:
-// a bridged root advances the same forced-refresh clock Select
-// maintains, and a StaleSkipPolicy skip downstream of a bridged root is
-// counted loudly in StreamResult.DoubleSkips — the two layers cannot
-// double-skip silently (see StaleSkipPolicy).
-type TemporalPolicy struct {
-	// Enabled turns the ladder on. Off, the session schedules exactly
-	// as before this policy existed.
-	Enabled bool
-	// Ladder tunes the rung policy (zero value = temporal defaults).
-	Ladder temporal.Config
-	// BridgeMS is the latency charged for a tracker-bridged root frame:
-	// the motion-model extrapolation cost, no device time (default 0.5).
-	BridgeMS float64
-}
-
-func (p TemporalPolicy) bridgeMS() float64 {
-	if p.BridgeMS > 0 {
-		return p.BridgeMS
-	}
-	return 0.5
-}
-
 // initTemporal arms the env's ladder state when the session enables it.
 func (e *execEnv) initTemporal() {
 	if e.sess.Temporal.Enabled {
@@ -46,18 +13,19 @@ func (e *execEnv) initTemporal() {
 // bridges: the executor cannot start it within one frame period, and
 // the stream's bridging budget (consecutive-bridge cap, confidence
 // floor) still allows coasting. On a bridge the caller charges
-// TemporalPolicy.BridgeMS instead of offering a device job.
+// Temporal.BridgeCostMS instead of offering a device job.
 func (e *execEnv) tryBridgeRoot(readyMS, delayMS, periodMS float64) bool {
-	if e.tpol == nil || delayMS <= periodMS || !e.tpol.BridgeOK(e.brRun, e.brConf) {
+	if delayMS <= periodMS {
 		return false
 	}
-	if stale := readyMS - e.brLastMS; stale > e.staleMaxMS {
+	stale, ok := e.tpol.Bridge(&e.track, readyMS)
+	if !ok {
+		return false
+	}
+	if stale > e.staleMaxMS {
 		e.staleMaxMS = stale
 	}
 	e.bridged++
-	e.brRun++
-	e.brConf = e.tpol.Decay(e.brConf)
-	e.tpol.NoteBridge()
 	return true
 }
 
@@ -78,12 +46,4 @@ func (e *execEnv) rootRung(delayMS, periodMS, thermal float64) temporal.Rung {
 		e.earlyFrames++
 	}
 	return r
-}
-
-// refreshBridge re-anchors the stream's bridging budget after a real
-// root inference completed at rung r, finishing at doneMS.
-func (e *execEnv) refreshBridge(r temporal.Rung, doneMS float64) {
-	e.brRun = 0
-	e.brConf = r.Confidence()
-	e.brLastMS = doneMS
 }

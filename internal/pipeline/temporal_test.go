@@ -28,7 +28,7 @@ func TestPipelineTemporalZeroKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ladderSession(40)
-	s.Temporal = TemporalPolicy{
+	s.Temporal = temporal.Layer{
 		Enabled: false,
 		Ladder: temporal.Config{MaxBridged: 9, ConfDecay: 0.5, ConfFloor: 0.1,
 			RefreshEvery: 3, ROICost: 0.3, EarlyExitCost: 0.6},
@@ -147,7 +147,7 @@ func TestPipelineTemporalOutage(t *testing.T) {
 			Policy:  QueuePolicy{},
 			Graph:   TimingVIPGraph(EdgePlacement(device.OrinNano, models.V8Nano)),
 			Outages: []Outage{{Device: device.OrinNano, FromMS: 1000, ToMS: 2500}},
-			Temporal: TemporalPolicy{
+			Temporal: temporal.Layer{
 				Enabled: enable,
 			},
 		}

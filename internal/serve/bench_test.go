@@ -103,9 +103,9 @@ func BenchmarkTemporalSteadyState(b *testing.B) {
 		s.AdvanceTo(t)
 	}
 	b.StopTimer()
-	if s.bridgedReqs == 0 || s.roiReqs+s.earlyReqs == 0 {
+	if s.res.BridgedReqs == 0 || s.res.ROIReqs+s.res.EarlyExitReqs == 0 {
 		b.Fatalf("ladder idle in its own benchmark: bridged=%d roi=%d early=%d",
-			s.bridgedReqs, s.roiReqs, s.earlyReqs)
+			s.res.BridgedReqs, s.res.ROIReqs, s.res.EarlyExitReqs)
 	}
 	if n := s.Offered() - start; n > 0 && b.Elapsed().Seconds() > 0 {
 		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "sim_req/s")

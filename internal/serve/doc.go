@@ -4,7 +4,7 @@
 // and measures what the closed-loop pipeline studies cannot: goodput,
 // tail latency, and shed rate as functions of offered load.
 //
-// The package has three layers:
+// The package is built in layers:
 //
 //   - Traffic generation (traffic.go): per-tenant nonhomogeneous
 //     Poisson arrivals sampled exactly by thinning, modulated by a
@@ -28,16 +28,17 @@
 //     model, and thermal throttle every other study in the repo uses.
 //
 //   - Faults (faults.go): an explicit fault surface — FailDevice
-//     (fail-stop, in-flight work lost, queued work re-queued),
-//     RecoverDevice, SetThermalStress, SetLink — driven by any
+//     (fail-stop at batch boundaries: the in-flight batch completes,
+//     nothing new dispatches until the restore), RecoverDevice, SetThermalStress, SetLink — driven by any
 //     Disruption implementation whose fault schedule runs as ordinary
 //     events in the calendar queue (internal/chaos provides the
 //     seeded Markov-modulated one). AdaptConfig enables managed
 //     degradation: a windowed deadline-miss monitor steering
 //     adaptive.Controller between degraded and nominal precision
 //     arms. The server accounts fault episodes and per-episode
-//     recovery time (fault clear until the backlog drains); a nil
-//     Disruption is bit-for-bit identical to the fault-free server.
+//     recovery time (fault clear until the backlog drains, never
+//     before the clear); a nil Disruption is bit-for-bit identical to
+//     the fault-free server.
 //
 //   - Integrity (integrity.go): end-to-end silent-error recovery.
 //     SetSDC drives a silent-data-corruption process (modelling the
@@ -52,6 +53,21 @@
 //     admissions under stragglers (SetStraggle). The zero-value
 //     IntegrityConfig replays every prior fingerprint bit for bit,
 //     and the whole layer keeps steady state at 0 allocs/op.
+//
+//   - Temporal ladder (temporal.go): the serving embedding of
+//     internal/temporal, configured by a temporal.Layer. Dispatched
+//     batches run at a full-frame, ROI or early-exit rung chosen from
+//     the admission predictor's queue-drain estimate, and would-be
+//     sheds are answered from the tenant's temporal.Track — a
+//     tracker-bridged response inside the staleness budget. The zero
+//     value replays every pre-ladder fingerprint bit for bit.
+//
+// Each serving outcome is decided in one place: every response
+// (served, hedge-won, bridged, or flagged and dropped) is recorded by
+// answer, every refusal at admission goes through shed, which tries
+// the bridge first, and arrivals and retries join their FIFO through
+// enqueue. The run-wide counters are kept in a Result under their
+// Result names; Server.Result derives the totals, rates and quantiles.
 //
 // Run executes one horizon-and-drain study; Server.Finish is the same
 // run with its invariants checked, percentiles and fingerprint attached

@@ -30,7 +30,6 @@ package serve
 import (
 	"ocularone/internal/adaptive"
 	"ocularone/internal/device"
-	"ocularone/internal/models"
 )
 
 // Disruption is the fault-process hook a chaos injector implements.
@@ -72,17 +71,6 @@ type AdaptConfig struct {
 	MissHi, MissLo float64
 }
 
-// Down reports whether the device is currently failed.
-func (s *Server) Down() bool { return s.deviceDown }
-
-// Degraded reports whether the dispatcher is serving at the degraded
-// precision.
-func (s *Server) Degraded() bool { return s.degraded }
-
-// LinkDelayMS reports the current per-request link round trip: the
-// configured baseline plus any degradation episode's surcharge.
-func (s *Server) LinkDelayMS() float64 { return s.cfg.LinkRTTms + s.linkExtraMS }
-
 // FailDevice fails the device at now until restoreAtMS: the in-flight
 // batch (if any) completes, no new batch dispatches while down, and
 // the stream resumes no earlier than the restore. Failing an
@@ -99,7 +87,7 @@ func (s *Server) FailDevice(now, restoreAtMS float64) {
 	}
 	s.deviceDown = true
 	s.downUntilMS = restoreAtMS
-	s.markFault()
+	s.faultEdge(now, false, true)
 }
 
 // RecoverDevice restores a failed device at now. The executor's stream
@@ -112,7 +100,7 @@ func (s *Server) RecoverDevice(now float64) {
 	s.deviceDown = false
 	s.downUntilMS = 0
 	s.ex.HoldUntil(now)
-	s.markClear(now)
+	s.faultEdge(now, true, false)
 	s.maybeDispatch(now)
 }
 
@@ -122,13 +110,7 @@ func (s *Server) RecoverDevice(now float64) {
 func (s *Server) SetThermalStress(now, stress float64) {
 	was := s.ex.ThermalStress() > 0
 	s.ex.SetThermalStress(stress)
-	is := s.ex.ThermalStress() > 0
-	switch {
-	case is && !was:
-		s.markFault()
-	case was && !is:
-		s.markClear(now)
-	}
+	s.faultEdge(now, was, s.ex.ThermalStress() > 0)
 }
 
 // SetLink degrades (or, at 0,0, restores) the edge–server link:
@@ -147,80 +129,61 @@ func (s *Server) SetLink(now, extraMS, lossProb float64) {
 	}
 	was := s.linkExtraMS > 0 || s.linkLoss > 0
 	s.linkExtraMS, s.linkLoss = extraMS, lossProb
-	is := extraMS > 0 || lossProb > 0
+	s.faultEdge(now, was, extraMS > 0 || lossProb > 0)
+}
+
+// faultEdge notes one fault process switching at now from active (was)
+// to active (is). The first process to become active opens an episode
+// and records the pre-fault queue depth the recovery check compares
+// against; when the last one clears, the episode enters its recovery
+// phase, and checkRecovery closes it once the queue drains back to that
+// depth.
+func (s *Server) faultEdge(now float64, was, is bool) {
 	switch {
 	case is && !was:
-		s.markFault()
+		if s.faultDepth == 0 {
+			s.res.FaultEpisodes++
+			s.queuedAtFault = s.queued
+			s.pendingRecovery = false
+		}
+		s.faultDepth++
 	case was && !is:
-		s.markClear(now)
-	}
-}
-
-// markFault notes one fault process becoming active. The first active
-// fault opens an episode and records the pre-fault queue depth the
-// recovery check compares against.
-func (s *Server) markFault() {
-	if s.faultDepth == 0 {
-		s.episodes++
-		s.queuedAtFault = s.queued
-		s.pendingRecovery = false
-	}
-	s.faultDepth++
-}
-
-// markClear notes one fault process clearing. When the last one
-// clears, the episode enters its recovery phase: checkRecovery closes
-// it once the queue drains back to its pre-fault depth.
-func (s *Server) markClear(now float64) {
-	if s.faultDepth > 0 {
-		s.faultDepth--
-	}
-	if s.faultDepth == 0 {
-		s.pendingRecovery = true
-		s.recoverAtMS = now
+		if s.faultDepth > 0 {
+			s.faultDepth--
+		}
+		if s.faultDepth == 0 {
+			s.pendingRecovery = true
+			s.recoverAtMS = now
+		}
 	}
 }
 
 // checkRecovery closes a pending episode once the backlog has drained
-// to the pre-fault depth. Called after every event while a recovery is
-// pending (two compares; free in steady state, where pendingRecovery
-// is false).
+// to the pre-fault depth, and never before the clear itself: Drain
+// restores a failed device at its scheduled restore time and then
+// handles events stamped earlier. Called after every event while a
+// recovery is pending (free in steady state, where pendingRecovery is
+// false).
 func (s *Server) checkRecovery(now float64) {
-	if s.queued > s.queuedAtFault {
+	if s.queued > s.queuedAtFault || now < s.recoverAtMS {
 		return
 	}
 	s.pendingRecovery = false
-	s.recoveredN++
+	s.res.Recovered++
 	d := now - s.recoverAtMS
 	s.recoverySumMS += d
-	if d > s.recoveryMaxMS {
-		s.recoveryMaxMS = d
+	if d > s.res.MaxRecoveryMS {
+		s.res.MaxRecoveryMS = d
 	}
 }
 
-// initAdapt wires the adaptive-precision controller and its degraded
-// service tables into the server. The degraded batching efficiency is
-// expressed per nominal estimate unit (bN_int8 / b1_nominal), so the
-// admission predictor can rescale the nominally-charged queue directly.
+// initAdapt wires the adaptive-precision controller and its int8
+// service table into the server.
 func (s *Server) initAdapt(cfg Config, maxB int) {
 	if !cfg.Adapt.Enabled || cfg.Precision == device.INT8 {
 		return
 	}
-	var b1, bNd float64
-	for m := models.ID(0); m < models.NumModels; m++ {
-		s.estMSDeg[m] = device.PredictMSEng(m, cfg.Device, device.INT8, cfg.Engine)
-		s.fullBatchMSDeg[m] = device.PredictBatchMSEng(m, cfg.Device, maxB, device.INT8, cfg.Engine)
-		share := s.g.mixCum[m]
-		if m > 0 {
-			share -= s.g.mixCum[m-1]
-		}
-		b1 += share * s.estMS[m]
-		bNd += share * s.fullBatchMSDeg[m] / float64(maxB)
-	}
-	s.batchEffDeg = 1
-	if b1 > 0 {
-		s.batchEffDeg = bNd / b1
-	}
+	s.deg = newSvcTable(cfg, s.g.mixCum, device.INT8, maxB, &s.nom)
 	ac := adaptive.Config{Window: cfg.Adapt.Window, MissHi: cfg.Adapt.MissHi, MissLo: cfg.Adapt.MissLo}
 	if ac.Window <= 0 {
 		ac.Window = 64

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"ocularone/internal/device"
 )
 
 // refHeap is the reference scheduler the fuzzer checks CalQueue
@@ -101,6 +103,99 @@ func FuzzCalQueue(f *testing.F) {
 		}
 		if _, ok := q.Pop(); ok {
 			t.Fatal("CalQueue still has events after reference drained")
+		}
+	})
+}
+
+// Layer bits of FuzzServeConfig.
+const (
+	fzOutage   = 1 << iota // scripted device outage over [400, 900] ms
+	fzAdapt                // adaptive precision
+	fzTemporal             // degradation ladder
+	fzRetry                // three attempts, 5 ms backoff
+	fzHedge                // hedging onto a second RTX 4090
+	fzSDC                  // SetSDC(0, 0.1) before the run
+	fzStraggle             // SetStraggle(0, 0.5) before the run
+	fzNoDoomed             // ShedDoomed off
+)
+
+// fuzzConfig maps raw fuzz inputs onto a valid Config of at most 2 s
+// simulated: rho in (0, 2], MaxBatch 0-8, non-negative caps, window and
+// link round trip, fp32 or int8, and the layers set in the bitmask.
+func fuzzConfig(seed uint64, rho float64, queueCap, quota, maxBatch uint8, windowMS, linkMS float64, int8 bool, layers uint8) (Config, bool) {
+	for _, v := range []float64{rho, windowMS, linkMS} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Config{}, false
+		}
+	}
+	cfg := DefaultConfig(1_500, seed)
+	cfg.QueueCap = int(queueCap)
+	cfg.TenantQuota = int(quota)
+	cfg.Batch = device.BatchConfig{MaxBatch: int(maxBatch % 9), WindowMS: math.Mod(math.Abs(windowMS), 50)}
+	cfg.LinkRTTms = math.Mod(math.Abs(linkMS), 20)
+	if int8 {
+		cfg.Precision = device.INT8
+	}
+	cfg.ShedDoomed = layers&fzNoDoomed == 0
+	if layers&fzOutage != 0 {
+		cfg.Disrupt = &scriptedOutage{windows: [][2]float64{{400, 900}}}
+	}
+	cfg.Adapt.Enabled = layers&fzAdapt != 0
+	cfg.Temporal.Enabled = layers&fzTemporal != 0
+	if layers&fzRetry != 0 {
+		cfg.Integrity.Retry = RetryPolicy{MaxAttempts: 3, BackoffMS: 5}
+	}
+	if layers&fzHedge != 0 {
+		cfg.Integrity.Hedge = HedgePolicy{Enabled: true, Device: device.RTX4090}
+	}
+	if rho = math.Abs(rho); !(rho > 0 && rho <= 2) {
+		rho = 0.05 + math.Mod(rho, 1.95)
+	}
+	cfg.Traffic.RatePerSec = rho * Capacity(cfg)
+	return cfg, true
+}
+
+// FuzzServeConfig runs the server over fuzzed configurations and layer
+// combinations: every run must satisfy the conservation and ledger
+// invariants, and a second run of the same config must reproduce its
+// fingerprint.
+func FuzzServeConfig(f *testing.F) {
+	const all = fzOutage | fzAdapt | fzTemporal | fzRetry | fzHedge | fzSDC | fzStraggle
+	// The golden modes: plain, chaos-like, retry-sdc, hedge-straggle,
+	// integrity, temporal, layered, and link (layered, LinkRTTms 3,
+	// unbatched).
+	f.Add(uint64(42), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(0))
+	f.Add(uint64(42), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzOutage|fzAdapt))
+	f.Add(uint64(43), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzRetry|fzSDC))
+	f.Add(uint64(43), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzHedge|fzStraggle))
+	f.Add(uint64(44), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzRetry|fzHedge|fzSDC|fzStraggle))
+	f.Add(uint64(44), 1.4, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzOutage|fzAdapt|fzTemporal))
+	f.Add(uint64(42), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(all))
+	f.Add(uint64(43), 1.0, uint8(255), uint8(32), uint8(1), 25.0, 3.0, false, uint8(all))
+	f.Add(uint64(7), 1.9, uint8(4), uint8(1), uint8(0), 0.0, 19.0, true, uint8(all|fzNoDoomed))
+	f.Fuzz(func(t *testing.T, seed uint64, rho float64, queueCap, quota, maxBatch uint8, windowMS, linkMS float64, int8 bool, layers uint8) {
+		cfg, ok := fuzzConfig(seed, rho, queueCap, quota, maxBatch, windowMS, linkMS, int8, layers)
+		if !ok {
+			t.Skip("non-finite input")
+		}
+		run := func() (Result, uint64) {
+			s := NewServer(cfg)
+			if layers&fzSDC != 0 {
+				s.SetSDC(0, 0.1)
+			}
+			if layers&fzStraggle != 0 {
+				s.SetStraggle(0, 0.5)
+			}
+			s.AdvanceTo(cfg.HorizonMS)
+			s.Drain()
+			return s.Result(), s.Fingerprint()
+		}
+		res, fp := run()
+		if err := res.CheckInvariants(); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if _, fp2 := run(); fp2 != fp {
+			t.Fatalf("%+v: fingerprint %016x, then %016x", cfg, fp, fp2)
 		}
 	})
 }

@@ -111,7 +111,7 @@ func (s *Server) retryBudget() int64 {
 	return int64(frac * float64(admitted))
 }
 
-// hedgeBudget returns the hedge cap for the admitted count so far.
+// hedgeBudget returns the hedge cap for the offered count so far.
 func (s *Server) hedgeBudget() int64 {
 	frac := s.cfg.Integrity.Hedge.BudgetFrac
 	if frac <= 0 {
@@ -123,10 +123,6 @@ func (s *Server) hedgeBudget() int64 {
 	}
 	return int64(frac * float64(offered))
 }
-
-// SDCActive reports whether the silent-corruption process is currently
-// imposing faults.
-func (s *Server) SDCActive() bool { return s.sdcProb > 0 }
 
 // SetSDC imposes (or, at 0, lifts) the silent-data-corruption process:
 // while active, each completion on the primary device is corrupted
@@ -141,16 +137,10 @@ func (s *Server) SetSDC(now, prob float64) {
 	}
 	was := s.sdcProb > 0
 	s.sdcProb = prob
-	is := prob > 0
-	if is {
+	if prob > 0 {
 		s.sdcSeen = true
 	}
-	switch {
-	case is && !was:
-		s.markFault()
-	case was && !is:
-		s.markClear(now)
-	}
+	s.faultEdge(now, was, prob > 0)
 }
 
 // SetStraggle imposes (or, at 0, lifts) a straggler slowdown on the
@@ -160,13 +150,7 @@ func (s *Server) SetSDC(now, prob float64) {
 func (s *Server) SetStraggle(now, factor float64) {
 	was := s.ex.Slowdown() > 0
 	s.ex.SetSlowdown(factor)
-	is := s.ex.Slowdown() > 0
-	switch {
-	case is && !was:
-		s.markFault()
-	case was && !is:
-		s.markClear(now)
-	}
+	s.faultEdge(now, was, s.ex.Slowdown() > 0)
 }
 
 // integrityLive reports whether integrity accounting is part of this
@@ -183,7 +167,7 @@ func (s *Server) integrityLive() bool {
 // time-ordered, so computing the duplicate's completion eagerly is
 // exact first-result-wins simulation, not an approximation.
 func (s *Server) hedgeArrival(r *request, now float64) {
-	s.hedges++
+	s.res.Hedges++
 	s.hedgeJobs = s.hedgeJobs[:0]
 	s.hedgeJobs = append(s.hedgeJobs, device.Job{
 		Model:      r.model,
@@ -194,7 +178,7 @@ func (s *Server) hedgeArrival(r *request, now float64) {
 		Priority:   uint8(r.class),
 	})
 	s.hedgeComps = s.exH.RunBatchInto(s.hedgeComps[:0], s.hedgeJobs)
-	r.hedgeDoneMS = s.hedgeComps[0].FinishMS + s.cfg.LinkRTTms + s.linkExtraMS
+	r.hedgeDoneMS = s.backAt(s.hedgeComps[0].FinishMS)
 }
 
 // completeViaHedge finishes a queued request whose hedge result beat
@@ -204,22 +188,14 @@ func (s *Server) hedgeArrival(r *request, now float64) {
 // done on its behalf, just elsewhere.
 func (s *Server) completeViaHedge(ri int32) {
 	r := &s.pool[ri]
-	t := &s.tallies[r.class]
-	t.completed++
-	missed := r.deadlineMS > 0 && r.hedgeDoneMS > r.deadlineMS
-	if !missed {
-		t.sloMet++
-	}
-	t.lat.Add(r.hedgeDoneMS - r.arrivalMS)
-	s.tenantCompleted[r.tenant]++
+	s.answer(r.class, r.tenant, r.arrivalMS, r.deadlineMS, r.hedgeDoneMS, false, false)
 	s.attained[r.tenant] += r.estMS
-	s.hedgeWins++
+	s.res.HedgeWins++
 	if s.tpol != nil {
 		// The hedge device ran a full-frame pass: it re-anchors the
 		// tenant's track exactly like a primary full-frame completion.
-		s.refreshTrack(r.tenant, temporal.FullFrame, r.hedgeDoneMS)
+		s.tracks[r.tenant].Anchor(temporal.FullFrame, r.hedgeDoneMS)
 	}
-	s.observe(missed, false)
 	s.release(ri)
 }
 
@@ -230,7 +206,7 @@ func (s *Server) completeViaHedge(ri int32) {
 func (s *Server) scheduleRetry(ri int32, finish float64) {
 	r := &s.pool[ri]
 	r.attempts++
-	s.retries++
+	s.res.Retries++
 	s.retryPendingMS += r.estMS
 	s.q.Push(Event{
 		TimeMS: finish + float64(r.attempts)*s.cfg.Integrity.Retry.BackoffMS,
@@ -244,22 +220,10 @@ func (s *Server) scheduleRetry(ri int32, finish float64) {
 // its slot accounting never left; expiry still applies through
 // liveHead if the deadline lapses first.
 func (s *Server) requeue(ri int32, now float64) {
-	r := &s.pool[ri]
-	s.retryPendingMS -= r.estMS
+	s.retryPendingMS -= s.pool[ri].estMS
 	if s.retryPendingMS < 0 {
 		s.retryPendingMS = 0 // float dust from repeated add/subtract
 	}
-	r.next = -1
-	qq := &s.queues[r.class][int(r.tenant)*numModels+int(r.model)]
-	if qq.tail >= 0 {
-		s.pool[qq.tail].next = ri
-	} else {
-		qq.head = ri
-	}
-	qq.tail = ri
-	s.classCount[r.class]++
-	s.classEstMS[r.class] += r.estMS
-	s.tenantQueued[r.tenant]++
-	s.queued++
+	s.enqueue(ri)
 	s.maybeDispatch(now)
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ocularone/internal/device"
 	"ocularone/internal/rng"
 )
 
@@ -313,5 +314,90 @@ func TestRunCurveShape(t *testing.T) {
 	}
 	if pts[2].ShedRate < 0.20 {
 		t.Fatalf("rho=2.0 sheds only %.1f%%: overload must shed", 100*pts[2].ShedRate)
+	}
+}
+
+// TestRecoveryNotBeforeRestore: Drain during an outage restores the
+// device at its scheduled restore time and then handles the completion,
+// timer and retry events stamped before it. None of them may close the
+// episode: recovery is measured from the restore, so it is never
+// negative.
+func TestRecoveryNotBeforeRestore(t *testing.T) {
+	cfg := overloadConfig(4_000, 1, 1.0)
+	cfg.Disrupt = &scriptedOutage{windows: [][2]float64{{3980, 5000}}}
+	res := Run(cfg)
+	if err := res.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if res.FaultEpisodes != 1 || res.Recovered != 1 {
+		t.Fatalf("episodes %d, recovered %d: want 1 and 1", res.FaultEpisodes, res.Recovered)
+	}
+	if res.MeanRecoveryMS < 0 || res.MaxRecoveryMS != res.MeanRecoveryMS {
+		t.Fatalf("one episode recovered in mean %v ms, max %v ms", res.MeanRecoveryMS, res.MaxRecoveryMS)
+	}
+}
+
+// layeredServer returns a server at 2x overload with every layer live:
+// adaptive precision, the temporal ladder, retries and hedging, a 3 ms
+// link round trip under a link-degradation episode, active SDC,
+// straggler and thermal processes, and scripted device outages.
+func layeredServer() *Server {
+	cfg := DefaultConfig(1e18, 42)
+	cfg.Traffic.RatePerSec = 2 * Capacity(cfg)
+	cfg.LinkRTTms = 3
+	cfg.Adapt.Enabled = true
+	cfg.Temporal.Enabled = true
+	cfg.Integrity = IntegrityConfig{
+		Retry: RetryPolicy{MaxAttempts: 3, BackoffMS: 5},
+		Hedge: HedgePolicy{Enabled: true, Device: device.RTX4090},
+	}
+	cfg.Disrupt = &scriptedOutage{windows: [][2]float64{{2_000, 2_300}, {5_050, 5_080}, {5_150, 5_160}}}
+	s := NewServer(cfg)
+	s.SetSDC(0, 0.05)
+	s.SetStraggle(0, 0.5)
+	s.SetThermalStress(0, 0.3)
+	s.SetLink(0, 2, 0.01)
+	return s
+}
+
+// TestLayeredZeroAlloc: the steady-state event loop allocates nothing
+// with every layer live at once, outages and recoveries included.
+func TestLayeredZeroAlloc(t *testing.T) {
+	s := layeredServer()
+	s.AdvanceTo(5_000) // warm: pool at cap, buckets sized, scratch grown
+	tMS := 5_000.0
+	if allocs := testing.AllocsPerRun(200, func() {
+		tMS += 1.0
+		s.AdvanceTo(tMS)
+	}); allocs != 0 {
+		t.Fatalf("steady state allocated %.1f times/ms with every layer live", allocs)
+	}
+	r := s.Result()
+	for name, n := range map[string]int64{
+		"bridged": r.BridgedReqs, "reduced rungs": r.ROIReqs + r.EarlyExitReqs, "retries": r.Retries,
+		"hedges": r.Hedges, "degraded": r.DegradedReqs, "lost": r.Lost, "episodes": r.FaultEpisodes,
+	} {
+		if n == 0 {
+			t.Errorf("layer idle: %s = 0", name)
+		}
+	}
+}
+
+// TestResultRepeatable: Result derives its totals from the run's
+// counters without folding them back, so asking twice — mid-run or
+// drained — returns the same summary.
+func TestResultRepeatable(t *testing.T) {
+	s := layeredServer()
+	s.AdvanceTo(3_000)
+	if a, b := s.Result(), s.Result(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("mid-run Result changed between calls:\n%+v\n%+v", a, b)
+	}
+	s.Drain()
+	a, b := s.Result(), s.Result()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("drained Result changed between calls:\n%+v\n%+v", a, b)
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -91,7 +91,7 @@ type Config struct {
 	// budget (see temporal.go and internal/temporal). The zero value
 	// disables the ladder and replays pre-temporal schedules bit for
 	// bit.
-	Temporal TemporalConfig
+	Temporal temporal.Layer
 }
 
 // DefaultConfig is the reference serving configuration of the
@@ -156,6 +156,49 @@ type tally struct {
 
 const numModels = int(models.NumModels)
 
+// svcTable is the service model of one precision: estMS[m] is model
+// m's batch-1 service, fullBatchMS[m] its whole-batch service at
+// MaxBatch (the latest-safe-dispatch bound of the window hold), and
+// batchEff rescales queued batch-1 work to its batched service cost
+// (mix-weighted, <= 1) so admission predictions match the rate the
+// dispatcher actually drains the queue at.
+type svcTable struct {
+	estMS       [models.NumModels]float64
+	fullBatchMS [models.NumModels]float64
+	batchEff    float64
+	prec        device.Precision
+}
+
+// newSvcTable predicts every model's service at prec on the config's
+// device. batchEff is expressed per batch-1 unit of base (the table
+// itself when base is nil): the queue is charged in nominal estimates,
+// so the degraded table's efficiency is per nominal unit and the
+// admission rescale composes.
+func newSvcTable(cfg Config, mixCum []float64, prec device.Precision, maxB int, base *svcTable) svcTable {
+	t := svcTable{prec: prec}
+	for m := models.ID(0); m < models.NumModels; m++ {
+		t.estMS[m] = device.PredictMSEng(m, cfg.Device, prec, cfg.Engine)
+		t.fullBatchMS[m] = device.PredictBatchMSEng(m, cfg.Device, maxB, prec, cfg.Engine)
+	}
+	if base == nil {
+		base = &t
+	}
+	var b1, bN float64
+	for m := range mixCum {
+		share := mixCum[m]
+		if m > 0 {
+			share -= mixCum[m-1]
+		}
+		b1 += share * base.estMS[m]
+		bN += share * t.fullBatchMS[m] / float64(maxB)
+	}
+	t.batchEff = 1
+	if b1 > 0 {
+		t.batchEff = bN / b1
+	}
+	return t
+}
+
 // Server is the open-loop serving simulator: a calendar-queue event
 // core feeding admission control, per-class SLO scheduling, and
 // least-attained-service tenant fairness on top of one device.Executor.
@@ -167,16 +210,11 @@ type Server struct {
 	q   *CalQueue
 	ex  *device.Executor
 
-	// estMS[m] is the deterministic batch-1 service estimate used for
-	// deadlines, admission predictions, and fairness charging;
-	// fullBatchMS[m] is the whole-batch service at MaxBatch, the
-	// latest-safe-dispatch bound of the window hold.
-	estMS       [models.NumModels]float64
-	fullBatchMS [models.NumModels]float64
-	// batchEff rescales queued batch-1 work to its batched service
-	// cost (mix-weighted, <= 1) so admission predictions match the
-	// rate the dispatcher actually drains the queue at.
-	batchEff float64
+	// nom is the configured precision's service model — nom.estMS is
+	// the deterministic estimate deadlines, the queue's charge and
+	// fairness are in; deg is the int8 one the adaptive controller
+	// degrades to (zero unless Adapt is live). svc picks the live one.
+	nom, deg svcTable
 
 	pool []request
 	free int32
@@ -211,10 +249,7 @@ type Server struct {
 	queuedAtFault   int64
 	pendingRecovery bool
 	recoverAtMS     float64
-	episodes        int64
-	recoveredN      int64
 	recoverySumMS   float64
-	recoveryMaxMS   float64
 
 	// Request-integrity state (integrity.go; all zero when the layer
 	// is off and no SDC process ever fired).
@@ -223,52 +258,31 @@ type Server struct {
 	sdcRNG         *rng.RNG
 	exH            *device.Executor // hedge executor, nil unless hedging on
 	retryPendingMS float64          // estMS of detections awaiting their evRetry
-	retries        int64
-	retriesGivenUp int64
-	hedges         int64
-	hedgeWins      int64
-	sdcInjected    int64
-	corruptDetect  int64
-	corruptServed  int64
-	corruptSLOMet  int64
 	hedgeJobs      []device.Job
 	hedgeComps     []device.Completion
 
-	// Temporal-ladder state (temporal.go; nil/zero unless
-	// Temporal.Enabled). brRun/brConf/brLastMS are per-tenant bridge
-	// state: consecutive bridged responses, bridging confidence, and
-	// the time of the last real inference.
-	tpol        *temporal.Policy
-	brRun       []int32
-	brConf      []float64
-	brLastMS    []float64
-	bridgedReqs int64
-	roiReqs     int64
-	earlyReqs   int64
-	staleHist   Hist
+	// Temporal-ladder state (temporal.go; nil unless Temporal.Enabled):
+	// one bridging budget per tenant.
+	tpol      *temporal.Policy
+	tracks    []temporal.Track
+	staleHist Hist
 
 	// Adaptive-precision state (nil/false unless Adapt is enabled).
-	ctl            *adaptive.Controller
-	degraded       bool
-	estMSDeg       [models.NumModels]float64
-	fullBatchMSDeg [models.NumModels]float64
-	batchEffDeg    float64
-	degradedReqs   int64
+	ctl      *adaptive.Controller
+	degraded bool
 
 	// dispatch scratch, recycled across batches.
 	jobs      []device.Job
 	comps     []device.Completion
 	batchReqs []int32
 
-	// metrics
-	tallies         [NumClasses]tally
-	tenantOffered   []int64
-	tenantCompleted []int64
-	batches         int64
-	batchedReqs     int64
-	busyMS          float64
-	lastFinishMS    float64
-	events          int64
+	// metrics: per-class tallies, and the run-wide counters kept in
+	// res under their Result names (Result derives the rest).
+	tallies      [NumClasses]tally
+	batchedReqs  int64
+	busyMS       float64
+	lastFinishMS float64
+	res          Result
 }
 
 // NewServer materialises the generator and event queue and schedules
@@ -286,35 +300,24 @@ func NewServer(cfg Config) *Server {
 	g := newGen(cfg.Traffic)
 	nt := len(g.tenants)
 	s := &Server{
-		cfg:             cfg,
-		g:               g,
-		q:               NewCalQueue(2*nt+8, 1e3/cfg.Traffic.RatePerSec),
-		ex:              device.NewExecutor(cfg.Device, cfg.Traffic.Seed*0x9e3779b97f4a7c15+uint64(cfg.Device)+1),
-		free:            -1,
-		tenantQueued:    make([]int64, nt),
-		attained:        make([]float64, nt),
-		tenantOffered:   make([]int64, nt),
-		tenantCompleted: make([]int64, nt),
+		cfg:          cfg,
+		g:            g,
+		q:            NewCalQueue(2*nt+8, 1e3/cfg.Traffic.RatePerSec),
+		ex:           device.NewExecutor(cfg.Device, cfg.Traffic.Seed*0x9e3779b97f4a7c15+uint64(cfg.Device)+1),
+		free:         -1,
+		tenantQueued: make([]int64, nt),
+		attained:     make([]float64, nt),
+		res: Result{
+			HorizonMS:       cfg.HorizonMS,
+			TenantCompleted: make([]int64, nt),
+			TenantOffered:   make([]int64, nt),
+		},
 	}
 	maxB := cfg.Batch.MaxBatch
 	if maxB < 1 {
 		maxB = 1
 	}
-	var b1, bN float64
-	for m := models.ID(0); m < models.NumModels; m++ {
-		s.estMS[m] = device.PredictMSEng(m, cfg.Device, cfg.Precision, cfg.Engine)
-		s.fullBatchMS[m] = device.PredictBatchMSEng(m, cfg.Device, maxB, cfg.Precision, cfg.Engine)
-		share := g.mixCum[m]
-		if m > 0 {
-			share -= g.mixCum[m-1]
-		}
-		b1 += share * s.estMS[m]
-		bN += share * s.fullBatchMS[m] / float64(maxB)
-	}
-	s.batchEff = 1
-	if b1 > 0 {
-		s.batchEff = bN / b1
-	}
+	s.nom = newSvcTable(cfg, g.mixCum, cfg.Precision, maxB, nil)
 	for c := range s.queues {
 		s.queues[c] = make([]fifo, nt*numModels)
 		for i := range s.queues[c] {
@@ -346,9 +349,6 @@ func NewServer(cfg Config) *Server {
 	}
 	return s
 }
-
-// NowMS reports the simulator's clock (the last processed event time).
-func (s *Server) NowMS() float64 { return s.nowMS }
 
 // Offered reports the requests offered so far across all classes.
 func (s *Server) Offered() int64 {
@@ -398,7 +398,7 @@ func (s *Server) Drain() {
 // handle processes one event.
 func (s *Server) handle(e Event) {
 	s.nowMS = e.TimeMS
-	s.events++
+	s.res.Events++
 	switch e.Kind {
 	case evArrival:
 		if s.draining {
@@ -434,13 +434,13 @@ func (s *Server) handle(e Event) {
 func (s *Server) arrive(ti int, now float64) {
 	m := s.g.drawModel(ti)
 	c := s.g.drawClass(ti)
-	est := s.estMS[m]
+	est := s.nom.estMS[m]
 	deadline := 0.0
 	if scale := s.cfg.SLOScale[c]; scale > 0 {
 		deadline = now + scale*est
 	}
 	s.tallies[c].offered++
-	s.tenantOffered[ti]++
+	s.res.TenantOffered[ti]++
 
 	// Self-perpetuating open loop: the source emits the next arrival
 	// regardless of what admission decides — that is what distinguishes
@@ -454,89 +454,102 @@ func (s *Server) arrive(ti int, now float64) {
 		s.tallies[c].lost++
 		return
 	}
-	if s.cfg.QueueCap > 0 && s.queued >= int64(s.cfg.QueueCap) {
-		if s.tryBridge(ti, c, now, deadline) {
-			return
-		}
-		s.tallies[c].shed++
-		return
-	}
-	if s.cfg.TenantQuota > 0 && s.tenantQueued[ti] >= int64(s.cfg.TenantQuota) {
-		if s.tryBridge(ti, c, now, deadline) {
-			return
-		}
-		s.tallies[c].shed++
+	if (s.cfg.QueueCap > 0 && s.queued >= int64(s.cfg.QueueCap)) ||
+		(s.cfg.TenantQuota > 0 && s.tenantQueued[ti] >= int64(s.cfg.TenantQuota)) {
+		s.shed(ti, c, now, deadline, false)
 		return
 	}
 	hedge := false
-	if deadline > 0 && (s.cfg.ShedDoomed || s.exH != nil) {
-		// Predicted completion: residual service of the in-flight batch
-		// (or the remaining outage of a failed device, whichever holds
-		// the stream longer), plus the queued work of this and every
-		// more urgent class rescaled by the batching efficiency, plus
-		// this request's own service and the link round trip. Pending
-		// retries are part of the queue the moment they are scheduled
-		// (retryPendingMS), so a detection burst after a fault is
-		// visible here before it lands back in the FIFOs.
-		wait := s.ex.AdmissionDelayMS(now)
-		if s.deviceDown && s.downUntilMS-now > wait {
-			wait = s.downUntilMS - now
-		}
-		ahead := s.retryPendingMS
-		for cc := Class(0); cc <= c; cc++ {
-			ahead += s.classEstMS[cc]
-		}
-		eff, own := s.batchEff, est
-		if s.degraded {
-			// classEstMS is charged in nominal units; batchEffDeg is
-			// expressed per nominal unit, so the rescale composes.
-			eff, own = s.batchEffDeg, s.estMSDeg[m]
-		}
-		wait += ahead * eff
-		if now+wait+own+s.cfg.LinkRTTms+s.linkExtraMS > deadline {
-			// Predicted miss on the primary: hedge if the policy and
-			// budget allow, shed otherwise.
-			if s.exH != nil && s.hedges < s.hedgeBudget() {
-				hedge = true
-			} else if s.cfg.ShedDoomed {
-				if s.tryBridge(ti, c, now, deadline) {
-					return
-				}
-				s.tallies[c].shed++
-				s.observe(true, false)
-				return
-			}
+	// Predicted completion: the queue's delay for this class, this
+	// request's own service at the live precision, and the link round
+	// trip. A predicted miss on the primary hedges if the policy and
+	// budget allow, and sheds otherwise.
+	if deadline > 0 && (s.cfg.ShedDoomed || s.exH != nil) &&
+		s.backAt(now+s.queueDelayMS(now, c)+s.svc().estMS[m]) > deadline {
+		if s.exH != nil && s.res.Hedges < s.hedgeBudget() {
+			hedge = true
+		} else if s.cfg.ShedDoomed {
+			s.shed(ti, c, now, deadline, true)
+			return
 		}
 	}
 	s.tallies[c].admitted++
 
 	ri := s.alloc()
-	r := &s.pool[ri]
-	r.arrivalMS = now
-	r.deadlineMS = deadline
-	r.estMS = est
-	r.hedgeDoneMS = 0
-	r.model = m
-	r.class = c
-	r.tenant = int32(ti)
-	r.next = -1
-	r.attempts = 0
+	s.pool[ri] = request{arrivalMS: now, deadlineMS: deadline, estMS: est, model: m, class: c, tenant: int32(ti)}
 	if hedge {
-		s.hedgeArrival(r, now)
+		s.hedgeArrival(&s.pool[ri], now)
 	}
-	qq := &s.queues[c][ti*numModels+int(m)]
-	if qq.tail >= 0 {
-		s.pool[qq.tail].next = ri
-	} else {
-		qq.head = ri
-	}
-	qq.tail = ri
-	s.classCount[c]++
-	s.classEstMS[c] += est
-	s.tenantQueued[ti]++
-	s.queued++
-
+	s.enqueue(ri)
 	s.maybeDispatch(now)
+}
+
+// shed refuses an arrival at admission — queue cap, tenant quota, or a
+// doomed deadline — unless the ladder answers it from the tenant's
+// track (see temporal.go). A doomed refusal is a deadline miss to the
+// controllers.
+func (s *Server) shed(ti int, c Class, now, deadline float64, doomed bool) {
+	if s.tpol != nil && s.bridge(ti, c, now, deadline) {
+		return
+	}
+	s.tallies[c].shed++
+	if doomed {
+		s.observe(true, false)
+	}
+}
+
+// queueDelayMS predicts how long work of class c offered at now waits
+// for service: the residual service of the in-flight batch (or the
+// remaining outage of a failed device, whichever holds the stream
+// longer), plus the queued work of c and every more urgent class
+// rescaled by the live precision's batching efficiency. Pending retries
+// are part of the queue the moment they are scheduled (retryPendingMS),
+// so a detection burst after a fault is visible here before it lands
+// back in the FIFOs.
+func (s *Server) queueDelayMS(now float64, c Class) float64 {
+	wait := s.ex.AdmissionDelayMS(now)
+	if s.deviceDown && s.downUntilMS-now > wait {
+		wait = s.downUntilMS - now
+	}
+	ahead := s.retryPendingMS
+	for cc := Class(0); cc <= c; cc++ {
+		ahead += s.classEstMS[cc]
+	}
+	return wait + ahead*s.svc().batchEff
+}
+
+// svc returns the service model of the precision the dispatcher serves
+// at now.
+func (s *Server) svc() *svcTable {
+	if s.degraded {
+		return &s.deg
+	}
+	return &s.nom
+}
+
+// backAt returns when a response finished at tMS is back at the
+// requester: the link round trip plus any degradation episode's
+// surcharge, which counts against the deadline like any other latency.
+func (s *Server) backAt(tMS float64) float64 {
+	return tMS + s.cfg.LinkRTTms + s.linkExtraMS
+}
+
+// answer records one response — served, hedge-won, bridged, or flagged
+// and dropped — to a class-c request of tenant ti that arrived at
+// arrivalMS and is back at backMS, and feeds its outcome to the
+// controllers. A flagged response is a completion that never meets its
+// SLO. Reports whether the deadline was missed.
+func (s *Server) answer(c Class, ti int32, arrivalMS, deadlineMS, backMS float64, flagged, degraded bool) (missed bool) {
+	t := &s.tallies[c]
+	t.completed++
+	missed = flagged || (deadlineMS > 0 && backMS > deadlineMS)
+	if !missed {
+		t.sloMet++
+	}
+	t.lat.Add(backMS - arrivalMS)
+	s.res.TenantCompleted[ti]++
+	s.observe(missed, degraded)
+	return missed
 }
 
 // observe feeds one request outcome to the adaptive-precision
@@ -575,6 +588,24 @@ func (s *Server) alloc() int32 {
 func (s *Server) release(ri int32) {
 	s.pool[ri].next = s.free
 	s.free = ri
+}
+
+// enqueue appends record ri to the tail of its (class, tenant, model)
+// FIFO — the inverse of removeHead.
+func (s *Server) enqueue(ri int32) {
+	r := &s.pool[ri]
+	r.next = -1
+	qq := &s.queues[r.class][int(r.tenant)*numModels+int(r.model)]
+	if qq.tail >= 0 {
+		s.pool[qq.tail].next = ri
+	} else {
+		qq.head = ri
+	}
+	qq.tail = ri
+	s.classCount[r.class]++
+	s.classEstMS[r.class] += r.estMS
+	s.tenantQueued[r.tenant]++
+	s.queued++
 }
 
 // removeHead unlinks the head of queue qi in class c and returns its
@@ -679,10 +710,7 @@ func (s *Server) maybeDispatch(now float64) {
 			// lead's last safe dispatch instant.
 			hold := leadArr + s.cfg.Batch.WindowMS
 			if lead.deadlineMS > 0 {
-				full := s.fullBatchMS[lead.model]
-				if s.degraded {
-					full = s.fullBatchMSDeg[lead.model]
-				}
+				full := s.svc().fullBatchMS[lead.model]
 				if safe := lead.deadlineMS - full - s.cfg.LinkRTTms - s.linkExtraMS; safe < hold {
 					hold = safe
 				}
@@ -707,10 +735,7 @@ func (s *Server) maybeDispatch(now float64) {
 // or early-exit, with the rung's cost scale applied uniformly so the
 // coalesced kernel stays one compiled program.
 func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB int) {
-	prec := s.cfg.Precision
-	if s.degraded {
-		prec = device.INT8
-	}
+	prec := s.svc().prec
 	rung := temporal.FullFrame
 	costScale := 0.0 // zero value: nominal, bit-for-bit replay
 	if s.tpol != nil {
@@ -757,9 +782,7 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 	s.comps = s.ex.RunBatchInto(s.comps[:0], s.jobs)
 	finish := s.comps[0].FinishMS
 	start := s.comps[0].StartMS
-	// The response transits the link; a degradation episode's surcharge
-	// counts against the deadline like any other latency.
-	arriveBack := finish + s.cfg.LinkRTTms + s.linkExtraMS
+	arriveBack := s.backAt(finish)
 	degraded := s.degraded
 	cov := s.cfg.Integrity.coverage()
 	for _, ri := range s.batchReqs {
@@ -775,10 +798,10 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 			// Silent corruption on the primary's result. The compute
 			// tier's detectors (ABFT + guards) catch it with the modelled
 			// coverage; a detected corruption is never served.
-			s.sdcInjected++
+			s.res.SDCInjected++
 			detected := s.sdcRNG.Bool(cov)
 			if detected {
-				s.corruptDetect++
+				s.res.CorruptDetected++
 			}
 			switch {
 			case hedgeWin:
@@ -792,68 +815,50 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 				hedgeWin = true
 			case detected && s.cfg.Integrity.Retry.enabled() &&
 				1+int(r.attempts) < s.cfg.Integrity.Retry.MaxAttempts &&
-				s.retries < s.retryBudget():
+				s.res.Retries < s.retryBudget():
 				s.scheduleRetry(ri, finish)
 				continue
 			case detected:
 				// Out of attempts or budget: the flagged response is
 				// dropped — a completion that can never meet its SLO, not
 				// a served corruption.
-				s.retriesGivenUp++
-				t := &s.tallies[r.class]
-				t.completed++
-				t.lat.Add(back - r.arrivalMS)
-				s.tenantCompleted[r.tenant]++
-				s.observe(true, degraded)
+				s.res.RetriesGivenUp++
+				s.answer(r.class, r.tenant, r.arrivalMS, r.deadlineMS, back, true, degraded)
 				s.release(ri)
 				continue
 			default:
 				// Undetected: served as if clean — the requester cannot
 				// know — and ledgered for the goodput-under-SDC study.
-				s.corruptServed++
+				s.res.CorruptServed++
 				servedCorrupt = true
 			}
 		}
 		if hedgeWin {
-			s.hedgeWins++
+			s.res.HedgeWins++
 		}
-		t := &s.tallies[r.class]
-		t.completed++
-		missed := r.deadlineMS > 0 && back > r.deadlineMS
-		if !missed {
-			t.sloMet++
-			if servedCorrupt {
-				s.corruptSLOMet++
-			}
-		}
-		t.lat.Add(back - r.arrivalMS)
-		s.tenantCompleted[r.tenant]++
 		if degraded {
-			s.degradedReqs++
+			s.res.DegradedReqs++
 		}
-		rungDeg := degraded
+		// Degraded completions — int8, or a reduced ladder rung — are
+		// fed as detection failures: the accuracy cost that upshifts the
+		// controllers back to nominal once misses subside.
+		if !s.answer(r.class, r.tenant, r.arrivalMS, r.deadlineMS, back, false,
+			degraded || rung != temporal.FullFrame) && servedCorrupt {
+			s.res.CorruptSLOMet++
+		}
 		if s.tpol != nil {
 			switch rung {
 			case temporal.ROI:
-				s.roiReqs++
+				s.res.ROIReqs++
 			case temporal.EarlyExit:
-				s.earlyReqs++
+				s.res.EarlyExitReqs++
 			}
-			// A real inference re-anchors the tenant's track at the
-			// rung's confidence; reduced rungs count as degraded tiers.
-			s.refreshTrack(r.tenant, rung, back)
-			if rung != temporal.FullFrame {
-				rungDeg = true
-			}
+			// A real inference re-anchors the tenant's track.
+			s.tracks[r.tenant].Anchor(rung, back)
 		}
-		// Degraded completions are fed as detection failures — the
-		// accuracy cost of int8 or of a reduced ladder rung — which is
-		// the pressure that upshifts the controllers back to nominal
-		// once misses subside.
-		s.observe(missed, rungDeg)
 		s.release(ri)
 	}
-	s.batches++
+	s.res.Batches++
 	s.batchedReqs += int64(len(s.batchReqs))
 	s.busyMS += finish - start
 	s.lastFinishMS = finish
@@ -960,13 +965,7 @@ type Result struct {
 
 // Result summarises the run so far (call after AdvanceTo + Drain).
 func (s *Server) Result() Result {
-	res := Result{
-		HorizonMS:       s.cfg.HorizonMS,
-		Events:          s.events,
-		Batches:         s.batches,
-		TenantCompleted: s.tenantCompleted,
-		TenantOffered:   s.tenantOffered,
-	}
+	res := s.res
 	for c := Class(0); c < NumClasses; c++ {
 		t := &s.tallies[c]
 		res.Classes[c] = ClassStats{
@@ -991,23 +990,9 @@ func (s *Server) Result() Result {
 		res.Completed += t.completed
 		res.SLOMet += t.sloMet
 	}
-	res.DegradedReqs = s.degradedReqs
 	if s.ctl != nil {
 		res.Adaptations = int64(s.ctl.Switches())
 	}
-	res.FaultEpisodes = s.episodes
-	res.Recovered = s.recoveredN
-	res.SDCInjected = s.sdcInjected
-	res.CorruptDetected = s.corruptDetect
-	res.CorruptServed = s.corruptServed
-	res.CorruptSLOMet = s.corruptSLOMet
-	res.Retries = s.retries
-	res.RetriesGivenUp = s.retriesGivenUp
-	res.Hedges = s.hedges
-	res.HedgeWins = s.hedgeWins
-	res.BridgedReqs = s.bridgedReqs
-	res.ROIReqs = s.roiReqs
-	res.EarlyExitReqs = s.earlyReqs
 	if s.tpol != nil {
 		res.ForcedRefreshes = s.tpol.ForcedRefreshes()
 		res.RungSwitches = int64(s.tpol.Switches())
@@ -1015,12 +1000,11 @@ func (s *Server) Result() Result {
 		res.StaleMeanMS = s.staleHist.MeanMS()
 		res.StaleMaxMS = s.staleHist.MaxMS()
 	}
-	if s.recoveredN > 0 {
-		res.MeanRecoveryMS = s.recoverySumMS / float64(s.recoveredN)
-		res.MaxRecoveryMS = s.recoveryMaxMS
+	if res.Recovered > 0 {
+		res.MeanRecoveryMS = s.recoverySumMS / float64(res.Recovered)
 	}
-	if s.batches > 0 {
-		res.MeanBatch = float64(s.batchedReqs) / float64(s.batches)
+	if res.Batches > 0 {
+		res.MeanBatch = float64(s.batchedReqs) / float64(res.Batches)
 	}
 	span := s.cfg.HorizonMS
 	if s.lastFinishMS > span {
@@ -1052,6 +1036,11 @@ func (r Result) CheckInvariants() error {
 	}
 	if r.Recovered > r.FaultEpisodes {
 		return fmt.Errorf("serve: recovered %d exceeds fault episodes %d", r.Recovered, r.FaultEpisodes)
+	}
+	// An episode recovers no earlier than its last fault clears.
+	if r.MeanRecoveryMS < 0 || r.MaxRecoveryMS < r.MeanRecoveryMS {
+		return fmt.Errorf("serve: recovery mean %v ms, max %v ms: want 0 <= mean <= max",
+			r.MeanRecoveryMS, r.MaxRecoveryMS)
 	}
 	// Integrity ledgers: every injected corruption is detected, served
 	// undetected, or discarded because a hedge result was served instead
@@ -1129,28 +1118,29 @@ func (s *Server) Fingerprint() uint64 {
 			mix(uint64(n))
 		}
 	}
-	for _, n := range s.tenantCompleted {
+	for _, n := range s.res.TenantCompleted {
 		mix(uint64(n))
 	}
 	// The integrity counters join the hash only when the layer is live:
 	// mixing their zeros unconditionally would change every historic
 	// fingerprint, breaking the zero-knob replay contract.
+	r := &s.res
 	if s.integrityLive() {
-		mix(uint64(s.sdcInjected))
-		mix(uint64(s.corruptDetect))
-		mix(uint64(s.corruptServed))
-		mix(uint64(s.corruptSLOMet))
-		mix(uint64(s.retries))
-		mix(uint64(s.retriesGivenUp))
-		mix(uint64(s.hedges))
-		mix(uint64(s.hedgeWins))
+		mix(uint64(r.SDCInjected))
+		mix(uint64(r.CorruptDetected))
+		mix(uint64(r.CorruptServed))
+		mix(uint64(r.CorruptSLOMet))
+		mix(uint64(r.Retries))
+		mix(uint64(r.RetriesGivenUp))
+		mix(uint64(r.Hedges))
+		mix(uint64(r.HedgeWins))
 	}
 	// Same contract for the temporal ladder: its counters and the
 	// staleness histogram join the hash only when the ladder is live.
 	if s.temporalLive() {
-		mix(uint64(s.bridgedReqs))
-		mix(uint64(s.roiReqs))
-		mix(uint64(s.earlyReqs))
+		mix(uint64(r.BridgedReqs))
+		mix(uint64(r.ROIReqs))
+		mix(uint64(r.EarlyExitReqs))
 		mix(uint64(s.tpol.ForcedRefreshes()))
 		mix(uint64(s.tpol.Switches()))
 		mix(math.Float64bits(s.staleHist.sum))

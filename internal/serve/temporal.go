@@ -26,29 +26,6 @@ package serve
 
 import "ocularone/internal/temporal"
 
-// TemporalConfig is the serving tier's ladder configuration. The zero
-// value disables the ladder entirely and replays pre-temporal schedules
-// bit for bit.
-type TemporalConfig struct {
-	// Enabled turns the degradation ladder on.
-	Enabled bool
-	// Ladder tunes the rung policy and staleness budget (zero values
-	// select the temporal package defaults).
-	Ladder temporal.Config
-	// BridgeMS is the modelled server-side cost of answering from the
-	// tracker's motion model instead of the device (0 selects 0.5 ms —
-	// a table lookup plus box extrapolation, no inference).
-	BridgeMS float64
-}
-
-// bridgeMS returns the effective bridged-response service time.
-func (c TemporalConfig) bridgeMS() float64 {
-	if c.BridgeMS > 0 {
-		return c.BridgeMS
-	}
-	return 0.5
-}
-
 // initTemporal materialises the ladder state when the layer is enabled.
 // When disabled everything stays nil/zero and no serving path changes.
 func (s *Server) initTemporal(nt int) {
@@ -56,85 +33,52 @@ func (s *Server) initTemporal(nt int) {
 		return
 	}
 	s.tpol = temporal.NewPolicy(s.cfg.Temporal.Ladder)
-	s.brRun = make([]int32, nt)
-	s.brConf = make([]float64, nt)
-	s.brLastMS = make([]float64, nt)
+	s.tracks = make([]temporal.Track, nt)
 }
 
 // temporalLive reports whether ladder accounting is part of this run's
 // behaviour (and therefore of its fingerprint).
 func (s *Server) temporalLive() bool { return s.tpol != nil }
 
-// tryBridge attempts to serve a would-be-shed arrival from tenant ti's
-// track state: if the ladder's staleness budget allows one more bridged
-// frame, the request is admitted and completed inline at the bridge
-// cost plus link transit, the tenant's bridge run lengthens and its
-// confidence decays, and the response's staleness (time since the
-// tenant's last real inference) is recorded. Returns false — caller
-// sheds as before — when the ladder is off or the budget is spent.
+// bridge answers a would-be-shed arrival from tenant ti's track if the
+// ladder's staleness budget allows one more bridged frame: the request
+// is admitted and answered inline at the bridge cost plus link transit,
+// and the response's staleness (time since the tenant's last real
+// inference) is recorded. Returns false — the caller sheds as before —
+// when the budget is spent.
 //
 // Bridged completions charge no attained service: the device did no
 // work, so charging fairness for it would penalise exactly the tenants
 // the ladder is rescuing.
-func (s *Server) tryBridge(ti int, c Class, now, deadline float64) bool {
-	if s.tpol == nil || !s.tpol.BridgeOK(int(s.brRun[ti]), s.brConf[ti]) {
+func (s *Server) bridge(ti int, c Class, now, deadline float64) bool {
+	stale, ok := s.tpol.Bridge(&s.tracks[ti], now)
+	if !ok {
 		return false
 	}
-	t := &s.tallies[c]
-	t.admitted++
-	t.completed++
-	back := now + s.cfg.Temporal.bridgeMS() + s.cfg.LinkRTTms + s.linkExtraMS
-	missed := deadline > 0 && back > deadline
-	if !missed {
-		t.sloMet++
-	}
-	t.lat.Add(back - now)
-	s.tenantCompleted[ti]++
-	s.bridgedReqs++
-	s.staleHist.Add(now - s.brLastMS[ti])
-	s.brRun[ti]++
-	s.brConf[ti] = s.tpol.Decay(s.brConf[ti])
-	s.tpol.NoteBridge()
+	s.tallies[c].admitted++
+	s.res.BridgedReqs++
+	s.staleHist.Add(stale)
 	// A bridged response is a degraded completion: stale-by-one-frame
 	// accuracy, fed to both controllers as detection-failure pressure.
-	s.observe(missed, true)
+	s.answer(c, int32(ti), now, deadline, s.backAt(now+s.cfg.Temporal.BridgeCostMS()), false, true)
 	return true
 }
 
 // selectRung picks the ladder rung for the batch being dispatched. The
 // deadline-pressure signal is the admission predictor's own estimate of
-// the queue's drain time (Executor.AdmissionDelayMS is zero by
-// construction at dispatch — the device is free — so the queued work of
-// every class, batching-corrected, is the delay the next arrival would
-// see); slack is the lead request's deadline headroom.
+// the queue's drain time over every class (Executor.AdmissionDelayMS is
+// zero by construction at dispatch — the device is free — so the queued
+// work, batching-corrected, is the delay the next arrival would see);
+// slack is the lead request's deadline headroom.
 func (s *Server) selectRung(leadDeadline, now float64) temporal.Rung {
-	ahead := s.retryPendingMS
-	for c := Class(0); c < NumClasses; c++ {
-		ahead += s.classEstMS[c]
-	}
-	eff := s.batchEff
-	if s.degraded {
-		eff = s.batchEffDeg
-	}
 	slack := 0.0
 	if leadDeadline > 0 {
 		slack = leadDeadline - now
 	}
 	return s.tpol.Select(temporal.Signals{
-		QueueDelayMS:  s.ex.AdmissionDelayMS(now) + ahead*eff,
+		QueueDelayMS:  s.queueDelayMS(now, NumClasses-1),
 		SlackMS:       slack,
 		Outage:        s.faultDepth > 0 || s.pendingRecovery,
 		ThermalStress: s.ex.ThermalStress(),
 	})
-}
-
-// refreshTrack re-anchors tenant ti's bridge state after a real
-// completion at rung r arriving back at backMS: the bridged run resets
-// and the confidence re-seeds at the rung's anchor strength (lower
-// rungs anchor less firmly, so their tracks exhaust the bridging
-// budget sooner).
-func (s *Server) refreshTrack(ti int32, r temporal.Rung, backMS float64) {
-	s.brRun[ti] = 0
-	s.brConf[ti] = r.Confidence()
-	s.brLastMS[ti] = backMS
 }

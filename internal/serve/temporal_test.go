@@ -56,7 +56,7 @@ func TestTemporalZeroKnobReplay(t *testing.T) {
 	sPlain.Drain()
 
 	knobbed := base
-	knobbed.Temporal = TemporalConfig{
+	knobbed.Temporal = temporal.Layer{
 		Enabled: false, // the only knob that matters
 		Ladder: temporal.Config{
 			MaxBridged: 9, ConfDecay: 0.5, ConfFloor: 0.1,

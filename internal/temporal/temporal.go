@@ -121,6 +121,32 @@ func (c *Config) defaults() {
 	}
 }
 
+// Layer is the ladder's configuration in one embedding tier — the
+// serving simulator (serve.Config.Temporal) and the pipeline sessions
+// (pipeline.Session.Temporal). The zero value, and Enabled=false with
+// any knob set, disables the ladder: the tier schedules exactly as it
+// did before the ladder existed and replays historic results bit for
+// bit.
+type Layer struct {
+	// Enabled turns the ladder on.
+	Enabled bool
+	// Ladder tunes the rung policy and staleness budget (zero values
+	// select the defaults above).
+	Ladder Config
+	// BridgeMS is the modelled cost of answering from the tracker's
+	// motion model instead of the device (0 selects 0.5 ms — a table
+	// lookup plus box extrapolation, no inference).
+	BridgeMS float64
+}
+
+// BridgeCostMS returns the effective bridged-response cost.
+func (l Layer) BridgeCostMS() float64 {
+	if l.BridgeMS > 0 {
+		return l.BridgeMS
+	}
+	return 0.5
+}
+
 // Signals are the live pressure inputs a caller samples per decision.
 // All of them are observations the serving and pipeline tiers already
 // maintain; the policy itself draws no randomness and keeps no clock.
@@ -186,7 +212,7 @@ func (p *Policy) Config() Config { return p.cfg }
 
 // Select returns the rung for the next dispatched inference. It never
 // returns Bridge — bridging replaces an inference rather than shaping
-// one, so callers bridge explicitly via BridgeOK before dispatching
+// one, so callers bridge explicitly via Bridge before dispatching
 // (serve bridges at admission, pipeline before offering the root-stage
 // job) and Select governs the work that does reach the device.
 //
@@ -228,23 +254,41 @@ func (p *Policy) take(r Rung) Rung {
 	return r
 }
 
-// NoteBridge records a bridged frame against the forced-refresh clock —
-// a bridge is the stalest rung, so it must advance the same staleness
-// clock Select maintains (this is the "cannot double-skip silently"
-// contract shared with pipeline.StaleSkipPolicy).
-func (p *Policy) NoteBridge() {
-	p.selected[Bridge]++
-	p.sinceFull++
+// Track is one stream's bridging budget: the frames it has bridged in
+// a row, the confidence it has left to bridge on, and when its last real
+// inference anchored it. The zero value is an unanchored track, which
+// cannot bridge.
+type Track struct {
+	run      int
+	conf     float64
+	anchorMS float64
 }
 
-// BridgeOK reports whether a track whose last `run` frames were bridged
-// and whose bridging confidence is `conf` may bridge one more frame.
-func (p *Policy) BridgeOK(run int, conf float64) bool {
-	return run < p.cfg.MaxBridged && conf >= p.cfg.ConfFloor
+// Anchor re-seeds t after a real inference at rung r whose result is
+// back at atMS: the bridged run resets and the confidence restarts at
+// r's anchor strength (lower rungs anchor less firmly, so their tracks
+// exhaust the budget sooner).
+func (t *Track) Anchor(r Rung, atMS float64) {
+	t.run, t.conf, t.anchorMS = 0, r.Confidence(), atMS
 }
 
-// Decay returns the bridging confidence after one more bridged frame.
-func (p *Policy) Decay(conf float64) float64 { return conf * p.cfg.ConfDecay }
+// Bridge answers one frame at nowMS from t's motion model if the
+// staleness budget allows — fewer than MaxBridged bridges in a row and
+// confidence at or above ConfFloor — and returns the answer's staleness,
+// the time since t's anchor. A bridge lengthens t's run, decays its
+// confidence by ConfDecay and advances the forced-refresh clock Select
+// maintains: a bridge is the stalest rung, so the two layers that skip
+// frames cannot double-skip silently (see pipeline.StaleSkipPolicy).
+func (p *Policy) Bridge(t *Track, nowMS float64) (staleMS float64, ok bool) {
+	if t.run < p.cfg.MaxBridged && t.conf >= p.cfg.ConfFloor {
+		t.run++
+		t.conf *= p.cfg.ConfDecay
+		p.selected[Bridge]++
+		p.sinceFull++
+		return nowMS - t.anchorMS, true
+	}
+	return 0, false
+}
 
 // CostScale returns the service-time multiplier charged at rung r
 // relative to a full-frame pass (Bridge is 0: no device time at all).
@@ -291,6 +335,6 @@ func (p *Policy) Switches() int { return p.ctl.Switches() }
 // clock forced.
 func (p *Policy) ForcedRefreshes() int64 { return p.forced }
 
-// Selected reports how many frames were taken at rung r (Select calls
-// plus NoteBridge for Bridge).
+// Selected reports how many frames were taken at rung r (Select calls,
+// and Bridge calls that bridged for Bridge).
 func (p *Policy) Selected(r Rung) int64 { return p.selected[r] }

@@ -1,6 +1,9 @@
 package temporal
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestLadderRungOrder(t *testing.T) {
 	if Bridge >= EarlyExit || EarlyExit >= ROI || ROI >= FullFrame {
@@ -79,9 +82,13 @@ func TestLadderForcedRefresh(t *testing.T) {
 	}
 	// Bridged frames advance the same clock.
 	p2 := NewPolicy(Config{RefreshEvery: 3})
-	p2.NoteBridge()
-	p2.NoteBridge()
-	p2.NoteBridge()
+	var tr Track
+	tr.Anchor(FullFrame, 0)
+	for i := 0; i < 3; i++ {
+		if _, ok := p2.Bridge(&tr, float64(i)); !ok {
+			t.Fatalf("bridge %d refused inside the budget", i)
+		}
+	}
 	if r := p2.Select(hot); r != FullFrame {
 		t.Fatalf("bridges did not advance the refresh clock: %s", r)
 	}
@@ -92,9 +99,13 @@ func TestLadderForcedRefresh(t *testing.T) {
 
 func TestLadderBridgeBudget(t *testing.T) {
 	p := NewPolicy(Config{MaxBridged: 3, ConfDecay: 0.5, ConfFloor: 0.2})
-	conf, run := 1.0, 0
-	for p.BridgeOK(run, conf) {
-		conf = p.Decay(conf)
+	var tr Track
+	tr.Anchor(FullFrame, 0)
+	run := 0
+	for {
+		if _, ok := p.Bridge(&tr, 0); !ok {
+			break
+		}
 		run++
 		if run > 100 {
 			t.Fatal("bridge budget never exhausted")
@@ -106,8 +117,68 @@ func TestLadderBridgeBudget(t *testing.T) {
 		t.Fatalf("bridged %d frames, want 3", run)
 	}
 	// Confidence floor alone must also stop bridging.
-	if p.BridgeOK(0, 0.1) {
+	if _, ok := p.Bridge(&Track{conf: 0.1}, 0); ok {
 		t.Fatal("bridged below the confidence floor")
+	}
+}
+
+// TestTrack: the zero Track cannot bridge; an anchored one bridges at
+// most MaxBridged frames in a row while its confidence holds the floor,
+// each answer is exactly as stale as the time since the anchor, every
+// bridge advances the forced-refresh clock, and a new anchor restores
+// the budget at the rung's confidence.
+func TestTrack(t *testing.T) {
+	p := NewPolicy(Config{MaxBridged: 5, ConfDecay: 0.8, ConfFloor: 0.6, RefreshEvery: 4})
+	var tr Track
+	if _, ok := p.Bridge(&tr, 10); ok {
+		t.Fatal("an unanchored track bridged")
+	}
+	tr.Anchor(FullFrame, 100)
+	var stales []float64
+	for now := 120.0; ; now += 20 {
+		stale, ok := p.Bridge(&tr, now)
+		if !ok {
+			break
+		}
+		stales = append(stales, stale)
+	}
+	// 1.0 -> 0.8 -> 0.64 -> 0.512: the 0.6 floor stops the fourth,
+	// before MaxBridged would.
+	if want := []float64{20, 40, 60}; !reflect.DeepEqual(stales, want) {
+		t.Fatalf("stale ages %v, want %v", stales, want)
+	}
+	if p.Selected(Bridge) != 3 {
+		t.Fatalf("bridge tally = %d", p.Selected(Bridge))
+	}
+	// Three bridges plus one sub-full selection reach RefreshEvery.
+	hot := Signals{QueueDelayMS: 100, SlackMS: 10}
+	if r := p.Select(hot); r != EarlyExit {
+		t.Fatalf("first select after the bridges: %s", r)
+	}
+	if r := p.Select(hot); r != FullFrame || p.ForcedRefreshes() != 1 {
+		t.Fatalf("bridges did not count toward the refresh clock: %s, forced %d", r, p.ForcedRefreshes())
+	}
+	// An EarlyExit anchor (confidence 0.8) allows exactly two more
+	// (0.8 -> 0.64 -> 0.512); MaxBridged alone caps a firm anchor.
+	tr.Anchor(EarlyExit, 500)
+	n := 0
+	for ; n < 10; n++ {
+		if _, ok := p.Bridge(&tr, 600); !ok {
+			break
+		}
+	}
+	if n != 2 {
+		t.Fatalf("early-exit anchor bridged %d, want 2", n)
+	}
+	q := NewPolicy(Config{MaxBridged: 2, ConfDecay: 1})
+	tr.Anchor(FullFrame, 0)
+	for n = 0; n < 10; n++ {
+		if _, ok := q.Bridge(&tr, 0); !ok {
+			break
+		}
+	}
+	if n != 2 {
+		t.Fatalf("MaxBridged 2 allowed %d bridges in a row", n)
 	}
 }
 
