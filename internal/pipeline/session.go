@@ -252,7 +252,9 @@ func (s *Session) env(shared *device.Cluster) *execEnv {
 	e := &execEnv{sess: s, place: s.Graph.Placements(), shared: shared,
 		skips: map[string]int{}, compiled: map[string]Placement{},
 		outages: sortedOutages(s.Outages, nil)}
-	e.initTemporal()
+	if s.Temporal.Enabled {
+		e.tpol = temporal.NewPolicy(s.Temporal.Ladder)
+	}
 	return e
 }
 

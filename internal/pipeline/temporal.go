@@ -2,13 +2,6 @@ package pipeline
 
 import "ocularone/internal/temporal"
 
-// initTemporal arms the env's ladder state when the session enables it.
-func (e *execEnv) initTemporal() {
-	if e.sess.Temporal.Enabled {
-		e.tpol = temporal.NewPolicy(e.sess.Temporal.Ladder)
-	}
-}
-
 // tryBridgeRoot decides whether a root-stage frame ready at readyMS
 // bridges: the executor cannot start it within one frame period, and
 // the stream's bridging budget (consecutive-bridge cap, confidence

@@ -62,12 +62,9 @@
 //     tracker-bridged response inside the staleness budget. The zero
 //     value replays every pre-ladder fingerprint bit for bit.
 //
-// Each serving outcome is decided in one place: every response
-// (served, hedge-won, bridged, or flagged and dropped) is recorded by
-// answer, every refusal at admission goes through shed, which tries
-// the bridge first, and arrivals and retries join their FIFO through
-// enqueue. The run-wide counters are kept in a Result under their
-// Result names; Server.Result derives the totals, rates and quantiles.
+// Every response (served, hedge-won, bridged, or flagged) is recorded
+// by one answer, every refusal at admission goes through one shed, and
+// the run-wide counters are kept in a Result under their Result names.
 //
 // Run executes one horizon-and-drain study; Server.Finish is the same
 // run with its invariants checked, percentiles and fingerprint attached

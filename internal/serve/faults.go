@@ -132,8 +132,9 @@ func (s *Server) SetLink(now, extraMS, lossProb float64) {
 	s.faultEdge(now, was, extraMS > 0 || lossProb > 0)
 }
 
-// faultEdge notes one fault process switching at now from active (was)
-// to active (is). The first process to become active opens an episode
+// faultEdge notes one fault process going from active (was) to active
+// (is) at now; equal flags are no edge. The first process to become
+// active opens an episode
 // and records the pre-fault queue depth the recovery check compares
 // against; when the last one clears, the episode enters its recovery
 // phase, and checkRecovery closes it once the queue drains back to that

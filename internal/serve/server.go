@@ -338,7 +338,10 @@ func NewServer(cfg Config) *Server {
 		s.hedgeComps = make([]device.Completion, 0, 1)
 	}
 	s.initAdapt(cfg, maxB)
-	s.initTemporal(nt)
+	if cfg.Temporal.Enabled {
+		s.tpol = temporal.NewPolicy(cfg.Temporal.Ladder)
+		s.tracks = make([]temporal.Track, nt)
+	}
 	for ti := range g.tenants {
 		s.q.Push(Event{TimeMS: g.nextArrival(ti), Kind: evArrival, A: int32(ti)})
 	}
@@ -842,8 +845,9 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 		// Degraded completions — int8, or a reduced ladder rung — are
 		// fed as detection failures: the accuracy cost that upshifts the
 		// controllers back to nominal once misses subside.
-		if !s.answer(r.class, r.tenant, r.arrivalMS, r.deadlineMS, back, false,
-			degraded || rung != temporal.FullFrame) && servedCorrupt {
+		missed := s.answer(r.class, r.tenant, r.arrivalMS, r.deadlineMS, back, false,
+			degraded || rung != temporal.FullFrame)
+		if servedCorrupt && !missed {
 			s.res.CorruptSLOMet++
 		}
 		if s.tpol != nil {
@@ -853,7 +857,6 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 			case temporal.EarlyExit:
 				s.res.EarlyExitReqs++
 			}
-			// A real inference re-anchors the tenant's track.
 			s.tracks[r.tenant].Anchor(rung, back)
 		}
 		s.release(ri)

@@ -26,16 +26,6 @@ package serve
 
 import "ocularone/internal/temporal"
 
-// initTemporal materialises the ladder state when the layer is enabled.
-// When disabled everything stays nil/zero and no serving path changes.
-func (s *Server) initTemporal(nt int) {
-	if !s.cfg.Temporal.Enabled {
-		return
-	}
-	s.tpol = temporal.NewPolicy(s.cfg.Temporal.Ladder)
-	s.tracks = make([]temporal.Track, nt)
-}
-
 // temporalLive reports whether ladder accounting is part of this run's
 // behaviour (and therefore of its fingerprint).
 func (s *Server) temporalLive() bool { return s.tpol != nil }

@@ -18,7 +18,10 @@
 // state, thermal throttle) and a hard staleness budget: at most
 // MaxBridged consecutive bridged frames per track, per-bridge
 // confidence decay with a floor, and a forced full-frame refresh every
-// RefreshEvery frames regardless of pressure.
+// RefreshEvery frames regardless of pressure. A Track is one stream's
+// share of that budget: Policy.Bridge spends it, Track.Anchor restores
+// it after a real inference. Layer is the ladder's configuration in an
+// embedding tier (serve.Config.Temporal, pipeline.Session.Temporal).
 //
 // The policy draws no randomness and allocates nothing on its decision
 // path, so embedding it is fingerprint-inert until enabled: the serve
