@@ -7,7 +7,10 @@
 // The package is built in layers:
 //
 //   - Traffic generation (traffic.go): per-tenant nonhomogeneous
-//     Poisson arrivals sampled exactly by thinning, modulated by a
+//     Poisson arrivals sampled exactly by thinning (the sine is
+//     evaluated only between the rate's bounds over a burst state and
+//     diurnal window; FuzzArrivalTrace holds the traces to the
+//     sine-every-time loop bit for bit), modulated by a
 //     diurnal sinusoid and a two-state Markov burst process, with
 //     Zipf-skewed tenant shares and heterogeneous model/class mixes
 //     over the eight Table-2 models. Every draw derives from

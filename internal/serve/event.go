@@ -1,6 +1,10 @@
 package serve
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Event is one scheduled occurrence in the discrete-event core. Events
 // are plain values — no pointers, no per-event heap records — so the
@@ -28,7 +32,9 @@ func eventLess(a, b Event) bool {
 // calendar. Insert and pop-min are O(1) amortised when the queue is
 // sized to its load — the property that lets the serving simulator push
 // millions of events per wall-second — and the queue resizes itself by
-// powers of two as the event population grows or shrinks.
+// powers of two as the event population grows or shrinks, and re-tunes
+// its bucket width in place when inserts and pops start paying for a
+// width that no longer fits the events near the head.
 //
 // Buckets hold events by value in reused slices, so a steady-state
 // workload (push one, pop one) allocates nothing; only population
@@ -47,7 +53,19 @@ type CalQueue struct {
 	scratch  []Event // resize staging, reused
 	maxItems int     // resize-up threshold
 	minItems int     // resize-down threshold
+	// pushes since the last (re)size, and the work they and the pops
+	// among them cost: events shifted by sorted inserts plus buckets
+	// the pop sweep stepped over.
+	pushes, cost int
 }
+
+// Re-tune the width in place once the work since the last (re)size
+// exceeds retuneCost a push, over at least retuneMinPushes pushes (and
+// at least the population, which amortises the re-bucketing).
+const (
+	retuneCost      = 2
+	retuneMinPushes = 64
+)
 
 // NewCalQueue returns a queue tuned for about `hint` concurrently
 // scheduled events spaced about `widthMS` apart. Both are hints: the
@@ -85,6 +103,7 @@ func (q *CalQueue) init(nb int, width float64, startMS float64) {
 	q.curTop = (math.Floor(startMS/width) + 1) * width
 	q.maxItems = 2 * nb
 	q.minItems = nb/2 - 2
+	q.pushes, q.cost = 0, 0
 }
 
 // Len reports the number of scheduled events.
@@ -99,15 +118,19 @@ func (q *CalQueue) Push(e Event) {
 	q.seq++
 	e.seq = q.seq
 	q.insert(e)
-	if q.n > q.maxItems {
+	q.pushes++
+	switch {
+	case q.n > q.maxItems:
 		q.resize(q.nb << 1)
+	case q.pushes >= retuneMinPushes && q.pushes >= q.n && q.cost > retuneCost*q.pushes:
+		q.resize(q.nb)
 	}
 }
 
 func (q *CalQueue) insert(e Event) {
 	b := int(e.TimeMS/q.width) & q.mask
 	s := q.buckets[b]
-	// Sorted insert; buckets hold ~2 events at steady state, so the
+	// Sorted insert; buckets hold a few events at steady state, so the
 	// shift is cheap and keeps pops O(1).
 	i := len(s)
 	s = append(s, e)
@@ -116,6 +139,7 @@ func (q *CalQueue) insert(e Event) {
 		i--
 	}
 	s[i] = e
+	q.cost += len(s) - 1 - i
 	q.buckets[b] = s
 	q.n++
 	// An event behind the sweep position would be missed for a whole
@@ -137,11 +161,13 @@ func (q *CalQueue) Pop() (Event, bool) {
 	// the current calendar year.
 	for i := 0; i < q.nb; i++ {
 		if s := q.buckets[q.cur]; len(s) > 0 && s[0].TimeMS < q.curTop {
+			q.cost += i
 			return q.take(q.cur), true
 		}
 		q.cur = (q.cur + 1) & q.mask
 		q.curTop += q.width
 	}
+	q.cost += q.nb
 	// Nothing within a year of the sweep: the next event is far in the
 	// future. Find the global minimum directly and jump the sweep to it.
 	minB := -1
@@ -181,32 +207,21 @@ func (q *CalQueue) take(b int) Event {
 }
 
 // resize re-buckets every event into nb buckets with a width matched to
-// the observed event spacing, Brown's rule of thumb: buckets should
-// span a few events' worth of time so pops rarely cross empty buckets.
+// the spacing of the events near the head (headWidth).
 func (q *CalQueue) resize(nb int) {
 	q.scratch = q.scratch[:0]
-	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, s := range q.buckets {
-		for _, e := range s {
-			q.scratch = append(q.scratch, e)
-			if e.TimeMS < lo {
-				lo = e.TimeMS
-			}
-			if e.TimeMS > hi {
-				hi = e.TimeMS
-			}
-		}
+		q.scratch = append(q.scratch, s...)
 	}
-	width := q.width
-	if n := len(q.scratch); n > 1 && hi > lo {
-		width = 3 * (hi - lo) / float64(n)
+	// By time only: insert restores push order among equal times.
+	slices.SortFunc(q.scratch, func(a, b Event) int { return cmp.Compare(a.TimeMS, b.TimeMS) })
+	width := headWidth(q.scratch)
+	if !(width > 0) || math.IsInf(width, 0) {
+		width = q.width
 	}
-	if width <= 0 || math.IsInf(width, 0) {
-		width = 1
-	}
-	start := lo
-	if math.IsInf(start, 1) {
-		start = 0
+	start := 0.0
+	if len(q.scratch) > 0 {
+		start = q.scratch[0].TimeMS
 	}
 	seq := q.seq
 	q.init(nb, width, start)
@@ -214,4 +229,40 @@ func (q *CalQueue) resize(nb int) {
 	for _, e := range q.scratch {
 		q.insert(e)
 	}
+	q.cost = 0
+}
+
+// headWidth is Brown's bucket width for events sorted by time: three
+// times the mean gap between the earliest (at most 25) events, leaving
+// out the gaps over twice the mean, so one far-future event does not
+// widen every bucket. Gaps under 2^-40 of the sample's last time are
+// ties up to rounding: they count, at their size, in the width — so a
+// bucket still holds about three events when times repeat — but not in
+// the mean that decides which gaps are outliers, where a head of ties
+// would make every real gap an outlier and the width nothing. 0 when
+// the sample has no spread.
+func headWidth(sorted []Event) float64 {
+	k := min(len(sorted), 25)
+	if k < 2 {
+		return 0
+	}
+	tie := sorted[k-1].TimeMS * 0x1p-40
+	var sum float64
+	var n int
+	for i := 1; i < k; i++ {
+		if gap := sorted[i].TimeMS - sorted[i-1].TimeMS; gap > tie {
+			sum, n = sum+gap, n+1
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	limit := 2 * sum / float64(n)
+	sum, n = 0, 0
+	for i := 1; i < k; i++ {
+		if gap := sorted[i].TimeMS - sorted[i-1].TimeMS; gap <= limit {
+			sum, n = sum+gap, n+1
+		}
+	}
+	return 3 * sum / float64(n)
 }

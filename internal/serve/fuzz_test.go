@@ -157,8 +157,8 @@ func fuzzConfig(seed uint64, rho float64, queueCap, quota, maxBatch uint8, windo
 
 // FuzzServeConfig runs the server over fuzzed configurations and layer
 // combinations: every run must satisfy the conservation and ledger
-// invariants, and a second run of the same config must reproduce its
-// fingerprint.
+// invariants and keep its occupancy masks in step with its FIFOs, and a
+// second run of the same config must reproduce its fingerprint.
 func FuzzServeConfig(f *testing.F) {
 	const all = fzOutage | fzAdapt | fzTemporal | fzRetry | fzHedge | fzSDC | fzStraggle
 	// The golden modes: plain, chaos-like, retry-sdc, hedge-straggle,
@@ -187,7 +187,9 @@ func FuzzServeConfig(f *testing.F) {
 				s.SetStraggle(0, 0.5)
 			}
 			s.AdvanceTo(cfg.HorizonMS)
+			checkOcc(t, s)
 			s.Drain()
+			checkOcc(t, s)
 			return s.Result(), s.Fingerprint()
 		}
 		res, fp := run()
@@ -198,4 +200,93 @@ func FuzzServeConfig(f *testing.F) {
 			t.Fatalf("%+v: fingerprint %016x, then %016x", cfg, fp, fp2)
 		}
 	})
+}
+
+// refRateAt and refNextArrival are the thinning sampler as it stood
+// before the rate bounds: every candidate advances the burst state
+// machine inside the rate function and evaluates the sinusoid.
+// FuzzArrivalTrace holds nextArrival to them.
+func refRateAt(g *gen, t *tenantGen, tMS float64) float64 {
+	for tMS >= t.burstEndMS {
+		t.burstOn = !t.burstOn
+		if t.burstOn {
+			t.burstEndMS += t.r.Exp(g.cfg.BurstOnMS)
+		} else {
+			t.burstEndMS += t.r.Exp(g.cfg.BurstOffMS)
+		}
+	}
+	rate := t.ratePerMS
+	if g.cfg.DiurnalAmp > 0 {
+		rate *= 1 + g.cfg.DiurnalAmp*math.Sin(2*math.Pi*tMS/g.cfg.DiurnalPeriodMS+t.phase)
+	}
+	if t.burstOn {
+		rate *= g.cfg.BurstMult
+	}
+	return rate
+}
+
+func refNextArrival(g *gen, ti int) float64 {
+	t := &g.tenants[ti]
+	for {
+		t.nextMS += t.r.Exp(1 / t.maxRatePerMS)
+		if t.r.Float64()*t.maxRatePerMS < refRateAt(g, t, t.nextMS) {
+			return t.nextMS
+		}
+	}
+}
+
+// FuzzArrivalTrace: over fuzzed traffic shapes — rate, 1-64 tenants,
+// diurnal amplitude in [0, 0.99] (0 included) and period, burst
+// multiplier in [1, 16], burst on/off means, seed — the first arrivals
+// of every tenant equal the reference sampler's bit for bit. Rates from
+// 100/s and periods and burst means from 1 ms keep the burst toggles
+// per candidate, which both samplers walk one by one, in the thousands.
+func FuzzArrivalTrace(f *testing.F) {
+	f.Add(uint64(3), 900.0, uint8(16), 0.4, 60_000.0, 4.0, 500.0, 4500.0)
+	f.Add(uint64(0), 50.0, uint8(1), 0.0, 0.0, 1.0, 0.0, 0.0)
+	f.Add(uint64(9), 20000.0, uint8(63), 0.98, 3.0, 16.0, 30.0, 60.0)
+	f.Add(uint64(1<<63), 1.0, uint8(7), 0.5, 999_999.0, 1.0, 1.0, 1.0)
+	f.Fuzz(func(t *testing.T, seed uint64, rate float64, tenants uint8, amp, periodMS, burst, onMS, offMS float64) {
+		for _, v := range []float64{rate, amp, periodMS, burst, onMS, offMS} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite input")
+			}
+		}
+		cfg := Traffic{
+			RatePerSec:      100 + math.Mod(math.Abs(rate), 1e5),
+			Tenants:         1 + int(tenants)%64,
+			DiurnalAmp:      math.Mod(math.Abs(amp), 0.99),
+			DiurnalPeriodMS: 1 + math.Mod(math.Abs(periodMS), 1e6),
+			BurstMult:       1 + math.Mod(math.Abs(burst), 15),
+			BurstOnMS:       1 + math.Mod(math.Abs(onMS), 5000),
+			BurstOffMS:      1 + math.Mod(math.Abs(offMS), 20000),
+			Seed:            seed,
+		}
+		got, want := newGen(cfg), newGen(cfg)
+		for ti := range got.tenants {
+			for i := 0; i < 200; i++ {
+				a, b := got.nextArrival(ti), refNextArrival(want, ti)
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%+v: tenant %d arrival %d = %v, reference %v", cfg, ti, i, a, b)
+				}
+			}
+		}
+	})
+}
+
+// checkOcc fails on the first (class, tenant, model) whose occupancy
+// bit disagrees with its FIFO: bit m of occ[c][t] is set exactly when
+// FIFO (c, t, m) has a head.
+func checkOcc(t testing.TB, s *Server) {
+	t.Helper()
+	for c := range s.queues {
+		for ti, occ := range s.occ[c] {
+			for m := 0; m < numModels; m++ {
+				if set, queued := occ&(1<<m) != 0, s.queues[c][ti*numModels+m].head >= 0; set != queued {
+					t.Fatalf("t=%v ms: class %d tenant %d model %d: occupancy bit %v, FIFO non-empty %v",
+						s.nowMS, c, ti, m, set, queued)
+				}
+			}
+		}
+	}
 }

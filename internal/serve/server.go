@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ocularone/internal/adaptive"
 	"ocularone/internal/device"
@@ -156,6 +157,10 @@ type tally struct {
 
 const numModels = int(models.NumModels)
 
+// Server.occ holds one bit per model in a uint8; this stops compiling
+// past eight models.
+const _ = uint8(1 << (numModels - 1))
+
 // svcTable is the service model of one precision: estMS[m] is model
 // m's batch-1 service, fullBatchMS[m] its whole-batch service at
 // MaxBatch (the latest-safe-dispatch bound of the window hold), and
@@ -223,7 +228,10 @@ type Server struct {
 	// queues are what make same-model micro-batches findable behind
 	// heterogeneous arrival order, per-tenant queues are what the
 	// fairness scheduler arbitrates between.
-	queues       [NumClasses][]fifo
+	queues [NumClasses][]fifo
+	// occ[c][t] has bit m set exactly when FIFO (c, t, m) is non-empty:
+	// the dispatch scans probe only those.
+	occ          [NumClasses][]uint8
 	classCount   [NumClasses]int64
 	classEstMS   [NumClasses]float64
 	queued       int64
@@ -323,6 +331,7 @@ func NewServer(cfg Config) *Server {
 		for i := range s.queues[c] {
 			s.queues[c][i] = fifo{head: -1, tail: -1}
 		}
+		s.occ[c] = make([]uint8, nt)
 	}
 	// The loss stream is dedicated and only consulted while a
 	// link-degradation episode sets lossProb > 0, so fault-free runs
@@ -603,6 +612,7 @@ func (s *Server) enqueue(ri int32) {
 		s.pool[qq.tail].next = ri
 	} else {
 		qq.head = ri
+		s.occ[r.class][r.tenant] |= 1 << r.model
 	}
 	qq.tail = ri
 	s.classCount[r.class]++
@@ -621,6 +631,7 @@ func (s *Server) removeHead(c Class, qi int) int32 {
 	qq.head = r.next
 	if qq.head < 0 {
 		qq.tail = -1
+		s.occ[c][r.tenant] &^= 1 << r.model
 	}
 	s.classCount[c]--
 	s.classEstMS[c] -= r.estMS
@@ -680,8 +691,8 @@ func (s *Server) maybeDispatch(now float64) {
 		// tenant with work in this class.
 		leadT, leadQ := -1, -1
 		var leadArr float64
-		for ti := range s.attained {
-			if s.tenantQueued[ti] == 0 {
+		for ti, occ := range s.occ[c] {
+			if occ == 0 {
 				continue
 			}
 			if leadT >= 0 && s.attained[ti] >= s.attained[leadT] {
@@ -689,8 +700,10 @@ func (s *Server) maybeDispatch(now float64) {
 			}
 			bestQ := -1
 			var bestArr float64
-			for m := 0; m < numModels; m++ {
-				qi := ti*numModels + m
+			// Non-empty FIFOs in ascending model order; a probe's expiries
+			// touch only its own FIFO's bit.
+			for ; occ != 0; occ &= occ - 1 {
+				qi := ti*numModels + bits.TrailingZeros8(occ)
 				h := s.liveHead(c, qi, now)
 				if h < 0 {
 					continue
@@ -747,13 +760,20 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 	}
 	s.batchReqs = s.batchReqs[:0]
 	s.jobs = s.jobs[:0]
+	bit := uint8(1) << m
+	// The first scan probes every tenant's model-m FIFO: dead heads
+	// expire and emptied FIFOs clear their bit, so from then on a set bit
+	// is a live head, bar the FIFO the last member was taken from, which
+	// is probed again. Probing a live head changes nothing, so expiries
+	// fall as they would if every scan probed every FIFO.
+	taken := -1
 	for len(s.batchReqs) < maxB {
+		if taken >= 0 {
+			s.liveHead(c, taken*numModels+int(m), now)
+		}
 		best := -1
-		for ti := range s.attained {
-			if s.tenantQueued[ti] == 0 {
-				continue
-			}
-			if s.liveHead(c, ti*numModels+int(m), now) < 0 {
+		for ti, occ := range s.occ[c] {
+			if occ&bit == 0 || (taken < 0 && s.liveHead(c, ti*numModels+int(m), now) < 0) {
 				continue
 			}
 			if best < 0 || s.attained[ti] < s.attained[best] {
@@ -763,6 +783,7 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 		if best < 0 {
 			break
 		}
+		taken = best
 		ri := s.removeHead(c, best*numModels+int(m))
 		r := &s.pool[ri]
 		s.attained[best] += r.estMS

@@ -118,10 +118,15 @@ type tenantGen struct {
 	ratePerMS float64
 	// maxRatePerMS bounds the modulated rate — the thinning envelope.
 	maxRatePerMS float64
-	phase        float64 // diurnal phase offset
-	burstOn      bool
-	burstEndMS   float64 // next burst-state toggle
-	nextMS       float64 // candidate arrival cursor
+	// lo[on] <= the modulated rate <= hi[on] for every candidate before
+	// boundEndMS, burst state on (1) or off (0): the thinning test's
+	// sine-free verdicts (see bound).
+	lo, hi     [2]float64
+	boundEndMS float64
+	phase      float64 // diurnal phase offset
+	burstOn    bool
+	burstEndMS float64 // next burst-state toggle
+	nextMS     float64 // candidate arrival cursor
 }
 
 // gen holds the materialised generator state for one Traffic value.
@@ -219,37 +224,90 @@ func newGen(cfg Traffic) *gen {
 	return g
 }
 
-// rateAt returns tenant t's modulated rate at time tMS, advancing the
-// burst state machine lazily (tMS must be non-decreasing per tenant,
-// which arrival generation guarantees).
-func (g *gen) rateAt(t *tenantGen, tMS float64) float64 {
-	for tMS >= t.burstEndMS {
-		t.burstOn = !t.burstOn
-		if t.burstOn {
-			t.burstEndMS += t.r.Exp(g.cfg.BurstOnMS)
-		} else {
-			t.burstEndMS += t.r.Exp(g.cfg.BurstOffMS)
+// boundWindows is how many windows one diurnal period is cut into for
+// the thinning bounds: over a window the phase advances 2π/64, so the
+// sine moves by at most about 0.1.
+const boundWindows = 64
+
+// sinSlack absorbs math.Sin's error (a few ulps of 1) and the rounding
+// of a window's phase advance, many times over.
+const sinSlack = 1e-9
+
+// bound re-derives tenant t's rate bounds for the candidates of the
+// window that opens at fromMS. The phase is non-decreasing in time and
+// the sine is 1-Lipschitz, so over the window the sine stays within
+// the window's phase advance of its value at the opening. The bounds
+// are widened four ulps so they hold even if math.Sin strays past
+// [-1, 1] by rounding. Without a diurnal term the rate is constant and
+// its bounds hold for good.
+func (g *gen) bound(t *tenantGen, fromMS float64) {
+	sLo, sHi := 0.0, 0.0
+	t.boundEndMS = math.Inf(1)
+	if g.cfg.DiurnalAmp > 0 {
+		t.boundEndMS = fromMS + g.cfg.DiurnalPeriodMS/boundWindows
+		a := g.phaseAt(t, fromMS)
+		d := g.phaseAt(t, t.boundEndMS) - a + sinSlack
+		sin := math.Sin(a)
+		sLo, sHi = max(sin-d, -1), min(sin+d, 1)
+	}
+	for on := range t.lo {
+		t.lo[on], t.hi[on] = g.modulate(t.ratePerMS, sLo, on == 1), g.modulate(t.ratePerMS, sHi, on == 1)
+		for i := 0; i < 4; i++ {
+			t.lo[on] = math.Nextafter(t.lo[on], math.Inf(-1))
+			t.hi[on] = math.Nextafter(t.hi[on], math.Inf(1))
 		}
 	}
-	rate := t.ratePerMS
+}
+
+// modulate is the modulated rate of a tenant whose unmodulated rate is
+// base, at diurnal sine value sin, burst state on. It is monotone in
+// sin, so rates taken at bounds on the sine bound the rate.
+func (g *gen) modulate(base, sin float64, on bool) float64 {
+	rate := base
 	if g.cfg.DiurnalAmp > 0 {
-		rate *= 1 + g.cfg.DiurnalAmp*math.Sin(2*math.Pi*tMS/g.cfg.DiurnalPeriodMS+t.phase)
+		rate *= 1 + g.cfg.DiurnalAmp*sin
 	}
-	if t.burstOn {
+	if on {
 		rate *= g.cfg.BurstMult
 	}
 	return rate
 }
 
+// phaseAt is tenant t's diurnal phase at time tMS.
+func (g *gen) phaseAt(t *tenantGen, tMS float64) float64 {
+	return 2*math.Pi*tMS/g.cfg.DiurnalPeriodMS + t.phase
+}
+
 // nextArrival draws tenant ti's next arrival time after its cursor via
 // thinning: candidate points at the envelope rate, accepted with
 // probability rate(t)/envelope — the standard exact sampler for a
-// nonhomogeneous Poisson process.
+// nonhomogeneous Poisson process. The burst state machine advances
+// lazily to each candidate (candidates are non-decreasing per tenant).
+// The sine is evaluated only when the draw falls between the rate
+// bounds of the burst state and diurnal window; outside them the
+// verdict is already known, and the draws and their order are those of
+// evaluating it every time.
 func (g *gen) nextArrival(ti int) float64 {
 	t := &g.tenants[ti]
 	for {
 		t.nextMS += t.r.Exp(1 / t.maxRatePerMS)
-		if t.r.Float64()*t.maxRatePerMS < g.rateAt(t, t.nextMS) {
+		x := t.r.Float64() * t.maxRatePerMS
+		for t.nextMS >= t.burstEndMS {
+			t.burstOn = !t.burstOn
+			if t.burstOn {
+				t.burstEndMS += t.r.Exp(g.cfg.BurstOnMS)
+			} else {
+				t.burstEndMS += t.r.Exp(g.cfg.BurstOffMS)
+			}
+		}
+		if t.nextMS >= t.boundEndMS {
+			g.bound(t, t.nextMS)
+		}
+		on := 0
+		if t.burstOn {
+			on = 1
+		}
+		if x < t.lo[on] || (x < t.hi[on] && x < g.modulate(t.ratePerMS, math.Sin(g.phaseAt(t, t.nextMS)), t.burstOn)) {
 			return t.nextMS
 		}
 	}
