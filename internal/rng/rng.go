@@ -61,6 +61,32 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// SplitMix64's constants: the state advances by Gamma a draw, and Mix
+// multiplies by MixMul1 and MixMul2.
+const (
+	Gamma   = 0x9e3779b97f4a7c15
+	MixMul1 = 0xbf58476d1ce4e5b9
+	MixMul2 = 0x94d049bb133111eb
+)
+
+// Mix is SplitMix64's output function: Uint64 returns Mix of the
+// advanced state.
+func Mix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * MixMul1
+	z = (z ^ (z >> 27)) * MixMul2
+	return z ^ (z >> 31)
+}
+
+// Skip advances r past n draws and returns the state before them. The
+// stream is counter-based, so draw i of the skipped run (0 <= i < n) is
+// Mix(base + uint64(i+1)*Gamma): a caller can make the n draws in any
+// order, or eight at a time.
+func (r *RNG) Skip(n int) (base uint64) {
+	base = r.state
+	r.state += uint64(n) * Gamma
+	return base
+}
+
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -240,3 +240,28 @@ func TestSplitNilIsNil(t *testing.T) {
 		t.Fatal("nil RNG split into a live generator")
 	}
 }
+
+// TestSkipMatchesUint64 holds the counter form to the stream: after
+// Skip(n), Mix(base + (i+1)·Gamma) is the i-th of n Uint64 calls, and
+// both generators end in the same state.
+func TestSkipMatchesUint64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1<<64 - 1} {
+		for _, n := range []int{0, 1, 7, 8, 64, 333} {
+			a, b := New(seed), New(seed)
+			b.Uint64() // start both mid-stream
+			a.Uint64()
+			base := a.Skip(n)
+			for i := 0; i < n; i++ {
+				if got, want := Mix(base+uint64(i+1)*Gamma), b.Uint64(); got != want {
+					t.Fatalf("seed %d, Skip(%d): draw %d = %#x, Uint64 gives %#x", seed, n, i, got, want)
+				}
+			}
+			if a.state != b.state {
+				t.Fatalf("seed %d, Skip(%d): state %#x, after %d Uint64 calls %#x", seed, n, a.state, n, b.state)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("seed %d, Skip(%d): the next draws differ", seed, n)
+			}
+		}
+	}
+}

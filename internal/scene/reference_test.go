@@ -2,17 +2,22 @@ package scene
 
 // The per-pixel render loops as they were before the table-driven
 // rewrite, kept as oracles: Render must reproduce refRender's frame and
-// depth map byte for byte.
+// depth map byte for byte. (refDrawBackground has Render's clamp of the
+// clutter's Intn bounds to 1, without which frames under ten pixels
+// wide or five tall panicked; every larger frame draws what it drew.)
 
 import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"ocularone/internal/imgproc"
 	"ocularone/internal/rng"
+	"ocularone/internal/tensor"
 )
 
 func refRender(s *Scene, cam Camera) (*imgproc.Image, *GroundTruth) {
@@ -123,9 +128,9 @@ func refDrawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera,
 		bRNG := texRNG.Split("buildings")
 		n := int(s.Clutter*8) + 2
 		for i := 0; i < n; i++ {
-			bw := bRNG.Intn(w/6) + w/12
+			bw := bRNG.Intn(max(w/6, 1)) + w/12
 			bx := bRNG.Intn(w)
-			bh := bRNG.Intn(horizon/2) + horizon/8
+			bh := bRNG.Intn(max(horizon/2, 1)) + horizon/8
 			tone := uint8(90 + bRNG.Intn(70))
 			box := imgproc.Rect{X0: bx, Y0: horizon - bh, X1: bx + bw, Y1: horizon}
 			im.FillRect(box, tone, tone, uint8(float64(tone)*1.05))
@@ -140,7 +145,7 @@ func refDrawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera,
 		tRNG := texRNG.Split("trees")
 		for i := 0; i < n/2+1; i++ {
 			tx := tRNG.Intn(w)
-			tw := tRNG.Intn(w/10) + w/20
+			tw := tRNG.Intn(max(w/10, 1)) + w/20
 			box := imgproc.Rect{X0: tx, Y0: horizon - tw/2, X1: tx + tw, Y1: horizon + tw/4}
 			im.FillEllipse(box, 40, uint8(80+tRNG.Intn(40)), 35)
 		}
@@ -231,15 +236,232 @@ func TestNoiseOddsIsTheFloatThreshold(t *testing.T) {
 	}
 }
 
+// renderForms names the forms of the render's random streams this CPU
+// runs by the kernel tier that binds each: the Go forms under generic,
+// the AVX-512 forms under avx512vnni where that tier is available.
+func renderForms() []string {
+	forms := []string{tensor.TierGeneric}
+	if slices.Contains(tensor.KernelTiers(), tensor.TierAVX512VNNI) {
+		forms = append(forms, tensor.TierAVX512VNNI)
+	}
+	return forms
+}
+
+// inTier runs f with the kernel tier forced to tier.
+func inTier(tb testing.TB, tier string, f func()) {
+	prev := tensor.KernelTier()
+	if err := tensor.SetKernelTier(tier); err != nil {
+		tb.Fatal(err)
+	}
+	defer tensor.SetKernelTier(prev)
+	f()
+}
+
+// TestRenderTinyFrames renders every frame of 1–12 × 1–12 pixels with
+// clutter, which panicked under ten pixels wide or five tall, in each
+// form; every frame and depth map must equal the reference's.
+func TestRenderTinyFrames(t *testing.T) {
+	for _, form := range renderForms() {
+		inTier(t, form, func() {
+			for _, bg := range []Background{Footpath, Path, RoadSide} {
+				for _, cond := range AllConditions() {
+					for w := 1; w <= 12; w++ {
+						for h := 1; h <= 12; h++ {
+							s := busyScene(bg, cond, 0.85, uint64(100*w+h))
+							s.Clutter = 1
+							cam := DefaultCamera(w, h, s.CamHeightM)
+							im, gt := Render(s, cam)
+							rim, rgt := refRender(s, cam)
+							if !bytes.Equal(im.Pix, rim.Pix) {
+								t.Fatalf("%s: %v/%v/%dx%d: frame differs from the reference", form, bg, cond, w, h)
+							}
+							for i, d := range gt.Depth {
+								if math.Float32bits(d) != math.Float32bits(rgt.Depth[i]) {
+									t.Fatalf("%s: %v/%v/%dx%d: depth[%d] = %v, reference %v", form, bg, cond, w, h, i, d, rgt.Depth[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkNoise holds noiseWalk, in each form, to refSensorNoise's
+// per-byte loop on a copy of pix, over the sensor stream of seed.
+func checkNoise(t *testing.T, seed uint64, pix []uint8) {
+	want := bytes.Clone(pix)
+	refSensorNoise(&imgproc.Image{Pix: want}, rng.New(seed))
+	for _, form := range renderForms() {
+		got := bytes.Clone(pix)
+		noiseWalk(got, rng.New(seed).Split("sensor"), form == tensor.TierAVX512VNNI)
+		if !bytes.Equal(got, want) {
+			i := 0
+			for got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s: seed %d, %d bytes: byte %d = %d, per-byte loop %d", form, seed, len(pix), i, got[i], want[i])
+		}
+	}
+}
+
+// hitDraw is the index in the sensor stream of seed of the draw that
+// tests byte i, and whether that byte is perturbed: the per-byte loop,
+// counting.
+func hitDraw(seed uint64, i int) (draw int, hit bool) {
+	n := rng.New(seed).Split("sensor")
+	for b := 0; ; b++ {
+		hit = n.Uint64()>>11 < noiseOdds
+		if b == i {
+			return draw, hit
+		}
+		draw++
+		if hit {
+			n.Uint64()
+			draw++
+		}
+	}
+}
+
+// TestSensorNoiseBlockEdges pins, by seed, the walk's two edges: a hit
+// on a block's draw 63, whose byte waits for the next block's z[0], and
+// a hit on the frame's last byte.
+func TestSensorNoiseBlockEdges(t *testing.T) {
+	const seed = 3 // byte 43 is a hit on draw 45, byte 59 a hit on draw 63
+	for _, c := range []struct {
+		name      string
+		n, at, dr int
+	}{
+		{"pending mid-frame", 300, 59, 63},
+		{"pending last byte", 60, 59, 63},
+		{"hit on the last byte", 44, 43, 45},
+	} {
+		if d, hit := hitDraw(seed, c.at); !hit || d != c.dr {
+			t.Fatalf("%s: seed %d's byte %d: draw %d, hit %v — the case no longer pins its edge", c.name, seed, c.at, d, hit)
+		}
+		pix := make([]uint8, c.n)
+		for i := range pix {
+			pix[i] = uint8(i * 37)
+		}
+		checkNoise(t, seed, pix)
+	}
+}
+
+// unmix inverts rng.Mix: each xorshift is undone by iterating it, each
+// multiply by the inverse of its odd multiplier modulo 2⁶⁴.
+func unmix(z uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for i := 0; i < 3; i++ {
+			x = y ^ x>>s
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 {
+		x := c // right modulo 2³; Newton's step doubles the bits
+		for i := 0; i < 5; i++ {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	z = unshift(z, 31) * inverse(rng.MixMul2)
+	z = unshift(z, 27) * inverse(rng.MixMul1)
+	return unshift(z, 30)
+}
+
+// TestNoiseBlockThreshold puts the draws on either side of the hit
+// threshold, z = noiseOdds<<11 − 1 and noiseOdds<<11, at draw 0 of a
+// block: both block forms must take z>>11 < noiseOdds exactly, which no
+// random draw comes near enough to tell.
+func TestNoiseBlockThreshold(t *testing.T) {
+	for _, c := range []struct {
+		z   uint64
+		hit uint64
+	}{{noiseOdds<<11 - 1, 1}, {noiseOdds << 11, 0}, {0, 1}, {1<<64 - 1, 0}} {
+		base := unmix(c.z) - rng.Gamma
+		for _, form := range renderForms() {
+			var z [64]uint64
+			var hits uint64
+			if form == tensor.TierAVX512VNNI {
+				hits = noiseBlockAVX512(&z, base)
+			} else {
+				hits = noiseBlockGo(&z, base)
+			}
+			if z[0] != c.z || hits&1 != c.hit {
+				t.Fatalf("%s: draw 0 = %#x (want %#x), hit bit %d, want %d", form, z[0], c.z, hits&1, c.hit)
+			}
+		}
+	}
+}
+
+// FuzzSensorNoise holds both block forms of the walk to the per-byte
+// loop for any seed, any bytes, and frames of 0–4096 bytes, so the frame
+// ends at every position within a block.
+func FuzzSensorNoise(f *testing.F) {
+	f.Add(uint64(3), uint16(60), []byte{0, 255, 128})
+	f.Add(uint64(1), uint16(4096), []byte{250, 3})
+	f.Add(uint64(7), uint16(0), []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, fill []byte) {
+		pix := make([]uint8, int(n)%4097)
+		for i := range pix {
+			if len(fill) > 0 {
+				pix[i] = fill[i%len(fill)]
+			} else {
+				pix[i] = uint8(i)
+			}
+		}
+		checkNoise(t, seed, pix)
+	})
+}
+
+// FuzzGroundRow holds both forms of groundRow over one Skip of the row,
+// as drawBackground runs it, to the per-pixel shade(ground, haze·n) with
+// Float64 draws, for any stream state, widths 0–700 (every tail past the
+// runs of eight, 0–7), any ground colour and haze, clamping at both
+// ends.
+func FuzzGroundRow(f *testing.F) {
+	f.Add(uint64(1), uint16(320), byte(150), byte(148), byte(142), 0.9)
+	f.Add(uint64(2), uint16(13), byte(255), byte(0), byte(90), -0.3)
+	f.Add(uint64(3), uint16(7), byte(255), byte(255), byte(255), 1.8)
+	f.Add(uint64(4), uint16(700), byte(1), byte(2), byte(3), 40.0)
+	f.Fuzz(func(t *testing.T, seed uint64, w16 uint16, r, g, b byte, haze float64) {
+		if math.IsNaN(haze) || math.Abs(haze) > 1e300 {
+			t.Skip("haze·n·colour must be a number: drawBackground's haze is in (0, 1]")
+		}
+		w := int(w16) % 701
+		tab := newGroundTab([3]uint8{r, g, b})
+		want := make([]uint8, 3*w)
+		ref := rng.New(seed)
+		for x := 0; x < w; x++ {
+			n := 1 + (ref.Float64()-0.5)*0.12
+			want[3*x], want[3*x+1], want[3*x+2] = shade(tab.rgb, haze*n)
+		}
+		next := ref.Uint64()
+		for _, form := range renderForms() {
+			got := make([]uint8, 3*w)
+			noise := rng.New(seed)
+			groundRow(got, noise.Skip(w), haze, &tab, form == tensor.TierAVX512VNNI)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: seed %d, w %d, colour %v, haze %v: row differs from the per-pixel loop", form, seed, w, tab.rgb, haze)
+			}
+			if noise.Uint64() != next {
+				t.Fatalf("%s: seed %d, w %d: the stream ends elsewhere than the per-pixel loop's", form, seed, w)
+			}
+		}
+	})
+}
+
 // BenchmarkRenderLoops times the three rewritten loops and the whole
-// frame against their references, on one 320×240 frame.
+// frame against their references, on one 320×240 frame, in each form of
+// the random streams.
 func BenchmarkRenderLoops(b *testing.B) {
 	s := busyScene(Footpath, Clear, 0.9, 5)
 	cam := DefaultCamera(320, 240, s.CamHeightM)
 	frame, _ := Render(s, cam)
 	tex := rng.New(s.Seed)
 	gt := &GroundTruth{Depth: make([]float32, cam.W*cam.H)}
-	for _, c := range []struct {
+	cases := []struct {
 		name string
 		fn   func(im *imgproc.Image)
 	}{
@@ -251,13 +473,25 @@ func BenchmarkRenderLoops(b *testing.B) {
 		{"noise/new", func(im *imgproc.Image) { sensorNoise(im, tex) }},
 		{"frame/ref", func(*imgproc.Image) { refRender(s, cam) }},
 		{"frame/new", func(*imgproc.Image) { Render(s, cam) }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			im := frame.Clone()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.fn(im)
+	}
+	for _, form := range renderForms() {
+		inTier(b, form, func() {
+			for _, c := range cases {
+				if strings.HasSuffix(c.name, "/ref") && form != tensor.TierGeneric {
+					continue // the references run no tier-bound code
+				}
+				name := c.name
+				if strings.HasSuffix(name, "/new") {
+					name += "/" + form
+				}
+				b.Run(name, func(b *testing.B) {
+					im := frame.Clone()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.fn(im)
+					}
+				})
 			}
 		})
 	}

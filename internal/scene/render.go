@@ -2,10 +2,12 @@ package scene
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"ocularone/internal/imgproc"
 	"ocularone/internal/rng"
+	"ocularone/internal/tensor"
 )
 
 // Camera is a pinhole projection model at drone-handheld height.
@@ -111,15 +113,8 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 	if skyTone == 0 {
 		skyTone = 200
 	}
-	var ground [3]uint8
-	switch s.Background {
-	case Footpath:
-		ground = [3]uint8{150, 148, 142} // concrete paving
-	case Path:
-		ground = [3]uint8{146, 120, 88} // packed earth
-	case RoadSide:
-		ground = [3]uint8{90, 90, 95} // asphalt
-	}
+	g := &groundTabs[min(uint(s.Background), uint(len(groundTabs)-1))]
+	vec := vectorForm()
 	noise := texRNG.Split("ground-texture")
 	for y := 0; y < h; y++ {
 		depth := gt.Depth[y*w : (y+1)*w]
@@ -128,9 +123,7 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 			f := float64(y) / float64(horizon)
 			v := float64(skyTone)*0.75 + float64(skyTone)*0.25*f
 			im.FillRect(imgproc.Rect{X0: 0, Y0: y, X1: w, Y1: y + 1}, uint8(v*0.92), uint8(v*0.96), uint8(v))
-			for x := range depth {
-				depth[x] = 1000 // effectively infinite
-			}
+			fill(depth, 1000) // effectively infinite
 			continue
 		}
 		// Ground with distance haze and speckle texture.
@@ -141,11 +134,8 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 		if math.IsInf(d, 1) {
 			d32 = 1000
 		}
-		for x := range depth {
-			n := 1 + (noise.Float64()-0.5)*0.12
-			row[x*3], row[x*3+1], row[x*3+2] = shade(ground, haze*n)
-			depth[x] = d32
-		}
+		groundRow(row, noise.Skip(w), haze, g, vec)
+		fill(depth, d32)
 	}
 	// Grass / verge strips flanking the walkway for footpath and path.
 	if s.Background != RoadSide {
@@ -176,13 +166,15 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 		}
 	}
 	// Distant buildings / tree line above the horizon, scaled by Clutter.
+	// The Intn bounds are at least 1, so a frame under ten pixels wide or
+	// five tall draws zero where it used to panic.
 	if s.Clutter > 0 {
 		bRNG := texRNG.Split("buildings")
 		n := int(s.Clutter*8) + 2
 		for i := 0; i < n; i++ {
-			bw := bRNG.Intn(w/6) + w/12
+			bw := bRNG.Intn(max(w/6, 1)) + w/12
 			bx := bRNG.Intn(w)
-			bh := bRNG.Intn(horizon/2) + horizon/8
+			bh := bRNG.Intn(max(horizon/2, 1)) + horizon/8
 			tone := uint8(90 + bRNG.Intn(70))
 			box := imgproc.Rect{X0: bx, Y0: horizon - bh, X1: bx + bw, Y1: horizon}
 			im.FillRect(box, tone, tone, uint8(float64(tone)*1.05))
@@ -198,10 +190,22 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 		tRNG := texRNG.Split("trees")
 		for i := 0; i < n/2+1; i++ {
 			tx := tRNG.Intn(w)
-			tw := tRNG.Intn(w/10) + w/20
+			tw := tRNG.Intn(max(w/10, 1)) + w/20
 			box := imgproc.Rect{X0: tx, Y0: horizon - tw/2, X1: tx + tw, Y1: horizon + tw/4}
 			im.FillEllipse(box, 40, uint8(80+tRNG.Intn(40)), 35)
 		}
+	}
+}
+
+// fill sets every element of s to v by doubling a filled prefix with
+// copy: on a 320-wide depth row, a third of a store loop's time.
+func fill(s []float32, v float32) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
 	}
 }
 
@@ -226,15 +230,124 @@ func applyLighting(im *imgproc.Image, f float64) {
 const noiseOdds = 900719925474100
 
 // sensorNoise injects light shot noise so frames are never synthetic-clean.
+// Each byte takes one draw, k = Uint64()>>11; when k < noiseOdds the next
+// draw, Intn(11), moves it by −5 … +5.
 func sensorNoise(im *imgproc.Image, r *rng.RNG) {
-	n := r.Split("sensor")
-	pix := im.Pix
-	for i := range pix {
-		if n.Uint64()>>11 < noiseOdds {
-			pix[i] = uint8(min(max(int(pix[i])+n.Intn(11)-5, 0), 255))
+	noiseWalk(im.Pix, r.Split("sensor"), vectorForm())
+}
+
+// noiseWalk is sensorNoise on the stream n, 64 draws at a time: a block
+// fill makes draws z[0..64) from one Skip and the mask of those that
+// would be a hit as a byte's test draw. The walk visits the hits in
+// order: a hit at t leaves the bytes of the test draws before it
+// untouched, perturbs its byte with z[t+1], and the next test draw is
+// t+2. A hit on draw 63 leaves its byte pending for z[0] of the next
+// block. The last block over-draws n, which dies with the call.
+func noiseWalk(pix []uint8, n *rng.RNG, vec bool) {
+	var z [64]uint64
+	i, pending := 0, false // i: the byte of the next test draw, or the pending one
+	for i < len(pix) {
+		var hits uint64
+		if vec {
+			hits = noiseBlockAVX512(&z, n.Skip(64))
+		} else {
+			hits = noiseBlockGo(&z, n.Skip(64))
+		}
+		t := 0 // the block index of the next test draw
+		if pending {
+			pix[i] = perturb(pix[i], z[0])
+			i, t, pending = i+1, 1, false
+			hits &^= 1
+		}
+		for hits != 0 {
+			h := bits.TrailingZeros64(hits)
+			if i += h - t; i >= len(pix) {
+				return
+			}
+			if h == 63 {
+				pending = true
+				break
+			}
+			pix[i] = perturb(pix[i], z[h+1])
+			i, t = i+1, h+2
+			hits &^= 3 << h // the hit, and the draw that perturbed it
+		}
+		if !pending {
+			i += 64 - t
 		}
 	}
 }
+
+// perturb moves a byte by Intn(11)−5 drawn from z, clamped to a byte.
+func perturb(p uint8, z uint64) uint8 {
+	return uint8(min(max(int(p)+int((z>>32)*11>>32)-5, 0), 255))
+}
+
+// noiseBlockGo is the block fill's Go form: z[j] = Mix(base+(j+1)·Gamma)
+// and bit j of hits set when z[j]>>11 < noiseOdds, i.e. z[j] <
+// noiseOdds<<11. The mask is built from bit 63 down with a constant
+// shift; a borrow is the comparison without a branch.
+func noiseBlockGo(z *[64]uint64, base uint64) (hits uint64) {
+	for j := 63; j >= 0; j-- {
+		v := rng.Mix(base + uint64(j+1)*rng.Gamma)
+		z[j] = v
+		_, lt := bits.Sub64(v, noiseOdds<<11, 0)
+		hits = hits<<1 | lt
+	}
+	return hits
+}
+
+// speckle is the ground texture's amplitude: a pixel is the ground
+// colour times haze·(1 + (u − 0.5)·speckle), u one Float64 draw.
+const speckle = 0.12
+
+// groundTab is a ground colour and, for groundRowAVX512, the colour of
+// each channel of a run of eight RGB pixels, as three 8-lane vectors.
+type groundTab struct {
+	pat [3][8]float64
+	rgb [3]uint8
+}
+
+func newGroundTab(c [3]uint8) (t groundTab) {
+	t.rgb = c
+	for k := 0; k < 24; k++ { // channel k of the run is pixel k/3's channel k%3
+		t.pat[k/8][k%8] = float64(c[k%3])
+	}
+	return t
+}
+
+// groundTabs holds each background's walking-surface colour; any other
+// background takes the last entry, black.
+var groundTabs = [...]groundTab{
+	Footpath:     newGroundTab([3]uint8{150, 148, 142}), // concrete paving
+	Path:         newGroundTab([3]uint8{146, 120, 88}),  // packed earth
+	RoadSide:     newGroundTab([3]uint8{90, 90, 95}),    // asphalt
+	RoadSide + 1: {},
+}
+
+// groundRow shades the len(row)/3 ground pixels of row from the draws
+// Mix(base+(x+1)·Gamma): the per-pixel shade(ground, haze·n) with n from
+// noise.Float64(). vec runs the runs of eight in the AVX-512 form, which
+// performs the same float64 operations in the same order; the rest, or
+// all of the row, in Go.
+func groundRow(row []uint8, base uint64, haze float64, g *groundTab, vec bool) {
+	x := 0
+	if n8 := len(row) / 24; vec && n8 > 0 {
+		groundRowAVX512(&row[0], n8, base, haze, g)
+		x = 8 * n8
+	}
+	for ; x < len(row)/3; x++ {
+		u := float64(rng.Mix(base+uint64(x+1)*rng.Gamma)>>11) / (1 << 53)
+		n := 1 + (u-0.5)*speckle
+		row[x*3], row[x*3+1], row[x*3+2] = shade(g.rgb, haze*n)
+	}
+}
+
+// vectorForm reports whether the render's random streams run their
+// AVX-512 forms: bound by the kernel tier, as the tensor row kernels
+// are, so OCULARONE_KERNEL_TIER and tensor.SetKernelTier select the
+// Go forms with every other tier.
+func vectorForm() bool { return tensor.KernelTier() == tensor.TierAVX512VNNI }
 
 // writeDepthRect fills the depth map for an entity's screen box.
 func writeDepthRect(gt *GroundTruth, w, h int, r imgproc.Rect, d float64) {

@@ -29,7 +29,9 @@ import (
 //	            tiles accumulated with AVX-512 VPDPBUSD (VNNI bytes: four
 //	            u8·s8 products a lane and their add, fused), the tile's
 //	            left half for ragged slivers (kernHalfQ), and avx2fma's
-//	            row kernels
+//	            row kernels; requires AVX-512 F, BW, DQ, VL and VNNI
+//	            (DQ and VL for internal/scene's render kernels, which
+//	            this tier binds)
 //
 // Every tier keeps gemmMR = 4, so the fp32 operand layout (PackedA
 // micro-panels and their checksum rows) is identical across tiers:

@@ -82,7 +82,9 @@ const (
 const (
 	cpuidAVX2       = 1 << 5
 	cpuidAVX512F    = 1 << 16
+	cpuidAVX512DQ   = 1 << 17
 	cpuidAVX512BW   = 1 << 30
+	cpuidAVX512VL   = 1 << 31
 	cpuidAVX512VNNI = 1 << 11 // ECX
 )
 
@@ -128,8 +130,10 @@ func archTiers() []kernelTier {
 		name: TierAVX2FMA, nr: 24, kc: 192, nmr: 8, qnr: 16, qk: 2, fma: true,
 		f32: gemmFMA4x24, narrow: gemmFMA8x12, q: gemmQ4x16, rows: avx2Rows,
 	})
-	if b7&cpuidAVX512F != 0 && b7&cpuidAVX512BW != 0 &&
-		c7&cpuidAVX512VNNI != 0 && xlo&xcr0AVX512 == xcr0AVX512 {
+	// DQ and VL are for the render's random streams (internal/scene:
+	// VPMULLQ, VCVTUQQ2PD, VPMOVDB on a YMM); every VNNI part has both.
+	const avx512 = cpuidAVX512F | cpuidAVX512DQ | cpuidAVX512BW | cpuidAVX512VL
+	if b7&avx512 == avx512 && c7&cpuidAVX512VNNI != 0 && xlo&xcr0AVX512 == xcr0AVX512 {
 		tiers = append(tiers, kernelTier{
 			name: TierAVX512VNNI, nr: 48, kc: 128, nmr: 16, qnr: 32, qk: 4, fma: true,
 			f32: gemmFMA4x48, narrow: gemmFMA16x12, q: gemmQuad4x32, qhalf: gemmQuad4x32Half, rows: avx2Rows,

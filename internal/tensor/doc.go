@@ -24,7 +24,9 @@
 // pure-Go 4×8 tiles (generic, every GOARCH), SSE2 assembly 4×8 tiles
 // (sse2, the amd64 baseline), an AVX2/FMA 4×24 fp32 tile with a 4×16
 // VPMADDWD int8 tile (avx2fma), and an AVX-512 4×48 fp32 tile with a
-// 4×32 VPDPBUSD int8 tile (avx512vnni); the FMA tiers also bind a
+// 4×32 VPDPBUSD int8 tile (avx512vnni: AVX-512 F, BW, DQ, VL and VNNI —
+// DQ and VL for the scene renderer's kernels, which this tier also
+// binds); the FMA tiers also bind a
 // narrow fp32 tile for GEMMs of at most 36 columns — 8×12 in YMM,
 // 16×12 in ZMM — which prefetches the weight panels it streams. The
 // two FMA tiers' fp32 results are the same bits. The int8 operand
