@@ -177,12 +177,34 @@ func TestScoreFrameVerdicts(t *testing.T) {
 	}
 }
 
+// packMask and unpackMask convert between a []bool mask and the
+// packed rows Detect's stages run on.
+func packMask(mask []bool, w, h int) []uint64 {
+	wpr := rowWords(w)
+	p := make([]uint64, wpr*h)
+	for i, v := range mask {
+		if v {
+			p[i/w*wpr+i%w/64] |= 1 << (i % w % 64)
+		}
+	}
+	return p
+}
+
+func unpackMask(p []uint64, w, h int) []bool {
+	wpr := rowWords(w)
+	mask := make([]bool, w*h)
+	for i := range mask {
+		mask[i] = p[i/w*wpr+i%w/64]>>(i%w%64)&1 != 0
+	}
+	return mask
+}
+
 // closeMask is Detect's closing on fresh buffers: dilate, then erode.
 func closeMask(mask []bool, w, h, r int) []bool {
-	grown, tmp, out := make([]bool, w*h), make([]bool, w*h), make([]bool, w*h)
-	dilate(grown, tmp, mask, w, h, r)
-	erode(out, tmp, grown, w, h, r)
-	return out
+	grown, out := make([]uint64, rowWords(w)*h), make([]uint64, rowWords(w)*h)
+	dilate(grown, packMask(mask, w, h), w, h, r)
+	erode(out, grown, w, h, r)
+	return unpackMask(out, w, h)
 }
 
 func TestMorphology(t *testing.T) {
@@ -214,9 +236,7 @@ func TestMorphology(t *testing.T) {
 
 // componentsOf runs the component search on fresh scratch.
 func componentsOf(mask []bool, w, h int) []component {
-	s := new(scratch)
-	s.resize(len(mask))
-	return s.components(mask, w, h)
+	return new(scratch).components(packMask(mask, w, h), w, h)
 }
 
 func TestComponentsExtraction(t *testing.T) {
@@ -344,5 +364,20 @@ func TestUnmarshalRejectsBadData(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte(`{"version": 999}`)); err == nil {
 		t.Fatal("future version accepted")
+	}
+	// Each of these used to load: a resolution ≤ 0 made Detect panic,
+	// a negative std gives a window that admits nothing, a negative
+	// support NaN margins.
+	for _, bad := range []string{
+		`{"version":1,"tier":{"Resolution":0},"clusters":[{"std_h":1,"std_s":1,"std_v":1,"support":5}]}`,
+		`{"version":1,"tier":{"Resolution":-96},"clusters":[]}`,
+		`{"version":1,"tier":{"Resolution":96},"clusters":[{"std_h":-1,"std_s":1,"std_v":1,"support":5}]}`,
+		`{"version":1,"tier":{"Resolution":96},"clusters":[{"std_h":1,"std_s":-0.1,"std_v":1,"support":5}]}`,
+		`{"version":1,"tier":{"Resolution":96},"clusters":[{"std_h":1,"std_s":1,"std_v":-2,"support":5}]}`,
+		`{"version":1,"tier":{"Resolution":96},"clusters":[{"std_h":1,"std_s":1,"std_v":1,"support":-1}]}`,
+	} {
+		if d, err := Unmarshal([]byte(bad)); err == nil {
+			t.Fatalf("%s accepted as %+v", bad, d)
+		}
 	}
 }

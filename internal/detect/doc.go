@@ -12,12 +12,14 @@
 // the paper's Figs. 1, 3 and 4.
 //
 // Detect's front end touches each pixel once per stage and derives
-// nothing per pixel that is fixed for the frame: contrast normalisation
-// and the downscale are imgproc's table-driven Into variants, a
-// cluster's effective HSV window is computed once per call, saturation
-// and value are tested before hue is worked out, and the closing is a
-// row pass and a column pass. All of it works out of a pooled scratch,
-// so a steady-state call allocates only the boxes it returns. The
-// per-pixel loops this replaced are the oracles in reference_test.go;
-// every mask and box must equal theirs.
+// nothing per pixel that is fixed for the frame: the downscale reads the
+// frame through the contrast tiles' tables in one pass, one 64 K table
+// keyed by a pixel's (max, min) channels answers every cluster's
+// saturation and value test at once so hue is worked out only where
+// one admits, and the masks are bit-packed rows — the closing is word
+// shifts with OR / AND, the components a union-find over runs. All of
+// it works out of a pooled scratch, so a steady-state call allocates
+// only the boxes it returns. The per-pixel loops, the []bool morphology
+// and the BFS this replaced are the oracles in reference_test.go; every
+// mask and box must equal theirs.
 package detect

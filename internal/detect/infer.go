@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"math"
 	"sort"
 	"sync"
 
@@ -14,31 +13,40 @@ type Box struct {
 	Score float64
 }
 
-// scratch is the working memory of one Detect call: the contrast-
-// normalised and downscaled images, the mask planes the closing
-// ping-pongs through, and the component search's state. Detect draws
-// one from scratchPool, so concurrent calls never share one and a
-// steady-state caller allocates only the boxes it returns.
+// scratch is the working memory of one Detect call: the contrast
+// tables and the downscaled image, the colour table, the bit-packed
+// mask planes the closing runs through, and the component search's
+// runs. Detect draws one from scratchPool, so concurrent calls never
+// share one and a steady-state caller allocates only the boxes it
+// returns.
 type scratch struct {
-	work, small                imgproc.Image
-	planes                     []bool // backs the four below
-	mask, tmp, closed, visited []bool
-	stack                      []int
-	comps                      []component
-	windows                    []window
+	lut          imgproc.TileLUT
+	small        imgproc.Image
+	colours      colourTable
+	planes       []uint64 // backs the two below
+	mask, closed []uint64
+	runs         []run
+	comps        []component
+	boxes        []Box
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// resize cuts the four mask planes for an n-pixel analysis image,
-// reallocating only to grow. Their contents are whatever the last
-// frame left.
-func (s *scratch) resize(n int) {
-	if cap(s.planes) < 4*n {
-		s.planes = make([]bool, 4*n)
+// resize cuts the two mask planes for a w×h analysis image, reallocating
+// only to grow. Their contents are whatever the last frame left.
+func (s *scratch) resize(w, h int) {
+	n := rowWords(w) * h
+	s.planes = grow(s.planes, 2*n)
+	s.mask, s.closed = s.planes[:n], s.planes[n:]
+}
+
+// grow returns s resliced to n elements, reallocating only when its
+// capacity is short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	p := s.planes[:4*n]
-	s.mask, s.tmp, s.closed, s.visited = p[:n], p[n:2*n], p[2*n:3*n], p[3*n:]
+	return s[:n]
 }
 
 // Detect finds hazard vests in the frame. The pipeline is:
@@ -51,6 +59,10 @@ func (s *scratch) resize(n int) {
 //     rescues candidates whose colour fill is marginal,
 //  6. greedy NMS, boxes mapped back to input coordinates.
 //
+// Steps 1 and 2 are one pass: the downscale reads the frame through
+// the contrast tiles' tables, and stripe verification reads the
+// candidate's region through them too.
+//
 // Detect is safe for concurrent use; the detector is immutable after
 // training.
 func (d *Detector) Detect(im *imgproc.Image) []Box {
@@ -59,21 +71,10 @@ func (d *Detector) Detect(im *imgproc.Image) []Box {
 	}
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	work := im
-	if d.Tier.ContrastNorm {
-		work = s.work.Reshape(im.W, im.H)
-		imgproc.LocalContrastNormalizeInto(work, im, im.W/5)
-	}
-	rw := d.Tier.Resolution
-	rh := rw * im.H / im.W
-	if rh < 8 {
-		rh = 8
-	}
-	small := s.small.Reshape(rw, rh)
-	imgproc.ResizeInto(small, work)
-
-	s.resize(rw * rh)
-	d.matchMask(s, small)
+	lut := d.Tier.analysisImage(&s.small, im, &s.lut)
+	rw, rh := s.small.W, s.small.H
+	s.resize(rw, rh)
+	d.matchMask(s, &s.small)
 	// Morphological closing bridges the reflective stripes, which split
 	// the neon panel into disconnected slivers at analysis resolution.
 	// The stripe width scales with resolution, so the closing radius must
@@ -82,15 +83,15 @@ func (d *Detector) Detect(im *imgproc.Image) []Box {
 	if cr < 1 {
 		cr = 1
 	}
-	dilate(s.closed, s.tmp, s.mask, rw, rh, cr)
-	erode(s.mask, s.tmp, s.closed, rw, rh, cr)
+	dilate(s.closed, s.mask, rw, rh, cr)
+	erode(s.mask, s.closed, rw, rh, cr)
 	cands := s.components(s.mask, rw, rh)
 
 	minArea := (rw * rh) / 1500 // vest must cover ≥ ~0.07% of the frame
 	if minArea < 4 {
 		minArea = 4
 	}
-	var boxes []Box
+	boxes := s.boxes[:0]
 	sx := float64(im.W) / float64(rw)
 	sy := float64(im.H) / float64(rh)
 	for _, c := range cands {
@@ -108,190 +109,94 @@ func (d *Detector) Detect(im *imgproc.Image) []Box {
 		fill := float64(c.area) / float64(bw*bh)
 		accepted := fill >= d.Tier.FillThreshold
 		score := fill
+		full := imgproc.Rect{
+			X0: int(float64(c.rect.X0) * sx), Y0: int(float64(c.rect.Y0) * sy),
+			X1: int(float64(c.rect.X1)*sx) + 1, Y1: int(float64(c.rect.Y1)*sy) + 1,
+		}.Clamp(im.W, im.H)
 		if d.Tier.StripeCheck && (accepted && fill < 0.5 || !accepted && fill >= d.Tier.FillThreshold*0.8) {
 			// Reflective-stripe verification in the full-res candidate
 			// region: a veto for low-confidence accepts (noise blobs have
 			// no stripes) and a rescue for borderline colour fills.
-			full := imgproc.Rect{
-				X0: int(float64(c.rect.X0) * sx), Y0: int(float64(c.rect.Y0) * sy),
-				X1: int(float64(c.rect.X1)*sx) + 1, Y1: int(float64(c.rect.Y1)*sy) + 1,
-			}.Clamp(im.W, im.H)
-			if hasStripes(work, full) {
+			if hasStripes(im, lut, full) {
 				accepted = true
 				score = fill + 0.1
 			} else {
 				accepted = false
 			}
 		}
-		if !accepted {
-			continue
+		if accepted {
+			boxes = append(boxes, Box{Rect: full, Score: score})
 		}
-		boxes = append(boxes, Box{
-			Rect: imgproc.Rect{
-				X0: int(float64(c.rect.X0) * sx), Y0: int(float64(c.rect.Y0) * sy),
-				X1: int(float64(c.rect.X1)*sx) + 1, Y1: int(float64(c.rect.Y1)*sy) + 1,
-			}.Clamp(im.W, im.H),
-			Score: score,
-		})
 	}
+	s.boxes = boxes
 	return nmsBoxes(boxes, 0.5)
 }
 
-// window is one cluster's acceptance box in HSV: its centre and the
-// effective half-width on each axis, fixed for a whole frame.
-type window struct {
-	h, s, v    float64
-	dh, ds, dv float64
+// analysisImage makes dst im downscaled to the tier's analysis
+// resolution, read on ContrastNorm tiers through the contrast tiles'
+// tables, which it builds in lut; it returns the tables it read
+// through. Training and Detect both see a frame through it.
+func (t Tier) analysisImage(dst, im *imgproc.Image, lut *imgproc.TileLUT) *imgproc.TileLUT {
+	m := imgproc.IdentityLUT()
+	if t.ContrastNorm {
+		m = lut.Contrast(im, im.W/5)
+	}
+	rw := t.Resolution
+	rh := rw * im.H / im.W
+	if rh < 8 {
+		rh = 8
+	}
+	imgproc.ResizeLUTInto(dst.Reshape(rw, rh), im, m)
+	return m
 }
 
-// matchMask marks in s.mask the pixels accepted by any colour cluster.
-// Saturation and value need only the extreme channels, so they are
-// tested first and hue is computed for the pixels that pass them.
+// matchMask sets in s.mask the pixels accepted by any colour cluster.
+// Saturation and value depend only on a pixel's extreme channels, so
+// the colour table answers them for all clusters at once and hue is
+// worked out only for a pixel some cluster's S and V windows admit.
 func (d *Detector) matchMask(s *scratch, im *imgproc.Image) {
-	s.windows = s.windows[:0]
-	for _, c := range d.Clusters {
-		mh, ms, mv := c.effMargins(d.Tier)
-		s.windows = append(s.windows, window{
-			h: c.meanH, s: c.meanS, v: c.meanV,
-			dh: mh * c.stdH, ds: ms * c.stdS, dv: mv * c.stdV,
-		})
-	}
-	for i := range s.mask {
-		px := im.Pix[i*3 : i*3+3]
-		sat, val := imgproc.SatVal(px[0], px[1], px[2])
-		hue, hit := -1.0, false
-		for _, c := range s.windows {
-			if !(math.Abs(sat-c.s) <= c.ds && math.Abs(val-c.v) <= c.dv) {
-				continue
-			}
-			if hue < 0 {
-				hue = imgproc.Hue(px[0], px[1], px[2])
-			}
-			dh := math.Abs(hue - c.h)
-			if dh > 180 {
-				dh = 360 - dh
-			}
-			if dh <= c.dh {
-				hit = true
-				break
-			}
-		}
-		s.mask[i] = hit
-	}
-}
-
-// widenRuns copies every run of set cells on a line of src (n cells,
-// stride apart, starting at off) into dst with each end moved outward
-// by k cells and clipped to the line; k < 0 narrows runs, dropping
-// those of 2|k| cells or fewer. dst must be clear on entry.
-func widenRuns(dst, src []bool, off, n, stride, k int) {
-	for i := 0; i < n; {
-		if !src[off+i*stride] {
-			i++
-			continue
-		}
-		a := i
-		for i < n && src[off+i*stride] {
-			i++
-		}
-		for j := max(a-k, 0); j < min(i+k, n); j++ {
-			dst[off+j*stride] = true
-		}
-	}
-}
-
-// widen applies widenRuns along every row of mask into tmp and then
-// along every column of tmp into dst: a square (Chebyshev) structuring
-// element is the composition of its horizontal and vertical segments.
-func widen(dst, tmp, mask []bool, w, h, k int) {
-	clear(tmp)
-	for y := 0; y < h; y++ {
-		widenRuns(tmp, mask, y*w, w, 1, k)
-	}
-	clear(dst)
-	for x := 0; x < w; x++ {
-		widenRuns(dst, tmp, x, h, w, k)
-	}
-}
-
-// dilate grows the mask by r pixels (Chebyshev ball) into dst.
-func dilate(dst, tmp, mask []bool, w, h, r int) { widen(dst, tmp, mask, w, h, r) }
-
-// erode shrinks the mask by r pixels (Chebyshev ball) into dst; cells
-// outside the image count as unset, which is what a run ending at the
-// border already says.
-func erode(dst, tmp, mask []bool, w, h, r int) { widen(dst, tmp, mask, w, h, -r) }
-
-// component is a connected region of matched pixels.
-type component struct {
-	rect imgproc.Rect
-	area int
-}
-
-// components extracts 4-connected regions from a mask of s.resize's
-// size via BFS. The result is valid until s is reused.
-func (s *scratch) components(mask []bool, w, h int) []component {
-	clear(s.visited)
-	visited, out, queue := s.visited, s.comps[:0], s.stack
-	for start := range mask {
-		if !mask[start] || visited[start] {
-			continue
-		}
-		queue = queue[:0]
-		queue = append(queue, start)
-		visited[start] = true
-		comp := component{rect: imgproc.Rect{X0: w, Y0: h, X1: 0, Y1: 0}}
-		for len(queue) > 0 {
-			p := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			px, py := p%w, p/w
-			comp.area++
-			if px < comp.rect.X0 {
-				comp.rect.X0 = px
-			}
-			if py < comp.rect.Y0 {
-				comp.rect.Y0 = py
-			}
-			if px+1 > comp.rect.X1 {
-				comp.rect.X1 = px + 1
-			}
-			if py+1 > comp.rect.Y1 {
-				comp.rect.Y1 = py + 1
-			}
-			for _, q := range [4]int{p - 1, p + 1, p - w, p + w} {
-				if q < 0 || q >= len(mask) {
-					continue
-				}
-				// Prevent row wrap-around for horizontal neighbours.
-				if (q == p-1 && px == 0) || (q == p+1 && px == w-1) {
-					continue
-				}
-				if mask[q] && !visited[q] {
-					visited[q] = true
-					queue = append(queue, q)
+	t := s.colours.build(d)
+	wpr := rowWords(im.W)
+	for y := 0; y < im.H; y++ {
+		row := s.mask[y*wpr : (y+1)*wpr]
+		pix := im.Pix[y*im.W*3 : (y+1)*im.W*3]
+		for wi := range row {
+			var word uint64
+			seg := pix[wi*64*3 : min((wi+1)*64*3, len(pix))]
+			for o, bit := 0, uint64(1); o+2 < len(seg); o, bit = o+3, bit<<1 {
+				r, g, b := seg[o], seg[o+1], seg[o+2]
+				if e := t.bits[uint16(max(r, g, b))<<8|uint16(min(r, g, b))]; e != 0 && t.hueHit(e, r, g, b) {
+					word |= bit
 				}
 			}
+			row[wi] = word
 		}
-		out = append(out, comp)
 	}
-	s.comps, s.stack = out, queue
-	return out
 }
 
-// hasStripes checks a full-resolution candidate region for the vest's
-// reflective bands: bright, low-saturation pixels forming a meaningful
-// fraction of the region. r must lie inside the image.
-func hasStripes(im *imgproc.Image, r imgproc.Rect) bool {
+// hasStripes checks a full-resolution candidate region, read through
+// the frame's contrast tables, for the vest's reflective bands: bright,
+// low-saturation pixels forming a meaningful fraction of the region. r
+// must lie inside the image. A table is monotone, so it maps a pixel's
+// extreme channels to the extremes of its mapped channels, and those
+// are all SatVal reads.
+func hasStripes(im *imgproc.Image, lut *imgproc.TileLUT, r imgproc.Rect) bool {
 	if r.Empty() {
 		return false
 	}
 	bright := 0
 	for y := r.Y0; y < r.Y1; y++ {
-		row := im.Pix[(y*im.W+r.X0)*3 : (y*im.W+r.X1)*3]
-		for o := 0; o+2 < len(row); o += 3 {
-			if s, v := imgproc.SatVal(row[o], row[o+1], row[o+2]); v > 0.55 && s < 0.35 {
-				bright++
+		for x := r.X0; x < r.X1; {
+			t, end := lut.Span(x, y)
+			end = min(end, r.X1)
+			row := im.Pix[(y*im.W+x)*3 : (y*im.W+end)*3]
+			for o := 0; o+2 < len(row); o += 3 {
+				mx, mn := t[max(row[o], row[o+1], row[o+2])], t[min(row[o], row[o+1], row[o+2])]
+				if s, v := imgproc.SatVal(mx, mn, mn); v > 0.55 && s < 0.35 {
+					bright++
+				}
 			}
+			x = end
 		}
 	}
 	frac := float64(bright) / float64(r.Area())

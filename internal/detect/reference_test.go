@@ -1,17 +1,19 @@
 package detect
 
-// The colour matcher, morphology and Detect as they were before the
-// table-driven rewrite, kept as oracles. They call imgproc's
-// LocalContrastNormalize, Resize and RGBToHSV, which that package pins
-// to its own references (RGBToHSV over all 2²⁴ colours, the other two
-// on these frame geometries), so equality here is equality with the
-// old detector end to end.
+// The colour matcher, morphology, component search and Detect as they
+// were before the table-driven and bit-packed rewrites, kept as
+// oracles. They call imgproc's LocalContrastNormalize, Resize and
+// RGBToHSV, which that package pins to its own references (RGBToHSV
+// over all 2²⁴ colours, the other two on these frame geometries), so
+// equality here is equality with the old detector end to end; none of
+// them calls a stage of Detect.
 
 import (
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"ocularone/internal/dataset"
@@ -86,6 +88,43 @@ func refErode(mask []bool, w, h, r int) []bool {
 	return out
 }
 
+// refComponents extracts 4-connected regions from a mask via BFS, in
+// the raster order of their first pixel.
+func refComponents(mask []bool, w, h int) []component {
+	visited := make([]bool, len(mask))
+	var out []component
+	var queue []int
+	for start := range mask {
+		if !mask[start] || visited[start] {
+			continue
+		}
+		queue = append(queue[:0], start)
+		visited[start] = true
+		comp := component{rect: imgproc.Rect{X0: w, Y0: h, X1: 0, Y1: 0}}
+		for len(queue) > 0 {
+			p := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			px, py := p%w, p/w
+			comp.area++
+			comp.rect.X0, comp.rect.X1 = min(comp.rect.X0, px), max(comp.rect.X1, px+1)
+			comp.rect.Y0, comp.rect.Y1 = min(comp.rect.Y0, py), max(comp.rect.Y1, py+1)
+			// By offset, not by index: at w = 1, p+1 is the pixel below.
+			for _, n := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
+				nx, ny := px+n[0], py+n[1]
+				if nx < 0 || nx >= w || ny < 0 || ny >= h {
+					continue
+				}
+				if q := ny*w + nx; mask[q] && !visited[q] {
+					visited[q] = true
+					queue = append(queue, q)
+				}
+			}
+		}
+		out = append(out, comp)
+	}
+	return out
+}
+
 func refHasStripes(im *imgproc.Image, r imgproc.Rect) bool {
 	if r.Empty() {
 		return false
@@ -131,7 +170,7 @@ func (d *Detector) refDetect(im *imgproc.Image) []Box {
 	}
 	mask = refDilate(mask, rw, rh, cr)
 	mask = refErode(mask, rw, rh, cr)
-	cands := componentsOf(mask, rw, rh)
+	cands := refComponents(mask, rw, rh)
 
 	minArea := (rw * rh) / 1500
 	if minArea < 4 {
@@ -184,9 +223,9 @@ func (d *Detector) refDetect(im *imgproc.Image) []Box {
 // maskOf runs the new matcher on fresh scratch.
 func (d *Detector) maskOf(im *imgproc.Image) []bool {
 	s := new(scratch)
-	s.resize(im.W * im.H)
+	s.resize(im.W, im.H)
 	d.matchMask(s, im)
-	return s.mask
+	return unpackMask(s.mask, im.W, im.H)
 }
 
 func allTiers() []Tier {
@@ -288,41 +327,82 @@ func TestFrontEndMatchesReference(t *testing.T) {
 	t.Logf("%d masks, %d detections (%d boxes) equal to the reference", masks, frames, boxes)
 }
 
+// randomMask is a w×h mask of the given density.
+func randomMask(r *rng.RNG, w, h int, density float64) []bool {
+	mask := make([]bool, w*h)
+	for i := range mask {
+		mask[i] = r.Bool(density)
+	}
+	return mask
+}
+
 // TestMorphologyMatchesReference: random masks at every density, sizes
-// from one cell up, radii past the image size.
+// from one cell up and widths on either side of one and two words,
+// radii past a word and past the image size.
 func TestMorphologyMatchesReference(t *testing.T) {
 	r := rng.New(9)
-	for n := 0; n < 400; n++ {
+	for n := 0; n < 460; n++ {
 		w, h := 1+r.Intn(40), 1+r.Intn(30)
+		if n >= 400 {
+			w = []int{63, 64, 65, 127, 128, 129}[n%6]
+		}
 		rad := r.Intn(5)
-		if n%50 == 0 {
+		switch {
+		case n%50 == 0:
 			rad = max(w, h) + 1
+		case n >= 400 && n%3 == 0:
+			rad = 64 + r.Intn(70)
 		}
-		mask := make([]bool, w*h)
-		density := r.Float64()
-		for i := range mask {
-			mask[i] = r.Bool(density)
-		}
-		dst, tmp := make([]bool, w*h), make([]bool, w*h)
-		// Dirty buffers: the pooled ones arrive holding the last frame.
+		mask := randomMask(r, w, h, r.Float64())
+		packed := packMask(mask, w, h)
+		dst := make([]uint64, len(packed))
+		// A dirty buffer: the pooled ones arrive holding the last frame.
 		for i := range dst {
-			dst[i], tmp[i] = r.Bool(0.5), r.Bool(0.5)
+			dst[i] = r.Uint64()
 		}
-		dilate(dst, tmp, mask, w, h, rad)
-		if !reflect.DeepEqual(dst, refDilate(mask, w, h, rad)) {
+		dilate(dst, packed, w, h, rad)
+		if !reflect.DeepEqual(dst, packMask(refDilate(mask, w, h, rad), w, h)) {
 			t.Fatalf("dilate %dx%d r=%d differs from the reference", w, h, rad)
 		}
-		erode(dst, tmp, mask, w, h, rad)
-		if !reflect.DeepEqual(dst, refErode(mask, w, h, rad)) {
+		erode(dst, packed, w, h, rad)
+		if !reflect.DeepEqual(dst, packMask(refErode(mask, w, h, rad), w, h)) {
 			t.Fatalf("erode %dx%d r=%d differs from the reference", w, h, rad)
 		}
 	}
 }
 
+// FuzzComponentsMatchReference: areas, rects and order of the union-find
+// labelling equal the BFS's, on masks from empty to full, widths across
+// word boundaries, and shapes (combs, rings, spirals of runs) whose
+// runs merge late.
+func FuzzComponentsMatchReference(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(8), uint8(128))
+	f.Add(uint64(2), uint8(63), uint8(5), uint8(200))
+	f.Add(uint64(3), uint8(64), uint8(3), uint8(255))
+	f.Add(uint64(4), uint8(129), uint8(40), uint8(90))
+	f.Add(uint64(5), uint8(0), uint8(0), uint8(10))
+	f.Add(uint64(6), uint8(200), uint8(1), uint8(160))
+	f.Fuzz(func(t *testing.T, seed uint64, wb, hb, density uint8) {
+		r := rng.New(seed)
+		w, h := int(wb)%200+1, int(hb)%100+1
+		mask := randomMask(r, w, h, float64(density)/255)
+		if seed%3 == 0 { // a comb: teeth joined only along the bottom row
+			for i := range mask {
+				x, y := i%w, i/w
+				mask[i] = x%2 == 0 || y == h-1
+			}
+		}
+		if got, want := componentsOf(mask, w, h), refComponents(mask, w, h); !reflect.DeepEqual(got, want) && (len(got)+len(want) > 0) {
+			t.Fatalf("%dx%d: components %v, reference %v", w, h, got, want)
+		}
+	})
+}
+
 // TestHasStripesMatchesReference: regions of two to a dozen pixels
 // whose value and saturation sit within a few byte steps of the stripe
 // thresholds (v > 0.55 is max ≥ 141, s < 0.35), so one pixel moving
-// across either flips the verdict.
+// across either flips the verdict; read as they are, and through
+// contrast tables of 5-pixel tiles, which the regions straddle.
 func TestHasStripesMatchesReference(t *testing.T) {
 	r := rng.New(3)
 	im := imgproc.NewImage(24, 16)
@@ -337,9 +417,13 @@ func TestHasStripesMatchesReference(t *testing.T) {
 		}
 		x0, y0 := r.Intn(im.W-4), r.Intn(im.H-3)
 		rect := imgproc.Rect{X0: x0, Y0: y0, X1: x0 + 1 + r.Intn(4), Y1: y0 + 1 + r.Intn(3)}
-		got, want := hasStripes(im, rect), refHasStripes(im, rect)
+		got, want := hasStripes(im, imgproc.IdentityLUT(), rect), refHasStripes(im, rect)
 		if got != want {
 			t.Fatalf("hasStripes(%+v) = %v, reference %v", rect, got, want)
+		}
+		lut := new(imgproc.TileLUT).Contrast(im, 5)
+		if got, want := hasStripes(im, lut, rect), refHasStripes(imgproc.LocalContrastNormalize(im, 5), rect); got != want {
+			t.Fatalf("hasStripes(%+v) through 5-pixel tiles = %v, reference %v", rect, got, want)
 		}
 		if want {
 			verdicts[1]++
@@ -352,9 +436,10 @@ func TestHasStripesMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzMatchMaskMatchesReference draws the colour model itself: cluster
-// hues on both sides of the 0/360 wrap, windows from a sliver to wider
-// than the cap, thin and thick training support; and an image of
+// FuzzMatchMaskMatchesReference draws the colour model itself: one to
+// ten clusters (past the seventh they share the colour table's last
+// bit), hues on both sides of the 0/360 wrap, windows from a sliver to
+// wider than the cap, thin and thick training support; and an image of
 // greys (d == 0), blacks (v == 0), near-cluster colours and noise.
 func FuzzMatchMaskMatchesReference(f *testing.F) {
 	for s := uint64(1); s <= 6; s++ {
@@ -365,7 +450,7 @@ func FuzzMatchMaskMatchesReference(f *testing.F) {
 		d := &Detector{Tier: Tier{
 			MarginH: r.Range(0.5, 4), MarginS: r.Range(0.5, 4), MarginV: r.Range(0.5, 4),
 		}}
-		for k := 1 + r.Intn(6); k > 0; k-- {
+		for k := 1 + r.Intn(10); k > 0; k-- {
 			c := cluster{
 				meanH: r.Range(0, 360), stdH: r.Range(0, 12),
 				meanS: r.Float64(), stdS: r.Range(0, 0.3),
@@ -405,12 +490,12 @@ func FuzzMatchMaskMatchesReference(f *testing.F) {
 }
 
 // detectAllocBudget bounds what one steady-state v8m Detect of a
-// 320×240 frame may allocate: the returned boxes, NMS's sort, and the
-// closures handed to parallel. Before the pooled scratch it was
-// 518 KB in 22 allocations.
+// 320×240 frame may allocate: NMS's kept boxes and its sort, measured
+// at 2 allocations and 75 bytes with one box. Before the pooled scratch
+// it was 518 KB in 22 allocations.
 const (
-	detectAllocBudgetBytes = 4 << 10
-	detectAllocBudgetCount = 12
+	detectAllocBudgetBytes = 128
+	detectAllocBudgetCount = 2
 )
 
 func TestDetectSteadyStateAllocs(t *testing.T) {
@@ -444,10 +529,73 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkFrontEndStages times the detector's own stages on one
-// 320×240 frame against their references, and the whole v8m Detect
-// (whose before is the same benchmark at the parent commit: refDetect
-// shares the new imgproc stages).
+// FuzzDetect is Detect's front door: a rendered frame scaled to w×h,
+// 1…640 pixels a side and taller than wide as often as wider, for every
+// tier, with its contrast and stripe stages switched on and off
+// (flags), at full brightness or ×0.3. Detect must equal refDetect, and
+// DetectROI over a drawn region must equal refDetect on the crop mapped
+// back. A frame is at most 8 times taller than wide: the analysis image
+// grows as Resolution²·h/w, and the references walk it per pixel.
+func FuzzDetect(f *testing.F) {
+	f.Add(uint64(1), uint16(320), uint16(240), uint8(1), uint8(0))
+	f.Add(uint64(2), uint16(41), uint16(60), uint8(5), uint8(0)) // taller than wide, as a DetectROI view often is
+	f.Add(uint64(3), uint16(1), uint16(8), uint8(2), uint8(0))   // a one-pixel column
+	f.Add(uint64(4), uint16(640), uint16(1), uint8(4), uint8(0)) // a one-pixel row
+	f.Add(uint64(5), uint16(97), uint16(300), uint8(3), uint8(3))
+	f.Add(uint64(6), uint16(640), uint16(640), uint8(0), uint8(2))
+	f.Add(uint64(71), uint16(97), uint16(224), uint8(3), uint8(3)) // a stripe verdict the contrast tables decide
+	f.Fuzz(func(t *testing.T, seed uint64, wb, hb uint16, tier, flags uint8) {
+		fx := fuzzDetectFixture()
+		w := int(wb)%640 + 1
+		h := min(int(hb)%640+1, 8*w)
+		d := *fx.detectors[int(tier)%len(fx.detectors)]
+		d.Tier.ContrastNorm = d.Tier.ContrastNorm != (flags&1 != 0)
+		d.Tier.StripeCheck = d.Tier.StripeCheck != (flags&2 != 0)
+		r := rng.New(seed)
+		im := imgproc.Resize(fx.frames[r.Intn(len(fx.frames))], w, h)
+		if r.Bool(0.3) {
+			im = imgproc.AdjustBrightness(im, 0.3)
+		}
+		if got, want := d.Detect(im), d.refDetect(im); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s %dx%d flags %d: Detect = %v, reference %v", d.Tier.Name, w, h, flags, got, want)
+		}
+		x0, y0 := r.Intn(w), r.Intn(h)
+		roi := imgproc.Rect{X0: x0, Y0: y0, X1: x0 + 1 + r.Intn(w-x0), Y1: y0 + 1 + r.Intn(h-y0)}
+		want := d.refDetect(imgproc.Crop(im, roi))
+		for j := range want {
+			want[j].Rect.X0 += roi.X0
+			want[j].Rect.X1 += roi.X0
+			want[j].Rect.Y0 += roi.Y0
+			want[j].Rect.Y1 += roi.Y0
+		}
+		if got := d.DetectROI(im, roi); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s %dx%d flags %d: DetectROI(%+v) = %v, reference %v", d.Tier.Name, w, h, flags, roi, got, want)
+		}
+	})
+}
+
+// fuzzDetectFixture trains the six tiers once a process and renders the
+// frames FuzzDetect scales.
+var fuzzDetectFixture = sync.OnceValue(func() (fx struct {
+	detectors []*Detector
+	frames    []*imgproc.Image
+}) {
+	ds := dataset.Build(dataset.Config{Scale: 0.015, Seed: 42, W: 320, H: 240})
+	sp := ds.StratifiedSplit(0.2)
+	for _, tier := range allTiers() {
+		fx.detectors = append(fx.detectors, TrainDataset(tier, sp.Train))
+	}
+	for _, it := range sp.Test.Subset(4).Items {
+		fx.frames = append(fx.frames, sp.Test.Render(it).Image)
+	}
+	return fx
+})
+
+// BenchmarkFrontEndStages times the detector's stages on one 320×240
+// frame, each beside its reference where it has one, and the whole v8m
+// Detect and a DetectROI. The refs are the parent's per-stage loops
+// (refDetect's resize and contrast stages are imgproc's, whose own
+// references are timed in that package's BenchmarkFrontEndStages).
 func BenchmarkFrontEndStages(b *testing.B) {
 	ds := dataset.Build(dataset.Config{Scale: 0.015, Seed: 42, W: 320, H: 240})
 	sp := ds.StratifiedSplit(0.2)
@@ -460,16 +608,21 @@ func BenchmarkFrontEndStages(b *testing.B) {
 	rw, rh := 224, 168
 	small := imgproc.Resize(imgproc.LocalContrastNormalize(frame, 64), rw, rh)
 	mask := d.refMatchMask(small)
+	closed := refErode(refDilate(mask, rw, rh, 2), rw, rh, 2)
+	packed, packedClosed := packMask(mask, rw, rh), packMask(closed, rw, rh)
 	s := new(scratch)
-	s.resize(rw * rh)
+	s.resize(rw, rh)
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
+		{"resize+lut", func() { imgproc.ResizeLUTInto(s.small.Reshape(rw, rh), frame, s.lut.Contrast(frame, 64)) }},
 		{"mask/ref", func() { d.refMatchMask(small) }},
 		{"mask/new", func() { d.matchMask(s, small) }},
 		{"closing/ref", func() { refErode(refDilate(mask, rw, rh, 2), rw, rh, 2) }},
-		{"closing/new", func() { dilate(s.closed, s.tmp, mask, rw, rh, 2); erode(s.mask, s.tmp, s.closed, rw, rh, 2) }},
+		{"closing/new", func() { dilate(s.closed, packed, rw, rh, 2); erode(s.mask, s.closed, rw, rh, 2) }},
+		{"components/ref", func() { refComponents(closed, rw, rh) }},
+		{"components/new", func() { s.components(packedClosed, rw, rh) }},
 		{"detect", func() { d.Detect(frame) }},
 		{fmt.Sprintf("detectROI%dx%d", roi.W(), roi.H()), func() { d.DetectROI(frame, roi) }},
 	} {

@@ -57,8 +57,15 @@ func Unmarshal(data []byte) (*Detector, error) {
 	if s.Version != wireVersion {
 		return nil, fmt.Errorf("detect: checkpoint version %d, want %d", s.Version, wireVersion)
 	}
+	if s.Tier.Resolution <= 0 {
+		return nil, fmt.Errorf("detect: checkpoint tier resolution %d, want > 0", s.Tier.Resolution)
+	}
 	d := &Detector{Tier: s.Tier, TrainImages: s.TrainImages}
-	for _, c := range s.Clusters {
+	for i, c := range s.Clusters {
+		if c.StdH < 0 || c.StdS < 0 || c.StdV < 0 || c.Support < 0 {
+			return nil, fmt.Errorf("detect: checkpoint cluster %d has std (%v, %v, %v), support %d; want none negative",
+				i, c.StdH, c.StdS, c.StdV, c.Support)
+		}
 		d.Clusters = append(d.Clusters, cluster{
 			meanH: c.MeanH, stdH: c.StdH,
 			meanS: c.MeanS, stdS: c.StdS,

@@ -120,16 +120,9 @@ func extractSample(t Tier, r dataset.Rendered, curated bool) (hsvSample, bool) {
 	if !r.Truth.HasVIP || r.Truth.VestBox.Empty() || r.Truth.VestBox.Area() < 9 {
 		return hsvSample{}, false
 	}
-	im := r.Image
-	if t.ContrastNorm {
-		im = imgproc.LocalContrastNormalize(im, im.W/5)
-	}
-	rw := t.Resolution
-	rh := rw * im.H / im.W
-	if rh < 8 {
-		rh = 8
-	}
-	small := imgproc.Resize(im, rw, rh)
+	small := new(imgproc.Image)
+	t.analysisImage(small, r.Image, new(imgproc.TileLUT))
+	rw, rh := small.W, small.H
 	sx := float64(rw) / float64(r.Image.W)
 	sy := float64(rh) / float64(r.Image.H)
 	box := imgproc.Rect{

@@ -4,12 +4,18 @@
 // rotation, HSV colour-space conversion and noise injection.
 //
 // Images are 8-bit RGB in row-major order, matching the 720p drone frames
-// the paper's dataset is extracted from. All heavy loops parallelise over
-// rows with internal/parallel.
+// the paper's dataset is extracted from. The dataset-side filters (blur,
+// brightness, noise, rotation, gradients) parallelise over rows with
+// internal/parallel; the detector's per-frame path (the resampling
+// kernel, Crop) runs serially on its caller's goroutine.
 //
-// Resize and LocalContrastNormalize sit on the detector's per-frame
-// path and are table-driven (per-column and per-row taps; one 256-entry
-// table per tile); their Into forms write into a caller's image so that
-// path can reuse its buffers. reference_test.go keeps the per-pixel
-// definitions they must match byte for byte.
+// Resize and LocalContrastNormalize are both callers of one resampling
+// kernel, ResizeLUTInto, which reads its source through a TileLUT — the
+// identity, or one 256-entry table per contrast tile — with taps fixed
+// per output column and row. The detector resizes through contrast
+// tables in one pass and never stores the normalised frame. The
+// kernel's three loops (map a row through its tables, lerp it
+// horizontally, blend two rows) have Go forms and AVX-512 forms, bound
+// by the avx512vnni kernel tier. reference_test.go keeps the per-pixel
+// definitions both forms must match byte for byte.
 package imgproc

@@ -7,13 +7,96 @@ import (
 
 	"ocularone/internal/parallel"
 	"ocularone/internal/rng"
+	"ocularone/internal/tensor"
 )
+
+// vectorForm reports whether the resampling kernel runs its AVX-512
+// forms: bound by the kernel tier, as the tensor row kernels and the
+// render's random streams are, so OCULARONE_KERNEL_TIER and
+// tensor.SetKernelTier select the Go forms with every other tier.
+func vectorForm() bool { return tensor.KernelTier() == tensor.TierAVX512VNNI }
 
 // Resize scales src to w×h with bilinear interpolation.
 func Resize(src *Image, w, h int) *Image {
 	dst := NewImage(w, h)
 	ResizeInto(dst, src)
 	return dst
+}
+
+// ResizeInto scales src to dst's dimensions with bilinear
+// interpolation, overwriting every pixel of dst.
+func ResizeInto(dst, src *Image) { ResizeLUTInto(dst, src, &identityLUT) }
+
+// TileLUT maps each byte of a source image through a 256-entry table
+// chosen by the tile the pixel lies in: the tables LocalContrastNormalize
+// applies, or one identity table. ResizeLUTInto reads its source through
+// one, so a contrast-normalised downscale never stores the normalised
+// full-resolution image.
+type TileLUT struct {
+	tile, tilesX int
+	bytes        [][256]uint8
+	vals         [][256]float64 // vals[t][v] == float64(bytes[t][v])
+}
+
+// identityLUT is one tile wider and taller than any image, mapping every
+// byte to itself. Shared and never written after init.
+var identityLUT = func() (m TileLUT) {
+	m.tile, m.tilesX = 1<<30, 1
+	m.bytes, m.vals = make([][256]uint8, 1), make([][256]float64, 1)
+	for v := 0; v < 256; v++ {
+		m.bytes[0][v], m.vals[0][v] = uint8(v), float64(v)
+	}
+	return m
+}()
+
+// IdentityLUT returns the shared identity mapping; it must not be
+// rebuilt with Contrast.
+func IdentityLUT() *TileLUT { return &identityLUT }
+
+// Contrast makes m the per-tile tables of LocalContrastNormalize(src,
+// tile) and returns it. A tile's rescale is one monotone function of the
+// byte value: span = (max − min) of the tile's luma, identity when span
+// < 8, else clampU8((v − min)·255/span).
+func (m *TileLUT) Contrast(src *Image, tile int) *TileLUT {
+	if tile <= 0 {
+		tile = 64
+	}
+	tilesX := (src.W + tile - 1) / tile
+	tilesY := (src.H + tile - 1) / tile
+	m.tile, m.tilesX = tile, tilesX
+	m.bytes, m.vals = grow(m.bytes, tilesX*tilesY), grow(m.vals, tilesX*tilesY)
+	for t := range m.bytes {
+		x0, y0 := t%tilesX*tile, t/tilesX*tile
+		x1, y1 := min(x0+tile, src.W), min(y0+tile, src.H)
+		// Luma range in thousandths: dividing is monotone, so the
+		// range of the quotients is the quotient of the range's ends.
+		lo, hi := 255*1000, 0
+		for y := y0; y < y1; y++ {
+			row := src.Pix[(y*src.W+x0)*3 : (y*src.W+x1)*3]
+			for o := 0; o+2 < len(row); o += 3 {
+				lum := int(row[o])*299 + int(row[o+1])*587 + int(row[o+2])*114
+				lo, hi = min(lo, lum), max(hi, lum)
+			}
+		}
+		lo, hi = lo/1000, hi/1000
+		lut, val := &m.bytes[t], &m.vals[t]
+		span := hi - lo
+		for v := range lut {
+			lut[v] = uint8(v)
+			if span >= 8 { // else rescaling would only amplify noise
+				lut[v] = clampU8((float64(v) - float64(lo)) * (255.0 / float64(span)))
+			}
+			val[v] = float64(lut[v])
+		}
+	}
+	return m
+}
+
+// Span returns the table of pixel (x, y) and the first column past x
+// that lies in another tile.
+func (m *TileLUT) Span(x, y int) (lut *[256]uint8, end int) {
+	tx := x / m.tile
+	return &m.bytes[y/m.tile*m.tilesX+tx], (tx + 1) * m.tile
 }
 
 // resizeTap is one output coordinate's pair of source samples along an
@@ -33,22 +116,25 @@ func bilinearTap(i int, ratio float64, srcN int) resizeTap {
 	return resizeTap{i0: min(max(i0, 0), srcN-1), i1: min(max(i0+1, 0), srcN-1), f: f, g: 1 - f}
 }
 
-// resizeScratch is the working memory of one chunk of ResizeInto's
-// output rows: the column taps, and two source rows after the
-// horizontal interpolation, kept while consecutive output rows share
-// them. Pooled, so a steady-state caller allocates nothing.
+// resizeScratch is the working memory of one ResizeLUTInto call: the
+// taps of every output value (column × channel), one source row mapped
+// through its tiles' tables, and two source rows after the horizontal
+// interpolation, kept while consecutive output rows share them. Pooled,
+// so a steady-state caller allocates nothing.
 type resizeScratch struct {
-	cols   []resizeTap
-	lerped [2][]float64
-	holds  [2]int // source row in each lerped slot
+	at0, at1 []int32   // index in the mapped row of each value's two taps
+	wg, wf   []float64 // the weight of each
+	mapped   []float64
+	lerped   [2][]float64
+	holds    [2]int // source row in each lerped slot
 }
 
 var resizePool = sync.Pool{New: func() any { return new(resizeScratch) }}
 
-// lerpRow returns source row r of src interpolated horizontally onto
-// the output columns, from the cache when it holds it; a miss
-// overwrites the slot that does not hold row keep.
-func (s *resizeScratch) lerpRow(src *Image, r, keep int) []float64 {
+// lerpRow returns source row r of src, mapped through m, interpolated
+// horizontally onto the output columns, from the cache when it holds
+// it; a miss overwrites the slot that does not hold row keep.
+func (s *resizeScratch) lerpRow(src *Image, m *TileLUT, r, keep int, vec bool) []float64 {
 	slot := 0
 	switch {
 	case s.holds[0] == r:
@@ -59,49 +145,96 @@ func (s *resizeScratch) lerpRow(src *Image, r, keep int) []float64 {
 		slot = 1
 	}
 	s.holds[slot] = r
-	out := s.lerped[slot]
 	row := src.Pix[r*src.W*3 : (r+1)*src.W*3]
-	for x, c := range s.cols {
-		a, b := row[c.i0*3:c.i0*3+3], row[c.i1*3:c.i1*3+3]
-		o := out[x*3 : x*3+3]
-		o[0] = float64(a[0])*c.g + float64(b[0])*c.f
-		o[1] = float64(a[1])*c.g + float64(b[1])*c.f
-		o[2] = float64(a[2])*c.g + float64(b[2])*c.f
+	vals := m.vals[r/m.tile*m.tilesX:]
+	for t, x0 := 0, 0; t < m.tilesX; t++ {
+		x1 := len(row)
+		if t+1 < m.tilesX {
+			x1 = x0 + 3*m.tile
+		}
+		mapRow(s.mapped[x0:x1], row[x0:x1], &vals[t], vec)
+		x0 = x1
 	}
-	return out
+	lerpRow(s.lerped[slot], s.mapped, s.at0, s.at1, s.wg, s.wf, vec)
+	return s.lerped[slot]
 }
 
-// ResizeInto scales src to dst's dimensions with bilinear
-// interpolation, overwriting every pixel of dst. Each output byte is
-// clampU8(top·(1−fy) + bot·fy) where top and bot are the horizontal
-// interpolations a·(1−fx) + b·fx on the two source rows; the border
-// clamp and the weights are resolved once per column and once per row
-// instead of per pixel.
-func ResizeInto(dst, src *Image) {
+// ResizeLUTInto scales src, read through m, to dst's dimensions with
+// bilinear interpolation, overwriting every pixel of dst; m must have
+// been built for src. Each output byte is clampU8(top·(1−fy) + bot·fy)
+// where top and bot are the horizontal interpolations a·(1−fx) + b·fx
+// of mapped bytes on the two source rows; the border clamp, the
+// weights and the tiles are resolved once per column and once per row
+// instead of per pixel. It is the package's one resampling kernel:
+// Resize is it through the identity, LocalContrastNormalize through
+// the contrast tables at src's own size, where every weight is 0 or 1
+// and each byte comes out as its table entry.
+func ResizeLUTInto(dst, src *Image, m *TileLUT) {
 	w, h := dst.W, dst.H
 	xr := float64(src.W) / float64(w)
 	yr := float64(src.H) / float64(h)
-	parallel.ForRange(h, func(lo, hi int) {
-		s := resizePool.Get().(*resizeScratch)
-		defer resizePool.Put(s)
-		s.cols = grow(s.cols, w)
-		for x := range s.cols {
-			s.cols[x] = bilinearTap(x, xr, src.W)
+	vec := vectorForm()
+	s := resizePool.Get().(*resizeScratch)
+	defer resizePool.Put(s)
+	n := w * 3
+	s.at0, s.at1, s.wg, s.wf = grow(s.at0, n), grow(s.at1, n), grow(s.wg, n), grow(s.wf, n)
+	for x := 0; x < w; x++ {
+		c := bilinearTap(x, xr, src.W)
+		for k := 0; k < 3; k++ {
+			e := x*3 + k
+			s.at0[e], s.at1[e], s.wg[e], s.wf[e] = int32(c.i0*3+k), int32(c.i1*3+k), c.g, c.f
 		}
-		s.lerped[0] = grow(s.lerped[0], w*3)
-		s.lerped[1] = grow(s.lerped[1], w*3)
-		s.holds = [2]int{-1, -1}
-		for y := lo; y < hi; y++ {
-			r := bilinearTap(y, yr, src.H)
-			top := s.lerpRow(src, r.i0, r.i1)
-			bot := s.lerpRow(src, r.i1, r.i0)
-			out := dst.Pix[y*w*3 : (y+1)*w*3]
-			top, bot = top[:len(out)], bot[:len(out)]
-			for i := range out {
-				out[i] = clampU8(top[i]*r.g + bot[i]*r.f)
-			}
-		}
-	})
+	}
+	s.mapped = grow(s.mapped, src.W*3)
+	s.lerped[0] = grow(s.lerped[0], n)
+	s.lerped[1] = grow(s.lerped[1], n)
+	s.holds = [2]int{-1, -1}
+	for y := 0; y < h; y++ {
+		r := bilinearTap(y, yr, src.H)
+		top := s.lerpRow(src, m, r.i0, r.i1, vec)
+		bot := s.lerpRow(src, m, r.i1, r.i0, vec)
+		blendRow(dst.Pix[y*n:(y+1)*n], top, bot, r.g, r.f, vec)
+	}
+}
+
+// The three loops of ResizeLUTInto. Each runs its AVX-512 form over
+// whole blocks of eight values when vec is set, and its Go form over
+// the rest; the forms do the same float64 operations in the same order.
+
+// mapRow sets to[i] = tab[from[i]].
+func mapRow(to []float64, from []uint8, tab *[256]float64, vec bool) {
+	if n8 := len(from) / 8; vec && n8 > 0 {
+		mapRowAVX512(&to[0], &from[0], n8, tab)
+		to, from = to[8*n8:], from[8*n8:]
+	}
+	to = to[:len(from)]
+	for i, v := range from {
+		to[i] = tab[v]
+	}
+}
+
+// lerpRow sets out[e] = src[at0[e]]·wg[e] + src[at1[e]]·wf[e].
+func lerpRow(out, src []float64, at0, at1 []int32, wg, wf []float64, vec bool) {
+	if n8 := len(out) / 8; vec && n8 > 0 {
+		lerpRowAVX512(&out[0], &src[0], &at0[0], &at1[0], &wg[0], &wf[0], n8)
+		out, at0, at1, wg, wf = out[8*n8:], at0[8*n8:], at1[8*n8:], wg[8*n8:], wf[8*n8:]
+	}
+	at0, at1, wg, wf = at0[:len(out)], at1[:len(out)], wg[:len(out)], wf[:len(out)]
+	for e := range out {
+		out[e] = src[at0[e]]*wg[e] + src[at1[e]]*wf[e]
+	}
+}
+
+// blendRow sets out[i] = clampU8(top[i]·g + bot[i]·f).
+func blendRow(out []uint8, top, bot []float64, g, f float64, vec bool) {
+	if n8 := len(out) / 8; vec && n8 > 0 {
+		blendRowAVX512(&out[0], &top[0], &bot[0], n8, g, f)
+		out, top, bot = out[8*n8:], top[8*n8:], bot[8*n8:]
+	}
+	top, bot = top[:len(out)], bot[:len(out)]
+	for i := range out {
+		out[i] = clampU8(top[i]*g + bot[i]*f)
+	}
 }
 
 // grow returns s resliced to n elements, reallocating only when its
@@ -353,54 +486,13 @@ func LocalContrastNormalize(src *Image, tile int) *Image {
 }
 
 // LocalContrastNormalizeInto is LocalContrastNormalize writing into
-// dst, which must have src's dimensions; every pixel is overwritten. A
-// tile's rescale is one function of the byte value, so it is built
-// once as a 256-entry table and applied over the tile's row slices.
+// dst, which must have src's dimensions; every pixel is overwritten. It
+// is ResizeLUTInto at src's own size through the tiles' tables.
 func LocalContrastNormalizeInto(dst, src *Image, tile int) {
 	if dst.W != src.W || dst.H != src.H {
 		panic(fmt.Sprintf("imgproc: LocalContrastNormalizeInto %dx%d into %dx%d", src.W, src.H, dst.W, dst.H))
 	}
-	if tile <= 0 {
-		tile = 64
-	}
-	tilesX := (src.W + tile - 1) / tile
-	tilesY := (src.H + tile - 1) / tile
-	parallel.For(tilesX*tilesY, func(t int) {
-		tx, ty := t%tilesX, t/tilesX
-		x0, y0 := tx*tile, ty*tile
-		x1, y1 := min(x0+tile, src.W), min(y0+tile, src.H)
-		// Luma range in thousandths: dividing is monotone, so the
-		// range of the quotients is the quotient of the range's ends.
-		lo, hi := 255*1000, 0
-		for y := y0; y < y1; y++ {
-			row := src.Pix[(y*src.W+x0)*3 : (y*src.W+x1)*3]
-			for o := 0; o+2 < len(row); o += 3 {
-				lum := int(row[o])*299 + int(row[o+1])*587 + int(row[o+2])*114
-				lo, hi = min(lo, lum), max(hi, lum)
-			}
-		}
-		lo, hi = lo/1000, hi/1000
-		span := hi - lo
-		flat := span < 8 // rescaling would only amplify noise
-		var lut [256]uint8
-		if !flat {
-			scale := 255.0 / float64(span)
-			for v := range lut {
-				lut[v] = clampU8((float64(v) - float64(lo)) * scale)
-			}
-		}
-		for y := y0; y < y1; y++ {
-			from := src.Pix[(y*src.W+x0)*3 : (y*src.W+x1)*3]
-			to := dst.Pix[(y*src.W+x0)*3 : (y*src.W+x1)*3]
-			if flat {
-				copy(to, from)
-				continue
-			}
-			for i, v := range from {
-				to[i] = lut[v]
-			}
-		}
-	})
+	ResizeLUTInto(dst, src, new(TileLUT).Contrast(src, tile))
 }
 
 // GradientMagnitude returns a per-pixel Sobel gradient magnitude map

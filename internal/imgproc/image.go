@@ -1,10 +1,6 @@
 package imgproc
 
-import (
-	"fmt"
-
-	"ocularone/internal/parallel"
-)
+import "fmt"
 
 // Image is an 8-bit RGB image. Pix holds W*H*3 bytes, row-major, with
 // channels interleaved (R, G, B).
@@ -227,14 +223,14 @@ func (im *Image) Luma() float64 {
 
 // subImageInto copies the region src∩r into dst (pre-sized r.W()×r.H()).
 func subImageInto(dst, src *Image, r Rect) {
-	parallel.For(r.H(), func(row int) {
+	for row := 0; row < r.H(); row++ {
 		sy := r.Y0 + row
 		for x := 0; x < r.W(); x++ {
 			cr, cg, cb := src.At(r.X0+x, sy)
 			o := (row*dst.W + x) * 3
 			dst.Pix[o], dst.Pix[o+1], dst.Pix[o+2] = cr, cg, cb
 		}
-	})
+	}
 }
 
 // Crop returns a copy of the given region (clamped reads at the border).

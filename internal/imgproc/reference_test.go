@@ -9,11 +9,14 @@ package imgproc_test
 import (
 	"bytes"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"ocularone/internal/dataset"
 	"ocularone/internal/imgproc"
 	"ocularone/internal/rng"
+	"ocularone/internal/tensor"
 )
 
 func refClampU8(v float64) uint8 {
@@ -178,17 +181,65 @@ func mixedImage(w, h int, seed uint64) *imgproc.Image {
 	return im
 }
 
+// resizeForms are the kernel tiers whose forms of the resampling kernel
+// differ: generic runs the Go forms, avx512vnni (where the CPU has it)
+// the AVX-512 ones.
+func resizeForms() []string {
+	forms := []string{tensor.TierGeneric}
+	if slices.Contains(tensor.KernelTiers(), tensor.TierAVX512VNNI) {
+		forms = append(forms, tensor.TierAVX512VNNI)
+	}
+	return forms
+}
+
+// inTier runs f with the kernel tier forced to tier.
+func inTier(tb testing.TB, tier string, f func()) {
+	prev := tensor.KernelTier()
+	if err := tensor.SetKernelTier(tier); err != nil {
+		tb.Fatal(err)
+	}
+	defer tensor.SetKernelTier(prev)
+	f()
+}
+
 func checkResize(t testing.TB, src *imgproc.Image, w, h int) {
 	t.Helper()
-	if got, want := imgproc.Resize(src, w, h), refResize(src, w, h); !bytes.Equal(got.Pix, want.Pix) {
-		t.Fatalf("Resize %dx%d -> %dx%d differs from the reference", src.W, src.H, w, h)
+	want := refResize(src, w, h)
+	for _, form := range resizeForms() {
+		inTier(t, form, func() {
+			if got := imgproc.Resize(src, w, h); !bytes.Equal(got.Pix, want.Pix) {
+				t.Fatalf("%s: Resize %dx%d -> %dx%d differs from the reference", form, src.W, src.H, w, h)
+			}
+		})
 	}
 }
 
 func checkLCN(t testing.TB, src *imgproc.Image, tile int) {
 	t.Helper()
-	if got, want := imgproc.LocalContrastNormalize(src, tile), refLocalContrastNormalize(src, tile); !bytes.Equal(got.Pix, want.Pix) {
-		t.Fatalf("LocalContrastNormalize %dx%d tile %d differs from the reference", src.W, src.H, tile)
+	want := refLocalContrastNormalize(src, tile)
+	for _, form := range resizeForms() {
+		inTier(t, form, func() {
+			if got := imgproc.LocalContrastNormalize(src, tile); !bytes.Equal(got.Pix, want.Pix) {
+				t.Fatalf("%s: LocalContrastNormalize %dx%d tile %d differs from the reference", form, src.W, src.H, tile)
+			}
+		})
+	}
+}
+
+// checkLCNResize is the detector's contrast tiers' one pass: the resize
+// read through the contrast tables, against the reference resize of the
+// reference normalisation.
+func checkLCNResize(t testing.TB, src *imgproc.Image, tile, w, h int) {
+	t.Helper()
+	want := refResize(refLocalContrastNormalize(src, tile), w, h)
+	lut := new(imgproc.TileLUT).Contrast(src, tile)
+	for _, form := range resizeForms() {
+		inTier(t, form, func() {
+			got := imgproc.NewImage(w, h)
+			if imgproc.ResizeLUTInto(got, src, lut); !bytes.Equal(got.Pix, want.Pix) {
+				t.Fatalf("%s: %dx%d tile %d resized through its tables to %dx%d differs from the reference", form, src.W, src.H, tile, w, h)
+			}
+		})
 	}
 }
 
@@ -230,10 +281,11 @@ func TestLCNMatchesReference(t *testing.T) {
 // to: the six tiers' resolutions and their early-exit halves.
 var detectorWidths = []int{96, 224, 240, 288, 320, 48, 112, 120, 144, 160}
 
-// TestFrameGeometryMatchesReference runs both functions the way the
-// vest detector calls them — contrast-normalise at tile W/5, then
-// resize to each tier's analysis size — on rendered frames (clean,
-// ×0.3 brightness, rotated, noisy), whole and as DetectROI-style crops.
+// TestFrameGeometryMatchesReference runs the kernel the way the vest
+// detector calls it — resize to each tier's analysis size, directly or
+// through the contrast tables of tile W/5 — on rendered frames (clean,
+// ×0.3 brightness, rotated, noisy), whole and as DetectROI-style crops,
+// in each form.
 func TestFrameGeometryMatchesReference(t *testing.T) {
 	ds := dataset.Build(dataset.Config{Scale: 0.01, Seed: 11, W: 320, H: 240})
 	items := ds.Subset(6).Items
@@ -256,17 +308,16 @@ func TestFrameGeometryMatchesReference(t *testing.T) {
 			}
 			for _, im := range views {
 				checkLCN(t, im, im.W/5)
-				norm := imgproc.LocalContrastNormalize(im, im.W/5)
 				for _, rw := range detectorWidths {
 					rh := max(rw*im.H/im.W, 8)
 					checkResize(t, im, rw, rh)
-					checkResize(t, norm, rw, rh)
+					checkLCNResize(t, im, im.W/5, rw, rh)
 					n += 2
 				}
 			}
 		}
 	}
-	t.Logf("%d resizes and their contrast-normalised sources byte-equal", n)
+	t.Logf("%d resizes, plain and through contrast tables, byte-equal in each form", n)
 }
 
 // TestIntoVariantsOverwriteDirtyBuffers: the pooled callers hand
@@ -299,6 +350,17 @@ func FuzzResizeMatchesReference(f *testing.F) {
 	})
 }
 
+// FuzzLCNResizeMatchesReference: the detector's one pass, a resize
+// read through contrast tables, on mixed images at any tile and scale.
+func FuzzLCNResizeMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(159), uint8(119), int16(32), uint8(111), uint8(83))
+	f.Add(uint64(2), uint8(40), uint8(39), int16(8), uint8(223), uint8(199)) // a crop brought up
+	f.Add(uint64(3), uint8(0), uint8(99), int16(0), uint8(5), uint8(7))
+	f.Fuzz(func(t *testing.T, seed uint64, w, h uint8, tile int16, dw, dh uint8) {
+		checkLCNResize(t, mixedImage(fuzzDim(w, 200), fuzzDim(h, 150), seed), int(tile), fuzzDim(dw, 256), fuzzDim(dh, 200))
+	})
+}
+
 func FuzzLCNMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(159), uint8(119), int16(32))
 	f.Add(uint64(2), uint8(39), uint8(29), int16(100)) // tile ≥ image
@@ -310,14 +372,18 @@ func FuzzLCNMatchesReference(f *testing.F) {
 	})
 }
 
-// BenchmarkFrontEndStages times the two imgproc stages of the v8m
-// detector on one rendered 320×240 frame against their references.
+// BenchmarkFrontEndStages times the imgproc stages of the v8m detector
+// on one rendered 320×240 frame against their references, the new
+// ones in each form: the two-pass lcn and resize, and the one pass the
+// detector makes (lut+resize224: the contrast tables, then the resize
+// read through them).
 func BenchmarkFrontEndStages(b *testing.B) {
 	ds := dataset.Build(dataset.Config{Scale: 0.005, Seed: 42, W: 320, H: 240})
 	frame := ds.Render(ds.Items[0]).Image
 	norm := imgproc.NewImage(320, 240)
 	small := imgproc.NewImage(224, 168)
-	for _, c := range []struct {
+	lut := new(imgproc.TileLUT)
+	cases := []struct {
 		name string
 		fn   func()
 	}{
@@ -325,11 +391,25 @@ func BenchmarkFrontEndStages(b *testing.B) {
 		{"lcn/new", func() { imgproc.LocalContrastNormalizeInto(norm, frame, 64) }},
 		{"resize224/ref", func() { refResize(frame, 224, 168) }},
 		{"resize224/new", func() { imgproc.ResizeInto(small, frame) }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.fn()
+		{"lut+resize224/new", func() { imgproc.ResizeLUTInto(small, frame, lut.Contrast(frame, 64)) }},
+	}
+	for _, form := range resizeForms() {
+		inTier(b, form, func() {
+			for _, c := range cases {
+				name := c.name
+				if strings.HasSuffix(name, "/ref") {
+					if form != tensor.TierGeneric {
+						continue // the references run no tier-bound code
+					}
+				} else {
+					name += "/" + form
+				}
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						c.fn()
+					}
+				})
 			}
 		})
 	}
