@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -54,7 +55,7 @@ func parseRhos(s string) ([]float64, error) {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
 			return nil, fmt.Errorf("servebench: bad rho %q", f)
 		}
 		out = append(out, v)

@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"ocularone/internal/nn"
@@ -37,6 +38,21 @@ func TestComputeStatsMatchesSeededBuild(t *testing.T) {
 		if got, want := ComputeStats(id), statsOf(id, Build(id, 80, 1)); got != want {
 			t.Errorf("%s: ComputeStats %+v, seeded build %+v", id, got, want)
 		}
+	}
+}
+
+// TestArchitectureOnlyBuildAllocates holds the builds ComputeStats reads
+// to structure only: all eight Table-2 networks together allocate under
+// 4 MB, where their weights alone would take hundreds.
+func TestArchitectureOnlyBuildAllocates(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, id := range AllIDs {
+		build(id, 80, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("architecture-only builds allocated %.1f MB, want < 4 MB", float64(got)/(1<<20))
 	}
 }
 

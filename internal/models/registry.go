@@ -104,7 +104,7 @@ func Catalog(id ID) Info {
 func Build(id ID, nc int, seed uint64) *nn.Network { return build(id, nc, rng.New(seed)) }
 
 // build is Build drawing the weights from r; a nil r builds the
-// architecture only (zero weights, nothing drawn — see nn.NewConv).
+// architecture only: costable, not runnable (see nn.NewConv).
 func build(id ID, nc int, r *rng.RNG) *nn.Network {
 	info := Catalog(id)
 	switch {
@@ -128,26 +128,21 @@ type Stats struct {
 	ActMemory int64   // peak activation estimate (bytes) at native input
 }
 
-var (
-	statsMu    sync.Mutex
-	statsCache = map[ID]Stats{}
-)
-
-// ComputeStats builds the model's architecture (COCO-class head for
-// YOLO, matching the published Table 2 numbers) and derives its
-// statistics. Parameter counts and costs depend on shapes alone, so no
-// weight is drawn: a Box–Muller draw per parameter of all eight
-// networks was ~9 s of every serving set-up. Results are cached per ID.
-func ComputeStats(id ID) Stats {
-	statsMu.Lock()
-	defer statsMu.Unlock()
-	if s, ok := statsCache[id]; ok {
-		return s
+// stats is the Stats table of every model, built on first use. Parameter
+// counts and costs depend on shapes alone, so it reads architecture-only
+// builds (COCO-class head for YOLO, matching the published Table 2
+// numbers): no weight is allocated or drawn.
+var stats = sync.OnceValue(func() *[NumModels]Stats {
+	var t [NumModels]Stats
+	for id := ID(0); id < NumModels; id++ {
+		t[id] = statsOf(id, build(id, 80, nil))
 	}
-	s := statsOf(id, build(id, 80, nil))
-	statsCache[id] = s
-	return s
-}
+	return &t
+})
+
+// ComputeStats returns the model's statistics from the table built once
+// for all eight models.
+func ComputeStats(id ID) Stats { return stats()[id] }
 
 // statsOf derives the statistics of id's network at its native input.
 func statsOf(id ID, net *nn.Network) Stats {
@@ -161,7 +156,7 @@ func statsOf(id ID, net *nn.Network) Stats {
 		Params: net.Params(),
 		SizeMB: float64(net.SizeBytesFP16()) / (1024 * 1024),
 		GFLOPs: float64(flops) / 1e9,
-		// Rough peak-activation proxy: input plus the widest output.
+		// Rough peak-activation proxy: input plus every output.
 		ActMemory: int64(3*info.InputH*info.InputW)*4 + actBytes,
 	}
 }

@@ -104,11 +104,6 @@ func (a *Attention) Lower(pb *planBuilder, ins []planVal) planVal {
 	return a.proj.Lower(pb, []planVal{out})
 }
 
-// Params implements Module.
-func (a *Attention) Params() int64 {
-	return a.qkv.Params() + a.proj.Params() + a.pe.Params()
-}
-
 // Cost implements Module.
 func (a *Attention) Cost(in []Shape) (int64, Shape) {
 	s := in[0]
@@ -160,11 +155,6 @@ func (p *PSABlock) Lower(pb *planBuilder, ins []planVal) planVal {
 	y := p.ffn2.Lower(pb, []planVal{hid})
 	pb.emit(&addOp{dst: y, src: res})
 	return y
-}
-
-// Params implements Module.
-func (p *PSABlock) Params() int64 {
-	return p.attn.Params() + p.ffn1.Params() + p.ffn2.Params()
 }
 
 // Cost implements Module.
@@ -229,15 +219,6 @@ func (b *C2PSA) Lower(pb *planBuilder, ins []planVal) planVal {
 	cat := pb.val(2*c, h, w)
 	pb.emit(&concatOp{dst: cat, srcs: []planVal{a, v}})
 	return b.cv2.Lower(pb, []planVal{cat})
-}
-
-// Params implements Module.
-func (b *C2PSA) Params() int64 {
-	n := b.cv1.Params() + b.cv2.Params()
-	for _, blk := range b.blocks {
-		n += blk.Params()
-	}
-	return n
 }
 
 // Cost implements Module.

@@ -51,9 +51,6 @@ func (b *Bottleneck) Lower(pb *planBuilder, ins []planVal) planVal {
 	return y
 }
 
-// Params implements Module.
-func (b *Bottleneck) Params() int64 { return b.cv1.Params() + b.cv2.Params() }
-
 // Cost implements Module.
 func (b *Bottleneck) Cost(in []Shape) (int64, Shape) {
 	f1, s1 := b.cv1.Cost(in)
@@ -137,15 +134,6 @@ func cspLower(pb *planBuilder, cv1, cv2 *Conv, hidden, n int, ins []planVal,
 	return cv2.Lower(pb, []planVal{cat})
 }
 
-// Params implements Module.
-func (b *C2f) Params() int64 {
-	n := b.cv1.Params() + b.cv2.Params()
-	for _, m := range b.ms {
-		n += m.Params()
-	}
-	return n
-}
-
 // Cost implements Module.
 func (b *C2f) Cost(in []Shape) (int64, Shape) {
 	f, s := b.cv1.Cost(in)
@@ -210,15 +198,6 @@ func (b *C3) Lower(pb *planBuilder, ins []planVal) planVal {
 	cat := pb.val(c1+c2, h, w)
 	pb.emit(&concatOp{dst: cat, srcs: []planVal{y1, y2}})
 	return b.cv3.Lower(pb, []planVal{cat})
-}
-
-// Params implements Module.
-func (b *C3) Params() int64 {
-	n := b.cv1.Params() + b.cv2.Params() + b.cv3.Params()
-	for _, m := range b.ms {
-		n += m.Params()
-	}
-	return n
 }
 
 // Cost implements Module.
@@ -298,15 +277,6 @@ func (b *C3k2) Lower(pb *planBuilder, ins []planVal) planVal {
 	})
 }
 
-// Params implements Module.
-func (b *C3k2) Params() int64 {
-	n := b.cv1.Params() + b.cv2.Params()
-	for _, m := range b.ms {
-		n += m.Params()
-	}
-	return n
-}
-
 // Cost implements Module.
 func (b *C3k2) Cost(in []Shape) (int64, Shape) {
 	f, s := b.cv1.Cost(in)
@@ -370,9 +340,6 @@ func (b *SPPF) Lower(pb *planBuilder, ins []planVal) planVal {
 	return b.cv2.Lower(pb, []planVal{cat})
 }
 
-// Params implements Module.
-func (b *SPPF) Params() int64 { return b.cv1.Params() + b.cv2.Params() }
-
 // Cost implements Module.
 func (b *SPPF) Cost(in []Shape) (int64, Shape) {
 	f1, s1 := b.cv1.Cost(in)
@@ -400,9 +367,6 @@ func (u Upsample) Lower(pb *planBuilder, ins []planVal) planVal {
 	pb.emit(&upsampleOp{dst: dst, src: ins[0]})
 	return dst
 }
-
-// Params implements Module.
-func (Upsample) Params() int64 { return 0 }
 
 // Cost implements Module.
 func (Upsample) Cost(in []Shape) (int64, Shape) {
@@ -437,9 +401,6 @@ func (c Concat) Lower(pb *planBuilder, ins []planVal) planVal {
 	pb.emit(&concatOp{dst: dst, srcs: append([]planVal(nil), ins...)})
 	return dst
 }
-
-// Params implements Module.
-func (Concat) Params() int64 { return 0 }
 
 // Cost implements Module.
 func (Concat) Cost(in []Shape) (int64, Shape) {

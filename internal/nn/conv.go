@@ -50,8 +50,9 @@ type Conv struct {
 // NewConv builds a Conv-BN-activation block with He-initialised weights
 // drawn from r (deterministic per seed). A nil r — here and in every
 // constructor of this package, which hand their convs r.Split children —
-// builds the architecture only: shapes, Params and Cost are those of the
-// seeded network, the weights stay zero and nothing is drawn.
+// builds the architecture only: costable, not runnable. Shapes, Params
+// and Cost are those of the seeded network, but no weight, bias or BN
+// slice is allocated and nothing is drawn.
 func NewConv(r *rng.RNG, inC, outC, k, stride int, act Act) *Conv {
 	return newConvFull(r, inC, outC, k, stride, k/2, 1, act, false)
 }
@@ -76,36 +77,33 @@ func newConvFull(r *rng.RNG, inC, outC, k, stride, pad, groups int, act Act, bia
 		StrideH: stride, StrideW: stride,
 		PadH: pad, PadW: pad, Groups: groups,
 	}
-	w := tensor.New(outC, inC/groups, k, k)
-	fanIn := float64(inC / groups * k * k)
-	std := math.Sqrt(2 / fanIn)
-	if r != nil {
-		for i := range w.Data {
-			w.Data[i] = float32(r.NormRange(0, std))
-		}
-	}
 	c := &Conv{
-		label:  fmt.Sprintf("conv%dx%d_%d_%d", k, k, inC, outC),
-		spec:   spec,
-		weight: w,
-		act:    act,
+		label:   fmt.Sprintf("conv%dx%d_%d_%d", k, k, inC, outC),
+		spec:    spec,
+		act:     act,
+		useBias: bias,
+	}
+	if r == nil {
+		return c
+	}
+	c.weight = tensor.New(outC, inC/groups, k, k)
+	std := math.Sqrt(2 / float64(inC/groups*k*k))
+	for i := range c.weight.Data {
+		c.weight.Data[i] = float32(r.NormRange(0, std))
 	}
 	if bias {
-		c.useBias = true
 		c.bias = tensor.New(outC)
-	} else {
-		c.gamma = make([]float32, outC)
-		c.beta = make([]float32, outC)
-		c.mean = make([]float32, outC)
-		c.varnc = make([]float32, outC)
-		for i := 0; i < outC; i++ {
-			c.gamma[i] = 1
-			c.varnc[i] = 1
-			if r != nil {
-				// Small random shift keeps activations non-degenerate.
-				c.beta[i] = float32(r.NormRange(0, 0.02))
-			}
-		}
+		return c
+	}
+	c.gamma = make([]float32, outC)
+	c.beta = make([]float32, outC)
+	c.mean = make([]float32, outC)
+	c.varnc = make([]float32, outC)
+	for i := 0; i < outC; i++ {
+		c.gamma[i] = 1
+		c.varnc[i] = 1
+		// Small random shift keeps activations non-degenerate.
+		c.beta[i] = float32(r.NormRange(0, 0.02))
 	}
 	return c
 }
@@ -142,16 +140,17 @@ func (c *Conv) Forward(xs []*tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Params implements Module: conv weights plus either bias or the BN
-// affine pair, matching Ultralytics' trainable-parameter accounting.
+// Params counts the conv weights plus either the bias or the BN affine
+// pair, matching Ultralytics' trainable-parameter accounting. It reads
+// the spec alone, so an architecture-only conv counts what a seeded one
+// stores.
 func (c *Conv) Params() int64 {
-	n := int64(len(c.weight.Data))
+	s := c.spec
+	n := int64(s.OutC) * int64(s.InC/s.Groups) * int64(s.KH) * int64(s.KW)
 	if c.useBias {
-		n += int64(c.spec.OutC)
-	} else {
-		n += 2 * int64(c.spec.OutC) // BN gamma + beta
+		return n + int64(s.OutC)
 	}
-	return n
+	return n + 2*int64(s.OutC) // BN gamma + beta
 }
 
 // Cost implements Module.

@@ -148,20 +148,6 @@ func (d *Detect) Lower(pb *planBuilder, ins []planVal) planVal {
 	return out
 }
 
-// Params implements Module.
-func (d *Detect) Params() int64 {
-	var n int64
-	for li := range d.box {
-		for _, c := range d.box[li] {
-			n += c.Params()
-		}
-		for _, c := range d.cls[li] {
-			n += c.Params()
-		}
-	}
-	return n
-}
-
 // Cost implements Module.
 func (d *Detect) Cost(in []Shape) (int64, Shape) {
 	var total int64

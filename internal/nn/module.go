@@ -33,9 +33,6 @@ type Module interface {
 	// value holding its output. ins are the compiled values of the
 	// inputs Forward would receive.
 	Lower(b *planBuilder, ins []planVal) planVal
-	// Params returns the trainable parameter count (conv weights, biases,
-	// BN affine terms), matching the convention Ultralytics reports.
-	Params() int64
 	// Cost returns multiply-accumulate FLOPs (2 ops per MAC) and the
 	// output shape for the given input shapes.
 	Cost(in []Shape) (flops int64, out Shape)
@@ -204,12 +201,13 @@ func (n *Network) ForwardInterp(x *tensor.Tensor) []*tensor.Tensor {
 	return outs
 }
 
-// Params sums the parameter counts of all nodes.
+// Params returns the trainable parameter count (conv weights, biases,
+// BN affine terms), matching the convention Ultralytics reports: every
+// parameter the network has lives in a conv, so it is the sum of
+// Conv.Params over them.
 func (n *Network) Params() int64 {
 	var total int64
-	for _, node := range n.Nodes {
-		total += node.Module.Params()
-	}
+	forEachConv(n, func(c *Conv) { total += c.Params() })
 	return total
 }
 

@@ -155,7 +155,7 @@ func TestPSABlockResidualShape(t *testing.T) {
 	if fl <= 0 || s != (Shape{64, 4, 4}) {
 		t.Fatalf("psablock cost %d %v", fl, s)
 	}
-	if p.Params() <= 0 {
+	if paramsOf(p) <= 0 {
 		t.Fatal("psablock params")
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ocularone/internal/rng"
@@ -49,6 +50,49 @@ func TestConvParamsConvention(t *testing.T) {
 	dw := NewConvDW(r, 16, 3, 1, ActSiLU)
 	if got, want := dw.Params(), int64(16*9+2*16); got != want {
 		t.Fatalf("depthwise params %d, want %d", got, want)
+	}
+}
+
+// TestConvParamsMatchStorage pins Conv.Params, which counts from the
+// spec, to what a seeded conv stores: weight plus bias or BN affine
+// pair, for every conv of each composite. The same composites built
+// architecture-only hold no slice and count the same parameters.
+func TestConvParamsMatchStorage(t *testing.T) {
+	ch := []int{16, 32, 64}
+	builds := map[string]func(r *rng.RNG) ConvWalker{
+		"c2f":        func(r *rng.RNG) ConvWalker { return NewC2f(r, 16, 32, 2, true) },
+		"c3k2":       func(r *rng.RNG) ConvWalker { return NewC3k2(r, 16, 32, 2, false, 0.5) },
+		"c3k2-c3k":   func(r *rng.RNG) ConvWalker { return NewC3k2(r, 16, 32, 2, true, 0.5) },
+		"sppf":       func(r *rng.RNG) ConvWalker { return NewSPPF(r, 32, 32, 5) },
+		"c2psa":      func(r *rng.RNG) ConvWalker { return NewC2PSA(r, 128, 1) },
+		"basic":      func(r *rng.RNG) ConvWalker { return NewBasicBlock(r, 16, 16, 1) },
+		"basic-down": func(r *rng.RNG) ConvWalker { return NewBasicBlock(r, 16, 32, 2) },
+		"detect":     func(r *rng.RNG) ConvWalker { return NewDetect(r, 3, ch) },
+		"detect11":   func(r *rng.RNG) ConvWalker { return NewDetect11(r, 3, ch) },
+	}
+	for name, build := range builds {
+		var seeded, bare []int64
+		build(rng.New(3)).EachConv(func(c *Conv) {
+			n := int64(len(c.weight.Data))
+			if c.useBias {
+				n += int64(len(c.bias.Data))
+			} else {
+				n += int64(len(c.gamma) + len(c.beta))
+			}
+			if n != c.Params() {
+				t.Errorf("%s %s: stores %d parameters, Params %d", name, c.label, n, c.Params())
+			}
+			seeded = append(seeded, c.Params())
+		})
+		build(nil).EachConv(func(c *Conv) {
+			if c.weight != nil || c.bias != nil || c.gamma != nil || c.beta != nil || c.mean != nil || c.varnc != nil {
+				t.Errorf("%s %s: architecture-only conv holds storage", name, c.label)
+			}
+			bare = append(bare, c.Params())
+		})
+		if len(seeded) == 0 || !slices.Equal(seeded, bare) {
+			t.Errorf("%s: seeded conv params %v, architecture-only %v", name, seeded, bare)
+		}
 	}
 }
 
@@ -106,9 +150,9 @@ func TestC3k2Variants(t *testing.T) {
 	r := rng.New(5)
 	shallow := NewC3k2(r.Split("a"), 16, 32, 2, false, 0.5)
 	deep := NewC3k2(r.Split("b"), 16, 32, 2, true, 0.5)
-	if deep.Params() <= shallow.Params() {
+	if paramsOf(deep) <= paramsOf(shallow) {
 		t.Fatalf("c3k variant (%d) not larger than bottleneck variant (%d)",
-			deep.Params(), shallow.Params())
+			paramsOf(deep), paramsOf(shallow))
 	}
 	x := input(16, 8, 8)
 	for _, blk := range []*C3k2{shallow, deep} {
@@ -234,8 +278,8 @@ func TestDetect11LighterThanV8(t *testing.T) {
 	ch := []int{64, 128, 256}
 	v8 := NewDetect(r.Split("v8"), 80, ch)
 	v11 := NewDetect11(r.Split("v11"), 80, ch)
-	if v11.Params() >= v8.Params() {
-		t.Fatalf("v11 head (%d) not lighter than v8 head (%d)", v11.Params(), v8.Params())
+	if paramsOf(v11) >= paramsOf(v8) {
+		t.Fatalf("v11 head (%d) not lighter than v8 head (%d)", paramsOf(v11), paramsOf(v8))
 	}
 }
 
@@ -280,6 +324,12 @@ func TestDecodeLevelAndNMS(t *testing.T) {
 	}
 }
 
+// paramsOf reads a module's parameter count through a one-node Network,
+// the only place a count is summed.
+func paramsOf(m Module) int64 {
+	return (&Network{Nodes: []Node{{From: []int{-1}, Module: m}}}).Params()
+}
+
 func TestNetworkParamsAdditive(t *testing.T) {
 	r := rng.New(14)
 	c1 := NewConv(r.Split("a"), 3, 8, 3, 1, ActSiLU)
@@ -308,7 +358,7 @@ func TestUpsampleConcatModules(t *testing.T) {
 	if z.Shape[0] != 8 {
 		t.Fatalf("concat channels %d", z.Shape[0])
 	}
-	if u.Params() != 0 || c.Params() != 0 {
+	if paramsOf(u) != 0 || paramsOf(c) != 0 {
 		t.Fatal("parameterless modules report params")
 	}
 }

@@ -59,15 +59,6 @@ func (b *BasicBlock) Lower(pb *planBuilder, ins []planVal) planVal {
 	return y
 }
 
-// Params implements Module.
-func (b *BasicBlock) Params() int64 {
-	n := b.cv1.Params() + b.cv2.Params()
-	if b.down != nil {
-		n += b.down.Params()
-	}
-	return n
-}
-
 // Cost implements Module.
 func (b *BasicBlock) Cost(in []Shape) (int64, Shape) {
 	f1, s1 := b.cv1.Cost(in)
@@ -97,9 +88,6 @@ func (m MaxPool) Forward(xs []*tensor.Tensor) *tensor.Tensor {
 func (m MaxPool) Lower(pb *planBuilder, ins []planVal) planVal {
 	return lowerMaxPool(pb, ins[0], m.K, m.Stride, m.Pad)
 }
-
-// Params implements Module.
-func (MaxPool) Params() int64 { return 0 }
 
 // Cost implements Module.
 func (m MaxPool) Cost(in []Shape) (int64, Shape) {

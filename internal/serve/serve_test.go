@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ocularone/internal/device"
@@ -201,6 +202,38 @@ func TestTrafficMeanRate(t *testing.T) {
 	got := float64(n) / horizon * 1e3
 	if math.Abs(got-cfg.RatePerSec) > 0.10*cfg.RatePerSec {
 		t.Fatalf("long-run rate %.0f/s, want %.0f/s +-10%%", got, cfg.RatePerSec)
+	}
+}
+
+// TestNewServerRejectsBadTraffic: a rate that is not finite and
+// positive, or a mix weight that is negative or NaN, panics by name in
+// NewServer instead of hanging the arrival loop (NaN rate), panicking
+// inside the RNG (infinite rate) or running on NaN cumulative tables.
+func TestNewServerRejectsBadTraffic(t *testing.T) {
+	nanMix := DefaultMix()
+	nanMix[3] = math.NaN()
+	for _, c := range []struct {
+		name string
+		edit func(*Traffic)
+	}{
+		{"nan rate", func(tr *Traffic) { tr.RatePerSec = math.NaN() }},
+		{"inf rate", func(tr *Traffic) { tr.RatePerSec = math.Inf(1) }},
+		{"negative class weight", func(tr *Traffic) { tr.ClassMix = [NumClasses]float64{1, -1, 0} }},
+		{"nan class weight", func(tr *Traffic) { tr.ClassMix = [NumClasses]float64{1, math.NaN(), 1} }},
+		{"nan model weight", func(tr *Traffic) { tr.Mix = nanMix }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig(1_000, 1)
+			cfg.Traffic.RatePerSec = 800
+			c.edit(&cfg.Traffic)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "serve: ") {
+					t.Fatalf("NewServer panicked with %q, want a serve: panic", msg)
+				}
+			}()
+			NewServer(cfg)
+		})
 	}
 }
 

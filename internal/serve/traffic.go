@@ -111,6 +111,17 @@ func DefaultMix() []float64 {
 // interactive head and a background tail.
 var DefaultClassMix = [NumClasses]float64{25, 60, 15}
 
+// checkWeights panics on a weight that is negative, NaN or infinite:
+// normalising by the sum would turn it into a silent NaN or a
+// negative-width slot of the cumulative table.
+func checkWeights(what string, ws []float64) {
+	for i, w := range ws {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			panic(fmt.Sprintf("serve: %s weight %d is %v, want finite and non-negative", what, i, w))
+		}
+	}
+}
+
 // tenantGen is one tenant's lazy arrival-process state.
 type tenantGen struct {
 	r *rng.RNG
@@ -138,8 +149,8 @@ type gen struct {
 }
 
 func newGen(cfg Traffic) *gen {
-	if cfg.RatePerSec <= 0 {
-		panic("serve: Traffic.RatePerSec must be positive")
+	if r := cfg.RatePerSec; !(r > 0) || math.IsInf(r, 1) {
+		panic(fmt.Sprintf("serve: Traffic.RatePerSec must be finite and positive, got %v", r))
 	}
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 1
@@ -150,6 +161,8 @@ func newGen(cfg Traffic) *gen {
 	if len(cfg.Mix) != int(models.NumModels) {
 		panic(fmt.Sprintf("serve: Mix must have %d weights, got %d", models.NumModels, len(cfg.Mix)))
 	}
+	checkWeights("model mix", cfg.Mix)
+	checkWeights("class mix", cfg.ClassMix[:])
 	allZero := true
 	for _, w := range cfg.ClassMix {
 		if w != 0 {
@@ -176,9 +189,6 @@ func newGen(cfg Traffic) *gen {
 	g.mixCum = make([]float64, len(cfg.Mix))
 	var tot float64
 	for _, w := range cfg.Mix {
-		if w < 0 {
-			panic("serve: negative model mix weight")
-		}
 		tot += w
 	}
 	if tot <= 0 {
