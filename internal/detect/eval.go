@@ -52,24 +52,6 @@ func EvaluateDataset(d *Detector, ds *dataset.Dataset) Result {
 	return res
 }
 
-// EvaluateRendered scores pre-rendered samples (tests, ablations).
-func EvaluateRendered(d *Detector, rs []dataset.Rendered) Result {
-	res := Result{PerAttack: map[string]*metrics.Confusion{}}
-	for _, r := range rs {
-		c, spurious := ScoreFrame(d, r.Image, r.Truth.HasVIP, r.Truth.VestBox)
-		res.Confusion.Add(c)
-		res.SpuriousBoxes += spurious
-		key := r.Item.Attack.Kind.String()
-		pc := res.PerAttack[key]
-		if pc == nil {
-			pc = &metrics.Confusion{}
-			res.PerAttack[key] = pc
-		}
-		pc.Add(c)
-	}
-	return res
-}
-
 // ScoreFrame scores one frame with the paper's one-verdict-per-image
 // protocol: with a vest present, some detection must overlap it at
 // EvalIoU (TP, else FN). Without a vest, any detection is an FP, silence

@@ -93,23 +93,6 @@ func TrainDatasetOpts(t Tier, ds *dataset.Dataset, o Options) *Detector {
 	return fit(t, kept, o)
 }
 
-// TrainRendered fits the detector from pre-rendered samples with the
-// curated protocol (used by tests and the curation-ablation bench).
-func TrainRendered(t Tier, rs []dataset.Rendered) *Detector {
-	return TrainRenderedOpts(t, rs, Options{Curated: true})
-}
-
-// TrainRenderedOpts is TrainRendered with explicit options.
-func TrainRenderedOpts(t Tier, rs []dataset.Rendered, o Options) *Detector {
-	var kept []hsvSample
-	for _, r := range rs {
-		if s, ok := extractSample(t, r, o.Curated); ok {
-			kept = append(kept, s)
-		}
-	}
-	return fit(t, kept, o)
-}
-
 // extractSample prepares one training observation. The image passes
 // through exactly the inference-time preprocessing — contrast
 // normalisation (if the tier enables it) and downscale to the analysis

@@ -14,14 +14,11 @@ package device
 type Cluster struct {
 	seed uint64
 	ex   map[ID]*Executor
-	// health tracks per-device quarantine state (health.go), created
-	// lazily so clusters that never observe anything stay health-free.
-	health map[ID]*healthRec
 }
 
 // NewCluster creates an empty executor pool seeded with the master seed.
 func NewCluster(seed uint64) *Cluster {
-	return &Cluster{seed: seed, ex: map[ID]*Executor{}, health: map[ID]*healthRec{}}
+	return &Cluster{seed: seed, ex: map[ID]*Executor{}}
 }
 
 // Executor returns the pool's executor for the device, creating it on

@@ -41,14 +41,8 @@
 // Job.CompileMS thread it through Executor and MicroBatcher, and the
 // zero value replays the interpreted schedule bit-for-bit.
 //
-// Health (health.go) layers silent-failure quarantine over the
-// fail-stop Up/Down surface: a Health tracker folds per-request
-// outcome observations into an EWMA score that drives a three-state
-// machine — healthy, quarantined (score below QuarantineBelow),
-// probation (timed readmission at a reset score) — and DevicesIn /
-// DevicesInto filter placement candidates by health so schedulers
-// route around a flaky device before it fail-stops. Scoring is a pure
-// function of the observation stream and never perturbs executor
-// timing: a tracker that observes everything and quarantines nothing
-// is bit-for-bit invisible.
+// Faults act on an Executor directly: HoldUntil models a fail-stop
+// outage (the stream idles until the restore), SetSlowdown a straggler
+// and SetThermalStress a thermal storm. A fault reaches schedulers only
+// through the timing it imposes (BusyUntilMS, AdmissionDelayMS).
 package device

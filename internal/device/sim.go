@@ -61,12 +61,6 @@ func (c Completion) QueueDelayMS() float64 { return c.StartMS - c.Job.ArrivalMS 
 // LatencyMS returns arrival-to-finish latency.
 func (c Completion) LatencyMS() float64 { return c.FinishMS - c.Job.ArrivalMS }
 
-// MissedDeadline reports whether the completion finished past its
-// job's deadline. Jobs without a deadline never miss.
-func (c Completion) MissedDeadline() bool {
-	return c.Job.DeadlineMS > 0 && c.FinishMS > c.Job.DeadlineMS
-}
-
 // Executor simulates one device serving inference jobs FIFO on a single
 // GPU stream — the deployment mode of the paper's benchmarks. Service
 // times come from the calibrated latency model with per-frame jitter,

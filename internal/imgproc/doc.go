@@ -5,7 +5,7 @@
 //
 // Images are 8-bit RGB in row-major order, matching the 720p drone frames
 // the paper's dataset is extracted from. The dataset-side filters (blur,
-// brightness, noise, rotation, gradients) parallelise over rows with
+// brightness, noise, rotation) parallelise over rows with
 // internal/parallel; the detector's per-frame path (the resampling
 // kernel, Crop) runs serially on its caller's goroutine.
 //

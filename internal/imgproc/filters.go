@@ -494,35 +494,3 @@ func LocalContrastNormalizeInto(dst, src *Image, tile int) {
 	}
 	ResizeLUTInto(dst, src, new(TileLUT).Contrast(src, tile))
 }
-
-// GradientMagnitude returns a per-pixel Sobel gradient magnitude map
-// (luminance-based, 0-255 clamped). The detector's stripe-verification
-// stage consumes this.
-func GradientMagnitude(src *Image) []float32 {
-	w, h := src.W, src.H
-	lum := make([]float32, w*h)
-	parallel.For(h, func(y int) {
-		for x := 0; x < w; x++ {
-			o := (y*w + x) * 3
-			lum[y*w+x] = 0.299*float32(src.Pix[o]) + 0.587*float32(src.Pix[o+1]) + 0.114*float32(src.Pix[o+2])
-		}
-	})
-	out := make([]float32, w*h)
-	parallel.For(h, func(y int) {
-		if y == 0 || y == h-1 {
-			return
-		}
-		for x := 1; x < w-1; x++ {
-			gx := lum[(y-1)*w+x+1] + 2*lum[y*w+x+1] + lum[(y+1)*w+x+1] -
-				lum[(y-1)*w+x-1] - 2*lum[y*w+x-1] - lum[(y+1)*w+x-1]
-			gy := lum[(y+1)*w+x-1] + 2*lum[(y+1)*w+x] + lum[(y+1)*w+x+1] -
-				lum[(y-1)*w+x-1] - 2*lum[(y-1)*w+x] - lum[(y-1)*w+x+1]
-			m := float32(math.Sqrt(float64(gx*gx + gy*gy)))
-			if m > 255 {
-				m = 255
-			}
-			out[y*w+x] = m
-		}
-	})
-	return out
-}

@@ -245,17 +245,3 @@ func TestLocalContrastNormalizeSkipsFlatTiles(t *testing.T) {
 		t.Fatalf("flat tile rescaled: %d", r)
 	}
 }
-
-func TestGradientMagnitudeEdges(t *testing.T) {
-	im := NewImage(20, 20)
-	im.FillRect(Rect{0, 0, 10, 20}, 0, 0, 0)
-	im.FillRect(Rect{10, 0, 20, 20}, 255, 255, 255)
-	g := GradientMagnitude(im)
-	// Strong response at the vertical edge, none in flat regions.
-	if g[10*20+10] < 100 {
-		t.Fatalf("edge response %v too weak", g[10*20+10])
-	}
-	if g[10*20+3] > 1 {
-		t.Fatalf("flat region response %v", g[10*20+3])
-	}
-}

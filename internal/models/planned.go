@@ -1,19 +1,5 @@
 package models
 
-import "ocularone/internal/nn"
-
-// BuildPlanned builds a model and compiles its execution plan for the
-// given input size, returning both: the network (weights, calibration
-// hooks, the interpreter reference) and the plan that serves it. The
-// plan is also cached on the network, so Forward* wrappers reuse the
-// same compiled program — BuildPlanned just fronts the compile cost at
-// build time instead of on the first frame, the way a deployment
-// pipeline wants it.
-func BuildPlanned(id ID, nc int, seed uint64, h, w int) (*nn.Network, *nn.Plan) {
-	net := Build(id, nc, seed)
-	return net, net.PlanFor(3, h, w)
-}
-
 // PlanFootprint is one model's compiled-plan memory geometry at a
 // given input size: arena slots and floats per sample. Convolutions
 // gather their receptive fields inside the packed kernel, so a plan

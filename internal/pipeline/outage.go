@@ -37,16 +37,13 @@ func sortedOutages(a, b []Outage) []Outage {
 }
 
 // applyOutages imposes every outage whose onset has been reached by
-// now, advancing the cursor so each outage is applied exactly once.
-// MarkDown both holds the stream (the historic timing effect — the
-// schedule is bit-identical to the old inline HoldUntil) and
-// quarantines the device on its owning cluster until the restore, so
-// health-aware policies see the downtime as scheduling state too.
+// now, advancing the cursor so each outage is applied exactly once: the
+// device's executor on its owning cluster is held to the restore.
 func (e *execEnv) applyOutages(now float64) {
 	for e.outageCur < len(e.outages) && e.outages[e.outageCur].FromMS <= now {
 		o := e.outages[e.outageCur]
 		if o.ToMS > o.FromMS {
-			e.clusterFor(o.Device).MarkDown(o.Device, o.ToMS)
+			e.exFor(o.Device).HoldUntil(o.ToMS)
 		}
 		e.outageCur++
 	}

@@ -258,19 +258,14 @@ func (s *Session) env(shared *device.Cluster) *execEnv {
 	return e
 }
 
-// clusterFor resolves a device to the cluster that owns its executor:
-// edge devices belong to the drone's own session-local cluster,
-// everything else is fleet-shared when a shared cluster exists.
-func (e *execEnv) clusterFor(d device.ID) *device.Cluster {
-	if e.shared != nil && !device.Registry(d).IsEdge() {
-		return e.shared
-	}
-	return e.sess.local
-}
-
-// exFor resolves a device to an executor through its owning cluster.
+// exFor resolves a device to its executor on the owning cluster: edge
+// devices belong to the drone's own session-local cluster, everything
+// else is fleet-shared when a shared cluster exists.
 func (e *execEnv) exFor(d device.ID) *device.Executor {
-	return e.clusterFor(d).Executor(d)
+	if e.shared != nil && !device.Registry(d).IsEdge() {
+		return e.shared.Executor(d)
+	}
+	return e.sess.local.Executor(d)
 }
 
 // planCompile returns the one-time compile surcharge for one stage job:

@@ -35,14 +35,6 @@ func (c Camera) ProjectGround(x, d float64) (px, py float64) {
 	return px, py
 }
 
-// ProjectAt maps a point at height hm above the ground (lateral x, depth
-// d) to pixel coordinates.
-func (c Camera) ProjectAt(x, hm, d float64) (px, py float64) {
-	px = float64(c.W)/2 + c.FocalPx*x/d
-	py = c.horizonY() + c.FocalPx*(c.HeightM-hm)/d
-	return px, py
-}
-
 // GroundDepthAtRow inverts the ground projection: the depth of the ground
 // plane visible at pixel row y (rows above the horizon return +inf).
 func (c Camera) GroundDepthAtRow(y int) float64 {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ocularone/internal/device"
 	"ocularone/internal/rng"
@@ -206,9 +207,13 @@ func TestTrafficMeanRate(t *testing.T) {
 }
 
 // TestNewServerRejectsBadTraffic: a rate that is not finite and
-// positive, or a mix weight that is negative or NaN, panics by name in
-// NewServer instead of hanging the arrival loop (NaN rate), panicking
-// inside the RNG (infinite rate) or running on NaN cumulative tables.
+// positive, a mix weight that is negative or NaN, a traffic-shape knob
+// that is not finite, or a diurnal amplitude outside [0, 1) panics by
+// name in NewServer instead of hanging the arrival loop (a NaN rate or
+// envelope never accepts a candidate), panicking inside the RNG
+// (infinite rate) or running on NaN cumulative tables. Each case runs
+// NewServer and the first simulated second under a deadline, so a
+// config that hangs fails the case instead of the test binary.
 func TestNewServerRejectsBadTraffic(t *testing.T) {
 	nanMix := DefaultMix()
 	nanMix[3] = math.NaN()
@@ -221,18 +226,35 @@ func TestNewServerRejectsBadTraffic(t *testing.T) {
 		{"negative class weight", func(tr *Traffic) { tr.ClassMix = [NumClasses]float64{1, -1, 0} }},
 		{"nan class weight", func(tr *Traffic) { tr.ClassMix = [NumClasses]float64{1, math.NaN(), 1} }},
 		{"nan model weight", func(tr *Traffic) { tr.Mix = nanMix }},
+		{"nan diurnal amp", func(tr *Traffic) { tr.DiurnalAmp = math.NaN() }},
+		{"negative diurnal amp", func(tr *Traffic) { tr.DiurnalAmp = -0.5 }},
+		{"diurnal amp above one", func(tr *Traffic) { tr.DiurnalAmp = 1.5 }},
+		{"nan diurnal period", func(tr *Traffic) { tr.DiurnalPeriodMS = math.NaN() }},
+		{"nan burst mult", func(tr *Traffic) { tr.BurstMult = math.NaN() }},
+		{"inf burst mult", func(tr *Traffic) { tr.BurstMult = math.Inf(1) }},
+		{"nan burst on", func(tr *Traffic) { tr.BurstOnMS = math.NaN() }},
+		{"inf burst off", func(tr *Traffic) { tr.BurstOffMS = math.Inf(1) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig(1_000, 1)
 			cfg.Traffic.RatePerSec = 800
 			c.edit(&cfg.Traffic)
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "serve: ") {
-					t.Fatalf("NewServer panicked with %q, want a serve: panic", msg)
-				}
+			done := make(chan string, 1)
+			go func() {
+				defer func() {
+					msg, _ := recover().(string)
+					done <- msg
+				}()
+				NewServer(cfg).AdvanceTo(1_000)
 			}()
-			NewServer(cfg)
+			select {
+			case msg := <-done:
+				if !strings.HasPrefix(msg, "serve: ") {
+					t.Fatalf("NewServer + AdvanceTo ended with %q, want a serve: panic", msg)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("NewServer + AdvanceTo(1000) still running after 1 s, want a serve: panic")
+			}
 		})
 	}
 }

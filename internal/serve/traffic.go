@@ -172,6 +172,22 @@ func newGen(cfg Traffic) *gen {
 	if allZero {
 		cfg.ClassMix = DefaultClassMix
 	}
+	// NaN passes the <= 0 clamps below, and a NaN thinning envelope
+	// never accepts a candidate: refuse every non-finite shape knob.
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{
+		{"DiurnalAmp", cfg.DiurnalAmp}, {"DiurnalPeriodMS", cfg.DiurnalPeriodMS},
+		{"BurstMult", cfg.BurstMult}, {"BurstOnMS", cfg.BurstOnMS}, {"BurstOffMS", cfg.BurstOffMS},
+	} {
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			panic(fmt.Sprintf("serve: Traffic.%s must be finite, got %v", k.name, k.v))
+		}
+	}
+	if a := cfg.DiurnalAmp; a < 0 || a >= 1 {
+		panic(fmt.Sprintf("serve: Traffic.DiurnalAmp must be in [0, 1), got %v", a))
+	}
 	if cfg.DiurnalPeriodMS <= 0 {
 		cfg.DiurnalPeriodMS = 60_000
 	}
