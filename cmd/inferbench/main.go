@@ -165,10 +165,10 @@ func run(deviceFlag, modelFlag string, frames int, seed uint64, drones int, fps 
 		"model", "device", "median", "p25", "p75", "p95", "fps", "J/frame")
 	for _, m := range mods {
 		for _, d := range devs {
-			s := metrics.SummarizeMS(device.SampleEng(m, d, prec, eng, frames, seed^uint64(m)<<8^uint64(d)))
+			s := metrics.SummarizeMS(device.Sample(m, d, prec, eng, frames, seed^uint64(m)<<8^uint64(d)))
 			fmt.Printf("%-12s %-10s %9.1fms %9.1fms %9.1fms %9.1fms %10.1f %10.2f\n",
 				m, d, s.MedianMS, s.P25MS, s.P75MS, s.P95MS,
-				device.FPSEng(m, d, prec, eng), device.EnergyPerFrameJEng(m, d, prec, eng))
+				device.FPS(m, d, prec, eng), device.EnergyPerFrameJ(m, d, prec, eng))
 		}
 	}
 	return nil
@@ -368,10 +368,10 @@ func batchSweep(modelFlag, deviceFlag string, maxBatch int, prec device.Precisio
 		"model", "device", "batch", "service", "ms/frame", "fps", "speedup")
 	for _, m := range mods {
 		for _, d := range devs {
-			base := device.BatchFPSEng(m, d, 1, prec, eng)
+			base := device.BatchFPS(m, d, 1, prec, eng)
 			for _, n := range sizes {
 				svc := device.PredictBatchMSEng(m, d, n, prec, eng)
-				fps := device.BatchFPSEng(m, d, n, prec, eng)
+				fps := device.BatchFPS(m, d, n, prec, eng)
 				fmt.Printf("%-12s %-10s %6d %10.1fms %10.2fms %10.1f %8.2fx\n",
 					m, d, n, svc, svc/float64(n), fps, fps/base)
 			}

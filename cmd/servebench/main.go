@@ -127,6 +127,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if !(*horizon > 0) || math.IsInf(*horizon, 1) {
+		fmt.Fprintf(os.Stderr, "servebench: bad horizon %v, want finite and positive\n", *horizon)
+		os.Exit(2)
+	}
 
 	cfg := serve.DefaultConfig(*horizon, *seed)
 	pts := serve.RunCurve(cfg, rhos)

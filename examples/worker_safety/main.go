@@ -124,7 +124,7 @@ func main() {
 		// pressure, so queue rather than drop.
 		Policy: pipeline.QueuePolicy{}, FrameFPS: 2, Seed: 11,
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "worker_safety:", err)
 		os.Exit(1)

@@ -32,7 +32,7 @@ type Arm struct {
 
 // LatencyMS returns the arm's expected per-frame latency.
 func (a Arm) LatencyMS() float64 {
-	l := device.PredictMS(a.Model, a.Dev, a.Precision)
+	l := device.PredictMS(a.Model, a.Dev, a.Precision, device.Interpreted)
 	if !device.Registry(a.Dev).IsEdge() {
 		l += a.RTTms
 	}

@@ -23,11 +23,11 @@ func TestArmLatency(t *testing.T) {
 	arms := DefaultArms(device.OrinNano, 25)
 	// Edge arm pays no RTT; workstation arm does.
 	edgeLat := arms[0].LatencyMS()
-	if edgeLat != device.PredictMS(models.V8Nano, device.OrinNano, device.FP32) {
+	if edgeLat != device.PredictMS(models.V8Nano, device.OrinNano, device.FP32, device.Interpreted) {
 		t.Fatalf("edge arm latency %v includes RTT", edgeLat)
 	}
 	cloud := arms[2]
-	if cloud.LatencyMS() <= device.PredictMS(models.V8XLarge, device.RTX4090, device.FP32) {
+	if cloud.LatencyMS() <= device.PredictMS(models.V8XLarge, device.RTX4090, device.FP32, device.Interpreted) {
 		t.Fatal("cloud arm does not pay RTT")
 	}
 }

@@ -82,7 +82,7 @@ func RunAblationMemoryTerm() AblationResult {
 	worstShift := 0.0
 	for _, m := range models.AllIDs {
 		for _, d := range device.AllIDs {
-			full := device.PredictMS(m, d, device.FP32)
+			full := device.PredictMS(m, d, device.FP32, device.Interpreted)
 			dev := device.Registry(d)
 			st := models.ComputeStats(m)
 			weightMS := float64(st.Params*2) / (dev.MemBWGBs * 1e9) * 1e3

@@ -28,13 +28,13 @@ func RunEfficiency() []EfficiencyRow {
 	for _, m := range models.AllIDs {
 		for _, d := range device.AllIDs {
 			dev := device.Registry(d)
-			fps := device.FPS(m, d, device.FP32)
+			fps := device.FPS(m, d, device.FP32, device.Interpreted)
 			out = append(out, EfficiencyRow{
 				Model: m, Device: d,
 				FPS:          fps,
 				FPSPerDollar: fps / dev.PriceUSD * 1000,
 				FPSPerWatt:   fps / dev.PeakPowerW,
-				JoulesFrame:  device.EnergyPerFrameJ(m, d, device.FP32),
+				JoulesFrame:  device.EnergyPerFrameJ(m, d, device.FP32, device.Interpreted),
 			})
 		}
 	}

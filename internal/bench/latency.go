@@ -22,7 +22,7 @@ func RunFig5(sc Scale) []LatencyCell {
 	var out []LatencyCell
 	for _, m := range models.AllIDs {
 		for _, d := range device.EdgeIDs {
-			samples := device.Sample(m, d, device.FP32, sc.TimingFrames, sc.Seed^uint64(m)<<8^uint64(d))
+			samples := device.Sample(m, d, device.FP32, device.Interpreted, sc.TimingFrames, sc.Seed^uint64(m)<<8^uint64(d))
 			out = append(out, LatencyCell{Model: m, Device: d, Summary: metrics.SummarizeMS(samples)})
 		}
 	}
@@ -33,7 +33,7 @@ func RunFig5(sc Scale) []LatencyCell {
 func RunFig6(sc Scale) []LatencyCell {
 	var out []LatencyCell
 	for _, m := range models.AllIDs {
-		samples := device.Sample(m, device.RTX4090, device.FP32, sc.TimingFrames, sc.Seed^uint64(m)<<8)
+		samples := device.Sample(m, device.RTX4090, device.FP32, device.Interpreted, sc.TimingFrames, sc.Seed^uint64(m)<<8)
 		out = append(out, LatencyCell{Model: m, Device: device.RTX4090, Summary: metrics.SummarizeMS(samples)})
 	}
 	return out

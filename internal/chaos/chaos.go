@@ -1,6 +1,9 @@
 package chaos
 
 import (
+	"fmt"
+	"math"
+
 	"ocularone/internal/rng"
 	"ocularone/internal/serve"
 	"ocularone/internal/thermal"
@@ -60,7 +63,9 @@ type Straggler struct {
 // Config is one chaos scenario: up to five independent fault
 // processes sharing a seed. The zero value (and any config whose
 // processes are all disabled) injects nothing — a server configured
-// with it replays the fault-free schedule bit for bit.
+// with it replays the fault-free schedule bit for bit. Every field is
+// finite and non-negative; zero switches a process (or one of its
+// effects) off.
 type Config struct {
 	Seed      uint64
 	Dropout   Dropout
@@ -72,67 +77,135 @@ type Config struct {
 
 // Enabled reports whether any fault process is configured to fire.
 func (c Config) Enabled() bool {
-	return (c.Dropout.MTBFMS > 0 && c.Dropout.MTTRMS > 0) ||
-		(c.Storm.MeanGapMS > 0 && c.Storm.MeanDurMS > 0 && c.Storm.AmbientRiseC > 0) ||
-		(c.Link.MeanGapMS > 0 && c.Link.MeanDurMS > 0 && (c.Link.ExtraRTTMS > 0 || c.Link.LossProb > 0)) ||
-		(c.SDC.MeanGapMS > 0 && c.SDC.MeanDurMS > 0 && c.SDC.Prob > 0) ||
-		(c.Straggler.MeanGapMS > 0 && c.Straggler.MeanDurMS > 0 && c.Straggler.Factor > 0)
+	for _, p := range c.processes() {
+		if p.armed() {
+			return true
+		}
+	}
+	return false
 }
 
-// Process indices of Injector.procs. New processes append — each draws
-// from its own labelled split of the seed, so adding one never shifts
-// the schedules (or golden fingerprints) of the ones before it.
-const (
-	pDropout = iota
-	pStorm
-	pLink
-	pSDC
-	pStraggle
-	numProcs
-)
+// knob is one named Config field of a fault process.
+type knob struct {
+	name string
+	v    float64
+}
 
-var procLabels = [numProcs]string{"dropout", "storm", "link", "sdc", "straggle"}
+// process is one fault process of a Config as an alternating-renewal
+// process: clear for an exponential gap, then faulted for an
+// exponential duration, then clear again. Each draws from its own
+// labelled split of the seed, so enabling or disabling one process
+// never shifts another's schedule.
+type process struct {
+	label    string
+	gap, dur knob // the means of the clear gap and the fault episode (ms)
+	// size holds the fault's magnitudes; a slot without a name is unused.
+	size [2]knob
+	// on imposes the fault, of magnitudes a and b, at t until the drawn
+	// end of its episode; off lifts it.
+	on  func(s *serve.Server, t, until, a, b float64)
+	off func(s *serve.Server, t float64)
 
-// proc is one alternating-renewal fault process: active toggles at
-// nextMS, with holding times drawn from the process's own rng stream.
-type proc struct {
+	// Replay state of an injector: active toggles at nextMS.
+	enabled bool
 	r       *rng.RNG
 	nextMS  float64
 	active  bool
-	enabled bool
+}
+
+// numProcs is the number of fault processes a Config holds.
+const numProcs = 5
+
+// processes is the scenario's table of fault processes. New processes
+// append — a process draws from its own split whatever its index, so
+// adding one never shifts the schedules (or golden fingerprints) of
+// the ones before it.
+func (c *Config) processes() [numProcs]process {
+	d, st, l, sdc, sg := &c.Dropout, &c.Storm, &c.Link, &c.SDC, &c.Straggler
+	return [...]process{{
+		label: "dropout",
+		gap:   knob{"Dropout.MTBFMS", d.MTBFMS},
+		dur:   knob{"Dropout.MTTRMS", d.MTTRMS},
+		// The outage's end is known at failure time, so the server can
+		// shed doomed arrivals against the restore instant.
+		on:  func(s *serve.Server, t, until, _, _ float64) { s.FailDevice(t, until) },
+		off: func(s *serve.Server, t float64) { s.RecoverDevice(t) },
+	}, {
+		label: "storm",
+		gap:   knob{"Storm.MeanGapMS", st.MeanGapMS},
+		dur:   knob{"Storm.MeanDurMS", st.MeanDurMS},
+		size:  [2]knob{{"Storm.AmbientRiseC", st.AmbientRiseC}},
+		on:    func(s *serve.Server, t, _, rise, _ float64) { s.SetThermalStress(t, thermal.StormStress(rise)) },
+		off:   func(s *serve.Server, t float64) { s.SetThermalStress(t, 0) },
+	}, {
+		label: "link",
+		gap:   knob{"Link.MeanGapMS", l.MeanGapMS},
+		dur:   knob{"Link.MeanDurMS", l.MeanDurMS},
+		size:  [2]knob{{"Link.ExtraRTTMS", l.ExtraRTTMS}, {"Link.LossProb", l.LossProb}},
+		on:    func(s *serve.Server, t, _, rtt, loss float64) { s.SetLink(t, rtt, loss) },
+		off:   func(s *serve.Server, t float64) { s.SetLink(t, 0, 0) },
+	}, {
+		label: "sdc",
+		gap:   knob{"SDC.MeanGapMS", sdc.MeanGapMS},
+		dur:   knob{"SDC.MeanDurMS", sdc.MeanDurMS},
+		size:  [2]knob{{"SDC.Prob", sdc.Prob}},
+		on:    func(s *serve.Server, t, _, prob, _ float64) { s.SetSDC(t, prob) },
+		off:   func(s *serve.Server, t float64) { s.SetSDC(t, 0) },
+	}, {
+		label: "straggle",
+		gap:   knob{"Straggler.MeanGapMS", sg.MeanGapMS},
+		dur:   knob{"Straggler.MeanDurMS", sg.MeanDurMS},
+		size:  [2]knob{{"Straggler.Factor", sg.Factor}},
+		on:    func(s *serve.Server, t, _, factor, _ float64) { s.SetStraggle(t, factor) },
+		off:   func(s *serve.Server, t float64) { s.SetStraggle(t, 0) },
+	}}
+}
+
+// armed reports whether the process can fire: both means are positive
+// and the fault has an effect (some magnitude is positive, or it has
+// none, as a dropout).
+func (p *process) armed() bool {
+	fires := p.size[0].name == "" || p.size[0].v > 0 || p.size[1].v > 0
+	return p.gap.v > 0 && p.dur.v > 0 && fires
 }
 
 // Injector implements serve.Disruption: it multiplexes the configured
-// fault processes onto the server's single outstanding fault event.
-// Each process draws from its own labelled split of the seed, so
-// enabling or disabling one process never shifts another's schedule.
+// fault processes onto the server's single outstanding fault event,
+// each an alternation of exponential clear gaps and fault episodes.
 // Apply allocates nothing — the steady-state 0 allocs/op guarantee of
 // the serve loop survives chaos.
 type Injector struct {
-	cfg   Config
-	procs [numProcs]proc
+	seed  uint64
+	procs [numProcs]process
 }
 
 // New creates an injector for the scenario. Call serve.Config.Disrupt
-// = New(cfg); the server calls Reset and Apply.
-func New(cfg Config) *Injector { return &Injector{cfg: cfg} }
+// = New(cfg); the server calls Reset and Apply. New panics, naming the
+// field, on any NaN, infinite or negative field of a process.
+func New(cfg Config) *Injector {
+	in := &Injector{seed: cfg.Seed, procs: cfg.processes()}
+	for i := range in.procs {
+		p := &in.procs[i]
+		for _, k := range [...]knob{p.gap, p.dur, p.size[0], p.size[1]} {
+			if math.IsNaN(k.v) || math.IsInf(k.v, 0) || k.v < 0 {
+				panic(fmt.Sprintf("chaos: %s is %v, want finite and non-negative", k.name, k.v))
+			}
+		}
+		p.enabled = p.armed()
+	}
+	return in
+}
 
 // Reset rewinds every fault process and returns the first event time.
 func (in *Injector) Reset() (float64, bool) {
-	root := rng.New(in.cfg.Seed)
-	in.procs[pDropout] = proc{enabled: in.cfg.Dropout.MTBFMS > 0 && in.cfg.Dropout.MTTRMS > 0}
-	in.procs[pStorm] = proc{enabled: in.cfg.Storm.MeanGapMS > 0 && in.cfg.Storm.MeanDurMS > 0 && in.cfg.Storm.AmbientRiseC > 0}
-	in.procs[pLink] = proc{enabled: in.cfg.Link.MeanGapMS > 0 && in.cfg.Link.MeanDurMS > 0 && (in.cfg.Link.ExtraRTTMS > 0 || in.cfg.Link.LossProb > 0)}
-	in.procs[pSDC] = proc{enabled: in.cfg.SDC.MeanGapMS > 0 && in.cfg.SDC.MeanDurMS > 0 && in.cfg.SDC.Prob > 0}
-	in.procs[pStraggle] = proc{enabled: in.cfg.Straggler.MeanGapMS > 0 && in.cfg.Straggler.MeanDurMS > 0 && in.cfg.Straggler.Factor > 0}
-	gaps := [numProcs]float64{in.cfg.Dropout.MTBFMS, in.cfg.Storm.MeanGapMS, in.cfg.Link.MeanGapMS, in.cfg.SDC.MeanGapMS, in.cfg.Straggler.MeanGapMS}
+	root := rng.New(in.seed)
 	for i := range in.procs {
 		p := &in.procs[i]
-		if !p.enabled {
-			continue
+		p.active = false
+		if p.enabled {
+			p.r = root.Split(p.label)
+			p.nextMS = p.r.Exp(p.gap.v)
 		}
-		p.r = root.Split(procLabels[i])
-		p.nextMS = p.r.Exp(gaps[i])
 	}
 	return in.next()
 }
@@ -150,8 +223,9 @@ func (in *Injector) next() (float64, bool) {
 	return t, ok
 }
 
-// Apply fires every process transition due at tMS — imposing or
-// lifting its fault on the server — and returns the next event time.
+// Apply fires every process transition due at tMS — imposing a fault
+// until the end drawn for its episode, or lifting it and drawing the
+// next clear gap — and returns the next event time.
 func (in *Injector) Apply(s *serve.Server, tMS float64) (float64, bool) {
 	for i := range in.procs {
 		p := &in.procs[i]
@@ -159,52 +233,12 @@ func (in *Injector) Apply(s *serve.Server, tMS float64) (float64, bool) {
 			continue
 		}
 		p.active = !p.active
-		switch i {
-		case pDropout:
-			if p.active {
-				// The outage duration is drawn at failure time, so the
-				// server can shed doomed arrivals against the known
-				// restore instant; the restore is this process's next
-				// transition.
-				d := p.r.Exp(in.cfg.Dropout.MTTRMS)
-				s.FailDevice(tMS, tMS+d)
-				p.nextMS = tMS + d
-			} else {
-				s.RecoverDevice(tMS)
-				p.nextMS = tMS + p.r.Exp(in.cfg.Dropout.MTBFMS)
-			}
-		case pStorm:
-			if p.active {
-				s.SetThermalStress(tMS, thermal.StormStress(in.cfg.Storm.AmbientRiseC))
-				p.nextMS = tMS + p.r.Exp(in.cfg.Storm.MeanDurMS)
-			} else {
-				s.SetThermalStress(tMS, 0)
-				p.nextMS = tMS + p.r.Exp(in.cfg.Storm.MeanGapMS)
-			}
-		case pLink:
-			if p.active {
-				s.SetLink(tMS, in.cfg.Link.ExtraRTTMS, in.cfg.Link.LossProb)
-				p.nextMS = tMS + p.r.Exp(in.cfg.Link.MeanDurMS)
-			} else {
-				s.SetLink(tMS, 0, 0)
-				p.nextMS = tMS + p.r.Exp(in.cfg.Link.MeanGapMS)
-			}
-		case pSDC:
-			if p.active {
-				s.SetSDC(tMS, in.cfg.SDC.Prob)
-				p.nextMS = tMS + p.r.Exp(in.cfg.SDC.MeanDurMS)
-			} else {
-				s.SetSDC(tMS, 0)
-				p.nextMS = tMS + p.r.Exp(in.cfg.SDC.MeanGapMS)
-			}
-		case pStraggle:
-			if p.active {
-				s.SetStraggle(tMS, in.cfg.Straggler.Factor)
-				p.nextMS = tMS + p.r.Exp(in.cfg.Straggler.MeanDurMS)
-			} else {
-				s.SetStraggle(tMS, 0)
-				p.nextMS = tMS + p.r.Exp(in.cfg.Straggler.MeanGapMS)
-			}
+		if p.active {
+			p.nextMS = tMS + p.r.Exp(p.dur.v)
+			p.on(s, tMS, p.nextMS, p.size[0].v, p.size[1].v)
+		} else {
+			p.off(s, tMS)
+			p.nextMS = tMS + p.r.Exp(p.gap.v)
 		}
 	}
 	return in.next()

@@ -5,11 +5,12 @@ import "ocularone/internal/models"
 // BatchConfig parameterises micro-batched execution: up to MaxBatch
 // compatible requests (same model, same executor) are coalesced into
 // one batched inference, and WindowMS bounds how long the oldest
-// pending request should wait for the batch to fill. The batcher has
-// no clock, so the window is enforced by whichever scheduler drives it
-// (pipeline.BatchPolicy's flush groups; standalone users poll Due).
-// MaxBatch <= 1 disables coalescing entirely — every consumer of a
-// BatchConfig must degrade to the exact per-frame path in that case.
+// pending request should wait for the batch to fill. The window
+// belongs to the scheduler that drives the batcher
+// (pipeline.BatchPolicy's flush groups, serve's batch hold), which
+// dispatches the open batch when it expires. MaxBatch <= 1 disables
+// coalescing entirely — every consumer of a BatchConfig must degrade
+// to the exact per-frame path in that case.
 type BatchConfig struct {
 	// MaxBatch is the largest coalesced batch (<= 1 disables batching).
 	MaxBatch int
@@ -24,9 +25,10 @@ func (c BatchConfig) Enabled() bool { return c.MaxBatch > 1 }
 // MicroBatcher coalesces jobs bound for one executor into batched
 // inferences. Offer enqueues a job, flushing automatically when the
 // batch fills or an incompatible (different-model) job arrives; Flush
-// dispatches whatever is pending. The caller decides *when* simulated
-// time forces a flush (via Due) — the batcher itself has no clock, so
-// schedulers keep full control of their deterministic replay order.
+// dispatches whatever is pending. The batcher has no clock: the
+// scheduler driving it decides when simulated time forces a flush (its
+// BatchConfig window), so it keeps full control of its deterministic
+// replay order.
 type MicroBatcher struct {
 	Ex  *Executor
 	Cfg BatchConfig
@@ -45,12 +47,6 @@ func NewMicroBatcher(ex *Executor, cfg BatchConfig) *MicroBatcher {
 
 // Pending reports the number of jobs waiting in the open batch.
 func (b *MicroBatcher) Pending() int { return len(b.pending) }
-
-// Due reports whether the open batch must dispatch before simulated
-// time tMS: the oldest pending job would otherwise exceed the window.
-func (b *MicroBatcher) Due(tMS float64) bool {
-	return len(b.pending) > 0 && tMS > b.pending[0].ArrivalMS+b.Cfg.WindowMS
-}
 
 // Offer enqueues a job for coalescing. It returns the completions of
 // any batch this offer forced out: a pending batch of a different

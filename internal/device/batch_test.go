@@ -10,7 +10,7 @@ import (
 // TestPredictBatchMSReducesToPredictMS pins the batch-1 degenerate case.
 func TestPredictBatchMSReducesToPredictMS(t *testing.T) {
 	for _, d := range AllIDs {
-		if got, want := PredictBatchMS(models.V8XLarge, d, 1, FP32), PredictMS(models.V8XLarge, d, FP32); got != want {
+		if got, want := PredictBatchMS(models.V8XLarge, d, 1, FP32), PredictMS(models.V8XLarge, d, FP32, Interpreted); got != want {
 			t.Fatalf("%s: PredictBatchMS(1) = %v, PredictMS = %v", d, got, want)
 		}
 	}
@@ -41,8 +41,8 @@ func TestBatchAmortisation(t *testing.T) {
 // serving of the x-large detector on the shared workstation at least
 // doubles frames/sec over per-frame serving.
 func TestWorkstationBatch8Speedup(t *testing.T) {
-	base := BatchFPS(models.V8XLarge, RTX4090, 1, FP32)
-	batched := BatchFPS(models.V8XLarge, RTX4090, 8, FP32)
+	base := BatchFPS(models.V8XLarge, RTX4090, 1, FP32, Interpreted)
+	batched := BatchFPS(models.V8XLarge, RTX4090, 8, FP32, Interpreted)
 	if batched < 2*base {
 		t.Fatalf("batch-8 fps %.1f < 2x per-frame fps %.1f", batched, base)
 	}
@@ -98,19 +98,16 @@ func TestRunBatchSemantics(t *testing.T) {
 	}
 }
 
-// TestMicroBatcher covers coalescing, the MaxBatch trigger, the window
-// trigger, and model-compatibility flushing.
+// TestMicroBatcher covers coalescing, the MaxBatch trigger and
+// model-compatibility flushing (the window is the driving scheduler's).
 func TestMicroBatcher(t *testing.T) {
 	e := NewExecutor(RTX4090, 11)
 	mb := NewMicroBatcher(e, BatchConfig{MaxBatch: 3, WindowMS: 40})
 	if got := mb.Offer(Job{Model: models.V8Nano, ArrivalMS: 0}); got != nil {
 		t.Fatalf("first offer flushed early: %v", got)
 	}
-	if mb.Due(30) {
-		t.Fatal("batch due before window expiry")
-	}
-	if !mb.Due(41) {
-		t.Fatal("batch not due after window expiry")
+	if mb.Pending() != 1 {
+		t.Fatalf("pending %d after one offer, want 1", mb.Pending())
 	}
 	// Incompatible model flushes the open batch.
 	got := mb.Offer(Job{Model: models.V8Medium, ArrivalMS: 10})

@@ -32,14 +32,3 @@ func (c *Cluster) Executor(d ID) *Executor {
 	c.ex[d] = e
 	return e
 }
-
-// Devices returns the IDs of the executors materialised so far.
-func (c *Cluster) Devices() []ID {
-	out := make([]ID, 0, len(c.ex))
-	for _, d := range AllIDs {
-		if _, ok := c.ex[d]; ok {
-			out = append(out, d)
-		}
-	}
-	return out
-}

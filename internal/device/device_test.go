@@ -35,10 +35,10 @@ func TestDeviceOrderingPerModel(t *testing.T) {
 	// §4.2.3: fastest inference on o-agx, then o-nano, then nx, for every
 	// model; the workstation beats them all.
 	for _, m := range models.AllIDs {
-		agx := PredictMS(m, OrinAGX, FP32)
-		nano := PredictMS(m, OrinNano, FP32)
-		nx := PredictMS(m, XavierNX, FP32)
-		rtx := PredictMS(m, RTX4090, FP32)
+		agx := PredictMS(m, OrinAGX, FP32, Interpreted)
+		nano := PredictMS(m, OrinNano, FP32, Interpreted)
+		nx := PredictMS(m, XavierNX, FP32, Interpreted)
+		rtx := PredictMS(m, RTX4090, FP32, Interpreted)
 		if !(agx < nano && nano < nx) {
 			t.Errorf("%s: edge ordering broken: agx=%.1f nano=%.1f nx=%.1f", m, agx, nano, nx)
 		}
@@ -54,29 +54,29 @@ func TestPaperLatencyEnvelopes(t *testing.T) {
 	// reaches ≈989 ms.
 	for _, m := range []models.ID{models.V8Nano, models.V8Medium, models.V11Nano, models.V11Medium} {
 		for _, d := range []ID{OrinAGX, OrinNano} {
-			if ms := PredictMS(m, d, FP32); ms > 200 {
+			if ms := PredictMS(m, d, FP32, Interpreted); ms > 200 {
 				t.Errorf("%s on %s = %.1f ms, paper bound 200", m, d, ms)
 			}
 		}
 	}
 	for _, m := range []models.ID{models.V8XLarge, models.V11XLarge} {
-		if ms := PredictMS(m, OrinAGX, FP32); ms > 500 {
+		if ms := PredictMS(m, OrinAGX, FP32, Interpreted); ms > 500 {
 			t.Errorf("%s on o-agx = %.1f ms, paper bound 500", m, ms)
 		}
 	}
-	if ms := PredictMS(m8xID(), XavierNX, FP32); ms < 700 || ms > 1200 {
+	if ms := PredictMS(m8xID(), XavierNX, FP32, Interpreted); ms < 700 || ms > 1200 {
 		t.Errorf("v8x on nx = %.1f ms, paper reports ≈989", ms)
 	}
-	if ms := PredictMS(models.V8Medium, XavierNX, FP32); ms <= 200 {
+	if ms := PredictMS(models.V8Medium, XavierNX, FP32, Interpreted); ms <= 200 {
 		t.Errorf("v8m on nx = %.1f ms, paper says only nano stays ≤200", ms)
 	}
 	// Bodypose median 28–47 ms, Monodepth2 75–232 ms across edge devices.
 	for _, d := range EdgeIDs {
-		bp := PredictMS(models.Bodypose, d, FP32)
+		bp := PredictMS(models.Bodypose, d, FP32, Interpreted)
 		if bp < 20 || bp > 55 {
 			t.Errorf("bodypose on %s = %.1f ms, paper range ≈28-47", d, bp)
 		}
-		md := PredictMS(models.Monodepth2, d, FP32)
+		md := PredictMS(models.Monodepth2, d, FP32, Interpreted)
 		if md < 60 || md > 260 {
 			t.Errorf("monodepth2 on %s = %.1f ms, paper range ≈75-232", d, md)
 		}
@@ -90,22 +90,22 @@ func TestWorkstationEnvelope(t *testing.T) {
 	// pose and depth within 10 ms; x-large under 20 ms; ≈50× faster than
 	// nx for x-large.
 	for _, m := range models.AllIDs {
-		ms := PredictMS(m, RTX4090, FP32)
+		ms := PredictMS(m, RTX4090, FP32, Interpreted)
 		if ms > 25 {
 			t.Errorf("%s on rtx4090 = %.1f ms > 25", m, ms)
 		}
 	}
 	for _, m := range []models.ID{models.V8Nano, models.V8Medium, models.V11Nano, models.V11Medium, models.Bodypose, models.Monodepth2} {
-		if ms := PredictMS(m, RTX4090, FP32); ms > 10 {
+		if ms := PredictMS(m, RTX4090, FP32, Interpreted); ms > 10 {
 			t.Errorf("%s on rtx4090 = %.1f ms > 10", m, ms)
 		}
 	}
 	for _, m := range []models.ID{models.V8XLarge, models.V11XLarge} {
-		if ms := PredictMS(m, RTX4090, FP32); ms > 20 {
+		if ms := PredictMS(m, RTX4090, FP32, Interpreted); ms > 20 {
 			t.Errorf("%s on rtx4090 = %.1f ms > 20", m, ms)
 		}
 	}
-	speedup := PredictMS(models.V8XLarge, XavierNX, FP32) / PredictMS(models.V8XLarge, RTX4090, FP32)
+	speedup := PredictMS(models.V8XLarge, XavierNX, FP32, Interpreted) / PredictMS(models.V8XLarge, RTX4090, FP32, Interpreted)
 	if speedup < 35 || speedup > 75 {
 		t.Errorf("x-large nx/rtx speedup = %.0f×, paper ≈50×", speedup)
 	}
@@ -114,9 +114,9 @@ func TestWorkstationEnvelope(t *testing.T) {
 func TestModelSizeOrderingOnDevice(t *testing.T) {
 	// Larger models are slower on every device.
 	for _, d := range AllIDs {
-		n := PredictMS(models.V8Nano, d, FP32)
-		m := PredictMS(models.V8Medium, d, FP32)
-		x := PredictMS(models.V8XLarge, d, FP32)
+		n := PredictMS(models.V8Nano, d, FP32, Interpreted)
+		m := PredictMS(models.V8Medium, d, FP32, Interpreted)
+		x := PredictMS(models.V8XLarge, d, FP32, Interpreted)
 		if !(n < m && m < x) {
 			t.Errorf("%s: size ordering broken: %f %f %f", d, n, m, x)
 		}
@@ -124,8 +124,8 @@ func TestModelSizeOrderingOnDevice(t *testing.T) {
 }
 
 func TestSampleStatistics(t *testing.T) {
-	base := PredictMS(models.V8Medium, OrinAGX, FP32)
-	samples := Sample(models.V8Medium, OrinAGX, FP32, 1000, 7)
+	base := PredictMS(models.V8Medium, OrinAGX, FP32, Interpreted)
+	samples := Sample(models.V8Medium, OrinAGX, FP32, Interpreted, 1000, 7)
 	sum := metrics.SummarizeMS(samples)
 	if math.Abs(sum.MedianMS-base)/base > 0.1 {
 		t.Fatalf("sample median %.1f far from model %.1f", sum.MedianMS, base)
@@ -134,7 +134,7 @@ func TestSampleStatistics(t *testing.T) {
 		t.Fatal("no straggler spread in samples")
 	}
 	// Determinism.
-	again := Sample(models.V8Medium, OrinAGX, FP32, 1000, 7)
+	again := Sample(models.V8Medium, OrinAGX, FP32, Interpreted, 1000, 7)
 	for i := range samples {
 		if samples[i] != again[i] {
 			t.Fatal("Sample not deterministic")
@@ -143,16 +143,16 @@ func TestSampleStatistics(t *testing.T) {
 }
 
 func TestEnergyAndFPS(t *testing.T) {
-	e := EnergyPerFrameJ(models.V8Nano, XavierNX, FP32)
+	e := EnergyPerFrameJ(models.V8Nano, XavierNX, FP32, Interpreted)
 	if e <= 0 || e > 15 {
 		t.Fatalf("implausible energy %v J", e)
 	}
-	fps := FPS(models.V8Nano, OrinAGX, FP32)
+	fps := FPS(models.V8Nano, OrinAGX, FP32, Interpreted)
 	if fps < 5 || fps > 200 {
 		t.Fatalf("implausible fps %v", fps)
 	}
 	// Heavier model, lower FPS.
-	if FPS(models.V8XLarge, OrinAGX, FP32) >= fps {
+	if FPS(models.V8XLarge, OrinAGX, FP32, Interpreted) >= fps {
 		t.Fatal("x-large not slower than nano")
 	}
 }
@@ -182,8 +182,8 @@ func TestExecutorFIFO(t *testing.T) {
 	}
 	// At 10 FPS with ~28 ms service, no queueing: delays ≈ 0.
 	for _, c := range cs {
-		if c.QueueDelayMS() > 1 {
-			t.Fatalf("unexpected queueing at low load: %v", c.QueueDelayMS())
+		if d := c.StartMS - c.Job.ArrivalMS; d > 1 {
+			t.Fatalf("unexpected queueing at low load: %v", d)
 		}
 	}
 }
@@ -193,10 +193,14 @@ func TestExecutorQueueBuildsUnderOverload(t *testing.T) {
 	ex := NewExecutor(XavierNX, 2)
 	cs := ex.Run(PeriodicJobs(models.V8XLarge, 20, 100))
 	last := cs[len(cs)-1]
-	if last.QueueDelayMS() < 1000 {
-		t.Fatalf("no queue build-up under overload: %v", last.QueueDelayMS())
+	if d := last.StartMS - last.Job.ArrivalMS; d < 1000 {
+		t.Fatalf("no queue build-up under overload: %v", d)
 	}
-	if u := Utilization(cs); u < 0.95 {
+	busy := 0.0
+	for _, c := range cs {
+		busy += c.ServiceMS
+	}
+	if u := busy / (last.FinishMS - cs[0].Job.ArrivalMS); u < 0.95 {
 		t.Fatalf("overloaded executor utilisation %v", u)
 	}
 }
@@ -227,8 +231,8 @@ func TestThermalThrottlingUnderSustainedLoad(t *testing.T) {
 	// cycle to 1 and inflate service times by up to ~18%.
 	hot := NewExecutor(XavierNX, 3)
 	cs := hot.Run(PeriodicJobs(models.V8Medium, 60, 1)) // saturating arrivals
-	if hot.Duty() < 0.9 {
-		t.Fatalf("duty %.2f after sustained load, want ≈1", hot.Duty())
+	if hot.duty < 0.9 {
+		t.Fatalf("duty %.2f after sustained load, want ≈1", hot.duty)
 	}
 	early := cs[0].ServiceMS
 	late := cs[len(cs)-1].ServiceMS
@@ -238,8 +242,8 @@ func TestThermalThrottlingUnderSustainedLoad(t *testing.T) {
 	// Light duty: no meaningful throttle.
 	cool := NewExecutor(XavierNX, 3)
 	cool.Run(PeriodicJobs(models.V8Nano, 20, 2000)) // 2 s gaps
-	if cool.Duty() > 0.2 {
-		t.Fatalf("idle executor duty %.2f", cool.Duty())
+	if cool.duty > 0.2 {
+		t.Fatalf("idle executor duty %.2f", cool.duty)
 	}
 }
 
@@ -250,7 +254,7 @@ func TestWorkstationDoesNotThrottle(t *testing.T) {
 		t.Fatalf("workstation throttle factor %v", f)
 	}
 	// Service times stay within jitter of the model across the run.
-	base := PredictMS(models.V8XLarge, RTX4090, FP32)
+	base := PredictMS(models.V8XLarge, RTX4090, FP32, Interpreted)
 	for _, c := range cs {
 		if c.ServiceMS > base*2 {
 			t.Fatalf("workstation service %.1f vs base %.1f", c.ServiceMS, base)

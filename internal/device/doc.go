@@ -15,12 +15,15 @@
 // gives the efficiency a batch of n concurrent samples sustains (batch
 // 1 is the eager baseline, marginal frames run at the BatchEffCap
 // ceiling), PredictBatchMS charges one launch and one weight pass per
-// batch, Executor.RunBatch serves a coalesced batch on the simulated
-// stream, and MicroBatcher queues compatible jobs until a batch fills
-// or its window expires. The discrete-event Executor adds calibrated
-// jitter and thermal throttling; Cluster pools executors under a stable
-// per-device seed derivation so shared-workstation contention studies
-// are reproducible.
+// batch (PredictMS is that formula at n = 1), Executor.RunBatch serves
+// a coalesced batch on the simulated stream (Run serves each job as a
+// batch of one), and MicroBatcher queues compatible jobs until a batch
+// fills or the scheduler driving it closes the batching window. The
+// discrete-event Executor serves FIFO (deadlines and priorities stay
+// with the schedulers that choose what to submit) and adds calibrated
+// jitter and thermal throttling; Cluster pools executors under a
+// stable per-device seed derivation so shared-workstation contention
+// studies are reproducible.
 //
 // The roofline is precision-aware: Precision (FP32/INT8) threads
 // through PredictMS, PredictBatchMS, Sample, FPS, and EnergyPerFrameJ.
@@ -36,10 +39,11 @@
 // calibrated dispatch overhead — the dominant cost on the Jetsons) and
 // earns a modest per-device PlanGain on compute from fused epilogues
 // and arena reuse; PlanCompileMS charges the one-time per-placement
-// compilation schedulers attach to a plan's first job. The *Eng
-// function variants take an explicit engine, Job.Engine and
-// Job.CompileMS thread it through Executor and MicroBatcher, and the
-// zero value replays the interpreted schedule bit-for-bit.
+// compilation schedulers attach to a plan's first job. Each cost
+// function takes the engine explicitly (PredictBatchMS is the one
+// interpreter shorthand), Job.Engine and Job.CompileMS thread it
+// through Executor and MicroBatcher, and the zero value replays the
+// interpreted schedule bit-for-bit.
 //
 // Faults act on an Executor directly: HoldUntil models a fail-stop
 // outage (the stream idles until the restore), SetSlowdown a straggler

@@ -82,5 +82,5 @@ func (d Device) EngineGain(e Engine) float64 {
 // re-placement — the "compile once, reuse across waves" contract
 // pipeline sessions keep.
 func PlanCompileMS(m models.ID, dev ID, prec Precision) float64 {
-	return 2 * PredictMS(m, dev, prec)
+	return 2 * PredictMS(m, dev, prec, Interpreted)
 }

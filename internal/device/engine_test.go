@@ -7,12 +7,13 @@ import (
 )
 
 // TestPredictMSEngInterpretedBaseline pins the zero-value contract:
-// the Interpreted engine reproduces the historic latency model exactly.
+// the Interpreted engine reproduces the historic latency model exactly,
+// and batch-1 latency is the batch formula at n = 1.
 func TestPredictMSEngInterpretedBaseline(t *testing.T) {
 	for _, m := range models.AllIDs {
 		for _, d := range AllIDs {
-			if got, want := PredictMSEng(m, d, FP32, Interpreted), PredictMS(m, d, FP32); got != want {
-				t.Fatalf("%s/%s: PredictMSEng(Interpreted) %v != PredictMS %v", m, d, got, want)
+			if got, want := PredictMS(m, d, FP32, Interpreted), PredictBatchMS(m, d, 1, FP32); got != want {
+				t.Fatalf("%s/%s: PredictMS(Interpreted) %v != PredictBatchMS(1) %v", m, d, got, want)
 			}
 			if got, want := PredictBatchMSEng(m, d, 4, INT8, Interpreted), PredictBatchMS(m, d, 4, INT8); got != want {
 				t.Fatalf("%s/%s: PredictBatchMSEng(Interpreted) %v != PredictBatchMS %v", m, d, got, want)
@@ -28,8 +29,8 @@ func TestPredictMSEngInterpretedBaseline(t *testing.T) {
 func TestPlannedEngineFaster(t *testing.T) {
 	for _, d := range AllIDs {
 		for _, m := range models.AllIDs {
-			in := PredictMS(m, d, FP32)
-			pl := PredictMSEng(m, d, FP32, Planned)
+			in := PredictMS(m, d, FP32, Interpreted)
+			pl := PredictMS(m, d, FP32, Planned)
 			if pl >= in {
 				t.Fatalf("%s/%s: planned %v not faster than interpreted %v", m, d, pl, in)
 			}
@@ -37,7 +38,7 @@ func TestPlannedEngineFaster(t *testing.T) {
 	}
 	// Acceptance bar: a measurable fps win on Jetson-class profiles.
 	for _, d := range EdgeIDs {
-		gain := FPSEng(models.V8Medium, d, FP32, Planned) / FPS(models.V8Medium, d, FP32)
+		gain := FPS(models.V8Medium, d, FP32, Planned) / FPS(models.V8Medium, d, FP32, Interpreted)
 		if gain < 1.2 {
 			t.Fatalf("%s plan fps gain %.3fx below the 1.2x bar", d, gain)
 		}

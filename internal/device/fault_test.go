@@ -17,7 +17,7 @@ func TestHoldUntil(t *testing.T) {
 	if got := e.AdmissionDelayMS(100); got != 400 {
 		t.Fatalf("AdmissionDelayMS(100) = %v, want 400", got)
 	}
-	c := e.runOne(Job{Model: models.V8Nano, ArrivalMS: 100})
+	c := e.Run([]Job{{Model: models.V8Nano, ArrivalMS: 100}})[0]
 	if c.StartMS != 500 {
 		t.Fatalf("job started at %v behind a hold until 500", c.StartMS)
 	}
@@ -35,8 +35,8 @@ func TestThermalStress(t *testing.T) {
 		base := NewExecutor(dev, 7)
 		hot := NewExecutor(dev, 7)
 		hot.SetThermalStress(0.5)
-		cb := base.runOne(Job{Model: models.V8Nano})
-		ch := hot.runOne(Job{Model: models.V8Nano})
+		cb := base.Run([]Job{{Model: models.V8Nano}})[0]
+		ch := hot.Run([]Job{{Model: models.V8Nano}})[0]
 		// Same seed, same jitter tuple: the ratio is exactly 1.5 up to
 		// float rounding.
 		ratio := ch.ServiceMS / cb.ServiceMS
@@ -52,7 +52,7 @@ func TestThermalStress(t *testing.T) {
 	a, b := NewExecutor(OrinNano, 9), NewExecutor(OrinNano, 9)
 	b.SetThermalStress(0.3)
 	b.SetThermalStress(0)
-	ca, cb := a.runOne(Job{Model: models.V8Nano}), b.runOne(Job{Model: models.V8Nano})
+	ca, cb := a.Run([]Job{{Model: models.V8Nano}})[0], b.Run([]Job{{Model: models.V8Nano}})[0]
 	if ca != cb {
 		t.Fatalf("cleared stress did not restore bit-for-bit replay: %+v vs %+v", ca, cb)
 	}

@@ -34,9 +34,10 @@ func utilization(id models.ID, d Device) float64 {
 }
 
 // PredictMS returns the modelled per-frame inference latency in
-// milliseconds for a model on a device at the given precision:
+// milliseconds for a model on a device at the given precision and
+// engine, served as a batch of one:
 //
-//	t = launch + FLOPs / (sustained × gain(prec) × utilisation) + weightTraffic / BW
+//	t = launch(eng) + FLOPs / (sustained × gain(prec) × planGain(eng) × utilisation) + weightTraffic / BW
 //
 // The weight-traffic term streams the model's deployment weights once
 // per frame (batch-1 inference cannot amortise them) — fp16 bytes for
@@ -44,23 +45,13 @@ func utilization(id models.ID, d Device) float64 {
 // separates x-large models on the bandwidth-starved Xavier NX. FP32 has
 // gain 1 and reproduces the calibrated baseline bit-for-bit; INT8
 // applies the device's Int8Gain throughput cap, so the Jetsons (whose
-// rated TOPS are mostly int8 tensor-core figures) gain the most.
-func PredictMS(m models.ID, dev ID, prec Precision) float64 {
-	return PredictMSEng(m, dev, prec, Interpreted)
-}
-
-// PredictMSEng is PredictMS with an explicit execution engine: the
+// rated TOPS are mostly int8 tensor-core figures) gain the most. The
 // Planned engine pays the captured-graph launch residue instead of the
 // full per-frame dispatch and gains the device's plan fusion multiple
 // on the compute term (weight traffic is engine-independent — the
-// weights stream either way). Interpreted reproduces PredictMS
-// bit-for-bit.
-func PredictMSEng(m models.ID, dev ID, prec Precision, eng Engine) float64 {
-	d := Registry(dev)
-	stats := models.ComputeStats(m)
-	computeMS := stats.GFLOPs / (d.SustainedGFLOPS() * d.Gain(prec) * d.EngineGain(eng) * utilization(m, d)) * 1e3
-	weightMS := float64(stats.Params*prec.WeightBytes()) / (d.MemBWGBs * 1e9) * 1e3
-	return d.LaunchEngineMS(eng) + computeMS + weightMS
+// weights stream either way).
+func PredictMS(m models.ID, dev ID, prec Precision, eng Engine) float64 {
+	return PredictBatchMSEng(m, dev, 1, prec, eng)
 }
 
 // BatchEff returns the sustained-efficiency fraction a batch of n
@@ -81,27 +72,22 @@ func (d Device) BatchEff(n int) float64 {
 	return float64(n) * eff1 * cap / (cap + float64(n-1)*eff1)
 }
 
-// PredictBatchMS returns the modelled service time for one batched
-// inference of n frames at the given precision:
+// PredictBatchMSEng returns the modelled service time for one batched
+// inference of n frames (n < 1 counts as 1) at the given precision and
+// engine:
 //
-//	t = launch + n × FLOPs / (peak × batchEff(n) × gain(prec) × utilisation) + weightTraffic / BW
+//	t = launch(eng) + n × FLOPs / (peak × batchEff(n) × gain(prec) × planGain(eng) × utilisation) + weightTraffic / BW
 //
 // One launch and one pass over the weights cover the whole batch — the
 // two overheads batch-1 inference pays per frame — while the compute
 // term scales with n at the improved batched efficiency. The precision
-// gain composes multiplicatively with batching: they are independent
-// levers (int8 raises the per-SM rate, batching raises occupancy).
-// n <= 1 reduces exactly to PredictMS.
-func PredictBatchMS(m models.ID, dev ID, n int, prec Precision) float64 {
-	return PredictBatchMSEng(m, dev, n, prec, Interpreted)
-}
-
-// PredictBatchMSEng is PredictBatchMS with an explicit execution
-// engine, composing the plan gains with batching the same way the
-// precision gain composes (independent levers on launch and compute).
+// and plan gains compose multiplicatively with batching: they are
+// independent levers (int8 raises the per-SM rate, a plan cuts launch
+// and epilogue traffic, batching raises occupancy). At n = 1 it is
+// PredictMS, since peak × batchEff(1) is the sustained throughput.
 func PredictBatchMSEng(m models.ID, dev ID, n int, prec Precision, eng Engine) float64 {
-	if n <= 1 {
-		return PredictMSEng(m, dev, prec, eng)
+	if n < 1 {
+		n = 1
 	}
 	d := Registry(dev)
 	stats := models.ComputeStats(m)
@@ -111,17 +97,15 @@ func PredictBatchMSEng(m models.ID, dev ID, n int, prec Precision, eng Engine) f
 	return d.LaunchEngineMS(eng) + computeMS + weightMS
 }
 
-// BatchFPS returns the modelled per-frame throughput when frames are
-// served in batches of n at the given precision.
-func BatchFPS(m models.ID, dev ID, n int, prec Precision) float64 {
-	if n < 1 {
-		n = 1
-	}
-	return float64(n) * 1e3 / PredictBatchMS(m, dev, n, prec)
+// PredictBatchMS is PredictBatchMSEng on the interpreter; the
+// repository benchmark's device probe calls it by this name.
+func PredictBatchMS(m models.ID, dev ID, n int, prec Precision) float64 {
+	return PredictBatchMSEng(m, dev, n, prec, Interpreted)
 }
 
-// BatchFPSEng is BatchFPS with an explicit execution engine.
-func BatchFPSEng(m models.ID, dev ID, n int, prec Precision, eng Engine) float64 {
+// BatchFPS returns the modelled per-frame throughput when frames are
+// served in batches of n at the given precision and engine.
+func BatchFPS(m models.ID, dev ID, n int, prec Precision, eng Engine) float64 {
 	if n < 1 {
 		n = 1
 	}
@@ -129,17 +113,13 @@ func BatchFPSEng(m models.ID, dev ID, n int, prec Precision, eng Engine) float64
 }
 
 // Sample draws n per-frame latency observations around the modelled
-// value at the given precision: log-normal execution jitter plus an
-// occasional straggler frame (page faults, DVFS transitions), matching
-// the spread of the paper's box plots. Deterministic for a given seed.
-func Sample(m models.ID, dev ID, prec Precision, n int, seed uint64) []float64 {
-	return SampleEng(m, dev, prec, Interpreted, n, seed)
-}
-
-// SampleEng is Sample with an explicit execution engine; the jitter
-// stream depends only on the seed, so engine sweeps stay paired.
-func SampleEng(m models.ID, dev ID, prec Precision, eng Engine, n int, seed uint64) []float64 {
-	base := PredictMSEng(m, dev, prec, eng)
+// value at the given precision and engine: log-normal execution jitter
+// plus an occasional straggler frame (page faults, DVFS transitions),
+// matching the spread of the paper's box plots. Deterministic for a
+// given seed; the jitter stream depends only on the seed, so precision
+// and engine sweeps stay paired.
+func Sample(m models.ID, dev ID, prec Precision, eng Engine, n int, seed uint64) []float64 {
+	base := PredictMS(m, dev, prec, eng)
 	r := rng.New(seed)
 	out := make([]float64, n)
 	for i := range out {
@@ -154,32 +134,21 @@ func SampleEng(m models.ID, dev ID, prec Precision, eng Engine, n int, seed uint
 
 // EnergyPerFrameJ estimates the energy one inference consumes: the
 // device draws idle power plus a utilisation-proportional dynamic
-// component for the duration of the frame. Shorter int8 frames draw the
-// same power profile for less time, so energy scales with the latency.
-func EnergyPerFrameJ(m models.ID, dev ID, prec Precision) float64 {
-	return EnergyPerFrameJEng(m, dev, prec, Interpreted)
-}
-
-// EnergyPerFrameJEng is EnergyPerFrameJ with an explicit execution
-// engine: shorter planned frames draw the same power profile for less
-// time, so the energy saving tracks the latency saving.
-func EnergyPerFrameJEng(m models.ID, dev ID, prec Precision, eng Engine) float64 {
+// component for the duration of the frame. Shorter int8 or planned
+// frames draw the same power profile for less time, so energy scales
+// with the latency.
+func EnergyPerFrameJ(m models.ID, dev ID, prec Precision, eng Engine) float64 {
 	d := Registry(dev)
-	sec := PredictMSEng(m, dev, prec, eng) / 1e3
+	sec := PredictMS(m, dev, prec, eng) / 1e3
 	util := utilization(m, d)
 	watts := d.PeakPowerW * (0.25 + 0.65*util)
 	return watts * sec
 }
 
 // FPS returns the modelled sustained throughput in frames per second at
-// the given precision.
-func FPS(m models.ID, dev ID, prec Precision) float64 {
-	return 1e3 / PredictMS(m, dev, prec)
-}
-
-// FPSEng is FPS with an explicit execution engine.
-func FPSEng(m models.ID, dev ID, prec Precision, eng Engine) float64 {
-	return 1e3 / PredictMSEng(m, dev, prec, eng)
+// the given precision and engine.
+func FPS(m models.ID, dev ID, prec Precision, eng Engine) float64 {
+	return 1e3 / PredictMS(m, dev, prec, eng)
 }
 
 // CanHost reports whether the model's weights and working set fit the

@@ -12,8 +12,8 @@ import (
 func TestInt8RooflineFaster(t *testing.T) {
 	for _, m := range models.AllIDs {
 		for _, d := range AllIDs {
-			fp := PredictMS(m, d, FP32)
-			q := PredictMS(m, d, INT8)
+			fp := PredictMS(m, d, FP32, Interpreted)
+			q := PredictMS(m, d, INT8, Interpreted)
 			if q >= fp {
 				t.Fatalf("%s on %s: int8 %.2f ms not below fp32 %.2f ms", m, d, q, fp)
 			}
@@ -26,9 +26,9 @@ func TestInt8RooflineFaster(t *testing.T) {
 // predominantly int8 figures, the RTX 4090 reaches int8 via DP4A).
 func TestInt8JetsonsGainMost(t *testing.T) {
 	m := models.V8XLarge
-	rtxGain := PredictMS(m, RTX4090, FP32) / PredictMS(m, RTX4090, INT8)
+	rtxGain := PredictMS(m, RTX4090, FP32, Interpreted) / PredictMS(m, RTX4090, INT8, Interpreted)
 	for _, d := range EdgeIDs {
-		gain := PredictMS(m, d, FP32) / PredictMS(m, d, INT8)
+		gain := PredictMS(m, d, FP32, Interpreted) / PredictMS(m, d, INT8, Interpreted)
 		if gain <= rtxGain {
 			t.Fatalf("%s int8 gain %.2fx not above workstation %.2fx", d, gain, rtxGain)
 		}
@@ -72,7 +72,7 @@ func TestExecutorPrecisionJitterParity(t *testing.T) {
 	}
 	q8 := NewExecutor(OrinAGX, 42).Run(q8jobs)
 
-	wantRatio := PredictMS(models.V8XLarge, OrinAGX, FP32) / PredictMS(models.V8XLarge, OrinAGX, INT8)
+	wantRatio := PredictMS(models.V8XLarge, OrinAGX, FP32, Interpreted) / PredictMS(models.V8XLarge, OrinAGX, INT8, Interpreted)
 	for i := range fp {
 		got := fp[i].ServiceMS / q8[i].ServiceMS
 		// Identical jitter draws cancel in the ratio up to the thermal
@@ -122,9 +122,9 @@ func TestMicroBatcherFlushesOnPrecisionChange(t *testing.T) {
 // beats both batch-8 fp32 and batch-1 int8 on served throughput.
 func TestBatchInt8Compose(t *testing.T) {
 	m := models.V8XLarge
-	b8fp := BatchFPS(m, RTX4090, 8, FP32)
-	b1q8 := BatchFPS(m, RTX4090, 1, INT8)
-	b8q8 := BatchFPS(m, RTX4090, 8, INT8)
+	b8fp := BatchFPS(m, RTX4090, 8, FP32, Interpreted)
+	b1q8 := BatchFPS(m, RTX4090, 1, INT8, Interpreted)
+	b8q8 := BatchFPS(m, RTX4090, 8, INT8, Interpreted)
 	if b8q8 <= b8fp || b8q8 <= b1q8 {
 		t.Fatalf("batch-8 int8 %.1f fps does not dominate batch-8 fp32 %.1f / batch-1 int8 %.1f", b8q8, b8fp, b1q8)
 	}

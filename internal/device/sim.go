@@ -15,22 +15,14 @@ import (
 // surcharge the scheduler attaches to the first planned job of a
 // (stage, placement) — it extends that job's service deterministically
 // (no extra jitter draw) and is shared by the whole batch it rides in.
-//
-// DeadlineMS and Priority are scheduling metadata: the executor itself
-// serves FIFO and ignores both, but admission and SLO-aware scheduling
-// layers (internal/serve) act on them, and their zero values keep every
-// pre-serve schedule bit-for-bit.
+// The executor serves FIFO; deadlines and priorities belong to the
+// schedulers that choose what to submit.
 type Job struct {
 	Model     models.ID
 	ArrivalMS float64
 	Precision Precision
 	Engine    Engine
 	CompileMS float64
-	// DeadlineMS, when positive, is the absolute simulated time by which
-	// the requester needs the completion (its SLO).
-	DeadlineMS float64
-	// Priority ranks jobs for SLO-aware schedulers (0 = most urgent).
-	Priority uint8
 	// CostScale, when positive, multiplies the drawn service time —
 	// how temporal degradation rungs (ROI crops, early exits) charge
 	// less than a full-frame pass. It scales the jittered draw rather
@@ -54,9 +46,6 @@ type Completion struct {
 	FinishMS  float64
 	ServiceMS float64
 }
-
-// QueueDelayMS returns the time the job waited before service.
-func (c Completion) QueueDelayMS() float64 { return c.StartMS - c.Job.ArrivalMS }
 
 // LatencyMS returns arrival-to-finish latency.
 func (c Completion) LatencyMS() float64 { return c.FinishMS - c.Job.ArrivalMS }
@@ -171,17 +160,6 @@ func (e *Executor) updateDuty(idleMS, busyMS float64) {
 	}
 }
 
-// Duty reports the executor's thermal duty-cycle estimate in [0,1].
-func (e *Executor) Duty() float64 { return e.duty }
-
-// serviceMS draws one jittered, thermally adjusted service time — the
-// batch-of-one case of serviceBatchMS, kept as one implementation so
-// the jitter draw sequence can never diverge between the two paths
-// (the MaxBatch=1 bit-parity guarantee depends on it).
-func (e *Executor) serviceMS(m models.ID, prec Precision, eng Engine) float64 {
-	return e.serviceBatchMS(m, prec, eng, 1)
-}
-
 // expApprox is exp(x) for the small |x| the jitter draws produce.
 func expApprox(x float64) float64 {
 	// 4-term Taylor is accurate to ~1e-6 for |x| < 0.3.
@@ -218,32 +196,15 @@ func (e *Executor) AdmissionDelayMS(tMS float64) float64 {
 	return e.busyMS - tMS
 }
 
-// runOne serves a single job FIFO: it starts when the stream frees and
-// the job has arrived, and runs for one jittered service time plus any
-// compile surcharge.
-func (e *Executor) runOne(j Job) Completion {
-	start := j.ArrivalMS
-	if e.busyMS > start {
-		start = e.busyMS
-	}
-	idle := start - e.busyMS
-	if e.busyMS == 0 {
-		idle = 0 // no history before the first job
-	}
-	svc := e.serviceMS(j.Model, j.Precision, j.Engine)*j.costScale() + j.CompileMS
-	c := Completion{Job: j, StartMS: start, ServiceMS: svc, FinishMS: start + svc}
-	e.updateDuty(idle, svc)
-	e.busyMS = c.FinishMS
-	return c
-}
-
-// Run processes jobs (sorted by arrival) and returns their completions.
+// Run serves jobs FIFO in arrival order, each as a batch of one: a job
+// starts when the stream frees and it has arrived, and runs for one
+// jittered service time plus any compile surcharge.
 func (e *Executor) Run(jobs []Job) []Completion {
 	sorted := append([]Job(nil), jobs...)
 	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].ArrivalMS < sorted[b].ArrivalMS })
 	out := make([]Completion, 0, len(sorted))
-	for _, j := range sorted {
-		out = append(out, e.runOne(j))
+	for i := range sorted {
+		out = e.RunBatchInto(out, sorted[i:i+1])
 	}
 	return out
 }
@@ -253,9 +214,8 @@ func (e *Executor) Run(jobs []Job) []Completion {
 // every member has arrived, runs for one batched service time, and all
 // members complete together. Each completion's ServiceMS carries an
 // equal 1/n share of the batch service so utilisation accounting still
-// sums to true busy time. A batch of one takes the exact per-job Run
-// path (same jitter draws), so micro-batching with size 1 is
-// bit-identical to unbatched execution.
+// sums to true busy time. Run serves every job as a batch of one, so
+// micro-batching with size 1 is bit-identical to unbatched execution.
 func (e *Executor) RunBatch(jobs []Job) []Completion {
 	if len(jobs) == 0 {
 		return nil
@@ -270,9 +230,6 @@ func (e *Executor) RunBatch(jobs []Job) []Completion {
 func (e *Executor) RunBatchInto(dst []Completion, jobs []Job) []Completion {
 	if len(jobs) == 0 {
 		return dst
-	}
-	if len(jobs) == 1 {
-		return append(dst, e.runOne(jobs[0]))
 	}
 	m, prec, eng := jobs[0].Model, jobs[0].Precision, jobs[0].Engine
 	start := jobs[0].ArrivalMS
@@ -302,7 +259,7 @@ func (e *Executor) RunBatchInto(dst []Completion, jobs []Job) []Completion {
 	}
 	idle := start - e.busyMS
 	if e.busyMS == 0 {
-		idle = 0
+		idle = 0 // no history before the first job
 	}
 	svc := e.serviceBatchMS(m, prec, eng, len(jobs))*jobs[0].costScale() + compile
 	share := svc / float64(len(jobs))
@@ -322,27 +279,6 @@ func PeriodicJobs(m models.ID, n int, periodMS float64) []Job {
 		jobs[i] = Job{Model: m, ArrivalMS: float64(i) * periodMS}
 	}
 	return jobs
-}
-
-// Utilization returns the fraction of the simulated horizon the device
-// spent busy, given the completions of one Run.
-func Utilization(cs []Completion) float64 {
-	if len(cs) == 0 {
-		return 0
-	}
-	var busy float64
-	for _, c := range cs {
-		busy += c.ServiceMS
-	}
-	horizon := cs[len(cs)-1].FinishMS - cs[0].Job.ArrivalMS
-	if horizon <= 0 {
-		return 1
-	}
-	u := busy / horizon
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 // String identifies the executor.

@@ -103,13 +103,11 @@ func (g *groupRunner) flush() {
 	n := len(frames)
 	dones := make([]map[string]float64, n)
 	stats := make([]FrameStat, n)
-	delivered := make([]map[string]bool, n)
 	bridgedRoot := make([]bool, n) // frame's root was tracker-bridged
 	degraded := make([]bool, n)    // any root below FullFrame (bridge included)
 	maxLen := 0
 	for gi, fr := range frames {
 		dones[gi] = map[string]float64{}
-		delivered[gi] = map[string]bool{}
 		stats[gi] = FrameStat{FrameIndex: fr.fc.FrameIndex, StageMS: map[string]float64{}}
 		if l := len(fr.env.sess.Graph.order); l > maxLen {
 			maxLen = l
@@ -123,7 +121,6 @@ func (g *groupRunner) flush() {
 			lat := c.LatencyMS() + fr.env.rtt(w.p)
 			dones[w.gi][w.name] = w.ready + lat
 			stats[w.gi].StageMS[w.name] = lat
-			delivered[w.gi][w.name] = true
 			if w.root && fr.env.tpol != nil {
 				// A real root inference re-anchors the stream's bridging
 				// budget at the completed rung's confidence.
@@ -176,7 +173,6 @@ func (g *groupRunner) flush() {
 					done := ready + fr.env.sess.Temporal.BridgeCostMS()
 					dones[gi][name] = done
 					stats[gi].StageMS[name] = done - ready
-					delivered[gi][name] = true
 					bridgedRoot[gi] = true
 					degraded[gi] = true
 					continue
@@ -219,14 +215,11 @@ func (g *groupRunner) flush() {
 		st.E2EMS = e2e
 		st.Deadline = e2e <= fr.env.sess.periodMS()
 		st.VIPFound = fr.fc.VIPFound
-		st.DetectMS = st.StageMS["detect"]
-		st.PoseMS = st.StageMS["pose"]
-		st.DepthMS = st.StageMS["depth"]
 		if fr.env.tpol != nil {
 			// Deadline misses walk the ladder down, degraded frames
 			// (bridged or reduced-rung) push it back toward full frames.
 			fr.env.tpol.Observe(!st.Deadline, degraded[gi])
 		}
-		fr.env.deliver(fr.res, fr.fc, st, delivered[gi])
+		fr.env.deliver(fr.res, fr.fc, st)
 	}
 }

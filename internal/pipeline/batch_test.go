@@ -129,11 +129,11 @@ func TestSessionBatchWindow(t *testing.T) {
 			Batch: batch,
 		}
 	}
-	plain, err := mk(BatchPolicy{}).Run(nil)
+	plain, err := mk(BatchPolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := mk(BatchPolicy{MaxBatch: 4, WindowMS: 400}).Run(nil)
+	batched, err := mk(BatchPolicy{MaxBatch: 4, WindowMS: 400}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,11 @@ func engineStudySession(seed uint64, pol EnginePolicy, placer PlacementPolicy) *
 // TestEnginePolicyZeroValueReplay pins the compatibility contract: a
 // nil EnginePolicy replays the interpreted schedule bit-for-bit.
 func TestEnginePolicyZeroValueReplay(t *testing.T) {
-	base, err := engineStudySession(11, nil, nil).Run(nil)
+	base, err := engineStudySession(11, nil, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := engineStudySession(11, EnginePolicy{}, nil).Run(nil)
+	zero, err := engineStudySession(11, EnginePolicy{}, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func TestEnginePolicyZeroValueReplay(t *testing.T) {
 // steady-state frames come out faster than the interpreted schedule.
 func TestPlannedSessionCompilesOncePerStage(t *testing.T) {
 	pol := UniformEngine(device.Planned, "detect", "pose", "depth")
-	planned, err := engineStudySession(12, pol, nil).Run(nil)
+	planned, err := engineStudySession(12, pol, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if planned.PlanCompiles != 3 {
 		t.Fatalf("planned session compiled %d times, want 3 (once per stage)", planned.PlanCompiles)
 	}
-	interp, err := engineStudySession(12, nil, nil).Run(nil)
+	interp, err := engineStudySession(12, nil, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func (h *hopPlacer) Rebind(stat FrameStat) map[string]Placement {
 func TestPlannedRecompileOnRebind(t *testing.T) {
 	placer := &hopPlacer{at: 10, to: Placement{Device: device.OrinAGX, Model: models.V8Medium}}
 	pol := UniformEngine(device.Planned, "detect")
-	res, err := engineStudySession(13, pol, placer).Run(nil)
+	res, err := engineStudySession(13, pol, placer).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

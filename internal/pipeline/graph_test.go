@@ -72,7 +72,7 @@ func overloadedSession(pol Policy) *Session {
 }
 
 func TestDropPolicyAccounting(t *testing.T) {
-	res, err := overloadedSession(DropPolicy{}).Run(nil)
+	res, err := overloadedSession(DropPolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDropPolicyAccounting(t *testing.T) {
 }
 
 func TestQueuePolicyBudgetAccounting(t *testing.T) {
-	unbounded, err := overloadedSession(QueuePolicy{}).Run(nil)
+	unbounded, err := overloadedSession(QueuePolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestQueuePolicyBudgetAccounting(t *testing.T) {
 		t.Fatalf("unbounded queue did not build: p95 %.0f ms", unbounded.E2E.P95MS)
 	}
 
-	budget, err := overloadedSession(QueuePolicy{BudgetMS: 500}).Run(nil)
+	budget, err := overloadedSession(QueuePolicy{BudgetMS: 500}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestStaleSkipPolicyAccounting(t *testing.T) {
 		Frames: 30, FrameFPS: 10, Seed: 9, Policy: StaleSkipPolicy{},
 		Graph: TimingVIPGraph(place), EdgeRTTms: 20,
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestMidStreamPlacementSwapPreservesFrameStats(t *testing.T) {
 		Policy: QueuePolicy{}, Placer: placer,
 		Graph: TimingVIPGraph(EdgePlacement(device.XavierNX, models.V8XLarge)),
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestMidStreamPlacementSwapPreservesFrameStats(t *testing.T) {
 	}
 	// After the swap the detector runs in ~18 ms (+25 ms RTT) instead of
 	// ~1 s: the tail frames must be far faster than the head frames.
-	head, tail := res.Frames[5].DetectMS, res.Frames[29].DetectMS
+	head, tail := res.Frames[5].StageMS["detect"], res.Frames[29].StageMS["detect"]
 	if tail >= head {
 		t.Fatalf("swap did not speed up detection: head %.0f ms, tail %.0f ms", head, tail)
 	}
@@ -326,7 +326,7 @@ func TestAdaptivePlacementRebindsOnLatencyPressure(t *testing.T) {
 		Policy: DropPolicy{}, Placer: &AdaptivePlacement{Stage: "detect", Ctl: ctl},
 		Graph: TimingVIPGraph(EdgePlacement(device.XavierNX, models.V8XLarge)),
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +335,8 @@ func TestAdaptivePlacementRebindsOnLatencyPressure(t *testing.T) {
 	}
 	// Post-swap the nano-on-nano detector (~36 ms) meets the period.
 	last := res.Frames[len(res.Frames)-1]
-	if last.DetectMS > 100 {
-		t.Fatalf("post-adaptation detect latency %.0f ms", last.DetectMS)
+	if last.StageMS["detect"] > 100 {
+		t.Fatalf("post-adaptation detect latency %.0f ms", last.StageMS["detect"])
 	}
 }
 
@@ -377,7 +377,7 @@ func TestUserDefinedFourthStageEndToEnd(t *testing.T) {
 	g := VIPGraph(det, fall, est, place, 4, false).
 		Add(crowd, Placement{Device: device.OrinAGX, Model: models.V8Nano})
 	s := &Session{Source: v, Graph: g, FrameFPS: 10, MaxFrames: 10, Seed: 8}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +405,11 @@ func TestSessionRerunStartsFromFreshExecutors(t *testing.T) {
 	// horizons: with a stateless (timing-only) graph, two runs are
 	// byte-identical.
 	s := overloadedSession(DropPolicy{})
-	a, err := s.Run(nil)
+	a, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run(nil)
+	b, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

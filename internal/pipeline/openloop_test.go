@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"ocularone/internal/device"
@@ -26,11 +28,11 @@ func TestSessionOpenLoopArrivals(t *testing.T) {
 	tr := serve.Traffic{RatePerSec: 10, Tenants: 1, BurstMult: 6, BurstOnMS: 400, BurstOffMS: 1600, Seed: 5}
 	trace := tr.ArrivalTrace(0, 40)
 
-	a, err := openLoopSession(3, trace).Run(nil)
+	a, err := openLoopSession(3, trace).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := openLoopSession(3, trace).Run(nil)
+	b, err := openLoopSession(3, trace).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestSessionOpenLoopArrivals(t *testing.T) {
 		}
 	}
 
-	closed, err := openLoopSession(3, nil).Run(nil)
+	closed, err := openLoopSession(3, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestSessionOpenLoopArrivals(t *testing.T) {
 func TestSessionOpenLoopShortTrace(t *testing.T) {
 	tr := serve.Traffic{RatePerSec: 10, Tenants: 1, Seed: 9}
 	s := openLoopSession(4, tr.ArrivalTrace(0, 10)) // 10 arrivals, 40 frames
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +77,46 @@ func TestSessionOpenLoopShortTrace(t *testing.T) {
 // an error, not silent executor corruption.
 func TestSessionOpenLoopRejectsDecreasingTrace(t *testing.T) {
 	s := openLoopSession(4, []float64{10, 5})
-	if _, err := s.Run(nil); err == nil {
+	if _, err := s.Run(); err == nil {
 		t.Fatal("decreasing ArrivalsMS accepted")
 	}
 	f := &Fleet{Sessions: []*Session{openLoopSession(4, []float64{10, 5})}}
 	if _, err := f.Run(); err == nil {
 		t.Fatal("fleet accepted decreasing ArrivalsMS")
+	}
+}
+
+// TestSessionRejectsBadTiming: a NaN or infinite frame rate, or a NaN,
+// infinite or negative edge round trip, is an error naming the session
+// from Session.Run and Fleet.Run, not a stream of NaN stage latencies
+// that reads as zero end-to-end time.
+func TestSessionRejectsBadTiming(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name string
+		edit func(*Session)
+	}{
+		{"nan fps", func(s *Session) { s.FrameFPS = nan }},
+		{"inf fps", func(s *Session) { s.FrameFPS = inf }},
+		{"-inf fps", func(s *Session) { s.FrameFPS = -inf }},
+		{"nan rtt", func(s *Session) { s.EdgeRTTms = nan }},
+		{"inf rtt", func(s *Session) { s.EdgeRTTms = inf }},
+		{"negative rtt", func(s *Session) { s.EdgeRTTms = -50 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mk := func() *Session {
+				s := &Session{ID: 7, Frames: 5, FrameFPS: 10,
+					Graph: TimingVIPGraph(EdgePlacement(device.OrinNano, models.V8Nano))}
+				c.edit(s)
+				return s
+			}
+			if _, err := mk().Run(); err == nil || !strings.Contains(err.Error(), "session 7") {
+				t.Fatalf("Session.Run error %v, want one naming session 7", err)
+			}
+			if _, err := (&Fleet{Sessions: []*Session{mk()}}).Run(); err == nil || !strings.Contains(err.Error(), "session 7") {
+				t.Fatalf("Fleet.Run error %v, want one naming session 7", err)
+			}
+		})
 	}
 }
 

@@ -70,13 +70,9 @@ type Alert struct {
 
 // FrameStat records the simulated timing of one processed frame.
 // StageMS holds the arrival-to-finish latency of every stage that ran
-// (including network round trips); the Detect/Pose/Depth fields mirror
-// the built-in stage names.
+// (including network round trips), keyed by stage name.
 type FrameStat struct {
 	FrameIndex int
-	DetectMS   float64
-	PoseMS     float64
-	DepthMS    float64
 	E2EMS      float64
 	Deadline   bool // finished within the frame period
 	VIPFound   bool

@@ -85,7 +85,7 @@ func vipSession(v *video.Video, det *detect.Detector, fall *pose.FallClassifier,
 
 func mustRun(t *testing.T, s *Session) StreamResult {
 	t.Helper()
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ocularone/internal/adaptive"
@@ -121,9 +122,17 @@ func (s *Session) arrivalAt(i int, period float64) float64 {
 	return s.OffsetMS + float64(i)*period
 }
 
-// validateArrivals rejects a decreasing open-loop trace, which would
-// silently corrupt the executors' busy-time accounting.
-func (s *Session) validateArrivals() error {
+// validate rejects a frame rate or round trip the timing cannot use —
+// a NaN or infinite FrameFPS (0 and below take the default), a NaN,
+// infinite or negative EdgeRTTms — and a decreasing open-loop trace,
+// which would silently corrupt the executors' busy-time accounting.
+func (s *Session) validate() error {
+	if math.IsNaN(s.FrameFPS) || math.IsInf(s.FrameFPS, 0) {
+		return fmt.Errorf("pipeline: session %d FrameFPS is %v, want finite", s.ID, s.FrameFPS)
+	}
+	if math.IsNaN(s.EdgeRTTms) || math.IsInf(s.EdgeRTTms, 0) || s.EdgeRTTms < 0 {
+		return fmt.Errorf("pipeline: session %d EdgeRTTms is %v, want finite and non-negative", s.ID, s.EdgeRTTms)
+	}
 	for i := 1; i < len(s.ArrivalsMS); i++ {
 		if s.ArrivalsMS[i] < s.ArrivalsMS[i-1] {
 			return fmt.Errorf("pipeline: session %d ArrivalsMS decreases at index %d (%v after %v)",
@@ -305,11 +314,11 @@ func (e *execEnv) admit(arrival float64) bool {
 	return true
 }
 
-// deliver appends the alerts of delivered stages to the result, then
-// consults the placement policy.
-func (e *execEnv) deliver(res *StreamResult, fc *FrameCtx, stat FrameStat, delivered map[string]bool) {
+// deliver appends the alerts of delivered stages (those with a latency
+// in stat.StageMS) to the result, then consults the placement policy.
+func (e *execEnv) deliver(res *StreamResult, fc *FrameCtx, stat FrameStat) {
 	for _, sa := range fc.alerts {
-		if delivered[sa.stage] {
+		if _, ok := stat.StageMS[sa.stage]; ok {
 			res.Alerts = append(res.Alerts, sa.alert)
 		}
 	}
@@ -380,20 +389,18 @@ func (e *execEnv) finalize(res *StreamResult) {
 
 // Run processes the session's feed through its graph: analytics are real
 // (rendered pixels in, alerts out), timing is simulated per the device
-// model. shared optionally provides fleet-shared executors for non-edge
-// placements; pass nil for a standalone session. With s.Batch enabled,
-// frames arriving within the batching window coalesce into micro-batched
-// stage inferences (see BatchPolicy); disabled, every frame takes the
-// per-frame path.
-func (s *Session) Run(shared *device.Cluster) (StreamResult, error) {
+// model. With s.Batch enabled, frames arriving within the batching
+// window coalesce into micro-batched stage inferences (see
+// BatchPolicy); disabled, every frame takes the per-frame path.
+func (s *Session) Run() (StreamResult, error) {
+	if err := s.validate(); err != nil {
+		return StreamResult{}, err
+	}
 	s.defaults()
 	if err := s.Graph.Validate(); err != nil {
 		return StreamResult{}, err
 	}
-	if err := s.validateArrivals(); err != nil {
-		return StreamResult{}, err
-	}
-	env := s.env(shared)
+	env := s.env(nil)
 	res := StreamResult{Session: s.ID}
 	period := s.periodMS()
 	runner := newGroupRunner(s.Batch)
@@ -435,10 +442,8 @@ func (s *Session) Run(shared *device.Cluster) (StreamResult, error) {
 // alerts and no stats.
 type Fleet struct {
 	Sessions []*Session
-	// SharedSeed seeds the shared workstation cluster when Shared is nil.
+	// SharedSeed seeds the shared workstation cluster.
 	SharedSeed uint64
-	// Shared, when non-nil, is the pre-built shared executor pool.
-	Shared *device.Cluster
 	// Batch micro-batches stage work across sessions: frames from any
 	// session arriving within the window coalesce, so fleet detect jobs
 	// sharing the workstation become batched inferences. Disabled (the
@@ -464,17 +469,14 @@ func (f *Fleet) Run() ([]StreamResult, error) {
 	if len(f.Sessions) == 0 {
 		return nil, fmt.Errorf("pipeline: fleet with no sessions")
 	}
-	shared := f.Shared
-	if shared == nil {
-		shared = device.NewCluster(f.SharedSeed)
-	}
+	shared := device.NewCluster(f.SharedSeed)
 	for _, s := range f.Sessions {
+		if err := s.validate(); err != nil {
+			return nil, err
+		}
 		s.defaults()
 		if err := s.Graph.Validate(); err != nil {
 			return nil, fmt.Errorf("pipeline: session %d: %w", s.ID, err)
-		}
-		if err := s.validateArrivals(); err != nil {
-			return nil, err
 		}
 	}
 

@@ -23,7 +23,7 @@ func ladderSession(frames int) *Session {
 // TestPipelineTemporalZeroKnob: a fully-knobbed but disabled temporal
 // policy replays the pre-temporal schedule bit for bit.
 func TestPipelineTemporalZeroKnob(t *testing.T) {
-	base, err := ladderSession(40).Run(nil)
+	base, err := ladderSession(40).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPipelineTemporalZeroKnob(t *testing.T) {
 			RefreshEvery: 3, ROICost: 0.3, EarlyExitCost: 0.6},
 		BridgeMS: 2,
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,13 @@ func TestPipelineTemporalZeroKnob(t *testing.T) {
 // latency grow without bound, and every bridge respects the anchoring
 // contract (no bridging before a real inference completes).
 func TestPipelineTemporalLadderUnderOverload(t *testing.T) {
-	base, err := ladderSession(60).Run(nil)
+	base, err := ladderSession(60).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := ladderSession(60)
 	s.Temporal.Enabled = true
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestPipelineTemporalDoubleSkip(t *testing.T) {
 	s.FrameFPS = 25
 	s.Policy = StaleSkipPolicy{SlackFrames: 0.1}
 	s.Temporal.Enabled = true
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPipelineTemporalDeterminism(t *testing.T) {
 	run := func() StreamResult {
 		s := ladderSession(50)
 		s.Temporal.Enabled = true
-		res, err := s.Run(nil)
+		res, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +152,11 @@ func TestPipelineTemporalOutage(t *testing.T) {
 			},
 		}
 	}
-	base, err := mk(false).Run(nil)
+	base, err := mk(false).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mk(true).Run(nil)
+	res, err := mk(true).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

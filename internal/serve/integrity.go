@@ -170,12 +170,10 @@ func (s *Server) hedgeArrival(r *request, now float64) {
 	s.res.Hedges++
 	s.hedgeJobs = s.hedgeJobs[:0]
 	s.hedgeJobs = append(s.hedgeJobs, device.Job{
-		Model:      r.model,
-		ArrivalMS:  now,
-		Precision:  s.cfg.Precision,
-		Engine:     s.cfg.Engine,
-		DeadlineMS: r.deadlineMS,
-		Priority:   uint8(r.class),
+		Model:     r.model,
+		ArrivalMS: now,
+		Precision: s.cfg.Precision,
+		Engine:    s.cfg.Engine,
 	})
 	s.hedgeComps = s.exH.RunBatchInto(s.hedgeComps[:0], s.hedgeJobs)
 	r.hedgeDoneMS = s.backAt(s.hedgeComps[0].FinishMS)

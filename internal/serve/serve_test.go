@@ -208,52 +208,56 @@ func TestTrafficMeanRate(t *testing.T) {
 
 // TestNewServerRejectsBadTraffic: a rate that is not finite and
 // positive, a mix weight that is negative or NaN, a traffic-shape knob
-// that is not finite, or a diurnal amplitude outside [0, 1) panics by
-// name in NewServer instead of hanging the arrival loop (a NaN rate or
-// envelope never accepts a candidate), panicking inside the RNG
-// (infinite rate) or running on NaN cumulative tables. Each case runs
-// NewServer and the first simulated second under a deadline, so a
-// config that hangs fails the case instead of the test binary.
+// that is not finite, a diurnal amplitude outside [0, 1), or a horizon
+// that is not finite panics by name in NewServer instead of hanging the
+// arrival loop (a NaN rate or envelope never accepts a candidate) or
+// the run (a NaN or infinite horizon never ends), panicking inside the
+// RNG (infinite rate) or running on NaN cumulative tables. Each case
+// runs NewServer and a one-second study under a deadline, so a config
+// that hangs fails the case instead of the test binary.
 func TestNewServerRejectsBadTraffic(t *testing.T) {
 	nanMix := DefaultMix()
 	nanMix[3] = math.NaN()
 	for _, c := range []struct {
 		name string
-		edit func(*Traffic)
+		edit func(*Config)
 	}{
-		{"nan rate", func(tr *Traffic) { tr.RatePerSec = math.NaN() }},
-		{"inf rate", func(tr *Traffic) { tr.RatePerSec = math.Inf(1) }},
-		{"negative class weight", func(tr *Traffic) { tr.ClassMix = [NumClasses]float64{1, -1, 0} }},
-		{"nan class weight", func(tr *Traffic) { tr.ClassMix = [NumClasses]float64{1, math.NaN(), 1} }},
-		{"nan model weight", func(tr *Traffic) { tr.Mix = nanMix }},
-		{"nan diurnal amp", func(tr *Traffic) { tr.DiurnalAmp = math.NaN() }},
-		{"negative diurnal amp", func(tr *Traffic) { tr.DiurnalAmp = -0.5 }},
-		{"diurnal amp above one", func(tr *Traffic) { tr.DiurnalAmp = 1.5 }},
-		{"nan diurnal period", func(tr *Traffic) { tr.DiurnalPeriodMS = math.NaN() }},
-		{"nan burst mult", func(tr *Traffic) { tr.BurstMult = math.NaN() }},
-		{"inf burst mult", func(tr *Traffic) { tr.BurstMult = math.Inf(1) }},
-		{"nan burst on", func(tr *Traffic) { tr.BurstOnMS = math.NaN() }},
-		{"inf burst off", func(tr *Traffic) { tr.BurstOffMS = math.Inf(1) }},
+		{"nan rate", func(cfg *Config) { cfg.Traffic.RatePerSec = math.NaN() }},
+		{"inf rate", func(cfg *Config) { cfg.Traffic.RatePerSec = math.Inf(1) }},
+		{"negative class weight", func(cfg *Config) { cfg.Traffic.ClassMix = [NumClasses]float64{1, -1, 0} }},
+		{"nan class weight", func(cfg *Config) { cfg.Traffic.ClassMix = [NumClasses]float64{1, math.NaN(), 1} }},
+		{"nan model weight", func(cfg *Config) { cfg.Traffic.Mix = nanMix }},
+		{"nan diurnal amp", func(cfg *Config) { cfg.Traffic.DiurnalAmp = math.NaN() }},
+		{"negative diurnal amp", func(cfg *Config) { cfg.Traffic.DiurnalAmp = -0.5 }},
+		{"diurnal amp above one", func(cfg *Config) { cfg.Traffic.DiurnalAmp = 1.5 }},
+		{"nan diurnal period", func(cfg *Config) { cfg.Traffic.DiurnalPeriodMS = math.NaN() }},
+		{"nan burst mult", func(cfg *Config) { cfg.Traffic.BurstMult = math.NaN() }},
+		{"inf burst mult", func(cfg *Config) { cfg.Traffic.BurstMult = math.Inf(1) }},
+		{"nan burst on", func(cfg *Config) { cfg.Traffic.BurstOnMS = math.NaN() }},
+		{"inf burst off", func(cfg *Config) { cfg.Traffic.BurstOffMS = math.Inf(1) }},
+		{"nan horizon", func(cfg *Config) { cfg.HorizonMS = math.NaN() }},
+		{"inf horizon", func(cfg *Config) { cfg.HorizonMS = math.Inf(1) }},
+		{"-inf horizon", func(cfg *Config) { cfg.HorizonMS = math.Inf(-1) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig(1_000, 1)
 			cfg.Traffic.RatePerSec = 800
-			c.edit(&cfg.Traffic)
+			c.edit(&cfg)
 			done := make(chan string, 1)
 			go func() {
 				defer func() {
 					msg, _ := recover().(string)
 					done <- msg
 				}()
-				NewServer(cfg).AdvanceTo(1_000)
+				NewServer(cfg).Finish()
 			}()
 			select {
 			case msg := <-done:
 				if !strings.HasPrefix(msg, "serve: ") {
-					t.Fatalf("NewServer + AdvanceTo ended with %q, want a serve: panic", msg)
+					t.Fatalf("NewServer + Finish ended with %q, want a serve: panic", msg)
 				}
 			case <-time.After(time.Second):
-				t.Fatal("NewServer + AdvanceTo(1000) still running after 1 s, want a serve: panic")
+				t.Fatal("NewServer + Finish still running after 1 s, want a serve: panic")
 			}
 		})
 	}

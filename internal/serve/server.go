@@ -182,7 +182,7 @@ type svcTable struct {
 func newSvcTable(cfg Config, mixCum []float64, prec device.Precision, maxB int, base *svcTable) svcTable {
 	t := svcTable{prec: prec}
 	for m := models.ID(0); m < models.NumModels; m++ {
-		t.estMS[m] = device.PredictMSEng(m, cfg.Device, prec, cfg.Engine)
+		t.estMS[m] = device.PredictMS(m, cfg.Device, prec, cfg.Engine)
 		t.fullBatchMS[m] = device.PredictBatchMSEng(m, cfg.Device, maxB, prec, cfg.Engine)
 	}
 	if base == nil {
@@ -294,8 +294,12 @@ type Server struct {
 }
 
 // NewServer materialises the generator and event queue and schedules
-// every tenant's first arrival.
+// every tenant's first arrival. It panics, by name, on a HorizonMS that
+// is NaN or infinite and on a Traffic config the generator refuses.
 func NewServer(cfg Config) *Server {
+	if h := cfg.HorizonMS; math.IsNaN(h) || math.IsInf(h, 0) {
+		panic(fmt.Sprintf("serve: Config.HorizonMS must be finite, got %v", h))
+	}
 	allZero := true
 	for _, v := range cfg.SLOScale {
 		if v != 0 {
@@ -793,10 +797,7 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 			ArrivalMS: now, // the scheduler releases the batch now
 			Precision: prec,
 			Engine:    s.cfg.Engine,
-			// Metadata for completion-side accounting.
-			DeadlineMS: r.deadlineMS,
-			Priority:   uint8(c),
-			CostScale:  costScale,
+			CostScale: costScale,
 		})
 	}
 	if len(s.batchReqs) == 0 {
