@@ -65,7 +65,11 @@ type Straggler struct {
 // processes are all disabled) injects nothing — a server configured
 // with it replays the fault-free schedule bit for bit. Every field is
 // finite and non-negative; zero switches a process (or one of its
-// effects) off.
+// effects) off. A positive mean gap or duration is at least 1e-3 ms —
+// shorter ones land every transition on one simulated instant, and
+// the clock never reaches the horizon — and Straggler.Factor is at
+// most 1e6, beyond which an inflated service time can overflow to
+// +Inf.
 type Config struct {
 	Seed      uint64
 	Dropout   Dropout
@@ -179,9 +183,16 @@ type Injector struct {
 	procs [numProcs]process
 }
 
+// Bounds of New beyond finite and non-negative (see Config).
+const (
+	minMeanMS = 1e-3
+	maxFactor = 1e6
+)
+
 // New creates an injector for the scenario. Call serve.Config.Disrupt
 // = New(cfg); the server calls Reset and Apply. New panics, naming the
-// field, on any NaN, infinite or negative field of a process.
+// field, on any NaN, infinite or negative field of a process and on a
+// mean or factor outside the bounds Config states.
 func New(cfg Config) *Injector {
 	in := &Injector{seed: cfg.Seed, procs: cfg.processes()}
 	for i := range in.procs {
@@ -191,7 +202,15 @@ func New(cfg Config) *Injector {
 				panic(fmt.Sprintf("chaos: %s is %v, want finite and non-negative", k.name, k.v))
 			}
 		}
+		for _, k := range [...]knob{p.gap, p.dur} {
+			if k.v > 0 && k.v < minMeanMS {
+				panic(fmt.Sprintf("chaos: %s is %v, want 0 (off) or at least %v ms", k.name, k.v, minMeanMS))
+			}
+		}
 		p.enabled = p.armed()
+	}
+	if f := cfg.Straggler.Factor; f > maxFactor {
+		panic(fmt.Sprintf("chaos: Straggler.Factor is %v, want at most %v", f, maxFactor))
 	}
 	return in
 }

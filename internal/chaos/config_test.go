@@ -12,9 +12,11 @@ import (
 )
 
 // TestNewRejectsBadConfig: a NaN, infinite or negative field of any
-// fault process panics by name in New. Before, an infinite mean or
-// magnitude panicked deep inside the server's calendar queue, and a
-// NaN or negative one silently disarmed its process.
+// fault process, a positive mean under 1e-3 ms and a straggler factor
+// over 1e6 panic by name in New. Before, an infinite mean or a huge
+// magnitude panicked deep inside the server's event queue, a NaN or
+// negative one silently disarmed its process, and a sub-nanosecond
+// mean stalled the simulated clock, so the run never ended.
 func TestNewRejectsBadConfig(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	for _, c := range []struct {
@@ -27,6 +29,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"Straggler.Factor", chaos.Config{Straggler: chaos.Straggler{MeanGapMS: 500, MeanDurMS: 300, Factor: inf}}},
 		{"SDC.Prob", chaos.Config{SDC: chaos.SDC{MeanGapMS: 1500, MeanDurMS: 700, Prob: nan}}},
 		{"Storm.MeanGapMS", chaos.Config{Storm: chaos.Storm{MeanGapMS: -1500, MeanDurMS: 800, AmbientRiseC: 18}}},
+		{"Straggler.Factor", chaos.Config{Straggler: chaos.Straggler{MeanGapMS: 500, MeanDurMS: 300, Factor: 1e308}}},
+		{"Dropout.MTBFMS", chaos.Config{Dropout: chaos.Dropout{MTBFMS: 1e-300, MTTRMS: 1e-300}}},
 	} {
 		t.Run(c.field, func(t *testing.T) {
 			done := make(chan string, 1)

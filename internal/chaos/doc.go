@@ -9,7 +9,7 @@
 // that hedging policies race against) onto a serve.Server.
 //
 // The injector is a serve.Disruption: its fault-process transitions
-// are scheduled as events in the server's own calendar queue, so a
+// are scheduled as events in the server's own event queue, so a
 // whole chaos run shares one deterministic clock — same seed, same
 // faults, same fingerprint — and the steady-state serve loop keeps its
 // 0 allocs/op. Each process draws holding times from its own labelled

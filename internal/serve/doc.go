@@ -16,9 +16,11 @@
 //     over the eight Table-2 models. Every draw derives from
 //     internal/rng split streams: one seed, one trace, bit for bit.
 //
-//   - Event core (event.go, hist.go): a Brown-style calendar queue
-//     with value-type events and reused bucket storage, plus
-//     fixed-size log-scaled latency histograms. Steady-state
+//   - Event core (event.go, hist.go): a binary min-heap of
+//     value-type events in one reused slice, ordered by time and then
+//     push order, plus fixed-size log-scaled latency histograms. The
+//     server holds one pending arrival per tenant and a few other
+//     events, so the heap stays a few dozen deep. Steady-state
 //     simulation allocates nothing, which is what sustains more than
 //     a million simulated requests per wall-clock second on one core.
 //
@@ -34,7 +36,7 @@
 //     (fail-stop at batch boundaries: the in-flight batch completes,
 //     nothing new dispatches until the restore), RecoverDevice, SetThermalStress, SetLink — driven by any
 //     Disruption implementation whose fault schedule runs as ordinary
-//     events in the calendar queue (internal/chaos provides the
+//     events in the event queue (internal/chaos provides the
 //     seeded Markov-modulated one). AdaptConfig enables managed
 //     degradation: a windowed deadline-miss monitor steering
 //     adaptive.Controller between degraded and nominal precision
@@ -48,7 +50,7 @@
 //     escape rate of the compute tier's ABFT checksums and guard
 //     sentinels as DetectCoverage); detected corruptions are retried
 //     under a bounded, budget-capped RetryPolicy whose re-executions
-//     are ordinary calendar events and whose pending work is visible
+//     are ordinary queued events and whose pending work is visible
 //     to the admission predictor, or flagged and dropped when retries
 //     are off or exhausted. HedgePolicy duplicates predicted-doomed
 //     arrivals onto a second executor — first result wins, budget

@@ -3,7 +3,7 @@ package serve
 // Fault surface of the serving simulator. The chaos layer
 // (internal/chaos) composes over the server through two pieces defined
 // here: the Disruption hook, which schedules fault-process events in
-// the server's own calendar queue so a whole chaos run shares one
+// the server's own event queue so a whole chaos run shares one
 // deterministic clock, and the fault mutators (FailDevice,
 // RecoverDevice, SetThermalStress, SetLink), which a Disruption calls
 // to impose and lift faults. All fault state defaults to zero and the

@@ -24,7 +24,7 @@ package serve
 // the primary serves it first, the effective completion is the earlier
 // of the two and the hedge's device time is the overhead paid.
 //
-// Retry events ride the same calendar queue as everything else:
+// Retry events ride the same event queue as everything else:
 // backoff is deterministic (attempt k waits k·BackoffMS), the retry
 // budget caps total retries at BudgetFrac of admitted requests (retry
 // storms cannot melt an already-degraded device), and the pending-

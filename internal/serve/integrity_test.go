@@ -204,7 +204,7 @@ func TestRetryLedgerVisibleToAdmission(t *testing.T) {
 
 // TestIntegrityZeroAlloc: the steady-state event loop allocates nothing
 // with retries, hedging, and an active SDC process all live — the
-// integrity layer rides the pooled records and the calendar queue.
+// integrity layer rides the pooled records and the event queue.
 func TestIntegrityZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig(1e18, 42)
 	cfg.Traffic.RatePerSec = 2 * Capacity(cfg)

@@ -11,9 +11,9 @@ import (
 	"ocularone/internal/rng"
 )
 
-// TestCalQueueOrdering drives the calendar queue with adversarial
+// TestCalQueueOrdering drives the event queue with adversarial
 // timestamps — clusters, exact ties, far-future jumps, inserts behind
-// the sweep position — and checks every Pop against a brute-force
+// the last popped time — and checks every Pop against a brute-force
 // mirror: the queue must always return the minimum (time, push order)
 // pair still enqueued.
 func TestCalQueueOrdering(t *testing.T) {
@@ -64,7 +64,7 @@ func TestCalQueueOrdering(t *testing.T) {
 			case 4:
 				tm = r.Float64() * 1e-3
 			case 5:
-				tm = last * r.Float64() // behind the sweep
+				tm = last * r.Float64() // behind the last pop
 			}
 			push(tm)
 		} else {
@@ -108,59 +108,6 @@ func TestCalQueueRejectsBadTimes(t *testing.T) {
 			}()
 			NewCalQueue(4, 1).Push(Event{TimeMS: bad})
 		}()
-	}
-}
-
-// TestCalQueueRetunesWidth: a width hint far off the events' spacing —
-// too wide, every event in a handful of buckets; too narrow, every pop
-// sweeping the whole ring — is corrected in place within two
-// population-sized runs of the hold pattern, although the population
-// never crosses a resize threshold; afterwards the queue works at most
-// retuneCost a push. Times on a 0.1 ms grid put about twenty ties, and
-// rounding dust between them, at every head time: they must not drag
-// the width to nothing. (Their inserts still shift: ties apart by dust
-// sort by it within a bucket, whatever the width.)
-func TestCalQueueRetunesWidth(t *testing.T) {
-	const pop = 1024
-	for _, c := range []struct{ hint, grid float64 }{{1e4, 0}, {1e-6, 0}, {1, 0.1}} {
-		q := NewCalQueue(pop, c.hint)
-		nb := q.nb
-		r := rng.New(5)
-		// Hold pattern: events 0-10 ms ahead of the clock, about 0.01 ms
-		// apart at a population of 1024.
-		ahead := func() float64 {
-			if c.grid > 0 {
-				return float64(r.Intn(int(10/c.grid))) * c.grid
-			}
-			return r.Float64() * 10
-		}
-		for i := 0; i < pop; i++ {
-			q.Push(Event{TimeMS: ahead()})
-		}
-		hold := func(n int) {
-			for i := 0; i < n; i++ {
-				e, _ := q.Pop()
-				q.Push(Event{TimeMS: e.TimeMS + ahead()})
-			}
-		}
-		hold(2 * pop)
-		if q.nb != nb || q.n != pop {
-			t.Fatalf("%+v: %d buckets, %d events; want %d, %d", c, q.nb, q.n, nb, pop)
-		}
-		if q.width < 1e-3 || q.width > 0.5 {
-			t.Fatalf("%+v: bucket width %v ms after %d operations, want within [0.001, 0.5]", c, q.width, 3*pop)
-		}
-		if c.grid > 0 {
-			continue
-		}
-		pushes, cost := q.pushes, q.cost
-		hold(pop)
-		if q.pushes < pushes {
-			t.Fatalf("%+v: re-tuned again at width %v", c, q.width)
-		}
-		if w := float64(q.cost-cost) / float64(q.pushes-pushes); w > retuneCost {
-			t.Fatalf("%+v: %.2f shifts and sweep steps a push at width %v", c, w, q.width)
-		}
 	}
 }
 

@@ -74,7 +74,7 @@ type Config struct {
 	// the historic behaviour). Link-degradation episodes add on top.
 	LinkRTTms float64
 	// Disrupt, when non-nil, injects faults: its events ride the same
-	// calendar queue as arrivals and completions, so a chaos run is as
+	// event queue as arrivals and completions, so a chaos run is as
 	// deterministic as a clean one. See faults.go and internal/chaos.
 	Disrupt Disruption
 	// Adapt enables the adaptive-precision degradation loop
@@ -204,8 +204,8 @@ func newSvcTable(cfg Config, mixCum []float64, prec device.Precision, maxB int, 
 	return t
 }
 
-// Server is the open-loop serving simulator: a calendar-queue event
-// core feeding admission control, per-class SLO scheduling, and
+// Server is the open-loop serving simulator: an event-heap core
+// feeding admission control, per-class SLO scheduling, and
 // least-attained-service tenant fairness on top of one device.Executor.
 // Use NewServer + AdvanceTo/Drain for incremental control (benchmarks,
 // live dashboards) or Run for a complete horizon-and-drain study.
@@ -314,7 +314,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:          cfg,
 		g:            g,
-		q:            NewCalQueue(2*nt+8, 1e3/cfg.Traffic.RatePerSec),
+		q:            NewCalQueue(2*nt+8, 0),
 		ex:           device.NewExecutor(cfg.Device, cfg.Traffic.Seed*0x9e3779b97f4a7c15+uint64(cfg.Device)+1),
 		free:         -1,
 		tenantQueued: make([]int64, nt),
@@ -378,14 +378,11 @@ func (s *Server) Offered() int64 {
 // AdvanceTo processes every event scheduled at or before tMS.
 func (s *Server) AdvanceTo(tMS float64) {
 	for {
-		e, ok := s.q.Pop()
-		if !ok {
+		e, ok := s.q.Peek()
+		if !ok || e.TimeMS > tMS {
 			return
 		}
-		if e.TimeMS > tMS {
-			s.q.insert(e) // seq preserved: order unchanged
-			return
-		}
+		s.q.Pop()
 		s.handle(e)
 	}
 }
