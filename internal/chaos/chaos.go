@@ -67,9 +67,10 @@ type Straggler struct {
 // finite and non-negative; zero switches a process (or one of its
 // effects) off. A positive mean gap or duration is at least 1e-3 ms —
 // shorter ones land every transition on one simulated instant, and
-// the clock never reaches the horizon — and Straggler.Factor is at
-// most 1e6, beyond which an inflated service time can overflow to
-// +Inf.
+// the clock never reaches the horizon. Mean gaps and durations and
+// Link.ExtraRTTMS are at most 1e9 ms and Straggler.Factor at most 1e6:
+// beyond these an event time, a latency or a latency sum can overflow
+// to +Inf.
 type Config struct {
 	Seed      uint64
 	Dropout   Dropout
@@ -185,8 +186,9 @@ type Injector struct {
 
 // Bounds of New beyond finite and non-negative (see Config).
 const (
-	minMeanMS = 1e-3
-	maxFactor = 1e6
+	minMeanMS      = 1e-3
+	maxMagnitudeMS = 1e9
+	maxFactor      = 1e6
 )
 
 // New creates an injector for the scenario. Call serve.Config.Disrupt
@@ -203,11 +205,14 @@ func New(cfg Config) *Injector {
 			}
 		}
 		for _, k := range [...]knob{p.gap, p.dur} {
-			if k.v > 0 && k.v < minMeanMS {
-				panic(fmt.Sprintf("chaos: %s is %v, want 0 (off) or at least %v ms", k.name, k.v, minMeanMS))
+			if k.v > 0 && k.v < minMeanMS || k.v > maxMagnitudeMS {
+				panic(fmt.Sprintf("chaos: %s is %v, want 0 (off) or %v to %v ms", k.name, k.v, minMeanMS, maxMagnitudeMS))
 			}
 		}
 		p.enabled = p.armed()
+	}
+	if r := cfg.Link.ExtraRTTMS; r > maxMagnitudeMS {
+		panic(fmt.Sprintf("chaos: Link.ExtraRTTMS is %v, want at most %v ms", r, maxMagnitudeMS))
 	}
 	if f := cfg.Straggler.Factor; f > maxFactor {
 		panic(fmt.Sprintf("chaos: Straggler.Factor is %v, want at most %v", f, maxFactor))

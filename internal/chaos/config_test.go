@@ -12,11 +12,13 @@ import (
 )
 
 // TestNewRejectsBadConfig: a NaN, infinite or negative field of any
-// fault process, a positive mean under 1e-3 ms and a straggler factor
-// over 1e6 panic by name in New. Before, an infinite mean or a huge
-// magnitude panicked deep inside the server's event queue, a NaN or
-// negative one silently disarmed its process, and a sub-nanosecond
-// mean stalled the simulated clock, so the run never ended.
+// fault process, a positive mean under 1e-3 ms or over 1e9 ms, an extra
+// link round trip over 1e9 ms and a straggler factor over 1e6 panic by
+// name in New. Before, an infinite mean or a huge magnitude panicked
+// deep inside the server's event queue, a NaN or negative one silently
+// disarmed its process, a sub-nanosecond mean stalled the simulated
+// clock, so the run never ended, and a 1e308 ms round trip summed the
+// latencies to +Inf, so the Result no longer marshalled to JSON.
 func TestNewRejectsBadConfig(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	for _, c := range []struct {
@@ -31,6 +33,9 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"Storm.MeanGapMS", chaos.Config{Storm: chaos.Storm{MeanGapMS: -1500, MeanDurMS: 800, AmbientRiseC: 18}}},
 		{"Straggler.Factor", chaos.Config{Straggler: chaos.Straggler{MeanGapMS: 500, MeanDurMS: 300, Factor: 1e308}}},
 		{"Dropout.MTBFMS", chaos.Config{Dropout: chaos.Dropout{MTBFMS: 1e-300, MTTRMS: 1e-300}}},
+		{"Link.ExtraRTTMS", chaos.Config{Link: chaos.Link{MeanGapMS: 500, MeanDurMS: 300, ExtraRTTMS: 1e308}}},
+		{"SDC.MeanDurMS", chaos.Config{SDC: chaos.SDC{MeanGapMS: 500, MeanDurMS: 1e300, Prob: 0.5}}},
+		{"Straggler.MeanGapMS", chaos.Config{Straggler: chaos.Straggler{MeanGapMS: 1e12, MeanDurMS: 300, Factor: 1}}},
 	} {
 		t.Run(c.field, func(t *testing.T) {
 			done := make(chan string, 1)
@@ -134,4 +139,23 @@ func FuzzChaosConfig(f *testing.F) {
 			t.Fatalf("config %+v: two 2 s studies still running after 1 s", cc)
 		}
 	})
+}
+
+// TestTailPastHistogramTopIsExactMax: a 1e7 ms link round trip puts
+// every class's tail past the latency histogram's top bin (2^21 ms).
+// The p99 there is the exact maximum, not that bin's lower edge
+// (1,966,080 ms, five times below every latency in the bin).
+func TestTailPastHistogramTopIsExactMax(t *testing.T) {
+	cfg := serve.DefaultConfig(3000, 1)
+	cfg.Traffic.RatePerSec = 500
+	cfg.Disrupt = chaos.New(chaos.Config{Link: chaos.Link{MeanGapMS: 500, MeanDurMS: 300, ExtraRTTMS: 1e7}})
+	res := serve.NewServer(cfg).Finish()
+	for c, cs := range res.Classes {
+		if cs.MaxMS < 1e7 {
+			t.Fatalf("class %d max %v ms, want the round trip's 1e7 in its tail", c, cs.MaxMS)
+		}
+		if cs.P99MS != cs.MaxMS {
+			t.Errorf("class %d p99 %v ms, want the exact max %v", c, cs.P99MS, cs.MaxMS)
+		}
+	}
 }

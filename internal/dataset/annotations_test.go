@@ -1,7 +1,10 @@
 package dataset
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -126,4 +129,40 @@ func TestTrainingYAML(t *testing.T) {
 			t.Fatalf("YAML missing %q:\n%s", want, y)
 		}
 	}
+}
+
+// UnmarshalJSONLines decodes a one-object-per-line annotation stream.
+func UnmarshalJSONLines(data []byte) ([]Annotation, error) {
+	var out []Annotation
+	dec := json.NewDecoder(strings.NewReader(string(data)))
+	for dec.More() {
+		var a Annotation
+		if err := dec.Decode(&a); err != nil {
+			return nil, fmt.Errorf("dataset: decoding annotation %d: %w", len(out), err)
+		}
+		out = append(out, a)
+	}
+	return out, nil
+}
+
+// ParseYOLOLine parses an Ultralytics txt line back into a pixel-space
+// rectangle for an image of dimensions w×h.
+func ParseYOLOLine(line string, w, h int) (imgproc.Rect, error) {
+	fields := strings.Fields(line)
+	if len(fields) != 5 {
+		return imgproc.Rect{}, fmt.Errorf("dataset: YOLO line has %d fields, want 5", len(fields))
+	}
+	vals := make([]float64, 4)
+	for i, f := range fields[1:] {
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			return imgproc.Rect{}, fmt.Errorf("dataset: YOLO field %d: %w", i+1, err)
+		}
+		vals[i] = v
+	}
+	cx, cy, bw, bh := vals[0]*float64(w), vals[1]*float64(h), vals[2]*float64(w), vals[3]*float64(h)
+	return imgproc.Rect{
+		X0: int(cx - bw/2), Y0: int(cy - bh/2),
+		X1: int(cx + bw/2 + 0.5), Y1: int(cy + bh/2 + 0.5),
+	}, nil
 }

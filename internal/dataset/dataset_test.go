@@ -269,3 +269,17 @@ func TestRenderedSceneBackgrounds(t *testing.T) {
 		t.Fatal("1a background not footpath")
 	}
 }
+
+// PaperTotal is the paper's full dataset size (Table 1 total row).
+const PaperTotal = 30711
+
+// DiverseCategories returns all non-adversarial categories.
+func DiverseCategories() []Category {
+	out := make([]Category, 0, len(Taxonomy)-1)
+	for _, c := range Taxonomy {
+		if !c.Adversarial {
+			out = append(out, c)
+		}
+	}
+	return out
+}

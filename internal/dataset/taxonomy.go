@@ -52,9 +52,6 @@ var Taxonomy = []Category{
 		Adversarial: true},
 }
 
-// PaperTotal is the paper's full dataset size (Table 1 total row).
-const PaperTotal = 30711
-
 // CategoryByID returns the taxonomy row with the given ID, or nil.
 func CategoryByID(id CategoryID) *Category {
 	for i := range Taxonomy {
@@ -63,15 +60,4 @@ func CategoryByID(id CategoryID) *Category {
 		}
 	}
 	return nil
-}
-
-// DiverseCategories returns all non-adversarial categories.
-func DiverseCategories() []Category {
-	out := make([]Category, 0, len(Taxonomy)-1)
-	for _, c := range Taxonomy {
-		if !c.Adversarial {
-			out = append(out, c)
-		}
-	}
-	return out
 }

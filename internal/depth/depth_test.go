@@ -1,6 +1,7 @@
 package depth
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -163,4 +164,54 @@ func TestEvaluateAllInvalid(t *testing.T) {
 	if m := Evaluate([]float32{1, 1}, []float32{0, 2000}); m.N != 0 {
 		t.Fatalf("invalid pixels counted: %+v", m)
 	}
+}
+
+// Evaluate compares a prediction against ground truth over valid pixels
+// (depth < 100 m, excluding sky and far sentinels).
+func Evaluate(pred, gt []float32) Metrics {
+	if len(pred) != len(gt) {
+		panic(fmt.Sprintf("depth: Evaluate length mismatch %d vs %d", len(pred), len(gt)))
+	}
+	var absRel, sqSum float64
+	var d1 int
+	n := 0
+	for i := range gt {
+		g := float64(gt[i])
+		p := float64(pred[i])
+		if g <= 0 || g > 100 || p <= 0 {
+			continue
+		}
+		absRel += math.Abs(p-g) / g
+		sqSum += (p - g) * (p - g)
+		r := p / g
+		if r < 1 {
+			r = 1 / r
+		}
+		if r < 1.25 {
+			d1++
+		}
+		n++
+	}
+	if n == 0 {
+		return Metrics{}
+	}
+	return Metrics{
+		AbsRel: absRel / float64(n),
+		RMSE:   math.Sqrt(sqSum / float64(n)),
+		Delta1: float64(d1) / float64(n),
+		N:      n,
+	}
+}
+
+// Metrics are the standard monocular-depth evaluation numbers.
+type Metrics struct {
+	AbsRel float64 // mean |pred-gt|/gt
+	RMSE   float64 // root mean squared error (metres)
+	Delta1 float64 // fraction with max(pred/gt, gt/pred) < 1.25
+	N      int
+}
+
+// String renders the metrics compactly.
+func (m Metrics) String() string {
+	return fmt.Sprintf("abs-rel=%.3f rmse=%.2fm δ<1.25=%.1f%% (n=%d)", m.AbsRel, m.RMSE, 100*m.Delta1, m.N)
 }

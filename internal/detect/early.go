@@ -30,8 +30,7 @@ func (d *Detector) DetectEarly(im *imgproc.Image, exitScore float64) ([]Box, boo
 // rung L1): the region is clamped to the frame, detected at full tier
 // quality, and the boxes are mapped back to full-image coordinates.
 // The latency win comes from the smaller analysis area — serving tiers
-// charge temporal.Config.ROICost and compile the crop-shaped plan once
-// through the per-shape cache (models.AcquireShared at models.ROIShape).
+// charge temporal.Config.ROICost for it.
 func (d *Detector) DetectROI(im *imgproc.Image, roi imgproc.Rect) []Box {
 	roi = roi.Clamp(im.W, im.H)
 	if roi.Empty() {

@@ -45,9 +45,6 @@ func NewMicroBatcher(ex *Executor, cfg BatchConfig) *MicroBatcher {
 	return &MicroBatcher{Ex: ex, Cfg: cfg}
 }
 
-// Pending reports the number of jobs waiting in the open batch.
-func (b *MicroBatcher) Pending() int { return len(b.pending) }
-
 // Offer enqueues a job for coalescing. It returns the completions of
 // any batch this offer forced out: a pending batch of a different
 // model, precision, engine, or cost scale flushes first (coalesced

@@ -129,3 +129,6 @@ func TestMicroBatcher(t *testing.T) {
 		t.Fatalf("disabled batcher queued instead of running: %v", got)
 	}
 }
+
+// Pending reports the number of jobs waiting in the open batch.
+func (b *MicroBatcher) Pending() int { return len(b.pending) }

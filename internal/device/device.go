@@ -28,7 +28,6 @@ const (
 	XavierNX
 	OrinNano
 	RTX4090
-	NumDevices
 )
 
 // String returns the short device name used in figures ("o-agx", "nx",
@@ -163,12 +162,6 @@ func Registry(id ID) Device {
 // PeakGFLOPS returns the theoretical FP32 peak (2 FLOPs per core-cycle).
 func (d Device) PeakGFLOPS() float64 {
 	return float64(d.CUDACores) * d.ClockGHz * 2
-}
-
-// SustainedGFLOPS returns the calibrated sustained throughput for dense
-// convolutional inference.
-func (d Device) SustainedGFLOPS() float64 {
-	return d.PeakGFLOPS() * d.SustainedEff
 }
 
 // IsEdge reports whether the device is a Jetson edge accelerator.

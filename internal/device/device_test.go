@@ -261,3 +261,18 @@ func TestWorkstationDoesNotThrottle(t *testing.T) {
 		}
 	}
 }
+
+// CanHost reports whether the model's weights and working set fit the
+// device's RAM alongside the runtime (reserving ~2 GB for OS + runtime).
+func CanHost(m models.ID, dev ID) bool {
+	d := Registry(dev)
+	stats := models.ComputeStats(m)
+	need := stats.Params*4 + stats.ActMemory + 512<<20 // FP32 weights + activations + runtime
+	return need < int64(d.RAMGB-2)<<30
+}
+
+// SustainedGFLOPS returns the calibrated sustained throughput for dense
+// convolutional inference.
+func (d Device) SustainedGFLOPS() float64 {
+	return d.PeakGFLOPS() * d.SustainedEff
+}

@@ -1,8 +1,6 @@
 package device
 
 import (
-	"fmt"
-
 	"ocularone/internal/models"
 )
 
@@ -30,18 +28,6 @@ func (e Engine) String() string {
 		return "plan"
 	}
 	return "interp"
-}
-
-// ParseEngine resolves a flag value ("interp" or "plan").
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "interp", "":
-		return Interpreted, nil
-	case "plan":
-		return Planned, nil
-	default:
-		return Interpreted, fmt.Errorf("unknown engine %q (want interp or plan)", s)
-	}
 }
 
 // planLaunchFrac is the share of the per-frame dispatch overhead that

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"testing"
 
 	"ocularone/internal/models"
@@ -101,5 +102,17 @@ func TestParseEngine(t *testing.T) {
 	}
 	if _, err := ParseEngine("tensorrt"); err == nil {
 		t.Fatal("ParseEngine accepted an unknown engine")
+	}
+}
+
+// ParseEngine resolves a flag value ("interp" or "plan").
+func ParseEngine(s string) (Engine, error) {
+	switch s {
+	case "interp", "":
+		return Interpreted, nil
+	case "plan":
+		return Planned, nil
+	default:
+		return Interpreted, fmt.Errorf("unknown engine %q (want interp or plan)", s)
 	}
 }

@@ -150,12 +150,3 @@ func EnergyPerFrameJ(m models.ID, dev ID, prec Precision, eng Engine) float64 {
 func FPS(m models.ID, dev ID, prec Precision, eng Engine) float64 {
 	return 1e3 / PredictMS(m, dev, prec, eng)
 }
-
-// CanHost reports whether the model's weights and working set fit the
-// device's RAM alongside the runtime (reserving ~2 GB for OS + runtime).
-func CanHost(m models.ID, dev ID) bool {
-	d := Registry(dev)
-	stats := models.ComputeStats(m)
-	need := stats.Params*4 + stats.ActMemory + 512<<20 // FP32 weights + activations + runtime
-	return need < int64(d.RAMGB-2)<<30
-}

@@ -63,8 +63,7 @@ type Executor struct {
 	busyMS float64
 
 	// Thermal state: exponential moving average of the duty cycle.
-	duty       float64
-	lastArrive float64
+	duty float64
 
 	// stress is the externally imposed service-time inflation (ambient
 	// heat waves, datacenter cooling faults) fault-injection layers set

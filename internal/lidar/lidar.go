@@ -74,17 +74,6 @@ func Simulate(spec Spec, gt *scene.GroundTruth, w, h int, r *rng.RNG) Scan {
 	return Scan{Ranges: ranges, Spec: spec}
 }
 
-// Nearest returns the smallest valid return, or +inf.
-func (s Scan) Nearest() float64 {
-	min := math.Inf(1)
-	for _, v := range s.Ranges {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
 // RangeAt returns the beam range covering image column x of a w-wide
 // frame.
 func (s Scan) RangeAt(x, w int) float64 {

@@ -152,3 +152,14 @@ func TestSimulatePanicsOnBadSpec(t *testing.T) {
 	gt, w, h := renderWithPerson(5, 11)
 	Simulate(Spec{}, gt, w, h, rng.New(1))
 }
+
+// Nearest returns the smallest valid return, or +inf.
+func (s Scan) Nearest() float64 {
+	min := math.Inf(1)
+	for _, v := range s.Ranges {
+		if v < min {
+			min = v
+		}
+	}
+	return min
+}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Confusion is a binary confusion matrix for the single-class vest
@@ -37,25 +36,6 @@ func (c Confusion) Accuracy() float64 {
 	return 100 * float64(c.TP+c.TN) / float64(t)
 }
 
-// Precision returns TP/(TP+FP) as a percentage; with no false positives
-// it equals Accuracy on an all-positive test set, the identity the paper
-// relies on ("since there are no false positives, precision equals
-// accuracy").
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return 100 * float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN) as a percentage.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return 100 * float64(c.TP) / float64(c.TP+c.FN)
-}
-
 // Matrix returns the percentage matrix in the paper's layout:
 // rows = true label (True, False), cols = predicted (True, False).
 func (c Confusion) Matrix() [2][2]float64 {
@@ -85,30 +65,6 @@ type LatencySummary struct {
 	MeanMS, MedianMS    float64
 	P25MS, P75MS        float64
 	P95MS, MinMS, MaxMS float64
-}
-
-// Summarize computes a LatencySummary from raw durations.
-func Summarize(durations []time.Duration) LatencySummary {
-	if len(durations) == 0 {
-		return LatencySummary{}
-	}
-	ms := make([]float64, len(durations))
-	var sum float64
-	for i, d := range durations {
-		ms[i] = float64(d.Nanoseconds()) / 1e6
-		sum += ms[i]
-	}
-	sort.Float64s(ms)
-	return LatencySummary{
-		N:        len(ms),
-		MeanMS:   sum / float64(len(ms)),
-		MedianMS: percentile(ms, 50),
-		P25MS:    percentile(ms, 25),
-		P75MS:    percentile(ms, 75),
-		P95MS:    percentile(ms, 95),
-		MinMS:    ms[0],
-		MaxMS:    ms[len(ms)-1],
-	}
 }
 
 // SummarizeMS computes a LatencySummary from millisecond samples.

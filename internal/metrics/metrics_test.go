@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -127,5 +128,48 @@ func TestSingleSample(t *testing.T) {
 	s := SummarizeMS([]float64{7})
 	if s.MedianMS != 7 || s.P25MS != 7 || s.P95MS != 7 {
 		t.Fatalf("single-sample summary %+v", s)
+	}
+}
+
+// Precision returns TP/(TP+FP) as a percentage; with no false positives
+// it equals Accuracy on an all-positive test set, the identity the paper
+// relies on ("since there are no false positives, precision equals
+// accuracy").
+func (c Confusion) Precision() float64 {
+	if c.TP+c.FP == 0 {
+		return 0
+	}
+	return 100 * float64(c.TP) / float64(c.TP+c.FP)
+}
+
+// Recall returns TP/(TP+FN) as a percentage.
+func (c Confusion) Recall() float64 {
+	if c.TP+c.FN == 0 {
+		return 0
+	}
+	return 100 * float64(c.TP) / float64(c.TP+c.FN)
+}
+
+// Summarize computes a LatencySummary from raw durations.
+func Summarize(durations []time.Duration) LatencySummary {
+	if len(durations) == 0 {
+		return LatencySummary{}
+	}
+	ms := make([]float64, len(durations))
+	var sum float64
+	for i, d := range durations {
+		ms[i] = float64(d.Nanoseconds()) / 1e6
+		sum += ms[i]
+	}
+	sort.Float64s(ms)
+	return LatencySummary{
+		N:        len(ms),
+		MeanMS:   sum / float64(len(ms)),
+		MedianMS: percentile(ms, 50),
+		P25MS:    percentile(ms, 25),
+		P75MS:    percentile(ms, 75),
+		P95MS:    percentile(ms, 95),
+		MinMS:    ms[0],
+		MaxMS:    ms[len(ms)-1],
 	}
 }

@@ -238,3 +238,13 @@ func TestFeatureLevels(t *testing.T) {
 		t.Fatalf("v11 levels %v", got)
 	}
 }
+
+// FeatureLevels returns the node indices of the three pyramid outputs
+// feeding the detect head (P3, P4, P5) for a network built by this
+// package.
+func FeatureLevels(f Family) []int {
+	if f == YOLOv8 {
+		return []int{15, 18, 21}
+	}
+	return []int{16, 19, 22}
+}

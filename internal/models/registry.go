@@ -48,9 +48,6 @@ func (id ID) String() string {
 	}
 }
 
-// YOLOIDs lists the six detection models in Table 2 order.
-var YOLOIDs = []ID{V8Nano, V8Medium, V8XLarge, V11Nano, V11Medium, V11XLarge}
-
 // AllIDs lists every benchmark model.
 var AllIDs = []ID{V8Nano, V8Medium, V8XLarge, V11Nano, V11Medium, V11XLarge, Bodypose, Monodepth2}
 

@@ -77,3 +77,33 @@ func TestAcquireSharedROICropShapes(t *testing.T) {
 		t.Fatalf("cache holds %d entries after ROI stress, want 2", st.Entries)
 	}
 }
+
+// ROIStride is the plan-shape granularity for ROI crops: crop shapes
+// snap up to the next multiple of 32 so the per-shape compile cache
+// (AcquireShared keys include h×w) holds a handful of canonical ROI
+// plans instead of one per pixel-exact crop.
+const ROIStride = 32
+
+// ROIMinSide is the smallest compilable ROI side. Crops tighter than
+// 64 px carry too little context for the detect head and would explode
+// the shape cache at its low end.
+const ROIMinSide = 64
+
+// ROIShape snaps a requested crop (h, w) to its canonical compiled
+// plan shape: each side rounds up to the next ROIStride multiple, with
+// a floor of ROIMinSide. Every crop in a stride-sized band therefore
+// reuses one cached plan — the property the temporal ladder's L1 rung
+// depends on to pay plan compilation once per shape, not per frame.
+func ROIShape(h, w int) (int, int) {
+	return roiSide(h), roiSide(w)
+}
+
+func roiSide(s int) int {
+	if s < ROIMinSide {
+		return ROIMinSide
+	}
+	if r := s % ROIStride; r != 0 {
+		s += ROIStride - r
+	}
+	return s
+}

@@ -84,9 +84,6 @@ type SharedPlanStats struct {
 	DemandFloats int64
 }
 
-// SharedFloats reports how many floats the cache deduplicated.
-func (s SharedPlanStats) SharedFloats() int64 { return s.DemandFloats - s.ResidentFloats }
-
 // SharedStats snapshots the cache's dedup accounting.
 func SharedStats() SharedPlanStats {
 	sharedMu.Lock()

@@ -179,13 +179,3 @@ func buildYOLOv11(size Size, nc int, r *rng.RNG) *nn.Network {
 		Nodes: nodes,
 	}
 }
-
-// FeatureLevels returns the node indices of the three pyramid outputs
-// feeding the detect head (P3, P4, P5) for a network built by this
-// package.
-func FeatureLevels(f Family) []int {
-	if f == YOLOv8 {
-		return []int{15, 18, 21}
-	}
-	return []int{16, 19, 22}
-}

@@ -166,8 +166,5 @@ func (c *Conv) Cost(in []Shape) (int64, Shape) {
 	return 2 * macs, Shape{C: c.spec.OutC, H: oh, W: ow}
 }
 
-// OutC reports the block's output channel count.
-func (c *Conv) OutC() int { return c.spec.OutC }
-
 // EachConv implements ConvWalker.
 func (c *Conv) EachConv(fn func(*Conv)) { fn(c) }

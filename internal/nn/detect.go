@@ -2,8 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"ocularone/internal/rng"
 	"ocularone/internal/tensor"
@@ -168,99 +166,6 @@ func (d *Detect) Cost(in []Shape) (int64, Shape) {
 		anchors += s.H * s.W
 	}
 	return total, Shape{C: 4*RegMax + d.nc, H: 1, W: anchors}
-}
-
-// Detection is one decoded box prediction in input-pixel coordinates.
-type Detection struct {
-	X0, Y0, X1, Y1 float64
-	Score          float64
-	Class          int
-}
-
-// DecodeLevel converts one raw prediction map into detections above
-// confThr. The DFL box distribution is reduced to its expectation, then
-// offsets are scaled by the level stride — the standard anchor-free
-// decode.
-func DecodeLevel(raw *tensor.Tensor, nc, stride int, confThr float64) []Detection {
-	h, w := raw.Shape[1], raw.Shape[2]
-	plane := h * w
-	var out []Detection
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			pos := y*w + x
-			// Class scores (sigmoid).
-			bestC, bestS := -1, confThr
-			for c := 0; c < nc; c++ {
-				v := raw.Data[(4*RegMax+c)*plane+pos]
-				s := 1 / (1 + math.Exp(-float64(v)))
-				if s > bestS {
-					bestS, bestC = s, c
-				}
-			}
-			if bestC < 0 {
-				continue
-			}
-			// DFL expectation per side (l, t, r, b).
-			var sides [4]float64
-			for side := 0; side < 4; side++ {
-				var mx float32 = -3.4e38
-				for b := 0; b < RegMax; b++ {
-					if v := raw.Data[(side*RegMax+b)*plane+pos]; v > mx {
-						mx = v
-					}
-				}
-				var sum, exp float64
-				for b := 0; b < RegMax; b++ {
-					e := math.Exp(float64(raw.Data[(side*RegMax+b)*plane+pos] - mx))
-					sum += e
-					exp += e * float64(b)
-				}
-				sides[side] = exp / sum
-			}
-			cx, cy := float64(x)+0.5, float64(y)+0.5
-			out = append(out, Detection{
-				X0:    (cx - sides[0]) * float64(stride),
-				Y0:    (cy - sides[1]) * float64(stride),
-				X1:    (cx + sides[2]) * float64(stride),
-				Y1:    (cy + sides[3]) * float64(stride),
-				Score: bestS, Class: bestC,
-			})
-		}
-	}
-	return out
-}
-
-// NMS performs greedy non-maximum suppression at the given IoU threshold,
-// keeping the highest-scoring boxes.
-func NMS(dets []Detection, iouThr float64) []Detection {
-	sort.Slice(dets, func(a, b int) bool { return dets[a].Score > dets[b].Score })
-	var keep []Detection
-	for _, d := range dets {
-		ok := true
-		for _, k := range keep {
-			if k.Class == d.Class && detIoU(k, d) > iouThr {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			keep = append(keep, d)
-		}
-	}
-	return keep
-}
-
-func detIoU(a, b Detection) float64 {
-	ix0, iy0 := math.Max(a.X0, b.X0), math.Max(a.Y0, b.Y0)
-	ix1, iy1 := math.Min(a.X1, b.X1), math.Min(a.Y1, b.Y1)
-	iw, ih := ix1-ix0, iy1-iy0
-	if iw <= 0 || ih <= 0 {
-		return 0
-	}
-	inter := iw * ih
-	areaA := (a.X1 - a.X0) * (a.Y1 - a.Y0)
-	areaB := (b.X1 - b.X0) * (b.Y1 - b.Y0)
-	return inter / (areaA + areaB - inter)
 }
 
 func maxInt(vs ...int) int {

@@ -198,9 +198,6 @@ func (b *planBuilder) view(parent planVal, off int, dims ...int) planVal {
 // emit appends an op to the program.
 func (b *planBuilder) emit(op planOp) { b.p.ops = append(b.p.ops, op) }
 
-// dims returns a value's per-sample shape.
-func (b *planBuilder) dims(v planVal) []int { return b.p.vals[v].dims }
-
 // chw returns a value's shape as CHW, panicking on non-rank-3 values.
 func (b *planBuilder) chw(v planVal) (c, h, w int) {
 	d := b.p.vals[v].dims

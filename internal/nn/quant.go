@@ -150,19 +150,6 @@ func (n *Network) ForwardQuantInterp(x *tensor.Tensor) []*tensor.Tensor {
 	return n.ForwardInterp(x)
 }
 
-// SizeBytesINT8 returns the serialized model size with int8 conv
-// weights (and fp16 for everything unquantized) — the deployment
-// footprint of the quantized engine.
-func (n *Network) SizeBytesINT8() int64 {
-	var quantized int64
-	forEachConv(n, func(c *Conv) {
-		if c.qw != nil {
-			quantized += int64(len(c.qw.Data))
-		}
-	})
-	return n.Params()*2 - quantized
-}
-
 // EachConv implements ConvWalker.
 func (b *Bottleneck) EachConv(fn func(*Conv)) {
 	b.cv1.EachConv(fn)

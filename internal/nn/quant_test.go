@@ -211,3 +211,16 @@ func TestSizeBytesINT8(t *testing.T) {
 		t.Fatalf("SizeBytesINT8 %d, want %d", got, want)
 	}
 }
+
+// SizeBytesINT8 returns the serialized model size with int8 conv
+// weights (and fp16 for everything unquantized) — the deployment
+// footprint of the quantized engine.
+func (n *Network) SizeBytesINT8() int64 {
+	var quantized int64
+	forEachConv(n, func(c *Conv) {
+		if c.qw != nil {
+			quantized += int64(len(c.qw.Data))
+		}
+	})
+	return n.Params()*2 - quantized
+}

@@ -35,8 +35,8 @@ type Stage interface {
 // FrameCtx carries one frame through the stage graph: the rendered
 // pixels and ground truth in, per-stage outputs and alerts out. Stages
 // communicate through the typed detection fields and the generic Values
-// map; the scheduler records which stages ran so downstream stages (and
-// the delivery filter) can tell a skipped dependency from a declined one.
+// map; the scheduler records which stages ran so the delivery filter can
+// tell a skipped dependency from a declined one.
 type FrameCtx struct {
 	// Session is the owning drone session's ID (0 for single streams).
 	Session int
@@ -79,9 +79,6 @@ func newFrameCtx(session, frameIndex int, im *imgproc.Image, gt *scene.GroundTru
 func (fc *FrameCtx) Alert(kind AlertKind, detail string) {
 	fc.alerts = append(fc.alerts, stageAlert{fc.cur, Alert{Kind: kind, FrameIndex: fc.FrameIndex, Detail: detail}})
 }
-
-// Ran reports whether the named stage ran its analytics on this frame.
-func (fc *FrameCtx) Ran(stage string) bool { return fc.ran[stage] }
 
 // Placement maps a stage to the device hosting its model and the model
 // identity used for latency simulation.
@@ -140,15 +137,6 @@ func (g *Graph) Add(s Stage, p Placement) *Graph {
 // AddOn appends a stage placed on a device with the stage's default model.
 func (g *Graph) AddOn(s Stage, dev device.ID) *Graph {
 	return g.Add(s, Placement{Device: dev, Model: s.Model()})
-}
-
-// SetPlacement moves a stage to a new placement (e.g. between runs).
-func (g *Graph) SetPlacement(name string, p Placement) error {
-	if _, ok := g.byName[name]; !ok {
-		return fmt.Errorf("pipeline: no stage %q", name)
-	}
-	g.place[name] = p
-	return nil
 }
 
 // Placements returns a copy of the graph's default placements. Sessions

@@ -194,34 +194,6 @@ func deriveSkeleton(sil imgproc.Rect, cx, cy, hx, hy float64) [scene.NumKeypoint
 	return kp
 }
 
-// PCK computes the fraction of estimated keypoints within tol×personSize
-// of ground truth (the "percentage of correct keypoints" metric), over
-// visible ground-truth points.
-func PCK(est, gt [scene.NumKeypoints]scene.Keypoint, personSize, tol float64) float64 {
-	if personSize <= 0 {
-		return 0
-	}
-	hit, total := 0, 0
-	for i := range gt {
-		if !gt[i].Visible {
-			continue
-		}
-		total++
-		if !est[i].Visible {
-			continue
-		}
-		dx := est[i].X - gt[i].X
-		dy := est[i].Y - gt[i].Y
-		if math.Sqrt(dx*dx+dy*dy) <= tol*personSize {
-			hit++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hit) / float64(total)
-}
-
 // FallClassifier wraps the SVM over pose features.
 type FallClassifier struct {
 	Model *svm.Model

@@ -130,3 +130,10 @@ func TestConditionStrings(t *testing.T) {
 		t.Fatalf("AllConditions lists %d of %d", len(AllConditions()), NumConditions)
 	}
 }
+
+// AllConditions lists every condition in rendering order, for studies
+// that sweep them.
+func AllConditions() []Condition { return []Condition{Clear, Night, Rain, Occlusion} }
+
+// NumConditions is the number of conditions.
+const NumConditions = Occlusion + 1

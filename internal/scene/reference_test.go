@@ -288,6 +288,44 @@ func TestRenderTinyFrames(t *testing.T) {
 	}
 }
 
+// FuzzRender holds Render, in each form, to refRender byte for byte —
+// frame and depth map — for any frame of 1–320 × 1–240 pixels, any
+// background, condition, clutter in [0, 1] and scene seed; tiny frames
+// must not panic, as TestRenderTinyFrames requires.
+func FuzzRender(f *testing.F) {
+	f.Add(uint16(320), uint16(240), uint8(0), uint8(0), 0.5, uint64(1))
+	f.Add(uint16(1), uint16(1), uint8(2), uint8(3), 1.0, uint64(7))
+	f.Add(uint16(9), uint16(4), uint8(1), uint8(1), 0.0, uint64(42))
+	f.Add(uint16(161), uint16(97), uint8(2), uint8(2), 0.85, uint64(1000))
+	f.Fuzz(func(t *testing.T, w16, h16 uint16, bg8, cond8 uint8, clutter float64, seed uint64) {
+		if math.IsNaN(clutter) || math.IsInf(clutter, 0) {
+			clutter = 0
+		}
+		if clutter = math.Abs(clutter); clutter > 1 {
+			clutter = math.Mod(clutter, 1)
+		}
+		w, h := 1+int(w16)%320, 1+int(h16)%240
+		bg, cond := Background(bg8%3), Condition(int(cond8)%int(NumConditions))
+		s := busyScene(bg, cond, 0.85, seed)
+		s.Clutter = clutter
+		cam := DefaultCamera(w, h, s.CamHeightM)
+		rim, rgt := refRender(s, cam)
+		for _, form := range renderForms() {
+			inTier(t, form, func() {
+				im, gt := Render(s, cam)
+				if !bytes.Equal(im.Pix, rim.Pix) {
+					t.Fatalf("%s: %v/%v/%dx%d clutter %v seed %d: frame differs from the reference", form, bg, cond, w, h, s.Clutter, seed)
+				}
+				for i, d := range gt.Depth {
+					if math.Float32bits(d) != math.Float32bits(rgt.Depth[i]) {
+						t.Fatalf("%s: %v/%v/%dx%d clutter %v seed %d: depth[%d] = %v, reference %v", form, bg, cond, w, h, s.Clutter, seed, i, d, rgt.Depth[i])
+					}
+				}
+			})
+		}
+	})
+}
+
 // checkNoise holds noiseWalk, in each form, to refSensorNoise's
 // per-byte loop on a copy of pix, over the sensor stream of seed.
 func checkNoise(t *testing.T, seed uint64, pix []uint8) {

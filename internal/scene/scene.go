@@ -49,8 +49,6 @@ const (
 	Rain
 	// Occlusion places a foreground obstruction over part of the VIP.
 	Occlusion
-	// NumConditions is the number of conditions.
-	NumConditions
 )
 
 // String returns the lowercase condition name.
@@ -68,10 +66,6 @@ func (c Condition) String() string {
 		return fmt.Sprintf("condition(%d)", int(c))
 	}
 }
-
-// AllConditions lists every condition in rendering order, for studies
-// that sweep them.
-func AllConditions() []Condition { return []Condition{Clear, Night, Rain, Occlusion} }
 
 // EntityKind enumerates renderable actors and props.
 type EntityKind int

@@ -5,15 +5,15 @@ import "math"
 // Event is one scheduled occurrence in the discrete-event core. Events
 // are plain values — no pointers, no per-event heap records — so the
 // queue's steady state allocates nothing. Kind discriminates the
-// payload; A and B are kind-specific indices (tenant, device, timer
-// generation) into the server's flat state.
+// payload; A is a kind-specific index (the arriving tenant, the
+// retried request) into the server's flat state.
 type Event struct {
 	TimeMS float64
 	// seq is the queue-assigned insertion number: ties on TimeMS pop in
 	// insertion order, which is what makes replays deterministic.
 	seq  uint64
 	Kind uint8
-	A, B int32
+	A    int32
 }
 
 func eventLess(a, b Event) bool {
@@ -46,9 +46,6 @@ type CalQueue struct {
 func NewCalQueue(hint int, widthMS float64) *CalQueue {
 	return &CalQueue{h: make([]Event, 0, max(hint, 0))}
 }
-
-// Len reports the number of scheduled events.
-func (q *CalQueue) Len() int { return len(q.h) }
 
 // Push schedules an event. TimeMS must be non-negative and finite; the
 // seq field is assigned by the queue.

@@ -54,7 +54,7 @@ type Disruption interface {
 // pressure — overload, a thermal storm, the backlog after an outage —
 // the controller downshifts to int8 and the dispatcher serves every
 // request quantized (faster, less accurate); once the miss rate falls
-// back below MissLo it upshifts to nominal. Degraded completions are
+// back below adaptMissLo it upshifts to nominal. Degraded completions are
 // fed to the controller as detection failures, which is exactly the
 // pressure that drives the upshift: managed degradation, then managed
 // recovery.
@@ -62,14 +62,16 @@ type AdaptConfig struct {
 	// Enabled turns the controller on. It has no effect when the
 	// nominal precision is already int8 (no faster arm exists).
 	Enabled bool
-	// Window is the number of completions per adaptation epoch
-	// (default 64).
-	Window int
-	// MissHi downshifts when the epoch deadline-miss rate exceeds it
-	// (default 0.25); MissLo allows the upshift below it (default
-	// 0.05).
-	MissHi, MissLo float64
 }
+
+// The adaptation epoch is adaptWindow completions; the controller
+// downshifts when an epoch's deadline-miss rate exceeds adaptMissHi and
+// allows the upshift below adaptMissLo.
+const (
+	adaptWindow = 64
+	adaptMissHi = 0.25
+	adaptMissLo = 0.05
+)
 
 // FailDevice fails the device at now until restoreAtMS: the in-flight
 // batch (if any) completes, no new batch dispatches while down, and
@@ -185,13 +187,7 @@ func (s *Server) initAdapt(cfg Config, maxB int) {
 		return
 	}
 	s.deg = newSvcTable(cfg, s.g.mixCum, device.INT8, maxB, &s.nom)
-	ac := adaptive.Config{Window: cfg.Adapt.Window, MissHi: cfg.Adapt.MissHi, MissLo: cfg.Adapt.MissLo}
-	if ac.Window <= 0 {
-		ac.Window = 64
-	}
-	if ac.MissHi <= 0 {
-		ac.MissHi = 0.25
-	}
+	ac := adaptive.Config{Window: adaptWindow, MissHi: adaptMissHi, MissLo: adaptMissLo}
 	// Start on the nominal arm (index 1); arm 0 is the degraded int8.
 	s.ctl = adaptive.NewController(adaptive.PrecisionArms(cfg.Device, cfg.Precision), 1, ac)
 }

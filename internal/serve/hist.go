@@ -47,7 +47,8 @@ func binOf(v float64) int {
 }
 
 // binLowerMS returns the lower edge of bin i in ms — the value
-// quantiles report (a deterministic, conservative representative).
+// quantiles report below the overflow bin (a deterministic,
+// conservative representative).
 func binLowerMS(i int) float64 {
 	exp := uint64(histMinExp + i>>histSubBits)
 	mant := uint64(i&(histSub-1)) << (52 - histSubBits)
@@ -64,9 +65,6 @@ func (h *Hist) Add(ms float64) {
 	}
 }
 
-// N reports the observation count.
-func (h *Hist) N() int64 { return h.n }
-
 // MeanMS returns the exact mean of the recorded values.
 func (h *Hist) MeanMS() float64 {
 	if h.n == 0 {
@@ -80,14 +78,15 @@ func (h *Hist) MaxMS() float64 { return h.max }
 
 // QuantileMS returns the p-quantile (p in [0,1]) to one sub-bin's
 // resolution, as the lower edge of the bin holding the p-th
-// observation.
+// observation. The overflow bin has no upper edge, so a rank that
+// lands there reports the exact maximum.
 func (h *Hist) QuantileMS(p float64) float64 {
 	if h.n == 0 {
 		return 0
 	}
 	rank := int64(p * float64(h.n-1))
 	var seen int64
-	for i, c := range h.counts {
+	for i, c := range h.counts[:histOverflow] {
 		seen += c
 		if seen > rank {
 			return binLowerMS(i)

@@ -8,6 +8,9 @@ import (
 	"ocularone/internal/rng"
 )
 
+// N reports the observation count.
+func (h *Hist) N() int64 { return h.n }
+
 // histSamples draws n log-uniform latencies spanning the histogram's
 // whole in-range span (microseconds to minutes).
 func histSamples(r *rng.RNG, n int) []float64 {

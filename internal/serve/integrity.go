@@ -117,11 +117,7 @@ func (s *Server) hedgeBudget() int64 {
 	if frac <= 0 {
 		frac = 0.05
 	}
-	var offered int64
-	for c := range s.tallies {
-		offered += s.tallies[c].offered
-	}
-	return int64(frac * float64(offered))
+	return int64(frac * float64(s.Offered()))
 }
 
 // SetSDC imposes (or, at 0, lifts) the silent-data-corruption process:

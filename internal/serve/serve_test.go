@@ -11,6 +11,15 @@ import (
 	"ocularone/internal/rng"
 )
 
+// Run executes one complete study: offer arrivals for the config's
+// horizon, drain, and summarise.
+func Run(cfg Config) Result {
+	s := NewServer(cfg)
+	s.AdvanceTo(cfg.HorizonMS)
+	s.Drain()
+	return s.Result()
+}
+
 // TestCalQueueOrdering drives the event queue with adversarial
 // timestamps — clusters, exact ties, far-future jumps, inserts behind
 // the last popped time — and checks every Pop against a brute-force

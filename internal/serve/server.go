@@ -1173,15 +1173,6 @@ func (s *Server) Fingerprint() uint64 {
 	return h
 }
 
-// Run executes one complete study: offer arrivals for the config's
-// horizon, drain, and summarise.
-func Run(cfg Config) Result {
-	s := NewServer(cfg)
-	s.AdvanceTo(cfg.HorizonMS)
-	s.Drain()
-	return s.Result()
-}
-
 // Capacity returns the request rate (req/s) the configured device
 // sustains over the traffic mix when every dispatch is a full
 // micro-batch — the denominator offered-load sweeps express ρ against.

@@ -15,17 +15,16 @@ type Model struct {
 
 // Config controls Pegasos training.
 type Config struct {
-	Epochs int     // passes over the data (default 50)
-	Lambda float64 // regularisation strength (default 1e-3)
+	Epochs int // passes over the data (default 50)
 	Seed   uint64
 }
+
+// lambda is the Pegasos regularisation strength.
+const lambda = 1e-3
 
 func (c *Config) defaults() {
 	if c.Epochs <= 0 {
 		c.Epochs = 50
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 1e-3
 	}
 }
 
@@ -51,12 +50,12 @@ func Train(xs [][]float64, ys []int, cfg Config) *Model {
 	t := 1
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, i := range r.Perm(len(xs)) {
-			eta := 1 / (cfg.Lambda * float64(t))
+			eta := 1 / (lambda * float64(t))
 			t++
 			margin := float64(ys[i]) * (dot(w, xs[i]) + b)
 			// Regularisation shrink.
 			for d := range w {
-				w[d] *= 1 - eta*cfg.Lambda
+				w[d] *= 1 - eta*lambda
 			}
 			if margin < 1 {
 				// Sub-gradient step on the hinge loss.
@@ -67,8 +66,8 @@ func Train(xs [][]float64, ys []int, cfg Config) *Model {
 			}
 			// Optional projection onto the 1/sqrt(lambda) ball keeps the
 			// iterates bounded (Pegasos theorem 1).
-			if n := norm(w); n > 1/math.Sqrt(cfg.Lambda) {
-				scale := 1 / (n * math.Sqrt(cfg.Lambda))
+			if n := norm(w); n > 1/math.Sqrt(lambda) {
+				scale := 1 / (n * math.Sqrt(lambda))
 				for d := range w {
 					w[d] *= scale
 				}
@@ -89,21 +88,6 @@ func (m *Model) Predict(x []float64) int {
 		return 1
 	}
 	return -1
-}
-
-// Accuracy evaluates the model on a labelled set, returning a fraction
-// in [0,1].
-func (m *Model) Accuracy(xs [][]float64, ys []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	hit := 0
-	for i, x := range xs {
-		if m.Predict(x) == ys[i] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(xs))
 }
 
 func dot(a, b []float64) float64 {

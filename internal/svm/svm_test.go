@@ -130,3 +130,18 @@ func TestAccuracyEmpty(t *testing.T) {
 		t.Fatal("empty accuracy not 0")
 	}
 }
+
+// Accuracy evaluates the model on a labelled set, returning a fraction
+// in [0,1].
+func (m *Model) Accuracy(xs [][]float64, ys []int) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	hit := 0
+	for i, x := range xs {
+		if m.Predict(x) == ys[i] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(xs))
+}

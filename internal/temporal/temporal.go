@@ -28,10 +28,6 @@ const (
 	numRungs = 4
 )
 
-// Level returns the ladder level number (FullFrame=0 … Bridge=3), the
-// direction documentation counts in.
-func (r Rung) Level() int { return int(FullFrame - r) }
-
 func (r Rung) String() string {
 	switch r {
 	case Bridge:
@@ -58,8 +54,8 @@ type Config struct {
 	// doc comment on StaleSkipPolicy for how the two clocks compose.
 	MaxBridged int
 	// ConfDecay multiplies a track's bridging confidence per bridged
-	// frame (default 0.8, matching track.Config.ConfDecay so the serve
-	// tier's budget and the tracker's own coasting decay agree).
+	// frame (default 0.8, the tracker's own coasting decay, so the serve
+	// tier's budget and the tracker agree).
 	ConfDecay float64
 	// ConfFloor is the minimum confidence at which bridging is still
 	// allowed (default 0.3). Once decay crosses the floor the ladder
@@ -76,9 +72,9 @@ type Config struct {
 	// cheap first pass).
 	ROICost, EarlyExitCost float64
 	// Window, MissHi, MissLo tune the embedded adaptive.Controller
-	// epoch (defaults 64, 0.25, 0.05 — the serve-tier AdaptConfig
-	// values, so the rung controller and the precision controller walk
-	// at the same cadence).
+	// epoch (defaults 64, 0.25, 0.05 — the serve tier's precision
+	// controller constants, so the rung controller and the precision
+	// controller walk at the same cadence).
 	Window         int
 	MissHi, MissLo float64
 }
@@ -195,7 +191,6 @@ type Policy struct {
 
 	sinceFull int   // consecutive selections below FullFrame
 	forced    int64 // refreshes forced by the staleness clock
-	selected  [numRungs]int64
 }
 
 // NewPolicy returns a ladder policy starting at FullFrame.
@@ -245,7 +240,6 @@ func (p *Policy) Select(sig Signals) Rung {
 }
 
 func (p *Policy) take(r Rung) Rung {
-	p.selected[r]++
 	if r == FullFrame {
 		p.sinceFull = 0
 	} else {
@@ -283,7 +277,6 @@ func (p *Policy) Bridge(t *Track, nowMS float64) (staleMS float64, ok bool) {
 	if t.run < p.cfg.MaxBridged && t.conf >= p.cfg.ConfFloor {
 		t.run++
 		t.conf *= p.cfg.ConfDecay
-		p.selected[Bridge]++
 		p.sinceFull++
 		return nowMS - t.anchorMS, true
 	}
@@ -325,16 +318,9 @@ func (r Rung) Confidence() float64 {
 // detection-failure pressure pushing back toward full frames.
 func (p *Policy) Observe(deadlineMissed, degraded bool) { p.ctl.Observe(deadlineMissed, degraded) }
 
-// Rung returns the controller's current windowed arm.
-func (p *Policy) Rung() Rung { return Rung(p.ctl.ArmIndex()) }
-
 // Switches reports how many windowed rung adaptations have occurred.
 func (p *Policy) Switches() int { return p.ctl.Switches() }
 
 // ForcedRefreshes reports how many full-frame passes the staleness
 // clock forced.
 func (p *Policy) ForcedRefreshes() int64 { return p.forced }
-
-// Selected reports how many frames were taken at rung r (Select calls,
-// and Bridge calls that bridged for Bridge).
-func (p *Policy) Selected(r Rung) int64 { return p.selected[r] }

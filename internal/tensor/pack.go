@@ -90,12 +90,6 @@ type PackedA struct {
 	csum, acsum []float64
 }
 
-// M reports the packed row count (unpadded).
-func (p *PackedA) M() int { return p.m }
-
-// K reports the packed depth.
-func (p *PackedA) K() int { return p.k }
-
 // packALen returns the packed length for an m×k operand.
 func packALen(m, k int) int {
 	return (m + gemmMR - 1) / gemmMR * gemmMR * k

@@ -108,12 +108,6 @@ type PackedQ struct {
 	csum []int64
 }
 
-// M reports the packed row count (unpadded).
-func (p *PackedQ) M() int { return p.m }
-
-// K reports the packed depth (unpadded).
-func (p *PackedQ) K() int { return p.k }
-
 // WeightSize reports the bytes a weight takes in p — two as an int16 of
 // the pair tiers, one as an int8 of the quad tier: what a pass over the
 // operand streams per value.

@@ -597,3 +597,9 @@ func BenchmarkInt8Kernels(b *testing.B) {
 		}
 	}
 }
+
+// M reports the packed row count (unpadded).
+func (p *PackedQ) M() int { return p.m }
+
+// K reports the packed depth (unpadded).
+func (p *PackedQ) K() int { return p.k }

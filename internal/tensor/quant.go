@@ -33,12 +33,6 @@ func QFromSlice(data []int8, scales []float32, shape ...int) *QTensor {
 	return &QTensor{Shape: append([]int(nil), shape...), Data: data, Scales: scales}
 }
 
-// Len returns the number of elements.
-func (q *QTensor) Len() int { return len(q.Data) }
-
-// Dim returns the size of axis i.
-func (q *QTensor) Dim(i int) int { return q.Shape[i] }
-
 // Rank returns the number of axes.
 func (q *QTensor) Rank() int { return len(q.Shape) }
 
@@ -157,30 +151,6 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 		scales[c] = mx / 127
 	}
 	return QuantizeLinear(t, scales, nil)
-}
-
-// Dequantize converts back to float32: v = (q - zero) * scale per
-// axis-0 channel.
-func (q *QTensor) Dequantize() *Tensor {
-	t := New(q.Shape...)
-	ch := 1
-	if q.Rank() > 0 {
-		ch = q.Shape[0]
-	}
-	plane := 0
-	if ch > 0 {
-		plane = len(q.Data) / ch
-	}
-	for c := 0; c < ch; c++ {
-		s := q.ScaleFor(c)
-		z := q.zeroFor(c)
-		src := q.Data[c*plane : (c+1)*plane]
-		dst := t.Data[c*plane : (c+1)*plane]
-		for i, v := range src {
-			dst[i] = float32(int32(v)-z) * s
-		}
-	}
-	return t
 }
 
 // qnBlock is the int8 GEMM column-block width: 4 accumulator rows of

@@ -246,3 +246,27 @@ func TestQuantizeRoundMatchesBranchDefinition(t *testing.T) {
 		}
 	}
 }
+
+// Dequantize converts back to float32: v = (q - zero) * scale per
+// axis-0 channel.
+func (q *QTensor) Dequantize() *Tensor {
+	t := New(q.Shape...)
+	ch := 1
+	if q.Rank() > 0 {
+		ch = q.Shape[0]
+	}
+	plane := 0
+	if ch > 0 {
+		plane = len(q.Data) / ch
+	}
+	for c := 0; c < ch; c++ {
+		s := q.ScaleFor(c)
+		z := q.zeroFor(c)
+		src := q.Data[c*plane : (c+1)*plane]
+		dst := t.Data[c*plane : (c+1)*plane]
+		for i, v := range src {
+			dst[i] = float32(int32(v)-z) * s
+		}
+	}
+	return t
+}

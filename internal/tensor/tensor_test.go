@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -279,4 +280,75 @@ func TestQuickMatMulLinearity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Dim returns the size of axis i.
+func (t *Tensor) Dim(i int) int { return t.Shape[i] }
+
+// At returns the element at the given multi-index (row-major).
+func (t *Tensor) At(idx ...int) float32 {
+	return t.Data[t.offset(idx)]
+}
+
+// Set assigns the element at the given multi-index.
+func (t *Tensor) Set(v float32, idx ...int) {
+	t.Data[t.offset(idx)] = v
+}
+
+func (t *Tensor) offset(idx []int) int {
+	if len(idx) != len(t.Shape) {
+		panic(fmt.Sprintf("tensor: index rank %d for shape %v", len(idx), t.Shape))
+	}
+	off := 0
+	for i, ix := range idx {
+		if ix < 0 || ix >= t.Shape[i] {
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
+		}
+		off = off*t.Shape[i] + ix
+	}
+	return off
+}
+
+// Fill sets every element to v.
+func (t *Tensor) Fill(v float32) {
+	for i := range t.Data {
+		t.Data[i] = v
+	}
+}
+
+// Sum returns the sum of all elements in float64 precision.
+func (t *Tensor) Sum() float64 {
+	var s float64
+	for _, v := range t.Data {
+		s += float64(v)
+	}
+	return s
+}
+
+// Max returns the maximum element; it panics on an empty tensor.
+func (t *Tensor) Max() float32 {
+	if len(t.Data) == 0 {
+		panic("tensor: Max of empty tensor")
+	}
+	m := t.Data[0]
+	for _, v := range t.Data[1:] {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// ArgMax returns the flat index of the maximum element.
+func (t *Tensor) ArgMax() int {
+	if len(t.Data) == 0 {
+		panic("tensor: ArgMax of empty tensor")
+	}
+	best, bi := t.Data[0], 0
+	for i, v := range t.Data {
+		if v > best {
+			best, bi = v, i
+		}
+	}
+	return bi
 }

@@ -14,10 +14,9 @@
 // resilience): under overload or an outage the serving tiers answer
 // frames from a live track's motion-model prediction instead of
 // shedding them. The contracts that embedding leans on are explicit
-// here: Config.ConfDecay is the same geometric decay the ladder's
-// bridging budget assumes (temporal.Config.ConfDecay), Config.ConfFloor
-// lets a bridging consumer distinguish a long coast from a fresh
-// re-lock, and MultiTracker.ReuseIDs keeps track identities
+// here: a coasting track's confidence decays by the same geometric
+// factor the ladder's bridging budget assumes (temporal.Config.ConfDecay),
+// and MultiTracker.ReuseIDs keeps track identities
 // deterministic across detection gaps (the chaos-gap battery in
 // gap_test.go pins ID stability and bounded coasting drift through
 // occlusion and night dropout bursts).

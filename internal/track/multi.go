@@ -148,6 +148,3 @@ func (m *MultiTracker) Live() []Track {
 	}
 	return out
 }
-
-// Count returns the number of live tracks.
-func (m *MultiTracker) Count() int { return len(m.tracks) }

@@ -97,3 +97,6 @@ func TestMultiTrackerGreedyPrefersBestOverlap(t *testing.T) {
 		}
 	}
 }
+
+// Count returns the number of live tracks.
+func (m *MultiTracker) Count() int { return len(m.tracks) }

@@ -1,8 +1,6 @@
 package track
 
 import (
-	"math"
-
 	"ocularone/internal/detect"
 	"ocularone/internal/imgproc"
 )
@@ -19,16 +17,12 @@ type Config struct {
 	// GateIoU rejects detections that do not overlap the predicted box
 	// at least this much while the tracker is confident. Default 0.05.
 	GateIoU float64
-	// ConfDecay multiplies the track confidence per coasted frame
-	// (default 0.8 — the geometric decay the temporal bridging budget
-	// assumes, see temporal.Config.ConfDecay).
-	ConfDecay float64
-	// ConfFloor clamps the coasting confidence from below (default 0:
-	// unbounded decay, the historic behaviour). A consumer bridging on
-	// track predictions sets this to its minimum usable confidence so a
-	// long coast and a fresh re-lock are distinguishable.
-	ConfFloor float64
 }
+
+// confDecay multiplies the track confidence per coasted frame: the
+// geometric decay the temporal bridging budget assumes (see
+// temporal.Config.ConfDecay).
+const confDecay = 0.8
 
 func (c *Config) defaults() {
 	if c.Smoothing <= 0 || c.Smoothing > 1 {
@@ -39,12 +33,6 @@ func (c *Config) defaults() {
 	}
 	if c.GateIoU <= 0 {
 		c.GateIoU = 0.05
-	}
-	if c.ConfDecay <= 0 || c.ConfDecay > 1 {
-		c.ConfDecay = 0.8
-	}
-	if c.ConfFloor < 0 {
-		c.ConfFloor = 0
 	}
 }
 
@@ -205,27 +193,8 @@ func (t *Tracker) miss() State {
 		// Extrapolate and decay confidence geometrically.
 		t.cx += t.vx
 		t.cy += t.vy
-		t.conf *= t.cfg.ConfDecay
-		if t.conf < t.cfg.ConfFloor {
-			t.conf = t.cfg.ConfFloor
-		}
+		t.conf *= confDecay
 		t.state = Coasting
 		return t.state
 	}
-}
-
-// EffectiveRecall is a closed-form estimate of the recall a tracker with
-// coast budget k achieves over a detector with per-frame recall r,
-// assuming independent misses: a frame counts as covered unless it is
-// preceded by ≥k consecutive misses. Used by the tracking ablation bench.
-func EffectiveRecall(r float64, k int) float64 {
-	if r <= 0 {
-		return 0
-	}
-	if r >= 1 {
-		return 1
-	}
-	// A frame is uncovered iff the detector misses it and the k frames
-	// before it (the track coasted out): probability (1-r)^(k+1).
-	return 1 - math.Pow(1-r, float64(k+1))
 }

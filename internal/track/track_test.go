@@ -179,3 +179,19 @@ func TestQuickTrackerInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// EffectiveRecall is a closed-form estimate of the recall a tracker with
+// coast budget k achieves over a detector with per-frame recall r,
+// assuming independent misses: a frame counts as covered unless it is
+// preceded by ≥k consecutive misses. Used by the tracking ablation bench.
+func EffectiveRecall(r float64, k int) float64 {
+	if r <= 0 {
+		return 0
+	}
+	if r >= 1 {
+		return 1
+	}
+	// A frame is uncovered iff the detector misses it and the k frames
+	// before it (the track coasted out): probability (1-r)^(k+1).
+	return 1 - math.Pow(1-r, float64(k+1))
+}

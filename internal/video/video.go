@@ -26,26 +26,6 @@ type Spec struct {
 	Seed        uint64
 }
 
-// DefaultSpec returns a video shaped like the paper's recordings: 1–2
-// minutes at 30 FPS. Width/height default to a reduced 640×480 render of
-// the 720p feed to keep CPU rendering tractable.
-func DefaultSpec(id int, r *rng.RNG) Spec {
-	return Spec{
-		ID:          id,
-		DurationSec: r.Range(60, 120),
-		FPS:         30,
-		W:           640,
-		H:           480,
-		Background:  scene.Background(r.Intn(3)),
-		Pedestrians: r.Intn(3),
-		Bicycles:    r.Intn(2),
-		ParkedCars:  r.Intn(2),
-		Lighting:    r.Range(0.85, 1.1),
-		Clutter:     r.Float64(),
-		Seed:        r.Uint64(),
-	}
-}
-
 // Video is a lazily rendered synthetic recording.
 type Video struct {
 	Spec Spec
