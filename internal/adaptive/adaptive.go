@@ -51,6 +51,13 @@ type Config struct {
 	FailHi float64
 }
 
+// ServingEpoch is the epoch of the serving tier's two controllers, the
+// serve precision controller and the temporal ladder's rung controller,
+// so both walk at the same cadence: each re-evaluates every 64
+// completions, downshifts when the epoch's deadline-miss rate exceeds
+// 0.25 and allows the upshift below 0.05.
+func ServingEpoch() Config { return Config{Window: 64, MissHi: 0.25, MissLo: 0.05} }
+
 func (c *Config) defaults() {
 	if c.Window <= 0 {
 		c.Window = 20

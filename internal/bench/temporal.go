@@ -161,8 +161,7 @@ func RunTemporalDrift(sc Scale) TemporalDrift {
 
 	// Ladder pass.
 	pol := temporal.NewPolicy(temporal.Config{})
-	cfg := pol.Config()
-	m := track.NewMulti(track.Config{MaxCoastFrames: cfg.MaxBridged + 2})
+	m := track.NewMulti(track.Config{MaxCoastFrames: temporal.MaxBridged + 2})
 	ladderHits, ladderIoU := 0, 0.0
 	var bt temporal.Track
 	var lastBox imgproc.Rect
@@ -175,7 +174,7 @@ func RunTemporalDrift(sc Scale) TemporalDrift {
 		real := false
 		switch {
 		case gap:
-			if _, ok := pol.Bridge(&bt, float64(i)*periodMS); ok {
+			if _, _, ok := pol.Bridge(&bt, float64(i)*periodMS); ok {
 				// The tracker's motion model stands in for the frame.
 				d.BridgedFrames++
 			} else {
@@ -203,7 +202,7 @@ func RunTemporalDrift(sc Scale) TemporalDrift {
 				d.FullFrames++
 			}
 			real = true
-			bt.Anchor(rung, float64(i)*periodMS)
+			bt.Anchor(float64(i) * periodMS)
 		}
 		tracks := m.Update(boxes)
 		if real {

@@ -22,15 +22,14 @@ func TestTemporalDriftBounded(t *testing.T) {
 	if d.FullFrames == 0 || d.ROIFrames == 0 || d.EarlyExitFrames == 0 || d.BridgedFrames == 0 {
 		t.Fatalf("drift pass did not exercise every rung: %+v", d)
 	}
-	budget := temporal.Config{}.WithDefaults()
 	// Each gap burst is MaxBridged+1 frames: MaxBridged bridges plus one
 	// dropped frame once the budget is spent.
-	if d.MaxStaleFrames > budget.MaxBridged+2 {
-		t.Fatalf("max staleness %d frames exceeds budget %d+2", d.MaxStaleFrames, budget.MaxBridged)
+	if d.MaxStaleFrames > temporal.MaxBridged+2 {
+		t.Fatalf("max staleness %d frames exceeds budget %d+2", d.MaxStaleFrames, temporal.MaxBridged)
 	}
-	if d.BridgedFrames > 2*budget.MaxBridged {
+	if d.BridgedFrames > 2*temporal.MaxBridged {
 		t.Fatalf("%d bridged frames across two bursts exceeds 2x budget %d",
-			d.BridgedFrames, budget.MaxBridged)
+			d.BridgedFrames, temporal.MaxBridged)
 	}
 	if d.FullHitPct == 0 {
 		t.Fatal("full-frame reference never hit the vest — fixture broken")

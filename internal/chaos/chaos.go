@@ -26,7 +26,10 @@ type Storm struct {
 	MeanGapMS float64
 	MeanDurMS float64
 	// AmbientRiseC is the heat event's rise over nominal ambient;
-	// thermal.StormStress(AmbientRiseC) is the imposed inflation.
+	// thermal.StormStress(AmbientRiseC) is the imposed inflation. The
+	// curve saturates: a rise of 3 °C or less inflates nothing, and
+	// from 28 °C on the die is at thermal.CriticalC or past it, so every
+	// larger rise gives the same run, at thermal.MaxStress.
 	AmbientRiseC float64
 }
 
@@ -70,7 +73,7 @@ type Straggler struct {
 // the clock never reaches the horizon. Mean gaps and durations and
 // Link.ExtraRTTMS are at most 1e9 ms and Straggler.Factor at most 1e6:
 // beyond these an event time, a latency or a latency sum can overflow
-// to +Inf.
+// to +Inf. Link.LossProb and SDC.Prob are probabilities, at most 1.
 type Config struct {
 	Seed      uint64
 	Dropout   Dropout
@@ -194,7 +197,7 @@ const (
 // New creates an injector for the scenario. Call serve.Config.Disrupt
 // = New(cfg); the server calls Reset and Apply. New panics, naming the
 // field, on any NaN, infinite or negative field of a process and on a
-// mean or factor outside the bounds Config states.
+// mean, factor or probability outside the bounds Config states.
 func New(cfg Config) *Injector {
 	in := &Injector{seed: cfg.Seed, procs: cfg.processes()}
 	for i := range in.procs {
@@ -216,6 +219,11 @@ func New(cfg Config) *Injector {
 	}
 	if f := cfg.Straggler.Factor; f > maxFactor {
 		panic(fmt.Sprintf("chaos: Straggler.Factor is %v, want at most %v", f, maxFactor))
+	}
+	for _, k := range [...]knob{{"Link.LossProb", cfg.Link.LossProb}, {"SDC.Prob", cfg.SDC.Prob}} {
+		if k.v > 1 {
+			panic(fmt.Sprintf("chaos: %s is %v, want a probability, at most 1", k.name, k.v))
+		}
 	}
 	return in
 }

@@ -13,12 +13,14 @@ import (
 
 // TestNewRejectsBadConfig: a NaN, infinite or negative field of any
 // fault process, a positive mean under 1e-3 ms or over 1e9 ms, an extra
-// link round trip over 1e9 ms and a straggler factor over 1e6 panic by
-// name in New. Before, an infinite mean or a huge magnitude panicked
-// deep inside the server's event queue, a NaN or negative one silently
-// disarmed its process, a sub-nanosecond mean stalled the simulated
-// clock, so the run never ended, and a 1e308 ms round trip summed the
-// latencies to +Inf, so the Result no longer marshalled to JSON.
+// link round trip over 1e9 ms, a straggler factor over 1e6 and a loss
+// or corruption probability over 1 panic by name in New. Before, an
+// infinite mean or a huge magnitude panicked deep inside the server's
+// event queue, a NaN or negative one silently disarmed its process, a
+// sub-nanosecond mean stalled the simulated clock, so the run never
+// ended, a 1e308 ms round trip summed the latencies to +Inf, so the
+// Result no longer marshalled to JSON, and a probability of 7 ran to
+// the end as if it were 1.
 func TestNewRejectsBadConfig(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	for _, c := range []struct {
@@ -36,6 +38,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"Link.ExtraRTTMS", chaos.Config{Link: chaos.Link{MeanGapMS: 500, MeanDurMS: 300, ExtraRTTMS: 1e308}}},
 		{"SDC.MeanDurMS", chaos.Config{SDC: chaos.SDC{MeanGapMS: 500, MeanDurMS: 1e300, Prob: 0.5}}},
 		{"Straggler.MeanGapMS", chaos.Config{Straggler: chaos.Straggler{MeanGapMS: 1e12, MeanDurMS: 300, Factor: 1}}},
+		{"SDC.Prob", chaos.Config{SDC: chaos.SDC{MeanGapMS: 500, MeanDurMS: 300, Prob: 7}}},
+		{"Link.LossProb", chaos.Config{Link: chaos.Link{MeanGapMS: 500, MeanDurMS: 300, LossProb: 7}}},
 	} {
 		t.Run(c.field, func(t *testing.T) {
 			done := make(chan string, 1)
@@ -70,13 +74,15 @@ func fuzzKnob(v, lo, hi float64) (float64, bool) {
 
 // FuzzChaosConfig drives the chaos front door with raw fields for all
 // five processes. Either New refuses the config with a chaos: panic —
-// exactly when some field is NaN, infinite or negative — or a 2 s
-// serving study under it finishes within a second, holds the
-// conservation invariants and reproduces its fingerprint.
+// exactly when some field is NaN, infinite or negative, or a
+// probability is over 1 — or a 2 s serving study under it finishes
+// within a second, holds the conservation invariants and reproduces
+// its fingerprint.
 func FuzzChaosConfig(f *testing.F) {
 	f.Add(uint64(7), 2000.0, 400.0, 1500.0, 800.0, 18.0, 1500.0, 600.0, 40.0, 0.15, 1500.0, 700.0, 0.05, 1500.0, 800.0, 1.5)
 	f.Add(uint64(1), 500.0, math.Inf(1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 500.0, 300.0, math.Inf(1))
 	f.Add(uint64(2), 0.0, 0.0, -1.0, 800.0, 18.0, 0.0, 0.0, 0.0, math.NaN(), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(3), 0.0, 0.0, 0.0, 0.0, 0.0, 500.0, 300.0, 0.0, 1.5, 500.0, 300.0, 0.5, 0.0, 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, seed uint64,
 		mtbf, mttr, stGap, stDur, rise, lGap, lDur, rtt, loss, sGap, sDur, prob, gGap, gDur, factor float64) {
 		bad := false
@@ -90,12 +96,18 @@ func FuzzChaosConfig(f *testing.F) {
 			bad = bad || b
 			return v
 		}
+		// A probability lands in [0, 2): over 1 is refused.
+		prob01 := func(v float64) float64 {
+			v = size(v, 2)
+			bad = bad || v > 1
+			return v
+		}
 		cc := chaos.Config{
 			Seed:      seed,
 			Dropout:   chaos.Dropout{MTBFMS: ms(mtbf), MTTRMS: ms(mttr)},
 			Storm:     chaos.Storm{MeanGapMS: ms(stGap), MeanDurMS: ms(stDur), AmbientRiseC: size(rise, 40)},
-			Link:      chaos.Link{MeanGapMS: ms(lGap), MeanDurMS: ms(lDur), ExtraRTTMS: ms(rtt), LossProb: size(loss, 1)},
-			SDC:       chaos.SDC{MeanGapMS: ms(sGap), MeanDurMS: ms(sDur), Prob: size(prob, 1)},
+			Link:      chaos.Link{MeanGapMS: ms(lGap), MeanDurMS: ms(lDur), ExtraRTTMS: ms(rtt), LossProb: prob01(loss)},
+			SDC:       chaos.SDC{MeanGapMS: ms(sGap), MeanDurMS: ms(sDur), Prob: prob01(prob)},
 			Straggler: chaos.Straggler{MeanGapMS: ms(gGap), MeanDurMS: ms(gDur), Factor: size(factor, 4)},
 		}
 		var inj *chaos.Injector

@@ -10,8 +10,8 @@ import "ocularone/internal/imgproc"
 // cheap pass cannot resolve confidently fall through to the full-tier
 // Detect, so the early head only ever trades latency, never a
 // confident detection. It reports whether the exit fired; callers
-// charge the reduced service-time fraction
-// (temporal.Config.EarlyExitCost) only when it did.
+// charge the ladder's reduced early-exit service-time fraction only
+// when it did.
 func (d *Detector) DetectEarly(im *imgproc.Image, exitScore float64) ([]Box, bool) {
 	cheap := *d
 	cheap.Tier.Resolution = d.Tier.Resolution / 2
@@ -30,7 +30,7 @@ func (d *Detector) DetectEarly(im *imgproc.Image, exitScore float64) ([]Box, boo
 // rung L1): the region is clamped to the frame, detected at full tier
 // quality, and the boxes are mapped back to full-image coordinates.
 // The latency win comes from the smaller analysis area — serving tiers
-// charge temporal.Config.ROICost for it.
+// charge the ladder's ROI service-time fraction for it.
 func (d *Detector) DetectROI(im *imgproc.Image, roi imgproc.Rect) []Box {
 	roi = roi.Clamp(im.W, im.H)
 	if roi.Empty() {

@@ -90,7 +90,6 @@ func (g *groupRunner) flush() {
 		p     Placement
 		ready float64
 		root  bool
-		rung  temporal.Rung
 	}
 	// exQueue pairs a micro-batcher with the wave jobs it has queued in
 	// offer order; flushed completions are always an oldest-first prefix
@@ -123,8 +122,8 @@ func (g *groupRunner) flush() {
 			stats[w.gi].StageMS[w.name] = lat
 			if w.root && fr.env.tpol != nil {
 				// A real root inference re-anchors the stream's bridging
-				// budget at the completed rung's confidence.
-				fr.env.track.Anchor(w.rung, w.ready+lat)
+				// budget.
+				fr.env.track.Anchor(w.ready + lat)
 			}
 		}
 		q.jobs = q.jobs[len(cs):]
@@ -167,10 +166,9 @@ func (g *groupRunner) flush() {
 			if root && fr.env.tpol != nil {
 				period := fr.env.sess.periodMS()
 				delay := ex.AdmissionDelayMS(ready)
-				if fr.env.tryBridgeRoot(ready, delay, period) {
+				if done, ok := fr.env.tryBridgeRoot(ready, delay, period); ok {
 					// Tracker prediction stands in: no device job, the
 					// bridge latency is the motion-model extrapolation.
-					done := ready + fr.env.sess.Temporal.BridgeCostMS()
 					dones[gi][name] = done
 					stats[gi].StageMS[name] = done - ready
 					bridgedRoot[gi] = true
@@ -189,7 +187,7 @@ func (g *groupRunner) flush() {
 				queues[ex] = q
 				order = append(order, ex)
 			}
-			q.jobs = append(q.jobs, waveJob{gi: gi, name: name, p: p, ready: ready, root: root, rung: rung})
+			q.jobs = append(q.jobs, waveJob{gi: gi, name: name, p: p, ready: ready, root: root})
 			prec := fr.env.sess.Precision.PrecisionFor(name)
 			settle(q, q.mb.Offer(device.Job{
 				Model: p.Model, ArrivalMS: ready,

@@ -302,17 +302,17 @@ func (DropPolicy) RunStage(readyMS, busyUntilMS, periodMS float64) bool {
 //
 // Staleness clock: SlackFrames is measured in frame periods against the
 // stage's ready time — the same unit the temporal ladder's bridging
-// budget uses (temporal.Config.MaxBridged caps consecutive tracker-
-// bridged frame periods; see Session.Temporal). The two layers compound:
+// budget uses (temporal.MaxBridged caps consecutive tracker-bridged
+// frame periods; see Session.Temporal). The two layers compound:
 // a bridged root already serves a prediction MaxBridged periods stale
 // at worst, and a stale-skip downstream of it ages the frame's
 // auxiliary outputs further. They therefore share one accounting — a
 // bridge advances the ladder's forced-refresh clock (Policy.Bridge)
 // exactly as a reduced-rung inference does, and any downstream skip on
 // a bridged frame is surfaced in StreamResult.DoubleSkips rather than
-// folded invisibly into StageSkips. Budgets should be set jointly:
-// worst-case staleness is (MaxBridged + SlackFrames) periods, not
-// either bound alone.
+// folded invisibly into StageSkips. Set SlackFrames with the ladder's
+// budget in mind: worst-case staleness is (MaxBridged + SlackFrames)
+// periods, not either bound alone.
 type StaleSkipPolicy struct {
 	// SlackFrames is the staleness tolerance in frame periods
 	// (default 1).

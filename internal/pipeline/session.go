@@ -82,9 +82,11 @@ type Session struct {
 	// Temporal enables the cross-frame degradation ladder on the
 	// session's root stages: queue pressure steps the root inference
 	// down to ROI / early-exit cost by scaling the device job's service
-	// time, and inside the staleness budget a tracker-bridged frame
-	// skips the device entirely, charged Temporal.BridgeCostMS. The zero
-	// value replays the pre-temporal schedule bit for bit.
+	// time, and inside the ladder's fixed staleness budget (at most
+	// temporal.MaxBridged in a row after a real root inference) a
+	// tracker-bridged frame skips the device entirely, charged the
+	// ladder's bridge cost. The zero value replays the pre-temporal
+	// schedule bit for bit.
 	//
 	// The ladder's staleness clock is shared with the back-pressure
 	// layer: a bridged root advances the same forced-refresh clock
@@ -262,7 +264,7 @@ func (s *Session) env(shared *device.Cluster) *execEnv {
 		skips: map[string]int{}, compiled: map[string]Placement{},
 		outages: sortedOutages(s.Outages, nil)}
 	if s.Temporal.Enabled {
-		e.tpol = temporal.NewPolicy(s.Temporal.Ladder)
+		e.tpol = temporal.NewPolicy(temporal.Config{})
 	}
 	return e
 }

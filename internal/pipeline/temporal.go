@@ -4,22 +4,22 @@ import "ocularone/internal/temporal"
 
 // tryBridgeRoot decides whether a root-stage frame ready at readyMS
 // bridges: the executor cannot start it within one frame period, and
-// the stream's bridging budget (consecutive-bridge cap, confidence
-// floor) still allows coasting. On a bridge the caller charges
-// Temporal.BridgeCostMS instead of offering a device job.
-func (e *execEnv) tryBridgeRoot(readyMS, delayMS, periodMS float64) bool {
+// the stream's bridging budget (anchored, consecutive-bridge cap) still
+// allows coasting. On a bridge the caller takes the tracker's answer,
+// done at doneMS, instead of offering a device job.
+func (e *execEnv) tryBridgeRoot(readyMS, delayMS, periodMS float64) (doneMS float64, ok bool) {
 	if delayMS <= periodMS {
-		return false
+		return 0, false
 	}
-	stale, ok := e.tpol.Bridge(&e.track, readyMS)
+	stale, doneMS, ok := e.tpol.Bridge(&e.track, readyMS)
 	if !ok {
-		return false
+		return 0, false
 	}
 	if stale > e.staleMaxMS {
 		e.staleMaxMS = stale
 	}
 	e.bridged++
-	return true
+	return doneMS, true
 }
 
 // rootRung selects the inference rung for a root-stage job that was not

@@ -20,20 +20,18 @@ func ladderSession(frames int) *Session {
 	}
 }
 
-// TestPipelineTemporalZeroKnob: a fully-knobbed but disabled temporal
-// policy replays the pre-temporal schedule bit for bit.
+// TestPipelineTemporalZeroKnob: a temporal layer set but disabled
+// replays the pre-temporal schedule bit for bit and records no ladder
+// work. Enabled is the layer's only field, so the disabled layer is the
+// zero value and the schedule comparison is trivially true; only the
+// no-work check still tests something.
 func TestPipelineTemporalZeroKnob(t *testing.T) {
 	base, err := ladderSession(40).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := ladderSession(40)
-	s.Temporal = temporal.Layer{
-		Enabled: false,
-		Ladder: temporal.Config{MaxBridged: 9, ConfDecay: 0.5, ConfFloor: 0.1,
-			RefreshEvery: 3, ROICost: 0.3, EarlyExitCost: 0.6},
-		BridgeMS: 2,
-	}
+	s.Temporal = temporal.Layer{Enabled: false}
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +74,8 @@ func TestPipelineTemporalLadderUnderOverload(t *testing.T) {
 	}
 	// The budget bounds consecutive bridges between real inferences.
 	real := len(res.Frames) - res.Bridged
-	maxB := temporal.Config{}.WithDefaults().MaxBridged
-	if real <= 0 || res.Bridged > real*maxB {
-		t.Fatalf("%d bridges vs %d real frames exceeds budget %d", res.Bridged, real, maxB)
+	if real <= 0 || res.Bridged > real*temporal.MaxBridged {
+		t.Fatalf("%d bridges vs %d real frames exceeds budget %d", res.Bridged, real, temporal.MaxBridged)
 	}
 	// Shedding device time must shrink the end-to-end latency tail.
 	if res.E2E.P95MS >= base.E2E.P95MS {

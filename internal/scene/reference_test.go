@@ -59,10 +59,6 @@ func refRender(s *Scene, cam Camera) (*imgproc.Image, *GroundTruth) {
 func refDrawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, texRNG *rng.RNG) {
 	w, h := cam.W, cam.H
 	horizon := int(cam.horizonY())
-	skyTone := s.SkyTone
-	if skyTone == 0 {
-		skyTone = 200
-	}
 	var ground [3]uint8
 	switch s.Background {
 	case Footpath:
@@ -186,7 +182,6 @@ func busyScene(bg Background, cond Condition, lighting float64, seed uint64) *Sc
 	s := &Scene{
 		Background: bg, Condition: cond, Lighting: lighting,
 		CamHeightM: r.Range(1.2, 2.4), Clutter: r.Float64(), Seed: seed,
-		SkyTone: uint8(r.Intn(256)), // 0 selects the default tone
 	}
 	for _, k := range []EntityKind{VIP, Pedestrian, Bicycle, ParkedCar, LampPost} {
 		e := RandomEntity(r, k)

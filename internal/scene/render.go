@@ -98,13 +98,13 @@ func shade(c [3]uint8, f float64) (uint8, uint8, uint8) {
 	return cl(float64(c[0]) * f), cl(float64(c[1]) * f), cl(float64(c[2]) * f)
 }
 
+// skyTone is the sky's base brightness: the gradient runs from 0.75 of
+// it at the top of the frame to all of it at the horizon.
+const skyTone = 200
+
 func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, texRNG *rng.RNG) {
 	w, h := cam.W, cam.H
 	horizon := int(cam.horizonY())
-	skyTone := s.SkyTone
-	if skyTone == 0 {
-		skyTone = 200
-	}
 	g := &groundTabs[min(uint(s.Background), uint(len(groundTabs)-1))]
 	vec := vectorForm()
 	noise := texRNG.Split("ground-texture")

@@ -131,7 +131,6 @@ type Scene struct {
 	Lighting   float64 // ambient multiplier; 1.0 nominal daylight, <0.5 dusk
 	CamHeightM float64 // camera height above ground, metres
 	Entities   []Entity
-	SkyTone    uint8   // base sky brightness
 	Clutter    float64 // 0-1 background busy-ness (buildings, trees)
 	Seed       uint64  // texture noise stream
 	// Condition applies an environmental degradation at render time

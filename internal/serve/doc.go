@@ -48,7 +48,7 @@
 //   - Integrity (integrity.go): end-to-end silent-error recovery.
 //     SetSDC drives a silent-data-corruption process (modelling the
 //     escape rate of the compute tier's ABFT checksums and guard
-//     sentinels as DetectCoverage); detected corruptions are retried
+//     sentinels as detectCoverage); detected corruptions are retried
 //     under a bounded, budget-capped RetryPolicy whose re-executions
 //     are ordinary queued events and whose pending work is visible
 //     to the admission predictor, or flagged and dropped when retries

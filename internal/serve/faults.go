@@ -54,24 +54,15 @@ type Disruption interface {
 // pressure — overload, a thermal storm, the backlog after an outage —
 // the controller downshifts to int8 and the dispatcher serves every
 // request quantized (faster, less accurate); once the miss rate falls
-// back below adaptMissLo it upshifts to nominal. Degraded completions are
-// fed to the controller as detection failures, which is exactly the
-// pressure that drives the upshift: managed degradation, then managed
-// recovery.
+// back below the epoch's low mark it upshifts to nominal. Degraded
+// completions are fed to the controller as detection failures, which is
+// exactly the pressure that drives the upshift: managed degradation,
+// then managed recovery. The epoch is adaptive.ServingEpoch.
 type AdaptConfig struct {
 	// Enabled turns the controller on. It has no effect when the
 	// nominal precision is already int8 (no faster arm exists).
 	Enabled bool
 }
-
-// The adaptation epoch is adaptWindow completions; the controller
-// downshifts when an epoch's deadline-miss rate exceeds adaptMissHi and
-// allows the upshift below adaptMissLo.
-const (
-	adaptWindow = 64
-	adaptMissHi = 0.25
-	adaptMissLo = 0.05
-)
 
 // FailDevice fails the device at now until restoreAtMS: the in-flight
 // batch (if any) completes, no new batch dispatches while down, and
@@ -187,7 +178,6 @@ func (s *Server) initAdapt(cfg Config, maxB int) {
 		return
 	}
 	s.deg = newSvcTable(cfg, s.g.mixCum, device.INT8, maxB, &s.nom)
-	ac := adaptive.Config{Window: adaptWindow, MissHi: adaptMissHi, MissLo: adaptMissLo}
 	// Start on the nominal arm (index 1); arm 0 is the degraded int8.
-	s.ctl = adaptive.NewController(adaptive.PrecisionArms(cfg.Device, cfg.Precision), 1, ac)
+	s.ctl = adaptive.NewController(adaptive.PrecisionArms(cfg.Device, cfg.Precision), 1, adaptive.ServingEpoch())
 }

@@ -7,7 +7,7 @@ package serve
 // The SDC fault process (SetSDC, driven by the chaos layer) corrupts
 // each completion with a per-request probability while active. The
 // compute tier's detectors (ABFT + guards, internal/nn) catch a
-// corruption with the configured DetectCoverage; a detected corruption
+// corruption with probability detectCoverage; a detected corruption
 // is never served — it retries if the retry policy has attempts and
 // budget left, otherwise it completes as a (missed, flagged) response.
 // An undetected corruption is served as if clean — the requester
@@ -26,8 +26,8 @@ package serve
 //
 // Retry events ride the same event queue as everything else:
 // backoff is deterministic (attempt k waits k·BackoffMS), the retry
-// budget caps total retries at BudgetFrac of admitted requests (retry
-// storms cannot melt an already-degraded device), and the pending-
+// budget caps total retries at retryBudgetFrac of admitted requests
+// (retry storms cannot melt an already-degraded device), and the pending-
 // retry ledger is folded into the admission predictor so a re-queue
 // burst after a fault is visible to shed-if-doomed the moment it is
 // scheduled, not when it lands back in the queue.
@@ -38,10 +38,7 @@ package serve
 // bit (integrity counters are only mixed into the fingerprint when the
 // layer is live).
 
-import (
-	"ocularone/internal/device"
-	"ocularone/internal/temporal"
-)
+import "ocularone/internal/device"
 
 // RetryPolicy bounds re-execution of detected-corrupt requests.
 type RetryPolicy struct {
@@ -52,11 +49,18 @@ type RetryPolicy struct {
 	// request waits k*BackoffMS after the detection (0 = immediate
 	// requeue).
 	BackoffMS float64
-	// BudgetFrac caps total retries at this fraction of admitted
-	// requests (0 selects 0.1). The budget is what turns a retry storm
-	// into bounded, shed-aware degradation.
-	BudgetFrac float64
 }
+
+const (
+	// retryBudgetFrac caps total retries at this fraction of admitted
+	// requests. The budget is what turns a retry storm into bounded,
+	// shed-aware degradation.
+	retryBudgetFrac = 0.1
+	// detectCoverage is the modelled probability the compute tier's
+	// detectors catch an injected corruption: the ABFT+guard coverage
+	// the ext-integrity study measures (int8 ABFT alone would be 1.0).
+	detectCoverage = 0.99
+)
 
 // enabled reports whether the policy grants any retries.
 func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
@@ -78,11 +82,6 @@ type HedgePolicy struct {
 type IntegrityConfig struct {
 	Retry RetryPolicy
 	Hedge HedgePolicy
-	// DetectCoverage is the modelled probability the compute tier's
-	// detectors catch an injected corruption (0 selects 0.99, the
-	// ABFT+guard coverage the ext-integrity study measures; int8 ABFT
-	// alone would be 1.0).
-	DetectCoverage float64
 }
 
 // enabled reports whether any request-integrity machinery is active.
@@ -90,25 +89,13 @@ func (c IntegrityConfig) enabled() bool {
 	return c.Retry.enabled() || c.Hedge.Enabled
 }
 
-// coverage returns the effective detection coverage.
-func (c IntegrityConfig) coverage() float64 {
-	if c.DetectCoverage > 0 {
-		return c.DetectCoverage
-	}
-	return 0.99
-}
-
 // retryBudget returns the retry cap for the admitted count so far.
 func (s *Server) retryBudget() int64 {
-	frac := s.cfg.Integrity.Retry.BudgetFrac
-	if frac <= 0 {
-		frac = 0.1
-	}
 	var admitted int64
 	for c := range s.tallies {
 		admitted += s.tallies[c].admitted
 	}
-	return int64(frac * float64(admitted))
+	return int64(retryBudgetFrac * float64(admitted))
 }
 
 // hedgeBudget returns the hedge cap for the offered count so far.
@@ -188,7 +175,7 @@ func (s *Server) completeViaHedge(ri int32) {
 	if s.tpol != nil {
 		// The hedge device ran a full-frame pass: it re-anchors the
 		// tenant's track exactly like a primary full-frame completion.
-		s.tracks[r.tenant].Anchor(temporal.FullFrame, r.hedgeDoneMS)
+		s.tracks[r.tenant].Anchor(r.hedgeDoneMS)
 	}
 	s.release(ri)
 }

@@ -38,15 +38,14 @@ func integrityRun(t testing.TB, ic IntegrityConfig, sdcProb, straggle float64) (
 
 // TestIntegrityZeroKnobParity pins the replay contract: an integrity
 // config whose every knob is individually disabled — one attempt, no
-// hedge, coverage explicitly at its default — leaves the schedule and
+// hedge though a hedge device is named — leaves the schedule and
 // the fingerprint bit-identical to a server that never heard of the
 // integrity layer.
 func TestIntegrityZeroKnobParity(t *testing.T) {
 	base, _ := integrityRun(t, IntegrityConfig{}, 0, 0)
 	zero, _ := integrityRun(t, IntegrityConfig{
-		Retry:          RetryPolicy{MaxAttempts: 1, BackoffMS: 5, BudgetFrac: 0.5},
-		Hedge:          HedgePolicy{Enabled: false, Device: device.OrinAGX},
-		DetectCoverage: 0.99,
+		Retry: RetryPolicy{MaxAttempts: 1, BackoffMS: 5},
+		Hedge: HedgePolicy{Enabled: false, Device: device.OrinAGX},
 	}, 0, 0)
 	if base.Fingerprint() != zero.Fingerprint() {
 		t.Fatalf("zero-knob integrity config diverged: %016x vs %016x",
@@ -79,20 +78,20 @@ func TestSDCDetectionCoverage(t *testing.T) {
 	}
 }
 
-// TestSDCRetryBudget: total retries stay within the configured budget
-// fraction of admitted requests.
+// TestSDCRetryBudget: total retries stay within the budget,
+// retryBudgetFrac of admitted requests.
 func TestSDCRetryBudget(t *testing.T) {
 	_, res := integrityRun(t, IntegrityConfig{
-		Retry: RetryPolicy{MaxAttempts: 4, BackoffMS: 2, BudgetFrac: 0.02},
+		Retry: RetryPolicy{MaxAttempts: 4, BackoffMS: 2},
 	}, 0.3, 0)
 	if res.Retries == 0 {
 		t.Fatal("no retries under a heavy SDC regime")
 	}
-	if cap := int64(0.02*float64(res.Admitted)) + 1; res.Retries > cap {
-		t.Fatalf("retries %d exceed budget %d (2%% of %d admitted)", res.Retries, cap, res.Admitted)
+	if cap := int64(retryBudgetFrac*float64(res.Admitted)) + 1; res.Retries > cap {
+		t.Fatalf("retries %d exceed budget %d (10%% of %d admitted)", res.Retries, cap, res.Admitted)
 	}
 	if res.RetriesGivenUp == 0 {
-		t.Fatal("a 2%% budget under 30%% corruption never exhausted")
+		t.Fatal("a 10% budget under 30% corruption never exhausted")
 	}
 }
 

@@ -82,16 +82,16 @@ type Config struct {
 	Adapt AdaptConfig
 	// Integrity configures request-level silent-error handling: retry
 	// of detected corruptions, deadline hedging onto a second device,
-	// and the modelled detection coverage (see integrity.go). The zero
+	// at the modelled detection coverage (see integrity.go). The zero
 	// value disables all of it and replays pre-integrity schedules bit
 	// for bit.
 	Integrity IntegrityConfig
-	// Temporal configures the cross-frame degradation ladder: ROI and
+	// Temporal switches on the cross-frame degradation ladder: ROI and
 	// early-exit dispatch rungs under deadline pressure and tracker-
-	// bridged responses for would-be sheds, inside an explicit staleness
-	// budget (see temporal.go and internal/temporal). The zero value
-	// disables the ladder and replays pre-temporal schedules bit for
-	// bit.
+	// bridged responses for would-be sheds, inside the ladder's fixed
+	// staleness budget (see temporal.go and internal/temporal). The
+	// zero value disables the ladder and replays pre-temporal schedules
+	// bit for bit.
 	Temporal temporal.Layer
 }
 
@@ -352,7 +352,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s.initAdapt(cfg, maxB)
 	if cfg.Temporal.Enabled {
-		s.tpol = temporal.NewPolicy(cfg.Temporal.Ladder)
+		s.tpol = temporal.NewPolicy(temporal.Config{})
 		s.tracks = make([]temporal.Track, nt)
 	}
 	for ti := range g.tenants {
@@ -806,7 +806,6 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 	start := s.comps[0].StartMS
 	arriveBack := s.backAt(finish)
 	degraded := s.degraded
-	cov := s.cfg.Integrity.coverage()
 	for _, ri := range s.batchReqs {
 		r := &s.pool[ri]
 		back := arriveBack
@@ -821,7 +820,7 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 			// tier's detectors (ABFT + guards) catch it with the modelled
 			// coverage; a detected corruption is never served.
 			s.res.SDCInjected++
-			detected := s.sdcRNG.Bool(cov)
+			detected := s.sdcRNG.Bool(detectCoverage)
 			if detected {
 				s.res.CorruptDetected++
 			}
@@ -876,7 +875,7 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 			case temporal.EarlyExit:
 				s.res.EarlyExitReqs++
 			}
-			s.tracks[r.tenant].Anchor(rung, back)
+			s.tracks[r.tenant].Anchor(back)
 		}
 		s.release(ri)
 	}

@@ -7,21 +7,21 @@ package serve
 // time, so the jitter stream is untouched), and admission converts
 // would-be sheds into tracker-bridged responses: a live track's
 // predicted box answers the request instantly, inside an explicit
-// staleness budget (max consecutive bridges per tenant, geometric
-// confidence decay with a floor, forced full-frame refresh).
+// staleness budget (at most temporal.MaxBridged consecutive bridges per
+// tenant, a forced full-frame refresh).
 //
 // Per-tenant bridge state models one tracked stream per tenant — the
 // drone-feed deployment this simulator serves, where each tenant is one
 // camera whose MultiTracker state lives server-side. A real completion
-// re-anchors the tenant's track at the completed rung's confidence;
-// each bridge decays it and lengthens the bridged run; the ladder
-// refuses to bridge once either budget is spent, and the request sheds
-// exactly as it would have without the ladder.
+// at any rung re-anchors the tenant's track; each bridge lengthens the
+// bridged run; the ladder refuses to bridge before the first anchor and
+// once the run reaches the budget, and the request sheds exactly as it
+// would have without the ladder.
 //
 // Everything is deterministic: the ladder policy draws no randomness,
 // bridged completions are computed inline from the arrival time, and
 // the temporal counters join the fingerprint only when the ladder is
-// enabled — the zero-knob configuration replays PR-9 serving
+// enabled — the disabled configuration replays PR-9 serving
 // fingerprints bit for bit (chaos.TestPR9ZeroKnobParity).
 
 import "ocularone/internal/temporal"
@@ -41,7 +41,7 @@ func (s *Server) temporalLive() bool { return s.tpol != nil }
 // work, so charging fairness for it would penalise exactly the tenants
 // the ladder is rescuing.
 func (s *Server) bridge(ti int, c Class, now, deadline float64) bool {
-	stale, ok := s.tpol.Bridge(&s.tracks[ti], now)
+	stale, done, ok := s.tpol.Bridge(&s.tracks[ti], now)
 	if !ok {
 		return false
 	}
@@ -50,7 +50,7 @@ func (s *Server) bridge(ti int, c Class, now, deadline float64) bool {
 	s.staleHist.Add(stale)
 	// A bridged response is a degraded completion: stale-by-one-frame
 	// accuracy, fed to both controllers as detection-failure pressure.
-	s.answer(c, int32(ti), now, deadline, s.backAt(now+s.cfg.Temporal.BridgeCostMS()), false, true)
+	s.answer(c, int32(ti), now, deadline, s.backAt(done), false, true)
 	return true
 }
 

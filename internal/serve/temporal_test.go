@@ -46,9 +46,11 @@ func overloadConfig(horizonMS float64, seed uint64, rho float64) Config {
 	return cfg
 }
 
-// TestTemporalZeroKnobReplay: a Temporal config with every ladder knob
-// explicitly set but Enabled=false must replay the plain serving
-// fingerprint bit for bit — the ladder is provably inert until enabled.
+// TestTemporalZeroKnobReplay: a Temporal layer set with Enabled=false
+// must replay the plain serving fingerprint bit for bit. Enabled is the
+// layer's only field, so that layer is the zero value and both runs use
+// the same config: the check is now trivially true, and inertness is
+// pinned by the golden fingerprints instead.
 func TestTemporalZeroKnobReplay(t *testing.T) {
 	base := overloadConfig(4_000, 7, 1.2)
 	sPlain := NewServer(base)
@@ -56,14 +58,7 @@ func TestTemporalZeroKnobReplay(t *testing.T) {
 	sPlain.Drain()
 
 	knobbed := base
-	knobbed.Temporal = temporal.Layer{
-		Enabled: false, // the only knob that matters
-		Ladder: temporal.Config{
-			MaxBridged: 9, ConfDecay: 0.5, ConfFloor: 0.1,
-			RefreshEvery: 3, ROICost: 0.3, EarlyExitCost: 0.6,
-		},
-		BridgeMS: 2,
-	}
+	knobbed.Temporal = temporal.Layer{Enabled: false} // the ladder's only knob
 	sKnob := NewServer(knobbed)
 	sKnob.AdvanceTo(knobbed.HorizonMS)
 	sKnob.Drain()
@@ -110,22 +105,27 @@ func TestTemporalBridgingUnderOverload(t *testing.T) {
 	}
 }
 
-// TestTemporalStalenessBudget: tightening MaxBridged must strictly
-// reduce bridging, and the forced-refresh clock must fire under
-// sustained pressure.
+// TestTemporalStalenessBudget: under sustained 2x overload the
+// staleness budget bites — a tenant's track stops bridging after
+// temporal.MaxBridged answers in a row, so some would-be sheds still
+// shed and bridges stay within MaxBridged per real completion — and the
+// forced-refresh clock fires.
 func TestTemporalStalenessBudget(t *testing.T) {
-	run := func(maxBridged int) Result {
-		cfg := overloadConfig(6_000, 42, 2.0)
-		cfg.Temporal.Enabled = true
-		cfg.Temporal.Ladder.MaxBridged = maxBridged
-		return Run(cfg)
+	cfg := overloadConfig(6_000, 42, 2.0)
+	cfg.Temporal.Enabled = true
+	res := Run(cfg)
+	if res.BridgedReqs == 0 {
+		t.Fatal("no bridged responses at 2x overload")
 	}
-	tight, loose := run(1), run(8)
-	if tight.BridgedReqs >= loose.BridgedReqs {
-		t.Fatalf("MaxBridged=1 bridged %d, MaxBridged=8 bridged %d — budget has no bite",
-			tight.BridgedReqs, loose.BridgedReqs)
+	// Without chaos every shed under the ladder is a refused bridge.
+	if res.Shed == 0 {
+		t.Fatalf("bridged %d and shed nothing — budget has no bite", res.BridgedReqs)
 	}
-	if loose.ForcedRefreshes == 0 {
+	if real := res.Completed - res.BridgedReqs; res.BridgedReqs > real*temporal.MaxBridged {
+		t.Fatalf("%d bridges exceed %d real completions x budget %d",
+			res.BridgedReqs, real, temporal.MaxBridged)
+	}
+	if res.ForcedRefreshes == 0 {
 		t.Fatal("staleness clock never forced a refresh under 2x overload")
 	}
 }
@@ -194,9 +194,8 @@ func TestTemporalBridgeAnchoring(t *testing.T) {
 	}
 	// Per anchor, at most MaxBridged bridges; tenants' first bridges need
 	// one anchor each, so the global ratio is bounded by the budget.
-	maxB := int64(temporal.Config{}.WithDefaults().MaxBridged)
-	if res.BridgedReqs > real*maxB {
+	if res.BridgedReqs > real*temporal.MaxBridged {
 		t.Fatalf("%d bridges exceed %d real completions x budget %d",
-			res.BridgedReqs, real, maxB)
+			res.BridgedReqs, real, temporal.MaxBridged)
 	}
 }

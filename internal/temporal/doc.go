@@ -13,18 +13,19 @@
 //	               in for the skipped frame
 //
 // Policy composes a windowed adaptive.Controller over the rung
-// spectrum (the slow trend) with immediate pressure overrides computed
-// from device.Executor signals (queue delay vs deadline slack, outage
-// state, thermal throttle) and a hard staleness budget: at most
-// MaxBridged consecutive bridged frames per track, per-bridge
-// confidence decay with a floor, and a forced full-frame refresh every
-// RefreshEvery frames regardless of pressure. A Track is one stream's
+// spectrum (the slow trend, on adaptive.ServingEpoch) with immediate
+// pressure overrides computed from device.Executor signals (queue delay
+// vs deadline slack, outage state, thermal throttle) and a hard
+// staleness budget: at most MaxBridged consecutive bridged frames per
+// anchored track, and a forced full-frame refresh after 8 consecutive
+// frames below full regardless of pressure. A Track is one stream's
 // share of that budget: Policy.Bridge spends it, Track.Anchor restores
-// it after a real inference. Layer is the ladder's configuration in an
-// embedding tier (serve.Config.Temporal, pipeline.Session.Temporal).
+// it after a real inference. The budget and the rungs' costs are
+// constants; Layer only switches the ladder on in an embedding tier
+// (serve.Config.Temporal, pipeline.Session.Temporal).
 //
 // The policy draws no randomness and allocates nothing on its decision
 // path, so embedding it is fingerprint-inert until enabled: the serve
-// tier's zero-knob configuration replays the PR-9 golden fingerprints
+// tier's disabled configuration replays the PR-9 golden fingerprints
 // bit for bit (see internal/chaos TestPR9ZeroKnobParity).
 package temporal

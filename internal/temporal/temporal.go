@@ -12,7 +12,7 @@ type Rung uint8
 const (
 	// Bridge (L3): no inference at all — a live track's motion-model
 	// prediction stands in for the skipped detect frame, inside the
-	// staleness budget (MaxBridged, ConfFloor, RefreshEvery).
+	// staleness budget (MaxBridged and the forced-refresh clock).
 	Bridge Rung = iota
 	// EarlyExit (L2): confidence-based early exit in the detect head —
 	// a reduced-resolution first pass that returns as soon as it is
@@ -42,105 +42,44 @@ func (r Rung) String() string {
 	return "rung?"
 }
 
-// Config tunes the ladder policy. The zero value selects the defaults
-// below; a zero-value (or Enabled=false at the embedding layer) config
-// never changes scheduling, so historic fingerprints replay bit for
-// bit.
-type Config struct {
-	// MaxBridged caps consecutive tracker-bridged frames per track
-	// (default 4). This is the same staleness unit as
-	// pipeline.StaleSkipPolicy.SlackFrames: both bound, in frame
-	// periods, how stale the state a consumer sees may become — see the
-	// doc comment on StaleSkipPolicy for how the two clocks compose.
-	MaxBridged int
-	// ConfDecay multiplies a track's bridging confidence per bridged
-	// frame (default 0.8, the tracker's own coasting decay, so the serve
-	// tier's budget and the tracker agree).
-	ConfDecay float64
-	// ConfFloor is the minimum confidence at which bridging is still
-	// allowed (default 0.3). Once decay crosses the floor the ladder
-	// refuses to bridge until a real inference refreshes the track.
-	ConfFloor float64
-	// RefreshEvery forces a full-frame pass after this many consecutive
-	// non-full rungs (default 8) — the bound on how long ROI crops and
-	// early exits can compound before re-anchoring against ground truth.
-	RefreshEvery int
-	// ROICost and EarlyExitCost are the service-time fractions of a
-	// full-frame pass charged at those rungs (defaults 0.45 and 0.70:
-	// a 96px plan cropped to the stride-snapped 64px ROI shape costs
-	// ~0.44x, and the early-exit head resolves ~70% of frames in its
-	// cheap first pass).
-	ROICost, EarlyExitCost float64
-	// Window, MissHi, MissLo tune the embedded adaptive.Controller
-	// epoch (defaults 64, 0.25, 0.05 — the serve tier's precision
-	// controller constants, so the rung controller and the precision
-	// controller walk at the same cadence).
-	Window         int
-	MissHi, MissLo float64
-}
+// Config is the ladder policy's configuration. It has no fields: the
+// staleness budget and cost model below are the one setting every
+// program runs. NewPolicy keeps the argument only because the
+// repository benchmark (benchmark/probes.go) passes one.
+type Config struct{}
 
-// WithDefaults returns the config with every zero field resolved to
-// its default — the resolved view embedding layers and tests compare
-// budgets against.
-func (c Config) WithDefaults() Config {
-	c.defaults()
-	return c
-}
+// MaxBridged caps consecutive tracker-bridged frames per track. This is
+// the same staleness unit as pipeline.StaleSkipPolicy.SlackFrames: both
+// bound, in frame periods, how stale the state a consumer sees may
+// become — see the doc comment on StaleSkipPolicy for how the two
+// clocks compose.
+const MaxBridged = 4
 
-func (c *Config) defaults() {
-	if c.MaxBridged <= 0 {
-		c.MaxBridged = 4
-	}
-	if c.ConfDecay <= 0 {
-		c.ConfDecay = 0.8
-	}
-	if c.ConfFloor <= 0 {
-		c.ConfFloor = 0.3
-	}
-	if c.RefreshEvery <= 0 {
-		c.RefreshEvery = 8
-	}
-	if c.ROICost <= 0 {
-		c.ROICost = 0.45
-	}
-	if c.EarlyExitCost <= 0 {
-		c.EarlyExitCost = 0.70
-	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.MissHi <= 0 {
-		c.MissHi = 0.25
-	}
-	if c.MissLo <= 0 {
-		c.MissLo = 0.05
-	}
-}
+const (
+	// refreshEvery forces a full-frame pass after this many consecutive
+	// non-full rungs — the bound on how long ROI crops, early exits and
+	// bridges can compound before re-anchoring against ground truth.
+	refreshEvery = 8
+	// roiCost and earlyExitCost are the service-time fractions of a
+	// full-frame pass charged at those rungs: a 96px plan cropped to
+	// the stride-snapped 64px ROI shape costs ~0.44x, and the early-exit
+	// head resolves ~70% of frames in its cheap first pass.
+	roiCost       = 0.45
+	earlyExitCost = 0.70
+	// bridgeMS is the modelled cost of answering from the tracker's
+	// motion model instead of the device: a table lookup plus box
+	// extrapolation, no inference.
+	bridgeMS = 0.5
+)
 
 // Layer is the ladder's configuration in one embedding tier — the
 // serving simulator (serve.Config.Temporal) and the pipeline sessions
-// (pipeline.Session.Temporal). The zero value, and Enabled=false with
-// any knob set, disables the ladder: the tier schedules exactly as it
-// did before the ladder existed and replays historic results bit for
-// bit.
+// (pipeline.Session.Temporal). The zero value disables the ladder: the
+// tier schedules exactly as it did before the ladder existed and
+// replays historic results bit for bit.
 type Layer struct {
 	// Enabled turns the ladder on.
 	Enabled bool
-	// Ladder tunes the rung policy and staleness budget (zero values
-	// select the defaults above).
-	Ladder Config
-	// BridgeMS is the modelled cost of answering from the tracker's
-	// motion model instead of the device (0 selects 0.5 ms — a table
-	// lookup plus box extrapolation, no inference).
-	BridgeMS float64
-}
-
-// BridgeCostMS returns the effective bridged-response cost.
-func (l Layer) BridgeCostMS() float64 {
-	if l.BridgeMS > 0 {
-		return l.BridgeMS
-	}
-	return 0.5
 }
 
 // Signals are the live pressure inputs a caller samples per decision.
@@ -186,7 +125,6 @@ func Arms() []adaptive.Arm {
 // refresh clock. Select is deterministic and allocation-free; the
 // policy consumes no randomness, so enabling it perturbs no rng stream.
 type Policy struct {
-	cfg Config
 	ctl *adaptive.Controller
 
 	sinceFull int   // consecutive selections below FullFrame
@@ -194,16 +132,9 @@ type Policy struct {
 }
 
 // NewPolicy returns a ladder policy starting at FullFrame.
-func NewPolicy(cfg Config) *Policy {
-	cfg.defaults()
-	ctl := adaptive.NewController(Arms(), int(FullFrame), adaptive.Config{
-		Window: cfg.Window, MissHi: cfg.MissHi, MissLo: cfg.MissLo,
-	})
-	return &Policy{cfg: cfg, ctl: ctl}
+func NewPolicy(Config) *Policy {
+	return &Policy{ctl: adaptive.NewController(Arms(), int(FullFrame), adaptive.ServingEpoch())}
 }
-
-// Config returns the policy's resolved configuration (defaults filled).
-func (p *Policy) Config() Config { return p.cfg }
 
 // Select returns the rung for the next dispatched inference. It never
 // returns Bridge — bridging replaces an inference rather than shaping
@@ -217,7 +148,7 @@ func (p *Policy) Config() Config { return p.cfg }
 // rung, where pressure = QueueDelayMS scaled up by thermal throttle and
 // compared against the deadline slack.
 func (p *Policy) Select(sig Signals) Rung {
-	if p.sinceFull >= p.cfg.RefreshEvery {
+	if p.sinceFull >= refreshEvery {
 		p.forced++
 		return p.take(FullFrame)
 	}
@@ -248,39 +179,35 @@ func (p *Policy) take(r Rung) Rung {
 	return r
 }
 
-// Track is one stream's bridging budget: the frames it has bridged in
-// a row, the confidence it has left to bridge on, and when its last real
-// inference anchored it. The zero value is an unanchored track, which
-// cannot bridge.
+// Track is one stream's bridging budget: whether a real inference has
+// anchored it, when, and the frames it has bridged in a row since. The
+// zero value is an unanchored track, which cannot bridge.
 type Track struct {
+	anchored bool
 	run      int
-	conf     float64
 	anchorMS float64
 }
 
-// Anchor re-seeds t after a real inference at rung r whose result is
-// back at atMS: the bridged run resets and the confidence restarts at
-// r's anchor strength (lower rungs anchor less firmly, so their tracks
-// exhaust the budget sooner).
-func (t *Track) Anchor(r Rung, atMS float64) {
-	t.run, t.conf, t.anchorMS = 0, r.Confidence(), atMS
+// Anchor re-seeds t after a real inference whose result is back at
+// atMS: the bridged run resets.
+func (t *Track) Anchor(atMS float64) {
+	t.anchored, t.run, t.anchorMS = true, 0, atMS
 }
 
 // Bridge answers one frame at nowMS from t's motion model if the
-// staleness budget allows — fewer than MaxBridged bridges in a row and
-// confidence at or above ConfFloor — and returns the answer's staleness,
-// the time since t's anchor. A bridge lengthens t's run, decays its
-// confidence by ConfDecay and advances the forced-refresh clock Select
+// staleness budget allows — t is anchored and has bridged fewer than
+// MaxBridged frames in a row — and returns the answer's staleness, the
+// time since t's anchor, and when the answer is back. A bridge
+// lengthens t's run and advances the forced-refresh clock Select
 // maintains: a bridge is the stalest rung, so the two layers that skip
 // frames cannot double-skip silently (see pipeline.StaleSkipPolicy).
-func (p *Policy) Bridge(t *Track, nowMS float64) (staleMS float64, ok bool) {
-	if t.run < p.cfg.MaxBridged && t.conf >= p.cfg.ConfFloor {
-		t.run++
-		t.conf *= p.cfg.ConfDecay
-		p.sinceFull++
-		return nowMS - t.anchorMS, true
+func (p *Policy) Bridge(t *Track, nowMS float64) (staleMS, backMS float64, ok bool) {
+	if !t.anchored || t.run >= MaxBridged {
+		return 0, 0, false
 	}
-	return 0, false
+	t.run++
+	p.sinceFull++
+	return nowMS - t.anchorMS, nowMS + bridgeMS, true
 }
 
 // CostScale returns the service-time multiplier charged at rung r
@@ -288,24 +215,9 @@ func (p *Policy) Bridge(t *Track, nowMS float64) (staleMS float64, ok bool) {
 func (p *Policy) CostScale(r Rung) float64 {
 	switch r {
 	case ROI:
-		return p.cfg.ROICost
+		return roiCost
 	case EarlyExit:
-		return p.cfg.EarlyExitCost
-	case Bridge:
-		return 0
-	}
-	return 1
-}
-
-// Confidence returns the track confidence a completed inference at rung
-// r re-seeds: lower rungs anchor the track less firmly, so their
-// refreshed tracks exhaust the bridging budget sooner.
-func (r Rung) Confidence() float64 {
-	switch r {
-	case ROI:
-		return 0.9
-	case EarlyExit:
-		return 0.8
+		return earlyExitCost
 	case Bridge:
 		return 0
 	}

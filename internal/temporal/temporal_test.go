@@ -3,6 +3,8 @@ package temporal
 import (
 	"reflect"
 	"testing"
+
+	"ocularone/internal/adaptive"
 )
 
 func TestLadderRungOrder(t *testing.T) {
@@ -65,14 +67,14 @@ func TestLadderPressureOverrides(t *testing.T) {
 }
 
 func TestLadderForcedRefresh(t *testing.T) {
-	p := NewPolicy(Config{RefreshEvery: 4})
+	p := NewPolicy(Config{})
 	hot := Signals{QueueDelayMS: 100, SlackMS: 10}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < refreshEvery; i++ {
 		if r := p.Select(hot); r != EarlyExit {
 			t.Fatalf("frame %d: %s", i, r)
 		}
 	}
-	// The fifth consecutive sub-full frame must be forced to full,
+	// The next consecutive sub-full frame must be forced to full,
 	// whatever the pressure says.
 	if r := p.Select(hot); r != FullFrame {
 		t.Fatalf("staleness clock did not force a refresh: %s", r)
@@ -80,13 +82,19 @@ func TestLadderForcedRefresh(t *testing.T) {
 	if p.ForcedRefreshes() != 1 {
 		t.Fatalf("forced = %d", p.ForcedRefreshes())
 	}
-	// Bridged frames advance the same clock.
-	p2 := NewPolicy(Config{RefreshEvery: 3})
+	// Bridged frames advance the same clock: MaxBridged bridges and the
+	// rest of refreshEvery in sub-full selections reach it.
+	p2 := NewPolicy(Config{})
 	var tr Track
-	tr.Anchor(FullFrame, 0)
-	for i := 0; i < 3; i++ {
-		if _, ok := p2.Bridge(&tr, float64(i)); !ok {
+	tr.Anchor(0)
+	for i := 0; i < MaxBridged; i++ {
+		if _, _, ok := p2.Bridge(&tr, float64(i)); !ok {
 			t.Fatalf("bridge %d refused inside the budget", i)
+		}
+	}
+	for i := MaxBridged; i < refreshEvery; i++ {
+		if r := p2.Select(hot); r != EarlyExit {
+			t.Fatalf("select %d after the bridges: %s", i, r)
 		}
 	}
 	if r := p2.Select(hot); r != FullFrame {
@@ -94,93 +102,82 @@ func TestLadderForcedRefresh(t *testing.T) {
 	}
 }
 
+// TestLadderBridgeBudget is the bridge-budget table: an unanchored track
+// bridges no frame, and an anchored one bridges exactly MaxBridged in a
+// row whatever part of its run a re-anchor cut short. A real inference
+// at any rung Select dispatches (FullFrame, ROI, EarlyExit) anchors
+// alike, so the table has no rung column.
 func TestLadderBridgeBudget(t *testing.T) {
-	p := NewPolicy(Config{MaxBridged: 3, ConfDecay: 0.5, ConfFloor: 0.2})
+	p := NewPolicy(Config{})
 	var tr Track
-	tr.Anchor(FullFrame, 0)
-	run := 0
-	for {
-		if _, ok := p.Bridge(&tr, 0); !ok {
-			break
-		}
-		run++
-		if run > 100 {
-			t.Fatal("bridge budget never exhausted")
-		}
+	if _, _, ok := p.Bridge(&tr, 0); ok {
+		t.Fatal("an unanchored track bridged")
 	}
-	// 1.0 -> 0.5 -> 0.25 would allow 3 by confidence, and MaxBridged
-	// caps at 3; either bound stopping at 3 is the contract.
-	if run != 3 {
-		t.Fatalf("bridged %d frames, want 3", run)
-	}
-	// Confidence floor alone must also stop bridging.
-	if _, ok := p.Bridge(&Track{conf: 0.1}, 0); ok {
-		t.Fatal("bridged below the confidence floor")
+	for cut := 0; cut <= MaxBridged; cut++ {
+		tr.Anchor(0)
+		for i := 0; i < cut; i++ {
+			if _, _, ok := p.Bridge(&tr, 1); !ok {
+				t.Fatalf("cut %d: bridge %d refused inside the budget", cut, i)
+			}
+		}
+		tr.Anchor(10)
+		run := 0
+		for ; run <= MaxBridged; run++ {
+			if _, _, ok := p.Bridge(&tr, 20); !ok {
+				break
+			}
+		}
+		if run != MaxBridged {
+			t.Fatalf("re-anchored after %d bridges: bridged %d, want %d", cut, run, MaxBridged)
+		}
 	}
 }
 
-// TestTrack: the zero Track cannot bridge; an anchored one bridges at
-// most MaxBridged frames in a row while its confidence holds the floor,
-// each answer is exactly as stale as the time since the anchor, every
-// bridge advances the forced-refresh clock, and a new anchor restores
-// the budget at the rung's confidence.
+// TestTrack: an anchored track's answers are exactly as stale as the
+// time since the anchor and back bridgeMS after they are asked for,
+// every bridge advances the forced-refresh clock, the run stops at
+// MaxBridged, and a new anchor restores it.
 func TestTrack(t *testing.T) {
-	p := NewPolicy(Config{MaxBridged: 5, ConfDecay: 0.8, ConfFloor: 0.6, RefreshEvery: 4})
+	p := NewPolicy(Config{})
 	var tr Track
-	if _, ok := p.Bridge(&tr, 10); ok {
-		t.Fatal("an unanchored track bridged")
-	}
-	tr.Anchor(FullFrame, 100)
-	var stales []float64
-	for now := 120.0; ; now += 20 {
-		stale, ok := p.Bridge(&tr, now)
+	tr.Anchor(100)
+	var stales, backs []float64
+	for now := 120.0; now < 1000; now += 20 {
+		stale, back, ok := p.Bridge(&tr, now)
 		if !ok {
 			break
 		}
-		stales = append(stales, stale)
+		stales, backs = append(stales, stale), append(backs, back)
 	}
-	// 1.0 -> 0.8 -> 0.64 -> 0.512: the 0.6 floor stops the fourth,
-	// before MaxBridged would.
-	if want := []float64{20, 40, 60}; !reflect.DeepEqual(stales, want) {
+	if want := []float64{20, 40, 60, 80}; !reflect.DeepEqual(stales, want) {
 		t.Fatalf("stale ages %v, want %v", stales, want)
 	}
-	// Three bridges plus one sub-full selection reach RefreshEvery.
+	if want := []float64{120.5, 140.5, 160.5, 180.5}; !reflect.DeepEqual(backs, want) {
+		t.Fatalf("answers back at %v, want %v", backs, want)
+	}
+	// MaxBridged bridges plus the rest of refreshEvery in sub-full
+	// selections reach the refresh clock.
 	hot := Signals{QueueDelayMS: 100, SlackMS: 10}
-	if r := p.Select(hot); r != EarlyExit {
-		t.Fatalf("first select after the bridges: %s", r)
+	for i := MaxBridged; i < refreshEvery; i++ {
+		if r := p.Select(hot); r != EarlyExit {
+			t.Fatalf("select %d after the bridges: %s", i, r)
+		}
 	}
 	if r := p.Select(hot); r != FullFrame || p.ForcedRefreshes() != 1 {
 		t.Fatalf("bridges did not count toward the refresh clock: %s, forced %d", r, p.ForcedRefreshes())
 	}
-	// An EarlyExit anchor (confidence 0.8) allows exactly two more
-	// (0.8 -> 0.64 -> 0.512); MaxBridged alone caps a firm anchor.
-	tr.Anchor(EarlyExit, 500)
-	n := 0
-	for ; n < 10; n++ {
-		if _, ok := p.Bridge(&tr, 600); !ok {
-			break
-		}
-	}
-	if n != 2 {
-		t.Fatalf("early-exit anchor bridged %d, want 2", n)
-	}
-	q := NewPolicy(Config{MaxBridged: 2, ConfDecay: 1})
-	tr.Anchor(FullFrame, 0)
-	for n = 0; n < 10; n++ {
-		if _, ok := q.Bridge(&tr, 0); !ok {
-			break
-		}
-	}
-	if n != 2 {
-		t.Fatalf("MaxBridged 2 allowed %d bridges in a row", n)
+	tr.Anchor(500)
+	if stale, _, ok := p.Bridge(&tr, 600); !ok || stale != 100 {
+		t.Fatalf("re-anchored track: stale %v, ok %v", stale, ok)
 	}
 }
 
 func TestLadderControllerDescentAndRecovery(t *testing.T) {
-	p := NewPolicy(Config{Window: 8})
+	p := NewPolicy(Config{})
+	window := adaptive.ServingEpoch().Window
 	calm := Signals{SlackMS: 50}
 	// Sustained misses walk the windowed arm down below FullFrame.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < window; i++ {
 		p.Observe(true, false)
 	}
 	if p.Rung() != ROI {
@@ -191,7 +188,7 @@ func TestLadderControllerDescentAndRecovery(t *testing.T) {
 	}
 	// Two more windows reach the bottom; Select still never dispatches
 	// a Bridge.
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 2*window; i++ {
 		p.Observe(true, false)
 	}
 	if p.Rung() != Bridge {
@@ -201,7 +198,7 @@ func TestLadderControllerDescentAndRecovery(t *testing.T) {
 		t.Fatalf("bridge arm must dispatch as early-exit, got %s", r)
 	}
 	// Degraded completions with no misses walk back up.
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 4*window; i++ {
 		p.Observe(false, true)
 	}
 	if p.Rung() <= Bridge {
@@ -240,14 +237,6 @@ func TestLadderDeterminismAndCostModel(t *testing.T) {
 	}
 	if s := p.CostScale(EarlyExit); s != 0.70 {
 		t.Fatalf("early-exit cost %v", s)
-	}
-	if FullFrame.Confidence() != 1 || ROI.Confidence() >= 1 ||
-		EarlyExit.Confidence() >= ROI.Confidence() || Bridge.Confidence() != 0 {
-		t.Fatal("rung confidences must decrease down the ladder")
-	}
-	// Defaults agree with the tracker's coasting decay.
-	if c := p.Config(); c.ConfDecay != 0.8 || c.MaxBridged != 4 || c.RefreshEvery != 8 {
-		t.Fatalf("defaults: %+v", c)
 	}
 }
 

@@ -14,10 +14,10 @@
 // resilience): under overload or an outage the serving tiers answer
 // frames from a live track's motion-model prediction instead of
 // shedding them. The contracts that embedding leans on are explicit
-// here: a coasting track's confidence decays by the same geometric
-// factor the ladder's bridging budget assumes (temporal.Config.ConfDecay),
-// and MultiTracker.ReuseIDs keeps track identities
-// deterministic across detection gaps (the chaos-gap battery in
-// gap_test.go pins ID stability and bounded coasting drift through
-// occlusion and night dropout bursts).
+// here: a coasting track extrapolates its motion model for up to
+// MaxCoastFrames misses, and MultiTracker's IDs are a pure function of
+// the detection stream, so identities stay deterministic across
+// detection gaps (the chaos-gap battery in gap_test.go pins ID
+// stability and bounded coasting drift through occlusion and night
+// dropout bursts).
 package track

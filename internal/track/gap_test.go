@@ -158,13 +158,12 @@ func TestMultiTrackerChaosGapBoundedDrift(t *testing.T) {
 }
 
 // TestMultiTrackerGapRunsDeterministic: the whole gap scenario — render,
-// detect, chaos schedule, tracking — replays identically, with and
-// without ID reuse.
+// detect, chaos schedule, tracking — replays identically, track IDs
+// included.
 func TestMultiTrackerGapRunsDeterministic(t *testing.T) {
-	run := func(reuse bool) []int {
+	run := func() []int {
 		f := newGapFixture(t)
 		m := NewMulti(Config{MaxCoastFrames: 6})
-		m.ReuseIDs = reuse
 		var ids []int
 		for i := 0; i < 32; i++ {
 			cond, gap := gapCondition(i)
@@ -178,15 +177,13 @@ func TestMultiTrackerGapRunsDeterministic(t *testing.T) {
 		}
 		return ids
 	}
-	for _, reuse := range []bool{false, true} {
-		a, b := run(reuse), run(reuse)
-		if len(a) == 0 || len(a) != len(b) {
-			t.Fatalf("reuse=%v: ID traces differ in length (%d vs %d)", reuse, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("reuse=%v: ID trace diverged at %d", reuse, i)
-			}
+	a, b := run(), run()
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("ID traces differ in length (%d vs %d)", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("ID trace diverged at %d", i)
 		}
 	}
 }

@@ -7,30 +7,24 @@ import (
 
 // MultiTracker maintains several simultaneous single-target tracks with
 // greedy IoU association — the worker-safety configuration, where every
-// vest on a site is tracked independently.
+// vest on a site is tracked independently. Track IDs are minted in
+// detection order and never reused, so the ID sequence is a pure
+// function of the detection stream.
 type MultiTracker struct {
 	cfg    Config
 	tracks []*Tracker
 	nextID int
 	ids    []int
-	free   []int // retired IDs, ascending; consumed only when ReuseIDs
-	// MatchIoU is the association gate between detections and track
-	// predictions.
-	MatchIoU float64
-	// ReuseIDs selects the deterministic ID-reuse policy: retired track
-	// IDs go to an ascending free list and new tracks take the smallest
-	// free ID before a fresh one is minted. Detections spawn in input
-	// order and the free list is kept sorted, so the ID sequence is a
-	// pure function of the detection stream — bridged-frame fingerprints
-	// built over track IDs are stable across seeds. False (default)
-	// keeps the historic monotonic policy where IDs are never reused.
-	ReuseIDs bool
 }
+
+// matchIoU is the association gate between detections and track
+// predictions.
+const matchIoU = 0.2
 
 // NewMulti creates a multi-target tracker.
 func NewMulti(cfg Config) *MultiTracker {
 	cfg.defaults()
-	return &MultiTracker{cfg: cfg, MatchIoU: 0.2}
+	return &MultiTracker{cfg: cfg}
 }
 
 // Track is a snapshot of one live target.
@@ -56,7 +50,7 @@ func (m *MultiTracker) Update(boxes []detect.Box) []Track {
 			continue
 		}
 		for di, b := range boxes {
-			if iou := pred.IoU(b.Rect); iou >= m.MatchIoU {
+			if iou := pred.IoU(b.Rect); iou >= matchIoU {
 				pairs = append(pairs, pair{ti, di, iou})
 			}
 		}
@@ -95,7 +89,8 @@ func (m *MultiTracker) Update(boxes []detect.Box) []Track {
 		tr := New(m.cfg)
 		tr.Update([]detect.Box{b})
 		m.tracks = append(m.tracks, tr)
-		m.ids = append(m.ids, m.allocID())
+		m.ids = append(m.ids, m.nextID)
+		m.nextID++
 	}
 	// Retire lost tracks.
 	var liveTracks []*Tracker
@@ -104,36 +99,10 @@ func (m *MultiTracker) Update(boxes []detect.Box) []Track {
 		if tr.State() != Lost {
 			liveTracks = append(liveTracks, tr)
 			liveIDs = append(liveIDs, m.ids[i])
-		} else if m.ReuseIDs {
-			m.freeID(m.ids[i])
 		}
 	}
 	m.tracks, m.ids = liveTracks, liveIDs
 	return m.Live()
-}
-
-// allocID mints the next track ID under the active ID policy.
-func (m *MultiTracker) allocID() int {
-	if m.ReuseIDs && len(m.free) > 0 {
-		id := m.free[0]
-		m.free = m.free[1:]
-		return id
-	}
-	id := m.nextID
-	m.nextID++
-	return id
-}
-
-// freeID returns a retired ID to the free list, keeping it sorted
-// ascending so allocID's smallest-first pick is deterministic.
-func (m *MultiTracker) freeID(id int) {
-	i := len(m.free)
-	for i > 0 && m.free[i-1] > id {
-		i--
-	}
-	m.free = append(m.free, 0)
-	copy(m.free[i+1:], m.free[i:])
-	m.free[i] = id
 }
 
 // Live returns snapshots of all current tracks.

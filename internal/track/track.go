@@ -7,32 +7,26 @@ import (
 
 // Config tunes the tracker.
 type Config struct {
-	// Smoothing is the EMA factor for box updates (0 = frozen,
-	// 1 = no smoothing). Default 0.6.
-	Smoothing float64
 	// MaxCoastFrames is how many consecutive misses the tracker bridges
 	// by extrapolating the motion model before declaring the target
 	// lost. Default 8 (0.8 s at 10 FPS).
 	MaxCoastFrames int
-	// GateIoU rejects detections that do not overlap the predicted box
-	// at least this much while the tracker is confident. Default 0.05.
-	GateIoU float64
 }
 
-// confDecay multiplies the track confidence per coasted frame: the
-// geometric decay the temporal bridging budget assumes (see
-// temporal.Config.ConfDecay).
-const confDecay = 0.8
+const (
+	// smoothing is the EMA factor for box updates (0 = frozen, 1 = no
+	// smoothing).
+	smoothing = 0.6
+	// gateIoU rejects detections that do not overlap the predicted box
+	// at least this much while the tracker is confident.
+	gateIoU = 0.05
+	// confDecay multiplies the track confidence per coasted frame.
+	confDecay = 0.8
+)
 
 func (c *Config) defaults() {
-	if c.Smoothing <= 0 || c.Smoothing > 1 {
-		c.Smoothing = 0.6
-	}
 	if c.MaxCoastFrames <= 0 {
 		c.MaxCoastFrames = 8
-	}
-	if c.GateIoU <= 0 {
-		c.GateIoU = 0.05
 	}
 }
 
@@ -115,7 +109,7 @@ func (t *Tracker) Update(boxes []detect.Box) State {
 		t.cx, t.cy, t.w, t.h = cx, cy, w, h
 		t.vx, t.vy = 0, 0
 	} else {
-		alpha := t.cfg.Smoothing
+		alpha := smoothing
 		nvx := cx - t.cx
 		nvy := cy - t.cy
 		t.vx = alpha*nvx + (1-alpha)*t.vx
@@ -145,7 +139,7 @@ func (t *Tracker) selectDetection(boxes []detect.Box) (detect.Box, bool) {
 	var best detect.Box
 	found := false
 	for _, b := range boxes {
-		if havePred && pred.IoU(b.Rect) < t.cfg.GateIoU {
+		if havePred && pred.IoU(b.Rect) < gateIoU {
 			continue
 		}
 		if !found || b.Score > best.Score {

@@ -97,7 +97,7 @@ func TestLostAfterCoastBudget(t *testing.T) {
 }
 
 func TestGateRejectsDistantDetections(t *testing.T) {
-	tr := New(Config{GateIoU: 0.1, MaxCoastFrames: 5})
+	tr := New(Config{MaxCoastFrames: 5})
 	tr.Update([]detect.Box{boxAt(100, 100, 30, 30, 0.9)})
 	// A high-scoring detection across the frame must not steal the track.
 	st := tr.Update([]detect.Box{boxAt(300, 300, 30, 30, 0.99)})
@@ -112,14 +112,15 @@ func TestGateRejectsDistantDetections(t *testing.T) {
 }
 
 func TestSmoothingDampsJitter(t *testing.T) {
-	tr := New(Config{Smoothing: 0.3})
+	tr := New(Config{})
 	tr.Update([]detect.Box{boxAt(100, 100, 30, 30, 0.9)})
-	// Jittered detection at +20 px: smoothed centre moves only partway.
+	// Jittered detection at +20 px: smoothed centre moves only partway,
+	// smoothing x 20 = 12 px.
 	tr.Update([]detect.Box{boxAt(120, 100, 30, 30, 0.9)})
 	b, _ := tr.Box()
 	cx, _ := b.Center()
-	if cx >= 115 || cx <= 100 {
-		t.Fatalf("smoothed centre %v, want between 100 and 115", cx)
+	if cx != 100+smoothing*20 {
+		t.Fatalf("smoothed centre %v, want %v", cx, 100+smoothing*20)
 	}
 }
 

@@ -39,7 +39,6 @@ var reachAllow = []struct{ name, reason string }{
 	{"nn.Network.ForwardBatch", "the interpreter's batch path: nn batch parity tests and the root benchmarks"},
 	{"nn.Network.ForwardQuant", "the interpreter's int8 path: nn quant tests and the root benchmarks"},
 	{"rng.Shuffle", "rng tests and detect's reference training order"},
-	{"temporal.Config.WithDefaults", "bench, pipeline and serve tests compare budgets against the resolved ladder"},
 	{"tensor.KernelTierFMA", "tensor tier tests and nn integrity tests pick their drift tolerance by it"},
 	{"tensor.KernelTierInt8Cols", "tensor tier tests and the root per-shape int8 benchmarks"},
 	{"tensor.MatVec", "tensor tests and the root BenchmarkMatVec"},
@@ -59,23 +58,8 @@ var reachAllow = []struct{ name, reason string }{
 	{"nn.IntegrityPolicy.OnEvent", "item 10: set through ExecOpts.Integrity by the nn integrity battery"},
 	{"nn.Plan.Integrity", "item 10: the nn integrity battery reads the ABFT and guard counters"},
 	{"nn.Plan.ResetIntegrity", "item 10: the nn integrity battery clears the counters between cases"},
-	{"serve.IntegrityConfig.DetectCoverage", "item 10: TestPR7ZeroKnobParity sets it; the measured coverage replaces the 0.99 default"},
-	{"serve.RetryPolicy.BudgetFrac", "TestPR7ZeroKnobParity and TestSDCRetryBudget set it"},
-	{"serve.HedgePolicy.BudgetFrac", "TestHedgingUnderStraggler and TestHedgeDetectedCorruptFallsBack raise it to 0.3"},
+	{"serve.HedgePolicy.BudgetFrac", "every program runs the 0.05 default, but at it TestHedgingUnderStraggler's hedged run sheds more than the unhedged one, so the hedge tests raise it to 0.3"},
 	{"serve.Config.LinkRTTms", "the chaos link goldens and FuzzServeConfig pin a non-zero round trip"},
-	{"temporal.Layer.Ladder", "TestPR9ZeroKnobParity sets every ladder budget on an idle layer"},
-	{"temporal.Layer.BridgeMS", "TestPR9ZeroKnobParity sets it on an idle layer"},
-	{"temporal.Config.MaxBridged", "TestPR9ZeroKnobParity and the temporal budget tests set it"},
-	{"temporal.Config.ConfDecay", "TestPR9ZeroKnobParity and the temporal budget tests set it"},
-	{"temporal.Config.ConfFloor", "TestPR9ZeroKnobParity and the temporal budget tests set it"},
-	{"temporal.Config.RefreshEvery", "TestPR9ZeroKnobParity and the temporal refresh-clock tests set it"},
-	{"temporal.Config.ROICost", "TestPR9ZeroKnobParity sets it on an idle layer"},
-	{"temporal.Config.EarlyExitCost", "TestPR9ZeroKnobParity sets it on an idle layer"},
-	{"temporal.Config.Window", "TestPR9ZeroKnobParity sets it on an idle layer; the default mirrors serve's adaptWindow"},
-	{"temporal.Config.MissHi", "TestPR9ZeroKnobParity sets it on an idle layer; the default mirrors serve's adaptMissHi"},
-	{"temporal.Config.MissLo", "TestPR9ZeroKnobParity sets it on an idle layer; the default mirrors serve's adaptMissLo"},
-	{"track.Config.GateIoU", "TestGateRejectsDistantDetections widens the gate"},
-	{"track.Config.Smoothing", "TestSmoothingDampsJitter and TestMultiTrackerGreedyPrefersBestOverlap set it"},
 	{"pipeline.Fleet.Outages", "item 7: the pipeline outage tests; one simulator decides it"},
 	{"pipeline.Session.Outages", "item 7: the pipeline outage and temporal tests"},
 	{"pipeline.Outage.Device", "item 7: written in the Outages the pipeline tests schedule"},
@@ -88,11 +72,6 @@ var reachAllow = []struct{ name, reason string }{
 	{"tensor.ConvSpec.DilationW", "16 dilation subtests of the conv oracles pin dilated convolution"},
 	{"video.Spec.Bicycles", "the paper-corpus fixture of the video tests sets it; the renderer draws them"},
 	{"video.Spec.Clutter", "the paper-corpus fixture of the video tests sets it; the renderer draws it"},
-
-	// Policies no program selects whose tests are on the floor (item 9
-	// decides them).
-	{"scene.Scene.SkyTone", "item 9: the render reference tests draw random sky tones"},
-	{"track.MultiTracker.ReuseIDs", "item 9: TestMultiTrackerGapRunsDeterministic replays the gap scenario with ID reuse"},
 
 	// The thermal camera: a whole feature whose battery is on the test
 	// floor (item 9). Its stress curve, which chaos uses, is reached.
