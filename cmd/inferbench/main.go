@@ -433,15 +433,11 @@ func fleetMode(drones int, modelFlag, deviceFlag string, frames int, fps float64
 	if prec == device.INT8 {
 		pol = pipeline.UniformPrecision(device.INT8, "detect", "pose", "depth")
 	}
-	var engPol pipeline.EnginePolicy
-	if eng == device.Planned {
-		engPol = pipeline.UniformEngine(device.Planned, "detect", "pose", "depth")
-	}
 	fleet := bench.StaggeredFleet(drones, frames, fps, seed, func(s *pipeline.Session) {
 		s.EdgeRTTms = 25
 		s.Policy = pipeline.DropPolicy{}
 		s.Graph = pipeline.TimingVIPGraph(place)
-		s.Precision, s.Engine = pol, engPol
+		s.Precision, s.Engine = pol, eng
 	})
 	fleet.Batch = bp
 	results, err := fleet.Run()

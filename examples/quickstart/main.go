@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"ocularone/internal/dataset"
 	"ocularone/internal/detect"
@@ -39,8 +40,13 @@ func main() {
 		div.Accuracy(), div.Confusion.Total(), div.SpuriousBoxes)
 	fmt.Printf("adversarial test: accuracy %.2f%% (%d imgs)\n",
 		adv.Accuracy(), adv.Confusion.Total())
-	for kind, c := range adv.PerAttack {
-		fmt.Printf("  %-16s %.1f%%\n", kind, c.Accuracy())
+	kinds := make([]string, 0, len(adv.PerAttack))
+	for kind := range adv.PerAttack {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		fmt.Printf("  %-16s %.1f%%\n", kind, adv.PerAttack[kind].Accuracy())
 	}
 
 	// 5. Run one frame end to end.

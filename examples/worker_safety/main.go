@@ -93,7 +93,6 @@ func (c *complianceStage) Analyze(fc *pipeline.FrameCtx) bool {
 	truth := c.feed.truth[fc.FrameIndex]
 	c.vests = append(c.vests, len(boxes))
 	c.tracks = append(c.tracks, len(tracks))
-	fc.Values["vests"] = float64(len(boxes))
 	fc.VIPFound = len(boxes) >= truth.vests // all present vests seen
 	if truth.workers > len(boxes) {
 		fc.Alert(pipeline.AlertVIPLost,

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"ocularone/internal/device"
-	"ocularone/internal/pipeline"
 )
 
 // RunPlanStudy is the ext-plan study: interpreted vs planned execution
@@ -19,7 +18,7 @@ import (
 func RunPlanStudy(seed uint64) ([]EdgeRow, error) {
 	return runEdgeStudy("plan", seed, []edgePolicy{
 		{label: "interp"},
-		{label: "plan", engine: pipeline.UniformEngine(device.Planned, "detect", "pose", "depth")},
+		{label: "plan", engine: device.Planned},
 	})
 }
 

@@ -25,12 +25,12 @@ type EdgeRow struct {
 	Speedup float64
 }
 
-// edgePolicy is one swept deployment; a nil policy is the fp32 /
+// edgePolicy is one swept deployment; the zero value is the fp32 /
 // interpreted default.
 type edgePolicy struct {
 	label     string
 	precision pipeline.PrecisionPolicy
-	engine    pipeline.EnginePolicy
+	engine    device.Engine
 }
 
 // edgeStudyDrones/Frames size the workload; at ~2.6x overload on the

@@ -29,60 +29,24 @@ type groupFrame struct {
 	fc      *FrameCtx
 	arrival float64
 	res     *StreamResult
-	analyze func(Stage, *FrameCtx) bool
 }
 
-// groupRunner is the frame scheduler shared by Session.Run and
-// Fleet.Run: admitted frames accumulate into a flush group, and each
-// group is scheduled stage-by-stage in topological waves. Within a
-// wave, jobs bound for the same executor are offered to a
-// device.MicroBatcher, so compatible work coalesces while the replay
-// stays single-threaded and deterministic (frames are processed in
-// global arrival order; batchers are drained in first-use order).
-type groupRunner struct {
-	policy BatchPolicy
-	group  []groupFrame
-}
-
-func newGroupRunner(p BatchPolicy) *groupRunner { return &groupRunner{policy: p} }
-
-// closeWindow flushes the open group if a frame arriving at nextArrival
-// would stretch the group's oldest member past the batching window.
-// Callers must invoke it before admitting each frame so admission
-// decisions see the post-flush executor horizons.
-func (g *groupRunner) closeWindow(nextArrival float64) {
-	if len(g.group) > 0 && nextArrival > g.group[0].arrival+g.policy.WindowMS {
-		g.flush()
-	}
-}
-
-// add appends an admitted frame, flushing when the group fills. With
-// batching disabled every frame flushes immediately — the per-frame
-// path.
-func (g *groupRunner) add(fr groupFrame) {
-	g.group = append(g.group, fr)
-	limit := g.policy.MaxBatch
-	if limit < 1 {
-		limit = 1
-	}
-	if len(g.group) >= limit {
-		g.flush()
-	}
-}
-
-// flush schedules the open group's stages onto executors in topological
-// waves (wave r runs each frame's r-th stage, so every dependency was
-// scheduled in an earlier wave regardless of graph mix), then delivers
-// each frame's results in arrival order. This is the single scheduling
-// path of the pipeline: a group of one reproduces the original
-// per-frame semantics exactly — same policy checks, same executor
-// calls, same jitter draws.
-func (g *groupRunner) flush() {
-	frames := g.group
+// flushGroup schedules one flush group's stages onto executors in
+// topological waves (wave r runs each frame's r-th stage, so every
+// dependency was scheduled in an earlier wave regardless of graph mix),
+// then delivers each frame's results in arrival order. Within a wave,
+// jobs bound for the same executor are offered to a device.MicroBatcher
+// (drained in first-use order), so compatible work coalesces while the
+// replay stays single-threaded and deterministic. A group of one
+// reproduces the per-frame semantics exactly — same policy checks, same
+// executor calls, same jitter draws. With inline set (a standalone
+// session) each stage analyses the frame when its wave schedules it;
+// otherwise the frame was analysed up front and the wave reads whether
+// the stage ran.
+func flushGroup(frames []groupFrame, cfg BatchPolicy, inline bool) {
 	if len(frames) == 0 {
 		return
 	}
-	g.group = nil
 
 	type waveJob struct {
 		gi    int
@@ -112,7 +76,6 @@ func (g *groupRunner) flush() {
 			maxLen = l
 		}
 	}
-	cfg := g.policy
 	settle := func(q *exQueue, cs []device.Completion) {
 		for k, c := range cs {
 			w := q.jobs[k]
@@ -156,9 +119,10 @@ func (g *groupRunner) flush() {
 				}
 				continue
 			}
-			fr.fc.cur = name
-			ran := fr.analyze(nd.stage, fr.fc)
-			fr.fc.ran[name] = ran
+			ran := fr.fc.ran[name]
+			if inline {
+				ran = fr.fc.analyze(nd.stage)
+			}
 			if !ran {
 				continue
 			}
@@ -192,7 +156,7 @@ func (g *groupRunner) flush() {
 			settle(q, q.mb.Offer(device.Job{
 				Model: p.Model, ArrivalMS: ready,
 				Precision: prec,
-				Engine:    fr.env.sess.Engine.EngineFor(name),
+				Engine:    fr.env.sess.Engine,
 				CompileMS: fr.env.planCompile(name, p, prec),
 				CostScale: cost,
 			}))

@@ -12,7 +12,9 @@
 //   - Session/Fleet (session.go): one drone feed per session; a fleet
 //     runs N sessions concurrently against shared workstation executors,
 //     modeling the multi-client contention of the paper's future work,
-//     with a PlacementPolicy hook for live mid-stream re-placement.
+//     with a PlacementPolicy hook for live mid-stream re-placement. One
+//     replay loop schedules both: Session.Run is its one-session case,
+//     with no shared cluster and analytics inline at flush time.
 //   - BatchPolicy (batch.go): micro-batched scheduling — frames arriving
 //     within a window coalesce, and per-stage jobs sharing an executor
 //     and model are charged one batched inference, so fleet sessions
@@ -22,12 +24,12 @@
 //     composing orthogonally with BatchPolicy (batches group by
 //     executor, model, precision, and engine). An unset or all-FP32
 //     policy replays the pre-quantization schedule bit-for-bit.
-//   - EnginePolicy (engine.go): per-stage interpreted/planned execution.
-//     A session compiles each planned stage once per placement — the
-//     one-time device.PlanCompileMS surcharge rides on the first job,
-//     the plan is reused across every later frame and batch wave, and a
-//     live re-placement recompiles on the new device. An unset policy
-//     replays the pre-plan schedule bit-for-bit.
+//   - Session.Engine: interpreted or planned execution for the whole
+//     session. A planned session compiles each stage once per placement
+//     — the one-time device.PlanCompileMS surcharge rides on the first
+//     job, the plan is reused across every later frame and batch wave,
+//     and a live re-placement recompiles on the new device. The zero
+//     value (Interpreted) replays the pre-plan schedule bit-for-bit.
 //   - Placement helpers (pipeline.go, stages.go): EdgePlacement and
 //     HybridPlacement produce the StageID-keyed maps VIPGraph and
 //     TimingVIPGraph assemble the classic three-stage graph from.

@@ -191,7 +191,7 @@ func TestSessionGoldenLadderOutageTrace(t *testing.T) {
 // three compiles, then the plan gain on every later frame.
 func TestSessionGoldenPlanned(t *testing.T) {
 	s := goldenSession(QueuePolicy{BudgetMS: 250}, BatchPolicy{})
-	s.Engine = UniformEngine(device.Planned, "detect", "pose", "depth")
+	s.Engine = device.Planned
 	checkSessionGolden(t, s,
 		goldenSessionRow{goldenFleetRow{0, 40, 0, 36, 295.726879, 377.938639, 472.406754}, 15, 8655.960473, 3, 0, 0, 0, 0, 0})
 }

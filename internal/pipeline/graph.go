@@ -34,9 +34,9 @@ type Stage interface {
 
 // FrameCtx carries one frame through the stage graph: the rendered
 // pixels and ground truth in, per-stage outputs and alerts out. Stages
-// communicate through the typed detection fields and the generic Values
-// map; the scheduler records which stages ran so the delivery filter can
-// tell a skipped dependency from a declined one.
+// communicate through the typed detection fields; the scheduler records
+// which stages ran so the delivery filter can tell a skipped dependency
+// from a declined one.
 type FrameCtx struct {
 	// Session is the owning drone session's ID (0 for single streams).
 	Session int
@@ -52,9 +52,6 @@ type FrameCtx struct {
 	VIPFound bool
 	Best     detect.Box
 
-	// Values is scratch space for user-defined stage outputs.
-	Values map[string]float64
-
 	cur    string // stage currently analyzing
 	ran    map[string]bool
 	alerts []stageAlert
@@ -68,9 +65,17 @@ type stageAlert struct {
 func newFrameCtx(session, frameIndex int, im *imgproc.Image, gt *scene.GroundTruth) *FrameCtx {
 	return &FrameCtx{
 		Session: session, FrameIndex: frameIndex, Image: im, Truth: gt,
-		Values: map[string]float64{},
-		ran:    map[string]bool{},
+		ran: map[string]bool{},
 	}
+}
+
+// analyze runs one stage on the frame, attributing its alerts to it, and
+// records whether it ran.
+func (fc *FrameCtx) analyze(st Stage) bool {
+	fc.cur = st.Name()
+	ran := st.Analyze(fc)
+	fc.ran[fc.cur] = ran
+	return ran
 }
 
 // Alert emits a safety alert attributed to the stage currently running.

@@ -359,7 +359,6 @@ func (c *crowdStage) Analyze(fc *FrameCtx) bool {
 	}
 	c.ran++
 	n := len(fc.Truth.DistractorBoxes)
-	fc.Values["crowd"] = float64(n)
 	if n >= c.threshold {
 		fc.Alert(AlertObstacle, "crowded scene")
 	}

@@ -120,6 +120,72 @@ func TestSessionRejectsBadTiming(t *testing.T) {
 	}
 }
 
+// TestRejectsDegenerateConfig: every field the timing cannot use is an
+// error naming it, from Session.Run and, for a session's own fields,
+// from Fleet.Run too. Unrefused, a NaN OffsetMS makes every arrival NaN
+// (20 of 20 frames dropped, nil error), a +Inf one admits 1 of 20, a NaN
+// trace entry never compares as decreasing, a NaN window never closes
+// (the +Inf schedule), a FrameFPS of 5e-324 has an infinite period (NaN
+// stage latencies), an EdgeRTTms of 1e308 charged on three stages
+// finishes at +Inf, and a negative Frames or a nil Graph panics.
+func TestRejectsDegenerateConfig(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name, field string
+		sess        func(*Session)
+		fleet       func(*Fleet)
+	}{
+		{"offset nan", "session 7 OffsetMS", func(s *Session) { s.OffsetMS = nan }, nil},
+		{"offset inf", "session 7 OffsetMS", func(s *Session) { s.OffsetMS = inf }, nil},
+		{"arrival nan", "session 7 ArrivalsMS[1]", func(s *Session) { s.ArrivalsMS = []float64{0, nan, 200} }, nil},
+		{"arrival inf", "session 7 ArrivalsMS[2]", func(s *Session) { s.ArrivalsMS = []float64{0, 100, inf} }, nil},
+		{"outage from -inf", "session 7 Outages[0]", func(s *Session) {
+			s.Outages = []Outage{{Device: device.OrinNano, FromMS: -inf, ToMS: 500}}
+		}, nil},
+		{"outage to nan", "session 7 Outages[0]", func(s *Session) {
+			s.Outages = []Outage{{Device: device.OrinNano, FromMS: 100, ToMS: nan}}
+		}, nil},
+		{"window nan", "session 7 Batch.WindowMS", func(s *Session) { s.Batch = BatchPolicy{MaxBatch: 4, WindowMS: nan} }, nil},
+		{"window negative", "session 7 Batch.WindowMS", func(s *Session) { s.Batch = BatchPolicy{MaxBatch: 4, WindowMS: -1} }, nil},
+		{"fps period overflows", "session 7 FrameFPS", func(s *Session) { s.FrameFPS = 5e-324 }, nil},
+		{"rtt huge", "session 7 EdgeRTTms", func(s *Session) { s.EdgeRTTms = 1e308 }, nil},
+		{"negative frames", "session 7 Frames", func(s *Session) { s.Frames = -1 }, nil},
+		{"nil graph", "session 7 has no Graph", func(s *Session) { s.Graph = nil }, nil},
+		{"fleet window nan", "fleet Batch.WindowMS", nil, func(f *Fleet) { f.Batch = BatchPolicy{MaxBatch: 4, WindowMS: nan} }},
+		{"fleet window negative", "fleet Batch.WindowMS", nil, func(f *Fleet) { f.Batch = BatchPolicy{MaxBatch: 4, WindowMS: -60} }},
+		{"fleet outage inf", "fleet Outages[0]", nil, func(f *Fleet) {
+			f.Outages = []Outage{{Device: device.RTX4090, FromMS: 100, ToMS: inf}}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mk := func() *Session {
+				s := &Session{ID: 7, Frames: 20, FrameFPS: 10, Policy: DropPolicy{},
+					Graph: TimingVIPGraph(EdgePlacement(device.OrinNano, models.V8Nano))}
+				if c.sess != nil {
+					c.sess(s)
+				}
+				return s
+			}
+			check := func(who string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), c.field) {
+					t.Fatalf("%s error %v, want one naming %q", who, err, c.field)
+				}
+			}
+			if c.sess != nil {
+				_, err := mk().Run()
+				check("Session.Run", err)
+			}
+			f := &Fleet{Sessions: []*Session{mk()}}
+			if c.fleet != nil {
+				c.fleet(f)
+			}
+			_, err := f.Run()
+			check("Fleet.Run", err)
+		})
+	}
+}
+
 // TestFleetOpenLoopDeterminism: a fleet fed per-tenant open-loop traces
 // replays deterministically.
 func TestFleetOpenLoopDeterminism(t *testing.T) {

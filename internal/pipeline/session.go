@@ -69,11 +69,11 @@ type Session struct {
 	// Precision selects per-stage inference precision (nil = all FP32,
 	// the exact pre-quantization schedule). See PrecisionPolicy.
 	Precision PrecisionPolicy
-	// Engine selects per-stage execution engines (nil = all
-	// Interpreted, the exact pre-plan schedule). Planned stages compile
-	// once per placement and reuse the plan across waves; see
-	// EnginePolicy.
-	Engine EnginePolicy
+	// Engine runs every stage interpreted (the zero value, the exact
+	// pre-plan schedule) or planned: each stage then pays the one-time
+	// device.PlanCompileMS on its first job per placement (again after
+	// a live re-placement) and reuses the plan on every later job.
+	Engine device.Engine
 	// Outages injects device downtime windows into the run: each entry
 	// holds its device's stream until ToMS once the first frame at or
 	// after FromMS arrives. Nil (or never-reached outages) replays the
@@ -124,21 +124,68 @@ func (s *Session) arrivalAt(i int, period float64) float64 {
 	return s.OffsetMS + float64(i)*period
 }
 
-// validate rejects a frame rate or round trip the timing cannot use —
-// a NaN or infinite FrameFPS (0 and below take the default), a NaN,
-// infinite or negative EdgeRTTms — and a decreasing open-loop trace,
-// which would silently corrupt the executors' busy-time accounting.
+// validate rejects what the timing cannot use, each field by name: a
+// missing graph or a negative frame count; a NaN or infinite FrameFPS,
+// or one so small its period overflows (0 and below take the default);
+// an EdgeRTTms outside 0 to maxRTTMS; a non-finite OffsetMS; a
+// non-finite or decreasing open-loop trace, which would corrupt the
+// executors' busy-time accounting and the replay's arrival order; an
+// outage with a non-finite bound; a NaN or negative batching window.
 func (s *Session) validate() error {
-	if math.IsNaN(s.FrameFPS) || math.IsInf(s.FrameFPS, 0) {
-		return fmt.Errorf("pipeline: session %d FrameFPS is %v, want finite", s.ID, s.FrameFPS)
+	if s.Graph == nil {
+		return fmt.Errorf("pipeline: session %d has no Graph", s.ID)
 	}
-	if math.IsNaN(s.EdgeRTTms) || math.IsInf(s.EdgeRTTms, 0) || s.EdgeRTTms < 0 {
-		return fmt.Errorf("pipeline: session %d EdgeRTTms is %v, want finite and non-negative", s.ID, s.EdgeRTTms)
+	if s.Frames < 0 {
+		return fmt.Errorf("pipeline: session %d Frames is %d, want non-negative", s.ID, s.Frames)
 	}
-	for i := 1; i < len(s.ArrivalsMS); i++ {
-		if s.ArrivalsMS[i] < s.ArrivalsMS[i-1] {
+	if !finite(s.FrameFPS) || s.FrameFPS > 0 && !finite(1e3/s.FrameFPS) {
+		return fmt.Errorf("pipeline: session %d FrameFPS is %v, want finite with a finite period", s.ID, s.FrameFPS)
+	}
+	if !(s.EdgeRTTms >= 0 && s.EdgeRTTms <= maxRTTMS) {
+		return fmt.Errorf("pipeline: session %d EdgeRTTms is %v, want 0 to %v ms", s.ID, s.EdgeRTTms, maxRTTMS)
+	}
+	if !finite(s.OffsetMS) {
+		return fmt.Errorf("pipeline: session %d OffsetMS is %v, want finite", s.ID, s.OffsetMS)
+	}
+	for i, a := range s.ArrivalsMS {
+		if !finite(a) {
+			return fmt.Errorf("pipeline: session %d ArrivalsMS[%d] is %v, want finite", s.ID, i, a)
+		}
+		if i > 0 && a < s.ArrivalsMS[i-1] {
 			return fmt.Errorf("pipeline: session %d ArrivalsMS decreases at index %d (%v after %v)",
-				s.ID, i, s.ArrivalsMS[i], s.ArrivalsMS[i-1])
+				s.ID, i, a, s.ArrivalsMS[i-1])
+		}
+	}
+	if err := validOutages(s.Outages); err != nil {
+		return fmt.Errorf("pipeline: session %d %w", s.ID, err)
+	}
+	if err := validBatch(s.Batch); err != nil {
+		return fmt.Errorf("pipeline: session %d %w", s.ID, err)
+	}
+	return nil
+}
+
+// maxRTTMS caps EdgeRTTms at chaos's ceiling on a link's extra round
+// trip: a frame whose three stages each pay a round trip near the float
+// maximum finishes at +Inf.
+const maxRTTMS = 1e9
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// validBatch rejects a batching window no arrival can be compared
+// against: NaN (which silently never closes, as +Inf would) or negative.
+func validBatch(b BatchPolicy) error {
+	if math.IsNaN(b.WindowMS) || b.WindowMS < 0 {
+		return fmt.Errorf("Batch.WindowMS is %v, want non-negative", b.WindowMS)
+	}
+	return nil
+}
+
+// validOutages rejects an outage whose window has a non-finite bound.
+func validOutages(outs []Outage) error {
+	for i, o := range outs {
+		if !finite(o.FromMS) || !finite(o.ToMS) {
+			return fmt.Errorf("Outages[%d] is [%v, %v], want finite bounds", i, o.FromMS, o.ToMS)
 		}
 	}
 	return nil
@@ -259,10 +306,10 @@ type execEnv struct {
 	staleMaxMS             float64
 }
 
-func (s *Session) env(shared *device.Cluster) *execEnv {
+func (s *Session) env(shared *device.Cluster, fleetOutages []Outage) *execEnv {
 	e := &execEnv{sess: s, place: s.Graph.Placements(), shared: shared,
 		skips: map[string]int{}, compiled: map[string]Placement{},
-		outages: sortedOutages(s.Outages, nil)}
+		outages: sortedOutages(s.Outages, fleetOutages)}
 	if s.Temporal.Enabled {
 		e.tpol = temporal.NewPolicy(temporal.Config{})
 	}
@@ -285,7 +332,7 @@ func (e *execEnv) exFor(d device.ID) *device.Executor {
 // placement — and the first after any re-placement — pays
 // device.PlanCompileMS and records the placement as compiled.
 func (e *execEnv) planCompile(stage string, p Placement, prec device.Precision) float64 {
-	if e.sess.Engine.EngineFor(stage) != device.Planned {
+	if e.sess.Engine != device.Planned {
 		return 0
 	}
 	if cp, ok := e.compiled[stage]; ok && cp == p {
@@ -391,36 +438,18 @@ func (e *execEnv) finalize(res *StreamResult) {
 
 // Run processes the session's feed through its graph: analytics are real
 // (rendered pixels in, alerts out), timing is simulated per the device
-// model. With s.Batch enabled, frames arriving within the batching
-// window coalesce into micro-batched stage inferences (see
+// model. It is the one-session case of Fleet.Run's replay, with every
+// device the session's own and each stage analysing a frame inline when
+// its wave is scheduled, so a frame the policy drops or a stage it
+// skips is never analysed. With s.Batch enabled, frames arriving within
+// the batching window coalesce into micro-batched stage inferences (see
 // BatchPolicy); disabled, every frame takes the per-frame path.
 func (s *Session) Run() (StreamResult, error) {
-	if err := s.validate(); err != nil {
+	rs, err := (&Fleet{Sessions: []*Session{s}, Batch: s.Batch}).replay(false)
+	if err != nil {
 		return StreamResult{}, err
 	}
-	s.defaults()
-	if err := s.Graph.Validate(); err != nil {
-		return StreamResult{}, err
-	}
-	env := s.env(nil)
-	res := StreamResult{Session: s.ID}
-	period := s.periodMS()
-	runner := newGroupRunner(s.Batch)
-	analyze := func(st Stage, fc *FrameCtx) bool { return st.Analyze(fc) }
-	for i, f := range s.extract() {
-		arrival := s.arrivalAt(i, period)
-		runner.closeWindow(arrival)
-		env.applyOutages(arrival)
-		if !env.admit(arrival) {
-			env.dropFrame(f.FrameIndex)
-			continue
-		}
-		fc := newFrameCtx(s.ID, f.FrameIndex, f.Image, f.Truth)
-		runner.add(groupFrame{env: env, fc: fc, arrival: arrival, res: &res, analyze: analyze})
-	}
-	runner.flush()
-	env.finalize(&res)
-	return res, nil
+	return rs[0], nil
 }
 
 // Fleet runs N concurrent drone sessions against shared workstation
@@ -467,11 +496,16 @@ type fleetEvent struct {
 }
 
 // Run executes every session and returns their results in session order.
-func (f *Fleet) Run() ([]StreamResult, error) {
+func (f *Fleet) Run() ([]StreamResult, error) { return f.replay(true) }
+
+// replay is the pipeline's one scheduling loop. A fleet (shared) runs
+// its non-edge devices on one cluster seeded by SharedSeed and analyses
+// every frame up front; a standalone session (!shared) keeps every
+// device its own and analyses inline at flush time.
+func (f *Fleet) replay(shared bool) ([]StreamResult, error) {
 	if len(f.Sessions) == 0 {
 		return nil, fmt.Errorf("pipeline: fleet with no sessions")
 	}
-	shared := device.NewCluster(f.SharedSeed)
 	for _, s := range f.Sessions {
 		if err := s.validate(); err != nil {
 			return nil, err
@@ -481,36 +515,47 @@ func (f *Fleet) Run() ([]StreamResult, error) {
 			return nil, fmt.Errorf("pipeline: session %d: %w", s.ID, err)
 		}
 	}
+	if err := validOutages(f.Outages); err != nil {
+		return nil, fmt.Errorf("pipeline: fleet %w", err)
+	}
+	if err := validBatch(f.Batch); err != nil {
+		return nil, fmt.Errorf("pipeline: fleet %w", err)
+	}
+	var cluster *device.Cluster
+	if shared {
+		cluster = device.NewCluster(f.SharedSeed)
+	}
 
-	// Phase 1 — analytics, parallel across sessions. Pixel work is pure
-	// per frame; stage state stays session-local because each session
-	// owns its graph. A session is milliseconds of work, so the worker
-	// count is named (ForWith gives at most one per session) rather than
-	// left to For's row-sized grain, under which no fleet here fanned out.
-	frames := make([][]video.ExtractedFrame, len(f.Sessions))
+	// Phase 1 — frames, and for a fleet their analytics, parallel across
+	// sessions. Pixel work is pure per frame; stage state stays
+	// session-local because each session owns its graph. A session is
+	// milliseconds of work, so the worker count is named (ForWith gives
+	// at most one per session) rather than left to For's row-sized
+	// grain, under which no fleet here fanned out.
 	fcs := make([][]*FrameCtx, len(f.Sessions))
 	parallel.ForWith(parallel.DefaultWorkers(), len(f.Sessions), func(i int) {
 		s := f.Sessions[i]
 		fs := s.extract()
-		frames[i] = fs
 		fcs[i] = make([]*FrameCtx, len(fs))
 		for j, fr := range fs {
 			fc := newFrameCtx(s.ID, fr.FrameIndex, fr.Image, fr.Truth)
-			for _, idx := range s.Graph.order {
-				st := s.Graph.nodes[idx].stage
-				fc.cur = st.Name()
-				fc.ran[st.Name()] = st.Analyze(fc)
+			if shared {
+				for _, idx := range s.Graph.order {
+					fc.analyze(s.Graph.nodes[idx].stage)
+				}
 			}
 			fcs[i][j] = fc
 		}
 	})
 
 	// Phase 2 — timing, serial in global arrival order (stable on ties
-	// by session index) for determinism and faithful contention.
+	// by session index) for determinism and faithful contention. One
+	// session's frames keep their order: validate keeps its arrivals
+	// non-decreasing.
 	var events []fleetEvent
 	for i, s := range f.Sessions {
 		period := s.periodMS()
-		for j := range frames[i] {
+		for j := range fcs[i] {
 			events = append(events, fleetEvent{sess: i, frame: j, arrival: s.arrivalAt(j, period)})
 		}
 	}
@@ -524,26 +569,34 @@ func (f *Fleet) Run() ([]StreamResult, error) {
 	envs := make([]*execEnv, len(f.Sessions))
 	results := make([]StreamResult, len(f.Sessions))
 	for i, s := range f.Sessions {
-		envs[i] = s.env(shared)
-		envs[i].outages = sortedOutages(s.Outages, f.Outages)
+		envs[i] = s.env(cluster, f.Outages)
 		results[i] = StreamResult{Session: s.ID}
 	}
-	runner := newGroupRunner(f.Batch)
-	recall := func(st Stage, fc *FrameCtx) bool { return fc.ran[st.Name()] }
+	// Admitted frames accumulate into a flush group that closes when it
+	// fills or when a frame arrives past its oldest member's window —
+	// before that frame's admission, so the policy sees the post-flush
+	// executor horizons. MaxBatch <= 1 flushes every frame alone.
+	var group []groupFrame
+	flush := func() {
+		flushGroup(group, f.Batch, !shared)
+		group = group[:0]
+	}
 	for _, ev := range events {
-		env := envs[ev.sess]
-		runner.closeWindow(ev.arrival)
+		env, fc := envs[ev.sess], fcs[ev.sess][ev.frame]
+		if len(group) > 0 && ev.arrival > group[0].arrival+f.Batch.WindowMS {
+			flush()
+		}
 		env.applyOutages(ev.arrival)
 		if !env.admit(ev.arrival) {
-			env.dropFrame(fcs[ev.sess][ev.frame].FrameIndex)
+			env.dropFrame(fc.FrameIndex)
 			continue
 		}
-		runner.add(groupFrame{
-			env: env, fc: fcs[ev.sess][ev.frame], arrival: ev.arrival,
-			res: &results[ev.sess], analyze: recall,
-		})
+		group = append(group, groupFrame{env: env, fc: fc, arrival: ev.arrival, res: &results[ev.sess]})
+		if len(group) >= f.Batch.MaxBatch {
+			flush()
+		}
 	}
-	runner.flush()
+	flush()
 	for i := range results {
 		envs[i].finalize(&results[i])
 	}
