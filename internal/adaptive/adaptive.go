@@ -39,24 +39,29 @@ func (a Arm) LatencyMS() float64 {
 	return l
 }
 
-// Config tunes the controller.
+// Config tunes the controller: its epoch length, the miss rate that
+// downshifts and the failure rate that upshifts.
 type Config struct {
 	// Window is the number of frames per adaptation epoch (default 20).
 	Window int
 	// MissHi triggers a downshift when the deadline-miss rate exceeds it
-	// (default 0.3); MissLo allows an upshift below it (default 0.05).
-	MissHi, MissLo float64
+	// (default 0.3). An upshift needs a miss rate below missLo.
+	MissHi float64
 	// FailHi triggers an accuracy upshift when the detection-failure
 	// rate exceeds it (default 0.1).
 	FailHi float64
 }
 
+// missLo is the deadline-miss rate below which a controller may upshift
+// toward accuracy: fewer than one miss in twenty frames of an epoch.
+const missLo = 0.05
+
 // ServingEpoch is the epoch of the serving tier's two controllers, the
 // serve precision controller and the temporal ladder's rung controller,
 // so both walk at the same cadence: each re-evaluates every 64
 // completions, downshifts when the epoch's deadline-miss rate exceeds
-// 0.25 and allows the upshift below 0.05.
-func ServingEpoch() Config { return Config{Window: 64, MissHi: 0.25, MissLo: 0.05} }
+// 0.25 and allows the upshift below missLo.
+func ServingEpoch() Config { return Config{Window: 64, MissHi: 0.25} }
 
 func (c *Config) defaults() {
 	if c.Window <= 0 {
@@ -64,9 +69,6 @@ func (c *Config) defaults() {
 	}
 	if c.MissHi <= 0 {
 		c.MissHi = 0.3
-	}
-	if c.MissLo <= 0 {
-		c.MissLo = 0.05
 	}
 	if c.FailHi <= 0 {
 		c.FailHi = 0.1
@@ -112,7 +114,7 @@ func (c *Controller) Switches() int { return c.switches }
 // controller re-evaluates:
 //
 //   - miss rate > MissHi  → move one arm toward fast (latency pressure)
-//   - fail rate > FailHi and miss rate < MissLo → move one arm toward
+//   - fail rate > FailHi and miss rate < missLo → move one arm toward
 //     accurate (accuracy headroom available)
 func (c *Controller) Observe(deadlineMissed, detectionFailed bool) bool {
 	c.frames++
@@ -134,7 +136,7 @@ func (c *Controller) Observe(deadlineMissed, detectionFailed bool) bool {
 		c.cur--
 		c.switches++
 		return true
-	case failRate > c.cfg.FailHi && missRate < c.cfg.MissLo && c.cur < len(c.arms)-1:
+	case failRate > c.cfg.FailHi && missRate < missLo && c.cur < len(c.arms)-1:
 		c.cur++
 		c.switches++
 		return true

@@ -28,7 +28,6 @@ type groupFrame struct {
 	env     *execEnv
 	fc      *FrameCtx
 	arrival float64
-	res     *StreamResult
 }
 
 // flushGroup schedules one flush group's stages onto executors in
@@ -111,11 +110,11 @@ func flushGroup(frames []groupFrame, cfg BatchPolicy, inline bool) {
 			ex := fr.env.exFor(p.Device)
 			root := len(nd.deps) == 0
 			if !root && !fr.env.sess.Policy.RunStage(ready, ex.BusyUntilMS(), fr.env.sess.periodMS()) {
-				fr.env.skips[name]++
+				fr.env.res.StageSkips[name]++
 				if bridgedRoot[gi] {
 					// Stale-skip downstream of a bridged root: staleness
 					// compounding across the two layers, counted loudly.
-					fr.env.doubleSkips++
+					fr.env.res.DoubleSkips++
 				}
 				continue
 			}
@@ -182,6 +181,6 @@ func flushGroup(frames []groupFrame, cfg BatchPolicy, inline bool) {
 			// (bridged or reduced-rung) push it back toward full frames.
 			fr.env.tpol.Observe(!st.Deadline, degraded[gi])
 		}
-		fr.env.deliver(fr.res, fr.fc, st)
+		fr.env.deliver(fr.fc, st)
 	}
 }

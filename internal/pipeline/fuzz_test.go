@@ -14,10 +14,12 @@ import (
 // from a layout byte stream (read as zeros once exhausted). Session 0
 // and the fleet take the raw floats, so the front door sees every NaN,
 // infinity and extreme the fuzzer makes: frame rate, offset, round trip,
-// one open-loop trace entry, the outage bounds and the batching window.
+// one open-loop trace entry, the outage bounds, the batching window and
+// the back-pressure policy's budget (QueuePolicy.BudgetMS or
+// StaleSkipPolicy.SlackFrames, whichever session 0 drew).
 // The other sessions draw tame values from the layout. It returns the
 // frames each session offers.
-func fuzzFleet(layout []byte, fps, offset, rtt, arrival, from, to, window float64) (*Fleet, []int) {
+func fuzzFleet(layout []byte, fps, offset, rtt, arrival, from, to, window, budget float64) (*Fleet, []int) {
 	next := func() int {
 		if len(layout) == 0 {
 			return 0
@@ -81,6 +83,12 @@ func fuzzFleet(layout []byte, fps, offset, rtt, arrival, from, to, window float6
 			for j := range s.Outages {
 				s.Outages[j].FromMS, s.Outages[j].ToMS = from, to
 			}
+			switch s.Policy.(type) {
+			case QueuePolicy:
+				s.Policy = QueuePolicy{BudgetMS: budget}
+			case StaleSkipPolicy:
+				s.Policy = StaleSkipPolicy{SlackFrames: budget}
+			}
 		}
 		f.Sessions = append(f.Sessions, s)
 	}
@@ -106,19 +114,24 @@ func FuzzFleetConfig(f *testing.F) {
 		// a detect outage 200-700 ms, the ladder on
 		25, 4, 0, 50, 20, 2, 2, 1, 0, 0, 1, 10, 25, 1, 0,
 	}
+	// The same fleet with session 0 on StaleSkipPolicy.
+	stale := append([]byte(nil), layout...)
+	stale[10] = 2
 	nan, inf := math.NaN(), math.Inf(1)
-	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0)
-	f.Add(layout, 10.0, nan, 25.0, 400.0, 500.0, 1500.0, 60.0)   // OffsetMS NaN
-	f.Add(layout, 10.0, inf, 25.0, 400.0, 500.0, 1500.0, 60.0)   // OffsetMS +Inf
-	f.Add(layout, 10.0, 0.0, 25.0, nan, 500.0, 1500.0, 60.0)     // ArrivalsMS entry NaN
-	f.Add(layout, 10.0, 0.0, 25.0, 400.0, -inf, 1500.0, 60.0)    // Outage.FromMS -Inf
-	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, inf, 60.0)      // Outage.ToMS +Inf
-	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, nan)    // Batch.WindowMS NaN
-	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, -60.0)  // Batch.WindowMS negative
-	f.Add(layout, 5e-324, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0) // FrameFPS with an infinite period
-	f.Add(layout, 10.0, 0.0, 1e308, 400.0, 500.0, 1500.0, 60.0)  // EdgeRTTms past the ceiling
-	f.Fuzz(func(t *testing.T, layout []byte, fps, offset, rtt, arrival, from, to, window float64) {
-		fleet, offered := fuzzFleet(layout, fps, offset, rtt, arrival, from, to, window)
+	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0, 240.0)
+	f.Add(layout, 10.0, nan, 25.0, 400.0, 500.0, 1500.0, 60.0, 240.0)   // OffsetMS NaN
+	f.Add(layout, 10.0, inf, 25.0, 400.0, 500.0, 1500.0, 60.0, 240.0)   // OffsetMS +Inf
+	f.Add(layout, 10.0, 0.0, 25.0, nan, 500.0, 1500.0, 60.0, 240.0)     // ArrivalsMS entry NaN
+	f.Add(layout, 10.0, 0.0, 25.0, 400.0, -inf, 1500.0, 60.0, 240.0)    // Outage.FromMS -Inf
+	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, inf, 60.0, 240.0)      // Outage.ToMS +Inf
+	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, nan, 240.0)    // Batch.WindowMS NaN
+	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, -60.0, 240.0)  // Batch.WindowMS negative
+	f.Add(layout, 5e-324, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0, 240.0) // FrameFPS with an infinite period
+	f.Add(layout, 10.0, 0.0, 1e308, 400.0, 500.0, 1500.0, 60.0, 240.0)  // EdgeRTTms past the ceiling
+	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0, nan)     // QueuePolicy.BudgetMS NaN
+	f.Add(stale, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0, nan)      // StaleSkipPolicy.SlackFrames NaN
+	f.Fuzz(func(t *testing.T, layout []byte, fps, offset, rtt, arrival, from, to, window, budget float64) {
+		fleet, offered := fuzzFleet(layout, fps, offset, rtt, arrival, from, to, window, budget)
 		a, err := fleet.Run()
 		if err != nil {
 			return
@@ -139,7 +152,7 @@ func FuzzFleetConfig(f *testing.F) {
 				}
 			}
 		}
-		again, _ := fuzzFleet(layout, fps, offset, rtt, arrival, from, to, window)
+		again, _ := fuzzFleet(layout, fps, offset, rtt, arrival, from, to, window, budget)
 		b, err := again.Run()
 		if err != nil || !reflect.DeepEqual(a, b) {
 			t.Fatalf("rebuilt fleet did not reproduce (err %v)", err)

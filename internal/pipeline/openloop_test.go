@@ -127,7 +127,9 @@ func TestSessionRejectsBadTiming(t *testing.T) {
 // trace entry never compares as decreasing, a NaN window never closes
 // (the +Inf schedule), a FrameFPS of 5e-324 has an infinite period (NaN
 // stage latencies), an EdgeRTTms of 1e308 charged on three stages
-// finishes at +Inf, and a negative Frames or a nil Graph panics.
+// finishes at +Inf, a negative Frames or a nil Graph panics, and a NaN
+// QueuePolicy budget drops all 20 frames (a NaN StaleSkipPolicy slack
+// skips every downstream stage).
 func TestRejectsDegenerateConfig(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	for _, c := range []struct {
@@ -151,6 +153,8 @@ func TestRejectsDegenerateConfig(t *testing.T) {
 		{"rtt huge", "session 7 EdgeRTTms", func(s *Session) { s.EdgeRTTms = 1e308 }, nil},
 		{"negative frames", "session 7 Frames", func(s *Session) { s.Frames = -1 }, nil},
 		{"nil graph", "session 7 has no Graph", func(s *Session) { s.Graph = nil }, nil},
+		{"queue budget nan", "session 7 QueuePolicy.BudgetMS", func(s *Session) { s.Policy = QueuePolicy{BudgetMS: nan} }, nil},
+		{"slack frames nan", "session 7 StaleSkipPolicy.SlackFrames", func(s *Session) { s.Policy = StaleSkipPolicy{SlackFrames: nan} }, nil},
 		{"fleet window nan", "fleet Batch.WindowMS", nil, func(f *Fleet) { f.Batch = BatchPolicy{MaxBatch: 4, WindowMS: nan} }},
 		{"fleet window negative", "fleet Batch.WindowMS", nil, func(f *Fleet) { f.Batch = BatchPolicy{MaxBatch: 4, WindowMS: -60} }},
 		{"fleet outage inf", "fleet Outages[0]", nil, func(f *Fleet) {

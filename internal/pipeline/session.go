@@ -130,7 +130,9 @@ func (s *Session) arrivalAt(i int, period float64) float64 {
 // an EdgeRTTms outside 0 to maxRTTMS; a non-finite OffsetMS; a
 // non-finite or decreasing open-loop trace, which would corrupt the
 // executors' busy-time accounting and the replay's arrival order; an
-// outage with a non-finite bound; a NaN or negative batching window.
+// outage with a non-finite bound; a NaN or negative batching window; a
+// back-pressure policy whose budget is not finite (a NaN budget compares
+// false against every backlog, so it sheds every frame or stage).
 func (s *Session) validate() error {
 	if s.Graph == nil {
 		return fmt.Errorf("pipeline: session %d has no Graph", s.ID)
@@ -161,6 +163,16 @@ func (s *Session) validate() error {
 	}
 	if err := validBatch(s.Batch); err != nil {
 		return fmt.Errorf("pipeline: session %d %w", s.ID, err)
+	}
+	switch p := s.Policy.(type) {
+	case QueuePolicy:
+		if !finite(p.BudgetMS) {
+			return fmt.Errorf("pipeline: session %d QueuePolicy.BudgetMS is %v, want finite", s.ID, p.BudgetMS)
+		}
+	case StaleSkipPolicy:
+		if !finite(p.SlackFrames) {
+			return fmt.Errorf("pipeline: session %d StaleSkipPolicy.SlackFrames is %v, want finite", s.ID, p.SlackFrames)
+		}
 	}
 	return nil
 }
@@ -277,20 +289,18 @@ func (a *AdaptivePlacement) Rebind(stat FrameStat) map[string]Placement {
 	return map[string]Placement{a.Stage: {Device: arm.Dev, Model: arm.Model}}
 }
 
-// execEnv is one session's live scheduling state: placements, executor
-// resolution, and drop/skip accounting.
+// execEnv is one session's live scheduling state: placements and
+// executor resolution. Every count — drops, skips, rebinds, compiles,
+// the ladder's rungs — goes straight into the session's result.
 type execEnv struct {
-	sess    *Session
-	place   map[string]Placement
-	shared  *device.Cluster // fleet-shared executors for non-edge devices
-	skips   map[string]int
-	drops   int
-	rebinds int
+	sess   *Session
+	res    *StreamResult
+	place  map[string]Placement
+	shared *device.Cluster // fleet-shared executors for non-edge devices
 	// compiled tracks, per planned stage, the placement its plan was
 	// compiled for: the first job after a (re-)placement carries the
 	// one-time compile surcharge, every later frame reuses the plan.
 	compiled map[string]Placement
-	compiles int
 	// outages is the merged session+fleet downtime schedule, sorted by
 	// onset; outageCur is the next not-yet-applied entry.
 	outages   []Outage
@@ -298,18 +308,14 @@ type execEnv struct {
 	// Temporal ladder state (nil tpol = ladder off): the stream's
 	// bridging budget, the same temporal.Track serve keeps per tenant,
 	// re-anchored by every real root inference.
-	tpol                   *temporal.Policy
-	track                  temporal.Track
-	bridged                int
-	roiFrames, earlyFrames int
-	doubleSkips            int
-	staleMaxMS             float64
+	tpol  *temporal.Policy
+	track temporal.Track
 }
 
-func (s *Session) env(shared *device.Cluster, fleetOutages []Outage) *execEnv {
-	e := &execEnv{sess: s, place: s.Graph.Placements(), shared: shared,
-		skips: map[string]int{}, compiled: map[string]Placement{},
-		outages: sortedOutages(s.Outages, fleetOutages)}
+func (s *Session) env(res *StreamResult, shared *device.Cluster, fleetOutages []Outage) *execEnv {
+	*res = StreamResult{Session: s.ID, StageSkips: map[string]int{}}
+	e := &execEnv{sess: s, res: res, place: s.Graph.Placements(), shared: shared,
+		compiled: map[string]Placement{}, outages: sortedOutages(s.Outages, fleetOutages)}
 	if s.Temporal.Enabled {
 		e.tpol = temporal.NewPolicy(temporal.Config{})
 	}
@@ -339,7 +345,7 @@ func (e *execEnv) planCompile(stage string, p Placement, prec device.Precision) 
 		return 0
 	}
 	e.compiled[stage] = p
-	e.compiles++
+	e.res.PlanCompiles++
 	return device.PlanCompileMS(p.Model, p.Device, prec)
 }
 
@@ -365,20 +371,20 @@ func (e *execEnv) admit(arrival float64) bool {
 
 // deliver appends the alerts of delivered stages (those with a latency
 // in stat.StageMS) to the result, then consults the placement policy.
-func (e *execEnv) deliver(res *StreamResult, fc *FrameCtx, stat FrameStat) {
+func (e *execEnv) deliver(fc *FrameCtx, stat FrameStat) {
 	for _, sa := range fc.alerts {
 		if _, ok := stat.StageMS[sa.stage]; ok {
-			res.Alerts = append(res.Alerts, sa.alert)
+			e.res.Alerts = append(e.res.Alerts, sa.alert)
 		}
 	}
-	res.Frames = append(res.Frames, stat)
+	e.res.Frames = append(e.res.Frames, stat)
 	e.consultPlacer(stat)
 }
 
 // dropFrame accounts a policy-rejected frame and reports the drop to the
 // placement policy as latency pressure.
 func (e *execEnv) dropFrame(frameIndex int) {
-	e.drops++
+	e.res.Dropped++
 	e.consultPlacer(FrameStat{FrameIndex: frameIndex, Dropped: true, VIPFound: true})
 }
 
@@ -400,12 +406,13 @@ func (e *execEnv) consultPlacer(stat FrameStat) {
 		}
 	}
 	if changed {
-		e.rebinds++
+		e.res.Rebinds++
 	}
 }
 
 // finalize computes the summary statistics of a completed stream.
-func (e *execEnv) finalize(res *StreamResult) {
+func (e *execEnv) finalize() {
+	res := e.res
 	var e2e []float64
 	deadlineHits, found := 0, 0
 	for _, st := range res.Frames {
@@ -422,15 +429,6 @@ func (e *execEnv) finalize(res *StreamResult) {
 		res.DetectionRate = float64(found) / float64(n)
 	}
 	res.E2E = metrics.SummarizeMS(e2e)
-	res.Dropped = e.drops
-	res.StageSkips = e.skips
-	res.Rebinds = e.rebinds
-	res.PlanCompiles = e.compiles
-	res.Bridged = e.bridged
-	res.ROIFrames = e.roiFrames
-	res.EarlyExitFrames = e.earlyFrames
-	res.DoubleSkips = e.doubleSkips
-	res.BridgeStaleMaxMS = e.staleMaxMS
 	if e.tpol != nil {
 		res.ForcedRefreshes = e.tpol.ForcedRefreshes()
 	}
@@ -569,8 +567,7 @@ func (f *Fleet) replay(shared bool) ([]StreamResult, error) {
 	envs := make([]*execEnv, len(f.Sessions))
 	results := make([]StreamResult, len(f.Sessions))
 	for i, s := range f.Sessions {
-		envs[i] = s.env(cluster, f.Outages)
-		results[i] = StreamResult{Session: s.ID}
+		envs[i] = s.env(&results[i], cluster, f.Outages)
 	}
 	// Admitted frames accumulate into a flush group that closes when it
 	// fills or when a frame arrives past its oldest member's window —
@@ -591,14 +588,14 @@ func (f *Fleet) replay(shared bool) ([]StreamResult, error) {
 			env.dropFrame(fc.FrameIndex)
 			continue
 		}
-		group = append(group, groupFrame{env: env, fc: fc, arrival: ev.arrival, res: &results[ev.sess]})
+		group = append(group, groupFrame{env: env, fc: fc, arrival: ev.arrival})
 		if len(group) >= f.Batch.MaxBatch {
 			flush()
 		}
 	}
 	flush()
-	for i := range results {
-		envs[i].finalize(&results[i])
+	for _, e := range envs {
+		e.finalize()
 	}
 	return results, nil
 }

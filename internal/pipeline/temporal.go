@@ -15,10 +15,10 @@ func (e *execEnv) tryBridgeRoot(readyMS, delayMS, periodMS float64) (doneMS floa
 	if !ok {
 		return 0, false
 	}
-	if stale > e.staleMaxMS {
-		e.staleMaxMS = stale
+	if stale > e.res.BridgeStaleMaxMS {
+		e.res.BridgeStaleMaxMS = stale
 	}
-	e.bridged++
+	e.res.Bridged++
 	return doneMS, true
 }
 
@@ -34,9 +34,9 @@ func (e *execEnv) rootRung(delayMS, periodMS, thermal float64) temporal.Rung {
 	})
 	switch r {
 	case temporal.ROI:
-		e.roiFrames++
+		e.res.ROIFrames++
 	case temporal.EarlyExit:
-		e.earlyFrames++
+		e.res.EarlyExitFrames++
 	}
 	return r
 }

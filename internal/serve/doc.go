@@ -24,13 +24,14 @@
 //     simulation allocates nothing, which is what sustains more than
 //     a million simulated requests per wall-clock second on one core.
 //
-//   - Policy (server.go): admission control (queue caps plus
-//     shed-if-doomed deadline prediction using the executor's
-//     queue-aware AdmissionDelayMS), strict-priority SLO classes with
-//     lazy dispatch-time expiry, least-attained-service fairness
-//     across tenants, and windowed same-model micro-batch formation
-//     dispatched through device.Executor — the same simulator, jitter
-//     model, and thermal throttle every other study in the repo uses.
+//   - Policy (server.go): fixed admission control (a queue cap split
+//     into per-tenant quotas, plus shed-if-doomed deadline prediction
+//     using the executor's queue-aware AdmissionDelayMS),
+//     strict-priority SLO classes with lazy dispatch-time expiry,
+//     least-attained-service fairness across tenants, and windowed
+//     same-model micro-batch formation dispatched through
+//     device.Executor — the same simulator, jitter model, and thermal
+//     throttle every other study in the repo uses.
 //
 //   - Faults (faults.go): an explicit fault surface — FailDevice
 //     (fail-stop at batch boundaries: the in-flight batch completes,

@@ -115,27 +115,25 @@ const (
 	fzHedge                // hedging onto a second RTX 4090
 	fzSDC                  // SetSDC(0, 0.1) before the run
 	fzStraggle             // SetStraggle(0, 0.5) before the run
-	fzNoDoomed             // ShedDoomed off
 )
 
 // fuzzConfig maps raw fuzz inputs onto a valid Config of at most 2 s
-// simulated: rho in (0, 2], MaxBatch 0-8, non-negative caps, window and
-// link round trip, fp32 or int8, and the layers set in the bitmask.
-func fuzzConfig(seed uint64, rho float64, queueCap, quota, maxBatch uint8, windowMS, linkMS float64, int8 bool, layers uint8) (Config, bool) {
+// simulated: rho in (0, 2], 1-64 tenants (so the tenant quota the cap
+// derives runs from 512 down to 8), MaxBatch 0-8, non-negative window
+// and link round trip, fp32 or int8, and the layers set in the bitmask.
+func fuzzConfig(seed uint64, rho float64, tenants, maxBatch uint8, windowMS, linkMS float64, int8 bool, layers uint8) (Config, bool) {
 	for _, v := range []float64{rho, windowMS, linkMS} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return Config{}, false
 		}
 	}
 	cfg := DefaultConfig(1_500, seed)
-	cfg.QueueCap = int(queueCap)
-	cfg.TenantQuota = int(quota)
+	cfg.Traffic.Tenants = 1 + (int(tenants)-1)&63
 	cfg.Batch = device.BatchConfig{MaxBatch: int(maxBatch % 9), WindowMS: math.Mod(math.Abs(windowMS), 50)}
 	cfg.LinkRTTms = math.Mod(math.Abs(linkMS), 20)
 	if int8 {
 		cfg.Precision = device.INT8
 	}
-	cfg.ShedDoomed = layers&fzNoDoomed == 0
 	if layers&fzOutage != 0 {
 		cfg.Disrupt = &scriptedOutage{windows: [][2]float64{{400, 900}}}
 	}
@@ -164,18 +162,19 @@ func FuzzServeConfig(f *testing.F) {
 	const all = fzOutage | fzAdapt | fzTemporal | fzRetry | fzHedge | fzSDC | fzStraggle
 	// The golden modes: plain, chaos-like, retry-sdc, hedge-straggle,
 	// integrity, temporal, layered, and link (layered, LinkRTTms 3,
-	// unbatched).
-	f.Add(uint64(42), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(0))
-	f.Add(uint64(42), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzOutage|fzAdapt))
-	f.Add(uint64(43), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzRetry|fzSDC))
-	f.Add(uint64(43), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzHedge|fzStraggle))
-	f.Add(uint64(44), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzRetry|fzHedge|fzSDC|fzStraggle))
-	f.Add(uint64(44), 1.4, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(fzOutage|fzAdapt|fzTemporal))
-	f.Add(uint64(42), 1.0, uint8(255), uint8(32), uint8(8), 25.0, 0.0, false, uint8(all))
-	f.Add(uint64(43), 1.0, uint8(255), uint8(32), uint8(1), 25.0, 3.0, false, uint8(all))
-	f.Add(uint64(7), 1.9, uint8(4), uint8(1), uint8(0), 0.0, 19.0, true, uint8(all|fzNoDoomed))
-	f.Fuzz(func(t *testing.T, seed uint64, rho float64, queueCap, quota, maxBatch uint8, windowMS, linkMS float64, int8 bool, layers uint8) {
-		cfg, ok := fuzzConfig(seed, rho, queueCap, quota, maxBatch, windowMS, linkMS, int8, layers)
+	// unbatched), all at DefaultConfig's 16 tenants; then everything at
+	// once on 64 tenants (quota 8), unbatched, int8.
+	f.Add(uint64(42), 1.0, uint8(16), uint8(8), 25.0, 0.0, false, uint8(0))
+	f.Add(uint64(42), 1.0, uint8(16), uint8(8), 25.0, 0.0, false, uint8(fzOutage|fzAdapt))
+	f.Add(uint64(43), 1.0, uint8(16), uint8(8), 25.0, 0.0, false, uint8(fzRetry|fzSDC))
+	f.Add(uint64(43), 1.0, uint8(16), uint8(8), 25.0, 0.0, false, uint8(fzHedge|fzStraggle))
+	f.Add(uint64(44), 1.0, uint8(16), uint8(8), 25.0, 0.0, false, uint8(fzRetry|fzHedge|fzSDC|fzStraggle))
+	f.Add(uint64(44), 1.4, uint8(16), uint8(8), 25.0, 0.0, false, uint8(fzOutage|fzAdapt|fzTemporal))
+	f.Add(uint64(42), 1.0, uint8(16), uint8(8), 25.0, 0.0, false, uint8(all))
+	f.Add(uint64(43), 1.0, uint8(16), uint8(1), 25.0, 3.0, false, uint8(all))
+	f.Add(uint64(7), 1.9, uint8(64), uint8(0), 0.0, 19.0, true, uint8(all))
+	f.Fuzz(func(t *testing.T, seed uint64, rho float64, tenants, maxBatch uint8, windowMS, linkMS float64, int8 bool, layers uint8) {
+		cfg, ok := fuzzConfig(seed, rho, tenants, maxBatch, windowMS, linkMS, int8, layers)
 		if !ok {
 			t.Skip("non-finite input")
 		}

@@ -31,7 +31,8 @@ const (
 
 // Config parameterises one serving run: the device and execution mode
 // requests are served with, the open-loop traffic offered to it, and
-// the policy layer between the two.
+// the policy layers between the two. Admission itself (deadlines, queue
+// cap, tenant quota, doomed shedding) is fixed: see queueCap.
 type Config struct {
 	// Device serves every request (the shared workstation of the fleet
 	// deployments).
@@ -45,27 +46,9 @@ type Config struct {
 	// oldest member's arrival — less if holding would doom the oldest
 	// member's deadline.
 	Batch device.BatchConfig
-	// Traffic is the open-loop arrival process.
+	// Traffic is the open-loop arrival process. Its tenant count also
+	// sets the tenant quota (Server.quota).
 	Traffic Traffic
-	// SLOScale is the per-class deadline budget as a multiple of the
-	// request model's batch-1 service time (zero value selects
-	// DefaultSLOScale; 0 within a class means no deadline).
-	SLOScale [NumClasses]float64
-	// QueueCap sheds arrivals once this many requests are queued
-	// (0 = unlimited).
-	QueueCap int
-	// TenantQuota sheds a tenant's arrivals once it has this many
-	// requests queued (0 = unlimited). The quota is what makes
-	// overload fair: one flooding tenant exhausts its own quota, not
-	// the shared queue.
-	TenantQuota int
-	// ShedDoomed sheds deadline-carrying arrivals whose predicted
-	// completion — queue-aware via Executor.AdmissionDelayMS plus the
-	// batching-corrected queued work of their own and more urgent
-	// classes — already misses the deadline. Shedding at arrival is
-	// the load-shedding half of admission control: the device never
-	// wastes service on work that cannot meet its SLO.
-	ShedDoomed bool
 	// HorizonMS is the simulated duration arrivals are offered for
 	// (Run drains the queues afterwards).
 	HorizonMS float64
@@ -95,10 +78,27 @@ type Config struct {
 	Temporal temporal.Layer
 }
 
+// queueCap bounds the requests queued across all tenants. Admission has
+// no knob: an arrival is shed at the cap or at its tenant's quota, and a
+// deadline-carrying arrival whose predicted completion already misses
+// is shed (or hedged, when the hedge policy allows), so the device never
+// spends service on a request that cannot meet its SLO.
+const queueCap = 512
+
+// sloScale is the per-class deadline budget as a multiple of the
+// request model's batch-1 service time on the serving device: an
+// interactive yolov8n request gets a much tighter absolute deadline
+// than an interactive yolov8x one, which keeps goodput comparable
+// across heterogeneous mixes. The scales are sized against the default
+// 25 ms micro-batch window — a nano detector's interactive budget
+// (~30 ms) admits one batching window plus service, not less, so SLOs
+// constrain queueing rather than forbid batching. 0 means no deadline.
+var sloScale = [NumClasses]float64{30, 100, 0}
+
 // DefaultConfig is the reference serving configuration of the
 // ext-serve study: the shared RTX 4090 workstation serving the default
 // eight-model mix from 16 bursty diurnal tenants, micro-batch 8 within
-// a 25 ms window, deadline admission plus queue cap and tenant quota.
+// a 25 ms window.
 func DefaultConfig(horizonMS float64, seed uint64) Config {
 	return Config{
 		Device: device.RTX4090,
@@ -113,13 +113,7 @@ func DefaultConfig(horizonMS float64, seed uint64) Config {
 			BurstOffMS:      4500,
 			Seed:            seed,
 		},
-		// Quotas partition the cap (16 x 32 = 512): a flooding tenant
-		// always exhausts its own quota before the shared queue, so cap
-		// shedding never hits tenants below their fair share.
-		QueueCap:    512,
-		TenantQuota: 32,
-		ShedDoomed:  true,
-		HorizonMS:   horizonMS,
+		HorizonMS: horizonMS,
 	}
 }
 
@@ -236,6 +230,11 @@ type Server struct {
 	classEstMS   [NumClasses]float64
 	queued       int64
 	tenantQueued []int64
+	// quota partitions the cap among the tenants, queueCap / tenants
+	// and at least 1 (16 × 32 = 512 at DefaultConfig): up to queueCap
+	// tenants, a flooding tenant exhausts its own quota before the shared
+	// queue, so cap shedding never hits tenants below their fair share.
+	quota int64
 	// attained is each tenant's charged service; the dispatcher always
 	// serves the least-attained tenant with eligible work, which is
 	// max-min fair under the Zipf-skewed offered load.
@@ -300,15 +299,6 @@ func NewServer(cfg Config) *Server {
 	if h := cfg.HorizonMS; math.IsNaN(h) || math.IsInf(h, 0) {
 		panic(fmt.Sprintf("serve: Config.HorizonMS must be finite, got %v", h))
 	}
-	allZero := true
-	for _, v := range cfg.SLOScale {
-		if v != 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		cfg.SLOScale = DefaultSLOScale
-	}
 	g := newGen(cfg.Traffic)
 	nt := len(g.tenants)
 	s := &Server{
@@ -318,6 +308,7 @@ func NewServer(cfg Config) *Server {
 		ex:           device.NewExecutor(cfg.Device, cfg.Traffic.Seed*0x9e3779b97f4a7c15+uint64(cfg.Device)+1),
 		free:         -1,
 		tenantQueued: make([]int64, nt),
+		quota:        int64(max(1, queueCap/nt)),
 		attained:     make([]float64, nt),
 		res: Result{
 			HorizonMS:       cfg.HorizonMS,
@@ -449,7 +440,7 @@ func (s *Server) arrive(ti int, now float64) {
 	c := s.g.drawClass(ti)
 	est := s.nom.estMS[m]
 	deadline := 0.0
-	if scale := s.cfg.SLOScale[c]; scale > 0 {
+	if scale := sloScale[c]; scale > 0 {
 		deadline = now + scale*est
 	}
 	s.tallies[c].offered++
@@ -467,24 +458,19 @@ func (s *Server) arrive(ti int, now float64) {
 		s.tallies[c].lost++
 		return
 	}
-	if (s.cfg.QueueCap > 0 && s.queued >= int64(s.cfg.QueueCap)) ||
-		(s.cfg.TenantQuota > 0 && s.tenantQueued[ti] >= int64(s.cfg.TenantQuota)) {
+	if s.queued >= queueCap || s.tenantQueued[ti] >= s.quota {
 		s.shed(ti, c, now, deadline, false)
 		return
 	}
-	hedge := false
 	// Predicted completion: the queue's delay for this class, this
 	// request's own service at the live precision, and the link round
 	// trip. A predicted miss on the primary hedges if the policy and
 	// budget allow, and sheds otherwise.
-	if deadline > 0 && (s.cfg.ShedDoomed || s.exH != nil) &&
-		s.backAt(now+s.queueDelayMS(now, c)+s.svc().estMS[m]) > deadline {
-		if s.exH != nil && s.res.Hedges < s.hedgeBudget() {
-			hedge = true
-		} else if s.cfg.ShedDoomed {
-			s.shed(ti, c, now, deadline, true)
-			return
-		}
+	doomed := deadline > 0 && s.backAt(now+s.queueDelayMS(now, c)+s.svc().estMS[m]) > deadline
+	hedge := doomed && s.exH != nil && s.res.Hedges < s.hedgeBudget()
+	if doomed && !hedge {
+		s.shed(ti, c, now, deadline, true)
+		return
 	}
 	s.tallies[c].admitted++
 

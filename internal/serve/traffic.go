@@ -44,16 +44,6 @@ func (c Class) String() string {
 	}
 }
 
-// DefaultSLOScale is the per-class deadline budget as a multiple of the
-// request model's batch-1 service time on the serving device: an
-// interactive yolov8n request gets a much tighter absolute deadline
-// than an interactive yolov8x one, which keeps goodput comparable
-// across heterogeneous mixes. The scales are sized against the default
-// 25 ms micro-batch window — a nano detector's interactive budget
-// (~30 ms) admits one batching window plus service, not less, so SLOs
-// constrain queueing rather than forbid batching. 0 means no deadline.
-var DefaultSLOScale = [NumClasses]float64{30, 100, 0}
-
 // Traffic parameterises the open-loop arrival process: an aggregate
 // Poisson rate shared by Tenants independent sources, modulated by a
 // diurnal sinusoid and a two-state burst process (a Markov-modulated
@@ -68,13 +58,15 @@ type Traffic struct {
 	RatePerSec float64
 	// Tenants is the number of independent request sources (drone
 	// sessions). Tenant i's share of the rate follows a 1/(i+1) Zipf
-	// profile so fairness is tested against a skewed offered load.
+	// profile so fairness is tested against a skewed offered load. A
+	// server admits at most 512 / Tenants (at least 1) queued requests
+	// per tenant.
 	Tenants int
 	// Mix gives relative request weights over the eight Table-2 models;
 	// nil selects DefaultMix.
 	Mix []float64
 	// ClassMix gives relative weights over the priority classes; all
-	// zeros selects DefaultClassMix.
+	// zeros selects 25 : 60 : 15 interactive : standard : background.
 	ClassMix [NumClasses]float64
 	// DiurnalAmp in [0,1) modulates the rate sinusoidally:
 	// rate × (1 + amp·sin(2πt/period + phase)). 0 disables.
@@ -107,9 +99,9 @@ func DefaultMix() []float64 {
 	return mix
 }
 
-// DefaultClassMix sends most traffic through the standard class with an
+// defaultClassMix sends most traffic through the standard class with an
 // interactive head and a background tail.
-var DefaultClassMix = [NumClasses]float64{25, 60, 15}
+var defaultClassMix = [NumClasses]float64{25, 60, 15}
 
 // checkWeights panics on a weight that is negative, NaN or infinite:
 // normalising by the sum would turn it into a silent NaN or a
@@ -170,7 +162,7 @@ func newGen(cfg Traffic) *gen {
 		}
 	}
 	if allZero {
-		cfg.ClassMix = DefaultClassMix
+		cfg.ClassMix = defaultClassMix
 	}
 	// NaN passes the <= 0 clamps below, and a NaN thinning envelope
 	// never accepts a candidate: refuse every non-finite shape knob.
