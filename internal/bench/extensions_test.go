@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ocularone/internal/adaptive"
 	"ocularone/internal/device"
 	"ocularone/internal/models"
 	"ocularone/internal/scene"
@@ -67,6 +68,27 @@ func TestAdaptiveStudyOutcomes(t *testing.T) {
 	WriteAdaptiveStudy(&sb, outcomes)
 	if !strings.Contains(sb.String(), "adaptive") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// TestAdaptiveStudyGolden pins the adaptive-deployment study at seed 42
+// exactly: the three static arms and the controller, every rate, mean
+// latency, switch count and reward to the last bit.
+func TestAdaptiveStudyGolden(t *testing.T) {
+	want := []adaptive.Outcome{
+		{Policy: "static:nano@o-nano", DetectionRate: 0.9283333333333333, DeadlineRate: 1, MeanLatencyMS: 35.67847030895892, Switches: 0, Reward: 0.9283333333333333},
+		{Policy: "static:medium@o-nano", DetectionRate: 0.9566666666666667, DeadlineRate: 1, MeanLatencyMS: 200.91481018016603, Switches: 0, Reward: 0.9566666666666667},
+		{Policy: "static:xlarge@rtx4090", DetectionRate: 0.9916666666666667, DeadlineRate: 0.8333333333333334, MeanLatencyMS: 109.53307934895199, Switches: 0, Reward: 0.826388888888889},
+		{Policy: "adaptive", DetectionRate: 0.9883333333333333, DeadlineRate: 0.9666666666666667, MeanLatencyMS: 123.44116087010332, Switches: 5, Reward: 0.9553888888888888},
+	}
+	got := RunAdaptiveStudy(42)
+	if len(got) != len(want) {
+		t.Fatalf("%d outcomes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("outcome %d: got %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
