@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"ocularone/internal/adaptive"
+	"ocularone/internal/bench"
 	"ocularone/internal/device"
 	"ocularone/internal/lidar"
 	"ocularone/internal/models"
@@ -23,24 +24,16 @@ import (
 
 func main() {
 	// --- Part 1: adaptive edge-cloud deployment over a scripted scenario. ---
-	scenario := adaptive.Scenario{
-		Frames: 600, FrameFPS: 4,
-		DuskFrom: 200, DuskTo: 400,
-		OutageFrom: 450, OutageTo: 550, OutagePenaltyMS: 400,
-		Seed: 42,
-	}
-	arms := adaptive.DefaultArms(device.OrinNano, 25)
-
 	fmt.Println("Scenario: 600 frames @ 4 FPS; dusk at 200-400; cloud outage at 450-550")
 	fmt.Printf("%-22s %10s %10s %12s %9s\n", "policy", "detect%", "deadline%", "mean-lat", "switches")
-	for _, a := range arms {
-		o := adaptive.RunStatic(scenario, a)
+	for _, o := range bench.RunAdaptiveStudy(42) {
+		switches := "-" // a static arm never switches
+		if o.Policy == "adaptive" {
+			switches = fmt.Sprint(o.Switches)
+		}
 		fmt.Printf("%-22s %9.1f%% %9.1f%% %10.0fms %9s\n",
-			o.Policy, o.DetectionRate*100, o.DeadlineRate*100, o.MeanLatencyMS, "-")
+			o.Policy, o.DetectionRate*100, o.DeadlineRate*100, o.MeanLatencyMS, switches)
 	}
-	o := adaptive.RunAdaptive(scenario, arms, 0, adaptive.Config{Window: 10, FailHi: 0.05})
-	fmt.Printf("%-22s %9.1f%% %9.1f%% %10.0fms %9d\n",
-		o.Policy, o.DetectionRate*100, o.DeadlineRate*100, o.MeanLatencyMS, o.Switches)
 
 	// --- Part 2: the controller as a live PlacementPolicy. ---
 	// The same hysteresis controller now drives mid-stream re-placement

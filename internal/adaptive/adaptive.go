@@ -14,11 +14,8 @@ type Arm struct {
 	Name  string
 	Model models.ID
 	Dev   device.ID
-	// RTTms is the network round trip charged when Dev is not the
-	// drone's companion edge device.
-	RTTms float64
 	// Accuracy is the arm's nominal detection rate under good
-	// conditions; the scenario degrades it (see Scenario.lighting).
+	// conditions; the scenario's dusk replaces it with RobustAccuracy.
 	Accuracy float64
 	// RobustAccuracy is the rate under degraded (dusk) conditions —
 	// larger models hold up better (the paper's Fig. 4 finding).
@@ -30,14 +27,18 @@ type Arm struct {
 	Precision device.Precision
 }
 
-// LatencyMS returns the arm's expected per-frame latency.
+// LatencyMS returns the arm's expected per-frame latency: an arm whose
+// Dev is not an edge device also pays the cloudRTTMS round trip.
 func (a Arm) LatencyMS() float64 {
 	l := device.PredictMS(a.Model, a.Dev, a.Precision, device.Interpreted)
 	if !device.Registry(a.Dev).IsEdge() {
-		l += a.RTTms
+		l += cloudRTTMS
 	}
 	return l
 }
+
+// cloudRTTMS is the drone-to-workstation network round trip.
+const cloudRTTMS = 25
 
 // Config tunes the controller: its epoch length, the miss rate that
 // downshifts and the failure rate that upshifts.
@@ -144,21 +145,20 @@ func (c *Controller) Observe(deadlineMissed, detectionFailed bool) bool {
 	return false
 }
 
-// Scenario drives a simulated deployment: a drone feed at FrameFPS with
-// a dusk interval (small-model accuracy degrades) and a cloud outage
-// (off-edge arms pay a timeout penalty).
-type Scenario struct {
-	Frames     int
-	FrameFPS   float64
-	DuskFrom   int // frame where lighting degrades
-	DuskTo     int
-	OutageFrom int // frames where the cloud path is down
-	OutageTo   int
-	// OutagePenaltyMS is the extra latency an off-edge arm pays during
-	// the outage (retry/timeout).
-	OutagePenaltyMS float64
-	Seed            uint64
-}
+// The scenario every study runs: a 600-frame drone feed at 4 FPS (a
+// 250 ms period, so every edge arm is viable and the cloud arm is viable
+// until its outage), with dusk over frames 200-400 (small-model accuracy
+// degrades) and a cloud outage over frames 450-550 during which an
+// off-edge arm pays a 400 ms retry/timeout penalty. Only the seed varies.
+const (
+	scenarioFrames  = 600
+	scenarioFPS     = 4
+	duskFrom        = 200
+	duskTo          = 400
+	outageFrom      = 450
+	outageTo        = 550
+	outagePenaltyMS = 400
+)
 
 // Outcome summarises one simulated deployment run.
 type Outcome struct {
@@ -172,60 +172,36 @@ type Outcome struct {
 	Reward float64
 }
 
-// dusk reports whether frame i falls in the degraded-lighting interval.
-func (s Scenario) dusk(i int) bool { return i >= s.DuskFrom && i < s.DuskTo }
-
-// outage reports whether frame i falls in the cloud outage.
-func (s Scenario) outage(i int) bool { return i >= s.OutageFrom && i < s.OutageTo }
-
-// simulateFrame draws one frame outcome for an arm.
-func simulateFrame(s Scenario, a Arm, i int, r *rng.RNG) (latencyMS float64, detected bool) {
+// simulateFrame draws frame i's outcome for an arm.
+func simulateFrame(a Arm, i int, r *rng.RNG) (latencyMS float64, detected bool) {
 	base := a.LatencyMS()
 	lat := base * math.Exp(r.NormRange(0, 0.06))
-	if s.outage(i) && !device.Registry(a.Dev).IsEdge() {
-		lat += s.OutagePenaltyMS
+	if i >= outageFrom && i < outageTo && !device.Registry(a.Dev).IsEdge() {
+		lat += outagePenaltyMS
 	}
 	acc := a.Accuracy
-	if s.dusk(i) {
+	if i >= duskFrom && i < duskTo {
 		acc = a.RobustAccuracy
 	}
 	return lat, r.Bool(acc)
 }
 
-// RunStatic evaluates one fixed arm over the scenario.
-func RunStatic(s Scenario, a Arm) Outcome {
-	r := rng.New(s.Seed)
-	period := 1e3 / s.FrameFPS
-	var lat, det, dead float64
-	for i := 0; i < s.Frames; i++ {
-		l, ok := simulateFrame(s, a, i, r)
-		lat += l
-		if ok {
-			det++
-		}
-		if l <= period {
-			dead++
-		}
-	}
-	n := float64(s.Frames)
-	o := Outcome{
-		Policy:        "static:" + a.Name,
-		DetectionRate: det / n,
-		DeadlineRate:  dead / n,
-		MeanLatencyMS: lat / n,
-	}
-	o.Reward = o.DetectionRate * o.DeadlineRate
+// RunStatic evaluates one fixed arm over the scenario: the controller
+// over a spectrum of one arm, which never switches.
+func RunStatic(seed uint64, a Arm) Outcome {
+	o := RunAdaptive(seed, []Arm{a}, 0, Config{})
+	o.Policy = "static:" + a.Name
 	return o
 }
 
-// RunAdaptive evaluates the controller over the scenario.
-func RunAdaptive(s Scenario, arms []Arm, startIdx int, cfg Config) Outcome {
-	r := rng.New(s.Seed)
+// RunAdaptive evaluates the controller over the scenario drawn from seed.
+func RunAdaptive(seed uint64, arms []Arm, startIdx int, cfg Config) Outcome {
+	r := rng.New(seed)
 	ctl := NewController(arms, startIdx, cfg)
-	period := 1e3 / s.FrameFPS
+	period := 1e3 / scenarioFPS
 	var lat, det, dead float64
-	for i := 0; i < s.Frames; i++ {
-		l, ok := simulateFrame(s, ctl.Arm(), i, r)
+	for i := 0; i < scenarioFrames; i++ {
+		l, ok := simulateFrame(ctl.Arm(), i, r)
 		lat += l
 		if ok {
 			det++
@@ -236,7 +212,7 @@ func RunAdaptive(s Scenario, arms []Arm, startIdx int, cfg Config) Outcome {
 		}
 		ctl.Observe(missed, !ok)
 	}
-	n := float64(s.Frames)
+	n := float64(scenarioFrames)
 	o := Outcome{
 		Policy:        "adaptive",
 		DetectionRate: det / n,
@@ -266,17 +242,18 @@ func PrecisionArms(dev device.ID, nominal device.Precision) []Arm {
 }
 
 // DefaultArms returns the three-arm spectrum the paper's §4.2.4
-// discussion implies: fast edge nano, balanced edge medium, accurate
-// workstation x-large. Accuracy priors follow the measured Fig. 3/4
-// pattern: everything is strong on diverse conditions, small models
-// fall off under degradation.
-func DefaultArms(edge device.ID, rttMS float64) []Arm {
+// discussion implies: fast nano and balanced medium on the drone's Orin
+// Nano, accurate x-large on the workstation behind the cloudRTTMS round
+// trip. Accuracy priors follow the measured Fig. 3/4 pattern: everything
+// is strong on diverse conditions, small models fall off under
+// degradation.
+func DefaultArms() []Arm {
 	return []Arm{
-		{Name: "nano@" + edge.String(), Model: models.V8Nano, Dev: edge,
+		{Name: "nano@o-nano", Model: models.V8Nano, Dev: device.OrinNano,
 			Accuracy: 0.99, RobustAccuracy: 0.80},
-		{Name: "medium@" + edge.String(), Model: models.V8Medium, Dev: edge,
+		{Name: "medium@o-nano", Model: models.V8Medium, Dev: device.OrinNano,
 			Accuracy: 0.995, RobustAccuracy: 0.88},
-		{Name: "xlarge@rtx4090", Model: models.V8XLarge, Dev: device.RTX4090, RTTms: rttMS,
+		{Name: "xlarge@rtx4090", Model: models.V8XLarge, Dev: device.RTX4090,
 			Accuracy: 0.998, RobustAccuracy: 0.99},
 	}
 }

@@ -7,20 +7,11 @@ import (
 	"ocularone/internal/models"
 )
 
-func testScenario() Scenario {
-	// 4 FPS analysis (250 ms period): every edge arm is viable, the
-	// cloud arm is viable until the outage — the trade-off space the
-	// controller navigates.
-	return Scenario{
-		Frames: 600, FrameFPS: 4,
-		DuskFrom: 200, DuskTo: 400,
-		OutageFrom: 450, OutageTo: 550, OutagePenaltyMS: 400,
-		Seed: 42,
-	}
-}
+// testSeed is the seed the adaptive study runs at by default.
+const testSeed = 42
 
 func TestArmLatency(t *testing.T) {
-	arms := DefaultArms(device.OrinNano, 25)
+	arms := DefaultArms()
 	// Edge arm pays no RTT; workstation arm does.
 	edgeLat := arms[0].LatencyMS()
 	if edgeLat != device.PredictMS(models.V8Nano, device.OrinNano, device.FP32, device.Interpreted) {
@@ -33,7 +24,7 @@ func TestArmLatency(t *testing.T) {
 }
 
 func TestControllerDownshiftsUnderLatencyPressure(t *testing.T) {
-	arms := DefaultArms(device.OrinNano, 25)
+	arms := DefaultArms()
 	ctl := NewController(arms, 1, Config{Window: 10})
 	// Persistent deadline misses → move toward the fast arm.
 	for i := 0; i < 10; i++ {
@@ -52,7 +43,7 @@ func TestControllerDownshiftsUnderLatencyPressure(t *testing.T) {
 }
 
 func TestControllerUpshiftsUnderAccuracyPressure(t *testing.T) {
-	arms := DefaultArms(device.OrinNano, 25)
+	arms := DefaultArms()
 	ctl := NewController(arms, 0, Config{Window: 10})
 	// Deadlines fine, detections failing → move toward accuracy.
 	for i := 0; i < 10; i++ {
@@ -64,7 +55,7 @@ func TestControllerUpshiftsUnderAccuracyPressure(t *testing.T) {
 }
 
 func TestControllerHoldsWhenHealthy(t *testing.T) {
-	arms := DefaultArms(device.OrinNano, 25)
+	arms := DefaultArms()
 	ctl := NewController(arms, 1, Config{Window: 10})
 	for i := 0; i < 50; i++ {
 		ctl.Observe(false, false)
@@ -84,14 +75,13 @@ func TestControllerPanics(t *testing.T) {
 }
 
 func TestAdaptiveBeatsStaticArms(t *testing.T) {
-	s := testScenario()
-	arms := DefaultArms(device.OrinNano, 25)
-	adaptive := RunAdaptive(s, arms, 0, Config{Window: 10, FailHi: 0.05})
+	arms := DefaultArms()
+	adaptive := RunAdaptive(testSeed, arms, 0, Config{Window: 10, FailHi: 0.05})
 	if adaptive.Switches == 0 {
 		t.Fatal("scenario did not exercise adaptation")
 	}
 	for _, a := range arms {
-		st := RunStatic(s, a)
+		st := RunStatic(testSeed, a)
 		if adaptive.Reward < st.Reward-0.01 {
 			t.Errorf("adaptive reward %.3f below static %s (%.3f)", adaptive.Reward, a.Name, st.Reward)
 		}
@@ -102,10 +92,9 @@ func TestStaticTradeoffsExist(t *testing.T) {
 	// The scenario must actually create the trade-off the controller
 	// navigates: the accurate arm suffers deadlines during the outage,
 	// the fast arm suffers detections at dusk.
-	s := testScenario()
-	arms := DefaultArms(device.OrinNano, 25)
-	fast := RunStatic(s, arms[0])
-	accurate := RunStatic(s, arms[2])
+	arms := DefaultArms()
+	fast := RunStatic(testSeed, arms[0])
+	accurate := RunStatic(testSeed, arms[2])
 	if fast.DetectionRate >= accurate.DetectionRate {
 		t.Fatalf("fast arm (%.3f) not less accurate than cloud arm (%.3f)",
 			fast.DetectionRate, accurate.DetectionRate)
@@ -117,10 +106,9 @@ func TestStaticTradeoffsExist(t *testing.T) {
 }
 
 func TestOutcomeDeterministic(t *testing.T) {
-	s := testScenario()
-	arms := DefaultArms(device.OrinNano, 25)
-	a := RunAdaptive(s, arms, 1, Config{Window: 20})
-	b := RunAdaptive(s, arms, 1, Config{Window: 20})
+	arms := DefaultArms()
+	a := RunAdaptive(testSeed, arms, 1, Config{Window: 20})
+	b := RunAdaptive(testSeed, arms, 1, Config{Window: 20})
 	if a != b {
 		t.Fatalf("adaptive run not deterministic: %+v vs %+v", a, b)
 	}

@@ -7,7 +7,9 @@
 // streaming signals: the deadline-miss rate (latency pressure → shift to
 // a smaller model or a faster device) and the detection-failure rate
 // (accuracy pressure → shift to a larger model, possibly off-edge). The
-// package also ships a scenario simulator that stresses the controller
-// with cloud outages and dusk transitions, used by the ablation bench to
-// show adaptive beats every static arm.
+// package also ships the one scenario that stresses the controller: a
+// fixed 600-frame schedule with a dusk interval and a cloud outage,
+// whose only input is its seed. RunAdaptive runs the controller over
+// it, RunStatic one fixed arm (the controller over a spectrum of one),
+// and the bench's adaptive study compares both over DefaultArms.
 package adaptive

@@ -97,19 +97,12 @@ func WriteFleetStudy(w io.Writer, rows []FleetRow) {
 // RunAdaptiveStudy executes the future-work adaptive-deployment scenario
 // and returns the static arms plus the adaptive policy.
 func RunAdaptiveStudy(seed uint64) []adaptive.Outcome {
-	scenario := adaptive.Scenario{
-		Frames: 600, FrameFPS: 4,
-		DuskFrom: 200, DuskTo: 400,
-		OutageFrom: 450, OutageTo: 550, OutagePenaltyMS: 400,
-		Seed: seed,
-	}
-	arms := adaptive.DefaultArms(device.OrinNano, 25)
+	arms := adaptive.DefaultArms()
 	out := make([]adaptive.Outcome, 0, len(arms)+1)
 	for _, a := range arms {
-		out = append(out, adaptive.RunStatic(scenario, a))
+		out = append(out, adaptive.RunStatic(seed, a))
 	}
-	out = append(out, adaptive.RunAdaptive(scenario, arms, 0, adaptive.Config{Window: 10, FailHi: 0.05}))
-	return out
+	return append(out, adaptive.RunAdaptive(seed, arms, 0, adaptive.Config{Window: 10, FailHi: 0.05}))
 }
 
 // WriteAdaptiveStudy renders the adaptive-deployment comparison.

@@ -95,12 +95,46 @@ func fuzzFleet(layout []byte, fps, offset, rtt, arrival, from, to, window, budge
 	return f, offered
 }
 
+// checkSoloFirstFrame is a metamorphic check that needs no golden: a
+// session run alone on fresh executors, with no outage and a
+// non-negative first arrival, admits its first frame under every policy
+// and runs each stage of that frame whose device no earlier stage of the
+// frame used, because every such device is idle when the stage is ready.
+// A policy that refuses work on idle devices (a NaN budget compares
+// false against every backlog) fails it, while conservation, finite
+// latencies and reproduction all hold when nothing is served.
+func checkSoloFirstFrame(t *testing.T, s *Session, sharedSeed uint64, batch BatchPolicy) {
+	t.Helper()
+	s.Outages = nil
+	rs, err := (&Fleet{Sessions: []*Session{s}, SharedSeed: sharedSeed, Batch: batch}).Run()
+	if err != nil {
+		t.Fatalf("session %d alone: %v", s.ID, err)
+	}
+	if s.Frames == 0 || s.arrivalAt(0, s.periodMS()) < 0 {
+		return
+	}
+	r := rs[0]
+	if len(r.Frames) == 0 || r.Frames[0].FrameIndex != 0 {
+		t.Fatalf("session %d alone under %s: first frame not admitted (%d dropped)", s.ID, s.Policy.Name(), r.Dropped)
+	}
+	place := s.Graph.Placements()
+	used := map[device.ID]bool{}
+	for _, idx := range s.Graph.order {
+		name := s.Graph.nodes[idx].stage.Name()
+		dev := place[name].Device
+		if _, ran := r.Frames[0].StageMS[name]; !ran && !used[dev] {
+			t.Fatalf("session %d alone under %s: first frame skipped %s on idle %s", s.ID, s.Policy.Name(), name, dev)
+		}
+		used[dev] = true
+	}
+}
+
 // FuzzFleetConfig: a fuzzed fleet is refused by Run, or else every
 // session accounts for each offered frame (processed + dropped), every
 // processed frame's E2E and stage latencies are finite and
-// non-negative, and a rebuilt fleet
-// reproduces the results. The seeds include one reproducer for each
-// degenerate field Run refuses by name.
+// non-negative, a rebuilt fleet reproduces the results, and each
+// session passes checkSoloFirstFrame. The seeds include one reproducer
+// for each degenerate field Run refuses by name.
 func FuzzFleetConfig(f *testing.F) {
 	layout := []byte{
 		7, 4, 1, 2, // shared seed, MaxBatch 4, a fleet outage, 3 sessions
@@ -114,9 +148,13 @@ func FuzzFleetConfig(f *testing.F) {
 		// a detect outage 200-700 ms, the ladder on
 		25, 4, 0, 50, 20, 2, 2, 1, 0, 0, 1, 10, 25, 1, 0,
 	}
-	// The same fleet with session 0 on StaleSkipPolicy.
+	// The same fleet with session 0 on StaleSkipPolicy, and that with
+	// session 0 on the hybrid placement (detect on the workstation, pose
+	// and depth on the edge).
 	stale := append([]byte(nil), layout...)
 	stale[10] = 2
+	hybrid := append([]byte(nil), stale...)
+	hybrid[9] = 1
 	nan, inf := math.NaN(), math.Inf(1)
 	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0, 240.0)
 	f.Add(layout, 10.0, nan, 25.0, 400.0, 500.0, 1500.0, 60.0, 240.0)   // OffsetMS NaN
@@ -130,6 +168,7 @@ func FuzzFleetConfig(f *testing.F) {
 	f.Add(layout, 10.0, 0.0, 1e308, 400.0, 500.0, 1500.0, 60.0, 240.0)  // EdgeRTTms past the ceiling
 	f.Add(layout, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0, nan)     // QueuePolicy.BudgetMS NaN
 	f.Add(stale, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0, nan)      // StaleSkipPolicy.SlackFrames NaN
+	f.Add(hybrid, 10.0, 0.0, 25.0, 400.0, 500.0, 1500.0, 60.0, nan)     // the same, pose on an idle edge
 	f.Fuzz(func(t *testing.T, layout []byte, fps, offset, rtt, arrival, from, to, window, budget float64) {
 		fleet, offered := fuzzFleet(layout, fps, offset, rtt, arrival, from, to, window, budget)
 		a, err := fleet.Run()
@@ -156,6 +195,10 @@ func FuzzFleetConfig(f *testing.F) {
 		b, err := again.Run()
 		if err != nil || !reflect.DeepEqual(a, b) {
 			t.Fatalf("rebuilt fleet did not reproduce (err %v)", err)
+		}
+		solo, _ := fuzzFleet(layout, fps, offset, rtt, arrival, from, to, window, budget)
+		for _, s := range solo.Sessions {
+			checkSoloFirstFrame(t, s, solo.SharedSeed, solo.Batch)
 		}
 	})
 }

@@ -212,7 +212,7 @@ func TrainFall(ests []Estimate, fallen []bool, seed uint64) *FallClassifier {
 			ys[i] = -1
 		}
 	}
-	return &FallClassifier{Model: svm.Train(xs, ys, svm.Config{Seed: seed, Epochs: 80})}
+	return &FallClassifier{Model: svm.Train(xs, ys, seed)}
 }
 
 // IsFallen classifies one pose estimate.

@@ -8,7 +8,9 @@
 // neon hazard vest walks on footpaths, paths, or road sides, optionally
 // surrounded by pedestrians, bicycles, and parked cars, under varying
 // lighting. A pinhole camera at drone-handheld height projects the world
-// onto a 4:3 or 16:9 frame.
+// onto a 4:3 or 16:9 frame; a Camera is that frame size and the mounting
+// height, with the DJI Tello's optics (focal length and horizon row)
+// scaled to the frame.
 //
 // Rendering is byte-stable: a frame is a function of its scene and
 // camera, through rng streams whose every draw is part of the frame's

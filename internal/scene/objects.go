@@ -14,7 +14,7 @@ var carPalette = [][3]uint8{
 // drawBicycle renders a side-view bicycle: two wheels and a simple frame.
 func drawBicycle(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, e *Entity) {
 	d := e.Depth
-	hPx := cam.FocalPx * e.HeightM / d
+	hPx := cam.focalPx() * e.HeightM / d
 	if hPx < 3 {
 		return
 	}
@@ -67,7 +67,7 @@ func drawBicycle(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, e *En
 // drawCar renders a parked car in side view: body, cabin, wheels, windows.
 func drawCar(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, e *Entity) {
 	d := e.Depth
-	hPx := cam.FocalPx * e.HeightM / d
+	hPx := cam.focalPx() * e.HeightM / d
 	if hPx < 3 {
 		return
 	}
@@ -117,7 +117,7 @@ func drawCar(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, e *Entity
 // drawLampPost renders a tall thin pole with a luminaire head.
 func drawLampPost(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, e *Entity) {
 	d := e.Depth
-	hPx := cam.FocalPx * e.HeightM / d
+	hPx := cam.focalPx() * e.HeightM / d
 	if hPx < 4 {
 		return
 	}

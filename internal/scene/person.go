@@ -17,7 +17,7 @@ func drawPerson(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, e *Ent
 		return
 	}
 	d := e.Depth
-	ph := cam.FocalPx * e.HeightM / d // person height in pixels
+	ph := cam.focalPx() * e.HeightM / d // person height in pixels
 	if ph < 4 {
 		return // sub-pixel person; skip
 	}
@@ -120,7 +120,7 @@ func drawPerson(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, e *Ent
 // geometric cue the fall-detection SVM learns.
 func drawFallenPerson(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, e *Entity, isVIP bool) {
 	d := e.Depth
-	bodyLen := cam.FocalPx * e.HeightM / d // body length in pixels, now horizontal
+	bodyLen := cam.focalPx() * e.HeightM / d // body length in pixels, now horizontal
 	if bodyLen < 4 {
 		return
 	}

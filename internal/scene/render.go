@@ -10,28 +10,34 @@ import (
 	"ocularone/internal/tensor"
 )
 
-// Camera is a pinhole projection model at drone-handheld height.
+// Camera is a pinhole projection model at drone-handheld height, with
+// the DJI Tello's optics at every frame size: a focal length of 0.9 H
+// pixels and the horizon at horizonFrac of the frame height.
 type Camera struct {
 	W, H    int
-	FocalPx float64 // focal length in pixels
 	HeightM float64 // camera height above ground
-	Horizon float64 // horizon row as a fraction of H
 }
+
+// horizonFrac is the horizon row as a fraction of the frame height.
+const horizonFrac = 0.42
 
 // DefaultCamera returns a camera matching the DJI Tello's 720p feed scaled
 // to the requested frame size.
 func DefaultCamera(w, h int, camHeight float64) Camera {
-	return Camera{W: w, H: h, FocalPx: float64(h) * 0.9, HeightM: camHeight, Horizon: 0.42}
+	return Camera{W: w, H: h, HeightM: camHeight}
 }
 
+// focalPx returns the focal length in pixels.
+func (c Camera) focalPx() float64 { return float64(c.H) * 0.9 }
+
 // horizonY returns the horizon row in pixels.
-func (c Camera) horizonY() float64 { return c.Horizon * float64(c.H) }
+func (c Camera) horizonY() float64 { return horizonFrac * float64(c.H) }
 
 // ProjectGround maps a ground point at lateral offset x (m) and depth d
 // (m) to pixel coordinates.
 func (c Camera) ProjectGround(x, d float64) (px, py float64) {
-	px = float64(c.W)/2 + c.FocalPx*x/d
-	py = c.horizonY() + c.FocalPx*c.HeightM/d
+	px = float64(c.W)/2 + c.focalPx()*x/d
+	py = c.horizonY() + c.focalPx()*c.HeightM/d
 	return px, py
 }
 
@@ -42,7 +48,7 @@ func (c Camera) GroundDepthAtRow(y int) float64 {
 	if dy <= 0.5 {
 		return math.Inf(1)
 	}
-	return c.FocalPx * c.HeightM / dy
+	return c.focalPx() * c.HeightM / dy
 }
 
 // Render draws the scene through the camera and returns the frame plus

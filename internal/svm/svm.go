@@ -13,24 +13,17 @@ type Model struct {
 	B float64
 }
 
-// Config controls Pegasos training.
-type Config struct {
-	Epochs int // passes over the data (default 50)
-	Seed   uint64
-}
-
-// lambda is the Pegasos regularisation strength.
-const lambda = 1e-3
-
-func (c *Config) defaults() {
-	if c.Epochs <= 0 {
-		c.Epochs = 50
-	}
-}
+// Pegasos hyper-parameters: the regularisation strength and the passes
+// over the data.
+const (
+	lambda = 1e-3
+	epochs = 80
+)
 
 // Train fits a linear SVM on feature vectors xs with labels ys in
-// {-1,+1}. It panics on empty or inconsistent input.
-func Train(xs [][]float64, ys []int, cfg Config) *Model {
+// {-1,+1}; seed orders each epoch's pass. It panics on empty or
+// inconsistent input.
+func Train(xs [][]float64, ys []int, seed uint64) *Model {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		panic(fmt.Sprintf("svm: %d samples, %d labels", len(xs), len(ys)))
 	}
@@ -43,12 +36,11 @@ func Train(xs [][]float64, ys []int, cfg Config) *Model {
 			panic(fmt.Sprintf("svm: label %d is %d, want ±1", i, ys[i]))
 		}
 	}
-	cfg.defaults()
-	r := rng.New(cfg.Seed)
+	r := rng.New(seed)
 	w := make([]float64, dim)
 	var b float64
 	t := 1
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		for _, i := range r.Perm(len(xs)) {
 			eta := 1 / (lambda * float64(t))
 			t++

@@ -22,7 +22,7 @@ func separable2D(n int, seed uint64) ([][]float64, []int) {
 
 func TestTrainSeparable(t *testing.T) {
 	xs, ys := separable2D(200, 1)
-	m := Train(xs, ys, Config{Seed: 2})
+	m := Train(xs, ys, 2)
 	if acc := m.Accuracy(xs, ys); acc < 0.99 {
 		t.Fatalf("train accuracy %v on separable data", acc)
 	}
@@ -35,7 +35,7 @@ func TestTrainSeparable(t *testing.T) {
 
 func TestDecisionBoundaryOrientation(t *testing.T) {
 	xs, ys := separable2D(100, 4)
-	m := Train(xs, ys, Config{Seed: 5})
+	m := Train(xs, ys, 5)
 	// Positive class lives at x>0: weight on the first feature dominates.
 	if m.W[0] <= 0 {
 		t.Fatalf("w = %v, want positive first component", m.W)
@@ -56,7 +56,7 @@ func TestTrainWithBiasShift(t *testing.T) {
 		xs = append(xs, []float64{r.NormRange(4, 0.3)})
 		ys = append(ys, -1)
 	}
-	m := Train(xs, ys, Config{Seed: 7, Epochs: 100})
+	m := Train(xs, ys, 7)
 	if acc := m.Accuracy(xs, ys); acc < 0.95 {
 		t.Fatalf("biased-data accuracy %v", acc)
 	}
@@ -71,7 +71,7 @@ func TestNoisyDataStillLearns(t *testing.T) {
 			ys[i] = -ys[i]
 		}
 	}
-	m := Train(xs, ys, Config{Seed: 10})
+	m := Train(xs, ys, 10)
 	xt, yt := separable2D(100, 11)
 	if acc := m.Accuracy(xt, yt); acc < 0.9 {
 		t.Fatalf("noisy-training test accuracy %v", acc)
@@ -80,8 +80,8 @@ func TestNoisyDataStillLearns(t *testing.T) {
 
 func TestDeterministicTraining(t *testing.T) {
 	xs, ys := separable2D(50, 12)
-	m1 := Train(xs, ys, Config{Seed: 13})
-	m2 := Train(xs, ys, Config{Seed: 13})
+	m1 := Train(xs, ys, 13)
+	m2 := Train(xs, ys, 13)
 	for i := range m1.W {
 		if m1.W[i] != m2.W[i] {
 			t.Fatal("same-seed training differs")
@@ -94,10 +94,10 @@ func TestDeterministicTraining(t *testing.T) {
 
 func TestPanicsOnBadInput(t *testing.T) {
 	cases := []func(){
-		func() { Train(nil, nil, Config{}) },
-		func() { Train([][]float64{{1}}, []int{1, -1}, Config{}) },
-		func() { Train([][]float64{{1}, {1, 2}}, []int{1, -1}, Config{}) },
-		func() { Train([][]float64{{1}}, []int{0}, Config{}) },
+		func() { Train(nil, nil, 0) },
+		func() { Train([][]float64{{1}}, []int{1, -1}, 0) },
+		func() { Train([][]float64{{1}, {1, 2}}, []int{1, -1}, 0) },
+		func() { Train([][]float64{{1}}, []int{0}, 0) },
 	}
 	for i, f := range cases {
 		func() {
