@@ -8,7 +8,8 @@ import (
 	"ocularone/internal/scene"
 )
 
-// Estimator predicts dense depth from a single frame after calibration.
+// Estimator estimates metric depth in a single frame after calibration,
+// one point at a time: no dense map is built.
 type Estimator struct {
 	// Inverse-depth ≈ A·row + B below the fitted horizon.
 	A, B float64
@@ -20,7 +21,8 @@ type Estimator struct {
 	FitFrames int
 }
 
-// CalibrationFrame pairs a rendered frame with its true depth map.
+// CalibrationFrame pairs a rendered frame with its ground truth, whose
+// DepthAt is the true depth.
 type CalibrationFrame struct {
 	Image *imgproc.Image
 	Truth *scene.GroundTruth
@@ -58,7 +60,7 @@ func (e *Estimator) Fit(frames []CalibrationFrame) error {
 				if skip(x, y) {
 					continue
 				}
-				d := float64(f.Truth.Depth[y*w+x])
+				d := float64(f.Truth.DepthAt(x, y))
 				if d <= 0 || d > 100 {
 					continue // sky/building sentinels
 				}
@@ -93,70 +95,54 @@ func (e *Estimator) Fit(frames []CalibrationFrame) error {
 // renderer's convention.
 const farDepth = 1000
 
-// Predict returns a dense depth map (metres, row-major W*H) for the
-// frame. Obstacle boxes, when provided (from the detector or tracker),
-// are assigned the depth of their ground-contact row — the refinement a
-// stereo-free monocular model performs implicitly.
-func (e *Estimator) Predict(im *imgproc.Image, obstacles []imgproc.Rect) []float32 {
-	if !e.Trained {
-		panic("depth: Predict before Fit")
+// rowDepth is the ground-plane model's depth at image row y, clamped to
+// farDepth: the depth of every pixel of the row no obstacle covers.
+func (e *Estimator) rowDepth(y int) float32 {
+	inv := e.A*float64(y) + e.B
+	if inv <= 1e-6 {
+		return farDepth
 	}
-	out := make([]float32, im.W*im.H)
-	for y := 0; y < im.H; y++ {
-		inv := e.A*float64(y) + e.B
-		var d float64
-		if inv <= 1e-6 {
-			d = farDepth
-		} else {
-			d = 1 / inv
-			if d > farDepth {
-				d = farDepth
-			}
-		}
-		for x := 0; x < im.W; x++ {
-			out[y*im.W+x] = float32(d)
-		}
-	}
-	// Obstacles stand on the ground: their whole extent shares the depth
-	// of the contact row.
-	for _, ob := range obstacles {
-		ob = ob.Clamp(im.W, im.H)
-		if ob.Empty() {
-			continue
-		}
-		contact := ob.Y1 - 1
-		inv := e.A*float64(contact) + e.B
-		if inv <= 1e-6 {
-			continue
-		}
-		d := float32(1 / inv)
-		for y := ob.Y0; y < ob.Y1; y++ {
-			for x := ob.X0; x < ob.X1; x++ {
-				out[y*im.W+x] = d
-			}
-		}
-	}
-	return out
+	return float32(min(1/inv, farDepth))
 }
 
-// NearestObstacleM returns the smallest predicted depth among obstacle
-// boxes — the proximity signal the VIP pipeline alerts on. It returns
-// +inf when there are no obstacles.
+// NearestObstacleM returns the smallest estimated depth among obstacle
+// boxes (from the detector or tracker), each read at its centre — the
+// proximity signal the VIP pipeline alerts on. Obstacles stand on the
+// ground, so a box shares the depth of its ground-contact row, the
+// refinement a stereo-free monocular model performs implicitly: a centre
+// takes the depth of the last box covering it whose contact row the
+// model puts below its horizon, else its row's ground depth. It returns
+// +inf when there are no obstacles, and allocates nothing.
 func (e *Estimator) NearestObstacleM(im *imgproc.Image, obstacles []imgproc.Rect) float64 {
 	nearest := math.Inf(1)
 	if len(obstacles) == 0 {
 		return nearest
 	}
-	pred := e.Predict(im, obstacles)
+	if !e.Trained {
+		panic("depth: NearestObstacleM before Fit")
+	}
 	for _, ob := range obstacles {
 		ob = ob.Clamp(im.W, im.H)
 		if ob.Empty() {
 			continue
 		}
 		cx, cy := ob.Center()
-		d := float64(pred[int(cy)*im.W+int(cx)])
-		if d < nearest {
-			nearest = d
+		x, y := int(cx), int(cy)
+		d := e.rowDepth(y)
+		for i := len(obstacles) - 1; i >= 0; i-- {
+			o := obstacles[i].Clamp(im.W, im.H)
+			if x < o.X0 || x >= o.X1 || y < o.Y0 || y >= o.Y1 {
+				continue
+			}
+			inv := e.A*float64(o.Y1-1) + e.B
+			if inv <= 1e-6 {
+				continue
+			}
+			d = float32(1 / inv)
+			break
+		}
+		if float64(d) < nearest {
+			nearest = float64(d)
 		}
 	}
 	return nearest

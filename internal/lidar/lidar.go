@@ -57,7 +57,7 @@ func Simulate(spec Spec, gt *scene.GroundTruth, w, h int, r *rng.RNG) Scan {
 			if y < 0 || y >= h {
 				continue
 			}
-			d := float64(gt.Depth[y*w+x])
+			d := float64(gt.DepthAt(x, y))
 			if d > 0 && d < nearest {
 				nearest = d
 			}

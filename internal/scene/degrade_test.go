@@ -108,7 +108,7 @@ func TestOcclusionCoversVIP(t *testing.T) {
 	mid := (box.Y0 + box.Y1) / 2
 	foundNear := false
 	for x := box.X0; x < box.X1; x++ {
-		if d := gt.Depth[mid*occ.W+x]; d > 0 && d < 8*0.7 {
+		if d := gt.DepthAt(x, mid); d > 0 && d < 8*0.7 {
 			foundNear = true
 			break
 		}
@@ -116,6 +116,8 @@ func TestOcclusionCoversVIP(t *testing.T) {
 	if !foundNear {
 		t.Fatal("no occluder depth nearer than the VIP written into the depth map")
 	}
+	_, rdepth := refRender(s, cam)
+	checkDepth(t, "occlusion", gt, rdepth, cam.W, cam.H)
 }
 
 // TestConditionStrings covers the enum surface.

@@ -1,8 +1,16 @@
 // Package scene procedurally renders the outdoor campus scenes that stand
 // in for the paper's drone footage. Each rendered frame carries full
 // ground truth — hazard-vest and person bounding boxes, body keypoints,
-// and a metric depth map — which the dataset, pose, and depth packages
-// consume.
+// and metric depth — which the dataset, pose, depth, lidar and thermal
+// packages consume.
+//
+// Depth is recorded as geometry, not as a W×H plane: the camera gives
+// each row's background depth, and the render keeps its depth writes
+// (clutter buildings, each entity's box in painter's order, the
+// occluder) as an ordered list of rects. GroundTruth.DepthAt answers
+// per pixel with the last write covering it, else the row's depth — the
+// value a dense map painted in that order holds, which reference_test.go
+// paints and checks at every pixel.
 //
 // The scene model follows Table 1 of the paper: a proxy VIP wearing a
 // neon hazard vest walks on footpaths, paths, or road sides, optionally

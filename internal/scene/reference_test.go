@@ -1,10 +1,12 @@
 package scene
 
 // The per-pixel render loops as they were before the table-driven
-// rewrite, kept as oracles: Render must reproduce refRender's frame and
-// depth map byte for byte. (refDrawBackground has Render's clamp of the
-// clutter's Intn bounds to 1, without which frames under ten pixels
-// wide or five tall panicked; every larger frame draws what it drew.)
+// rewrite, kept as oracles: Render must reproduce refRender's frame byte
+// for byte, and its recorded depth (GroundTruth.DepthAt) must read
+// refRender's dense depth plane bit for bit at every pixel.
+// (refDrawBackground has Render's clamp of the clutter's Intn bounds to
+// 1, without which frames under ten pixels wide or five tall panicked;
+// every larger frame draws what it drew.)
 
 import (
 	"bytes"
@@ -20,12 +22,17 @@ import (
 	"ocularone/internal/tensor"
 )
 
-func refRender(s *Scene, cam Camera) (*imgproc.Image, *GroundTruth) {
+// refRender renders through the reference loops and paints the dense
+// depth plane DepthAt must match: the background's rows and buildings
+// per pixel, then, in order, every depth write the shared draw
+// functions recorded.
+func refRender(s *Scene, cam Camera) (*imgproc.Image, []float32) {
 	im := imgproc.NewImage(cam.W, cam.H)
-	gt := &GroundTruth{Depth: make([]float32, cam.W*cam.H)}
+	gt := &GroundTruth{}
+	depth := make([]float32, cam.W*cam.H)
 	texRNG := rng.New(s.Seed)
 
-	refDrawBackground(im, gt, s, cam, texRNG)
+	refDrawBackground(im, depth, s, cam, texRNG)
 
 	order := make([]int, len(s.Entities))
 	for i := range order {
@@ -51,12 +58,35 @@ func refRender(s *Scene, cam Camera) (*imgproc.Image, *GroundTruth) {
 	}
 
 	im = applyCondition(im, gt, s, cam, texRNG)
+	for _, r := range gt.rects {
+		for y := r.r.Y0; y < r.r.Y1; y++ {
+			for x := r.r.X0; x < r.r.X1; x++ {
+				depth[y*cam.W+x] = r.d
+			}
+		}
+	}
 	refApplyLighting(im, s.Lighting)
 	refSensorNoise(im, texRNG)
-	return im, gt
+	return im, depth
 }
 
-func refDrawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, texRNG *rng.RNG) {
+// checkDepth holds gt.DepthAt to the dense plane want of a w×h frame at
+// every pixel, bit for bit.
+func checkDepth(t testing.TB, name string, gt *GroundTruth, want []float32, w, h int) {
+	t.Helper()
+	if len(want) != w*h {
+		t.Fatalf("%s: reference plane of %d values for a %dx%d frame", name, len(want), w, h)
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if d := gt.DepthAt(x, y); math.Float32bits(d) != math.Float32bits(want[y*w+x]) {
+				t.Fatalf("%s: depth at (%d, %d) = %v, reference %v", name, x, y, d, want[y*w+x])
+			}
+		}
+	}
+}
+
+func refDrawBackground(im *imgproc.Image, depth []float32, s *Scene, cam Camera, texRNG *rng.RNG) {
 	w, h := cam.W, cam.H
 	horizon := int(cam.horizonY())
 	var ground [3]uint8
@@ -77,7 +107,7 @@ func refDrawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera,
 				f := float64(y) / float64(horizon)
 				v := float64(skyTone)*0.75 + float64(skyTone)*0.25*f
 				im.Set(x, y, uint8(v*0.92), uint8(v*0.96), uint8(v))
-				gt.Depth[idx] = 1000
+				depth[idx] = 1000
 				continue
 			}
 			haze := 1.0 / (1.0 + d/80)
@@ -85,9 +115,9 @@ func refDrawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera,
 			r8, g8, b8 := shade(ground, haze*n)
 			im.Set(x, y, r8, g8, b8)
 			if math.IsInf(d, 1) {
-				gt.Depth[idx] = 1000
+				depth[idx] = 1000
 			} else {
-				gt.Depth[idx] = float32(d)
+				depth[idx] = float32(d)
 			}
 		}
 	}
@@ -133,7 +163,7 @@ func refDrawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera,
 			for yy := box.Y0; yy < box.Y1; yy++ {
 				for xx := box.X0; xx < box.X1 && xx < w; xx++ {
 					if xx >= 0 {
-						gt.Depth[yy*w+xx] = 200
+						depth[yy*w+xx] = 200
 					}
 				}
 			}
@@ -204,15 +234,14 @@ func TestRenderMatchesReference(t *testing.T) {
 					s := busyScene(bg, cond, lighting, uint64(1000*int(bg)+100*int(cond)+10*li+di))
 					cam := DefaultCamera(dim[0], dim[1], s.CamHeightM)
 					im, gt := Render(s, cam)
-					rim, rgt := refRender(s, cam)
+					rim, rdepth := refRender(s, cam)
 					name := fmt.Sprintf("%v/%v/light %v/%dx%d", bg, cond, lighting, dim[0], dim[1])
 					if !bytes.Equal(im.Pix, rim.Pix) {
 						t.Fatalf("%s: frame differs from the reference", name)
 					}
-					for i, d := range gt.Depth {
-						if math.Float32bits(d) != math.Float32bits(rgt.Depth[i]) {
-							t.Fatalf("%s: depth[%d] = %v, reference %v", name, i, d, rgt.Depth[i])
-						}
+					checkDepth(t, name, gt, rdepth, dim[0], dim[1])
+					if want := len(s.Entities) + buildings(s) + 1; cap(gt.rects) != want || len(gt.rects) > want {
+						t.Fatalf("%s: %d depth writes in a list of capacity %d, want capacity %d", name, len(gt.rects), cap(gt.rects), want)
 					}
 					n++
 				}
@@ -266,15 +295,12 @@ func TestRenderTinyFrames(t *testing.T) {
 							s.Clutter = 1
 							cam := DefaultCamera(w, h, s.CamHeightM)
 							im, gt := Render(s, cam)
-							rim, rgt := refRender(s, cam)
+							rim, rdepth := refRender(s, cam)
+							name := fmt.Sprintf("%s: %v/%v/%dx%d", form, bg, cond, w, h)
 							if !bytes.Equal(im.Pix, rim.Pix) {
-								t.Fatalf("%s: %v/%v/%dx%d: frame differs from the reference", form, bg, cond, w, h)
+								t.Fatalf("%s: frame differs from the reference", name)
 							}
-							for i, d := range gt.Depth {
-								if math.Float32bits(d) != math.Float32bits(rgt.Depth[i]) {
-									t.Fatalf("%s: %v/%v/%dx%d: depth[%d] = %v, reference %v", form, bg, cond, w, h, i, d, rgt.Depth[i])
-								}
-							}
+							checkDepth(t, name, gt, rdepth, w, h)
 						}
 					}
 				}
@@ -304,18 +330,15 @@ func FuzzRender(f *testing.F) {
 		s := busyScene(bg, cond, 0.85, seed)
 		s.Clutter = clutter
 		cam := DefaultCamera(w, h, s.CamHeightM)
-		rim, rgt := refRender(s, cam)
+		rim, rdepth := refRender(s, cam)
 		for _, form := range renderForms() {
 			inTier(t, form, func() {
 				im, gt := Render(s, cam)
+				name := fmt.Sprintf("%s: %v/%v/%dx%d clutter %v seed %d", form, bg, cond, w, h, s.Clutter, seed)
 				if !bytes.Equal(im.Pix, rim.Pix) {
-					t.Fatalf("%s: %v/%v/%dx%d clutter %v seed %d: frame differs from the reference", form, bg, cond, w, h, s.Clutter, seed)
+					t.Fatalf("%s: frame differs from the reference", name)
 				}
-				for i, d := range gt.Depth {
-					if math.Float32bits(d) != math.Float32bits(rgt.Depth[i]) {
-						t.Fatalf("%s: %v/%v/%dx%d clutter %v seed %d: depth[%d] = %v, reference %v", form, bg, cond, w, h, s.Clutter, seed, i, d, rgt.Depth[i])
-					}
-				}
+				checkDepth(t, name, gt, rdepth, w, h)
 			})
 		}
 	})
@@ -493,13 +516,14 @@ func BenchmarkRenderLoops(b *testing.B) {
 	cam := DefaultCamera(320, 240, s.CamHeightM)
 	frame, _ := Render(s, cam)
 	tex := rng.New(s.Seed)
-	gt := &GroundTruth{Depth: make([]float32, cam.W*cam.H)}
+	gt := &GroundTruth{}
+	depth := make([]float32, cam.W*cam.H)
 	cases := []struct {
 		name string
 		fn   func(im *imgproc.Image)
 	}{
-		{"background/ref", func(im *imgproc.Image) { refDrawBackground(im, gt, s, cam, tex) }},
-		{"background/new", func(im *imgproc.Image) { drawBackground(im, gt, s, cam, tex) }},
+		{"background/ref", func(im *imgproc.Image) { refDrawBackground(im, depth, s, cam, tex) }},
+		{"background/new", func(im *imgproc.Image) { gt.rects = gt.rects[:0]; drawBackground(im, gt, s, cam, tex) }},
 		{"lighting/ref", func(im *imgproc.Image) { refApplyLighting(im, 0.9) }},
 		{"lighting/new", func(im *imgproc.Image) { applyLighting(im, 0.9) }},
 		{"noise/ref", func(im *imgproc.Image) { refSensorNoise(im, tex) }},

@@ -51,11 +51,51 @@ func (c Camera) GroundDepthAtRow(y int) float64 {
 	return c.focalPx() * c.HeightM / dy
 }
 
+// skyDepth is the depth (metres) the render gives the sky and every
+// row the ground plane does not reach: effectively infinite.
+const skyDepth = 1000
+
+// rowDepth is the depth of the background at row y: skyDepth above the
+// horizon row and where GroundDepthAtRow is +Inf, the ground plane's
+// depth otherwise.
+func (c Camera) rowDepth(y int) float32 {
+	if y < int(c.horizonY()) {
+		return skyDepth
+	}
+	d := c.GroundDepthAtRow(y)
+	if math.IsInf(d, 1) {
+		return skyDepth
+	}
+	return float32(d)
+}
+
+// depthRect is one depth write of the render: every pixel of r (clamped
+// to the frame, non-empty) is at depth d.
+type depthRect struct {
+	r imgproc.Rect
+	d float32
+}
+
+// DepthAt returns the metric depth (metres) at pixel (x, y): that of the
+// last depth write covering the pixel — clutter buildings, then each
+// entity in painter's order, then the occluder — or else its row's
+// background depth. It is the value a dense W×H map, painted in that
+// order, would hold.
+func (gt *GroundTruth) DepthAt(x, y int) float32 {
+	for i := len(gt.rects) - 1; i >= 0; i-- {
+		if r := gt.rects[i].r; x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1 {
+			return gt.rects[i].d
+		}
+	}
+	return gt.cam.rowDepth(y)
+}
+
 // Render draws the scene through the camera and returns the frame plus
 // ground truth. Rendering is deterministic for a given (scene, camera).
 func Render(s *Scene, cam Camera) (*imgproc.Image, *GroundTruth) {
 	im := imgproc.NewImage(cam.W, cam.H)
-	gt := &GroundTruth{Depth: make([]float32, cam.W*cam.H)}
+	// One depth write a building and an entity at most, and the occluder.
+	gt := &GroundTruth{cam: cam, rects: make([]depthRect, 0, len(s.Entities)+max(buildings(s), 0)+1)}
 	texRNG := rng.New(s.Seed)
 
 	drawBackground(im, gt, s, cam, texRNG)
@@ -115,25 +155,17 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 	vec := vectorForm()
 	noise := texRNG.Split("ground-texture")
 	for y := 0; y < h; y++ {
-		depth := gt.Depth[y*w : (y+1)*w]
 		if y < horizon {
 			// Sky gradient, brighter toward horizon.
 			f := float64(y) / float64(horizon)
 			v := float64(skyTone)*0.75 + float64(skyTone)*0.25*f
 			im.FillRect(imgproc.Rect{X0: 0, Y0: y, X1: w, Y1: y + 1}, uint8(v*0.92), uint8(v*0.96), uint8(v))
-			fill(depth, 1000) // effectively infinite
 			continue
 		}
 		// Ground with distance haze and speckle texture.
 		row := im.Pix[y*w*3 : (y+1)*w*3]
-		d := cam.GroundDepthAtRow(y)
-		haze := 1.0 / (1.0 + d/80)
-		d32 := float32(d)
-		if math.IsInf(d, 1) {
-			d32 = 1000
-		}
+		haze := 1.0 / (1.0 + cam.GroundDepthAtRow(y)/80)
 		groundRow(row, noise.Skip(w), haze, g, vec)
-		fill(depth, d32)
 	}
 	// Grass / verge strips flanking the walkway for footpath and path.
 	if s.Background != RoadSide {
@@ -168,7 +200,7 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 	// five tall draws zero where it used to panic.
 	if s.Clutter > 0 {
 		bRNG := texRNG.Split("buildings")
-		n := int(s.Clutter*8) + 2
+		n := buildings(s)
 		for i := 0; i < n; i++ {
 			bw := bRNG.Intn(max(w/6, 1)) + w/12
 			bx := bRNG.Intn(w)
@@ -176,13 +208,7 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 			tone := uint8(90 + bRNG.Intn(70))
 			box := imgproc.Rect{X0: bx, Y0: horizon - bh, X1: bx + bw, Y1: horizon}
 			im.FillRect(box, tone, tone, uint8(float64(tone)*1.05))
-			for yy := box.Y0; yy < box.Y1; yy++ {
-				for xx := box.X0; xx < box.X1 && xx < w; xx++ {
-					if xx >= 0 {
-						gt.Depth[yy*w+xx] = 200
-					}
-				}
-			}
+			writeDepthRect(gt, w, h, box, 200)
 		}
 		// Tree blobs straddling the horizon.
 		tRNG := texRNG.Split("trees")
@@ -195,16 +221,12 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 	}
 }
 
-// fill sets every element of s to v by doubling a filled prefix with
-// copy: on a 320-wide depth row, a third of a store loop's time.
-func fill(s []float32, v float32) {
-	if len(s) == 0 {
-		return
+// buildings is the number of clutter buildings drawBackground draws.
+func buildings(s *Scene) int {
+	if s.Clutter > 0 {
+		return int(s.Clutter*8) + 2
 	}
-	s[0] = v
-	for n := 1; n < len(s); n *= 2 {
-		copy(s[n:], s[:n])
-	}
+	return 0
 }
 
 // applyLighting multiplies the frame by the scene's ambient factor.
@@ -347,12 +369,10 @@ func groundRow(row []uint8, base uint64, haze float64, g *groundTab, vec bool) {
 // Go forms with every other tier.
 func vectorForm() bool { return tensor.KernelTier() == tensor.TierAVX512VNNI }
 
-// writeDepthRect fills the depth map for an entity's screen box.
+// writeDepthRect records a depth write: the part of r inside the w×h
+// frame is at depth d. A write that misses the frame records nothing.
 func writeDepthRect(gt *GroundTruth, w, h int, r imgproc.Rect, d float64) {
-	r = r.Clamp(w, h)
-	for y := r.Y0; y < r.Y1; y++ {
-		for x := r.X0; x < r.X1; x++ {
-			gt.Depth[y*w+x] = float32(d)
-		}
+	if r = r.Clamp(w, h); !r.Empty() {
+		gt.rects = append(gt.rects, depthRect{r, float32(d)})
 	}
 }

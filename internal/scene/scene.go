@@ -174,8 +174,12 @@ type GroundTruth struct {
 	HasVIP    bool
 	Pose      Pose
 	Keypoints [NumKeypoints]Keypoint
-	// Depth is the per-pixel metric depth map (metres), row-major W*H.
-	Depth []float32
+	// The metric depth map (metres), as geometry (DepthAt): the frame's
+	// camera gives each row's ground depth, and rects the render's depth
+	// writes over it in painter's order. A copy of the struct shares the
+	// list, which no one changes after Render returns.
+	cam   Camera
+	rects []depthRect
 	// Boxes of non-VIP entities, for distractor/false-positive analysis.
 	DistractorBoxes []imgproc.Rect
 	// DistractorKinds tags each DistractorBoxes entry with its entity

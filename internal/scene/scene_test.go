@@ -2,6 +2,7 @@ package scene
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"ocularone/internal/imgproc"
@@ -115,13 +116,39 @@ func TestDepthMapConsistency(t *testing.T) {
 	_, gt := Render(s, cam)
 	// Depth inside the person box equals the entity depth.
 	cx, cy := gt.PersonBox.Center()
-	d := gt.Depth[int(cy)*320+int(cx)]
+	d := gt.DepthAt(int(cx), int(cy))
 	if math.Abs(float64(d)-8) > 0.01 {
 		t.Fatalf("person depth = %v, want 8", d)
 	}
 	// Sky depth is the far sentinel.
-	if gt.Depth[0] < 500 {
-		t.Fatalf("sky depth = %v", gt.Depth[0])
+	if d := gt.DepthAt(0, 0); d < 500 {
+		t.Fatalf("sky depth = %v", d)
+	}
+	_, rdepth := refRender(s, cam)
+	checkDepth(t, "vip at 8 m", gt, rdepth, cam.W, cam.H)
+}
+
+// TestRenderByteBudget: a frame's depth is geometry, so Render allocates
+// the image and little else — no W×H depth plane (4 bytes a pixel).
+func TestRenderByteBudget(t *testing.T) {
+	const runs = 20
+	cam := DefaultCamera(320, 240, 1.6)
+	imageBytes := uint64(3 * cam.W * cam.H)
+	for _, cond := range []Condition{Clear, Occlusion} {
+		s := busyScene(Footpath, cond, 0.85, 7)
+		s.Clutter = 1
+		Render(s, cam) // warm the kernel-tier and split paths
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			Render(s, cam)
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		if per > imageBytes+16<<10 {
+			t.Fatalf("%v: Render allocates %d bytes a 320x240 frame, budget %d (image %d + 16 KB)", cond, per, imageBytes+16<<10, imageBytes)
+		}
+		t.Logf("%v: %d bytes a frame, the image %d of them", cond, per, imageBytes)
 	}
 }
 
@@ -292,7 +319,7 @@ func TestLampPostRendersAsObstacle(t *testing.T) {
 	}
 	// Depth written at the pole.
 	cx, cy := box.Center()
-	if d := gt.Depth[int(cy)*320+int(cx)]; d < 4.9 || d > 5.1 {
+	if d := gt.DepthAt(int(cx), int(cy)); d < 4.9 || d > 5.1 {
 		t.Fatalf("pole depth %v, want 5", d)
 	}
 }

@@ -67,7 +67,7 @@ func Render(cam Camera, gt *scene.GroundTruth, w, h int, r *rng.RNG) *Image {
 		var depth float64 = 8
 		if !box.Empty() {
 			cx, cy := box.Center()
-			depth = float64(gt.Depth[int(cy)*w+int(cx)])
+			depth = float64(gt.DepthAt(int(cx), int(cy)))
 		}
 		atten := math.Exp(-depth / 60)
 		apparent := cam.AmbientC + (tempC-cam.AmbientC)*atten

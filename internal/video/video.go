@@ -53,9 +53,19 @@ func New(spec Spec) *Video {
 	}
 }
 
-// NumFrames returns the total frame count.
+// NumFrames returns the total frame count, ⌊DurationSec·FPS⌋: a product
+// within 1e-9 of an integer counts as that integer, since a decimal
+// duration is inexact in binary (4.6 s at 25 FPS is 114.99999999999999,
+// and 115 frames). A spec with no positive product has no frames.
 func (v *Video) NumFrames() int {
-	return int(v.Spec.DurationSec * float64(v.Spec.FPS))
+	p := v.Spec.DurationSec * float64(v.Spec.FPS)
+	if !(p > 0) {
+		return 0
+	}
+	if r := math.Round(p); math.Abs(p-r) < 1e-9 {
+		return int(r)
+	}
+	return int(p)
 }
 
 // SceneAt builds the world state for frame i. The drone keeps an
@@ -128,6 +138,9 @@ func (v *Video) Frame(i int) (*imgproc.Image, *scene.GroundTruth) {
 // that are not whole (30 → 7) cannot drift. For a 30 FPS source and
 // 10 FPS target this is every third frame.
 func (v *Video) ExtractIndices(targetFPS int) []int {
+	if v.Spec.FPS <= 0 {
+		return nil // no frames to sample, and no rate to sample them at
+	}
 	if targetFPS <= 0 || targetFPS > v.Spec.FPS {
 		targetFPS = v.Spec.FPS
 	}

@@ -2,6 +2,7 @@ package video
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"reflect"
 	"testing"
@@ -21,6 +22,60 @@ func TestNumFrames(t *testing.T) {
 	v := New(testSpec())
 	if v.NumFrames() != 60 {
 		t.Fatalf("NumFrames = %d, want 60", v.NumFrames())
+	}
+}
+
+// TestNumFramesExactForDecimalDurations: a clip of k/10 seconds at each
+// capture rate has ⌊k·FPS/10⌋ frames in exact rational arithmetic, for
+// every decimal duration up to 20 s. Truncating the float product lost a
+// frame on 16 of them: 4.6 s at 25 FPS is 114.99999999999999.
+func TestNumFramesExactForDecimalDurations(t *testing.T) {
+	for _, fps := range []int{10, 24, 25, 30, 60} {
+		for k := 1; k <= 200; k++ {
+			dur, ok := new(big.Rat).SetString(fmt.Sprintf("%d.%d", k/10, k%10))
+			if !ok {
+				t.Fatalf("duration %d/10 does not parse", k)
+			}
+			at := new(big.Rat).Mul(dur, new(big.Rat).SetInt64(int64(fps)))
+			want := new(big.Int).Quo(at.Num(), at.Denom()).Int64() // at > 0: truncation floors
+			sec, _ := dur.Float64()
+			if got := New(Spec{DurationSec: sec, FPS: fps, W: 16, H: 12, Seed: 1}).NumFrames(); int64(got) != want {
+				t.Fatalf("%v s at %d FPS: %d frames, want %d", sec, fps, got, want)
+			}
+		}
+	}
+}
+
+// TestDegenerateSpecHasNoFrames: a spec with no positive frame count —
+// no capture rate, a negative one, no duration, a negative or NaN one —
+// has no frames and extracts none at any target rate, where FPS 0
+// divided by zero in ExtractIndices.
+func TestDegenerateSpecHasNoFrames(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fps  int
+		dur  float64
+	}{
+		{"fps 0", 0, 2},
+		{"fps negative", -30, 2},
+		{"duration 0", 30, 0},
+		{"duration negative", 30, -2},
+		{"duration nan", 30, math.NaN()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v := New(Spec{DurationSec: c.dur, FPS: c.fps, W: 16, H: 12, Seed: 1})
+			if n := v.NumFrames(); n != 0 {
+				t.Fatalf("NumFrames = %d, want 0", n)
+			}
+			for _, target := range []int{-1, 0, 10, 1000} {
+				if idx := v.ExtractIndices(target); len(idx) != 0 {
+					t.Fatalf("ExtractIndices(%d) = %v, want none", target, idx)
+				}
+			}
+			if fs := v.Extract(10, 0); len(fs) != 0 {
+				t.Fatalf("Extract gave %d frames, want none", len(fs))
+			}
+		})
 	}
 }
 
