@@ -210,10 +210,7 @@ func engineMode(modelFlag string, n int, seed uint64, batch int, profile bool, p
 	for i := range x.Data {
 		x.Data[i] = r.Float32()
 	}
-	opts := nn.ExecOpts{}
-	if prec == device.INT8 {
-		opts.Precision = nn.INT8
-	}
+	opts := nn.ExecOpts{Precision: prec}
 	xs := []*tensor.Tensor{x}
 	if profile {
 		// The profiled run is the planned batch: -batch frames an Execute.

@@ -97,7 +97,8 @@ func applyFog(im *imgproc.Image, density, sigma float64) *imgproc.Image {
 	for i, v := range out.Pix {
 		out.Pix[i] = uint8(density*float64(v) + (1-density)*haze)
 	}
-	return imgproc.GaussianBlur(out, sigma)
+	imgproc.GaussianBlur(out, sigma)
+	return out
 }
 
 // ApplyAttack transforms the frame and maps the ground truth through the
@@ -108,14 +109,16 @@ func ApplyAttack(im *imgproc.Image, gt *scene.GroundTruth, a Attack, r *rng.RNG)
 		return im, gt
 	case LowLight:
 		out := imgproc.AdjustBrightness(im, a.Brightness)
-		out = imgproc.AddGaussianNoise(out, 4, r) // sensor noise dominates in the dark
+		imgproc.AddGaussianNoise(out, 4, r) // sensor noise dominates in the dark
 		return out, gt
 	case Blur:
-		return imgproc.GaussianBlur(im, a.Sigma), gt
+		out := im.Clone()
+		imgproc.GaussianBlur(out, a.Sigma)
+		return out, gt
 	case LowLightBlur:
 		out := imgproc.AdjustBrightness(im, a.Brightness)
-		out = imgproc.GaussianBlur(out, a.Sigma)
-		out = imgproc.AddGaussianNoise(out, 4, r)
+		imgproc.GaussianBlur(out, a.Sigma)
+		imgproc.AddGaussianNoise(out, 4, r)
 		return out, gt
 	case Tilted:
 		out := imgproc.Rotate(im, a.AngleRad)

@@ -238,13 +238,20 @@ func allTiers() []Tier {
 	return ts
 }
 
+// noisy returns a copy of im with imgproc.AddGaussianNoise applied.
+func noisy(im *imgproc.Image, stddev float64, r *rng.RNG) *imgproc.Image {
+	out := im.Clone()
+	imgproc.AddGaussianNoise(out, stddev, r)
+	return out
+}
+
 // frameVariants are the four frame kinds of the accuracy studies.
 func frameVariants(im *imgproc.Image, seed uint64) map[string]*imgproc.Image {
 	return map[string]*imgproc.Image{
 		"clean":   im,
 		"dark":    imgproc.AdjustBrightness(im, 0.3),
 		"rotated": imgproc.Rotate(im, 0.3),
-		"noisy":   imgproc.AddGaussianNoise(im, 12, rng.New(seed)),
+		"noisy":   noisy(im, 12, rng.New(seed)),
 	}
 }
 

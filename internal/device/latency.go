@@ -93,7 +93,7 @@ func PredictBatchMSEng(m models.ID, dev ID, n int, prec Precision, eng Engine) f
 	stats := models.ComputeStats(m)
 	sustained := d.PeakGFLOPS() * d.BatchEff(n)
 	computeMS := float64(n) * stats.GFLOPs / (sustained * d.Gain(prec) * d.EngineGain(eng) * utilization(m, d)) * 1e3
-	weightMS := float64(stats.Params*prec.WeightBytes()) / (d.MemBWGBs * 1e9) * 1e3
+	weightMS := float64(stats.Params*weightBytes(prec)) / (d.MemBWGBs * 1e9) * 1e3
 	return d.LaunchEngineMS(eng) + computeMS + weightMS
 }
 

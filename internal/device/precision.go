@@ -1,29 +1,27 @@
 package device
 
-import "fmt"
+import (
+	"fmt"
+
+	"ocularone/internal/nn"
+)
 
 // Precision selects the numeric format a simulated inference executes
-// in. The zero value is FP32, so every existing path that never
-// mentions precision keeps its exact pre-quantization behaviour.
-type Precision int
+// in: the engine's own nn.Precision, so a job's precision is the one
+// its plan executes at. The zero value is FP32, so every existing path
+// that never mentions precision keeps its exact pre-quantization
+// behaviour.
+type Precision = nn.Precision
 
 // Supported inference precisions.
 const (
 	// FP32 is the eager fp32 baseline every calibration constant was
 	// fitted against.
-	FP32 Precision = iota
+	FP32 = nn.FP32
 	// INT8 is post-training-quantized inference: int8 weights and
 	// activations with int32 accumulation (see internal/nn Quantize).
-	INT8
+	INT8 = nn.INT8
 )
-
-// String returns the short name used in flags and benchmark output.
-func (p Precision) String() string {
-	if p == INT8 {
-		return "int8"
-	}
-	return "fp32"
-}
 
 // ParsePrecision resolves a flag value ("fp32" or "int8").
 func ParsePrecision(s string) (Precision, error) {
@@ -37,11 +35,11 @@ func ParsePrecision(s string) (Precision, error) {
 	}
 }
 
-// WeightBytes returns the bytes one weight parameter streams per
-// inference at this precision: fp16 deployment weights for FP32
-// execution (the TensorRT default the paper's numbers reflect), one
-// byte for INT8.
-func (p Precision) WeightBytes() int64 {
+// weightBytes returns the bytes one weight parameter streams per
+// inference at precision p: fp16 deployment weights for FP32 execution
+// (the TensorRT default the paper's numbers reflect), one byte for
+// INT8.
+func weightBytes(p Precision) int64 {
 	if p == INT8 {
 		return 1
 	}

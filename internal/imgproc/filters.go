@@ -275,45 +275,46 @@ func gaussKernel(sigma float64) []float64 {
 	return k
 }
 
-// GaussianBlur returns src convolved with a separable Gaussian of the
-// given sigma. sigma <= 0 returns a plain copy.
-func GaussianBlur(src *Image, sigma float64) *Image {
+// GaussianBlur convolves im in place with a separable Gaussian of the
+// given sigma; sigma <= 0 leaves it as it is. Each row and then each
+// column is copied into one line buffer and written back blurred, so
+// the frame needs no intermediate copy. It runs on the calling
+// goroutine: its callers fan out across frames.
+func GaussianBlur(im *Image, sigma float64) {
 	if sigma <= 0 {
-		return src.Clone()
+		return
 	}
 	k := gaussKernel(sigma)
-	radius := len(k) / 2
-	tmp := NewImage(src.W, src.H)
-	// Horizontal pass.
-	parallel.For(src.H, func(y int) {
-		for x := 0; x < src.W; x++ {
-			var r, g, b float64
-			for i, kv := range k {
-				cr, cg, cb := src.At(x+i-radius, y)
-				r += kv * float64(cr)
-				g += kv * float64(cg)
-				b += kv * float64(cb)
-			}
-			o := (y*src.W + x) * 3
-			tmp.Pix[o], tmp.Pix[o+1], tmp.Pix[o+2] = clampU8(r), clampU8(g), clampU8(b)
+	w, h := im.W, im.H
+	line := make([]uint8, max(w, h)*3)
+	for y := 0; y < h; y++ {
+		row := im.Pix[y*w*3 : (y+1)*w*3]
+		blurLine(row, 3, line[:copy(line, row)], k)
+	}
+	col := line[:h*3]
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			copy(col[y*3:y*3+3], im.Pix[(y*w+x)*3:])
 		}
-	})
-	dst := NewImage(src.W, src.H)
-	// Vertical pass.
-	parallel.For(src.H, func(y int) {
-		for x := 0; x < src.W; x++ {
-			var r, g, b float64
-			for i, kv := range k {
-				cr, cg, cb := tmp.At(x, y+i-radius)
-				r += kv * float64(cr)
-				g += kv * float64(cg)
-				b += kv * float64(cb)
-			}
-			o := (y*src.W + x) * 3
-			dst.Pix[o], dst.Pix[o+1], dst.Pix[o+2] = clampU8(r), clampU8(g), clampU8(b)
+		blurLine(im.Pix[x*3:], w*3, col, k)
+	}
+}
+
+// blurLine writes the line of pixels src, convolved with k and clamped
+// to its end pixels, to dst, whose pixels lie stride bytes apart.
+func blurLine(dst []uint8, stride int, src []uint8, k []float64) {
+	n, radius := len(src)/3, len(k)/2
+	for p := 0; p < n; p++ {
+		var r, g, b float64
+		for i, kv := range k {
+			q := min(max(p+i-radius, 0), n-1) * 3
+			r += kv * float64(src[q])
+			g += kv * float64(src[q+1])
+			b += kv * float64(src[q+2])
 		}
-	})
-	return dst
+		o := p * stride
+		dst[o], dst[o+1], dst[o+2] = clampU8(r), clampU8(g), clampU8(b)
+	}
 }
 
 // AdjustBrightness scales all channels by factor (e.g. 0.3 simulates the
@@ -329,19 +330,16 @@ func AdjustBrightness(src *Image, factor float64) *Image {
 }
 
 // AddGaussianNoise adds zero-mean Gaussian noise with the given stddev
-// (in 0-255 units) using per-row deterministic streams.
-func AddGaussianNoise(src *Image, stddev float64, r *rng.RNG) *Image {
-	dst := NewImage(src.W, src.H)
+// (in 0-255 units) to im in place, using per-row deterministic streams.
+func AddGaussianNoise(im *Image, stddev float64, r *rng.RNG) {
 	seed := r.Uint64()
-	parallel.For(src.H, func(y int) {
+	parallel.For(im.H, func(y int) {
 		rr := rng.New(seed + uint64(y)*0x9e37)
-		row := src.Pix[y*src.W*3 : (y+1)*src.W*3]
-		drow := dst.Pix[y*src.W*3 : (y+1)*src.W*3]
+		row := im.Pix[y*im.W*3 : (y+1)*im.W*3]
 		for i, v := range row {
-			drow[i] = clampU8(float64(v) + rr.NormRange(0, stddev))
+			row[i] = clampU8(float64(v) + rr.NormRange(0, stddev))
 		}
 	})
-	return dst
 }
 
 // Rotate returns src rotated by angle radians about its centre, sampling

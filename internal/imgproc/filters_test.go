@@ -60,8 +60,8 @@ func TestGaussianBlurPreservesMean(t *testing.T) {
 		im.Pix[i] = uint8(r.Intn(256))
 	}
 	before := im.Luma()
-	out := GaussianBlur(im, 2.0)
-	after := out.Luma()
+	GaussianBlur(im, 2.0)
+	after := im.Luma()
 	if math.Abs(before-after) > 3 {
 		t.Fatalf("blur shifted mean %v → %v", before, after)
 	}
@@ -83,7 +83,8 @@ func TestGaussianBlurReducesVariance(t *testing.T) {
 		return s / float64(im.W*im.H)
 	}
 	v0 := variance(im)
-	v1 := variance(GaussianBlur(im, 3))
+	GaussianBlur(im, 3)
+	v1 := variance(im)
 	if v1 >= v0/2 {
 		t.Fatalf("blur did not smooth: var %v → %v", v0, v1)
 	}
@@ -91,9 +92,10 @@ func TestGaussianBlurReducesVariance(t *testing.T) {
 
 func TestGaussianBlurZeroSigmaIsCopy(t *testing.T) {
 	im := gradientImage(8, 8)
-	out := GaussianBlur(im, 0)
+	want := im.Clone()
+	GaussianBlur(im, 0)
 	for i := range im.Pix {
-		if out.Pix[i] != im.Pix[i] {
+		if im.Pix[i] != want.Pix[i] {
 			t.Fatal("sigma=0 blur changed pixels")
 		}
 	}
@@ -115,7 +117,8 @@ func TestAdjustBrightness(t *testing.T) {
 func TestAddGaussianNoiseStats(t *testing.T) {
 	im := NewImage(64, 64)
 	im.Fill(128, 128, 128)
-	out := AddGaussianNoise(im, 10, rng.New(3))
+	AddGaussianNoise(im, 10, rng.New(3))
+	out := im
 	mean, _, _ := out.Mean()
 	if math.Abs(mean-128) > 2 {
 		t.Fatalf("noise shifted mean to %v", mean)

@@ -129,6 +129,86 @@ func refRGBToHSV(r, g, b uint8) (h, s, v float64) {
 
 // TestRGBToHSVMatchesReference is exhaustive: all 2²⁴ colours, so the
 // colour matcher built on SatVal and Hue has no untested input.
+// refGaussianBlur and refAddGaussianNoise are the filters as they were
+// when each returned a fresh image: a sequential form of the same
+// per-pixel sums.
+func refGaussianBlur(src *imgproc.Image, sigma float64) *imgproc.Image {
+	if sigma <= 0 {
+		return src.Clone()
+	}
+	radius := int(math.Ceil(3 * sigma))
+	k := make([]float64, 2*radius+1)
+	var sum float64
+	for i := range k {
+		d := float64(i - radius)
+		k[i] = math.Exp(-d * d / (2 * sigma * sigma))
+		sum += k[i]
+	}
+	for i := range k {
+		k[i] /= sum
+	}
+	pass := func(src *imgproc.Image, dx, dy int) *imgproc.Image {
+		dst := imgproc.NewImage(src.W, src.H)
+		for y := 0; y < src.H; y++ {
+			for x := 0; x < src.W; x++ {
+				var r, g, b float64
+				for i, kv := range k {
+					cr, cg, cb := src.At(x+(i-radius)*dx, y+(i-radius)*dy)
+					r += kv * float64(cr)
+					g += kv * float64(cg)
+					b += kv * float64(cb)
+				}
+				dst.Set(x, y, refClampU8(r), refClampU8(g), refClampU8(b))
+			}
+		}
+		return dst
+	}
+	return pass(pass(src, 1, 0), 0, 1)
+}
+
+func refAddGaussianNoise(src *imgproc.Image, stddev float64, r *rng.RNG) *imgproc.Image {
+	dst := imgproc.NewImage(src.W, src.H)
+	seed := r.Uint64()
+	for y := 0; y < src.H; y++ {
+		rr := rng.New(seed + uint64(y)*0x9e37)
+		for i := y * src.W * 3; i < (y+1)*src.W*3; i++ {
+			dst.Pix[i] = refClampU8(float64(src.Pix[i]) + rr.NormRange(0, stddev))
+		}
+	}
+	return dst
+}
+
+// noisy returns a copy of src with AddGaussianNoise applied.
+func noisy(src *imgproc.Image, stddev float64, r *rng.RNG) *imgproc.Image {
+	out := src.Clone()
+	imgproc.AddGaussianNoise(out, stddev, r)
+	return out
+}
+
+// TestFiltersMatchReference: the in-place GaussianBlur and
+// AddGaussianNoise give the returned-image forms' bytes, at frame
+// sizes down to one pixel and with the blur's pooled intermediate
+// image left dirty by a larger frame.
+func TestFiltersMatchReference(t *testing.T) {
+	for i, d := range [][2]int{{320, 240}, {96, 96}, {33, 61}, {7, 5}, {1, 1}, {1, 9}} {
+		src := mixedImage(d[0], d[1], uint64(i+1))
+		for _, sigma := range []float64{0, 0.4, 1.1, 2.5} {
+			im := src.Clone()
+			imgproc.GaussianBlur(im, sigma)
+			if want := refGaussianBlur(src, sigma); !bytes.Equal(im.Pix, want.Pix) {
+				t.Fatalf("%dx%d: GaussianBlur(%v) differs from the reference", d[0], d[1], sigma)
+			}
+		}
+		for _, sd := range []float64{4, 12} {
+			im := src.Clone()
+			imgproc.AddGaussianNoise(im, sd, rng.New(uint64(i)))
+			if want := refAddGaussianNoise(src, sd, rng.New(uint64(i))); !bytes.Equal(im.Pix, want.Pix) {
+				t.Fatalf("%dx%d: AddGaussianNoise(%v) differs from the reference", d[0], d[1], sd)
+			}
+		}
+	}
+}
+
 func TestRGBToHSVMatchesReference(t *testing.T) {
 	step := 1
 	if testing.Short() {
@@ -300,7 +380,7 @@ func TestFrameGeometryMatchesReference(t *testing.T) {
 			clean,
 			imgproc.AdjustBrightness(clean, 0.3),
 			imgproc.Rotate(clean, 0.3),
-			imgproc.AddGaussianNoise(clean, 12, rng.New(uint64(i))),
+			noisy(clean, 12, rng.New(uint64(i))),
 		} {
 			views := []*imgproc.Image{frame}
 			for _, c := range crops {

@@ -25,9 +25,10 @@ const (
 // A Conv optionally carries a post-training-quantized twin of its
 // weights: Calibrate records the input activation range seen on a
 // calibration stream, Quantize snapshots per-channel int8 weights, and
-// the int8On switch (driven by Network.ForwardQuant) routes Forward
-// through the int8 kernels. The fp32 path is never mutated — switching
-// int8On off restores bit-identical fp32 behaviour.
+// the int8On switch (set by Network.ForwardQuantInterp through setInt8)
+// routes Forward through the int8 kernels. The fp32 path is never
+// mutated — switching int8On off restores bit-identical fp32
+// behaviour.
 type Conv struct {
 	label   string
 	spec    tensor.ConvSpec

@@ -34,9 +34,7 @@ import (
 // both.
 
 // Precision selects the kernel set one Execute call uses. The zero
-// value is FP32. (This is the engine-level twin of device.Precision;
-// the two enums are kept separate so the kernel layer stays
-// independent of the simulation layer.)
+// value is FP32.
 type Precision int
 
 // Execution precisions.

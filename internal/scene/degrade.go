@@ -13,35 +13,34 @@ import (
 	"ocularone/internal/rng"
 )
 
-// applyCondition renders the scene's degradation, returning the
-// (possibly replaced) frame. Ground truth is deliberately untouched:
+// applyCondition renders the scene's degradation into the frame in
+// place. Ground truth is deliberately untouched:
 // the VIP is still there behind the dark, the rain, or the occluder —
 // that is exactly what makes the conditions a detection-quality probe
 // rather than a labelling change.
-func applyCondition(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, texRNG *rng.RNG) *imgproc.Image {
+func applyCondition(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, texRNG *rng.RNG) {
 	switch s.Condition {
 	case Night:
-		return applyNight(im, texRNG)
+		applyNight(im, texRNG)
 	case Rain:
-		return applyRain(im, texRNG)
+		applyRain(im, texRNG)
 	case Occlusion:
 		applyOcclusion(im, gt, s, cam, texRNG)
 	}
-	return im
 }
 
 // applyNight darkens the frame to deep-dusk levels and amplifies
 // sensor noise — the gain a camera cranks up in the dark.
-func applyNight(im *imgproc.Image, texRNG *rng.RNG) *imgproc.Image {
+func applyNight(im *imgproc.Image, texRNG *rng.RNG) {
 	for i, v := range im.Pix {
 		im.Pix[i] = uint8(float64(v) * 0.28)
 	}
-	return imgproc.AddGaussianNoise(im, 10, texRNG.Split("night-gain"))
+	imgproc.AddGaussianNoise(im, 10, texRNG.Split("night-gain"))
 }
 
 // applyRain washes contrast toward gray, streaks the frame with rain,
 // and softens it with a light blur (droplets on the lens).
-func applyRain(im *imgproc.Image, texRNG *rng.RNG) *imgproc.Image {
+func applyRain(im *imgproc.Image, texRNG *rng.RNG) {
 	for i, v := range im.Pix {
 		nv := float64(v)*0.72 + 52
 		if nv > 255 {
@@ -61,7 +60,7 @@ func applyRain(im *imgproc.Image, texRNG *rng.RNG) *imgproc.Image {
 				uint8(min255(int(pr)+45)), uint8(min255(int(pg)+45)), uint8(min255(int(pb)+50)))
 		}
 	}
-	return imgproc.GaussianBlur(im, 1.1)
+	imgproc.GaussianBlur(im, 1.1)
 }
 
 // applyOcclusion drops a foreground obstruction (a passerby's torso, a

@@ -57,7 +57,7 @@ func refRender(s *Scene, cam Camera) (*imgproc.Image, []float32) {
 		}
 	}
 
-	im = applyCondition(im, gt, s, cam, texRNG)
+	applyCondition(im, gt, s, cam, texRNG)
 	for _, r := range gt.rects {
 		for y := r.r.Y0; y < r.r.Y1; y++ {
 			for x := r.r.X0; x < r.r.X1; x++ {

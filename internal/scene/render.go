@@ -124,7 +124,7 @@ func Render(s *Scene, cam Camera) (*imgproc.Image, *GroundTruth) {
 		}
 	}
 
-	im = applyCondition(im, gt, s, cam, texRNG)
+	applyCondition(im, gt, s, cam, texRNG)
 	applyLighting(im, s.Lighting)
 	sensorNoise(im, texRNG)
 	return im, gt

@@ -128,13 +128,15 @@ func TestDepthMapConsistency(t *testing.T) {
 	checkDepth(t, "vip at 8 m", gt, rdepth, cam.W, cam.H)
 }
 
-// TestRenderByteBudget: a frame's depth is geometry, so Render allocates
-// the image and little else — no W×H depth plane (4 bytes a pixel).
+// TestRenderByteBudget: a frame's depth is geometry, and the night
+// noise and the rain blur work on the frame in place, so Render
+// allocates the image and little else under every condition — no W×H
+// depth plane (4 bytes a pixel) and no second frame.
 func TestRenderByteBudget(t *testing.T) {
 	const runs = 20
 	cam := DefaultCamera(320, 240, 1.6)
 	imageBytes := uint64(3 * cam.W * cam.H)
-	for _, cond := range []Condition{Clear, Occlusion} {
+	for _, cond := range []Condition{Clear, Occlusion, Night, Rain} {
 		s := busyScene(Footpath, cond, 0.85, 7)
 		s.Clutter = 1
 		Render(s, cam) // warm the kernel-tier and split paths

@@ -12,9 +12,13 @@
 //     diurnal window; FuzzArrivalTrace holds the traces to the
 //     sine-every-time loop bit for bit), modulated by a
 //     diurnal sinusoid and a two-state Markov burst process, with
-//     Zipf-skewed tenant shares and heterogeneous model/class mixes
-//     over the eight Table-2 models. Every draw derives from
-//     internal/rng split streams: one seed, one trace, bit for bit.
+//     Zipf-skewed tenant shares. Each request draws one of the eight
+//     Table-2 models and one of three priority classes from fixed
+//     weights that no config sets (modelWeights: nano detectors
+//     dominate, x-large and the auxiliary models trail; classWeights:
+//     25 : 60 : 15 interactive : standard : background). Every draw
+//     derives from internal/rng split streams: one seed, one trace,
+//     bit for bit.
 //
 //   - Event core (event.go, hist.go): a binary min-heap of
 //     value-type events in one reused slice, ordered by time and then

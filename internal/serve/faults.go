@@ -177,7 +177,7 @@ func (s *Server) initAdapt(cfg Config, maxB int) {
 	if !cfg.Adapt.Enabled || cfg.Precision == device.INT8 {
 		return
 	}
-	s.deg = newSvcTable(cfg, s.g.mixCum, device.INT8, maxB, &s.nom)
+	s.deg = newSvcTable(cfg, device.INT8, maxB, &s.nom)
 	// Start on the nominal arm (index 1); arm 0 is the degraded int8.
 	s.ctl = adaptive.NewController(adaptive.PrecisionArms(cfg.Device, cfg.Precision), 1, adaptive.ServingEpoch())
 }

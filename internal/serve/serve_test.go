@@ -163,37 +163,48 @@ func TestTrafficMeanRate(t *testing.T) {
 }
 
 // TestNewServerRejectsBadTraffic: a rate that is not finite and
-// positive, a mix weight that is negative or NaN, a traffic-shape knob
-// that is not finite, a diurnal amplitude outside [0, 1), or a horizon
-// that is not finite panics by name in NewServer instead of hanging the
-// arrival loop (a NaN rate or envelope never accepts a candidate) or
-// the run (a NaN or infinite horizon never ends), panicking inside the
-// RNG (infinite rate) or running on NaN cumulative tables. Each case
-// runs NewServer and a one-second study under a deadline, so a config
-// that hangs fails the case instead of the test binary.
+// positive, a traffic-shape knob that is not finite, a diurnal
+// amplitude outside [0, 1), a horizon that is not finite, or a retry
+// backoff or hedge budget that is negative, NaN or infinite panics in
+// NewServer, naming the field, instead of hanging the arrival loop (a
+// NaN rate or envelope never accepts a candidate) or the run (a NaN or
+// infinite horizon never ends), panicking inside the RNG (infinite
+// rate) or the event heap (a non-finite backoff), scheduling a retry
+// before its failed attempt finished (a negative backoff) or silently
+// running another hedge budget. Each case runs NewServer and a
+// one-second study under a deadline, so a config that hangs fails the
+// case instead of the test binary.
 func TestNewServerRejectsBadTraffic(t *testing.T) {
-	nanMix := DefaultMix()
-	nanMix[3] = math.NaN()
 	for _, c := range []struct {
-		name string
-		edit func(*Config)
+		name, field string
+		edit        func(*Config)
 	}{
-		{"nan rate", func(cfg *Config) { cfg.Traffic.RatePerSec = math.NaN() }},
-		{"inf rate", func(cfg *Config) { cfg.Traffic.RatePerSec = math.Inf(1) }},
-		{"negative class weight", func(cfg *Config) { cfg.Traffic.ClassMix = [NumClasses]float64{1, -1, 0} }},
-		{"nan class weight", func(cfg *Config) { cfg.Traffic.ClassMix = [NumClasses]float64{1, math.NaN(), 1} }},
-		{"nan model weight", func(cfg *Config) { cfg.Traffic.Mix = nanMix }},
-		{"nan diurnal amp", func(cfg *Config) { cfg.Traffic.DiurnalAmp = math.NaN() }},
-		{"negative diurnal amp", func(cfg *Config) { cfg.Traffic.DiurnalAmp = -0.5 }},
-		{"diurnal amp above one", func(cfg *Config) { cfg.Traffic.DiurnalAmp = 1.5 }},
-		{"nan diurnal period", func(cfg *Config) { cfg.Traffic.DiurnalPeriodMS = math.NaN() }},
-		{"nan burst mult", func(cfg *Config) { cfg.Traffic.BurstMult = math.NaN() }},
-		{"inf burst mult", func(cfg *Config) { cfg.Traffic.BurstMult = math.Inf(1) }},
-		{"nan burst on", func(cfg *Config) { cfg.Traffic.BurstOnMS = math.NaN() }},
-		{"inf burst off", func(cfg *Config) { cfg.Traffic.BurstOffMS = math.Inf(1) }},
-		{"nan horizon", func(cfg *Config) { cfg.HorizonMS = math.NaN() }},
-		{"inf horizon", func(cfg *Config) { cfg.HorizonMS = math.Inf(1) }},
-		{"-inf horizon", func(cfg *Config) { cfg.HorizonMS = math.Inf(-1) }},
+		{"nan rate", "Traffic.RatePerSec", func(cfg *Config) { cfg.Traffic.RatePerSec = math.NaN() }},
+		{"inf rate", "Traffic.RatePerSec", func(cfg *Config) { cfg.Traffic.RatePerSec = math.Inf(1) }},
+		{"nan diurnal amp", "Traffic.DiurnalAmp", func(cfg *Config) { cfg.Traffic.DiurnalAmp = math.NaN() }},
+		{"negative diurnal amp", "Traffic.DiurnalAmp", func(cfg *Config) { cfg.Traffic.DiurnalAmp = -0.5 }},
+		{"diurnal amp above one", "Traffic.DiurnalAmp", func(cfg *Config) { cfg.Traffic.DiurnalAmp = 1.5 }},
+		{"nan diurnal period", "Traffic.DiurnalPeriodMS", func(cfg *Config) { cfg.Traffic.DiurnalPeriodMS = math.NaN() }},
+		{"nan burst mult", "Traffic.BurstMult", func(cfg *Config) { cfg.Traffic.BurstMult = math.NaN() }},
+		{"inf burst mult", "Traffic.BurstMult", func(cfg *Config) { cfg.Traffic.BurstMult = math.Inf(1) }},
+		{"nan burst on", "Traffic.BurstOnMS", func(cfg *Config) { cfg.Traffic.BurstOnMS = math.NaN() }},
+		{"inf burst off", "Traffic.BurstOffMS", func(cfg *Config) { cfg.Traffic.BurstOffMS = math.Inf(1) }},
+		{"nan horizon", "Config.HorizonMS", func(cfg *Config) { cfg.HorizonMS = math.NaN() }},
+		{"inf horizon", "Config.HorizonMS", func(cfg *Config) { cfg.HorizonMS = math.Inf(1) }},
+		{"-inf horizon", "Config.HorizonMS", func(cfg *Config) { cfg.HorizonMS = math.Inf(-1) }},
+		{"nan backoff", "RetryPolicy.BackoffMS", func(cfg *Config) { cfg.Integrity.Retry = RetryPolicy{MaxAttempts: 3, BackoffMS: math.NaN()} }},
+		{"-inf backoff", "RetryPolicy.BackoffMS", func(cfg *Config) { cfg.Integrity.Retry = RetryPolicy{MaxAttempts: 3, BackoffMS: math.Inf(-1)} }},
+		{"inf backoff", "RetryPolicy.BackoffMS", func(cfg *Config) { cfg.Integrity.Retry = RetryPolicy{MaxAttempts: 3, BackoffMS: math.Inf(1)} }},
+		{"negative backoff", "RetryPolicy.BackoffMS", func(cfg *Config) { cfg.Integrity.Retry = RetryPolicy{MaxAttempts: 3, BackoffMS: -50} }},
+		{"nan hedge budget", "HedgePolicy.BudgetFrac", func(cfg *Config) {
+			cfg.Integrity.Hedge = HedgePolicy{Enabled: true, Device: device.RTX4090, BudgetFrac: math.NaN()}
+		}},
+		{"inf hedge budget", "HedgePolicy.BudgetFrac", func(cfg *Config) {
+			cfg.Integrity.Hedge = HedgePolicy{Enabled: true, Device: device.RTX4090, BudgetFrac: math.Inf(1)}
+		}},
+		{"negative hedge budget", "HedgePolicy.BudgetFrac", func(cfg *Config) {
+			cfg.Integrity.Hedge = HedgePolicy{Enabled: true, Device: device.RTX4090, BudgetFrac: -0.5}
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig(1_000, 1)
@@ -209,8 +220,8 @@ func TestNewServerRejectsBadTraffic(t *testing.T) {
 			}()
 			select {
 			case msg := <-done:
-				if !strings.HasPrefix(msg, "serve: ") {
-					t.Fatalf("NewServer + Finish ended with %q, want a serve: panic", msg)
+				if !strings.HasPrefix(msg, "serve: ") || !strings.Contains(msg, c.field) {
+					t.Fatalf("NewServer + Finish ended with %q, want a serve: panic naming %s", msg, c.field)
 				}
 			case <-time.After(time.Second):
 				t.Fatal("NewServer + Finish still running after 1 s, want a serve: panic")
@@ -280,8 +291,11 @@ func TestServeInvariants(t *testing.T) {
 // better completion ratio than the heaviest.
 func TestServeFairness(t *testing.T) {
 	cfg := DefaultConfig(8_000, 21)
-	cfg.Traffic.ClassMix = [NumClasses]float64{0, 0, 1} // no deadlines: isolate queue policy
 	cfg.Traffic.RatePerSec = 3 * Capacity(cfg)
+	// No deadlines, to isolate queue policy: every request is
+	// background, the cumulative table of class weights 0 : 0 : 1.
+	defer func(saved []float64) { classCum = saved }(classCum)
+	classCum = []float64{0, 0, 1}
 	res := Run(cfg)
 	if err := res.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -292,6 +306,7 @@ func TestServeFairness(t *testing.T) {
 	if res.TenantOffered[0] < 4*res.TenantOffered[nt-1] {
 		t.Fatalf("Zipf skew missing: heavy offered %d, light offered %d", res.TenantOffered[0], res.TenantOffered[nt-1])
 	}
+	t.Logf("completion ratio: light %.6f, heavy %.6f", light, heavy)
 	if light <= heavy {
 		t.Fatalf("light tenant completion ratio %.3f <= heavy %.3f: overload is not fair", light, heavy)
 	}

@@ -173,7 +173,7 @@ type svcTable struct {
 // itself when base is nil): the queue is charged in nominal estimates,
 // so the degraded table's efficiency is per nominal unit and the
 // admission rescale composes.
-func newSvcTable(cfg Config, mixCum []float64, prec device.Precision, maxB int, base *svcTable) svcTable {
+func newSvcTable(cfg Config, prec device.Precision, maxB int, base *svcTable) svcTable {
 	t := svcTable{prec: prec}
 	for m := models.ID(0); m < models.NumModels; m++ {
 		t.estMS[m] = device.PredictMS(m, cfg.Device, prec, cfg.Engine)
@@ -183,10 +183,10 @@ func newSvcTable(cfg Config, mixCum []float64, prec device.Precision, maxB int, 
 		base = &t
 	}
 	var b1, bN float64
-	for m := range mixCum {
-		share := mixCum[m]
+	for m := range modelCum {
+		share := modelCum[m]
 		if m > 0 {
-			share -= mixCum[m-1]
+			share -= modelCum[m-1]
 		}
 		b1 += share * base.estMS[m]
 		bN += share * t.fullBatchMS[m] / float64(maxB)
@@ -294,10 +294,26 @@ type Server struct {
 
 // NewServer materialises the generator and event queue and schedules
 // every tenant's first arrival. It panics, by name, on a HorizonMS that
-// is NaN or infinite and on a Traffic config the generator refuses.
+// is NaN or infinite, on a retry backoff or hedge budget that is
+// negative, NaN or infinite, and on a Traffic config the generator
+// refuses.
 func NewServer(cfg Config) *Server {
 	if h := cfg.HorizonMS; math.IsNaN(h) || math.IsInf(h, 0) {
 		panic(fmt.Sprintf("serve: Config.HorizonMS must be finite, got %v", h))
+	}
+	// A negative backoff schedules a retry before its failed attempt
+	// finished, a non-finite one poisons the event heap, and a hedge
+	// budget that is not a finite non-negative share silently runs
+	// another one.
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{
+		{"RetryPolicy.BackoffMS", cfg.Integrity.Retry.BackoffMS}, {"HedgePolicy.BudgetFrac", cfg.Integrity.Hedge.BudgetFrac},
+	} {
+		if !(k.v >= 0) || math.IsInf(k.v, 1) {
+			panic(fmt.Sprintf("serve: %s must be finite and non-negative, got %v", k.name, k.v))
+		}
 	}
 	g := newGen(cfg.Traffic)
 	nt := len(g.tenants)
@@ -320,7 +336,7 @@ func NewServer(cfg Config) *Server {
 	if maxB < 1 {
 		maxB = 1
 	}
-	s.nom = newSvcTable(cfg, g.mixCum, cfg.Precision, maxB, nil)
+	s.nom = newSvcTable(cfg, cfg.Precision, maxB, nil)
 	for c := range s.queues {
 		s.queues[c] = make([]fifo, nt*numModels)
 		for i := range s.queues[c] {
@@ -1159,25 +1175,18 @@ func (s *Server) Fingerprint() uint64 {
 }
 
 // Capacity returns the request rate (req/s) the configured device
-// sustains over the traffic mix when every dispatch is a full
+// sustains over the model weights when every dispatch is a full
 // micro-batch — the denominator offered-load sweeps express ρ against.
 func Capacity(cfg Config) float64 {
-	mix := cfg.Traffic.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
 	n := cfg.Batch.MaxBatch
 	if n < 1 {
 		n = 1
 	}
 	var tot, msPerReq float64
-	for _, w := range mix {
+	for _, w := range modelWeights {
 		tot += w
 	}
-	for m, w := range mix {
-		if w <= 0 {
-			continue
-		}
+	for m, w := range modelWeights {
 		svc := device.PredictBatchMSEng(models.ID(m), cfg.Device, n, cfg.Precision, cfg.Engine)
 		msPerReq += w / tot * svc / float64(n)
 	}

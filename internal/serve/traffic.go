@@ -47,10 +47,10 @@ func (c Class) String() string {
 // Traffic parameterises the open-loop arrival process: an aggregate
 // Poisson rate shared by Tenants independent sources, modulated by a
 // diurnal sinusoid and a two-state burst process (a Markov-modulated
-// Poisson process), with every request drawing a model from Mix and a
-// priority class from ClassMix. All draws come from rng streams split
-// off Seed, so a Traffic value is a pure function of its fields: same
-// seed, same trace, bit for bit.
+// Poisson process), with every request drawing a model and a priority
+// class from fixed weights (modelWeights, classWeights). All draws come
+// from rng streams split off Seed, so a Traffic value is a pure
+// function of its fields: same seed, same trace, bit for bit.
 type Traffic struct {
 	// RatePerSec is the mean aggregate offered rate in requests per
 	// second across all tenants (before diurnal/burst modulation, whose
@@ -62,12 +62,6 @@ type Traffic struct {
 	// server admits at most 512 / Tenants (at least 1) queued requests
 	// per tenant.
 	Tenants int
-	// Mix gives relative request weights over the eight Table-2 models;
-	// nil selects DefaultMix.
-	Mix []float64
-	// ClassMix gives relative weights over the priority classes; all
-	// zeros selects 25 : 60 : 15 interactive : standard : background.
-	ClassMix [NumClasses]float64
 	// DiurnalAmp in [0,1) modulates the rate sinusoidally:
 	// rate × (1 + amp·sin(2πt/period + phase)). 0 disables.
 	DiurnalAmp float64
@@ -83,35 +77,43 @@ type Traffic struct {
 	Seed uint64
 }
 
-// DefaultMix weights the eight Table-2 models the way a deployed fleet
-// queries them: nano detectors dominate, mid-size models are common,
-// x-large sweeps and the auxiliary pose/depth models trail.
-func DefaultMix() []float64 {
-	mix := make([]float64, models.NumModels)
-	mix[models.V8Nano] = 30
-	mix[models.V11Nano] = 25
-	mix[models.V8Medium] = 12
-	mix[models.V11Medium] = 10
-	mix[models.Bodypose] = 10
-	mix[models.Monodepth2] = 8
-	mix[models.V8XLarge] = 3
-	mix[models.V11XLarge] = 2
-	return mix
+// modelWeights weights the eight Table-2 models the way a deployed
+// fleet queries them: nano detectors dominate, mid-size models are
+// common, x-large sweeps and the auxiliary pose/depth models trail.
+var modelWeights = [models.NumModels]float64{
+	models.V8Nano:     30,
+	models.V11Nano:    25,
+	models.V8Medium:   12,
+	models.V11Medium:  10,
+	models.Bodypose:   10,
+	models.Monodepth2: 8,
+	models.V8XLarge:   3,
+	models.V11XLarge:  2,
 }
 
-// defaultClassMix sends most traffic through the standard class with an
+// classWeights sends most traffic through the standard class with an
 // interactive head and a background tail.
-var defaultClassMix = [NumClasses]float64{25, 60, 15}
+var classWeights = [NumClasses]float64{25, 60, 15}
 
-// checkWeights panics on a weight that is negative, NaN or infinite:
-// normalising by the sum would turn it into a silent NaN or a
-// negative-width slot of the cumulative table.
-func checkWeights(what string, ws []float64) {
-	for i, w := range ws {
-		if !(w >= 0) || math.IsInf(w, 1) {
-			panic(fmt.Sprintf("serve: %s weight %d is %v, want finite and non-negative", what, i, w))
-		}
+// modelCum and classCum are the weights' cumulative shares, normalised
+// to 1: a draw u in [0, 1) picks the first entry above it.
+var (
+	modelCum = cumulative(modelWeights[:])
+	classCum = cumulative(classWeights[:])
+)
+
+// cumulative returns the running sums of ws / sum(ws).
+func cumulative(ws []float64) []float64 {
+	var tot float64
+	for _, w := range ws {
+		tot += w
 	}
+	cum, out := 0.0, make([]float64, len(ws))
+	for i, w := range ws {
+		cum += w / tot
+		out[i] = cum
+	}
+	return out
 }
 
 // tenantGen is one tenant's lazy arrival-process state.
@@ -134,10 +136,8 @@ type tenantGen struct {
 
 // gen holds the materialised generator state for one Traffic value.
 type gen struct {
-	cfg      Traffic
-	tenants  []tenantGen
-	mixCum   []float64 // cumulative model weights, normalised to 1
-	classCum [NumClasses]float64
+	cfg     Traffic
+	tenants []tenantGen
 }
 
 func newGen(cfg Traffic) *gen {
@@ -146,23 +146,6 @@ func newGen(cfg Traffic) *gen {
 	}
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 1
-	}
-	if cfg.Mix == nil {
-		cfg.Mix = DefaultMix()
-	}
-	if len(cfg.Mix) != int(models.NumModels) {
-		panic(fmt.Sprintf("serve: Mix must have %d weights, got %d", models.NumModels, len(cfg.Mix)))
-	}
-	checkWeights("model mix", cfg.Mix)
-	checkWeights("class mix", cfg.ClassMix[:])
-	allZero := true
-	for _, w := range cfg.ClassMix {
-		if w != 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		cfg.ClassMix = defaultClassMix
 	}
 	// NaN passes the <= 0 clamps below, and a NaN thinning envelope
 	// never accepts a candidate: refuse every non-finite shape knob.
@@ -194,28 +177,6 @@ func newGen(cfg Traffic) *gen {
 	}
 
 	g := &gen{cfg: cfg}
-	g.mixCum = make([]float64, len(cfg.Mix))
-	var tot float64
-	for _, w := range cfg.Mix {
-		tot += w
-	}
-	if tot <= 0 {
-		panic("serve: model mix sums to zero")
-	}
-	cum := 0.0
-	for i, w := range cfg.Mix {
-		cum += w / tot
-		g.mixCum[i] = cum
-	}
-	tot = 0
-	for _, w := range cfg.ClassMix {
-		tot += w
-	}
-	cum = 0
-	for i, w := range cfg.ClassMix {
-		cum += w / tot
-		g.classCum[i] = cum
-	}
 
 	// Zipf tenant shares: tenant i carries weight 1/(i+1). The burst
 	// process raises a tenant's long-run mean rate by the expected
@@ -331,21 +292,21 @@ func (g *gen) nextArrival(ti int) float64 {
 	}
 }
 
-// drawModel samples a model ID from the mix for tenant ti.
+// drawModel samples a model ID for tenant ti.
 func (g *gen) drawModel(ti int) models.ID {
 	u := g.tenants[ti].r.Float64()
-	for i, c := range g.mixCum {
+	for i, c := range modelCum {
 		if u < c {
 			return models.ID(i)
 		}
 	}
-	return models.ID(len(g.mixCum) - 1)
+	return models.NumModels - 1
 }
 
 // drawClass samples a priority class for tenant ti.
 func (g *gen) drawClass(ti int) Class {
 	u := g.tenants[ti].r.Float64()
-	for i, c := range g.classCum {
+	for i, c := range classCum {
 		if u < c {
 			return Class(i)
 		}

@@ -45,9 +45,6 @@ var reachAllow = []struct{ name, reason string }{
 	{"tensor.QFromSlice", "tensor int8 oracles and the root per-shape int8 benchmarks"},
 	{"tensor.Tensor.Reshape", "tensor tests and the nn plan tests' output checks"},
 
-	// The zero value of an enum, named for the tests that select it.
-	{"nn.FP32", "the zero Precision; nn plan and integrity tests name it"},
-
 	// Knobs and features that floor tests pin and an open ROADMAP item
 	// decides: made a constant, dropped with their path, or set by a
 	// program with a measured reason.
@@ -90,7 +87,9 @@ var reachAllow = []struct{ name, reason string }{
 //     satisfies some interface counts as used), and
 //   - each exported struct field of internal/ that no code writes: a
 //     keyed or unkeyed literal, an assignment or ++, &x.f, a nested
-//     x.f.g = or x.f[i] =, or a pointer-receiver call x.f.M().
+//     x.f.g = or x.f[i] =, or a pointer-receiver call x.f.M(). A
+//     defaulting store — x.f = v directly inside an if whose condition
+//     reads x.f — is not a write.
 //
 // Any use in non-test code counts, even from code no program runs: it is
 // not a call graph walked from the main packages, so an allowlisted or
@@ -372,9 +371,10 @@ func (s *reachScan) interfaces() []*types.Interface {
 }
 
 // unwritten returns the exported fields of the named struct types of
-// internal/ that no code writes. A guarded default, such as
-// "if c.Window <= 0 { c.Window = 64 }", is not a write: it only fills in
-// a knob that nothing set.
+// internal/ that no code writes. A defaulting store, such as
+// "if c.Window <= 0 { c.Window = 64 }" or "if c.Mix == nil { c.Mix =
+// defaultMix() }", is not a write: it only fills in a knob that nothing
+// set.
 func (s *reachScan) unwritten() map[string]bool {
 	fields := map[types.Object]string{}
 	var collect func(st *ast.StructType, prefix []string)
@@ -504,10 +504,13 @@ func (s *reachScan) unwritten() map[string]bool {
 }
 
 // guardedDefault reports whether as, the innermost statement of stack,
-// is x.f = constant directly inside an if whose condition reads the same
-// field x.f.
+// is a defaulting store: x.f = v directly inside an if whose condition
+// reads the same field x.f, whatever v is (a constant, a variable or a
+// call), as long as v reads neither x.f nor a variable the condition
+// compares x.f with. A running extreme, "if d > x.f { x.f = d }", is a
+// write.
 func (s *reachScan) guardedDefault(as *ast.AssignStmt, stack []ast.Node) bool {
-	if len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Tok != token.ASSIGN || s.info.Types[as.Rhs[0]].Value == nil {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Tok != token.ASSIGN {
 		return false
 	}
 	lhs, ok := as.Lhs[0].(*ast.SelectorExpr)
@@ -522,12 +525,32 @@ func (s *reachScan) guardedDefault(as *ast.AssignStmt, stack []ast.Node) bool {
 		return false
 	}
 	field, reads := s.info.Selections[lhs].Obj(), false
-	ast.Inspect(ifs.Cond, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && s.info.Selections[sel] != nil && s.info.Selections[sel].Obj() == field &&
-			types.ExprString(sel.X) == types.ExprString(lhs.X) {
-			reads = true
+	path := map[types.Object]bool{}
+	ast.Inspect(lhs, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			path[s.info.Uses[id]] = true
 		}
-		return !reads
+		return true
+	})
+	others := map[types.Object]bool{field: true}
+	ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if s.info.Selections[x] != nil && s.info.Selections[x].Obj() == field && types.ExprString(x.X) == types.ExprString(lhs.X) {
+				reads = true
+			}
+		case *ast.Ident:
+			if v, ok := s.info.Uses[x].(*types.Var); ok && !path[v] {
+				others[v] = true
+			}
+		}
+		return true
+	})
+	ast.Inspect(as.Rhs[0], func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && others[s.info.Uses[id]] {
+			reads = false
+		}
+		return reads
 	})
 	return reads
 }
