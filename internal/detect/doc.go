@@ -13,11 +13,15 @@
 //
 // Detect's front end touches each pixel once per stage and derives
 // nothing per pixel that is fixed for the frame: the downscale reads the
-// frame through the contrast tiles' tables in one pass, one 64 K table
-// keyed by a pixel's (max, min) channels answers every cluster's
-// saturation and value test at once so hue is worked out only where
-// one admits, and the masks are bit-packed rows — the closing is word
-// shifts with OR / AND, the components a union-find over runs. All of
+// frame through the contrast tiles' tables in one pass, one table over
+// the triangle of (max, min) channel pairs (32,896 bytes, in L1)
+// answers every cluster's saturation and value test at once so hue is
+// worked out only where one admits, and the masks are bit-packed rows —
+// the closing is word shifts with OR / AND, the components a union-find
+// over runs. On the avx512vnni tier the contrast tiles' luma scan and a
+// box pre-filter ahead of the table are imgproc's AVX-512 scans: the
+// box holds every (max, min) pair the table admits, and only the pixels
+// inside it are looked up. All of
 // it works out of a pooled scratch, so a steady-state call allocates
 // only the boxes it returns. The per-pixel loops, the []bool morphology
 // and the BFS this replaced are the oracles in reference_test.go; every

@@ -153,23 +153,27 @@ func (t Tier) analysisImage(dst, im *imgproc.Image, lut *imgproc.TileLUT) *imgpr
 // matchMask sets in s.mask the pixels accepted by any colour cluster.
 // Saturation and value depend only on a pixel's extreme channels, so
 // the colour table answers them for all clusters at once and hue is
-// worked out only for a pixel some cluster's S and V windows admit.
+// worked out only for a pixel some cluster's S and V windows admit. The
+// Go form looks up every pixel; the vector form first marks the pixels
+// inside the table's box, a pass of imgproc's, and looks up only those:
+// every pixel it skips has entry 0.
 func (d *Detector) matchMask(s *scratch, im *imgproc.Image) {
 	t := s.colours.build(d)
 	wpr := rowWords(im.W)
+	vec := imgproc.VectorForm()
 	for y := 0; y < im.H; y++ {
 		row := s.mask[y*wpr : (y+1)*wpr]
 		pix := im.Pix[y*im.W*3 : (y+1)*im.W*3]
+		if vec {
+			t.box.Row(row, pix)
+		}
 		for wi := range row {
-			var word uint64
 			seg := pix[wi*64*3 : min((wi+1)*64*3, len(pix))]
-			for o, bit := 0, uint64(1); o+2 < len(seg); o, bit = o+3, bit<<1 {
-				r, g, b := seg[o], seg[o+1], seg[o+2]
-				if e := t.bits[uint16(max(r, g, b))<<8|uint16(min(r, g, b))]; e != 0 && t.hueHit(e, r, g, b) {
-					word |= bit
-				}
+			in := row[wi]
+			if !vec {
+				in = ^uint64(0) >> (64 - len(seg)/3)
 			}
-			row[wi] = word
+			row[wi] = t.match(seg, in)
 		}
 	}
 }

@@ -33,21 +33,35 @@ func (c window) admitsHue(h float64) bool {
 
 // colourTable answers the saturation and value half of every cluster's
 // window for a pixel's (max, min) channel pair, which is all SatVal
-// reads: bits[max<<8|min] has bit k set when window k admits that pair
-// (k < 7; bit 7 stands for any window from the eighth on). It is built
-// with SatVal and admitsSV, so it decides exactly as the per-pixel
-// tests would, and rebuilt only when a frame's windows differ from the
-// ones it holds.
+// reads: bits[max(max+1)/2 + min] has bit k set when window k admits
+// that pair (k < 7; bit 7 stands for any window from the eighth on).
+// Only pairs with min ≤ max occur, so the table is that triangle, one
+// row per max: 32,896 bytes, which stay in L1. It is built with
+// SatVal and admitsSV, so it decides exactly as the per-pixel tests
+// would, and rebuilt only when a frame's windows differ from the ones
+// it holds. box is the least ExtremaBox holding every pair whose entry
+// is non-zero, so a pixel outside it has entry 0: the vector form of
+// matchMask looks up only the pixels inside.
 type colourTable struct {
 	windows, built []window
-	bits           *[1 << 16]uint8
+	bits           *[triangle]uint8
+	box            imgproc.ExtremaBox
+}
+
+// triangle is the number of (max, min) pairs with min ≤ max.
+const triangle = 256 * 257 / 2
+
+// entry returns the table entry of the pixel (r, g, b).
+func (t *colourTable) entry(r, g, b uint8) uint8 {
+	mx := int(max(r, g, b))
+	return t.bits[mx*(mx+1)>>1+int(min(r, g, b))]
 }
 
 // overflowBit is the table bit of the windows past the seventh.
 const overflowBit = 7
 
 // build sets t.windows to d's windows for this frame and makes the
-// table answer for them; it returns t.
+// table and its box answer for them; it returns t.
 func (t *colourTable) build(d *Detector) *colourTable {
 	t.windows = t.windows[:0]
 	for _, c := range d.Clusters {
@@ -61,8 +75,12 @@ func (t *colourTable) build(d *Detector) *colourTable {
 		return t
 	}
 	if t.bits == nil {
-		t.bits = new([1 << 16]uint8)
+		t.bits = new([triangle]uint8)
 	}
+	// The box's ends on (max, min, max − min); lo past 255 when no
+	// entry is set, which holds nothing.
+	lo, hi := [3]int{256, 256, 256}, [3]int{}
+	i := 0
 	for mx := 0; mx < 256; mx++ {
 		for mn := 0; mn <= mx; mn++ {
 			s, v := imgproc.SatVal(uint8(mx), uint8(mn), uint8(mn))
@@ -72,8 +90,17 @@ func (t *colourTable) build(d *Detector) *colourTable {
 					b |= 1 << min(k, overflowBit)
 				}
 			}
-			t.bits[mx<<8|mn] = b
+			t.bits[i] = b
+			i++
+			if b != 0 {
+				for k, e := range [3]int{mx, mn, mx - mn} {
+					lo[k], hi[k] = min(lo[k], e), max(hi[k], e)
+				}
+			}
 		}
+	}
+	for k := range lo {
+		t.box.Lo[k], t.box.Span[k] = uint32(lo[k]), uint32(max(hi[k]-lo[k], 0))
 	}
 	t.built = append(t.built[:0], t.windows...)
 	return t
@@ -99,6 +126,21 @@ func (t *colourTable) hueHit(b, r, g, bl uint8) bool {
 		}
 	}
 	return false
+}
+
+// match returns the mask word of the pixels of seg, at most 64, whose
+// bits are set in in: bit j is set when some cluster's window admits
+// pixel j.
+func (t *colourTable) match(seg []uint8, in uint64) uint64 {
+	var word uint64
+	for ; in != 0; in &= in - 1 {
+		o := 3 * bits.TrailingZeros64(in)
+		r, g, b := seg[o], seg[o+1], seg[o+2]
+		if e := t.entry(r, g, b); e != 0 && t.hueHit(e, r, g, b) {
+			word |= in & -in
+		}
+	}
+	return word
 }
 
 // Masks are bit-packed: a w-cell row is rowWords(w) words, cell x bit

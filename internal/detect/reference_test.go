@@ -13,6 +13,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"ocularone/internal/imgproc"
 	"ocularone/internal/models"
 	"ocularone/internal/rng"
+	"ocularone/internal/tensor"
 )
 
 func (d *Detector) refMatchMask(im *imgproc.Image) []bool {
@@ -220,12 +222,47 @@ func (d *Detector) refDetect(im *imgproc.Image) []Box {
 	return nmsBoxes(boxes, 0.5)
 }
 
-// maskOf runs the new matcher on fresh scratch.
-func (d *Detector) maskOf(im *imgproc.Image) []bool {
-	s := new(scratch)
-	s.resize(im.W, im.H)
-	d.matchMask(s, im)
-	return unpackMask(s.mask, im.W, im.H)
+// maskForms are the kernel tiers whose forms of matchMask differ:
+// generic runs the Go form, avx512vnni (where the CPU has it) the box
+// pre-filter's AVX-512 form.
+func maskForms() []string {
+	forms := []string{tensor.TierGeneric}
+	if slices.Contains(tensor.KernelTiers(), tensor.TierAVX512VNNI) {
+		forms = append(forms, tensor.TierAVX512VNNI)
+	}
+	return forms
+}
+
+// inTier runs f with the kernel tier forced to tier.
+func inTier(tb testing.TB, tier string, f func()) {
+	prev := tensor.KernelTier()
+	if err := tensor.SetKernelTier(tier); err != nil {
+		tb.Fatal(err)
+	}
+	defer tensor.SetKernelTier(prev)
+	f()
+}
+
+// checkMask runs the matcher in each form on scratch whose mask holds
+// another frame's bits, and returns the mask after failing unless every
+// packed word, the bits past the row's end included, equals the
+// reference's.
+func (d *Detector) checkMask(t testing.TB, im *imgproc.Image, name string) []bool {
+	t.Helper()
+	want := d.refMatchMask(im)
+	packed := packMask(want, im.W, im.H)
+	for _, form := range maskForms() {
+		s := new(scratch)
+		s.resize(im.W, im.H)
+		for i := range s.mask {
+			s.mask[i] = ^uint64(0)
+		}
+		inTier(t, form, func() { d.matchMask(s, im) })
+		if !slices.Equal(s.mask, packed) {
+			t.Fatalf("%s: %s mask differs from the reference", name, form)
+		}
+	}
+	return want
 }
 
 func allTiers() []Tier {
@@ -256,8 +293,8 @@ func frameVariants(im *imgproc.Image, seed uint64) map[string]*imgproc.Image {
 }
 
 // TestFrontEndMatchesReference: six tiers × clean / ×0.3 / rotated /
-// noisy frames × the full frame and DetectROI crops. The mask, the
-// closed mask and the boxes must equal the reference's.
+// noisy frames × the full frame and DetectROI crops. The mask in each
+// form, the closed mask and the boxes must equal the reference's.
 func TestFrontEndMatchesReference(t *testing.T) {
 	_, sp := testSplit(t)
 	items := sp.Test.Subset(8).Items
@@ -292,13 +329,9 @@ func TestFrontEndMatchesReference(t *testing.T) {
 						work = imgproc.LocalContrastNormalize(view, view.W/5)
 					}
 					small := imgproc.Resize(work, rw, rh)
-					want := d.refMatchMask(small)
-					got := d.maskOf(small)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s view %d: mask differs from the reference", name, vi)
-					}
+					want := d.checkMask(t, small, fmt.Sprintf("%s view %d", name, vi))
 					cr := max(rw/100, 1)
-					if !reflect.DeepEqual(closeMask(got, rw, rh, cr), refErode(refDilate(want, rw, rh, cr), rw, rh, cr)) {
+					if !reflect.DeepEqual(closeMask(want, rw, rh, cr), refErode(refDilate(want, rw, rh, cr), rw, rh, cr)) {
 						t.Fatalf("%s view %d: closed mask differs from the reference", name, vi)
 					}
 					masks++
@@ -443,55 +476,124 @@ func TestHasStripesMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzMatchMaskMatchesReference draws the colour model itself: one to
-// ten clusters (past the seventh they share the colour table's last
-// bit), hues on both sides of the 0/360 wrap, windows from a sliver to
-// wider than the cap, thin and thick training support; and an image of
-// greys (d == 0), blacks (v == 0), near-cluster colours and noise.
+// randomModel draws a colour model: one to ten clusters (past the
+// seventh they share the colour table's last bit), hues on both sides
+// of the 0/360 wrap, windows from a sliver to wider than the cap, thin
+// and thick training support.
+func randomModel(r *rng.RNG) *Detector {
+	d := &Detector{Tier: Tier{
+		MarginH: r.Range(0.5, 4), MarginS: r.Range(0.5, 4), MarginV: r.Range(0.5, 4),
+	}}
+	for k := 1 + r.Intn(10); k > 0; k-- {
+		c := cluster{
+			meanH: r.Range(0, 360), stdH: r.Range(0, 12),
+			meanS: r.Float64(), stdS: r.Range(0, 0.3),
+			meanV: r.Float64(), stdV: r.Range(0, 0.3),
+			support: r.Intn(200),
+		}
+		switch r.Intn(4) {
+		case 0:
+			c.meanH = r.Range(0, 8) // window wraps below 0
+		case 1:
+			c.meanH = r.Range(352, 360) // window wraps above 360
+		}
+		d.Clusters = append(d.Clusters, c)
+	}
+	return d
+}
+
+// FuzzMatchMaskMatchesReference draws the colour model (randomModel)
+// and an image of greys (d == 0), blacks (v == 0), near-cluster colours
+// and noise, 1 to 200 pixels wide: whole and partial words and vector
+// blocks. The image's pixels are the start of a larger buffer whose
+// trailing bytes are 0, 255 or a colour the model takes, so a form that
+// read past the last row would set a bit the reference does not.
 func FuzzMatchMaskMatchesReference(f *testing.F) {
 	for s := uint64(1); s <= 6; s++ {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		r := rng.New(seed)
-		d := &Detector{Tier: Tier{
-			MarginH: r.Range(0.5, 4), MarginS: r.Range(0.5, 4), MarginV: r.Range(0.5, 4),
-		}}
-		for k := 1 + r.Intn(10); k > 0; k-- {
-			c := cluster{
-				meanH: r.Range(0, 360), stdH: r.Range(0, 12),
-				meanS: r.Float64(), stdS: r.Range(0, 0.3),
-				meanV: r.Float64(), stdV: r.Range(0, 0.3),
-				support: r.Intn(200),
-			}
-			switch r.Intn(4) {
-			case 0:
-				c.meanH = r.Range(0, 8) // window wraps below 0
-			case 1:
-				c.meanH = r.Range(352, 360) // window wraps above 360
-			}
-			d.Clusters = append(d.Clusters, c)
+		d := randomModel(r)
+		near := func() (uint8, uint8, uint8) { // a colour some cluster should take
+			c := d.Clusters[r.Intn(len(d.Clusters))]
+			return imgproc.HSVToRGB(
+				math.Mod(c.meanH+r.NormRange(0, 2*c.stdH+1)+360, 360),
+				min(max(c.meanS+r.NormRange(0, c.stdS), 0), 1),
+				min(max(c.meanV+r.NormRange(0, c.stdV), 0), 1))
 		}
-		w, h := 1+r.Intn(48), 1+r.Intn(32)
-		im := imgproc.NewImage(w, h)
+		w, h := 1+r.Intn(200), 1+r.Intn(32)
+		buf := make([]uint8, 3*(w*h+64))
+		im := &imgproc.Image{W: w, H: h, Pix: buf[:3*w*h]}
 		for i := 0; i < w*h; i++ {
 			px := im.Pix[i*3 : i*3+3]
 			switch r.Intn(5) {
 			case 0: // grey, black once in a while
 				v := uint8(r.Intn(256) * r.Intn(4) / 3)
 				px[0], px[1], px[2] = v, v, v
-			case 1, 2: // a colour some cluster should take
-				c := d.Clusters[r.Intn(len(d.Clusters))]
-				px[0], px[1], px[2] = imgproc.HSVToRGB(
-					math.Mod(c.meanH+r.NormRange(0, 2*c.stdH+1)+360, 360),
-					min(max(c.meanS+r.NormRange(0, c.stdS), 0), 1),
-					min(max(c.meanV+r.NormRange(0, c.stdV), 0), 1))
+			case 1, 2:
+				px[0], px[1], px[2] = near()
 			default:
 				px[0], px[1], px[2] = uint8(r.Uint64()), uint8(r.Uint64()), uint8(r.Uint64())
 			}
 		}
-		if got, want := d.maskOf(im), d.refMatchMask(im); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: mask differs from the reference (%d clusters, %dx%d)", seed, len(d.Clusters), w, h)
+		var sentinel [3]uint8
+		switch r.Intn(3) {
+		case 1:
+			sentinel = [3]uint8{255, 255, 255}
+		case 2:
+			sentinel[0], sentinel[1], sentinel[2] = near()
+		}
+		for i := len(im.Pix); i < len(buf); i++ {
+			buf[i] = sentinel[i%3]
+		}
+		d.checkMask(t, im, fmt.Sprintf("seed %d (%d clusters, %dx%d)", seed, len(d.Clusters), w, h))
+	})
+}
+
+// FuzzColourBoxHoldsTable: for a drawn colour model, the colour table's
+// box holds every (max, min) pair whose entry is non-zero, the whole
+// triangle checked, so the vector form of matchMask skips only pixels
+// the table rejects; and each of the box's six ends is some such
+// pair's, so it is the least box that does.
+func FuzzColourBoxHoldsTable(f *testing.F) {
+	for s := uint64(1); s <= 6; s++ {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		d := randomModel(rng.New(seed))
+		if seed%5 == 0 { // windows of width 0 admit no pair: the box must hold nothing
+			for i := range d.Clusters {
+				d.Clusters[i].stdS, d.Clusters[i].stdV = 0, 0
+			}
+		}
+		tab := new(colourTable).build(d)
+		b := &tab.box
+		lo, hi := [3]uint32{256, 256, 256}, [3]uint32{}
+		set, held := 0, 0
+		for mx := 0; mx < 256; mx++ {
+			for mn := 0; mn <= mx; mn++ {
+				in := b.Holds(uint8(mx), uint8(mn), uint8(mn))
+				if in {
+					held++
+				}
+				if tab.entry(uint8(mx), uint8(mn), uint8(mn)) == 0 {
+					continue
+				}
+				if !in {
+					t.Fatalf("seed %d: box %+v misses (max %d, min %d), whose entry is set", seed, *b, mx, mn)
+				}
+				set++
+				for k, e := range [3]uint32{uint32(mx), uint32(mn), uint32(mx - mn)} {
+					lo[k], hi[k] = min(lo[k], e), max(hi[k], e)
+				}
+			}
+		}
+		switch {
+		case set == 0 && held > 0:
+			t.Fatalf("seed %d: no entry is set, yet box %+v holds %d pairs", seed, *b, held)
+		case set > 0 && (b.Lo != lo || b.Span != [3]uint32{hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]}):
+			t.Fatalf("seed %d: box %+v, least box %v..%v", seed, *b, lo, hi)
 		}
 	})
 }
@@ -602,7 +704,8 @@ var fuzzDetectFixture = sync.OnceValue(func() (fx struct {
 // frame, each beside its reference where it has one, and the whole v8m
 // Detect and a DetectROI. The refs are the parent's per-stage loops
 // (refDetect's resize and contrast stages are imgproc's, whose own
-// references are timed in that package's BenchmarkFrontEndStages).
+// references are timed in that package's BenchmarkFrontEndStages); the
+// colour mask runs once in each form (mask/<form>).
 func BenchmarkFrontEndStages(b *testing.B) {
 	ds := dataset.Build(dataset.Config{Scale: 0.015, Seed: 42, W: 320, H: 240})
 	sp := ds.StratifiedSplit(0.2)
@@ -619,13 +722,22 @@ func BenchmarkFrontEndStages(b *testing.B) {
 	packed, packedClosed := packMask(mask, rw, rh), packMask(closed, rw, rh)
 	s := new(scratch)
 	s.resize(rw, rh)
+	for _, form := range maskForms() {
+		b.Run("mask/"+form, func(b *testing.B) {
+			inTier(b, form, func() {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					d.matchMask(s, small)
+				}
+			})
+		})
+	}
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
 		{"resize+lut", func() { imgproc.ResizeLUTInto(s.small.Reshape(rw, rh), frame, s.lut.Contrast(frame, 64)) }},
 		{"mask/ref", func() { d.refMatchMask(small) }},
-		{"mask/new", func() { d.matchMask(s, small) }},
 		{"closing/ref", func() { refErode(refDilate(mask, rw, rh, 2), rw, rh, 2) }},
 		{"closing/new", func() { dilate(s.closed, packed, rw, rh, 2); erode(s.mask, s.closed, rw, rh, 2) }},
 		{"components/ref", func() { refComponents(closed, rw, rh) }},

@@ -16,6 +16,9 @@
 // tables in one pass and never stores the normalised frame. The
 // kernel's three loops (map a row through its tables, lerp it
 // horizontally, blend two rows) have Go forms and AVX-512 forms, bound
-// by the avx512vnni kernel tier. reference_test.go keeps the per-pixel
-// definitions both forms must match byte for byte.
+// by the avx512vnni kernel tier (VectorForm), and so do the detector's
+// two per-pixel scans: the contrast tiles' luma range and an
+// ExtremaBox's row of hits, the colour mask's pre-filter.
+// reference_test.go keeps the per-pixel definitions both forms must
+// match byte for byte.
 package imgproc

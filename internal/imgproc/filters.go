@@ -10,11 +10,13 @@ import (
 	"ocularone/internal/tensor"
 )
 
-// vectorForm reports whether the resampling kernel runs its AVX-512
-// forms: bound by the kernel tier, as the tensor row kernels and the
-// render's random streams are, so OCULARONE_KERNEL_TIER and
-// tensor.SetKernelTier select the Go forms with every other tier.
-func vectorForm() bool { return tensor.KernelTier() == tensor.TierAVX512VNNI }
+// VectorForm reports whether the package's kernels — the resampling
+// kernel's three loops and the two scans — run their AVX-512 forms:
+// bound by the kernel tier, as the tensor row kernels and the render's
+// random streams are, so OCULARONE_KERNEL_TIER and
+// tensor.SetKernelTier select the Go forms with every other tier. The
+// vest detector reads it to pick its colour mask's form.
+func VectorForm() bool { return tensor.KernelTier() == tensor.TierAVX512VNNI }
 
 // Resize scales src to w×h with bilinear interpolation.
 func Resize(src *Image, w, h int) *Image {
@@ -65,19 +67,13 @@ func (m *TileLUT) Contrast(src *Image, tile int) *TileLUT {
 	tilesY := (src.H + tile - 1) / tile
 	m.tile, m.tilesX = tile, tilesX
 	m.bytes, m.vals = grow(m.bytes, tilesX*tilesY), grow(m.vals, tilesX*tilesY)
+	vec := VectorForm()
 	for t := range m.bytes {
 		x0, y0 := t%tilesX*tile, t/tilesX*tile
 		x1, y1 := min(x0+tile, src.W), min(y0+tile, src.H)
 		// Luma range in thousandths: dividing is monotone, so the
 		// range of the quotients is the quotient of the range's ends.
-		lo, hi := 255*1000, 0
-		for y := y0; y < y1; y++ {
-			row := src.Pix[(y*src.W+x0)*3 : (y*src.W+x1)*3]
-			for o := 0; o+2 < len(row); o += 3 {
-				lum := int(row[o])*299 + int(row[o+1])*587 + int(row[o+2])*114
-				lo, hi = min(lo, lum), max(hi, lum)
-			}
-		}
+		lo, hi := lumaRange(src.Pix[(y0*src.W+x0)*3:], src.W*3, y1-y0, x1-x0, vec)
 		lo, hi = lo/1000, hi/1000
 		lut, val := &m.bytes[t], &m.vals[t]
 		span := hi - lo
@@ -173,7 +169,7 @@ func ResizeLUTInto(dst, src *Image, m *TileLUT) {
 	w, h := dst.W, dst.H
 	xr := float64(src.W) / float64(w)
 	yr := float64(src.H) / float64(h)
-	vec := vectorForm()
+	vec := VectorForm()
 	s := resizePool.Get().(*resizeScratch)
 	defer resizePool.Put(s)
 	n := w * 3

@@ -452,11 +452,40 @@ func FuzzLCNMatchesReference(f *testing.F) {
 	})
 }
 
+// FuzzLCNEdgesMatchesReference is the contrast tiles' luma scan at its
+// edges: images 1 to 200 pixels wide whose bytes lie in [64, 192),
+// tiles of any width (most not a multiple of the sixteen pixels a
+// vector block holds), in each form. Pix is the start of a buffer whose
+// trailing bytes are 0 and then 255, so a read past the last pixel
+// would move the last tile's luma range and with it the tile's bytes.
+func FuzzLCNEdgesMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(199), uint8(3), uint8(17))
+	f.Add(uint64(2), uint8(0), uint8(0), uint8(0))   // one pixel
+	f.Add(uint64(3), uint8(15), uint8(4), uint8(15)) // one block a row, one tile
+	f.Add(uint64(4), uint8(64), uint8(9), uint8(32)) // a ragged last tile of one pixel
+	f.Fuzz(func(t *testing.T, seed uint64, w, h, tile uint8) {
+		im := &imgproc.Image{W: fuzzDim(w, 200), H: fuzzDim(h, 40)}
+		buf := make([]uint8, 3*im.W*im.H+96)
+		im.Pix = buf[:3*im.W*im.H]
+		r := rng.New(seed)
+		for i := range im.Pix {
+			im.Pix[i] = uint8(64 + r.Intn(128))
+		}
+		for _, sentinel := range []uint8{0, 255} {
+			for i := len(im.Pix); i < len(buf); i++ {
+				buf[i] = sentinel
+			}
+			checkLCN(t, im, fuzzDim(tile, 200))
+		}
+	})
+}
+
 // BenchmarkFrontEndStages times the imgproc stages of the v8m detector
 // on one rendered 320×240 frame against their references, the new
-// ones in each form: the two-pass lcn and resize, and the one pass the
-// detector makes (lut+resize224: the contrast tables, then the resize
-// read through them).
+// ones in each form: the two-pass lcn and resize, the contrast tables
+// alone (contrast: the tiles' luma scan and their 256-entry tables),
+// and the one pass the detector makes (lut+resize224: the contrast
+// tables, then the resize read through them).
 func BenchmarkFrontEndStages(b *testing.B) {
 	ds := dataset.Build(dataset.Config{Scale: 0.005, Seed: 42, W: 320, H: 240})
 	frame := ds.Render(ds.Items[0]).Image
@@ -471,6 +500,7 @@ func BenchmarkFrontEndStages(b *testing.B) {
 		{"lcn/new", func() { imgproc.LocalContrastNormalizeInto(norm, frame, 64) }},
 		{"resize224/ref", func() { refResize(frame, 224, 168) }},
 		{"resize224/new", func() { imgproc.ResizeInto(small, frame) }},
+		{"contrast", func() { lut.Contrast(frame, 64) }},
 		{"lut+resize224/new", func() { imgproc.ResizeLUTInto(small, frame, lut.Contrast(frame, 64)) }},
 	}
 	for _, form := range resizeForms() {

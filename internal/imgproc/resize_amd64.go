@@ -3,7 +3,7 @@
 package imgproc
 
 // AVX-512 forms of ResizeLUTInto's three loops (resize_amd64.s), bound
-// with the avx512vnni tier (vectorForm), whose check includes the F, DQ
+// with the avx512vnni tier (VectorForm), whose check includes the F, DQ
 // and VL instructions they use. Each covers n8 > 0 blocks of eight
 // values; the Go forms they implement are beside ResizeLUTInto.
 

@@ -2,7 +2,7 @@
 
 package imgproc
 
-// Off amd64 there is no avx512vnni tier, so vectorForm is never true
+// Off amd64 there is no avx512vnni tier, so VectorForm is never true
 // and the AVX-512 forms are never called.
 
 func mapRowAVX512(to *float64, from *uint8, n8 int, tab *[256]float64) { panic("unreachable") }

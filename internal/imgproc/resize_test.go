@@ -13,7 +13,7 @@ import (
 // past both ends of clampU8's range and on the rounding boundaries
 // k+0.5, where a fused or reordered operation would show.
 func TestResizeRowForms(t *testing.T) {
-	if !vectorForm() {
+	if !VectorForm() {
 		t.Skip("the AVX-512 forms run only on the avx512vnni tier")
 	}
 	r := rng.New(7)
