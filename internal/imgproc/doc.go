@@ -17,8 +17,10 @@
 // kernel's three loops (map a row through its tables, lerp it
 // horizontally, blend two rows) have Go forms and AVX-512 forms, bound
 // by the avx512vnni kernel tier (VectorForm), and so do the detector's
-// two per-pixel scans: the contrast tiles' luma range and an
-// ExtremaBox's row of hits, the colour mask's pre-filter.
+// two per-pixel scans — the contrast tiles' luma range and an
+// ExtremaBox's row of hits, the colour mask's pre-filter — and MapBytes,
+// the byte-table map under the render's tone maps and AdjustBrightness
+// (whose AVX-512 form also needs VBMI: tensor.HasAVX512VBMI).
 // reference_test.go keeps the per-pixel definitions both forms must
 // match byte for byte.
 package imgproc

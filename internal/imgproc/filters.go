@@ -316,12 +316,12 @@ func blurLine(dst []uint8, stride int, src []uint8, k []float64) {
 // AdjustBrightness scales all channels by factor (e.g. 0.3 simulates the
 // paper's low-light adversarial condition).
 func AdjustBrightness(src *Image, factor float64) *Image {
-	dst := NewImage(src.W, src.H)
-	parallel.ForRange(len(src.Pix), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst.Pix[i] = clampU8(float64(src.Pix[i]) * factor)
-		}
-	})
+	var lut [256]uint8
+	for v := range lut {
+		lut[v] = clampU8(float64(v) * factor)
+	}
+	dst := src.Clone()
+	MapBytes(dst.Pix, &lut)
 	return dst
 }
 

@@ -134,15 +134,20 @@ func (r Rect) Center() (float64, float64) {
 	return float64(r.X0+r.X1) / 2, float64(r.Y0+r.Y1) / 2
 }
 
-// FillRect paints a solid rectangle, clipped to the image.
+// FillRect paints a solid rectangle, clipped to the image: one pixel,
+// copied over its row in doubling runs, then the row over the others.
 func (im *Image) FillRect(r Rect, cr, cg, cb uint8) {
-	r = r.Clamp(im.W, im.H)
-	for y := r.Y0; y < r.Y1; y++ {
-		o := (y*im.W + r.X0) * 3
-		for x := r.X0; x < r.X1; x++ {
-			im.Pix[o], im.Pix[o+1], im.Pix[o+2] = cr, cg, cb
-			o += 3
-		}
+	if r = r.Clamp(im.W, im.H); r.Empty() {
+		return
+	}
+	stride := 3 * im.W
+	row := im.Pix[r.Y0*stride+3*r.X0 : r.Y0*stride+3*r.X1]
+	row[0], row[1], row[2] = cr, cg, cb
+	for n := 3; n < len(row); n *= 2 {
+		copy(row[n:], row[:n])
+	}
+	for y := r.Y0 + 1; y < r.Y1; y++ {
+		copy(im.Pix[y*stride+3*r.X0:], row)
 	}
 }
 

@@ -209,6 +209,46 @@ func TestFiltersMatchReference(t *testing.T) {
 	}
 }
 
+// TestPaintMatchesReference holds AdjustBrightness's table map, in each
+// form, to its per-byte loop and FillRect's doubling copies to the
+// per-pixel fill, on frames down to one pixel: brightness factors that
+// darken, saturate and go negative; rects inside, straddling every
+// edge, outside and empty, each over a frame already painted.
+func TestPaintMatchesReference(t *testing.T) {
+	r := rng.New(9)
+	for i, d := range [][2]int{{320, 240}, {33, 61}, {7, 5}, {1, 1}, {1, 9}} {
+		src := mixedImage(d[0], d[1], uint64(i+1))
+		for _, f := range []float64{0.3, 1, 1.7, 0, -0.5} {
+			want := src.Clone()
+			for k, v := range want.Pix {
+				want.Pix[k] = refClampU8(float64(v) * f)
+			}
+			for _, form := range resizeForms() {
+				inTier(t, form, func() {
+					if got := imgproc.AdjustBrightness(src, f); !bytes.Equal(got.Pix, want.Pix) {
+						t.Fatalf("%s: %dx%d: AdjustBrightness(%v) differs from the per-byte loop", form, d[0], d[1], f)
+					}
+				})
+			}
+		}
+		for k := 0; k < 40; k++ {
+			rect := imgproc.Rect{X0: r.Intn(d[0]+8) - 4, Y0: r.Intn(d[1]+8) - 4}
+			rect.X1, rect.Y1 = rect.X0+r.Intn(d[0]+4)-1, rect.Y0+r.Intn(d[1]+4)-1
+			c := [3]uint8{uint8(r.Uint64()), uint8(r.Uint64()), uint8(r.Uint64())}
+			got, want := src.Clone(), src.Clone()
+			got.FillRect(rect, c[0], c[1], c[2])
+			for y := rect.Y0; y < rect.Y1; y++ {
+				for x := rect.X0; x < rect.X1; x++ {
+					want.Set(x, y, c[0], c[1], c[2])
+				}
+			}
+			if !bytes.Equal(got.Pix, want.Pix) {
+				t.Fatalf("%dx%d: FillRect(%+v) differs from the per-pixel fill", d[0], d[1], rect)
+			}
+		}
+	}
+}
+
 func TestRGBToHSVMatchesReference(t *testing.T) {
 	step := 1
 	if testing.Short() {

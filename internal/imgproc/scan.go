@@ -1,10 +1,14 @@
 package imgproc
 
-// The two per-pixel scans of the vest detector's front end: the luma
-// range of a contrast tile and the box pre-filter of the colour mask.
-// Each has a Go form and an AVX-512 form (scan_amd64.s), bound by the
-// avx512vnni kernel tier; the Go forms run on every other tier and are
-// the oracles of the AVX-512 ones.
+import "ocularone/internal/tensor"
+
+// The package's whole-run byte passes: the two per-pixel scans of the
+// vest detector's front end — the luma range of a contrast tile and the
+// box pre-filter of the colour mask — and MapBytes, the byte-table map
+// under the render's tone maps and AdjustBrightness. Each has a Go form
+// and an AVX-512 form (scan_amd64.s), bound by the avx512vnni kernel
+// tier, and MapBytes's also by tensor.HasAVX512VBMI; the Go forms run
+// everywhere else and are the oracles of the AVX-512 ones.
 
 // The integer luma weights, in thousandths: a pixel's luma is
 // (lumaR·r + lumaG·g + lumaB·b) / 1000.
@@ -58,5 +62,17 @@ func (b *ExtremaBox) Row(out []uint64, row []uint8) {
 		if o := 3 * x; b.Holds(row[o], row[o+1], row[o+2]) {
 			out[x>>6] |= 1 << (x & 63)
 		}
+	}
+}
+
+// MapBytes replaces every byte v of pix with lut[v].
+func MapBytes(pix []uint8, lut *[256]uint8) {
+	if len(pix) > 0 && VectorForm() && tensor.HasAVX512VBMI() {
+		mapBytesAVX512(&pix[0], len(pix), lut)
+		return
+	}
+	t := *lut // a copy, which the loop reads without a nil check a byte
+	for i, v := range pix {
+		pix[i] = t[v]
 	}
 }

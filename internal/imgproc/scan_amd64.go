@@ -31,6 +31,18 @@ func lumaRangeAVX512(pix *uint8, stride, rows, n int) (lo, hi int32)
 //go:noescape
 func boxRowAVX512(out *uint64, pix *uint8, n int, b *ExtremaBox)
 
+// mapBytesAVX512 implements MapBytes for n > 0 bytes, 64 a step: two
+// VPERMI2B look each byte up in the table's low and high halves (an
+// index's low seven bits select one of two quarters' 128 bytes),
+// VPMOVB2M takes bit 7 of the index and one masked blend picks the
+// half. The last n%64 bytes are one step under a load and store mask,
+// so no byte past pix[n-1] is read or written. VPERMI2B is AVX-512
+// VBMI, which the tier's check does not cover: MapBytes also asks
+// tensor.HasAVX512VBMI.
+//
+//go:noescape
+func mapBytesAVX512(pix *uint8, n int, lut *[256]uint8)
+
 // scanConsts holds the kernels' constants in the order scan_amd64.s
 // indexes them, built from the luma weights and the pixel layout.
 var scanConsts = func() (c struct {

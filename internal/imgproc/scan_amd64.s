@@ -202,3 +202,48 @@ boxFlush:
 boxDone:
 	VZEROUPPER
 	RET
+
+// MAP64 replaces the bytes of (DI) under K1 with their table entries
+// (Z0..Z3 = the table's four quarters), using Z4..Z6 and K2.
+#define MAP64 \
+	VMOVDQU8.Z (DI), K1, Z4 \
+	VPMOVB2M   Z4, K2       \
+	VMOVDQA64  Z4, Z5       \
+	VPERMI2B   Z1, Z0, Z5   \
+	VPERMI2B   Z3, Z2, Z4   \
+	VPBLENDMB  Z4, Z5, K2, Z6 \
+	VMOVDQU8   Z6, K1, (DI)
+
+// func mapBytesAVX512(pix *uint8, n int, lut *[256]uint8)
+TEXT ·mapBytesAVX512(SB), NOSPLIT, $0-24
+	MOVQ     pix+0(FP), DI
+	MOVQ     n+8(FP), CX
+	MOVQ     lut+16(FP), SI
+	VMOVDQU8 0(SI), Z0
+	VMOVDQU8 64(SI), Z1
+	VMOVDQU8 128(SI), Z2
+	VMOVDQU8 192(SI), Z3
+	MOVQ     $-1, AX
+	KMOVQ    AX, K1
+	CMPQ     CX, $64
+	JB       mapTail
+
+mapStep:
+	MAP64
+	ADDQ $64, DI
+	SUBQ $64, CX
+	CMPQ CX, $64
+	JAE  mapStep
+
+mapTail:
+	TESTQ CX, CX
+	JZ    mapDone
+	NEGQ  CX
+	ADDQ  $64, CX
+	SHRQ  CX, AX  // the low n%64 bits
+	KMOVQ AX, K1
+	MAP64
+
+mapDone:
+	VZEROUPPER
+	RET

@@ -5,7 +5,24 @@ import (
 	"testing"
 
 	"ocularone/internal/rng"
+	"ocularone/internal/tensor"
 )
+
+// guardedPage returns a page of memory whose next page is PROT_NONE,
+// unmapped when the test ends: a read or write past its last byte is a
+// SIGSEGV.
+func guardedPage(t *testing.T) []uint8 {
+	page := syscall.Getpagesize()
+	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	return mem[:page]
+}
 
 // TestScanFormsAtPageEnd puts each run's last byte on the last byte
 // before a PROT_NONE page and runs both scans in their AVX-512 forms:
@@ -16,17 +33,10 @@ func TestScanFormsAtPageEnd(t *testing.T) {
 	if !VectorForm() {
 		t.Skip("the AVX-512 forms run only on the avx512vnni tier")
 	}
-	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	if err != nil {
-		t.Skipf("mmap: %v", err)
-	}
-	defer syscall.Munmap(mem)
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
-		t.Skipf("mprotect: %v", err)
-	}
+	mem := guardedPage(t)
+	page := len(mem)
 	r := rng.New(5)
-	for i := range mem[:page] {
+	for i := range mem {
 		mem[i] = uint8(r.Uint64())
 	}
 	b := &ExtremaBox{Lo: [3]uint32{40, 20, 10}, Span: [3]uint32{150, 100, 120}}
@@ -44,6 +54,37 @@ func TestScanFormsAtPageEnd(t *testing.T) {
 		wlo, whi := lumaRange(row, 3*n, 1, n, false)
 		if glo != wlo || ghi != whi {
 			t.Fatalf("lumaRange n=%d: (%d, %d), Go form (%d, %d)", n, glo, ghi, wlo, whi)
+		}
+	}
+}
+
+// TestMapBytesAtPageEnd runs MapBytes's AVX-512 form over runs of 1 to
+// 200 bytes that end on the last byte before a PROT_NONE page: a tail
+// step whose load or store took a byte past the run is a SIGSEGV.
+func TestMapBytesAtPageEnd(t *testing.T) {
+	if !VectorForm() || !tensor.HasAVX512VBMI() {
+		t.Skip("MapBytes's AVX-512 form runs only on the avx512vnni tier with VBMI")
+	}
+	mem := guardedPage(t)
+	var lut [256]uint8
+	for v := range lut {
+		lut[v] = uint8(255 - v)
+	}
+	r := rng.New(6)
+	for n := 1; n <= 200; n++ {
+		run := mem[len(mem)-n:]
+		for i := range run {
+			run[i] = uint8(r.Uint64())
+		}
+		want := make([]uint8, n)
+		for i, v := range run {
+			want[i] = lut[v]
+		}
+		MapBytes(run, &lut)
+		for i := range run {
+			if run[i] != want[i] {
+				t.Fatalf("n=%d: byte %d = %d, table %d", n, i, run[i], want[i])
+			}
 		}
 	}
 }

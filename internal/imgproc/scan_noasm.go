@@ -8,3 +8,5 @@ package imgproc
 func lumaRangeAVX512(pix *uint8, stride, rows, n int) (lo, hi int32) { panic("unreachable") }
 
 func boxRowAVX512(out *uint64, pix *uint8, n int, b *ExtremaBox) { panic("unreachable") }
+
+func mapBytesAVX512(pix *uint8, n int, lut *[256]uint8) { panic("unreachable") }

@@ -93,3 +93,59 @@ func inGoForm(tb testing.TB, f func()) {
 	defer tensor.SetKernelTier(prev)
 	f()
 }
+
+// FuzzMapBytes holds MapBytes, in each form, to the per-byte table
+// loop for any table and runs of 0–300 bytes (whole 64-byte steps and
+// every partial one), each run the start of a buffer whose trailing
+// bytes are 0 or 255 sentinels: a step that read or wrote past the run
+// would change them.
+func FuzzMapBytes(f *testing.F) {
+	f.Add(uint64(1), uint16(0))
+	f.Add(uint64(2), uint16(1))
+	f.Add(uint64(3), uint16(63))
+	f.Add(uint64(4), uint16(64))
+	f.Add(uint64(5), uint16(65))
+	f.Add(uint64(6), uint16(300))
+	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16) {
+		r := rng.New(seed)
+		n := int(n16) % 301
+		var lut [256]uint8
+		for v := range lut {
+			lut[v] = uint8(r.Uint64())
+		}
+		src := make([]uint8, n)
+		for i := range src {
+			src[i] = uint8(r.Uint64())
+		}
+		want := make([]uint8, n)
+		for i, v := range src {
+			want[i] = lut[v]
+		}
+		for _, form := range []bool{false, true} {
+			if form && !(VectorForm() && tensor.HasAVX512VBMI()) {
+				continue
+			}
+			for _, s := range []uint8{0, 255} {
+				buf := make([]uint8, n+64)
+				copy(buf, src)
+				for i := n; i < len(buf); i++ {
+					buf[i] = s
+				}
+				if form {
+					MapBytes(buf[:n], &lut)
+				} else {
+					inGoForm(t, func() { MapBytes(buf[:n], &lut) })
+				}
+				for i, v := range buf {
+					w := s
+					if i < n {
+						w = want[i]
+					}
+					if v != w {
+						t.Fatalf("vector form %v, seed %d, %d bytes, sentinel %d: byte %d = %d, want %d", form, seed, n, s, i, v, w)
+					}
+				}
+			}
+		}
+	})
+}

@@ -44,6 +44,7 @@ type FrameCtx struct {
 	FrameIndex int
 	// Image and Truth are nil for timing-only frames (synthetic feeds
 	// used in contention studies); analytics stages must pass through.
+	// A fleet also drops them once its stages have analysed the frame.
 	Image *imgproc.Image
 	Truth *scene.GroundTruth
 

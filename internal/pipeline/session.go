@@ -541,6 +541,9 @@ func (f *Fleet) replay(shared bool) ([]StreamResult, error) {
 				for _, idx := range s.Graph.order {
 					fc.analyze(s.Graph.nodes[idx].stage)
 				}
+				// Phase 2 reads neither the frame nor its truth: release
+				// them now rather than when the replay returns.
+				fs[j], fc.Image, fc.Truth = video.ExtractedFrame{}, nil, nil
 			}
 			fcs[i][j] = fc
 		}

@@ -32,22 +32,14 @@ func applyCondition(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 // applyNight darkens the frame to deep-dusk levels and amplifies
 // sensor noise — the gain a camera cranks up in the dark.
 func applyNight(im *imgproc.Image, texRNG *rng.RNG) {
-	for i, v := range im.Pix {
-		im.Pix[i] = uint8(float64(v) * 0.28)
-	}
+	toneMap(im, func(v float64) uint8 { return uint8(v * 0.28) })
 	imgproc.AddGaussianNoise(im, 10, texRNG.Split("night-gain"))
 }
 
 // applyRain washes contrast toward gray, streaks the frame with rain,
 // and softens it with a light blur (droplets on the lens).
 func applyRain(im *imgproc.Image, texRNG *rng.RNG) {
-	for i, v := range im.Pix {
-		nv := float64(v)*0.72 + 52
-		if nv > 255 {
-			nv = 255
-		}
-		im.Pix[i] = uint8(nv)
-	}
+	toneMap(im, func(v float64) uint8 { return uint8(min(v*0.72+52, 255)) })
 	r := texRNG.Split("rain-streaks")
 	n := im.W * im.H / 250
 	for i := 0; i < n; i++ {

@@ -26,6 +26,11 @@
 // a pixel, and the sensor noise, one or two a byte — take their draws in
 // blocks from SplitMix64's counter form (rng.Skip, rng.Mix), eight lanes
 // at a time in AVX-512 where the kernel tier is avx512vnni
-// (render_amd64.s) and in Go otherwise, to the same bytes; the per-pixel
-// loops they replaced are the oracles in reference_test.go.
+// (render_amd64.s) and in Go otherwise, to the same bytes. The noise
+// sorts each block's draws into tests and perturbations with one
+// identity (hitRuns) instead of a walk, and its AVX-512 form, which needs
+// VBMI2, compresses the block's moves into byte order. The tone maps —
+// lighting, night, rain — are 256-entry tables applied by
+// imgproc.MapBytes. The per-pixel loops all of these replaced are the
+// oracles in reference_test.go.
 package scene

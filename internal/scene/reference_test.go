@@ -57,7 +57,7 @@ func refRender(s *Scene, cam Camera) (*imgproc.Image, []float32) {
 		}
 	}
 
-	applyCondition(im, gt, s, cam, texRNG)
+	refApplyCondition(im, gt, s, cam, texRNG)
 	for _, r := range gt.rects {
 		for y := r.r.Y0; y < r.r.Y1; y++ {
 			for x := r.r.X0; x < r.r.X1; x++ {
@@ -178,6 +178,37 @@ func refDrawBackground(im *imgproc.Image, depth []float32, s *Scene, cam Camera,
 	}
 }
 
+// refApplyCondition is applyCondition with the night's and the rain's
+// tone maps as the per-byte loops they were.
+func refApplyCondition(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, texRNG *rng.RNG) {
+	switch s.Condition {
+	case Night:
+		for i, v := range im.Pix {
+			im.Pix[i] = uint8(float64(v) * 0.28)
+		}
+		imgproc.AddGaussianNoise(im, 10, texRNG.Split("night-gain"))
+	case Rain:
+		for i, v := range im.Pix {
+			nv := float64(v)*0.72 + 52
+			if nv > 255 {
+				nv = 255
+			}
+			im.Pix[i] = uint8(nv)
+		}
+		r := texRNG.Split("rain-streaks")
+		for i := 0; i < im.W*im.H/250; i++ {
+			x, y, l := r.Intn(im.W), r.Intn(im.H), 3+r.Intn(6)
+			for dy := 0; dy < l && y+dy < im.H; dy++ {
+				pr, pg, pb := im.At(x, y+dy)
+				im.Set(x, y+dy, uint8(min(int(pr)+45, 255)), uint8(min(int(pg)+45, 255)), uint8(min(int(pb)+50, 255)))
+			}
+		}
+		imgproc.GaussianBlur(im, 1.1)
+	default:
+		applyCondition(im, gt, s, cam, texRNG)
+	}
+}
+
 func refApplyLighting(im *imgproc.Image, f float64) {
 	if f == 1 || f <= 0 {
 		return
@@ -191,17 +222,19 @@ func refApplyLighting(im *imgproc.Image, f float64) {
 	}
 }
 
-func refSensorNoise(im *imgproc.Image, r *rng.RNG) {
-	n := r.Split("sensor")
-	for i := range im.Pix {
+func refSensorNoise(im *imgproc.Image, r *rng.RNG) { refNoise(im.Pix, r.Split("sensor")) }
+
+// refNoise is the per-byte noise loop over pix on the stream n.
+func refNoise(pix []uint8, n *rng.RNG) {
+	for i := range pix {
 		if n.Bool(0.1) {
-			d := int(im.Pix[i]) + n.Intn(11) - 5
+			d := int(pix[i]) + n.Intn(11) - 5
 			if d < 0 {
 				d = 0
 			} else if d > 255 {
 				d = 255
 			}
-			im.Pix[i] = uint8(d)
+			pix[i] = uint8(d)
 		}
 	}
 }
@@ -344,20 +377,41 @@ func FuzzRender(f *testing.F) {
 	})
 }
 
-// checkNoise holds noiseWalk, in each form, to refSensorNoise's
-// per-byte loop on a copy of pix, over the sensor stream of seed.
+// noiseIn runs the sensor noise of form — noiseAVX512 under
+// avx512vnni where the CPU has VBMI2, noiseWalk otherwise — over pix on
+// the stream n.
+func noiseIn(form string, pix []uint8, n *rng.RNG) {
+	if form == tensor.TierAVX512VNNI && tensor.HasAVX512VBMI() && len(pix) > 0 {
+		noiseAVX512(&pix[0], len(pix), n.Skip(0))
+		return
+	}
+	noiseWalk(pix, n)
+}
+
+// checkNoise holds the sensor noise, in each form, to refSensorNoise's
+// per-byte loop on a copy of pix, over the sensor stream of seed. The
+// copy starts a buffer that goes on with 0 or 255 sentinels, which no
+// form may move.
 func checkNoise(t *testing.T, seed uint64, pix []uint8) {
 	want := bytes.Clone(pix)
 	refSensorNoise(&imgproc.Image{Pix: want}, rng.New(seed))
 	for _, form := range renderForms() {
-		got := bytes.Clone(pix)
-		noiseWalk(got, rng.New(seed).Split("sensor"), form == tensor.TierAVX512VNNI)
-		if !bytes.Equal(got, want) {
-			i := 0
-			for got[i] == want[i] {
-				i++
+		for _, s := range []uint8{0, 255} {
+			buf := append(bytes.Clone(pix), bytes.Repeat([]uint8{s}, 64)...)
+			got := buf[:len(pix)]
+			noiseIn(form, got, rng.New(seed).Split("sensor"))
+			if !bytes.Equal(got, want) {
+				i := 0
+				for got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("%s: seed %d, %d bytes: byte %d = %d, per-byte loop %d", form, seed, len(pix), i, got[i], want[i])
 			}
-			t.Fatalf("%s: seed %d, %d bytes: byte %d = %d, per-byte loop %d", form, seed, len(pix), i, got[i], want[i])
+			for i, v := range buf[len(pix):] {
+				if v != s {
+					t.Fatalf("%s: seed %d, %d bytes: sentinel %d past the frame's end became %d", form, seed, len(pix), i, v)
+				}
+			}
 		}
 	}
 }
@@ -428,26 +482,79 @@ func unmix(z uint64) uint64 {
 
 // TestNoiseBlockThreshold puts the draws on either side of the hit
 // threshold, z = noiseOdds<<11 − 1 and noiseOdds<<11, at draw 0 of a
-// block: both block forms must take z>>11 < noiseOdds exactly, which no
-// random draw comes near enough to tell.
+// stream: the block fill must take z>>11 < noiseOdds exactly, which no
+// random draw comes near enough to tell, and each form of the noise
+// over that stream must equal the per-byte loop's Bool(0.1).
 func TestNoiseBlockThreshold(t *testing.T) {
 	for _, c := range []struct {
 		z   uint64
 		hit uint64
 	}{{noiseOdds<<11 - 1, 1}, {noiseOdds << 11, 0}, {0, 1}, {1<<64 - 1, 0}} {
 		base := unmix(c.z) - rng.Gamma
+		var z [64]uint64
+		if hits := noiseBlockGo(&z, base); z[0] != c.z || hits&1 != c.hit {
+			t.Fatalf("draw 0 = %#x (want %#x), hit bit %d, want %d", z[0], c.z, hits&1, c.hit)
+		}
+		stream := func() *rng.RNG { return rng.New(base - rng.Gamma - rng.Gamma) } // New advances its seed two draws
+		want := make([]uint8, 300)
+		for i := range want {
+			want[i] = uint8(i * 37)
+		}
+		pix := bytes.Clone(want)
+		refNoise(want, stream())
 		for _, form := range renderForms() {
-			var z [64]uint64
-			var hits uint64
-			if form == tensor.TierAVX512VNNI {
-				hits = noiseBlockAVX512(&z, base)
-			} else {
-				hits = noiseBlockGo(&z, base)
-			}
-			if z[0] != c.z || hits&1 != c.hit {
-				t.Fatalf("%s: draw 0 = %#x (want %#x), hit bit %d, want %d", form, z[0], c.z, hits&1, c.hit)
+			got := bytes.Clone(pix)
+			noiseIn(form, got, stream())
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: draw 0 = %#x: the noise differs from the per-byte loop", form, c.z)
 			}
 		}
+	}
+}
+
+// TestHitRunsMatchSequential holds hitRuns, block after block through
+// its carry, to the sequential walk it stands for — a draw after a hit
+// perturbs, any other draw below the threshold is a hit — on masks far
+// denser than the noise's 10 %: all ones (hits on the even or the odd
+// draws by the carry), runs of odd and even length ending at bit 63,
+// a perturbation at bit 63 or at bit 0 past a mask's end, alternating
+// bits, and random masks of 25–94 % ones.
+func TestHitRunsMatchSequential(t *testing.T) {
+	ones := ^uint64(0)
+	words := []uint64{ones, ones, 1 << 63, ones, 3 << 62, ones >> 1, 7 << 61, 1 << 63, 1,
+		0, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA, 1 << 63, 0xAAAAAAAAAAAAAAAA, ones << 1, ones >> 2}
+	r := rng.New(13)
+	for k := 0; k < 4000; k++ {
+		switch k % 4 {
+		case 0:
+			words = append(words, r.Uint64()&r.Uint64())
+		case 1:
+			words = append(words, r.Uint64())
+		case 2:
+			words = append(words, r.Uint64()|r.Uint64())
+		default:
+			words = append(words, r.Uint64()|r.Uint64()|r.Uint64()|r.Uint64())
+		}
+	}
+	var carry uint64
+	perturbs := false // the next draw perturbs
+	for i, c := range words {
+		var wh, wp uint64
+		for j := 0; j < 64; j++ {
+			switch {
+			case perturbs:
+				wp |= 1 << j
+				perturbs = false
+			case c>>j&1 == 1:
+				wh |= 1 << j
+				perturbs = true
+			}
+		}
+		h, p, next := hitRuns(c, carry)
+		if h != wh || p != wp || (next == 1) != perturbs || next > 1 {
+			t.Fatalf("block %d, c = %#x, carry %d: h %#x p %#x carry %d; sequential h %#x p %#x carry %v", i, c, carry, h, p, next, wh, wp, perturbs)
+		}
+		carry = next
 	}
 }
 
@@ -509,8 +616,8 @@ func FuzzGroundRow(f *testing.F) {
 }
 
 // BenchmarkRenderLoops times the three rewritten loops and the whole
-// frame against their references, on one 320×240 frame, in each form of
-// the random streams.
+// frame against their references, on one 320×240 frame, in each form:
+// background/<form>, lighting/<form>, noise/<form>, frame/<form>.
 func BenchmarkRenderLoops(b *testing.B) {
 	s := busyScene(Footpath, Clear, 0.9, 5)
 	cam := DefaultCamera(320, 240, s.CamHeightM)
@@ -523,23 +630,22 @@ func BenchmarkRenderLoops(b *testing.B) {
 		fn   func(im *imgproc.Image)
 	}{
 		{"background/ref", func(im *imgproc.Image) { refDrawBackground(im, depth, s, cam, tex) }},
-		{"background/new", func(im *imgproc.Image) { gt.rects = gt.rects[:0]; drawBackground(im, gt, s, cam, tex) }},
+		{"background", func(im *imgproc.Image) { gt.rects = gt.rects[:0]; drawBackground(im, gt, s, cam, tex) }},
 		{"lighting/ref", func(im *imgproc.Image) { refApplyLighting(im, 0.9) }},
-		{"lighting/new", func(im *imgproc.Image) { applyLighting(im, 0.9) }},
+		{"lighting", func(im *imgproc.Image) { applyLighting(im, 0.9) }},
 		{"noise/ref", func(im *imgproc.Image) { refSensorNoise(im, tex) }},
-		{"noise/new", func(im *imgproc.Image) { sensorNoise(im, tex) }},
+		{"noise", func(im *imgproc.Image) { sensorNoise(im, tex) }},
 		{"frame/ref", func(*imgproc.Image) { refRender(s, cam) }},
-		{"frame/new", func(*imgproc.Image) { Render(s, cam) }},
+		{"frame", func(*imgproc.Image) { Render(s, cam) }},
 	}
 	for _, form := range renderForms() {
 		inTier(b, form, func() {
 			for _, c := range cases {
-				if strings.HasSuffix(c.name, "/ref") && form != tensor.TierGeneric {
-					continue // the references run no tier-bound code
-				}
 				name := c.name
-				if strings.HasSuffix(name, "/new") {
+				if !strings.HasSuffix(name, "/ref") {
 					name += "/" + form
+				} else if form != tensor.TierGeneric {
+					continue // the references run no tier-bound code
 				}
 				b.Run(name, func(b *testing.B) {
 					im := frame.Clone()

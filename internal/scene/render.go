@@ -152,7 +152,7 @@ func drawBackground(im *imgproc.Image, gt *GroundTruth, s *Scene, cam Camera, te
 	w, h := cam.W, cam.H
 	horizon := int(cam.horizonY())
 	g := &groundTabs[min(uint(s.Background), uint(len(groundTabs)-1))]
-	vec := vectorForm()
+	vec := imgproc.VectorForm()
 	noise := texRNG.Split("ground-texture")
 	for y := 0; y < h; y++ {
 		if y < horizon {
@@ -234,14 +234,17 @@ func applyLighting(im *imgproc.Image, f float64) {
 	if f == 1 || f <= 0 {
 		return
 	}
+	toneMap(im, func(v float64) uint8 { return uint8(min(v*f, 255)) })
+}
+
+// toneMap replaces every byte v of the frame with tone(v), tabulated
+// once.
+func toneMap(im *imgproc.Image, tone func(v float64) uint8) {
 	var lut [256]uint8
 	for v := range lut {
-		lut[v] = uint8(min(float64(v)*f, 255))
+		lut[v] = tone(float64(v))
 	}
-	pix := im.Pix
-	for i, v := range pix {
-		pix[i] = lut[v]
-	}
+	imgproc.MapBytes(im.Pix, &lut)
 }
 
 // noiseOdds is the share of bytes sensorNoise perturbs, as a threshold
@@ -251,56 +254,66 @@ const noiseOdds = 900719925474100
 
 // sensorNoise injects light shot noise so frames are never synthetic-clean.
 // Each byte takes one draw, k = Uint64()>>11; when k < noiseOdds the next
-// draw, Intn(11), moves it by −5 … +5.
+// draw moves it by Intn(11) − 5 (perturb). The AVX-512 form needs VBMI2's
+// VPCOMPRESSB, which the avx512vnni tier's check does not cover.
 func sensorNoise(im *imgproc.Image, r *rng.RNG) {
-	noiseWalk(im.Pix, r.Split("sensor"), vectorForm())
+	n := r.Split("sensor")
+	if len(im.Pix) > 0 && imgproc.VectorForm() && tensor.HasAVX512VBMI() {
+		noiseAVX512(&im.Pix[0], len(im.Pix), n.Skip(0)) // n's state; n dies over-drawn
+		return
+	}
+	noiseWalk(im.Pix, n)
 }
 
-// noiseWalk is sensorNoise on the stream n, 64 draws at a time: a block
-// fill makes draws z[0..64) from one Skip and the mask of those that
-// would be a hit as a byte's test draw. The walk visits the hits in
-// order: a hit at t leaves the bytes of the test draws before it
-// untouched, perturbs its byte with z[t+1], and the next test draw is
-// t+2. A hit on draw 63 leaves its byte pending for z[0] of the next
-// block. The last block over-draws n, which dies with the call.
-func noiseWalk(pix []uint8, n *rng.RNG, vec bool) {
+// hitRuns gives each draw of a 64-draw block, bit j for draw j, its
+// role. c marks the draws below the hit threshold; carry is 1 when the
+// block's draw 0 perturbs the byte that a hit on the previous block's
+// draw 63 tested. A test draw that misses ends its byte unmoved; one
+// that hits leaves the byte to the next draw, which perturbs and ends
+// it. So in each run of c the first, third, … draws are hits, counted
+// from the draw after a carried perturbation: simdjson's escaped-
+// character identity (Langdale and Lemire, VLDB J. 2019), hits for
+// escapes. It returns the hits h — the only draws that end no byte —
+// the perturbations p and the carry into the next block.
+func hitRuns(c, carry uint64) (h, p, next uint64) {
+	const odd = 0xAAAAAAAAAAAAAAAA
+	starts := c &^ carry
+	code := ((starts<<1 | odd) - starts) ^ odd
+	h = code & c
+	return h, code ^ (c | carry), h >> 63
+}
+
+// noiseWalk is sensorNoise's Go form on the stream n, 64 draws at a
+// time: a block fill makes draws z[0..64) from one Skip and the mask of
+// those below the threshold, hitRuns their roles, and every draw but a
+// hit ends the next byte — perturbing it when it is a perturbation. A
+// hit on draw 63 leaves its byte to the next block's draw 0. The last
+// block over-draws n, which dies with the call.
+func noiseWalk(pix []uint8, n *rng.RNG) {
 	var z [64]uint64
-	i, pending := 0, false // i: the byte of the next test draw, or the pending one
-	for i < len(pix) {
-		var hits uint64
-		if vec {
-			hits = noiseBlockAVX512(&z, n.Skip(64))
-		} else {
-			hits = noiseBlockGo(&z, n.Skip(64))
-		}
-		t := 0 // the block index of the next test draw
-		if pending {
-			pix[i] = perturb(pix[i], z[0])
-			i, t, pending = i+1, 1, false
-			hits &^= 1
-		}
-		for hits != 0 {
-			h := bits.TrailingZeros64(hits)
-			if i += h - t; i >= len(pix) {
-				return
+	var carry uint64
+	for i := 0; i < len(pix); {
+		var h, p uint64
+		h, p, carry = hitRuns(noiseBlockGo(&z, n.Skip(64)), carry)
+		ends := ^h
+		for m := p; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			if b := i + bits.OnesCount64(ends&(1<<j-1)); b < len(pix) {
+				pix[b] = perturb(pix[b], z[j])
 			}
-			if h == 63 {
-				pending = true
-				break
-			}
-			pix[i] = perturb(pix[i], z[h+1])
-			i, t = i+1, h+2
-			hits &^= 3 << h // the hit, and the draw that perturbed it
 		}
-		if !pending {
-			i += 64 - t
-		}
+		i += bits.OnesCount64(ends)
 	}
 }
 
-// perturb moves a byte by Intn(11)−5 drawn from z, clamped to a byte.
+// noiseSteps is the number of ways a perturbation moves a byte:
+// Intn(noiseSteps) − noiseSteps/2, that is −5 … +5.
+const noiseSteps = 11
+
+// perturb moves a byte by Intn(noiseSteps) − noiseSteps/2 drawn from z,
+// clamped to a byte.
 func perturb(p uint8, z uint64) uint8 {
-	return uint8(min(max(int(p)+int((z>>32)*11>>32)-5, 0), 255))
+	return uint8(min(max(int(p)+int((z>>32)*noiseSteps>>32)-noiseSteps/2, 0), 255))
 }
 
 // noiseBlockGo is the block fill's Go form: z[j] = Mix(base+(j+1)·Gamma)
@@ -362,12 +375,6 @@ func groundRow(row []uint8, base uint64, haze float64, g *groundTab, vec bool) {
 		row[x*3], row[x*3+1], row[x*3+2] = shade(g.rgb, haze*n)
 	}
 }
-
-// vectorForm reports whether the render's random streams run their
-// AVX-512 forms: bound by the kernel tier, as the tensor row kernels
-// are, so OCULARONE_KERNEL_TIER and tensor.SetKernelTier select the
-// Go forms with every other tier.
-func vectorForm() bool { return tensor.KernelTier() == tensor.TierAVX512VNNI }
 
 // writeDepthRect records a depth write: the part of r inside the w×h
 // frame is at depth d. A write that misses the frame records nothing.

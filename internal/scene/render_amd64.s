@@ -12,6 +12,9 @@
 #define ONE 120
 #define TOP 128
 #define SPREAD 136
+#define STEPS 328
+#define CENTRE 336
+#define TRANSPOSE 344
 
 // MIX replaces the eight states in s with their SplitMix64 outputs
 // (rng.Mix), using t; m1 and m2 hold the multipliers.
@@ -25,38 +28,91 @@
 	VPSRLQ  $31, s, t \
 	VPXORQ  t, s, s
 
-// func noiseBlockAVX512(z *[64]uint64, base uint64) (hits uint64)
+// func noiseAVX512(pix *uint8, n int, base uint64)
 //
-// Eight draws a turn: Z0 holds the states base + (j+1)·Gamma of the
-// turn's lanes. Each turn's 8-bit compare mask enters hits from the top,
-// so after eight turns turn 0's bits are bits 0..7.
-TEXT ·noiseBlockAVX512(SB), NOSPLIT, $0-24
-	MOVQ z+0(FP), DI
+// DI is the next byte to end and SI the bytes left. A block: eight turns
+// of eight draws, each turn's 8-bit compare mask entering BX from the
+// top (so after eight turns turn 0's bits are bits 0..7) and its eight
+// Intn(11) bytes the top bytes of Z9's lanes (VPSHRDQ, so after eight
+// turns byte 8j+t of Z9 is turn t's lane j: draw 8t+j, which VPERMB
+// puts at byte 8t+j); then hitRuns with R9 the carry and R10 =
+// 0xAAAA…; then the moves of the min(popcount(^h), SI) bytes the block
+// ends.
+TEXT ·noiseAVX512(SB), NOSPLIT, $0-24
+	MOVQ pix+0(FP), DI
+	MOVQ n+8(FP), SI
 	LEAQ ·renderConsts(SB), R8
-	VPBROADCASTQ base+8(FP), Z0
+	VPBROADCASTQ base+16(FP), Z0
 	VPADDQ       LANES(R8), Z0, Z0
 	VPBROADCASTQ STEP(R8), Z1
 	VPBROADCASTQ MUL1(R8), Z2
 	VPBROADCASTQ MUL2(R8), Z3
 	VPBROADCASTQ ODDS(R8), Z4
-	XORQ         BX, BX
-	MOVQ         $8, CX
+	VPBROADCASTQ STEPS(R8), Z7
+	VPBROADCASTB CENTRE(R8), Z8
+	VMOVDQU8     TRANSPOSE(R8), Z14
+	XORQ         R9, R9
+	MOVQ         $0xAAAAAAAAAAAAAAAA, R10
+
+noiseBlock:
+	XORQ BX, BX
+	MOVQ $8, CX
 
 noiseTurn:
 	VMOVDQA64 Z0, Z5
 	MIX(Z5, Z6, Z2, Z3)
-	VMOVDQU64 Z5, (DI)
 	VPCMPUQ   $1, Z4, Z5, K1 // z < odds
 	KMOVB     K1, DX
 	SHRQ      $8, BX
 	SHLQ      $56, DX
 	ORQ       DX, BX
+	VPSRLQ    $32, Z5, Z5
+	VPMULUDQ  Z7, Z5, Z5
+	VPSRLQ    $32, Z5, Z5    // Intn(11)
+	VPSHRDQ   $8, Z5, Z9, Z9
 	VPADDQ    Z1, Z0, Z0
-	ADDQ      $64, DI
 	DECQ      CX
 	JNZ       noiseTurn
+	VPERMB    Z9, Z14, Z9    // the Intn(11) bytes in draw order
 
-	MOVQ BX, hits+16(FP)
+	// hitRuns(c = BX, carry = R9): AX = h, DX = p, R9 = the next carry.
+	MOVQ R9, DX
+	NOTQ DX
+	ANDQ BX, DX                // starts = c &^ carry
+	LEAQ (DX)(DX*1), AX
+	ORQ  R10, AX
+	SUBQ DX, AX
+	XORQ R10, AX               // code
+	MOVQ BX, DX
+	ORQ  R9, DX
+	XORQ AX, DX                // p = code ^ (c | carry)
+	ANDQ BX, AX                // h = code & c
+	MOVQ AX, R9
+	SHRQ $63, R9
+	NOTQ AX                    // the draws that end a byte
+	KMOVQ DX, K2
+	KMOVQ AX, K3
+	POPCNTQ AX, R12
+	CMPQ R12, SI
+	CMOVQGT SI, R12            // the bytes this block ends
+	MOVQ $64, CX
+	SUBQ R12, CX
+	MOVQ $-1, AX
+	SHRQ CX, AX
+	KMOVQ AX, K4               // their load and store mask
+
+	VPBLENDMB     Z9, Z8, K2, Z10 // Intn(11) on p, 5 elsewhere
+	VPCOMPRESSB.Z Z10, K3, Z10    // the moves in byte order
+	VPSUBUSB      Z8, Z10, Z11    // max(u - 5, 0)
+	VPSUBUSB      Z10, Z8, Z12    // max(5 - u, 0)
+	VMOVDQU8.Z    (DI), K4, Z13
+	VPADDUSB      Z11, Z13, Z13
+	VPSUBUSB      Z12, Z13, Z13
+	VMOVDQU8      Z13, K4, (DI)
+	ADDQ          R12, DI
+	SUBQ          R12, SI
+	JNZ           noiseBlock
+
 	VZEROUPPER
 	RET
 

@@ -86,6 +86,8 @@ const (
 	cpuidAVX512BW   = 1 << 30
 	cpuidAVX512VL   = 1 << 31
 	cpuidAVX512VNNI = 1 << 11 // ECX
+	cpuidAVX512VBMI = 1 << 1  // ECX
+	cpuidVBMI2      = 1 << 6  // ECX
 )
 
 // XCR0 state-component masks: SSE+AVX (XMM+YMM), and the three
@@ -94,6 +96,23 @@ const (
 	xcr0AVX    = 0x6
 	xcr0AVX512 = 0xe0
 )
+
+// hasVBMI is HasAVX512VBMI's answer, probed once.
+var hasVBMI = func() bool {
+	if maxLeaf, _, _, _ := cpuidx(0, 0); maxLeaf < 7 {
+		return false
+	}
+	_, _, c7, _ := cpuidx(7, 0)
+	return c7&(cpuidAVX512VBMI|cpuidVBMI2) == cpuidAVX512VBMI|cpuidVBMI2
+}()
+
+// HasAVX512VBMI reports whether the CPU has AVX-512 VBMI and VBMI2
+// (CPUID.7.0:ECX bits 1 and 6): byte permutes across a whole register
+// (VPERMI2B) and byte compress (VPCOMPRESSB). No tier requires them —
+// Cascade Lake has VNNI without either — so a kernel that uses them
+// runs where this and its package's avx512vnni binding both hold; the
+// tier's check already covers the AVX-512 register state they need.
+func HasAVX512VBMI() bool { return hasVBMI }
 
 // archTiers probes CPUID and returns the assembly tiers this CPU can
 // run, lowest first. Each upper tier has its own fp32 tiles at its

@@ -6,6 +6,9 @@ package tensor
 // tier (registered unconditionally by dispatch.go) is the only one.
 func archTiers() []kernelTier { return nil }
 
+// HasAVX512VBMI is false off amd64.
+func HasAVX512VBMI() bool { return false }
+
 // interleavePairs zips n bytes of a and b into dst (dst[2i] = a[i],
 // dst[2i+1] = b[i]) — the portable form of the amd64 assembly routine.
 func interleavePairs(dst, a, b *int8, n int) {
