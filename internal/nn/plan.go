@@ -46,12 +46,16 @@ const (
 	INT8
 )
 
-// String returns the short precision name.
+// String returns the short precision name, or Precision(n) for a value
+// that is neither.
 func (p Precision) String() string {
-	if p == INT8 {
+	switch p {
+	case FP32:
+		return "fp32"
+	case INT8:
 		return "int8"
 	}
-	return "fp32"
+	return fmt.Sprintf("Precision(%d)", int(p))
 }
 
 // ExecOpts parameterises one Plan.Execute call. The zero value runs
@@ -59,9 +63,11 @@ func (p Precision) String() string {
 type ExecOpts struct {
 	// Batch, when positive, asserts the expected batch width (it must
 	// equal len(xs)); schedulers that compile per batch size use it to
-	// catch wiring bugs. 0 means "whatever len(xs) says".
+	// catch wiring bugs. 0 means "whatever len(xs) says". A negative
+	// Batch is a programmer error: Execute panics.
 	Batch int
-	// Precision selects fp32 (zero value) or int8 kernels.
+	// Precision selects fp32 (zero value) or int8 kernels. Any other
+	// value is a programmer error: Execute panics.
 	Precision Precision
 	// Integrity configures the silent-error detectors for this call
 	// (integrity.go). The zero value disables them all, leaving Execute
@@ -382,8 +388,17 @@ func (p *Plan) bindInstance(nb int) *planInst {
 // that need to keep or recycle outputs copy them first (the Network
 // Forward* wrappers do exactly that). In steady state Execute performs
 // zero heap allocations; the first call at a given batch width binds
-// the instance (arena slabs, tensor headers, step closures).
+// the instance (arena slabs, tensor headers, step closures). Inputs of
+// another shape, an opts.Batch that is negative or not len(xs), and a
+// Precision other than FP32 and INT8 are programmer errors: Execute
+// panics, naming the value.
 func (p *Plan) Execute(xs []*tensor.Tensor, opts ExecOpts) [][]*tensor.Tensor {
+	if opts.Precision != FP32 && opts.Precision != INT8 {
+		panic(fmt.Sprintf("nn: plan Execute at %v, want fp32 or int8", opts.Precision))
+	}
+	if opts.Batch < 0 {
+		panic(fmt.Sprintf("nn: plan Execute with opts.Batch %d", opts.Batch))
+	}
 	nb := len(xs)
 	if nb == 0 {
 		return nil

@@ -428,6 +428,37 @@ func TestPlanBatchOptMismatch(t *testing.T) {
 	p.Execute(xs, nn.ExecOpts{Batch: 3})
 }
 
+// TestPlanExecuteRejectsBadOpts: an ExecOpts value outside its domain
+// panics, naming the value, where it used to run fp32 or be ignored; and
+// Precision prints such a value as what it is.
+func TestPlanExecuteRejectsBadOpts(t *testing.T) {
+	p := models.BuildTRTPose(3).PlanFor(3, 64, 64)
+	xs := randFrames(8, 2, 3, 64, 64)
+	for _, c := range []struct {
+		opts nn.ExecOpts
+		want string
+	}{
+		{nn.ExecOpts{Precision: nn.Precision(2)}, "Precision(2)"},
+		{nn.ExecOpts{Precision: -1}, "Precision(-1)"},
+		{nn.ExecOpts{Batch: -1}, "opts.Batch -1"},
+		{nn.ExecOpts{Batch: -2, Precision: nn.INT8}, "opts.Batch -2"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("Execute with %+v: panic %q, want one naming %q", c.opts, msg, c.want)
+				}
+			}()
+			p.Execute(xs, c.opts)
+		}()
+	}
+	for prec, want := range map[nn.Precision]string{nn.FP32: "fp32", nn.INT8: "int8", 2: "Precision(2)", -1: "Precision(-1)"} {
+		if got := prec.String(); got != want {
+			t.Errorf("Precision(%d).String() = %q, want %q", int(prec), got, want)
+		}
+	}
+}
+
 // TestPlanInstanceReuse asserts repeated Execute calls at one batch
 // width reuse the same bound instance and arena (outputs alias the
 // same storage run to run).

@@ -22,8 +22,9 @@ import (
 //	avx2fma     AVX2/FMA 4×24 fp32 (12 YMM accumulators, fused
 //	            multiply-add) + the 8×12 narrow fp32 tile (lanes along
 //	            M) + 4×16 VPMADDWD int8 tiles + the AVX2 row kernels
-//	            (epilogue, add, pooling max, quantize, requantize, the
-//	            conv packs' panel gather — no FMA; rowops.go)
+//	            (epilogue — from fp32 values or, requantizing, from an
+//	            int8 tile's accumulators — add, pooling max, quantize,
+//	            the conv packs' panel gather — no FMA; rowops.go)
 //	avx512vnni  the same fp32 tiles at 512 bits — 4×48 (12 ZMM
 //	            accumulators) and the 16×12 narrow tile — + 4×32 int8
 //	            tiles accumulated with AVX-512 VPDPBUSD (VNNI bytes: four

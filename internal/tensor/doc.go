@@ -76,13 +76,14 @@
 //     upsampling / concat / transpose write into caller-owned buffers
 //     — the forms the plan executor (internal/nn Plan) binds against
 //     its arena.
-//   - Row kernels (rowops.go, rowops_amd64.s), six of them: every
+//   - Row kernels (rowops.go, rowops_amd64.s), five of them: every
 //     per-element loop outside the GEMM — the epilogue's affine, bias,
-//     ReLU, SiLU and sigmoid, Tensor.Add and the in-place activations,
-//     the running max of MaxPool2DInto, the two ends of an int8 conv
-//     (the quantizing copy of its input and the requantization of its
-//     accumulators) and, under both conv packs, the im2col gather of a
-//     B panel — has one Go form and, on the AVX2 tiers, a vector form
+//     ReLU, SiLU and sigmoid (on an int8 conv in the same pass as the
+//     requantization of its accumulator tile), Tensor.Add and the
+//     in-place activations, the running max of MaxPool2DInto, the
+//     quantizing copy of an int8 conv's input and, under both conv
+//     packs, the im2col gather of a B panel — has one Go form and, on
+//     the AVX2 tiers, a vector form
 //     that yields the same bits. The gather moves dwords (an fp32
 //     element, or the channel quad of an int8 pixel) and computes
 //     nothing, so its parity is == by construction. Affine, bias, ReLU,

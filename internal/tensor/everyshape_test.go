@@ -41,9 +41,10 @@ func everyShape(ocg, icg, kh, kw, groupSel, stride, pad, dil, h, w, nb int) (spe
 // ConvPackedCheckInto over prepacked weights — against conv2DRef: bit
 // for bit where the tier's kernels round as the reference does, inside
 // the FMA bound elsewhere; checked and unchecked always bit for bit with
-// each other. int8 — Conv2DQ, and ConvPackedQBatchInto over the whole
-// batch (folded when the planes are small) and sample by sample, checked
-// and unchecked — against conv2DQRef, bit for bit on every tier.
+// each other. int8 — Conv2DQ against conv2DQRef; ConvPackedQBatchInto
+// over the whole batch (folded when the planes are small) and sample by
+// sample, checked and unchecked, with a per-channel affine and ReLU, SiLU
+// or sigmoid, against Conv2DQ plus goEpilogue — bit for bit on every tier.
 func checkConvEveryShape(t *testing.T, spec ConvSpec, h, w, nb int, seed uint64) {
 	t.Helper()
 	oh, ow := spec.OutSize(h, w)
@@ -86,12 +87,17 @@ func checkConvEveryShape(t *testing.T, spec ConvSpec, h, w, nb int, seed uint64)
 
 	qw := QuantizePerChannel(wt)
 	const xScale = 1.0 / 100
+	// The packed int8 convs finish with a full epilogue: a per-channel
+	// affine and one of the three activations.
+	qep := testEpilogue(r, spec.OutC)
+	qep.Act = []EpAct{EpActReLU, EpActSiLU, EpActSigmoid}[seed%3]
 	wants := make([]*Tensor, nb)
 	for s, x := range xs {
-		wants[s] = conv2DQRef(x, qw, bias, spec, xScale)
-		if !slices.Equal(Conv2DQ(x, qw, bias, spec, xScale).Data, wants[s].Data) {
+		if !slices.Equal(Conv2DQ(x, qw, bias, spec, xScale).Data, conv2DQRef(x, qw, bias, spec, xScale).Data) {
 			t.Fatalf("%s: Conv2DQ sample %d differs from the reference lowering", what, s)
 		}
+		wants[s] = Conv2DQ(x, qw, nil, spec, xScale)
+		goEpilogue(qep, wants[s].Data, 0, spec.OutC, plane, 0, plane, 0)
 	}
 	for _, checked := range []bool{false, true} {
 		for _, perSample := range []bool{false, true} {
@@ -113,10 +119,10 @@ func checkConvEveryShape(t *testing.T, spec ConvSpec, h, w, nb int, seed uint64)
 				ok := true
 				if perSample {
 					for s := range xs {
-						ok = convPackedQOne(dsts[s], qp, xs[s], spec, g*icg, oh, ow, 1/xScale, rs, ep, g*ocg, checked) && ok
+						ok = convPackedQOne(dsts[s], qp, xs[s], spec, g*icg, oh, ow, 1/xScale, rs, qep, g*ocg, checked) && ok
 					}
 				} else {
-					ok = ConvPackedQBatchInto(dsts, qp, xs, spec, g*icg, oh, ow, 1/xScale, rs, ep, g*ocg, bad)
+					ok = ConvPackedQBatchInto(dsts, qp, xs, spec, g*icg, oh, ow, 1/xScale, rs, qep, g*ocg, bad)
 				}
 				if !ok || slices.Contains(bad, true) {
 					t.Fatalf("%s: group %d (checked=%v, per sample=%v): clean int8 conv flagged: %v", what, g, checked, perSample, bad)
@@ -124,7 +130,7 @@ func checkConvEveryShape(t *testing.T, spec ConvSpec, h, w, nb int, seed uint64)
 			}
 			for s := range outs {
 				if !slices.Equal(outs[s].Data, wants[s].Data) {
-					t.Fatalf("%s: int8 sample %d (checked=%v, per sample=%v) differs from the reference lowering", what, s, checked, perSample)
+					t.Fatalf("%s: int8 sample %d (checked=%v, per sample=%v, act %d) differs from Conv2DQ and the Go epilogue", what, s, checked, perSample, qep.Act)
 				}
 			}
 		}

@@ -8,17 +8,18 @@ import (
 	"ocularone/internal/rng"
 )
 
-// The folded int8 batch route is held to the per-sample route bit for
-// bit: integer accumulation is exact and requantization and epilogue are
-// per element, so how the batch's columns were cut into tiles can never
-// show in an output. ConvPackedQBatchInto over one sample at a time —
-// a batch of one never folds — is the oracle.
+// The folded int8 batch route and the per-sample route are held bit for
+// bit to one oracle, Conv2DQ followed by the epilogue's Go form: integer
+// accumulation is exact and requantization and epilogue are per element,
+// so how the batch's columns were cut into tiles can never show in an
+// output.
 
 // foldBatch is one conv group's operands for a batch of nb frames.
 type foldBatch struct {
 	spec     ConvSpec
 	oh, ow   int
 	c0       int
+	qw       *QTensor // the conv's weights, all groups
 	qg       *QTensor // the group's [ocg, k] weights, what qp packs
 	qp       *PackedQ
 	rowScale []float32
@@ -46,7 +47,7 @@ func newFoldBatches(r *rng.RNG, spec ConvSpec, h, w, nb int) []foldBatch {
 	for g := range bs {
 		qg := QFromSlice(qw.Data[g*ocg*k:(g+1)*ocg*k], nil, ocg, k)
 		bs[g] = foldBatch{spec: spec, oh: oh, ow: ow, c0: g * icg,
-			qg: qg, qp: PackWeightsQ(qg.Data, ocg, k, spec.KH*spec.KW),
+			qw: qw, qg: qg, qp: PackWeightsQ(qg.Data, ocg, k, spec.KH*spec.KW),
 			rowScale: convQScales(qw, 1.0/foldInv, g, ocg), ep: ep, chanOff: g * ocg, xs: xs}
 	}
 	return bs
@@ -65,11 +66,24 @@ func (b *foldBatch) outputs() []*Tensor {
 	return dsts
 }
 
-// perSample is the oracle: the batch one sample at a time.
+// perSample is the batch one sample at a time.
 func (b *foldBatch) perSample(ep Epilogue) []*Tensor {
 	dsts := b.outputs()
 	for s, x := range b.xs {
 		convPackedQOne(dsts[s], b.qp, x, b.spec, b.c0, b.oh, b.ow, foldInv, b.rowScale, ep, b.chanOff, false)
+	}
+	return dsts
+}
+
+// oracle is each sample's group output as Conv2DQ computes it, finished
+// by goEpilogue.
+func (b *foldBatch) oracle(ep Epilogue) []*Tensor {
+	m, plane := b.qp.m, b.oh*b.ow
+	dsts := make([]*Tensor, len(b.xs))
+	for s, x := range b.xs {
+		full := Conv2DQ(x, b.qw, nil, b.spec, 1.0/foldInv)
+		dsts[s] = FromSlice(full.Data[b.chanOff*plane:(b.chanOff+m)*plane], m, plane)
+		goEpilogue(ep, dsts[s].Data, 0, m, plane, 0, plane, b.chanOff)
 	}
 	return dsts
 }
@@ -86,21 +100,35 @@ func wantSameOutputs(t *testing.T, what string, got, want []*Tensor) {
 	for s := range want {
 		for i, v := range want[s].Data {
 			if got[s].Data[i] != v {
-				t.Fatalf("%s: sample %d elem %d = %v, per-sample route %v", what, s, i, got[s].Data[i], v)
+				t.Fatalf("%s: sample %d elem %d = %v, want %v", what, s, i, got[s].Data[i], v)
 			}
 		}
 	}
 }
 
-// checkFoldedMatchesPerSample compares the two routes on every group,
-// without and with the epilogue.
+// checkFoldedMatchesPerSample runs every group on both routes, the batch
+// checked and unchecked, requantization alone and with the per-channel
+// affine under each activation, against the oracle.
 func checkFoldedMatchesPerSample(t *testing.T, spec ConvSpec, h, w, nb int, seed uint64) {
 	t.Helper()
 	for g, b := range newFoldBatches(rng.New(seed), spec, h, w, nb) {
-		for _, ep := range []Epilogue{{}, b.ep} {
-			got, _ := b.batch(ep, nil)
-			wantSameOutputs(t, fmt.Sprintf("%+v on %dx%d, batch %d, group %d, epilogue=%v", spec, h, w, nb, g, ep.hasWork()),
-				got, b.perSample(ep))
+		eps := []Epilogue{{}}
+		for _, act := range []EpAct{EpActReLU, EpActSiLU, EpActSigmoid} {
+			ep := b.ep
+			ep.Act = act
+			eps = append(eps, ep)
+		}
+		for _, ep := range eps {
+			what := fmt.Sprintf("%+v on %dx%d, batch %d, group %d, epilogue=%v act %d", spec, h, w, nb, g, ep.hasWork(), ep.Act)
+			want := b.oracle(ep)
+			for _, bad := range [][]bool{nil, make([]bool, nb)} {
+				got, ok := b.batch(ep, bad)
+				if !ok {
+					t.Fatalf("%s: clean checked batch flagged: %v", what, bad)
+				}
+				wantSameOutputs(t, fmt.Sprintf("%s, batch, checked=%v", what, bad != nil), got, want)
+			}
+			wantSameOutputs(t, what+", per sample", b.perSample(ep), want)
 		}
 	}
 }

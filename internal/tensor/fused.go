@@ -58,14 +58,8 @@ func (ep Epilogue) applyCols(data []float32, r0, r1, w, j0, j1, chanOff int) {
 	}
 	if kernRows != nil {
 		blk := data[r0*w+j0 : (r1-1)*w+j1]
-		var scale, shift *float32
-		if ep.Scale != nil {
-			scale = &ep.Scale[chanOff+r0 : chanOff+r1][0]
-		}
-		if ep.Shift != nil {
-			shift = &ep.Shift[chanOff+r0 : chanOff+r1][0]
-		}
-		kernRows.epilogue(&blk[0], r1-r0, w, j1-j0, scale, shift, ep.Act)
+		scale, shift := ep.rowPtrs(chanOff+r0, chanOff+r1)
+		kernRows.epilogue(&blk[0], r1-r0, w, j1-j0, scale, shift, ep.Act, nil, 0, nil, nil)
 		return
 	}
 	for r := r0; r < r1; r++ {
@@ -84,6 +78,18 @@ func (ep Epilogue) applyCols(data []float32, r0, r1, w, j0, j1, chanOff int) {
 		}
 		rowActGo(row, ep.Act)
 	}
+}
+
+// rowPtrs returns the row kernel's scale and shift pointers for channels
+// [c0, c1): nil where the epilogue has none.
+func (ep Epilogue) rowPtrs(c0, c1 int) (scale, shift *float32) {
+	if ep.Scale != nil {
+		scale = &ep.Scale[c0:c1][0]
+	}
+	if ep.Shift != nil {
+		shift = &ep.Shift[c0:c1][0]
+	}
+	return scale, shift
 }
 
 // PoolOutSize returns the output dims of a k×k max pool over an h×w

@@ -39,9 +39,10 @@ import (
 //     accumulators register-resident across all of k. They are exact
 //     while no column can overflow one — k ≤ maxDepthQ, checked where
 //     weights are packed.
-//   - The requantization epilogue (float32(acc − comp)·rowScale) and the
-//     optional BN/activation epilogue run per column stripe, the same
-//     float32 op sequence as the reference int8 kernels.
+//   - The requantization (float32(acc − comp)·rowScale) and the
+//     optional BN/activation epilogue run per accumulator tile, in one
+//     row-kernel call that stores each output once (requantTile), the
+//     same float32 op sequence as the reference int8 kernels.
 //   - Two drivers share that kernel, the packed layouts and the
 //     optional ABFT check: gemmStripesQ (slivers outermost; matrices,
 //     and convs sample by sample) and gemmFoldedQ (a batch of small conv
@@ -484,24 +485,39 @@ func kernForQ(jw int) gemmKernelQ {
 	return kernQ
 }
 
-// requantTile writes rows × cnt accumulators, from column a0 of the
-// 4×qNR tile acc on, as dst[i0+r, c0+j] = float32(acc − comp[i0+r]) ·
-// rowScale[i0+r] (dst rows are ld wide; comp is PackedQ's). A checked
-// run passes the columns' actual sums in act and the compensated
-// accumulators are added to them, so the ABFT equality test sees
-// precisely the values that produce dst.
-func requantTile(dst []float32, ld, i0, rows, c0 int, acc []int32, a0, cnt int, rowScale []float32, comp []int32, act []int64) {
-	for r := 0; r < rows; r++ {
-		sc, cp := rowScale[i0+r], comp[i0+r]
-		drow := dst[(i0+r)*ld+c0:][:cnt]
-		ar := acc[r*qNR+a0:][:cnt]
-		rowRequant(drow, ar, cp, sc)
-		if act != nil {
-			for j, v := range ar {
+// requantTile finishes rows × cnt accumulators, from column a0 of the
+// 4×qNR tile acc on, into dst[i0+r, c0+j] (dst rows are ld wide): v =
+// float32(acc − comp[i0+r]) · rowScale[i0+r] (comp is PackedQ's), then
+// the epilogue of channel chanOff+i0+r — on a tier with row kernels in
+// one epilogue call that stores each output once, else the Go loop and
+// then applyCols' own. A checked run passes the columns' actual sums in
+// act and the compensated accumulators are added to them first, so the
+// ABFT equality test sees precisely the values that produce dst.
+func requantTile(dst []float32, ld, i0, rows, c0 int, acc []int32, a0, cnt int, rowScale []float32, comp []int32, ep Epilogue, chanOff int, act []int64) {
+	if act != nil {
+		for r := 0; r < rows; r++ {
+			cp := comp[i0+r]
+			for j, v := range acc[r*qNR+a0:][:cnt] {
 				act[j] += int64(v - cp)
 			}
 		}
 	}
+	if kernRows != nil {
+		blk := dst[i0*ld+c0 : (i0+rows-1)*ld+c0+cnt]
+		a := acc[a0 : (rows-1)*qNR+a0+cnt]
+		scale, shift := ep.rowPtrs(chanOff+i0, chanOff+i0+rows)
+		kernRows.epilogue(&blk[0], rows, ld, cnt, scale, shift, ep.Act,
+			&a[0], qNR, &comp[i0 : i0+rows][0], &rowScale[i0 : i0+rows][0])
+		return
+	}
+	for r := 0; r < rows; r++ {
+		sc, cp := rowScale[i0+r], comp[i0+r]
+		drow := dst[(i0+r)*ld+c0:][:cnt]
+		for j, v := range acc[r*qNR+a0:][:cnt] {
+			drow[j] = float32(v-cp) * sc
+		}
+	}
+	ep.applyCols(dst, i0, i0+rows, ld, c0, c0+cnt, chanOff)
 }
 
 // gemmStripesQ runs the packed int8 GEMM with fused requantization:
@@ -524,7 +540,6 @@ func gemmStripesQ[S qBSource](dst []float32, n int, wp *PackedQ, src S, rowScale
 	// a slice), which defeats escape analysis and would heap-allocate the
 	// tile every call.
 	acc := scratchI32.get(4 * nr)
-	epWork := ep.hasWork()
 	ok := true
 	// Fixed max-tier arrays so the checksum rows never escape; only the
 	// first qNR entries are live for the selected tier.
@@ -550,13 +565,10 @@ func gemmStripesQ[S qBSource](dst []float32, n int, wp *PackedQ, src S, rowScale
 			if check && ABFTFaultQ != nil {
 				ABFTFaultQ(acc, i0, j0)
 			}
-			requantTile(dst, n, i0, min(4, m-i0), j0, acc, 0, jw, rowScale, wp.comp, act)
+			requantTile(dst, n, i0, min(4, m-i0), j0, acc, 0, jw, rowScale, wp.comp, ep, chanOff, act)
 		}
 		if check && !slices.Equal(exp[:jw], act[:jw]) {
 			ok = false
-		}
-		if epWork {
-			ep.applyCols(dst, 0, m, n, j0, j0+jw, chanOff)
 		}
 	}
 	scratchI32.put(acc)
@@ -604,7 +616,6 @@ func gemmFoldedQ(dsts []*Tensor, wp *PackedQ, src qConvB, rowScale []float32, ep
 		}
 	}
 	acc := scratchI32.get(4 * nr)
-	epWork := ep.hasWork()
 	for i0 := 0; i0 < m; i0 += 4 {
 		rows := min(4, m-i0)
 		for j0 := 0; j0 < cols; j0 += nr {
@@ -619,13 +630,8 @@ func gemmFoldedQ(dsts []*Tensor, wp *PackedQ, src qConvB, rowScale []float32, ep
 				if check {
 					a = act[j0+off:]
 				}
-				requantTile(dsts[smp].Data, n, i0, rows, c, acc, off, cnt, rowScale, wp.comp, a)
+				requantTile(dsts[smp].Data, n, i0, rows, c, acc, off, cnt, rowScale, wp.comp, ep, chanOff, a)
 				off += cnt
-			}
-		}
-		if epWork {
-			for _, d := range dsts {
-				ep.apply(d.Data, i0, i0+rows, n, chanOff)
 			}
 		}
 	}

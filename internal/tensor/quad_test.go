@@ -376,7 +376,10 @@ func TestABFTPackedLayoutFaults(t *testing.T) {
 		for _, side := range []int{3, 9} { // folded; per sample
 			n := side * side
 			b := newFoldBatches(rng.New(uint64(16000+side)), spec, side, side, nb)[0]
-			want, _ := b.batch(Epilogue{}, nil)
+			// The full epilogue (per-channel affine, SiLU) runs in the fused
+			// call the check shares. SiLU, not ReLU: a fault that leaves an
+			// output negative either way would be flagged and not show.
+			want, _ := b.batch(b.ep, nil)
 			// The sliver that holds the victim's middle column, in the order
 			// the route's hooks meet slivers (folded: the batch's; sample by
 			// sample: each sample's own, one sample after the other), and the
@@ -428,7 +431,7 @@ func TestABFTPackedLayoutFaults(t *testing.T) {
 				what := fmt.Sprintf("%s, %dx%d planes", f.name, side, side)
 				bad := make([]bool, nb)
 				f.arm()
-				got, ok := b.batch(Epilogue{}, bad)
+				got, ok := b.batch(b.ep, bad)
 				f.disarm()
 				if ok || !slices.Contains(bad, true) {
 					t.Fatalf("%s: not detected (ok=%v bad=%v)", what, ok, bad)
@@ -442,11 +445,11 @@ func TestABFTPackedLayoutFaults(t *testing.T) {
 					}
 					colsQ := QFromSlice(make([]int8, k*n), nil, k, n)
 					Im2ColQInto(b.xs[s], colsQ.Data, foldInv, spec, 0, spec.InC, side, side, 0, n)
-					MatMulInt8RefEpilogueInto(got[s], b.qg, colsQ, b.rowScale, Epilogue{}, 0)
+					MatMulInt8RefEpilogueInto(got[s], b.qg, colsQ, b.rowScale, b.ep, b.chanOff)
 				}
 				wantSameOutputs(t, what+" recovered", got, want)
 				// Disarmed, the same operands run clean again.
-				if _, ok := b.batch(Epilogue{}, bad); !ok {
+				if _, ok := b.batch(b.ep, bad); !ok {
 					t.Fatalf("%s: still flagged after the fault was taken back: %v", what, bad)
 				}
 			}

@@ -116,6 +116,22 @@ func refApplyCols(ep Epilogue, data []float32, r0, r1, w, j0, j1, chanOff int) {
 	}
 }
 
+// goEpilogue is the epilogue's Go form, the oracle of every kernel that
+// applies one: refApplyCols' affine, bias and ReLU loops, and for SiLU and
+// sigmoid the affine followed by the logistic definition (rowops.go).
+func goEpilogue(ep Epilogue, data []float32, r0, r1, w, j0, j1, chanOff int) {
+	act := ep.Act
+	if act == EpActSiLU || act == EpActSigmoid {
+		ep.Act = EpActNone
+	}
+	refApplyCols(ep, data, r0, r1, w, j0, j1, chanOff)
+	if act != ep.Act {
+		for r := r0; r < r1; r++ {
+			rowActGo(data[r*w+j0:r*w+j1], act)
+		}
+	}
+}
+
 // refAdd is Tensor.Add's old loop.
 func refAdd(dst, src []float32) {
 	for i, v := range src {

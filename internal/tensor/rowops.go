@@ -6,15 +6,16 @@ import (
 )
 
 // Row kernels: the per-element loops a plan executes outside the GEMM —
-// the conv epilogue (affine or bias, then ReLU / SiLU / sigmoid), the
-// in-place activations and Add of the interpreters, the running max
-// of a pooling window, at either end of an int8 conv the quantizing
-// copy of its input and the requantization of its accumulators, and
-// under both conv packs the im2col gather of a B panel. Each has one Go
-// form — below; the gather's is the loop of each pack (pack.go,
-// packq.go) — and on the tiers that bind rowKernels an AVX2 form
-// (rowops_amd64.s) that produces the same bits, so neither the tier nor
-// where a row's ragged tail falls ever shows in a result.
+// the conv epilogue (affine or bias, then ReLU / SiLU / sigmoid), which
+// on an int8 conv also requantizes the accumulator tile it reads, the
+// in-place activations and Add of the interpreters, the running max of a
+// pooling window, the quantizing copy of an int8 conv's input, and under
+// both conv packs the im2col gather of a B panel. Each has one Go form —
+// below; the int8 epilogue's is requantTile's (packq.go), the gather's
+// the loop of each pack (pack.go, packq.go) — and on the tiers that bind
+// rowKernels an AVX2 form (rowops_amd64.s) that produces the same bits,
+// so neither the tier nor where a row's ragged tail falls ever shows in
+// a result.
 //
 // Affine, bias, ReLU, add and max are single IEEE operations per lane
 // (VMULPS, VADDPS, VMAXPS) and match the scalar loops exactly. SiLU and
@@ -27,20 +28,25 @@ import (
 // add of the signed half and a truncating conversion, then a clamp the
 // assembly gets from its two saturating packs
 // (TestQuantizeRowMatchesQuantizeRound, also on every float32).
-// Requantizing is a wrapping int32 subtraction, the conversion to float32
-// (round to nearest even, VCVTDQ2PS as CVTSL2SS) and one multiply
-// (TestRequantRowMatchesGo, on every accumulator). The gather computes
-// nothing: it moves dwords, so its parity is == by construction and what
-// its tests pin is which dwords — and that no load or store leaves them
-// (TestGatherRowsMatchesGo, TestGatherRowsAtPageEnd).
+// Requantizing, the epilogue's int32 source, is a wrapping int32
+// subtraction, the conversion to float32 (round to nearest even,
+// VCVTDQ2PS as CVTSL2SS) and one multiply, ahead of the affine and the
+// activation in the same pass (TestRequantRowMatchesGo, on every
+// accumulator). The gather computes nothing: it moves dwords, so its
+// parity is == by construction and what its tests pin is which dwords —
+// and that no load or store leaves them (TestGatherRowsMatchesGo,
+// TestGatherRowsAtPageEnd).
 
 // rowKernels is the vector form of the row kernels, bound per tier
 // (nil: the Go forms run).
 type rowKernels struct {
 	// epilogue finishes a rows×w block at p (row stride ld floats): per
 	// row r, v·scale[r] + shift[r] (scale nil: v + shift[r]; both nil:
-	// v), then act.
-	epilogue func(p *float32, rows, ld, w int, scale, shift *float32, act EpAct)
+	// v), then act. v is the block's own value, or with acc non-nil
+	// float32(a − comp[r])·rowScale[r] for the int32 a at the same place
+	// of a rows×w block at acc (row stride lda int32s) — an int8 conv's
+	// accumulator tile, requantized and finished in one pass.
+	epilogue func(p *float32, rows, ld, w int, scale, shift *float32, act EpAct, acc *int32, lda int, comp *int32, rowScale *float32)
 	// add is dst[i] += src[i] over n elements.
 	add func(dst, src *float32, n int)
 	// max is best[i] = v[i] if v[i] > best[i], over n elements.
@@ -48,8 +54,6 @@ type rowKernels struct {
 	// quantize is dst[i] = quantizeRound(src[i], inv, 0) over n elements,
 	// every byte then XORed with the matching byte of flip.
 	quantize func(dst *int8, src *float32, n int, inv float32, flip uint32)
-	// requant is dst[i] = float32(acc[i] − comp)·scale over n elements.
-	requant func(dst *float32, acc *int32, n int, comp int32, scale float32)
 	// gather fills a conv B panel of rows × ld dwords at dst — a dword is
 	// an fp32 element, or the channel quad of a pixel of the quad tier's
 	// int8 copy. Row r is tap t0+r of the planes at src, plane dwords
@@ -138,7 +142,7 @@ func sigmoidDef(v float32) float32 { return 1 / logisticDenom(v) }
 // rowAct applies act to row in place.
 func rowAct(row []float32, act EpAct) {
 	if kernRows != nil && len(row) > 0 {
-		kernRows.epilogue(&row[0], 1, 0, len(row), nil, nil, act)
+		kernRows.epilogue(&row[0], 1, 0, len(row), nil, nil, act, nil, 0, nil, nil)
 		return
 	}
 	rowActGo(row, act)
@@ -205,19 +209,5 @@ func rowQuantize(dst []int8, src []float32, inv float32, flip int8) {
 	}
 	for i, v := range src {
 		dst[i] = quantizeRound(v, inv, 0) ^ flip
-	}
-}
-
-// rowRequant turns a row of int8 GEMM accumulators into fp32 outputs:
-// dst[j] = float32(acc[j] − comp)·scale, comp the row's share of the quad
-// tier's activation offset (PackedQ.comp; the subtraction wraps as int32
-// does) and scale its wScale·xScale product.
-func rowRequant(dst []float32, acc []int32, comp int32, scale float32) {
-	if kernRows != nil && len(acc) > 0 {
-		kernRows.requant(&dst[:len(acc)][0], &acc[0], len(acc), comp, scale)
-		return
-	}
-	for j, v := range acc {
-		dst[j] = float32(v-comp) * scale
 	}
 }

@@ -17,7 +17,7 @@ import (
 // epilogueRowsAVX2 implements rowKernels.epilogue.
 //
 //go:noescape
-func epilogueRowsAVX2(p *float32, rows, ld, w int, scale, shift *float32, act EpAct)
+func epilogueRowsAVX2(p *float32, rows, ld, w int, scale, shift *float32, act EpAct, acc *int32, lda int, comp *int32, rowScale *float32)
 
 // addRowAVX2 implements rowKernels.add.
 //
@@ -34,17 +34,12 @@ func maxRowAVX2(best, v *float32, n int)
 //go:noescape
 func quantizeRowAVX2(dst *int8, src *float32, n int, inv float32, flip uint32)
 
-// requantRowAVX2 implements rowKernels.requant.
-//
-//go:noescape
-func requantRowAVX2(dst *float32, acc *int32, n int, comp int32, scale float32)
-
 // gatherRowsAVX2 implements rowKernels.gather.
 //
 //go:noescape
 func gatherRowsAVX2(dst unsafe.Pointer, ld int, src unsafe.Pointer, taps *int32, ntaps, t0, plane, rows int, segs *panelSeg, nsegs, sw int)
 
-var avx2Rows = &rowKernels{epilogue: epilogueRowsAVX2, add: addRowAVX2, max: maxRowAVX2, quantize: quantizeRowAVX2, requant: requantRowAVX2, gather: gatherRowsAVX2}
+var avx2Rows = &rowKernels{epilogue: epilogueRowsAVX2, add: addRowAVX2, max: maxRowAVX2, quantize: quantizeRowAVX2, gather: gatherRowsAVX2}
 
 // logisticConsts holds the constants of the logistic definition
 // (rowops.go), one 8-lane vector each, in the order rowops_amd64.s

@@ -27,52 +27,60 @@
 	SUBQ CX, BX \
 	VMOVDQU (R13)(BX*4), Y15
 
-// func epilogueRowsAVX2(p *float32, rows, ld, w int, scale, shift *float32, act EpAct)
+// func epilogueRowsAVX2(p *float32, rows, ld, w int, scale, shift *float32, act EpAct, acc *int32, lda int, comp *int32, rowScale *float32)
 //
-// One pass over a rows×w block: per 8-lane vector, the row's affine
-// (VMULPS by scale then VADDPS of shift, either absent when its pointer
-// is nil), then the activation: none, ReLU (VMAXPS with the value as the
-// second source, so −0 and NaN pass as `if v < 0` leaves them), or the
-// logistic denominator d = 1 + e^(−v) — rowops.go's logisticDenom,
-// operation for operation — and v/d (SiLU) or 1/d (sigmoid). Y15 masks
-// the vector: all lanes, or the row's tail.
-TEXT ·epilogueRowsAVX2(SB), NOSPLIT, $0-56
+// One pass over a rows×w block: per 8-lane vector, the value — p's own,
+// or with acc non-nil the accumulators at the same place of acc's rows
+// (lda apart) requantized: VPSUBD of comp[r] (wrapping, as the Go form's
+// int32 subtraction), VCVTDQ2PS (round to nearest even, as CVTSL2SS),
+// VMULPS by rowScale[r] — then the row's affine (VMULPS by scale then
+// VADDPS of shift, either absent when its pointer is nil), then the
+// activation: none, ReLU (VMAXPS with the value as the second source, so
+// −0 and NaN pass as `if v < 0` leaves them), or the logistic
+// denominator d = 1 + e^(−v) — rowops.go's logisticDenom, operation for
+// operation — and v/d (SiLU) or 1/d (sigmoid). Y15 masks the vector: all
+// lanes, or the row's tail, which takes one more turn of the loop. R11
+// holds acc's row minus p's, so one pointer, AX, walks both rows. The
+// int32 source's steps and the tail's mask sit out of line, so an fp32
+// row's whole vectors jump to neither.
+TEXT ·epilogueRowsAVX2(SB), NOSPLIT, $0-88
 	MOVQ p+0(FP), DI
-	MOVQ rows+8(FP), R9
 	MOVQ ld+16(FP), R10
-	MOVQ w+24(FP), R11
 	MOVQ scale+32(FP), SI
 	MOVQ shift+40(FP), DX
 	MOVQ act+48(FP), R12
+	MOVQ acc+56(FP), R14
 	SHLQ $2, R10               // row stride in bytes
 	LEAQ ·logisticConsts(SB), R8
 	LEAQ ·tailMasks(SB), R13
 	VMOVUPS cLo(R8), Y8
 	VMOVUPS cTHi(R8), Y9
-	VMOVUPS cRound(R8), Y10
 	VMOVUPS cOne(R8), Y11
 	VMOVUPS cBias2(R8), Y12
 	VXORPS  Y13, Y13, Y13
+	XORQ R9, R9                // row
 erow:
 	TESTQ SI, SI
 	JZ    enoscale
-	VBROADCASTSS (SI), Y6
-	ADDQ  $4, SI
+	VBROADCASTSS (SI)(R9*4), Y6
 enoscale:
 	TESTQ DX, DX
 	JZ    enoshift
-	VBROADCASTSS (DX), Y7
-	ADDQ  $4, DX
+	VBROADCASTSS (DX)(R9*4), Y7
 enoshift:
 	MOVQ DI, AX
-	MOVQ R11, CX
+	TESTQ R14, R14
+	JNZ   eaccrow
+ecols:
 	VPCMPEQD Y15, Y15, Y15
+	MOVQ w+24(FP), CX
+	SUBQ $8, CX                // CX+8 columns left
+	JL   etail
 ecol:
-	CMPQ CX, $8
-	JGE  eload
-	TAILMASK
-eload:
+	TESTQ R14, R14
+	JNZ   eacc
 	VMASKMOVPS (AX), Y15, Y0
+escale:
 	TESTQ SI, SI
 	JZ    eshift
 	VMULPS Y6, Y0, Y0          // v·scale
@@ -89,8 +97,8 @@ eact:
 	VMAXPS Y1, Y8, Y1          // lo > x ? lo : x (a NaN stays)
 	VMULPS cLog2e(R8), Y1, Y2  // t = x·log₂e
 	VMINPS Y2, Y9, Y2          // tHi < t ? tHi : t
-	VADDPS Y10, Y2, Y2         // m = t + 1.5·2²³
-	VSUBPS Y10, Y2, Y3         // n = m − 1.5·2²³
+	VADDPS cRound(R8), Y2, Y2  // m = t + 1.5·2²³
+	VSUBPS cRound(R8), Y2, Y3  // n = m − 1.5·2²³
 	VMULPS cLn2Hi(R8), Y3, Y4
 	VSUBPS Y4, Y1, Y1          // r = x − n·ln2Hi
 	VMULPS cLn2Lo(R8), Y3, Y4
@@ -130,12 +138,36 @@ estore:
 	VMASKMOVPS Y0, Y15, (AX)
 	ADDQ $32, AX
 	SUBQ $8, CX
-	JG   ecol
+	JGE  ecol
+	CMPQ CX, $-8
+	JG   etail
 	ADDQ R10, DI
-	DECQ R9
-	JNZ  erow
+	INCQ R9
+	CMPQ R9, rows+8(FP)
+	JLT  erow
 	VZEROUPPER
 	RET
+etail:                         // the mask of the last CX+8 lanes
+	MOVQ CX, BX
+	NEGQ BX
+	VMOVDQU (R13)(BX*4), Y15
+	JMP  ecol
+eaccrow:                       // row r of acc, and its comp and rowScale
+	MOVQ lda+64(FP), R11
+	IMULQ R9, R11
+	LEAQ (R14)(R11*4), R11
+	SUBQ DI, R11
+	MOVQ comp+72(FP), BX
+	VPBROADCASTD (BX)(R9*4), Y10
+	MOVQ rowScale+80(FP), BX
+	VBROADCASTSS (BX)(R9*4), Y14
+	JMP ecols
+eacc:
+	VMASKMOVPS (AX)(R11*1), Y15, Y0
+	VPSUBD    Y10, Y0, Y0      // acc − comp
+	VCVTDQ2PS Y0, Y0
+	VMULPS    Y14, Y0, Y0      // ·rowScale
+	JMP       escale
 
 // func addRowAVX2(dst, src *float32, n int)
 //
@@ -286,47 +318,6 @@ qbyte:
 	DECQ CX
 	JNZ  qbyte
 qdone:
-	VZEROUPPER
-	RET
-
-// func requantRowAVX2(dst *float32, acc *int32, n int, comp int32, scale float32)
-//
-// dst[i] = float32(acc[i] − comp)·scale: VPSUBD (wrapping, as the Go
-// form's int32 subtraction), VCVTDQ2PS (round to nearest even, as
-// CVTSL2SS), VMULPS — eight a turn, then one at a time.
-TEXT ·requantRowAVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ acc+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVL comp+24(FP), AX
-	VMOVD AX, X8
-	VPBROADCASTD X8, Y8
-	VBROADCASTSS scale+28(FP), Y9
-r8:
-	CMPQ CX, $8
-	JLT  r1
-	VMOVDQU (SI), Y0
-	VPSUBD  Y8, Y0, Y0
-	VCVTDQ2PS Y0, Y0
-	VMULPS  Y9, Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JMP  r8
-r1:
-	TESTQ CX, CX
-	JZ   rdone
-	MOVL (SI), BX
-	SUBL AX, BX
-	VCVTSI2SSL BX, X1, X1
-	VMULSS X9, X1, X1
-	VMOVSS X1, (DI)
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JMP  r1
-rdone:
 	VZEROUPPER
 	RET
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -120,7 +121,7 @@ func TestLogisticRowMatchesDefinition(t *testing.T) {
 					for a, act := range []EpAct{EpActSiLU, EpActSigmoid} {
 						row := buf[off : off+n]
 						copy(row, in[lo:lo+n])
-						kernRows.epilogue(&row[0], 1, 0, n, nil, nil, act)
+						kernRows.epilogue(&row[0], 1, 0, n, nil, nil, act, nil, 0, nil, nil)
 						if i := sameBits(row, want[a][lo:lo+n]); i >= 0 {
 							return fmt.Sprintf("act %d, input %#08x (%v), lane %d of a row of %d at offset %d: assembly %#08x (%v), definition %#08x (%v)",
 								act, bits[lo+i], in[lo+i], i, n, off, math.Float32bits(row[i]), row[i], math.Float32bits(want[a][lo+i]), want[a][lo+i])
@@ -199,11 +200,27 @@ func TestQuantizeRowMatchesQuantizeRound(t *testing.T) {
 	})
 }
 
-// TestRequantRowMatchesGo holds the requantizing row of every tier to the
-// loop it replaced, bit for bit: rows of 0 to 40 accumulators at every
-// pointer offset, accumulators and compensations at the int32 extremes
-// (the subtraction wraps), scales from the smallest subnormal to the
-// largest float, nothing written past the row; and, at three
+// requantExt are accumulators and compensations at and around the int32
+// extremes and the float32 integer limit; requantScales run from the
+// smallest subnormal to the largest float.
+var (
+	requantExt    = []int32{0, 1, -1, 127, -128, 1 << 24, 1<<24 + 1, -(1 << 24) - 1, 1<<30 + 1<<6, math.MaxInt32, math.MaxInt32 - 1, math.MinInt32, math.MinInt32 + 1}
+	requantScales = []float32{1, 1.0 / 127 / 127, 0x1p-149, 0x1p-130, 0x1p100, math.MaxFloat32, -3.5, 0}
+)
+
+// requantRow is requantTile's requant-only call on one row of a tile:
+// dst[j] = float32(acc[j] − comp)·scale, through the tier's epilogue
+// kernel where one is bound.
+func requantRow(dst []float32, acc []int32, comp int32, scale float32) {
+	requantTile(dst, len(acc), 0, 1, 0, acc, 0, len(acc), []float32{scale}, []int32{comp}, Epilogue{}, 0, nil)
+}
+
+// TestRequantRowMatchesGo holds the requantization of every tier — the
+// epilogue kernel's int32 source with no affine and no activation — to
+// the loop it replaced, bit for bit: rows of 1 to 40 accumulators at
+// every pointer offset, accumulators and compensations at the int32
+// extremes (the subtraction wraps), scales from the smallest subnormal to
+// the largest float, nothing written past the row; and, at three
 // (comp, scale) pairs, every int32 accumulator (sweepFloat32's patterns
 // read as integers: all 2³² without -short).
 func TestRequantRowMatchesGo(t *testing.T) {
@@ -212,25 +229,23 @@ func TestRequantRowMatchesGo(t *testing.T) {
 			dst[j] = float32(v-comp) * scale
 		}
 	}
-	ext := []int32{0, 1, -1, 127, -128, 1 << 24, 1<<24 + 1, -(1 << 24) - 1, 1<<30 + 1<<6, math.MaxInt32, math.MaxInt32 - 1, math.MinInt32, math.MinInt32 + 1}
-	scales := []float32{1, 1.0 / 127 / 127, 0x1p-149, 0x1p-130, 0x1p100, math.MaxFloat32, -3.5, 0}
 	forEachTier(t, func(t *testing.T, tier string) {
 		r := rng.New(2300)
 		acc := alignedSlice[int32](48)
 		dst := alignedSlice[float32](49)
 		want := make([]float32, 40)
-		for cnt := 0; cnt <= 40; cnt++ {
-			for _, comp := range ext {
-				for si, scale := range scales {
+		for cnt := 1; cnt <= 40; cnt++ {
+			for _, comp := range requantExt {
+				for si, scale := range requantScales {
 					off := (cnt + si) % 8
 					in, out := acc[off:off+cnt], dst[off:off+cnt+1]
 					for i := range in {
 						if in[i] = int32(r.Uint64()); i%3 == 0 {
-							in[i] = ext[r.Uint64()%uint64(len(ext))]
+							in[i] = requantExt[r.Uint64()%uint64(len(requantExt))]
 						}
 					}
 					out[cnt] = 0x55
-					rowRequant(out[:cnt], in, comp, scale)
+					requantRow(out[:cnt], in, comp, scale)
 					goRow(want, in, comp, scale)
 					for i := range in {
 						if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
@@ -258,7 +273,7 @@ func TestRequantRowMatchesGo(t *testing.T) {
 					for i, b := range bits[:n] {
 						in[i] = int32(b)
 					}
-					rowRequant(got[:n], in[:n], p.comp, p.scale)
+					requantRow(got[:n], in[:n], p.comp, p.scale)
 					goRow(want, in[:n], p.comp, p.scale)
 					for i := range in[:n] {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -368,12 +383,15 @@ func sameBits(a, b []float32) int {
 	return -1
 }
 
+// epActs is every activation an epilogue applies.
+var epActs = []EpAct{EpActNone, EpActReLU, EpActSiLU, EpActSigmoid}
+
 // checkRowKernels runs one rows×[j0, j0+jw) stripe of a ld-wide block
-// through Epilogue.applyCols on the current tier and wants the old
-// loops' bits: all of them for the affine, bias and ReLU epilogues, and
-// the old affine followed by the logistic definition for SiLU and
-// sigmoid. Then Tensor.Add, Tensor.ReLU and rowMax over jw elements
-// against their old loops.
+// through Epilogue.applyCols on the current tier and wants the Go form's
+// bits (goEpilogue) — and, when the stripe fits an int8 tile, the same
+// shape through requantTile from an accumulator tile (checkRequantTile).
+// Then Tensor.Add, Tensor.ReLU and rowMax over jw elements against their
+// old loops.
 func checkRowKernels(t *testing.T, seed uint64, rows, ld, j0, jw, chanOff int) {
 	t.Helper()
 	r := rng.New(seed)
@@ -383,27 +401,21 @@ func checkRowKernels(t *testing.T, seed uint64, rows, ld, j0, jw, chanOff int) {
 	drawRow(r, scale)
 	drawRow(r, shift)
 	for _, ep := range []Epilogue{{Scale: scale, Shift: shift}, {Shift: shift}, {}} {
-		for _, act := range []EpAct{EpActNone, EpActReLU, EpActSiLU, EpActSigmoid} {
+		for _, act := range epActs {
 			ep.Act = act
 			got := append([]float32(nil), data...)
 			ep.applyCols(got, 0, rows, ld, j0, j0+jw, chanOff)
 			want := append([]float32(nil), data...)
-			if act == EpActSiLU || act == EpActSigmoid {
-				ref := ep
-				ref.Act = EpActNone
-				refApplyCols(ref, want, 0, rows, ld, j0, j0+jw, chanOff)
-				for rr := 0; rr < rows; rr++ {
-					rowActGo(want[rr*ld+j0:rr*ld+j0+jw], act)
-				}
-			} else {
-				refApplyCols(ep, want, 0, rows, ld, j0, j0+jw, chanOff)
-			}
+			goEpilogue(ep, want, 0, rows, ld, j0, j0+jw, chanOff)
 			if i := sameBits(got, want); i >= 0 {
 				t.Fatalf("seed %d rows %d ld %d cols [%d, %d) scale %v shift %v act %d: elem %d (input %v) is %v (%#08x), the old loop gives %v (%#08x)",
 					seed, rows, ld, j0, j0+jw, ep.Scale != nil, ep.Shift != nil, act, i, data[i],
 					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 			}
 		}
+	}
+	if rows <= 4 && jw <= qNR {
+		checkRequantTile(t, seed, rows, (j0+chanOff)%(qNR-jw+1), jw, j0, ld, chanOff)
 	}
 
 	a, b := make([]float32, jw), make([]float32, jw)
@@ -432,6 +444,66 @@ func checkRowKernels(t *testing.T, seed uint64, rows, ld, j0, jw, chanOff int) {
 	if i := sameBits(best, wantBest); i >= 0 {
 		t.Fatalf("seed %d: pooling step over %d elements: elem %d: best %v, v %v gives %#08x, the old step %#08x",
 			seed, jw, i, a[i], b[i], math.Float32bits(best[i]), math.Float32bits(wantBest[i]))
+	}
+}
+
+// checkRequantTile finishes rows (1–4) × cnt accumulators, from column a0
+// of a 4×qNR tile, through requantTile into column c0 of an ld-wide
+// block, checked, under every epilogue and activation checkRowKernels
+// runs, and wants the Go form's bits: the requant loop, then goEpilogue.
+// Accumulators and compensations reach the int32 extremes, row scales
+// run from the smallest subnormal to the largest float, every element
+// outside the block — the one past its last row included — keeps its
+// value, and the checked sums are the compensated accumulators'.
+func checkRequantTile(t *testing.T, seed uint64, rows, a0, cnt, c0, ld, chanOff int) {
+	t.Helper()
+	r := rng.New(seed)
+	pick := func(n int) int { return int(r.Uint64() % uint64(n)) }
+	acc := make([]int32, 4*qNR)
+	for i := range acc {
+		if acc[i] = int32(r.Uint64()); pick(3) == 0 {
+			acc[i] = requantExt[pick(len(requantExt))]
+		}
+	}
+	comp, rowScale := make([]int32, rows), make([]float32, rows)
+	for i := range comp {
+		comp[i] = requantExt[pick(len(requantExt))]
+		if rowScale[i] = requantScales[pick(len(requantScales))]; pick(2) == 0 {
+			rowScale[i] = r.Float32() / 127 / 100
+		}
+	}
+	data := make([]float32, rows*ld+1)
+	drawRow(r, data)
+	scale, shift := make([]float32, chanOff+rows), make([]float32, chanOff+rows)
+	drawRow(r, scale)
+	drawRow(r, shift)
+	wantSums := make([]int64, cnt)
+	for rr := 0; rr < rows; rr++ {
+		for j, v := range acc[rr*qNR+a0:][:cnt] {
+			wantSums[j] += int64(v - comp[rr])
+		}
+	}
+	for _, ep := range []Epilogue{{Scale: scale, Shift: shift}, {Shift: shift}, {}} {
+		for _, act := range epActs {
+			ep.Act = act
+			got, sums := append([]float32(nil), data...), make([]int64, cnt)
+			requantTile(got, ld, 0, rows, c0, acc, a0, cnt, rowScale, comp, ep, chanOff, sums)
+			want := append([]float32(nil), data...)
+			for rr := 0; rr < rows; rr++ {
+				for j, v := range acc[rr*qNR+a0:][:cnt] {
+					want[rr*ld+c0+j] = float32(v-comp[rr]) * rowScale[rr]
+				}
+			}
+			goEpilogue(ep, want, 0, rows, ld, c0, c0+cnt, chanOff)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("seed %d: %d×%d accumulators from column %d of a 4×%d tile into column %d of a %d-wide block, scale %v shift %v act %d: elem %d is %v (%#08x), the Go form gives %v (%#08x)",
+					seed, rows, cnt, a0, qNR, c0, ld, ep.Scale != nil, ep.Shift != nil, act, i,
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+			if !slices.Equal(sums, wantSums) {
+				t.Fatalf("seed %d: %d×%d tile from column %d: checked sums %v, want %v", seed, rows, cnt, a0, sums, wantSums)
+			}
+		}
 	}
 }
 
@@ -523,7 +595,8 @@ func TestGatherRowsMatchesGo(t *testing.T) {
 }
 
 // TestRowKernelsMatchReference: every stripe shape up to five vectors
-// wide, ragged on both sides, on every tier.
+// wide, ragged on both sides, and every int8 tile of 1–4 rows, 1…qNR
+// columns and every column offset, on every tier.
 func TestRowKernelsMatchReference(t *testing.T) {
 	forEachTier(t, func(t *testing.T, tier string) {
 		seed := uint64(0)
@@ -532,6 +605,15 @@ func TestRowKernelsMatchReference(t *testing.T) {
 				for _, j0 := range []int{0, 1, 5} {
 					seed++
 					checkRowKernels(t, seed, rows, j0+jw+int(seed%3), j0, jw, int(seed%5))
+				}
+			}
+		}
+		for rows := 1; rows <= 4; rows++ {
+			for cnt := 1; cnt <= qNR; cnt++ {
+				for a0 := 0; a0+cnt <= qNR; a0++ {
+					seed++
+					c0 := int(seed % 3)
+					checkRequantTile(t, seed, rows, a0, cnt, c0, c0+cnt+int(seed/3%2), int(seed%5))
 				}
 			}
 		}
@@ -546,6 +628,8 @@ func FuzzRowKernels(f *testing.F) {
 		m, jw, j0 := 1+int(rows%16), 1+int(cols%80), int(lead%16)
 		forEachTier(t, func(t *testing.T, tier string) {
 			checkRowKernels(t, seed, m, j0+jw+int(slack%8), j0, jw, int(chanOff))
+			cnt := 1 + int(cols)%qNR
+			checkRequantTile(t, seed, 1+int(rows%4), int(lead)%(qNR-cnt+1), cnt, j0, j0+cnt+int(slack%8), int(chanOff))
 		})
 	})
 }
@@ -644,12 +728,58 @@ func TestMaxPoolRejectsEmptyWindows(t *testing.T) {
 // 576 and 2304 whole planes), and the two pools the Table-2 networks run
 // at 96×96. SiLU and affine + ReLU also run the kernel one row a call
 // (perrow), the alternative to handing it the stripe. Every in-place case
-// first restores its block from a copy, which the copy row prices. Run
-// with GOMAXPROCS=1.
+// first restores its block from a copy, which the copy row prices. The
+// tile cases finish a 64-row int8 stripe one tile wide, in ns a 4×qNR
+// tile: twopass as the drivers did before the fused call — four
+// requant-only calls a tile, then applyCols over the stripe — against
+// fused, one requantTile call a tile with the epilogue in it. Run with
+// GOMAXPROCS=1.
 func BenchmarkRowKernels(b *testing.B) {
 	r := rng.New(16)
 	perElem := func(b *testing.B, n int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+	}
+	{
+		const m = 64
+		acc, dst := make([]int32, 4*qNR), make([]float32, m*qNR)
+		for i := range acc {
+			acc[i] = int32(r.Uint64()>>40) - 1<<23
+		}
+		comp, rowScale := make([]int32, m), make([]float32, m)
+		scale, shift := make([]float32, m), make([]float32, m)
+		for i := range comp {
+			comp[i] = int32(r.Uint64()>>48) - 1<<15
+			rowScale[i] = r.Float32() / 127 / 100
+			scale[i], shift[i] = r.Float32()+0.5, r.Float32()-0.5
+		}
+		for _, act := range []EpAct{EpActSiLU, EpActReLU} {
+			ep := Epilogue{Scale: scale, Shift: shift, Act: act}
+			for _, side := range []struct {
+				name string
+				fn   func()
+			}{
+				{"twopass", func() {
+					for i0 := 0; i0 < m; i0 += 4 {
+						for rr := i0; rr < i0+4; rr++ {
+							requantTile(dst, qNR, rr, 1, 0, acc[(rr-i0)*qNR:], 0, qNR, rowScale, comp, Epilogue{}, 0, nil)
+						}
+					}
+					ep.applyCols(dst, 0, m, qNR, 0, qNR, 0)
+				}},
+				{"fused", func() {
+					for i0 := 0; i0 < m; i0 += 4 {
+						requantTile(dst, qNR, i0, 4, 0, acc, 0, qNR, rowScale, comp, ep, 0, nil)
+					}
+				}},
+			} {
+				b.Run(fmt.Sprintf("tile/affine+%s/4x%d/%s", [...]string{EpActSiLU: "silu", EpActReLU: "relu"}[act], qNR, side.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						side.fn()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(m/4), "ns/tile")
+				})
+			}
+		}
 	}
 	for _, w := range []int{9, 12, 24, 32, 36, 576, 2304} {
 		rows := max(1, 4608/w)
